@@ -272,6 +272,7 @@ func runQuery(stdout io.Writer, input core.Input, bgpText string, expand bool) e
 // names and one tab-separated row per solution, rows sorted for
 // deterministic output.
 func printSolutions(stdout io.Writer, sols *query.Solutions) error {
+	defer sols.Close()
 	vars := sols.Vars()
 	var rows []string
 	for sols.Next() {

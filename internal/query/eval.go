@@ -116,15 +116,23 @@ type level struct {
 	comps  [3]comp
 	expand []store.SymbolID // expanded object candidates; nil when not expanded
 	orig   int              // the pattern's index in the request BGP (trace labeling)
+	// est is the planner's estimate for the level along the chosen order:
+	// the scan's match count for the first level, matches per probe for a
+	// join. It sizes the scan's parallelism and the join's probe window.
+	est float64
 }
 
 // Solutions streams the solutions of a BGP. The iteration protocol is
 //
 //	sols := query.Eval(s, bgp)
+//	defer sols.Close()
 //	for sols.Next() {
 //		... sols.Bind() or sols.Value(...) ...
 //	}
 //	if err := sols.Err(); err != nil { ... }
+//
+// Close hands an unfinished evaluation's pooled buffers back; a loop that
+// always runs until Next returns false may omit it.
 //
 // Under the hood the solutions are produced in columnar batches by the
 // operator tree in repro/internal/query/exec; Next walks the current batch
@@ -242,13 +250,13 @@ func Eval(src Source, bgp BGP, opts ...Option) *Solutions {
 		// solution.
 		return sol
 	}
-	ordered, estFirst := plan(src, levels, len(sol.vars), cfg.trace)
+	ordered := plan(src, levels, len(sol.vars), cfg.trace)
 	if tr := cfg.trace; tr != nil {
 		for i := range tr.Levels {
 			tr.Levels[i].Pattern = bgp[tr.Levels[i].Index].String()
 		}
 	}
-	sol.root = build(src, ordered, len(sol.vars), estFirst, cfg.trace)
+	sol.root = build(src, ordered, len(sol.vars), cfg.trace)
 	return sol
 }
 
@@ -279,10 +287,15 @@ func bgpVars(b BGP) []string {
 
 // build lowers the planned levels onto the operator tree: the first level
 // becomes the leaf scan (sized by the planner's estimate so wide scans go
-// shard-parallel), every later level a batched probe join. With a trace
-// attached, each lowered operator is instrumented with its level's OpStat.
-func build(src Source, ordered []level, nvars int, estFirst float64, tr *Trace) exec.Op {
-	bound := make([]bool, nvars)
+// shard-parallel), every later level a batched probe join whose probe window
+// follows the planner's per-probe fan-out estimate. With a trace attached,
+// each lowered operator is instrumented with its level's OpStat.
+func build(src Source, ordered []level, nvars int, tr *Trace) exec.Op {
+	var boundArr [planScratchVars]bool // NewJoin only reads it, so it can live on the stack
+	bound := boundArr[:min(nvars, planScratchVars)]
+	if nvars > planScratchVars {
+		bound = make([]bool, nvars)
+	}
 	var root exec.Op
 	for li := range ordered {
 		lv := &ordered[li]
@@ -295,9 +308,9 @@ func build(src Source, ordered []level, nvars int, estFirst float64, tr *Trace) 
 			}
 		}
 		if root == nil {
-			root = exec.NewScan(src, pat, lv.expand, nvars, int(estFirst))
+			root = exec.NewScan(src, pat, lv.expand, nvars, int(lv.est))
 		} else {
-			root = exec.NewJoin(root, src, pat, lv.expand, append([]bool(nil), bound...), nvars)
+			root = exec.NewJoin(root, src, pat, lv.expand, bound, nvars, int(lv.est))
 		}
 		if tr != nil && li < len(tr.Levels) {
 			exec.Instrument(root, &tr.Levels[li].Stat)
@@ -408,23 +421,23 @@ const planScratchVars = 24
 // follows join-bound variables through their most selective probe direction;
 // disconnected pattern groups end up cheapest-first, keeping the unavoidable
 // cartesian product as small as possible. The returned order is what build
-// lowers onto the operator tree; the second result is the estimated match
-// count of the order's first level, which sizes the leaf scan. A non-nil tr
-// records every candidate order costed and the chosen order's per-level
-// estimates (see trace.go).
-func plan(src Source, levels []level, nvars int, tr *Trace) ([]level, float64) {
+// lowers onto the operator tree, each level carrying its estimate along that
+// order (level.est). A non-nil tr records every candidate order costed and
+// the chosen order's per-level estimates (see trace.go).
+func plan(src Source, levels []level, nvars int, tr *Trace) []level {
 	n := len(levels)
 	if n == 1 {
 		st := levelStats(src, &levels[0])
+		levels[0].est = st.count
 		if tr != nil {
 			stats := []pstats{st}
 			bound := make([]bool, nvars)
 			order := []int{0}
 			c := planCost(levels, stats, order, bound)
 			tr.recordCandidate(levels, order, c)
-			tr.finishPlan(levels, stats, order, c, bound, true)
+			tr.finishPlan(levels, c, true)
 		}
-		return levels, st.count
+		return levels
 	}
 	// The scratch below lives in fixed-size arrays when the BGP is small —
 	// the overwhelmingly common case — so planning itself allocates nothing.
@@ -447,13 +460,13 @@ func plan(src Source, levels []level, nvars int, tr *Trace) ([]level, float64) {
 	}
 	var bestArr, permArr [maxExhaustive]int
 	var best []int
+	bestCost := math.Inf(1)
 	if n <= maxExhaustive {
 		best = bestArr[:0]
 		perm := permArr[:n]
 		for i := range perm {
 			perm[i] = i
 		}
-		bestCost := math.Inf(1)
 		var rec func(k int)
 		rec = func(k int) {
 			if k == n {
@@ -474,9 +487,6 @@ func plan(src Source, levels []level, nvars int, tr *Trace) ([]level, float64) {
 			}
 		}
 		rec(0)
-		if tr != nil {
-			tr.finishPlan(levels, stats, best, bestCost, bound, true)
-		}
 	} else {
 		used := make([]bool, n)
 		solutions := 1.0
@@ -500,16 +510,28 @@ func plan(src Source, levels []level, nvars int, tr *Trace) ([]level, float64) {
 			}
 		}
 		if tr != nil {
-			c := planCost(levels, stats, best, bound)
-			tr.recordCandidate(levels, best, c)
-			tr.finishPlan(levels, stats, best, c, bound, false)
+			bestCost = planCost(levels, stats, best, bound)
+			tr.recordCandidate(levels, best, bestCost)
 		}
 	}
 	ordered := make([]level, 0, n)
-	for _, idx := range best {
-		ordered = append(ordered, levels[idx])
+	for i := range bound {
+		bound[i] = false
 	}
-	return ordered, stats[best[0]].count
+	for _, idx := range best {
+		lv := levels[idx]
+		lv.est = probeEstimate(&lv, stats[idx], bound)
+		ordered = append(ordered, lv)
+		for _, c := range lv.comps {
+			if c.isVar {
+				bound[c.varIdx] = true
+			}
+		}
+	}
+	if tr != nil {
+		tr.finishPlan(ordered, bestCost, n <= maxExhaustive)
+	}
+	return ordered
 }
 
 // Next advances to the next solution, reporting whether one exists. After
@@ -531,8 +553,8 @@ func (sol *Solutions) Next() bool {
 		// cancellation observed mid-batch stops the iteration without
 		// draining the batch's remaining rows.
 		if sol.ctx.Cancelled() {
+			sol.Close()
 			sol.err = ErrInterrupted
-			sol.done = true
 			return false
 		}
 		sol.row++
@@ -555,6 +577,27 @@ func (sol *Solutions) Next() bool {
 		}
 		sol.cur, sol.row, sol.onRow = b, 0, true
 		return true
+	}
+}
+
+// Close ends the iteration and returns the evaluation's pooled operators and
+// buffers to the executor (exec.Close). Call it when abandoning an iterator
+// before Next or NextBatch has reported the end — a limit reached, a
+// consumer gone; until then the operator tree holds its buffers, and
+// dropping the iterator instead leaves them to the garbage collector. Close
+// is idempotent and a no-op once the iteration has ended by exhaustion or
+// error (the operators released themselves at that point), so `defer
+// sols.Close()` is always safe. After Close, Next and NextBatch report
+// false, Err is unchanged, and batches handed out earlier are invalid.
+func (sol *Solutions) Close() {
+	if sol.done {
+		return
+	}
+	sol.done = true
+	sol.onRow = false
+	sol.cur = nil
+	if sol.root != nil {
+		exec.Close(sol.root)
 	}
 }
 
@@ -717,6 +760,7 @@ func (sol *Solutions) ProjectFunc(name string, yield func(string) bool) error {
 			break
 		}
 	}
+	defer sol.Close() // yield may stop the drain early
 	if idx < 0 {
 		if sol.err == nil {
 			sol.err = fmt.Errorf("query: projection variable ?%s does not occur in the pattern", name)

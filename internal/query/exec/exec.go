@@ -14,15 +14,39 @@
 //	             engine's "one atom ranges over the delta" stage
 //	NewSeed      a one-row leaf of pre-bound variables — the rederivation
 //	             test's "head variables already known" stage
-//	NewJoin      an index-nested-loop join probing batch-at-a-time: the
-//	             child's rows become probe patterns, grouped by index shard
-//	             so each shard is locked once per batch (QueryIDBatch)
+//	NewJoin      an index-nested-loop join probing a window of child rows at
+//	             a time: the rows become probe patterns, grouped by index
+//	             shard so each shard is locked once per window (QueryIDBatch)
 //
 // A Batch is columnar — one []store.SymbolID per variable slot — and owned by
 // the operator that returned it: it is valid until that operator's next Next
-// call, and buffers are reused throughout, so steady-state evaluation
-// allocates nothing per binding. Operators tolerate and may produce empty
-// batches (N == 0); callers skip them.
+// call. Operators tolerate and may produce empty batches (N == 0); callers
+// skip them.
+//
+// # Buffers and their owners
+//
+// Every buffer an evaluation touches belongs to one operator and is reused
+// for the operator's whole stream, so steady-state evaluation allocates
+// nothing per binding, per batch or per probe:
+//
+//   - Fixed-size buffers (batch columns, probe patterns, scan triple
+//     buffers) are drawn from package pools when an operator is built and
+//     handed back when it is released.
+//   - A join's match buffers — the only buffers whose size depends on the
+//     data — are fields of the pooled join struct itself and keep their
+//     capacity from one query to the next. The window rule bounds them: a
+//     join probes only as many child rows at a time as the planner's
+//     per-probe fan-out estimate predicts will fill about one output batch
+//     (BatchSize/estimate, at least one row, at most the whole child batch),
+//     and keeps probing windows only until a full batch is buffered, so a
+//     join holds under two batches of matches plus one probe's fan-out, not
+//     a whole child batch's. A buffer a mis-estimated probe grew past
+//     maxPooledCap entries is dropped instead of kept.
+//   - An operator releases itself — buffers, then its own struct — exactly
+//     once: when its stream ends (Next returned nil or an error), or when
+//     Close is called on a tree whose stream has not ended. A consumer that
+//     stops pulling early must call Close (query.Solutions.Close does, and
+//     is safe to call at any time); one that drains to the end need not.
 package exec
 
 import (
@@ -65,13 +89,14 @@ type Batch struct {
 // batch columns, probe batches, triple buffers — across operator trees.
 // Evaluating a small query would otherwise pay tens of kilobytes of
 // allocate-and-zero per Eval call, dwarfing the query itself; with the pools
-// a drained evaluation gives every buffer back and steady-state serving
+// a finished evaluation gives every buffer back and steady-state serving
 // allocates almost nothing. The pools hold pointers to fixed-size arrays,
 // not slices: putting a slice into a sync.Pool boxes its header onto the
 // heap, which would put an allocation right back on the per-batch path the
 // pools exist to clear. Operators release their buffers when their stream
-// ends (exhaustion or error); an abandoned iterator simply leaves them to
-// the garbage collector.
+// ends (exhaustion or error) or when Close is called on them; a tree that is
+// abandoned without Close leaves them to the garbage collector, and the next
+// query pays to allocate them again.
 // blockSlots is how many columns a pooled batch block carries; batches with
 // more variable slots (rare, deep BGPs) fall back to per-column pooling.
 const blockSlots = 8
@@ -81,14 +106,14 @@ var (
 	colPool   = sync.Pool{New: func() any { return new([BatchSize]store.SymbolID) }}
 	probePool = sync.Pool{New: func() any { return new([BatchSize]store.IDPattern) }}
 	tripPool  = sync.Pool{New: func() any { return new([BatchSize]store.IDTriple) }}
-	rowPool   = sync.Pool{New: func() any { return new([BatchSize]int32) }}
 	batchPool = sync.Pool{New: func() any { return new(Batch) }}
 	scanPool  = sync.Pool{New: func() any { return new(scan) }}
 	joinPool  = sync.Pool{New: func() any { return new(join) }}
 )
 
-// maxPooledCap bounds what grown buffers go back to the pools: a
-// pathological fan-out would otherwise pin its peak footprint forever.
+// maxPooledCap bounds, in entries, the match buffers a join keeps: one probe
+// with a pathological fan-out would otherwise pin its peak footprint for the
+// rest of the evaluation and, through the pooled join, for later ones.
 const maxPooledCap = 1 << 16
 
 // newBatch builds a batch with nslots pooled columns of BatchSize capacity.
@@ -142,8 +167,7 @@ func takeTrips() []store.IDTriple {
 	return tripPool.Get().(*[BatchSize]store.IDTriple)[:]
 }
 
-// putTrips returns a triple buffer to the pool (first BatchSize entries of a
-// grown buffer; callers bound what they hand back with maxPooledCap).
+// putTrips returns a triple buffer to the pool.
 func putTrips(buf []store.IDTriple) {
 	if cap(buf) >= BatchSize {
 		tripPool.Put((*[BatchSize]store.IDTriple)(buf[:BatchSize]))
@@ -217,14 +241,16 @@ type Op interface {
 	Next(ctx *Ctx) (*Batch, error)
 }
 
-// Close releases an operator tree's pooled buffers without draining it —
-// for callers that stop early by design (the rederivation test abandons its
-// pipeline at the first surviving row). It must only be called on a tree
+// Close releases an operator tree's pooled buffers — and the pooled
+// operators themselves — without draining it, for callers that stop early:
+// a LIMIT met, a disconnected client, the rederivation test abandoning its
+// pipeline at the first surviving row. It must only be called on a tree
 // whose stream has NOT ended: once Next has returned nil or an error every
-// operator has already released itself, and a second release would poison
-// the pools. Closing is optional — an abandoned tree is garbage-collected
-// like anything else — but hot abandon-early paths reclaim their buffers
-// with it.
+// operator has already released itself, its struct may be serving another
+// query, and a second release would poison the pools. (query.Solutions.Close
+// tracks that and is safe to call at any time.) Skipping Close is safe but
+// not free: the abandoned buffers are garbage, and the pools refill by
+// allocating.
 func Close(op Op) {
 	for op != nil {
 		switch t := op.(type) {
@@ -708,9 +734,9 @@ func (s *seed) Next(ctx *Ctx) (*Batch, error) {
 
 // join is the batched index-nested-loop join: each child row instantiates
 // the pattern into a probe (literals and already-bound slots become bound
-// components), the whole batch of probes is answered by one QueryIDBatch
-// call (each index shard locked once), and every match emits one output row
-// — the child's bound columns copied across plus the pattern's new slots.
+// components), a window of probes is answered by one QueryIDBatch call (each
+// index shard locked once), and every match emits one output row — the
+// child's bound columns copied across plus the pattern's new slots.
 type join struct {
 	child  Op
 	src    Source
@@ -725,62 +751,103 @@ type join struct {
 	// copySlots are the slots bound before this join, copied child→out per
 	// output row.
 	copySlots []int
+	// window is how many child rows one collect probes (see NewJoin).
+	window int
 
-	out         *Batch
-	probes      []store.IDPattern
-	matchRows   []int32
-	matchTrips  []store.IDTriple
-	emitPos     int
-	childBatch  *Batch
+	out    *Batch
+	probes []store.IDPattern
+
+	// The match buffers and the store callback belong to the join struct,
+	// not to one evaluation: NewJoin carries them over when it recycles a
+	// pooled join, so a warmed-up join neither regrows its buffers nor
+	// allocates a closure per probe window. matchRows[k] is the child row
+	// that produced matchTrips[k].
+	matchRows  []int32
+	matchTrips []store.IDTriple
+	onMatch    func(pi int, t store.IDTriple) bool
+
+	ctx         *Ctx   // the collect in flight's context, for onMatch
+	childBatch  *Batch // the child batch being probed
+	probePos    int    // next row of childBatch to probe
+	probeBase   int    // childBatch row of the window in flight's probe 0
+	emitPos     int    // next buffered match to emit
 	done        bool
 	interrupted bool
 	released    bool
 	stat        *OpStat // span statistics, when instrumented (see stats.go)
 }
 
-// close releases the join's pooled buffers once its stream has ended.
+// compactMatches discards the emitted prefix of the match buffers, keeping
+// what is still to be emitted at the front. Buffers it leaves empty are
+// dropped rather than kept if one pathological probe grew them past
+// maxPooledCap.
+func (j *join) compactMatches() {
+	n := copy(j.matchRows, j.matchRows[j.emitPos:])
+	copy(j.matchTrips, j.matchTrips[j.emitPos:])
+	j.matchRows, j.matchTrips, j.emitPos = j.matchRows[:n], j.matchTrips[:n], 0
+	if n == 0 && cap(j.matchTrips) > maxPooledCap {
+		j.matchRows, j.matchTrips = nil, nil
+	}
+}
+
+// close releases the join's pooled buffers — and the join itself, match
+// buffers riding along — once its stream has ended. The child is not
+// touched: it has either released itself (its stream ended first) or is
+// released by Close walking the tree.
 func (j *join) close() {
 	if j.released {
 		return
 	}
 	j.released = true
 	j.out.release()
-	if j.probes != nil && cap(j.probes) >= BatchSize {
-		probePool.Put((*[BatchSize]store.IDPattern)(j.probes[:BatchSize]))
-		poolPuts.Add(1)
-	}
+	probePool.Put((*[BatchSize]store.IDPattern)(j.probes))
 	j.probes = nil
-	if j.matchTrips != nil && cap(j.matchTrips) >= BatchSize && cap(j.matchTrips) <= maxPooledCap {
-		putTrips(j.matchTrips)
-	}
-	j.matchTrips = nil
-	if j.matchRows != nil && cap(j.matchRows) >= BatchSize && cap(j.matchRows) <= maxPooledCap {
-		rowPool.Put((*[BatchSize]int32)(j.matchRows[:BatchSize]))
-		poolPuts.Add(1)
-	}
-	j.matchRows = nil
-	j.child, j.childBatch, j.src = nil, nil, nil
+	j.emitPos = len(j.matchRows)
+	j.compactMatches()
+	j.child, j.childBatch, j.src, j.ctx, j.expand, j.stat = nil, nil, nil, nil, nil, nil
 	joinPool.Put(j)
-	poolPuts.Add(1)
+	poolPuts.Add(2) // join + probe buffer
 }
 
 // NewJoin builds a join of child against src on pat. boundBefore flags, per
 // slot, the variables the child's batches already bind: those become probe
-// components, the rest output columns. nslots sizes the output batches;
-// expand, when non-nil, probes each candidate object id in turn.
-func NewJoin(child Op, src Source, pat Pattern, expand []store.SymbolID, boundBefore []bool, nslots int) Op {
+// components, the rest output columns (it is read during construction only).
+// nslots sizes the output batches; expand, when non-nil, probes each
+// candidate object id in turn.
+//
+// probeEst is the planner's estimate of how many matches one probe yields
+// (all expansion candidates together). It sets the probe window: the join
+// probes BatchSize/probeEst child rows at a time — at least one, at most a
+// whole child batch — so that one window's matches fill about one output
+// batch, instead of buffering the fan-out of a whole child batch before
+// emitting the first row (while less than a batch is buffered it probes the
+// next window before emitting). Besides bounding the match buffers, that lets a consumer
+// that stops early (a LIMIT) skip the probes it never needed. An estimate of
+// 0 or 1 (or none: pass 0) probes whole batches.
+func NewJoin(child Op, src Source, pat Pattern, expand []store.SymbolID, boundBefore []bool, nslots, probeEst int) Op {
 	poolGets.Add(2) // join + probe buffer
 	j := joinPool.Get().(*join)
 	*j = join{
-		child:     child,
-		src:       src,
-		pat:       pat,
-		ipBase:    idPattern(pat),
-		rp:        planRow(pat, boundBefore),
-		expand:    expand,
-		out:       newBatch(nslots),
-		probeSlot: [3]int{-1, -1, -1},
-		probes:    probePool.Get().(*[BatchSize]store.IDPattern)[:],
+		child:      child,
+		src:        src,
+		pat:        pat,
+		ipBase:     idPattern(pat),
+		rp:         planRow(pat, boundBefore),
+		expand:     expand,
+		out:        newBatch(nslots),
+		probeSlot:  [3]int{-1, -1, -1},
+		copySlots:  j.copySlots[:0],
+		window:     BatchSize,
+		probes:     probePool.Get().(*[BatchSize]store.IDPattern)[:],
+		matchRows:  j.matchRows[:0],
+		matchTrips: j.matchTrips[:0],
+		onMatch:    j.onMatch,
+	}
+	if j.onMatch == nil {
+		j.onMatch = j.match
+	}
+	if probeEst > 1 {
+		j.window = max(1, BatchSize/probeEst)
 	}
 	if expand != nil {
 		j.ipBase.BoundO = true
@@ -825,109 +892,107 @@ func (j *join) Next(ctx *Ctx) (*Batch, error) {
 	return b, err
 }
 
-// next is the uninstrumented pull.
+// next is the uninstrumented pull. It emits full batches: a short one goes
+// out only when the current child batch has no more rows to probe (its
+// matches cannot outlive it — emit reads the child's columns), so windowed
+// probing does not fragment the stream the operators above consume.
 func (j *join) next(ctx *Ctx) (*Batch, error) {
 	if j.done {
 		return nil, nil
 	}
 	for {
-		if j.emitPos < len(j.matchRows) {
+		buffered := len(j.matchRows) - j.emitPos
+		probed := j.childBatch == nil || j.probePos >= j.childBatch.N
+		if buffered >= BatchSize || buffered > 0 && (probed || j.interrupted) {
 			return j.emit(), nil
 		}
 		if j.interrupted || ctx.Cancelled() {
+			// The child's stream has not ended, so nothing below has
+			// released itself: release the whole subtree.
 			j.done = true
-			j.close()
+			Close(j)
 			return nil, ErrInterrupted
 		}
-		cb, err := j.child.Next(ctx)
-		if err != nil {
-			j.done = true
-			j.close()
-			return nil, err
+		if probed {
+			cb, err := j.child.Next(ctx)
+			if err != nil || cb == nil {
+				j.done = true
+				j.close()
+				return nil, err
+			}
+			j.childBatch, j.probePos = cb, 0
+			continue // cb may be empty
 		}
-		if cb == nil {
-			j.done = true
-			j.close()
-			return nil, nil
-		}
-		if cb.N == 0 {
-			continue
-		}
-		j.childBatch = cb
-		j.collect(ctx, cb)
-		if j.interrupted && len(j.matchRows) == 0 {
-			j.done = true
-			j.close()
-			return nil, ErrInterrupted
-		}
+		j.collect(ctx)
 	}
 }
 
-// collect probes one child batch and buffers the matches. Matches are
-// buffered rather than emitted from inside the store callback so no output
-// work happens under shard read-locks and so the output batch boundary is
-// free to fall anywhere.
-func (j *join) collect(ctx *Ctx, cb *Batch) {
-	if j.matchTrips == nil {
-		j.matchTrips = takeTrips()
-		j.matchRows = rowPool.Get().(*[BatchSize]int32)[:]
-		poolGets.Add(1)
-	}
-	j.matchRows = j.matchRows[:0]
-	j.matchTrips = j.matchTrips[:0]
-	j.emitPos = 0
-	for r := 0; r < cb.N; r++ {
-		p := j.ipBase
-		if s := j.probeSlot[0]; s >= 0 {
-			p.S = cb.Cols[s][r]
+// collect probes the child batch window by window until a full output batch
+// of matches is buffered (or the child batch is used up), on top of whatever
+// short remainder the last emit left, so an estimate that was too high costs
+// extra probe calls, not a stream of near-empty batches. Matches are buffered rather than emitted from inside
+// the store callback so no output work happens under shard read-locks and so
+// the output batch boundary is free to fall anywhere.
+func (j *join) collect(ctx *Ctx) {
+	cb := j.childBatch
+	j.compactMatches()
+	j.ctx = ctx
+	for j.probePos < cb.N && len(j.matchRows) < BatchSize && !j.interrupted {
+		lo := j.probePos
+		hi := min(lo+j.window, cb.N)
+		j.probePos, j.probeBase = hi, lo
+		probes := j.probes[:hi-lo]
+		for i := range probes {
+			r := lo + i
+			p := j.ipBase
+			if s := j.probeSlot[0]; s >= 0 {
+				p.S = cb.Cols[s][r]
+			}
+			if s := j.probeSlot[1]; s >= 0 {
+				p.P = cb.Cols[s][r]
+			}
+			if s := j.probeSlot[2]; s >= 0 {
+				p.O = cb.Cols[s][r]
+			}
+			probes[i] = p
 		}
-		if s := j.probeSlot[1]; s >= 0 {
-			p.P = cb.Cols[s][r]
+		passes := 1
+		if j.expand != nil {
+			passes = len(j.expand)
 		}
-		if s := j.probeSlot[2]; s >= 0 {
-			p.O = cb.Cols[s][r]
-		}
-		j.probes[r] = p
-	}
-	yield := func(pi int, t store.IDTriple) bool {
-		if ctx.Cancelled() {
-			j.interrupted = true
-			return false
-		}
-		if !j.rp.admit(t) {
-			return true
-		}
-		j.matchRows = append(j.matchRows, int32(pi))
-		j.matchTrips = append(j.matchTrips, t)
-		return true
-	}
-	if j.expand != nil {
-		for _, cand := range j.expand {
-			for r := 0; r < cb.N; r++ {
-				j.probes[r].O = cand
+		for c := 0; c < passes && !j.interrupted; c++ {
+			if j.expand != nil {
+				for i := range probes {
+					probes[i].O = j.expand[c]
+				}
 			}
 			if j.stat != nil {
-				j.stat.Probes += int64(cb.N)
+				j.stat.Probes += int64(len(probes))
 			}
-			j.src.QueryIDBatch(j.probes[:cb.N], yield)
-			if j.interrupted {
-				return
-			}
+			j.src.QueryIDBatch(probes, j.onMatch)
 		}
-		return
 	}
-	if j.stat != nil {
-		j.stat.Probes += int64(cb.N)
+	j.ctx = nil
+}
+
+// match is the store callback of collect (held as j.onMatch): it buffers one
+// admitted match against the child row that probed for it.
+func (j *join) match(pi int, t store.IDTriple) bool {
+	if j.ctx.Cancelled() {
+		j.interrupted = true
+		return false
 	}
-	j.src.QueryIDBatch(j.probes[:cb.N], yield)
+	if !j.rp.admit(t) {
+		return true
+	}
+	j.matchRows = append(j.matchRows, int32(j.probeBase+pi))
+	j.matchTrips = append(j.matchTrips, t)
+	return true
 }
 
 // emit converts up to BatchSize buffered matches into the output batch.
 func (j *join) emit() *Batch {
-	n := len(j.matchRows) - j.emitPos
-	if n > BatchSize {
-		n = BatchSize
-	}
+	n := min(len(j.matchRows)-j.emitPos, BatchSize)
 	for k := 0; k < n; k++ {
 		row := int(j.matchRows[j.emitPos+k])
 		for _, slot := range j.copySlots {
@@ -937,14 +1002,5 @@ func (j *join) emit() *Batch {
 	}
 	j.emitPos += n
 	j.out.N = n
-	if j.emitPos >= len(j.matchRows) {
-		// Shrink pathological fan-out buffers back down so one huge probe
-		// does not pin memory for the rest of the evaluation.
-		const keep = 1 << 16
-		if cap(j.matchTrips) > keep {
-			j.matchRows = nil
-			j.matchTrips = nil
-		}
-	}
 	return j.out
 }

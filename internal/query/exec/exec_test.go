@@ -3,6 +3,8 @@ package exec_test
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/query/exec"
@@ -74,5 +76,141 @@ func TestScanSequentialUncancelledDrains(t *testing.T) {
 		if b == nil {
 			return
 		}
+	}
+}
+
+// fanoutFixture builds a store of subjects fan-0…, each with fanout distinct
+// objects under predicate p, and returns the (?s p ?o) pattern with ?s in
+// slot 0 and ?o in slot 1 plus the subjects' ids.
+func fanoutFixture(t *testing.T, subjects, fanout int) (*store.Store, exec.Pattern, []store.SymbolID) {
+	t.Helper()
+	s := store.New()
+	batch := make([]store.Triple, 0, subjects*fanout)
+	for i := 0; i < subjects; i++ {
+		for k := 0; k < fanout; k++ {
+			batch = append(batch, store.Triple{Subject: fmt.Sprintf("fan-%d", i), Predicate: "p", Object: fmt.Sprintf("o-%d-%d", i, k)})
+		}
+	}
+	if _, err := s.AddBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	pid, _ := s.SymbolID("p")
+	ids := make([]store.SymbolID, subjects)
+	for i := range ids {
+		ids[i], _ = s.SymbolID(fmt.Sprintf("fan-%d", i))
+	}
+	return s, exec.Pattern{exec.Var(0), exec.Lit(pid), exec.Var(1)}, ids
+}
+
+// oneBatch is a reusable leaf yielding one fixed batch: the join tests'
+// child, so that building and draining a join exercises no allocation but
+// the join's own.
+type oneBatch struct {
+	b    exec.Batch
+	sent bool
+}
+
+func (c *oneBatch) Next(*exec.Ctx) (*exec.Batch, error) {
+	if c.sent {
+		return nil, nil
+	}
+	c.sent = true
+	return &c.b, nil
+}
+
+// windowEstimates are per-probe estimates selecting a probe window of one
+// row, of a few rows, and of the whole child batch (no estimate).
+var windowEstimates = []int{exec.BatchSize, exec.BatchSize / 3, 0}
+
+// TestJoinWindowsMatchReference drains a join whose per-probe fan-out is
+// several batches wide under each window size and checks the rows against
+// one QueryIDFunc per subject: windowing may reorder rows, never add, drop or
+// mispair them with their child row.
+func TestJoinWindowsMatchReference(t *testing.T) {
+	const subjects, fanout = 5, 3*exec.BatchSize + 17
+	s, pat, ids := fanoutFixture(t, subjects, fanout)
+	var want []string
+	for _, id := range ids {
+		s.QueryIDFunc(store.IDPattern{S: id, BoundS: true, P: pat[1].ID, BoundP: true}, func(tr store.IDTriple) bool {
+			want = append(want, fmt.Sprint(tr.S, tr.O))
+			return true
+		})
+	}
+	sort.Strings(want)
+	for _, est := range windowEstimates {
+		child := &oneBatch{b: exec.Batch{Cols: [][]store.SymbolID{ids, make([]store.SymbolID, subjects)}, N: subjects}}
+		op := exec.NewJoin(child, s, pat, nil, []bool{true, false}, 2, est)
+		var got []string
+		var ctx exec.Ctx
+		short := 0
+		for {
+			b, err := op.Next(&ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				break
+			}
+			if b.N > exec.BatchSize {
+				t.Fatalf("estimate %d: batch of %d rows exceeds BatchSize", est, b.N)
+			}
+			if b.N < exec.BatchSize {
+				short++
+			}
+			for r := 0; r < b.N; r++ {
+				got = append(got, fmt.Sprint(b.Cols[0][r], b.Cols[1][r]))
+			}
+		}
+		sort.Strings(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("estimate %d: join yielded %d rows, reference %d (or different rows)", est, len(got), len(want))
+		}
+		if short > 1 {
+			t.Fatalf("estimate %d: %d short batches from one child batch; windows must not fragment the output", est, short)
+		}
+	}
+}
+
+// TestJoinFanoutSteadyStateAllocs pins the buffer-ownership contract: once a
+// pooled join has grown its match buffers to a workload's fan-out, building,
+// draining and releasing the same join again allocates nothing — whatever
+// the window, and whether the join ends by exhaustion or by Close.
+func TestJoinFanoutSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
+	const subjects, fanout = 4, 4 * exec.BatchSize
+	s, pat, ids := fanoutFixture(t, subjects, fanout)
+	child := &oneBatch{b: exec.Batch{Cols: [][]store.SymbolID{ids, make([]store.SymbolID, subjects)}, N: subjects}}
+	bound := []bool{true, false}
+	var ctx exec.Ctx // shared: a per-run Ctx would itself escape to the heap
+	for _, est := range windowEstimates {
+		for _, drain := range []bool{true, false} {
+			rows := 0
+			allocs := testing.AllocsPerRun(20, func() {
+				child.sent = false
+				op := exec.NewJoin(child, s, pat, nil, bound, 2, est)
+				for {
+					b, err := op.Next(&ctx)
+					if err != nil || b == nil {
+						return
+					}
+					rows += b.N
+					if !drain {
+						exec.Close(op)
+						return
+					}
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("estimate %d, drain %v: %.0f allocs per build+drain, want 0", est, drain, allocs)
+			}
+			if drain && rows != 21*subjects*fanout {
+				t.Errorf("estimate %d: drained %d rows over 21 runs, want %d", est, rows, 21*subjects*fanout)
+			}
+		}
+	}
+	if gets, puts := exec.PoolCounters(); gets != puts {
+		t.Errorf("pool gets %d != puts %d after every join ended or was closed", gets, puts)
 	}
 }

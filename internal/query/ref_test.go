@@ -16,6 +16,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/query/exec"
 	"repro/internal/store"
 	"repro/internal/tboxio"
 )
@@ -161,6 +162,34 @@ func randomCase(rng *rand.Rand) ([]store.Triple, BGP) {
 	return triples, bgp
 }
 
+// fanoutCase generates a store and BGP whose join probes each fan out past one
+// batch: a few hubs with more than exec.BatchSize spokes apiece, reached
+// through an owner, so the spoke join must emit one probe's matches across
+// several output batches (and, with the planner's estimate, probes in
+// windows narrower than its child batch). randomCase's 60-triple stores can
+// never get there. A marked handful of spokes gives some cases a selective
+// third pattern, written first so the reference stays cheap.
+func fanoutCase(rng *rand.Rand) ([]store.Triple, BGP) {
+	hubs := 1 + rng.Intn(3)
+	var triples []store.Triple
+	for h := 0; h < hubs; h++ {
+		hub := fmt.Sprintf("hub%d", h)
+		triples = append(triples, store.Triple{Subject: "g", Predicate: "owns", Object: hub})
+		for i, n := 0, exec.BatchSize+1+rng.Intn(300); i < n; i++ {
+			spoke := fmt.Sprintf("x%d-%d", h, i)
+			triples = append(triples, store.Triple{Subject: hub, Predicate: "spoke", Object: spoke})
+			if rng.Intn(200) == 0 {
+				triples = append(triples, store.Triple{Subject: spoke, Predicate: "mark", Object: "m"})
+			}
+		}
+	}
+	bgp := BGP{Pat(Lit("g"), Lit("owns"), Var("h")), Pat(Var("h"), Lit("spoke"), Var("x"))}
+	if rng.Intn(2) == 0 {
+		bgp = append(BGP{Pat(Var("x"), Lit("mark"), Var("m"))}, bgp...)
+	}
+	return triples, bgp
+}
+
 // checkAgainstReference evaluates one case both ways and compares the
 // canonicalized solution multisets.
 func checkAgainstReference(t *testing.T, triples []store.Triple, bgp BGP, oi *store.OntologyIndex) {
@@ -197,12 +226,22 @@ func TestEvalMatchesReference(t *testing.T) {
 			checkAgainstReference(t, triples, bgp, idx)
 		})
 	}
+	for seed := int64(-1); seed >= -6; seed-- {
+		triples, bgp := fanoutCase(rand.New(rand.NewSource(seed)))
+		t.Run(fmt.Sprintf("fanout-seed%d", seed), func(t *testing.T) {
+			checkAgainstReference(t, triples, bgp, nil)
+		})
+	}
 }
 
+// FuzzEvalMatchesReference fuzzes the generators' seed: non-negative seeds
+// draw a randomCase, negative ones a fanoutCase.
 func FuzzEvalMatchesReference(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
 		f.Add(seed, seed%3 == 0)
 	}
+	f.Add(int64(-1), false)
+	f.Add(int64(-2), false)
 	tb, err := tboxio.ParseString(refHierarchy)
 	if err != nil {
 		f.Fatal(err)
@@ -214,6 +253,9 @@ func FuzzEvalMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, expand bool) {
 		rng := rand.New(rand.NewSource(seed))
 		triples, bgp := randomCase(rng)
+		if seed < 0 {
+			triples, bgp = fanoutCase(rng)
+		}
 		var idx *store.OntologyIndex
 		if expand {
 			idx = oi

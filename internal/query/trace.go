@@ -88,30 +88,18 @@ func (t *Trace) recordCandidate(levels []level, order []int, cost float64) {
 }
 
 // finishPlan fills the chosen-order fields and the Levels skeleton once the
-// planner settles on best: the chosen order's per-level row estimates are
-// replayed under the same cost model, and the candidate list is sorted and
-// truncated to the cheapest few.
-func (t *Trace) finishPlan(levels []level, stats []pstats, best []int, cost float64, bound []bool, exhaustive bool) {
+// planner has settled on an order (the levels arrive in that order, each
+// carrying its estimate), and sorts and truncates the candidate list to the
+// cheapest few.
+func (t *Trace) finishPlan(ordered []level, cost float64, exhaustive bool) {
 	t.Exhaustive = exhaustive
 	t.Cost = cost
-	t.Chosen = make([]int, len(best))
-	t.Levels = make([]LevelTrace, len(best))
-	for i := range bound {
-		bound[i] = false
-	}
-	for i, idx := range best {
-		lv := &levels[idx]
+	t.Chosen = make([]int, len(ordered))
+	t.Levels = make([]LevelTrace, len(ordered))
+	for i := range ordered {
+		lv := &ordered[i]
 		t.Chosen[i] = lv.orig
-		t.Levels[i] = LevelTrace{
-			Index:   lv.orig,
-			EstRows: probeEstimate(lv, stats[idx], bound),
-			Expand:  len(lv.expand),
-		}
-		for _, c := range lv.comps {
-			if c.isVar {
-				bound[c.varIdx] = true
-			}
-		}
+		t.Levels[i] = LevelTrace{Index: lv.orig, EstRows: lv.est, Expand: len(lv.expand)}
 	}
 	sort.SliceStable(t.Candidates, func(i, j int) bool { return t.Candidates[i].Cost < t.Candidates[j].Cost })
 	if len(t.Candidates) > maxTraceCandidates {

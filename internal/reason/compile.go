@@ -201,7 +201,7 @@ func (r *crule) headTriple(b *exec.Batch, row int) store.IDTriple {
 func bodyPipeline(r *crule, order []int, leaf exec.Op, bound []bool, db exec.Source) exec.Op {
 	op := leaf
 	for _, ai := range order {
-		op = exec.NewJoin(op, db, r.body[ai].execPattern(), nil, append([]bool(nil), bound...), r.nvars)
+		op = exec.NewJoin(op, db, r.body[ai].execPattern(), nil, bound, r.nvars, 0)
 		r.body[ai].bindVars(bound)
 	}
 	return op

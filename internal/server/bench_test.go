@@ -66,14 +66,22 @@ func classNameItem(class string, i int) string {
 // tuple-at-a-time evaluator; the batched engine since made the uncached
 // path itself several times faster, so the gap the cache covers is
 // narrower — both figures are tracked in BENCH_5.json and EXPERIMENTS.md.
+// "uncached-limit" is the miss path of templated, LIMIT-ed retrieval: a
+// fan-out join (a class's subclasses, then their instances) cut at 100 rows,
+// so -benchmem shows what a truncated miss allocates once the abandoned
+// operator tree is handed back.
 func BenchmarkServerQuery(b *testing.B) {
 	const scale = 100_000
 	for _, mode := range []struct {
 		name  string
 		cache int64
+		req   func(class string) QueryRequest
 	}{
-		{"cached", 1 << 30},
-		{"uncached", -1},
+		{"cached", 1 << 30, func(class string) QueryRequest { return QueryRequest{BGP: "?x type " + class} }},
+		{"uncached", -1, func(class string) QueryRequest { return QueryRequest{BGP: "?x type " + class} }},
+		{"uncached-limit", -1, func(class string) QueryRequest {
+			return QueryRequest{BGP: "?c " + reason.SubClassOfPredicate + " " + class + " . ?x type ?c", Limit: 100}
+		}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			base, oi, sample := benchCorpus(b, scale)
@@ -83,7 +91,7 @@ func BenchmarkServerQuery(b *testing.B) {
 			}
 			bodies := make([][]byte, len(sample))
 			for i, class := range sample {
-				body, err := json.Marshal(QueryRequest{BGP: "?x type " + class})
+				body, err := json.Marshal(mode.req(class))
 				if err != nil {
 					b.Fatal(err)
 				}

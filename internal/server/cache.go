@@ -10,24 +10,21 @@ import (
 
 // This file is the serving layer's query-result cache: a sharded map from
 // canonicalized BGP keys (query.Canonical plus the evaluation mode and
-// limit) to fully marshaled response rows, invalidated by the reasoning
+// limit) to fully marshaled response bodies, invalidated by the reasoning
 // engine's delta notifications at predicate granularity.
 
-// cacheEntry is one cached query result: the pre-marshaled response lines
-// (header row plus one line per solution) and the invalidation footprint of
-// the BGP that produced them.
+// cacheEntry is one cached query result: the marshaled response body and
+// the invalidation footprint of the BGP that produced it.
 type cacheEntry struct {
-	// header is the marshaled vars line; rows are the marshaled solution
-	// lines, both including the trailing newline so a hit is a plain write.
-	header []byte
-	rows   [][]byte
+	// body is the response exactly as the miss streamed it, header line
+	// through last solution line (trailing newline included), in one slice:
+	// a hit is a single write, and len(body) is what the cache's byte budget
+	// accounts.
+	body []byte
 	// solutions and truncated replay the trailer fields of the original
 	// evaluation.
 	solutions int
 	truncated bool
-	// size is the entry's retained bytes (header + rows), what the cache's
-	// byte budget accounts.
-	size int64
 	// preds are the literal predicate names the BGP mentions; anyPred marks
 	// a BGP with at least one variable-predicate pattern, invalidated by
 	// every delta. Names, not ids: a predicate can be uninterned at caching
@@ -102,10 +99,14 @@ func (c *resultCache) generation() uint64 {
 	return c.gen.Load()
 }
 
-// enabled reports whether the cache can store anything at all; when false,
-// callers should not retain rows for a store that is a guaranteed no-op.
-func (c *resultCache) enabled() bool {
-	return c.perShardBytes > 0
+// size is the entry's retained bytes.
+func (e *cacheEntry) size() int64 { return int64(len(e.body)) }
+
+// accepts reports whether put could store a body of the given size: never on
+// a disabled cache, never past the per-shard budget. A caller assembling a
+// response stops retaining it for a put that is a guaranteed no-op.
+func (c *resultCache) accepts(size int64) bool {
+	return c.perShardBytes > 0 && size <= c.perShardBytes
 }
 
 // shardFor hashes the key to its shard.
@@ -139,7 +140,7 @@ func (c *resultCache) get(key string) *cacheEntry {
 // invalidation-heavy write traffic entries rarely live long enough for
 // eviction policy to matter.
 func (c *resultCache) put(key string, e *cacheEntry, gen uint64) {
-	if c.perShardBytes == 0 || e.size > c.perShardBytes {
+	if !c.accepts(e.size()) {
 		return
 	}
 	sh := c.shardFor(key)
@@ -149,20 +150,20 @@ func (c *resultCache) put(key string, e *cacheEntry, gen uint64) {
 		return
 	}
 	if old, ok := sh.entries[key]; ok {
-		sh.bytes -= old.size
+		sh.bytes -= old.size()
 	}
 	for k, old := range sh.entries {
-		if sh.bytes+e.size <= c.perShardBytes {
+		if sh.bytes+e.size() <= c.perShardBytes {
 			break
 		}
 		if k == key {
 			continue
 		}
 		delete(sh.entries, k)
-		sh.bytes -= old.size
+		sh.bytes -= old.size()
 	}
 	sh.entries[key] = e
-	sh.bytes += e.size
+	sh.bytes += e.size()
 }
 
 // invalidate drops every entry whose BGP mentions one of the changed
@@ -193,7 +194,7 @@ func (c *resultCache) invalidate(res store.Resolver, added, removed []store.IDTr
 		for k, e := range sh.entries {
 			if e.anyPred || touches(e.preds, changed) {
 				delete(sh.entries, k)
-				sh.bytes -= e.size
+				sh.bytes -= e.size()
 				c.invalidations.Add(1)
 			}
 		}

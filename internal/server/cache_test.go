@@ -8,7 +8,7 @@ import (
 )
 
 func entryFor(preds ...string) *cacheEntry {
-	return &cacheEntry{header: []byte("{}\n"), size: 100, preds: preds}
+	return &cacheEntry{body: make([]byte, 100), preds: preds}
 }
 
 func TestCacheDisabledAlwaysMisses(t *testing.T) {
@@ -42,7 +42,7 @@ func TestCacheHitMissAndEviction(t *testing.T) {
 
 	// Replacing an entry under the same key swaps the accounted bytes.
 	big := entryFor("p")
-	big.size = 150
+	big.body = make([]byte, 150)
 	c.put("c", big, g)
 	if st := c.stats(); st.Bytes > 250 {
 		t.Fatalf("replacement double-counted bytes: %+v", st)
@@ -50,7 +50,7 @@ func TestCacheHitMissAndEviction(t *testing.T) {
 
 	// An entry larger than the whole shard budget is never stored.
 	huge := entryFor("p")
-	huge.size = 1000
+	huge.body = make([]byte, 1000)
 	c.put("huge", huge, g)
 	if c.get("huge") != nil {
 		t.Fatal("over-budget entry was stored")

@@ -1,13 +1,14 @@
 package server
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/query"
@@ -393,38 +394,30 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	gen := s.cache.generation()
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueryTimeout)
-	defer cancel()
-	opts = append(opts, query.Interrupt(func() bool { return ctx.Err() != nil }))
-
 	start := time.Now()
-	sols := query.Eval(src, bgp, opts...)
+	sols := query.Eval(src, bgp, append(opts, query.Interrupt(s.cancelled(r)))...)
+	// Every early return below — limit met, client gone — hands the
+	// operator tree's pooled buffers back; after a full drain it is a no-op.
+	defer sols.Close()
 	vars := sols.Vars()
-	header, _ := json.Marshal(QueryHeader{Vars: vars})
-	header = append(header, '\n')
 
+	// The response is formatted into one pooled buffer — header line, then
+	// rows straight from the evaluator's columnar batches by appending
+	// precomputed `"var":"` fragments and JSON-escaped values; no Binding
+	// map, no per-row json.Marshal, no per-row allocation — and written to
+	// the client a chunk of flushEvery rows at a time. While the cache could
+	// still accept the result the buffer keeps the body from its first byte
+	// and becomes the cache entry with one exact-size copy; once it cannot
+	// (caching disabled, or the body outgrew the budget put enforces) each
+	// chunk is dropped as soon as it is sent, so a response's memory is
+	// bounded by the cache budget plus one chunk however large the result.
 	w.Header().Set("Content-Type", ndjsonType)
-	if _, err := w.Write(header); err != nil {
-		return
-	}
-	flusher, _ := w.(http.Flusher)
-
-	// Rows are streamed straight from the evaluator's columnar batches:
-	// each row is formatted by appending precomputed `"var":"` fragments
-	// and JSON-escaped values into one reused buffer — no Binding map, no
-	// per-row json.Marshal — and the whole batch costs one NextBatch call.
+	out := newBodyWriter(w, s.cache)
+	defer out.release()
+	out.buf = appendHeader(out.buf, vars)
 	res := sols.Resolver()
 	frags := rowFragments(vars)
-	var line []byte
 
-	// Rows are retained for the cache store only when the cache can accept
-	// them; with caching disabled the response is stream-only.
-	caching := s.cache.enabled()
-	var rows [][]byte
-	size := int64(len(header))
-	if caching {
-		rows = make([][]byte, 0, 64)
-	}
 	n := 0
 	truncated := false
 	var sqErr string
@@ -446,26 +439,19 @@ stream:
 		}
 		for r := 0; r < sb.Len(); r++ {
 			if len(vars) == 0 {
-				line = append(line[:0], emptyRowLine...)
+				out.buf = append(out.buf, emptyRowLine...)
 			} else {
-				line = line[:0]
 				for c := range vars {
-					line = append(line, frags[c]...)
-					line = appendJSONString(line, res.Name(sb.ID(c, r)))
+					out.buf = append(out.buf, frags[c]...)
+					out.buf = appendJSONString(out.buf, res.Name(sb.ID(c, r)))
 				}
-				line = append(line, rowTail...)
+				out.buf = append(out.buf, rowTail...)
 			}
 			n++
-			if caching {
-				// The cache keeps its own copy; the stream buffer is reused.
-				rows = append(rows, append([]byte(nil), line...))
-				size += int64(len(line))
-			}
-			if _, err := w.Write(line); err != nil {
-				return // client gone; nothing to cache (result may be incomplete)
-			}
-			if flusher != nil && n%flushEvery == 0 {
-				flusher.Flush()
+			if n%flushEvery == 0 {
+				if err := out.send(true); err != nil {
+					return // client gone; nothing to cache (result may be incomplete)
+				}
 			}
 			if n >= limit {
 				// More rows in this batch, or another non-empty batch,
@@ -480,6 +466,7 @@ stream:
 	}
 	elapsed := time.Since(start)
 	if err := sols.Err(); err != nil {
+		_ = out.send(false)
 		if n >= limit && errors.Is(err, query.ErrInterrupted) {
 			// The limit-full result the client received is complete; only
 			// the did-more-solutions-exist probe was cut short by the
@@ -498,13 +485,12 @@ stream:
 		return
 	}
 
-	if caching {
+	if body := out.body(); body != nil {
 		e := &cacheEntry{
-			header:    header,
-			rows:      rows,
+			body:      bytes.Clone(body),
 			solutions: n,
 			truncated: truncated,
-			size:      size,
+			preds:     make([]string, 0, len(bgp)),
 		}
 		for _, p := range bgp {
 			if p.Predicate.IsVar {
@@ -515,12 +501,100 @@ stream:
 		}
 		s.cache.put(key, e, gen)
 	}
+	if out.send(false) != nil {
+		return
+	}
 	writeTrailer(w, QueryTrailer{
 		Done:      true,
 		Solutions: n,
 		Truncated: truncated,
 		ElapsedUS: elapsed.Microseconds(),
 	})
+}
+
+// cancelled builds the query.Interrupt hook of one evaluation: it reports
+// true once Config.QueryTimeout has passed or the client has gone. The
+// executor polls it once every few hundred steps, so comparing the clock
+// there costs less than arming a timer (and a derived context) per query.
+func (s *Server) cancelled(r *http.Request) func() bool {
+	deadline := time.Now().Add(s.cfg.QueryTimeout)
+	ctx := r.Context()
+	return func() bool {
+		return time.Now().After(deadline) || ctx.Err() != nil
+	}
+}
+
+// maxPooledBody is the largest response scratch buffer kept for reuse; a
+// bigger one (a result near the cache budget, a huge unlimited answer) is
+// left to the garbage collector so that one outlier does not stay pinned in
+// the pool.
+const maxPooledBody = 256 << 10
+
+// bodyPool recycles bodyWriter scratch buffers (pointers, so Put does not
+// box a slice header).
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// bodyWriter is the output side of one cache-miss /query: callers append
+// response bytes to buf and call send at chunk boundaries.
+type bodyWriter struct {
+	w       http.ResponseWriter
+	flusher http.Flusher // nil when w cannot flush
+	cache   *resultCache
+	pooled  *[]byte
+	// buf[sent:] is not yet written to the client. While retain is set,
+	// buf[:sent] is everything written so far — the response body from its
+	// first byte; once retain is cleared, sent bytes are dropped.
+	buf    []byte
+	sent   int
+	retain bool
+}
+
+// newBodyWriter draws a scratch buffer from the pool; pair with release.
+func newBodyWriter(w http.ResponseWriter, cache *resultCache) bodyWriter {
+	pooled := bodyPool.Get().(*[]byte)
+	flusher, _ := w.(http.Flusher)
+	return bodyWriter{w: w, flusher: flusher, cache: cache, pooled: pooled, buf: (*pooled)[:0], retain: true}
+}
+
+// send writes the unsent bytes to the client, flushing the connection when
+// asked, and stops retaining the body once the cache could no longer accept
+// it.
+func (bw *bodyWriter) send(flush bool) error {
+	if bw.sent < len(bw.buf) {
+		if _, err := bw.w.Write(bw.buf[bw.sent:]); err != nil {
+			return err
+		}
+	}
+	if flush && bw.flusher != nil {
+		bw.flusher.Flush()
+	}
+	if bw.body() != nil {
+		bw.sent = len(bw.buf)
+	} else {
+		bw.buf, bw.sent = bw.buf[:0], 0
+	}
+	return nil
+}
+
+// body returns the whole response body appended so far (sent or not), or nil
+// once it is not retained: from the first time it is found too big for the
+// cache (or the cache disabled), for good.
+func (bw *bodyWriter) body() []byte {
+	bw.retain = bw.retain && bw.cache.accepts(int64(len(bw.buf)))
+	if !bw.retain {
+		return nil
+	}
+	return bw.buf
+}
+
+// release returns the scratch buffer to the pool unless it grew past
+// maxPooledBody.
+func (bw *bodyWriter) release() {
+	if cap(bw.buf) <= maxPooledBody {
+		*bw.pooled = bw.buf[:0]
+		bodyPool.Put(bw.pooled)
+	}
+	bw.buf, bw.pooled = nil, nil
 }
 
 // ExplainResponse is the body of POST /query?explain=1: the planner's
@@ -558,11 +632,8 @@ type ExplainResponse struct {
 // a replayed result has no execution to describe, and an explain run's
 // drained rows are never cached.
 func (s *Server) explainQuery(w http.ResponseWriter, r *http.Request, src query.Source, bgp query.BGP, opts []query.Option, mode string, limit int, hstart time.Time) {
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueryTimeout)
-	defer cancel()
-	opts = append(opts, query.Interrupt(func() bool { return ctx.Err() != nil }))
 	var tr query.Trace
-	opts = append(opts, query.WithTrace(&tr))
+	opts = append(opts, query.Interrupt(s.cancelled(r)), query.WithTrace(&tr))
 
 	gets0, puts0 := exec.PoolCounters()
 	start := time.Now()
@@ -584,6 +655,7 @@ func (s *Server) explainQuery(w http.ResponseWriter, r *http.Request, src query.
 		}
 		n += sb.Len()
 	}
+	sols.Close() // a limit break leaves the tree live; counted in PoolPuts below
 	elapsed := time.Since(start)
 	gets1, puts1 := exec.PoolCounters()
 
@@ -619,6 +691,27 @@ func (s *Server) explainQuery(w http.ResponseWriter, r *http.Request, src query.
 // not dominate small-row serialization.
 const flushEvery = 256
 
+// appendHeader appends the QueryHeader line for vars, byte for byte what
+// json.Marshal(QueryHeader{Vars: vars}) plus a newline would be.
+func appendHeader(dst []byte, vars []string) []byte {
+	dst = append(dst, `{"vars":`...)
+	if vars == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, v := range vars {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, '"')
+			dst = appendJSONString(dst, v)
+			dst = append(dst, '"')
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, "}\n"...)
+}
+
 // rowTail closes a streamed row line: the value's closing quote, the bind
 // object, the row object, the newline.
 var rowTail = []byte("\"}}\n")
@@ -632,15 +725,14 @@ var rowTail = []byte("\"}}\n")
 func rowFragments(vars []string) [][]byte {
 	frags := make([][]byte, len(vars))
 	for i, v := range vars {
-		name, _ := json.Marshal(v)
 		var b []byte
 		if i == 0 {
-			b = append(b, `{"bind":{`...)
+			b = append(b, `{"bind":{"`...)
 		} else {
-			b = append(b, `",`...)
+			b = append(b, `","`...)
 		}
-		b = append(b, name...)
-		b = append(b, ':', '"')
+		b = appendJSONString(b, v)
+		b = append(b, `":"`...)
 		frags[i] = b
 	}
 	return frags
@@ -668,13 +760,8 @@ func appendJSONString(dst []byte, s string) []byte {
 // replay writes a cached entry as a fresh response stream.
 func (s *Server) replay(w http.ResponseWriter, e *cacheEntry) {
 	w.Header().Set("Content-Type", ndjsonType)
-	if _, err := w.Write(e.header); err != nil {
+	if _, err := w.Write(e.body); err != nil {
 		return
-	}
-	for _, line := range e.rows {
-		if _, err := w.Write(line); err != nil {
-			return
-		}
 	}
 	writeTrailer(w, QueryTrailer{
 		Done:      true,
