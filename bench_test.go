@@ -221,32 +221,6 @@ func reasonCorpus(b *testing.B, n int) ([]store.Triple, *store.OntologyIndex, []
 	return ts, oi, classes
 }
 
-// BenchmarkMaterialize1e5 measures the one-off cost the serving-time speedup
-// is bought with: the semi-naive RDFS fixpoint over 10⁵ type annotations
-// under a 120-class hierarchy (store ingest excluded from the timing).
-func BenchmarkMaterialize1e5(b *testing.B) {
-	ts, _, _ := reasonCorpus(b, 100_000)
-	b.ReportAllocs()
-	inferred := 0
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		s := store.New()
-		if _, err := s.AddBatch(ts); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		r, err := reason.Materialize(s, reason.RDFSRules())
-		if err != nil {
-			b.Fatal(err)
-		}
-		inferred = r.InferredCount()
-	}
-	if inferred == 0 {
-		b.Fatal("nothing was inferred")
-	}
-	b.ReportMetric(float64(inferred), "inferred-triples")
-}
-
 // BenchmarkMaterializedVsExpandedQuery measures the E5-style class retrieval
 // of EXPERIMENTS.md's E5c table at 10⁵ triples both ways, in the streaming
 // form a read-heavy service runs: "expanded" is the query-time rewrite

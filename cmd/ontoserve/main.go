@@ -248,6 +248,7 @@ func run(args []string, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ontoserve: %v\n", err)
 		return 1
 	}
+	logger.Print(srv.Reasoner().MaterializeStats())
 
 	// Profiling, when asked for, goes on its own listener so the pprof
 	// surface (heap dumps, CPU profiles) is never reachable through the

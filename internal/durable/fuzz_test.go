@@ -182,7 +182,7 @@ func FuzzLoadSegment(f *testing.F) {
 				if tr.S >= bound || tr.P >= bound || tr.O >= bound {
 					t.Fatalf("accepted segment references id beyond its %d-id prefix", bound)
 				}
-				if i > 0 && !tripleLess(run[i-1], tr) {
+				if i > 0 && !run[i-1].Less(tr) {
 					t.Fatal("accepted segment has an unsorted run")
 				}
 			}

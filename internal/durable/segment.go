@@ -289,7 +289,7 @@ func loadSegment(path string) (segmentData, error) {
 			if t.S >= idBound || t.P >= idBound || t.O >= idBound {
 				return nil, fmt.Errorf("durable: segment %s: %s triple %d references id beyond the %d-id dictionary prefix", base, what, i, idBound)
 			}
-			if i > 0 && !tripleLess(ts[i-1], t) {
+			if i > 0 && !ts[i-1].Less(t) {
 				return nil, fmt.Errorf("durable: segment %s: %s run not strictly sorted at triple %d", base, what, i)
 			}
 			ts = append(ts, t)

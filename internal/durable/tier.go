@@ -42,70 +42,10 @@ func metaOf(seg segmentData, size int64) segMeta {
 	}
 }
 
-// tripleLess orders id triples by (S, P, O) — the sort every segment run and
-// fold operand shares.
-func tripleLess(a, b store.IDTriple) bool {
-	if a.S != b.S {
-		return a.S < b.S
-	}
-	if a.P != b.P {
-		return a.P < b.P
-	}
-	return a.O < b.O
-}
-
-// unionTriples merges two sorted strictly-ascending runs into one, dropping
-// duplicates. Linear.
-func unionTriples(a, b []store.IDTriple) []store.IDTriple {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]store.IDTriple, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case tripleLess(a[i], b[j]):
-			out = append(out, a[i])
-			i++
-		case tripleLess(b[j], a[i]):
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-// subtractTriples returns a \ b over sorted strictly-ascending runs. Linear.
-func subtractTriples(a, b []store.IDTriple) []store.IDTriple {
-	if len(a) == 0 || len(b) == 0 {
-		return a
-	}
-	out := make([]store.IDTriple, 0, len(a))
-	j := 0
-	for _, t := range a {
-		for j < len(b) && tripleLess(b[j], t) {
-			j++
-		}
-		if j < len(b) && b[j] == t {
-			continue
-		}
-		out = append(out, t)
-	}
-	return out
-}
-
 // applySegment applies one segment patch to a sorted state: subtract its
 // tombstones, union its adds.
 func applySegment(state []store.IDTriple, seg segmentData) []store.IDTriple {
-	return unionTriples(subtractTriples(state, seg.removes), seg.adds)
+	return store.UnionSorted(store.SubtractSorted(state, seg.removes), seg.adds)
 }
 
 // foldSegments composes two adjacent patches (older, then newer) into one
@@ -128,9 +68,9 @@ func foldSegments(older, newer segmentData) (segmentData, error) {
 		dictFirst: older.dictFirst,
 		dict:      append(older.dict[:len(older.dict):len(older.dict)], newer.dict...),
 	}
-	out.adds = unionTriples(subtractTriples(older.adds, newer.removes), newer.adds)
+	out.adds = store.UnionSorted(store.SubtractSorted(older.adds, newer.removes), newer.adds)
 	if out.start > 1 {
-		out.removes = subtractTriples(unionTriples(older.removes, newer.removes), out.adds)
+		out.removes = store.SubtractSorted(store.UnionSorted(older.removes, newer.removes), out.adds)
 	}
 	return out, nil
 }
@@ -253,7 +193,7 @@ func readWALWindow(dir string, after, through uint64, dictNext store.SymbolID) (
 	// order — the segment runs fall out sorted for free.
 	sort.Slice(events, func(i, j int) bool {
 		if events[i].t != events[j].t {
-			return tripleLess(events[i].t, events[j].t)
+			return events[i].t.Less(events[j].t)
 		}
 		return events[i].seq < events[j].seq
 	})

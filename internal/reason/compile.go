@@ -46,6 +46,17 @@ func (a catom) execPattern() exec.Pattern {
 	return p
 }
 
+// idPattern is the atom as a store pattern: literals bound, variables
+// wildcards (a repeated variable is not expressible there, so the count of
+// the pattern is an upper bound on the atom's matches).
+func (a catom) idPattern() store.IDPattern {
+	return store.IDPattern{
+		S: a.t[0].id, BoundS: !a.t[0].isVar,
+		P: a.t[1].id, BoundP: !a.t[1].isVar,
+		O: a.t[2].id, BoundO: !a.t[2].isVar,
+	}
+}
+
 // bindVars marks the atom's variable slots bound.
 func (a catom) bindVars(bound []bool) {
 	for _, t := range a.t {
@@ -66,6 +77,10 @@ type crule struct {
 	nvars      int
 	deltaOrder [][]int // deltaOrder[i]: evaluation order with atom i first
 	headOrder  []int   // evaluation order with head variables pre-bound
+	// selfAtom is the index of the recursive body atom of a propagation rule
+	// (see markPropagation), -1 for every other rule: the atom that is not
+	// fed the triples the rule itself concluded in the previous round.
+	selfAtom int
 }
 
 // compileTerm compiles one term, interning literals and assigning variable
@@ -124,9 +139,100 @@ func compileRules(base *store.Store, rules []Rule) ([]crule, error) {
 			}
 		}
 		cr.headOrder = cr.orderFrom(nil, headVars)
+		cr.selfAtom = -1
 		out = append(out, cr)
 	}
+	markPropagation(out)
 	return out, nil
+}
+
+// markPropagation recognises the propagation rules of a rule set — the shape
+// the RDFS set contains twice, type-propagation over subClassOf and
+// subPropertyOf-propagation over subPropertyOf — and records their recursive
+// atom in selfAtom. The exact syntactic condition: a rule L with two body
+// atoms R and E, in either order, where
+//
+//   - E = (x e y) is an edge: x and y are distinct variables and e is a
+//     literal predicate;
+//   - R mentions x but not y, and its predicate is not the literal e (so a
+//     transitivity rule is never its own L);
+//   - the head is R with every x replaced by y;
+//   - some rule T of the same set closes e: (a e c) ← (a e b), (b e c) with
+//     three distinct variables, body atoms in either order.
+//
+// For such a pair a triple A[y] that L concluded in round k (from A[x] and
+// (x e y)) is not fed back to R in round k+1: whatever that term would add —
+// A[z], from A[y] and an edge (y e z) no newer than A[y] — also follows from
+// A[x] and (x e z), and T, all of whose terms run, has concluded (x e z) by
+// round k. DESIGN.md ("Propagation rules do not re-read their own
+// conclusions") has the three-case proof that this derivation is always
+// evaluated; it needs only a set closed under the rules plus a delta, so the
+// skip applies to every propagation — initial, incremental, and the
+// re-propagation phase of delete-and-rederive — but not to overdeletion,
+// which is a different pass.
+func markPropagation(rules []crule) {
+	closed := map[store.SymbolID]bool{}
+	for i := range rules {
+		if e, ok := rules[i].transitivityOver(); ok {
+			closed[e] = true
+		}
+	}
+	for i := range rules {
+		r := &rules[i]
+		if len(r.body) != 2 {
+			continue
+		}
+		for ri := 0; ri < 2 && r.selfAtom < 0; ri++ {
+			rec, edge := r.body[ri], r.body[1-ri]
+			x, e, y := edge.t[0], edge.t[1], edge.t[2]
+			if !x.isVar || e.isVar || !y.isVar || x.v == y.v || !closed[e.id] {
+				continue
+			}
+			if rec.t[1] == e {
+				continue
+			}
+			walks, ok := false, true
+			for k, t := range rec.t {
+				want := t
+				if t.isVar && t.v == x.v {
+					want, walks = y, true
+				}
+				if (t.isVar && t.v == y.v) || r.head.t[k] != want {
+					ok = false
+				}
+			}
+			if ok && walks {
+				r.selfAtom = ri
+			}
+		}
+	}
+}
+
+// transitivityOver reports the literal predicate e the rule closes
+// transitively: (a e c) ← (a e b), (b e c) over three distinct variables,
+// body atoms in either order.
+func (r *crule) transitivityOver() (store.SymbolID, bool) {
+	if len(r.body) != 2 {
+		return 0, false
+	}
+	e := r.head.t[1]
+	if e.isVar {
+		return 0, false
+	}
+	for _, a := range [...]catom{r.head, r.body[0], r.body[1]} {
+		if !a.t[0].isVar || a.t[1] != e || !a.t[2].isVar {
+			return 0, false
+		}
+	}
+	for i := 0; i < 2; i++ {
+		first, second := r.body[i], r.body[1-i]
+		a, b, c := first.t[0].v, first.t[2].v, second.t[2].v
+		if second.t[0].v == b && a != b && b != c && a != c &&
+			r.head.t[0].v == a && r.head.t[2].v == c {
+			return e.id, true
+		}
+	}
+	return 0, false
 }
 
 // varsOf accumulates atom i's variable indexes into set (allocating it when
@@ -207,23 +313,44 @@ func bodyPipeline(r *crule, order []int, leaf exec.Op, bound []bool, db exec.Sou
 	return op
 }
 
-// matchDelta enumerates every instantiation of the rule whose atom di
-// matches a triple of delta and whose remaining atoms match db, emitting
-// each instantiated head; emit returns false to stop the enumeration, and
-// matchDelta reports whether it ran to completion. This is one term of the
-// semi-naive expansion — restricting one atom to the delta makes a round's
-// work proportional to the new facts, and iterating di over all body
-// positions covers every derivation that uses at least one new fact — run
-// as a batched pipeline: a SliceScan leaf over the delta, then one batch
-// join per remaining atom in the precomputed deltaOrder. Heads are emitted
-// from the pipeline's output batches, after every probe's shard lock has
-// been released, so emit may (unlike a store iterator callback) buffer
-// freely.
-func matchDelta(r *crule, di int, delta []store.IDTriple, db exec.Source, emit func(store.IDTriple) bool) bool {
-	order := r.deltaOrder[di]
+// matchAll enumerates every instantiation of the rule's body over db,
+// emitting each instantiated head. It is the whole rule in one pipeline —
+// what every semi-naive term of a round degenerates to when the delta is the
+// entire database — so the seed round runs it once per rule instead of once
+// per body atom: a store scan over the body atom with the fewest matches,
+// then one batch join per remaining atom in that atom's deltaOrder.
+func matchAll(r *crule, db *store.Store, emit func(store.IDTriple) bool) {
+	di, least := 0, -1
+	for i, a := range r.body {
+		if n := db.CountID(a.idPattern()); least < 0 || n < least {
+			di, least = i, n
+		}
+	}
 	bound := make([]bool, r.nvars)
 	r.body[di].bindVars(bound)
-	op := bodyPipeline(r, order[1:], exec.NewSliceScan(delta, r.body[di].execPattern(), r.nvars), bound, db)
+	op := exec.NewScan(db, r.body[di].execPattern(), nil, r.nvars, least)
+	for _, ai := range r.deltaOrder[di][1:] {
+		// Unlike a delta term, whose probes mostly miss, a whole-database
+		// join fans out (every class probes for all its instances): hand the
+		// join the query planner's per-probe estimate so it windows its
+		// probes instead of buffering a whole child batch's matches.
+		a := r.body[ai]
+		st := db.StatsID(a.idPattern())
+		est := st.Count
+		for k, distinct := range [3]int{st.DistinctS, st.DistinctP, st.DistinctO} {
+			if a.t[k].isVar && bound[a.t[k].v] && distinct > 1 {
+				est /= distinct
+			}
+		}
+		op = exec.NewJoin(op, db, a.execPattern(), nil, bound, r.nvars, est)
+		a.bindVars(bound)
+	}
+	drainHeads(r, op, emit)
+}
+
+// drainHeads pulls the pipeline dry, emitting the rule's head for every row,
+// and reports whether it ran to completion; emit returns false to stop.
+func drainHeads(r *crule, op exec.Op, emit func(store.IDTriple) bool) bool {
 	var ctx exec.Ctx
 	for {
 		b, err := op.Next(&ctx)
@@ -237,6 +364,29 @@ func matchDelta(r *crule, di int, delta []store.IDTriple, db exec.Source, emit f
 			}
 		}
 	}
+}
+
+// matchDelta enumerates every instantiation of the rule whose atom di
+// matches a triple of delta and whose remaining atoms match db, emitting
+// each instantiated head; emit returns false to stop the enumeration, and
+// matchDelta reports whether it ran to completion. This is one term of the
+// semi-naive expansion — restricting one atom to the delta makes a round's
+// work proportional to the new facts, and iterating di over all body
+// positions covers every derivation that uses at least one new fact — run
+// as a batched pipeline: a SliceScan leaf over the delta, then one batch
+// join per remaining atom in the precomputed deltaOrder. Heads are emitted
+// from the pipeline's output batches, after every probe's shard lock has
+// been released, so emit may (unlike a store iterator callback) buffer
+// freely.
+func matchDelta(r *crule, di int, delta []store.IDTriple, db exec.Source, emit func(store.IDTriple) bool) bool {
+	if len(delta) == 0 {
+		return true
+	}
+	order := r.deltaOrder[di]
+	bound := make([]bool, r.nvars)
+	r.body[di].bindVars(bound)
+	op := bodyPipeline(r, order[1:], exec.NewSliceScan(delta, r.body[di].execPattern(), r.nvars), bound, db)
+	return drainHeads(r, op, emit)
 }
 
 // derives reports whether the rule derives the given triple in one step from

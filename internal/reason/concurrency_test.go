@@ -11,9 +11,10 @@ import (
 
 // TestReasonConcurrentReadsDuringMaintenance races readers on every view
 // read path against a writer driving incremental adds and removes through
-// the reasoner. Written for -race: readers may observe mid-maintenance
-// states (that is documented), but never a torn one, and the final quiescent
-// materialization must be exact.
+// the reasoner, and now and then a Rematerialize (the overlay cleared and
+// bulk-loaded under the readers). Written for -race: readers may observe
+// mid-maintenance states (that is documented), but never a torn one, and the
+// final quiescent materialization must be exact.
 func TestReasonConcurrentReadsDuringMaintenance(t *testing.T) {
 	base := vehicleBase(t)
 	r, err := Materialize(base, RDFSRules())
@@ -58,6 +59,9 @@ func TestReasonConcurrentReadsDuringMaintenance(t *testing.T) {
 			}
 		} else {
 			r.Remove(tr)
+		}
+		if i%50 == 49 {
+			r.Rematerialize()
 		}
 	}
 	close(stop)

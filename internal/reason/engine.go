@@ -21,6 +21,9 @@ type Stats struct {
 	// Rounds is the number of semi-naive rounds run (initial materialization
 	// plus every incremental propagation).
 	Rounds int
+	// Heads is the number of rule heads those rounds matched, duplicates and
+	// already-known triples included — the work Derived was sifted from.
+	Heads int
 	// Derived is the number of triples ever added to the inferred overlay.
 	Derived int
 	// Overdeleted is the number of inferred triples provisionally removed by
@@ -56,6 +59,11 @@ type Reasoner struct {
 	rules   []crule
 	source  []Rule
 	stats   Stats
+	// round is per-rule scratch of the propagation loop, indexed like rules.
+	round []ruleRound
+	// boot describes the most recent full materialization; see
+	// MaterializeStats.
+	boot    atomic.Pointer[MaterializeStats]
 	onDelta func(added, removed []store.IDTriple)
 	onEvent func(Delta)
 	// gen counts content-changing writes: it advances exactly when the delta
@@ -94,7 +102,40 @@ func (r *Reasoner) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("onto_reason_generation", "Materialization generation (advances on every content-changing write).", func() float64 {
 		return float64(r.gen.Load())
 	})
+	reg.GaugeFunc("onto_reason_materialize_seconds", "Wall time of the most recent full materialization (boot, or Rematerialize).", func() float64 {
+		return r.MaterializeStats().Duration.Seconds()
+	})
 }
+
+// MaterializeStats describes one full materialization — the initial fixpoint
+// Materialize computed, or the latest Rematerialize: the most expensive thing
+// a serving process does, and done before any instrument can be registered,
+// so the reasoner keeps the figures itself.
+type MaterializeStats struct {
+	// Duration is the fixpoint's wall time.
+	Duration time.Duration
+	// Rounds is the number of semi-naive rounds it took, the seed round
+	// included.
+	Rounds int
+	// Heads is the number of rule heads matched over those rounds.
+	Heads int
+	// BulkLoaded is the number of inferred triples the seed round committed
+	// in one store.LoadSorted call; the rest of Inferred was inserted one
+	// triple at a time by the later rounds.
+	BulkLoaded int
+	// Inferred is the overlay's size when the fixpoint was reached.
+	Inferred int
+}
+
+// String renders the figures as the line ontoserve logs at boot.
+func (m MaterializeStats) String() string {
+	return fmt.Sprintf("materialized %d inferred triples in %.3fs (%d rounds, %d heads, %d bulk-loaded)",
+		m.Inferred, m.Duration.Seconds(), m.Rounds, m.Heads, m.BulkLoaded)
+}
+
+// MaterializeStats returns the figures of the most recent full
+// materialization. It takes no lock, so metric scrapes never wait on a write.
+func (r *Reasoner) MaterializeStats() MaterializeStats { return *r.boot.Load() }
 
 // Delta is the generation-keyed record of one content-changing write — the
 // event the replication tier replays. Added and Removed are the same
@@ -212,22 +253,12 @@ func Materialize(base *store.Store, rules []Rule) (*Reasoner, error) {
 		view:    view,
 		rules:   compiled,
 		source:  append([]Rule(nil), rules...),
+		round:   make([]ruleRound, len(compiled)),
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.propagate(r.baseDelta())
+	r.materialize()
 	return r, nil
-}
-
-// baseDelta collects every asserted triple as the seed delta of a full
-// materialization.
-func (r *Reasoner) baseDelta() []store.IDTriple {
-	delta := make([]store.IDTriple, 0, r.base.Len())
-	r.base.QueryIDFunc(store.IDPattern{}, func(t store.IDTriple) bool {
-		delta = append(delta, t)
-		return true
-	})
-	return delta
 }
 
 // Rematerialize discards the overlay and recomputes the fixpoint from the
@@ -236,26 +267,14 @@ func (r *Reasoner) baseDelta() []store.IDTriple {
 func (r *Reasoner) Rematerialize() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	// Collect-then-remove: RemoveID must not run under the iteration's read
-	// lock.
-	for _, t := range r.overlayTriples() {
-		r.overlay.RemoveID(t)
+	if err := r.overlay.Clear(); err != nil {
+		panic(err) // overlays carry no journal
 	}
-	r.propagate(r.baseDelta())
+	r.materialize()
 	// The extent of the change is unknowable here (the base was edited
 	// behind the reasoner's back); nil lists tell receivers to assume
 	// everything may have changed.
 	r.notify(Delta{Reset: true})
-}
-
-// overlayTriples materializes the overlay's id triples.
-func (r *Reasoner) overlayTriples() []store.IDTriple {
-	out := make([]store.IDTriple, 0, r.overlay.Len())
-	r.overlay.QueryIDFunc(store.IDPattern{}, func(t store.IDTriple) bool {
-		out = append(out, t)
-		return true
-	})
-	return out
 }
 
 // View returns the asserted∪inferred union the query layer evaluates over.
@@ -533,23 +552,52 @@ func (r *Reasoner) encode(t store.Triple) (store.IDTriple, bool) {
 	return store.IDTriple{S: s, P: p, O: o}, okS && okP && okO
 }
 
+// ruleRound is one rule's scratch for the current propagation round.
+type ruleRound struct {
+	// heads is the rule's segment of the round's head buffer, own the run of
+	// the next delta it was the first to conclude.
+	heads, own [2]int
+	// fed is what a propagation rule's recursive atom is fed instead of the
+	// whole delta: the delta without the triples the rule itself concluded
+	// in the previous round (see markPropagation), as the two runs around
+	// them. Unused for other rules.
+	fed [2][]store.IDTriple
+}
+
 // propagate runs semi-naive rounds from the seed delta until no rule derives
-// anything new: each round restricts one body atom to the previous round's
-// delta (every choice of atom, so no derivation using a new fact is missed)
-// and probes the remaining atoms against the full materialized view, which
-// already includes earlier rounds' conclusions — each such term one batched
-// operator pipeline (see matchDelta), so a round's joins run batch-at-a-time
-// over the delta with shard-grouped probes. Derived heads already asserted
-// or inferred are skipped; the rest enter the overlay and the next delta.
-// Heads arrive from the pipelines' output batches, never under a shard
-// read-lock, so inserting them after each enumeration is safe. It returns
-// every triple newly derived into the overlay, for the delta hook. Callers
+// anything new and returns every triple newly derived into the overlay, for
+// the delta hook; see rounds. Nothing in an incoming delta was concluded by a
+// rule of this propagation, so every recursive atom is fed all of it. Callers
 // hold r.mu.
 func (r *Reasoner) propagate(delta []store.IDTriple) []store.IDTriple {
 	if len(delta) > 0 {
 		r.mDeltaSize.Observe(float64(len(delta)))
 	}
+	for i := range r.round {
+		r.round[i].fed = [2][]store.IDTriple{delta}
+	}
+	return r.rounds(delta)
+}
+
+// rounds is the maintenance loop of semi-naive evaluation: each round
+// restricts one body atom to the previous round's delta (every choice of
+// atom, so no derivation using a new fact is missed — except that a
+// propagation rule's recursive atom skips the rule's own previous conclusions,
+// r.round[i].fed, which the caller sets for the first round) and probes the
+// remaining atoms against the full materialized view, which already includes
+// earlier rounds' conclusions — each such term one batched operator pipeline
+// (see matchDelta), so a round's joins run batch-at-a-time over the delta
+// with shard-grouped probes. Derived heads already asserted or inferred are
+// skipped; the rest enter the overlay one at a time and form the next delta.
+// Heads arrive from the pipelines' output batches, never under a shard
+// read-lock, so inserting them after each enumeration is safe. Callers hold
+// r.mu.
+func (r *Reasoner) rounds(delta []store.IDTriple) []store.IDTriple {
 	var heads, derived []store.IDTriple
+	emit := func(h store.IDTriple) bool {
+		heads = append(heads, h)
+		return true
+	}
 	for len(delta) > 0 {
 		r.stats.Rounds++
 		r.mRounds.Inc()
@@ -559,25 +607,39 @@ func (r *Reasoner) propagate(delta []store.IDTriple) []store.IDTriple {
 		}
 		heads = heads[:0]
 		for i := range r.rules {
-			rule := &r.rules[i]
+			rule, rr := &r.rules[i], &r.round[i]
+			rr.heads[0] = len(heads)
 			for di := range rule.body {
-				matchDelta(rule, di, delta, r.view, func(h store.IDTriple) bool {
-					heads = append(heads, h)
-					return true
-				})
+				if di == rule.selfAtom {
+					matchDelta(rule, di, rr.fed[0], r.view, emit)
+					matchDelta(rule, di, rr.fed[1], r.view, emit)
+				} else {
+					matchDelta(rule, di, delta, r.view, emit)
+				}
 			}
+			rr.heads[1] = len(heads)
 		}
+		r.stats.Heads += len(heads)
 		var next []store.IDTriple
-		for _, h := range heads {
-			if r.base.ContainsID(h) || r.overlay.ContainsID(h) {
-				continue
+		for i := range r.round {
+			rr := &r.round[i]
+			lo := len(next)
+			for _, h := range heads[rr.heads[0]:rr.heads[1]] {
+				if r.base.ContainsID(h) || r.overlay.ContainsID(h) {
+					continue
+				}
+				if _, err := r.overlay.AddID(h); err != nil {
+					panic(err) // ids came from this dictionary
+				}
+				next = append(next, h)
 			}
-			if _, err := r.overlay.AddID(h); err != nil {
-				panic(err) // ids came from this dictionary
-			}
-			r.stats.Derived++
-			next = append(next, h)
+			rr.own = [2]int{lo, len(next)}
 		}
+		for i := range r.round {
+			rr := &r.round[i]
+			rr.fed = [2][]store.IDTriple{next[:rr.own[0]], next[rr.own[1]:]}
+		}
+		r.stats.Derived += len(next)
 		r.mDerived.Add(int64(len(next)))
 		if r.mRoundSeconds != nil {
 			r.mRoundSeconds.Since(roundStart)

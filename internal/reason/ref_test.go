@@ -273,32 +273,51 @@ func TestReasonAddRemoveRestoresSnapshot(t *testing.T) {
 
 // FuzzReasonMatchesReference feeds byte-derived rule sets and operation
 // schedules to the engine, holding it to the naive reference closure after
-// every mutation. CI runs a short pass.
+// every mutation. Non-negative seeds draw a random rule set and store;
+// negative ones pick an adversarial schema of bulk_test.go (mostly the RDFS
+// set, whose propagation rules skip their own conclusions), so the schedule
+// of adds and removes runs on top of a bulk-built overlay. CI runs a short
+// pass.
 func FuzzReasonMatchesReference(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3, 4, 5})
 	f.Add(int64(99), []byte{7, 3, 1, 0, 200, 13, 42, 8})
+	cases := adversarialCases(f)
+	for i := range cases {
+		f.Add(int64(-1-i), []byte{0, 2, 4, 1, 3, 6, 5, 8, 7, 10, 9, 11})
+	}
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		if len(ops) > 24 {
 			ops = ops[:24]
 		}
 		rng := rand.New(rand.NewSource(seed))
-		rules := randomRules(rng)
-		base := store.New()
-		for i, n := 0, rng.Intn(8); i < n; i++ {
-			base.MustAdd(randomTriple(rng))
+		var c bulkCase
+		if seed < 0 {
+			c = cases[int(-(seed+1)%int64(len(cases)))]
+			c.pool = append(append([]store.Triple(nil), c.asserted...), c.pool...)
+		} else {
+			c.rules = randomRules(rng)
+			for i, n := 0, rng.Intn(8); i < n; i++ {
+				c.asserted = append(c.asserted, randomTriple(rng))
+			}
+			for _, s := range []string{"a", "b", "c", "d"} {
+				for _, p := range []string{"p", "q", "r"} {
+					for _, o := range []string{"a", "b", "c", "d"} {
+						c.pool = append(c.pool, store.Triple{Subject: s, Predicate: p, Object: o})
+					}
+				}
+			}
 		}
-		r, err := Materialize(base, rules)
+		base := store.New()
+		if _, err := base.AddBatch(c.asserted); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Materialize(base, c.rules)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes := []string{"a", "b", "c", "d"}
-		preds := []string{"p", "q", "r"}
+		checkAgainstNaive(t, r, c.rules, "initial")
 		for i, op := range ops {
-			tr := store.Triple{
-				Subject:   nodes[int(op)%len(nodes)],
-				Predicate: preds[int(op>>2)%len(preds)],
-				Object:    nodes[int(op>>4)%len(nodes)],
-			}
+			tr := c.pool[int(op>>1)%len(c.pool)]
 			if op&1 == 0 {
 				if _, err := r.Add(tr); err != nil {
 					t.Fatal(err)
@@ -306,7 +325,7 @@ func FuzzReasonMatchesReference(f *testing.F) {
 			} else {
 				r.Remove(tr)
 			}
-			checkAgainstNaive(t, r, rules, fmt.Sprintf("op %d", i))
+			checkAgainstNaive(t, r, c.rules, fmt.Sprintf("op %d", i))
 		}
 	})
 }

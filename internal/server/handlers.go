@@ -124,6 +124,9 @@ type EngineStats struct {
 	// notification (including full rematerializations), so caches and
 	// replicas can detect staleness with one comparison.
 	Generation uint64 `json:"generation"`
+	// MaterializeSeconds is the wall time of the most recent full
+	// materialization — the boot fixpoint, or the latest Rematerialize.
+	MaterializeSeconds float64 `json:"materialize_seconds"`
 }
 
 // DurabilityStats is the durability block of StatsResponse, present only on
@@ -863,11 +866,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Inferred: inferred,
 		Total:    asserted + inferred,
 		Engine: EngineStats{
-			Rounds:      es.Rounds,
-			Derived:     es.Derived,
-			Overdeleted: es.Overdeleted,
-			Rederived:   es.Rederived,
-			Generation:  s.reasoner.Generation(),
+			Rounds:             es.Rounds,
+			Derived:            es.Derived,
+			Overdeleted:        es.Overdeleted,
+			Rederived:          es.Rederived,
+			Generation:         s.reasoner.Generation(),
+			MaterializeSeconds: s.reasoner.MaterializeStats().Duration.Seconds(),
 		},
 		Cache:         s.cache.stats(),
 		Durability:    dur,

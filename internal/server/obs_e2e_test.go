@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -272,6 +273,28 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 	if st.Engine.Generation < 1 {
 		t.Errorf("/stats engine generation = %d, want >= 1", st.Engine.Generation)
+	}
+
+	// The boot fixpoint ran before any instrument existed; the reasoner kept
+	// its figures, and the gauge, the /stats field and the line ontoserve
+	// logs at boot must all be that one record.
+	boot := srv.Reasoner().MaterializeStats()
+	var logged struct {
+		inferred, rounds, heads, bulk int
+		seconds                       float64
+	}
+	if _, err := fmt.Sscanf(boot.String(), "materialized %d inferred triples in %fs (%d rounds, %d heads, %d bulk-loaded)",
+		&logged.inferred, &logged.seconds, &logged.rounds, &logged.heads, &logged.bulk); err != nil {
+		t.Fatalf("boot log line %q does not parse: %v", boot.String(), err)
+	}
+	if g := m["onto_reason_materialize_seconds"]; g <= 0 || g != st.Engine.MaterializeSeconds || math.Abs(g-logged.seconds) > 0.0005 {
+		t.Errorf("materialize seconds: gauge %g, /stats %g, log line %g", g, st.Engine.MaterializeSeconds, logged.seconds)
+	}
+	// One mutation added one triple since boot and derived nothing, so the
+	// boot figures still reconcile with the live counters: every inferred
+	// triple and every round before the mutation's own belong to the boot.
+	if logged.inferred != st.Inferred || logged.bulk > logged.inferred || logged.heads < logged.inferred || logged.rounds < 1 || logged.rounds >= st.Engine.Rounds {
+		t.Errorf("boot log line %q does not reconcile with /stats inferred %d, engine rounds %d", boot.String(), st.Inferred, st.Engine.Rounds)
 	}
 
 	// The slow-query log (threshold 1ns: everything logs) carries one

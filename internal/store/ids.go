@@ -18,6 +18,18 @@ type IDTriple struct {
 	S, P, O SymbolID
 }
 
+// Less orders id triples by (S, P, O) — the order LoadSorted takes and
+// SortIDTriples produces.
+func (t IDTriple) Less(u IDTriple) bool {
+	if t.S != u.S {
+		return t.S < u.S
+	}
+	if t.P != u.P {
+		return t.P < u.P
+	}
+	return t.O < u.O
+}
+
 // IDPattern is a dictionary-encoded triple pattern: a component constrains
 // the match only when its Bound flag is set (an unbound component is a
 // wildcard, whatever its id field holds).

@@ -5,28 +5,30 @@ import (
 	"sync"
 )
 
-// This file is the recovery fast path: RestoreSorted rebuilds an empty store
-// from the dictionary and triple set a durable-segment chain recovers, without
-// going through the mutation path at all. The per-triple path (AddIDBatch →
-// insertBatch) exists to be safe against concurrent readers and duplicate
-// inserts; recovery needs neither — the store is private until restore
-// returns and segment chains carry each triple exactly once, already sorted —
-// so restore can build every index level by direct append: no per-triple lock
-// acquisition, no dedup probing, no incremental spill-map growth. Boot cost
-// becomes sequential segment I/O plus three bucket-and-append passes.
+// This file is the store's bulk-build path: LoadSorted builds the three index
+// families of an empty store from a sorted triple set without going through
+// the mutation path at all, and RestoreSorted is LoadSorted behind a freshly
+// installed dictionary. The per-triple path (AddIDBatch → insertBatch) exists
+// to be safe against concurrent readers and duplicate inserts; a bulk build
+// needs neither — the input is sorted, hence duplicate-free, and the shards
+// are empty — so it can build every index level by direct append: no
+// per-triple lock acquisition, no dedup probing, no incremental spill-map
+// growth. Recovery (durable segment chains) and the reasoner's seed round
+// (a whole round of inferred triples committed into the empty overlay) are
+// the two callers; Clear is the matching O(shards) way back to empty.
 
 // RestoreSorted bulk-loads an empty store from a recovered dictionary and a
 // sorted triple set. dict[i] becomes the name of SymbolID i (reproducing the
-// interning order a segment chain recorded), and triples must be strictly
-// ascending in (S, P, O) order — therefore duplicate-free — with every
-// component id below len(dict). The slices are retained; callers must not
-// mutate them afterwards.
+// interning order a segment chain recorded), and triples must satisfy
+// LoadSorted's contract against that dictionary: strictly ascending in
+// (S, P, O) order with every component id below len(dict). dict is retained;
+// callers must not mutate it afterwards.
 //
-// The store must be empty and journal-free: restore bypasses the mutation
-// path, so nothing is journaled (recovery runs before the engine attaches
-// its journal) and no locks are relied on for visibility. The caller owns
-// the store exclusively until RestoreSorted returns; afterwards it is safe
-// for concurrent use as usual.
+// The store must be empty — no triples, no dictionary — and journal-free:
+// restore bypasses the mutation path, so nothing is journaled (recovery runs
+// before the engine attaches its journal). Invalid input is rejected before
+// anything is installed. The caller owns the store exclusively until
+// RestoreSorted returns; afterwards it is safe for concurrent use as usual.
 func (s *Store) RestoreSorted(dict []string, triples []IDTriple) error {
 	if s.Len() != 0 || s.DictLen() != 0 {
 		return fmt.Errorf("store: RestoreSorted needs an empty store, not %d triples and %d dictionary entries", s.Len(), s.DictLen())
@@ -34,14 +36,8 @@ func (s *Store) RestoreSorted(dict []string, triples []IDTriple) error {
 	if s.getJournal() != nil {
 		return fmt.Errorf("store: RestoreSorted bypasses the mutation path and would not journal; detach the journal first")
 	}
-	n := SymbolID(len(dict))
-	for i, t := range triples {
-		if t.S >= n || t.P >= n || t.O >= n {
-			return fmt.Errorf("store: restore triple %d %v references an id outside the %d-name dictionary", i, t, n)
-		}
-		if i > 0 && !idTripleLess(triples[i-1], t) {
-			return fmt.Errorf("store: restore triples not in strict (S, P, O) order at index %d: %v after %v", i, t, triples[i-1])
-		}
+	if err := checkSorted(triples, SymbolID(len(dict))); err != nil {
+		return err
 	}
 	// One map operation per name: insert unconditionally and let the final
 	// length expose duplicates (a repeated name collapses two inserts into
@@ -68,25 +64,96 @@ func (s *Store) RestoreSorted(dict []string, triples []IDTriple) error {
 	s.syms.ids = ids
 	s.syms.names = dict
 	s.syms.mu.Unlock()
+	s.loadSorted(triples)
+	return nil
+}
 
-	// Build the three permutation families concurrently, each family's
-	// shards in parallel. Bucketing rotates every triple into the family's
-	// own (lead, mid, trail) frame up front, so the sort and build loops
-	// touch plain struct fields instead of calling accessor closures per
-	// element — on a multi-million-triple restore those calls are the
-	// difference between memory-bound and call-bound. The SPO family
-	// receives the input ordering directly (bucketing is stable, so each
-	// bucket stays (lead, mid)-sorted); POS and OSP buckets are re-sorted
-	// inside the shard's goroutine.
+// LoadSorted bulk-loads an empty store from a sorted set of dictionary-
+// encoded triples: strictly ascending in (S, P, O) order — therefore
+// duplicate-free; SortIDTriples produces the order — with every component id
+// already minted by the store's dictionary, which is what lets an overlay
+// (NewOverlay) take a whole round of inferred triples in one call. Invalid
+// input is rejected with nothing inserted. triples is only read, never
+// retained: the index levels are built in their own arenas.
+//
+// The store must hold no triples (Clear empties one) and no journal: the
+// load bypasses the mutation path, so nothing would be journaled. Each shard
+// is filled under its own lock, so readers of the store — and of a View over
+// it — are safe throughout and see a shard either empty or complete, with
+// the usual batch-ingest caveat that a triple may be visible through one
+// index family before another; writers must be excluded by the caller until
+// LoadSorted returns.
+func (s *Store) LoadSorted(triples []IDTriple) error {
+	if s.Len() != 0 {
+		return fmt.Errorf("store: LoadSorted needs a store without triples, not %d", s.Len())
+	}
+	if s.getJournal() != nil {
+		return fmt.Errorf("store: LoadSorted bypasses the mutation path and would not journal; detach the journal first")
+	}
+	if err := checkSorted(triples, SymbolID(s.DictLen())); err != nil {
+		return err
+	}
+	s.loadSorted(triples)
+	return nil
+}
+
+// Clear drops every triple in O(shards) — each shard's index is released
+// whole under its lock instead of being emptied triple by triple — and keeps
+// the dictionary. It refuses a journaled store: the removals would not reach
+// the log. Readers are safe throughout; writers must be excluded by the
+// caller, as for LoadSorted.
+func (s *Store) Clear() error {
+	if s.getJournal() != nil {
+		return fmt.Errorf("store: Clear bypasses the mutation path and would not journal; detach the journal first")
+	}
+	for _, fam := range [...]*indexFamily{&s.spo, &s.pos, &s.osp} {
+		for i := range fam {
+			sh := &fam[i]
+			sh.mu.Lock()
+			sh.m = nil
+			sh.mu.Unlock()
+		}
+	}
+	s.size.Store(0)
+	return nil
+}
+
+// checkSorted verifies LoadSorted's input contract against a dictionary of n
+// names.
+func checkSorted(triples []IDTriple, n SymbolID) error {
+	for i, t := range triples {
+		if t.S >= n || t.P >= n || t.O >= n {
+			return fmt.Errorf("store: sorted triple %d %v references an id outside the %d-name dictionary", i, t, n)
+		}
+		if i > 0 && !triples[i-1].Less(t) {
+			return fmt.Errorf("store: triples not in strict (S, P, O) order at index %d: %v after %v", i, t, triples[i-1])
+		}
+	}
+	return nil
+}
+
+// loadSorted builds the three permutation families of an empty store from
+// validated input, concurrently, each family's non-empty shards in parallel.
+// Bucketing rotates every triple into the family's own (lead, mid, trail)
+// frame up front, so the sort and build loops touch plain struct fields
+// instead of calling accessor closures per element — on a multi-million-
+// triple load those calls are the difference between memory-bound and
+// call-bound. The SPO family receives the input ordering directly (bucketing
+// is stable, so each bucket stays (lead, mid)-sorted); POS and OSP buckets
+// are re-sorted inside the shard's goroutine.
+func (s *Store) loadSorted(triples []IDTriple) {
 	var wg sync.WaitGroup
 	build := func(fam *indexFamily, rot rotation, presorted bool) {
 		buckets := bucketByShard(triples, rot)
 		for i := range fam {
+			if len(buckets[i]) == 0 {
+				continue
+			}
 			wg.Add(1)
 			go func(sh *shard, bucket []IDTriple) {
 				defer wg.Done()
 				if !presorted {
-					radixSortByLeadMid(bucket)
+					radixSortIDTriples(bucket, 2)
 				}
 				buildShardSorted(sh, bucket)
 			}(&fam[i], buckets[i])
@@ -97,18 +164,6 @@ func (s *Store) RestoreSorted(dict []string, triples []IDTriple) error {
 	build(&s.osp, rotOSP, false)
 	wg.Wait()
 	s.size.Store(int64(len(triples)))
-	return nil
-}
-
-// idTripleLess orders id triples by (S, P, O).
-func idTripleLess(a, b IDTriple) bool {
-	if a.S != b.S {
-		return a.S < b.S
-	}
-	if a.P != b.P {
-		return a.P < b.P
-	}
-	return a.O < b.O
 }
 
 // rotation names the component permutation a family's buckets are built in:
@@ -167,59 +222,161 @@ func bucketByShard(ts []IDTriple, rot rotation) [numShards][]IDTriple {
 	return buckets
 }
 
-// radixSortByLeadMid sorts a permuted bucket by (lead, mid) = (S, P) — an
-// LSD byte-radix sort, stable, so runs equal in (lead, mid) keep their input
-// order and the trailing sets of a pre-sorted input come out sorted too.
-// Comparison sorting here is the restore path's biggest CPU sink (a
-// comparator closure per decision); counting passes replace it with O(n) per
-// byte, and passes whose byte is constant across the bucket (the common case
-// for the high bytes of 32-bit ids) are skipped entirely.
-func radixSortByLeadMid(ts []IDTriple) {
+// SortIDTriples sorts ts in place into ascending (S, P, O) order — the order
+// LoadSorted and RestoreSorted require; equal triples end up adjacent, so a
+// caller that may hold duplicates drops them in one pass afterwards.
+func SortIDTriples(ts []IDTriple) {
+	radixSortIDTriples(ts, 3)
+}
+
+// UnionSorted merges two strictly ascending (S, P, O) runs into one, dropping
+// duplicates. Linear; the inputs are not modified, and when one is empty the
+// other is returned as is.
+func UnionSorted(a, b []IDTriple) []IDTriple {
+	if len(a) == 0 {
+		return b
+	}
+	if len(b) == 0 {
+		return a
+	}
+	out := make([]IDTriple, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i].Less(b[j]):
+			out = append(out, a[i])
+			i++
+		case b[j].Less(a[i]):
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
+}
+
+// SubtractSorted returns a ∖ b over strictly ascending (S, P, O) runs.
+// Linear; the inputs are not modified, and a is returned as is when either
+// run is empty.
+func SubtractSorted(a, b []IDTriple) []IDTriple {
+	if len(a) == 0 || len(b) == 0 {
+		return a
+	}
+	out := make([]IDTriple, 0, len(a))
+	j := 0
+	for _, t := range a {
+		for j < len(b) && b[j].Less(t) {
+			j++
+		}
+		if j < len(b) && b[j] == t {
+			continue
+		}
+		out = append(out, t)
+	}
+	return out
+}
+
+// radixSortIDTriples sorts ts by its first comps components in (S, P, O)
+// significance — 2 for a permuted bucket's (lead, mid), 3 for the full key —
+// with an LSD byte-radix sort. It is stable, so runs equal in the sorted
+// components keep their input order and the trailing sets of a pre-sorted
+// input come out sorted too. Comparison sorting is the bulk path's biggest CPU
+// sink (a comparator closure per decision); counting passes replace it with
+// O(n) per byte, and passes whose byte is constant across the input (the
+// common case for the high bytes of 32-bit ids) are skipped entirely. Every
+// loop over the elements is written out per component: a closure call per
+// triple costs more than the pass itself.
+func radixSortIDTriples(ts []IDTriple, comps int) {
 	n := len(ts)
 	if n < 2 {
 		return
 	}
 	src, dst := ts, make([]IDTriple, n)
-	for pass := 0; pass < 8; pass++ {
-		shift := (pass % 4) * 8
-		fromLead := pass >= 4
-		digit := func(t IDTriple) byte {
-			if fromLead {
-				return byte(t.S >> shift)
+	for c := comps - 1; c >= 0; c-- {
+		for shift := 0; shift < 32; shift += 8 {
+			var counts [256]int
+			var first byte
+			switch c {
+			case 0:
+				for _, t := range src {
+					counts[byte(t.S>>shift)]++
+				}
+				first = byte(src[0].S >> shift)
+			case 1:
+				for _, t := range src {
+					counts[byte(t.P>>shift)]++
+				}
+				first = byte(src[0].P >> shift)
+			default:
+				for _, t := range src {
+					counts[byte(t.O>>shift)]++
+				}
+				first = byte(src[0].O >> shift)
 			}
-			return byte(t.P >> shift)
-		}
-		var counts [256]int
-		for _, t := range src {
-			counts[digit(t)]++
-		}
-		if counts[digit(src[0])] == n {
-			continue // every key shares this byte; the pass is a no-op
-		}
-		sum := 0
-		for d := range counts {
-			c := counts[d]
-			counts[d] = sum
-			sum += c
-		}
-		if fromLead {
-			for _, t := range src {
-				d := byte(t.S >> shift)
-				dst[counts[d]] = t
-				counts[d]++
+			if counts[first] == n {
+				continue // every key shares this byte; the pass is a no-op
 			}
-		} else {
-			for _, t := range src {
-				d := byte(t.P >> shift)
-				dst[counts[d]] = t
-				counts[d]++
+			sum := 0
+			for d := range counts {
+				k := counts[d]
+				counts[d] = sum
+				sum += k
 			}
+			switch c {
+			case 0:
+				for _, t := range src {
+					d := byte(t.S >> shift)
+					dst[counts[d]] = t
+					counts[d]++
+				}
+			case 1:
+				for _, t := range src {
+					d := byte(t.P >> shift)
+					dst[counts[d]] = t
+					counts[d]++
+				}
+			default:
+				for _, t := range src {
+					d := byte(t.O >> shift)
+					dst[counts[d]] = t
+					counts[d]++
+				}
+			}
+			src, dst = dst, src
 		}
-		src, dst = dst, src
 	}
 	if &src[0] != &ts[0] {
 		copy(ts, src)
 	}
+}
+
+// arenaRunMax is the longest run of a bulk-built index level that is carved
+// out of the shard's shared arena; a longer run gets its own allocation with
+// an eighth of growth room. An arena sub-slice is capped at its run, so the
+// first append after the load copies the run and strands its arena bytes for
+// good: harmless for the millions of short runs the arenas exist for (a few
+// hundred bytes each, and most are never touched again), ruinous for the few
+// long ones every write lands in — the instances of a class, 40 bytes per
+// (class, subject) pair in the OSP family, were 43 MB of a 1.19 M-triple
+// overlay, re-allocated on the first insert into each class. An eighth is the
+// slack an append-grown slice of that size carries on average, so a loaded
+// store meets its first writes the way an incrementally built one would.
+const arenaRunMax = 256
+
+// carve returns room for a run of n elements: the front of the arena, capped
+// at the run so a later append reallocates instead of clobbering the
+// neighbouring run, or an allocation of its own past arenaRunMax.
+func carve[T any](arena *[]T, n int) []T {
+	if n > arenaRunMax {
+		return make([]T, n, n+n/8)
+	}
+	run := (*arena)[:n:n]
+	*arena = (*arena)[n:]
+	return run
 }
 
 // buildShardSorted populates one empty shard from its permuted bucket, which
@@ -227,66 +384,81 @@ func radixSortByLeadMid(ts []IDTriple) {
 // become one leadEntry, runs sharing (lead, mid) one trailing set, and every
 // level is carved out of three arena allocations sized by a counting pass —
 // for a family like OSP, whose lead is near-unique, per-entry allocation
-// would mean millions of tiny objects for the GC to trace. Each sub-slice is
-// capped at its run boundary (arena[i:j:j]), so a later append on a live
-// entry reallocates instead of clobbering its neighbor. Spill indexes are
-// built once, after each level's final size is known, instead of
-// incrementally as the mutation path must.
+// would mean millions of tiny objects for the GC to trace — except the runs
+// past arenaRunMax (see carve). Spill indexes are built once, after each
+// level's final size is known, instead of incrementally as the mutation path
+// must.
 func buildShardSorted(sh *shard, bucket []IDTriple) {
-	// The shard is not shared until RestoreSorted returns, but take the
-	// lock anyway: it is one acquisition per shard and keeps the builder
-	// honest under the race detector if a caller ever leaks the store early.
+	// A restored store is private until RestoreSorted returns, but an overlay
+	// being loaded is already behind a View: the lock is what lets readers
+	// see the shard either empty or complete.
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	leads, pairs := 0, 0
-	var prevL, prevM uint32
+	// Counting pass: the leads, and the mids and elements that live in the
+	// arenas (runs up to arenaRunMax).
+	leads, mids, elems := 0, 0, 0
+	leadMids, pairElems := 0, 0 // sizes of the lead and (lead, mid) runs in progress
 	for i, t := range bucket {
-		if i == 0 || t.S != prevL {
-			leads++
-			pairs++
-		} else if t.P != prevM {
-			pairs++
+		newLead := i == 0 || t.S != bucket[i-1].S
+		if newLead || t.P != bucket[i-1].P {
+			if pairElems <= arenaRunMax {
+				elems += pairElems
+			}
+			pairElems = 0
+			if newLead {
+				if leadMids <= arenaRunMax {
+					mids += leadMids
+				}
+				leadMids = 0
+				leads++
+			}
+			leadMids++
 		}
-		prevL, prevM = t.S, t.P
+		pairElems++
+	}
+	if pairElems <= arenaRunMax {
+		elems += pairElems
+	}
+	if leadMids <= arenaRunMax {
+		mids += leadMids
 	}
 	leadArena := make([]leadEntry, leads)
-	midArena := make([]midTrail, pairs)
-	elemArena := make([]uint32, len(bucket))
+	midArena := make([]midTrail, mids)
+	elemArena := make([]uint32, elems)
 	sh.m = make(map[uint32]*leadEntry, leads)
-	li, mi := 0, 0
 	for i := 0; i < len(bucket); {
 		l := bucket[i].S
-		j := i
+		j, nm := i, 0
 		for j < len(bucket) && bucket[j].S == l {
+			if j == i || bucket[j].P != bucket[j-1].P {
+				nm++
+			}
 			j++
 		}
-		e := &leadArena[li]
-		li++
-		m0 := mi
-		for k := i; k < j; {
+		e := &leadArena[0]
+		leadArena = leadArena[1:]
+		e.entries = carve(&midArena, nm)
+		for p, k := 0, i; k < j; p++ {
 			m := bucket[k].P
 			k2 := k
-			// The run scan already touches each triple; peel the trail
-			// column into the element arena on the way past rather than in
-			// a separate full pass over the bucket.
 			for k2 < j && bucket[k2].P == m {
-				elemArena[k2] = bucket[k2].O
 				k2++
 			}
-			set := idSet{elems: elemArena[k:k2:k2]}
+			set := idSet{elems: carve(&elemArena, k2-k)}
+			for q := range set.elems {
+				set.elems[q] = bucket[k+q].O
+			}
 			if k2-k > setSpill {
 				set.idx = make(map[uint32]int32, k2-k)
-				for p, v := range set.elems {
-					set.idx[v] = int32(p)
+				for q, v := range set.elems {
+					set.idx[v] = int32(q)
 				}
 			}
-			midArena[mi] = midTrail{mid: m, trail: set}
-			mi++
+			e.entries[p] = midTrail{mid: m, trail: set}
 			k = k2
 		}
-		e.entries = midArena[m0:mi:mi]
-		if mi-m0 > midSpill {
-			e.idx = make(map[uint32]int32, mi-m0)
+		if nm > midSpill {
+			e.idx = make(map[uint32]int32, nm)
 			for p := range e.entries {
 				e.idx[e.entries[p].mid] = int32(p)
 			}

@@ -20,7 +20,7 @@ func dumpIDState(s *Store) ([]string, []IDTriple) {
 		ts = append(ts, t)
 		return true
 	})
-	sort.Slice(ts, func(i, j int) bool { return idTripleLess(ts[i], ts[j]) })
+	sort.Slice(ts, func(i, j int) bool { return ts[i].Less(ts[j]) })
 	return dict, ts
 }
 
@@ -198,5 +198,207 @@ func TestRestoreSortedRejectsBadInput(t *testing.T) {
 				t.Fatal("RestoreSorted accepted invalid input")
 			}
 		})
+	}
+}
+
+// readAll answers one id pattern through every read entry point and returns
+// the answers in comparable form: the sorted matches of QueryIDFunc,
+// QueryIDBatch and ScanParts, then CountID and StatsID.
+func readAll(s *Store, p IDPattern) ([3][]IDTriple, int, IDStats) {
+	var out [3][]IDTriple
+	s.QueryIDFunc(p, func(t IDTriple) bool {
+		out[0] = append(out[0], t)
+		return true
+	})
+	s.QueryIDBatch([]IDPattern{p}, func(_ int, t IDTriple) bool {
+		out[1] = append(out[1], t)
+		return true
+	})
+	buf := make([]IDTriple, 64)
+	for _, pt := range s.ScanParts(p, 4) {
+		for {
+			n, done := pt.NextBatch(buf)
+			out[2] = append(out[2], buf[:n]...)
+			if done {
+				break
+			}
+		}
+		pt.Release()
+	}
+	for i := range out {
+		SortIDTriples(out[i])
+	}
+	return out, s.CountID(p), s.StatsID(p)
+}
+
+// TestLoadSortedMatchesAddID: an overlay filled by one LoadSorted answers
+// every read entry point exactly as a twin filled by AddID calls, and keeps
+// doing so under later AddID/RemoveID traffic — the arena-backed sets are
+// capped at their run boundary, so growing one never clobbers its neighbour.
+func TestLoadSortedMatchesAddID(t *testing.T) {
+	base := New()
+	corpus := skewedCorpus(2000)
+	// Runs past arenaRunMax, which get their own allocation: one trailing set
+	// (and, in the POS family, one lead's middle level) of 2·arenaRunMax.
+	for i := 0; i < 2*arenaRunMax; i++ {
+		corpus = append(corpus, Triple{Subject: "hub", Predicate: "feeds", Object: fmt.Sprintf("o%d", i)})
+	}
+	if _, err := base.AddBatch(corpus); err != nil {
+		t.Fatal(err)
+	}
+	_, ids := dumpIDState(base)
+	loaded, twin := base.NewOverlay(), base.NewOverlay()
+	if err := loaded.LoadSorted(ids); err != nil {
+		t.Fatalf("LoadSorted: %v", err)
+	}
+	for _, id := range ids {
+		if added, err := twin.AddID(id); err != nil || !added {
+			t.Fatalf("AddID(%v) = %v, %v", id, added, err)
+		}
+	}
+	id := func(name string) SymbolID {
+		v, ok := base.SymbolID(name)
+		if !ok {
+			t.Fatalf("%q was never interned", name)
+		}
+		return v
+	}
+	patterns := []IDPattern{
+		{},
+		{S: id("hub"), BoundS: true},
+		{P: id("links"), BoundP: true},
+		{O: id("v"), BoundO: true},
+		{S: id("wide"), P: id("attr3"), BoundS: true, BoundP: true},
+		{P: id("p4"), O: id("o17"), BoundP: true, BoundO: true},
+		{S: id("s2"), O: id("o28"), BoundS: true, BoundO: true},
+		{S: id("s2"), P: id("p2"), O: id("o28"), BoundS: true, BoundP: true, BoundO: true},
+		{S: id("hub"), P: id("p4"), BoundS: true, BoundP: true},
+		{S: id("hub"), P: id("feeds"), BoundS: true, BoundP: true},
+		{P: id("feeds"), BoundP: true},
+	}
+	compare := func(stage string) {
+		t.Helper()
+		if loaded.Len() != twin.Len() {
+			t.Fatalf("%s: Len %d, twin %d", stage, loaded.Len(), twin.Len())
+		}
+		for _, p := range patterns {
+			gm, gc, gs := readAll(loaded, p)
+			wm, wc, ws := readAll(twin, p)
+			for i := range gm {
+				if fmt.Sprint(gm[i]) != fmt.Sprint(wm[i]) {
+					t.Fatalf("%s: pattern %+v, entry point %d: %d matches, twin %d", stage, p, i, len(gm[i]), len(wm[i]))
+				}
+			}
+			if gc != wc || gs != ws {
+				t.Fatalf("%s: pattern %+v: CountID %d / StatsID %+v, twin %d / %+v", stage, p, gc, gs, wc, ws)
+			}
+		}
+		for _, x := range ids {
+			if loaded.ContainsID(x) != twin.ContainsID(x) {
+				t.Fatalf("%s: ContainsID(%v) disagrees", stage, x)
+			}
+		}
+	}
+	compare("after load")
+
+	// Grow and shrink sets that sit in the middle of the arenas — a small
+	// trailing set, a spilled one, a spilled middle level — fresh leads, and
+	// the long run, past its growth room.
+	hub, links, wide := id("hub"), id("links"), id("wide")
+	var edits []IDTriple
+	for i := 0; i < arenaRunMax/2; i++ { // the room is an eighth of 2·arenaRunMax
+		edits = append(edits, IDTriple{S: hub, P: id("feeds"), O: id(fmt.Sprintf("o%d", 2*arenaRunMax+i))})
+	}
+	for i := 0; i < 40; i++ {
+		edits = append(edits,
+			IDTriple{S: hub, P: links, O: id(fmt.Sprintf("o%d", i))},
+			IDTriple{S: id(fmt.Sprintf("s%d", i)), P: id("p1"), O: hub},
+			IDTriple{S: wide, P: id(fmt.Sprintf("p%d", i%13)), O: id("v")},
+		)
+	}
+	for _, s := range []*Store{loaded, twin} {
+		for i, e := range edits {
+			if _, err := s.AddID(e); err != nil {
+				t.Fatal(err)
+			}
+			if i%3 == 0 {
+				s.RemoveID(ids[(i*7)%len(ids)])
+			}
+		}
+	}
+	compare("after AddID/RemoveID")
+	if a, b := snapshotOf(t, loaded), snapshotOf(t, twin); a != b {
+		t.Fatal("post-mutation snapshots diverge")
+	}
+}
+
+// TestLoadSortedRejectsBadInput: every violation of the contract is refused
+// with nothing inserted.
+func TestLoadSortedRejectsBadInput(t *testing.T) {
+	base := New()
+	base.MustAdd(Triple{Subject: "a", Predicate: "b", Object: "c"}) // ids 0, 1, 2
+	cases := []struct {
+		name    string
+		prep    func() *Store
+		triples []IDTriple
+	}{
+		{"unsorted", base.NewOverlay, []IDTriple{{0, 1, 2}, {0, 0, 1}}},
+		{"duplicate", base.NewOverlay, []IDTriple{{0, 1, 2}, {0, 1, 2}}},
+		{"out of dictionary", base.NewOverlay, []IDTriple{{0, 1, 2}, {0, 1, 3}}},
+		{"non-empty store", func() *Store { return base }, []IDTriple{{2, 1, 0}}},
+		{"journaled", func() *Store { o := base.NewOverlay(); o.SetJournal(nopJournal{}); return o }, []IDTriple{{2, 1, 0}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.prep()
+			defer s.SetJournal(nil) // the dictionary hook is shared with base
+			before := s.Len()
+			if err := s.LoadSorted(tc.triples); err == nil {
+				t.Fatal("LoadSorted accepted invalid input")
+			}
+			if s.Len() != before || s.ContainsID(IDTriple{2, 1, 0}) || s.CountID(IDPattern{}) != before {
+				t.Fatalf("rejected load left %d triples behind (had %d)", s.Len(), before)
+			}
+		})
+	}
+}
+
+// TestClear: an O(shards) Clear empties every family, keeps the dictionary,
+// leaves the store loadable and writable, and refuses a journaled store.
+func TestClear(t *testing.T) {
+	s := New()
+	if _, err := s.AddBatch(skewedCorpus(300)); err != nil {
+		t.Fatal(err)
+	}
+	_, ids := dumpIDState(s)
+	dict := s.DictLen()
+	if err := s.Clear(); err != nil {
+		t.Fatal(err)
+	}
+	hub, _ := s.SymbolID("hub")
+	for _, p := range []IDPattern{{}, {S: hub, BoundS: true}, {P: hub, BoundP: true}, {O: hub, BoundO: true}} {
+		if m, c, st := readAll(s, p); len(m[0])+len(m[1])+len(m[2]) != 0 || c != 0 || st.Count != 0 {
+			t.Fatalf("pattern %+v still answers after Clear: %v, count %d, stats %+v", p, m, c, st)
+		}
+	}
+	if s.Len() != 0 || s.DictLen() != dict {
+		t.Fatalf("Clear left %d triples and %d of %d names", s.Len(), s.DictLen(), dict)
+	}
+	if err := s.LoadSorted(ids); err != nil {
+		t.Fatalf("LoadSorted after Clear: %v", err)
+	}
+	if s.Len() != len(ids) {
+		t.Fatalf("reloaded %d of %d triples", s.Len(), len(ids))
+	}
+	if err := s.Clear(); err != nil {
+		t.Fatal(err)
+	}
+	s.MustAdd(Triple{Subject: "hub", Predicate: "links", Object: "t1"})
+	if s.Len() != 1 {
+		t.Fatalf("Add after Clear: %d triples", s.Len())
+	}
+	s.SetJournal(nopJournal{})
+	if err := s.Clear(); err == nil || s.Len() != 1 {
+		t.Fatalf("Clear on a journaled store: err %v, %d triples left", err, s.Len())
 	}
 }

@@ -102,3 +102,79 @@ func TestViewSnapshotUnderConcurrentEngineWrites(t *testing.T) {
 		t.Fatalf("snapshot wrote %d triples, view holds %d", na, view.Len())
 	}
 }
+
+// TestReadsDuringLoadSortedAndClear reads the base and the view while the
+// overlay behind the view is bulk-loaded and cleared, over and over — a
+// Rematerialize racing queries. Under -race it probes the shard-at-a-time
+// publication of LoadSorted and Clear; the assertions are the weak documented
+// ones: the base always answers in full, and the view never yields a triple
+// that is in neither member's final contents.
+func TestReadsDuringLoadSortedAndClear(t *testing.T) {
+	base := store.New()
+	var asserted []store.Triple
+	for i := 0; i < 400; i++ {
+		asserted = append(asserted, store.Triple{Subject: fmt.Sprintf("s%d", i%40), Predicate: fmt.Sprintf("p%d", i%7), Object: fmt.Sprintf("o%d", i)})
+	}
+	if _, err := base.AddBatch(asserted); err != nil {
+		t.Fatal(err)
+	}
+	// The overlay's contents: the base's triples with subject and object
+	// swapped, so both stores index the same ids differently.
+	var inferred []store.IDTriple
+	base.QueryIDFunc(store.IDPattern{}, func(t store.IDTriple) bool {
+		inferred = append(inferred, store.IDTriple{S: t.O, P: t.P, O: t.S})
+		return true
+	})
+	store.SortIDTriples(inferred)
+	overlay := base.NewOverlay()
+	view, err := store.NewDisjointView(base, overlay)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if n := base.CountID(store.IDPattern{}); n != len(asserted) {
+					t.Errorf("base answered %d of %d triples during an overlay load", n, len(asserted))
+					return
+				}
+				seen := 0
+				view.QueryIDFunc(store.IDPattern{}, func(store.IDTriple) bool {
+					seen++
+					return true
+				})
+				if seen < len(asserted) || seen > len(asserted)+len(inferred) {
+					t.Errorf("view yielded %d triples; want between %d and %d", seen, len(asserted), len(asserted)+len(inferred))
+					return
+				}
+				for _, pt := range view.ScanParts(store.IDPattern{P: inferred[0].P, BoundP: true}, 4) {
+					buf := make([]store.IDTriple, 32)
+					for done := false; !done; {
+						_, done = pt.NextBatch(buf)
+					}
+					pt.Release()
+				}
+			}
+		}()
+	}
+	for i := 0; i < 15; i++ {
+		if err := overlay.LoadSorted(inferred); err != nil {
+			t.Fatal(err)
+		}
+		if err := overlay.Clear(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
