@@ -1,86 +1,42 @@
-// Command benchrunner regenerates the experiment tables of EXPERIMENTS.md
-// and records benchmark snapshots for the perf trajectory.
+// Command benchrunner regenerates the experiment tables of EXPERIMENTS.md.
 //
 // Usage:
 //
 //	benchrunner -list
 //	benchrunner all
 //	benchrunner E2 E5
-//	go test -bench . -run '^$' ./... | benchrunner -snapshot BENCH.json
 //
-// In table mode each experiment prints the same table the root bench harness
-// measures, with the default parameters recorded in EXPERIMENTS.md. In
-// snapshot mode (-snapshot FILE) benchrunner reads `go test -bench` output
-// from standard input and writes a machine-readable JSON snapshot — one
-// record per benchmark with its iteration count and every reported metric —
-// which is what the CI bench job archives as BENCH_<n>.json so regressions
-// are visible across PRs.
+// Each experiment prints the same table the internal/experiments benchmarks
+// measure, with the default parameters recorded in EXPERIMENTS.md.
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/experiments"
 )
 
-// BenchRecord is one benchmark's snapshot entry.
-type BenchRecord struct {
-	// Name is the benchmark's full name, sub-benchmarks and -cpu suffix
-	// included (e.g. "BenchmarkQueryJoin3" or "BenchmarkServerQuery/cached-4").
-	Name string `json:"name"`
-	// Iterations is the b.N the reported figures were measured over.
-	Iterations int64 `json:"iterations"`
-	// Metrics maps each reported unit (ns/op, B/op, allocs/op, custom
-	// ReportMetric units like solutions/query) to its value.
-	Metrics map[string]float64 `json:"metrics"`
-}
-
-// Snapshot is the top-level JSON document -snapshot writes.
-type Snapshot struct {
-	// Schema identifies the snapshot format for future tooling.
-	Schema string `json:"schema"`
-	// Go, GOOS and GOARCH record the toolchain the numbers came from.
-	Go     string `json:"go"`
-	GOOS   string `json:"goos"`
-	GOARCH string `json:"goarch"`
-	// Benchmarks is sorted by name, so snapshots diff cleanly.
-	Benchmarks []BenchRecord `json:"benchmarks"`
-}
-
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run is the testable body of main.
-func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchrunner", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the available experiments and exit")
-	snapshot := fs.String("snapshot", "", "parse `go test -bench` output from stdin and write a JSON snapshot to this file")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: benchrunner [-list] [-snapshot FILE] <experiment id>... | all\n")
+		fmt.Fprintf(stderr, "usage: benchrunner [-list] <experiment id>... | all\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	if *snapshot != "" {
-		if err := writeSnapshot(*snapshot, stdin); err != nil {
-			fmt.Fprintf(stderr, "benchrunner: %v\n", err)
-			return 1
-		}
-		return 0
-	}
 	if *list {
 		for _, e := range experiments.All() {
 			fmt.Fprintf(stdout, "%-4s %s\n", e.ID, e.Description)
@@ -113,66 +69,4 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, e.Run().String())
 	}
 	return 0
-}
-
-// writeSnapshot parses bench output from r and writes the JSON snapshot.
-func writeSnapshot(path string, r io.Reader) error {
-	records, err := parseBench(r)
-	if err != nil {
-		return err
-	}
-	if len(records) == 0 {
-		return fmt.Errorf("no benchmark lines found on stdin (pipe `go test -bench` output in)")
-	}
-	sort.Slice(records, func(i, j int) bool { return records[i].Name < records[j].Name })
-	snap := Snapshot{
-		Schema:     "repro-bench-snapshot/v1",
-		Go:         runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		Benchmarks: records,
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(snap); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// parseBench extracts benchmark result lines from `go test -bench` output.
-// A result line is "BenchmarkName<ws>N<ws>value unit[<ws>value unit]...";
-// anything else (pkg headers, PASS/ok, metadata) is skipped.
-func parseBench(r io.Reader) ([]BenchRecord, error) {
-	var out []BenchRecord
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-			continue
-		}
-		iters, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			continue
-		}
-		rec := BenchRecord{Name: fields[0], Iterations: iters, Metrics: map[string]float64{}}
-		for i := 2; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				break
-			}
-			rec.Metrics[fields[i+1]] = v
-		}
-		if len(rec.Metrics) == 0 {
-			continue
-		}
-		out = append(out, rec)
-	}
-	return out, sc.Err()
 }

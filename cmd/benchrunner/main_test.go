@@ -2,97 +2,13 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
-func TestParseBench(t *testing.T) {
-	input := `goos: linux
-goarch: amd64
-pkg: repro
-cpu: Some CPU @ 2.10GHz
-BenchmarkQueryJoin3 	   42172	     29176 ns/op	       158.0 solutions/query	    2522 B/op	      30 allocs/op
-BenchmarkParallelLeafScan/gomaxprocs-4         	     208	   5913576 ns/op	  16911576 triples/s
-BenchmarkRecover1e6/bulk         	       3	 528847193 ns/op	   1890909 triples/s
-BenchmarkRecover1e6/replay       	       3	2674470484 ns/op	    373906 triples/s
-BenchmarkCheckpointDelta         	     138	   8035965 ns/op	     47958 segbytes/op
-PASS
-ok  	repro	3.972s
-`
-	records, err := parseBench(strings.NewReader(input))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != 5 {
-		t.Fatalf("parsed %d records, want 5: %+v", len(records), records)
-	}
-	if records[0].Name != "BenchmarkQueryJoin3" || records[0].Iterations != 42172 {
-		t.Fatalf("record 0 = %+v", records[0])
-	}
-	if got := records[0].Metrics["ns/op"]; got != 29176 {
-		t.Fatalf("ns/op = %v, want 29176", got)
-	}
-	if got := records[0].Metrics["solutions/query"]; got != 158 {
-		t.Fatalf("solutions/query = %v, want 158", got)
-	}
-	if got := records[1].Metrics["triples/s"]; got != 16911576 {
-		t.Fatalf("triples/s = %v, want 16911576", got)
-	}
-	// The recovery benchmarks carry the headline bulk-vs-replay ratio; both
-	// variants and the O(delta) checkpoint metric must survive the parse.
-	if records[2].Name != "BenchmarkRecover1e6/bulk" || records[3].Name != "BenchmarkRecover1e6/replay" {
-		t.Fatalf("recovery records = %q, %q", records[2].Name, records[3].Name)
-	}
-	if bulk, replay := records[2].Metrics["ns/op"], records[3].Metrics["ns/op"]; replay/bulk < 1 {
-		t.Fatalf("replay (%v ns/op) should dwarf bulk (%v ns/op) in the fixture", replay, bulk)
-	}
-	if got := records[4].Metrics["segbytes/op"]; got != 47958 {
-		t.Fatalf("segbytes/op = %v, want 47958", got)
-	}
-}
-
-func TestSnapshotMode(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "BENCH.json")
-	input := "BenchmarkX \t 10 \t 123 ns/op\nBenchmarkA \t 5 \t 9 ns/op\n"
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-snapshot", out}, strings.NewReader(input), &stdout, &stderr); code != 0 {
-		t.Fatalf("run = %d, stderr: %s", code, stderr.String())
-	}
-	raw, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Schema != "repro-bench-snapshot/v1" {
-		t.Fatalf("schema = %q", snap.Schema)
-	}
-	// Sorted by name for clean diffs.
-	if len(snap.Benchmarks) != 2 || snap.Benchmarks[0].Name != "BenchmarkA" {
-		t.Fatalf("benchmarks = %+v", snap.Benchmarks)
-	}
-}
-
-func TestSnapshotModeEmptyInput(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	out := filepath.Join(t.TempDir(), "BENCH.json")
-	if code := run([]string{"-snapshot", out}, strings.NewReader("PASS\n"), &stdout, &stderr); code != 1 {
-		t.Fatalf("run on empty bench output = %d, want 1", code)
-	}
-	if !strings.Contains(stderr.String(), "no benchmark lines") {
-		t.Fatalf("stderr = %q", stderr.String())
-	}
-}
-
 func TestListMode(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-list"}, strings.NewReader(""), &stdout, &stderr); code != 0 {
+	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("run -list = %d", code)
 	}
 	if !strings.Contains(stdout.String(), "E5") {

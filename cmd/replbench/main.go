@@ -8,8 +8,8 @@
 //
 // Usage:
 //
-//	replbench [-triples 100000] [-replicas 1,2,4] [-duration 10s] [-out BENCH_9.json]
-//	replbench -smoke -out BENCH_9.json
+//	replbench -out FILE [-triples 100000] [-replicas 1,2,4] [-duration 10s]
+//	replbench -smoke -out FILE
 //
 // For each fleet size the harness records aggregate and per-node QPS and
 // the replication-lag percentiles sampled during the run (the staleness
@@ -77,11 +77,11 @@ func run(args []string, stderr io.Writer) int {
 	duration := fs.Duration("duration", 10*time.Second, "measured load per fleet size")
 	workers := fs.Int("workers", 4, "closed-loop query workers per replica")
 	mutEvery := fs.Duration("mutate-interval", 50*time.Millisecond, "cadence of background writes through the primary (0 disables)")
-	out := fs.String("out", "BENCH_9.json", "file the results document is written to")
+	out := fs.String("out", "", "file the results document is written to (required)")
 	retain := fs.Int("repl-retain", 0, "primary delta retention in frames (0 picks the default)")
 	smoke := fs.Bool("smoke", false, "CI preset: 5000 triples, 2s per fleet")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: replbench [-triples n] [-replicas 1,2,4] [-duration 10s] [-out BENCH_9.json]\n")
+		fmt.Fprintf(stderr, "usage: replbench -out FILE [-triples n] [-replicas 1,2,4] [-duration 10s]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -92,6 +92,10 @@ func run(args []string, stderr io.Writer) int {
 	}
 	if fs.NArg() > 0 {
 		fmt.Fprintf(stderr, "replbench: unexpected arguments: %v\n", fs.Args())
+		return 2
+	}
+	if *out == "" {
+		fmt.Fprintln(stderr, "replbench: -out names no file for the results document")
 		return 2
 	}
 	opts := options{
@@ -140,7 +144,7 @@ func run(args []string, stderr io.Writer) int {
 	return 0
 }
 
-// resultDoc is the BENCH_9.json document.
+// resultDoc is the results document.
 type resultDoc struct {
 	// Bench names the snapshot; Date is the run day (UTC).
 	Bench string `json:"bench"`

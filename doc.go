@@ -34,7 +34,8 @@
 //   - examples/: six runnable walkthroughs — the paper's own examples plus
 //     examples/server, the HTTP serving-stack tour.
 //
-// The benchmarks in bench_test.go regenerate one experiment per table and
-// measure BGP joins at store scale; see DESIGN.md for the system inventory
-// and EXPERIMENTS.md for the measured results.
+// Benchmarks live beside the code they measure (internal/experiments
+// regenerates one experiment per table, internal/query measures BGP joins at
+// store scale); bench/ is the end-to-end harness. See DESIGN.md for the system
+// inventory and EXPERIMENTS.md for the measured results.
 package repro

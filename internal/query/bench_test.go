@@ -104,3 +104,66 @@ func BenchmarkSolutionsStream(b *testing.B) {
 		}
 	}
 }
+
+// joinWorkload builds exactly n distinct triples with join structure on top
+// of the type annotations: each instance carries a type triple and a
+// locatedIn triple placing it in one of 89 sites, and every site sits in one
+// of 7 regions, so 2- and 3-pattern BGPs have real work to do.
+func joinWorkload(n int) []store.Triple {
+	ts := make([]store.Triple, 0, n)
+	for j := 0; j < 89 && len(ts) < n; j++ {
+		ts = append(ts, store.Triple{Subject: fmt.Sprintf("site-%d", j), Predicate: "partOf", Object: fmt.Sprintf("region-%d", j%7)})
+	}
+	for i := 0; len(ts) < n; i++ {
+		inst := fmt.Sprintf("inst-%d", i)
+		ts = append(ts, store.Triple{Subject: inst, Predicate: store.TypePredicate, Object: fmt.Sprintf("class-%d", i%317)})
+		if len(ts) < n {
+			ts = append(ts, store.Triple{Subject: inst, Predicate: "locatedIn", Object: fmt.Sprintf("site-%d", i%89)})
+		}
+	}
+	return ts
+}
+
+// benchJoin measures one BGP over the n-triple join corpus, reporting
+// solutions per query so plan regressions show up as a metric change, not
+// just a time change.
+func benchJoin(b *testing.B, n int, bgp BGP) {
+	s := store.New()
+	if _, err := s.AddBatch(joinWorkload(n)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	solutions := 0
+	for i := 0; i < b.N; i++ {
+		sols := Eval(s, bgp)
+		for sols.Next() {
+			solutions++
+		}
+		if err := sols.Err(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if solutions == 0 {
+		b.Fatal("join produced no solutions")
+	}
+	b.ReportMetric(float64(solutions)/float64(b.N), "solutions/query")
+}
+
+// BenchmarkQueryJoin2 measures a 2-pattern BGP join at 10⁵ triples: the
+// instances of one class together with their sites.
+func BenchmarkQueryJoin2(b *testing.B) {
+	benchJoin(b, 100_000, MustParseBGP("?x type class-5 . ?x locatedIn ?site"))
+}
+
+// BenchmarkQueryJoin3 measures a 3-pattern BGP join at 10⁵ triples: the
+// same, extended through the site→region edge.
+func BenchmarkQueryJoin3(b *testing.B) {
+	benchJoin(b, 100_000, MustParseBGP("?x type class-5 . ?x locatedIn ?site . ?site partOf ?region"))
+}
+
+// BenchmarkQueryJoin3At1e6 is the 3-pattern join at 10⁶ triples — the
+// million-triple row of EXPERIMENTS.md's batched-execution table.
+func BenchmarkQueryJoin3At1e6(b *testing.B) {
+	benchJoin(b, 1_000_000, MustParseBGP("?x type class-5 . ?x locatedIn ?site . ?site partOf ?region"))
+}

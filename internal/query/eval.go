@@ -21,20 +21,17 @@ var ErrInterrupted = exec.ErrInterrupted
 // union of a materialized store): dictionary lookups and cardinality
 // statistics for the planner, plus the batched scan/probe hooks the operator
 // runtime (repro/internal/query/exec) executes with. Anything exposing these
-// eight methods can sit under a BGP.
+// six methods can sit under a BGP.
 type Source interface {
 	// SymbolID returns the dictionary id of a name; ok is false for names
 	// never interned (a pattern bound to one matches nothing).
 	SymbolID(name string) (store.SymbolID, bool)
-	// QueryIDFunc streams every triple matching the id pattern to yield,
-	// stopping early when yield returns false.
-	QueryIDFunc(p store.IDPattern, yield func(store.IDTriple) bool)
 	// QueryIDBatch answers a batch of same-shape probes, grouped by index
 	// shard (see store.QueryIDBatch) — the join operators' probe hook.
 	QueryIDBatch(ps []store.IDPattern, yield func(pi int, t store.IDTriple) bool)
-	// ScanParts splits a pattern's matches into independently drainable
-	// cursors (see store.ScanParts) — the leaf operators' scan hook.
-	ScanParts(p store.IDPattern, max int) []*store.ScanPart
+	// ScanParts opens the resumable cursors over a pattern's matches (see
+	// store.ScanParts) — the leaf operators' scan hook.
+	ScanParts(p store.IDPattern) []*store.ScanPart
 	// CountID returns the number of triples matching the id pattern.
 	CountID(p store.IDPattern) int
 	// StatsID returns cardinality statistics for the id pattern.
@@ -118,7 +115,8 @@ type level struct {
 	orig   int              // the pattern's index in the request BGP (trace labeling)
 	// est is the planner's estimate for the level along the chosen order:
 	// the scan's match count for the first level, matches per probe for a
-	// join. It sizes the scan's parallelism and the join's probe window.
+	// join. It sizes the join's probe window and is what a trace reports as
+	// the level's estimated rows.
 	est float64
 }
 
@@ -286,9 +284,8 @@ func bgpVars(b BGP) []string {
 }
 
 // build lowers the planned levels onto the operator tree: the first level
-// becomes the leaf scan (sized by the planner's estimate so wide scans go
-// shard-parallel), every later level a batched probe join whose probe window
-// follows the planner's per-probe fan-out estimate. With a trace attached,
+// becomes the leaf scan, every later level a batched probe join whose probe
+// window follows the planner's per-probe fan-out estimate. With a trace attached,
 // each lowered operator is instrumented with its level's OpStat.
 func build(src Source, ordered []level, nvars int, tr *Trace) exec.Op {
 	var boundArr [planScratchVars]bool // NewJoin only reads it, so it can live on the stack
@@ -308,7 +305,7 @@ func build(src Source, ordered []level, nvars int, tr *Trace) exec.Op {
 			}
 		}
 		if root == nil {
-			root = exec.NewScan(src, pat, lv.expand, nvars, int(lv.est))
+			root = exec.NewScan(src, pat, lv.expand, nvars)
 		} else {
 			root = exec.NewJoin(root, src, pat, lv.expand, bound, nvars, int(lv.est))
 		}

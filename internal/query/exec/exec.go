@@ -9,7 +9,7 @@
 // The operator vocabulary is small:
 //
 //	NewScan      a leaf reading a pattern's matches off a Source, in batches,
-//	             optionally shard-parallel (ScanParts + merge)
+//	             one resumable cursor at a time (ScanParts)
 //	NewSliceScan a leaf over an in-memory triple slice — the semi-naive
 //	             engine's "one atom ranges over the delta" stage
 //	NewSeed      a one-row leaf of pre-bound variables — the rederivation
@@ -51,7 +51,6 @@ package exec
 
 import (
 	"errors"
-	"runtime"
 	"sync"
 
 	"repro/internal/store"
@@ -201,12 +200,12 @@ func (c *Ctx) Cancelled() bool {
 }
 
 // Source is the batched id-level read surface operators evaluate over,
-// satisfied by both *store.Store and *store.View: resumable partitioned
-// scans for leaves and shard-grouped batch probes for joins.
+// satisfied by both *store.Store and *store.View: resumable cursors for
+// leaves and shard-grouped batch probes for joins.
 type Source interface {
-	// ScanParts splits a pattern's matches into independently drainable
-	// cursors (see store.ScanParts).
-	ScanParts(p store.IDPattern, max int) []*store.ScanPart
+	// ScanParts opens the cursors over a pattern's matches, to be drained in
+	// order (see store.ScanParts).
+	ScanParts(p store.IDPattern) []*store.ScanPart
 	// QueryIDBatch answers a batch of same-shape probes, each match tagged
 	// with its probe's index (see store.QueryIDBatch).
 	QueryIDBatch(ps []store.IDPattern, yield func(pi int, t store.IDTriple) bool)
@@ -353,17 +352,9 @@ func idPattern(pat Pattern) store.IDPattern {
 	return ip
 }
 
-// ParallelScanMinCount is the estimated match count below which a scan leaf
-// stays sequential: splitting and merging a few hundred triples across
-// goroutines costs more than it saves.
-const ParallelScanMinCount = 4096
-
-// scan is the leaf operator over a Source: it drains ScanParts cursors into
-// a triple buffer and converts each fill into a columnar batch. With several
-// parts and a large enough estimate it goes wide: each Next runs one wave of
-// concurrent part refills (one goroutine per part, bounded by GOMAXPROCS)
-// and the waves' buffers are merged into batches. Waves are synchronous — no
-// goroutine outlives a Next call — so an abandoned iterator leaks nothing.
+// scan is the leaf operator over a Source: it drains the ScanParts cursors,
+// one after the other, into a triple buffer and converts each fill into a
+// columnar batch.
 type scan struct {
 	src    Source
 	ip     store.IDPattern
@@ -371,14 +362,10 @@ type scan struct {
 	expand []store.SymbolID // candidate object ids; nil when not expanded
 
 	parts   []*store.ScanPart
-	started bool
 	candIdx int
-	workers int
 
 	out      *Batch
 	tbuf     []store.IDTriple
-	queue    [][]store.IDTriple // filled wave buffers not yet converted
-	free     [][]store.IDTriple // reusable wave buffers
 	done     bool
 	released bool
 	stat     *OpStat // span statistics, when instrumented (see stats.go)
@@ -401,25 +388,15 @@ func (s *scan) close() {
 		putTrips(s.tbuf)
 		s.tbuf = nil
 	}
-	for _, buf := range s.queue {
-		putTrips(buf)
-	}
-	s.queue = nil
-	for _, buf := range s.free {
-		putTrips(buf)
-	}
-	s.free = nil
 	scanPool.Put(s)
 	poolPuts.Add(1)
 }
 
 // NewScan builds a leaf scanning the pattern's matches off src. nslots sizes
-// the batches (the total variable count of the tree); estCount is the
-// planner's estimate of the pattern's matches, which decides whether the
-// scan is worth running shard-parallel; expand, when non-nil, replaces the
-// object position with each candidate id in turn (the query layer's
-// ontology expansion).
-func NewScan(src Source, pat Pattern, expand []store.SymbolID, nslots, estCount int) Op {
+// the batches (the total variable count of the tree); expand, when non-nil,
+// replaces the object position with each candidate id in turn (the query
+// layer's ontology expansion).
+func NewScan(src Source, pat Pattern, expand []store.SymbolID, nslots int) Op {
 	poolGets.Add(1)
 	s := scanPool.Get().(*scan)
 	*s = scan{
@@ -431,9 +408,6 @@ func NewScan(src Source, pat Pattern, expand []store.SymbolID, nslots, estCount 
 	}
 	if expand != nil {
 		s.ip.BoundO = true
-	}
-	if w := runtime.GOMAXPROCS(0); w > 1 && expand == nil && estCount >= ParallelScanMinCount {
-		s.workers = w
 	}
 	return s
 }
@@ -457,54 +431,15 @@ func (s *scan) Next(ctx *Ctx) (*Batch, error) {
 	return b, err
 }
 
-// next is the uninstrumented pull.
+// next is the uninstrumented pull: it refills the triple buffer from the
+// current cursor, moving to the next cursor (then the next expansion
+// candidate) as each is exhausted.
 func (s *scan) next(ctx *Ctx) (*Batch, error) {
 	if s.done {
 		return nil, nil
 	}
-	if ctx.Cancelled() {
-		s.done = true
-		s.close()
-		return nil, ErrInterrupted
-	}
-	if !s.started {
-		s.started = true
+	if s.tbuf == nil { // first pull
 		s.openParts()
-	}
-	if s.workers > 1 {
-		return s.nextParallel(ctx)
-	}
-	return s.nextSequential(ctx)
-}
-
-// openParts opens the cursors for the current candidate (or the plain
-// pattern when no expansion is in play).
-func (s *scan) openParts() {
-	ip := s.ip
-	if s.expand != nil {
-		ip.O = s.expand[s.candIdx]
-	}
-	max := 1
-	if s.workers > 1 {
-		max = s.workers * 2
-	}
-	s.parts = s.src.ScanParts(ip, max)
-}
-
-// nextCandidate advances expansion to the next candidate class, reporting
-// false when all are exhausted.
-func (s *scan) nextCandidate() bool {
-	if s.expand == nil || s.candIdx+1 >= len(s.expand) {
-		return false
-	}
-	s.candIdx++
-	s.openParts()
-	return true
-}
-
-// nextSequential drains the parts one cursor at a time.
-func (s *scan) nextSequential(ctx *Ctx) (*Batch, error) {
-	if s.tbuf == nil {
 		s.tbuf = takeTrips()
 	}
 	for {
@@ -534,79 +469,25 @@ func (s *scan) nextSequential(ctx *Ctx) (*Batch, error) {
 	}
 }
 
-// nextParallel converts queued wave buffers into batches, running a new wave
-// of concurrent part refills when the queue is dry.
-func (s *scan) nextParallel(ctx *Ctx) (*Batch, error) {
-	for {
-		if len(s.queue) > 0 {
-			buf := s.queue[0]
-			s.queue = s.queue[1:]
-			s.convert(buf)
-			s.free = append(s.free, buf[:0])
-			return s.out, nil
-		}
-		if len(s.parts) == 0 {
-			s.done = true
-			s.close()
-			return nil, nil
-		}
-		if ctx.Cancelled() {
-			s.done = true
-			s.close()
-			return nil, ErrInterrupted
-		}
-		// One wave: up to workers parts refill concurrently into separate
-		// buffers; the wave is joined before Next returns, so cancellation
-		// or abandonment cannot leak a goroutine.
-		w := s.workers
-		if w > len(s.parts) {
-			w = len(s.parts)
-		}
-		type fill struct {
-			buf       []store.IDTriple
-			exhausted bool
-		}
-		results := make([]fill, w)
-		donech := make(chan int, w)
-		for i := 0; i < w; i++ {
-			buf := s.takeBuf()
-			part := s.parts[i]
-			go func(i int, buf []store.IDTriple) {
-				n, exhausted := part.NextBatch(buf[:BatchSize])
-				results[i] = fill{buf: buf[:n], exhausted: exhausted}
-				donech <- i
-			}(i, buf)
-		}
-		for i := 0; i < w; i++ {
-			<-donech
-		}
-		live := s.parts[:0]
-		for i, pt := range s.parts {
-			if i < w && results[i].exhausted {
-				pt.Release()
-				continue
-			}
-			live = append(live, pt)
-		}
-		s.parts = live
-		for _, f := range results {
-			if len(f.buf) > 0 {
-				s.queue = append(s.queue, f.buf)
-			} else {
-				s.free = append(s.free, f.buf[:0])
-			}
-		}
+// openParts opens the cursors for the current candidate (or the plain
+// pattern when no expansion is in play).
+func (s *scan) openParts() {
+	ip := s.ip
+	if s.expand != nil {
+		ip.O = s.expand[s.candIdx]
 	}
+	s.parts = s.src.ScanParts(ip)
 }
 
-// takeBuf pops a reusable wave buffer or draws one from the pool.
-func (s *scan) takeBuf() []store.IDTriple {
-	if n := len(s.free); n > 0 {
-		buf := s.free[n-1]
-		s.free = s.free[:n-1]
-		return buf[:BatchSize]
+// nextCandidate advances expansion to the next candidate class, reporting
+// false when all are exhausted.
+func (s *scan) nextCandidate() bool {
+	if s.expand == nil || s.candIdx+1 >= len(s.expand) {
+		return false
 	}
-	return takeTrips()
+	s.candIdx++
+	s.openParts()
+	return true
 }
 
 // convert turns a triple buffer into the output batch.

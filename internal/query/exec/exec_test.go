@@ -45,7 +45,7 @@ func expandFixture(t *testing.T, candidates int) (*store.Store, exec.Pattern, []
 // reported clean exhaustion.
 func TestScanSequentialCancelledMidPull(t *testing.T) {
 	s, pat, expand := expandFixture(t, 2048)
-	op := exec.NewScan(s, pat, expand, 2, 0)
+	op := exec.NewScan(s, pat, expand, 2)
 	ctx := &exec.Ctx{Interrupt: func() bool { return true }}
 	for {
 		b, err := op.Next(ctx)
@@ -66,7 +66,7 @@ func TestScanSequentialCancelledMidPull(t *testing.T) {
 // the interrupted run stopped because of the hook and not a scan error.
 func TestScanSequentialUncancelledDrains(t *testing.T) {
 	s, pat, expand := expandFixture(t, 2048)
-	op := exec.NewScan(s, pat, expand, 2, 0)
+	op := exec.NewScan(s, pat, expand, 2)
 	ctx := &exec.Ctx{}
 	for {
 		b, err := op.Next(ctx)
@@ -75,6 +75,101 @@ func TestScanSequentialUncancelledDrains(t *testing.T) {
 		}
 		if b == nil {
 			return
+		}
+	}
+}
+
+// idSource is a Source that also has the callback enumeration the scan is
+// checked against; *store.Store and *store.View both are.
+type idSource interface {
+	exec.Source
+	QueryIDFunc(p store.IDPattern, yield func(store.IDTriple) bool)
+}
+
+// TestScanMatchesReference drains a scan leaf of every bound shape — over a
+// store, over a plain view whose overlay shadows part of the base, and over a
+// disjoint view — and checks its rows against QueryIDFunc on the same source:
+// the cursors (a view's: the base's, then the overlay's) report each matching
+// triple once, across batch boundaries and across the two members.
+func TestScanMatchesReference(t *testing.T) {
+	base := store.New()
+	var batch []store.Triple
+	for i := 0; i < 3*exec.BatchSize; i++ { // (? p0 o0) spans several refills
+		batch = append(batch, store.Triple{Subject: fmt.Sprintf("s%d", i), Predicate: fmt.Sprintf("p%d", i%3), Object: fmt.Sprintf("o%d", i%5)})
+	}
+	if _, err := base.AddBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	shadow, apart := base.NewOverlay(), base.NewOverlay()
+	for i := 0; i < 2*exec.BatchSize; i++ {
+		// Every other triple is also asserted: the plain view must suppress it.
+		shadow.MustAdd(store.Triple{Subject: fmt.Sprintf("s%d", i), Predicate: fmt.Sprintf("p%d", (i+i%2)%3), Object: fmt.Sprintf("o%d", i%5)})
+		apart.MustAdd(store.Triple{Subject: fmt.Sprintf("s%d", i), Predicate: "p0", Object: "inferred"})
+	}
+	plain, err := store.NewView(base, shadow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disjoint, err := store.NewDisjointView(base, apart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := func(name string) store.SymbolID {
+		v, ok := base.SymbolID(name)
+		if !ok {
+			t.Fatalf("%q was never interned", name)
+		}
+		return v
+	}
+	s4, p0, o0 := id("s4"), id("p0"), id("o0")
+	patterns := []store.IDPattern{
+		{},
+		{S: s4, BoundS: true}, {P: p0, BoundP: true}, {O: o0, BoundO: true},
+		{S: s4, P: p0, BoundS: true, BoundP: true},
+		{P: p0, O: o0, BoundP: true, BoundO: true},
+		{S: s4, O: o0, BoundS: true, BoundO: true},
+		{S: id("s0"), P: p0, O: o0, BoundS: true, BoundP: true, BoundO: true},
+		{P: p0, O: id("inferred"), BoundP: true, BoundO: true},
+	}
+	term := func(bound bool, v store.SymbolID, slot int) exec.Term {
+		if bound {
+			return exec.Lit(v)
+		}
+		return exec.Var(slot)
+	}
+	for name, src := range map[string]idSource{"store": base, "plain view": plain, "disjoint view": disjoint} {
+		for _, ip := range patterns {
+			var want, got []store.IDTriple
+			src.QueryIDFunc(ip, func(tr store.IDTriple) bool {
+				want = append(want, tr)
+				return true
+			})
+			pat := exec.Pattern{term(ip.BoundS, ip.S, 0), term(ip.BoundP, ip.P, 1), term(ip.BoundO, ip.O, 2)}
+			op := exec.NewScan(src, pat, nil, 3)
+			var ctx exec.Ctx
+			for {
+				b, err := op.Next(&ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if b == nil {
+					break
+				}
+				for r := 0; r < b.N; r++ {
+					vals := [3]store.SymbolID{ip.S, ip.P, ip.O}
+					for i, tm := range pat {
+						if tm.IsVar {
+							vals[i] = b.Cols[i][r]
+						}
+					}
+					got = append(got, store.IDTriple{S: vals[0], P: vals[1], O: vals[2]})
+				}
+			}
+			store.SortIDTriples(got)
+			store.SortIDTriples(want)
+			if !slices.Equal(got, want) {
+				t.Errorf("%s, pattern %+v: scan yielded %d rows, QueryIDFunc %d (or different rows)", name, ip, len(got), len(want))
+			}
 		}
 	}
 }

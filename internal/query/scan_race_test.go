@@ -1,24 +1,26 @@
 package query
 
 // These tests back the concurrency claims of the batched evaluator's leaf
-// scans: shard-parallel scan parts refill under shard read-locks while
-// writers mutate the store (AddBatch and Remove), and while a materialized
-// View's overlay is written. Run under -race in CI. Solution sets are only
-// sanity-checked — the docs promise consistency only against a quiescent
-// store — but every streamed row must be well-formed and the iteration must
-// never error.
+// scans: the scan cursor refills under shard read-locks while writers mutate
+// the store (AddBatch and Remove), and while a materialized View's overlay is
+// written. Run under -race in CI. Solution sets are only sanity-checked — the
+// docs promise consistency only against a quiescent store — but every
+// streamed row must be well-formed and the iteration must never error.
 
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
+	"repro/internal/query/exec"
 	"repro/internal/store"
 )
 
-// raceStore builds a store big enough that full scans split into parallel
-// parts (well past exec's ParallelScanMinCount).
+// raceStore builds a store big enough that a full scan refills its cursor
+// some twenty times, in every shard, with the writers running in between.
 func raceStore(t testing.TB, n int) *store.Store {
 	t.Helper()
 	s := store.New()
@@ -36,14 +38,11 @@ func raceStore(t testing.TB, n int) *store.Store {
 	return s
 }
 
-// TestParallelScanUnderConcurrentWrites drives shard-parallel full scans
-// while one goroutine batch-inserts fresh triples and another removes them
-// again: the scan-part cursors must stay crash- and race-free while shards
-// mutate under them, and every pre-existing triple's row must remain
-// well-formed.
-func TestParallelScanUnderConcurrentWrites(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
+// TestScanUnderConcurrentWrites drives full scans while one goroutine
+// batch-inserts fresh triples and another removes them again: the scan cursor
+// must stay crash- and race-free while shards mutate under it between
+// refills, and every pre-existing triple's row must remain well-formed.
+func TestScanUnderConcurrentWrites(t *testing.T) {
 	const n = 20_000
 	s := raceStore(t, n)
 
@@ -114,14 +113,11 @@ func TestParallelScanUnderConcurrentWrites(t *testing.T) {
 	wg.Wait()
 }
 
-// TestParallelScanOverViewUnderOverlayWrites runs full scans over a
-// non-disjoint View (so overlay parts take the per-triple dedup probe into
-// the base) while the overlay is concurrently written — the
-// materialization-refresh shape, where inferred triples stream in while
-// readers scan the union.
-func TestParallelScanOverViewUnderOverlayWrites(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
+// TestScanOverViewUnderOverlayWrites runs full scans over a non-disjoint View
+// (so the overlay's cursor takes the per-triple dedup probe into the base)
+// while the overlay is concurrently written — the materialization-refresh
+// shape, where inferred triples stream in while readers scan the union.
+func TestScanOverViewUnderOverlayWrites(t *testing.T) {
 	const n = 20_000
 	base := raceStore(t, n)
 	overlay := base.NewOverlay()
@@ -168,4 +164,38 @@ func TestParallelScanOverViewUnderOverlayWrites(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestWideScanIndependentOfGOMAXPROCS: a scan far wider than any threshold the
+// removed shard-parallel path ever used returns the same row multiset and
+// makes the same buffer-pool round trips whether the process has one P or
+// four — there is one scan path, selected by nothing.
+func TestWideScanIndependentOfGOMAXPROCS(t *testing.T) {
+	s := raceStore(t, 20_000)
+	bgp := MustParseBGP("?s ?p ?o")
+	run := func(procs int) (rows []string, gets, puts int64) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		g0, p0 := exec.PoolCounters()
+		sols := Eval(s, bgp)
+		for sols.Next() {
+			sv, _ := sols.Value("s")
+			pv, _ := sols.Value("p")
+			ov, _ := sols.Value("o")
+			rows = append(rows, sv+" "+pv+" "+ov)
+		}
+		if err := sols.Err(); err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+		}
+		g1, p1 := exec.PoolCounters()
+		sort.Strings(rows)
+		return rows, g1 - g0, p1 - p0
+	}
+	rows1, gets1, puts1 := run(1)
+	rows4, gets4, puts4 := run(4)
+	if len(rows1) != 20_000 || !slices.Equal(rows1, rows4) {
+		t.Fatalf("row multisets differ: %d rows on one P, %d on four", len(rows1), len(rows4))
+	}
+	if gets1 != gets4 || puts1 != puts4 || gets1 != puts1 {
+		t.Fatalf("pool round trips differ: gets/puts %d/%d on one P, %d/%d on four", gets1, puts1, gets4, puts4)
+	}
 }

@@ -3,9 +3,11 @@ package reason
 import (
 	"math/rand"
 	"runtime"
+	"sort"
 	"strconv"
 	"testing"
 
+	"repro/internal/query"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
@@ -78,4 +80,69 @@ func BenchmarkMaterializeServing(b *testing.B) {
 	b.ReportMetric(float64(ms.BulkLoaded), "bulk-loaded-triples")
 	b.ReportMetric(float64(ms.Heads)/float64(ms.Rounds), "heads/round")
 	b.ReportMetric(float64(ms.Rounds), "rounds")
+}
+
+// BenchmarkMaterializedVsExpandedQuery measures the E5-style class retrieval
+// of EXPERIMENTS.md's E5c table at 10⁵ triples both ways, in the streaming
+// form a read-heavy service runs, over the E5c-shaped corpus: type
+// annotations round-robin over a random 120-class hierarchy plus the
+// hierarchy's subsumption closure as subClassOf triples. "expanded" is the
+// query-time rewrite through the ontology index ({?x type class} under
+// query.Expand, distinct subjects streamed via ProjectFunc), "materialized"
+// streams the same distinct subjects off the reasoner's materialized POS
+// indexes (Reasoner.InstancesFunc). The acceptance figure is the ns/op ratio
+// between the two sub-benchmarks.
+func BenchmarkMaterializedVsExpandedQuery(b *testing.B) {
+	tbox := workload.RandomHierarchyTBox(rand.New(rand.NewSource(9)), workload.HierarchyParams{Classes: 120, MaxParents: 2})
+	oi, err := store.NewOntologyIndex(tbox)
+	if err != nil {
+		b.Fatal(err)
+	}
+	classes := tbox.DefinedNames()
+	sort.Strings(classes)
+	ts := make([]store.Triple, 0, 100_000)
+	for i := 0; i < cap(ts); i++ {
+		class := classes[i%len(classes)]
+		ts = append(ts, store.Triple{Subject: class + "/item-" + strconv.Itoa(i), Predicate: store.TypePredicate, Object: class})
+	}
+	s := store.New()
+	if _, err := s.AddBatch(append(ts, OntologyTriples(oi)...)); err != nil {
+		b.Fatal(err)
+	}
+	r, err := Materialize(s, RDFSRules())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("expanded", func(b *testing.B) {
+		b.ReportAllocs()
+		matched := 0
+		for i := 0; i < b.N; i++ {
+			bgp := query.BGP{query.Pat(query.Var("x"), query.Lit(store.TypePredicate), query.Lit(classes[i%len(classes)]))}
+			err := query.Eval(s, bgp, query.Expand(oi)).ProjectFunc("x", func(string) bool {
+				matched++
+				return true
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		if matched == 0 {
+			b.Fatal("no instances matched")
+		}
+		b.ReportMetric(float64(matched)/float64(b.N), "instances/query")
+	})
+	b.Run("materialized", func(b *testing.B) {
+		b.ReportAllocs()
+		matched := 0
+		for i := 0; i < b.N; i++ {
+			r.InstancesFunc(classes[i%len(classes)], func(string) bool {
+				matched++
+				return true
+			})
+		}
+		if matched == 0 {
+			b.Fatal("no instances matched")
+		}
+		b.ReportMetric(float64(matched)/float64(b.N), "instances/query")
+	})
 }

@@ -328,7 +328,7 @@ func matchAll(r *crule, db *store.Store, emit func(store.IDTriple) bool) {
 	}
 	bound := make([]bool, r.nvars)
 	r.body[di].bindVars(bound)
-	op := exec.NewScan(db, r.body[di].execPattern(), nil, r.nvars, least)
+	op := exec.NewScan(db, r.body[di].execPattern(), nil, r.nvars)
 	for _, ai := range r.deltaOrder[di][1:] {
 		// Unlike a delta term, whose probes mostly miss, a whole-database
 		// join fans out (every class probes for all its instances): hand the

@@ -1,39 +1,49 @@
 package reason
 
 import (
+	"bytes"
+	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/store"
 )
 
-// deltaLog collects the SetOnDelta notifications of one test, copying the
+// deltaLog collects the events SetOnEvent delivers in one test, copying the
 // slices (the reasoner owns them only for the duration of the call) and
 // resolving ids back to triples for readable assertions.
 type deltaLog struct {
 	res   store.Resolver
 	fires int
-	// global records a nil,nil "everything may have changed" notification.
+	// global records a Reset "everything may have changed" event.
 	global         bool
 	added, removed []store.Triple
+	// assertedAdded is the replayable subset of added.
+	assertedAdded []store.Triple
 }
 
-func (l *deltaLog) hook(added, removed []store.IDTriple) {
+func (l *deltaLog) resolve(ts []store.IDTriple) []store.Triple {
+	var out []store.Triple
+	for _, t := range ts {
+		out = append(out, store.Triple{Subject: l.res.Name(t.S), Predicate: l.res.Name(t.P), Object: l.res.Name(t.O)})
+	}
+	return out
+}
+
+func (l *deltaLog) hook(d Delta) {
 	l.fires++
-	if added == nil && removed == nil {
-		l.global = true
+	if d.Reset {
+		l.global = d.Added == nil && d.Removed == nil
 		return
 	}
-	for _, t := range added {
-		l.added = append(l.added, store.Triple{Subject: l.res.Name(t.S), Predicate: l.res.Name(t.P), Object: l.res.Name(t.O)})
-	}
-	for _, t := range removed {
-		l.removed = append(l.removed, store.Triple{Subject: l.res.Name(t.S), Predicate: l.res.Name(t.P), Object: l.res.Name(t.O)})
-	}
+	l.added = append(l.added, l.resolve(d.Added)...)
+	l.removed = append(l.removed, l.resolve(d.Removed)...)
+	l.assertedAdded = append(l.assertedAdded, l.resolve(d.AssertedAdded)...)
 }
 
 func (l *deltaLog) reset() {
 	l.fires, l.global = 0, false
-	l.added, l.removed = nil, nil
+	l.added, l.removed, l.assertedAdded = nil, nil, nil
 }
 
 func contains(ts []store.Triple, want store.Triple) bool {
@@ -58,7 +68,7 @@ func TestOnDeltaCoversAssertedAndInferredChanges(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := &deltaLog{res: base.NewResolver()}
-	r.SetOnDelta(log.hook)
+	r.SetOnEvent(log.hook)
 
 	typed := store.Triple{Subject: "beetle", Predicate: store.TypePredicate, Object: "car"}
 	inferred := store.Triple{Subject: "beetle", Predicate: store.TypePredicate, Object: "vehicle"}
@@ -157,7 +167,7 @@ func TestOnDeltaCoversAssertedAndInferredChanges(t *testing.T) {
 	log.reset()
 	r.Rematerialize()
 	if log.fires != 1 || !log.global {
-		t.Fatalf("Rematerialize fired %d notifications (global=%v), want one nil,nil", log.fires, log.global)
+		t.Fatalf("Rematerialize fired %d notifications (global=%v), want one Reset with nil lists", log.fires, log.global)
 	}
 }
 
@@ -177,7 +187,7 @@ func TestOnDeltaRemoveCoversRetractedInferences(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := &deltaLog{res: base.NewResolver()}
-	r.SetOnDelta(log.hook)
+	r.SetOnEvent(log.hook)
 
 	typed := store.Triple{Subject: "beetle", Predicate: store.TypePredicate, Object: "car"}
 	inferred := store.Triple{Subject: "beetle", Predicate: store.TypePredicate, Object: "vehicle"}
@@ -189,5 +199,65 @@ func TestOnDeltaRemoveCoversRetractedInferences(t *testing.T) {
 	}
 	if r.View().Contains(inferred) {
 		t.Fatal("dead inference survived in the view")
+	}
+}
+
+// failingJournal is a store.Journal whose commit always fails: the disk that
+// stopped taking fsyncs.
+type failingJournal struct{}
+
+func (failingJournal) JournalDict(store.SymbolID, []string) {}
+func (failingJournal) JournalAdd([]store.IDTriple)          {}
+func (failingJournal) JournalRemove(store.IDTriple)         {}
+func (failingJournal) JournalCommit() error                 { return errors.New("disk gone") }
+
+// TestAddBatchJournalFailureStillMaintains: a batch whose journal commit fails
+// is applied in memory, so the reasoner must finish the write — overlay
+// maintained, one Delta delivered — before reporting store.ErrJournal; a
+// validation error, which applies nothing, delivers nothing. Add shares the
+// body.
+func TestAddBatchJournalFailureStillMaintains(t *testing.T) {
+	asserted := []store.Triple{
+		{Subject: "car", Predicate: SubClassOfPredicate, Object: "vehicle"},
+		{Subject: "vehicle", Predicate: SubClassOfPredicate, Object: "artifact"},
+	}
+	base := store.New()
+	if _, err := base.AddBatch(asserted); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Materialize(base, RDFSRules())
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &deltaLog{res: base.NewResolver()}
+	r.SetOnEvent(log.hook)
+	base.SetJournal(failingJournal{})
+	defer base.SetJournal(nil)
+
+	if n, err := r.AddBatch([]store.Triple{{Subject: "x", Predicate: store.TypePredicate, Object: ""}}); err == nil || errors.Is(err, store.ErrJournal) || n != 0 || log.fires != 0 {
+		t.Fatalf("invalid batch: n=%d err=%v events=%d, want a validation error and nothing else", n, err, log.fires)
+	}
+
+	batch := []store.Triple{
+		{Subject: "beetle", Predicate: store.TypePredicate, Object: "car"},
+		{Subject: "pickup", Predicate: store.TypePredicate, Object: "car"},
+	}
+	n, err := r.AddBatch(batch)
+	if !errors.Is(err, store.ErrJournal) || n != len(batch) {
+		t.Fatalf("AddBatch = %d, %v; want %d newly asserted and ErrJournal", n, err, len(batch))
+	}
+	if log.fires != 1 || !reflect.DeepEqual(log.assertedAdded, batch) {
+		t.Fatalf("AddBatch delivered %d events asserting %v, want exactly one asserting the batch", log.fires, log.assertedAdded)
+	}
+	single := store.Triple{Subject: "van", Predicate: store.TypePredicate, Object: "vehicle"}
+	if added, err := r.Add(single); !errors.Is(err, store.ErrJournal) || !added {
+		t.Fatalf("Add = %v, %v; want true and ErrJournal", added, err)
+	}
+	asserted = append(append(asserted, batch...), single)
+	if got, want := provenanceSnapshot(t, r), taggedSnapshot(t, naiveClosure(asserted, RDFSRules()), asserted); !bytes.Equal(got, want) {
+		t.Fatalf("after failed commits the view is not the closure of the base:\n%s\nwant:\n%s", got, want)
+	}
+	if want := append(batch, single); log.fires != 2 || !reflect.DeepEqual(log.assertedAdded, want) {
+		t.Fatalf("%d events asserting %v, want one per applied write asserting %v", log.fires, log.assertedAdded, want)
 	}
 }

@@ -1,6 +1,7 @@
 package reason
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -64,9 +65,8 @@ type Reasoner struct {
 	// boot describes the most recent full materialization; see
 	// MaterializeStats.
 	boot    atomic.Pointer[MaterializeStats]
-	onDelta func(added, removed []store.IDTriple)
 	onEvent func(Delta)
-	// gen counts content-changing writes: it advances exactly when the delta
+	// gen counts content-changing writes: it advances exactly when the event
 	// hook would fire, so any two reads bracketing an unchanged generation
 	// saw the same materialization. The replica tier's staleness signal.
 	gen atomic.Uint64
@@ -137,10 +137,22 @@ func (m MaterializeStats) String() string {
 // materialization. It takes no lock, so metric scrapes never wait on a write.
 func (r *Reasoner) MaterializeStats() MaterializeStats { return *r.boot.Load() }
 
-// Delta is the generation-keyed record of one content-changing write — the
-// event the replication tier replays. Added and Removed are the same
-// conservative view-level supersets SetOnDelta reports (asserted and
-// inferred changes together, provenance flips in both lists).
+// Delta is the generation-keyed record of one content-changing write (Add,
+// AddBatch, Remove, Rematerialize) — the one event the reasoner emits, which
+// the serving layer's cache invalidation and replication feed both consume.
+//
+// Added and Removed are the id triples that entered and left the base store
+// or the overlay — asserted and inferred changes alike, which is what makes
+// them sufficient for invalidating caches of query results over the view or
+// over either member alone. The lists are conservative supersets: maintenance
+// may remove a triple and restore it in the same write (DRed
+// overdelete/rederive), and a provenance flip (asserting a currently inferred
+// triple) leaves the view unchanged while moving the triple from the overlay
+// to the base — such triples appear in both lists; their union always covers
+// every triple whose membership in either member may have changed. Writes
+// that provably change nothing anywhere (re-adding an already asserted
+// triple) produce no event.
+//
 // AssertedAdded and AssertedRemoved are the subset that entered or left the
 // asserted base store: exactly the mutations a replica must re-apply through
 // its own reasoner to converge, since the inferred overlay is a
@@ -154,7 +166,7 @@ type Delta struct {
 	// Gen is the generation after this write; events form a dense chain.
 	Gen uint64
 	// Added and Removed cover every triple whose membership in the base or
-	// the overlay may have changed (see SetOnDelta for the exact contract).
+	// the overlay may have changed.
 	Added, Removed []store.IDTriple
 	// AssertedAdded and AssertedRemoved are the base-store changes alone:
 	// the replayable mutation stream.
@@ -164,51 +176,22 @@ type Delta struct {
 	Reset bool
 }
 
-// SetOnEvent installs a hook invoked with the Delta of every
-// content-changing write, after the SetOnDelta hook. It is the
-// generation-keyed, provenance-split form of SetOnDelta — the serving
-// layer's replication feed subscribes here — and runs under the same
-// contract: synchronously on the writing goroutine with the write lock
-// held, slices owned by the reasoner and valid only for the duration of the
-// call, no Reasoner methods from inside the hook. Both hooks may be
-// installed at once; a nil hook disables it.
+// SetOnEvent installs the hook invoked with the Delta of every
+// content-changing write. The hook runs synchronously on the writing
+// goroutine while the reasoner's write lock is held: writes are serialized
+// with their notifications, so a receiver that processes them in order sees a
+// consistent history, but the hook must be fast and must not call any
+// Reasoner method (the lock is not reentrant; even Stats would deadlock). The
+// slices are owned by the reasoner and only valid for the duration of the
+// call — copy them to keep them. SetOnEvent itself takes the write lock and
+// may be called at any time; a nil hook (the default) disables notification.
 func (r *Reasoner) SetOnEvent(hook func(Delta)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.onEvent = hook
 }
 
-// SetOnDelta installs a hook invoked after every write (Add, AddBatch,
-// Remove, Rematerialize) that may have changed the contents of the base
-// store or the overlay, with the id triples that entered and left them —
-// asserted and inferred changes alike, which is what makes the hook
-// sufficient for invalidating caches of query results over the view or
-// over either member alone. The lists are conservative supersets:
-// maintenance may remove a triple and restore it in the same write (DRed
-// overdelete/rederive), and a provenance flip (asserting a currently
-// inferred triple) leaves the view unchanged while moving the triple from
-// the overlay to the base — such triples appear in both lists; their union
-// always covers every triple whose membership in either member may have
-// changed. Rematerialize reports the unknown-extent change as two nil
-// lists — receivers must treat that as "anything may have changed". Writes
-// that provably change nothing anywhere (re-adding an already asserted
-// triple) do not fire the hook.
-//
-// The hook runs synchronously on the writing goroutine while the reasoner's
-// write lock is held: writes are serialized with their notifications, so a
-// receiver that processes them in order sees a consistent history, but the
-// hook must be fast and must not call any Reasoner method (the lock is not
-// reentrant; even Stats would deadlock). The slices are owned by the
-// reasoner and only valid for the duration of the call — copy them to keep
-// them. SetOnDelta itself takes the write lock and may be called at any
-// time; a nil hook (the default) disables notification.
-func (r *Reasoner) SetOnDelta(hook func(added, removed []store.IDTriple)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.onDelta = hook
-}
-
-// notify advances the generation and fires the installed hooks. Callers
+// notify advances the generation and fires the installed hook. Callers
 // hold r.mu and guarantee the delta is meaningful: either Reset is set with
 // all lists nil (the Rematerialize "everything may have changed" signal) or
 // at least one list carries a change. The generation is assigned here so
@@ -216,9 +199,6 @@ func (r *Reasoner) SetOnDelta(hook func(added, removed []store.IDTriple)) {
 // paths produced them.
 func (r *Reasoner) notify(d Delta) {
 	d.Gen = r.gen.Add(1)
-	if r.onDelta != nil {
-		r.onDelta(d.Added, d.Removed)
-	}
 	if r.onEvent != nil {
 		r.onEvent(d)
 	}
@@ -320,11 +300,10 @@ func (r *Reasoner) Query(bgp query.BGP) *query.Solutions {
 // per-subject allocation. It leans on the reasoner's invariant that asserted
 // and inferred triples never overlap (each member's subject set is already
 // distinct, and a subject cannot hold the same annotation in both), which is
-// what lets it skip the generic View.ForEachSubject duplicate check. The
-// enumeration order is unspecified. This is the read path the
-// materialization exists for; EXPERIMENTS.md's E5c table and the root
-// BenchmarkMaterializedVsExpandedQuery measure it against the query-time
-// Expand rewrite.
+// what lets it skip the view's per-triple duplicate check. The enumeration
+// order is unspecified. This is the read path the materialization exists
+// for; EXPERIMENTS.md's E5c table and BenchmarkMaterializedVsExpandedQuery
+// measure it against the query-time Expand rewrite.
 func (r *Reasoner) InstancesFunc(class string, yield func(string) bool) {
 	stopped := false
 	r.base.ForEachSubject(store.TypePredicate, class, func(s string) bool {
@@ -354,47 +333,27 @@ func (r *Reasoner) Instances(class string) []string {
 }
 
 // Add asserts a triple into the base and propagates its consequences into
-// the overlay, reporting whether the triple was newly asserted. Adding a
-// triple that was so far inferred simply flips its provenance (the overlay
-// copy is retired; the materialized view is unchanged, so nothing needs to
-// propagate). Propagation is semi-naive from the one-triple delta: work is
-// proportional to the new consequences, not to the store.
+// the overlay, reporting whether the triple was newly asserted: the
+// one-element case of AddBatch, with the same error contract.
 func (r *Reasoner) Add(t store.Triple) (bool, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	added, err := r.base.Add(t)
-	if err != nil || !added {
-		return added, err
-	}
-	idt, ok := r.encode(t)
-	if !ok {
-		// Add interned the components, so this cannot happen.
-		panic("reason: components of an added triple missing from the dictionary")
-	}
-	if r.overlay.RemoveID(idt) {
-		// Previously inferred: the view already contained it and every
-		// consequence is already materialized. The flip still moved the
-		// triple between the members, so the hook fires with it in both
-		// lists (entered the base, left the overlay).
-		r.notify(Delta{
-			Added:         []store.IDTriple{idt},
-			Removed:       []store.IDTriple{idt},
-			AssertedAdded: []store.IDTriple{idt},
-		})
-		return true, nil
-	}
-	derived := r.propagate([]store.IDTriple{idt})
-	r.notify(Delta{
-		Added:         append(derived, idt),
-		AssertedAdded: []store.IDTriple{idt},
-	})
-	return true, nil
+	n, err := r.AddBatch([]store.Triple{t})
+	return n == 1, err
 }
 
 // AddBatch asserts a batch through the base store's batch path and
 // propagates the consequences of the genuinely new triples in one semi-naive
-// run, returning how many were newly asserted. Validation is all-or-nothing,
-// exactly as store.AddBatch.
+// run, returning how many were newly asserted. Adding a triple that was so
+// far inferred simply flips its provenance (the overlay copy is retired; the
+// materialized view is unchanged, so nothing needs to propagate).
+// Propagation is semi-naive from the batch's delta: work is proportional to
+// the new consequences, not to the store.
+//
+// Validation is all-or-nothing, exactly as store.AddBatch: a validation
+// error means nothing was applied. An error wrapping store.ErrJournal means
+// the opposite — the batch is applied in memory but not durable — so the
+// overlay is maintained and the Delta delivered exactly as on success, and
+// the error is returned afterwards: the materialization and everything
+// subscribed to it stay consistent with what readers of the base can see.
 func (r *Reasoner) AddBatch(ts []store.Triple) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -407,7 +366,7 @@ func (r *Reasoner) AddBatch(ts []store.Triple) (int, error) {
 		}
 	}
 	added, err := r.base.AddBatch(ts)
-	if err != nil {
+	if err != nil && !errors.Is(err, store.ErrJournal) {
 		return added, err
 	}
 	delta := make([]store.IDTriple, 0, len(fresh))
@@ -438,7 +397,7 @@ func (r *Reasoner) AddBatch(ts []store.Triple) (int, error) {
 			AssertedAdded: asserted,
 		})
 	}
-	return added, nil
+	return added, err
 }
 
 // Remove retracts an asserted triple and incrementally maintains the overlay
@@ -566,7 +525,7 @@ type ruleRound struct {
 
 // propagate runs semi-naive rounds from the seed delta until no rule derives
 // anything new and returns every triple newly derived into the overlay, for
-// the delta hook; see rounds. Nothing in an incoming delta was concluded by a
+// the event's Added list; see rounds. Nothing in an incoming delta was concluded by a
 // rule of this propagation, so every recursive atom is fed all of it. Callers
 // hold r.mu.
 func (r *Reasoner) propagate(delta []store.IDTriple) []store.IDTriple {

@@ -31,7 +31,7 @@ func ExampleMaterialize() {
 }
 
 // ExampleReasoner_Add shows incremental maintenance: adding one triple
-// propagates only its consequences, and the delta hook observes both the
+// propagates only its consequences, and the event hook observes both the
 // asserted triple and the inference.
 func ExampleReasoner_Add() {
 	base := store.New()
@@ -46,8 +46,8 @@ func ExampleReasoner_Add() {
 	}
 
 	res := base.NewResolver()
-	r.SetOnDelta(func(added, removed []store.IDTriple) {
-		for _, t := range added {
+	r.SetOnEvent(func(d reason.Delta) {
+		for _, t := range d.Added {
 			fmt.Printf("+ %s %s %s\n", res.Name(t.S), res.Name(t.P), res.Name(t.O))
 		}
 	})
@@ -56,6 +56,6 @@ func ExampleReasoner_Add() {
 		panic(err)
 	}
 	// Output:
-	// + beetle type vehicle
 	// + beetle type car
+	// + beetle type vehicle
 }

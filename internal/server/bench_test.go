@@ -10,6 +10,9 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/durable"
+	"repro/internal/obs"
+	"repro/internal/query"
 	"repro/internal/reason"
 	"repro/internal/store"
 	"repro/internal/workload"
@@ -65,7 +68,7 @@ func classNameItem(class string, i int) string {
 // acceptance bar (cached ≥5× faster than uncached) was set against the
 // tuple-at-a-time evaluator; the batched engine since made the uncached
 // path itself several times faster, so the gap the cache covers is
-// narrower — both figures are tracked in BENCH_5.json and EXPERIMENTS.md.
+// narrower — both figures are tracked in EXPERIMENTS.md.
 // "uncached-limit" is the miss path of templated, LIMIT-ed retrieval: a
 // fan-out join (a class's subclasses, then their instances) cut at 100 rows,
 // so -benchmem shows what a truncated miss allocates once the abandoned
@@ -146,4 +149,99 @@ func BenchmarkServerMutation(b *testing.B) {
 			b.Fatalf("mutation failed: %d %s", rec.Code, rec.Body)
 		}
 	}
+}
+
+// BenchmarkObsOverhead guards the observability tax, in the one package that
+// already imports every layer it touches. The query pair runs the 3-pattern
+// join of internal/query's BenchmarkQueryJoin3 (each instance typed and
+// placed in one of 89 sites, each site in one of 7 regions) with tracing off
+// (the default every production query takes: per-operator stat pointers nil,
+// one branch per Next) and with a full execution trace attached; the
+// acceptance bar is traced within 3% of plain. The ingest pair journals one
+// batch (the first half of that corpus) through a durable engine with and
+// without a metrics registry (WAL frame counters and fsync histograms live on
+// that path).
+// registry-hotpath pins the primitives themselves: Counter.Inc plus
+// Histogram.Observe must stay allocation-free.
+func BenchmarkObsOverhead(b *testing.B) {
+	const n = 100_000
+	ts := make([]store.Triple, 0, n)
+	for j := 0; j < 89; j++ {
+		ts = append(ts, store.Triple{Subject: "site-" + strconv.Itoa(j), Predicate: "partOf", Object: "region-" + strconv.Itoa(j%7)})
+	}
+	for i := 0; len(ts) < n; i++ {
+		inst := "inst-" + strconv.Itoa(i)
+		ts = append(ts,
+			store.Triple{Subject: inst, Predicate: store.TypePredicate, Object: "class-" + strconv.Itoa(i%317)},
+			store.Triple{Subject: inst, Predicate: "locatedIn", Object: "site-" + strconv.Itoa(i%89)})
+	}
+	s := store.New()
+	if _, err := s.AddBatch(ts); err != nil {
+		b.Fatal(err)
+	}
+	bgp := query.MustParseBGP("?x type class-5 . ?x locatedIn ?site . ?site partOf ?region")
+	runJoin := func(b *testing.B, traced bool) {
+		b.ReportAllocs()
+		solutions := 0
+		for i := 0; i < b.N; i++ {
+			var opts []query.Option
+			if traced {
+				var tr query.Trace
+				opts = append(opts, query.WithTrace(&tr))
+			}
+			sols := query.Eval(s, bgp, opts...)
+			for sols.Next() {
+				solutions++
+			}
+			if err := sols.Err(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if solutions == 0 {
+			b.Fatal("join produced no solutions")
+		}
+		b.ReportMetric(float64(solutions)/float64(b.N), "solutions/query")
+	}
+	b.Run("query-plain", func(b *testing.B) { runJoin(b, false) })
+	b.Run("query-traced", func(b *testing.B) { runJoin(b, true) })
+
+	ingest := func(b *testing.B, metered bool) {
+		batch := ts[:n/2]
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			base := store.New()
+			opts := durable.Options{Dir: b.TempDir(), Fsync: durable.FsyncOff}
+			if metered {
+				opts.Metrics = obs.NewRegistry()
+			}
+			eng, err := durable.Open(base, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if _, err := base.AddBatch(batch); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if err := eng.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+	}
+	b.Run("ingest-plain", func(b *testing.B) { ingest(b, false) })
+	b.Run("ingest-metered", func(b *testing.B) { ingest(b, true) })
+
+	b.Run("registry-hotpath", func(b *testing.B) {
+		reg := obs.NewRegistry()
+		c := reg.Counter("bench_ops_total", "Hot-path counter under benchmark.")
+		h := reg.Histogram("bench_op_seconds", "Hot-path histogram under benchmark.", obs.LatencyBuckets())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Inc()
+			h.Observe(float64(i&1023) * 1e-6)
+		}
+	})
 }

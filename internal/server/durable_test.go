@@ -178,6 +178,48 @@ func TestRemoveDurabilityFailureIs500(t *testing.T) {
 	}
 }
 
+// deadJournal is a store.Journal whose every commit fails, standing in for a
+// log whose disk stopped taking fsyncs.
+type deadJournal struct{}
+
+func (deadJournal) JournalDict(store.SymbolID, []string) {}
+func (deadJournal) JournalAdd([]store.IDTriple)          {}
+func (deadJournal) JournalRemove(store.IDTriple)         {}
+func (deadJournal) JournalCommit() error                 { return errors.New("fsync: disk on fire") }
+
+// TestAddDurabilityFailureIs500AndInvalidates pins the add half of the
+// /triples durability contract end to end: a batch whose journal commit fails
+// is answered 500 — and, because it IS applied in memory, the materialization
+// is maintained and the result cache invalidated exactly as for an
+// acknowledged write, so no reader is served an answer from before it.
+func TestAddDurabilityFailureIs500AndInvalidates(t *testing.T) {
+	base := carCorpus(t)
+	s := newTestServer(t, Config{Base: base})
+	q := QueryRequest{BGP: "?x type vehicle"}
+	if first := postQuery(t, s, q); first.trailer.Cached || len(first.rows) != 3 {
+		t.Fatalf("first query: cached=%v rows=%v, want 3 uncached", first.trailer.Cached, first.rows)
+	}
+	if again := postQuery(t, s, q); !again.trailer.Cached {
+		t.Fatal("repeated query was not served from cache")
+	}
+
+	base.SetJournal(deadJournal{})
+	defer base.SetJournal(nil)
+	code, _, errResp := postTriples(t, s, MutateRequest{
+		Add: []TripleJSON{{Subject: "van1", Predicate: store.TypePredicate, Object: "car"}},
+	})
+	if code != http.StatusInternalServerError || !strings.Contains(errResp.Error, "not durable") {
+		t.Fatalf("/triples add on a dead log = %d %q, want 500 naming the lost durability", code, errResp.Error)
+	}
+	after := postQuery(t, s, q)
+	if after.trailer.Cached {
+		t.Fatal("query cached before the failed write was replayed after it")
+	}
+	if !containsString(after.values("x"), "van1") {
+		t.Fatalf("re-evaluated query %v lacks the inference from the applied batch", after.values("x"))
+	}
+}
+
 func TestCheckpointWithoutDurableEngine(t *testing.T) {
 	s := newTestServer(t, Config{})
 	code, _, errResp := postCheckpoint(t, s)

@@ -134,14 +134,6 @@ func BenchmarkStoreQuery(b *testing.B) {
 	}
 	class := func(i int) string { return fmt.Sprintf("class-%d", i%317) }
 
-	b.Run("subjects", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if got := s.Subjects(TypePredicate, class(i)); len(got) == 0 {
-				b.Fatal("empty class")
-			}
-		}
-	})
 	b.Run("foreachsubject", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -155,11 +147,12 @@ func BenchmarkStoreQuery(b *testing.B) {
 			}
 		}
 	})
-	b.Run("queryfunc", func(b *testing.B) {
+	b.Run("queryidfunc", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			count := 0
-			s.QueryFunc(Pattern{Predicate: TypePredicate, Object: class(i)}, func(Triple) bool {
+			ip, _ := s.encodePattern(Pattern{Predicate: TypePredicate, Object: class(i)})
+			s.QueryIDFunc(ip, func(IDTriple) bool {
 				count++
 				return true
 			})

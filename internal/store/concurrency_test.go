@@ -53,10 +53,11 @@ func TestConcurrentShardedWritersAndReaders(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				class := fmt.Sprintf("class%d", i%7)
 				_ = s.Query(Pattern{Predicate: "type", Object: class})
-				s.QueryFunc(Pattern{Subject: fmt.Sprintf("w%d-s%d", i%writers, i)}, func(Triple) bool { return true })
+				if ip, ok := s.encodePattern(Pattern{Subject: fmt.Sprintf("w%d-s%d", i%writers, i)}); ok {
+					s.QueryIDFunc(ip, func(IDTriple) bool { return true })
+				}
 				s.ForEachSubject("type", class, func(string) bool { return true })
 				_ = s.Count(Pattern{Predicate: "type"})
-				_ = s.Predicates()
 				_ = s.Len()
 			}
 		}(r)

@@ -5,7 +5,7 @@ package store
 // times per query, so the evaluator works entirely in dictionary ids —
 // variables bind to SymbolIDs, probes are IDPatterns, matches are IDTriples —
 // and only the final solutions are resolved back to strings through a
-// Resolver. The string-level Pattern methods (QueryFunc, Count) are thin
+// Resolver. The string-level Pattern methods (Query, Count) are thin
 // wrappers over these.
 
 // SymbolID is a dictionary id minted by the store's symbol table. Ids are

@@ -86,9 +86,9 @@ func TestExpandedRetrievalThroughIndex(t *testing.T) {
 		s.MustAdd(Triple{Subject: a[0], Predicate: TypePredicate, Object: a[1]})
 	}
 
-	plain := s.Subjects(TypePredicate, "roadvehicle")
-	if len(plain) != 1 || plain[0] != "r1" {
-		t.Errorf("unexpanded Subjects(type, roadvehicle) = %v, want [r1]", plain)
+	plain := s.Query(Pattern{Predicate: TypePredicate, Object: "roadvehicle"})
+	if len(plain) != 1 || plain[0].Subject != "r1" {
+		t.Errorf("unexpanded Query(? type roadvehicle) = %v, want r1 only", plain)
 	}
 	expanded := expandedInstances(s, oi, "roadvehicle")
 	if len(expanded) != 4 {
@@ -99,15 +99,15 @@ func TestExpandedRetrievalThroughIndex(t *testing.T) {
 		t.Errorf("expanded retrieval of car = %v, want [c1 c2]", got)
 	}
 	// Expansion never loses the unexpanded answers.
-	for _, subj := range plain {
+	for _, tr := range plain {
 		found := false
 		for _, e := range expanded {
-			if e == subj {
+			if e == tr.Subject {
 				found = true
 			}
 		}
 		if !found {
-			t.Errorf("expansion lost subject %q", subj)
+			t.Errorf("expansion lost subject %q", tr.Subject)
 		}
 	}
 }

@@ -201,10 +201,34 @@ func TestRestoreSortedRejectsBadInput(t *testing.T) {
 	}
 }
 
+// idReader is the id-level read surface a Store and a View share.
+type idReader interface {
+	QueryIDFunc(p IDPattern, yield func(IDTriple) bool)
+	QueryIDBatch(ps []IDPattern, yield func(pi int, t IDTriple) bool)
+	ScanParts(p IDPattern) []*ScanPart
+	CountID(p IDPattern) int
+	StatsID(p IDPattern) IDStats
+}
+
+// drainPart pulls a cursor dry through a deliberately small buffer, so every
+// resume path runs, and releases it.
+func drainPart(pt *ScanPart) []IDTriple {
+	var out []IDTriple
+	buf := make([]IDTriple, 64)
+	for {
+		n, done := pt.NextBatch(buf)
+		out = append(out, buf[:n]...)
+		if done {
+			pt.Release()
+			return out
+		}
+	}
+}
+
 // readAll answers one id pattern through every read entry point and returns
 // the answers in comparable form: the sorted matches of QueryIDFunc,
 // QueryIDBatch and ScanParts, then CountID and StatsID.
-func readAll(s *Store, p IDPattern) ([3][]IDTriple, int, IDStats) {
+func readAll(s idReader, p IDPattern) ([3][]IDTriple, int, IDStats) {
 	var out [3][]IDTriple
 	s.QueryIDFunc(p, func(t IDTriple) bool {
 		out[0] = append(out[0], t)
@@ -214,21 +238,49 @@ func readAll(s *Store, p IDPattern) ([3][]IDTriple, int, IDStats) {
 		out[1] = append(out[1], t)
 		return true
 	})
-	buf := make([]IDTriple, 64)
-	for _, pt := range s.ScanParts(p, 4) {
-		for {
-			n, done := pt.NextBatch(buf)
-			out[2] = append(out[2], buf[:n]...)
-			if done {
-				break
-			}
-		}
-		pt.Release()
+	for _, pt := range s.ScanParts(p) {
+		out[2] = append(out[2], drainPart(pt)...)
 	}
 	for i := range out {
 		SortIDTriples(out[i])
 	}
 	return out, s.CountID(p), s.StatsID(p)
+}
+
+// checkViewReads holds a view's batched entry points to its callback form,
+// QueryIDFunc: QueryIDBatch and the drained ScanParts report the same triples,
+// each once, CountID counts them, and the cursors are the base's (all of the
+// base's matches) then the overlay's (its matches the base does not shadow).
+func checkViewReads(t *testing.T, stage string, v *View, p IDPattern) {
+	t.Helper()
+	m, count, _ := readAll(v, p)
+	for i := 1; i < len(m); i++ {
+		if fmt.Sprint(m[i]) != fmt.Sprint(m[0]) {
+			t.Fatalf("%s: view pattern %+v, entry point %d: %d matches, QueryIDFunc %d", stage, p, i, len(m[i]), len(m[0]))
+		}
+	}
+	for i := 1; i < len(m[0]); i++ {
+		if m[0][i] == m[0][i-1] {
+			t.Fatalf("%s: view pattern %+v reported %v twice", stage, p, m[0][i])
+		}
+	}
+	if count != len(m[0]) {
+		t.Fatalf("%s: view pattern %+v: CountID %d, %d matches", stage, p, count, len(m[0]))
+	}
+	parts := v.ScanParts(p)
+	if len(parts) != 2 {
+		t.Fatalf("%s: view pattern %+v opened %d cursors, want the base's and the overlay's", stage, p, len(parts))
+	}
+	fromBase, fromOverlay := drainPart(parts[0]), drainPart(parts[1])
+	SortIDTriples(fromBase)
+	if want, _, _ := readAll(v.Base(), p); fmt.Sprint(fromBase) != fmt.Sprint(want[0]) {
+		t.Fatalf("%s: view pattern %+v: first cursor has %d triples, the base %d", stage, p, len(fromBase), len(want[0]))
+	}
+	for _, x := range fromOverlay {
+		if !v.Overlay().ContainsID(x) || v.Base().ContainsID(x) {
+			t.Fatalf("%s: view pattern %+v: second cursor reported %v, which is not overlay-only", stage, p, x)
+		}
+	}
 }
 
 // TestLoadSortedMatchesAddID: an overlay filled by one LoadSorted answers
@@ -256,6 +308,22 @@ func TestLoadSortedMatchesAddID(t *testing.T) {
 			t.Fatalf("AddID(%v) = %v, %v", id, added, err)
 		}
 	}
+	// Two views over the loaded overlay: a plain one on the base it was
+	// dumped from (every loaded triple shadowed until the edits below), and a
+	// disjoint one on a member holding triples of its own.
+	apart := base.NewOverlay()
+	for i := 0; i < 2*setSpill; i++ {
+		apart.MustAdd(Triple{Subject: fmt.Sprintf("s%d", i), Predicate: "apart", Object: "hub"})
+		apart.MustAdd(Triple{Subject: "hub", Predicate: "links", Object: fmt.Sprintf("apart%d", i)})
+	}
+	shadowing, err := NewView(base, loaded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disjoint, err := NewDisjointView(apart, loaded)
+	if err != nil {
+		t.Fatal(err)
+	}
 	id := func(name string) SymbolID {
 		v, ok := base.SymbolID(name)
 		if !ok {
@@ -265,6 +333,9 @@ func TestLoadSortedMatchesAddID(t *testing.T) {
 	}
 	patterns := []IDPattern{
 		{},
+		{P: id("apart"), BoundP: true},
+		{S: id("hub"), P: id("links"), BoundS: true, BoundP: true},
+		{O: id("hub"), BoundO: true},
 		{S: id("hub"), BoundS: true},
 		{P: id("links"), BoundP: true},
 		{O: id("v"), BoundO: true},
@@ -292,6 +363,8 @@ func TestLoadSortedMatchesAddID(t *testing.T) {
 			if gc != wc || gs != ws {
 				t.Fatalf("%s: pattern %+v: CountID %d / StatsID %+v, twin %d / %+v", stage, p, gc, gs, wc, ws)
 			}
+			checkViewReads(t, stage, shadowing, p)
+			checkViewReads(t, stage, disjoint, p)
 		}
 		for _, x := range ids {
 			if loaded.ContainsID(x) != twin.ContainsID(x) {

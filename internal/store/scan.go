@@ -7,11 +7,11 @@ import "sync"
 // through. Where ids.go answers one pattern at a time through a callback,
 // these hooks move triples in batches — a ScanPart is a resumable cursor that
 // fills caller-provided slices under one shard read-lock per refill, ScanParts
-// splits a pattern's matches into independently scannable parts so leaf scans
-// can run shard-parallel and merge, and QueryIDBatch answers a whole batch of
-// same-shape probes while visiting each index shard at most once. The
-// amortization is the point: a tuple-at-a-time join pays a lock round trip and
-// a callback per probe, a batched one pays them per thousand triples.
+// opens the cursor (a View's: one per member) for a pattern, and QueryIDBatch
+// answers a whole batch of same-shape probes while visiting each index shard
+// at most once. The amortization is the point: a tuple-at-a-time join pays a
+// lock round trip and a callback per probe, a batched one pays them per
+// thousand triples.
 
 // Index families a ScanPart can walk, in the lead/mid/trail vocabulary of
 // shard.go: famSPO has subjects leading, famPOS predicates, famOSP objects.
@@ -34,13 +34,9 @@ func tripleOf(fam uint8, lead, mid, trail uint32) IDTriple {
 	}
 }
 
-// ScanPart is a resumable cursor over one independently scannable slice of
-// the triples matching a pattern. Obtain parts with ScanParts (or a single
-// whole-pattern cursor with ScanIDBatch) and drain each by calling NextBatch
-// until it reports done. Distinct parts of one ScanParts call cover disjoint
-// triples and may be drained concurrently from different goroutines — each
-// refill takes its shard's read-lock independently — which is how the query
-// layer's parallel leaf scans work; a single part must not be shared.
+// ScanPart is a resumable cursor over the triples of one store matching a
+// pattern. Obtain it with ScanParts and drain it by calling NextBatch until it
+// reports done; a part must not be shared between goroutines.
 //
 // Like every store iterator, a cursor overlapping concurrent writers is
 // well-formed but not snapshot-consistent: a triple inserted or removed while
@@ -64,22 +60,18 @@ type ScanPart struct {
 	unbound    bool // full scan over the owner's SPO shards
 
 	// Cursor state. For unbound scans: the current shard, its snapshotted
-	// lead keys and the position in them. For single-lead scans: the entry
-	// range [midLo, midHi) and the position in it (midHi < 0 means "to the
-	// end", kept open so single-part scans do not miss entries appended
-	// after the cursor was created), plus the position within the current
-	// entry's trailing element slice — trailing sets keep their members in
-	// an indexable slice whatever their size, so a refill stops exactly at
-	// the batch boundary and resumes by position (re-clamped each refill,
-	// since the set may have mutated in between).
+	// lead keys and the position in them. For single-lead scans: the
+	// position in the lead's entries (open-ended, so entries appended after
+	// the cursor was created are not missed) and the position within the
+	// current entry's trailing element slice — trailing sets keep their
+	// members in an indexable slice whatever their size, so a refill stops
+	// exactly at the batch boundary and resumes by position (re-clamped each
+	// refill, since the set may have mutated in between).
 	shard     int
-	shardHi   int
 	leads     []uint32
 	haveLeads bool
 	leadPos   int
-	midLo     int
 	midPos    int
-	midHi     int
 	trailPos  int
 
 	// pending spills triples that did not fit the caller's batch on the
@@ -143,11 +135,11 @@ func (pt *ScanPart) emit(t IDTriple, out []IDTriple, n *int) {
 	}
 }
 
-// fillUnbound advances a full-scan part: SPO shards [shard, shardHi), lead
-// keys snapshotted per shard, each lead's whole entry enumerated in one
-// lock hold (overflow spills into pending).
+// fillUnbound advances a full-scan part: the SPO shards in order, lead keys
+// snapshotted per shard, each lead's whole entry enumerated in one lock hold
+// (overflow spills into pending).
 func (pt *ScanPart) fillUnbound(out []IDTriple, n int) int {
-	for pt.shard < pt.shardHi && n < len(out) {
+	for pt.shard < numShards && n < len(out) {
 		sh := &pt.owner.spo[pt.shard]
 		sh.mu.RLock()
 		if !pt.haveLeads {
@@ -179,7 +171,7 @@ func (pt *ScanPart) fillUnbound(out []IDTriple, n int) int {
 			pt.haveLeads = false
 		}
 	}
-	if pt.shard >= pt.shardHi {
+	if pt.shard >= numShards {
 		pt.done = true
 	}
 	return n
@@ -269,14 +261,7 @@ func (pt *ScanPart) fillLead(out []IDTriple, n int) int {
 			pt.done = true
 		}
 	default:
-		hi := len(e.entries)
-		if pt.midHi >= 0 && pt.midHi < hi {
-			hi = pt.midHi
-		}
-		if pt.midPos < pt.midLo {
-			pt.midPos = pt.midLo
-		}
-		for pt.midPos < hi && n < len(out) {
+		for pt.midPos < len(e.entries) && n < len(out) {
 			mt := &e.entries[pt.midPos]
 			if pt.trailBound {
 				if mt.trail.contains(pt.trail) {
@@ -311,16 +296,12 @@ func (pt *ScanPart) fillLead(out []IDTriple, n int) int {
 				pt.trailPos = 0
 			}
 		}
-		if pt.midPos >= hi {
+		if pt.midPos >= len(e.entries) {
 			pt.done = true
 		}
 	}
 	return n
 }
-
-// minMidsPerPart is the smallest entry range worth a part of its own: below
-// it the per-part cursor overhead outweighs any parallelism.
-const minMidsPerPart = 16
 
 // partPool recycles ScanPart cursors (with their lead snapshots and spill
 // buffers) so steady-state scans allocate nothing per part.
@@ -355,123 +336,52 @@ func (pt *ScanPart) Release() {
 	partPool.Put(pt)
 }
 
-// ScanIDBatch returns a single resumable cursor over every triple matching
-// the id pattern — the batched twin of QueryIDFunc. Drain it with NextBatch;
-// each refill costs one shard lock round trip however many triples it moves.
-func (s *Store) ScanIDBatch(p IDPattern) *ScanPart {
-	return s.ScanParts(p, 1)[0]
+// ScanParts opens the resumable cursor over the triples matching the id
+// pattern — the batched twin of QueryIDFunc, choosing the permutation family
+// the same way. A store answers with exactly one part; the slice form is what
+// lets a View answer with one per member. Drain each part with NextBatch, in
+// order; each refill costs one shard lock round trip however many triples it
+// moves.
+func (s *Store) ScanParts(p IDPattern) []*ScanPart {
+	return []*ScanPart{s.scanPart(p)}
 }
 
-// ScanParts splits the pattern's matching triples into at most max parts that
-// can be drained concurrently (see ScanPart); the parts jointly cover exactly
-// the pattern's matches and pairwise overlap nothing. A fully unbound pattern
-// splits by SPO shard; a pattern with one bound component splits its lead
-// entry's middle range; more tightly bound patterns are a single point lookup
-// and come back as one part. Fewer than max parts (often just one) are
-// returned when the matches are too few to be worth splitting.
-func (s *Store) ScanParts(p IDPattern, max int) []*ScanPart {
-	if max < 1 {
-		max = 1
-	}
-	point := func(fam uint8, lead, mid, trail uint32, allBound bool) []*ScanPart {
-		pt := takePart()
-		pt.owner, pt.fam, pt.lead, pt.mid, pt.trail = s, fam, lead, mid, trail
-		pt.allBound, pt.midBound, pt.midHi = allBound, !allBound, -1
-		return []*ScanPart{pt}
-	}
+// scanPart builds the store's cursor for the pattern.
+func (s *Store) scanPart(p IDPattern) *ScanPart {
+	pt := takePart()
+	pt.owner = s
 	switch {
 	case p.BoundS && p.BoundP && p.BoundO:
-		return point(famSPO, p.S, p.P, p.O, true)
+		pt.fam, pt.lead, pt.mid, pt.trail, pt.allBound = famSPO, p.S, p.P, p.O, true
 	case p.BoundS && p.BoundP:
-		return point(famSPO, p.S, p.P, 0, false)
+		pt.fam, pt.lead, pt.mid, pt.midBound = famSPO, p.S, p.P, true
 	case p.BoundP && p.BoundO:
-		return point(famPOS, p.P, p.O, 0, false)
+		pt.fam, pt.lead, pt.mid, pt.midBound = famPOS, p.P, p.O, true
 	case p.BoundS && p.BoundO:
-		return s.leadParts(famSPO, p.S, true, p.O, max)
+		pt.fam, pt.lead, pt.trail, pt.trailBound = famSPO, p.S, p.O, true
 	case p.BoundS:
-		return s.leadParts(famSPO, p.S, false, 0, max)
+		pt.fam, pt.lead = famSPO, p.S
 	case p.BoundP:
-		return s.leadParts(famPOS, p.P, false, 0, max)
+		pt.fam, pt.lead = famPOS, p.P
 	case p.BoundO:
-		return s.leadParts(famOSP, p.O, false, 0, max)
+		pt.fam, pt.lead = famOSP, p.O
 	default:
-		groups := max
-		if groups > numShards {
-			groups = numShards
-		}
-		parts := make([]*ScanPart, 0, groups)
-		for g := 0; g < groups; g++ {
-			pt := takePart()
-			pt.owner, pt.unbound, pt.midHi = s, true, -1
-			pt.shard = g * numShards / groups
-			pt.shardHi = (g + 1) * numShards / groups
-			parts = append(parts, pt)
-		}
-		return parts
+		pt.unbound = true
 	}
+	return pt
 }
 
-// leadParts builds the parts of a single-lead scan, splitting the lead
-// entry's middle range when it is wide enough.
-func (s *Store) leadParts(fam uint8, lead uint32, trailBound bool, trail uint32, max int) []*ScanPart {
-	part := func(lo, hi int) *ScanPart {
-		pt := takePart()
-		pt.owner, pt.fam, pt.lead, pt.trailBound, pt.trail = s, fam, lead, trailBound, trail
-		pt.midLo, pt.midPos, pt.midHi = lo, lo, hi
-		return pt
-	}
-	if max == 1 {
-		return []*ScanPart{part(0, -1)}
-	}
-	var fams *indexFamily
-	switch fam {
-	case famPOS:
-		fams = &s.pos
-	case famOSP:
-		fams = &s.osp
-	default:
-		fams = &s.spo
-	}
-	sh := fams.shard(lead)
-	sh.mu.RLock()
-	width := 0
-	if e := sh.m[lead]; e != nil {
-		width = len(e.entries)
-	}
-	sh.mu.RUnlock()
-	parts := max
-	if w := width / minMidsPerPart; parts > w {
-		parts = w
-	}
-	if parts <= 1 {
-		return []*ScanPart{part(0, -1)}
-	}
-	out := make([]*ScanPart, 0, parts)
-	for g := 0; g < parts; g++ {
-		lo := g * width / parts
-		hi := (g + 1) * width / parts
-		if g == parts-1 {
-			hi = -1 // the last part stays open-ended, like the single-part form
-		}
-		out = append(out, part(lo, hi))
-	}
-	return out
-}
-
-// ScanParts is the View form of Store.ScanParts: the base's parts followed by
-// the overlay's, with overlay parts suppressing triples also present in the
-// base (so each union triple is reported exactly once) unless the view was
-// built with the disjointness promise, in which case the per-triple probe is
+// ScanParts is the View form of Store.ScanParts: the base's cursor followed
+// by the overlay's, the overlay's suppressing triples also present in the base
+// (so each union triple is reported exactly once) unless the view was built
+// with the disjointness promise, in which case the per-triple probe is
 // skipped.
-func (v *View) ScanParts(p IDPattern, max int) []*ScanPart {
-	parts := v.base.ScanParts(p, max)
-	over := v.overlay.ScanParts(p, max)
+func (v *View) ScanParts(p IDPattern) []*ScanPart {
+	over := v.overlay.scanPart(p)
 	if !v.disjoint {
-		for _, pt := range over {
-			pt.dedup = v.base
-		}
+		over.dedup = v.base
 	}
-	return append(parts, over...)
+	return []*ScanPart{v.base.scanPart(p), over}
 }
 
 // orderPool recycles the probe-ordering scratch QueryIDBatch uses for its

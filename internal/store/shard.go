@@ -123,16 +123,6 @@ func (s *idSet) len() int {
 	return len(s.elems)
 }
 
-// appendResolved appends every id's resolved name to out. It is the
-// materializing twin of forEach, kept here so the set layout is walked in
-// one place only.
-func (s *idSet) appendResolved(res resolver, out []string) []string {
-	for _, v := range s.elems {
-		out = append(out, res.name(v))
-	}
-	return out
-}
-
 // forEach streams the set, reporting false when fn stopped the enumeration.
 func (s *idSet) forEach(fn func(uint32) bool) bool {
 	for _, v := range s.elems {

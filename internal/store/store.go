@@ -13,14 +13,14 @@
 // contend when they touch the same shard. Ingest has a batch path (AddBatch)
 // that interns the whole batch under one symbol-table lock and visits every
 // index shard at most once, and reads have an allocation-free iterator form
-// (QueryFunc, ForEachSubject) alongside the materializing Query.
+// (QueryIDFunc, ForEachSubject) alongside the materializing Query.
 //
-// Ordering: every materializing read (Query, Triples, Subjects, Objects,
-// Predicates) returns its result in sorted lexicographic order, so results
-// depend only on the store's contents — never on ingest order or on how ids
-// happened to fall across shards. The streaming forms (QueryFunc,
-// QueryIDFunc, ForEachSubject) trade that determinism for zero allocation
-// and enumerate in unspecified order.
+// Ordering: every materializing read (Query, Triples) returns its result in
+// sorted lexicographic order, so results depend only on the store's contents
+// — never on ingest order or on how ids happened to fall across shards. The
+// streaming forms (QueryIDFunc, ForEachSubject, the batched hooks of scan.go)
+// trade that determinism for zero allocation and enumerate in unspecified
+// order.
 //
 // Joins, variables and ontology-aware expansion live one layer up, in
 // package repro/internal/query, which evaluates basic graph patterns over
@@ -236,22 +236,22 @@ func (s *Store) Contains(t Triple) bool {
 	return sh.containsLocked(e.s, e.p, e.o)
 }
 
-// QueryFunc streams every triple matching the pattern to yield, stopping
-// early when yield returns false. It answers from the most selective
-// permutation index for the pattern's bound components and allocates nothing
-// per triple; the enumeration order is unspecified (use Query for the
-// deterministic sorted form). yield must not call methods that write to the
-// store, or it may deadlock against writers waiting on the shard being
-// iterated.
-func (s *Store) QueryFunc(p Pattern, yield func(Triple) bool) {
-	ip, ok := s.encodePattern(p)
-	if !ok {
-		return
-	}
-	res := newResolver(s.syms)
-	s.QueryIDFunc(ip, func(t IDTriple) bool {
-		return yield(Triple{res.name(t.S), res.name(t.P), res.name(t.O)})
+// idQuerier is the callback enumeration Query and Triples materialize from,
+// on a Store and on a View alike.
+type idQuerier interface {
+	QueryIDFunc(p IDPattern, yield func(IDTriple) bool)
+}
+
+// sortedMatches appends q's matches of ip to out, resolved through syms, and
+// sorts the result into the canonical (subject, predicate, object) order.
+func sortedMatches(q idQuerier, syms *symtab, ip IDPattern, out []Triple) []Triple {
+	res := newResolver(syms)
+	q.QueryIDFunc(ip, func(t IDTriple) bool {
+		out = append(out, Triple{res.name(t.S), res.name(t.P), res.name(t.O)})
+		return true
 	})
+	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
+	return out
 }
 
 // Query returns all triples matching the pattern, sorted lexicographically by
@@ -260,16 +260,14 @@ func (s *Store) QueryFunc(p Pattern, yield func(Triple) bool) {
 // pattern, whatever order the triples were ingested in and however they fell
 // across shards. The most selective permutation index available for the
 // pattern's bound components is used, so fully or partially bound queries
-// never scan the whole store. Use QueryFunc to stream matches without
-// materializing and sorting the result.
+// never scan the whole store. Use QueryIDFunc to stream matches without
+// materializing, resolving and sorting the result.
 func (s *Store) Query(p Pattern) []Triple {
-	var out []Triple
-	s.QueryFunc(p, func(t Triple) bool {
-		out = append(out, t)
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
-	return out
+	ip, ok := s.encodePattern(p)
+	if !ok {
+		return nil
+	}
+	return sortedMatches(s, s.syms, ip, nil)
 }
 
 // Triples returns every triple in the store, sorted lexicographically by
@@ -277,13 +275,7 @@ func (s *Store) Query(p Pattern) []Triple {
 // Like Query, the result depends only on the store's contents, never on
 // ingest order or shard layout; Snapshot is defined in terms of it.
 func (s *Store) Triples() []Triple {
-	out := make([]Triple, 0, s.Len())
-	s.QueryFunc(Pattern{}, func(t Triple) bool {
-		out = append(out, t)
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
-	return out
+	return sortedMatches(s, s.syms, IDPattern{}, make([]Triple, 0, s.Len()))
 }
 
 // Count returns the number of triples matching the pattern. It runs entirely
@@ -302,7 +294,9 @@ func (s *Store) Count(p Pattern) int {
 // ForEachSubject streams the distinct subjects of triples with the given
 // predicate and object to yield, stopping early when yield returns false.
 // The order is unspecified; allocation per subject is zero. The same
-// no-writes-from-yield rule as QueryFunc applies.
+// no-writes-from-yield rule as QueryIDFunc applies. It is the one string-level
+// streaming read kept beside QueryIDFunc: resolving inside the set walk is
+// what reason.Reasoner.InstancesFunc's class retrieval is measured on.
 func (s *Store) ForEachSubject(predicate, object string, yield func(string) bool) {
 	pid, ok := s.syms.lookup(predicate)
 	if !ok {
@@ -327,77 +321,4 @@ func (s *Store) ForEachSubject(predicate, object string, yield func(string) bool
 	set.forEach(func(sid uint32) bool {
 		return yield(res.name(sid))
 	})
-}
-
-// Subjects returns the distinct subjects of triples with the given predicate
-// and object, in sorted order (the same deterministic ordering contract as
-// Query: the result depends only on the store's contents). Use ForEachSubject
-// to stream them without the materialized slice and the sort.
-func (s *Store) Subjects(predicate, object string) []string {
-	pid, ok := s.syms.lookup(predicate)
-	if !ok {
-		return nil
-	}
-	oid, ok := s.syms.lookup(object)
-	if !ok {
-		return nil
-	}
-	res := newResolver(s.syms)
-	sh := s.pos.shard(pid)
-	sh.mu.RLock()
-	var out []string
-	if e := sh.m[pid]; e != nil {
-		if set := e.find(oid); set != nil {
-			out = set.appendResolved(res, make([]string, 0, set.len()))
-		}
-	}
-	sh.mu.RUnlock()
-	sort.Strings(out)
-	return out
-}
-
-// Objects returns the distinct objects of triples with the given subject and
-// predicate, in sorted order (the same deterministic ordering contract as
-// Query).
-func (s *Store) Objects(subject, predicate string) []string {
-	sid, ok := s.syms.lookup(subject)
-	if !ok {
-		return nil
-	}
-	pid, ok := s.syms.lookup(predicate)
-	if !ok {
-		return nil
-	}
-	res := newResolver(s.syms)
-	sh := s.spo.shard(sid)
-	sh.mu.RLock()
-	var out []string
-	if e := sh.m[sid]; e != nil {
-		if set := e.find(pid); set != nil {
-			set.forEach(func(oid uint32) bool {
-				out = append(out, res.name(oid))
-				return true
-			})
-		}
-	}
-	sh.mu.RUnlock()
-	sort.Strings(out)
-	return out
-}
-
-// Predicates returns the distinct predicates in the store, in sorted order
-// (the same deterministic ordering contract as Query).
-func (s *Store) Predicates() []string {
-	res := newResolver(s.syms)
-	var out []string
-	for i := range s.pos {
-		sh := &s.pos[i]
-		sh.mu.RLock()
-		for pid := range sh.m {
-			out = append(out, res.name(pid))
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Strings(out)
-	return out
 }

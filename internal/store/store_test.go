@@ -117,17 +117,26 @@ func TestAccessors(t *testing.T) {
 	s.MustAdd(Triple{"i1", "type", "car"})
 	s.MustAdd(Triple{"i2", "type", "car"})
 	s.MustAdd(Triple{"i1", "owner", "alice"})
-	if got := s.Subjects("type", "car"); len(got) != 2 || got[0] != "i1" || got[1] != "i2" {
-		t.Errorf("Subjects = %v, want [i1 i2]", got)
+	if got := s.Query(Pattern{Predicate: "type", Object: "car"}); len(got) != 2 || got[0].Subject != "i1" || got[1].Subject != "i2" {
+		t.Errorf("Query(? type car) = %v, want subjects i1, i2", got)
 	}
-	if got := s.Objects("i1", "type"); len(got) != 1 || got[0] != "car" {
-		t.Errorf("Objects = %v, want [car]", got)
+	if got := s.Query(Pattern{Subject: "i1", Predicate: "type"}); len(got) != 1 || got[0].Object != "car" {
+		t.Errorf("Query(i1 type ?) = %v, want object car", got)
 	}
-	if got := s.Predicates(); len(got) != 2 || got[0] != "owner" || got[1] != "type" {
-		t.Errorf("Predicates = %v, want [owner type]", got)
+	if got := s.Query(Pattern{Subject: "i1"}); len(got) != 2 || got[0].Predicate != "owner" || got[1].Predicate != "type" {
+		t.Errorf("Query(i1 ? ?) = %v, want predicates owner, type", got)
 	}
-	if got := s.Subjects("type", "boat"); len(got) != 0 {
-		t.Errorf("Subjects of an absent class = %v, want empty", got)
+	if got := s.Query(Pattern{Predicate: "type", Object: "boat"}); len(got) != 0 {
+		t.Errorf("Query of an absent class = %v, want empty", got)
+	}
+	var streamed []string
+	s.ForEachSubject("type", "car", func(subj string) bool {
+		streamed = append(streamed, subj)
+		return true
+	})
+	sort.Strings(streamed)
+	if !reflect.DeepEqual(streamed, []string{"i1", "i2"}) {
+		t.Errorf("ForEachSubject(type, car) = %v, want [i1 i2]", streamed)
 	}
 }
 
@@ -237,8 +246,7 @@ func TestIndexAgreement(t *testing.T) {
 // TestDeterministicOrderingContract checks the ordering contract of every
 // materializing read: the same triples ingested in different orders (and
 // therefore interned to different ids, falling differently across shards)
-// must produce identical Query, Triples, Subjects, Objects and Predicates
-// results.
+// must produce identical, sorted Query and Triples results.
 func TestDeterministicOrderingContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	triples := make([]Triple, 0, 500)
@@ -268,23 +276,13 @@ func TestDeterministicOrderingContract(t *testing.T) {
 		if !sort.SliceIsSorted(ts, func(i, j int) bool { return ts[i].less(ts[j]) }) {
 			t.Fatalf("round %d: Triples not sorted", round)
 		}
-		for _, p := range []Pattern{{}, {Predicate: "p0"}, {Subject: "s1"}, {Object: "o2"}, {Predicate: "p1", Object: "o3"}} {
-			if got, want := s.Query(p), ref.Query(p); !reflect.DeepEqual(got, want) {
+		for _, p := range []Pattern{{}, {Predicate: "p0"}, {Subject: "s1"}, {Object: "o2"}, {Predicate: "p1", Object: "o3"}, {Subject: "s1", Predicate: "p0"}} {
+			got := s.Query(p)
+			if want := ref.Query(p); !reflect.DeepEqual(got, want) {
 				t.Fatalf("round %d: Query(%v) differs across ingest orders", round, p)
 			}
-		}
-		if got, want := s.Subjects("p0", "o1"), ref.Subjects("p0", "o1"); !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: Subjects differ", round)
-		}
-		if got, want := s.Objects("s1", "p0"), ref.Objects("s1", "p0"); !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: Objects differ", round)
-		}
-		if got, want := s.Predicates(), ref.Predicates(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: Predicates differ", round)
-		}
-		for _, ss := range [][]string{s.Predicates(), s.Subjects("p0", "o1"), s.Objects("s1", "p0")} {
-			if !sort.StringsAreSorted(ss) {
-				t.Fatalf("round %d: accessor result not sorted: %v", round, ss)
+			if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i].less(got[j]) }) {
+				t.Fatalf("round %d: Query(%v) not sorted", round, p)
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // This file is the store's materialization surface: shared-dictionary overlay
@@ -319,90 +318,21 @@ func (v *View) StatsID(p IDPattern) IDStats {
 	}
 }
 
-// QueryFunc streams every distinct union triple matching the string pattern
-// to yield, resolving ids through the shared dictionary.
-func (v *View) QueryFunc(p Pattern, yield func(Triple) bool) {
-	ip, ok := v.base.encodePattern(p)
-	if !ok {
-		return
-	}
-	res := newResolver(v.base.syms)
-	v.QueryIDFunc(ip, func(t IDTriple) bool {
-		return yield(Triple{res.name(t.S), res.name(t.P), res.name(t.O)})
-	})
-}
-
 // Query returns all distinct union triples matching the pattern, sorted
 // lexicographically — the same deterministic ordering contract as
 // Store.Query.
 func (v *View) Query(p Pattern) []Triple {
-	var out []Triple
-	v.QueryFunc(p, func(t Triple) bool {
-		out = append(out, t)
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
-	return out
+	ip, ok := v.base.encodePattern(p)
+	if !ok {
+		return nil
+	}
+	return sortedMatches(v, v.base.syms, ip, nil)
 }
 
 // Triples returns every distinct triple visible through the view in the
 // store's canonical sorted export order.
 func (v *View) Triples() []Triple {
-	out := make([]Triple, 0, v.base.Len()+v.overlay.Len())
-	v.QueryFunc(Pattern{}, func(t Triple) bool {
-		out = append(out, t)
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
-	return out
-}
-
-// ForEachSubject streams the distinct subjects of union triples with the
-// given predicate and object, stopping early when yield returns false — the
-// materialized-retrieval hot path: one POS set read per member, no join
-// machinery, no per-subject allocation. Subjects present in both members are
-// yielded once.
-func (v *View) ForEachSubject(predicate, object string, yield func(string) bool) {
-	pid, ok := v.base.SymbolID(predicate)
-	if !ok {
-		return
-	}
-	oid, ok := v.base.SymbolID(object)
-	if !ok {
-		return
-	}
-	res := newResolver(v.base.syms)
-	stopped := false
-	v.base.ForEachSubject(predicate, object, func(s string) bool {
-		if !yield(s) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if stopped {
-		return
-	}
-	ip := IDPattern{P: pid, O: oid, BoundP: true, BoundO: true}
-	v.overlay.QueryIDFunc(ip, func(t IDTriple) bool {
-		if !v.disjoint && v.base.ContainsID(t) {
-			return true
-		}
-		return yield(res.name(t.S))
-	})
-}
-
-// Subjects returns the distinct subjects of union triples with the given
-// predicate and object, sorted (Store.Subjects' ordering contract, over the
-// union).
-func (v *View) Subjects(predicate, object string) []string {
-	var out []string
-	v.ForEachSubject(predicate, object, func(s string) bool {
-		out = append(out, s)
-		return true
-	})
-	sort.Strings(out)
-	return out
+	return sortedMatches(v, v.base.syms, IDPattern{}, make([]Triple, 0, v.base.Len()+v.overlay.Len()))
 }
 
 // TaggedTriple is one triple of a materialized view together with its

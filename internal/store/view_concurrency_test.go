@@ -157,7 +157,7 @@ func TestReadsDuringLoadSortedAndClear(t *testing.T) {
 					t.Errorf("view yielded %d triples; want between %d and %d", seen, len(asserted), len(asserted)+len(inferred))
 					return
 				}
-				for _, pt := range view.ScanParts(store.IDPattern{P: inferred[0].P, BoundP: true}, 4) {
+				for _, pt := range view.ScanParts(store.IDPattern{P: inferred[0].P, BoundP: true}) {
 					buf := make([]store.IDTriple, 32)
 					for done := false; !done; {
 						_, done = pt.NextBatch(buf)

@@ -69,6 +69,9 @@ func TestViewUnionAndProvenance(t *testing.T) {
 	_ = overlay
 }
 
+// TestViewForEachSubject checks class retrieval through the view — each
+// subject of (? type car) once, whichever member holds the annotation — on the
+// string-level Query and on the id-level callback it resolves from.
 func TestViewForEachSubject(t *testing.T) {
 	base, overlay, v := viewFixture(t)
 	overlayOnly := Triple{"b", "type", "car"}
@@ -79,19 +82,21 @@ func TestViewForEachSubject(t *testing.T) {
 	if _, err := overlay.Add(Triple{"a", "type", "car"}); err != nil {
 		t.Fatal(err)
 	}
+	p := Pattern{Predicate: "type", Object: "car"}
+	ip, _ := base.encodePattern(p)
+	res := v.NewResolver()
 	var got []string
-	v.ForEachSubject("type", "car", func(s string) bool {
-		got = append(got, s)
+	v.QueryIDFunc(ip, func(t IDTriple) bool {
+		got = append(got, res.Name(t.S))
 		return true
 	})
 	sort.Strings(got)
 	if !reflect.DeepEqual(got, []string{"a", "b"}) {
-		t.Errorf("ForEachSubject = %v, want [a b]", got)
+		t.Errorf("QueryIDFunc subjects = %v, want [a b]", got)
 	}
-	if subj := v.Subjects("type", "car"); !reflect.DeepEqual(subj, []string{"a", "b"}) {
-		t.Errorf("Subjects = %v, want [a b]", subj)
+	if ts := v.Query(p); !reflect.DeepEqual(ts, []Triple{{"a", "type", "car"}, overlayOnly}) {
+		t.Errorf("Query = %v, want a then b", ts)
 	}
-	_ = base
 }
 
 func TestViewSnapshots(t *testing.T) {
@@ -138,8 +143,8 @@ func TestDisjointViewFastPaths(t *testing.T) {
 	if got := v.Triples(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Triples = %v, want %v", got, want)
 	}
-	if subj := v.Subjects("type", "vehicle"); !reflect.DeepEqual(subj, []string{"a"}) {
-		t.Errorf("Subjects = %v, want [a]", subj)
+	if ts := v.Query(Pattern{Predicate: "type", Object: "vehicle"}); !reflect.DeepEqual(ts, []Triple{{"a", "type", "vehicle"}}) {
+		t.Errorf("Query(? type vehicle) = %v, want a only", ts)
 	}
 	if _, err := NewDisjointView(New(), New()); err == nil {
 		t.Error("NewDisjointView accepted stores with separate dictionaries")
