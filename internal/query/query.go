@@ -8,7 +8,7 @@
 // cardinality and distinct-component statistics (Store.StatsID), cheapest
 // estimated plan first — and evaluates it as an index-nested-loop join: each
 // probe substitutes the bindings accumulated so far and answers from
-// whichever SPO/POS/OSP permutation index the resulting bound components
+// whichever SPO/POS permutation index the resulting bound components
 // select. The join runs entirely on dictionary ids; solutions resolve back
 // to strings only when read.
 //

@@ -38,22 +38,18 @@ func raceStore(t testing.TB, n int) *store.Store {
 	return s
 }
 
-// TestScanUnderConcurrentWrites drives full scans while one goroutine
-// batch-inserts fresh triples and another removes them again: the scan cursor
-// must stay crash- and race-free while shards mutate under it between
-// refills, and every pre-existing triple's row must remain well-formed.
-func TestScanUnderConcurrentWrites(t *testing.T) {
-	const n = 20_000
-	s := raceStore(t, n)
-
-	stop := make(chan struct{})
+// churn starts the two writers the scan tests run under — one batch-inserting
+// fresh (extra-i-j p0 o0) triples, 64 at a time, the other removing them
+// again — and returns the function that stops them and waits.
+func churn(s *store.Store) (stop func()) {
+	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		for i := 0; ; i++ {
 			select {
-			case <-stop:
+			case <-done:
 				return
 			default:
 			}
@@ -74,7 +70,7 @@ func TestScanUnderConcurrentWrites(t *testing.T) {
 		defer wg.Done()
 		for i := 0; ; i++ {
 			select {
-			case <-stop:
+			case <-done:
 				return
 			default:
 			}
@@ -87,6 +83,20 @@ func TestScanUnderConcurrentWrites(t *testing.T) {
 			}
 		}
 	}()
+	return func() {
+		close(done)
+		wg.Wait()
+	}
+}
+
+// TestScanUnderConcurrentWrites drives full scans while one goroutine
+// batch-inserts fresh triples and another removes them again: the scan cursor
+// must stay crash- and race-free while shards mutate under it between
+// refills, and every pre-existing triple's row must remain well-formed.
+func TestScanUnderConcurrentWrites(t *testing.T) {
+	const n = 20_000
+	s := raceStore(t, n)
+	defer churn(s)()
 
 	bgp := MustParseBGP("?s ?p ?o")
 	for i := 0; i < 30; i++ {
@@ -109,8 +119,68 @@ func TestScanUnderConcurrentWrites(t *testing.T) {
 			t.Fatalf("iteration %d: scan saw only %d of %d stable triples", i, rows, n)
 		}
 	}
-	close(stop)
-	wg.Wait()
+}
+
+// TestScanUnderConcurrentWritesObjectOnly is the same churn against the one
+// shape that walks the whole POS family: an object-only cursor, and an
+// object-only QueryIDBatch, over the very object whose subject list the
+// writers grow and shrink. The cursor resumes by position inside that list
+// between refills, so every row must still be well-formed and the stable
+// matches must not be grossly undercounted.
+func TestScanUnderConcurrentWritesObjectOnly(t *testing.T) {
+	const n = 20_000
+	s := raceStore(t, n)
+	hot, ok := s.SymbolID("o0")
+	if !ok {
+		t.Fatal("o0 was never interned")
+	}
+	p := store.IDPattern{O: hot, BoundO: true}
+	stable := s.CountID(p) // i%97 == 0, spread over all seven predicates
+	if stable < 200 {
+		t.Fatalf("only %d stable matches of o0", stable)
+	}
+	probes := make([]store.IDPattern, 300)
+	for i := range probes {
+		oid, ok := s.SymbolID(fmt.Sprintf("o%d", i%97))
+		if !ok {
+			t.Fatalf("o%d was never interned", i%97)
+		}
+		probes[i] = store.IDPattern{O: oid, BoundO: true}
+	}
+	defer churn(s)()
+
+	buf := make([]store.IDTriple, 256)
+	for i := 0; i < 30; i++ {
+		rows := 0
+		for _, pt := range s.ScanParts(p) {
+			for done := false; !done; {
+				var k int
+				k, done = pt.NextBatch(buf)
+				for _, tr := range buf[:k] {
+					if tr.O != hot {
+						t.Fatalf("iteration %d: cursor over (? ? o0) reported %v", i, tr)
+					}
+				}
+				rows += k
+			}
+			pt.Release()
+		}
+		if rows < stable/2 {
+			t.Fatalf("iteration %d: cursor saw only %d of %d stable matches", i, rows, stable)
+		}
+		rows = 0
+		s.QueryIDBatch(probes, func(pi int, tr store.IDTriple) bool {
+			if tr.O != probes[pi].O {
+				t.Errorf("iteration %d: probe %d for object %d answered %v", i, pi, probes[pi].O, tr)
+				return false
+			}
+			rows++
+			return true
+		})
+		if rows < n {
+			t.Fatalf("iteration %d: 300 probes over all 97 objects saw only %d rows of a %d-triple store", i, rows, n)
+		}
+	}
 }
 
 // TestScanOverViewUnderOverlayWrites runs full scans over a non-disjoint View

@@ -46,6 +46,7 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 	s.cache.registerMetrics(reg)
 	s.reasoner.RegisterMetrics(reg)
 	s.registerReplMetrics(reg)
+	reg.RegisterRuntime()
 
 	// Store-level gauges: sizes the scrape reads straight off the engine.
 	base := s.reasoner.Base()

@@ -10,6 +10,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -249,6 +250,34 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 	if m["onto_uptime_seconds"] <= 0 {
 		t.Errorf("onto_uptime_seconds = %g, want > 0", m["onto_uptime_seconds"])
+	}
+
+	// The process-level Go runtime series. Live heap is what the last
+	// completed collection marked, so force one: the loaded store (its
+	// dictionary at the very least) is reachable from this test and must be
+	// inside the figure. The cycle counter is monotone across scrapes.
+	runtime.GC()
+	g1 := scrape(t, url+"/metrics")
+	runtime.GC()
+	g2 := scrape(t, url+"/metrics")
+	for _, name := range []string{"onto_go_heap_live_bytes", "onto_go_gc_cycles_total", "onto_go_goroutines"} {
+		if _, ok := g2[name]; !ok {
+			t.Errorf("scrape has no %s series", name)
+		}
+	}
+	dictBytes := 0
+	res := base.NewResolver()
+	for id := 0; id < base.DictLen(); id++ {
+		dictBytes += len(res.Name(store.SymbolID(id)))
+	}
+	if dictBytes == 0 || g2["onto_go_heap_live_bytes"] < float64(dictBytes) {
+		t.Errorf("onto_go_heap_live_bytes = %g, want >= the dictionary's %d bytes", g2["onto_go_heap_live_bytes"], dictBytes)
+	}
+	if g1["onto_go_gc_cycles_total"] < 1 || g2["onto_go_gc_cycles_total"] <= g1["onto_go_gc_cycles_total"] {
+		t.Errorf("onto_go_gc_cycles_total went %g -> %g across a forced collection", g1["onto_go_gc_cycles_total"], g2["onto_go_gc_cycles_total"])
+	}
+	if g2["onto_go_goroutines"] < 2 {
+		t.Errorf("onto_go_goroutines = %g, want >= 2 (this test and its server)", g2["onto_go_goroutines"])
 	}
 
 	// /stats and /metrics are the same counters: the JSON body must agree

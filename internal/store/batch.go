@@ -40,7 +40,7 @@ func (s *Store) AddBatch(ts []Triple) (int, error) {
 	return len(fresh), nil
 }
 
-// insertBatch applies an encoded batch to the three index families and the
+// insertBatch applies an encoded batch to both index families and the
 // size counter, returning the triples that were actually absent (the batch's
 // fresh subset, reusing enc's storage). It is the shared body of AddBatch and
 // AddIDBatch.
@@ -72,8 +72,8 @@ func (s *Store) insertBatch(enc []encTriple) []encTriple {
 		byShard[i] = nil
 	}
 
-	// Passes 2 and 3 — POS and OSP for the fresh triples only, again one
-	// lock per touched shard.
+	// Pass 2 — POS for the fresh triples only, again one lock per touched
+	// shard.
 	for _, e := range fresh {
 		sh := shardOf(e.p)
 		byShard[sh] = append(byShard[sh], e)
@@ -88,24 +88,6 @@ func (s *Store) insertBatch(enc []encTriple) []encTriple {
 			sh.insertLocked(e.p, e.o, e.s)
 		}
 		sh.mu.Unlock()
-		byShard[i] = nil
-	}
-	for _, e := range fresh {
-		sh := shardOf(e.o)
-		byShard[sh] = append(byShard[sh], e)
-	}
-	for i := range byShard {
-		if len(byShard[i]) == 0 {
-			continue
-		}
-		sh := &s.osp[i]
-		sh.mu.Lock()
-		sh.reserve(len(byShard[i]))
-		for _, e := range byShard[i] {
-			sh.insertLocked(e.o, e.s, e.p)
-		}
-		sh.mu.Unlock()
-		byShard[i] = nil
 	}
 
 	s.size.Add(int64(len(fresh)))

@@ -203,3 +203,65 @@ func BenchmarkOntologyExpansion(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkObjectOnlyPattern prices the one pattern shape with no index lead,
+// object-only (? ? o), which fans out over every predicate of the POS family:
+// stores of 4, 64 and 2 048 predicates — each with 16 filler objects, so a
+// find is a map lookup, not a short scan — and a probed object with 20 or 200
+// matches spread over four of the predicates (eight objects like it are
+// probed in rotation). QueryIDFunc streams the matches, StatsID is what the
+// planner asks first. ns/op grows with the predicate count, not with the
+// store: EXPERIMENTS.md "Two index rotations" has the figures.
+func BenchmarkObjectOnlyPattern(b *testing.B) {
+	for _, preds := range []int{4, 64, 2048} {
+		for _, matches := range []int{20, 200} {
+			s := New()
+			var ts []Triple
+			for p := 0; p < preds; p++ {
+				for f := 0; f < 16; f++ {
+					ts = append(ts, Triple{fmt.Sprintf("s%d", (p+f)%97), fmt.Sprintf("p%d", p), fmt.Sprintf("filler%d", f)})
+				}
+			}
+			for o := 0; o < 8; o++ {
+				for m := 0; m < matches; m++ {
+					ts = append(ts, Triple{fmt.Sprintf("m%d", m), fmt.Sprintf("p%d", (o+m%4*(preds/4))%preds), fmt.Sprintf("probed%d", o)})
+				}
+			}
+			if _, err := s.AddBatch(ts); err != nil {
+				b.Fatal(err)
+			}
+			var probes [8]IDPattern
+			for o := range probes {
+				id, ok := s.SymbolID(fmt.Sprintf("probed%d", o))
+				if !ok {
+					b.Fatal("probed object not interned")
+				}
+				probes[o] = IDPattern{O: id, BoundO: true}
+			}
+			name := fmt.Sprintf("preds-%d/matches-%d", preds, matches)
+			b.Run(name+"/queryidfunc", func(b *testing.B) {
+				b.ReportAllocs()
+				count := 0
+				for i := 0; i < b.N; i++ {
+					s.QueryIDFunc(probes[i%len(probes)], func(IDTriple) bool {
+						count++
+						return true
+					})
+				}
+				if count != matches*b.N {
+					b.Fatalf("%d matches over %d probes, want %d each", count, b.N, matches)
+				}
+			})
+			b.Run(name+"/statsid", func(b *testing.B) {
+				b.ReportAllocs()
+				count := 0
+				for i := 0; i < b.N; i++ {
+					count += s.StatsID(probes[i%len(probes)]).Count
+				}
+				if count != matches*b.N {
+					b.Fatalf("StatsID counted %d over %d probes, want %d each", count, b.N, matches)
+				}
+			})
+		}
+	}
+}

@@ -92,9 +92,13 @@ func (s *Store) encodePattern(p Pattern) (IDPattern, bool) {
 // QueryIDFunc streams every triple matching the id pattern to yield, stopping
 // early when yield returns false. It picks the permutation family by the
 // pattern's bound components — bound subject → SPO, else bound predicate →
-// POS, else bound object → OSP, else a full SPO scan — and allocates nothing.
-// The enumeration order is unspecified. yield must not write to the store (it
-// runs under a shard read-lock).
+// POS, else bound object → every POS shard in turn, else a full SPO scan —
+// and allocates nothing. A subject- or predicate-bound pattern costs one
+// shard lock and one lead lookup; the object-only pattern (? ? o) has no lead
+// to look up, so it costs one find per predicate of the store (and a lock
+// round trip per shard) plus its matches. The enumeration order is
+// unspecified. yield must not write to the store (it runs under a shard
+// read-lock).
 func (s *Store) QueryIDFunc(p IDPattern, yield func(IDTriple) bool) {
 	switch {
 	case p.BoundS:
@@ -156,18 +160,11 @@ func (s *Store) QueryIDFunc(p IDPattern, yield func(IDTriple) bool) {
 			})
 		})
 	case p.BoundO:
-		sh := s.osp.shard(p.O)
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		e := sh.m[p.O]
-		if e == nil {
-			return
+		for i := range s.pos {
+			if !s.pos[i].scanObject(p.O, yield) {
+				return
+			}
 		}
-		e.forEach(func(sid SymbolID, preds *idSet) bool {
-			return preds.forEach(func(pid SymbolID) bool {
-				return yield(IDTriple{sid, pid, p.O})
-			})
-		})
 	default:
 		for i := range s.spo {
 			if !s.scanShardIDs(&s.spo[i], yield) {
@@ -175,6 +172,43 @@ func (s *Store) QueryIDFunc(p IDPattern, yield func(IDTriple) bool) {
 			}
 		}
 	}
+}
+
+// scanObject streams one POS shard's share of the object-only pattern
+// (? ? o) — under every predicate lead, the subjects filed under o —
+// reporting false when yield stopped the enumeration.
+func (sh *shard) scanObject(o SymbolID, yield func(IDTriple) bool) bool {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	for pid, e := range sh.m {
+		set := e.find(o)
+		if set == nil {
+			continue
+		}
+		for _, sid := range set.elems {
+			if !yield(IDTriple{sid, pid, o}) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// countObject returns the number of triples with object o across the POS
+// family and the number of predicates they occur under.
+func (s *Store) countObject(o SymbolID) (count, preds int) {
+	for i := range s.pos {
+		sh := &s.pos[i]
+		sh.mu.RLock()
+		for _, e := range sh.m {
+			if set := e.find(o); set != nil {
+				count += set.len()
+				preds++
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	return count, preds
 }
 
 // scanShardIDs streams one whole SPO shard to yield, reporting false when
@@ -252,17 +286,7 @@ func (s *Store) CountID(p IDPattern) int {
 			return true
 		})
 	case p.BoundO:
-		sh := s.osp.shard(p.O)
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		e := sh.m[p.O]
-		if e == nil {
-			return 0
-		}
-		e.forEach(func(_ SymbolID, preds *idSet) bool {
-			count += preds.len()
-			return true
-		})
+		count, _ = s.countObject(p.O)
 	default:
 		return s.Len()
 	}
@@ -272,9 +296,12 @@ func (s *Store) CountID(p IDPattern) int {
 // IDStats are cheap cardinality statistics for one id pattern: the exact
 // match count, and the number of distinct subjects, predicates and objects
 // among the matches — exact where an index level exposes it in O(1) (lead
-// and middle widths), bounded above by Count where it does not. The planner
-// in internal/query divides Count by a distinct figure to estimate how
-// selective probing the pattern through that component will be.
+// and middle widths), bounded above by Count where it does not. With no
+// object-led family, two object widths are bounds: the object-only pattern
+// reports DistinctS = Count, and the unbound pattern's DistinctO counts
+// distinct (predicate, object) pairs. The planner in internal/query divides
+// Count by a distinct figure to estimate how selective probing the pattern
+// through that component will be.
 type IDStats struct {
 	Count     int
 	DistinctS int
@@ -284,7 +311,8 @@ type IDStats struct {
 
 // StatsID returns cardinality statistics for the id pattern. Like CountID it
 // runs entirely on the indexes, reading set lengths and entry widths; it
-// never materializes a triple or resolves a symbol.
+// never materializes a triple or resolves a symbol. The object-only and
+// unbound patterns cost O(predicates); every other shape reads one lead.
 func (s *Store) StatsID(p IDPattern) IDStats {
 	switch {
 	case p.BoundS && p.BoundP && p.BoundO:
@@ -350,21 +378,11 @@ func (s *Store) StatsID(p IDPattern) IDStats {
 		st.DistinctS = st.Count
 		return st
 	case p.BoundO:
-		sh := s.osp.shard(p.O)
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		e := sh.m[p.O]
-		if e == nil {
+		n, preds := s.countObject(p.O)
+		if n == 0 {
 			return IDStats{}
 		}
-		st := IDStats{DistinctO: 1}
-		e.forEach(func(_ SymbolID, preds *idSet) bool {
-			st.Count += preds.len()
-			st.DistinctS++
-			return true
-		})
-		st.DistinctP = st.Count
-		return st
+		return IDStats{Count: n, DistinctS: n, DistinctP: preds, DistinctO: 1}
 	default:
 		st := IDStats{Count: s.Len()}
 		for i := range s.spo {
@@ -375,12 +393,10 @@ func (s *Store) StatsID(p IDPattern) IDStats {
 		for i := range s.pos {
 			s.pos[i].mu.RLock()
 			st.DistinctP += len(s.pos[i].m)
+			for _, e := range s.pos[i].m {
+				st.DistinctO += len(e.entries)
+			}
 			s.pos[i].mu.RUnlock()
-		}
-		for i := range s.osp {
-			s.osp[i].mu.RLock()
-			st.DistinctO += len(s.osp[i].m)
-			s.osp[i].mu.RUnlock()
 		}
 		return st
 	}

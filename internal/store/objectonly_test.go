@@ -1,0 +1,449 @@
+package store
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+)
+
+// The object-only pattern (? ? o) is the one shape with no lead to look up:
+// every read surface answers it by fanning out over the POS family. These
+// tests hold each surface to the naive filter of ref_test.go on stores built
+// to exercise the fan-out — objects under one, a few and many predicates,
+// spread over several POS shards — on a Store and through both kinds of View.
+
+// objectOnlyFixture is a base and an overlay sharing a dictionary, with the
+// reference holding each member's triples. Probe objects: "o1" occurs under
+// one predicate, "o3" under three, "o20" under at least twenty (so its
+// postings sit in many POS shards), "dual" is also a subject and a predicate,
+// "baseonly" never occurs in the overlay.
+type objectOnlyFixture struct {
+	base, overlay       *Store
+	baseRef, overlayRef *refStore
+}
+
+// objectOnlyProbes are the objects every surface is checked on; "never" is
+// not interned by any fixture.
+var objectOnlyProbes = []string{"o1", "o3", "o20", "dual", "baseonly", "noise0", "never"}
+
+// newObjectOnlyFixture draws a fixture from seed. With shadow set, about a
+// third of the overlay's triples are also put in the base — the duplicates a
+// plain View must suppress; without it the members are disjoint.
+func newObjectOnlyFixture(seed int64, shadow bool) *objectOnlyFixture {
+	rng := rand.New(rand.NewSource(seed))
+	f := &objectOnlyFixture{base: New(), baseRef: newRef(), overlayRef: newRef()}
+	f.overlay = f.base.NewOverlay()
+	var all []Triple
+	post := func(object string, preds int) {
+		for _, pi := range rng.Perm(40)[:preds] {
+			for n := 1 + rng.Intn(5); n > 0; n-- {
+				all = append(all, Triple{fmt.Sprintf("s%d", rng.Intn(60)), fmt.Sprintf("p%d", pi), object})
+			}
+		}
+	}
+	post("o1", 1)
+	post("o3", 3)
+	post("o20", 20+rng.Intn(15))
+	post("dual", 5)
+	all = append(all,
+		Triple{"dual", "p1", "o3"}, Triple{"s1", "dual", "o20"}, Triple{"dual", "dual", "dual"})
+	for i := 0; i < 200; i++ {
+		all = append(all, Triple{fmt.Sprintf("s%d", rng.Intn(60)), fmt.Sprintf("p%d", rng.Intn(40)), fmt.Sprintf("noise%d", rng.Intn(8))})
+	}
+	toBase := func(tr Triple) {
+		f.base.MustAdd(tr)
+		f.baseRef.add(tr)
+	}
+	for _, tr := range all {
+		switch {
+		case f.baseRef.triples[tr] || f.overlayRef.triples[tr]:
+			// drawn twice: the first draw placed it
+		case rng.Intn(2) == 0:
+			toBase(tr)
+		default:
+			f.overlay.MustAdd(tr)
+			f.overlayRef.add(tr)
+			if shadow && rng.Intn(3) == 0 {
+				toBase(tr)
+			}
+		}
+	}
+	for i := 0; i < 40; i++ {
+		toBase(Triple{fmt.Sprintf("s%d", i), fmt.Sprintf("p%d", i%7), "baseonly"})
+	}
+	return f
+}
+
+// union is the reference of a view over the fixture: each triple once.
+func (f *objectOnlyFixture) union() *refStore {
+	u := newRef()
+	for tr := range f.baseRef.triples {
+		u.add(tr)
+	}
+	for tr := range f.overlayRef.triples {
+		u.add(tr)
+	}
+	return u
+}
+
+// resolved renders id triples as sorted string triples, duplicates kept, so
+// two answers are equal exactly when they are equal as multisets.
+func resolved(res Resolver, ts []IDTriple) []Triple {
+	out := make([]Triple, 0, len(ts))
+	for _, t := range ts {
+		out = append(out, Triple{res.Name(t.S), res.Name(t.P), res.Name(t.O)})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
+	return out
+}
+
+// checkObjectOnly compares every read surface of r on the object-only
+// pattern of each probe object against ref.
+func checkObjectOnly(t *testing.T, what string, r idReader, syms *Store, ref *refStore) {
+	t.Helper()
+	res := syms.NewResolver()
+	var batch []IDPattern
+	var batchWant [][]Triple
+	for _, object := range objectOnlyProbes {
+		want := ref.query(Pattern{Object: object})
+		if want == nil {
+			want = []Triple{}
+		}
+		oid, ok := syms.SymbolID(object)
+		if !ok {
+			if len(want) != 0 {
+				t.Fatalf("%s: %q is in the reference but was never interned", what, object)
+			}
+			// A never-minted id must match nothing on any surface.
+			oid = SymbolID(syms.DictLen() + 7)
+		}
+		p := IDPattern{O: oid, BoundO: true}
+
+		var got []IDTriple
+		r.QueryIDFunc(p, func(tr IDTriple) bool {
+			got = append(got, tr)
+			return true
+		})
+		if g := resolved(res, got); !reflect.DeepEqual(g, want) {
+			t.Fatalf("%s: QueryIDFunc(? ? %s) = %v, reference says %v", what, object, g, want)
+		}
+		if c := r.CountID(p); c != len(want) {
+			t.Fatalf("%s: CountID(? ? %s) = %d, reference says %d", what, object, c, len(want))
+		}
+		preds := map[string]bool{}
+		for _, tr := range want {
+			preds[tr.Predicate] = true
+		}
+		st := r.StatsID(p)
+		if st.Count != len(want) {
+			t.Fatalf("%s: StatsID(? ? %s).Count = %d, reference says %d", what, object, st.Count, len(want))
+		}
+		// A view sums its members' widths, so a predicate used on both sides
+		// counts twice there: exact on a store, an upper bound on a view.
+		if _, isStore := r.(*Store); isStore && st.DistinctP != len(preds) {
+			t.Fatalf("%s: StatsID(? ? %s).DistinctP = %d, reference says %d", what, object, st.DistinctP, len(preds))
+		} else if st.DistinctP < len(preds) || st.DistinctP > 2*len(preds) {
+			t.Fatalf("%s: StatsID(? ? %s).DistinctP = %d for %d predicates", what, object, st.DistinctP, len(preds))
+		}
+		if len(want) > 0 && (st.DistinctS < 1 || st.DistinctS > 2*len(want) || st.DistinctO < 1) {
+			t.Fatalf("%s: StatsID(? ? %s) = %+v for %d matches", what, object, st, len(want))
+		}
+
+		for _, size := range []int{1, 7, 1024} {
+			got = got[:0]
+			buf := make([]IDTriple, size)
+			for _, pt := range r.ScanParts(p) {
+				for done := false; !done; {
+					var n int
+					n, done = pt.NextBatch(buf)
+					got = append(got, buf[:n]...)
+					if len(pt.pending) != 0 {
+						t.Fatalf("%s: object-only cursor spilled %d triples", what, len(pt.pending))
+					}
+				}
+				pt.Release()
+			}
+			if g := resolved(res, got); !reflect.DeepEqual(g, want) {
+				t.Fatalf("%s: ScanParts(? ? %s) drained %d at a time = %v, reference says %v", what, object, size, g, want)
+			}
+		}
+
+		got = got[:0]
+		r.QueryIDBatch([]IDPattern{p}, func(pi int, tr IDTriple) bool {
+			if pi != 0 {
+				t.Fatalf("%s: a batch of one probe answered probe %d", what, pi)
+			}
+			got = append(got, tr)
+			return true
+		})
+		if g := resolved(res, got); !reflect.DeepEqual(g, want) {
+			t.Fatalf("%s: QueryIDBatch(? ? %s) = %v, reference says %v", what, object, g, want)
+		}
+		batch = append(batch, p)
+		batchWant = append(batchWant, want)
+	}
+
+	// 300 probes of the one shape: the probe objects over and over.
+	ps := make([]IDPattern, 300)
+	for i := range ps {
+		ps[i] = batch[i%len(batch)]
+	}
+	answers := make([][]IDTriple, len(ps))
+	r.QueryIDBatch(ps, func(pi int, tr IDTriple) bool {
+		answers[pi] = append(answers[pi], tr)
+		return true
+	})
+	for i := range ps {
+		if g, want := resolved(res, answers[i]), batchWant[i%len(batch)]; !reflect.DeepEqual(g, want) {
+			t.Fatalf("%s: probe %d of a 300-probe QueryIDBatch (? ? %s) = %v, reference says %v",
+				what, i, objectOnlyProbes[i%len(batch)], g, want)
+		}
+	}
+}
+
+// TestObjectOnlyMatchesReference: on random stores, object-only answers from
+// every read surface equal the naive filter as multisets — on a Store, on a
+// disjoint View and on a plain View whose members share triples.
+func TestObjectOnlyMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		f := newObjectOnlyFixture(seed, false)
+		shards := map[uint32]bool{}
+		f.base.QueryIDFunc(IDPattern{O: mustID(t, f.base, "o20"), BoundO: true}, func(tr IDTriple) bool {
+			shards[shardOf(tr.P)] = true
+			return true
+		})
+		if len(shards) < 4 {
+			t.Fatalf("seed %d: o20's predicates fall in %d POS shards; the fixture should spread them", seed, len(shards))
+		}
+		checkObjectOnly(t, fmt.Sprintf("seed %d base", seed), f.base, f.base, f.baseRef)
+		checkObjectOnly(t, fmt.Sprintf("seed %d overlay", seed), f.overlay, f.base, f.overlayRef)
+		for tr := range f.overlayRef.triples {
+			if f.baseRef.triples[tr] {
+				t.Fatalf("seed %d: %v is in both members of the disjoint fixture", seed, tr)
+			}
+		}
+		disjoint, err := NewDisjointView(f.base, f.overlay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkObjectOnly(t, fmt.Sprintf("seed %d disjoint view", seed), disjoint, f.base, f.union())
+
+		g := newObjectOnlyFixture(seed, true)
+		plain, err := NewView(g.base, g.overlay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shadowed := 0
+		for tr := range g.overlayRef.triples {
+			if g.baseRef.triples[tr] {
+				shadowed++
+			}
+		}
+		if shadowed == 0 {
+			t.Fatalf("seed %d: the shadowing fixture has no triple in both members", seed)
+		}
+		checkObjectOnly(t, fmt.Sprintf("seed %d plain view", seed), plain, g.base, g.union())
+	}
+}
+
+func mustID(t *testing.T, s *Store, name string) SymbolID {
+	t.Helper()
+	id, ok := s.SymbolID(name)
+	if !ok {
+		t.Fatalf("%q was never interned", name)
+	}
+	return id
+}
+
+// TestObjectOnlyEarlyStop: a yield returning false ends the fan-out at once —
+// within the current predicate's subject list, not at its end, and with no
+// later predicate or shard visited.
+func TestObjectOnlyEarlyStop(t *testing.T) {
+	s := New()
+	for p := 0; p < 30; p++ {
+		for i := 0; i < 10; i++ {
+			s.MustAdd(Triple{fmt.Sprintf("s%d", i), fmt.Sprintf("p%d", p), "hub"})
+		}
+	}
+	overlay := s.NewOverlay()
+	overlay.MustAdd(Triple{"extra", "p0", "hub"})
+	view, err := NewView(s, overlay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := IDPattern{O: mustID(t, s, "hub"), BoundO: true}
+	for name, r := range map[string]idReader{"store": s, "view": view} {
+		for _, stopAfter := range []int{1, 3, 14} {
+			n := 0
+			r.QueryIDFunc(p, func(IDTriple) bool { n++; return n < stopAfter })
+			if n != stopAfter {
+				t.Errorf("%s: QueryIDFunc stopped after %d yields, want %d", name, n, stopAfter)
+			}
+			n = 0
+			r.QueryIDBatch([]IDPattern{p, p, p}, func(int, IDTriple) bool { n++; return n < stopAfter })
+			if n != stopAfter {
+				t.Errorf("%s: QueryIDBatch stopped after %d yields, want %d", name, n, stopAfter)
+			}
+		}
+	}
+}
+
+// TestObjectOnlyCursorIsBounded: a class with a 5 000-subject posting list is
+// streamed by position — every refill returns at most one batch and the
+// cursor never buffers a triple of its own — on a store and as the overlay
+// part of a plain view, whose dedup probe drops the shadowed half on the way.
+func TestObjectOnlyCursorIsBounded(t *testing.T) {
+	const subjects, batchSize = 5000, 64
+	base := New()
+	overlay := base.NewOverlay()
+	var batch []Triple
+	for i := 0; i < subjects; i++ {
+		batch = append(batch, Triple{fmt.Sprintf("inst%d", i), "type", "big"})
+	}
+	for p := 0; p < 20; p++ {
+		batch = append(batch, Triple{"x", fmt.Sprintf("p%d", p), "big"})
+	}
+	if _, err := overlay.AddBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := base.AddBatch(batch[:subjects/2]); err != nil {
+		t.Fatal(err)
+	}
+	view, err := NewView(base, overlay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := IDPattern{O: mustID(t, base, "big"), BoundO: true}
+	drain := func(what string, pt *ScanPart, want int) {
+		t.Helper()
+		buf := make([]IDTriple, batchSize)
+		seen := map[IDTriple]bool{}
+		for done := false; !done; {
+			var n int
+			n, done = pt.NextBatch(buf)
+			if len(pt.pending) != 0 {
+				t.Fatalf("%s: cursor holds %d spilled triples", what, len(pt.pending))
+			}
+			for _, tr := range buf[:n] {
+				if seen[tr] {
+					t.Fatalf("%s: %v reported twice", what, tr)
+				}
+				seen[tr] = true
+			}
+		}
+		if cap(pt.pending) != 0 || cap(pt.leads) > 64 {
+			t.Fatalf("%s: drained cursor kept a %d-triple spill buffer and %d lead keys", what, cap(pt.pending), cap(pt.leads))
+		}
+		if len(seen) != want {
+			t.Fatalf("%s: drained %d triples, want %d", what, len(seen), want)
+		}
+	}
+	// Fresh cursors, not pooled ones: the capacity check above is about what
+	// this scan allocated.
+	fresh := func(s *Store, dedup *Store) *ScanPart {
+		pt := s.scanPart(p)
+		pt.leads, pt.pending, pt.dedup = nil, nil, dedup
+		return pt
+	}
+	drain("store", fresh(overlay, nil), subjects+20)
+	drain("view overlay part", fresh(overlay, view.base), subjects/2+20)
+}
+
+// walkShardTripleCount is ShardTripleCount's reference: the walk over every
+// lead entry and trailing set that the method used to be.
+func walkShardTripleCount(s *Store, i int) int {
+	sh := &s.spo[i]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	n := 0
+	for _, e := range sh.m {
+		for j := range e.entries {
+			n += e.entries[j].trail.len()
+		}
+	}
+	return n
+}
+
+// TestShardTripleCount: the per-shard counter agrees with a walk of the shard
+// after every kind of write — single and batch adds, string- and id-level
+// removes, a bulk load and a clear — and the shards sum to Len.
+func TestShardTripleCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	s := New()
+	check := func(stage string) {
+		t.Helper()
+		sum := 0
+		for i := 0; i < s.NumShards(); i++ {
+			got, want := s.ShardTripleCount(i), walkShardTripleCount(s, i)
+			if got != want {
+				t.Fatalf("%s: ShardTripleCount(%d) = %d, a walk of the shard counts %d", stage, i, got, want)
+			}
+			sum += got
+		}
+		if sum != s.Len() {
+			t.Fatalf("%s: shards sum to %d, Len is %d", stage, sum, s.Len())
+		}
+		// The POS shards keep the same count of the same triples.
+		pos := 0
+		for i := range s.pos {
+			pos += s.pos[i].n
+		}
+		if pos != s.Len() {
+			t.Fatalf("%s: POS shards sum to %d, Len is %d", stage, pos, s.Len())
+		}
+	}
+	wide := func() Triple {
+		return Triple{fmt.Sprintf("s%d", rng.Intn(300)), fmt.Sprintf("p%d", rng.Intn(6)), fmt.Sprintf("o%d", rng.Intn(40))}
+	}
+	check("empty")
+	for round := 0; round < 4; round++ {
+		for i := 0; i < 400; i++ {
+			if _, err := s.Add(wide()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check("after Add")
+		batch := make([]Triple, 500)
+		for i := range batch {
+			batch[i] = wide()
+		}
+		if _, err := s.AddBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		check("after AddBatch")
+		for i := 0; i < 300; i++ {
+			s.Remove(wide())
+		}
+		check("after Remove")
+		_, ids := dumpIDState(s)
+		for i := 0; i < len(ids); i += 3 {
+			if !s.RemoveID(ids[i]) {
+				t.Fatalf("RemoveID(%v) missed a present triple", ids[i])
+			}
+		}
+		s.RemoveID(ids[0]) // absent now: must not count
+		check("after RemoveID")
+	}
+	_, ids := dumpIDState(s)
+	if err := s.Clear(); err != nil {
+		t.Fatal(err)
+	}
+	check("after Clear")
+	if err := s.LoadSorted(ids); err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != len(ids) || len(ids) == 0 {
+		t.Fatalf("LoadSorted left %d triples of %d", s.Len(), len(ids))
+	}
+	check("after LoadSorted")
+	for i := 0; i < 200; i++ {
+		s.MustAdd(wide())
+		s.Remove(wide())
+	}
+	check("after writes to the bulk-built shards")
+	if s.ShardTripleCount(-1) != 0 || s.ShardTripleCount(s.NumShards()) != 0 {
+		t.Fatal("an out-of-range shard reports triples")
+	}
+}

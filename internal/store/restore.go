@@ -5,7 +5,7 @@ import (
 	"sync"
 )
 
-// This file is the store's bulk-build path: LoadSorted builds the three index
+// This file is the store's bulk-build path: LoadSorted builds the two index
 // families of an empty store from a sorted triple set without going through
 // the mutation path at all, and RestoreSorted is LoadSorted behind a freshly
 // installed dictionary. The per-triple path (AddIDBatch → insertBatch) exists
@@ -106,11 +106,11 @@ func (s *Store) Clear() error {
 	if s.getJournal() != nil {
 		return fmt.Errorf("store: Clear bypasses the mutation path and would not journal; detach the journal first")
 	}
-	for _, fam := range [...]*indexFamily{&s.spo, &s.pos, &s.osp} {
+	for _, fam := range [...]*indexFamily{&s.spo, &s.pos} {
 		for i := range fam {
 			sh := &fam[i]
 			sh.mu.Lock()
-			sh.m = nil
+			sh.m, sh.n = nil, 0
 			sh.mu.Unlock()
 		}
 	}
@@ -132,19 +132,19 @@ func checkSorted(triples []IDTriple, n SymbolID) error {
 	return nil
 }
 
-// loadSorted builds the three permutation families of an empty store from
+// loadSorted builds the two permutation families of an empty store from
 // validated input, concurrently, each family's non-empty shards in parallel.
 // Bucketing rotates every triple into the family's own (lead, mid, trail)
 // frame up front, so the sort and build loops touch plain struct fields
 // instead of calling accessor closures per element — on a multi-million-
 // triple load those calls are the difference between memory-bound and
 // call-bound. The SPO family receives the input ordering directly (bucketing
-// is stable, so each bucket stays (lead, mid)-sorted); POS and OSP buckets
-// are re-sorted inside the shard's goroutine.
+// is stable, so each bucket stays (lead, mid)-sorted); POS buckets are
+// re-sorted inside the shard's goroutine.
 func (s *Store) loadSorted(triples []IDTriple) {
 	var wg sync.WaitGroup
-	build := func(fam *indexFamily, rot rotation, presorted bool) {
-		buckets := bucketByShard(triples, rot)
+	build := func(fam *indexFamily, rotated bool) {
+		buckets := bucketByShard(triples, rotated)
 		for i := range fam {
 			if len(buckets[i]) == 0 {
 				continue
@@ -152,71 +152,49 @@ func (s *Store) loadSorted(triples []IDTriple) {
 			wg.Add(1)
 			go func(sh *shard, bucket []IDTriple) {
 				defer wg.Done()
-				if !presorted {
+				if rotated {
 					radixSortIDTriples(bucket, 2)
 				}
 				buildShardSorted(sh, bucket)
 			}(&fam[i], buckets[i])
 		}
 	}
-	build(&s.spo, rotSPO, true)
-	build(&s.pos, rotPOS, false)
-	build(&s.osp, rotOSP, false)
+	build(&s.spo, false)
+	build(&s.pos, true)
 	wg.Wait()
 	s.size.Store(int64(len(triples)))
 }
 
-// rotation names the component permutation a family's buckets are built in:
-// which original component becomes the (lead, mid, trail) = (S, P, O) frame.
-type rotation int
-
-const (
-	rotSPO rotation = iota // identity: lead S, mid P, trail O
-	rotPOS                 // lead P, mid O, trail S
-	rotOSP                 // lead O, mid S, trail P
-)
-
-// bucketByShard splits ts into numShards slices by the shard of the permuted
-// leading component, rotating every triple into the family's frame on the way
-// in and preserving relative order. Two counted passes, so every bucket is
-// allocated at its exact final size. The rotation is dispatched once per pass
-// rather than per element — a closure call per triple here costs more than
-// the copy itself.
-func bucketByShard(ts []IDTriple, rot rotation) [numShards][]IDTriple {
+// bucketByShard splits ts into numShards slices by the shard of the family's
+// leading component, preserving relative order: as is for SPO, or — rotated —
+// with every triple turned into the POS frame (lead P, mid O, trail S) on the
+// way in. Two counted passes, so every bucket is allocated at its exact final
+// size. The rotation is dispatched once per pass rather than per element — a
+// closure call per triple here costs more than the copy itself.
+func bucketByShard(ts []IDTriple, rotated bool) [numShards][]IDTriple {
 	var counts [numShards]int
-	switch rot {
-	case rotSPO:
-		for _, t := range ts {
-			counts[shardOf(t.S)]++
-		}
-	case rotPOS:
+	if rotated {
 		for _, t := range ts {
 			counts[shardOf(t.P)]++
 		}
-	case rotOSP:
+	} else {
 		for _, t := range ts {
-			counts[shardOf(t.O)]++
+			counts[shardOf(t.S)]++
 		}
 	}
 	var buckets [numShards][]IDTriple
 	for i := range buckets {
 		buckets[i] = make([]IDTriple, 0, counts[i])
 	}
-	switch rot {
-	case rotSPO:
-		for _, t := range ts {
-			i := shardOf(t.S)
-			buckets[i] = append(buckets[i], t)
-		}
-	case rotPOS:
+	if rotated {
 		for _, t := range ts {
 			i := shardOf(t.P)
 			buckets[i] = append(buckets[i], IDTriple{S: t.P, P: t.O, O: t.S})
 		}
-	case rotOSP:
+	} else {
 		for _, t := range ts {
-			i := shardOf(t.O)
-			buckets[i] = append(buckets[i], IDTriple{S: t.O, P: t.S, O: t.P})
+			i := shardOf(t.S)
+			buckets[i] = append(buckets[i], t)
 		}
 	}
 	return buckets
@@ -360,11 +338,12 @@ func radixSortIDTriples(ts []IDTriple, comps int) {
 // first append after the load copies the run and strands its arena bytes for
 // good: harmless for the millions of short runs the arenas exist for (a few
 // hundred bytes each, and most are never touched again), ruinous for the few
-// long ones every write lands in — the instances of a class, 40 bytes per
-// (class, subject) pair in the OSP family, were 43 MB of a 1.19 M-triple
-// overlay, re-allocated on the first insert into each class. An eighth is the
-// slack an append-grown slice of that size carries on average, so a loaded
-// store meets its first writes the way an incrementally built one would.
+// long ones every write lands in — the subject list of a class under POS
+// (type, class), 4 bytes per instance and tens of thousands of instances,
+// would be re-allocated whole on the first insert into each class. An eighth
+// is the slack an append-grown slice of that size carries on average, so a
+// loaded store meets its first writes the way an incrementally built one
+// would.
 const arenaRunMax = 256
 
 // carve returns room for a run of n elements: the front of the arena, capped
@@ -383,9 +362,9 @@ func carve[T any](arena *[]T, n int) []T {
 // is sorted by (lead, mid) = (S, P) with the trail in O. Runs sharing a lead
 // become one leadEntry, runs sharing (lead, mid) one trailing set, and every
 // level is carved out of three arena allocations sized by a counting pass —
-// for a family like OSP, whose lead is near-unique, per-entry allocation
-// would mean millions of tiny objects for the GC to trace — except the runs
-// past arenaRunMax (see carve). Spill indexes are built once, after each
+// for SPO, whose leads are the store's subjects, per-entry allocation would
+// mean millions of tiny objects for the GC to trace — except the runs past
+// arenaRunMax (see carve). Spill indexes are built once, after each
 // level's final size is known, instead of incrementally as the mutation path
 // must.
 func buildShardSorted(sh *shard, bucket []IDTriple) {
@@ -426,6 +405,7 @@ func buildShardSorted(sh *shard, bucket []IDTriple) {
 	midArena := make([]midTrail, mids)
 	elemArena := make([]uint32, elems)
 	sh.m = make(map[uint32]*leadEntry, leads)
+	sh.n = len(bucket)
 	for i := 0; i < len(bucket); {
 		l := bucket[i].S
 		j, nm := i, 0

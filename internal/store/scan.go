@@ -14,24 +14,19 @@ import "sync"
 // thousand triples.
 
 // Index families a ScanPart can walk, in the lead/mid/trail vocabulary of
-// shard.go: famSPO has subjects leading, famPOS predicates, famOSP objects.
+// shard.go: famSPO has subjects leading, famPOS predicates.
 const (
 	famSPO = iota
 	famPOS
-	famOSP
 )
 
 // tripleOf reassembles an IDTriple from a family's (lead, mid, trail)
 // coordinates.
 func tripleOf(fam uint8, lead, mid, trail uint32) IDTriple {
-	switch fam {
-	case famPOS:
+	if fam == famPOS {
 		return IDTriple{S: trail, P: lead, O: mid}
-	case famOSP:
-		return IDTriple{S: mid, P: trail, O: lead}
-	default:
-		return IDTriple{S: lead, P: mid, O: trail}
 	}
+	return IDTriple{S: lead, P: mid, O: trail}
 }
 
 // ScanPart is a resumable cursor over the triples of one store matching a
@@ -57,16 +52,19 @@ type ScanPart struct {
 	trailBound bool
 	trail      uint32
 	allBound   bool
-	unbound    bool // full scan over the owner's SPO shards
+	// allLeads marks the two shapes with no lead to look up, which walk every
+	// lead of every shard of fam instead: the unbound full scan (SPO) and,
+	// with midBound, the object-only fan-out (POS, mid the object).
+	allLeads bool
 
-	// Cursor state. For unbound scans: the current shard, its snapshotted
+	// Cursor state. For allLeads scans: the current shard, its snapshotted
 	// lead keys and the position in them. For single-lead scans: the
 	// position in the lead's entries (open-ended, so entries appended after
-	// the cursor was created are not missed) and the position within the
-	// current entry's trailing element slice — trailing sets keep their
-	// members in an indexable slice whatever their size, so a refill stops
-	// exactly at the batch boundary and resumes by position (re-clamped each
-	// refill, since the set may have mutated in between).
+	// the cursor was created are not missed). Both: the position within the
+	// current trailing element slice — trailing sets keep their members in
+	// an indexable slice whatever their size, so a refill stops exactly at
+	// the batch boundary and resumes by position (re-clamped each refill,
+	// since the set may have mutated in between).
 	shard     int
 	leads     []uint32
 	haveLeads bool
@@ -76,8 +74,8 @@ type ScanPart struct {
 
 	// pending spills triples that did not fit the caller's batch on the
 	// unbound full-scan path, where a whole lead entry (one subject's few
-	// predicates and objects) is enumerated per lock hold; single-lead
-	// scans never spill.
+	// predicates and objects) is enumerated per lock hold; no other shape
+	// spills.
 	pending []IDTriple
 	pendPos int
 	done    bool
@@ -93,8 +91,8 @@ func (pt *ScanPart) NextBatch(out []IDTriple) (int, bool) {
 	if n == len(out) || pt.done {
 		return n, pt.exhausted()
 	}
-	if pt.unbound {
-		n = pt.fillUnbound(out, n)
+	if pt.allLeads {
+		n = pt.fillShards(out, n)
 	} else {
 		n = pt.fillLead(out, n)
 	}
@@ -135,12 +133,17 @@ func (pt *ScanPart) emit(t IDTriple, out []IDTriple, n *int) {
 	}
 }
 
-// fillUnbound advances a full-scan part: the SPO shards in order, lead keys
-// snapshotted per shard, each lead's whole entry enumerated in one lock hold
-// (overflow spills into pending).
-func (pt *ScanPart) fillUnbound(out []IDTriple, n int) int {
+// fillShards advances an allLeads part — the unbound full scan over the SPO
+// shards or the object-only fan-out over the POS shards — shard by shard,
+// lead keys snapshotted per shard. The full scan enumerates each lead's whole
+// entry in one lock hold (overflow spills into pending). The fan-out finds
+// the object under each predicate lead and streams that one subject list by
+// position, as a single-lead midBound part does, so a class with a hundred
+// thousand instances never outgrows the caller's batch.
+func (pt *ScanPart) fillShards(out []IDTriple, n int) int {
+	fam := pt.family()
 	for pt.shard < numShards && n < len(out) {
-		sh := &pt.owner.spo[pt.shard]
+		sh := &fam[pt.shard]
 		sh.mu.RLock()
 		if !pt.haveLeads {
 			pt.leads = pt.leads[:0]
@@ -153,7 +156,14 @@ func (pt *ScanPart) fillUnbound(out []IDTriple, n int) int {
 		}
 		for pt.leadPos < len(pt.leads) && n < len(out) {
 			lead := pt.leads[pt.leadPos]
-			if e := sh.m[lead]; e != nil {
+			listDone := true
+			switch e := sh.m[lead]; {
+			case e == nil: // removed since the snapshot
+			case pt.midBound:
+				if set := e.find(pt.mid); set != nil {
+					n, listDone = pt.fillElems(lead, pt.mid, set.elems, out, n)
+				}
+			default:
 				e.forEach(func(mid uint32, trail *idSet) bool {
 					trail.forEach(func(c uint32) bool {
 						pt.emit(IDTriple{S: lead, P: mid, O: c}, out, &n)
@@ -162,7 +172,11 @@ func (pt *ScanPart) fillUnbound(out []IDTriple, n int) int {
 					return true
 				})
 			}
+			if !listDone {
+				break // out is full mid-list; the next refill resumes at trailPos
+			}
 			pt.leadPos++
+			pt.trailPos = 0
 		}
 		finished := pt.leadPos >= len(pt.leads)
 		sh.mu.RUnlock()
@@ -179,14 +193,52 @@ func (pt *ScanPart) fillUnbound(out []IDTriple, n int) int {
 
 // family returns the owner's index family the part walks.
 func (pt *ScanPart) family() *indexFamily {
-	switch pt.fam {
-	case famPOS:
+	if pt.fam == famPOS {
 		return &pt.owner.pos
-	case famOSP:
-		return &pt.owner.osp
-	default:
-		return &pt.owner.spo
 	}
+	return &pt.owner.spo
+}
+
+// fillElems copies one trailing set's members into out as triples under
+// (lead, mid) of the part's family, from trailPos on, and reports whether the
+// set is exhausted. This is the leaf of the hot scan shape (two bound
+// components, e.g. every {?x type class}): it fills straight from the element
+// slice with the family dispatch hoisted out of the loop, and stops at the
+// batch boundary rather than spilling the rest, which keeps both the lock
+// hold and the cursor's memory bounded however large the posting list is.
+// trailPos is re-clamped first: the set may have shrunk since the last
+// refill.
+func (pt *ScanPart) fillElems(lead, mid uint32, elems []uint32, out []IDTriple, n int) (int, bool) {
+	if pt.trailPos > len(elems) {
+		pt.trailPos = len(elems)
+	}
+	switch {
+	case pt.dedup != nil:
+		// dedup is the view's base store, not pt.owner: its shard locks are
+		// distinct from the one the caller holds, so the probe cannot
+		// self-deadlock.
+		for pt.trailPos < len(elems) && n < len(out) {
+			t := tripleOf(pt.fam, lead, mid, elems[pt.trailPos])
+			pt.trailPos++
+			if !pt.dedup.ContainsID(t) {
+				out[n] = t
+				n++
+			}
+		}
+	case pt.fam == famPOS:
+		for pt.trailPos < len(elems) && n < len(out) {
+			out[n] = IDTriple{S: elems[pt.trailPos], P: lead, O: mid}
+			n++
+			pt.trailPos++
+		}
+	default:
+		for pt.trailPos < len(elems) && n < len(out) {
+			out[n] = IDTriple{S: lead, P: mid, O: elems[pt.trailPos]}
+			n++
+			pt.trailPos++
+		}
+	}
+	return n, pt.trailPos >= len(elems)
 }
 
 // fillLead advances a single-lead part: the lead entry is re-looked-up under
@@ -214,52 +266,7 @@ func (pt *ScanPart) fillLead(out []IDTriple, n int) int {
 			pt.done = true
 			return n
 		}
-		// The hot leaf shape (two bound components, e.g. every
-		// {?x type class} scan): fill straight from the element slice,
-		// resuming by position, with the family dispatch hoisted out of
-		// the loop. Stopping at the batch boundary (rather than spilling
-		// the rest) keeps both the lock hold and the cursor's memory
-		// bounded however large the posting list is.
-		elems := set.elems
-		if pt.trailPos > len(elems) {
-			pt.trailPos = len(elems)
-		}
-		lead, mid := pt.lead, pt.mid
-		if pt.dedup == nil {
-			switch pt.fam {
-			case famPOS:
-				for pt.trailPos < len(elems) && n < len(out) {
-					out[n] = IDTriple{S: elems[pt.trailPos], P: lead, O: mid}
-					n++
-					pt.trailPos++
-				}
-			case famOSP:
-				for pt.trailPos < len(elems) && n < len(out) {
-					out[n] = IDTriple{S: mid, P: elems[pt.trailPos], O: lead}
-					n++
-					pt.trailPos++
-				}
-			default:
-				for pt.trailPos < len(elems) && n < len(out) {
-					out[n] = IDTriple{S: lead, P: mid, O: elems[pt.trailPos]}
-					n++
-					pt.trailPos++
-				}
-			}
-		} else {
-			for pt.trailPos < len(elems) && n < len(out) {
-				t := tripleOf(pt.fam, lead, mid, elems[pt.trailPos])
-				pt.trailPos++
-				//ontolint:ignore lockcheck dedup is the view's base store, not pt.owner; its shard locks are distinct so the probe cannot self-deadlock
-				if !pt.dedup.ContainsID(t) {
-					out[n] = t
-					n++
-				}
-			}
-		}
-		if pt.trailPos >= len(elems) {
-			pt.done = true
-		}
+		n, pt.done = pt.fillElems(pt.lead, pt.mid, set.elems, out, n)
 	default:
 		for pt.midPos < len(e.entries) && n < len(out) {
 			mt := &e.entries[pt.midPos]
@@ -275,23 +282,8 @@ func (pt *ScanPart) fillLead(out []IDTriple, n int) int {
 				pt.midPos++
 				continue
 			}
-			// Resume within the current entry's element slice, exactly as
-			// the midBound fast path does, so one huge trailing set never
-			// spills past the batch boundary.
-			elems := mt.trail.elems
-			if pt.trailPos > len(elems) {
-				pt.trailPos = len(elems)
-			}
-			for pt.trailPos < len(elems) && n < len(out) {
-				t := tripleOf(pt.fam, pt.lead, mt.mid, elems[pt.trailPos])
-				pt.trailPos++
-				//ontolint:ignore lockcheck dedup is the view's base store, not pt.owner; its shard locks are distinct so the probe cannot self-deadlock
-				if pt.dedup == nil || !pt.dedup.ContainsID(t) {
-					out[n] = t
-					n++
-				}
-			}
-			if pt.trailPos >= len(elems) {
+			var finished bool
+			if n, finished = pt.fillElems(pt.lead, mt.mid, mt.trail.elems, out, n); finished {
 				pt.midPos++
 				pt.trailPos = 0
 			}
@@ -341,7 +333,9 @@ func (pt *ScanPart) Release() {
 // the same way. A store answers with exactly one part; the slice form is what
 // lets a View answer with one per member. Drain each part with NextBatch, in
 // order; each refill costs one shard lock round trip however many triples it
-// moves.
+// moves, except the two shapes that walk whole families — unbound, and
+// object-only, which pays one find per predicate — and cross a shard
+// boundary whenever a shard runs out before the batch is full.
 func (s *Store) ScanParts(p IDPattern) []*ScanPart {
 	return []*ScanPart{s.scanPart(p)}
 }
@@ -364,9 +358,9 @@ func (s *Store) scanPart(p IDPattern) *ScanPart {
 	case p.BoundP:
 		pt.fam, pt.lead = famPOS, p.P
 	case p.BoundO:
-		pt.fam, pt.lead = famOSP, p.O
+		pt.fam, pt.mid, pt.midBound, pt.allLeads = famPOS, p.O, true, true
 	default:
-		pt.unbound = true
+		pt.allLeads = true
 	}
 	return pt
 }
@@ -430,23 +424,30 @@ func (s *Store) QueryIDBatch(ps []IDPattern, yield func(pi int, t IDTriple) bool
 	// more bound component produces — run fully specialized loops: lead
 	// extraction, shard grouping, map lookup, entry find and element walk
 	// are all inlined with no per-probe dispatch, because this is the
-	// innermost loop of every batched join. Everything else goes through
-	// the general per-probe dispatch.
+	// innermost loop of every batched join. Object-only probes have no lead
+	// to group by: every POS shard is locked once and answers each probe's
+	// share. Everything else goes through the general per-probe dispatch.
 	switch {
 	case shape.BoundS && shape.BoundP && !shape.BoundO:
 		s.batchProbeSP(ps, yield)
 	case shape.BoundP && shape.BoundO && !shape.BoundS:
 		s.batchProbePO(ps, yield)
+	case !shape.BoundS && !shape.BoundP:
+		for shIdx := range s.pos {
+			sh := &s.pos[shIdx]
+			sh.mu.RLock()
+			for pi := range ps {
+				if !probeShardLocked(sh, ps[pi], pi, yield) {
+					sh.mu.RUnlock()
+					return
+				}
+			}
+			sh.mu.RUnlock()
+		}
 	default:
-		var fams *indexFamily
-		var leadOf func(IDPattern) uint32
-		switch {
-		case shape.BoundS:
-			fams, leadOf = &s.spo, func(p IDPattern) uint32 { return p.S }
-		case shape.BoundP:
+		fams, leadOf := &s.spo, func(p IDPattern) uint32 { return p.S }
+		if !shape.BoundS {
 			fams, leadOf = &s.pos, func(p IDPattern) uint32 { return p.P }
-		default:
-			fams, leadOf = &s.osp, func(p IDPattern) uint32 { return p.O }
 		}
 		order, counts, release := groupByShard(ps, leadOf)
 		defer release()
@@ -598,13 +599,13 @@ func (s *Store) batchProbePO(ps []IDPattern, yield func(pi int, t IDTriple) bool
 	}
 }
 
-// probeShardLocked answers one probe from its (already read-locked) shard,
-// reporting false when yield stopped the enumeration. The branch structure
-// mirrors QueryIDFunc's family dispatch, minus the locking; trailing sets
-// are walked with explicit loops over the adaptive representation rather
-// than forEach closures — this is the innermost loop of every batched join,
-// and a closure per probe is exactly the per-binding cost batching exists
-// to remove.
+// probeShardLocked answers one probe from its (already read-locked) shard —
+// for an object-only probe, that POS shard's share of the answer — reporting
+// false when yield stopped the enumeration. The branch structure mirrors
+// QueryIDFunc's family dispatch, minus the locking; trailing sets are walked
+// with explicit loops over the adaptive representation rather than forEach
+// closures — this is the innermost loop of every batched join, and a closure
+// per probe is exactly the per-binding cost batching exists to remove.
 func probeShardLocked(sh *shard, p IDPattern, pi int, yield func(int, IDTriple) bool) bool {
 	switch {
 	case p.BoundS:
@@ -658,13 +659,8 @@ func probeShardLocked(sh *shard, p IDPattern, pi int, yield func(int, IDTriple) 
 		}
 		return true
 	default: // BoundO
-		e := sh.m[p.O]
-		if e == nil {
-			return true
-		}
-		for i := range e.entries {
-			mt := &e.entries[i]
-			if !emitSet(&mt.trail, pi, yield, famOSP, p.O, mt.mid) {
+		for pid, e := range sh.m {
+			if set := e.find(p.O); set != nil && !emitSet(set, pi, yield, famPOS, pid, p.O) {
 				return false
 			}
 		}

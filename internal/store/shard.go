@@ -2,21 +2,26 @@ package store
 
 import "sync"
 
-// The engine keeps the three canonical permutation indexes (SPO, POS, OSP)
-// as families of shards. Each family is sharded by a hash of its leading
-// component's id, and each shard carries its own RWMutex, so writers touching
-// different subjects (or predicates, or objects) proceed in parallel instead
-// of serializing behind one store-wide lock.
+// The engine keeps two permutation indexes, SPO and POS, as families of
+// shards. Each family is sharded by a hash of its leading component's id, and
+// each shard carries its own RWMutex, so writers touching different subjects
+// (or predicates) proceed in parallel instead of serializing behind one
+// store-wide lock. There is no object-led family: the one pattern shape it
+// would serve, object-only (? ? o), is computed from POS — the subjects of o
+// are already filed under every predicate that has o as an object — at
+// O(predicates) finds plus the matches, where a stored (object, subject)
+// level would cost 40 bytes per pair on data whose objects are classes with
+// thousands of instances.
 //
 // Inside a shard the two inner levels are adaptive rather than nested maps:
 // a lead's middle components live in a small linear-scanned slice that gains
 // a map index only past midSpill entries, and each trailing set is a small
-// unsorted uint32 slice that spills to a map past setSpill entries. Real
-// triple data is extremely skewed — most (subject, predicate) pairs have a
-// handful of objects while a few (predicate, object) pairs have thousands of
-// subjects — so almost all inserts touch only small pointer-free slices,
-// which cost a fraction of a map insert and are invisible to the garbage
-// collector.
+// unsorted uint32 slice that gains a value→position map past setSpill
+// members. Real triple data is extremely skewed — most (subject, predicate)
+// pairs have a handful of objects while a few (predicate, object) pairs have
+// thousands of subjects — so almost all inserts touch only small pointer-free
+// slices, which cost a fraction of a map insert and are invisible to the
+// garbage collector.
 
 // numShards is the shard count per index family. A power of two so the shard
 // selector is a mask; 16 is enough to spread institution-scale ingest across
@@ -25,7 +30,7 @@ const numShards = 16
 
 // midSpill is how many middle components a lead holds before linear scans
 // are replaced by a map index; setSpill is how many trailing ids a set holds
-// before spilling from a slice to a map.
+// before it gains its value→position map.
 const (
 	midSpill = 8
 	setSpill = 32
@@ -228,10 +233,12 @@ func (e *leadEntry) forEach(fn func(mid uint32, trail *idSet) bool) bool {
 }
 
 // shard is one lock-protected slice of a permutation index, mapping leading
-// components to their leadEntry.
+// components to their leadEntry. n is the number of triples filed in m, kept
+// by every path that changes m so reading it never walks the index.
 type shard struct {
 	mu sync.RWMutex
 	m  map[uint32]*leadEntry
+	n  int
 }
 
 // reserve sizes the lead map for about n upcoming leads; a no-op once the
@@ -253,7 +260,11 @@ func (sh *shard) insertLocked(a, b, c uint32) bool {
 		e = &leadEntry{}
 		sh.m[a] = e
 	}
-	return e.findOrCreate(b).add(c)
+	if !e.findOrCreate(b).add(c) {
+		return false
+	}
+	sh.n++
+	return true
 }
 
 // removeLocked deletes (a, b, c), reporting whether it was present, and
@@ -273,6 +284,7 @@ func (sh *shard) removeLocked(a, b, c uint32) bool {
 			delete(sh.m, a)
 		}
 	}
+	sh.n--
 	return true
 }
 
@@ -295,29 +307,26 @@ func (f *indexFamily) shard(lead uint32) *shard {
 	return &f[shardOf(lead)]
 }
 
-// tripleLocker acquires the three shard locks a single-triple write needs —
-// the subject's SPO shard, the predicate's POS shard and the object's OSP
-// shard — always in family order (SPO, POS, OSP), so concurrent writers
-// cannot deadlock and every Add/Remove updates all three indexes atomically
-// with respect to other single-triple writers.
+// tripleLocker acquires the two shard locks a single-triple write needs —
+// the subject's SPO shard and the predicate's POS shard — always in family
+// order (SPO, POS), so concurrent writers cannot deadlock and every
+// Add/Remove updates both indexes atomically with respect to other
+// single-triple writers.
 type tripleLocker struct {
-	spo, pos, osp *shard
+	spo, pos *shard
 }
 
 func (s *Store) lockTriple(e encTriple) tripleLocker {
 	l := tripleLocker{
 		spo: s.spo.shard(e.s),
 		pos: s.pos.shard(e.p),
-		osp: s.osp.shard(e.o),
 	}
-	l.spo.mu.Lock() //ontolint:ignore lockcheck held across return by design; the caller releases all three via tripleLocker.unlock
-	l.pos.mu.Lock() //ontolint:ignore lockcheck fixed family order (SPO, POS, OSP) makes the nested acquisition deadlock-free
-	l.osp.mu.Lock() //ontolint:ignore lockcheck fixed family order (SPO, POS, OSP) makes the nested acquisition deadlock-free
+	l.spo.mu.Lock() //ontolint:ignore lockcheck held across return by design; the caller releases both via tripleLocker.unlock
+	l.pos.mu.Lock() //ontolint:ignore lockcheck fixed family order (SPO, POS) makes the nested acquisition deadlock-free
 	return l
 }
 
 func (l tripleLocker) unlock() {
-	l.osp.mu.Unlock()
 	l.pos.mu.Unlock()
 	l.spo.mu.Unlock()
 }

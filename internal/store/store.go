@@ -6,11 +6,14 @@
 // domain drifts away from it (experiment E5).
 //
 // The engine is dictionary-encoded and sharded. Every subject, predicate and
-// object string is interned into a uint32 id by a symbol table, and the three
-// canonical permutation indexes (SPO, POS, OSP) are kept as id-based shard
-// families: each family is split numShards ways by a hash of its leading
-// component, and each shard has its own RWMutex, so concurrent writers only
-// contend when they touch the same shard. Ingest has a batch path (AddBatch)
+// object string is interned into a uint32 id by a symbol table, and two
+// permutation indexes (SPO, POS) are kept as id-based shard families: each
+// family is split numShards ways by a hash of its leading component, and each
+// shard has its own RWMutex, so concurrent writers only contend when they
+// touch the same shard. Seven of the eight bound shapes of a pattern land on
+// one lead of one family; the eighth, object-only (? ? o), fans out over the
+// POS family at O(predicates) finds plus the matches (see shard.go for why
+// no third rotation is stored). Ingest has a batch path (AddBatch)
 // that interns the whole batch under one symbol-table lock and visits every
 // index shard at most once, and reads have an allocation-free iterator form
 // (QueryIDFunc, ForEachSubject) alongside the materializing Query.
@@ -27,9 +30,9 @@
 // the id-level hooks in ids.go.
 //
 // Consistency: all methods are safe for concurrent use. Single-triple writes
-// (Add, Remove) lock all three affected shards together, so a triple is never
+// (Add, Remove) lock both affected shards together, so a triple is never
 // half-visible across indexes once Add or Remove has returned, and never
-// observable in one permutation but not another. AddBatch applies the batch
+// observable in one permutation but not the other. AddBatch applies the batch
 // index family by index family for speed; while it is in flight a concurrent
 // reader may see a batched triple through one access path before another, and
 // concurrently Removing a triple that an in-flight batch is inserting is
@@ -104,7 +107,6 @@ type Store struct {
 	size atomic.Int64
 	spo  indexFamily // sharded by subject
 	pos  indexFamily // sharded by predicate
-	osp  indexFamily // sharded by object
 	// journal, when non-nil, receives this store's triple mutations and
 	// gates their acknowledgment on durability; see SetJournal. Overlays
 	// never inherit it. Held as an atomic pointer so a detach at engine
@@ -132,7 +134,6 @@ func (s *Store) Add(t Triple) (bool, error) {
 	added := l.spo.insertLocked(e.s, e.p, e.o)
 	if added {
 		l.pos.insertLocked(e.p, e.o, e.s)
-		l.osp.insertLocked(e.o, e.s, e.p)
 	}
 	l.unlock()
 	if added {
@@ -177,7 +178,6 @@ func (s *Store) Remove(t Triple) bool {
 	removed := l.spo.removeLocked(e.s, e.p, e.o)
 	if removed {
 		l.pos.removeLocked(e.p, e.o, e.s)
-		l.osp.removeLocked(e.o, e.s, e.p)
 	}
 	l.unlock()
 	if removed {
@@ -205,9 +205,8 @@ func (s *Store) NumShards() int { return numShards }
 
 // ShardTripleCount returns the number of triples whose subject hashes to
 // SPO shard i — the observability layer's view of write-skew across shards
-// (a hot subject shows up as one shard far above the mean). It walks the
-// shard's trailing sets under its read lock, so it costs the shard's size
-// and briefly blocks writers to that shard; scrape-time use only.
+// (a hot subject shows up as one shard far above the mean). O(1): it reads
+// the count the shard keeps beside its index.
 func (s *Store) ShardTripleCount(i int) int {
 	if i < 0 || i >= numShards {
 		return 0
@@ -215,13 +214,7 @@ func (s *Store) ShardTripleCount(i int) int {
 	sh := &s.spo[i]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	n := 0
-	for _, e := range sh.m {
-		for j := range e.entries {
-			n += e.entries[j].trail.len()
-		}
-	}
-	return n
+	return sh.n
 }
 
 // Contains reports whether the triple is present.

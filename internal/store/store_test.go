@@ -55,7 +55,7 @@ func TestAddQueryRemove(t *testing.T) {
 		t.Errorf("Len after removal = %d, want 2", s.Len())
 	}
 	if got := s.Query(Pattern{Object: "red"}); len(got) != 0 {
-		t.Errorf("removed triple still visible via OSP index: %v", got)
+		t.Errorf("removed triple still visible to an object-only query: %v", got)
 	}
 }
 

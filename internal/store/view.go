@@ -104,7 +104,6 @@ func (s *Store) AddID(t IDTriple) (bool, error) {
 	added := l.spo.insertLocked(e.s, e.p, e.o)
 	if added {
 		l.pos.insertLocked(e.p, e.o, e.s)
-		l.osp.insertLocked(e.o, e.s, e.p)
 	}
 	l.unlock()
 	if added {
@@ -131,7 +130,6 @@ func (s *Store) RemoveID(t IDTriple) bool {
 	removed := l.spo.removeLocked(e.s, e.p, e.o)
 	if removed {
 		l.pos.removeLocked(e.p, e.o, e.s)
-		l.osp.removeLocked(e.o, e.s, e.p)
 	}
 	l.unlock()
 	if removed {
