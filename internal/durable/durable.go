@@ -348,9 +348,9 @@ func (e *Engine) RecoveryDuration() time.Duration { return e.recoveryDur }
 // Err returns the engine's sticky log error — nil while every commit has
 // succeeded. Once non-nil it never clears: the log cannot vouch for its tail,
 // so every later commit fails too and the process needs a restart (and
-// recovery) to trust its data again. Callers that acknowledge mutations
-// through paths without an error slot (store.Store.Remove) check it after the
-// fact, so a lost write is reported as a failure rather than as durable.
+// recovery) to trust its data again. Callers that mutate through the one path
+// without an error slot (store.Store.Remove) check it after the fact, so a
+// lost write is reported as a failure rather than as durable.
 func (e *Engine) Err() error { return e.w.stickyErr() }
 
 // JournalDict implements store.Journal. Called under the store's
@@ -359,21 +359,11 @@ func (e *Engine) JournalDict(first store.SymbolID, names []string) {
 	e.w.appendDict(first, names)
 }
 
-// JournalAdd implements store.Journal.
-func (e *Engine) JournalAdd(batch []store.IDTriple) {
-	e.w.appendAdd(batch)
-}
-
-// JournalRemove implements store.Journal.
-func (e *Engine) JournalRemove(t store.IDTriple) {
-	e.w.appendRemove(t)
-}
-
-// JournalCommit implements store.Journal: it group-commits the log to the
-// configured durability and nudges the checkpointer if the log has outgrown
-// its budget.
-func (e *Engine) JournalCommit() error {
-	err := e.w.commit()
+// JournalMutation implements store.Journal: it stages the write as one
+// record, group-commits the log through it to the configured durability, and
+// nudges the checkpointer if the log has outgrown its budget.
+func (e *Engine) JournalMutation(adds, removes []store.IDTriple) error {
+	err := e.w.commit(e.w.appendMutation(adds, removes))
 	if e.opts.CheckpointBytes > 0 && e.w.bytesSinceRotation() >= e.opts.CheckpointBytes {
 		select {
 		case e.ckptC <- struct{}{}:

@@ -345,6 +345,25 @@ func TestWALChunksOversizedMutations(t *testing.T) {
 	if _, err := st.AddBatch(batch); err != nil {
 		t.Fatalf("AddBatch over the shrunken cap: %v", err)
 	}
+	// A second mutation whose adds and removes each overflow a record, so one
+	// chunk straddles the two sides; it retracts two of its own adds.
+	tx := st.Begin()
+	if _, err := tx.AddBatch([]store.Triple{testTriple(400), testTriple(401)}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 402; i < 430; i++ {
+		if _, err := tx.Add(testTriple(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 360; i < 402; i++ {
+		if !tx.Remove(testTriple(i)) {
+			t.Fatalf("Remove(%v) found nothing", testTriple(i))
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("two-sided mutation over the shrunken cap: %v", err)
+	}
 	want := snapshotString(t, st)
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
@@ -355,6 +374,7 @@ func TestWALChunksOversizedMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	frames, prevSeq := 0, uint64(0)
+	straddling, removesSeen := 0, false
 	for off := 0; off < len(data); {
 		payload, next, ok := nextFrame(data, off)
 		if !ok {
@@ -373,9 +393,22 @@ func TestWALChunksOversizedMutations(t *testing.T) {
 		prevSeq = r.seq
 		frames++
 		off = next
+		// Only the second mutation removes: from its first removal on, no
+		// chunk may carry an add, or replay would re-assert a retracted
+		// triple.
+		if removesSeen && len(r.adds) > 0 {
+			t.Fatalf("record %d adds after an earlier chunk of the mutation removed", r.seq)
+		}
+		removesSeen = removesSeen || len(r.removes) > 0
+		if len(r.adds) > 0 && len(r.removes) > 0 {
+			straddling++
+		}
 	}
 	if frames < 3 {
 		t.Fatalf("a 400-triple batch under a %d-byte cap produced only %d frames; chunking did not happen", cap, frames)
+	}
+	if straddling != 1 {
+		t.Fatalf("%d records carry both sides of the two-sided mutation, want exactly the one chunk where its adds end", straddling)
 	}
 
 	st2 := store.New()
@@ -489,10 +522,11 @@ func TestParseFsyncPolicy(t *testing.T) {
 	}
 }
 
-// buildLog runs a deterministic mutation script through an FsyncOff engine
-// and returns the resulting single wal file's bytes, together with the log
-// offset and canonical snapshot recorded after every mutation (index 0 is
-// the empty store at offset 0).
+// buildLog runs a deterministic script of transactions — add batches, single
+// and multiple removes, two-sided ones, one that adds and removes the same
+// triple — through an FsyncOff engine and returns the resulting single wal
+// file's bytes, together with the log offset and canonical snapshot recorded
+// after every transaction (index 0 is the empty store at offset 0).
 func buildLog(t *testing.T) (data []byte, offsets []int64, snaps []string) {
 	t.Helper()
 	dir := t.TempDir()
@@ -503,20 +537,38 @@ func buildLog(t *testing.T) (data []byte, offsets []int64, snaps []string) {
 		snaps = append(snaps, snapshotString(t, st))
 	}
 	record()
+	batch := func(i int) []store.Triple {
+		var ts []store.Triple
+		for j := 0; j < 5; j++ {
+			ts = append(ts, testTriple(i*5+j))
+		}
+		return ts
+	}
 	for i := 0; i < 10; i++ {
-		switch {
-		case i%4 == 3:
-			if removed := st.Remove(testTriple(i - 2)); !removed {
-				t.Fatalf("script step %d: Remove found nothing", i)
-			}
+		var adds, removes []store.Triple
+		switch i {
+		case 3, 7:
+			removes = []store.Triple{testTriple(i - 2)}
+		case 4:
+			adds, removes = batch(i), []store.Triple{testTriple(0)}
+		case 6:
+			removes = []store.Triple{testTriple(10), testTriple(11), testTriple(21)}
+		case 8:
+			adds, removes = batch(i)[:2], []store.Triple{testTriple(i * 5), testTriple(12)}
 		default:
-			var batch []store.Triple
-			for j := 0; j < 5; j++ {
-				batch = append(batch, testTriple(i*5+j))
+			adds = batch(i)
+		}
+		tx := st.Begin()
+		if _, err := tx.AddBatch(adds); err != nil {
+			t.Fatalf("script step %d: %v", i, err)
+		}
+		for _, r := range removes {
+			if !tx.Remove(r) {
+				t.Fatalf("script step %d: Remove(%v) found nothing", i, r)
 			}
-			if _, err := st.AddBatch(batch); err != nil {
-				t.Fatalf("script step %d: %v", i, err)
-			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatalf("script step %d: %v", i, err)
 		}
 		record()
 	}
@@ -567,10 +619,28 @@ func recoverPrefixErr(t *testing.T, root string, name string, data []byte) (stri
 // TestPrefixReplayProperty cuts the recorded log at EVERY byte offset and
 // checks the property the durability contract promises: replaying any
 // prefix yields exactly the store state at the last commit boundary the
-// prefix wholly contains — never a partial batch, never a lost earlier
-// record.
+// prefix wholly contains — a whole number of transactions, never the adds of
+// one without its removes, never a lost earlier record.
 func TestPrefixReplayProperty(t *testing.T) {
 	data, offsets, snaps := buildLog(t)
+	// One record per transaction, whatever its shape: that is what makes a
+	// torn tail unable to keep half of one.
+	mutations := 0
+	for off := 0; off < len(data); {
+		payload, next, ok := nextFrame(data, off)
+		if !ok {
+			t.Fatalf("pristine log has a bad frame at %d", off)
+		}
+		if r, err := decodeRecord(payload); err != nil {
+			t.Fatal(err)
+		} else if r.typ == recMutation {
+			mutations++
+		}
+		off = next
+	}
+	if mutations != len(offsets)-1 {
+		t.Fatalf("%d transactions were journaled as %d mutation records", len(offsets)-1, mutations)
+	}
 	root := t.TempDir()
 	for cut := 0; cut <= len(data); cut++ {
 		j := 0

@@ -14,10 +14,14 @@ import (
 // against the bytes actually present).
 func FuzzDecodeRecord(f *testing.F) {
 	f.Add(encodeDict(nil, 1, 0, []string{"a", "bb", ""}))
-	f.Add(encodeAdd(nil, 2, []store.IDTriple{{S: 0, P: 1, O: 2}, {S: 2, P: 1, O: 0}}))
-	f.Add(encodeRemove(nil, 3, store.IDTriple{S: 7, P: 8, O: 9}))
+	f.Add(encodeMutation(nil, 2, []store.IDTriple{{S: 0, P: 1, O: 2}, {S: 2, P: 1, O: 0}}, nil))
+	f.Add(encodeMutation(nil, 3, nil, []store.IDTriple{{S: 7, P: 8, O: 9}}))
 	f.Add([]byte{})
 	f.Add([]byte{recDict, 0, 0, 0, 0, 0, 0, 0, 0, 255, 255, 255, 255})
+	f.Add(encodeMutation(nil, 4, []store.IDTriple{{S: 0, P: 1, O: 2}, {S: 3, P: 1, O: 0}}, []store.IDTriple{{S: 0, P: 1, O: 2}, {S: 7, P: 8, O: 9}}))
+	f.Add(encodeMutation(nil, 5, nil, nil))
+	// Counts that sum past 32 bits over an empty body.
+	f.Add([]byte{recMutation, 6, 0, 0, 0, 0, 0, 0, 0, 255, 255, 255, 255, 255, 255, 255, 255})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		r, err := decodeRecord(payload)
 		if err != nil {
@@ -27,13 +31,9 @@ func FuzzDecodeRecord(f *testing.F) {
 		// (binary.Uvarint tolerates non-canonical length encodings), so for
 		// them re-encode and re-decode: the RECORD must survive unchanged.
 		switch r.typ {
-		case recAdd:
-			if again := encodeAdd(nil, r.seq, r.triples); string(again) != string(payload) {
-				t.Fatalf("add record round trip changed the payload: %x -> %x", payload, again)
-			}
-		case recRemove:
-			if again := encodeRemove(nil, r.seq, r.triples[0]); string(again) != string(payload) {
-				t.Fatalf("remove record round trip changed the payload: %x -> %x", payload, again)
+		case recMutation:
+			if again := encodeMutation(nil, r.seq, r.adds, r.removes); string(again) != string(payload) {
+				t.Fatalf("mutation record round trip changed the payload: %x -> %x", payload, again)
 			}
 		case recDict:
 			r2, err := decodeRecord(encodeDict(nil, r.seq, r.first, r.names))
@@ -79,7 +79,7 @@ func fuzzChainSegments() []segmentData {
 func FuzzRecoverLog(f *testing.F) {
 	var seed []byte
 	seed = appendFrame(seed, encodeDict(nil, 1, 0, []string{"s", "p", "o"}))
-	seed = appendFrame(seed, encodeAdd(nil, 2, []store.IDTriple{{S: 0, P: 1, O: 2}}))
+	seed = appendFrame(seed, encodeMutation(nil, 2, []store.IDTriple{{S: 0, P: 1, O: 2}}, nil))
 	f.Add(seed)
 	f.Add(seed[:len(seed)-3])
 	f.Add([]byte{})
@@ -87,9 +87,17 @@ func FuzzRecoverLog(f *testing.F) {
 	// re-adding the tombstoned triple), so the fuzzer explores the
 	// chain-plus-valid-tail path too, not only early rejections.
 	var chained []byte
-	chained = appendFrame(chained, encodeAdd(nil, 5, []store.IDTriple{{S: 0, P: 1, O: 2}}))
-	chained = appendFrame(chained, encodeRemove(nil, 6, store.IDTriple{S: 0, P: 1, O: 3}))
+	chained = appendFrame(chained, encodeMutation(nil, 5, []store.IDTriple{{S: 0, P: 1, O: 2}}, nil))
+	chained = appendFrame(chained, encodeMutation(nil, 6, nil, []store.IDTriple{{S: 0, P: 1, O: 3}}))
 	f.Add(chained)
+	// The same two changes as one two-sided record, then a record that adds
+	// and removes one triple, then an empty one.
+	var twoSided []byte
+	twoSided = appendFrame(twoSided, encodeMutation(nil, 5, []store.IDTriple{{S: 0, P: 1, O: 2}}, []store.IDTriple{{S: 0, P: 1, O: 3}}))
+	twoSided = appendFrame(twoSided, encodeMutation(nil, 6, []store.IDTriple{{S: 3, P: 1, O: 0}}, []store.IDTriple{{S: 3, P: 1, O: 0}}))
+	twoSided = appendFrame(twoSided, encodeMutation(nil, 7, nil, nil))
+	f.Add(twoSided)
+	f.Add(twoSided[:len(twoSided)/2])
 	// Serialize the segment fixture ONCE (writeSegment fsyncs; per-exec that
 	// would throttle the fuzzer to disk speed) and copy the bytes per exec.
 	segDir := f.TempDir()

@@ -33,20 +33,21 @@ import (
 //
 // seq numbers records 1, 2, 3… across the log's whole life (files included),
 // so replay can verify continuity and a checkpoint can name the exact record
-// its segment covers through. The three record types:
+// its segment covers through. The two record types:
 //
-//	recDict   body = first uint32, count uint32, count × (uvarint n, n bytes)
-//	          — names[i] was interned as dictionary id first+i
-//	recAdd    body = count uint32, count × (s, p, o uint32)
-//	          — the triples one mutation actually inserted
-//	recRemove body = s, p, o uint32
-//	          — one removed triple
+//	recDict     body = first uint32, count uint32, count × (uvarint n, n bytes)
+//	            — names[i] was interned as dictionary id first+i
+//	recMutation body = nAdds uint32, nRemoves uint32,
+//	            (nAdds + nRemoves) × (s, p, o uint32)
+//	            — one committed write: the triples it actually inserted, then
+//	            the triples it actually deleted; replayed in that order, so a
+//	            triple in both runs ends absent
 
-// Record type tags.
+// Record type tags. 2 and 3 were the one-sided add and remove records of
+// earlier logs and stay unassigned, so such a log is refused, not misread.
 const (
-	recDict   = 1
-	recAdd    = 2
-	recRemove = 3
+	recDict     = 1
+	recMutation = 4
 )
 
 // frameHeader is the fixed prefix of every frame: length + CRC.
@@ -54,7 +55,7 @@ const frameHeader = 8
 
 // maxFramePayload caps a single frame, and is enforced on BOTH sides of the
 // format: the writer chunks any mutation whose record would exceed it into
-// consecutive smaller records (see walWriter.appendAdd/appendDict), so the
+// consecutive smaller records (see walWriter.appendMutation/appendDict), so the
 // reader may treat a frame claiming more than the cap as corruption rather
 // than trust it to allocate. A typical payload — a 100k-triple server batch
 // (~1.2 MB) or its dictionary growth — sits far below it.
@@ -65,8 +66,8 @@ const maxFramePayload = 1 << 26
 const (
 	// recHeader is the typ byte plus the seq uint64 every record carries.
 	recHeader = 9
-	// addPayloadHeader is recHeader plus recAdd's count uint32.
-	addPayloadHeader = recHeader + 4
+	// mutationPayloadHeader is recHeader plus recMutation's two count uint32s.
+	mutationPayloadHeader = recHeader + 8
 	// dictPayloadHeader is recHeader plus recDict's first and count uint32s.
 	dictPayloadHeader = recHeader + 8
 )
@@ -109,8 +110,8 @@ type record struct {
 	// first and names carry a recDict body.
 	first store.SymbolID
 	names []string
-	// triples carries a recAdd body, or the single triple of a recRemove.
-	triples []store.IDTriple
+	// adds and removes carry a recMutation body.
+	adds, removes []store.IDTriple
 }
 
 // encodeDict appends a recDict payload to dst.
@@ -137,26 +138,19 @@ func dictNameSize(name string) int {
 	return n + len(name)
 }
 
-// encodeAdd appends a recAdd payload to dst.
-func encodeAdd(dst []byte, seq uint64, triples []store.IDTriple) []byte {
-	dst = append(dst, recAdd)
+// encodeMutation appends a recMutation payload to dst.
+func encodeMutation(dst []byte, seq uint64, adds, removes []store.IDTriple) []byte {
+	dst = append(dst, recMutation)
 	dst = binary.LittleEndian.AppendUint64(dst, seq)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(triples)))
-	for _, t := range triples {
-		dst = binary.LittleEndian.AppendUint32(dst, t.S)
-		dst = binary.LittleEndian.AppendUint32(dst, t.P)
-		dst = binary.LittleEndian.AppendUint32(dst, t.O)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(adds)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(removes)))
+	for _, side := range [2][]store.IDTriple{adds, removes} {
+		for _, t := range side {
+			dst = binary.LittleEndian.AppendUint32(dst, t.S)
+			dst = binary.LittleEndian.AppendUint32(dst, t.P)
+			dst = binary.LittleEndian.AppendUint32(dst, t.O)
+		}
 	}
-	return dst
-}
-
-// encodeRemove appends a recRemove payload to dst.
-func encodeRemove(dst []byte, seq uint64, t store.IDTriple) []byte {
-	dst = append(dst, recRemove)
-	dst = binary.LittleEndian.AppendUint64(dst, seq)
-	dst = binary.LittleEndian.AppendUint32(dst, t.S)
-	dst = binary.LittleEndian.AppendUint32(dst, t.P)
-	dst = binary.LittleEndian.AppendUint32(dst, t.O)
 	return dst
 }
 
@@ -195,32 +189,25 @@ func decodeRecord(payload []byte) (record, error) {
 		if len(body) != 0 {
 			return r, fmt.Errorf("durable: dict record has %d trailing bytes", len(body))
 		}
-	case recAdd:
-		if len(body) < 4 {
-			return r, fmt.Errorf("durable: add record body of %d bytes is shorter than its count header", len(body))
+	case recMutation:
+		if len(body) < 8 {
+			return r, fmt.Errorf("durable: mutation record body of %d bytes is shorter than its two count headers", len(body))
 		}
-		count := int(binary.LittleEndian.Uint32(body))
-		body = body[4:]
-		if len(body) != 12*count {
-			return r, fmt.Errorf("durable: add record claims %d triples but carries %d bytes", count, len(body))
+		nAdds := uint64(binary.LittleEndian.Uint32(body))
+		nRemoves := uint64(binary.LittleEndian.Uint32(body[4:]))
+		body = body[8:]
+		if uint64(len(body)) != 12*(nAdds+nRemoves) {
+			return r, fmt.Errorf("durable: mutation record claims %d adds and %d removes but carries %d bytes", nAdds, nRemoves, len(body))
 		}
-		r.triples = make([]store.IDTriple, 0, count)
-		for i := 0; i < count; i++ {
-			r.triples = append(r.triples, store.IDTriple{
+		triples := make([]store.IDTriple, nAdds+nRemoves)
+		for i := range triples {
+			triples[i] = store.IDTriple{
 				S: binary.LittleEndian.Uint32(body[12*i:]),
 				P: binary.LittleEndian.Uint32(body[12*i+4:]),
 				O: binary.LittleEndian.Uint32(body[12*i+8:]),
-			})
+			}
 		}
-	case recRemove:
-		if len(body) != 12 {
-			return r, fmt.Errorf("durable: remove record body is %d bytes, want 12", len(body))
-		}
-		r.triples = []store.IDTriple{{
-			S: binary.LittleEndian.Uint32(body),
-			P: binary.LittleEndian.Uint32(body[4:]),
-			O: binary.LittleEndian.Uint32(body[8:]),
-		}}
+		r.adds, r.removes = triples[:nAdds:nAdds], triples[nAdds:]
 	default:
 		return r, fmt.Errorf("durable: unknown record type %d", r.typ)
 	}

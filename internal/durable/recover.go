@@ -336,7 +336,8 @@ func replayFile(st *store.Store, res store.Resolver, path string, prevSeq uint64
 // applyRecord applies one decoded record. Dictionary entries verify-or-intern
 // — an id already minted (by the segment chain or an earlier record) must
 // resolve to the same name, or the log and segments disagree about what the
-// id means — and triple records are set operations, so replay is idempotent.
+// id means — and a mutation is set operations, adds then removes, so replay
+// is idempotent.
 func applyRecord(st *store.Store, res store.Resolver, r record) error {
 	switch r.typ {
 	case recDict:
@@ -359,12 +360,15 @@ func applyRecord(st *store.Store, res store.Resolver, r record) error {
 				return fmt.Errorf("dictionary record skips from id %d to %d", n, id)
 			}
 		}
-	case recAdd:
-		if _, err := st.AddIDBatch(r.triples); err != nil {
+	case recMutation:
+		tx := st.Begin()
+		if _, err := tx.AddIDBatch(r.adds); err != nil {
 			return err
 		}
-	case recRemove:
-		st.RemoveID(r.triples[0])
+		for _, t := range r.removes {
+			tx.RemoveID(t)
+		}
+		return tx.Commit()
 	default:
 		return fmt.Errorf("unknown record type %d", r.typ)
 	}

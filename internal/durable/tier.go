@@ -124,9 +124,11 @@ type walWindow struct {
 // and folds them: dictionary records are concatenated (verified contiguous
 // from dictNext), and per triple the LAST event in the window wins — an add
 // followed by a remove folds to a tombstone, a remove followed by a re-add to
-// an add. Records at or below after (leftovers of an interrupted cleanup) are
-// skipped. Every frame must be whole: these files were sealed by a rotation's
-// fsync, so a torn frame here is corruption, not a tail to truncate.
+// an add; inside one record the adds come before the removes, as replay
+// applies them. Records at or below after (leftovers of an interrupted
+// cleanup) are skipped. Every frame must be whole: these files were sealed by
+// a rotation's fsync, so a torn frame here is corruption, not a tail to
+// truncate.
 func readWALWindow(dir string, after, through uint64, dictNext store.SymbolID) (walWindow, error) {
 	var win walWindow
 	firsts, err := walFilesThrough(dir, through)
@@ -174,12 +176,13 @@ func readWALWindow(dir string, after, through uint64, dictNext store.SymbolID) (
 					return win, fmt.Errorf("durable: checkpoint window dictionary record starts at id %d, want %d", r.first, want)
 				}
 				win.names = append(win.names, r.names...)
-			case recAdd:
-				for _, t := range r.triples {
+			case recMutation:
+				for _, t := range r.adds {
 					events = append(events, walEvent{t: t, seq: r.seq, add: true})
 				}
-			case recRemove:
-				events = append(events, walEvent{t: r.triples[0], seq: r.seq, add: false})
+				for _, t := range r.removes {
+					events = append(events, walEvent{t: t, seq: r.seq})
+				}
 			default:
 				return win, fmt.Errorf("durable: checkpoint window record %d has unknown type %d", r.seq, r.typ)
 			}
@@ -188,14 +191,18 @@ func readWALWindow(dir string, after, through uint64, dictNext store.SymbolID) (
 	if prev != through {
 		return win, fmt.Errorf("durable: checkpoint window ends at record %d, want %d; a log file is missing", prev, through)
 	}
-	// Last event per triple wins. Sorting by (triple, seq) groups each
-	// triple's history together AND leaves the surviving triples in (S, P, O)
-	// order — the segment runs fall out sorted for free.
+	// Last event per triple wins. Sorting by (triple, seq, add before remove)
+	// groups each triple's history together in replay order AND leaves the
+	// surviving triples in (S, P, O) order — the segment runs fall out sorted
+	// for free.
 	sort.Slice(events, func(i, j int) bool {
 		if events[i].t != events[j].t {
 			return events[i].t.Less(events[j].t)
 		}
-		return events[i].seq < events[j].seq
+		if events[i].seq != events[j].seq {
+			return events[i].seq < events[j].seq
+		}
+		return events[i].add && !events[j].add
 	})
 	for i := 0; i < len(events); {
 		j := i

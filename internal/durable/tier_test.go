@@ -16,25 +16,36 @@ import (
 // merged-plus-leftover and damaged chains, the replay-vs-chain equivalence
 // property, and the Close-during-merge contract.
 
-// scriptStep applies the deterministic i-th mutation step: a 40-triple batch,
-// and every third step a couple of removals reaching back into earlier steps.
+// scriptStep applies the deterministic i-th mutation step as one transaction:
+// a 40-triple batch, and every third step three removals with it — two
+// reaching back into earlier steps and one, scriptOwnVictim, retracting a
+// triple the same step added, so one log record carries a triple on both
+// sides.
 func scriptStep(t *testing.T, st *store.Store, i int) {
 	t.Helper()
 	var batch []store.Triple
 	for j := 0; j < 40; j++ {
 		batch = append(batch, testTriple(i*40+j))
 	}
-	if _, err := st.AddBatch(batch); err != nil {
+	tx := st.Begin()
+	if _, err := tx.AddBatch(batch); err != nil {
 		t.Fatalf("script step %d: %v", i, err)
 	}
 	if i%3 == 2 {
-		for _, back := range []int{i*40 - 1, i*40 - 17} {
-			if !st.Remove(testTriple(back)) {
+		for _, back := range []int{i*40 - 1, i*40 - 17, scriptOwnVictim(i)} {
+			if !tx.Remove(testTriple(back)) {
 				t.Fatalf("script step %d: Remove(%d) found nothing", i, back)
 			}
 		}
 	}
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("script step %d: %v", i, err)
+	}
 }
+
+// scriptOwnVictim is the index of the triple step i (i%3 == 2) both adds and
+// removes.
+func scriptOwnVictim(i int) int { return i*40 + 7 }
 
 // waitForChain polls until the engine's chain settles at want segments (the
 // background merge is asynchronous) or the deadline passes.
@@ -270,6 +281,21 @@ func TestReplayAndChainRecoveryAgree(t *testing.T) {
 		defer eng2.Close()
 		if got := snapshotString(t, st2); got != live {
 			t.Fatal("recovered snapshot differs from the live store it journaled")
+		}
+		// A triple added and removed inside one record ends absent on every
+		// path, and in a young segment the pair folds to a tombstone (beside
+		// the step's two back-references), not to an add.
+		for i := 2; i < steps; i += 3 {
+			if st2.Contains(testTriple(scriptOwnVictim(i))) {
+				t.Fatalf("step %d's triple, added and removed by one record, was recovered as present", i)
+			}
+		}
+		if ckptEvery > 0 && mergedTo == 0 {
+			for k, tier := range eng2.Stats().Tiers {
+				if k > 0 && tier.Tombstones != 3 {
+					t.Fatalf("young segment %d folds to %d tombstones, want 3", k, tier.Tombstones)
+				}
+			}
 		}
 		res := st2.NewResolver()
 		var dict strings.Builder

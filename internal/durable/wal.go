@@ -190,47 +190,33 @@ func (w *walWriter) appendDict(first store.SymbolID, names []string) {
 	}
 }
 
-// appendAdd stages insertion records, chunking a batch too large for one
-// frame into consecutive records — each chunk replays as an ordinary set
-// insertion, so the split is invisible to recovery.
-func (w *walWriter) appendAdd(batch []store.IDTriple) {
-	max := (w.maxPayload - addPayloadHeader) / 12
+// appendMutation stages one committed write as one record and returns the
+// seq a commit must reach to cover it. A mutation too large for one frame is
+// chunked into consecutive records, adds before removes throughout — each
+// chunk replays as ordinary set operations, so the split is invisible to
+// recovery once all of them are on disk.
+func (w *walWriter) appendMutation(adds, removes []store.IDTriple) uint64 {
+	room := (w.maxPayload - mutationPayloadHeader) / 12 // triples per record
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for len(batch) > 0 {
-		chunk := batch
-		if len(chunk) > max {
-			chunk = chunk[:max]
-		}
-		batch = batch[len(chunk):]
+	for len(adds)+len(removes) > 0 {
+		a := adds[:min(len(adds), room)]
+		r := removes[:min(len(removes), room-len(a))]
+		adds, removes = adds[len(a):], removes[len(r):]
 		w.seq++
 		if w.err != nil {
 			continue // the log is dead; don't grow the buffer for records that can never commit
 		}
-		w.scratch = encodeAdd(w.scratch[:0], w.seq, chunk)
+		w.scratch = encodeMutation(w.scratch[:0], w.seq, a, r)
 		w.stageLocked()
 	}
+	return w.seq
 }
 
-// appendRemove stages a removal record.
-func (w *walWriter) appendRemove(t store.IDTriple) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.seq++
-	if w.err != nil {
-		return
-	}
-	w.scratch = encodeRemove(w.scratch[:0], w.seq, t)
-	w.stageLocked()
-}
-
-// commit makes every record staged so far durable to the degree the policy
+// commit makes every record through target durable to the degree the policy
 // promises: written and fsynced for FsyncAlways, written to the OS for
 // FsyncBatch (the background ticker supplies the fsync) and FsyncOff.
-func (w *walWriter) commit() error {
-	w.mu.Lock()
-	target := w.seq
-	w.mu.Unlock()
+func (w *walWriter) commit(target uint64) error {
 	if w.policy == FsyncAlways {
 		return w.syncTo(target)
 	}

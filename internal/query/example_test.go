@@ -29,11 +29,11 @@ func ExampleParseBGP() {
 // solutions.
 func ExampleEval() {
 	s := store.New()
-	if _, err := s.AddAll(
-		store.Triple{Subject: "beetle", Predicate: store.TypePredicate, Object: "car"},
-		store.Triple{Subject: "pickup1", Predicate: store.TypePredicate, Object: "car"},
-		store.Triple{Subject: "beetle", Predicate: "locatedIn", Object: "rome"},
-	); err != nil {
+	if _, err := s.AddBatch([]store.Triple{
+		{Subject: "beetle", Predicate: store.TypePredicate, Object: "car"},
+		{Subject: "pickup1", Predicate: store.TypePredicate, Object: "car"},
+		{Subject: "beetle", Predicate: "locatedIn", Object: "rome"},
+	}); err != nil {
 		panic(err)
 	}
 

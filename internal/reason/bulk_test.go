@@ -239,49 +239,6 @@ func TestPropagationRulesRecognised(t *testing.T) {
 	}
 }
 
-// TestRematerializeMatchesFreshMaterialize: after an edit behind the
-// reasoner's back, Rematerialize — an O(shards) Clear and the same seed round
-// — lands on the snapshot a fresh Materialize of the edited base produces,
-// fires one Reset delta and advances the generation by one.
-func TestRematerializeMatchesFreshMaterialize(t *testing.T) {
-	for _, c := range adversarialCases(t) {
-		base := store.New()
-		if _, err := base.AddBatch(c.asserted); err != nil {
-			t.Fatal(err)
-		}
-		r, err := Materialize(base, c.rules)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var events []Delta
-		r.SetOnEvent(func(d Delta) { events = append(events, d) })
-		gen := r.Generation()
-		base.Remove(c.asserted[0])
-		for _, extra := range c.pool {
-			base.MustAdd(extra)
-		}
-		r.Rematerialize()
-		if len(events) != 1 || !events[0].Reset || events[0].Gen != gen+1 || r.Generation() != gen+1 {
-			t.Fatalf("%s: Rematerialize fired %+v from generation %d", c.name, events, gen)
-		}
-		twin := store.New()
-		if _, err := twin.AddBatch(base.Triples()); err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := Materialize(twin, c.rules)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := provenanceSnapshot(t, r), provenanceSnapshot(t, fresh); !bytes.Equal(got, want) {
-			t.Fatalf("%s: Rematerialize differs from a fresh Materialize\n got:\n%s\nwant:\n%s", c.name, got, want)
-		}
-		checkDisjoint(t, r, c.name)
-		if ms := r.MaterializeStats(); ms.Inferred != r.InferredCount() {
-			t.Fatalf("%s: materialize stats not refreshed: %+v", c.name, ms)
-		}
-	}
-}
-
 // randomSchemaTriple draws from a vocabulary in which the RDFS rules feed one
 // another: class and property edges, instances, and properties placed above
 // subClassOf, subPropertyOf and type themselves.
@@ -305,6 +262,30 @@ func randomSchemaTriple(rng *rand.Rand) store.Triple {
 		return tr(prop(), DomainPredicate, class())
 	default:
 		return tr(prop(), RangePredicate, class())
+	}
+}
+
+// TestApplyRDFSMatchesReference is TestApplyMatchesReference for the rule set
+// randomRules practically never draws: two-sided writes against the RDFS
+// rules, where one retraction pass may overdelete through several rules at
+// once and a write's own adds supply the support its removes withdraw.
+func TestApplyRDFSMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(2019))
+	rules := RDFSRules()
+	for trial := 0; trial < 30; trial++ {
+		base := store.New()
+		for i, n := 0, 4+rng.Intn(10); i < n; i++ {
+			base.MustAdd(randomSchemaTriple(rng))
+		}
+		r, err := Materialize(base, rules)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events := recordDeltas(r)
+		for step := 0; step < 6; step++ {
+			adds, removes := randomApply(rng, r, func() store.Triple { return randomSchemaTriple(rng) })
+			applyChecked(t, r, rules, events, adds, removes, fmt.Sprintf("trial %d step %d", trial, step))
+		}
 	}
 }
 

@@ -11,8 +11,9 @@ import (
 
 // TestReasonConcurrentReadsDuringMaintenance races readers on every view
 // read path against a writer driving incremental adds and removes through
-// the reasoner, and now and then a Rematerialize (the overlay cleared and
-// bulk-loaded under the readers). Written for -race: readers may observe
+// the reasoner, and now and then a two-sided Apply (a batch asserted and
+// several triples retracted under the readers in one write). Written for
+// -race: readers may observe
 // mid-maintenance states (that is documented), but never a torn one, and the
 // final quiescent materialization must be exact.
 func TestReasonConcurrentReadsDuringMaintenance(t *testing.T) {
@@ -61,7 +62,10 @@ func TestReasonConcurrentReadsDuringMaintenance(t *testing.T) {
 			r.Remove(tr)
 		}
 		if i%50 == 49 {
-			r.Rematerialize()
+			refile := []store.Triple{{Subject: "herbie", Predicate: store.TypePredicate, Object: "pickup"}, tr}
+			if _, _, err := r.Apply(refile, base.Triples()[:3]); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	close(stop)

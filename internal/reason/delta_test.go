@@ -13,13 +13,11 @@ import (
 // slices (the reasoner owns them only for the duration of the call) and
 // resolving ids back to triples for readable assertions.
 type deltaLog struct {
-	res   store.Resolver
-	fires int
-	// global records a Reset "everything may have changed" event.
-	global         bool
+	res            store.Resolver
+	fires          int
 	added, removed []store.Triple
-	// assertedAdded is the replayable subset of added.
-	assertedAdded []store.Triple
+	// assertedAdded and assertedRemoved are the replayable subsets.
+	assertedAdded, assertedRemoved []store.Triple
 }
 
 func (l *deltaLog) resolve(ts []store.IDTriple) []store.Triple {
@@ -32,18 +30,14 @@ func (l *deltaLog) resolve(ts []store.IDTriple) []store.Triple {
 
 func (l *deltaLog) hook(d Delta) {
 	l.fires++
-	if d.Reset {
-		l.global = d.Added == nil && d.Removed == nil
-		return
-	}
 	l.added = append(l.added, l.resolve(d.Added)...)
 	l.removed = append(l.removed, l.resolve(d.Removed)...)
 	l.assertedAdded = append(l.assertedAdded, l.resolve(d.AssertedAdded)...)
+	l.assertedRemoved = append(l.assertedRemoved, l.resolve(d.AssertedRemoved)...)
 }
 
 func (l *deltaLog) reset() {
-	l.fires, l.global = 0, false
-	l.added, l.removed, l.assertedAdded = nil, nil, nil
+	*l = deltaLog{res: l.res}
 }
 
 func contains(ts []store.Triple, want store.Triple) bool {
@@ -57,10 +51,10 @@ func contains(ts []store.Triple, want store.Triple) bool {
 
 func TestOnDeltaCoversAssertedAndInferredChanges(t *testing.T) {
 	base := store.New()
-	if _, err := base.AddAll(
-		store.Triple{Subject: "car", Predicate: SubClassOfPredicate, Object: "vehicle"},
-		store.Triple{Subject: "vehicle", Predicate: SubClassOfPredicate, Object: "artifact"},
-	); err != nil {
+	if _, err := base.AddBatch([]store.Triple{
+		{Subject: "car", Predicate: SubClassOfPredicate, Object: "vehicle"},
+		{Subject: "vehicle", Predicate: SubClassOfPredicate, Object: "artifact"},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	r, err := Materialize(base, RDFSRules())
@@ -163,11 +157,31 @@ func TestOnDeltaCoversAssertedAndInferredChanges(t *testing.T) {
 		t.Fatalf("duplicate AddBatch fired %d notifications, want 0", log.fires)
 	}
 
-	// Rematerialize reports the unknown-extent change as nil lists.
+	// A two-sided Apply: one notification covering both sides. pickup3 is
+	// asserted and retracted by the same write, so it and its consequences
+	// are in both lists; pickup1's retraction kills its inferences.
 	log.reset()
-	r.Rematerialize()
-	if log.fires != 1 || !log.global {
-		t.Fatalf("Rematerialize fired %d notifications (global=%v), want one Reset with nil lists", log.fires, log.global)
+	both := store.Triple{Subject: "pickup3", Predicate: store.TypePredicate, Object: "car"}
+	added, removed, err := r.Apply([]store.Triple{both}, []store.Triple{batch[0], both, batch[0]})
+	if err != nil || added != 1 || removed != 2 {
+		t.Fatalf("Apply = %d, %d, %v; want 1 added, 2 removed", added, removed, err)
+	}
+	if log.fires != 1 {
+		t.Fatalf("two-sided Apply fired %d notifications, want 1", log.fires)
+	}
+	for _, subj := range []string{"pickup1", "pickup3"} {
+		for _, class := range []string{"car", "vehicle", "artifact"} {
+			want := store.Triple{Subject: subj, Predicate: store.TypePredicate, Object: class}
+			if !contains(log.removed, want) || (subj == "pickup3") != contains(log.added, want) {
+				t.Fatalf("two-sided delta added=%v removed=%v mishandles %v", log.added, log.removed, want)
+			}
+		}
+	}
+	if !reflect.DeepEqual(log.assertedAdded, []store.Triple{both}) || !reflect.DeepEqual(log.assertedRemoved, []store.Triple{batch[0], both}) {
+		t.Fatalf("replayable mutation is +%v −%v, want +[%v] −[%v %v]", log.assertedAdded, log.assertedRemoved, both, batch[0], both)
+	}
+	if r.View().Contains(both) || r.View().Contains(batch[0]) {
+		t.Fatal("a triple retracted by the write survived in the view")
 	}
 }
 
@@ -176,10 +190,10 @@ func TestOnDeltaCoversAssertedAndInferredChanges(t *testing.T) {
 // inference, the inference appears in the removed list.
 func TestOnDeltaRemoveCoversRetractedInferences(t *testing.T) {
 	base := store.New()
-	if _, err := base.AddAll(
-		store.Triple{Subject: "car", Predicate: SubClassOfPredicate, Object: "vehicle"},
-		store.Triple{Subject: "beetle", Predicate: store.TypePredicate, Object: "car"},
-	); err != nil {
+	if _, err := base.AddBatch([]store.Triple{
+		{Subject: "car", Predicate: SubClassOfPredicate, Object: "vehicle"},
+		{Subject: "beetle", Predicate: store.TypePredicate, Object: "car"},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	r, err := Materialize(base, RDFSRules())
@@ -207,15 +221,30 @@ func TestOnDeltaRemoveCoversRetractedInferences(t *testing.T) {
 type failingJournal struct{}
 
 func (failingJournal) JournalDict(store.SymbolID, []string) {}
-func (failingJournal) JournalAdd([]store.IDTriple)          {}
-func (failingJournal) JournalRemove(store.IDTriple)         {}
-func (failingJournal) JournalCommit() error                 { return errors.New("disk gone") }
+func (failingJournal) JournalMutation(adds, removes []store.IDTriple) error {
+	return errors.New("disk gone")
+}
 
-// TestAddBatchJournalFailureStillMaintains: a batch whose journal commit fails
-// is applied in memory, so the reasoner must finish the write — overlay
-// maintained, one Delta delivered — before reporting store.ErrJournal; a
-// validation error, which applies nothing, delivers nothing. Add shares the
-// body.
+// sameSet reports whether two triple lists hold the same triples, each once.
+// The asserted lists of a Delta are sets (see Delta): a batch comes back in
+// the store's shard order, not the request's.
+func sameSet(got, want []store.Triple) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for _, w := range want {
+		if !contains(got, w) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAddBatchJournalFailureStillMaintains: a write whose journal commit fails
+// is applied in memory, so the reasoner must finish it — overlay maintained,
+// one Delta delivered — before reporting store.ErrJournal, whether the write
+// asserts, retracts or does both; a validation error, which applies nothing,
+// delivers nothing. Add, AddBatch and Remove share the body.
 func TestAddBatchJournalFailureStillMaintains(t *testing.T) {
 	asserted := []store.Triple{
 		{Subject: "car", Predicate: SubClassOfPredicate, Object: "vehicle"},
@@ -233,9 +262,19 @@ func TestAddBatchJournalFailureStillMaintains(t *testing.T) {
 	r.SetOnEvent(log.hook)
 	base.SetJournal(failingJournal{})
 	defer base.SetJournal(nil)
+	checkClosure := func(stage string) {
+		t.Helper()
+		if got, want := provenanceSnapshot(t, r), taggedSnapshot(t, naiveClosure(asserted, RDFSRules()), asserted); !bytes.Equal(got, want) {
+			t.Fatalf("%s: after failed commits the view is not the closure of the base:\n%s\nwant:\n%s", stage, got, want)
+		}
+	}
 
-	if n, err := r.AddBatch([]store.Triple{{Subject: "x", Predicate: store.TypePredicate, Object: ""}}); err == nil || errors.Is(err, store.ErrJournal) || n != 0 || log.fires != 0 {
+	invalid := []store.Triple{{Subject: "x", Predicate: store.TypePredicate, Object: ""}}
+	if n, err := r.AddBatch(invalid); err == nil || errors.Is(err, store.ErrJournal) || n != 0 || log.fires != 0 {
 		t.Fatalf("invalid batch: n=%d err=%v events=%d, want a validation error and nothing else", n, err, log.fires)
+	}
+	if a, rm, err := r.Apply(invalid, asserted[:1]); err == nil || errors.Is(err, store.ErrJournal) || a != 0 || rm != 0 || log.fires != 0 || !base.Contains(asserted[0]) {
+		t.Fatalf("invalid two-sided write: %d, %d, %v, %d events; want a validation error and nothing applied on either side", a, rm, err, log.fires)
 	}
 
 	batch := []store.Triple{
@@ -246,7 +285,7 @@ func TestAddBatchJournalFailureStillMaintains(t *testing.T) {
 	if !errors.Is(err, store.ErrJournal) || n != len(batch) {
 		t.Fatalf("AddBatch = %d, %v; want %d newly asserted and ErrJournal", n, err, len(batch))
 	}
-	if log.fires != 1 || !reflect.DeepEqual(log.assertedAdded, batch) {
+	if log.fires != 1 || !sameSet(log.assertedAdded, batch) {
 		t.Fatalf("AddBatch delivered %d events asserting %v, want exactly one asserting the batch", log.fires, log.assertedAdded)
 	}
 	single := store.Triple{Subject: "van", Predicate: store.TypePredicate, Object: "vehicle"}
@@ -254,10 +293,34 @@ func TestAddBatchJournalFailureStillMaintains(t *testing.T) {
 		t.Fatalf("Add = %v, %v; want true and ErrJournal", added, err)
 	}
 	asserted = append(append(asserted, batch...), single)
-	if got, want := provenanceSnapshot(t, r), taggedSnapshot(t, naiveClosure(asserted, RDFSRules()), asserted); !bytes.Equal(got, want) {
-		t.Fatalf("after failed commits the view is not the closure of the base:\n%s\nwant:\n%s", got, want)
-	}
-	if want := append(batch, single); log.fires != 2 || !reflect.DeepEqual(log.assertedAdded, want) {
+	checkClosure("adds")
+	if want := append(batch, single); log.fires != 2 || !sameSet(log.assertedAdded, want) {
 		t.Fatalf("%d events asserting %v, want one per applied write asserting %v", log.fires, log.assertedAdded, want)
 	}
+
+	// Remove-only: the retraction is applied, its dead inferences are gone,
+	// and the error that Remove has no slot for comes back from Apply.
+	log.reset()
+	a, rm, err := r.Apply(nil, []store.Triple{batch[0], {Subject: "nobody", Predicate: store.TypePredicate, Object: "car"}})
+	if !errors.Is(err, store.ErrJournal) || a != 0 || rm != 1 {
+		t.Fatalf("remove-only Apply = %d, %d, %v; want 0, 1 and ErrJournal", a, rm, err)
+	}
+	if log.fires != 1 || len(log.assertedAdded) != 0 || !sameSet(log.assertedRemoved, batch[:1]) {
+		t.Fatalf("remove-only Apply delivered %d events, +%v −%v", log.fires, log.assertedAdded, log.assertedRemoved)
+	}
+	asserted = append(asserted[:2:2], batch[1], single)
+	checkClosure("remove-only")
+
+	// Two-sided: one event for both sides.
+	log.reset()
+	moved := store.Triple{Subject: "pickup", Predicate: store.TypePredicate, Object: "vehicle"}
+	a, rm, err = r.Apply([]store.Triple{moved}, []store.Triple{batch[1]})
+	if !errors.Is(err, store.ErrJournal) || a != 1 || rm != 1 {
+		t.Fatalf("two-sided Apply = %d, %d, %v; want 1, 1 and ErrJournal", a, rm, err)
+	}
+	if log.fires != 1 || !sameSet(log.assertedAdded, []store.Triple{moved}) || !sameSet(log.assertedRemoved, batch[1:]) {
+		t.Fatalf("two-sided Apply delivered %d events, +%v −%v", log.fires, log.assertedAdded, log.assertedRemoved)
+	}
+	asserted = append(asserted[:2:2], single, moved)
+	checkClosure("two-sided")
 }

@@ -1,7 +1,6 @@
 package reason
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -38,8 +37,9 @@ type Stats struct {
 // Reasoner owns a materialization: an asserted base store, an overlay of
 // inferred triples sharing the base's dictionary, and the compiled rule set
 // that connects them. Create one with Materialize; afterwards route writes
-// through the reasoner's Add/AddBatch/Remove so the overlay is maintained
-// incrementally, and read through View (or the Query/Instances conveniences).
+// through the reasoner's Apply (or its Add/AddBatch/Remove shorthands) so the
+// overlay is maintained incrementally, and read through View (or the
+// Query/Instances conveniences).
 //
 // Writes are serialized by an internal mutex and maintain the invariant that
 // the overlay holds exactly the rule-derivable triples not asserted in the
@@ -50,21 +50,25 @@ type Stats struct {
 // always exact fixpoints.
 //
 // Writing to the base store directly, bypassing the reasoner, silently
-// invalidates the materialization (the overlay cannot know); call
-// Rematerialize afterwards if that cannot be avoided.
+// invalidates the materialization: the overlay cannot know, and no generation
+// or event records the change. There is no way back short of a new
+// Materialize.
 type Reasoner struct {
 	mu      sync.Mutex
 	base    *store.Store
 	overlay *store.Store
-	view    *store.View
-	rules   []crule
-	source  []Rule
-	stats   Stats
+	// ov is the overlay's write handle. The overlay carries no journal, so
+	// the handle is never committed and lives as long as the reasoner.
+	ov     store.Tx
+	view   *store.View
+	rules  []crule
+	source []Rule
+	stats  Stats
 	// round is per-rule scratch of the propagation loop, indexed like rules.
 	round []ruleRound
-	// boot describes the most recent full materialization; see
-	// MaterializeStats.
-	boot    atomic.Pointer[MaterializeStats]
+	// boot describes the initial fixpoint; written once, before Materialize
+	// returns. See MaterializeStats.
+	boot    MaterializeStats
 	onEvent func(Delta)
 	// gen counts content-changing writes: it advances exactly when the event
 	// hook would fire, so any two reads bracketing an unchanged generation
@@ -79,9 +83,9 @@ type Reasoner struct {
 }
 
 // Generation returns the materialization generation: it advances on every
-// write that changed (or may have changed — Rematerialize) the view's
-// contents, and never otherwise. Two equal readings bracket an unchanged
-// materialization, which is what result caches and the future replica tier
+// write that changed the base's or the overlay's contents — once per Delta —
+// and never otherwise. Two equal readings bracket an unchanged
+// materialization, which is what the result cache and the replica tier
 // compare.
 func (r *Reasoner) Generation() uint64 { return r.gen.Load() }
 
@@ -102,15 +106,14 @@ func (r *Reasoner) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("onto_reason_generation", "Materialization generation (advances on every content-changing write).", func() float64 {
 		return float64(r.gen.Load())
 	})
-	reg.GaugeFunc("onto_reason_materialize_seconds", "Wall time of the most recent full materialization (boot, or Rematerialize).", func() float64 {
+	reg.GaugeFunc("onto_reason_materialize_seconds", "Wall time of the initial materialization (the boot fixpoint).", func() float64 {
 		return r.MaterializeStats().Duration.Seconds()
 	})
 }
 
-// MaterializeStats describes one full materialization — the initial fixpoint
-// Materialize computed, or the latest Rematerialize: the most expensive thing
-// a serving process does, and done before any instrument can be registered,
-// so the reasoner keeps the figures itself.
+// MaterializeStats describes the initial fixpoint Materialize computed: the
+// most expensive thing a serving process does, and done before any instrument
+// can be registered, so the reasoner keeps the figures itself.
 type MaterializeStats struct {
 	// Duration is the fixpoint's wall time.
 	Duration time.Duration
@@ -133,35 +136,36 @@ func (m MaterializeStats) String() string {
 		m.Inferred, m.Duration.Seconds(), m.Rounds, m.Heads, m.BulkLoaded)
 }
 
-// MaterializeStats returns the figures of the most recent full
-// materialization. It takes no lock, so metric scrapes never wait on a write.
-func (r *Reasoner) MaterializeStats() MaterializeStats { return *r.boot.Load() }
+// MaterializeStats returns the figures of the initial materialization. It
+// takes no lock, so metric scrapes never wait on a write.
+func (r *Reasoner) MaterializeStats() MaterializeStats { return r.boot }
 
-// Delta is the generation-keyed record of one content-changing write (Add,
-// AddBatch, Remove, Rematerialize) — the one event the reasoner emits, which
-// the serving layer's cache invalidation and replication feed both consume.
+// Delta is the generation-keyed record of one content-changing write — one
+// Apply — and the one event the reasoner emits, which the serving layer's
+// cache invalidation and replication feed both consume.
 //
 // Added and Removed are the id triples that entered and left the base store
 // or the overlay — asserted and inferred changes alike, which is what makes
 // them sufficient for invalidating caches of query results over the view or
 // over either member alone. The lists are conservative supersets: maintenance
 // may remove a triple and restore it in the same write (DRed
-// overdelete/rederive), and a provenance flip (asserting a currently inferred
-// triple) leaves the view unchanged while moving the triple from the overlay
-// to the base — such triples appear in both lists; their union always covers
-// every triple whose membership in either member may have changed. Writes
-// that provably change nothing anywhere (re-adding an already asserted
-// triple) produce no event.
+// overdelete/rederive), a write may assert a triple and retract it again, and
+// a provenance flip (asserting a currently inferred triple) leaves the view
+// unchanged while moving the triple from the overlay to the base — such
+// triples appear in both lists; their union always covers every triple whose
+// membership in either member may have changed. Writes that provably change
+// nothing anywhere (re-adding an already asserted triple, removing an absent
+// one) produce no event.
 //
 // AssertedAdded and AssertedRemoved are the subset that entered or left the
-// asserted base store: exactly the mutations a replica must re-apply through
-// its own reasoner to converge, since the inferred overlay is a
-// deterministic function of the base and the rule set. Gen is the
-// materialization generation the write produced; consecutive events carry
-// consecutive generations, which is what lets a replica detect dropped or
-// duplicated events with one comparison. Reset marks a Rematerialize: the
-// extent of the change is unknowable (all four lists are nil) and consumers
-// holding derived state must rebuild it from scratch.
+// asserted base store: exactly the mutation a replica must re-apply through
+// its own reasoner — adds first, then removes — to converge, since the
+// inferred overlay is a deterministic function of the base and the rule set.
+// Both are sets, each triple once: AssertedAdded comes in the order the
+// store's batch path filed the fresh triples (by shard), not the request's.
+// Gen is the materialization generation the write produced; consecutive
+// events carry consecutive generations, which is what lets a replica detect
+// dropped or duplicated events with one comparison.
 type Delta struct {
 	// Gen is the generation after this write; events form a dense chain.
 	Gen uint64
@@ -169,11 +173,8 @@ type Delta struct {
 	// the overlay may have changed.
 	Added, Removed []store.IDTriple
 	// AssertedAdded and AssertedRemoved are the base-store changes alone:
-	// the replayable mutation stream.
+	// the replayable mutation.
 	AssertedAdded, AssertedRemoved []store.IDTriple
-	// Reset marks an unknown-extent change (Rematerialize); the lists are
-	// nil and consumers must assume anything may have changed.
-	Reset bool
 }
 
 // SetOnEvent installs the hook invoked with the Delta of every
@@ -191,12 +192,10 @@ func (r *Reasoner) SetOnEvent(hook func(Delta)) {
 	r.onEvent = hook
 }
 
-// notify advances the generation and fires the installed hook. Callers
-// hold r.mu and guarantee the delta is meaningful: either Reset is set with
-// all lists nil (the Rematerialize "everything may have changed" signal) or
-// at least one list carries a change. The generation is assigned here so
-// events always carry a dense chain of generations, whatever mix of write
-// paths produced them.
+// notify advances the generation and fires the installed hook. Its caller
+// holds r.mu and guarantees the delta carries a change. The generation is
+// bumped before the hook runs, which the serving layer's cache relies on (a
+// reader that still sees the old generation precedes the invalidation).
 func (r *Reasoner) notify(d Delta) {
 	d.Gen = r.gen.Add(1)
 	if r.onEvent != nil {
@@ -230,6 +229,7 @@ func Materialize(base *store.Store, rules []Rule) (*Reasoner, error) {
 	r := &Reasoner{
 		base:    base,
 		overlay: overlay,
+		ov:      overlay.Begin(),
 		view:    view,
 		rules:   compiled,
 		source:  append([]Rule(nil), rules...),
@@ -239,22 +239,6 @@ func Materialize(base *store.Store, rules []Rule) (*Reasoner, error) {
 	defer r.mu.Unlock()
 	r.materialize()
 	return r, nil
-}
-
-// Rematerialize discards the overlay and recomputes the fixpoint from the
-// base store's current triples — the escape hatch after direct writes to the
-// base behind the reasoner's back. Incremental statistics are kept.
-func (r *Reasoner) Rematerialize() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.overlay.Clear(); err != nil {
-		panic(err) // overlays carry no journal
-	}
-	r.materialize()
-	// The extent of the change is unknowable here (the base was edited
-	// behind the reasoner's back); nil lists tell receivers to assume
-	// everything may have changed.
-	r.notify(Delta{Reset: true})
 }
 
 // View returns the asserted∪inferred union the query layer evaluates over.
@@ -332,101 +316,115 @@ func (r *Reasoner) Instances(class string) []string {
 	return out
 }
 
-// Add asserts a triple into the base and propagates its consequences into
-// the overlay, reporting whether the triple was newly asserted: the
-// one-element case of AddBatch, with the same error contract.
+// Add asserts one triple, reporting whether it was newly asserted:
+// Apply of one add, with the same error contract.
 func (r *Reasoner) Add(t store.Triple) (bool, error) {
-	n, err := r.AddBatch([]store.Triple{t})
+	n, _, err := r.Apply([]store.Triple{t}, nil)
 	return n == 1, err
 }
 
-// AddBatch asserts a batch through the base store's batch path and
-// propagates the consequences of the genuinely new triples in one semi-naive
-// run, returning how many were newly asserted. Adding a triple that was so
-// far inferred simply flips its provenance (the overlay copy is retired; the
-// materialized view is unchanged, so nothing needs to propagate).
-// Propagation is semi-naive from the batch's delta: work is proportional to
-// the new consequences, not to the store.
+// AddBatch asserts a batch, returning how many triples were newly asserted:
+// Apply with no removes, with the same error contract.
+func (r *Reasoner) AddBatch(ts []store.Triple) (int, error) {
+	n, _, err := r.Apply(ts, nil)
+	return n, err
+}
+
+// Remove retracts one triple, reporting whether it was asserted: Apply of one
+// remove. It has no error slot; a caller that must learn of a failed journal
+// commit calls Apply.
+func (r *Reasoner) Remove(t store.Triple) bool {
+	_, n, _ := r.Apply(nil, []store.Triple{t})
+	return n == 1
+}
+
+// Apply is the reasoner's one write: it asserts adds, then retracts removes,
+// maintains the overlay incrementally for both, commits the change to the
+// base's journal as one mutation and emits one Delta — or, when nothing
+// changed, neither. It returns how many triples were newly asserted and how
+// many asserted triples were retracted; a triple the same call adds and
+// removes counts once on each side and ends absent. (DESIGN.md "The write
+// path" is the contract in full.)
+//
+// The adds go through the base store's batch path, and the consequences of
+// the genuinely new triples are propagated in one semi-naive run, so work is
+// proportional to the new consequences, not to the store. Adding a triple
+// that was so far inferred simply flips its provenance (the overlay copy is
+// retired; the materialized view is unchanged, so nothing needs to
+// propagate).
+//
+// The removes that are asserted once the adds are in — each once, however
+// often the call names it — are retracted together by one delete-and-rederive
+// pass, never a recomputation: first every inferred triple whose derivation
+// may involve a retracted one is overdeleted (a semi-naive pass over deletion
+// deltas against the old materialization), then each overdeleted triple that
+// still has a derivation from the surviving facts is put back and its
+// consequences re-propagated. Inferred triples cannot be removed directly —
+// they would immediately be rederived; retract the asserted triples
+// supporting them instead.
 //
 // Validation is all-or-nothing, exactly as store.AddBatch: a validation
 // error means nothing was applied. An error wrapping store.ErrJournal means
-// the opposite — the batch is applied in memory but not durable — so the
+// the opposite — the write is applied in memory but not durable — so the
 // overlay is maintained and the Delta delivered exactly as on success, and
 // the error is returned afterwards: the materialization and everything
 // subscribed to it stay consistent with what readers of the base can see.
-func (r *Reasoner) AddBatch(ts []store.Triple) (int, error) {
+func (r *Reasoner) Apply(adds, removes []store.Triple) (added, removed int, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	fresh := make([]store.Triple, 0, len(ts))
-	seen := map[store.Triple]bool{}
-	for _, t := range ts {
-		if !seen[t] && !r.base.Contains(t) {
-			seen[t] = true
-			fresh = append(fresh, t)
-		}
+	base := r.base.Begin()
+	fresh, err := base.AddBatch(adds)
+	if err != nil {
+		return 0, 0, err
 	}
-	added, err := r.base.AddBatch(ts)
-	if err != nil && !errors.Is(err, store.ErrJournal) {
-		return added, err
-	}
+	d := Delta{AssertedAdded: fresh}
 	delta := make([]store.IDTriple, 0, len(fresh))
-	var flips []store.IDTriple
 	for _, t := range fresh {
-		idt, ok := r.encode(t)
-		if !ok {
-			panic("reason: components of a batched triple missing from the dictionary")
-		}
-		if r.overlay.RemoveID(idt) {
+		if r.ov.RemoveID(t) {
 			// Provenance flip: consequences already materialized, but the
 			// triple moved between the members — report it in both lists.
-			flips = append(flips, idt)
-			continue
+			d.Removed = append(d.Removed, t)
+		} else {
+			delta = append(delta, t)
 		}
-		delta = append(delta, idt)
 	}
-	derived := r.propagate(delta)
-	if len(delta) > 0 || len(flips) > 0 {
-		// The asserted delta is every fresh base insertion — the non-flip
-		// batch triples plus the flips — copied before the view-level list
-		// is assembled in place over delta's backing array.
-		asserted := make([]store.IDTriple, 0, len(delta)+len(flips))
-		asserted = append(append(asserted, delta...), flips...)
-		r.notify(Delta{
-			Added:         append(append(delta, derived...), flips...),
-			Removed:       flips,
-			AssertedAdded: asserted,
-		})
+	d.Added = append(append(delta, r.propagate(delta)...), d.Removed...)
+
+	if len(removes) > 0 {
+		gone, marked, restored := r.retract(&base, removes)
+		d.AssertedRemoved = gone
+		d.Removed = append(append(d.Removed, marked...), gone...)
+		d.Added = append(append(d.Added, restored...), r.propagate(restored)...)
 	}
-	return added, err
+	err = base.Commit()
+	if len(fresh)+len(d.AssertedRemoved) > 0 {
+		r.notify(d)
+	}
+	return len(fresh), len(d.AssertedRemoved), err
 }
 
-// Remove retracts an asserted triple and incrementally maintains the overlay
-// by delete-and-rederive, reporting whether the triple was asserted. Inferred
-// triples cannot be removed directly — they would immediately be rederived;
-// retract the asserted triples supporting them instead.
-//
-// Maintenance is the classic DRed two-phase pass, never a recomputation:
-// first every inferred triple whose derivation may involve the removed one is
-// overdeleted (a semi-naive pass over deletion deltas against the old
-// materialization), then each overdeleted triple that still has a derivation
-// from the surviving facts is put back and its consequences re-propagated.
-func (r *Reasoner) Remove(t store.Triple) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.base.Contains(t) {
-		return false
+// retract is Apply's delete-and-rederive pass: it retracts the triples of
+// removes that the base holds, through the write's handle, and returns them
+// (gone, each once, in request order) with the inferred triples it
+// overdeleted and the triples it put back, whose consequences the caller
+// propagates. Callers hold r.mu.
+func (r *Reasoner) retract(base *store.Tx, removes []store.Triple) (gone, marked, restored []store.IDTriple) {
+	// seen de-duplicates the retracted triples and then marks the overdeleted
+	// ones; asserted and inferred triples never coincide, so one set serves.
+	seen := make(map[store.IDTriple]bool, len(removes))
+	for _, t := range removes {
+		if idt, ok := r.encode(t); ok && !seen[idt] && r.base.ContainsID(idt) {
+			seen[idt] = true
+			gone = append(gone, idt)
+		}
 	}
-	idt, _ := r.encode(t)
 
-	// Phase 1 — overdelete. The removed triple is still visible (the base
+	// Phase 1 — overdelete. The retracted triples are still visible (the base
 	// removal happens after), so body atoms evaluate against the old
 	// materialization, as DRed requires. Everything inferred whose
 	// derivation may use a deleted triple is marked.
-	marked := map[store.IDTriple]bool{}
-	var markedList []store.IDTriple
-	delta := []store.IDTriple{idt}
 	var heads []store.IDTriple
-	for len(delta) > 0 {
+	for delta := gone; len(delta) > 0; {
 		heads = heads[:0]
 		for i := range r.rules {
 			rule := &r.rules[i]
@@ -437,53 +435,49 @@ func (r *Reasoner) Remove(t store.Triple) bool {
 				})
 			}
 		}
-		var next []store.IDTriple
+		lo := len(marked)
 		for _, h := range heads {
-			if !marked[h] && r.overlay.ContainsID(h) {
-				marked[h] = true
-				markedList = append(markedList, h)
-				next = append(next, h)
+			if !seen[h] && r.overlay.ContainsID(h) {
+				seen[h] = true
+				marked = append(marked, h)
 			}
 		}
-		delta = next
+		delta = marked[lo:]
 	}
 
-	r.base.Remove(t)
-	for _, m := range markedList {
-		r.overlay.RemoveID(m)
+	for _, g := range gone {
+		base.RemoveID(g)
 	}
-	r.stats.Overdeleted += len(markedList)
+	for _, m := range marked {
+		r.ov.RemoveID(m)
+	}
+	r.stats.Overdeleted += len(marked)
 
-	// Phase 2 — rederive. The removed triple itself is a candidate: if the
-	// surviving facts still derive it, it comes back as inferred. Each
+	// Phase 2 — rederive. The retracted triples themselves are candidates:
+	// one the surviving facts still derive comes back as inferred. Each
 	// candidate with a one-step derivation from the current view is
-	// restored, and the restorations are propagated like insertions, which
-	// re-derives any remaining overdeleted triple that is still entailed.
-	candidates := append(markedList, idt)
-	var restored []store.IDTriple
-	for _, c := range candidates {
-		if r.base.ContainsID(c) || r.overlay.ContainsID(c) {
-			continue
-		}
-		for i := range r.rules {
-			if derives(&r.rules[i], c, r.view) {
-				if _, err := r.overlay.AddID(c); err != nil {
-					panic(err) // ids came from this dictionary
+	// restored, and the caller propagates the restorations like insertions,
+	// which re-derives any remaining overdeleted triple that is still
+	// entailed.
+	for _, candidates := range [2][]store.IDTriple{marked, gone} {
+		for _, c := range candidates {
+			if r.base.ContainsID(c) || r.overlay.ContainsID(c) {
+				continue
+			}
+			for i := range r.rules {
+				if derives(&r.rules[i], c, r.view) {
+					if _, err := r.ov.AddID(c); err != nil {
+						panic(err) // ids came from this dictionary
+					}
+					restored = append(restored, c)
+					break
 				}
-				restored = append(restored, c)
-				break
 			}
 		}
 	}
 	r.stats.Rederived += len(restored)
 	r.stats.Derived += len(restored)
-	derived := r.propagate(restored)
-	r.notify(Delta{
-		Added:           append(restored, derived...),
-		Removed:         append(markedList, idt),
-		AssertedRemoved: []store.IDTriple{idt},
-	})
-	return true
+	return gone, marked, restored
 }
 
 // SnapshotBase writes the asserted base store's snapshot (Store.Snapshot's
@@ -587,7 +581,7 @@ func (r *Reasoner) rounds(delta []store.IDTriple) []store.IDTriple {
 				if r.base.ContainsID(h) || r.overlay.ContainsID(h) {
 					continue
 				}
-				if _, err := r.overlay.AddID(h); err != nil {
+				if _, err := r.ov.AddID(h); err != nil {
 					panic(err) // ids came from this dictionary
 				}
 				next = append(next, h)

@@ -11,10 +11,10 @@ import (
 // hierarchy and reads the entailed annotations back.
 func ExampleMaterialize() {
 	base := store.New()
-	if _, err := base.AddAll(
-		store.Triple{Subject: "car", Predicate: reason.SubClassOfPredicate, Object: "vehicle"},
-		store.Triple{Subject: "beetle", Predicate: store.TypePredicate, Object: "car"},
-	); err != nil {
+	if _, err := base.AddBatch([]store.Triple{
+		{Subject: "car", Predicate: reason.SubClassOfPredicate, Object: "vehicle"},
+		{Subject: "beetle", Predicate: store.TypePredicate, Object: "car"},
+	}); err != nil {
 		panic(err)
 	}
 
@@ -35,9 +35,9 @@ func ExampleMaterialize() {
 // asserted triple and the inference.
 func ExampleReasoner_Add() {
 	base := store.New()
-	if _, err := base.AddAll(
-		store.Triple{Subject: "car", Predicate: reason.SubClassOfPredicate, Object: "vehicle"},
-	); err != nil {
+	if _, err := base.AddBatch([]store.Triple{
+		{Subject: "car", Predicate: reason.SubClassOfPredicate, Object: "vehicle"},
+	}); err != nil {
 		panic(err)
 	}
 	r, err := reason.Materialize(base, reason.RDFSRules())

@@ -2,9 +2,11 @@ package reason
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/dl"
 	"repro/internal/query"
@@ -29,14 +31,14 @@ func errorsAs(err error, target any) bool { return errors.As(err, target) }
 func vehicleBase(t *testing.T) *store.Store {
 	t.Helper()
 	s := store.New()
-	if _, err := s.AddAll(
-		store.Triple{Subject: "car", Predicate: SubClassOfPredicate, Object: "roadvehicle"},
-		store.Triple{Subject: "car", Predicate: SubClassOfPredicate, Object: "motorvehicle"},
-		store.Triple{Subject: "pickup", Predicate: SubClassOfPredicate, Object: "roadvehicle"},
-		store.Triple{Subject: "roadvehicle", Predicate: SubClassOfPredicate, Object: "vehicle"},
-		store.Triple{Subject: "herbie", Predicate: store.TypePredicate, Object: "car"},
-		store.Triple{Subject: "truck-1", Predicate: store.TypePredicate, Object: "pickup"},
-	); err != nil {
+	if _, err := s.AddBatch([]store.Triple{
+		{Subject: "car", Predicate: SubClassOfPredicate, Object: "roadvehicle"},
+		{Subject: "car", Predicate: SubClassOfPredicate, Object: "motorvehicle"},
+		{Subject: "pickup", Predicate: SubClassOfPredicate, Object: "roadvehicle"},
+		{Subject: "roadvehicle", Predicate: SubClassOfPredicate, Object: "vehicle"},
+		{Subject: "herbie", Predicate: store.TypePredicate, Object: "car"},
+		{Subject: "truck-1", Predicate: store.TypePredicate, Object: "pickup"},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -82,13 +84,13 @@ func TestReasonRDFSSubClassMaterialization(t *testing.T) {
 
 func TestReasonSubPropertyDomainRange(t *testing.T) {
 	base := store.New()
-	if _, err := base.AddAll(
-		store.Triple{Subject: "hasEngine", Predicate: SubPropertyOfPredicate, Object: "hasPart"},
-		store.Triple{Subject: "hasPart", Predicate: SubPropertyOfPredicate, Object: "relatedTo"},
-		store.Triple{Subject: "hasEngine", Predicate: DomainPredicate, Object: "vehicle"},
-		store.Triple{Subject: "hasEngine", Predicate: RangePredicate, Object: "engine"},
-		store.Triple{Subject: "herbie", Predicate: "hasEngine", Object: "flat4"},
-	); err != nil {
+	if _, err := base.AddBatch([]store.Triple{
+		{Subject: "hasEngine", Predicate: SubPropertyOfPredicate, Object: "hasPart"},
+		{Subject: "hasPart", Predicate: SubPropertyOfPredicate, Object: "relatedTo"},
+		{Subject: "hasEngine", Predicate: DomainPredicate, Object: "vehicle"},
+		{Subject: "hasEngine", Predicate: RangePredicate, Object: "engine"},
+		{Subject: "herbie", Predicate: "hasEngine", Object: "flat4"},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	r, err := Materialize(base, RDFSRules())
@@ -214,11 +216,11 @@ func TestReasonUserRules(t *testing.T) {
 		"?x inSameRegion ?y :- ?x locatedIn ?s . ?y locatedIn ?s",
 	)...)
 	base := store.New()
-	if _, err := base.AddAll(
-		store.Triple{Subject: "plant-1", Predicate: "locatedIn", Object: "site-a"},
-		store.Triple{Subject: "plant-2", Predicate: "locatedIn", Object: "site-a"},
-		store.Triple{Subject: "plant-3", Predicate: "locatedIn", Object: "site-b"},
-	); err != nil {
+	if _, err := base.AddBatch([]store.Triple{
+		{Subject: "plant-1", Predicate: "locatedIn", Object: "site-a"},
+		{Subject: "plant-2", Predicate: "locatedIn", Object: "site-a"},
+		{Subject: "plant-3", Predicate: "locatedIn", Object: "site-b"},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	r, err := Materialize(base, rules)
@@ -320,24 +322,6 @@ func TestReasonStats(t *testing.T) {
 	}
 }
 
-func TestReasonRematerialize(t *testing.T) {
-	base := vehicleBase(t)
-	r, err := Materialize(base, RDFSRules())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A write behind the reasoner's back goes stale...
-	base.MustAdd(store.Triple{Subject: "kitt", Predicate: store.TypePredicate, Object: "car"})
-	if r.View().Contains(store.Triple{Subject: "kitt", Predicate: store.TypePredicate, Object: "vehicle"}) {
-		t.Fatal("setup: the stale view should not contain kitt's derived types yet")
-	}
-	// ...until Rematerialize recomputes from scratch.
-	r.Rematerialize()
-	if !r.View().Contains(store.Triple{Subject: "kitt", Predicate: store.TypePredicate, Object: "vehicle"}) {
-		t.Error("Rematerialize missed the direct write")
-	}
-}
-
 func TestReasonRuleValidation(t *testing.T) {
 	base := store.New()
 	bad := []Rule{{
@@ -353,5 +337,37 @@ func TestReasonRuleValidation(t *testing.T) {
 	}
 	if _, err := Materialize(nil, RDFSRules()); err == nil {
 		t.Error("nil base accepted")
+	}
+}
+
+// TestApplyLargeRetractionIsNotQuadratic: one write of the serving layer's
+// largest size — 100 000 removes, naming 50 000 asserted triples twice each —
+// finishes in well under a second; a pairwise de-duplication alone takes over
+// two. No rules, so the time is the retracted set's, not the maintenance's.
+func TestApplyLargeRetractionIsNotQuadratic(t *testing.T) {
+	const n = 50000
+	base := store.New()
+	asserted := []store.Triple{{Subject: "car", Predicate: SubClassOfPredicate, Object: "vehicle"}}
+	for i := 0; i < n; i++ {
+		asserted = append(asserted, store.Triple{Subject: fmt.Sprintf("i%d", i), Predicate: store.TypePredicate, Object: "car"})
+	}
+	if _, err := base.AddBatch(asserted); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Materialize(base, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	removes := append(append([]store.Triple(nil), asserted[1:]...), asserted[1:]...)
+	start := time.Now()
+	added, removed, err := r.Apply(nil, removes)
+	if elapsed := time.Since(start); elapsed > time.Second && !raceEnabled {
+		t.Errorf("retracting %d triples took %v, want < 1s", n, elapsed)
+	}
+	if err != nil || added != 0 || removed != n {
+		t.Fatalf("Apply = %d, %d, %v; want 0, %d, nil", added, removed, err, n)
+	}
+	if base.Len() != 1 {
+		t.Fatalf("after the retraction: %d asserted, want 1", base.Len())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -217,6 +218,140 @@ func TestReasonMatchesReference(t *testing.T) {
 	}
 }
 
+// recordDeltas installs an event hook on r that keeps every Delta (its lists
+// copied: they are the reasoner's once the hook returns) in the returned
+// slice.
+func recordDeltas(r *Reasoner) *[]Delta {
+	events := new([]Delta)
+	r.SetOnEvent(func(d Delta) {
+		d.Added, d.Removed = slices.Clone(d.Added), slices.Clone(d.Removed)
+		d.AssertedAdded, d.AssertedRemoved = slices.Clone(d.AssertedAdded), slices.Clone(d.AssertedRemoved)
+		*events = append(*events, d)
+	})
+	return events
+}
+
+// applyChecked runs one Apply and holds it to three references: the naive
+// closure for the materialization; a sequential model — the adds one by one,
+// then the removes one by one, over a plain set — for the two counts, the
+// base's contents and the replayable lists of the Delta; and "generation +1
+// and exactly one Delta iff anything changed, else neither". events is what
+// recordDeltas returned for r.
+func applyChecked(t *testing.T, r *Reasoner, rules []Rule, events *[]Delta, adds, removes []store.Triple, context string) {
+	t.Helper()
+	model := map[store.Triple]bool{}
+	for _, tr := range r.Base().Triples() {
+		model[tr] = true
+	}
+	var wantAdded, wantRemoved []store.Triple
+	for _, tr := range adds {
+		if !model[tr] {
+			model[tr] = true
+			wantAdded = append(wantAdded, tr)
+		}
+	}
+	for _, tr := range removes {
+		if model[tr] {
+			delete(model, tr)
+			wantRemoved = append(wantRemoved, tr)
+		}
+	}
+	gen, fired := r.Generation(), len(*events)
+	added, removed, err := r.Apply(adds, removes)
+	if err != nil {
+		t.Fatalf("%s: Apply(%v, %v): %v", context, adds, removes, err)
+	}
+	if added != len(wantAdded) || removed != len(wantRemoved) {
+		t.Fatalf("%s: Apply(%v, %v) = %d added, %d removed; one at a time it is %d and %d", context, adds, removes, added, removed, len(wantAdded), len(wantRemoved))
+	}
+	if got, want := fmt.Sprint(r.Base().Triples()), fmt.Sprint(sortedTriples(model)); got != want {
+		t.Fatalf("%s: Apply(%v, %v) left the base at %s, want %s", context, adds, removes, got, want)
+	}
+	if changed := added+removed > 0; !changed {
+		if r.Generation() != gen || len(*events) != fired {
+			t.Fatalf("%s: a write that changed nothing moved generation %d → %d and fired %d events", context, gen, r.Generation(), len(*events)-fired)
+		}
+	} else {
+		if r.Generation() != gen+1 || len(*events) != fired+1 {
+			t.Fatalf("%s: a content-changing write moved generation %d → %d and fired %d events, want +1 and one", context, gen, r.Generation(), len(*events)-fired)
+		}
+		d, res := (*events)[fired], r.Base().NewResolver()
+		for _, side := range []struct {
+			name string
+			got  []store.IDTriple
+			want []store.Triple
+		}{{"AssertedAdded", d.AssertedAdded, wantAdded}, {"AssertedRemoved", d.AssertedRemoved, wantRemoved}} {
+			got := map[store.Triple]bool{}
+			for _, id := range side.got {
+				got[store.Triple{Subject: res.Name(id.S), Predicate: res.Name(id.P), Object: res.Name(id.O)}] = true
+			}
+			if len(side.got) != len(side.want) || len(got) != len(side.want) {
+				t.Fatalf("%s: Delta.%s is %v, want the set %v", context, side.name, sortedTriples(got), side.want)
+			}
+			for _, w := range side.want {
+				if !got[w] {
+					t.Fatalf("%s: Delta.%s %v lacks %v", context, side.name, sortedTriples(got), w)
+				}
+			}
+		}
+		if d.Gen != gen+1 {
+			t.Fatalf("%s: Delta carries generation %d, want %d", context, d.Gen, gen+1)
+		}
+	}
+	checkAgainstNaive(t, r, rules, context)
+}
+
+// randomApply draws one two-sided write: a few adds from draw, and removes
+// from the base, from this call's own adds, from the inferred-only triples
+// and from draw again (mostly absent), with duplicates on both sides.
+func randomApply(rng *rand.Rand, r *Reasoner, draw func() store.Triple) (adds, removes []store.Triple) {
+	for i, n := 0, rng.Intn(4); i < n; i++ {
+		adds = append(adds, draw())
+	}
+	if len(adds) > 0 && rng.Intn(3) == 0 {
+		adds = append(adds, adds[rng.Intn(len(adds))])
+	}
+	asserted, inferred := r.Base().Triples(), r.Overlay().Triples()
+	for i, n := 0, rng.Intn(5); i < n; i++ {
+		switch k := rng.Intn(5); {
+		case k == 0 && len(adds) > 0:
+			removes = append(removes, adds[rng.Intn(len(adds))])
+		case k == 1 && len(inferred) > 0:
+			removes = append(removes, inferred[rng.Intn(len(inferred))])
+		case k == 2:
+			removes = append(removes, draw())
+		case k == 3 && len(removes) > 0:
+			removes = append(removes, removes[rng.Intn(len(removes))])
+		case len(asserted) > 0:
+			removes = append(removes, asserted[rng.Intn(len(asserted))])
+		}
+	}
+	return adds, removes
+}
+
+// TestApplyMatchesReference is the mixed-write property: random rule sets and
+// stores, then random two-sided Apply steps, each held to applyChecked's
+// references.
+func TestApplyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 120; trial++ {
+		rules := randomRules(rng)
+		base := store.New()
+		for i, n := 0, rng.Intn(10); i < n; i++ {
+			base.MustAdd(randomTriple(rng))
+		}
+		r, err := Materialize(base, rules)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		events := recordDeltas(r)
+		for step := 0; step < 6; step++ {
+			adds, removes := randomApply(rng, r, func() store.Triple { return randomTriple(rng) })
+			applyChecked(t, r, rules, events, adds, removes, fmt.Sprintf("trial %d step %d", trial, step))
+		}
+	}
+}
+
 // TestReasonAddRemoveRestoresSnapshot is the incremental-maintenance
 // round-trip property: over random rule sets and stores, Add(t) followed by
 // Remove(t) for a t that was not asserted returns the materialized view to a
@@ -272,8 +407,9 @@ func TestReasonAddRemoveRestoresSnapshot(t *testing.T) {
 }
 
 // FuzzReasonMatchesReference feeds byte-derived rule sets and operation
-// schedules to the engine, holding it to the naive reference closure after
-// every mutation. Non-negative seeds draw a random rule set and store;
+// schedules — single adds and removes, and two-sided Apply steps — to the
+// engine, holding it to the naive reference closure (and, through
+// applyChecked, the sequential model) after every mutation. Non-negative seeds draw a random rule set and store;
 // negative ones pick an adversarial schema of bulk_test.go (mostly the RDFS
 // set, whose propagation rules skip their own conclusions), so the schedule
 // of adds and removes runs on top of a bulk-built overlay. CI runs a short
@@ -316,16 +452,34 @@ func FuzzReasonMatchesReference(f *testing.F) {
 			t.Fatal(err)
 		}
 		checkAgainstNaive(t, r, c.rules, "initial")
-		for i, op := range ops {
-			tr := c.pool[int(op>>1)%len(c.pool)]
-			if op&1 == 0 {
-				if _, err := r.Add(tr); err != nil {
-					t.Fatal(err)
+		events := recordDeltas(r)
+		pick := func(op byte) store.Triple { return c.pool[int(op>>2)%len(c.pool)] }
+		for i := 0; i < len(ops); i++ {
+			op, context := ops[i], fmt.Sprintf("op %d", i)
+			var adds, removes []store.Triple
+			switch op & 3 {
+			case 0:
+				adds = []store.Triple{pick(op)}
+			case 1:
+				removes = []store.Triple{pick(op)}
+			default:
+				// A two-sided write: this byte's triple and the next's
+				// asserted, the one after retracted — named twice — and, for
+				// kind 3, the first add retracted by the same write.
+				adds = []store.Triple{pick(op)}
+				if i+1 < len(ops) {
+					i++
+					adds = append(adds, pick(ops[i]))
 				}
-			} else {
-				r.Remove(tr)
+				if i+1 < len(ops) {
+					i++
+					removes = append(removes, pick(ops[i]), pick(ops[i]))
+				}
+				if op&3 == 3 {
+					removes = append(removes, adds[0])
+				}
 			}
-			checkAgainstNaive(t, r, c.rules, fmt.Sprintf("op %d", i))
+			applyChecked(t, r, c.rules, events, adds, removes, context)
 		}
 	})
 }

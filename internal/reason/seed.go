@@ -19,20 +19,19 @@ import (
 // locks. The rounds after the seed find a non-empty overlay and are ordinary
 // maintenance rounds.
 
-// materialize computes the full fixpoint over the base into the overlay,
-// which must be empty, and records its figures. Callers hold r.mu.
+// materialize computes the full fixpoint over the base into the overlay of a
+// new reasoner and records its figures. Callers hold r.mu.
 func (r *Reasoner) materialize() {
 	start := time.Now()
-	before := r.stats
 	fresh := r.seedRound()
 	r.rounds(fresh)
-	r.boot.Store(&MaterializeStats{
+	r.boot = MaterializeStats{
 		Duration:   time.Since(start),
-		Rounds:     r.stats.Rounds - before.Rounds,
-		Heads:      r.stats.Heads - before.Heads,
+		Rounds:     r.stats.Rounds,
+		Heads:      r.stats.Heads,
 		BulkLoaded: len(fresh),
 		Inferred:   r.overlay.Len(),
-	})
+	}
 }
 
 // seedRound runs the seed round and returns the triples it inferred, sorted:

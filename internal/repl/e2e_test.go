@@ -10,7 +10,9 @@ package repl_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"testing"
@@ -101,8 +103,8 @@ func waitApplied(t *testing.T, rep *repl.Replica, gen uint64) {
 
 // mutator drives a deterministic random mutation schedule against the
 // primary's reasoner: weighted adds (instances and subclass edges, so the
-// rule set derives and DRed retracts) and removes of random asserted
-// triples.
+// rule set derives and DRed retracts), removes of random asserted triples,
+// and two-sided writes that do both at once.
 type mutator struct {
 	rng *rand.Rand
 	r   *reason.Reasoner
@@ -117,7 +119,7 @@ func newMutator(seed int64, r *reason.Reasoner) *mutator {
 func (m *mutator) step(t *testing.T) bool {
 	t.Helper()
 	m.n++
-	switch k := m.rng.Intn(10); {
+	switch k := m.rng.Intn(13); {
 	case k < 5: // assert a batch of instance annotations
 		batch := make([]store.Triple, 1+m.rng.Intn(3))
 		for i := range batch {
@@ -143,12 +145,30 @@ func (m *mutator) step(t *testing.T) bool {
 			t.Fatal(err)
 		}
 		return n > 0
-	default: // retract a random asserted triple (delete-and-rederive)
+	case k < 10: // retract a random asserted triple (delete-and-rederive)
 		triples := m.r.Base().Triples()
 		if len(triples) == 0 {
 			return false
 		}
 		return m.r.Remove(triples[m.rng.Intn(len(triples))])
+	default: // one write on both sides: re-file an instance, retract a few asserted triples, one of them twice
+		item := "item-" + strconv.Itoa(m.rng.Intn(50))
+		adds := []store.Triple{
+			{Subject: item, Predicate: store.TypePredicate, Object: "c" + strconv.Itoa(m.rng.Intn(8))},
+			{Subject: item, Predicate: store.TypePredicate, Object: "c" + strconv.Itoa(m.rng.Intn(8))},
+		}
+		removes := []store.Triple{adds[m.rng.Intn(2)]} // asserted and retracted by the same write
+		if triples := m.r.Base().Triples(); len(triples) > 0 {
+			for i, n := 0, 1+m.rng.Intn(3); i < n; i++ {
+				removes = append(removes, triples[m.rng.Intn(len(triples))])
+			}
+			removes = append(removes, removes[len(removes)-1])
+		}
+		added, removed, err := m.r.Apply(adds, removes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return added+removed > 0
 	}
 }
 
@@ -198,8 +218,26 @@ func TestReplayProperty(t *testing.T) {
 				round, gen, len(want), len(got))
 		}
 	}
-	if st := rep.Status(); st.AppliedGeneration != psrv.Reasoner().Generation() {
-		t.Fatalf("final applied generation %d != primary %d", st.AppliedGeneration, psrv.Reasoner().Generation())
+	// One write is one generation, one frame and one local write on the
+	// replica: the four counters agree to the unit.
+	gen := psrv.Reasoner().Generation()
+	if st := rep.Status(); st.AppliedGeneration != gen {
+		t.Fatalf("final applied generation %d != primary %d", st.AppliedGeneration, gen)
+	}
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats server.StatsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if feed := stats.Replication.Feed; uint64(feed.Appends) != gen || feed.Latest != gen {
+		t.Fatalf("primary at generation %d published %d frames through generation %d", gen, feed.Appends, feed.Latest)
+	}
+	if applier.Generation() != gen {
+		t.Fatalf("the replica applied %d frames as %d local writes", gen, applier.Generation())
 	}
 }
 

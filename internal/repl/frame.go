@@ -19,15 +19,15 @@
 //	                                410 Gone when G has fallen out of the
 //	                                primary's retained window.
 //
-// A Frame carries the asserted mutations of exactly one reasoner write
-// (one Add, AddBatch or Remove — never both adds and removes), so a replica
-// that applies frames in generation order through its own reasoner replays
-// the primary's write history exactly: the inferred overlay is a
-// deterministic function of the asserted store and the rule set, so the
-// replica's materialized view converges to the primary's, byte-identical
-// snapshot included. Generations form a dense chain (each frame's Gen is
-// its predecessor's plus one), which is how a replica detects dropped and
-// duplicated frames with a single comparison.
+// A Frame carries the asserted mutation of exactly one reasoner write (one
+// reason.Reasoner.Apply: the triples it asserted, then the ones it
+// retracted), so a replica that applies frames in generation order through
+// its own reasoner replays the primary's write history exactly: the inferred
+// overlay is a deterministic function of the asserted store and the rule
+// set, so the replica's materialized view converges to the primary's,
+// byte-identical snapshot included. Generations form a dense chain (each
+// frame's Gen is its predecessor's plus one), which is how a replica detects
+// dropped and duplicated frames with a single comparison.
 //
 // Generations alone cannot distinguish histories: they restart from zero
 // when a primary process restarts, so frame N of the new history is not
@@ -72,11 +72,9 @@ func (t WireTriple) Triple() store.Triple {
 	return store.Triple{Subject: t.S, Predicate: t.P, Object: t.O}
 }
 
-// Frame is one generation of the delta feed: the asserted mutations of
-// exactly one primary write. At most one of Add and Remove is non-empty
-// (a reasoner write is an assertion batch or a single retraction, never
-// both); a Reset frame carries neither and tells the replica the primary
-// rematerialized with unknown extent — the replica must re-snapshot.
+// Frame is one generation of the delta feed: the asserted mutation of
+// exactly one primary write, applied Add first, then Remove — a triple in
+// both ends absent.
 type Frame struct {
 	// Gen is the primary generation this frame produces when applied.
 	// Frames form a dense chain: a frame's Gen is its predecessor's plus 1.
@@ -85,9 +83,6 @@ type Frame struct {
 	Add []WireTriple `json:"add,omitempty"`
 	// Remove is the triples the write retracted from the base store.
 	Remove []WireTriple `json:"remove,omitempty"`
-	// Reset marks an unknown-extent change (primary Rematerialize); the
-	// replica's only correct response is a fresh snapshot.
-	Reset bool `json:"reset,omitempty"`
 }
 
 // Trailer is the final line of every /repl/deltas response. Its Done field
@@ -115,10 +110,8 @@ type feedLine struct {
 // DecodeLine parses one line of a /repl/deltas response into either a frame
 // or the trailer (exactly one of the two results is non-nil on success).
 // Beyond JSON well-formedness it enforces the frame invariants the replica
-// relies on: a generation is present, triples have no empty component, at
-// most one of Add and Remove is populated, and a Reset frame carries no
-// triples. It never panics on arbitrary input — FuzzDecodeLine holds it to
-// that.
+// relies on: a generation is present and triples have no empty component.
+// It never panics on arbitrary input — FuzzDecodeLine holds it to that.
 func DecodeLine(line []byte) (*Frame, *Trailer, error) {
 	var ln feedLine
 	if err := json.Unmarshal(line, &ln); err != nil {
@@ -138,16 +131,6 @@ func DecodeLine(line []byte) (*Frame, *Trailer, error) {
 func validateFrame(fr Frame) error {
 	if fr.Gen == 0 {
 		return fmt.Errorf("repl: frame without a generation")
-	}
-	if fr.Reset && (len(fr.Add) > 0 || len(fr.Remove) > 0) {
-		return fmt.Errorf("repl: reset frame at generation %d carries triples", fr.Gen)
-	}
-	if len(fr.Add) > 0 && len(fr.Remove) > 0 {
-		// A reasoner write is an assertion batch or a retraction, never
-		// both; Replica.apply replays Add before Remove, so a two-sided
-		// frame would be replayed in an order that never occurred on the
-		// primary. Reject it rather than fork.
-		return fmt.Errorf("repl: frame at generation %d carries both adds and removes", fr.Gen)
 	}
 	for _, side := range [2][]WireTriple{fr.Add, fr.Remove} {
 		for _, t := range side {

@@ -2,6 +2,7 @@ package repl
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -14,7 +15,7 @@ func TestDecodeLineFrame(t *testing.T) {
 	if tr != nil {
 		t.Fatalf("frame line decoded as trailer %+v", tr)
 	}
-	if fr.Gen != 7 || len(fr.Add) != 1 || len(fr.Remove) != 0 || fr.Reset {
+	if fr.Gen != 7 || len(fr.Add) != 1 || len(fr.Remove) != 0 {
 		t.Fatalf("frame = %+v", fr)
 	}
 	if got := fr.Add[0].Triple(); got.Subject != "a" || got.Predicate != "type" || got.Object != "b" {
@@ -43,8 +44,7 @@ func TestDecodeLineRejects(t *testing.T) {
 		{"no generation", `{"add":[{"s":"a","p":"b","o":"c"}]}`},
 		{"empty component", `{"gen":3,"add":[{"s":"a","p":"","o":"c"}]}`},
 		{"empty remove component", `{"gen":3,"remove":[{"s":"","p":"b","o":"c"}]}`},
-		{"reset with triples", `{"gen":3,"reset":true,"add":[{"s":"a","p":"b","o":"c"}]}`},
-		{"both adds and removes", `{"gen":3,"add":[{"s":"a","p":"b","o":"c"}],"remove":[{"s":"x","p":"y","o":"z"}]}`},
+		{"empty component beside a valid side", `{"gen":3,"add":[{"s":"a","p":"b","o":"c"}],"remove":[{"s":"x","p":"y","o":""}]}`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if fr, tr, err := DecodeLine([]byte(tc.line)); err == nil {
@@ -55,7 +55,9 @@ func TestDecodeLineRejects(t *testing.T) {
 }
 
 // TestFrameRoundTrip pins the wire format: what the primary's handler
-// encodes, DecodeLine reads back unchanged.
+// encodes, DecodeLine reads back unchanged — a one-sided frame without its
+// empty side, a two-sided frame (one write that asserted and retracted, a
+// triple on both sides included) with both.
 func TestFrameRoundTrip(t *testing.T) {
 	in := Frame{
 		Gen:    9,
@@ -73,8 +75,20 @@ func TestFrameRoundTrip(t *testing.T) {
 	if fr.Gen != in.Gen || len(fr.Add) != 2 || fr.Add[1] != in.Add[1] {
 		t.Fatalf("round trip changed the frame: %+v", fr)
 	}
-	if strings.Contains(string(blob), "remove") || strings.Contains(string(blob), "reset") {
+	if strings.Contains(string(blob), "remove") {
 		t.Fatalf("empty fields serialized: %s", blob)
+	}
+
+	in.Remove = []WireTriple{{S: "y", P: "type", O: "c"}, {S: "z", P: "type", O: "c"}}
+	if blob, err = json.Marshal(in); err != nil {
+		t.Fatal(err)
+	}
+	fr, tr, err = DecodeLine(blob)
+	if err != nil || tr != nil {
+		t.Fatalf("decode of a two-sided frame: frame=%v trailer=%v err=%v", fr, tr, err)
+	}
+	if !reflect.DeepEqual(*fr, in) {
+		t.Fatalf("round trip changed the two-sided frame: %+v, want %+v", *fr, in)
 	}
 }
 
@@ -106,12 +120,6 @@ func FuzzDecodeLine(f *testing.F) {
 		}
 		if fr.Gen == 0 {
 			t.Fatalf("accepted frame without a generation: %s", line)
-		}
-		if fr.Reset && (len(fr.Add) > 0 || len(fr.Remove) > 0) {
-			t.Fatalf("accepted reset frame with triples: %s", line)
-		}
-		if len(fr.Add) > 0 && len(fr.Remove) > 0 {
-			t.Fatalf("accepted frame with both adds and removes: %s", line)
 		}
 		for _, tr := range append(append([]WireTriple{}, fr.Add...), fr.Remove...) {
 			if tr.S == "" || tr.P == "" || tr.O == "" {

@@ -188,9 +188,8 @@ func (r *Replica) Status() Status {
 // frame through applier — the reasoner materializing the replica's base
 // store — in generation order. Frames at or below the applied generation
 // are skipped (a generation is never applied twice); a chain break, a 410
-// from the primary, a primary epoch change (the primary restarted, so its
-// generation chain is a new history), or a Reset frame triggers a full
-// re-snapshot; transport
+// from the primary, or a primary epoch change (the primary restarted, so its
+// generation chain is a new history) triggers a full re-snapshot; transport
 // errors reconnect with capped exponential backoff and ±50% jitter. Run
 // only returns when ctx is done — every failure mode retries — and always
 // returns nil; it is meant to be launched as `go rep.Run(ctx, reasoner)`
@@ -335,10 +334,6 @@ func (r *Replica) poll(ctx context.Context) error {
 			// The chain skipped a generation mid-stream; the safe recovery
 			// is the same as a retention gap.
 			return errWindowPassed
-		case fr.Reset:
-			// The primary rematerialized with unknown extent; only a fresh
-			// snapshot can re-establish equivalence.
-			return errWindowPassed
 		}
 		if err := r.apply(fr); err != nil {
 			return err
@@ -353,25 +348,23 @@ func (r *Replica) poll(ctx context.Context) error {
 	return nil
 }
 
-// apply replays one frame through the reasoner's incremental-maintenance
-// path: assertions via AddBatch (one semi-naive propagation for the whole
-// frame), retractions via Remove (delete-and-rederive) — exactly the paths
-// the primary's own write took, which is what makes the replica's
-// materialization converge to the primary's.
+// apply replays one frame as one write of the local reasoner — the same
+// Apply, adds then removes, the primary's own write was, which is what makes
+// the replica's materialization converge to the primary's.
 func (r *Replica) apply(fr Frame) error {
-	if len(fr.Add) > 0 {
-		batch := make([]store.Triple, len(fr.Add))
-		for i, t := range fr.Add {
-			batch[i] = t.Triple()
-		}
-		if _, err := r.applier.AddBatch(batch); err != nil {
-			return fmt.Errorf("repl: applying frame %d: %w", fr.Gen, err)
-		}
-	}
-	for _, t := range fr.Remove {
-		r.applier.Remove(t.Triple())
+	if _, _, err := r.applier.Apply(wireTriples(fr.Add), wireTriples(fr.Remove)); err != nil {
+		return fmt.Errorf("repl: applying frame %d: %w", fr.Gen, err)
 	}
 	return nil
+}
+
+// wireTriples converts one side of a frame to store triples.
+func wireTriples(ts []WireTriple) []store.Triple {
+	out := make([]store.Triple, len(ts))
+	for i, t := range ts {
+		out[i] = t.Triple()
+	}
+	return out
 }
 
 // fetchSnapshot retrieves the primary's base snapshot into a fresh store
@@ -417,25 +410,19 @@ func (r *Replica) fetchSnapshot(ctx context.Context) (*store.Store, uint64, stri
 
 // resnapshot re-establishes equivalence with the primary after the feed
 // position was lost: fetch a fresh snapshot, diff it against the replica's
-// current asserted store, and apply the difference through the reasoner —
-// removals first, then assertions — so the materialized view is maintained
-// incrementally and the replica keeps serving (slightly stale, then
-// converged) queries throughout. The diff is set-based, so it lands on the
-// snapshot's exact state no matter what suffix of history the replica
-// missed.
+// current asserted store, and apply the difference through the reasoner as
+// one write, so the materialized view is maintained incrementally and the
+// replica keeps serving (slightly stale, then converged) queries throughout.
+// The diff is set-based, so it lands on the snapshot's exact state no matter
+// what suffix of history the replica missed.
 func (r *Replica) resnapshot(ctx context.Context) error {
 	target, gen, epoch, err := r.fetchSnapshot(ctx)
 	if err != nil {
 		return err
 	}
 	adds, removes := diffTriples(r.applier.Base().Triples(), target.Triples())
-	for _, t := range removes {
-		r.applier.Remove(t)
-	}
-	if len(adds) > 0 {
-		if _, err := r.applier.AddBatch(adds); err != nil {
-			return fmt.Errorf("repl: applying re-snapshot diff: %w", err)
-		}
+	if _, _, err := r.applier.Apply(adds, removes); err != nil {
+		return fmt.Errorf("repl: applying re-snapshot diff: %w", err)
 	}
 	r.mu.Lock()
 	r.st.PrimaryEpoch = epoch

@@ -127,28 +127,59 @@ func BenchmarkServerQuery(b *testing.B) {
 }
 
 // BenchmarkServerMutation measures POST /triples incremental maintenance
-// at 1e5 triples: each iteration asserts one fresh instance (propagating
-// its superclass annotations) — the write path the cache invalidation
-// rides on.
+// at 1e5 triples — the write path the cache invalidation rides on — for the
+// three shapes of request: add asserts one fresh instance (propagating its
+// superclass annotations), two-sided re-files one instance under another
+// class (one add and one remove in one write), remove-8 retracts eight
+// instance annotations at once (asserted off the clock).
 func BenchmarkServerMutation(b *testing.B) {
 	base, oi, sample := benchCorpus(b, 100_000)
 	s, err := New(Config{Base: base, Ontology: oi})
 	if err != nil {
 		b.Fatal(err)
 	}
-	class := sample[len(sample)/2]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		body, _ := json.Marshal(MutateRequest{Add: []TripleJSON{
-			{Subject: "bench/new-" + strconv.Itoa(i), Predicate: store.TypePredicate, Object: class},
-		}})
+	classes := [2]string{sample[len(sample)/2], sample[len(sample)/3]}
+	typed := func(subject, class string) TripleJSON {
+		return TripleJSON{Subject: subject, Predicate: store.TypePredicate, Object: class}
+	}
+	post := func(b *testing.B, req MutateRequest) {
+		body, _ := json.Marshal(req)
 		rec := httptest.NewRecorder()
 		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/triples", bytes.NewReader(body)))
 		if rec.Code != http.StatusOK {
 			b.Fatalf("mutation failed: %d %s", rec.Code, rec.Body)
 		}
 	}
+	b.Run("add", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			post(b, MutateRequest{Add: []TripleJSON{typed("bench/new-"+strconv.Itoa(i), classes[0])}})
+		}
+	})
+	b.Run("two-sided", func(b *testing.B) {
+		post(b, MutateRequest{Add: []TripleJSON{typed("bench/mover", classes[1])}})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			post(b, MutateRequest{
+				Add:    []TripleJSON{typed("bench/mover", classes[i%2])},
+				Remove: []TripleJSON{typed("bench/mover", classes[(i+1)%2])},
+			})
+		}
+	})
+	b.Run("remove-8", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			var eight []TripleJSON
+			for k := 0; k < 8; k++ {
+				eight = append(eight, typed("bench/gone-"+strconv.Itoa(8*i+k), classes[0]))
+			}
+			post(b, MutateRequest{Add: eight})
+			b.StartTimer()
+			post(b, MutateRequest{Remove: eight})
+		}
+	})
 }
 
 // BenchmarkObsOverhead guards the observability tax, in the one package that

@@ -16,6 +16,9 @@ import (
 // cacheEntry is one cached query result: the marshaled response body and
 // the invalidation footprint of the BGP that produced it.
 type cacheEntry struct {
+	// gen is the engine generation the result was computed at: an entry in
+	// the cache is never older than it (see put).
+	gen uint64
 	// body is the response exactly as the miss streamed it, header line
 	// through last solution line (trailing newline included), in one slice:
 	// a hit is a single write, and len(body) is what the cache's byte budget
@@ -59,30 +62,35 @@ type cacheShard struct {
 // is accounted in retained response bytes, not entries, because one entry
 // can hold up to MaxSolutions marshaled rows — counting entries would make
 // memory use effectively unbounded. Lookups and stores lock one shard;
-// invalidation walks every shard. A generation counter closes the
+// invalidation walks every shard. The engine's generation closes the
 // read-evaluate-store race against concurrent mutations: a result computed
-// against generation g is dropped instead of stored when any invalidation
-// ran after g, so a cache entry never outlives the data it was computed
-// from. The zero-budget cache is a valid always-miss cache.
+// at generation g is dropped instead of stored once the engine has moved
+// past g, so a cache entry never outlives the data it was computed from. The
+// zero-budget cache is a valid always-miss cache.
 type resultCache struct {
 	shards        []cacheShard
 	seed          maphash.Seed
 	perShardBytes int64
-	gen           atomic.Uint64
+	// generation reads the engine's current generation
+	// (reason.Reasoner.Generation), which the engine advances before it
+	// calls invalidate.
+	generation func() uint64
 
 	hits, misses, invalidations atomic.Int64
 }
 
 // newResultCache sizes a cache for maxBytes of retained responses across
-// nshards shards. maxBytes <= 0 disables caching entirely (every lookup
-// misses, every store is dropped).
-func newResultCache(maxBytes int64, nshards int) *resultCache {
+// nshards shards, over an engine whose generation the given function reads.
+// maxBytes <= 0 disables caching entirely (every lookup misses, every store
+// is dropped).
+func newResultCache(maxBytes int64, nshards int, generation func() uint64) *resultCache {
 	if nshards < 1 {
 		nshards = 1
 	}
 	c := &resultCache{
-		shards: make([]cacheShard, nshards),
-		seed:   maphash.MakeSeed(),
+		shards:     make([]cacheShard, nshards),
+		seed:       maphash.MakeSeed(),
+		generation: generation,
 	}
 	if maxBytes > 0 {
 		c.perShardBytes = (maxBytes + int64(nshards) - 1) / int64(nshards)
@@ -91,12 +99,6 @@ func newResultCache(maxBytes int64, nshards int) *resultCache {
 		}
 	}
 	return c
-}
-
-// generation returns the current invalidation generation; results computed
-// for a store call must carry the generation observed before evaluation.
-func (c *resultCache) generation() uint64 {
-	return c.gen.Load()
 }
 
 // size is the entry's retained bytes.
@@ -132,21 +134,24 @@ func (c *resultCache) get(key string) *cacheEntry {
 	return e
 }
 
-// put stores an entry computed while the cache was at generation gen. If any
-// invalidation ran since, the entry may describe pre-mutation data and is
-// dropped. An entry bigger than the whole per-shard budget is never stored;
-// otherwise arbitrary entries are evicted (map iteration order) until it
-// fits — the cache is a recency-free bounded memo, not an LRU; under
-// invalidation-heavy write traffic entries rarely live long enough for
-// eviction policy to matter.
-func (c *resultCache) put(key string, e *cacheEntry, gen uint64) {
+// put stores an entry computed at engine generation e.gen, read before the
+// evaluation began. If the engine has moved on, the entry may describe
+// pre-mutation data and is dropped. The check runs inside the shard's
+// critical section: the engine bumps its generation before invalidate sweeps
+// any shard, so a put that still sees e.gen precedes this shard's sweep,
+// which then drops the entry if the write touched it. An entry bigger than
+// the whole per-shard budget is never stored; otherwise arbitrary entries are
+// evicted (map iteration order) until it fits — the cache is a recency-free
+// bounded memo, not an LRU; under invalidation-heavy write traffic entries
+// rarely live long enough for eviction policy to matter.
+func (c *resultCache) put(key string, e *cacheEntry) {
 	if !c.accepts(e.size()) {
 		return
 	}
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if c.gen.Load() != gen {
+	if c.generation() != e.gen {
 		return
 	}
 	if old, ok := sh.entries[key]; ok {
@@ -168,17 +173,11 @@ func (c *resultCache) put(key string, e *cacheEntry, gen uint64) {
 
 // invalidate drops every entry whose BGP mentions one of the changed
 // predicates (or has a variable predicate), resolving the delta's predicate
-// ids through the view's dictionary. nil lists — the engine's "everything
-// may have changed" signal — flush the whole cache. Invalidation always
-// bumps the generation, so in-flight evaluations that overlapped the
-// mutation cannot store.
+// ids through the view's dictionary. The engine calls it from its event
+// hook, after advancing its generation, so in-flight evaluations that
+// overlapped the mutation cannot store.
 func (c *resultCache) invalidate(res store.Resolver, added, removed []store.IDTriple) {
-	c.gen.Add(1)
 	if c.perShardBytes == 0 {
-		return
-	}
-	if added == nil && removed == nil {
-		c.flush()
 		return
 	}
 	changed := map[string]bool{}
@@ -210,21 +209,6 @@ func touches(preds []string, changed map[string]bool) bool {
 		}
 	}
 	return false
-}
-
-// flush drops every entry.
-func (c *resultCache) flush() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n := len(sh.entries)
-		for k := range sh.entries {
-			delete(sh.entries, k)
-		}
-		sh.bytes = 0
-		c.invalidations.Add(int64(n))
-		sh.mu.Unlock()
-	}
 }
 
 // stats snapshots the cache counters.

@@ -1,7 +1,7 @@
 package server
 
 import (
-	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/store"
@@ -11,9 +11,15 @@ func entryFor(preds ...string) *cacheEntry {
 	return &cacheEntry{body: make([]byte, 100), preds: preds}
 }
 
+// quietCache is a cache over an engine that never writes: its generation
+// stays 0, the generation entryFor's entries carry.
+func quietCache(maxBytes int64, nshards int) *resultCache {
+	return newResultCache(maxBytes, nshards, func() uint64 { return 0 })
+}
+
 func TestCacheDisabledAlwaysMisses(t *testing.T) {
-	c := newResultCache(0, 4)
-	c.put("k", entryFor("p"), c.generation())
+	c := quietCache(0, 4)
+	c.put("k", entryFor("p"))
 	if c.get("k") != nil {
 		t.Fatal("zero-budget cache returned an entry")
 	}
@@ -24,14 +30,13 @@ func TestCacheDisabledAlwaysMisses(t *testing.T) {
 }
 
 func TestCacheHitMissAndEviction(t *testing.T) {
-	c := newResultCache(250, 1) // one shard, room for two 100-byte entries
-	g := c.generation()
-	c.put("a", entryFor("p"), g)
-	c.put("b", entryFor("p"), g)
+	c := quietCache(250, 1) // one shard, room for two 100-byte entries
+	c.put("a", entryFor("p"))
+	c.put("b", entryFor("p"))
 	if c.get("a") == nil || c.get("b") == nil {
 		t.Fatal("stored entries missing")
 	}
-	c.put("c", entryFor("p"), g) // over budget: evicts a or b
+	c.put("c", entryFor("p")) // over budget: evicts a or b
 	st := c.stats()
 	if st.Entries != 2 || st.Bytes != 200 {
 		t.Fatalf("after eviction: %d entries / %d bytes, want 2 / 200", st.Entries, st.Bytes)
@@ -43,7 +48,7 @@ func TestCacheHitMissAndEviction(t *testing.T) {
 	// Replacing an entry under the same key swaps the accounted bytes.
 	big := entryFor("p")
 	big.body = make([]byte, 150)
-	c.put("c", big, g)
+	c.put("c", big)
 	if st := c.stats(); st.Bytes > 250 {
 		t.Fatalf("replacement double-counted bytes: %+v", st)
 	}
@@ -51,27 +56,58 @@ func TestCacheHitMissAndEviction(t *testing.T) {
 	// An entry larger than the whole shard budget is never stored.
 	huge := entryFor("p")
 	huge.body = make([]byte, 1000)
-	c.put("huge", huge, g)
+	c.put("huge", huge)
 	if c.get("huge") != nil {
 		t.Fatal("over-budget entry was stored")
 	}
 }
 
+// TestCacheGenerationClosesStoreRace plays the engine's side of the protocol
+// by hand — a write bumps the generation, then sweeps — around an evaluation
+// that started before it: whatever the interleaving, the stale result is not
+// in the cache once the write is done.
 func TestCacheGenerationClosesStoreRace(t *testing.T) {
-	c := newResultCache(1<<20, 2)
-	g := c.generation()
-	// A mutation invalidates while the evaluation is in flight…
-	var res store.Resolver
-	c.invalidate(res, nil, nil)
-	// …so the stale result must not enter the cache.
-	c.put("k", entryFor("p"), g)
+	st := store.New()
+	pid, err := st.Intern("p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, touched := st.NewResolver(), []store.IDTriple{{S: pid, P: pid, O: pid}}
+	var engine atomic.Uint64
+	c := newResultCache(1<<20, 2, engine.Load)
+	entryAt := func(gen uint64) *cacheEntry {
+		e := entryFor("p")
+		e.gen = gen
+		return e
+	}
+	g := engine.Load() // the evaluation reads the generation and starts
+
+	// A put that precedes the write's bump is stored; the write's sweep, which
+	// comes after the bump, drops it.
+	c.put("early", entryAt(g))
+	if c.get("early") == nil {
+		t.Fatal("an entry stored before any write is missing")
+	}
+	engine.Add(1)
+	// Between the bump and the sweep the in-flight result is already refused…
+	c.put("k", entryAt(g))
+	if c.get("k") != nil {
+		t.Fatal("stale entry stored after the generation moved")
+	}
+	c.invalidate(res, touched, nil)
+	if c.get("early") != nil {
+		t.Fatal("an entry stored before the bump survived the write's sweep")
+	}
+	// …and after the sweep.
+	c.put("k", entryAt(g))
 	if c.get("k") != nil {
 		t.Fatal("stale entry stored despite an interleaved invalidation")
 	}
-	// A fresh evaluation at the new generation stores fine.
-	c.put("k", entryFor("p"), c.generation())
-	if c.get("k") == nil {
-		t.Fatal("fresh entry missing")
+	// A fresh evaluation at the new generation stores fine and keeps the
+	// generation it was computed at.
+	c.put("k", entryAt(engine.Load()))
+	if e := c.get("k"); e == nil || e.gen != engine.Load() {
+		t.Fatalf("fresh entry %+v, want one at generation %d", e, engine.Load())
 	}
 }
 
@@ -83,14 +119,13 @@ func TestCachePredicateInvalidation(t *testing.T) {
 	}
 	res := s.NewResolver()
 
-	c := newResultCache(1<<20, 2)
-	g := c.generation()
-	c.put("on-p", entryFor("p"), g)
-	c.put("on-q", entryFor("q"), g)
-	c.put("multi", entryFor("q", "p"), g)
+	c := quietCache(1<<20, 2)
+	c.put("on-p", entryFor("p"))
+	c.put("on-q", entryFor("q"))
+	c.put("multi", entryFor("q", "p"))
 	wild := entryFor()
 	wild.anyPred = true
-	c.put("wild", wild, g)
+	c.put("wild", wild)
 
 	c.invalidate(res, []store.IDTriple{{S: pid, P: pid, O: pid}}, nil)
 	if c.get("on-p") != nil {
@@ -107,18 +142,5 @@ func TestCachePredicateInvalidation(t *testing.T) {
 	}
 	if st := c.stats(); st.Invalidations != 3 {
 		t.Fatalf("invalidations = %d, want 3", st.Invalidations)
-	}
-}
-
-func TestCacheNilDeltaFlushesAll(t *testing.T) {
-	var res store.Resolver
-	c := newResultCache(1<<20, 4)
-	g := c.generation()
-	for i := 0; i < 10; i++ {
-		c.put(fmt.Sprintf("k%d", i), entryFor("p"), g)
-	}
-	c.invalidate(res, nil, nil)
-	if st := c.stats(); st.Entries != 0 {
-		t.Fatalf("%d entries survived a global flush", st.Entries)
 	}
 }

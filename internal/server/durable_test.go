@@ -116,57 +116,75 @@ func TestDurableServerLifecycle(t *testing.T) {
 	}
 }
 
-// failingEngine satisfies DurabilityEngine with a sticky error, standing in
-// for a durable engine whose log has died mid-flight.
-type failingEngine struct {
-	err error
-}
+// statsOnlyEngine satisfies DurabilityEngine with nothing behind it: the
+// server needs no error from the engine to report a lost write.
+type statsOnlyEngine struct{}
 
-func (f *failingEngine) Stats() durable.Stats {
-	var s durable.Stats
-	if f.err != nil {
-		s.Err = f.err.Error()
-	}
-	return s
+func (statsOnlyEngine) Stats() durable.Stats { return durable.Stats{} }
+func (statsOnlyEngine) Checkpoint() error    { return nil }
+
+// deadJournal is a store.Journal whose every commit fails while err is set,
+// standing in for a log whose disk stopped taking fsyncs.
+type deadJournal struct{ err error }
+
+func (*deadJournal) JournalDict(store.SymbolID, []string) {}
+func (j *deadJournal) JournalMutation(adds, removes []store.IDTriple) error {
+	return j.err
 }
-func (f *failingEngine) Checkpoint() error { return f.err }
-func (f *failingEngine) Err() error        { return f.err }
 
 // TestRemoveDurabilityFailureIs500 pins the removal half of the /triples
-// durability contract: Store.Remove has no error slot, so a failed journal
-// commit is only visible through the engine's sticky error — and the
-// handler must consult it instead of acknowledging a lost removal with 200,
-// matching the add path's ErrJournal mapping.
+// durability contract: a request that retracts — alone or beside adds — and
+// whose journal commit fails is answered 500 from the write's own error, with
+// nothing polled from the engine, matching the add path's ErrJournal mapping.
 func TestRemoveDurabilityFailureIs500(t *testing.T) {
 	base := store.New()
 	if _, err := base.AddBatch(carCorpus(t).Triples()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := base.AddBatch([]store.Triple{{Subject: "t2", Predicate: "locatedIn", Object: "lisbon"}}); err != nil {
+	if _, err := base.AddBatch([]store.Triple{
+		{Subject: "t2", Predicate: "locatedIn", Object: "lisbon"},
+		{Subject: "t3", Predicate: "locatedIn", Object: "lisbon"},
+	}); err != nil {
 		t.Fatal(err)
 	}
-	eng := &failingEngine{}
-	s := newTestServer(t, Config{Base: base, Durable: eng})
+	journal := &deadJournal{}
+	base.SetJournal(journal)
+	defer base.SetJournal(nil)
+	s := newTestServer(t, Config{Base: base, Durable: statsOnlyEngine{}})
 
-	// Healthy engine: removals are acknowledged normally.
+	// Healthy log: removals are acknowledged normally.
 	code, mresp, errResp := postTriples(t, s, MutateRequest{
 		Remove: []TripleJSON{{Subject: "beetle", Predicate: "locatedIn", Object: "rome"}},
 	})
 	if code != http.StatusOK || mresp.Removed != 1 {
-		t.Fatalf("/triples remove on a healthy engine = %d %+v %+v", code, mresp, errResp)
+		t.Fatalf("/triples remove on a healthy log = %d %+v %+v", code, mresp, errResp)
 	}
 
 	// Dead log: the removal still applies in memory, but acknowledging it
 	// as durable would be a lie — the handler must 500.
-	eng.err = errors.New("log write: disk on fire")
-	code, _, errResp = postTriples(t, s, MutateRequest{
-		Remove: []TripleJSON{{Subject: "t2", Predicate: "locatedIn", Object: "lisbon"}},
-	})
-	if code != http.StatusInternalServerError {
-		t.Fatalf("/triples remove on a dead log = %d, want 500 (%+v)", code, errResp)
+	journal.err = errors.New("log write: disk on fire")
+	for name, req := range map[string]MutateRequest{
+		"remove-only": {Remove: []TripleJSON{{Subject: "t2", Predicate: "locatedIn", Object: "lisbon"}}},
+		"two-sided": {
+			Add:    []TripleJSON{{Subject: "t3", Predicate: "locatedIn", Object: "porto"}},
+			Remove: []TripleJSON{{Subject: "t3", Predicate: "locatedIn", Object: "lisbon"}},
+		},
+	} {
+		code, _, errResp = postTriples(t, s, req)
+		if code != http.StatusInternalServerError {
+			t.Fatalf("%s /triples on a dead log = %d, want 500 (%+v)", name, code, errResp)
+		}
+		if !strings.Contains(errResp.Error, "not durable") {
+			t.Fatalf("%s: error %q does not say the write is not durable", name, errResp.Error)
+		}
 	}
-	if !strings.Contains(errResp.Error, "not durable") {
-		t.Fatalf("error %q does not say the removal is not durable", errResp.Error)
+	for _, gone := range []string{"t2", "t3"} {
+		if base.Contains(store.Triple{Subject: gone, Predicate: "locatedIn", Object: "lisbon"}) {
+			t.Fatalf("%s's removal was answered 500 but is not applied in memory", gone)
+		}
+	}
+	if !base.Contains(store.Triple{Subject: "t3", Predicate: "locatedIn", Object: "porto"}) {
+		t.Fatal("the two-sided write's add was answered 500 but is not applied in memory")
 	}
 	// Removing a triple that was never present journals nothing — no false
 	// 500 for a no-op, even on a dead log.
@@ -177,15 +195,6 @@ func TestRemoveDurabilityFailureIs500(t *testing.T) {
 		t.Fatalf("/triples no-op remove on a dead log = %d %+v %+v, want 200 with removed=0", code, mresp, errResp)
 	}
 }
-
-// deadJournal is a store.Journal whose every commit fails, standing in for a
-// log whose disk stopped taking fsyncs.
-type deadJournal struct{}
-
-func (deadJournal) JournalDict(store.SymbolID, []string) {}
-func (deadJournal) JournalAdd([]store.IDTriple)          {}
-func (deadJournal) JournalRemove(store.IDTriple)         {}
-func (deadJournal) JournalCommit() error                 { return errors.New("fsync: disk on fire") }
 
 // TestAddDurabilityFailureIs500AndInvalidates pins the add half of the
 // /triples durability contract end to end: a batch whose journal commit fails
@@ -203,7 +212,7 @@ func TestAddDurabilityFailureIs500AndInvalidates(t *testing.T) {
 		t.Fatal("repeated query was not served from cache")
 	}
 
-	base.SetJournal(deadJournal{})
+	base.SetJournal(&deadJournal{err: errors.New("fsync: disk on fire")})
 	defer base.SetJournal(nil)
 	code, _, errResp := postTriples(t, s, MutateRequest{
 		Add: []TripleJSON{{Subject: "van1", Predicate: store.TypePredicate, Object: "car"}},

@@ -17,10 +17,10 @@ import (
 // off the indexes.
 func ExampleServer() {
 	base := store.New()
-	if _, err := base.AddAll(
-		store.Triple{Subject: "car", Predicate: reason.SubClassOfPredicate, Object: "vehicle"},
-		store.Triple{Subject: "beetle", Predicate: store.TypePredicate, Object: "car"},
-	); err != nil {
+	if _, err := base.AddBatch([]store.Triple{
+		{Subject: "car", Predicate: reason.SubClassOfPredicate, Object: "vehicle"},
+		{Subject: "beetle", Predicate: store.TypePredicate, Object: "car"},
+	}); err != nil {
 		panic(err)
 	}
 	srv, err := server.New(server.Config{Base: base})

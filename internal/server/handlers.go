@@ -89,14 +89,14 @@ type TripleJSON struct {
 	Object    string `json:"object"`
 }
 
-// MutateRequest is the body of POST /triples: a batch of assertions and
-// retractions, applied adds-first, each incrementally re-materialized.
+// MutateRequest is the body of POST /triples: assertions and retractions
+// applied as one write, adds first, incrementally re-materialized.
 type MutateRequest struct {
 	// Add is asserted through the engine's batch path (all-or-nothing
 	// validation; duplicates are ignored).
 	Add []TripleJSON `json:"add,omitempty"`
-	// Remove is retracted one triple at a time with delete-and-rederive
-	// maintenance; absent triples count as not removed.
+	// Remove is retracted by one delete-and-rederive pass after the adds;
+	// absent triples count as not removed.
 	Remove []TripleJSON `json:"remove,omitempty"`
 }
 
@@ -120,12 +120,12 @@ type EngineStats struct {
 	// Overdeleted and Rederived count delete-and-rederive traffic.
 	Overdeleted int `json:"overdeleted"`
 	Rederived   int `json:"rederived"`
-	// Generation counts materialization epochs: it advances once per delta
-	// notification (including full rematerializations), so caches and
-	// replicas can detect staleness with one comparison.
+	// Generation counts content-changing writes: it advances once per delta
+	// notification, so caches and replicas can detect staleness with one
+	// comparison.
 	Generation uint64 `json:"generation"`
-	// MaterializeSeconds is the wall time of the most recent full
-	// materialization — the boot fixpoint, or the latest Rematerialize.
+	// MaterializeSeconds is the wall time of the initial materialization —
+	// the boot fixpoint.
 	MaterializeSeconds float64 `json:"materialize_seconds"`
 }
 
@@ -395,7 +395,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	gen := s.cache.generation()
+	// Read before evaluating: the result is cached only if the engine is
+	// still at this generation when it is stored (see resultCache.put).
+	gen := s.reasoner.Generation()
 
 	start := time.Now()
 	sols := query.Eval(src, bgp, append(opts, query.Interrupt(s.cancelled(r)))...)
@@ -490,6 +492,7 @@ stream:
 
 	if body := out.body(); body != nil {
 		e := &cacheEntry{
+			gen:       gen,
 			body:      bytes.Clone(body),
 			solutions: n,
 			truncated: truncated,
@@ -502,7 +505,7 @@ stream:
 				e.preds = append(e.preds, p.Predicate.Value)
 			}
 		}
-		s.cache.put(key, e, gen)
+		s.cache.put(key, e)
 	}
 	if out.send(false) != nil {
 		return
@@ -781,7 +784,17 @@ func writeTrailer(w http.ResponseWriter, t QueryTrailer) {
 	_, _ = w.Write(line)
 }
 
-// handleTriples is POST /triples: batched mutations through the engine.
+// triplesOf converts a request's wire triples to the engine's.
+func triplesOf(ts []TripleJSON) []store.Triple {
+	out := make([]store.Triple, len(ts))
+	for i, t := range ts {
+		out[i] = store.Triple(t)
+	}
+	return out
+}
+
+// handleTriples is POST /triples: one request, one engine write
+// (reason.Reasoner.Apply; DESIGN.md "The write path").
 func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
@@ -805,47 +818,26 @@ func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var resp MutateResponse
-	if len(req.Add) > 0 {
-		batch := make([]store.Triple, len(req.Add))
-		for i, t := range req.Add {
-			batch[i] = store.Triple{Subject: t.Subject, Predicate: t.Predicate, Object: t.Object}
-		}
-		added, err := s.reasoner.AddBatch(batch)
-		if err != nil {
-			if errors.Is(err, store.ErrJournal) {
-				// The batch WAS applied in memory but its journal commit
-				// failed: the client must not retry (the triples are visible)
-				// and must not trust the write (it may not survive a crash).
-				// That is a server-side durability fault, not a bad request.
-				writeError(w, http.StatusInternalServerError, "%v", err)
-				return
-			}
-			// AddBatch validation is all-or-nothing: nothing was applied.
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		resp.Added = added
+	added, removed, err := s.reasoner.Apply(triplesOf(req.Add), triplesOf(req.Remove))
+	if errors.Is(err, store.ErrJournal) {
+		// The write WAS applied in memory but its journal commit failed: the
+		// client must not retry (the change is visible) and must not trust it
+		// (it may not survive a crash). That is a server-side durability
+		// fault, not a bad request.
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
 	}
-	for _, t := range req.Remove {
-		if s.reasoner.Remove(store.Triple{Subject: t.Subject, Predicate: t.Predicate, Object: t.Object}) {
-			resp.Removed++
-		}
+	if err != nil {
+		// Validation is all-or-nothing: nothing was applied.
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
-	if resp.Removed > 0 && s.cfg.Durable != nil {
-		// Remove has no error slot (store.Store.Remove discards its journal
-		// commit's result), so a durability failure surfaces through the
-		// engine's sticky error. Same contract as the add path's ErrJournal
-		// mapping above: the removals (and any adds) are applied in memory,
-		// but the client must not trust them to survive a restart.
-		if err := s.cfg.Durable.Err(); err != nil {
-			writeError(w, http.StatusInternalServerError, "store: removal applied in memory but not durable: %v", err)
-			return
-		}
-	}
-	resp.Asserted = s.reasoner.Base().Len()
-	resp.Inferred = s.reasoner.InferredCount()
-	writeJSON(w, resp)
+	writeJSON(w, MutateResponse{
+		Added:    added,
+		Removed:  removed,
+		Asserted: s.reasoner.Base().Len(),
+		Inferred: s.reasoner.InferredCount(),
+	})
 }
 
 // handleStats is GET /stats.

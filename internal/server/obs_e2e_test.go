@@ -351,6 +351,44 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if explains != 1 || cached != 2 {
 		t.Errorf("slow-query log: %d explain / %d cached records, want 1 / 2", explains, cached)
 	}
+
+	// The write path's unit, reconciled against exact traffic: every
+	// content-changing request — whatever its shape — is one generation, one
+	// feed frame and, under fsync=always, one fsync; a request that changes
+	// nothing or is rejected is none of them.
+	w0 := scrape(t, url+"/metrics")
+	for _, w := range []struct {
+		body    string
+		code    int
+		changes bool
+	}{
+		{`{"add":[{"subject":"kombi","predicate":"type","object":"car"},{"subject":"kombi","predicate":"locatedIn","object":"rome"}]}`, 200, true},
+		{`{"add":[{"subject":"kombi","predicate":"locatedIn","object":"milan"}],"remove":[{"subject":"kombi","predicate":"locatedIn","object":"rome"}]}`, 200, true},
+		{`{"remove":[{"subject":"kombi","predicate":"type","object":"car"},{"subject":"kombi","predicate":"locatedIn","object":"milan"},{"subject":"kombi","predicate":"locatedIn","object":"milan"}]}`, 200, true},
+		{`{"add":[{"subject":"rome","predicate":"partOf","object":"italy"}],"remove":[{"subject":"kombi","predicate":"type","object":"car"}]}`, 200, false},
+		{`{"add":[{"subject":"","predicate":"type","object":"car"}],"remove":[{"subject":"beetle","predicate":"type","object":"car"}]}`, 400, false},
+	} {
+		if resp, body := post("/triples", w.body); resp.StatusCode != w.code {
+			t.Fatalf("write %s: %d %s, want %d", w.body, resp.StatusCode, body, w.code)
+		}
+	}
+	w1 := scrape(t, url+"/metrics")
+	const changing = 3
+	if got := w1["onto_reason_generation"]; got != 1+changing || w1["onto_repl_feed_appends_total"] != got {
+		t.Errorf("after 1+%d content-changing requests: generation %g, feed appends %g; want both %d",
+			changing, got, w1["onto_repl_feed_appends_total"], 1+changing)
+	}
+	for _, name := range []string{"onto_wal_fsyncs_total", "onto_wal_fsync_seconds_count"} {
+		if got := w1[name] - w0[name]; got != changing {
+			t.Errorf("%s grew by %g over %d content-changing requests under fsync=always, want one each", name, got, changing)
+		}
+	}
+	if got := w1["onto_wal_frames_total"] - w0["onto_wal_frames_total"]; got != changing+2 {
+		t.Errorf("onto_wal_frames_total grew by %g, want %d: one record per content-changing request and one per dictionary growth (kombi, milan)", got, changing+2)
+	}
+	if got := w1["onto_mutations_total"] - w0["onto_mutations_total"]; got != 5 {
+		t.Errorf("onto_mutations_total grew by %g, want 5 (every request counts, changing or not)", got)
+	}
 }
 
 // TestMetricsDisabled pins DisableMetrics: instrumentation still runs, only

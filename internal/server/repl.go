@@ -62,10 +62,10 @@ func (s *Server) setupReplication(res store.Resolver) func(reason.Delta) {
 }
 
 // frameFor converts one reasoner event to its wire frame: the asserted-side
-// mutations resolved to names (dictionary ids are meaningless across
+// mutation resolved to names (dictionary ids are meaningless across
 // processes; the replica re-derives the inferred overlay itself).
 func frameFor(res store.Resolver, d reason.Delta) repl.Frame {
-	fr := repl.Frame{Gen: d.Gen, Reset: d.Reset}
+	fr := repl.Frame{Gen: d.Gen}
 	if n := len(d.AssertedAdded); n > 0 {
 		fr.Add = make([]repl.WireTriple, n)
 		for i, t := range d.AssertedAdded {

@@ -61,13 +61,12 @@ import (
 )
 
 // DurabilityEngine is the slice of *durable.Engine the server drives:
-// durability state for GET /stats, manual compaction for POST /checkpoint,
-// and the sticky error that turns an acknowledged-but-not-durable removal
-// into a 500 (removals have no error slot of their own; see Store.Remove).
+// durability state for GET /stats and manual compaction for POST
+// /checkpoint. (A write's durability failure reaches the server as the
+// error of the write itself.)
 type DurabilityEngine interface {
 	Stats() durable.Stats
 	Checkpoint() error
-	Err() error
 }
 
 // Config assembles a Server. Base is the only required field; the zero
@@ -232,7 +231,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		reasoner: r,
-		cache:    newResultCache(cfg.CacheMaxBytes, cfg.CacheShards),
+		cache:    newResultCache(cfg.CacheMaxBytes, cfg.CacheShards, r.Generation),
 		mux:      http.NewServeMux(),
 		start:    time.Now(),
 		reg:      reg,

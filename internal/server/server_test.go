@@ -371,6 +371,16 @@ func TestPlainModeCacheInvalidatedByProvenanceFlip(t *testing.T) {
 
 func TestMutations(t *testing.T) {
 	s := newTestServer(t, Config{})
+	// Every content-changing request is one engine generation, whatever its
+	// shape; a request that changes nothing is none.
+	gen := getStats(t, s).Engine.Generation
+	wantGen := func(step string, delta uint64) {
+		t.Helper()
+		if got := getStats(t, s).Engine.Generation; got != gen+delta {
+			t.Fatalf("%s moved engine.generation %d → %d, want +%d", step, gen, got, delta)
+		}
+		gen += delta
+	}
 
 	// Adding an instance of a subclass derives its superclass annotations.
 	code, resp, errResp := postTriples(t, s, MutateRequest{Add: []TripleJSON{
@@ -382,6 +392,7 @@ func TestMutations(t *testing.T) {
 	if resp.Added != 1 {
 		t.Fatalf("added = %d, want 1", resp.Added)
 	}
+	wantGen("an add", 1)
 	res := postQuery(t, s, QueryRequest{BGP: "?x type vehicle"})
 	if !containsString(res.values("x"), "kombi") {
 		t.Fatalf("vehicle retrieval %v is missing the new kombi", res.values("x"))
@@ -394,6 +405,7 @@ func TestMutations(t *testing.T) {
 	if resp.Added != 0 {
 		t.Fatalf("duplicate add reported %d added", resp.Added)
 	}
+	wantGen("a duplicate add", 0)
 
 	// Remove retracts the assertion and its dead inferences.
 	_, resp, _ = postTriples(t, s, MutateRequest{Remove: []TripleJSON{
@@ -407,14 +419,66 @@ func TestMutations(t *testing.T) {
 	if containsString(res.values("x"), "kombi") {
 		t.Fatal("retracted kombi still retrieved")
 	}
+	wantGen("a remove", 1)
 
-	// Validation errors reject the whole batch.
-	code, _, errResp = postTriples(t, s, MutateRequest{Add: []TripleJSON{
-		{Subject: "", Predicate: "p", Object: "o"},
+	// A two-sided request is one write: adds first, then removes. van1 is
+	// asserted and retracted by the same request — it counts once on each
+	// side, as it did when the removes ran one at a time, and ends absent;
+	// the remove named twice counts once.
+	before := getStats(t, s)
+	_, resp, _ = postTriples(t, s, MutateRequest{
+		Add: []TripleJSON{
+			{Subject: "van1", Predicate: store.TypePredicate, Object: "car"},
+			{Subject: "van2", Predicate: store.TypePredicate, Object: "car"},
+			{Subject: "beetle", Predicate: store.TypePredicate, Object: "car"}, // already asserted
+		},
+		Remove: []TripleJSON{
+			{Subject: "van1", Predicate: store.TypePredicate, Object: "car"},
+			{Subject: "beetle", Predicate: store.TypePredicate, Object: "car"},
+			{Subject: "beetle", Predicate: store.TypePredicate, Object: "car"},
+			{Subject: "ghost", Predicate: store.TypePredicate, Object: "car"},
+		},
+	})
+	if resp.Added != 2 || resp.Removed != 2 || resp.Asserted != before.Asserted {
+		t.Fatalf("two-sided request = %+v, want 2 added, 2 removed and %d asserted", resp, before.Asserted)
+	}
+	xs := postQuery(t, s, QueryRequest{BGP: "?x type vehicle"}).values("x")
+	if containsString(xs, "van1") || containsString(xs, "beetle") || !containsString(xs, "van2") {
+		t.Fatalf("after the two-sided request the vehicles are %v; want van2 without van1 and beetle", xs)
+	}
+	wantGen("a two-sided request", 1)
+
+	// Several removes, one generation.
+	_, resp, _ = postTriples(t, s, MutateRequest{Remove: []TripleJSON{
+		{Subject: "van2", Predicate: store.TypePredicate, Object: "car"},
+		{Subject: "beetle", Predicate: "locatedIn", Object: "rome"},
 	}})
+	if resp.Removed != 2 {
+		t.Fatalf("multi-remove = %+v, want 2 removed", resp)
+	}
+	wantGen("a multi-remove request", 1)
+	_, resp, _ = postTriples(t, s, MutateRequest{
+		Add:    []TripleJSON{{Subject: "hilux", Predicate: store.TypePredicate, Object: "pickup"}},
+		Remove: []TripleJSON{{Subject: "ghost", Predicate: store.TypePredicate, Object: "car"}},
+	})
+	if resp.Added != 0 || resp.Removed != 0 {
+		t.Fatalf("no-op two-sided request = %+v, want nothing changed", resp)
+	}
+	wantGen("a two-sided request that changes nothing", 0)
+
+	// Validation errors reject the whole batch — the removes beside an
+	// invalid add included.
+	code, _, errResp = postTriples(t, s, MutateRequest{
+		Add:    []TripleJSON{{Subject: "", Predicate: "p", Object: "o"}},
+		Remove: []TripleJSON{{Subject: "hilux", Predicate: store.TypePredicate, Object: "pickup"}},
+	})
 	if code != http.StatusBadRequest || errResp.Error == "" {
 		t.Fatalf("invalid triple: code=%d err=%q", code, errResp.Error)
 	}
+	if xs := postQuery(t, s, QueryRequest{BGP: "?x type pickup"}).values("x"); !containsString(xs, "hilux") {
+		t.Fatalf("a rejected request removed hilux: pickups are %v", xs)
+	}
+	wantGen("a rejected request", 0)
 
 	// Empty mutations are rejected.
 	code, _, _ = postTriples(t, s, MutateRequest{})

@@ -208,7 +208,7 @@ func TestOverBudgetResultIsStreamedNotRetained(t *testing.T) {
 	// The writer itself: retained while the cache could take the body,
 	// dropped chunk by chunk after.
 	rec := httptest.NewRecorder()
-	bw := newBodyWriter(rec, newResultCache(100, 1))
+	bw := newBodyWriter(rec, quietCache(100, 1))
 	defer bw.release()
 	bw.buf = append(bw.buf, strings.Repeat("a", 60)...)
 	if err := bw.send(false); err != nil || len(bw.body()) != 60 {

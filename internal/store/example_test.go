@@ -12,10 +12,10 @@ import (
 // equal stores produce identical bytes whatever order they were built in.
 func ExampleStore_Snapshot() {
 	s := store.New()
-	if _, err := s.AddAll(
-		store.Triple{Subject: "beetle", Predicate: "type", Object: "car"},
-		store.Triple{Subject: "beetle", Predicate: "locatedIn", Object: "rome"},
-	); err != nil {
+	if _, err := s.AddBatch([]store.Triple{
+		{Subject: "beetle", Predicate: "type", Object: "car"},
+		{Subject: "beetle", Predicate: "locatedIn", Object: "rome"},
+	}); err != nil {
 		panic(err)
 	}
 
@@ -43,11 +43,11 @@ func ExampleStore_Snapshot() {
 // the string-level pattern reads.
 func ExampleStore_Query() {
 	s := store.New()
-	if _, err := s.AddAll(
-		store.Triple{Subject: "b", Predicate: "type", Object: "car"},
-		store.Triple{Subject: "a", Predicate: "type", Object: "car"},
-		store.Triple{Subject: "a", Predicate: "type", Object: "dog"},
-	); err != nil {
+	if _, err := s.AddBatch([]store.Triple{
+		{Subject: "b", Predicate: "type", Object: "car"},
+		{Subject: "a", Predicate: "type", Object: "car"},
+		{Subject: "a", Predicate: "type", Object: "dog"},
+	}); err != nil {
 		panic(err)
 	}
 	for _, t := range s.Query(store.Pattern{Predicate: "type", Object: "car"}) {

@@ -1,9 +1,6 @@
 package store
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // This file is the store's durability hook: a Journal interface the mutation
 // path reports to, at dictionary-id level, so a write-ahead log (package
@@ -13,12 +10,12 @@ import (
 // The contract between the store and a journal is ordering: dictionary-growth
 // notifications are emitted under the symbol-table lock, in id order, so a
 // journal that appends them to a log in call order is guaranteed that every
-// id is defined before any triple notification references it. Triple
-// notifications for concurrent batches may interleave in any order — adds
-// commute under set semantics — but a racing Add and Remove of the same
-// triple may be journaled in either order (the store documents that race as
-// unspecified; callers that need a deterministic log, like the serving
-// stack's reasoner, already serialize mutations behind one lock).
+// id is defined before any mutation references it. Mutations committed
+// concurrently may be journaled in any order — adds commute under set
+// semantics — but a racing Add and Remove of the same triple may be journaled
+// in either order (the store documents that race as unspecified; callers that
+// need a deterministic log, like the serving stack's reasoner, already
+// serialize mutations behind one lock).
 
 // ErrJournal marks a mutation that was applied to the in-memory indexes but
 // whose journal commit failed: the triples are visible to readers of this
@@ -28,31 +25,28 @@ import (
 var ErrJournal = errors.New("journal commit failed")
 
 // Journal receives the store's mutation stream at dictionary-id level. A
-// journal is attached with SetJournal; afterwards every mutating method
-// reports what it changed and blocks in JournalCommit until the journal calls
-// the change durable. Implementations must be safe for concurrent use — the
-// store calls them from every writing goroutine — and may retain the slices
-// they are handed (the store never mutates them afterwards).
+// journal is attached with SetJournal; afterwards every write handle (Tx)
+// reports what it changed as one mutation when it commits, and the commit
+// blocks until the journal calls the mutation durable. Implementations must
+// be safe for concurrent use — the store calls them from every writing
+// goroutine — and must not retain the slices they are handed.
 type Journal interface {
 	// JournalDict reports freshly minted dictionary ids: names[i] was
 	// assigned id first+i. It is called under the symbol-table lock, so
-	// calls arrive in ascending id order and before any JournalAdd or
-	// JournalRemove that references the new ids; it must be fast and must
-	// not call back into the store.
+	// calls arrive in ascending id order and before any JournalMutation that
+	// references the new ids; it must be fast and must not call back into
+	// the store.
 	JournalDict(first SymbolID, names []string)
-	// JournalAdd reports triples newly inserted by one mutation (duplicates
-	// already present are excluded). Every component id has been reported by
-	// an earlier JournalDict call or belongs to the dictionary state the
-	// journal was opened over.
-	JournalAdd(batch []IDTriple)
-	// JournalRemove reports one removed triple.
-	JournalRemove(t IDTriple)
-	// JournalCommit blocks until every change this goroutine journaled so
-	// far is durable, and returns the journal's sticky error if durability
-	// has failed. The store calls it once per acknowledged mutation, after
-	// the in-memory apply, so group-committing journals see concurrent
-	// mutations pile up and can amortize one fsync across all of them.
-	JournalCommit() error
+	// JournalMutation records one committed write — the triples it newly
+	// inserted (duplicates already present excluded) and the triples it
+	// deleted, to be replayed adds first — and blocks until the record is
+	// durable, returning the journal's sticky error if durability has failed.
+	// At least one list is non-empty, and every component id has been
+	// reported by an earlier JournalDict call or belongs to the dictionary
+	// state the journal was opened over. The store calls it after the
+	// in-memory apply, so group-committing journals see concurrent mutations
+	// pile up and can amortize one fsync across all of them.
+	JournalMutation(adds, removes []IDTriple) error
 }
 
 // SetJournal attaches a journal to the store's mutation path, or detaches it
@@ -63,15 +57,13 @@ type Journal interface {
 // ephemeral.
 //
 // SetJournal is safe to call while mutations are in flight: the field is an
-// atomic pointer the mutation path loads once per mutation, so a concurrent
-// detach (durable.Engine.Close) is not a data race — a racing mutation either
-// journals and commits through the old journal or skips journaling entirely.
-// Once attached, a mutation returns only after JournalCommit; if the commit
-// fails the mutation is still applied in memory and the error (wrapping
-// ErrJournal where the signature allows) tells the caller durability is gone.
-// Remove and RemoveID have no error return; their commit failures are only
-// visible through the journal's own sticky-error reporting, so durability
-// monitors must watch the journal, not the store.
+// atomic pointer a write handle loads once, so a concurrent detach
+// (durable.Engine.Close) is not a data race — a racing mutation either
+// commits through the old journal or skips journaling entirely. Once
+// attached, a mutation returns only after JournalMutation; if that fails the
+// mutation is still applied in memory and the error (wrapping ErrJournal)
+// tells the caller durability is gone. Store.Remove alone has no error
+// return; see there.
 func (s *Store) SetJournal(j Journal) {
 	if j == nil {
 		s.journal.Store(nil)
@@ -81,10 +73,7 @@ func (s *Store) SetJournal(j Journal) {
 	s.syms.setJournal(j)
 }
 
-// getJournal loads the attached journal, nil when none is attached. Mutation
-// paths call it exactly once per mutation and thread the loaded value through
-// to the commit, so a concurrent SetJournal cannot split one mutation across
-// two journals.
+// getJournal loads the attached journal, nil when none is attached.
 func (s *Store) getJournal() Journal {
 	if p := s.journal.Load(); p != nil {
 		return *p
@@ -98,55 +87,4 @@ func (s *Store) getJournal() Journal {
 // resolves, and ids minted later refer to names the dump does not need.
 func (s *Store) DictLen() int {
 	return len(s.syms.snapshot())
-}
-
-// commitJournal runs j's commit, wrapping failures in ErrJournal. Callers
-// pass the journal they already loaded for this mutation (see getJournal).
-func commitJournal(j Journal) error {
-	if err := j.JournalCommit(); err != nil {
-		return fmt.Errorf("store: mutation applied in memory but not durable: %w: %w", ErrJournal, err)
-	}
-	return nil
-}
-
-// AddIDBatch inserts a batch of dictionary-encoded triples, returning how
-// many were newly inserted — the id-level twin of AddBatch, used by recovery
-// to bulk-load segment runs and replayed log records without resolving a
-// single string. Validation is all-or-nothing exactly as AddBatch: every
-// component id must have been minted by the store's dictionary, and if any
-// was not, an error identifying the first offending triple is returned and
-// nothing is inserted. Like AddBatch it visits each index shard at most once
-// per family pass, and shares its in-flight visibility caveats.
-func (s *Store) AddIDBatch(ts []IDTriple) (int, error) {
-	n := SymbolID(s.DictLen())
-	for i, t := range ts {
-		if t.S >= n || t.P >= n || t.O >= n {
-			return 0, fmt.Errorf("store: batch id triple %d %v has an id the dictionary never minted; batch not inserted", i, t)
-		}
-	}
-	if len(ts) == 0 {
-		return 0, nil
-	}
-	enc := make([]encTriple, 0, len(ts))
-	for _, t := range ts {
-		enc = append(enc, encTriple{t.S, t.P, t.O})
-	}
-	fresh := s.insertBatch(enc)
-	if j := s.getJournal(); j != nil && len(fresh) > 0 {
-		j.JournalAdd(freshIDs(fresh))
-		if err := commitJournal(j); err != nil {
-			return len(fresh), err
-		}
-	}
-	return len(fresh), nil
-}
-
-// freshIDs converts the batch path's encoded triples to the exported id form
-// the journal receives.
-func freshIDs(fresh []encTriple) []IDTriple {
-	out := make([]IDTriple, len(fresh))
-	for i, e := range fresh {
-		out[i] = IDTriple{S: e.s, P: e.p, O: e.o}
-	}
-	return out
 }

@@ -368,7 +368,7 @@ func walkShardTripleCount(s *Store, i int) int {
 
 // TestShardTripleCount: the per-shard counter agrees with a walk of the shard
 // after every kind of write — single and batch adds, string- and id-level
-// removes, a bulk load and a clear — and the shards sum to Len.
+// removes, a bulk load into a fresh overlay — and the shards sum to Len.
 func TestShardTripleCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	s := New()
@@ -418,19 +418,18 @@ func TestShardTripleCount(t *testing.T) {
 		}
 		check("after Remove")
 		_, ids := dumpIDState(s)
+		tx := s.Begin()
 		for i := 0; i < len(ids); i += 3 {
-			if !s.RemoveID(ids[i]) {
+			if !tx.RemoveID(ids[i]) {
 				t.Fatalf("RemoveID(%v) missed a present triple", ids[i])
 			}
 		}
-		s.RemoveID(ids[0]) // absent now: must not count
+		tx.RemoveID(ids[0]) // absent now: must not count
 		check("after RemoveID")
 	}
 	_, ids := dumpIDState(s)
-	if err := s.Clear(); err != nil {
-		t.Fatal(err)
-	}
-	check("after Clear")
+	s = s.NewOverlay()
+	check("empty overlay")
 	if err := s.LoadSorted(ids); err != nil {
 		t.Fatal(err)
 	}

@@ -8,14 +8,14 @@ import (
 // This file is the store's bulk-build path: LoadSorted builds the two index
 // families of an empty store from a sorted triple set without going through
 // the mutation path at all, and RestoreSorted is LoadSorted behind a freshly
-// installed dictionary. The per-triple path (AddIDBatch → insertBatch) exists
-// to be safe against concurrent readers and duplicate inserts; a bulk build
-// needs neither — the input is sorted, hence duplicate-free, and the shards
-// are empty — so it can build every index level by direct append: no
+// installed dictionary. The per-triple path (Tx.AddIDBatch → insertBatch)
+// exists to be safe against concurrent readers and duplicate inserts; a bulk
+// build needs neither — the input is sorted, hence duplicate-free, and the
+// shards are empty — so it can build every index level by direct append: no
 // per-triple lock acquisition, no dedup probing, no incremental spill-map
 // growth. Recovery (durable segment chains) and the reasoner's seed round
 // (a whole round of inferred triples committed into the empty overlay) are
-// the two callers; Clear is the matching O(shards) way back to empty.
+// the two callers.
 
 // RestoreSorted bulk-loads an empty store from a recovered dictionary and a
 // sorted triple set. dict[i] becomes the name of SymbolID i (reproducing the
@@ -76,13 +76,13 @@ func (s *Store) RestoreSorted(dict []string, triples []IDTriple) error {
 // input is rejected with nothing inserted. triples is only read, never
 // retained: the index levels are built in their own arenas.
 //
-// The store must hold no triples (Clear empties one) and no journal: the
-// load bypasses the mutation path, so nothing would be journaled. Each shard
-// is filled under its own lock, so readers of the store — and of a View over
-// it — are safe throughout and see a shard either empty or complete, with
-// the usual batch-ingest caveat that a triple may be visible through one
-// index family before another; writers must be excluded by the caller until
-// LoadSorted returns.
+// The store must hold no triples and no journal: the load bypasses the
+// mutation path, so nothing would be journaled. Each shard is filled under
+// its own lock, so readers of the store — and of a View over it — are safe
+// throughout and see a shard either empty or complete, with the usual
+// batch-ingest caveat that a triple may be visible through one index family
+// before another; writers must be excluded by the caller until LoadSorted
+// returns.
 func (s *Store) LoadSorted(triples []IDTriple) error {
 	if s.Len() != 0 {
 		return fmt.Errorf("store: LoadSorted needs a store without triples, not %d", s.Len())
@@ -94,27 +94,6 @@ func (s *Store) LoadSorted(triples []IDTriple) error {
 		return err
 	}
 	s.loadSorted(triples)
-	return nil
-}
-
-// Clear drops every triple in O(shards) — each shard's index is released
-// whole under its lock instead of being emptied triple by triple — and keeps
-// the dictionary. It refuses a journaled store: the removals would not reach
-// the log. Readers are safe throughout; writers must be excluded by the
-// caller, as for LoadSorted.
-func (s *Store) Clear() error {
-	if s.getJournal() != nil {
-		return fmt.Errorf("store: Clear bypasses the mutation path and would not journal; detach the journal first")
-	}
-	for _, fam := range [...]*indexFamily{&s.spo, &s.pos} {
-		for i := range fam {
-			sh := &fam[i]
-			sh.mu.Lock()
-			sh.m, sh.n = nil, 0
-			sh.mu.Unlock()
-		}
-	}
-	s.size.Store(0)
 	return nil
 }
 

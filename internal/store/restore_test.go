@@ -170,10 +170,8 @@ func TestRestoreSortedEmptyAndDictOnly(t *testing.T) {
 
 type nopJournal struct{}
 
-func (nopJournal) JournalDict(SymbolID, []string) {}
-func (nopJournal) JournalAdd([]IDTriple)          {}
-func (nopJournal) JournalRemove(IDTriple)         {}
-func (nopJournal) JournalCommit() error           { return nil }
+func (nopJournal) JournalDict(SymbolID, []string)                 {}
+func (nopJournal) JournalMutation(adds, removes []IDTriple) error { return nil }
 
 func TestRestoreSortedRejectsBadInput(t *testing.T) {
 	dict := []string{"a", "b", "c"}
@@ -184,7 +182,7 @@ func TestRestoreSortedRejectsBadInput(t *testing.T) {
 		triples []IDTriple
 	}{
 		{"non-empty store", func() *Store { s := New(); s.MustAdd(Triple{Subject: "x", Predicate: "y", Object: "z"}); return s }, dict, nil},
-		{"journal attached", func() *Store { s := New(); s.SetJournal(nopJournal{}); return s }, dict, nil},
+		{"journal attached", func() *Store { s := New(); s.SetJournal(&recJournal{}); return s }, dict, nil},
 		{"id out of range", New, dict, []IDTriple{{0, 1, 3}}},
 		{"unsorted", New, dict, []IDTriple{{0, 1, 2}, {0, 0, 1}}},
 		{"duplicate triple", New, dict, []IDTriple{{0, 1, 2}, {0, 1, 2}}},
@@ -303,8 +301,9 @@ func TestLoadSortedMatchesAddID(t *testing.T) {
 	if err := loaded.LoadSorted(ids); err != nil {
 		t.Fatalf("LoadSorted: %v", err)
 	}
+	tx := twin.Begin()
 	for _, id := range ids {
-		if added, err := twin.AddID(id); err != nil || !added {
+		if added, err := tx.AddID(id); err != nil || !added {
 			t.Fatalf("AddID(%v) = %v, %v", id, added, err)
 		}
 	}
@@ -390,12 +389,13 @@ func TestLoadSortedMatchesAddID(t *testing.T) {
 		)
 	}
 	for _, s := range []*Store{loaded, twin} {
+		tx := s.Begin()
 		for i, e := range edits {
-			if _, err := s.AddID(e); err != nil {
+			if _, err := tx.AddID(e); err != nil {
 				t.Fatal(err)
 			}
 			if i%3 == 0 {
-				s.RemoveID(ids[(i*7)%len(ids)])
+				tx.RemoveID(ids[(i*7)%len(ids)])
 			}
 		}
 	}
@@ -419,7 +419,7 @@ func TestLoadSortedRejectsBadInput(t *testing.T) {
 		{"duplicate", base.NewOverlay, []IDTriple{{0, 1, 2}, {0, 1, 2}}},
 		{"out of dictionary", base.NewOverlay, []IDTriple{{0, 1, 2}, {0, 1, 3}}},
 		{"non-empty store", func() *Store { return base }, []IDTriple{{2, 1, 0}}},
-		{"journaled", func() *Store { o := base.NewOverlay(); o.SetJournal(nopJournal{}); return o }, []IDTriple{{2, 1, 0}}},
+		{"journaled", func() *Store { o := base.NewOverlay(); o.SetJournal(&recJournal{}); return o }, []IDTriple{{2, 1, 0}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -433,45 +433,5 @@ func TestLoadSortedRejectsBadInput(t *testing.T) {
 				t.Fatalf("rejected load left %d triples behind (had %d)", s.Len(), before)
 			}
 		})
-	}
-}
-
-// TestClear: an O(shards) Clear empties every family, keeps the dictionary,
-// leaves the store loadable and writable, and refuses a journaled store.
-func TestClear(t *testing.T) {
-	s := New()
-	if _, err := s.AddBatch(skewedCorpus(300)); err != nil {
-		t.Fatal(err)
-	}
-	_, ids := dumpIDState(s)
-	dict := s.DictLen()
-	if err := s.Clear(); err != nil {
-		t.Fatal(err)
-	}
-	hub, _ := s.SymbolID("hub")
-	for _, p := range []IDPattern{{}, {S: hub, BoundS: true}, {P: hub, BoundP: true}, {O: hub, BoundO: true}} {
-		if m, c, st := readAll(s, p); len(m[0])+len(m[1])+len(m[2]) != 0 || c != 0 || st.Count != 0 {
-			t.Fatalf("pattern %+v still answers after Clear: %v, count %d, stats %+v", p, m, c, st)
-		}
-	}
-	if s.Len() != 0 || s.DictLen() != dict {
-		t.Fatalf("Clear left %d triples and %d of %d names", s.Len(), s.DictLen(), dict)
-	}
-	if err := s.LoadSorted(ids); err != nil {
-		t.Fatalf("LoadSorted after Clear: %v", err)
-	}
-	if s.Len() != len(ids) {
-		t.Fatalf("reloaded %d of %d triples", s.Len(), len(ids))
-	}
-	if err := s.Clear(); err != nil {
-		t.Fatal(err)
-	}
-	s.MustAdd(Triple{Subject: "hub", Predicate: "links", Object: "t1"})
-	if s.Len() != 1 {
-		t.Fatalf("Add after Clear: %d triples", s.Len())
-	}
-	s.SetJournal(nopJournal{})
-	if err := s.Clear(); err == nil || s.Len() != 1 {
-		t.Fatalf("Clear on a journaled store: err %v, %d triples left", err, s.Len())
 	}
 }

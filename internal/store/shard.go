@@ -36,11 +36,6 @@ const (
 	setSpill = 32
 )
 
-// encTriple is a dictionary-encoded triple: three symbol-table ids.
-type encTriple struct {
-	s, p, o uint32
-}
-
 // shardOf maps a leading-component id to its shard. Ids are dense sequential
 // integers, so a Fibonacci mix spreads consecutive ids across shards.
 func shardOf(id uint32) uint32 {
@@ -316,10 +311,10 @@ type tripleLocker struct {
 	spo, pos *shard
 }
 
-func (s *Store) lockTriple(e encTriple) tripleLocker {
+func (s *Store) lockTriple(t IDTriple) tripleLocker {
 	l := tripleLocker{
-		spo: s.spo.shard(e.s),
-		pos: s.pos.shard(e.p),
+		spo: s.spo.shard(t.S),
+		pos: s.pos.shard(t.P),
 	}
 	l.spo.mu.Lock() //ontolint:ignore lockcheck held across return by design; the caller releases both via tripleLocker.unlock
 	l.pos.mu.Lock() //ontolint:ignore lockcheck fixed family order (SPO, POS) makes the nested acquisition deadlock-free

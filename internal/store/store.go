@@ -110,9 +110,8 @@ type Store struct {
 	// journal, when non-nil, receives this store's triple mutations and
 	// gates their acknowledgment on durability; see SetJournal. Overlays
 	// never inherit it. Held as an atomic pointer so a detach at engine
-	// close is safe against in-flight mutations; each mutation loads it
-	// once (getJournal) and uses that value for both the journaling calls
-	// and the commit.
+	// close is safe against in-flight mutations; each write handle loads it
+	// once (Begin).
 	journal atomic.Pointer[Journal]
 }
 
@@ -122,30 +121,17 @@ func New() *Store {
 }
 
 // Add inserts a triple, reporting whether it was newly inserted. Triples with
-// an empty component are rejected with an error. With a journal attached, a
-// newly inserted triple is journaled and committed before returning; a commit
-// failure is returned wrapping ErrJournal (the triple is applied in memory).
+// an empty component are rejected with an error. It is a write handle used
+// once (see Tx): with a journal attached, a newly inserted triple is
+// committed before Add returns, and a commit failure is returned wrapping
+// ErrJournal (the triple is applied in memory).
 func (s *Store) Add(t Triple) (bool, error) {
-	if !t.valid() {
-		return false, fmt.Errorf("store: triple %v has an empty component", t)
+	tx := s.Begin()
+	added, err := tx.Add(t)
+	if err != nil {
+		return false, err
 	}
-	e := s.syms.internTriple(t)
-	l := s.lockTriple(e)
-	added := l.spo.insertLocked(e.s, e.p, e.o)
-	if added {
-		l.pos.insertLocked(e.p, e.o, e.s)
-	}
-	l.unlock()
-	if added {
-		s.size.Add(1)
-		if j := s.getJournal(); j != nil {
-			j.JournalAdd([]IDTriple{{S: e.s, P: e.p, O: e.o}})
-			if err := commitJournal(j); err != nil {
-				return true, err
-			}
-		}
-	}
-	return added, nil
+	return added, tx.Commit()
 }
 
 // MustAdd is Add panicking on error, for statically known data in tests and
@@ -156,37 +142,31 @@ func (s *Store) MustAdd(t Triple) {
 	}
 }
 
-// AddAll inserts all triples in a single batch, returning how many were newly
-// inserted. It delegates to AddBatch and shares its all-or-nothing validation
-// contract: if any triple has an empty component, an error identifying it is
-// returned and no triple of the call is inserted.
-func (s *Store) AddAll(ts ...Triple) (int, error) {
-	return s.AddBatch(ts)
+// AddBatch inserts a batch of triples, returning how many were newly
+// inserted (duplicates, within the batch or against the store, are counted
+// once). Validation is all-or-nothing: a failed AddBatch inserted nothing, so
+// there are no partial counts to misread. It is Tx.AddBatch on a write handle
+// used once: with a journal attached the batch is committed before AddBatch
+// returns, and a commit failure is returned wrapping ErrJournal — the batch
+// is applied in memory but not durable.
+func (s *Store) AddBatch(ts []Triple) (int, error) {
+	tx := s.Begin()
+	fresh, err := tx.AddBatch(ts)
+	if err != nil {
+		return 0, err
+	}
+	return len(fresh), tx.Commit()
 }
 
 // Remove deletes a triple, reporting whether it was present. With a journal
-// attached the removal is journaled and committed before returning; the
-// signature has no error slot, so a failed commit is only observable through
-// the journal's own sticky-error reporting (the removal stays applied in
-// memory either way).
+// attached the removal is committed before Remove returns; the signature has
+// no error slot, so a failed commit is only observable through the journal's
+// own sticky-error reporting (the removal stays applied in memory either
+// way). A caller that must see the error removes through a Tx.
 func (s *Store) Remove(t Triple) bool {
-	e, ok := s.syms.lookupTriple(t)
-	if !ok {
-		return false
-	}
-	l := s.lockTriple(e)
-	removed := l.spo.removeLocked(e.s, e.p, e.o)
-	if removed {
-		l.pos.removeLocked(e.p, e.o, e.s)
-	}
-	l.unlock()
-	if removed {
-		s.size.Add(-1)
-		if j := s.getJournal(); j != nil {
-			j.JournalRemove(IDTriple{S: e.s, P: e.p, O: e.o})
-			_ = commitJournal(j) // sticky in the journal; no error slot here
-		}
-	}
+	tx := s.Begin()
+	removed := tx.Remove(t)
+	_ = tx.Commit() // sticky in the journal; no error slot here
 	return removed
 }
 
@@ -223,10 +203,10 @@ func (s *Store) Contains(t Triple) bool {
 	if !ok {
 		return false
 	}
-	sh := s.spo.shard(e.s)
+	sh := s.spo.shard(e.S)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.containsLocked(e.s, e.p, e.o)
+	return sh.containsLocked(e.S, e.P, e.O)
 }
 
 // idQuerier is the callback enumeration Query and Triples materialize from,

@@ -12,12 +12,12 @@ import (
 
 func TestAddQueryRemove(t *testing.T) {
 	s := New()
-	added, err := s.AddAll(
-		Triple{"car1", "type", "car"},
-		Triple{"car1", "color", "red"},
-		Triple{"dog1", "type", "dog"},
-		Triple{"car1", "type", "car"}, // duplicate
-	)
+	added, err := s.AddBatch([]Triple{
+		{"car1", "type", "car"},
+		{"car1", "color", "red"},
+		{"dog1", "type", "dog"},
+		{"car1", "type", "car"}, // duplicate
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,14 +68,14 @@ func TestAddRejectsEmptyComponents(t *testing.T) {
 			t.Errorf("Add accepted invalid triple %v", bad)
 		}
 	}
-	added, err := s.AddAll(Triple{"a", "b", "c"}, Triple{"", "", ""})
+	added, err := s.AddBatch([]Triple{{"a", "b", "c"}, {"", "", ""}})
 	if err == nil {
-		t.Error("AddAll did not propagate the error")
+		t.Error("AddBatch did not propagate the error")
 	}
 	// The batch contract is all-or-nothing: an invalid triple anywhere in
 	// the call means nothing is inserted.
 	if added != 0 || s.Len() != 0 {
-		t.Errorf("AddAll with an invalid triple inserted %d (Len %d), want 0 (0)", added, s.Len())
+		t.Errorf("AddBatch with an invalid triple inserted %d (Len %d), want 0 (0)", added, s.Len())
 	}
 }
 

@@ -42,19 +42,19 @@ func (st *symtab) journalGrowthLocked(before int) {
 }
 
 // internTriple interns all three components under a single lock round trip.
-func (st *symtab) internTriple(t Triple) encTriple {
+func (st *symtab) internTriple(t Triple) IDTriple {
 	st.mu.RLock()
 	s, okS := st.ids[t.Subject]
 	p, okP := st.ids[t.Predicate]
 	o, okO := st.ids[t.Object]
 	st.mu.RUnlock()
 	if okS && okP && okO {
-		return encTriple{s, p, o}
+		return IDTriple{s, p, o}
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	before := len(st.names)
-	e := encTriple{st.internLocked(t.Subject), st.internLocked(t.Predicate), st.internLocked(t.Object)}
+	e := IDTriple{st.internLocked(t.Subject), st.internLocked(t.Predicate), st.internLocked(t.Object)}
 	st.journalGrowthLocked(before)
 	return e
 }
@@ -62,12 +62,12 @@ func (st *symtab) internTriple(t Triple) encTriple {
 // internBatch interns every component of ts under one write lock, appending
 // the encoded triples to enc (the symbol-table lock is taken once for the
 // whole batch, not once per triple).
-func (st *symtab) internBatch(ts []Triple, enc []encTriple) []encTriple {
+func (st *symtab) internBatch(ts []Triple, enc []IDTriple) []IDTriple {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	before := len(st.names)
 	for _, t := range ts {
-		enc = append(enc, encTriple{
+		enc = append(enc, IDTriple{
 			st.internLocked(t.Subject),
 			st.internLocked(t.Predicate),
 			st.internLocked(t.Object),
@@ -97,13 +97,13 @@ func (st *symtab) lookup(s string) (uint32, bool) {
 }
 
 // lookupTriple resolves all three components read-only.
-func (st *symtab) lookupTriple(t Triple) (encTriple, bool) {
+func (st *symtab) lookupTriple(t Triple) (IDTriple, bool) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	s, okS := st.ids[t.Subject]
 	p, okP := st.ids[t.Predicate]
 	o, okO := st.ids[t.Object]
-	return encTriple{s, p, o}, okS && okP && okO
+	return IDTriple{s, p, o}, okS && okP && okO
 }
 
 // snapshot returns the current id→name mapping. The returned slice is safe

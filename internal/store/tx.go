@@ -1,0 +1,239 @@
+package store
+
+import (
+	"fmt"
+	"slices"
+)
+
+// This file is the store's write path. Every mutation goes through a Tx, a
+// write handle that applies each change to the indexes at once and defers the
+// journal: what the handle changed is remembered and handed to the attached
+// Journal as one mutation by Commit. Store.Add, AddBatch and Remove are a
+// handle begun, used once and committed; a caller whose write touches the
+// store more than once (the reasoner asserts, maintains, then retracts) holds
+// the handle across the touches and commits once, so the whole write is one
+// journal record and one wait for durability.
+
+// Tx is a write handle on one store, begun with Store.Begin. Its methods
+// change the indexes immediately — readers see each change as soon as the
+// method returns, exactly as with the Store methods of the same name — and
+// Commit makes everything the handle changed durable as one journaled
+// mutation. On a store without a journal Commit has nothing to do, so a
+// handle on such a store (a reasoner's overlay) may simply stay open.
+//
+// A journaled mutation is replayed adds first, then removes. A handle on a
+// journaled store therefore refuses to add once it has removed (the error
+// applies nothing); Commit and Begin again to continue. A Tx is not safe for
+// concurrent use; any number of handles may be open on one store.
+type Tx struct {
+	s *Store
+	// j is the journal loaded at Begin, so a concurrent SetJournal cannot
+	// split one mutation across two journals; nil when none is attached, and
+	// then nothing below is recorded.
+	j Journal
+	// adds and removes are the triples this handle inserted and deleted since
+	// the last Commit, in the order it did.
+	adds, removes []IDTriple
+}
+
+// Begin opens a write handle. It is returned by value so that a caller who
+// keeps it in a local pays no allocation for it.
+func (s *Store) Begin() Tx {
+	return Tx{s: s, j: s.getJournal()}
+}
+
+// addable refuses an add that the journal would replay before this handle's
+// removes.
+func (tx *Tx) addable() error {
+	if len(tx.removes) > 0 {
+		return fmt.Errorf("store: this write handle has removed triples and a journaled mutation replays adds first; Commit before adding again")
+	}
+	return nil
+}
+
+// Add inserts a triple, reporting whether it was newly inserted. Triples with
+// an empty component are rejected with an error.
+func (tx *Tx) Add(t Triple) (bool, error) {
+	if !t.valid() {
+		return false, fmt.Errorf("store: triple %v has an empty component", t)
+	}
+	if err := tx.addable(); err != nil {
+		return false, err
+	}
+	return tx.insert(tx.s.syms.internTriple(t)), nil
+}
+
+// AddID inserts a dictionary-encoded triple, reporting whether it was newly
+// inserted. All three ids must have been minted by the store's dictionary
+// (an overlay sharing the dictionary qualifies); unknown ids are rejected
+// with an error, since they name nothing. It is the id-level twin of Add —
+// the materialization engine derives triples as ids and stores them without
+// ever resolving a string.
+func (tx *Tx) AddID(t IDTriple) (bool, error) {
+	if !tx.s.validID(t) {
+		return false, fmt.Errorf("store: AddID: triple %v has an id the dictionary never minted", t)
+	}
+	if err := tx.addable(); err != nil {
+		return false, err
+	}
+	return tx.insert(t), nil
+}
+
+// insert files one encoded triple under both shard locks.
+func (tx *Tx) insert(t IDTriple) bool {
+	l := tx.s.lockTriple(t)
+	added := l.spo.insertLocked(t.S, t.P, t.O)
+	if added {
+		l.pos.insertLocked(t.P, t.O, t.S)
+	}
+	l.unlock()
+	if added {
+		tx.s.size.Add(1)
+		if tx.j != nil {
+			tx.adds = append(tx.adds, t)
+		}
+	}
+	return added
+}
+
+// AddBatch inserts a batch of triples and returns the ones that were newly
+// inserted, dictionary-encoded (duplicates, within the batch or against the
+// store, appear once; the order is the shards', not the batch's). The result
+// is the caller's to keep. Validation is all-or-nothing: the batch is checked
+// up front and if any triple has an empty component an error identifying its
+// position is returned and nothing at all is inserted.
+//
+// The fast path over per-triple Add: all strings of the batch are interned
+// under one symbol-table lock, and each index shard is then locked at most
+// once per family pass instead of once per triple. See the package
+// documentation for what concurrent readers may observe while a batch is in
+// flight.
+func (tx *Tx) AddBatch(ts []Triple) ([]IDTriple, error) {
+	for i, t := range ts {
+		if !t.valid() {
+			return nil, fmt.Errorf("store: batch triple %d %v has an empty component; batch not inserted", i, t)
+		}
+	}
+	if err := tx.addable(); err != nil || len(ts) == 0 {
+		return nil, err
+	}
+	return tx.insertBatch(tx.s.syms.internBatch(ts, make([]IDTriple, 0, len(ts)))), nil
+}
+
+// AddIDBatch is the id-level twin of AddBatch, returning how many triples
+// were newly inserted: recovery replays logged mutations through it without
+// resolving a single string. Every component id must have been minted by the
+// store's dictionary; if any was not, an error identifying the first
+// offending triple is returned and nothing is inserted. ts is only read.
+func (tx *Tx) AddIDBatch(ts []IDTriple) (int, error) {
+	n := SymbolID(tx.s.DictLen())
+	for i, t := range ts {
+		if t.S >= n || t.P >= n || t.O >= n {
+			return 0, fmt.Errorf("store: batch id triple %d %v has an id the dictionary never minted; batch not inserted", i, t)
+		}
+	}
+	if err := tx.addable(); err != nil || len(ts) == 0 {
+		return 0, err
+	}
+	return len(tx.insertBatch(slices.Clone(ts))), nil
+}
+
+// insertBatch files an encoded batch in both index families and returns the
+// triples that were actually absent: the batch's fresh subset, reusing enc's
+// storage, which it takes over.
+func (tx *Tx) insertBatch(enc []IDTriple) []IDTriple {
+	// Pass 1 — SPO, the arbiter of newness: group the batch by subject
+	// shard, lock each shard once, and keep only the triples that were
+	// actually absent.
+	// fresh reuses enc's storage; byShard holds copies, so overwriting the
+	// prefix of enc during pass 1 is safe.
+	fresh := enc[:0]
+	var byShard [numShards][]IDTriple
+	for _, e := range enc {
+		sh := shardOf(e.S)
+		byShard[sh] = append(byShard[sh], e)
+	}
+	for i := range byShard {
+		if len(byShard[i]) == 0 {
+			continue
+		}
+		sh := &tx.s.spo[i]
+		sh.mu.Lock()
+		sh.reserve(len(byShard[i]))
+		for _, e := range byShard[i] {
+			if sh.insertLocked(e.S, e.P, e.O) {
+				fresh = append(fresh, e)
+			}
+		}
+		sh.mu.Unlock()
+		byShard[i] = nil
+	}
+
+	// Pass 2 — POS for the fresh triples only, again one lock per touched
+	// shard.
+	for _, e := range fresh {
+		sh := shardOf(e.P)
+		byShard[sh] = append(byShard[sh], e)
+	}
+	for i := range byShard {
+		if len(byShard[i]) == 0 {
+			continue
+		}
+		sh := &tx.s.pos[i]
+		sh.mu.Lock()
+		for _, e := range byShard[i] {
+			sh.insertLocked(e.P, e.O, e.S)
+		}
+		sh.mu.Unlock()
+	}
+
+	tx.s.size.Add(int64(len(fresh)))
+	if tx.j != nil {
+		tx.adds = append(tx.adds, fresh...)
+	}
+	return fresh
+}
+
+// Remove deletes a triple, reporting whether it was present.
+func (tx *Tx) Remove(t Triple) bool {
+	e, ok := tx.s.syms.lookupTriple(t)
+	return ok && tx.RemoveID(e)
+}
+
+// RemoveID deletes a dictionary-encoded triple under both shard locks,
+// reporting whether it was present. Ids the dictionary never minted simply
+// match nothing. It is the id-level twin of Remove, used by the overdeletion
+// pass of incremental maintenance.
+func (tx *Tx) RemoveID(t IDTriple) bool {
+	l := tx.s.lockTriple(t)
+	removed := l.spo.removeLocked(t.S, t.P, t.O)
+	if removed {
+		l.pos.removeLocked(t.P, t.O, t.S)
+	}
+	l.unlock()
+	if removed {
+		tx.s.size.Add(-1)
+		if tx.j != nil {
+			tx.removes = append(tx.removes, t)
+		}
+	}
+	return removed
+}
+
+// Commit journals everything the handle changed since Begin (or the previous
+// Commit) as one mutation and blocks until the journal calls it durable. A
+// failure is returned wrapping ErrJournal: the changes are applied in memory
+// but not durable. A handle that changed nothing, or whose store has no
+// journal, commits without touching anything. The handle is reusable
+// afterwards.
+func (tx *Tx) Commit() error {
+	if len(tx.adds)+len(tx.removes) == 0 {
+		return nil
+	}
+	err := tx.j.JournalMutation(tx.adds, tx.removes)
+	tx.adds, tx.removes = nil, nil
+	if err != nil {
+		return fmt.Errorf("store: mutation applied in memory but not durable: %w: %w", ErrJournal, err)
+	}
+	return nil
+}

@@ -89,59 +89,6 @@ func (s *Store) validID(t IDTriple) bool {
 	return t.S < n && t.P < n && t.O < n
 }
 
-// AddID inserts a dictionary-encoded triple, reporting whether it was newly
-// inserted. All three ids must have been minted by the store's dictionary
-// (an overlay sharing the dictionary qualifies); unknown ids are rejected
-// with an error, since they name nothing. It is the id-level twin of Add —
-// the materialization engine derives triples as ids and stores them without
-// ever resolving a string.
-func (s *Store) AddID(t IDTriple) (bool, error) {
-	if !s.validID(t) {
-		return false, fmt.Errorf("store: AddID: triple %v has an id the dictionary never minted", t)
-	}
-	e := encTriple{t.S, t.P, t.O}
-	l := s.lockTriple(e)
-	added := l.spo.insertLocked(e.s, e.p, e.o)
-	if added {
-		l.pos.insertLocked(e.p, e.o, e.s)
-	}
-	l.unlock()
-	if added {
-		s.size.Add(1)
-		if j := s.getJournal(); j != nil {
-			j.JournalAdd([]IDTriple{t})
-			if err := commitJournal(j); err != nil {
-				return true, err
-			}
-		}
-	}
-	return added, nil
-}
-
-// RemoveID deletes a dictionary-encoded triple, reporting whether it was
-// present. Unknown ids simply match nothing. It is the id-level twin of
-// Remove, used by the overdeletion pass of incremental maintenance.
-func (s *Store) RemoveID(t IDTriple) bool {
-	if !s.validID(t) {
-		return false
-	}
-	e := encTriple{t.S, t.P, t.O}
-	l := s.lockTriple(e)
-	removed := l.spo.removeLocked(e.s, e.p, e.o)
-	if removed {
-		l.pos.removeLocked(e.p, e.o, e.s)
-	}
-	l.unlock()
-	if removed {
-		s.size.Add(-1)
-		if j := s.getJournal(); j != nil {
-			j.JournalRemove(t)
-			_ = commitJournal(j) // sticky in the journal; no error slot here
-		}
-	}
-	return removed
-}
-
 // View is the read-only union of a base store (asserted triples) and an
 // overlay store (inferred triples) sharing one dictionary. It satisfies the
 // query layer's Source interface, so BGPs evaluate over the materialized

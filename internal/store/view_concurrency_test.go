@@ -23,10 +23,10 @@ import (
 // exact and byte-stable.
 func TestViewSnapshotUnderConcurrentEngineWrites(t *testing.T) {
 	base := store.New()
-	if _, err := base.AddAll(
-		store.Triple{Subject: "car", Predicate: reason.SubClassOfPredicate, Object: "vehicle"},
-		store.Triple{Subject: "vehicle", Predicate: reason.SubClassOfPredicate, Object: "artifact"},
-	); err != nil {
+	if _, err := base.AddBatch([]store.Triple{
+		{Subject: "car", Predicate: reason.SubClassOfPredicate, Object: "vehicle"},
+		{Subject: "vehicle", Predicate: reason.SubClassOfPredicate, Object: "artifact"},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	r, err := reason.Materialize(base, reason.RDFSRules())
@@ -104,9 +104,10 @@ func TestViewSnapshotUnderConcurrentEngineWrites(t *testing.T) {
 }
 
 // TestReadsDuringLoadSortedAndClear reads the base and the view while the
-// overlay behind the view is bulk-loaded and cleared, over and over — a
-// Rematerialize racing queries. Under -race it probes the shard-at-a-time
-// publication of LoadSorted and Clear; the assertions are the weak documented
+// overlay behind the view is bulk-loaded and cleared again — triple by triple
+// through a write handle, the only way back to empty — over and over. Under
+// -race it probes the shard-at-a-time publication of LoadSorted against
+// readers and the handle's removals; the assertions are the weak documented
 // ones: the base always answers in full, and the view never yields a triple
 // that is in neither member's final contents.
 func TestReadsDuringLoadSortedAndClear(t *testing.T) {
@@ -171,8 +172,9 @@ func TestReadsDuringLoadSortedAndClear(t *testing.T) {
 		if err := overlay.LoadSorted(inferred); err != nil {
 			t.Fatal(err)
 		}
-		if err := overlay.Clear(); err != nil {
-			t.Fatal(err)
+		tx := overlay.Begin()
+		for _, it := range inferred {
+			tx.RemoveID(it)
 		}
 	}
 	close(stop)

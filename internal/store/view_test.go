@@ -180,25 +180,26 @@ func TestInternAndIDWrites(t *testing.T) {
 	p, _ := s.Intern("p")
 	b, _ := s.Intern("b")
 	idt := IDTriple{S: a, P: p, O: b}
-	if added, err := s.AddID(idt); err != nil || !added {
+	tx := s.Begin()
+	if added, err := tx.AddID(idt); err != nil || !added {
 		t.Fatalf("AddID = %v, %v", added, err)
 	}
-	if added, err := s.AddID(idt); err != nil || added {
+	if added, err := tx.AddID(idt); err != nil || added {
 		t.Fatalf("second AddID = %v, %v; want false, nil", added, err)
 	}
 	if !s.Contains(Triple{"a", "p", "b"}) || !s.ContainsID(idt) {
 		t.Error("AddID triple not visible")
 	}
-	if _, err := s.AddID(IDTriple{S: 9999, P: p, O: b}); err == nil {
+	if _, err := tx.AddID(IDTriple{S: 9999, P: p, O: b}); err == nil {
 		t.Error("AddID accepted an unminted id")
 	}
-	if !s.RemoveID(idt) {
+	if !tx.RemoveID(idt) {
 		t.Error("RemoveID missed the triple")
 	}
-	if s.RemoveID(idt) {
+	if tx.RemoveID(idt) {
 		t.Error("second RemoveID reported success")
 	}
-	if s.RemoveID(IDTriple{S: 9999, P: 9999, O: 9999}) {
+	if tx.RemoveID(IDTriple{S: 9999, P: 9999, O: 9999}) {
 		t.Error("RemoveID of unminted ids reported success")
 	}
 	if s.Len() != 0 {
