@@ -348,9 +348,10 @@ func (e *Engine) RecoveryDuration() time.Duration { return e.recoveryDur }
 // Err returns the engine's sticky log error — nil while every commit has
 // succeeded. Once non-nil it never clears: the log cannot vouch for its tail,
 // so every later commit fails too and the process needs a restart (and
-// recovery) to trust its data again. Callers that mutate through the one path
-// without an error slot (store.Store.Remove) check it after the fact, so a
-// lost write is reported as a failure rather than as durable.
+// recovery) to trust its data again. A write learns of the failure as its own
+// error (store.Tx.Commit wraps it in store.ErrJournal); Err is the probe after
+// the fact — for the one write without an error slot, store.Store.Remove, and
+// for whoever wants the log's health without writing to it.
 func (e *Engine) Err() error { return e.w.stickyErr() }
 
 // JournalDict implements store.Journal. Called under the store's

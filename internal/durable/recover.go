@@ -30,7 +30,7 @@ import (
 //	fold      apply the chain oldest→newest in memory: concatenate the
 //	          dictionary windows, subtract each segment's tombstones, union
 //	          its adds — producing one sorted triple set
-//	restore   store.RestoreSorted builds the dictionary and all three index
+//	restore   store.RestoreSorted builds the dictionary and both index
 //	          families directly from the folded state: per-shard goroutines,
 //	          no per-triple locks, no dedup probing. This is the bulk fast
 //	          path; the per-record mutation path below is only for the tail.
@@ -61,7 +61,6 @@ type recovered struct {
 	fileFirst   uint64         // first seq of file (its name)
 	tiers       []segMeta      // the live segment chain, oldest→newest
 	dictCovered store.SymbolID // dictionary ids covered by the chain
-	walFiles    int            // wal files present, file included
 }
 
 // ensureDir creates the data directory if it is missing.
@@ -193,7 +192,7 @@ func recoverDir(st *store.Store, dir string) (recovered, error) {
 	// Fold the chain oldest→newest and bulk-restore the result in one shot.
 	if len(chain) > 0 {
 		// The fold and restore allocate the decoded segments, the folded
-		// state, three shard-bucket families, and the index arenas in quick
+		// state, two shard-bucket families, and the index arenas in quick
 		// succession while the live heap (the store being built) grows
 		// underneath — any GC cycle in that window re-scans a near-final
 		// heap just to reclaim the previous phase's scratch (~17% of boot
@@ -263,7 +262,6 @@ func recoverDir(st *store.Store, dir string) (recovered, error) {
 	}
 
 	// Reopen (or create) the tail file for appending.
-	rec.walFiles = len(walSeqs)
 	if len(walSeqs) > 0 {
 		rec.fileFirst = walSeqs[len(walSeqs)-1]
 		f, err := os.OpenFile(filepath.Join(dir, walFileName(rec.fileFirst)), os.O_WRONLY|os.O_APPEND, 0o644)
@@ -278,9 +276,43 @@ func recoverDir(st *store.Store, dir string) (recovered, error) {
 			return rec, err
 		}
 		rec.file = f
-		rec.walFiles = 1
 	}
 	return rec, nil
+}
+
+// walkWAL is the package's one frame loop: it walks the bytes of the wal file
+// called name frame by frame — nextFrame, decodeRecord, seq check — handing
+// each record to visit. Records at or below skip are passed over unseen (the
+// checkpoint fold's leftovers; recovery skips nothing); every other record
+// must be the successor of the one before it, the first of prev, or the log
+// has a gap. It returns the seq of the last record visited and the offset the
+// walk stopped at: len(data) after a clean walk, else the first byte that
+// does not begin a whole, checksum-valid frame — whether that is a torn tail
+// to cut or corruption to report is the caller's policy, as is everything
+// about what a record means. An error from visit ends the walk.
+func walkWAL(name string, data []byte, skip, prev uint64, visit func(record) error) (uint64, int, error) {
+	off := 0
+	for off < len(data) {
+		payload, next, ok := nextFrame(data, off)
+		if !ok {
+			break
+		}
+		r, err := decodeRecord(payload)
+		if err != nil {
+			return prev, off, fmt.Errorf("durable: %s: offset %d: %w", name, off, err)
+		}
+		if r.seq > skip {
+			if r.seq != prev+1 {
+				return prev, off, fmt.Errorf("durable: %s: record at offset %d has seq %d, want %d; the log has a gap", name, off, r.seq, prev+1)
+			}
+			if err := visit(r); err != nil {
+				return prev, off, fmt.Errorf("durable: %s: record %d: %w", name, r.seq, err)
+			}
+			prev = r.seq
+		}
+		off = next
+	}
+	return prev, off, nil
 }
 
 // replayFile applies every record of one wal file to the store, enforcing
@@ -292,45 +324,33 @@ func replayFile(st *store.Store, res store.Resolver, path string, prevSeq uint64
 	if err != nil {
 		return prevSeq, fmt.Errorf("durable: reading log file: %w", err)
 	}
-	off := 0
-	for off < len(data) {
-		payload, next, ok := nextFrame(data, off)
-		if !ok {
-			// A length field beyond the cap is never a torn tail: the writer
-			// chunks every record below maxFramePayload, so an over-cap claim
-			// means damage to a frame header (or a log from a broken writer).
-			// Truncating here would silently discard every record after it —
-			// report it instead, wherever it sits.
-			if len(data)-off >= 4 {
-				if claim := binary.LittleEndian.Uint32(data[off:]); claim > maxFramePayload {
-					return prevSeq, fmt.Errorf("durable: %s: frame at offset %d claims a %d-byte payload, beyond the %d-byte cap the writer enforces; the log is corrupt, not torn", filepath.Base(path), off, claim, maxFramePayload)
-				}
-			}
-			if !last {
-				return prevSeq, fmt.Errorf("durable: %s: bad frame at offset %d in a sealed log file; the log is corrupt", filepath.Base(path), off)
-			}
-			// Torn tail: everything from off on is a half-written frame (or
-			// damage to one). Cut it so the writer appends after the last
-			// good record instead of burying garbage mid-file.
-			if err := os.Truncate(path, int64(off)); err != nil {
-				return prevSeq, fmt.Errorf("durable: truncating torn log tail: %w", err)
-			}
-			return prevSeq, nil
-		}
-		r, err := decodeRecord(payload)
-		if err != nil {
-			return prevSeq, fmt.Errorf("durable: %s: offset %d: %w", filepath.Base(path), off, err)
-		}
-		if r.seq != prevSeq+1 {
-			return prevSeq, fmt.Errorf("durable: %s: record at offset %d has seq %d, want %d; the log has a gap", filepath.Base(path), off, r.seq, prevSeq+1)
-		}
-		if err := applyRecord(st, res, r); err != nil {
-			return prevSeq, fmt.Errorf("durable: %s: record %d: %w", filepath.Base(path), r.seq, err)
-		}
-		prevSeq = r.seq
-		off = next
+	name := filepath.Base(path)
+	lastSeq, off, err := walkWAL(name, data, 0, prevSeq, func(r record) error {
+		return applyRecord(st, res, r)
+	})
+	if err != nil || off == len(data) {
+		return lastSeq, err
 	}
-	return prevSeq, nil
+	// A length field beyond the cap is never a torn tail: the writer chunks
+	// every record below maxFramePayload, so an over-cap claim means damage to
+	// a frame header (or a log from a broken writer). Truncating here would
+	// silently discard every record after it — report it instead, wherever it
+	// sits.
+	if len(data)-off >= 4 {
+		if claim := binary.LittleEndian.Uint32(data[off:]); claim > maxFramePayload {
+			return lastSeq, fmt.Errorf("durable: %s: frame at offset %d claims a %d-byte payload, beyond the %d-byte cap the writer enforces; the log is corrupt, not torn", name, off, claim, maxFramePayload)
+		}
+	}
+	if !last {
+		return lastSeq, fmt.Errorf("durable: %s: bad frame at offset %d in a sealed log file; the log is corrupt", name, off)
+	}
+	// Torn tail: everything from off on is a half-written frame (or damage to
+	// one). Cut it so the writer appends after the last good record instead
+	// of burying garbage mid-file.
+	if err := os.Truncate(path, int64(off)); err != nil {
+		return lastSeq, fmt.Errorf("durable: truncating torn log tail: %w", err)
+	}
+	return lastSeq, nil
 }
 
 // applyRecord applies one decoded record. Dictionary entries verify-or-intern

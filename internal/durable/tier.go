@@ -144,36 +144,20 @@ func readWALWindow(dir string, after, through uint64, dictNext store.SymbolID) (
 	var events []walEvent
 	prev := after
 	for _, first := range firsts {
-		path := filepath.Join(dir, walFileName(first))
-		data, err := os.ReadFile(path)
+		name := walFileName(first)
+		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			return win, fmt.Errorf("durable: reading checkpoint window: %w", err)
 		}
-		off := 0
-		for off < len(data) {
-			payload, next, ok := nextFrame(data, off)
-			if !ok {
-				return win, fmt.Errorf("durable: %s: bad frame at offset %d in a sealed log file; the log is corrupt", filepath.Base(path), off)
-			}
-			r, err := decodeRecord(payload)
-			if err != nil {
-				return win, fmt.Errorf("durable: %s: offset %d: %w", filepath.Base(path), off, err)
-			}
-			off = next
-			if r.seq <= after {
-				continue // already folded into an earlier segment
-			}
-			if r.seq != prev+1 {
-				return win, fmt.Errorf("durable: checkpoint window record has seq %d, want %d; the log has a gap", r.seq, prev+1)
-			}
+		var off int
+		prev, off, err = walkWAL(name, data, after, prev, func(r record) error {
 			if r.seq > through {
-				return win, fmt.Errorf("durable: checkpoint window record %d lies beyond the rotation point %d", r.seq, through)
+				return fmt.Errorf("checkpoint window record lies beyond the rotation point %d", through)
 			}
-			prev = r.seq
 			switch r.typ {
 			case recDict:
 				if want := dictNext + store.SymbolID(len(win.names)); r.first != want {
-					return win, fmt.Errorf("durable: checkpoint window dictionary record starts at id %d, want %d", r.first, want)
+					return fmt.Errorf("checkpoint window dictionary record starts at id %d, want %d", r.first, want)
 				}
 				win.names = append(win.names, r.names...)
 			case recMutation:
@@ -184,8 +168,15 @@ func readWALWindow(dir string, after, through uint64, dictNext store.SymbolID) (
 					events = append(events, walEvent{t: t, seq: r.seq})
 				}
 			default:
-				return win, fmt.Errorf("durable: checkpoint window record %d has unknown type %d", r.seq, r.typ)
+				return fmt.Errorf("checkpoint window record has unknown type %d", r.typ)
 			}
+			return nil
+		})
+		if err != nil {
+			return win, err
+		}
+		if off < len(data) {
+			return win, fmt.Errorf("durable: %s: bad frame at offset %d in a sealed log file; the log is corrupt", name, off)
 		}
 	}
 	if prev != through {

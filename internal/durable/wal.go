@@ -305,55 +305,38 @@ func (w *walWriter) drainLocked(sync bool) {
 
 // rotate finishes the current file — final write, fsync, close — and opens
 // the successor wal file. It returns the seq the finished file covers
-// through: the checkpoint that triggered the rotation will dump the store
-// (whose state includes every record ≤ that seq, by apply-before-log) and
-// name its segment after it. Frames staged by appenders while the rotation
-// is on the disk carry seqs beyond the returned one and land in the new
-// file, where they belong.
+// through: the checkpoint that triggered the rotation will fold the window
+// ending there and name its segment after it. The final write and fsync are
+// an ordinary drain; the syncer role is then re-taken under the same hold of
+// mu, so no committer can drain into the closing file. Frames staged by
+// appenders while the rotation is on the disk carry seqs beyond the returned
+// one and land in the new file, where they belong.
 func (w *walWriter) rotate() (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for w.syncing {
 		w.cond.Wait()
 	}
+	if w.err == nil {
+		w.drainLocked(true)
+	}
 	if w.err != nil {
 		return 0, w.err
 	}
-	buf := w.buf
-	w.buf = w.spare[:0]
-	w.spare = nil
-	covered := w.seq
-	frames := w.pendingFrames
-	w.pendingFrames = 0
+	covered := w.durableSeq
 	f := w.f
 	w.syncing = true
 	w.mu.Unlock()
 
-	if frames > 0 {
-		w.mCommitFrames.Observe(float64(frames))
-	}
-	var err error
-	if len(buf) > 0 {
-		_, err = f.Write(buf)
-	}
-	if err == nil {
-		fsStart := time.Now()
-		err = f.Sync()
-		w.mFsyncSeconds.Since(fsStart)
-	}
-	if cerr := f.Close(); err == nil && cerr != nil {
-		err = cerr
-	}
+	err := f.Close()
 	var next *os.File
 	if err == nil {
 		next, err = createWALFile(w.dir, covered+1)
 	}
-	now := time.Now()
 
 	w.mu.Lock()
 	w.syncing = false
 	defer w.cond.Broadcast()
-	w.spare = buf[:0]
 	if err != nil {
 		if w.err == nil {
 			w.err = fmt.Errorf("durable: log rotation: %w", err)
@@ -363,10 +346,6 @@ func (w *walWriter) rotate() (uint64, error) {
 	w.f = next
 	w.fileFirst = covered + 1
 	w.totalBytes = 0
-	w.writtenSeq = covered
-	w.durableSeq = covered
-	w.lastFsync = now
-	w.fsyncs++
 	return covered, nil
 }
 

@@ -21,7 +21,7 @@ var ErrInterrupted = exec.ErrInterrupted
 // union of a materialized store): dictionary lookups and cardinality
 // statistics for the planner, plus the batched scan/probe hooks the operator
 // runtime (repro/internal/query/exec) executes with. Anything exposing these
-// six methods can sit under a BGP.
+// five methods can sit under a BGP.
 type Source interface {
 	// SymbolID returns the dictionary id of a name; ok is false for names
 	// never interned (a pattern bound to one matches nothing).
@@ -32,9 +32,8 @@ type Source interface {
 	// ScanParts opens the resumable cursors over a pattern's matches (see
 	// store.ScanParts) — the leaf operators' scan hook.
 	ScanParts(p store.IDPattern) []*store.ScanPart
-	// CountID returns the number of triples matching the id pattern.
-	CountID(p store.IDPattern) int
-	// StatsID returns cardinality statistics for the id pattern.
+	// StatsID returns cardinality statistics for the id pattern: the exact
+	// match count and the distinct-component widths.
 	StatsID(p store.IDPattern) store.IDStats
 	// NewResolver returns a resolver from ids back to names.
 	NewResolver() store.Resolver

@@ -79,38 +79,28 @@ func TestScanSequentialUncancelledDrains(t *testing.T) {
 	}
 }
 
-// idSource is a Source that also has the callback enumeration the scan is
-// checked against; *store.Store and *store.View both are.
-type idSource interface {
-	exec.Source
-	QueryIDFunc(p store.IDPattern, yield func(store.IDTriple) bool)
-}
-
 // TestScanMatchesReference drains a scan leaf of every bound shape — over a
-// store, over a plain view whose overlay shadows part of the base, and over a
-// disjoint view — and checks its rows against QueryIDFunc on the same source:
-// the cursors (a view's: the base's, then the overlay's) report each matching
-// triple once, across batch boundaries and across the two members.
+// store and over a view — and checks its rows against a filter of the triples
+// the fixture put in: the cursors (a view's: the base's, then the overlay's)
+// report each matching triple once, across batch boundaries and across the
+// two members.
 func TestScanMatchesReference(t *testing.T) {
 	base := store.New()
-	var batch []store.Triple
+	var asserted, inferred []store.Triple
 	for i := 0; i < 3*exec.BatchSize; i++ { // (? p0 o0) spans several refills
-		batch = append(batch, store.Triple{Subject: fmt.Sprintf("s%d", i), Predicate: fmt.Sprintf("p%d", i%3), Object: fmt.Sprintf("o%d", i%5)})
+		asserted = append(asserted, store.Triple{Subject: fmt.Sprintf("s%d", i), Predicate: fmt.Sprintf("p%d", i%3), Object: fmt.Sprintf("o%d", i%5)})
 	}
-	if _, err := base.AddBatch(batch); err != nil {
+	if _, err := base.AddBatch(asserted); err != nil {
 		t.Fatal(err)
 	}
-	shadow, apart := base.NewOverlay(), base.NewOverlay()
+	overlay := base.NewOverlay()
 	for i := 0; i < 2*exec.BatchSize; i++ {
-		// Every other triple is also asserted: the plain view must suppress it.
-		shadow.MustAdd(store.Triple{Subject: fmt.Sprintf("s%d", i), Predicate: fmt.Sprintf("p%d", (i+i%2)%3), Object: fmt.Sprintf("o%d", i%5)})
-		apart.MustAdd(store.Triple{Subject: fmt.Sprintf("s%d", i), Predicate: "p0", Object: "inferred"})
+		inferred = append(inferred, store.Triple{Subject: fmt.Sprintf("s%d", i), Predicate: "p0", Object: "inferred"})
 	}
-	plain, err := store.NewView(base, shadow)
-	if err != nil {
+	if _, err := overlay.AddBatch(inferred); err != nil {
 		t.Fatal(err)
 	}
-	disjoint, err := store.NewDisjointView(base, apart)
+	view, err := store.NewView(base, overlay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,13 +127,20 @@ func TestScanMatchesReference(t *testing.T) {
 		}
 		return exec.Var(slot)
 	}
-	for name, src := range map[string]idSource{"store": base, "plain view": plain, "disjoint view": disjoint} {
+	sources := map[string]struct {
+		src     exec.Source
+		triples []store.Triple
+	}{"store": {base, asserted}, "view": {view, slices.Concat(asserted, inferred)}}
+	for name, c := range sources {
+		src := c.src
 		for _, ip := range patterns {
 			var want, got []store.IDTriple
-			src.QueryIDFunc(ip, func(tr store.IDTriple) bool {
-				want = append(want, tr)
-				return true
-			})
+			for _, tr := range c.triples {
+				it := store.IDTriple{S: id(tr.Subject), P: id(tr.Predicate), O: id(tr.Object)}
+				if (!ip.BoundS || it.S == ip.S) && (!ip.BoundP || it.P == ip.P) && (!ip.BoundO || it.O == ip.O) {
+					want = append(want, it)
+				}
+			}
 			pat := exec.Pattern{term(ip.BoundS, ip.S, 0), term(ip.BoundP, ip.P, 1), term(ip.BoundO, ip.O, 2)}
 			op := exec.NewScan(src, pat, nil, 3)
 			var ctx exec.Ctx
@@ -168,7 +165,7 @@ func TestScanMatchesReference(t *testing.T) {
 			store.SortIDTriples(got)
 			store.SortIDTriples(want)
 			if !slices.Equal(got, want) {
-				t.Errorf("%s, pattern %+v: scan yielded %d rows, QueryIDFunc %d (or different rows)", name, ip, len(got), len(want))
+				t.Errorf("%s, pattern %+v: scan yielded %d rows, the reference filter %d (or different rows)", name, ip, len(got), len(want))
 			}
 		}
 	}
@@ -219,17 +216,17 @@ var windowEstimates = []int{exec.BatchSize, exec.BatchSize / 3, 0}
 
 // TestJoinWindowsMatchReference drains a join whose per-probe fan-out is
 // several batches wide under each window size and checks the rows against
-// one QueryIDFunc per subject: windowing may reorder rows, never add, drop or
-// mispair them with their child row.
+// the fixture's own (subject, object) pairs: windowing may reorder rows, never
+// add, drop or mispair them with their child row.
 func TestJoinWindowsMatchReference(t *testing.T) {
 	const subjects, fanout = 5, 3*exec.BatchSize + 17
 	s, pat, ids := fanoutFixture(t, subjects, fanout)
 	var want []string
-	for _, id := range ids {
-		s.QueryIDFunc(store.IDPattern{S: id, BoundS: true, P: pat[1].ID, BoundP: true}, func(tr store.IDTriple) bool {
-			want = append(want, fmt.Sprint(tr.S, tr.O))
-			return true
-		})
+	for i, id := range ids {
+		for k := 0; k < fanout; k++ {
+			oid, _ := s.SymbolID(fmt.Sprintf("o-%d-%d", i, k))
+			want = append(want, fmt.Sprint(id, oid))
+		}
 	}
 	sort.Strings(want)
 	for _, est := range windowEstimates {

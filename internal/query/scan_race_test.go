@@ -135,7 +135,7 @@ func TestScanUnderConcurrentWritesObjectOnly(t *testing.T) {
 		t.Fatal("o0 was never interned")
 	}
 	p := store.IDPattern{O: hot, BoundO: true}
-	stable := s.CountID(p) // i%97 == 0, spread over all seven predicates
+	stable := s.StatsID(p).Count // i%97 == 0, spread over all seven predicates
 	if stable < 200 {
 		t.Fatalf("only %d stable matches of o0", stable)
 	}
@@ -183,10 +183,10 @@ func TestScanUnderConcurrentWritesObjectOnly(t *testing.T) {
 	}
 }
 
-// TestScanOverViewUnderOverlayWrites runs full scans over a non-disjoint View
-// (so the overlay's cursor takes the per-triple dedup probe into the base)
-// while the overlay is concurrently written — the materialization-refresh
-// shape, where inferred triples stream in while readers scan the union.
+// TestScanOverViewUnderOverlayWrites runs full scans over a View while the
+// overlay is concurrently written (triples the base never holds, as the view
+// contract requires) — the materialization-refresh shape, where inferred
+// triples stream in while readers scan the union.
 func TestScanOverViewUnderOverlayWrites(t *testing.T) {
 	const n = 20_000
 	base := raceStore(t, n)

@@ -322,7 +322,7 @@ func bodyPipeline(r *crule, order []int, leaf exec.Op, bound []bool, db exec.Sou
 func matchAll(r *crule, db *store.Store, emit func(store.IDTriple) bool) {
 	di, least := 0, -1
 	for i, a := range r.body {
-		if n := db.CountID(a.idPattern()); least < 0 || n < least {
+		if n := db.StatsID(a.idPattern()).Count; least < 0 || n < least {
 			di, least = i, n
 		}
 	}

@@ -220,9 +220,9 @@ func Materialize(base *store.Store, rules []Rule) (*Reasoner, error) {
 	}
 	overlay := base.NewOverlay()
 	// The reasoner maintains base∩overlay = ∅ (inferred triples are exactly
-	// the derivable non-asserted ones), which is the disjoint view's promise
-	// and buys O(1) counts and dedup-free iteration.
-	view, err := store.NewDisjointView(base, overlay)
+	// the derivable non-asserted ones), which is the contract a view rests on:
+	// O(1) counts and dedup-free iteration.
+	view, err := store.NewView(base, overlay)
 	if err != nil {
 		return nil, err
 	}

@@ -90,108 +90,19 @@ func (s *Store) encodePattern(p Pattern) (IDPattern, bool) {
 }
 
 // QueryIDFunc streams every triple matching the id pattern to yield, stopping
-// early when yield returns false. It picks the permutation family by the
-// pattern's bound components — bound subject → SPO, else bound predicate →
-// POS, else bound object → every POS shard in turn, else a full SPO scan —
-// and allocates nothing. A subject- or predicate-bound pattern costs one
+// early when yield returns false. It is QueryIDBatch with a batch of one —
+// the store walks a pattern through a callback in exactly one place
+// (probeShardLocked, scan.go), which picks the permutation family by the
+// pattern's bound components: bound subject → SPO, else bound predicate →
+// POS, else bound object → every POS shard in turn, else a full SPO scan.
+// Nothing is allocated. A subject- or predicate-bound pattern costs one
 // shard lock and one lead lookup; the object-only pattern (? ? o) has no lead
 // to look up, so it costs one find per predicate of the store (and a lock
 // round trip per shard) plus its matches. The enumeration order is
 // unspecified. yield must not write to the store (it runs under a shard
 // read-lock).
 func (s *Store) QueryIDFunc(p IDPattern, yield func(IDTriple) bool) {
-	switch {
-	case p.BoundS:
-		sh := s.spo.shard(p.S)
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		e := sh.m[p.S]
-		if e == nil {
-			return
-		}
-		if p.BoundP {
-			set := e.find(p.P)
-			if set == nil {
-				return
-			}
-			if p.BoundO {
-				if set.contains(p.O) {
-					yield(IDTriple{p.S, p.P, p.O})
-				}
-				return
-			}
-			set.forEach(func(oid SymbolID) bool {
-				return yield(IDTriple{p.S, p.P, oid})
-			})
-			return
-		}
-		e.forEach(func(pid SymbolID, objs *idSet) bool {
-			if p.BoundO {
-				if objs.contains(p.O) {
-					return yield(IDTriple{p.S, pid, p.O})
-				}
-				return true
-			}
-			return objs.forEach(func(oid SymbolID) bool {
-				return yield(IDTriple{p.S, pid, oid})
-			})
-		})
-	case p.BoundP:
-		sh := s.pos.shard(p.P)
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		e := sh.m[p.P]
-		if e == nil {
-			return
-		}
-		if p.BoundO {
-			set := e.find(p.O)
-			if set == nil {
-				return
-			}
-			set.forEach(func(sid SymbolID) bool {
-				return yield(IDTriple{sid, p.P, p.O})
-			})
-			return
-		}
-		e.forEach(func(oid SymbolID, subjects *idSet) bool {
-			return subjects.forEach(func(sid SymbolID) bool {
-				return yield(IDTriple{sid, p.P, oid})
-			})
-		})
-	case p.BoundO:
-		for i := range s.pos {
-			if !s.pos[i].scanObject(p.O, yield) {
-				return
-			}
-		}
-	default:
-		for i := range s.spo {
-			if !s.scanShardIDs(&s.spo[i], yield) {
-				return
-			}
-		}
-	}
-}
-
-// scanObject streams one POS shard's share of the object-only pattern
-// (? ? o) — under every predicate lead, the subjects filed under o —
-// reporting false when yield stopped the enumeration.
-func (sh *shard) scanObject(o SymbolID, yield func(IDTriple) bool) bool {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	for pid, e := range sh.m {
-		set := e.find(o)
-		if set == nil {
-			continue
-		}
-		for _, sid := range set.elems {
-			if !yield(IDTriple{sid, pid, o}) {
-				return false
-			}
-		}
-	}
-	return true
+	s.QueryIDBatch([]IDPattern{p}, func(_ int, t IDTriple) bool { return yield(t) })
 }
 
 // countObject returns the number of triples with object o across the POS
@@ -211,88 +122,6 @@ func (s *Store) countObject(o SymbolID) (count, preds int) {
 	return count, preds
 }
 
-// scanShardIDs streams one whole SPO shard to yield, reporting false when
-// yield stopped the enumeration.
-func (s *Store) scanShardIDs(sh *shard, yield func(IDTriple) bool) bool {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	for sid, e := range sh.m {
-		ok := e.forEach(func(pid SymbolID, objs *idSet) bool {
-			return objs.forEach(func(oid SymbolID) bool {
-				return yield(IDTriple{sid, pid, oid})
-			})
-		})
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// CountID returns the exact number of triples matching the id pattern. It is
-// the planner's cardinality estimate: it runs entirely on the indexes — set
-// lengths are read off the index nodes, no triple is materialized and no
-// symbol resolved — so it is cheap enough to call once per pattern per query.
-func (s *Store) CountID(p IDPattern) int {
-	count := 0
-	switch {
-	case p.BoundS:
-		sh := s.spo.shard(p.S)
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		e := sh.m[p.S]
-		if e == nil {
-			return 0
-		}
-		if p.BoundP {
-			set := e.find(p.P)
-			if set == nil {
-				return 0
-			}
-			if p.BoundO {
-				if set.contains(p.O) {
-					return 1
-				}
-				return 0
-			}
-			return set.len()
-		}
-		e.forEach(func(_ SymbolID, objs *idSet) bool {
-			if p.BoundO {
-				if objs.contains(p.O) {
-					count++
-				}
-				return true
-			}
-			count += objs.len()
-			return true
-		})
-	case p.BoundP:
-		sh := s.pos.shard(p.P)
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		e := sh.m[p.P]
-		if e == nil {
-			return 0
-		}
-		if p.BoundO {
-			if set := e.find(p.O); set != nil {
-				return set.len()
-			}
-			return 0
-		}
-		e.forEach(func(_ SymbolID, subjects *idSet) bool {
-			count += subjects.len()
-			return true
-		})
-	case p.BoundO:
-		count, _ = s.countObject(p.O)
-	default:
-		return s.Len()
-	}
-	return count
-}
-
 // IDStats are cheap cardinality statistics for one id pattern: the exact
 // match count, and the number of distinct subjects, predicates and objects
 // among the matches — exact where an index level exposes it in O(1) (lead
@@ -309,15 +138,20 @@ type IDStats struct {
 	DistinctO int
 }
 
-// StatsID returns cardinality statistics for the id pattern. Like CountID it
-// runs entirely on the indexes, reading set lengths and entry widths; it
-// never materializes a triple or resolves a symbol. The object-only and
-// unbound patterns cost O(predicates); every other shape reads one lead.
+// StatsID returns cardinality statistics for the id pattern — the store's one
+// cardinality dispatch: Count is the exact number of matches (Store.Count and
+// the reasoner's seed round read it off here), the widths are the planner's.
+// It runs entirely on the indexes, reading set lengths and entry widths; it
+// never materializes a triple or resolves a symbol, so it is cheap enough to
+// call once per pattern per query. The object-only and unbound patterns cost
+// O(predicates); every other shape reads one lead.
 func (s *Store) StatsID(p IDPattern) IDStats {
 	switch {
 	case p.BoundS && p.BoundP && p.BoundO:
-		n := s.CountID(p)
-		return IDStats{Count: n, DistinctS: n, DistinctP: n, DistinctO: n}
+		if !s.ContainsID(IDTriple{p.S, p.P, p.O}) {
+			return IDStats{}
+		}
+		return IDStats{Count: 1, DistinctS: 1, DistinctP: 1, DistinctO: 1}
 	case p.BoundS:
 		sh := s.spo.shard(p.S)
 		sh.mu.RLock()

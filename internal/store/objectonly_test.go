@@ -12,7 +12,7 @@ import (
 // every read surface answers it by fanning out over the POS family. These
 // tests hold each surface to the naive filter of ref_test.go on stores built
 // to exercise the fan-out — objects under one, a few and many predicates,
-// spread over several POS shards — on a Store and through both kinds of View.
+// spread over several POS shards — on a Store and through a View.
 
 // objectOnlyFixture is a base and an overlay sharing a dictionary, with the
 // reference holding each member's triples. Probe objects: "o1" occurs under
@@ -28,10 +28,8 @@ type objectOnlyFixture struct {
 // not interned by any fixture.
 var objectOnlyProbes = []string{"o1", "o3", "o20", "dual", "baseonly", "noise0", "never"}
 
-// newObjectOnlyFixture draws a fixture from seed. With shadow set, about a
-// third of the overlay's triples are also put in the base — the duplicates a
-// plain View must suppress; without it the members are disjoint.
-func newObjectOnlyFixture(seed int64, shadow bool) *objectOnlyFixture {
+// newObjectOnlyFixture draws a fixture from seed; the members are disjoint.
+func newObjectOnlyFixture(seed int64) *objectOnlyFixture {
 	rng := rand.New(rand.NewSource(seed))
 	f := &objectOnlyFixture{base: New(), baseRef: newRef(), overlayRef: newRef()}
 	f.overlay = f.base.NewOverlay()
@@ -65,9 +63,6 @@ func newObjectOnlyFixture(seed int64, shadow bool) *objectOnlyFixture {
 		default:
 			f.overlay.MustAdd(tr)
 			f.overlayRef.add(tr)
-			if shadow && rng.Intn(3) == 0 {
-				toBase(tr)
-			}
 		}
 	}
 	for i := 0; i < 40; i++ {
@@ -100,46 +95,34 @@ func resolved(res Resolver, ts []IDTriple) []Triple {
 }
 
 // checkObjectOnly compares every read surface of r on the object-only
-// pattern of each probe object against ref.
+// pattern of each probe object against ref: the answers themselves through
+// checkReads (ref_test.go), then what is particular to the shape — the
+// bounds StatsID's widths promise, a cursor that never spills, and a batch
+// far wider than the shard count.
 func checkObjectOnly(t *testing.T, what string, r idReader, syms *Store, ref *refStore) {
 	t.Helper()
+	patterns := make([]Pattern, len(objectOnlyProbes))
+	for i, object := range objectOnlyProbes {
+		patterns[i] = Pattern{Object: object}
+	}
+	checkReads(t, what, r, syms, ref, patterns)
+
 	res := syms.NewResolver()
-	var batch []IDPattern
-	var batchWant [][]Triple
-	for _, object := range objectOnlyProbes {
-		want := ref.query(Pattern{Object: object})
+	batch := make([]IDPattern, len(patterns))
+	batchWant := make([][]Triple, len(patterns))
+	for i, object := range objectOnlyProbes {
+		want := ref.query(patterns[i])
 		if want == nil {
 			want = []Triple{}
 		}
-		oid, ok := syms.SymbolID(object)
-		if !ok {
-			if len(want) != 0 {
-				t.Fatalf("%s: %q is in the reference but was never interned", what, object)
-			}
-			// A never-minted id must match nothing on any surface.
-			oid = SymbolID(syms.DictLen() + 7)
-		}
-		p := IDPattern{O: oid, BoundO: true}
+		p := encodeOrMiss(syms, patterns[i])
+		batch[i], batchWant[i] = p, want
 
-		var got []IDTriple
-		r.QueryIDFunc(p, func(tr IDTriple) bool {
-			got = append(got, tr)
-			return true
-		})
-		if g := resolved(res, got); !reflect.DeepEqual(g, want) {
-			t.Fatalf("%s: QueryIDFunc(? ? %s) = %v, reference says %v", what, object, g, want)
-		}
-		if c := r.CountID(p); c != len(want) {
-			t.Fatalf("%s: CountID(? ? %s) = %d, reference says %d", what, object, c, len(want))
-		}
 		preds := map[string]bool{}
 		for _, tr := range want {
 			preds[tr.Predicate] = true
 		}
 		st := r.StatsID(p)
-		if st.Count != len(want) {
-			t.Fatalf("%s: StatsID(? ? %s).Count = %d, reference says %d", what, object, st.Count, len(want))
-		}
 		// A view sums its members' widths, so a predicate used on both sides
 		// counts twice there: exact on a store, an upper bound on a view.
 		if _, isStore := r.(*Store); isStore && st.DistinctP != len(preds) {
@@ -152,37 +135,17 @@ func checkObjectOnly(t *testing.T, what string, r idReader, syms *Store, ref *re
 		}
 
 		for _, size := range []int{1, 7, 1024} {
-			got = got[:0]
 			buf := make([]IDTriple, size)
 			for _, pt := range r.ScanParts(p) {
 				for done := false; !done; {
-					var n int
-					n, done = pt.NextBatch(buf)
-					got = append(got, buf[:n]...)
+					_, done = pt.NextBatch(buf)
 					if len(pt.pending) != 0 {
 						t.Fatalf("%s: object-only cursor spilled %d triples", what, len(pt.pending))
 					}
 				}
 				pt.Release()
 			}
-			if g := resolved(res, got); !reflect.DeepEqual(g, want) {
-				t.Fatalf("%s: ScanParts(? ? %s) drained %d at a time = %v, reference says %v", what, object, size, g, want)
-			}
 		}
-
-		got = got[:0]
-		r.QueryIDBatch([]IDPattern{p}, func(pi int, tr IDTriple) bool {
-			if pi != 0 {
-				t.Fatalf("%s: a batch of one probe answered probe %d", what, pi)
-			}
-			got = append(got, tr)
-			return true
-		})
-		if g := resolved(res, got); !reflect.DeepEqual(g, want) {
-			t.Fatalf("%s: QueryIDBatch(? ? %s) = %v, reference says %v", what, object, g, want)
-		}
-		batch = append(batch, p)
-		batchWant = append(batchWant, want)
 	}
 
 	// 300 probes of the one shape: the probe objects over and over.
@@ -204,11 +167,11 @@ func checkObjectOnly(t *testing.T, what string, r idReader, syms *Store, ref *re
 }
 
 // TestObjectOnlyMatchesReference: on random stores, object-only answers from
-// every read surface equal the naive filter as multisets — on a Store, on a
-// disjoint View and on a plain View whose members share triples.
+// every read surface equal the naive filter as multisets — on each member
+// Store and on the View over the two.
 func TestObjectOnlyMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		f := newObjectOnlyFixture(seed, false)
+		f := newObjectOnlyFixture(seed)
 		shards := map[uint32]bool{}
 		f.base.QueryIDFunc(IDPattern{O: mustID(t, f.base, "o20"), BoundO: true}, func(tr IDTriple) bool {
 			shards[shardOf(tr.P)] = true
@@ -221,30 +184,14 @@ func TestObjectOnlyMatchesReference(t *testing.T) {
 		checkObjectOnly(t, fmt.Sprintf("seed %d overlay", seed), f.overlay, f.base, f.overlayRef)
 		for tr := range f.overlayRef.triples {
 			if f.baseRef.triples[tr] {
-				t.Fatalf("seed %d: %v is in both members of the disjoint fixture", seed, tr)
+				t.Fatalf("seed %d: %v is in both members of the fixture", seed, tr)
 			}
 		}
-		disjoint, err := NewDisjointView(f.base, f.overlay)
+		view, err := NewView(f.base, f.overlay)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkObjectOnly(t, fmt.Sprintf("seed %d disjoint view", seed), disjoint, f.base, f.union())
-
-		g := newObjectOnlyFixture(seed, true)
-		plain, err := NewView(g.base, g.overlay)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shadowed := 0
-		for tr := range g.overlayRef.triples {
-			if g.baseRef.triples[tr] {
-				shadowed++
-			}
-		}
-		if shadowed == 0 {
-			t.Fatalf("seed %d: the shadowing fixture has no triple in both members", seed)
-		}
-		checkObjectOnly(t, fmt.Sprintf("seed %d plain view", seed), plain, g.base, g.union())
+		checkObjectOnly(t, fmt.Sprintf("seed %d view", seed), view, f.base, f.union())
 	}
 }
 
@@ -292,8 +239,8 @@ func TestObjectOnlyEarlyStop(t *testing.T) {
 
 // TestObjectOnlyCursorIsBounded: a class with a 5 000-subject posting list is
 // streamed by position — every refill returns at most one batch and the
-// cursor never buffers a triple of its own — on a store and as the overlay
-// part of a plain view, whose dedup probe drops the shadowed half on the way.
+// cursor never buffers a triple of its own — on a store and on the two
+// cursors of a view whose members split the list.
 func TestObjectOnlyCursorIsBounded(t *testing.T) {
 	const subjects, batchSize = 5000, 64
 	base := New()
@@ -305,10 +252,10 @@ func TestObjectOnlyCursorIsBounded(t *testing.T) {
 	for p := 0; p < 20; p++ {
 		batch = append(batch, Triple{"x", fmt.Sprintf("p%d", p), "big"})
 	}
-	if _, err := overlay.AddBatch(batch); err != nil {
+	if _, err := base.AddBatch(batch[:subjects/2]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := base.AddBatch(batch[:subjects/2]); err != nil {
+	if _, err := overlay.AddBatch(batch[subjects/2:]); err != nil {
 		t.Fatal(err)
 	}
 	view, err := NewView(base, overlay)
@@ -316,10 +263,14 @@ func TestObjectOnlyCursorIsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := IDPattern{O: mustID(t, base, "big"), BoundO: true}
+	seen := map[IDTriple]bool{}
 	drain := func(what string, pt *ScanPart, want int) {
 		t.Helper()
+		// A fresh cursor, not a pooled one: the capacity check below is about
+		// what this scan allocated.
+		pt.leads, pt.pending = nil, nil
 		buf := make([]IDTriple, batchSize)
-		seen := map[IDTriple]bool{}
+		before := len(seen)
 		for done := false; !done; {
 			var n int
 			n, done = pt.NextBatch(buf)
@@ -336,19 +287,15 @@ func TestObjectOnlyCursorIsBounded(t *testing.T) {
 		if cap(pt.pending) != 0 || cap(pt.leads) > 64 {
 			t.Fatalf("%s: drained cursor kept a %d-triple spill buffer and %d lead keys", what, cap(pt.pending), cap(pt.leads))
 		}
-		if len(seen) != want {
-			t.Fatalf("%s: drained %d triples, want %d", what, len(seen), want)
+		if got := len(seen) - before; got != want {
+			t.Fatalf("%s: drained %d triples, want %d", what, got, want)
 		}
 	}
-	// Fresh cursors, not pooled ones: the capacity check above is about what
-	// this scan allocated.
-	fresh := func(s *Store, dedup *Store) *ScanPart {
-		pt := s.scanPart(p)
-		pt.leads, pt.pending, pt.dedup = nil, nil, dedup
-		return pt
-	}
-	drain("store", fresh(overlay, nil), subjects+20)
-	drain("view overlay part", fresh(overlay, view.base), subjects/2+20)
+	parts := view.ScanParts(p)
+	drain("view base part", parts[0], subjects/2)
+	drain("view overlay part", parts[1], subjects/2+20)
+	clear(seen)
+	drain("store", overlay.scanPart(p), subjects/2+20)
 }
 
 // walkShardTripleCount is ShardTripleCount's reference: the walk over every

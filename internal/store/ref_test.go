@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -48,70 +49,272 @@ func (r *refStore) query(p Pattern) []Triple {
 	return out
 }
 
+// wideVocab is the width of the hub vocabularies randomTriple draws from —
+// past setSpill, so a hub's trailing set can outgrow its linear form.
+const wideVocab = setSpill + 8
+
 // randomTriple draws components from a small vocabulary so duplicates,
-// removals and pattern hits are all frequent.
+// removals and pattern hits are all frequent — half the time uniformly from
+// 12×5×12, the other half around three hubs that spillSpine fills: the
+// objects of (s1 p1 ?), the subjects of (? p2 o4) and the predicates of s1.
 func randomTriple(rng *rand.Rand) Triple {
-	return Triple{
-		Subject:   fmt.Sprintf("s%d", rng.Intn(12)),
-		Predicate: fmt.Sprintf("p%d", rng.Intn(5)),
-		Object:    fmt.Sprintf("o%d", rng.Intn(12)),
+	s, p, o := rng.Intn(12), rng.Intn(5), rng.Intn(12)
+	switch rng.Intn(6) {
+	case 0:
+		s, p, o = 1, 1, rng.Intn(wideVocab)
+	case 1:
+		s, p, o = rng.Intn(wideVocab), 2, 4
+	case 2:
+		s, p = 1, rng.Intn(midSpill+4)
+	}
+	return Triple{fmt.Sprintf("s%d", s), fmt.Sprintf("p%d", p), fmt.Sprintf("o%d", o)}
+}
+
+// spillSpine is the fixed block of randomTriple's vocabulary that takes one
+// lead past midSpill and one trailing set past setSpill in both index
+// families: subject s1 under midSpill+2 predicates and (s1 p1 ?) with
+// setSpill+4 objects (SPO), predicate p1 thereby over more than midSpill
+// objects and (? p2 o4) with setSpill+4 subjects (POS).
+func spillSpine() []Triple {
+	var ts []Triple
+	for i := 0; i < setSpill+4; i++ {
+		ts = append(ts,
+			Triple{"s1", "p1", fmt.Sprintf("o%d", i)},
+			Triple{fmt.Sprintf("s%d", i), "p2", "o4"})
+	}
+	for i := 0; i < midSpill+2; i++ {
+		ts = append(ts, Triple{"s1", fmt.Sprintf("p%d", i), "o2"})
+	}
+	return ts
+}
+
+// addSpine puts spillSpine into the engine and the reference, and checks the
+// spills it exists for actually happened.
+func addSpine(t *testing.T, s *Store, ref *refStore) {
+	t.Helper()
+	spine := spillSpine()
+	if _, err := s.AddBatch(spine); err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range spine {
+		ref.add(tr)
+	}
+	for name, fam := range map[string]*indexFamily{"SPO": &s.spo, "POS": &s.pos} {
+		mids, trails := 0, 0
+		for i := range fam {
+			for _, e := range fam[i].m {
+				if e.idx != nil {
+					mids++
+				}
+				for j := range e.entries {
+					if e.entries[j].trail.idx != nil {
+						trails++
+					}
+				}
+			}
+		}
+		if mids == 0 || trails == 0 {
+			t.Fatalf("%s: the spine spilled %d middle levels and %d trailing sets; want at least one of each", name, mids, trails)
+		}
 	}
 }
 
+// agreementPatterns are the probing patterns of checkAgreement: every bound
+// shape at least twice (so each shape also runs as one multi-probe batch),
+// hits and misses, the spine's spilled levels ((s1 ? ?), (? p1 ?), (s1 p1 ?),
+// (? p2 o4) and the membership tests under them) and a never-interned name.
+var agreementPatterns = []Pattern{
+	{},
+	{},
+	{Subject: "s1"},
+	{Subject: "s999"},
+	{Predicate: "p0"},
+	{Predicate: "p1"},
+	{Predicate: "p3"},
+	{Object: "o2"},
+	{Object: "o4"},
+	{Subject: "s1", Predicate: "p1"},
+	{Subject: "s2", Predicate: "p1"},
+	{Subject: "s2", Object: "o3"},
+	{Subject: "s1", Object: "o7"},
+	{Predicate: "p2", Object: "o4"},
+	{Predicate: "p2", Object: "o5"},
+	{Subject: "s0", Predicate: "p0", Object: "o0"},
+	{Subject: "s1", Predicate: "p1", Object: "o5"},
+}
+
+// idReader is the id-level read surface a Store and a View share.
+type idReader interface {
+	QueryIDFunc(p IDPattern, yield func(IDTriple) bool)
+	QueryIDBatch(ps []IDPattern, yield func(pi int, t IDTriple) bool)
+	ScanParts(p IDPattern) []*ScanPart
+	StatsID(p IDPattern) IDStats
+}
+
+// encodeOrMiss is encodePattern for a reader under test: a bound name that
+// was never interned becomes an id the dictionary has not minted, which must
+// match nothing on any read path.
+func encodeOrMiss(syms *Store, p Pattern) IDPattern {
+	id := func(name string) (SymbolID, bool) {
+		if name == "" {
+			return 0, false
+		}
+		if v, ok := syms.SymbolID(name); ok {
+			return v, true
+		}
+		return SymbolID(syms.DictLen() + 7), true
+	}
+	var ip IDPattern
+	ip.S, ip.BoundS = id(p.Subject)
+	ip.P, ip.BoundP = id(p.Predicate)
+	ip.O, ip.BoundO = id(p.Object)
+	return ip
+}
+
+// drainPart pulls one cursor dry, size triples at a time, and releases it.
+func drainPart(pt *ScanPart, size int) []IDTriple {
+	var out []IDTriple
+	buf := make([]IDTriple, size)
+	for done := false; !done; {
+		var n int
+		n, done = pt.NextBatch(buf)
+		out = append(out, buf[:n]...)
+	}
+	pt.Release()
+	return out
+}
+
+// drainParts pulls every cursor of the pattern dry, size triples at a time.
+func drainParts(r idReader, p IDPattern, size int) []IDTriple {
+	var out []IDTriple
+	for _, pt := range r.ScanParts(p) {
+		out = append(out, drainPart(pt, size)...)
+	}
+	return out
+}
+
+// checkReads holds every id-level read path of r to the reference on the given
+// patterns, one by one — the callback, the cursor at three batch sizes, a
+// probe batch of one, all probes of one shape in one batch, and the count —
+// each as a multiset (the reference's answer encoded through the dictionary
+// and sorted by id, against the sorted answer), so a triple reported twice
+// fails like a triple missed. No read path's oracle is another read path.
+func checkReads(t *testing.T, what string, r idReader, syms *Store, ref *refStore, patterns []Pattern) {
+	t.Helper()
+	res := syms.NewResolver()
+	ips := make([]IDPattern, len(patterns))
+	wants := make([][]IDTriple, len(patterns))
+	byShape := map[[3]bool][]int{}
+	for i, p := range patterns {
+		ip, want := encodeOrMiss(syms, p), make([]IDTriple, 0, 8)
+		for _, tr := range ref.query(p) {
+			it, ok := syms.syms.lookupTriple(tr)
+			if !ok {
+				t.Fatalf("%s: %v is in the reference but was never interned", what, tr)
+			}
+			want = append(want, it)
+		}
+		SortIDTriples(want)
+		ips[i], wants[i] = ip, want
+		shape := [3]bool{ip.BoundS, ip.BoundP, ip.BoundO}
+		byShape[shape] = append(byShape[shape], i)
+		check := func(how string, got []IDTriple) {
+			t.Helper()
+			if SortIDTriples(got); !slices.Equal(got, want) {
+				t.Fatalf("%s: %s %v = %v, reference says %v", what, how, p, resolved(res, got), resolved(res, want))
+			}
+		}
+		var got []IDTriple
+		r.QueryIDFunc(ip, func(tr IDTriple) bool {
+			got = append(got, tr)
+			return true
+		})
+		check("QueryIDFunc", got)
+		for _, size := range []int{1, 7, 1024} {
+			check(fmt.Sprintf("ScanParts drained %d at a time", size), drainParts(r, ip, size))
+		}
+		got = got[:0]
+		r.QueryIDBatch([]IDPattern{ip}, func(pi int, tr IDTriple) bool {
+			if pi != 0 {
+				t.Fatalf("%s: a batch of one probe answered probe %d", what, pi)
+			}
+			got = append(got, tr)
+			return true
+		})
+		check("QueryIDBatch of one", got)
+		if c := r.StatsID(ip).Count; c != len(want) {
+			t.Fatalf("%s: StatsID%v.Count = %d, reference says %d", what, p, c, len(want))
+		}
+	}
+	for _, members := range byShape {
+		ps := make([]IDPattern, len(members))
+		for j, i := range members {
+			ps[j] = ips[i]
+		}
+		answers := make([][]IDTriple, len(ps))
+		r.QueryIDBatch(ps, func(pi int, tr IDTriple) bool {
+			answers[pi] = append(answers[pi], tr)
+			return true
+		})
+		for j, i := range members {
+			if SortIDTriples(answers[j]); !slices.Equal(answers[j], wants[i]) {
+				t.Fatalf("%s: probe %d of a %d-probe QueryIDBatch %v = %v, reference says %v",
+					what, j, len(ps), patterns[i], resolved(res, answers[j]), resolved(res, wants[i]))
+			}
+		}
+	}
+}
+
+// splitView builds a view whose two members split the reference's triples
+// between them — every other triple of the sorted set to the overlay — so
+// the members are disjoint and their union is the reference.
+func splitView(t *testing.T, ref *refStore) *View {
+	t.Helper()
+	base := New()
+	overlay := base.NewOverlay()
+	for i, tr := range ref.query(Pattern{}) {
+		member := base
+		if i%2 == 1 {
+			member = overlay
+		}
+		member.MustAdd(tr)
+	}
+	v, err := NewView(base, overlay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 // checkAgreement compares every read path of the engine against the
-// reference on a set of probing patterns.
+// reference on the probing patterns: the string-level reads of the store,
+// then the id-level ones (checkReads) on the store and on a view over the
+// same triples split between two members.
 func checkAgreement(t *testing.T, s *Store, ref *refStore) {
 	t.Helper()
 	if s.Len() != len(ref.triples) {
 		t.Fatalf("Len = %d, reference has %d", s.Len(), len(ref.triples))
 	}
-	patterns := []Pattern{
-		{},
-		{Subject: "s1"},
-		{Subject: "s999"},
-		{Predicate: "p0"},
-		{Predicate: "p3"},
-		{Object: "o2"},
-		{Subject: "s1", Predicate: "p1"},
-		{Subject: "s2", Object: "o3"},
-		{Predicate: "p2", Object: "o4"},
-		{Subject: "s0", Predicate: "p0", Object: "o0"},
+	v := splitView(t, ref)
+	if v.Len() != len(ref.triples) {
+		t.Fatalf("view Len = %d, reference has %d", v.Len(), len(ref.triples))
 	}
-	for _, p := range patterns {
+	for _, p := range agreementPatterns {
 		want := ref.query(p)
-		got := s.Query(p)
-		if !reflect.DeepEqual(got, want) {
+		if got := s.Query(p); !reflect.DeepEqual(got, want) {
 			t.Fatalf("Query(%v) = %v, reference says %v", p, got, want)
+		}
+		if got := v.Query(p); !reflect.DeepEqual(got, want) {
+			t.Fatalf("view Query(%v) = %v, reference says %v", p, got, want)
 		}
 		if c := s.Count(p); c != len(want) {
 			t.Fatalf("Count(%v) = %d, reference says %d", p, c, len(want))
 		}
-		// QueryIDFunc must stream exactly the same set, in any order, each
-		// triple once (Query's sort would hide a duplicate from DeepEqual
-		// only if the reference had it too, so count them here).
-		seen := map[Triple]bool{}
-		if ip, ok := s.encodePattern(p); ok {
-			res := s.NewResolver()
-			s.QueryIDFunc(ip, func(it IDTriple) bool {
-				tr := Triple{res.Name(it.S), res.Name(it.P), res.Name(it.O)}
-				if seen[tr] {
-					t.Fatalf("QueryIDFunc(%v) yielded %v twice", p, tr)
-				}
-				seen[tr] = true
-				return true
-			})
-		}
-		if len(seen) != len(want) {
-			t.Fatalf("QueryIDFunc(%v) yielded %d triples, reference says %d", p, len(seen), len(want))
-		}
-		for _, tr := range want {
-			if !seen[tr] {
-				t.Fatalf("QueryIDFunc(%v) missed %v", p, tr)
-			}
-		}
 	}
+	checkReads(t, "store", s, s, ref, agreementPatterns)
+	checkReads(t, "view", v, v.Base(), ref, agreementPatterns)
 	for _, tr := range ref.query(Pattern{}) {
-		if !s.Contains(tr) {
+		if !s.Contains(tr) || !v.Contains(tr) {
 			t.Fatalf("Contains(%v) = false for a present triple", tr)
 		}
 	}
@@ -126,6 +329,7 @@ func TestEngineMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		s := New()
 		ref := newRef()
+		addSpine(t, s, ref)
 		for step := 0; step < 6; step++ {
 			switch rng.Intn(3) {
 			case 0: // single adds
@@ -187,6 +391,7 @@ func FuzzQueryAgreement(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		s := New()
 		ref := newRef()
+		addSpine(t, s, ref)
 		for i := 0; i < 80; i++ {
 			tr := randomTriple(rng)
 			if rng.Intn(4) == 0 {
@@ -212,5 +417,54 @@ func FuzzQueryAgreement(f *testing.F) {
 		if c := s.Count(p); c != len(want) {
 			t.Fatalf("Count(%v) = %d, want %d", p, c, len(want))
 		}
+		checkReads(t, "store", s, s, ref, []Pattern{p})
+		v := splitView(t, ref)
+		checkReads(t, "view", v, v.Base(), ref, []Pattern{p})
 	})
+}
+
+// TestQueryIDFuncDoesNotAllocate pins what QueryIDFunc's doc comment states:
+// as a probe batch of one it allocates nothing, on any of the eight bound
+// shapes, on a store and on a view — the batch, the adapter closure and the
+// view's stop flag all stay on the stack, and the shard-ordering scratch is
+// pooled.
+func TestQueryIDFuncDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
+	ref := newRef()
+	for _, tr := range spillSpine() {
+		ref.add(tr)
+	}
+	v := splitView(t, ref)
+	s := New()
+	if _, err := s.AddBatch(spillSpine()); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		r    idReader
+		syms *Store
+	}{{"store", s, s}, {"view", v, v.Base()}} {
+		for shape := 0; shape < 8; shape++ {
+			var p Pattern
+			if shape&1 != 0 {
+				p.Subject = "s1"
+			}
+			if shape&2 != 0 {
+				p.Predicate = "p1"
+			}
+			if shape&4 != 0 {
+				p.Object = "o2"
+			}
+			ip, n := encodeOrMiss(c.syms, p), 0
+			yield := func(IDTriple) bool { n++; return true }
+			if allocs := testing.AllocsPerRun(50, func() { c.r.QueryIDFunc(ip, yield) }); allocs != 0 {
+				t.Errorf("%s: QueryIDFunc%v allocates %.1f times per call", c.name, p, allocs)
+			}
+			if n == 0 {
+				t.Errorf("%s: QueryIDFunc%v matched nothing; the fixture should hit every shape", c.name, p)
+			}
+		}
+	}
 }

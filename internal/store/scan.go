@@ -2,16 +2,16 @@ package store
 
 import "sync"
 
-// This file is the store's batched scan-and-probe surface: the hooks the
-// vectorized operator runtime in repro/internal/query/exec pulls triples
-// through. Where ids.go answers one pattern at a time through a callback,
-// these hooks move triples in batches — a ScanPart is a resumable cursor that
-// fills caller-provided slices under one shard read-lock per refill, ScanParts
-// opens the cursor (a View's: one per member) for a pattern, and QueryIDBatch
-// answers a whole batch of same-shape probes while visiting each index shard
-// at most once. The amortization is the point: a tuple-at-a-time join pays a
-// lock round trip and a callback per probe, a batched one pays them per
-// thousand triples.
+// This file is where the store enumerates a pattern, and it does so in two
+// places only: the resumable cursor and the callback walk. A ScanPart is a
+// cursor that fills caller-provided slices under one shard read-lock per
+// refill, and ScanParts opens it (a View's: one per member) for a pattern;
+// QueryIDBatch answers a whole batch of same-shape probes through a callback
+// while visiting each index shard at most once, and the one-pattern form in
+// ids.go, QueryIDFunc, is a batch of one. These are the hooks the vectorized
+// operator runtime in repro/internal/query/exec pulls triples through. The
+// amortization is the point: a tuple-at-a-time join pays a lock round trip
+// and a callback per probe, a batched one pays them per thousand triples.
 
 // Index families a ScanPart can walk, in the lead/mid/trail vocabulary of
 // shard.go: famSPO has subjects leading, famPOS predicates.
@@ -40,10 +40,6 @@ func tripleOf(fam uint8, lead, mid, trail uint32) IDTriple {
 // for longer than one refill.
 type ScanPart struct {
 	owner *Store
-	// dedup, when non-nil, suppresses triples also present in that store —
-	// how a View hands out overlay parts without double-reporting triples
-	// shadowed by the base.
-	dedup *Store
 
 	fam        uint8
 	lead       uint32
@@ -84,7 +80,7 @@ type ScanPart struct {
 // NextBatch fills out with the part's next triples, returning how many were
 // written and whether the part is exhausted (done true means no further call
 // will produce anything). A refill holds the current shard's read-lock once;
-// the usual no-writes-from-the-calling-goroutine rule of QueryIDFunc does not
+// the usual no-writes-from-the-calling-goroutine rule of QueryIDBatch does not
 // apply between calls — the lock is released before NextBatch returns.
 func (pt *ScanPart) NextBatch(out []IDTriple) (int, bool) {
 	n := pt.drainPending(out)
@@ -119,12 +115,8 @@ func (pt *ScanPart) drainPending(out []IDTriple) int {
 	return n
 }
 
-// emit places one triple into out, spilling into pending once out is full and
-// applying the view's duplicate suppression.
+// emit places one triple into out, spilling into pending once out is full.
 func (pt *ScanPart) emit(t IDTriple, out []IDTriple, n *int) {
-	if pt.dedup != nil && pt.dedup.ContainsID(t) {
-		return
-	}
 	if *n < len(out) {
 		out[*n] = t
 		*n = *n + 1
@@ -212,26 +204,13 @@ func (pt *ScanPart) fillElems(lead, mid uint32, elems []uint32, out []IDTriple, 
 	if pt.trailPos > len(elems) {
 		pt.trailPos = len(elems)
 	}
-	switch {
-	case pt.dedup != nil:
-		// dedup is the view's base store, not pt.owner: its shard locks are
-		// distinct from the one the caller holds, so the probe cannot
-		// self-deadlock.
-		for pt.trailPos < len(elems) && n < len(out) {
-			t := tripleOf(pt.fam, lead, mid, elems[pt.trailPos])
-			pt.trailPos++
-			if !pt.dedup.ContainsID(t) {
-				out[n] = t
-				n++
-			}
-		}
-	case pt.fam == famPOS:
+	if pt.fam == famPOS {
 		for pt.trailPos < len(elems) && n < len(out) {
 			out[n] = IDTriple{S: elems[pt.trailPos], P: lead, O: mid}
 			n++
 			pt.trailPos++
 		}
-	default:
+	} else {
 		for pt.trailPos < len(elems) && n < len(out) {
 			out[n] = IDTriple{S: lead, P: mid, O: elems[pt.trailPos]}
 			n++
@@ -272,12 +251,8 @@ func (pt *ScanPart) fillLead(out []IDTriple, n int) int {
 			mt := &e.entries[pt.midPos]
 			if pt.trailBound {
 				if mt.trail.contains(pt.trail) {
-					t := tripleOf(pt.fam, pt.lead, mt.mid, pt.trail)
-					//ontolint:ignore lockcheck dedup is the view's base store, not pt.owner; its shard locks are distinct so the probe cannot self-deadlock
-					if pt.dedup == nil || !pt.dedup.ContainsID(t) {
-						out[n] = t
-						n++
-					}
+					out[n] = tripleOf(pt.fam, pt.lead, mt.mid, pt.trail)
+					n++
 				}
 				pt.midPos++
 				continue
@@ -329,8 +304,8 @@ func (pt *ScanPart) Release() {
 }
 
 // ScanParts opens the resumable cursor over the triples matching the id
-// pattern — the batched twin of QueryIDFunc, choosing the permutation family
-// the same way. A store answers with exactly one part; the slice form is what
+// pattern — the batched twin of the callback walk (QueryIDBatch), choosing
+// the permutation family the same way. A store answers with exactly one part; the slice form is what
 // lets a View answer with one per member. Drain each part with NextBatch, in
 // order; each refill costs one shard lock round trip however many triples it
 // moves, except the two shapes that walk whole families — unbound, and
@@ -366,16 +341,10 @@ func (s *Store) scanPart(p IDPattern) *ScanPart {
 }
 
 // ScanParts is the View form of Store.ScanParts: the base's cursor followed
-// by the overlay's, the overlay's suppressing triples also present in the base
-// (so each union triple is reported exactly once) unless the view was built
-// with the disjointness promise, in which case the per-triple probe is
-// skipped.
+// by the overlay's. The members are disjoint (see NewView), so the two
+// cursors together report each union triple exactly once.
 func (v *View) ScanParts(p IDPattern) []*ScanPart {
-	over := v.overlay.scanPart(p)
-	if !v.disjoint {
-		over.dedup = v.base
-	}
-	return []*ScanPart{v.base.scanPart(p), over}
+	return []*ScanPart{v.base.scanPart(p), v.overlay.scanPart(p)}
 }
 
 // orderPool recycles the probe-ordering scratch QueryIDBatch uses for its
@@ -389,52 +358,39 @@ const batchOrderSize = 1024
 
 // QueryIDBatch streams the matches of a batch of probe patterns to yield,
 // each tagged with the index of the pattern it answers, stopping early when
-// yield returns false. All patterns of one call must share the same bound
-// shape (the same Bound flags — the form a batched join produces, where every
-// probe of a batch binds the same components); the batch is grouped by index
-// shard and each shard is locked once for all its probes, instead of once per
-// probe as repeated QueryIDFunc calls would. Matches arrive grouped by shard,
-// not in pattern order. yield runs under a shard read-lock and must not write
-// to the store.
+// yield returns false. It is the store's one callback enumeration —
+// QueryIDFunc is a batch of one — and it owns the locking: the batch is
+// grouped by index shard and each shard is read-locked once for all its
+// probes. All patterns of one call must share the same bound shape (the same
+// Bound flags — the form a batched join produces, where every probe of a
+// batch binds the same components). Matches arrive grouped by shard, not in
+// pattern order. yield runs under a shard read-lock and must not write to the
+// store.
 func (s *Store) QueryIDBatch(ps []IDPattern, yield func(pi int, t IDTriple) bool) {
 	if len(ps) == 0 {
 		return
 	}
-	shape := ps[0]
-	if !shape.BoundS && !shape.BoundP && !shape.BoundO {
-		// Unbound probes (a cartesian stage): no lead to group by; fall back
-		// to one full scan per pattern.
-		for i := range ps {
-			stopped := false
-			s.QueryIDFunc(ps[i], func(t IDTriple) bool {
-				if !yield(i, t) {
-					stopped = true
-					return false
-				}
-				return true
-			})
-			if stopped {
-				return
-			}
-		}
-		return
-	}
 	// The two most common join shapes — (S P ?) answering objects and
 	// (? P O) answering subjects, the forms a join's bound lead plus one
-	// more bound component produces — run fully specialized loops: lead
-	// extraction, shard grouping, map lookup, entry find and element walk
-	// are all inlined with no per-probe dispatch, because this is the
-	// innermost loop of every batched join. Object-only probes have no lead
-	// to group by: every POS shard is locked once and answers each probe's
-	// share. Everything else goes through the general per-probe dispatch.
-	switch {
+	// more bound component produces — run fully specialized loops: map
+	// lookup, entry find and element walk are all inlined with no per-probe
+	// dispatch, because this is the innermost loop of every batched join.
+	// The two shapes with no lead to group by — object-only, fanning out over
+	// POS, and unbound (a cartesian stage), scanning SPO — lock every shard
+	// of their family once and answer each probe's share of it. Everything
+	// else goes through the general per-probe dispatch.
+	switch shape := ps[0]; {
 	case shape.BoundS && shape.BoundP && !shape.BoundO:
 		s.batchProbeSP(ps, yield)
 	case shape.BoundP && shape.BoundO && !shape.BoundS:
 		s.batchProbePO(ps, yield)
 	case !shape.BoundS && !shape.BoundP:
-		for shIdx := range s.pos {
-			sh := &s.pos[shIdx]
+		fam := &s.spo
+		if shape.BoundO {
+			fam = &s.pos
+		}
+		for shIdx := range fam {
+			sh := &fam[shIdx]
 			sh.mu.RLock()
 			for pi := range ps {
 				if !probeShardLocked(sh, ps[pi], pi, yield) {
@@ -445,18 +401,18 @@ func (s *Store) QueryIDBatch(ps []IDPattern, yield func(pi int, t IDTriple) bool
 			sh.mu.RUnlock()
 		}
 	default:
-		fams, leadOf := &s.spo, func(p IDPattern) uint32 { return p.S }
+		fam, famID := &s.spo, uint8(famSPO)
 		if !shape.BoundS {
-			fams, leadOf = &s.pos, func(p IDPattern) uint32 { return p.P }
+			fam, famID = &s.pos, famPOS
 		}
-		order, counts, release := groupByShard(ps, leadOf)
-		defer release()
+		order, counts, pooled := groupByShard(ps, famID)
+		defer putOrder(pooled)
 		for shIdx := 0; shIdx < numShards; shIdx++ {
 			lo, hi := counts[shIdx], counts[shIdx+1]
 			if lo == hi {
 				continue
 			}
-			sh := &fams[shIdx]
+			sh := &fam[shIdx]
 			sh.mu.RLock()
 			for _, pi := range order[lo:hi] {
 				if !probeShardLocked(sh, ps[pi], int(pi), yield) {
@@ -470,56 +426,60 @@ func (s *Store) QueryIDBatch(ps []IDPattern, yield func(pi int, t IDTriple) bool
 }
 
 // groupByShard counting-sorts the probe indexes by the shard of their lead
-// component: one pass to size the buckets, one to place, so each shard is
-// visited exactly once. The scratch comes from a pool; call release when
-// done with the order slice.
-func groupByShard(ps []IDPattern, leadOf func(IDPattern) uint32) (order []int32, counts [numShards + 1]int32, release func()) {
-	for i := range ps {
-		counts[shardOf(leadOf(ps[i]))+1]++
+// component in family fam (subject for famSPO, predicate for famPOS): one
+// pass to size the buckets, one to place, so each shard is visited exactly
+// once; shard sh's probes are order[counts[sh]:counts[sh+1]]. The order
+// scratch comes from orderPool when the batch fits: the pooled array is
+// handed back beside the slice for the caller to putOrder when done with it
+// (nil for an oversized batch, which allocates its own) — a release closure
+// would cost an allocation per batch.
+func groupByShard(ps []IDPattern, fam uint8) (order []int32, counts [numShards + 1]int32, pooled *[batchOrderSize]int32) {
+	if fam == famPOS {
+		for i := range ps {
+			counts[shardOf(ps[i].P)+1]++
+		}
+	} else {
+		for i := range ps {
+			counts[shardOf(ps[i].S)+1]++
+		}
 	}
 	for i := 0; i < numShards; i++ {
 		counts[i+1] += counts[i]
 	}
-	release = func() {}
 	if len(ps) <= batchOrderSize {
-		pooled := orderPool.Get().(*[batchOrderSize]int32)
-		release = func() { orderPool.Put(pooled) }
+		pooled = orderPool.Get().(*[batchOrderSize]int32)
 		order = pooled[:len(ps)]
 	} else {
 		order = make([]int32, len(ps))
 	}
-	var next [numShards]int32
-	for i := range ps {
-		sh := shardOf(leadOf(ps[i]))
-		order[counts[sh]+next[sh]] = int32(i)
-		next[sh]++
+	next := counts
+	if fam == famPOS {
+		for i := range ps {
+			sh := shardOf(ps[i].P)
+			order[next[sh]] = int32(i)
+			next[sh]++
+		}
+	} else {
+		for i := range ps {
+			sh := shardOf(ps[i].S)
+			order[next[sh]] = int32(i)
+			next[sh]++
+		}
 	}
-	return order, counts, release
+	return order, counts, pooled
+}
+
+// putOrder returns groupByShard's pooled scratch, if it drew one.
+func putOrder(pooled *[batchOrderSize]int32) {
+	if pooled != nil {
+		orderPool.Put(pooled)
+	}
 }
 
 // batchProbeSP answers a batch of (S P ?) probes: SPO family, objects out.
 func (s *Store) batchProbeSP(ps []IDPattern, yield func(pi int, t IDTriple) bool) {
-	var counts [numShards + 1]int32
-	for i := range ps {
-		counts[shardOf(ps[i].S)+1]++
-	}
-	for i := 0; i < numShards; i++ {
-		counts[i+1] += counts[i]
-	}
-	var order []int32
-	if len(ps) <= batchOrderSize {
-		pooled := orderPool.Get().(*[batchOrderSize]int32)
-		defer orderPool.Put(pooled)
-		order = pooled[:len(ps)]
-	} else {
-		order = make([]int32, len(ps))
-	}
-	var next [numShards]int32
-	for i := range ps {
-		sh := shardOf(ps[i].S)
-		order[counts[sh]+next[sh]] = int32(i)
-		next[sh]++
-	}
+	order, counts, pooled := groupByShard(ps, famSPO)
+	defer putOrder(pooled)
 	for shIdx := 0; shIdx < numShards; shIdx++ {
 		lo, hi := counts[shIdx], counts[shIdx+1]
 		if lo == hi {
@@ -550,27 +510,8 @@ func (s *Store) batchProbeSP(ps []IDPattern, yield func(pi int, t IDTriple) bool
 
 // batchProbePO answers a batch of (? P O) probes: POS family, subjects out.
 func (s *Store) batchProbePO(ps []IDPattern, yield func(pi int, t IDTriple) bool) {
-	var counts [numShards + 1]int32
-	for i := range ps {
-		counts[shardOf(ps[i].P)+1]++
-	}
-	for i := 0; i < numShards; i++ {
-		counts[i+1] += counts[i]
-	}
-	var order []int32
-	if len(ps) <= batchOrderSize {
-		pooled := orderPool.Get().(*[batchOrderSize]int32)
-		defer orderPool.Put(pooled)
-		order = pooled[:len(ps)]
-	} else {
-		order = make([]int32, len(ps))
-	}
-	var next [numShards]int32
-	for i := range ps {
-		sh := shardOf(ps[i].P)
-		order[counts[sh]+next[sh]] = int32(i)
-		next[sh]++
-	}
+	order, counts, pooled := groupByShard(ps, famPOS)
+	defer putOrder(pooled)
 	for shIdx := 0; shIdx < numShards; shIdx++ {
 		lo, hi := counts[shIdx], counts[shIdx+1]
 		if lo == hi {
@@ -600,12 +541,14 @@ func (s *Store) batchProbePO(ps []IDPattern, yield func(pi int, t IDTriple) bool
 }
 
 // probeShardLocked answers one probe from its (already read-locked) shard —
-// for an object-only probe, that POS shard's share of the answer — reporting
-// false when yield stopped the enumeration. The branch structure mirrors
-// QueryIDFunc's family dispatch, minus the locking; trailing sets are walked
-// with explicit loops over the adaptive representation rather than forEach
-// closures — this is the innermost loop of every batched join, and a closure
-// per probe is exactly the per-binding cost batching exists to remove.
+// for the two lead-less shapes, that shard's share of the answer: the
+// object-only probe's from a POS shard, the unbound probe's from an SPO
+// shard — reporting false when yield stopped the enumeration. This is the
+// only callback walk of the eight bound shapes (the cursor of ScanPart is the
+// resumable one). Trailing sets are walked with explicit loops over the
+// element slices rather than forEach closures — this is the innermost loop of
+// every batched join, and a closure per probe is exactly the per-binding cost
+// batching exists to remove.
 func probeShardLocked(sh *shard, p IDPattern, pi int, yield func(int, IDTriple) bool) bool {
 	switch {
 	case p.BoundS:
@@ -658,10 +601,20 @@ func probeShardLocked(sh *shard, p IDPattern, pi int, yield func(int, IDTriple) 
 			}
 		}
 		return true
-	default: // BoundO
+	case p.BoundO:
 		for pid, e := range sh.m {
 			if set := e.find(p.O); set != nil && !emitSet(set, pi, yield, famPOS, pid, p.O) {
 				return false
+			}
+		}
+		return true
+	default:
+		for sid, e := range sh.m {
+			for i := range e.entries {
+				mt := &e.entries[i]
+				if !emitSet(&mt.trail, pi, yield, famSPO, sid, mt.mid) {
+					return false
+				}
 			}
 		}
 		return true
@@ -681,25 +634,15 @@ func emitSet(set *idSet, pi int, yield func(int, IDTriple) bool, fam uint8, lead
 }
 
 // QueryIDBatch is the View form of Store.QueryIDBatch: each probe answers
-// from the base, then from the overlay with base-shadowed triples suppressed
-// (skipped entirely under the disjoint view's promise). The same same-shape
-// and no-writes-from-yield rules apply.
+// from the base, then from the overlay. The same same-shape and
+// no-writes-from-yield rules apply.
 func (v *View) QueryIDBatch(ps []IDPattern, yield func(pi int, t IDTriple) bool) {
 	stopped := false
 	v.base.QueryIDBatch(ps, func(pi int, t IDTriple) bool {
-		if !yield(pi, t) {
-			stopped = true
-			return false
-		}
-		return true
+		stopped = !yield(pi, t)
+		return !stopped
 	})
-	if stopped {
-		return
+	if !stopped {
+		v.overlay.QueryIDBatch(ps, yield)
 	}
-	v.overlay.QueryIDBatch(ps, func(pi int, t IDTriple) bool {
-		if !v.disjoint && v.base.ContainsID(t) {
-			return true
-		}
-		return yield(pi, t)
-	})
 }

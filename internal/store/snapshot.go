@@ -17,11 +17,26 @@ import (
 // produce byte-identical snapshots, whatever order they were ingested in. It
 // returns the number of triples written.
 func (s *Store) Snapshot(w io.Writer) (int, error) {
+	return writeSnapshot(w, s.Triples(), nil)
+}
+
+// writeSnapshot is the one encoder loop behind every snapshot form: it writes
+// triples to w, one JSON object per line, and returns how many it wrote. With
+// tagged nil each line is the plain Triple; with a view, the TaggedTriple
+// carrying the provenance the view reports for it.
+func writeSnapshot(w io.Writer, triples []Triple, tagged *View) (int, error) {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	triples := s.Triples()
 	for _, t := range triples {
-		if err := enc.Encode(t); err != nil {
+		var line any = t
+		if tagged != nil {
+			prov := ProvInferred
+			if tagged.base.Contains(t) {
+				prov = ProvAsserted
+			}
+			line = TaggedTriple{t.Subject, t.Predicate, t.Object, prov.String()}
+		}
+		if err := enc.Encode(line); err != nil {
 			return 0, fmt.Errorf("store: encoding snapshot: %w", err)
 		}
 	}

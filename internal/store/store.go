@@ -25,9 +25,17 @@
 // trade that determinism for zero allocation and enumerate in unspecified
 // order.
 //
+// Reads: a pattern is enumerated in two places and counted in one. The
+// callback walk behind QueryIDBatch (QueryIDFunc is a batch of one) and the
+// resumable ScanPart cursor, both in scan.go, are the enumerations; StatsID
+// (ids.go) is the cardinality dispatch, and Count is its count. A View
+// (view.go) is the union of a base and an overlay sharing one dictionary,
+// under one contract — the caller keeps the two disjoint — so a view read is
+// the base's answer followed by the overlay's and a view count is a sum.
+//
 // Joins, variables and ontology-aware expansion live one layer up, in
 // package repro/internal/query, which evaluates basic graph patterns over
-// the id-level hooks in ids.go.
+// the id-level hooks in ids.go and scan.go.
 //
 // Consistency: all methods are safe for concurrent use. Single-triple writes
 // (Add, Remove) lock both affected shards together, so a triple is never
@@ -255,13 +263,13 @@ func (s *Store) Triples() []Triple {
 // on the dictionary-encoded indexes — no triple is materialized and no symbol
 // is resolved back to a string. Like Len, it counts this store's own triples
 // only: inferred triples held in a reasoner's overlay are not included unless
-// counted through the overlay or a View (View.CountID is the union form).
+// counted through the overlay or a View (View.StatsID is the union form).
 func (s *Store) Count(p Pattern) int {
 	ip, ok := s.encodePattern(p)
 	if !ok {
 		return 0
 	}
-	return s.CountID(ip)
+	return s.StatsID(ip).Count
 }
 
 // ForEachSubject streams the distinct subjects of triples with the given

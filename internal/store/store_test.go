@@ -290,7 +290,7 @@ func TestDeterministicOrderingContract(t *testing.T) {
 
 // TestIDLevelHooks checks the id-level query surface the join evaluator in
 // internal/query builds on: SymbolID resolution, QueryIDFunc enumeration and
-// CountID against the string-level equivalents.
+// StatsID's count against the string-level equivalents.
 func TestIDLevelHooks(t *testing.T) {
 	s := New()
 	data := []Triple{
@@ -318,8 +318,8 @@ func TestIDLevelHooks(t *testing.T) {
 	}
 	for _, p := range patterns {
 		ip := encode(p)
-		if got, want := s.CountID(ip), s.Count(p); got != want {
-			t.Errorf("CountID(%v) = %d, Count = %d", p, got, want)
+		if got, want := s.StatsID(ip).Count, s.Count(p); got != want {
+			t.Errorf("StatsID(%v).Count = %d, Count = %d", p, got, want)
 		}
 		var got []Triple
 		s.QueryIDFunc(ip, func(tr IDTriple) bool {

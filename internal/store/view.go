@@ -1,8 +1,6 @@
 package store
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 )
@@ -92,9 +90,17 @@ func (s *Store) validID(t IDTriple) bool {
 // View is the read-only union of a base store (asserted triples) and an
 // overlay store (inferred triples) sharing one dictionary. It satisfies the
 // query layer's Source interface, so BGPs evaluate over the materialized
-// union exactly as over a single store; every read de-duplicates triples
-// present in both members, so callers see each triple once even if an
-// overlay briefly shadows an asserted triple.
+// union exactly as over a single store.
+//
+// There is one kind of view, and it rests on one contract: the caller keeps
+// the members disjoint — no triple in both — which is the invariant package
+// reason maintains (inferred triples are exactly the derivable non-asserted
+// ones). Under it every read is the base's answer followed by the overlay's
+// with no per-triple duplicate probe, and every count is the sum of the
+// members' own counters. If the contract is transiently violated (mid-
+// maintenance, between a base insert and the matching overlay retirement),
+// reads overlapping that window may see the affected triple twice and counts
+// may double-count it; quiescent views are exact.
 //
 // A View holds no locks of its own: each probe reads the two stores under
 // their own shard read-locks, so, like Store's iterators, a result set is
@@ -102,18 +108,12 @@ func (s *Store) validID(t IDTriple) bool {
 type View struct {
 	base    *Store
 	overlay *Store
-	// disjoint records the NewDisjointView promise that no triple is in
-	// both members: counts become plain sums and reads skip the per-triple
-	// duplicate probe.
-	disjoint bool
 }
 
 // NewView returns the union view of base and overlay. The two stores must
-// share a dictionary (see NewOverlay); ids from one would be meaningless in
-// the other otherwise. NewView makes no disjointness assumption: every read
-// de-duplicates against the base, and counting scans the overlay's matches.
-// When the caller maintains base∩overlay = ∅, NewDisjointView is the faster
-// form.
+// share a dictionary (see NewOverlay) — ids from one would be meaningless in
+// the other otherwise — and the caller promises to keep them disjoint (see
+// View).
 func NewView(base, overlay *Store) (*View, error) {
 	if base == nil || overlay == nil {
 		return nil, fmt.Errorf("store: NewView needs both a base and an overlay store")
@@ -124,46 +124,16 @@ func NewView(base, overlay *Store) (*View, error) {
 	return &View{base: base, overlay: overlay}, nil
 }
 
-// NewDisjointView is NewView under the caller's promise that no triple is
-// ever in both members — the invariant package reason maintains (inferred
-// triples are exactly the derivable non-asserted ones). The promise buys the
-// fast paths the union cannot have in general: Len and CountID are O(1)-over
-// the members' own counters instead of overlay scans, and the iterators skip
-// the per-triple duplicate probe. If the promise is transiently violated
-// (e.g. mid-maintenance, between a base insert and the matching overlay
-// retirement), reads overlapping that window may see the affected triple
-// twice and counts may double-count it; quiescent views are exact.
-func NewDisjointView(base, overlay *Store) (*View, error) {
-	v, err := NewView(base, overlay)
-	if err != nil {
-		return nil, err
-	}
-	v.disjoint = true
-	return v, nil
-}
-
 // Base returns the asserted member of the view.
 func (v *View) Base() *Store { return v.base }
 
 // Overlay returns the inferred member of the view.
 func (v *View) Overlay() *Store { return v.overlay }
 
-// Len returns the number of distinct triples visible through the view. For
-// a disjoint view (NewDisjointView) it is the O(1) sum of the members'
-// counters; otherwise triples present in both members are counted once, at
-// the cost of scanning the overlay.
+// Len returns the number of triples visible through the view: the O(1) sum
+// of the members' counters.
 func (v *View) Len() int {
-	n := v.base.Len() + v.overlay.Len()
-	if v.disjoint {
-		return n
-	}
-	v.overlay.QueryIDFunc(IDPattern{}, func(t IDTriple) bool {
-		if v.base.ContainsID(t) {
-			n--
-		}
-		return true
-	})
-	return n
+	return v.base.Len() + v.overlay.Len()
 }
 
 // SymbolID returns the dictionary id of a name (the dictionary is shared, so
@@ -183,8 +153,8 @@ func (v *View) Contains(t Triple) bool {
 }
 
 // Provenance reports how the triple entered the view: ProvAsserted when it is
-// in the base store (even if an overlay copy shadows it), ProvInferred when it
-// is only in the overlay; ok is false when the view does not contain it.
+// in the base store, ProvInferred when it is in the overlay; ok is false when
+// the view does not contain it.
 func (v *View) Provenance(t Triple) (Provenance, bool) {
 	if v.base.Contains(t) {
 		return ProvAsserted, true
@@ -195,75 +165,31 @@ func (v *View) Provenance(t Triple) (Provenance, bool) {
 	return ProvAsserted, false
 }
 
-// QueryIDFunc streams every distinct triple of the union matching the id
-// pattern to yield, stopping early when yield returns false: first the base's
-// matches, then the overlay's, skipping overlay triples also present in the
-// base. The enumeration order is unspecified and allocation per triple is
-// zero; the same no-writes-from-yield rule as Store.QueryIDFunc applies.
+// QueryIDFunc streams every triple of the union matching the id pattern to
+// yield, stopping early when yield returns false: first the base's matches,
+// then the overlay's. Like Store.QueryIDFunc it is QueryIDBatch with a batch
+// of one; the enumeration order is unspecified, nothing is allocated, and the
+// same no-writes-from-yield rule applies.
 func (v *View) QueryIDFunc(p IDPattern, yield func(IDTriple) bool) {
-	stopped := false
-	v.base.QueryIDFunc(p, func(t IDTriple) bool {
-		if !yield(t) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if stopped {
-		return
-	}
-	v.overlay.QueryIDFunc(p, func(t IDTriple) bool {
-		if !v.disjoint && v.base.ContainsID(t) {
-			return true
-		}
-		return yield(t)
-	})
-}
-
-// CountID returns the number of distinct union triples matching the id
-// pattern. Like View.Len it is a plain sum of the members' index counters
-// for a disjoint view — cheap enough for the query planner to call once per
-// pattern per query — and subtracts duplicates by scanning the overlay's
-// matches otherwise.
-func (v *View) CountID(p IDPattern) int {
-	n := v.base.CountID(p) + v.overlay.CountID(p)
-	if v.disjoint {
-		return n
-	}
-	v.overlay.QueryIDFunc(p, func(t IDTriple) bool {
-		if v.base.ContainsID(t) {
-			n--
-		}
-		return true
-	})
-	return n
+	v.QueryIDBatch([]IDPattern{p}, func(_ int, t IDTriple) bool { return yield(t) })
 }
 
 // StatsID returns cardinality statistics for the id pattern over the union.
-// Counts are exact for a disjoint view and subtract overlay duplicates
-// otherwise; the distinct widths are the sums of the two members' widths —
-// an upper bound when a value occurs on both sides — which is accurate
-// enough for the planner's selectivity ordering.
+// Count is exact — the sum of the members' counts — and the distinct widths
+// are the sums of the two members' widths, an upper bound when a value occurs
+// on both sides, which is accurate enough for the planner's selectivity
+// ordering.
 func (v *View) StatsID(p IDPattern) IDStats {
 	bs, os := v.base.StatsID(p), v.overlay.StatsID(p)
-	count := bs.Count + os.Count
-	if !v.disjoint {
-		v.overlay.QueryIDFunc(p, func(t IDTriple) bool {
-			if v.base.ContainsID(t) {
-				count--
-			}
-			return true
-		})
-	}
 	return IDStats{
-		Count:     count,
+		Count:     bs.Count + os.Count,
 		DistinctS: bs.DistinctS + os.DistinctS,
 		DistinctP: bs.DistinctP + os.DistinctP,
 		DistinctO: bs.DistinctO + os.DistinctO,
 	}
 }
 
-// Query returns all distinct union triples matching the pattern, sorted
+// Query returns all union triples matching the pattern, sorted
 // lexicographically — the same deterministic ordering contract as
 // Store.Query.
 func (v *View) Query(p Pattern) []Triple {
@@ -274,8 +200,8 @@ func (v *View) Query(p Pattern) []Triple {
 	return sortedMatches(v, v.base.syms, ip, nil)
 }
 
-// Triples returns every distinct triple visible through the view in the
-// store's canonical sorted export order.
+// Triples returns every triple visible through the view in the store's
+// canonical sorted export order.
 func (v *View) Triples() []Triple {
 	return sortedMatches(v, v.base.syms, IDPattern{}, make([]Triple, 0, v.base.Len()+v.overlay.Len()))
 }
@@ -289,45 +215,19 @@ type TaggedTriple struct {
 	Provenance string
 }
 
-// SnapshotProvenance writes every distinct triple of the view to w, one JSON
-// object per line in the canonical sorted order of Triples, each tagged
-// "asserted" or "inferred" — the provenance-preserving export. Two views
-// holding the same tagged triples produce byte-identical output. It returns
-// the number of triples written.
+// SnapshotProvenance writes every triple of the view to w, one JSON object per
+// line in the canonical sorted order of Triples, each tagged "asserted" or
+// "inferred" — the provenance-preserving export. Two views holding the same
+// tagged triples produce byte-identical output. It returns the number of
+// triples written.
 func (v *View) SnapshotProvenance(w io.Writer) (int, error) {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	triples := v.Triples()
-	for _, t := range triples {
-		prov := ProvInferred
-		if v.base.Contains(t) {
-			prov = ProvAsserted
-		}
-		if err := enc.Encode(TaggedTriple{t.Subject, t.Predicate, t.Object, prov.String()}); err != nil {
-			return 0, fmt.Errorf("store: encoding tagged snapshot: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return 0, fmt.Errorf("store: flushing tagged snapshot: %w", err)
-	}
-	return len(triples), nil
+	return writeSnapshot(w, v.Triples(), v)
 }
 
-// Snapshot writes every distinct triple of the view to w in the plain
-// snapshot format of Store.Snapshot (no provenance tags), so a materialized
-// union can be re-read by Restore like any store snapshot. It returns the
-// number of triples written.
+// Snapshot writes every triple of the view to w in the plain snapshot format
+// of Store.Snapshot (no provenance tags), so a materialized union can be
+// re-read by Restore like any store snapshot. It returns the number of
+// triples written.
 func (v *View) Snapshot(w io.Writer) (int, error) {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	triples := v.Triples()
-	for _, t := range triples {
-		if err := enc.Encode(t); err != nil {
-			return 0, fmt.Errorf("store: encoding view snapshot: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return 0, fmt.Errorf("store: flushing view snapshot: %w", err)
-	}
-	return len(triples), nil
+	return writeSnapshot(w, v.Triples(), nil)
 }

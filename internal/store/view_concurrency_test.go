@@ -128,7 +128,7 @@ func TestReadsDuringLoadSortedAndClear(t *testing.T) {
 	})
 	store.SortIDTriples(inferred)
 	overlay := base.NewOverlay()
-	view, err := store.NewDisjointView(base, overlay)
+	view, err := store.NewView(base, overlay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestReadsDuringLoadSortedAndClear(t *testing.T) {
 					return
 				default:
 				}
-				if n := base.CountID(store.IDPattern{}); n != len(asserted) {
+				if n := base.StatsID(store.IDPattern{}).Count; n != len(asserted) {
 					t.Errorf("base answered %d of %d triples during an overlay load", n, len(asserted))
 					return
 				}
