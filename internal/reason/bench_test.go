@@ -158,3 +158,46 @@ func BenchmarkMaterializedVsExpandedQuery(b *testing.B) {
 		b.ReportMetric(float64(matched)/float64(b.N), "instances/query")
 	})
 }
+
+// BenchmarkRetypeServing measures the write the harness's mixed_open issues
+// against resident data: one Apply replacing the asserted class of an
+// instance drawn from anywhere in the materialized serving corpus. The
+// instance's inferred type facts under the old class's ancestors are
+// overdeleted, those the new class still entails are put back and the rest
+// of the new class's ancestors derived — some twenty removals from, and
+// insertions into, the middle of (type, class) subject lists of up to 10⁵
+// members, which is where a layout of sorted runs pays its copy
+// (EXPERIMENTS.md "Sorted runs").
+func BenchmarkRetypeServing(b *testing.B) {
+	const classes, instances = 120, 102_000 // as servingCorpus
+	s := store.New()
+	if _, err := s.AddBatch(servingCorpus(b)); err != nil {
+		b.Fatal(err)
+	}
+	r, err := Materialize(s, RDFSRules())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(21))
+	class := make(map[int]int) // instances moved off their corpus class i % classes
+	typeOf := func(i, c int) []store.Triple {
+		return []store.Triple{{Subject: "inst-" + strconv.Itoa(i), Predicate: store.TypePredicate, Object: workload.ClassName(c)}}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		i := rng.Intn(instances)
+		from, ok := class[i]
+		if !ok {
+			from = i % classes
+		}
+		to := (from + 1 + rng.Intn(classes-1)) % classes
+		if added, removed, err := r.Apply(typeOf(i, to), typeOf(i, from)); err != nil || added != 1 || removed != 1 {
+			b.Fatalf("Apply(inst-%d: class %d → %d) = %d added, %d removed, %v", i, from, to, added, removed, err)
+		}
+		class[i] = to
+	}
+	st := r.Stats()
+	b.ReportMetric(float64(st.Overdeleted)/float64(b.N), "overdeleted/op")
+	b.ReportMetric(float64(st.Rederived)/float64(b.N), "rederived/op")
+}

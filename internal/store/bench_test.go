@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"sync"
 	"testing"
@@ -263,5 +264,67 @@ func BenchmarkObjectOnlyPattern(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkHubChurn prices writes against one long posting list — the
+// (predicate, object) run of a class with 10⁴ or 10⁵ instances — which is
+// where a sorted run pays for having nothing beside its elements: a write
+// into the middle copies the members above it. append adds subjects in
+// ascending id order, the order a store mints and meets them in; add-random
+// and remove-random take the same subjects in shuffled order, each AddID or
+// RemoveID filing or unfiling one triple in both families. EXPERIMENTS.md
+// "Sorted runs" has the figures beside the position map the runs replaced.
+func BenchmarkHubChurn(b *testing.B) {
+	for _, members := range []int{10_000, 100_000} {
+		s := New()
+		id := func(name string) SymbolID {
+			v, err := s.Intern(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return v
+		}
+		typ, hub := id(TypePredicate), id("hub")
+		ascending := make([]IDTriple, members)
+		for i := range ascending {
+			ascending[i] = IDTriple{S: id(fmt.Sprintf("inst-%d", i)), P: typ, O: hub}
+		}
+		shuffled := append([]IDTriple(nil), ascending...)
+		rand.New(rand.NewSource(21)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		// Each iteration is one write; every pass over the members starts from
+		// a fresh list — empty, or full for the removals — set up outside the
+		// timer.
+		run := func(name string, order []IDTriple, remove bool) {
+			b.Run(fmt.Sprintf("%s-%d", name, members), func(b *testing.B) {
+				b.ReportAllocs()
+				var tx Tx
+				for i := 0; i < b.N; i++ {
+					k := i % members
+					if k == 0 {
+						b.StopTimer()
+						tx = s.NewOverlay().Begin()
+						if remove {
+							for _, t := range ascending {
+								if _, err := tx.AddID(t); err != nil {
+									b.Fatal(err)
+								}
+							}
+						}
+						b.StartTimer()
+					}
+					if remove {
+						if !tx.RemoveID(order[k]) {
+							b.Fatalf("RemoveID(%v) missed a member", order[k])
+						}
+					} else if added, err := tx.AddID(order[k]); err != nil || !added {
+						b.Fatalf("AddID(%v) = %v, %v", order[k], added, err)
+					}
+				}
+			})
+		}
+		run("append", ascending, false)
+		run("add-random", shuffled, false)
+		run("remove-random", shuffled, true)
 	}
 }

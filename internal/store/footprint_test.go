@@ -10,15 +10,15 @@ import (
 
 // footprint is the structural size of one index family, counted by walking
 // it: lead entries, (lead, mid) pairs and the capacity they sit in, trailing
-// element capacity, and entries of the two kinds of spill map
-// (leadEntry.idx over a lead's mids, idSet.idx over a set's members).
+// element capacity, and entries of the one kind of spill map (leadEntry.idx
+// over a lead's mids; a trailing run has nothing beside its elements).
 type footprint struct {
 	leads, pairs, pairCap, elemCap, spill int
 }
 
 // What a map entry costs beyond the structs the walk prices with
 // unsafe.Sizeof, from a heap profile of a loaded store: a map[uint32]int32
-// entry (both spill maps) about 16 bytes, a map[uint32]*leadEntry entry about
+// entry (the spill map) about 16 bytes, a map[uint32]*leadEntry entry about
 // 24, bucket overhead included.
 const (
 	spillEntryBytes   = 16
@@ -37,7 +37,6 @@ func familyFootprint(fam *indexFamily) footprint {
 			f.spill += len(e.idx)
 			for j := range e.entries {
 				f.elemCap += cap(e.entries[j].trail.elems)
-				f.spill += len(e.entries[j].trail.idx)
 			}
 		}
 		sh.mu.RUnlock()
@@ -64,7 +63,7 @@ func (f footprint) String() string {
 // their class and every ancestor of it, a locatedIn and the within it
 // entails. It returns the triples and the mean number of type facts per
 // instance.
-func materializedServingSet(t *testing.T, s *Store, classes, instances int) ([]IDTriple, float64) {
+func materializedServingSet(t testing.TB, s *Store, classes, instances int) ([]IDTriple, float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(20060326))
 	id := func(name string) SymbolID {
@@ -111,49 +110,94 @@ func materializedServingSet(t *testing.T, s *Store, classes, instances int) ([]I
 	return ts, float64(types) / float64(instances)
 }
 
-// TestIndexFootprint holds the index layout to its memory budget on the shape
-// the serving harness boots: per triple, at most 0.35 (lead, mid) pairs and
-// 56 structural bytes over all families. A layout that files every triple
-// under a near-unique (lead, mid) pair — an object-led family over type
-// facts, one 40-byte midTrail per (class, instance) — has more than one pair
-// per triple and fails both.
-func TestIndexFootprint(t *testing.T) {
+// loadServingStore bulk-loads a store with materializedServingSet at the
+// serving corpus's 120 classes.
+func loadServingStore(t testing.TB, instances int) *Store {
+	t.Helper()
 	s := New()
-	ts, typesPerInstance := materializedServingSet(t, s, 120, 10_000)
+	ts, typesPerInstance := materializedServingSet(t, s, 120, instances)
 	if typesPerInstance < 9 || typesPerInstance > 13 {
 		t.Fatalf("%.1f type facts per instance; the serving corpus has about 11", typesPerInstance)
 	}
 	if err := s.LoadSorted(ts); err != nil {
 		t.Fatal(err)
 	}
-	// Every field of Store that is an index family, found by type rather than
-	// by name, so a family added later is inside the budget without this test
-	// having to hear about it.
-	var total footprint
-	families := 0
+	return s
+}
+
+// storeFootprint walks every field of Store that is an index family, found by
+// type rather than by name, so a family added later is inside the budget
+// without the walk having to hear about it. It returns the families' field
+// names and footprints, and their sum.
+func storeFootprint(s *Store) (names []string, fams []footprint, total footprint) {
 	for v, i := reflect.ValueOf(s).Elem(), 0; i < v.NumField(); i++ {
 		if v.Field(i).Type() != reflect.TypeOf(indexFamily{}) {
 			continue
 		}
 		f := familyFootprint((*indexFamily)(unsafe.Pointer(v.Field(i).UnsafeAddr())))
-		t.Logf("%s: %v", v.Type().Field(i).Name, f)
-		families++
+		names, fams = append(names, v.Type().Field(i).Name), append(fams, f)
 		total.leads += f.leads
 		total.pairs += f.pairs
 		total.pairCap += f.pairCap
 		total.elemCap += f.elemCap
 		total.spill += f.spill
 	}
+	return names, fams, total
+}
+
+// TestIndexFootprint holds the index layout to its memory budget on the shape
+// the serving harness boots: per triple, at most 0.35 (lead, mid) pairs and
+// 28 structural bytes over all families, with a (lead, mid) pair at 32 bytes.
+// A layout that files every triple under a near-unique (lead, mid) pair — an
+// object-led family over type facts, one midTrail per (class, instance) — has
+// more than one pair per triple and fails both; one that keeps anything per
+// member beside the member itself — a position map over a class's instances,
+// 16 bytes an entry — fails the bytes.
+func TestIndexFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(midTrail{}); size != 32 {
+		t.Errorf("a (lead, mid) pair is %d bytes, budget 32: a mid and one slice header", size)
+	}
+	s := loadServingStore(t, 10_000)
+	names, fams, total := storeFootprint(s)
+	for i, f := range fams {
+		t.Logf("%s: %v", names[i], f)
+	}
 	n := float64(s.Len())
 	pairs, bytes := float64(total.pairs)/n, float64(total.bytes())/n
 	t.Logf("%d triples: %.3f pairs and %.1f structural bytes per triple", s.Len(), pairs, bytes)
-	if families < 2 || total.elemCap < families*s.Len() {
-		t.Fatalf("%d element slots for %d triples in %d families: the walk missed part of the index", total.elemCap, s.Len(), families)
+	if len(fams) < 2 || total.elemCap < len(fams)*s.Len() {
+		t.Fatalf("%d element slots for %d triples in %d families: the walk missed part of the index", total.elemCap, s.Len(), len(fams))
 	}
 	if pairs > 0.35 {
 		t.Errorf("%.3f (lead, mid) pairs per triple, budget 0.35", pairs)
 	}
-	if bytes > 56 {
-		t.Errorf("%.1f structural bytes per triple, budget 56", bytes)
+	if bytes > 28 {
+		t.Errorf("%.1f structural bytes per triple, budget 28", bytes)
 	}
+}
+
+// BenchmarkIndexFootprint is TestIndexFootprint's walk at the harness's 10⁵
+// instances, reported rather than judged: structural bytes and (lead, mid)
+// pairs per triple for each index family and over all of them — the
+// per-family table of EXPERIMENTS.md "Sorted runs", from
+//
+//	go test -run '^$' -bench IndexFootprint -benchtime 1x ./internal/store
+//
+// What is timed is the walk itself.
+func BenchmarkIndexFootprint(b *testing.B) {
+	s := loadServingStore(b, 100_000)
+	b.ResetTimer()
+	var names []string
+	var fams []footprint
+	var total footprint
+	for i := 0; i < b.N; i++ {
+		names, fams, total = storeFootprint(s)
+	}
+	n := float64(s.Len())
+	for i, f := range fams {
+		b.ReportMetric(float64(f.bytes())/n, names[i]+"-B/triple")
+		b.ReportMetric(float64(f.pairs)/n, names[i]+"-pairs/triple")
+	}
+	b.ReportMetric(float64(total.bytes())/n, "B/triple")
+	b.ReportMetric(float64(total.pairs)/n, "pairs/triple")
 }

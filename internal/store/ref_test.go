@@ -49,9 +49,14 @@ func (r *refStore) query(p Pattern) []Triple {
 	return out
 }
 
+// longRun is the length the fixtures of this package take a hub's trailing
+// run past: several times linearRun, so a search into it halves before it
+// walks and an insert or removal has members on both sides to keep in order.
+const longRun = 32
+
 // wideVocab is the width of the hub vocabularies randomTriple draws from —
-// past setSpill, so a hub's trailing set can outgrow its linear form.
-const wideVocab = setSpill + 8
+// past longRun, so a hub's run is written to well beyond the spine's members.
+const wideVocab = longRun + 8
 
 // randomTriple draws components from a small vocabulary so duplicates,
 // removals and pattern hits are all frequent — half the time uniformly from
@@ -71,13 +76,13 @@ func randomTriple(rng *rand.Rand) Triple {
 }
 
 // spillSpine is the fixed block of randomTriple's vocabulary that takes one
-// lead past midSpill and one trailing set past setSpill in both index
+// lead past midSpill and one trailing run past longRun in both index
 // families: subject s1 under midSpill+2 predicates and (s1 p1 ?) with
-// setSpill+4 objects (SPO), predicate p1 thereby over more than midSpill
-// objects and (? p2 o4) with setSpill+4 subjects (POS).
+// longRun+4 objects (SPO), predicate p1 thereby over more than midSpill
+// objects and (? p2 o4) with longRun+4 subjects (POS).
 func spillSpine() []Triple {
 	var ts []Triple
-	for i := 0; i < setSpill+4; i++ {
+	for i := 0; i < longRun+4; i++ {
 		ts = append(ts,
 			Triple{"s1", "p1", fmt.Sprintf("o%d", i)},
 			Triple{fmt.Sprintf("s%d", i), "p2", "o4"})
@@ -89,7 +94,8 @@ func spillSpine() []Triple {
 }
 
 // addSpine puts spillSpine into the engine and the reference, and checks the
-// spills it exists for actually happened.
+// shapes it exists for actually formed: a map-indexed middle level and a
+// trailing run past longRun, in each family.
 func addSpine(t *testing.T, s *Store, ref *refStore) {
 	t.Helper()
 	spine := spillSpine()
@@ -107,21 +113,21 @@ func addSpine(t *testing.T, s *Store, ref *refStore) {
 					mids++
 				}
 				for j := range e.entries {
-					if e.entries[j].trail.idx != nil {
+					if e.entries[j].trail.len() > longRun {
 						trails++
 					}
 				}
 			}
 		}
 		if mids == 0 || trails == 0 {
-			t.Fatalf("%s: the spine spilled %d middle levels and %d trailing sets; want at least one of each", name, mids, trails)
+			t.Fatalf("%s: the spine made %d map-indexed middle levels and %d trailing runs past %d; want at least one of each", name, mids, trails, longRun)
 		}
 	}
 }
 
 // agreementPatterns are the probing patterns of checkAgreement: every bound
 // shape at least twice (so each shape also runs as one multi-probe batch),
-// hits and misses, the spine's spilled levels ((s1 ? ?), (? p1 ?), (s1 p1 ?),
+// hits and misses, the spine's wide levels ((s1 ? ?), (? p1 ?), (s1 p1 ?),
 // (? p2 o4) and the membership tests under them) and a never-interned name.
 var agreementPatterns = []Pattern{
 	{},
@@ -311,6 +317,9 @@ func checkAgreement(t *testing.T, s *Store, ref *refStore) {
 			t.Fatalf("Count(%v) = %d, reference says %d", p, c, len(want))
 		}
 	}
+	checkRuns(t, "store", s)
+	checkRuns(t, "view base", v.Base())
+	checkRuns(t, "view overlay", v.Overlay())
 	checkReads(t, "store", s, s, ref, agreementPatterns)
 	checkReads(t, "view", v, v.Base(), ref, agreementPatterns)
 	for _, tr := range ref.query(Pattern{}) {
@@ -417,6 +426,7 @@ func FuzzQueryAgreement(f *testing.F) {
 		if c := s.Count(p); c != len(want) {
 			t.Fatalf("Count(%v) = %d, want %d", p, c, len(want))
 		}
+		checkRuns(t, "store", s)
 		checkReads(t, "store", s, s, ref, []Pattern{p})
 		v := splitView(t, ref)
 		checkReads(t, "view", v, v.Base(), ref, []Pattern{p})

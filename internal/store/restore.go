@@ -12,8 +12,8 @@ import (
 // exists to be safe against concurrent readers and duplicate inserts; a bulk
 // build needs neither — the input is sorted, hence duplicate-free, and the
 // shards are empty — so it can build every index level by direct append: no
-// per-triple lock acquisition, no dedup probing, no incremental spill-map
-// growth. Recovery (durable segment chains) and the reasoner's seed round
+// per-triple lock acquisition, no dedup probing, no search for a member's
+// place in its run. Recovery (durable segment chains) and the reasoner's seed round
 // (a whole round of inferred triples committed into the empty overlay) are
 // the two callers.
 
@@ -240,8 +240,9 @@ func SubtractSorted(a, b []IDTriple) []IDTriple {
 // radixSortIDTriples sorts ts by its first comps components in (S, P, O)
 // significance — 2 for a permuted bucket's (lead, mid), 3 for the full key —
 // with an LSD byte-radix sort. It is stable, so runs equal in the sorted
-// components keep their input order and the trailing sets of a pre-sorted
-// input come out sorted too. Comparison sorting is the bulk path's biggest CPU
+// components keep their input order: the trailing ids of a (lead, mid) run of
+// an (S, P, O)-sorted input come out ascending, which is the invariant every
+// idSet is searched under and buildShardSorted relies on. Comparison sorting is the bulk path's biggest CPU
 // sink (a comparator closure per decision); counting passes replace it with
 // O(n) per byte, and passes whose byte is constant across the input (the
 // common case for the high bytes of 32-bit ids) are skipped entirely. Every
@@ -314,10 +315,11 @@ func radixSortIDTriples(ts []IDTriple, comps int) {
 // arenaRunMax is the longest run of a bulk-built index level that is carved
 // out of the shard's shared arena; a longer run gets its own allocation with
 // an eighth of growth room. An arena sub-slice is capped at its run, so the
-// first append after the load copies the run and strands its arena bytes for
-// good: harmless for the millions of short runs the arenas exist for (a few
-// hundred bytes each, and most are never touched again), ruinous for the few
-// long ones every write lands in — the subject list of a class under POS
+// first insert after the load — wherever in the run it lands, the run grows
+// by one at its end — copies the run and strands its arena bytes for good:
+// harmless for the millions of short runs the arenas exist for (a few hundred
+// bytes each, and most are never touched again), ruinous for the few long
+// ones every write lands in — the subject list of a class under POS
 // (type, class), 4 bytes per instance and tens of thousands of instances,
 // would be re-allocated whole on the first insert into each class. An eighth
 // is the slack an append-grown slice of that size carries on average, so a
@@ -343,9 +345,9 @@ func carve[T any](arena *[]T, n int) []T {
 // level is carved out of three arena allocations sized by a counting pass —
 // for SPO, whose leads are the store's subjects, per-entry allocation would
 // mean millions of tiny objects for the GC to trace — except the runs past
-// arenaRunMax (see carve). Spill indexes are built once, after each
-// level's final size is known, instead of incrementally as the mutation path
-// must.
+// arenaRunMax (see carve). Each trailing run is copied in the bucket's order,
+// which is ascending (radixSortIDTriples), so it is a valid idSet as it
+// stands; a lead's spill index is built once, at its final width.
 func buildShardSorted(sh *shard, bucket []IDTriple) {
 	// A restored store is private until RestoreSorted returns, but an overlay
 	// being loaded is already behind a View: the lock is what lets readers
@@ -403,17 +405,11 @@ func buildShardSorted(sh *shard, bucket []IDTriple) {
 			for k2 < j && bucket[k2].P == m {
 				k2++
 			}
-			set := idSet{elems: carve(&elemArena, k2-k)}
-			for q := range set.elems {
-				set.elems[q] = bucket[k+q].O
+			run := carve(&elemArena, k2-k)
+			for q := range run {
+				run[q] = bucket[k+q].O
 			}
-			if k2-k > setSpill {
-				set.idx = make(map[uint32]int32, k2-k)
-				for q, v := range set.elems {
-					set.idx[v] = int32(q)
-				}
-			}
-			e.entries[p] = midTrail{mid: m, trail: set}
+			e.entries[p] = midTrail{mid: m, trail: idSet{elems: run}}
 			k = k2
 		}
 		if nm > midSpill {

@@ -33,9 +33,9 @@ func snapshotOf(t *testing.T, s *Store) string {
 	return buf.String()
 }
 
-// skewedCorpus builds a corpus that exercises every index shape: a hot
-// predicate whose object sets spill past setSpill, subjects with more
-// predicates than midSpill, and a long tail of small entries.
+// skewedCorpus builds a corpus that exercises every index shape: a hub whose
+// object run goes well past longRun, a subject with more predicates than
+// midSpill, and a long tail of small entries.
 func skewedCorpus(n int) []Triple {
 	ts := make([]Triple, 0, n)
 	for i := 0; i < n; i++ {
@@ -45,8 +45,8 @@ func skewedCorpus(n int) []Triple {
 			Object:    fmt.Sprintf("o%d", i),
 		})
 	}
-	// A spilled trailing set: one (s, p) pair with > setSpill objects.
-	for i := 0; i < 2*setSpill; i++ {
+	// A long trailing run: one (s, p) pair with 2·longRun objects.
+	for i := 0; i < 2*longRun; i++ {
 		ts = append(ts, Triple{Subject: "hub", Predicate: "links", Object: fmt.Sprintf("t%d", i)})
 	}
 	// A spilled middle level: one subject with > midSpill predicates.
@@ -110,9 +110,9 @@ func TestRestoreSortedMatchesBatchIngest(t *testing.T) {
 	}
 }
 
-// TestRestoreSortedThenMutate proves the directly-built index levels (spill
-// maps included) behave identically to incrementally built ones under later
-// Add/Remove traffic.
+// TestRestoreSortedThenMutate proves the directly-built index levels (the
+// lead's spill map and the bulk-copied runs included) behave identically to
+// incrementally built ones under later Add/Remove traffic.
 func TestRestoreSortedThenMutate(t *testing.T) {
 	ref := New()
 	if _, err := ref.AddBatch(skewedCorpus(500)); err != nil {
@@ -128,8 +128,8 @@ func TestRestoreSortedThenMutate(t *testing.T) {
 		if added, _ := s.Add(Triple{Subject: "hub", Predicate: "links", Object: "t3"}); added {
 			t.Fatal("duplicate Add reported newly inserted")
 		}
-		// Remove out of a spilled set, out of a spilled middle level, and a
-		// plain small entry.
+		// Remove out of the middle of a long run, out of a spilled middle
+		// level, and a plain small entry.
 		for _, tr := range []Triple{
 			{Subject: "hub", Predicate: "links", Object: "t7"},
 			{Subject: "wide", Predicate: "attr1", Object: "v"},
@@ -141,8 +141,10 @@ func TestRestoreSortedThenMutate(t *testing.T) {
 		}
 		s.MustAdd(Triple{Subject: "fresh", Predicate: "links", Object: "hub"})
 	}
+	checkRuns(t, "restored", got)
 	mutate(ref)
 	mutate(got)
+	checkRuns(t, "restored, then written to", got)
 	if a, b := snapshotOf(t, got), snapshotOf(t, ref); a != b {
 		t.Fatal("post-mutation snapshots diverge")
 	}
@@ -281,7 +283,7 @@ func TestLoadSortedMatchesAddID(t *testing.T) {
 	// A view over the loaded overlay, beside a member holding triples of its
 	// own that share the overlay's hubs.
 	apart := base.NewOverlay()
-	for i := 0; i < 2*setSpill; i++ {
+	for i := 0; i < 2*longRun; i++ {
 		apart.MustAdd(Triple{Subject: fmt.Sprintf("s%d", i), Predicate: "apart", Object: "hub"})
 		apart.MustAdd(Triple{Subject: "hub", Predicate: "links", Object: fmt.Sprintf("apart%d", i)})
 	}
@@ -335,12 +337,14 @@ func TestLoadSortedMatchesAddID(t *testing.T) {
 				t.Fatalf("%s: ContainsID(%v) disagrees", stage, x)
 			}
 		}
+		checkRuns(t, stage+", loaded", loaded)
+		checkRuns(t, stage+", twin", twin)
 	}
 	compare("after load")
 
 	// Grow and shrink sets that sit in the middle of the arenas — a small
-	// trailing set, a spilled one, a spilled middle level — fresh leads, and
-	// the long run, past its growth room.
+	// trailing run, a long one, a spilled middle level — fresh leads, and the
+	// run with an allocation of its own, past its growth room.
 	hub, links, wide := id("hub"), id("links"), id("wide")
 	var edits []IDTriple
 	for i := 0; i < arenaRunMax/2; i++ { // the room is an eighth of 2·arenaRunMax

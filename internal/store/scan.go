@@ -35,9 +35,15 @@ func tripleOf(fam uint8, lead, mid, trail uint32) IDTriple {
 //
 // Like every store iterator, a cursor overlapping concurrent writers is
 // well-formed but not snapshot-consistent: a triple inserted or removed while
-// the scan is between refills may be seen or missed, and results are only
-// guaranteed exact against quiescent members. NextBatch never blocks writers
-// for longer than one refill.
+// the scan is between refills may be seen or missed. Within one posting list
+// that is all a write can do: the cursor resumes in a list by value
+// (fillElems), so for (S P ?), (? P O) and the object-only fan-out a triple
+// present throughout the scan is reported exactly once. One level up it
+// resumes by position: a (lead ? ?) scan can lose or repeat a middle
+// component when one is removed under it (fillLead), and the unbound scan
+// snapshots each shard's leads on arrival. Results are guaranteed exact only
+// against quiescent members. NextBatch never blocks writers for longer than
+// one refill.
 type ScanPart struct {
 	owner *Store
 
@@ -57,16 +63,16 @@ type ScanPart struct {
 	// lead keys and the position in them. For single-lead scans: the
 	// position in the lead's entries (open-ended, so entries appended after
 	// the cursor was created are not missed). Both: the position within the
-	// current trailing element slice — trailing sets keep their members in
-	// an indexable slice whatever their size, so a refill stops exactly at
-	// the batch boundary and resumes by position (re-clamped each refill,
-	// since the set may have mutated in between).
+	// current trailing run, so a refill stops exactly at the batch boundary,
+	// and — once trailPos > 0 — the last trailing id emitted from it, which
+	// fillElems checks the position against on resume.
 	shard     int
 	leads     []uint32
 	haveLeads bool
 	leadPos   int
 	midPos    int
 	trailPos  int
+	lastTrail uint32
 
 	// pending spills triples that did not fit the caller's batch on the
 	// unbound full-scan path, where a whole lead entry (one subject's few
@@ -198,11 +204,17 @@ func (pt *ScanPart) family() *indexFamily {
 // slice with the family dispatch hoisted out of the loop, and stops at the
 // batch boundary rather than spilling the rest, which keeps both the lock
 // hold and the cursor's memory bounded however large the posting list is.
-// trailPos is re-clamped first: the set may have shrunk since the last
-// refill.
+// A resumed cursor is first checked against the run, which may have mutated
+// since the last refill: a write below the cursor slides the members above it
+// by one, so when the member before trailPos is no longer the last one
+// emitted, the cursor re-seeks to the first member above lastTrail. The run
+// ascends, so the emissions from one list do: none is repeated or stepped over.
 func (pt *ScanPart) fillElems(lead, mid uint32, elems []uint32, out []IDTriple, n int) (int, bool) {
-	if pt.trailPos > len(elems) {
-		pt.trailPos = len(elems)
+	if pt.trailPos > 0 && (pt.trailPos > len(elems) || elems[pt.trailPos-1] != pt.lastTrail) {
+		var found bool
+		if pt.trailPos, found = searchRun(elems, pt.lastTrail); found {
+			pt.trailPos++
+		}
 	}
 	if pt.fam == famPOS {
 		for pt.trailPos < len(elems) && n < len(out) {
@@ -217,13 +229,21 @@ func (pt *ScanPart) fillElems(lead, mid uint32, elems []uint32, out []IDTriple, 
 			pt.trailPos++
 		}
 	}
+	if pt.trailPos > 0 {
+		pt.lastTrail = elems[pt.trailPos-1]
+	}
 	return n, pt.trailPos >= len(elems)
 }
 
 // fillLead advances a single-lead part: the lead entry is re-looked-up under
-// a fresh read-lock each refill (it may have mutated in between; positions
-// are re-clamped, which keeps the cursor crash-free under concurrent writes
-// at the documented may-miss-may-duplicate consistency).
+// a fresh read-lock each refill, since it may have mutated in between. A
+// midBound part names its one list by value, so only the triple a write
+// touched may be seen or missed. The (lead ? ?) walk resumes among the lead's
+// entries by position, bounds-checked each refill, and removeMid
+// swap-deletes: an emptied middle component below the cursor moves the last,
+// unvisited one behind it (missed), one at the cursor puts another list under
+// a trailPos not its own (resumed above lastTrail, the rest missed), and one
+// filed again is appended, where the cursor meets it a second time.
 func (pt *ScanPart) fillLead(out []IDTriple, n int) int {
 	sh := pt.family().shard(pt.lead)
 	sh.mu.RLock()

@@ -13,15 +13,16 @@ import "sync"
 // level would cost 40 bytes per pair on data whose objects are classes with
 // thousands of instances.
 //
-// Inside a shard the two inner levels are adaptive rather than nested maps:
-// a lead's middle components live in a small linear-scanned slice that gains
-// a map index only past midSpill entries, and each trailing set is a small
-// unsorted uint32 slice that gains a value→position map past setSpill
-// members. Real triple data is extremely skewed — most (subject, predicate)
+// Inside a shard the two inner levels are plain slices rather than nested
+// maps: a lead's middle components live in a small linear-scanned slice that
+// gains a map index only past midSpill entries, and each trailing set is one
+// strictly ascending run of uint32 — searched, never hashed, whatever its
+// size. Real triple data is extremely skewed — most (subject, predicate)
 // pairs have a handful of objects while a few (predicate, object) pairs have
 // thousands of subjects — so almost all inserts touch only small pointer-free
 // slices, which cost a fraction of a map insert and are invisible to the
-// garbage collector.
+// garbage collector, and the few long runs cost four bytes a member, a fifth
+// of what any hashed form of them would.
 
 // numShards is the shard count per index family. A power of two so the shard
 // selector is a mask; 16 is enough to spread institution-scale ingest across
@@ -29,12 +30,8 @@ import "sync"
 const numShards = 16
 
 // midSpill is how many middle components a lead holds before linear scans
-// are replaced by a map index; setSpill is how many trailing ids a set holds
-// before it gains its value→position map.
-const (
-	midSpill = 8
-	setSpill = 32
-)
+// are replaced by a map index.
+const midSpill = 8
 
 // shardOf maps a leading-component id to its shard. Ids are dense sequential
 // integers, so a Fibonacci mix spreads consecutive ids across shards.
@@ -42,81 +39,67 @@ func shardOf(id uint32) uint32 {
 	return (id * 2654435761) >> 16 & (numShards - 1)
 }
 
-// idSet is an adaptive set of ids. Its members always live in the unsorted
-// elems slice — enumeration is a contiguous array walk whatever the size,
-// which is what the batched scan and probe paths stream from — and past
-// setSpill members a value→position map is added so membership tests and
-// swap-deletes stay O(1) instead of going linear. The slice-plus-index
-// layout costs a little more memory than a bare map once spilled, but every
-// read path (scans, probes, batch fills) iterates elems at cache speed
-// rather than walking map buckets.
+// idSet is a set of ids kept as one strictly ascending run: enumeration is a
+// contiguous array walk, which is what the batched scan and probe paths
+// stream from, and membership, insertion and removal find their place by
+// search, so a member costs its four bytes and nothing else. The price is the
+// copy: a write into the middle of a run slides the members above it, O(n)
+// bytes moved where a hash would pay O(1) (BenchmarkHubChurn has the
+// figures). Ids are minted in ascending order, so the common write — a fresh
+// subject filed under its class — lands at the end and moves nothing.
 type idSet struct {
 	elems []uint32
-	idx   map[uint32]int32 // value -> position in elems; nil while small
+}
+
+// linearRun is the window at which searchRun stops halving and walks: a few
+// adjacent compares beat the mispredicted branches of the last halvings, and
+// most runs (every SPO set of a typical corpus) are no longer to begin with.
+const linearRun = 8
+
+// searchRun returns c's place in the ascending run — the position of the
+// first member not below it, len(elems) when every member is — and whether c
+// is there: slices.BinarySearch's contract at half its cost per probe (2 ns
+// against 5 on a one-member run, 17 against 32 on 10³), which the membership
+// probe of every join pays.
+func searchRun(elems []uint32, c uint32) (int, bool) {
+	lo, hi := 0, len(elems)
+	for hi-lo > linearRun {
+		m := int(uint(lo+hi) >> 1)
+		if elems[m] < c {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	for lo < hi && elems[lo] < c {
+		lo++
+	}
+	return lo, lo < len(elems) && elems[lo] == c
 }
 
 func (s *idSet) add(c uint32) bool {
-	if s.idx != nil {
-		if _, ok := s.idx[c]; ok {
-			return false
-		}
-		s.idx[c] = int32(len(s.elems))
-		s.elems = append(s.elems, c)
-		return true
+	i, found := searchRun(s.elems, c)
+	if found {
+		return false
 	}
-	for _, v := range s.elems {
-		if v == c {
-			return false
-		}
-	}
-	s.elems = append(s.elems, c)
-	if len(s.elems) > setSpill {
-		s.idx = make(map[uint32]int32, 2*setSpill)
-		for i, v := range s.elems {
-			s.idx[v] = int32(i)
-		}
-	}
+	s.elems = append(s.elems, 0)
+	copy(s.elems[i+1:], s.elems[i:])
+	s.elems[i] = c
 	return true
 }
 
 func (s *idSet) remove(c uint32) bool {
-	if s.idx != nil {
-		pos, ok := s.idx[c]
-		if !ok {
-			return false
-		}
-		last := len(s.elems) - 1
-		moved := s.elems[last]
-		s.elems[pos] = moved
-		s.elems = s.elems[:last]
-		if int(pos) != last {
-			s.idx[moved] = pos
-		}
-		delete(s.idx, c)
-		return true
+	i, found := searchRun(s.elems, c)
+	if !found {
+		return false
 	}
-	for i, v := range s.elems {
-		if v == c {
-			last := len(s.elems) - 1
-			s.elems[i] = s.elems[last]
-			s.elems = s.elems[:last]
-			return true
-		}
-	}
-	return false
+	s.elems = append(s.elems[:i], s.elems[i+1:]...)
+	return true
 }
 
 func (s *idSet) contains(c uint32) bool {
-	if s.idx != nil {
-		_, ok := s.idx[c]
-		return ok
-	}
-	for _, v := range s.elems {
-		if v == c {
-			return true
-		}
-	}
-	return false
+	_, found := searchRun(s.elems, c)
+	return found
 }
 
 func (s *idSet) len() int {

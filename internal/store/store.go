@@ -23,7 +23,8 @@
 // — never on ingest order or on how ids happened to fall across shards. The
 // streaming forms (QueryIDFunc, ForEachSubject, the batched hooks of scan.go)
 // trade that determinism for zero allocation and enumerate in unspecified
-// order.
+// order: ascending ids within one trailing set is a fact of the layout, not a
+// contract, and across sets, leads and shards there is not even that.
 //
 // Reads: a pattern is enumerated in two places and counted in one. The
 // callback walk behind QueryIDBatch (QueryIDFunc is a batch of one) and the
