@@ -127,58 +127,65 @@ type Options struct {
 // Stats.Tiers.
 type TierStats struct {
 	// Start and End are the WAL seq window the segment folds.
-	Start, End uint64
-	// Triples is the segment's net adds, Tombstones its net removes.
-	Triples    int
-	Tombstones int
+	Start uint64 `json:"start"`
+	End   uint64 `json:"end"`
+	// Triples is the segment's net adds, Tombstones its net removes; the
+	// base tier (start 1) never carries tombstones.
+	Triples    int `json:"triples"`
+	Tombstones int `json:"tombstones"`
 	// DictNames is how many dictionary ids the segment's window minted.
-	DictNames int
+	DictNames int `json:"-"`
 	// Bytes is the segment file size.
-	Bytes int64
+	Bytes int64 `json:"bytes"`
 }
 
-// Stats is a point-in-time report of the engine's durability state, the
-// shape GET /stats serves.
+// Stats is a point-in-time report of the engine's durability state. Its JSON
+// form is the durability block of GET /stats and POST /checkpoint (API.md),
+// so field order and tags are wire contract.
 type Stats struct {
 	// Seq is the sequence number of the last journaled record.
-	Seq uint64
+	Seq uint64 `json:"seq"`
 	// DurableSeq is the highest seq known fsynced; Seq - DurableSeq records
-	// are exposed to an OS crash right now.
-	DurableSeq uint64
-	// LastFsync is when the log last reached stable storage.
-	LastFsync time.Time
-	// Fsyncs counts fsync syscalls on the log — under group commit, usually
-	// far fewer than commits.
-	Fsyncs int64
+	// are exposed to an OS crash right now (none under fsync=always).
+	DurableSeq uint64 `json:"durable_seq"`
+	// LastFsyncAgoMS is how many milliseconds ago the log last reached
+	// stable storage.
+	LastFsyncAgoMS int64 `json:"last_fsync_ago_ms"`
+	// Fsyncs counts fsync syscalls on the log.
+	Fsyncs int64 `json:"fsyncs"`
 	// WALBytes is the log growth since the last checkpoint.
-	WALBytes int64
-	// Segments is the number of live segment files — the tiers of the chain.
-	Segments int
+	WALBytes int64 `json:"wal_bytes"`
+	// Segments is the number of live segment files — the tiers of the chain
+	// (0 before the first checkpoint).
+	Segments int `json:"segments"`
 	// SegmentSeq is the seq the newest segment covers through.
-	SegmentSeq uint64
+	SegmentSeq uint64 `json:"segment_seq"`
 	// Tiers describes each live segment, oldest first.
-	Tiers []TierStats
+	Tiers []TierStats `json:"segment_tiers,omitempty"`
 	// Checkpoints counts completed checkpoints this process.
-	Checkpoints int64
-	// Merges counts completed background merges this process, and
-	// LastMergeDuration is the wall time of the most recent one.
-	Merges            int64
-	LastMergeDuration time.Duration
+	Checkpoints int64 `json:"checkpoints"`
+	// Merges counts completed background merges this process;
+	// LastMergeDuration is the wall time of the most recent one and
+	// LastMergeMS the same in milliseconds, for the wire.
+	Merges            int64         `json:"merges"`
+	LastMergeDuration time.Duration `json:"-"`
+	LastMergeMS       int64         `json:"last_merge_ms"`
 	// WALAppendedBytes, CheckpointBytes and MergeBytes are this process's
 	// cumulative physical writes: log appends, checkpoint segment dumps,
 	// and merge rewrites. WriteAmplification is their sum over
 	// WALAppendedBytes — how many bytes hit disk per logical log byte
 	// (1.0 = no segment overhead yet; 0 while nothing has been appended).
-	WALAppendedBytes   int64
-	CheckpointBytes    int64
-	MergeBytes         int64
-	WriteAmplification float64
+	WALAppendedBytes   int64   `json:"-"`
+	CheckpointBytes    int64   `json:"-"`
+	MergeBytes         int64   `json:"-"`
+	WriteAmplification float64 `json:"write_amplification"`
 	// RecoverySeconds is how long Open spent rebuilding the store from the
 	// directory (segment fold + bulk restore + tail replay).
-	RecoverySeconds float64
+	RecoverySeconds float64 `json:"recovery_seconds"`
 	// Err is the engine's sticky error, "" while healthy. Once set, commits
-	// fail and the engine needs a restart (and recovery) to trust its log.
-	Err string
+	// fail (mutations answer 500) and the engine needs a restart (and
+	// recovery) to trust its log.
+	Err string `json:"error,omitempty"`
 }
 
 // Engine is the durability engine: it implements store.Journal, owns the
@@ -647,6 +654,7 @@ func (e *Engine) Stats() Stats {
 	st.Checkpoints = e.checkpoints
 	st.Merges = e.merges
 	st.LastMergeDuration = e.lastMergeDur
+	st.LastMergeMS = e.lastMergeDur.Milliseconds()
 	st.CheckpointBytes = e.ckptBytes
 	st.MergeBytes = e.mergeBytes
 	if st.WALAppendedBytes > 0 {

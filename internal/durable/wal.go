@@ -412,7 +412,7 @@ func (w *walWriter) snapshotStats(st *Stats) {
 	st.DurableSeq = w.durableSeq
 	st.WALBytes = w.totalBytes
 	st.WALAppendedBytes = w.appended
-	st.LastFsync = w.lastFsync
+	st.LastFsyncAgoMS = time.Since(w.lastFsync).Milliseconds()
 	st.Fsyncs = w.fsyncs
 	if w.err != nil {
 		st.Err = w.err.Error()

@@ -17,21 +17,22 @@ import (
 // triples derived into the overlay, and the overdelete/rederive traffic of
 // incremental maintenance. Derived counts insertions into the overlay over
 // the reasoner's whole life, so after deletions it can exceed InferredCount.
+// Its JSON form opens the engine block of GET /stats (API.md).
 type Stats struct {
 	// Rounds is the number of semi-naive rounds run (initial materialization
 	// plus every incremental propagation).
-	Rounds int
+	Rounds int `json:"rounds"`
 	// Heads is the number of rule heads those rounds matched, duplicates and
 	// already-known triples included — the work Derived was sifted from.
-	Heads int
+	Heads int `json:"-"`
 	// Derived is the number of triples ever added to the inferred overlay.
-	Derived int
+	Derived int `json:"derived"`
 	// Overdeleted is the number of inferred triples provisionally removed by
 	// delete-and-rederive passes.
-	Overdeleted int
+	Overdeleted int `json:"overdeleted"`
 	// Rederived is the number of overdeleted triples that survived — they
 	// had a derivation not involving the removed triples and were put back.
-	Rederived int
+	Rederived int `json:"rederived"`
 }
 
 // Reasoner owns a materialization: an asserted base store, an overlay of

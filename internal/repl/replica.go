@@ -37,6 +37,14 @@ const (
 	EpochHeader = "X-Repl-Epoch"
 )
 
+// Limits of the replica's two requests.
+const (
+	// maxFrames caps the frames requested per /repl/deltas poll.
+	maxFrames = 1024
+	// snapshotTimeout bounds one snapshot fetch (boot and re-snapshot).
+	snapshotTimeout = 2 * time.Minute
+)
+
 // Options configures a Replica. Primary is the only required field.
 type Options struct {
 	// Primary is the primary's base URL (e.g. "http://10.0.0.5:8080").
@@ -48,17 +56,12 @@ type Options struct {
 	// PollWait is the long-poll wait hint sent with every /repl/deltas
 	// request; the primary caps it server-side. Default 25s.
 	PollWait time.Duration
-	// MaxFrames caps the frames requested per poll. Default 1024.
-	MaxFrames int
 	// BackoffMin and BackoffMax bound the reconnect backoff: the delay
 	// starts at BackoffMin, doubles per consecutive failure, is capped at
 	// BackoffMax, and each sleep is jittered ±50% so a fleet of replicas
 	// that lost the same primary does not reconnect in lockstep. Defaults
 	// 100ms and 5s.
 	BackoffMin, BackoffMax time.Duration
-	// SnapshotTimeout bounds one snapshot fetch (boot and re-snapshot).
-	// Default 2m.
-	SnapshotTimeout time.Duration
 	// Logger, when set, receives connection lifecycle messages (reconnects,
 	// re-snapshots); nil is silent.
 	Logger *log.Logger
@@ -72,9 +75,6 @@ func (o *Options) defaults() {
 	if o.PollWait <= 0 {
 		o.PollWait = 25 * time.Second
 	}
-	if o.MaxFrames <= 0 {
-		o.MaxFrames = 1024
-	}
 	if o.BackoffMin <= 0 {
 		o.BackoffMin = 100 * time.Millisecond
 	}
@@ -83,9 +83,6 @@ func (o *Options) defaults() {
 	}
 	if o.BackoffMax < o.BackoffMin {
 		o.BackoffMax = o.BackoffMin
-	}
-	if o.SnapshotTimeout <= 0 {
-		o.SnapshotTimeout = 2 * time.Minute
 	}
 }
 
@@ -254,7 +251,7 @@ func (r *Replica) poll(ctx context.Context) error {
 	st := r.Status()
 	applied, epoch := st.AppliedGeneration, st.PrimaryEpoch
 	u := fmt.Sprintf("%s%s?from=%d&wait=%s&max=%d",
-		r.opts.Primary, DeltasPath, applied, r.opts.PollWait, r.opts.MaxFrames)
+		r.opts.Primary, DeltasPath, applied, r.opts.PollWait, maxFrames)
 	// The request deadline dominates the long-poll wait so a healthy
 	// primary can hold the poll open, while a wedged connection still
 	// times out instead of stalling replication forever.
@@ -373,7 +370,7 @@ func wireTriples(ts []WireTriple) []store.Triple {
 // returned, so a truncated or malformed snapshot can never leak a partial
 // corpus.
 func (r *Replica) fetchSnapshot(ctx context.Context) (*store.Store, uint64, string, error) {
-	reqCtx, cancel := context.WithTimeout(ctx, r.opts.SnapshotTimeout)
+	reqCtx, cancel := context.WithTimeout(ctx, snapshotTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(reqCtx, http.MethodGet, r.opts.Primary+SnapshotPath, nil)
 	if err != nil {

@@ -1,17 +1,17 @@
 package server
 
 import (
-	"hash/maphash"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/store"
 )
 
-// This file is the serving layer's query-result cache: a sharded map from
+// This file is the serving layer's query-result cache: a map from
 // canonicalized BGP keys (query.Canonical plus the evaluation mode and
-// limit) to fully marshaled response bodies, invalidated by the reasoning
-// engine's delta notifications at predicate granularity.
+// limit) to fully marshaled response bodies under one lock and one byte
+// budget, invalidated by the reasoning engine's delta notifications at
+// predicate granularity.
 
 // cacheEntry is one cached query result: the marshaled response body and
 // the invalidation footprint of the BGP that produced it.
@@ -50,53 +50,39 @@ type CacheStats struct {
 	Invalidations int64 `json:"invalidations"`
 }
 
-// cacheShard is one lock domain of the cache; bytes tracks the retained
-// size of its entries against the per-shard budget.
-type cacheShard struct {
-	mu      sync.Mutex
-	entries map[string]*cacheEntry
-	bytes   int64
-}
-
-// resultCache is a sharded query-result cache with a byte budget: capacity
-// is accounted in retained response bytes, not entries, because one entry
-// can hold up to MaxSolutions marshaled rows — counting entries would make
-// memory use effectively unbounded. Lookups and stores lock one shard;
-// invalidation walks every shard. The engine's generation closes the
-// read-evaluate-store race against concurrent mutations: a result computed
-// at generation g is dropped instead of stored once the engine has moved
-// past g, so a cache entry never outlives the data it was computed from. The
-// zero-budget cache is a valid always-miss cache.
+// resultCache is the query-result cache: one mutex over one map with one byte
+// budget. Capacity is accounted in retained response bytes, not entries,
+// because one entry can hold up to MaxSolutions marshaled rows — counting
+// entries would make memory use effectively unbounded. The critical section is
+// one map operation (a sweep, for invalidate) against a request that costs
+// tens of microseconds, so there is one lock domain. The engine's generation
+// closes the read-evaluate-store race against concurrent mutations: a result
+// computed at generation g is dropped instead of stored once the engine has
+// moved past g, so a cache entry never outlives the data it was computed from.
+// The zero-budget cache is a valid always-miss cache.
 type resultCache struct {
-	shards        []cacheShard
-	seed          maphash.Seed
-	perShardBytes int64
+	// maxBytes is the budget; 0 disables caching.
+	maxBytes int64
 	// generation reads the engine's current generation
 	// (reason.Reasoner.Generation), which the engine advances before it
 	// calls invalidate.
 	generation func() uint64
 
+	mu      sync.Mutex
+	entries map[string]*cacheEntry
+	bytes   int64 // retained size of entries, ≤ maxBytes
+
 	hits, misses, invalidations atomic.Int64
 }
 
-// newResultCache sizes a cache for maxBytes of retained responses across
-// nshards shards, over an engine whose generation the given function reads.
-// maxBytes <= 0 disables caching entirely (every lookup misses, every store
-// is dropped).
-func newResultCache(maxBytes int64, nshards int, generation func() uint64) *resultCache {
-	if nshards < 1 {
-		nshards = 1
-	}
-	c := &resultCache{
-		shards:     make([]cacheShard, nshards),
-		seed:       maphash.MakeSeed(),
-		generation: generation,
-	}
+// newResultCache sizes a cache for maxBytes of retained responses, over an
+// engine whose generation the given function reads. maxBytes <= 0 disables
+// caching entirely (every lookup misses, every store is dropped).
+func newResultCache(maxBytes int64, generation func() uint64) *resultCache {
+	c := &resultCache{generation: generation}
 	if maxBytes > 0 {
-		c.perShardBytes = (maxBytes + int64(nshards) - 1) / int64(nshards)
-		for i := range c.shards {
-			c.shards[i].entries = make(map[string]*cacheEntry)
-		}
+		c.maxBytes = maxBytes
+		c.entries = make(map[string]*cacheEntry)
 	}
 	return c
 }
@@ -104,28 +90,21 @@ func newResultCache(maxBytes int64, nshards int, generation func() uint64) *resu
 // size is the entry's retained bytes.
 func (e *cacheEntry) size() int64 { return int64(len(e.body)) }
 
-// accepts reports whether put could store a body of the given size: never on
-// a disabled cache, never past the per-shard budget. A caller assembling a
-// response stops retaining it for a put that is a guaranteed no-op.
+// accepts reports whether a body of the given size fits the cache: never on a
+// disabled cache, never past the budget. A caller assembling a response stops
+// retaining it for a put that is a guaranteed no-op.
 func (c *resultCache) accepts(size int64) bool {
-	return c.perShardBytes > 0 && size <= c.perShardBytes
-}
-
-// shardFor hashes the key to its shard.
-func (c *resultCache) shardFor(key string) *cacheShard {
-	return &c.shards[maphash.String(c.seed, key)%uint64(len(c.shards))]
+	return c.maxBytes > 0 && size <= c.maxBytes
 }
 
 // get returns the cached entry for the key, or nil.
 func (c *resultCache) get(key string) *cacheEntry {
-	if c.perShardBytes == 0 {
-		c.misses.Add(1)
-		return nil
+	var e *cacheEntry
+	if c.maxBytes > 0 {
+		c.mu.Lock()
+		e = c.entries[key]
+		c.mu.Unlock()
 	}
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	e := sh.entries[key]
-	sh.mu.Unlock()
 	if e == nil {
 		c.misses.Add(1)
 		return nil
@@ -136,39 +115,37 @@ func (c *resultCache) get(key string) *cacheEntry {
 
 // put stores an entry computed at engine generation e.gen, read before the
 // evaluation began. If the engine has moved on, the entry may describe
-// pre-mutation data and is dropped. The check runs inside the shard's
-// critical section: the engine bumps its generation before invalidate sweeps
-// any shard, so a put that still sees e.gen precedes this shard's sweep,
-// which then drops the entry if the write touched it. An entry bigger than
-// the whole per-shard budget is never stored; otherwise arbitrary entries are
-// evicted (map iteration order) until it fits — the cache is a recency-free
-// bounded memo, not an LRU; under invalidation-heavy write traffic entries
-// rarely live long enough for eviction policy to matter.
+// pre-mutation data and is dropped. The check runs under the lock: the engine
+// bumps its generation before invalidate sweeps, so a put that still sees
+// e.gen precedes the sweep, which then drops the entry if the write touched
+// it. An entry bigger than the whole budget is never stored; otherwise
+// arbitrary entries are evicted (map iteration order) until it fits — the
+// cache is a recency-free bounded memo, not an LRU; under invalidation-heavy
+// write traffic entries rarely live long enough for eviction policy to matter.
 func (c *resultCache) put(key string, e *cacheEntry) {
 	if !c.accepts(e.size()) {
 		return
 	}
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.generation() != e.gen {
 		return
 	}
-	if old, ok := sh.entries[key]; ok {
-		sh.bytes -= old.size()
+	if old, ok := c.entries[key]; ok {
+		c.bytes -= old.size()
 	}
-	for k, old := range sh.entries {
-		if sh.bytes+e.size() <= c.perShardBytes {
+	for k, old := range c.entries {
+		if c.bytes+e.size() <= c.maxBytes {
 			break
 		}
 		if k == key {
 			continue
 		}
-		delete(sh.entries, k)
-		sh.bytes -= old.size()
+		delete(c.entries, k)
+		c.bytes -= old.size()
 	}
-	sh.entries[key] = e
-	sh.bytes += e.size()
+	c.entries[key] = e
+	c.bytes += e.size()
 }
 
 // invalidate drops every entry whose BGP mentions one of the changed
@@ -177,7 +154,7 @@ func (c *resultCache) put(key string, e *cacheEntry) {
 // hook, after advancing its generation, so in-flight evaluations that
 // overlapped the mutation cannot store.
 func (c *resultCache) invalidate(res store.Resolver, added, removed []store.IDTriple) {
-	if c.perShardBytes == 0 {
+	if c.maxBytes == 0 {
 		return
 	}
 	changed := map[string]bool{}
@@ -187,17 +164,14 @@ func (c *resultCache) invalidate(res store.Resolver, added, removed []store.IDTr
 	for _, t := range removed {
 		changed[res.Name(t.P)] = true
 	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for k, e := range sh.entries {
-			if e.anyPred || touches(e.preds, changed) {
-				delete(sh.entries, k)
-				sh.bytes -= e.size()
-				c.invalidations.Add(1)
-			}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for k, e := range c.entries {
+		if e.anyPred || touches(e.preds, changed) {
+			delete(c.entries, k)
+			c.bytes -= e.size()
+			c.invalidations.Add(1)
 		}
-		sh.mu.Unlock()
 	}
 }
 
@@ -213,15 +187,9 @@ func touches(preds []string, changed map[string]bool) bool {
 
 // stats snapshots the cache counters.
 func (c *resultCache) stats() CacheStats {
-	entries := 0
-	var bytes int64
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		entries += len(sh.entries)
-		bytes += sh.bytes
-		sh.mu.Unlock()
-	}
+	c.mu.Lock()
+	entries, bytes := len(c.entries), c.bytes
+	c.mu.Unlock()
 	return CacheStats{
 		Entries:       entries,
 		Bytes:         bytes,

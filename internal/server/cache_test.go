@@ -13,12 +13,12 @@ func entryFor(preds ...string) *cacheEntry {
 
 // quietCache is a cache over an engine that never writes: its generation
 // stays 0, the generation entryFor's entries carry.
-func quietCache(maxBytes int64, nshards int) *resultCache {
-	return newResultCache(maxBytes, nshards, func() uint64 { return 0 })
+func quietCache(maxBytes int64) *resultCache {
+	return newResultCache(maxBytes, func() uint64 { return 0 })
 }
 
 func TestCacheDisabledAlwaysMisses(t *testing.T) {
-	c := quietCache(0, 4)
+	c := quietCache(0)
 	c.put("k", entryFor("p"))
 	if c.get("k") != nil {
 		t.Fatal("zero-budget cache returned an entry")
@@ -30,7 +30,7 @@ func TestCacheDisabledAlwaysMisses(t *testing.T) {
 }
 
 func TestCacheHitMissAndEviction(t *testing.T) {
-	c := quietCache(250, 1) // one shard, room for two 100-byte entries
+	c := quietCache(250) // room for two 100-byte entries
 	c.put("a", entryFor("p"))
 	c.put("b", entryFor("p"))
 	if c.get("a") == nil || c.get("b") == nil {
@@ -53,7 +53,7 @@ func TestCacheHitMissAndEviction(t *testing.T) {
 		t.Fatalf("replacement double-counted bytes: %+v", st)
 	}
 
-	// An entry larger than the whole shard budget is never stored.
+	// An entry larger than the whole budget is never stored.
 	huge := entryFor("p")
 	huge.body = make([]byte, 1000)
 	c.put("huge", huge)
@@ -74,7 +74,7 @@ func TestCacheGenerationClosesStoreRace(t *testing.T) {
 	}
 	res, touched := st.NewResolver(), []store.IDTriple{{S: pid, P: pid, O: pid}}
 	var engine atomic.Uint64
-	c := newResultCache(1<<20, 2, engine.Load)
+	c := newResultCache(1<<20, engine.Load)
 	entryAt := func(gen uint64) *cacheEntry {
 		e := entryFor("p")
 		e.gen = gen
@@ -119,7 +119,7 @@ func TestCachePredicateInvalidation(t *testing.T) {
 	}
 	res := s.NewResolver()
 
-	c := quietCache(1<<20, 2)
+	c := quietCache(1 << 20)
 	c.put("on-p", entryFor("p"))
 	c.put("on-q", entryFor("q"))
 	c.put("multi", entryFor("q", "p"))

@@ -73,10 +73,10 @@ func TestDurableServerLifecycle(t *testing.T) {
 	if cresp.Durability.WALBytes != 0 {
 		t.Fatalf("WALBytes = %d right after a checkpoint, want 0", cresp.Durability.WALBytes)
 	}
-	if len(cresp.Durability.SegmentTiers) != 1 {
-		t.Fatalf("checkpoint reports %d segment tiers, want 1", len(cresp.Durability.SegmentTiers))
+	if len(cresp.Durability.Tiers) != 1 {
+		t.Fatalf("checkpoint reports %d segment tiers, want 1", len(cresp.Durability.Tiers))
 	}
-	if tier := cresp.Durability.SegmentTiers[0]; tier.Start != 1 || tier.End != cresp.Durability.SegmentSeq || tier.Triples == 0 || tier.Tombstones != 0 || tier.Bytes == 0 {
+	if tier := cresp.Durability.Tiers[0]; tier.Start != 1 || tier.End != cresp.Durability.SegmentSeq || tier.Triples == 0 || tier.Tombstones != 0 || tier.Bytes == 0 {
 		t.Fatalf("base tier after first checkpoint: %+v", tier)
 	}
 	if cresp.Durability.WriteAmplification <= 1 {

@@ -2,9 +2,9 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -33,13 +33,13 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 		"Seconds since the server was created.",
 		func() float64 { return time.Since(s.start).Seconds() })
 
-	s.m.querySeconds = reg.Histogram("onto_query_seconds",
+	s.querySeconds = reg.Histogram("onto_query_seconds",
 		"POST /query handler latency in seconds (parse, cache lookup, evaluation and streaming).",
 		obs.LatencyBuckets())
-	s.m.mutationSeconds = reg.Histogram("onto_mutation_seconds",
+	s.mutationSeconds = reg.Histogram("onto_mutation_seconds",
 		"POST /triples handler latency in seconds (decode, apply, re-materialize).",
 		obs.LatencyBuckets())
-	s.m.httpRequests = reg.CounterVec("onto_http_requests_total",
+	s.httpRequests = reg.CounterVec("onto_http_requests_total",
 		"HTTP responses by handler path and status code.",
 		"handler", "code")
 
@@ -88,15 +88,6 @@ func (c *resultCache) registerMetrics(reg *obs.Registry) {
 		func() float64 { return float64(c.stats().Bytes) })
 }
 
-// serverMetrics holds the instruments the handlers touch per request.
-// Instruments are nil-safe, but on a Server built by New they are always
-// registered; the struct exists to keep Server's field list flat.
-type serverMetrics struct {
-	querySeconds    *obs.Histogram
-	mutationSeconds *obs.Histogram
-	httpRequests    *obs.CounterVec
-}
-
 // requestIDHeader is the header the middleware reads (client-supplied ids
 // are propagated) and always writes on the response.
 const requestIDHeader = "X-Request-Id"
@@ -116,13 +107,6 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	if r.code == 0 {
-		r.code = http.StatusOK
-	}
-	return r.ResponseWriter.Write(b)
-}
-
 func (r *statusRecorder) Flush() {
 	if f, ok := r.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
@@ -130,15 +114,10 @@ func (r *statusRecorder) Flush() {
 }
 
 // instrument wraps the mux with the request-ID and per-handler accounting
-// middleware. The handler label is the request path for the mux's known
-// endpoints and "other" for everything else, keeping the label space
-// bounded against path-scanning traffic.
-func (s *Server) instrument(next http.Handler) http.Handler {
-	known := map[string]bool{
-		"/query": true, "/triples": true, "/stats": true, "/healthz": true,
-		"/snapshot": true, "/checkpoint": true, "/metrics": true,
-		"/repl/snapshot": true, "/repl/deltas": true,
-	}
+// middleware. The handler label is the request path for the known endpoints
+// (the route table's paths) and "other" for everything else, keeping the
+// label space bounded against path-scanning traffic.
+func (s *Server) instrument(next http.Handler, known map[string]bool) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rid := r.Header.Get(requestIDHeader)
 		if rid == "" {
@@ -155,7 +134,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		if !known[handler] {
 			handler = "other"
 		}
-		s.m.httpRequests.With(handler, strconv.Itoa(rec.code)).Inc()
+		s.httpRequests.With(handler, strconv.Itoa(rec.code)).Inc()
 	})
 }
 
@@ -198,11 +177,14 @@ type slowQueryRecord struct {
 	Error string `json:"error,omitempty"`
 }
 
-// newSlowQueryLog builds a log writing to w; a nil *slowQueryLog (threshold
-// unset) disables logging entirely.
+// newSlowQueryLog builds a log writing to w (nil means os.Stderr); a nil
+// *slowQueryLog (threshold unset) disables logging entirely.
 func newSlowQueryLog(threshold time.Duration, w io.Writer) *slowQueryLog {
-	if threshold <= 0 || w == nil {
+	if threshold <= 0 {
 		return nil
+	}
+	if w == nil {
+		w = os.Stderr
 	}
 	return &slowQueryLog{threshold: threshold, w: w}
 }
@@ -222,9 +204,4 @@ func (l *slowQueryLog) observe(elapsed time.Duration, rec slowQueryRecord) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	_, _ = l.w.Write(line)
-}
-
-// ridPrefixFor renders the server start time as the request-id prefix.
-func ridPrefixFor(start time.Time) string {
-	return fmt.Sprintf("%x", start.UnixNano())
 }

@@ -15,15 +15,16 @@ import (
 
 // This file is the server side of the replicated serving tier
 // (repro/internal/repl): the primary's feed endpoints (GET /repl/snapshot,
-// GET /repl/deltas), the replica's read-only mode, and the replication
-// block both roles report under /stats, /healthz and /metrics. The wire
-// protocol lives in internal/repl; API.md's "Replication" section documents
-// it with transcripts.
+// GET /repl/deltas) and the replication block both roles report under
+// /stats, /healthz and /metrics (a replica's read-only mode is the route
+// table's primaryOnly column, in server.go). The wire protocol lives in
+// internal/repl; API.md's "Replication" section documents it with
+// transcripts.
 
 // ReplicaSource is the slice of *repl.Replica the server reads: replication
 // status for /stats, /healthz and the /metrics gauges. A server configured
-// with one is a read replica — it rejects mutations and does not serve the
-// feed endpoints.
+// with one is a read replica — it refuses the primary-only routes and does
+// not serve the feed endpoints.
 type ReplicaSource interface {
 	Status() repl.Status
 }
@@ -65,33 +66,17 @@ func (s *Server) setupReplication(res store.Resolver) func(reason.Delta) {
 // mutation resolved to names (dictionary ids are meaningless across
 // processes; the replica re-derives the inferred overlay itself).
 func frameFor(res store.Resolver, d reason.Delta) repl.Frame {
-	fr := repl.Frame{Gen: d.Gen}
-	if n := len(d.AssertedAdded); n > 0 {
-		fr.Add = make([]repl.WireTriple, n)
-		for i, t := range d.AssertedAdded {
-			fr.Add[i] = repl.WireTriple{S: res.Name(t.S), P: res.Name(t.P), O: res.Name(t.O)}
+	named := func(ts []store.IDTriple) []repl.WireTriple {
+		if len(ts) == 0 {
+			return nil
 		}
-	}
-	if n := len(d.AssertedRemoved); n > 0 {
-		fr.Remove = make([]repl.WireTriple, n)
-		for i, t := range d.AssertedRemoved {
-			fr.Remove[i] = repl.WireTriple{S: res.Name(t.S), P: res.Name(t.P), O: res.Name(t.O)}
+		out := make([]repl.WireTriple, len(ts))
+		for i, t := range ts {
+			out[i] = repl.WireTriple{S: res.Name(t.S), P: res.Name(t.P), O: res.Name(t.O)}
 		}
+		return out
 	}
-	return fr
-}
-
-// rejectOnReplica guards the mutating endpoints: on a replica it answers
-// 403 with a JSON error naming the primary — the client's fix is to send
-// the write there — and reports true.
-func (s *Server) rejectOnReplica(w http.ResponseWriter) bool {
-	if s.cfg.Replica == nil {
-		return false
-	}
-	writeError(w, http.StatusForbidden,
-		"this node is a read replica; send writes to the primary at %s",
-		s.cfg.Replica.Status().Primary)
-	return true
+	return repl.Frame{Gen: d.Gen, Add: named(d.AssertedAdded), Remove: named(d.AssertedRemoved)}
 }
 
 // handleReplSnapshot is GET /repl/snapshot: the asserted base store in
@@ -103,10 +88,6 @@ func (s *Server) rejectOnReplica(w http.ResponseWriter) bool {
 // slow replica never blocks the primary's mutation path — the same
 // never-block rule the feed's retention buffer follows.
 func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	var buf bytes.Buffer
 	gen, n, err := s.reasoner.SnapshotBase(&buf)
 	if err != nil {
@@ -129,10 +110,6 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 // says G has fallen out of the retained window and the caller must
 // re-snapshot.
 func (s *Server) handleReplDeltas(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	q := r.URL.Query()
 	from, err := strconv.ParseUint(q.Get("from"), 10, 64)
 	if err != nil {

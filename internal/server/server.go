@@ -27,7 +27,7 @@
 // Queries slower than Config.SlowQueryThreshold are appended to the
 // slow-query log as ndjson records carrying the response's X-Request-Id.
 //
-// Query results are memoized in a sharded cache keyed on the canonicalized
+// Query results are memoized in a byte-budgeted cache keyed on the canonicalized
 // BGP (query.Canonical) plus evaluation mode and limit, and invalidated at
 // predicate granularity by the engine's delta notifications — a mutation
 // touching predicate p drops exactly the cached results whose BGPs mention
@@ -49,7 +49,7 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -103,19 +103,15 @@ type Config struct {
 	// to 6 patterns, greedy past that; the cap keeps hostile queries from
 	// exploding the evaluator). Default 16.
 	MaxPatterns int
-	// MaxBodyBytes caps a request body. Default 1 MiB.
-	MaxBodyBytes int64
 	// MaxMutations caps the add+remove triples of one /triples batch.
 	// Default 100000.
 	MaxMutations int
 	// CacheMaxBytes is the query-result cache's budget in retained response
 	// bytes (capacity is accounted in bytes, not entries — one entry can
-	// hold up to MaxSolutions marshaled rows); 0 picks the default
-	// (256 MiB), negative disables caching.
+	// hold up to MaxSolutions marshaled rows), and the largest single result
+	// the cache will hold; 0 picks the default (256 MiB), negative disables
+	// caching.
 	CacheMaxBytes int64
-	// CacheShards is the cache's lock-domain count; 0 picks the default
-	// (16).
-	CacheShards int
 	// Metrics is the observability registry the server instruments itself
 	// on; nil makes the server create its own. Pass a shared registry to
 	// co-expose other layers' metrics (the durable engine's, via
@@ -161,9 +157,6 @@ func (c *Config) defaults() {
 	if c.MaxPatterns == 0 {
 		c.MaxPatterns = 16
 	}
-	if c.MaxBodyBytes == 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
 	if c.MaxMutations == 0 {
 		c.MaxMutations = 100_000
 	}
@@ -172,9 +165,6 @@ func (c *Config) defaults() {
 	}
 	if c.CacheMaxBytes < 0 {
 		c.CacheMaxBytes = 0
-	}
-	if c.CacheShards == 0 {
-		c.CacheShards = 16
 	}
 }
 
@@ -185,19 +175,21 @@ type Server struct {
 	cfg      Config
 	reasoner *reason.Reasoner
 	cache    *resultCache
-	feed     *repl.Feed // primary-side delta retention; nil on replicas and with ReplRetain < 0
-	mux      *http.ServeMux
-	root     http.Handler // mux wrapped in the instrumentation middleware
+	feed     *repl.Feed   // primary-side delta retention; nil on replicas and with ReplRetain < 0
+	root     http.Handler // the route mux wrapped in the instrumentation middleware
 	start    time.Time
 
 	queries   atomic.Int64
 	mutations atomic.Int64
 
 	reg  *obs.Registry
-	m    serverMetrics
 	slow *slowQueryLog
+	// The instruments the handlers touch per request (registerMetrics).
+	querySeconds    *obs.Histogram
+	mutationSeconds *obs.Histogram
+	httpRequests    *obs.CounterVec
 
-	ridPrefix string
+	ridPrefix string // the start time in hex: request ids are unique across restarts
 	ridSeq    atomic.Int64
 }
 
@@ -224,37 +216,78 @@ func New(cfg Config) (*Server, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	slowW := cfg.SlowQueryLog
-	if slowW == nil {
-		slowW = os.Stderr
-	}
 	s := &Server{
 		cfg:      cfg,
 		reasoner: r,
-		cache:    newResultCache(cfg.CacheMaxBytes, cfg.CacheShards, r.Generation),
-		mux:      http.NewServeMux(),
+		cache:    newResultCache(cfg.CacheMaxBytes, r.Generation),
 		start:    time.Now(),
 		reg:      reg,
-		slow:     newSlowQueryLog(cfg.SlowQueryThreshold, slowW),
+		slow:     newSlowQueryLog(cfg.SlowQueryThreshold, cfg.SlowQueryLog),
 	}
-	s.ridPrefix = ridPrefixFor(s.start)
+	s.ridPrefix = strconv.FormatInt(s.start.UnixNano(), 16)
 	r.SetOnEvent(s.setupReplication(r.View().NewResolver()))
 	s.registerMetrics(reg)
-	s.mux.HandleFunc("/query", s.handleQuery)
-	s.mux.HandleFunc("/triples", s.handleTriples)
-	s.mux.HandleFunc("/stats", s.handleStats)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/snapshot", s.handleSnapshot)
-	s.mux.HandleFunc("/checkpoint", s.handleCheckpoint)
-	if s.feed != nil {
-		s.mux.HandleFunc(repl.SnapshotPath, s.handleReplSnapshot)
-		s.mux.HandleFunc(repl.DeltasPath, s.handleReplDeltas)
+	mux, known := http.NewServeMux(), map[string]bool{}
+	for _, rt := range s.routes() {
+		mux.Handle(rt.path, s.prologue(rt))
+		known[rt.path] = true
 	}
-	if !cfg.DisableMetrics {
-		s.mux.Handle("/metrics", reg.Handler())
-	}
-	s.root = s.instrument(s.mux)
+	s.root = s.instrument(mux, known)
 	return s, nil
+}
+
+// route is one endpoint this server mounts.
+type route struct {
+	path   string
+	method string // the one method the endpoint answers; anything else is a 405
+	// primaryOnly marks the mutating endpoints: a replica refuses them with a
+	// 403 naming the primary.
+	primaryOnly bool
+	handle      http.HandlerFunc
+}
+
+// routes is the route table — the only list of the server's endpoints: New
+// mounts it, prologue enforces its method and primaryOnly columns, and the
+// per-handler request counter is labeled from its paths.
+func (s *Server) routes() []route {
+	rs := []route{
+		{"/query", http.MethodPost, false, s.handleQuery},
+		{"/triples", http.MethodPost, true, s.handleTriples},
+		{"/stats", http.MethodGet, false, s.handleStats},
+		{"/healthz", http.MethodGet, false, s.handleHealthz},
+		{"/snapshot", http.MethodGet, false, s.handleSnapshot},
+		{"/checkpoint", http.MethodPost, true, s.handleCheckpoint},
+	}
+	if s.feed != nil {
+		rs = append(rs,
+			route{repl.SnapshotPath, http.MethodGet, false, s.handleReplSnapshot},
+			route{repl.DeltasPath, http.MethodGet, false, s.handleReplDeltas})
+	}
+	if !s.cfg.DisableMetrics {
+		rs = append(rs, route{"/metrics", http.MethodGet, false, s.reg.Handler().ServeHTTP})
+	}
+	return rs
+}
+
+// prologue is what every route runs before its handler: the method check
+// (405 with an Allow header) and, on a replica, the refusal of primary-only
+// endpoints (403 naming the primary — the client's fix is to send the write
+// there). Handler bodies start at their own work.
+func (s *Server) prologue(rt route) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != rt.method {
+			w.Header().Set("Allow", rt.method)
+			writeError(w, http.StatusMethodNotAllowed, "%s only", rt.method)
+			return
+		}
+		if rt.primaryOnly && s.cfg.Replica != nil {
+			writeError(w, http.StatusForbidden,
+				"this node is a read replica; send writes to the primary at %s",
+				s.cfg.Replica.Status().Primary)
+			return
+		}
+		rt.handle(w, r)
+	})
 }
 
 // Reasoner exposes the engine the server fronts, for in-process callers

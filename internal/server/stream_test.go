@@ -185,42 +185,51 @@ func TestLargeResultStreamsBeforeEvaluationEnds(t *testing.T) {
 	}
 }
 
-// TestOverBudgetResultIsStreamedNotRetained covers the memory bound: a
-// result larger than the cache would accept is streamed in full and never
-// stored, and the body buffer stops growing once it has passed the budget.
+// TestOverBudgetResultIsStreamedNotRetained covers the memory bound, which is
+// the cache's whole budget: a result larger than it is streamed in full and
+// never stored, one of more than half of it is stored, and the body buffer
+// stops growing once it has passed the budget.
 func TestOverBudgetResultIsStreamedNotRetained(t *testing.T) {
 	const budget = 4 << 10
-	s := newTestServer(t, Config{Base: streamCorpus(t, 3000), Rules: []reason.Rule{}, CacheMaxBytes: budget, CacheShards: 1})
+	s := newTestServer(t, Config{Base: streamCorpus(t, 3000), Rules: []reason.Rule{}, CacheMaxBytes: budget})
 	for i := 0; i < 2; i++ {
 		res := postQuery(t, s, QueryRequest{BGP: "?x type thing"})
 		if len(res.rows) != 3000 || res.trailer.Cached {
 			t.Fatalf("pass %d: %d rows, cached=%v; want 3000 uncached", i, len(res.rows), res.trailer.Cached)
 		}
 	}
-	small := postQuery(t, s, QueryRequest{BGP: "?x label odd"})
-	if again := postQuery(t, s, QueryRequest{BGP: "?x label odd"}); !again.trailer.Cached || len(again.rows) != len(small.rows) {
-		t.Fatalf("a result within the budget was not cached: %+v", again.trailer)
+	half := QueryRequest{BGP: "?x type thing", Limit: 100}
+	body, _ := rawQuery(t, s, half)
+	if len(body) < budget/2 || len(body) > budget {
+		t.Fatalf("the limit-100 body is %d bytes; the test needs one between %d and %d", len(body), budget/2, budget)
 	}
-	if st := getStats(t, s).Cache; st.Entries != 1 || st.Bytes > budget {
-		t.Fatalf("cache holds %d entries / %d bytes, want 1 entry within %d bytes", st.Entries, st.Bytes, budget)
+	if again := postQuery(t, s, half); !again.trailer.Cached || len(again.rows) != 100 {
+		t.Fatalf("a result of half the budget was not cached: %+v", again.trailer)
+	}
+	if st := getStats(t, s).Cache; st.Entries != 1 || st.Bytes != int64(len(body)) {
+		t.Fatalf("cache holds %d entries / %d bytes, want the one %d-byte entry", st.Entries, st.Bytes, len(body))
 	}
 
-	// The writer itself: retained while the cache could take the body,
-	// dropped chunk by chunk after.
+	// The writer itself: retained while the cache could take the body — up
+	// to the budget exactly — and dropped chunk by chunk after.
 	rec := httptest.NewRecorder()
-	bw := newBodyWriter(rec, quietCache(100, 1))
+	bw := newBodyWriter(rec, quietCache(100))
 	defer bw.release()
-	bw.buf = append(bw.buf, strings.Repeat("a", 60)...)
-	if err := bw.send(false); err != nil || len(bw.body()) != 60 {
-		t.Fatalf("under budget: err %v, retained %d bytes, want 60", err, len(bw.body()))
+	bw.buf = append(bw.buf, strings.Repeat("a", 50)...)
+	if err := bw.send(false); err != nil || len(bw.body()) != 50 {
+		t.Fatalf("half the budget: err %v, retained %d bytes, want 50", err, len(bw.body()))
 	}
-	bw.buf = append(bw.buf, strings.Repeat("b", 60)...)
-	if err := bw.send(true); err != nil || bw.body() != nil || len(bw.buf) != 0 {
-		t.Fatalf("over budget: err %v, body %d bytes, buffer %d bytes; want both dropped", err, len(bw.body()), len(bw.buf))
+	bw.buf = append(bw.buf, strings.Repeat("b", 50)...)
+	if err := bw.send(false); err != nil || len(bw.body()) != 100 {
+		t.Fatalf("the whole budget: err %v, retained %d bytes, want 100", err, len(bw.body()))
 	}
 	bw.buf = append(bw.buf, "c"...)
-	if err := bw.send(false); err != nil || bw.body() != nil || rec.Body.Len() != 121 {
-		t.Fatalf("after the drop: err %v, body %v, client got %d bytes, want 121", err, bw.body(), rec.Body.Len())
+	if err := bw.send(true); err != nil || bw.body() != nil || len(bw.buf) != 0 {
+		t.Fatalf("budget+1: err %v, body %d bytes, buffer %d bytes; want both dropped", err, len(bw.body()), len(bw.buf))
+	}
+	bw.buf = append(bw.buf, "d"...)
+	if err := bw.send(false); err != nil || bw.body() != nil || rec.Body.Len() != 102 {
+		t.Fatalf("after the drop: err %v, body %v, client got %d bytes, want 102", err, bw.body(), rec.Body.Len())
 	}
 }
 
