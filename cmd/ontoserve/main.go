@@ -148,6 +148,11 @@ func run(args []string, stderr io.Writer) int {
 		return 2
 	}
 
+	policy, err := durable.ParseFsyncPolicy(*fsyncMode)
+	if err != nil {
+		fmt.Fprintf(stderr, "ontoserve: %v\n", err)
+		return 2
+	}
 	logger := log.New(stderr, "ontoserve: ", log.LstdFlags)
 
 	// One registry spans the process: the durable engine registers its WAL
@@ -174,11 +179,6 @@ func run(args []string, stderr io.Writer) int {
 	}
 	var eng *durable.Engine
 	if *dataDir != "" {
-		policy, err := durable.ParseFsyncPolicy(*fsyncMode)
-		if err != nil {
-			fmt.Fprintf(stderr, "ontoserve: %v\n", err)
-			return 2
-		}
 		eng, err = durable.Open(base, durable.Options{
 			Dir:             *dataDir,
 			Fsync:           policy,

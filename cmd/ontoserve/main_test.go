@@ -113,6 +113,11 @@ func TestRunFlagErrors(t *testing.T) {
 	if code := run([]string{"-paper", "-data-dir", t.TempDir(), "-fsync", "sometimes"}, &stderr); code != 2 {
 		t.Fatalf("run with a bad -fsync = %d, want 2 (stderr: %s)", code, stderr.String())
 	}
+	// The flag is checked whether or not a data directory makes it matter.
+	stderr.Reset()
+	if code := run([]string{"-paper", "-fsync", "sometimes"}, &stderr); code != 2 || !strings.Contains(stderr.String(), "sometimes") {
+		t.Fatalf("run with a bad -fsync and no -data-dir = %d, want 2 (stderr: %s)", code, stderr.String())
+	}
 	stderr.Reset()
 	if code := run([]string{}, &stderr); code != 2 {
 		t.Fatalf("run with no corpus = %d, want 2", code)

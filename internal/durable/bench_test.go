@@ -114,8 +114,7 @@ func benchCorpus(n int) []store.Triple {
 // buildRecoveryDir ingests n triples through an engine and returns the
 // directory. With checkpoint true the corpus is folded into a single base
 // segment (the WAL tail left behind is empty); with checkpoint false the
-// whole corpus stays in the log — exactly the directory the pre-tier engine
-// always recovered from.
+// whole corpus stays in the log.
 func buildRecoveryDir(b *testing.B, n int, checkpoint bool) string {
 	b.Helper()
 	dir := b.TempDir()
@@ -145,25 +144,25 @@ func buildRecoveryDir(b *testing.B, n int, checkpoint bool) string {
 	return dir
 }
 
-// benchmarkRecover compares the two ways the engine can rebuild a store of n
-// triples at Open, end to end (file I/O included in both):
+// benchmarkRecover times Open over a store of n triples, end to end (file I/O
+// included). There is one way the engine rebuilds a store — compose the
+// directory's patches, load the result through store.RestoreSorted — and two
+// directory shapes it meets:
 //
-//   - bulk: the tiered path — chain the segment directory, fold it, and hand
-//     the result to store.RestoreSorted (per-shard goroutines, no per-triple
-//     locking, no dedup probing).
-//   - replay: the pre-tier path — the same corpus left entirely in the WAL,
-//     recovered record by record through the store's ordinary mutation
-//     machinery (decode, verify-or-intern each dictionary name, set-insert
-//     each batch).
+//   - bulk: the corpus checkpointed into one base segment, the log tail
+//     empty; the fold is a segment load.
+//   - wal-only: the same corpus left entirely in the log; the fold decodes
+//     every record and sorts the window's events (last event per triple
+//     wins) before the same load.
 //
-// The ratio between the two is the headline number this subsystem exists for.
+// The gap between the two is what a checkpoint buys a restart.
 func benchmarkRecover(b *testing.B, n int) {
 	for _, variant := range []struct {
 		name       string
 		checkpoint bool
 	}{
 		{"bulk", true},
-		{"replay", false},
+		{"wal-only", false},
 	} {
 		dir := buildRecoveryDir(b, n, variant.checkpoint)
 		b.Run(variant.name, func(b *testing.B) {

@@ -8,10 +8,11 @@
 // one window of the log by folding it into a young delta segment (cost
 // proportional to what changed, not to the corpus), and a size-ratio-triggered
 // background merge folds young segments into older generations, applying
-// tombstoned removes, so the chain stays short. Recovery chains the segments,
-// folds them in memory, bulk-restores the result through the store's
-// RestoreSorted fast path, and replays only the log tail — startup cost is
-// dominated by sequential segment I/O, not index mutation.
+// tombstoned removes, so the chain stays short. Recovery is the same two
+// folds with a different sink: it composes the segment chain and the log tail
+// beyond it into one patch against the empty store and loads that through
+// the store's RestoreSorted bulk path, once — startup cost is sequential file
+// I/O and one index build, never per-record index mutation.
 //
 // Typical use:
 //
@@ -29,6 +30,7 @@
 package durable
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -180,7 +182,7 @@ type Stats struct {
 	MergeBytes         int64   `json:"-"`
 	WriteAmplification float64 `json:"write_amplification"`
 	// RecoverySeconds is how long Open spent rebuilding the store from the
-	// directory (segment fold + bulk restore + tail replay).
+	// directory (segment fold + tail fold + bulk load).
 	RecoverySeconds float64 `json:"recovery_seconds"`
 	// Err is the engine's sticky error, "" while healthy. Once set, commits
 	// fail (mutations answer 500) and the engine needs a restart (and
@@ -197,8 +199,14 @@ type Engine struct {
 	w    *walWriter
 
 	// ckptMu serializes the segment-chain writers: checkpoints (manual and
-	// automatic) and background merges. Always taken before mu.
+	// automatic) and background merges. Always taken before mu. It also
+	// guards wals, the first seqs of the live wal files in ascending order —
+	// seeded by recovery, appended by a checkpoint's rotation, trimmed by its
+	// cleanup; the last is the file the writer has open. A file stays listed
+	// until it is actually deleted, so whatever a failed checkpoint leaves
+	// behind, the next one folds or re-deletes.
 	ckptMu sync.Mutex
+	wals   []uint64
 
 	// mu guards the segment chain and the counters below.
 	mu           sync.Mutex
@@ -270,7 +278,8 @@ func Open(st *store.Store, opts Options) (*Engine, error) {
 	e := &Engine{
 		st:          st,
 		opts:        opts,
-		w:           newWALWriter(opts.Dir, opts.Fsync, rec.file, rec.lastSeq, rec.fileFirst),
+		w:           newWALWriter(opts.Dir, opts.Fsync, rec.file, rec.lastSeq),
+		wals:        rec.wals,
 		tiers:       rec.tiers,
 		dictCovered: rec.dictCovered,
 		recoveryDur: time.Since(recStart),
@@ -345,7 +354,7 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 }
 
 // LastSeq returns the seq of the last journaled record — right after Open,
-// the seq recovery replayed through.
+// the seq recovery loaded through.
 func (e *Engine) LastSeq() uint64 { return e.w.currentSeq() }
 
 // RecoveryDuration returns how long Open spent rebuilding the store from the
@@ -424,9 +433,9 @@ func (e *Engine) background() {
 }
 
 // Checkpoint retires the current log window: it rotates the WAL, folds the
-// retired window's records into a new young delta segment (last event per
-// triple wins, so an add-then-remove folds to a tombstone), appends it to the
-// chain, and deletes the log files the segment supersedes. Cost is
+// sealed files' records into a new young delta segment (foldWAL: last event
+// per triple wins, so an add-then-remove folds to a tombstone), appends it to
+// the chain, and deletes the log files the segment supersedes. Cost is
 // proportional to the window — the live store is never read — and mutations
 // proceed concurrently throughout. A checkpoint with an empty window is a
 // no-op. If the new segment breaks the chain's size separation, a background
@@ -452,23 +461,22 @@ func (e *Engine) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	win, err := readWALWindow(e.opts.Dir, lastEnd, covered, dictNext)
+	// Rotation opened wal-<covered+1>; every file listed before it is sealed.
+	// After a checkpoint that failed with nothing journaled since, that name
+	// is already the last one listed (rotation re-created the empty file).
+	if e.wals[len(e.wals)-1] <= covered {
+		e.wals = append(e.wals, covered+1)
+	}
+	sealed := e.wals[:len(e.wals)-1]
+	seg, err := foldWAL(e.opts.Dir, sealed, lastEnd, dictNext, false)
+	if err == nil && seg.end != covered {
+		err = fmt.Errorf("durable: checkpoint window ends at record %d, want the rotation point %d", seg.end, covered)
+	}
 	if err != nil {
-		// The segment was never written and the rotated files remain on
-		// disk, so recovery still sees an intact log; the checkpoint just
-		// failed.
+		// No segment was written and the sealed files stay on disk and
+		// listed, so recovery still sees an intact log and the next
+		// checkpoint folds them again; this one just failed.
 		return err
-	}
-	seg := segmentData{
-		start:     lastEnd + 1,
-		end:       covered,
-		dictFirst: dictNext,
-		dict:      win.names,
-		adds:      win.adds,
-		removes:   win.removes,
-	}
-	if seg.start == 1 {
-		seg.removes = nil // a patch against the empty state removes nothing
 	}
 	size, err := writeSegment(e.opts.Dir, seg)
 	if err != nil {
@@ -477,13 +485,24 @@ func (e *Engine) Checkpoint() error {
 	if e.mCompaction != nil && walBytes > 0 {
 		e.mCompaction.Set(float64(size) / float64(walBytes))
 	}
-	// The new segment supersedes every log file that ends at or before the
-	// rotation point. Deletion failures are reported but the checkpoint
-	// itself has succeeded — recovery deletes leftovers too.
-	cleanupErr := e.cleanupWAL(covered)
+	// The new segment supersedes every sealed file. A deletion failure is
+	// reported but the checkpoint itself has succeeded: the file stays listed,
+	// so the next checkpoint skips its folded records and deletes it again —
+	// as recovery would.
+	var cleanupErr error
+	live := e.wals[:0]
+	for _, first := range sealed {
+		if err := removeFile(e.opts.Dir, walFileName(first)); err != nil {
+			live = append(live, first)
+			if cleanupErr == nil {
+				cleanupErr = err
+			}
+		}
+	}
+	e.wals = append(live, covered+1)
 	e.mu.Lock() //ontolint:ignore lockcheck fixed one-way order: ckptMu is always taken before mu and mu critical sections never take ckptMu, so the nesting cannot deadlock
 	e.tiers = append(e.tiers, metaOf(seg, size))
-	e.dictCovered += store.SymbolID(len(win.names))
+	e.dictCovered += store.SymbolID(len(seg.dict))
 	e.checkpoints++
 	e.ckptBytes += size
 	e.ckptErr = cleanupErr
@@ -517,23 +536,6 @@ func (e *Engine) pickMergeLocked() (int, bool) {
 		sizes[i] = t.bytes
 	}
 	return pickMergeRun(sizes, e.opts.MergeRatio, e.opts.MaxSegments)
-}
-
-// cleanupWAL deletes the log files a checkpoint at covered supersedes: every
-// wal file that starts at or before covered (rotation guarantees it also
-// ends there).
-func (e *Engine) cleanupWAL(covered uint64) error {
-	firsts, err := walFilesThrough(e.opts.Dir, covered)
-	var firstErr error
-	if err != nil {
-		firstErr = err
-	}
-	for _, first := range firsts {
-		if err := removeFile(e.opts.Dir, walFileName(first)); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
 }
 
 // runMerges folds chain suffixes until the merge policy is satisfied or the
@@ -571,32 +573,20 @@ func (e *Engine) runMerges() {
 }
 
 // mergeRun folds the chain suffix starting at tier index i into one segment:
-// load each input, compose the patches, publish the merged file atomically,
-// then delete the inputs. A crash or close at ANY point is safe: before the
-// rename the merged .tmp is garbage recovery deletes (the merge is simply
-// not-yet-merged); after it, the inputs are leftovers recovery recognizes as
-// subsumed by the wider merged window and deletes. Close aborts cleanly at
-// the checkpoints between I/O steps, never leaving a .tmp behind.
+// foldChain loads and composes the inputs, the merged file is published
+// atomically, then the inputs are deleted. A crash or close at ANY point is
+// safe: before the rename the merged .tmp is garbage recovery deletes (the
+// merge is simply not-yet-merged); after it, the inputs are leftovers recovery
+// recognizes as subsumed by the wider merged window and deletes. Close aborts
+// cleanly at the checkpoints between I/O steps, never leaving a .tmp behind.
 func (e *Engine) mergeRun(i int, metas []segMeta) error {
 	start := time.Now()
-	var merged segmentData
-	for k, m := range metas {
-		select {
-		case <-e.done:
-			return nil // closing: abort before any output exists
-		default:
-		}
-		seg, err := loadSegment(e.opts.Dir + "/" + segmentName(m.start, m.end))
-		if err != nil {
-			return fmt.Errorf("durable: merge reading input: %w", err)
-		}
-		if k == 0 {
-			merged = seg
-			continue
-		}
-		if merged, err = foldSegments(merged, seg); err != nil {
-			return err
-		}
+	merged, err := foldChain(e.opts.Dir, metas, e.done)
+	if errors.Is(err, errStopped) {
+		return nil // closing: abort before any output exists
+	}
+	if err != nil {
+		return fmt.Errorf("durable: merge reading input: %w", err)
 	}
 	if hook := e.mergeHook; hook != nil {
 		hook()

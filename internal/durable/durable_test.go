@@ -28,7 +28,7 @@ func testTriple(i int) store.Triple {
 }
 
 // snapshotString returns the store's canonical snapshot as a string.
-func snapshotString(t *testing.T, st *store.Store) string {
+func snapshotString(t testing.TB, st *store.Store) string {
 	t.Helper()
 	var b strings.Builder
 	if _, err := st.Snapshot(&b); err != nil {
@@ -38,7 +38,7 @@ func snapshotString(t *testing.T, st *store.Store) string {
 }
 
 // mustOpen opens an engine over dir or fails the test.
-func mustOpen(t *testing.T, st *store.Store, opts Options) *Engine {
+func mustOpen(t testing.TB, st *store.Store, opts Options) *Engine {
 	t.Helper()
 	eng, err := Open(st, opts)
 	if err != nil {
@@ -527,7 +527,7 @@ func TestParseFsyncPolicy(t *testing.T) {
 // triple — through an FsyncOff engine and returns the resulting single wal
 // file's bytes, together with the log offset and canonical snapshot recorded
 // after every transaction (index 0 is the empty store at offset 0).
-func buildLog(t *testing.T) (data []byte, offsets []int64, snaps []string) {
+func buildLog(t testing.TB) (data []byte, offsets []int64, snaps []string) {
 	t.Helper()
 	dir := t.TempDir()
 	st := store.New()

@@ -71,11 +71,11 @@ func fuzzChainSegments() []segmentData {
 	}
 }
 
-// FuzzRecoverLog feeds arbitrary bytes to the whole recovery path as a log
-// tail — once over a bare directory, once behind a two-segment tier chain:
-// recovery must either succeed (torn tails are legal in the last file) or
-// fail with an error — never panic, and never leave the store in a state the
-// decoder did not explicitly apply.
+// FuzzRecoverLog feeds arbitrary bytes to the whole recovery path — the only
+// way the engine fills a store — as a log tail, once over a bare directory,
+// once behind a two-segment tier chain: recovery must either succeed (torn
+// tails are legal in the last file) or fail with an error — never panic, and
+// never load a state the fold did not explicitly compose.
 func FuzzRecoverLog(f *testing.F) {
 	var seed []byte
 	seed = appendFrame(seed, encodeDict(nil, 1, 0, []string{"s", "p", "o"}))
@@ -98,6 +98,14 @@ func FuzzRecoverLog(f *testing.F) {
 	twoSided = appendFrame(twoSided, encodeMutation(nil, 7, nil, nil))
 	f.Add(twoSided)
 	f.Add(twoSided[:len(twoSided)/2])
+	// A log the engine itself wrote — dictionary growth interleaved with add
+	// batches, removes, two-sided transactions and a triple added and removed
+	// by one record — cut on a commit boundary, inside a frame, and one byte
+	// short of whole.
+	built, offsets, _ := buildLog(f)
+	f.Add(built[:offsets[4]])
+	f.Add(built[:offsets[7]+11])
+	f.Add(built[:len(built)-1])
 	// Serialize the segment fixture ONCE (writeSegment fsyncs; per-exec that
 	// would throttle the fuzzer to disk speed) and copy the bytes per exec.
 	segDir := f.TempDir()

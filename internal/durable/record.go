@@ -32,7 +32,7 @@ import (
 //	+----------+------------+======+
 //
 // seq numbers records 1, 2, 3… across the log's whole life (files included),
-// so replay can verify continuity and a checkpoint can name the exact record
+// so the fold can verify continuity and a checkpoint can name the exact record
 // its segment covers through. The two record types:
 //
 //	recDict     body = first uint32, count uint32, count × (uvarint n, n bytes)
@@ -40,7 +40,7 @@ import (
 //	recMutation body = nAdds uint32, nRemoves uint32,
 //	            (nAdds + nRemoves) × (s, p, o uint32)
 //	            — one committed write: the triples it actually inserted, then
-//	            the triples it actually deleted; replayed in that order, so a
+//	            the triples it actually deleted; folded in that order, so a
 //	            triple in both runs ends absent
 
 // Record type tags. 2 and 3 were the one-sided add and remove records of

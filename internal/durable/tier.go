@@ -1,18 +1,31 @@
 package durable
 
 import (
+	"cmp"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"repro/internal/store"
 )
 
-// This file is the tiering machinery around the delta-segment format in
-// segment.go: the patch algebra (fold two adjacent segments into one, apply a
-// segment to a state), the size-ratio merge policy, and the WAL-window fold a
-// checkpoint runs to turn one retired log window into a young segment.
+// This file is the patch algebra of the data directory. A directory is a
+// chain of patches over adjacent seq windows — segment files (segment.go),
+// then the wal files beyond them (record.go) — and everything the engine does
+// with it is one of two folds into a segmentData, handed to one of three
+// sinks:
+//
+//	sink        fold                  window ends at      a bad frame is
+//	checkpoint  foldWAL, sealed files the rotation point  corruption
+//	merge       foldChain, a suffix   the chain's end     n/a (segments are atomic)
+//	recovery    foldChain ∘ foldWAL   the end of the log  cut, in the last file only
+//
+// A checkpoint and a merge publish their fold as a segment file; recovery
+// composes the two with the same foldSegments and loads the result into the
+// store. The size-ratio merge policy lives here too.
 //
 // The on-disk chain is a classic size-tiered LSM shape: checkpoints append
 // small young segments on the right, the background merge folds a suffix of
@@ -42,18 +55,14 @@ func metaOf(seg segmentData, size int64) segMeta {
 	}
 }
 
-// applySegment applies one segment patch to a sorted state: subtract its
-// tombstones, union its adds.
-func applySegment(state []store.IDTriple, seg segmentData) []store.IDTriple {
-	return store.UnionSorted(store.SubtractSorted(state, seg.removes), seg.adds)
-}
-
 // foldSegments composes two adjacent patches (older, then newer) into one
 // covering both windows. The composed adds are what survives both patches;
 // the composed tombstones are every removal either patch makes, minus what
 // the composition re-adds — so adds and removes stay disjoint. A fold that
 // reaches the base of the chain (start == 1) drops its tombstones entirely:
-// the patch now applies to the empty state.
+// the patch now applies to the empty state. A patch over an empty window
+// (end == start-1, no names, no triples) is the identity on either side, and
+// costs nothing: recovery starts from one and an empty log tail is one.
 func foldSegments(older, newer segmentData) (segmentData, error) {
 	if newer.start != older.end+1 {
 		return segmentData{}, fmt.Errorf("durable: merging segments [%d, %d] and [%d, %d]: windows not adjacent", older.start, older.end, newer.start, newer.end)
@@ -66,13 +75,52 @@ func foldSegments(older, newer segmentData) (segmentData, error) {
 		start:     older.start,
 		end:       newer.end,
 		dictFirst: older.dictFirst,
-		dict:      append(older.dict[:len(older.dict):len(older.dict)], newer.dict...),
+		dict:      newer.dict,
+	}
+	if len(older.dict) > 0 {
+		out.dict = append(older.dict[:len(older.dict):len(older.dict)], newer.dict...)
 	}
 	out.adds = store.UnionSorted(store.SubtractSorted(older.adds, newer.removes), newer.adds)
 	if out.start > 1 {
 		out.removes = store.SubtractSorted(store.UnionSorted(older.removes, newer.removes), out.adds)
 	}
 	return out, nil
+}
+
+// errStopped is foldChain's report that its stop channel closed mid-fold.
+var errStopped = errors.New("durable: fold stopped")
+
+// foldChain is the package's one loop over segment files: it loads the
+// adjacent segments chain names, oldest first, checks each carries the window
+// its name claims, composes them with foldSegments, and fills every chain
+// entry's accounting in from its file. A merge runs it over a suffix of the
+// chain and publishes the result; recovery runs it over all of it. stop is
+// polled before each load — a closed one ends the fold with errStopped, so
+// Close never waits out a long merge's reads; nil never stops.
+func foldChain(dir string, chain []segMeta, stop <-chan struct{}) (segmentData, error) {
+	var folded segmentData
+	for k, m := range chain {
+		select {
+		case <-stop:
+			return folded, errStopped
+		default:
+		}
+		name := segmentName(m.start, m.end)
+		seg, err := loadSegment(filepath.Join(dir, name))
+		if err != nil {
+			return folded, err
+		}
+		if seg.start != m.start || seg.end != m.end {
+			return folded, fmt.Errorf("durable: segment %s claims internal window [%d, %d]", name, seg.start, seg.end)
+		}
+		chain[k] = metaOf(seg, seg.size)
+		if k == 0 {
+			folded = seg
+		} else if folded, err = foldSegments(folded, seg); err != nil {
+			return folded, err
+		}
+	}
+	return folded, nil
 }
 
 // DefaultMergeRatio and DefaultMaxSegments are the merge-policy defaults for
@@ -112,88 +160,129 @@ func pickMergeRun(sizes []int64, ratio float64, maxSegs int) (int, bool) {
 	return i, i < n-1
 }
 
-// walWindow is the folded content of one retired WAL window: the dictionary
-// growth in id order, and the net adds/removes sorted by triple.
-type walWindow struct {
-	names   []string
-	adds    []store.IDTriple
-	removes []store.IDTriple
+// walkWAL is the package's one frame loop: it walks the bytes of the wal file
+// called name frame by frame — nextFrame, decodeRecord, seq check — handing
+// each record to visit. Records at or below skip are passed over unseen (the
+// leftovers of an interrupted cleanup); every other record must be the
+// successor of the one before it, the first of prev, or the log has a gap. It
+// returns the seq of the last record visited and the offset the walk stopped
+// at: len(data) after a clean walk, else the first byte that does not begin a
+// whole, checksum-valid frame — whether that is a torn tail to cut or
+// corruption to report is foldWAL's policy, as is everything about what a
+// record means. An error from visit ends the walk.
+func walkWAL(name string, data []byte, skip, prev uint64, visit func(record) error) (uint64, int, error) {
+	off := 0
+	for off < len(data) {
+		payload, next, ok := nextFrame(data, off)
+		if !ok {
+			break
+		}
+		r, err := decodeRecord(payload)
+		if err != nil {
+			return prev, off, fmt.Errorf("durable: %s: offset %d: %w", name, off, err)
+		}
+		if r.seq > skip {
+			if r.seq != prev+1 {
+				return prev, off, fmt.Errorf("durable: %s: record at offset %d has seq %d, want %d; the log has a gap", name, off, r.seq, prev+1)
+			}
+			if err := visit(r); err != nil {
+				return prev, off, fmt.Errorf("durable: %s: record %d: %w", name, r.seq, err)
+			}
+			prev = r.seq
+		}
+		off = next
+	}
+	return prev, off, nil
 }
 
-// readWALWindow reads the sealed wal files covering records (after, through]
-// and folds them: dictionary records are concatenated (verified contiguous
-// from dictNext), and per triple the LAST event in the window wins — an add
-// followed by a remove folds to a tombstone, a remove followed by a re-add to
-// an add; inside one record the adds come before the removes, as replay
-// applies them. Records at or below after (leftovers of an interrupted
-// cleanup) are skipped. Every frame must be whole: these files were sealed by
-// a rotation's fsync, so a torn frame here is corruption, not a tail to
-// truncate.
-func readWALWindow(dir string, after, through uint64, dictNext store.SymbolID) (walWindow, error) {
-	var win walWindow
-	firsts, err := walFilesThrough(dir, through)
-	if err != nil {
-		return win, err
-	}
-	sort.Slice(firsts, func(i, j int) bool { return firsts[i] < firsts[j] })
+// foldWAL is the package's one reading of what log records mean: it folds the
+// wal files named by firsts (their first seqs, ascending) into the patch over
+// the window (after, end], where end is wherever the records stop. Dictionary
+// records are concatenated and must continue the id sequence exactly from
+// dictNext — one that restates or skips an id means the log and the chain
+// disagree about what an id names; a mutation may only name ids minted by
+// then; and per triple the LAST event in the window wins — an add followed by
+// a remove folds to a tombstone, a remove followed by a re-add to an add, and
+// inside one record the adds come before the removes. Records at or below
+// after are skipped and a file that starts there is a leftover of an
+// interrupted cleanup; every other file must begin with the successor of the
+// record before it.
+//
+// A frame that fails its framing is corruption: sealed files were fsynced by
+// the rotation that closed them. The one exception is the tail sink's — with
+// tail set the last file is the one a crash may have torn, so it is cut at
+// the last whole frame and the fold ends there, the writer appending after
+// the last good record instead of burying garbage mid-file. A length field
+// beyond maxFramePayload is never a torn tail, wherever it sits: the writer
+// chunks every record below the cap, so the claim proves damage to a frame
+// header, and cutting there would silently discard every record after it.
+func foldWAL(dir string, firsts []uint64, after uint64, dictNext store.SymbolID, tail bool) (segmentData, error) {
+	seg := segmentData{start: after + 1, end: after, dictFirst: dictNext}
 	type walEvent struct {
 		t   store.IDTriple
-		seq uint64
+		ord int // position in the log: records in seq order, a record's adds before its removes
 		add bool
 	}
 	var events []walEvent
-	prev := after
-	for _, first := range firsts {
+	visit := func(r record) error {
+		if r.typ == recDict {
+			if want := dictNext + store.SymbolID(len(seg.dict)); r.first != want {
+				return fmt.Errorf("dictionary record starts at id %d, want %d", r.first, want)
+			}
+			seg.dict = append(seg.dict, r.names...)
+			return nil
+		}
+		minted := dictNext + store.SymbolID(len(seg.dict))
+		for side, ts := range [2][]store.IDTriple{r.adds, r.removes} {
+			for _, t := range ts {
+				if t.S >= minted || t.P >= minted || t.O >= minted {
+					return fmt.Errorf("triple %v names an id beyond the %d the dictionary had minted", t, minted)
+				}
+				events = append(events, walEvent{t: t, ord: len(events), add: side == 0})
+			}
+		}
+		return nil
+	}
+	for i, first := range firsts {
 		name := walFileName(first)
-		data, err := os.ReadFile(filepath.Join(dir, name))
+		if first > after && first != seg.end+1 {
+			return seg, fmt.Errorf("durable: log file %s does not follow record %d; the log has a gap", name, seg.end)
+		}
+		path := filepath.Join(dir, name)
+		data, err := os.ReadFile(path)
 		if err != nil {
-			return win, fmt.Errorf("durable: reading checkpoint window: %w", err)
+			return seg, fmt.Errorf("durable: reading log file: %w", err)
 		}
 		var off int
-		prev, off, err = walkWAL(name, data, after, prev, func(r record) error {
-			if r.seq > through {
-				return fmt.Errorf("checkpoint window record lies beyond the rotation point %d", through)
-			}
-			switch r.typ {
-			case recDict:
-				if want := dictNext + store.SymbolID(len(win.names)); r.first != want {
-					return fmt.Errorf("checkpoint window dictionary record starts at id %d, want %d", r.first, want)
-				}
-				win.names = append(win.names, r.names...)
-			case recMutation:
-				for _, t := range r.adds {
-					events = append(events, walEvent{t: t, seq: r.seq, add: true})
-				}
-				for _, t := range r.removes {
-					events = append(events, walEvent{t: t, seq: r.seq})
-				}
-			default:
-				return fmt.Errorf("checkpoint window record has unknown type %d", r.typ)
-			}
-			return nil
-		})
-		if err != nil {
-			return win, err
+		if seg.end, off, err = walkWAL(name, data, after, seg.end, visit); err != nil {
+			return seg, err
 		}
-		if off < len(data) {
-			return win, fmt.Errorf("durable: %s: bad frame at offset %d in a sealed log file; the log is corrupt", name, off)
+		if off == len(data) {
+			continue
+		}
+		if len(data)-off >= 4 {
+			if claim := binary.LittleEndian.Uint32(data[off:]); claim > maxFramePayload {
+				return seg, fmt.Errorf("durable: %s: frame at offset %d claims a %d-byte payload, beyond the %d-byte cap the writer enforces; the log is corrupt, not torn", name, off, claim, maxFramePayload)
+			}
+		}
+		if !tail || i < len(firsts)-1 {
+			return seg, fmt.Errorf("durable: %s: bad frame at offset %d in a sealed log file; the log is corrupt", name, off)
+		}
+		if err := os.Truncate(path, int64(off)); err != nil {
+			return seg, fmt.Errorf("durable: truncating torn log tail: %w", err)
 		}
 	}
-	if prev != through {
-		return win, fmt.Errorf("durable: checkpoint window ends at record %d, want %d; a log file is missing", prev, through)
-	}
-	// Last event per triple wins. Sorting by (triple, seq, add before remove)
-	// groups each triple's history together in replay order AND leaves the
-	// surviving triples in (S, P, O) order — the segment runs fall out sorted
-	// for free.
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].t != events[j].t {
-			return events[i].t.Less(events[j].t)
+	// Last event per triple wins. Sorting by (triple, log position) groups
+	// each triple's history together in log order AND leaves the surviving
+	// triples in (S, P, O) order — the segment runs fall out sorted for free.
+	slices.SortFunc(events, func(a, b walEvent) int {
+		switch {
+		case a.t == b.t:
+			return cmp.Compare(a.ord, b.ord)
+		case a.t.Less(b.t):
+			return -1
 		}
-		if events[i].seq != events[j].seq {
-			return events[i].seq < events[j].seq
-		}
-		return events[i].add && !events[j].add
+		return 1
 	})
 	for i := 0; i < len(events); {
 		j := i
@@ -201,11 +290,11 @@ func readWALWindow(dir string, after, through uint64, dictNext store.SymbolID) (
 			j++
 		}
 		if events[j-1].add {
-			win.adds = append(win.adds, events[i].t)
-		} else {
-			win.removes = append(win.removes, events[i].t)
+			seg.adds = append(seg.adds, events[i].t)
+		} else if seg.start > 1 { // a patch against the empty state removes nothing
+			seg.removes = append(seg.removes, events[i].t)
 		}
 		i = j
 	}
-	return win, nil
+	return seg, nil
 }

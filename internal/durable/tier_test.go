@@ -13,29 +13,44 @@ import (
 
 // This file tests the tiering machinery end to end: the patch algebra under
 // merge compaction, tombstones crossing segment boundaries, recovery over
-// merged-plus-leftover and damaged chains, the replay-vs-chain equivalence
-// property, and the Close-during-merge contract.
+// merged-plus-leftover and damaged chains, the one-fold-over-three-directory-
+// shapes equivalence property, the two WAL sinks' agreement on what a record
+// means, a failed segment publish, and the Close-during-merge contract.
 
 // scriptStep applies the deterministic i-th mutation step as one transaction:
-// a 40-triple batch, and every third step three removals with it — two
-// reaching back into earlier steps and one, scriptOwnVictim, retracting a
-// triple the same step added, so one log record carries a triple on both
-// sides.
+// a 40-triple batch, and with it
+//
+//   - every step i%3 == 1: one removal reaching back into step i-1 (a
+//     two-sided record), which step i+1 re-adds — remove-then-re-add inside
+//     one checkpoint window when the caller checkpoints every third step;
+//   - every step i%3 == 2: three removals — two reaching back into step i-1
+//     and one, scriptOwnVictim, retracting a triple the same step added, so
+//     one log record carries a triple on both sides;
+//   - every step i%3 == 0 after the first: a re-add of step i-1's first
+//     back-reference — remove-then-re-add across a checkpoint boundary.
 func scriptStep(t *testing.T, st *store.Store, i int) {
 	t.Helper()
 	var batch []store.Triple
 	for j := 0; j < 40; j++ {
 		batch = append(batch, testTriple(i*40+j))
 	}
-	tx := st.Begin()
-	if _, err := tx.AddBatch(batch); err != nil {
-		t.Fatalf("script step %d: %v", i, err)
+	var removes []int
+	switch {
+	case i%3 == 1:
+		removes = []int{i*40 - 5}
+	case i%3 == 2:
+		batch = append(batch, testTriple((i-1)*40-5))
+		removes = []int{i*40 - 1, i*40 - 17, scriptOwnVictim(i)}
+	case i > 0:
+		batch = append(batch, testTriple((i-1)*40-1))
 	}
-	if i%3 == 2 {
-		for _, back := range []int{i*40 - 1, i*40 - 17, scriptOwnVictim(i)} {
-			if !tx.Remove(testTriple(back)) {
-				t.Fatalf("script step %d: Remove(%d) found nothing", i, back)
-			}
+	tx := st.Begin()
+	if fresh, err := tx.AddBatch(batch); err != nil || len(fresh) != len(batch) {
+		t.Fatalf("script step %d: AddBatch inserted %d of %d: %v", i, len(fresh), len(batch), err)
+	}
+	for _, back := range removes {
+		if !tx.Remove(testTriple(back)) {
+			t.Fatalf("script step %d: Remove(%d) found nothing", i, back)
 		}
 	}
 	if err := tx.Commit(); err != nil {
@@ -247,11 +262,14 @@ func TestDamagedChainIsAnError(t *testing.T) {
 }
 
 // TestReplayAndChainRecoveryAgree is the equivalence property the whole tier
-// design rests on: the same mutation script recovered through pure WAL
-// replay, through an unmerged segment chain, and through a fully merged
-// chain must produce byte-identical stores (canonical Snapshot) — and
-// identical dictionaries, since tombstone ids only mean anything if every
-// path mints the same ids.
+// design rests on: the same mutation script — add batches, two-sided
+// records, a triple on both sides of one record, removes re-added within a
+// window and across one — recovered from a WAL-only directory, from an
+// unmerged segment chain plus tail, and from a fully merged chain must
+// produce byte-identical stores (canonical Snapshot) — and identical
+// dictionaries, since tombstone ids only mean anything if every shape mints
+// the same ids. All three go through the one fold; they differ only in which
+// files carry the patches.
 func TestReplayAndChainRecoveryAgree(t *testing.T) {
 	const steps = 9
 	run := func(opts Options, ckptEvery int, mergedTo int) (string, string) {
@@ -376,5 +394,168 @@ func TestCloseWaitsForMerge(t *testing.T) {
 	}
 	if snapshotString(t, st2) != want {
 		t.Fatal("recovery after an aborted merge diverges from the pre-close state")
+	}
+}
+
+// TestWALSinksAgreeOnBadLogs pins that the log has one reader: a window
+// recovery refuses, a checkpoint refuses too, and with the same error —
+// before this held by construction a log could exist that booted and could
+// never checkpoint (recovery used to verify-and-skip a dictionary record
+// that restated a minted id). Each image is the wal files of a directory,
+// the last one open; the recovery sink is recoverDir over it, the checkpoint
+// sink an engine that believes recovery accepted it.
+func TestWALSinksAgreeOnBadLogs(t *testing.T) {
+	names := encodeDict(nil, 1, 0, []string{"a", "b", "c"})
+	abc := store.IDTriple{S: 0, P: 1, O: 2}
+	type walImage struct {
+		first   uint64
+		records [][]byte
+	}
+	for _, tc := range []struct {
+		name  string
+		files []walImage
+		last  uint64 // seq of the image's last record
+		want  string
+	}{
+		{"restated id", []walImage{{1, [][]byte{
+			names,
+			encodeMutation(nil, 2, []store.IDTriple{abc}, nil),
+			encodeDict(nil, 3, 2, []string{"c"}),
+		}}}, 3, "dictionary record starts at id 2, want 3"},
+		{"skipped id", []walImage{{1, [][]byte{
+			names,
+			encodeDict(nil, 2, 4, []string{"e"}),
+		}}}, 2, "dictionary record starts at id 4, want 3"},
+		{"unminted id", []walImage{{1, [][]byte{
+			names,
+			encodeMutation(nil, 2, nil, []store.IDTriple{{S: 0, P: 1, O: 3}}),
+		}}}, 2, "beyond the 3 the dictionary had minted"},
+		{"misnamed file", []walImage{
+			{1, [][]byte{names, encodeMutation(nil, 2, []store.IDTriple{abc}, nil)}},
+			{4, [][]byte{encodeMutation(nil, 3, nil, []store.IDTriple{abc}), encodeMutation(nil, 4, []store.IDTriple{abc}, nil)}},
+			{5, nil},
+		}, 4, walFileName(4) + " does not follow record 2"},
+		{"first record is not the file's name", []walImage{
+			{1, [][]byte{names}},
+			{2, [][]byte{encodeMutation(nil, 3, []store.IDTriple{abc}, nil)}},
+			{4, nil},
+		}, 3, "has seq 3, want 2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() (string, []uint64) {
+				dir := t.TempDir()
+				var firsts []uint64
+				for _, f := range tc.files {
+					var data []byte
+					for _, payload := range f.records {
+						data = appendFrame(data, payload)
+					}
+					if err := os.WriteFile(filepath.Join(dir, walFileName(f.first)), data, 0o644); err != nil {
+						t.Fatal(err)
+					}
+					firsts = append(firsts, f.first)
+				}
+				return dir, firsts
+			}
+			dir, _ := build()
+			_, recErr := recoverDir(store.New(), dir)
+			if recErr == nil || !strings.Contains(recErr.Error(), tc.want) {
+				t.Fatalf("recovery: %v, want an error naming %q", recErr, tc.want)
+			}
+
+			dir, firsts := build()
+			f, err := os.OpenFile(filepath.Join(dir, walFileName(firsts[len(firsts)-1])), os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := &Engine{
+				st:   store.New(),
+				opts: Options{Dir: dir, MergeRatio: -1},
+				w:    newWALWriter(dir, FsyncOff, f, tc.last),
+				wals: firsts,
+			}
+			defer eng.w.close()
+			ckptErr := eng.Checkpoint()
+			if ckptErr == nil || ckptErr.Error() != recErr.Error() {
+				t.Fatalf("checkpoint: %v\nrecovery:   %v\nwant the same refusal from both sinks", ckptErr, recErr)
+			}
+			if got := eng.Stats().Segments; got != 0 {
+				t.Fatalf("a refused window was published: %d segments", got)
+			}
+		})
+	}
+}
+
+// TestCheckpointPublishFailureKeepsTheLog blocks a checkpoint's segment
+// publish (a directory squats on the .tmp name, so the create fails) and
+// checks nothing is lost: the error is reported, every sealed wal file stays
+// on disk and listed, a retry with nothing journaled since does not mistake
+// the file rotation re-created for a sealed one, and once the obstacle is
+// gone the next checkpoint covers both windows — after which a reopen
+// recovers the full state.
+func TestCheckpointPublishFailureKeepsTheLog(t *testing.T) {
+	dir := t.TempDir()
+	st := store.New()
+	eng := mustOpen(t, st, Options{Dir: dir, Fsync: FsyncOff, CheckpointBytes: -1, MergeRatio: -1})
+	scriptStep(t, st, 0)
+	first := eng.LastSeq()
+	obstacle := filepath.Join(dir, segmentName(1, first)+".tmp")
+	if err := os.Mkdir(obstacle, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	wantFiles := func(when string, firsts ...uint64) {
+		t.Helper()
+		eng.ckptMu.Lock()
+		listed := append([]uint64(nil), eng.wals...)
+		eng.ckptMu.Unlock()
+		if fmt.Sprint(listed) != fmt.Sprint(firsts) {
+			t.Fatalf("%s: engine lists wal files %v, want %v", when, listed, firsts)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var onDisk []uint64
+		for _, e := range entries {
+			if n, ok := parseSeqName(e.Name(), "wal-", ".wal"); ok {
+				onDisk = append(onDisk, n)
+			}
+		}
+		if fmt.Sprint(onDisk) != fmt.Sprint(firsts) {
+			t.Fatalf("%s: directory holds wal files %v, want %v", when, onDisk, firsts)
+		}
+	}
+	for _, attempt := range []string{"blocked checkpoint", "blocked retry with nothing journaled since"} {
+		if err := eng.Checkpoint(); err == nil || !strings.Contains(err.Error(), "creating segment") {
+			t.Fatalf("%s: %v, want the publish failure", attempt, err)
+		}
+		if got := eng.Stats(); got.Segments != 0 || got.Checkpoints != 0 {
+			t.Fatalf("%s counted as a checkpoint: %+v", attempt, got)
+		}
+		wantFiles(attempt, 1, first+1)
+	}
+
+	scriptStep(t, st, 1) // a second window, journaled into wal-<first+1>
+	if err := os.Remove(obstacle); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint after the obstacle was removed: %v", err)
+	}
+	stats := eng.Stats()
+	if stats.Segments != 1 || stats.Tiers[0].Start != 1 || stats.Tiers[0].End != eng.LastSeq() || stats.Tiers[0].Triples != st.Len() {
+		t.Fatalf("chain %+v, want one segment covering both windows [1, %d] with %d triples", stats.Tiers, eng.LastSeq(), st.Len())
+	}
+	wantFiles("after the covering checkpoint", eng.LastSeq()+1)
+	scriptStep(t, st, 2) // and a tail beyond it
+	want := snapshotString(t, st)
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2 := store.New()
+	eng2 := mustOpen(t, st2, Options{Dir: dir, Fsync: FsyncOff, MergeRatio: -1})
+	defer eng2.Close()
+	if snapshotString(t, st2) != want {
+		t.Fatal("recovery after a failed-then-retried checkpoint diverges from the pre-close state")
 	}
 }

@@ -57,9 +57,8 @@ type walWriter struct {
 	writtenSeq uint64 // every record ≤ this has reached the OS
 	durableSeq uint64 // every record ≤ this has been fsynced
 
-	fileFirst  uint64 // first seq the current file can hold (its name)
-	totalBytes int64  // bytes appended since the last rotation (checkpoint trigger)
-	appended   int64  // bytes appended over the writer's lifetime (write-amplification denominator)
+	totalBytes int64 // bytes appended since the last rotation (checkpoint trigger)
+	appended   int64 // bytes appended over the writer's lifetime (write-amplification denominator)
 
 	lastFsync time.Time
 	fsyncs    int64
@@ -78,7 +77,7 @@ type walWriter struct {
 }
 
 // walFileName names the log file whose first record is seq. Fixed-width
-// decimal so lexical directory order is replay order.
+// decimal so lexical directory order is log order.
 func walFileName(first uint64) string {
 	return fmt.Sprintf("wal-%016d.wal", first)
 }
@@ -117,9 +116,8 @@ func syncDir(dir string) error {
 
 // newWALWriter wraps an already-open log file positioned at its end. lastSeq
 // is the seq of the last record recovery accepted (everything ≤ lastSeq is on
-// disk and fsync-clean after recovery's truncate), fileFirst the first seq of
-// the open file.
-func newWALWriter(dir string, policy FsyncPolicy, f *os.File, lastSeq, fileFirst uint64) *walWriter {
+// disk and fsync-clean after recovery's truncate).
+func newWALWriter(dir string, policy FsyncPolicy, f *os.File, lastSeq uint64) *walWriter {
 	w := &walWriter{
 		dir:        dir,
 		policy:     policy,
@@ -128,7 +126,6 @@ func newWALWriter(dir string, policy FsyncPolicy, f *os.File, lastSeq, fileFirst
 		seq:        lastSeq,
 		writtenSeq: lastSeq,
 		durableSeq: lastSeq,
-		fileFirst:  fileFirst,
 		lastFsync:  time.Now(),
 	}
 	w.cond = sync.NewCond(&w.mu)
@@ -152,8 +149,8 @@ func (w *walWriter) stageLocked() {
 // syscall-free, and it does — staging only appends to the in-memory buffer.
 //
 // Growth too large for one frame is chunked into consecutive records, each
-// under the payload cap; replay applies each chunk's verify-or-intern run
-// independently, so the split is invisible to recovery. A single name that
+// under the payload cap; the fold concatenates the chunks back into one run
+// of ids, so the split is invisible to recovery. A single name that
 // cannot fit even alone kills the log (sticky error): dropping it would
 // desynchronize the log's id assignment from the store's, so every later
 // commit must report the loss instead of acknowledging it.
@@ -193,7 +190,7 @@ func (w *walWriter) appendDict(first store.SymbolID, names []string) {
 // appendMutation stages one committed write as one record and returns the
 // seq a commit must reach to cover it. A mutation too large for one frame is
 // chunked into consecutive records, adds before removes throughout — each
-// chunk replays as ordinary set operations, so the split is invisible to
+// chunk folds as ordinary set operations, so the split is invisible to
 // recovery once all of them are on disk.
 func (w *walWriter) appendMutation(adds, removes []store.IDTriple) uint64 {
 	room := (w.maxPayload - mutationPayloadHeader) / 12 // triples per record
@@ -344,7 +341,6 @@ func (w *walWriter) rotate() (uint64, error) {
 		return 0, w.err
 	}
 	w.f = next
-	w.fileFirst = covered + 1
 	w.totalBytes = 0
 	return covered, nil
 }

@@ -166,9 +166,8 @@ type Solutions struct {
 // exhaustively for BGPs of up to 6 patterns, greedily cheapest-next-probe
 // beyond. The planner's output is then lowered onto a batched operator tree
 // (repro/internal/query/exec): the most selective pattern becomes the leaf
-// scan — shard-parallel when it is wide enough — and every later pattern a
-// batch-at-a-time index-nested-loop join whose probes are grouped by index
-// shard. Everything runs on dictionary ids; solutions resolve back to
+// scan and every later pattern a batch-at-a-time index-nested-loop join
+// whose probes are grouped by index shard. Everything runs on dictionary ids; solutions resolve back to
 // strings only when read.
 //
 // A BGP that mentions an empty-named variable or an empty literal is

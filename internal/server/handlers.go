@@ -267,11 +267,8 @@ func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
 	if !readBody(w, r, &req) {
 		return
 	}
-	if n := len(req.Add) + len(req.Remove); n == 0 {
+	if len(req.Add)+len(req.Remove) == 0 {
 		writeError(w, http.StatusBadRequest, "empty mutation: need add or remove triples")
-		return
-	} else if n > s.cfg.MaxMutations {
-		writeError(w, http.StatusBadRequest, "batch of %d mutations exceeds the server limit of %d", n, s.cfg.MaxMutations)
 		return
 	}
 

@@ -103,9 +103,6 @@ type Config struct {
 	// to 6 patterns, greedy past that; the cap keeps hostile queries from
 	// exploding the evaluator). Default 16.
 	MaxPatterns int
-	// MaxMutations caps the add+remove triples of one /triples batch.
-	// Default 100000.
-	MaxMutations int
 	// CacheMaxBytes is the query-result cache's budget in retained response
 	// bytes (capacity is accounted in bytes, not entries — one entry can
 	// hold up to MaxSolutions marshaled rows), and the largest single result
@@ -156,9 +153,6 @@ func (c *Config) defaults() {
 	}
 	if c.MaxPatterns == 0 {
 		c.MaxPatterns = 16
-	}
-	if c.MaxMutations == 0 {
-		c.MaxMutations = 100_000
 	}
 	if c.CacheMaxBytes == 0 {
 		c.CacheMaxBytes = 256 << 20

@@ -486,15 +486,17 @@ func TestMutations(t *testing.T) {
 		t.Fatalf("empty mutation: code=%d, want 400", code)
 	}
 
-	// Batch size limit.
-	small := newTestServer(t, Config{MaxMutations: 1})
-	code, _, _ = postTriples(t, small, MutateRequest{Add: []TripleJSON{
-		{Subject: "a", Predicate: "p", Object: "b"},
-		{Subject: "c", Predicate: "p", Object: "d"},
-	}})
-	if code != http.StatusBadRequest {
-		t.Fatalf("oversized batch: code=%d, want 400", code)
+	// The batch size limit is the body cap: a batch too big for one body is
+	// a 413 with nothing applied.
+	var big MutateRequest
+	for i := 0; i*44 <= maxBodyBytes; i++ { // 44 bytes is the smallest wire triple
+		big.Add = append(big.Add, TripleJSON{Subject: "a", Predicate: "p", Object: "b"})
 	}
+	code, _, errResp = postTriples(t, s, big)
+	if code != http.StatusRequestEntityTooLarge || !strings.Contains(errResp.Error, "exceeds the server limit") {
+		t.Fatalf("oversized batch: code=%d err=%q, want 413 naming the limit", code, errResp.Error)
+	}
+	wantGen("an oversized batch", 0)
 }
 
 func TestQueryTimeoutInterruptsEvaluation(t *testing.T) {

@@ -8,18 +8,19 @@ import (
 // This file is the store's bulk-build path: LoadSorted builds the two index
 // families of an empty store from a sorted triple set without going through
 // the mutation path at all, and RestoreSorted is LoadSorted behind a freshly
-// installed dictionary. The per-triple path (Tx.AddIDBatch → insertBatch)
-// exists to be safe against concurrent readers and duplicate inserts; a bulk
-// build needs neither — the input is sorted, hence duplicate-free, and the
-// shards are empty — so it can build every index level by direct append: no
+// installed dictionary. The mutation path (Tx.AddBatch → insertBatch) exists
+// to be safe against concurrent readers and duplicate inserts; a bulk build
+// needs neither — the input is sorted, hence duplicate-free, and the shards
+// are empty — so it can build every index level by direct append: no
 // per-triple lock acquisition, no dedup probing, no search for a member's
-// place in its run. Recovery (durable segment chains) and the reasoner's seed round
-// (a whole round of inferred triples committed into the empty overlay) are
-// the two callers.
+// place in its run. Recovery (the data directory's patches, composed: the
+// only way durable fills a store) and the reasoner's seed round (a whole
+// round of inferred triples committed into the empty overlay) are the two
+// callers.
 
 // RestoreSorted bulk-loads an empty store from a recovered dictionary and a
 // sorted triple set. dict[i] becomes the name of SymbolID i (reproducing the
-// interning order a segment chain recorded), and triples must satisfy
+// interning order the data directory recorded), and triples must satisfy
 // LoadSorted's contract against that dictionary: strictly ascending in
 // (S, P, O) order with every component id below len(dict). dict is retained;
 // callers must not mutate it afterwards.

@@ -1,9 +1,6 @@
 package store
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // This file is the store's write path. Every mutation goes through a Tx, a
 // write handle that applies each change to the indexes at once and defers the
@@ -118,24 +115,6 @@ func (tx *Tx) AddBatch(ts []Triple) ([]IDTriple, error) {
 		return nil, err
 	}
 	return tx.insertBatch(tx.s.syms.internBatch(ts, make([]IDTriple, 0, len(ts)))), nil
-}
-
-// AddIDBatch is the id-level twin of AddBatch, returning how many triples
-// were newly inserted: recovery replays logged mutations through it without
-// resolving a single string. Every component id must have been minted by the
-// store's dictionary; if any was not, an error identifying the first
-// offending triple is returned and nothing is inserted. ts is only read.
-func (tx *Tx) AddIDBatch(ts []IDTriple) (int, error) {
-	n := SymbolID(tx.s.DictLen())
-	for i, t := range ts {
-		if t.S >= n || t.P >= n || t.O >= n {
-			return 0, fmt.Errorf("store: batch id triple %d %v has an id the dictionary never minted; batch not inserted", i, t)
-		}
-	}
-	if err := tx.addable(); err != nil || len(ts) == 0 {
-		return 0, err
-	}
-	return len(tx.insertBatch(slices.Clone(ts))), nil
 }
 
 // insertBatch files an encoded batch in both index families and returns the

@@ -53,8 +53,8 @@ func TestTxCommitsOneMutation(t *testing.T) {
 	if added, err := tx.AddID(g); err != nil || !added {
 		t.Fatalf("AddID = %v, %v", added, err)
 	}
-	if n, err := tx.AddIDBatch([]IDTriple{g, {id("i"), id("p"), id("j")}}); err != nil || n != 1 {
-		t.Fatalf("AddIDBatch = %d, %v; want 1", n, err)
+	if added, err := tx.AddID(IDTriple{id("i"), id("p"), id("j")}); err != nil || !added {
+		t.Fatalf("second AddID = %v, %v", added, err)
 	}
 	if !tx.Remove(Triple{"old", "p", "o"}) || tx.Remove(Triple{"old", "p", "o"}) || tx.Remove(Triple{"never", "seen", "it"}) {
 		t.Fatal("Remove must report presence exactly")
@@ -137,9 +137,6 @@ func TestTxRefusesAddAfterRemove(t *testing.T) {
 	}
 	if _, err := tx.AddBatch([]Triple{{"a", "p", "b"}}); err == nil {
 		t.Error("AddBatch after Remove accepted")
-	}
-	if _, err := tx.AddIDBatch([]IDTriple{ab}); err == nil {
-		t.Error("AddIDBatch after Remove accepted")
 	}
 	if s.Len() != 0 {
 		t.Fatalf("a refused add inserted: Len %d", s.Len())
