@@ -59,8 +59,10 @@
 // so a malformed tail can never put a partially restored corpus behind the
 // API (see store.Restore's partial-commit contract).
 //
-// The process runs until SIGINT/SIGTERM, then shuts down gracefully,
-// letting in-flight requests finish and flushing the log.
+// The process runs until SIGINT/SIGTERM, then shuts down gracefully:
+// replicas' parked long polls are answered, other in-flight requests finish,
+// and the log is flushed and fsynced — as it is on any error exit once the
+// data directory is open.
 package main
 
 import (
@@ -192,6 +194,11 @@ func run(args []string, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "ontoserve: opening %s: %v\n", *dataDir, err)
 			return 1
 		}
+		// However run ends from here on, the log tail is flushed and fsynced:
+		// an error exit must not cost acknowledged writes their durability.
+		// The clean exit closes the engine itself, to report the result; this
+		// second Close is then a no-op.
+		defer eng.Close()
 		logger.Printf("recovered %d triples from %s in %.3fs (%d segment tiers, log seq %d, fsync=%s)",
 			base.Len(), *dataDir, eng.RecoveryDuration().Seconds(), eng.Stats().Segments, eng.LastSeq(), policy)
 	}

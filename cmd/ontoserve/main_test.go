@@ -1,10 +1,15 @@
 package main
 
 import (
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/durable"
 	"repro/internal/store"
@@ -136,5 +141,106 @@ func TestRunFlagErrors(t *testing.T) {
 		if !strings.Contains(stderr.String(), "replicate-from") {
 			t.Fatalf("conflict error does not explain itself: %s", stderr.String())
 		}
+	}
+}
+
+// TestReplicateFromMustBeAURL: "-replicate-from localhost:8080" parses as a
+// URL (scheme "localhost") and used to fail at the first request with
+// "unsupported protocol scheme"; it is refused up front, naming the value.
+func TestReplicateFromMustBeAURL(t *testing.T) {
+	var stderr strings.Builder
+	if code := run([]string{"-replicate-from", "localhost:8080"}, &stderr); code != 1 ||
+		!strings.Contains(stderr.String(), `"localhost:8080"`) || strings.Contains(stderr.String(), "unsupported protocol") {
+		t.Fatalf("run = %d, stderr: %s", code, stderr.String())
+	}
+}
+
+// lockedBuffer is a stderr the test can read while run is still writing.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestSIGTERMWithParkedPoll is the operator's view of a primary stopping
+// while a replica is attached: a wait=25s long poll is parked, an
+// acknowledged write sits in an unsynced log tail (-fsync batch with a
+// cadence that never fires), and SIGTERM must still end in exit 0 and "shut
+// down cleanly" within a second or so — the poll answered, the engine closed
+// — with the write in the reopened directory.
+func TestSIGTERMWithParkedPoll(t *testing.T) {
+	dir := t.TempDir()
+	var stderr lockedBuffer
+	exited := make(chan int, 1)
+	go func() {
+		exited <- run([]string{"-paper", "-addr", "127.0.0.1:0", "-data-dir", dir,
+			"-fsync", "batch", "-fsync-interval", "1h"}, &stderr)
+	}()
+	// The listen address is logged once run is past signal.NotifyContext, so
+	// from then on SIGTERM cancels run's context instead of killing the test.
+	var url string
+	for deadline := time.Now().Add(10 * time.Second); url == ""; time.Sleep(5 * time.Millisecond) {
+		if _, rest, ok := strings.Cut(stderr.String(), "triples on "); ok {
+			url, _, _ = strings.Cut(rest, "\n")
+		} else if time.Now().After(deadline) {
+			t.Fatalf("ontoserve never started serving: %s", stderr.String())
+		}
+	}
+
+	resp, err := http.Post(url+"/triples", "application/json",
+		strings.NewReader(`{"add":[{"subject":"sigterm-witness","predicate":"type","object":"car"}]}`))
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /triples: %v %v", resp, err)
+	}
+	resp.Body.Close()
+
+	polled := make(chan string, 1)
+	go func() {
+		resp, err := http.Get(url + "/repl/deltas?from=1&wait=25s")
+		if err != nil {
+			polled <- err.Error()
+			return
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		polled <- resp.Status + " " + string(body)
+	}()
+	time.Sleep(100 * time.Millisecond) // let the poll park
+
+	start := time.Now()
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case code := <-exited:
+		if code != 0 || !strings.Contains(stderr.String(), "shut down cleanly") {
+			t.Fatalf("exit %d after %v: %s", code, time.Since(start), stderr.String())
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatalf("still running 3s after SIGTERM (the parked poll is holding the shutdown): %s", stderr.String())
+	}
+	if got := <-polled; !strings.HasPrefix(got, "200 OK {\"done\":true,\"gen\":1,") {
+		t.Fatalf("the parked poll was answered %q, want 200 with the trailer alone", got)
+	}
+
+	base := store.New()
+	eng, err := durable.Open(base, durable.Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("reopening %s: %v", dir, err)
+	}
+	defer eng.Close()
+	if !base.Contains(store.Triple{Subject: "sigterm-witness", Predicate: "type", Object: "car"}) {
+		t.Fatal("the acknowledged write is not in the reopened directory")
 	}
 }

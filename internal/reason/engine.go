@@ -489,7 +489,7 @@ func (r *Reasoner) retract(base *store.Tx, removes []store.Triple) (gone, marked
 // events with generations above the returned one reconstructs the primary's
 // base store precisely. Mutations block for the duration of the write, so
 // callers that serve slow consumers should hand in an in-memory buffer and
-// stream it out after SnapshotBase returns, as the serving layer's
+// stream it out after SnapshotBase returns, as the replication feed's
 // /repl/snapshot handler does.
 func (r *Reasoner) SnapshotBase(w io.Writer) (gen uint64, n int, err error) {
 	r.mu.Lock()

@@ -1,12 +1,21 @@
 package repl
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
 	"strconv"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
+	"repro/internal/reason"
+	"repro/internal/store"
 )
 
 // DefaultRetain is the delta-frame retention a primary uses when the
@@ -15,40 +24,47 @@ import (
 // enough that a write-heavy primary is not holding gigabytes of history.
 const DefaultRetain = 1024
 
-// Feed is the primary-side delta retention buffer: the reasoner's event
-// hook appends one Frame per content-changing write, and the /repl/deltas
-// handler reads frames back by generation, long-polling for new ones. It
-// retains the most recent frames up to its retention cap; a replica that
-// falls further behind than that is told its position is gone (Since
-// reports gapped) and must re-snapshot.
+// Feed is the primary's half of the protocol: the delta retention buffer
+// and the two handlers that serve it. The reasoner's event hook publishes
+// one Frame per content-changing write (Publish), ServeDeltas reads frames
+// back by generation, long-polling for new ones, and ServeSnapshot serves the
+// base a replica boots from. The buffer retains the most recent frames up to
+// its retention cap; a replica that falls further behind than that is told
+// its position is gone (a Gapped window, 410 on the wire) and must
+// re-snapshot.
 //
 // Appends never block on readers — the buffer is bounded, eviction is
 // immediate, and waiting pollers are woken by a channel close — so a slow,
 // stalled or dead replica can never hold up the primary's mutation path.
-// All methods are safe for concurrent use. Frames handed out by Since are
+// All methods are safe for concurrent use. Frames handed out in a Window are
 // shared, immutable history: neither the feed nor callers may mutate them.
 type Feed struct {
-	epoch string // random identifier minted at NewFeed, immutable thereafter
+	// epoch is a random identifier minted at NewFeed, immutable thereafter. It
+	// is carried on every replication response (the X-Repl-Epoch header) so
+	// replicas can detect a primary restart and re-snapshot instead of
+	// converging on a fork.
+	epoch string
 
 	mu      sync.Mutex
 	frames  []Frame       // dense ascending generations; frames[0] is the oldest retained
 	latest  uint64        // generation of the newest appended frame (0 before any)
 	retain  int           // max frames retained
-	wake    chan struct{} // closed and replaced on every append, waking long-pollers
+	wake    chan struct{} // closed and replaced on every append, waking long-pollers; closed for good by Close
+	closed  bool          // Close was called: Wait no longer parks
 	appends int64         // frames ever appended
 	dropped int64         // frames ever evicted by retention
 	triples int64         // triples across retained frames (memory signal)
 }
 
-// NewFeed returns a feed retaining up to retain frames; retain < 1 is
-// raised to 1 (a feed that retains nothing could never serve a single
-// delta and every poll would demand a re-snapshot). Every feed mints a
-// fresh random epoch: the identifier replicas pin to detect that the
-// generation chain they were following belongs to a dead history (a
-// restarted primary's counter restarts from zero).
+// NewFeed returns a feed retaining up to retain frames; retain < 1 picks
+// DefaultRetain (a feed that retains nothing could never serve a single delta
+// and every poll would demand a re-snapshot). Every feed mints a fresh random
+// epoch: the identifier replicas pin to detect that the generation chain they
+// were following belongs to a dead history (a restarted primary's counter
+// restarts from zero).
 func NewFeed(retain int) *Feed {
 	if retain < 1 {
-		retain = 1
+		retain = DefaultRetain
 	}
 	return &Feed{epoch: newEpoch(), retain: retain, wake: make(chan struct{})}
 }
@@ -67,10 +83,23 @@ func newEpoch() string {
 	return hex.EncodeToString(b[:])
 }
 
-// Epoch returns the feed's boot identifier. It is carried on every
-// replication response (the X-Repl-Epoch header) so replicas can detect a
-// primary restart and re-snapshot instead of converging on a fork.
-func (f *Feed) Epoch() string { return f.epoch }
+// Publish appends one reasoner event as its wire frame: the asserted-side
+// mutation resolved to names (dictionary ids are meaningless across
+// processes; the replica re-derives the inferred overlay itself). It is the
+// feed's share of the reasoner's event hook.
+func (f *Feed) Publish(res store.Resolver, d reason.Delta) {
+	named := func(ts []store.IDTriple) []WireTriple {
+		if len(ts) == 0 {
+			return nil
+		}
+		out := make([]WireTriple, len(ts))
+		for i, t := range ts {
+			out[i] = WireTriple{S: res.Name(t.S), P: res.Name(t.P), O: res.Name(t.O)}
+		}
+		return out
+	}
+	f.Append(Frame{Gen: d.Gen, Add: named(d.AssertedAdded), Remove: named(d.AssertedRemoved)})
+}
 
 // Append publishes one frame. Frames must arrive in generation order with
 // dense generations — the reasoner's event hook guarantees that — but the
@@ -81,10 +110,11 @@ func (f *Feed) Epoch() string { return f.epoch }
 // a forked history.
 func (f *Feed) Append(fr Frame) {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.latest != 0 && fr.Gen != f.latest+1 {
 		// Discontinuity: truncate history so no replica can be handed a
-		// chain that skips generations. Drop the backing array too — Since
-		// hands out subslices of it, so re-slicing to length zero and
+		// chain that skips generations. Drop the backing array too — a
+		// Window holds a subslice of it, so re-slicing to length zero and
 		// appending in place would overwrite frames a poller may still be
 		// encoding outside the lock.
 		f.dropped += int64(len(f.frames))
@@ -96,7 +126,7 @@ func (f *Feed) Append(fr Frame) {
 	f.latest = fr.Gen
 	f.appends++
 	for len(f.frames) > f.retain {
-		// Evict by re-slicing only: Since hands out subslices of this
+		// Evict by re-slicing only: a Window holds a subslice of this
 		// buffer, so evicted elements must not be written to. The evicted
 		// frame stays reachable through the backing array until append's
 		// next reallocation (at most ~retain appends later), which bounds
@@ -105,37 +135,82 @@ func (f *Feed) Append(fr Frame) {
 		f.frames = f.frames[1:]
 		f.dropped++
 	}
-	wake := f.wake
-	f.wake = make(chan struct{})
-	f.mu.Unlock()
-	close(wake)
+	if !f.closed {
+		close(f.wake)
+		f.wake = make(chan struct{})
+	}
 }
 
-// Since returns up to max retained frames with generations above from, in
-// order, together with the latest generation and the oldest retained frame
-// generation. gapped reports that the caller's position has fallen out of
-// the retained window — frames it needs were evicted — and it must
-// re-snapshot; a caller at from == latest simply gets zero frames.
-// max <= 0 means no cap.
-func (f *Feed) Since(from uint64, max int) (frames []Frame, latest, oldest uint64, gapped bool) {
+// Window is one read of the feed from a caller's position.
+type Window struct {
+	// Frames is the retained frames above the caller's generation, in order,
+	// up to the requested page size; empty when the caller is caught up.
+	Frames []Frame
+	// Latest is the newest published generation and Oldest the oldest frame
+	// still retained (Latest+1 when none is).
+	Latest, Oldest uint64
+	// Gapped reports that the caller's position has fallen out of the
+	// retained window — frames it needs were evicted — and it must
+	// re-snapshot. Waiting cannot close a gap.
+	Gapped bool
+}
+
+// Wait reads the feed from generation from: up to max frames above it
+// (max <= 0 means no cap). When the caller is already caught up — zero
+// frames, no gap — it parks for up to wait for the next append before
+// answering, and answers early, still with zero frames, when ctx is done or
+// the feed is closed. wait <= 0 never parks.
+func (f *Feed) Wait(ctx context.Context, from uint64, wait time.Duration, max int) Window {
+	var expired <-chan time.Time
+	if wait > 0 {
+		timer := time.NewTimer(wait)
+		defer timer.Stop()
+		expired = timer.C
+	}
+	for {
+		// The read and the wake channel come from one critical section, so
+		// an append after this read closes the channel the select below
+		// waits on: no append can fall unobserved between the two.
+		f.mu.Lock()
+		win := Window{Latest: f.latest, Oldest: f.oldestLocked()}
+		switch {
+		case from+1 < win.Oldest:
+			win.Gapped = true
+		case from < win.Latest:
+			// frames[0] has generation Oldest; the first frame the caller
+			// needs has generation from+1.
+			win.Frames = f.frames[from+1-win.Oldest:]
+			if max > 0 && len(win.Frames) > max {
+				win.Frames = win.Frames[:max]
+			}
+		}
+		wake, closed := f.wake, f.closed
+		f.mu.Unlock()
+		if win.Gapped || len(win.Frames) > 0 || wait <= 0 || closed {
+			return win
+		}
+		select {
+		case <-wake:
+		case <-expired:
+			wait = 0 // one last read, so a frame that raced the timer is not missed
+		case <-ctx.Done():
+			return win
+		}
+	}
+}
+
+// Close ends every parked long poll and keeps later ones from parking: from
+// now on Wait answers at once. A server calls it when its shutdown begins —
+// a poll held open for its full wait would outlast the shutdown's grace
+// period — and the replicas, answered zero frames and then refused, reconnect
+// with backoff. Appends and reads still work; Close is idempotent.
+func (f *Feed) Close() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	latest = f.latest
-	oldest = f.oldestLocked()
-	if from+1 < oldest {
-		return nil, latest, oldest, true
+	if !f.closed {
+		f.closed = true
+		close(f.wake)
 	}
-	if from >= latest {
-		return nil, latest, oldest, false
-	}
-	// frames[0] has generation oldest; the first frame the caller needs has
-	// generation from+1.
-	i := int(from + 1 - oldest)
-	out := f.frames[i:]
-	if max > 0 && len(out) > max {
-		out = out[:max]
-	}
-	return out, latest, oldest, false
 }
 
 // oldestLocked returns the oldest retained frame generation, or latest+1
@@ -147,41 +222,82 @@ func (f *Feed) oldestLocked() uint64 {
 	return f.frames[0].Gen
 }
 
-// WaitSince is Since with a long poll: when the caller is already caught up
-// (zero frames, no gap) it waits up to wait for a new frame before
-// answering, returning early when ctx is done. A gap is reported
-// immediately — waiting cannot close it.
-func (f *Feed) WaitSince(ctx context.Context, from uint64, wait time.Duration, max int) (frames []Frame, latest, oldest uint64, gapped bool) {
-	deadline := time.Now().Add(wait)
-	for {
-		// Capture the wake channel BEFORE reading: a frame appended after
-		// the read closes this captured channel, so the select below cannot
-		// sleep through it. Capturing after the read would leave a window
-		// where an append closes the old channel unobserved and the poller
-		// waits out the full deadline for a frame that already arrived.
-		f.mu.Lock()
-		wake := f.wake
-		f.mu.Unlock()
-		frames, latest, oldest, gapped = f.Since(from, max)
-		if gapped || len(frames) > 0 || wait <= 0 {
-			return frames, latest, oldest, gapped
+// ServeSnapshot returns the GET /repl/snapshot handler over snapshot, the
+// primary reasoner's SnapshotBase: the asserted base store in
+// Store.Snapshot's sorted ndjson form, with the generation it is exactly
+// consistent with in the X-Repl-Generation header and the feed epoch the
+// generation belongs to in X-Repl-Epoch. The snapshot is staged into memory
+// under the reasoner's write lock (so no mutation can slip between the bytes
+// and the generation) and then streamed outside it, so a slow replica never
+// blocks the primary's mutation path — the same never-block rule the
+// retention buffer follows.
+func (f *Feed) ServeSnapshot(snapshot func(io.Writer) (gen uint64, n int, err error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var buf bytes.Buffer
+		gen, n, err := snapshot(&buf)
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, "snapshotting the base store: %v", err)
+			return
 		}
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return frames, latest, oldest, gapped
-		}
-		timer := time.NewTimer(remaining)
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			return frames, latest, oldest, gapped
-		case <-timer.C:
-			// One last read so a frame that raced the timer is not missed.
-			return f.Since(from, max)
-		case <-wake:
-			timer.Stop()
-		}
+		w.Header().Set("Content-Type", ndjsonType)
+		w.Header().Set(GenerationHeader, strconv.FormatUint(gen, 10))
+		w.Header().Set(TriplesHeader, strconv.Itoa(n))
+		w.Header().Set(EpochHeader, f.epoch)
+		w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+		_, _ = w.Write(buf.Bytes())
 	}
+}
+
+// ServeDeltas is GET /repl/deltas?from=G: the delta frames with generations
+// above G, one JSON object per line, closed by a trailer line, with the feed
+// epoch in X-Repl-Epoch so a replica can tell this history from a previous
+// boot's. &wait long-polls up to maxPollWait when the caller is already
+// caught up; &max caps the frames per response at up to maxFrames. 410 Gone
+// says G has fallen out of the retained window and the caller must
+// re-snapshot.
+func (f *Feed) ServeDeltas(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	from, err := strconv.ParseUint(q.Get("from"), 10, 64)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "from must be a generation number: %v", err)
+		return
+	}
+	var wait time.Duration
+	if ws := q.Get("wait"); ws != "" {
+		if wait, err = time.ParseDuration(ws); err != nil {
+			writeError(w, http.StatusBadRequest, "wait must be a duration: %v", err)
+			return
+		}
+		wait = min(wait, maxPollWait)
+	}
+	page := maxFrames
+	if ms := q.Get("max"); ms != "" {
+		m, err := strconv.Atoi(ms)
+		if err != nil || m < 1 {
+			writeError(w, http.StatusBadRequest, "max must be a positive frame count")
+			return
+		}
+		page = min(m, maxFrames)
+	}
+	win := f.Wait(r.Context(), from, wait, page)
+	if win.Gapped {
+		writeError(w, http.StatusGone,
+			"generation %d has fallen out of the retained delta window (oldest retained is %d); fetch a fresh /repl/snapshot",
+			from, win.Oldest)
+		return
+	}
+	w.Header().Set("Content-Type", ndjsonType)
+	w.Header().Set(EpochHeader, f.epoch)
+	win.encode(w)
+}
+
+// writeError sends the serving layer's JSON error body with the given status.
+func writeError(w http.ResponseWriter, code int, format string, args ...any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_ = json.NewEncoder(w).Encode(struct {
+		Error string `json:"error"`
+	}{fmt.Sprintf(format, args...)})
 }
 
 // FeedStats is the feed's observable state, reported under /stats and as
@@ -219,4 +335,20 @@ func (f *Feed) Stats() FeedStats {
 		Appends: f.appends,
 		Dropped: f.dropped,
 	}
+}
+
+// RegisterMetrics exposes the feed's window and counters on reg.
+func (f *Feed) RegisterMetrics(reg *obs.Registry) {
+	reg.GaugeFunc("onto_repl_feed_latest_generation",
+		"Newest generation published on the delta feed.",
+		func() float64 { return float64(f.Stats().Latest) })
+	reg.GaugeFunc("onto_repl_feed_frames",
+		"Delta frames currently retained for replica catch-up.",
+		func() float64 { return float64(f.Stats().Frames) })
+	reg.CounterFunc("onto_repl_feed_appends_total",
+		"Delta frames ever published on the feed.",
+		func() float64 { return float64(f.Stats().Appends) })
+	reg.CounterFunc("onto_repl_feed_dropped_total",
+		"Delta frames evicted from retention (replicas behind them must re-snapshot).",
+		func() float64 { return float64(f.Stats().Dropped) })
 }

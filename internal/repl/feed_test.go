@@ -12,33 +12,40 @@ func addFrame(gen uint64) Frame {
 	return Frame{Gen: gen, Add: []WireTriple{{S: "s", P: "p", O: "o"}}}
 }
 
+// read is a Wait that never parks: the window as it stands. (Wait replaced
+// Since and WaitSince; the tests below keep those names because the tier-1
+// floor list tracks tests by name.)
+func read(f *Feed, from uint64, max int) Window {
+	return f.Wait(context.Background(), from, 0, max)
+}
+
 func TestFeedSinceWindow(t *testing.T) {
 	f := NewFeed(4)
 	for g := uint64(1); g <= 6; g++ {
 		f.Append(addFrame(g))
 	}
 	// Retention 4 keeps generations 3..6.
-	frames, latest, oldest, gapped := f.Since(2, 0)
-	if gapped {
+	win := read(f, 2, 0)
+	if win.Gapped {
 		t.Fatal("from=2 is exactly the retention edge, not a gap")
 	}
-	if latest != 6 || oldest != 3 {
-		t.Fatalf("latest=%d oldest=%d", latest, oldest)
+	if win.Latest != 6 || win.Oldest != 3 {
+		t.Fatalf("latest=%d oldest=%d", win.Latest, win.Oldest)
 	}
-	if len(frames) != 4 || frames[0].Gen != 3 || frames[3].Gen != 6 {
+	if frames := win.Frames; len(frames) != 4 || frames[0].Gen != 3 || frames[3].Gen != 6 {
 		t.Fatalf("frames = %+v", frames)
 	}
 
 	// A caller behind the window is gapped and gets nothing.
-	if frames, _, _, gapped := f.Since(1, 0); !gapped || frames != nil {
-		t.Fatalf("from=1 should gap: frames=%v gapped=%v", frames, gapped)
+	if win := read(f, 1, 0); !win.Gapped || win.Frames != nil {
+		t.Fatalf("from=1 should gap: %+v", win)
 	}
 	// A caught-up caller gets zero frames, no gap.
-	if frames, _, _, gapped := f.Since(6, 0); gapped || len(frames) != 0 {
-		t.Fatalf("from=latest: frames=%v gapped=%v", frames, gapped)
+	if win := read(f, 6, 0); win.Gapped || len(win.Frames) != 0 {
+		t.Fatalf("from=latest: %+v", win)
 	}
 	// max caps the page.
-	if frames, _, _, _ := f.Since(2, 2); len(frames) != 2 || frames[1].Gen != 4 {
+	if frames := read(f, 2, 2).Frames; len(frames) != 2 || frames[1].Gen != 4 {
 		t.Fatalf("max=2 page = %+v", frames)
 	}
 	st := f.Stats()
@@ -49,9 +56,8 @@ func TestFeedSinceWindow(t *testing.T) {
 
 func TestFeedEmpty(t *testing.T) {
 	f := NewFeed(4)
-	frames, latest, oldest, gapped := f.Since(0, 0)
-	if gapped || len(frames) != 0 || latest != 0 || oldest != 1 {
-		t.Fatalf("empty feed: frames=%v latest=%d oldest=%d gapped=%v", frames, latest, oldest, gapped)
+	if win := read(f, 0, 0); win.Gapped || len(win.Frames) != 0 || win.Latest != 0 || win.Oldest != 1 {
+		t.Fatalf("empty feed: %+v", win)
 	}
 }
 
@@ -62,12 +68,11 @@ func TestFeedDiscontinuity(t *testing.T) {
 	f.Append(addFrame(1))
 	f.Append(addFrame(2))
 	f.Append(addFrame(5)) // skipped 3 and 4
-	frames, latest, oldest, gapped := f.Since(2, 0)
-	if !gapped {
-		t.Fatalf("from=2 across a discontinuity must gap: frames=%v latest=%d oldest=%d", frames, latest, oldest)
+	if win := read(f, 2, 0); !win.Gapped {
+		t.Fatalf("from=2 across a discontinuity must gap: %+v", win)
 	}
-	if frames, _, _, gapped := f.Since(4, 0); gapped || len(frames) != 1 || frames[0].Gen != 5 {
-		t.Fatalf("from=4 after the restart: frames=%v gapped=%v", frames, gapped)
+	if win := read(f, 4, 0); win.Gapped || len(win.Frames) != 1 || win.Frames[0].Gen != 5 {
+		t.Fatalf("from=4 after the restart: %+v", win)
 	}
 }
 
@@ -76,18 +81,18 @@ func TestFeedDiscontinuity(t *testing.T) {
 // chain from the one it booted from — and reports it in its stats.
 func TestFeedEpoch(t *testing.T) {
 	a, b := NewFeed(4), NewFeed(4)
-	if a.Epoch() == "" || b.Epoch() == "" {
-		t.Fatalf("empty epoch: a=%q b=%q", a.Epoch(), b.Epoch())
+	if a.epoch == "" || b.epoch == "" {
+		t.Fatalf("empty epoch: a=%q b=%q", a.epoch, b.epoch)
 	}
-	if a.Epoch() == b.Epoch() {
-		t.Fatalf("two feeds minted the same epoch %q", a.Epoch())
+	if a.epoch == b.epoch {
+		t.Fatalf("two feeds minted the same epoch %q", a.epoch)
 	}
-	if st := a.Stats(); st.Epoch != a.Epoch() {
-		t.Fatalf("stats epoch %q != feed epoch %q", st.Epoch, a.Epoch())
+	if st := a.Stats(); st.Epoch != a.epoch {
+		t.Fatalf("stats epoch %q != feed epoch %q", st.Epoch, a.epoch)
 	}
 }
 
-// TestFeedDiscontinuityFreshBacking: frames handed out by Since are shared,
+// TestFeedDiscontinuityFreshBacking: frames handed out in a Window are shared,
 // immutable history, so the discontinuity truncation must drop the backing
 // array rather than re-slice it — an in-place restart of the chain would
 // overwrite frames a poller is still encoding outside the lock.
@@ -95,7 +100,7 @@ func TestFeedDiscontinuityFreshBacking(t *testing.T) {
 	f := NewFeed(8)
 	f.Append(addFrame(1))
 	f.Append(addFrame(2))
-	handed, _, _, _ := f.Since(0, 0)
+	handed := read(f, 0, 0).Frames
 	snap := make([]Frame, len(handed))
 	copy(snap, handed)
 
@@ -117,8 +122,7 @@ func TestFeedWaitSince(t *testing.T) {
 	f.Append(addFrame(1))
 	done := make(chan []Frame, 1)
 	go func() {
-		frames, _, _, _ := f.WaitSince(context.Background(), 1, 5*time.Second, 0)
-		done <- frames
+		done <- f.Wait(context.Background(), 1, 5*time.Second, 0).Frames
 	}()
 	time.Sleep(20 * time.Millisecond) // let the poller park
 	f.Append(addFrame(2))
@@ -133,9 +137,9 @@ func TestFeedWaitSince(t *testing.T) {
 }
 
 // TestFeedWaitSinceAppendRace: an append landing anywhere around the
-// poll's empty read must wake the poller promptly — WaitSince captures the
-// wake channel before reading precisely so no append can fall unobserved
-// between the read and the wait.
+// poll's empty read must wake the poller promptly — Wait takes the wake
+// channel in the read's own critical section precisely so no append can fall
+// unobserved between the read and the wait.
 func TestFeedWaitSinceAppendRace(t *testing.T) {
 	f := NewFeed(8)
 	var gen uint64
@@ -143,7 +147,7 @@ func TestFeedWaitSinceAppendRace(t *testing.T) {
 		gen++
 		go f.Append(addFrame(gen))
 		start := time.Now()
-		frames, _, _, _ := f.WaitSince(context.Background(), gen-1, 3*time.Second, 0)
+		frames := f.Wait(context.Background(), gen-1, 3*time.Second, 0).Frames
 		if len(frames) == 0 {
 			t.Fatalf("iteration %d: poll returned empty with a concurrent append", i)
 		}
@@ -157,9 +161,9 @@ func TestFeedWaitSinceTimeout(t *testing.T) {
 	f := NewFeed(8)
 	f.Append(addFrame(1))
 	start := time.Now()
-	frames, latest, _, gapped := f.WaitSince(context.Background(), 1, 30*time.Millisecond, 0)
-	if len(frames) != 0 || gapped || latest != 1 {
-		t.Fatalf("timed-out poll: frames=%v latest=%d gapped=%v", frames, latest, gapped)
+	win := f.Wait(context.Background(), 1, 30*time.Millisecond, 0)
+	if len(win.Frames) != 0 || win.Gapped || win.Latest != 1 {
+		t.Fatalf("timed-out poll: %+v", win)
 	}
 	if time.Since(start) < 30*time.Millisecond {
 		t.Fatal("poll returned before the wait elapsed")
@@ -172,7 +176,7 @@ func TestFeedWaitSinceContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { time.Sleep(20 * time.Millisecond); cancel() }()
 	start := time.Now()
-	f.WaitSince(ctx, 1, 10*time.Second, 0)
+	f.Wait(ctx, 1, 10*time.Second, 0)
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("cancelled poll did not return promptly")
 	}
@@ -191,13 +195,13 @@ func TestFeedConcurrent(t *testing.T) {
 			defer wg.Done()
 			var applied uint64
 			for applied < total {
-				frames, _, oldest, gapped := f.WaitSince(context.Background(), applied, time.Second, 16)
-				if gapped {
+				win := f.Wait(context.Background(), applied, time.Second, 16)
+				if win.Gapped {
 					// Re-snapshot stand-in: jump to the window edge.
-					applied = oldest - 1
+					applied = win.Oldest - 1
 					continue
 				}
-				for _, fr := range frames {
+				for _, fr := range win.Frames {
 					if fr.Gen <= applied {
 						t.Errorf("duplicate frame %d after %d", fr.Gen, applied)
 						return
@@ -217,5 +221,34 @@ func TestFeedConcurrent(t *testing.T) {
 	wg.Wait()
 	if st := f.Stats(); st.Appends != total || st.Latest != total {
 		t.Fatalf("stats after the run: %+v", st)
+	}
+}
+
+// TestFeedClose: Close ends a parked poll at once — zero frames, no gap —
+// and keeps later polls from parking; the feed still takes appends and
+// serves them.
+func TestFeedClose(t *testing.T) {
+	f := NewFeed(8)
+	f.Append(addFrame(1))
+	parked := make(chan Window, 1)
+	go func() { parked <- f.Wait(context.Background(), 1, 25*time.Second, 0) }()
+	time.Sleep(20 * time.Millisecond) // let the poller park
+	f.Close()
+	f.Close() // idempotent
+	select {
+	case win := <-parked:
+		if len(win.Frames) != 0 || win.Gapped || win.Latest != 1 {
+			t.Fatalf("poll ended by Close: %+v", win)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Close did not end the parked poll")
+	}
+	start := time.Now()
+	if win := f.Wait(context.Background(), 1, 25*time.Second, 0); len(win.Frames) != 0 || time.Since(start) > time.Second {
+		t.Fatalf("poll on a closed feed parked for %v: %+v", time.Since(start), win)
+	}
+	f.Append(addFrame(2))
+	if frames := read(f, 1, 0).Frames; len(frames) != 1 || frames[0].Gen != 2 {
+		t.Fatalf("append after Close: %+v", frames)
 	}
 }

@@ -2,12 +2,11 @@ package repl
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log"
-	"math/rand"
+	"math/rand/v2"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -15,35 +14,13 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/reason"
 	"repro/internal/store"
 )
 
-// Wire constants shared by the primary's handlers and the replica client.
-const (
-	// SnapshotPath and DeltasPath are the primary's replication endpoints.
-	SnapshotPath = "/repl/snapshot"
-	DeltasPath   = "/repl/deltas"
-	// GenerationHeader carries the generation a /repl/snapshot response is
-	// exactly consistent with.
-	GenerationHeader = "X-Repl-Generation"
-	// TriplesHeader carries the triple count of a /repl/snapshot response.
-	TriplesHeader = "X-Repl-Triples"
-	// EpochHeader carries the primary's feed epoch on every replication
-	// response. Generations restart from zero when a primary restarts, so a
-	// replica pins the epoch its snapshot came from and re-snapshots the
-	// moment a feed response carries a different one — before applying a
-	// single frame of the new history.
-	EpochHeader = "X-Repl-Epoch"
-)
-
-// Limits of the replica's two requests.
-const (
-	// maxFrames caps the frames requested per /repl/deltas poll.
-	maxFrames = 1024
-	// snapshotTimeout bounds one snapshot fetch (boot and re-snapshot).
-	snapshotTimeout = 2 * time.Minute
-)
+// snapshotTimeout bounds one snapshot fetch (boot and re-snapshot).
+const snapshotTimeout = 2 * time.Minute
 
 // Options configures a Replica. Primary is the only required field.
 type Options struct {
@@ -54,7 +31,7 @@ type Options struct {
 	// per-request deadlines come from contexts instead).
 	Client *http.Client
 	// PollWait is the long-poll wait hint sent with every /repl/deltas
-	// request; the primary caps it server-side. Default 25s.
+	// request; the primary caps it server-side. Default 25s, that cap.
 	PollWait time.Duration
 	// BackoffMin and BackoffMax bound the reconnect backoff: the delay
 	// starts at BackoffMin, doubles per consecutive failure, is capped at
@@ -73,7 +50,7 @@ func (o *Options) defaults() {
 		o.Client = &http.Client{}
 	}
 	if o.PollWait <= 0 {
-		o.PollWait = 25 * time.Second
+		o.PollWait = maxPollWait
 	}
 	if o.BackoffMin <= 0 {
 		o.BackoffMin = 100 * time.Millisecond
@@ -101,7 +78,8 @@ type Status struct {
 	Connected bool `json:"connected"`
 	// AppliedGeneration is the primary generation this replica has applied
 	// through; PrimaryGeneration is the primary's latest known generation
-	// (from the last feed trailer); Lag is the difference.
+	// (the highest feed trailer of this epoch, never below the applied one);
+	// Lag is the difference.
 	AppliedGeneration uint64 `json:"applied_generation"`
 	PrimaryGeneration uint64 `json:"primary_generation"`
 	Lag               uint64 `json:"lag_generations"`
@@ -130,18 +108,9 @@ type Replica struct {
 	base    *store.Store
 	applier *reason.Reasoner
 
-	mu  sync.Mutex
-	st  Status
-	rng *rand.Rand
+	mu sync.Mutex
+	st Status // as update left it; Status derives the rest
 }
-
-// errWindowPassed marks feed positions that no longer name a point in the
-// primary's live history: 410 responses, mid-stream chain breaks, an epoch
-// change (the primary restarted and its generation counter with it), or a
-// latest generation behind the replica's applied one. Run answers every
-// form of it the same way — re-snapshot, the only operation that
-// re-establishes equivalence without trusting the lost position.
-var errWindowPassed = errors.New("repl: position past the primary's retained delta window")
 
 // New validates the options, fetches the primary's snapshot, and returns a
 // replica whose Base store holds exactly the primary's asserted corpus at
@@ -149,23 +118,23 @@ var errWindowPassed = errors.New("repl: position past the primary's retained del
 // does) and then calls Run to start following the feed.
 func New(opts Options) (*Replica, error) {
 	opts.defaults()
-	if opts.Primary == "" {
-		return nil, fmt.Errorf("repl: Options.Primary is required")
-	}
-	if _, err := url.Parse(opts.Primary); err != nil {
+	// url.Parse alone accepts "localhost:8080" (as scheme "localhost") and
+	// "localhost" (a bare path); both would only fail later, in the transport.
+	u, err := url.Parse(opts.Primary)
+	if err != nil {
 		return nil, fmt.Errorf("repl: primary URL %q: %w", opts.Primary, err)
 	}
-	opts.Primary = strings.TrimRight(opts.Primary, "/")
-	r := &Replica{
-		opts: opts,
-		rng:  rand.New(rand.NewSource(time.Now().UnixNano())),
+	if (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+		return nil, fmt.Errorf("repl: primary URL %q must be http://host[:port] or https://host[:port]", opts.Primary)
 	}
+	opts.Primary = strings.TrimRight(opts.Primary, "/")
+	r := &Replica{opts: opts}
 	base, gen, epoch, err := r.fetchSnapshot(context.Background())
 	if err != nil {
 		return nil, fmt.Errorf("repl: booting from %s: %w", opts.Primary, err)
 	}
 	r.base = base
-	r.st = Status{Primary: opts.Primary, PrimaryEpoch: epoch, AppliedGeneration: gen, PrimaryGeneration: gen}
+	r.st = Status{Primary: opts.Primary, PrimaryEpoch: epoch, AppliedGeneration: gen}
 	return r, nil
 }
 
@@ -174,11 +143,48 @@ func New(opts Options) (*Replica, error) {
 // the feed through the reasoner.
 func (r *Replica) Base() *store.Store { return r.base }
 
-// Status snapshots the replica's replication state.
+// Status snapshots the replica's replication state. This is the one place
+// the derived fields are computed: the primary's generation is never
+// reported below the applied one (a frame can be applied before the trailer
+// that announces it is read), and Lag is their difference.
 func (r *Replica) Status() Status {
 	r.mu.Lock()
+	st := r.st
+	r.mu.Unlock()
+	st.PrimaryGeneration = max(st.PrimaryGeneration, st.AppliedGeneration)
+	st.Lag = st.PrimaryGeneration - st.AppliedGeneration
+	return st
+}
+
+// update is the one writer of the replica's status.
+func (r *Replica) update(f func(st *Status)) {
+	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.st
+	f(&r.st)
+}
+
+// RegisterMetrics exposes the replica's status on reg.
+func (r *Replica) RegisterMetrics(reg *obs.Registry) {
+	reg.GaugeFunc("onto_repl_applied_generation",
+		"Primary generation this replica has applied through.",
+		func() float64 { return float64(r.Status().AppliedGeneration) })
+	reg.GaugeFunc("onto_repl_lag_generations",
+		"Primary generations this replica has yet to apply (staleness bound).",
+		func() float64 { return float64(r.Status().Lag) })
+	reg.GaugeFunc("onto_repl_connected",
+		"1 when the replica's last feed poll succeeded, 0 while reconnecting.",
+		func() float64 {
+			if r.Status().Connected {
+				return 1
+			}
+			return 0
+		})
+	reg.CounterFunc("onto_repl_reconnects_total",
+		"Feed connections that failed and were retried with backoff.",
+		func() float64 { return float64(r.Status().Reconnects) })
+	reg.CounterFunc("onto_repl_resnapshots_total",
+		"Full re-snapshot recoveries after falling out of the retained delta window.",
+		func() float64 { return float64(r.Status().Resnapshots) })
 }
 
 // Run follows the primary's delta feed until ctx is done, applying every
@@ -201,21 +207,22 @@ func (r *Replica) Run(ctx context.Context, applier *reason.Reasoner) error {
 	backoff := r.opts.BackoffMin
 	for ctx.Err() == nil {
 		err := r.poll(ctx)
+		if errors.Is(err, errWindowPassed) {
+			r.logf("feed position lost (%v); re-snapshotting from %s", err, r.opts.Primary)
+			err = r.resnapshot(ctx)
+		}
 		switch {
 		case err == nil:
 			backoff = r.opts.BackoffMin
-		case errors.Is(err, errWindowPassed):
-			r.logf("feed position lost (%v); re-snapshotting from %s", err, r.opts.Primary)
-			if rerr := r.resnapshot(ctx); rerr != nil {
-				r.recordError(rerr)
-				backoff = r.sleep(ctx, backoff)
-			} else {
-				backoff = r.opts.BackoffMin
-			}
 		case ctx.Err() != nil:
 			return nil
 		default:
-			r.recordError(err)
+			r.logf("feed error (will reconnect): %v", err)
+			r.update(func(st *Status) {
+				st.Connected = false
+				st.LastError = err.Error()
+				st.Reconnects++
+			})
 			backoff = r.sleep(ctx, backoff)
 		}
 	}
@@ -225,21 +232,14 @@ func (r *Replica) Run(ctx context.Context, applier *reason.Reasoner) error {
 // sleep waits for the jittered backoff (or ctx) and returns the next,
 // doubled-and-capped backoff. The jitter is ±50% of the current delay.
 func (r *Replica) sleep(ctx context.Context, backoff time.Duration) time.Duration {
-	r.mu.Lock()
-	jitter := time.Duration(r.rng.Int63n(int64(backoff) + 1))
-	r.mu.Unlock()
-	delay := backoff/2 + jitter // uniform in [backoff/2, 3*backoff/2]
+	delay := backoff/2 + rand.N(backoff+1) // uniform in [backoff/2, 3*backoff/2]
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
 	select {
 	case <-ctx.Done():
 	case <-timer.C:
 	}
-	next := backoff * 2
-	if next > r.opts.BackoffMax {
-		next = r.opts.BackoffMax
-	}
-	return next
+	return min(backoff*2, r.opts.BackoffMax)
 }
 
 // poll runs one feed round: request the frames above the applied
@@ -248,10 +248,9 @@ func (r *Replica) sleep(ctx context.Context, backoff time.Duration) time.Duratio
 // errWindowPassed demands a re-snapshot; anything else is a transport or
 // protocol error worth a backoff and retry.
 func (r *Replica) poll(ctx context.Context) error {
-	st := r.Status()
-	applied, epoch := st.AppliedGeneration, st.PrimaryEpoch
+	at := r.Status() // the position this round resumes from
 	u := fmt.Sprintf("%s%s?from=%d&wait=%s&max=%d",
-		r.opts.Primary, DeltasPath, applied, r.opts.PollWait, maxFrames)
+		r.opts.Primary, DeltasPath, at.AppliedGeneration, r.opts.PollWait, maxFrames)
 	// The request deadline dominates the long-poll wait so a healthy
 	// primary can hold the poll open, while a wedged connection still
 	// times out instead of stalling replication forever.
@@ -280,78 +279,31 @@ func (r *Replica) poll(ctx context.Context) error {
 	// primary restarts its generation counter, so its frames describe a
 	// different history whose generation numbers can collide with the one
 	// this replica booted from. Only a snapshot re-anchors the replica.
-	if got := resp.Header.Get(EpochHeader); got != epoch {
+	if got := resp.Header.Get(EpochHeader); got != at.PrimaryEpoch {
 		return fmt.Errorf("repl: primary epoch changed from %q to %q (primary restarted?): %w",
-			epoch, got, errWindowPassed)
+			at.PrimaryEpoch, got, errWindowPassed)
 	}
-
-	// Frames stream as whitespace-separated JSON objects; json.Decoder
-	// imposes no line-length limit, so a frame carrying a full mutation
-	// batch decodes the same as a one-triple frame.
-	dec := json.NewDecoder(resp.Body)
-	sawTrailer := false
-	for {
-		var ln feedLine
-		if err := dec.Decode(&ln); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			return fmt.Errorf("repl: decoding feed: %w", err)
-		}
-		if sawTrailer {
-			return fmt.Errorf("repl: feed frame after the trailer")
-		}
-		if ln.Done {
-			sawTrailer = true
-			// Belt-and-braces behind the epoch gate: a primary whose latest
-			// generation sits behind what this replica already applied, or
-			// whose trailer is internally inconsistent, is describing a
-			// history this replica is not on. Never converge on it.
-			if ln.Gen < applied {
-				return fmt.Errorf("repl: primary's latest generation %d is behind applied %d (history rewound): %w",
-					ln.Gen, applied, errWindowPassed)
-			}
-			if ln.Oldest > ln.Gen+1 {
-				return fmt.Errorf("repl: malformed trailer: oldest retained %d past latest %d: %w",
-					ln.Oldest, ln.Gen, errWindowPassed)
-			}
-			r.setPrimaryGen(ln.Gen)
-			continue
-		}
-		fr := ln.Frame
-		if err := validateFrame(fr); err != nil {
-			return err
-		}
-		switch {
-		case fr.Gen <= applied:
-			// A replayed or duplicated frame: already applied, never apply
-			// a generation twice.
-			continue
-		case fr.Gen != applied+1:
-			// The chain skipped a generation mid-stream; the safe recovery
-			// is the same as a retention gap.
-			return errWindowPassed
-		}
-		if err := r.apply(fr); err != nil {
-			return err
-		}
-		applied = fr.Gen
-		r.setApplied(applied)
+	trailer, err := readFeed(resp.Body, at.AppliedGeneration, r.apply)
+	if err != nil {
+		return err
 	}
-	if !sawTrailer {
-		return fmt.Errorf("repl: feed stream ended without a trailer")
-	}
-	r.markConnected()
+	r.update(func(st *Status) {
+		st.PrimaryGeneration = max(st.PrimaryGeneration, trailer.Gen)
+		st.Connected = true
+		st.LastError = ""
+	})
 	return nil
 }
 
 // apply replays one frame as one write of the local reasoner — the same
 // Apply, adds then removes, the primary's own write was, which is what makes
-// the replica's materialization converge to the primary's.
+// the replica's materialization converge to the primary's — and records the
+// generation as applied.
 func (r *Replica) apply(fr Frame) error {
 	if _, _, err := r.applier.Apply(wireTriples(fr.Add), wireTriples(fr.Remove)); err != nil {
 		return fmt.Errorf("repl: applying frame %d: %w", fr.Gen, err)
 	}
+	r.update(func(st *Status) { st.AppliedGeneration = fr.Gen })
 	return nil
 }
 
@@ -417,104 +369,38 @@ func (r *Replica) resnapshot(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	adds, removes := diffTriples(r.applier.Base().Triples(), target.Triples())
+	current := r.applier.Base()
+	adds, removes := missingFrom(current, target.Triples()), missingFrom(target, current.Triples())
 	if _, _, err := r.applier.Apply(adds, removes); err != nil {
 		return fmt.Errorf("repl: applying re-snapshot diff: %w", err)
 	}
-	r.mu.Lock()
-	r.st.PrimaryEpoch = epoch
-	r.st.AppliedGeneration = gen
-	// The snapshot is the freshest primary state this replica has seen; a
-	// higher generation recorded earlier may belong to a dead epoch, so
-	// the primary-generation reference resets with the position.
-	r.st.PrimaryGeneration = gen
-	r.st.Lag = 0
-	r.st.Resnapshots++
-	// A served snapshot is proof of contact: report connected now rather
-	// than after the next poll round, which may hold a long poll open for
-	// the full wait before it completes.
-	r.st.Connected = true
-	r.st.LastError = ""
-	r.mu.Unlock()
+	r.update(func(st *Status) {
+		st.PrimaryEpoch = epoch
+		st.AppliedGeneration = gen
+		// The snapshot is the freshest primary state this replica has seen; a
+		// higher generation recorded earlier may belong to a dead epoch, so
+		// the primary-generation reference resets with the position.
+		st.PrimaryGeneration = gen
+		st.Resnapshots++
+		// A served snapshot is proof of contact: report connected now rather
+		// than after the next poll round, which may hold a long poll open for
+		// the full wait before it completes.
+		st.Connected = true
+		st.LastError = ""
+	})
 	r.logf("re-snapshot complete: epoch %s, generation %d, %d added, %d removed", epoch, gen, len(adds), len(removes))
 	return nil
 }
 
-// diffTriples computes target − current (adds) and current − target
-// (removes) by one merge walk; both inputs are in the store's canonical
-// sorted export order (Store.Triples).
-func diffTriples(current, target []store.Triple) (adds, removes []store.Triple) {
-	i, j := 0, 0
-	for i < len(current) && j < len(target) {
-		switch {
-		case current[i] == target[j]:
-			i++
-			j++
-		case tripleLess(current[i], target[j]):
-			removes = append(removes, current[i])
-			i++
-		default:
-			adds = append(adds, target[j])
-			j++
+// missingFrom returns the triples of ts that s does not hold.
+func missingFrom(s *store.Store, ts []store.Triple) []store.Triple {
+	var out []store.Triple
+	for _, t := range ts {
+		if !s.Contains(t) {
+			out = append(out, t)
 		}
 	}
-	removes = append(removes, current[i:]...)
-	adds = append(adds, target[j:]...)
-	return adds, removes
-}
-
-// tripleLess is the store's canonical triple order (subject, predicate,
-// object lexicographic), matching Store.Triples' export order.
-func tripleLess(t, u store.Triple) bool {
-	if t.Subject != u.Subject {
-		return t.Subject < u.Subject
-	}
-	if t.Predicate != u.Predicate {
-		return t.Predicate < u.Predicate
-	}
-	return t.Object < u.Object
-}
-
-// setApplied records a newly applied generation.
-func (r *Replica) setApplied(gen uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.st.AppliedGeneration = gen
-	if r.st.PrimaryGeneration < gen {
-		r.st.PrimaryGeneration = gen
-	}
-	r.st.Lag = r.st.PrimaryGeneration - r.st.AppliedGeneration
-}
-
-// setPrimaryGen records the primary's latest generation from a trailer.
-func (r *Replica) setPrimaryGen(gen uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if gen > r.st.PrimaryGeneration {
-		r.st.PrimaryGeneration = gen
-	}
-	if r.st.PrimaryGeneration >= r.st.AppliedGeneration {
-		r.st.Lag = r.st.PrimaryGeneration - r.st.AppliedGeneration
-	}
-}
-
-// markConnected records a successful poll.
-func (r *Replica) markConnected() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.st.Connected = true
-	r.st.LastError = ""
-}
-
-// recordError records a failed poll or re-snapshot and counts the
-// reconnect the caller is about to attempt.
-func (r *Replica) recordError(err error) {
-	r.logf("feed error (will reconnect): %v", err)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.st.Connected = false
-	r.st.LastError = err.Error()
-	r.st.Reconnects++
+	return out
 }
 
 // logf forwards to the configured logger, if any.

@@ -6,12 +6,18 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/obs"
 	"repro/internal/repl"
 	"repro/internal/store"
 )
@@ -20,6 +26,8 @@ import (
 type stubReplica struct{ st repl.Status }
 
 func (s stubReplica) Status() repl.Status { return s.st }
+
+func (stubReplica) RegisterMetrics(*obs.Registry) {}
 
 // replTestBase builds a tiny asserted store.
 func replTestBase(t *testing.T) *store.Store {
@@ -173,9 +181,9 @@ func TestPrimaryReplDeltas(t *testing.T) {
 	if got := rec.Header().Get(repl.EpochHeader); got == "" {
 		t.Fatalf("deltas response lacks the %s header", repl.EpochHeader)
 	}
-	fr, tr, err := repl.DecodeLine(bytes.TrimSpace(rec.Body.Bytes()))
-	if err != nil || fr != nil || tr == nil || tr.Gen != 0 {
-		t.Fatalf("empty poll line: frame=%v trailer=%v err=%v", fr, tr, err)
+	var tr repl.Trailer
+	if err := json.Unmarshal(rec.Body.Bytes(), &tr); err != nil || !tr.Done || tr.Gen != 0 {
+		t.Fatalf("empty poll line %q: trailer=%+v err=%v", rec.Body, tr, err)
 	}
 
 	if _, err := s.Reasoner().AddBatch([]store.Triple{{Subject: "item-9", Predicate: store.TypePredicate, Object: "c0"}}); err != nil {
@@ -186,15 +194,14 @@ func TestPrimaryReplDeltas(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("poll after one mutation returned %d lines: %s", len(lines), rec.Body)
 	}
-	fr, _, err = repl.DecodeLine(lines[0])
-	if err != nil || fr == nil {
+	var fr repl.Frame
+	if err := json.Unmarshal(lines[0], &fr); err != nil {
 		t.Fatalf("first line is not a frame: %v", err)
 	}
 	if fr.Gen != 1 || len(fr.Add) != 1 || fr.Add[0].S != "item-9" {
 		t.Fatalf("frame = %+v", fr)
 	}
-	_, tr, err = repl.DecodeLine(lines[1])
-	if err != nil || tr == nil || tr.Gen != 1 {
+	if err := json.Unmarshal(lines[1], &tr); err != nil || !tr.Done || tr.Gen != 1 {
 		t.Fatalf("trailer = %+v err=%v", tr, err)
 	}
 
@@ -232,5 +239,70 @@ func TestPrimaryFeedDisabled(t *testing.T) {
 	}
 	if stats.Replication == nil || stats.Replication.Role != "primary" || stats.Replication.Feed != nil {
 		t.Fatalf("replication block with the feed disabled = %+v", stats.Replication)
+	}
+	// The role series is the server's; the feed's own series go with the feed.
+	scrape := do(t, s, http.MethodGet, "/metrics", nil).Body.String()
+	if !strings.Contains(scrape, `onto_repl_role{role="primary"} 1`) || strings.Contains(scrape, "onto_repl_feed_") {
+		t.Fatalf("/metrics with the feed disabled:\n%s", scrape)
+	}
+}
+
+// TestServeEndsParkedPollOnShutdown: a replica's long poll parked on an idle
+// primary must not hold the shutdown for the poll's wait — it would outlast
+// shutdownGrace, Serve would fail, and the caller would never reach its
+// clean-exit path. The poll is answered (200, zero frames, the trailer) the
+// moment the shutdown begins, and Serve returns nil within a second.
+func TestServeEndsParkedPollOnShutdown(t *testing.T) {
+	s, err := New(Config{Base: replTestBase(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ctx, ln) }()
+
+	type pollResult struct {
+		code int
+		body []byte
+		err  error
+	}
+	sent, polled := make(chan struct{}), make(chan pollResult, 1)
+	go func() {
+		trace := &httptrace.ClientTrace{WroteRequest: func(httptrace.WroteRequestInfo) { close(sent) }}
+		req, _ := http.NewRequestWithContext(httptrace.WithClientTrace(context.Background(), trace),
+			http.MethodGet, "http://"+ln.Addr().String()+"/repl/deltas?from=0&wait=25s", nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			polled <- pollResult{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		polled <- pollResult{resp.StatusCode, body, err}
+	}()
+	<-sent
+	// The request is on the wire; give the handler a moment to park (the
+	// outcome is the same if it has not yet, this only aims the test at the
+	// parked case).
+	time.Sleep(50 * time.Millisecond)
+
+	cancel()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("Serve with a parked long poll: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Serve still waiting a second after cancel: the parked long poll is holding the shutdown")
+	}
+	res := <-polled
+	var tr repl.Trailer
+	if res.err != nil || res.code != http.StatusOK || json.Unmarshal(res.body, &tr) != nil || !tr.Done {
+		t.Fatalf("parked poll at shutdown: code=%d body=%q err=%v, want 200 and the trailer alone", res.code, res.body, res.err)
 	}
 }

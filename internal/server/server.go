@@ -219,7 +219,18 @@ func New(cfg Config) (*Server, error) {
 		slow:     newSlowQueryLog(cfg.SlowQueryThreshold, cfg.SlowQueryLog),
 	}
 	s.ridPrefix = strconv.FormatInt(s.start.UnixNano(), 16)
-	r.SetOnEvent(s.setupReplication(r.View().NewResolver()))
+	if cfg.Replica == nil && cfg.ReplRetain >= 0 {
+		s.feed = repl.NewFeed(cfg.ReplRetain)
+	}
+	// One event per content-changing write, inside its critical section: drop
+	// the cached results it stales, then (on a primary) publish its frame.
+	res := r.View().NewResolver()
+	r.SetOnEvent(func(d reason.Delta) {
+		s.cache.invalidate(res, d.Added, d.Removed)
+		if s.feed != nil {
+			s.feed.Publish(res, d)
+		}
+	})
 	s.registerMetrics(reg)
 	mux, known := http.NewServeMux(), map[string]bool{}
 	for _, rt := range s.routes() {
@@ -254,8 +265,8 @@ func (s *Server) routes() []route {
 	}
 	if s.feed != nil {
 		rs = append(rs,
-			route{repl.SnapshotPath, http.MethodGet, false, s.handleReplSnapshot},
-			route{repl.DeltasPath, http.MethodGet, false, s.handleReplDeltas})
+			route{repl.SnapshotPath, http.MethodGet, false, s.feed.ServeSnapshot(s.reasoner.SnapshotBase)},
+			route{repl.DeltasPath, http.MethodGet, false, s.feed.ServeDeltas})
 	}
 	if !s.cfg.DisableMetrics {
 		rs = append(rs, route{"/metrics", http.MethodGet, false, s.reg.Handler().ServeHTTP})
@@ -304,13 +315,18 @@ func (s *Server) Metrics() *obs.Registry { return s.reg }
 // the server closes their connections. Request contexts deliberately do
 // not derive from ctx — cancelling it stops the listener, it must not
 // interrupt queries the grace period exists to let finish (a request's own
-// context still cancels on client disconnect, as net/http always does). It
-// returns nil on a clean ctx-triggered shutdown and the listener's error
-// otherwise.
+// context still cancels on client disconnect, as net/http always does). The
+// one request that would never finish inside the grace period, a replica's
+// parked /repl/deltas long poll, is ended when the shutdown begins: the feed
+// is closed for good, so a Server is served once. It returns nil on a clean
+// ctx-triggered shutdown and the listener's error otherwise.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	hs := &http.Server{
 		Handler:           s.root,
 		ReadHeaderTimeout: 10 * time.Second,
+	}
+	if s.feed != nil {
+		hs.RegisterOnShutdown(s.feed.Close)
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
