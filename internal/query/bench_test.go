@@ -30,7 +30,7 @@ func e5Store(b *testing.B, n int) *store.Store {
 
 // e5Index classifies a root class over 32 of the corpus classes, matching
 // the 32-subsumee fan-out of the store package's expansion benchmark.
-func e5Index(b *testing.B) *store.OntologyIndex {
+func e5Index(b testing.TB) *store.OntologyIndex {
 	b.Helper()
 	var sb strings.Builder
 	sb.WriteString("root <= exists r.k\n")

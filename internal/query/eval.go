@@ -97,28 +97,6 @@ func Materialized() Option {
 	return func(c *config) { c.materialized = true }
 }
 
-// comp is one compiled pattern component: a literal resolved to its
-// dictionary id, or a reference into the variable table.
-type comp struct {
-	isVar  bool
-	varIdx int            // variable-table index, when isVar
-	id     store.SymbolID // literal id, when !isVar
-}
-
-// level is one pattern of the join, in evaluation order: its compiled
-// components and its expansion candidates. The planner orders levels; the
-// builder then lowers them onto the operator tree.
-type level struct {
-	comps  [3]comp
-	expand []store.SymbolID // expanded object candidates; nil when not expanded
-	orig   int              // the pattern's index in the request BGP (trace labeling)
-	// est is the planner's estimate for the level along the chosen order:
-	// the scan's match count for the first level, matches per probe for a
-	// join. It sizes the join's probe window and is what a trace reports as
-	// the level's estimated rows.
-	est float64
-}
-
 // Solutions streams the solutions of a BGP. The iteration protocol is
 //
 //	sols := query.Eval(s, bgp)
@@ -159,20 +137,22 @@ type Solutions struct {
 
 // Eval plans and evaluates a BGP over a Source — a *store.Store, or a
 // *store.View when querying a materialized union — returning a Solutions
-// iterator. Planning is selectivity-ordered: each pattern's cardinality and
+// iterator. Every pattern compiles to an exec.Pattern (TriplePattern.Compile)
+// and planning is selectivity-ordered: each pattern's cardinality and
 // per-component distinct widths with only its literals bound are read off
 // the source's indexes (StatsID), and the join order minimizing the
 // estimated total work under a cardinality-propagation model is chosen —
 // exhaustively for BGPs of up to 6 patterns, greedily cheapest-next-probe
-// beyond. The planner's output is then lowered onto a batched operator tree
-// (repro/internal/query/exec): the most selective pattern becomes the leaf
-// scan and every later pattern a batch-at-a-time index-nested-loop join
-// whose probes are grouped by index shard. Everything runs on dictionary ids; solutions resolve back to
-// strings only when read.
+// beyond. The ordered patterns are then lowered onto a batched operator tree
+// (exec.Lower): the most selective pattern becomes the leaf scan and every
+// later pattern a batch-at-a-time index-nested-loop join whose probes are
+// grouped by index shard. Everything runs on dictionary ids; solutions
+// resolve back to strings only when read.
 //
 // A BGP that mentions an empty-named variable or an empty literal is
-// reported through Err; a literal the store has never seen simply yields no
-// solutions. An empty BGP yields exactly one empty solution.
+// reported through Err (TriplePattern.Validate); a literal the store has
+// never seen simply yields no solutions. An empty BGP yields exactly one
+// empty solution.
 func Eval(src Source, bgp BGP, opts ...Option) *Solutions {
 	var cfg config
 	for _, o := range opts {
@@ -193,66 +173,62 @@ func Eval(src Source, bgp BGP, opts ...Option) *Solutions {
 		}
 		return -1
 	}
-
 	unsat := false
-	levels := make([]level, 0, len(bgp))
-	for pi, p := range bgp {
-		lv := level{orig: pi}
-		expanded := cfg.oi != nil && !p.Predicate.IsVar && p.Predicate.Value == store.TypePredicate && !p.Object.IsVar
-		for i, t := range p.terms() {
-			if t.IsVar {
-				if t.Value == "" {
-					sol.err = fmt.Errorf("query: pattern (%s) names a variable with an empty name", p)
-					sol.done = true
-					return sol
-				}
-				lv.comps[i] = comp{isVar: true, varIdx: varIdx(t.Value)}
-				continue
-			}
-			if t.Value == "" {
-				sol.err = fmt.Errorf("query: pattern (%s) has an empty literal; no triple can match it", p)
-				sol.done = true
-				return sol
-			}
-			if expanded && i == 2 {
-				// The object literal is replaced by the expansion candidates
-				// below; the zero comp is never consulted.
-				continue
-			}
-			id, ok := src.SymbolID(t.Value)
-			if !ok {
-				unsat = true
-			}
-			lv.comps[i] = comp{id: id}
+	lookup := func(value string) store.SymbolID {
+		id, ok := src.SymbolID(value)
+		unsat = unsat || !ok
+		return id
+	}
+
+	steps := make([]exec.Step, 0, len(bgp))
+	for _, p := range bgp {
+		if err := p.Validate(); err != nil {
+			sol.err = fmt.Errorf("query: %w", err)
+			sol.done = true
+			return sol
 		}
-		if expanded {
+		var st exec.Step
+		if cfg.oi != nil && !p.Predicate.IsVar && p.Predicate.Value == store.TypePredicate && !p.Object.IsVar {
 			for _, sub := range cfg.oi.Subsumees(p.Object.Value) {
 				if id, ok := src.SymbolID(sub); ok {
-					lv.expand = append(lv.expand, id)
+					st.Expand = append(st.Expand, id)
 				}
 			}
-			if len(lv.expand) == 0 {
-				unsat = true
-			}
+			unsat = unsat || len(st.Expand) == 0
+			// The candidates replace the object literal, whose own id is
+			// never consulted: compile the type literal in its place, so a
+			// class name the store never saw — its subsumees may be there —
+			// does not make the pattern unsatisfiable.
+			p.Object = p.Predicate
 		}
-		levels = append(levels, lv)
+		st.Pat = p.Compile(varIdx, lookup)
+		steps = append(steps, st)
 	}
 	if unsat {
 		sol.done = true
 		return sol
 	}
-	if len(levels) == 0 {
+	if len(steps) == 0 {
 		// The empty BGP: no operator tree; Next synthesizes the one empty
 		// solution.
 		return sol
 	}
-	ordered := plan(src, levels, len(sol.vars), cfg.trace)
+	// The bound-slot scratch of planning and lowering lives on the stack
+	// when the BGP is small — the overwhelmingly common case.
+	var boundArr [planScratchVars]bool
+	bound := boundArr[:min(len(sol.vars), planScratchVars)]
+	if len(sol.vars) > planScratchVars {
+		bound = make([]bool, len(sol.vars))
+	}
+	plan(src, steps, bound, cfg.trace)
 	if tr := cfg.trace; tr != nil {
 		for i := range tr.Levels {
 			tr.Levels[i].Pattern = bgp[tr.Levels[i].Index].String()
+			steps[i].Stat = &tr.Levels[i].Stat
 		}
 	}
-	sol.root = build(src, ordered, len(sol.vars), cfg.trace)
+	clear(bound)
+	sol.root = exec.Lower(src, nil, steps, bound, len(sol.vars))
 	return sol
 }
 
@@ -281,121 +257,36 @@ func bgpVars(b BGP) []string {
 	return out
 }
 
-// build lowers the planned levels onto the operator tree: the first level
-// becomes the leaf scan, every later level a batched probe join whose probe
-// window follows the planner's per-probe fan-out estimate. With a trace attached,
-// each lowered operator is instrumented with its level's OpStat.
-func build(src Source, ordered []level, nvars int, tr *Trace) exec.Op {
-	var boundArr [planScratchVars]bool // NewJoin only reads it, so it can live on the stack
-	bound := boundArr[:min(nvars, planScratchVars)]
-	if nvars > planScratchVars {
-		bound = make([]bool, nvars)
+// stepCard reads the step's pattern's cardinality off the source's indexes;
+// an expanded step sums over its candidate classes (each one object value).
+func stepCard(src Source, st *exec.Step) exec.Card {
+	ip := st.Pat.Template()
+	if st.Expand == nil {
+		return exec.CardOf(src.StatsID(ip))
 	}
-	var root exec.Op
-	for li := range ordered {
-		lv := &ordered[li]
-		var pat exec.Pattern
-		for i, c := range lv.comps {
-			if c.isVar {
-				pat[i] = exec.Var(c.varIdx)
-			} else {
-				pat[i] = exec.Lit(c.id)
-			}
-		}
-		if root == nil {
-			root = exec.NewScan(src, pat, lv.expand, nvars)
-		} else {
-			root = exec.NewJoin(root, src, pat, lv.expand, bound, nvars, int(lv.est))
-		}
-		if tr != nil && li < len(tr.Levels) {
-			exec.Instrument(root, &tr.Levels[li].Stat)
-		}
-		for _, c := range lv.comps {
-			if c.isVar {
-				bound[c.varIdx] = true
-			}
-		}
+	c := exec.Card{Distinct: [3]float64{0, 1, 0}}
+	for _, oid := range st.Expand {
+		ip.O = oid
+		is := src.StatsID(ip)
+		c.Count += float64(is.Count)
+		c.Distinct[0] += float64(is.DistinctS)
+		c.Distinct[2]++
 	}
-	return root
+	return c
 }
 
-// pstats are one pattern's planning statistics with only its literal
-// components bound: the match count and, per component position, the number
-// of distinct values the position takes among the matches (expanded patterns
-// aggregate over their candidate classes).
-type pstats struct {
-	count    float64
-	distinct [3]float64
-}
-
-// levelStats reads the pattern's statistics off the store's indexes.
-func levelStats(src Source, lv *level) pstats {
-	var ip store.IDPattern
-	if !lv.comps[0].isVar {
-		ip.S, ip.BoundS = lv.comps[0].id, true
-	}
-	if !lv.comps[1].isVar {
-		ip.P, ip.BoundP = lv.comps[1].id, true
-	}
-	if lv.expand != nil {
-		ip.BoundO = true
-		var st pstats
-		st.distinct[1] = 1
-		for _, oid := range lv.expand {
-			ip.O = oid
-			is := src.StatsID(ip)
-			st.count += float64(is.Count)
-			st.distinct[0] += float64(is.DistinctS)
-			st.distinct[2]++
-		}
-		return st
-	}
-	if !lv.comps[2].isVar {
-		ip.O, ip.BoundO = lv.comps[2].id, true
-	}
-	is := src.StatsID(ip)
-	return pstats{
-		count:    float64(is.Count),
-		distinct: [3]float64{float64(is.DistinctS), float64(is.DistinctP), float64(is.DistinctO)},
-	}
-}
-
-// probeEstimate estimates how many matches one probe of the pattern yields
-// given which variables the plan has already bound: the pattern's count,
-// divided by the distinct width of every join-bound position. A position
-// bound to one concrete value selects about count/distinct of the matches —
-// a subject-bound probe into a predicate pattern is near a point lookup,
-// while an object-bound probe into the same pattern keeps count/|objects|.
-func probeEstimate(lv *level, st pstats, bound []bool) float64 {
-	m := st.count
-	for i, c := range lv.comps {
-		if c.isVar && bound[c.varIdx] {
-			if d := st.distinct[i]; d > 1 {
-				m /= d
-			}
-		}
-	}
-	return m
-}
-
-// planCost simulates evaluating the levels in the given order, propagating
+// planCost simulates evaluating the steps in the given order, propagating
 // the estimated number of partial solutions: each step costs one probe plus
-// its estimated matches per surviving partial solution. bound is scratch
-// space (one flag per variable), reset here.
-func planCost(levels []level, stats []pstats, order []int, bound []bool) float64 {
-	for i := range bound {
-		bound[i] = false
-	}
+// its estimated matches (Card.Fanout) per surviving partial solution. bound
+// is scratch space (one flag per variable), reset here.
+func planCost(steps []exec.Step, cards []exec.Card, order []int, bound []bool) float64 {
+	clear(bound)
 	solutions, work := 1.0, 0.0
 	for _, idx := range order {
-		m := probeEstimate(&levels[idx], stats[idx], bound)
+		m := cards[idx].Fanout(steps[idx].Pat, bound)
 		work += solutions * (1 + m)
 		solutions *= m
-		for _, c := range levels[idx].comps {
-			if c.isVar {
-				bound[c.varIdx] = true
-			}
-		}
+		steps[idx].Pat.Bind(bound)
 	}
 	return work
 }
@@ -410,48 +301,29 @@ const maxExhaustive = 6
 // heap allocation for their bound-flag vector.
 const planScratchVars = 24
 
-// plan orders the levels for the join by estimated total work under the
+// plan orders the steps for the join by estimated total work under the
 // count/distinct cost model: selectivity-ordered, cheapest plan first. The
 // model naturally evaluates selective patterns before unselective ones and
 // follows join-bound variables through their most selective probe direction;
 // disconnected pattern groups end up cheapest-first, keeping the unavoidable
-// cartesian product as small as possible. The returned order is what build
-// lowers onto the operator tree, each level carrying its estimate along that
-// order (level.est). A non-nil tr records every candidate order costed and
-// the chosen order's per-level estimates (see trace.go).
-func plan(src Source, levels []level, nvars int, tr *Trace) []level {
-	n := len(levels)
-	if n == 1 {
-		st := levelStats(src, &levels[0])
-		levels[0].est = st.count
-		if tr != nil {
-			stats := []pstats{st}
-			bound := make([]bool, nvars)
-			order := []int{0}
-			c := planCost(levels, stats, order, bound)
-			tr.recordCandidate(levels, order, c)
-			tr.finishPlan(levels, c, true)
-		}
-		return levels
-	}
+// cartesian product as small as possible. plan reorders steps in place into
+// the order Eval lowers onto the operator tree, each step carrying its
+// fan-out along it (Step.Est). bound is all-false scratch, one flag per
+// variable. A non-nil tr records every candidate order costed and the chosen
+// order's per-level estimates (see trace.go).
+func plan(src Source, steps []exec.Step, bound []bool, tr *Trace) {
+	n := len(steps)
 	// The scratch below lives in fixed-size arrays when the BGP is small —
 	// the overwhelmingly common case — so planning itself allocates nothing.
-	var statsArr [maxExhaustive]pstats
-	var stats []pstats
+	var cardsArr [maxExhaustive]exec.Card
+	var cards []exec.Card
 	if n <= maxExhaustive {
-		stats = statsArr[:n]
+		cards = cardsArr[:n]
 	} else {
-		stats = make([]pstats, n)
+		cards = make([]exec.Card, n)
 	}
-	for i := range levels {
-		stats[i] = levelStats(src, &levels[i])
-	}
-	var boundArr [planScratchVars]bool
-	var bound []bool
-	if nvars <= planScratchVars {
-		bound = boundArr[:nvars]
-	} else {
-		bound = make([]bool, nvars)
+	for i := range steps {
+		cards[i] = stepCard(src, &steps[i])
 	}
 	var bestArr, permArr [maxExhaustive]int
 	var best []int
@@ -465,9 +337,9 @@ func plan(src Source, levels []level, nvars int, tr *Trace) []level {
 		var rec func(k int)
 		rec = func(k int) {
 			if k == n {
-				c := planCost(levels, stats, perm, bound)
+				c := planCost(steps, cards, perm, bound)
 				if tr != nil {
-					tr.recordCandidate(levels, perm, c)
+					tr.recordCandidate(perm, c)
 				}
 				if c < bestCost {
 					bestCost = c
@@ -491,42 +363,32 @@ func plan(src Source, levels []level, nvars int, tr *Trace) []level {
 				if used[i] {
 					continue
 				}
-				if c := solutions * (1 + probeEstimate(&levels[i], stats[i], bound)); c < bc {
+				if c := solutions * (1 + cards[i].Fanout(steps[i].Pat, bound)); c < bc {
 					bi, bc = i, c
 				}
 			}
 			used[bi] = true
-			solutions *= probeEstimate(&levels[bi], stats[bi], bound)
+			solutions *= cards[bi].Fanout(steps[bi].Pat, bound)
 			best = append(best, bi)
-			for _, c := range levels[bi].comps {
-				if c.isVar {
-					bound[c.varIdx] = true
-				}
-			}
+			steps[bi].Pat.Bind(bound)
 		}
 		if tr != nil {
-			bestCost = planCost(levels, stats, best, bound)
-			tr.recordCandidate(levels, best, bestCost)
+			bestCost = planCost(steps, cards, best, bound)
+			tr.recordCandidate(best, bestCost)
 		}
 	}
-	ordered := make([]level, 0, n)
-	for i := range bound {
-		bound[i] = false
-	}
-	for _, idx := range best {
-		lv := levels[idx]
-		lv.est = probeEstimate(&lv, stats[idx], bound)
-		ordered = append(ordered, lv)
-		for _, c := range lv.comps {
-			if c.isVar {
-				bound[c.varIdx] = true
-			}
-		}
+	// Lay the steps out in the chosen order, each with its fan-out along it.
+	var origArr [maxExhaustive]exec.Step
+	orig := append(origArr[:0], steps...)
+	clear(bound)
+	for i, idx := range best {
+		steps[i] = orig[idx]
+		steps[i].Est = cards[idx].Fanout(steps[i].Pat, bound)
+		steps[i].Pat.Bind(bound)
 	}
 	if tr != nil {
-		tr.finishPlan(ordered, bestCost, n <= maxExhaustive)
+		tr.finishPlan(steps, best, bestCost, n <= maxExhaustive)
 	}
-	return ordered
 }
 
 // Next advances to the next solution, reporting whether one exists. After

@@ -1,10 +1,12 @@
 // Package exec is the batched (vectorized) operator runtime under the query
 // layer: bindings flow through a tree of pull-based operators as columnar
-// batches of dictionary ids instead of one solution at a time. The query
-// evaluator (repro/internal/query.Eval) compiles a planned BGP onto this
-// tree, and the materialization engine (repro/internal/reason) compiles its
-// semi-naive rule bodies onto the same operators, so every layer above the
-// store shares one execution engine.
+// batches of dictionary ids instead of one solution at a time. A BGP's
+// patterns and a rule's atoms are the same compiled Pattern, and the query
+// evaluator (repro/internal/query.Eval) and the materialization engine
+// (repro/internal/reason) lower an ordered list of them onto operators with
+// the same Lower — a planned BGP from a scan, a semi-naive term from a delta
+// slice, a rederivation test from a seed — so every layer above the store
+// shares one execution engine.
 //
 // The operator vocabulary is small:
 //
@@ -228,8 +230,107 @@ func Lit(id store.SymbolID) Term { return Term{ID: id} }
 // Var builds a variable term for the given slot.
 func Var(slot int) Term { return Term{Slot: slot, IsVar: true} }
 
-// Pattern is one triple pattern over slots: subject, predicate, object.
+// Pattern is one triple pattern over slots: subject, predicate, object. It
+// is the one compiled form of a triple pattern — a BGP's patterns and a rule's
+// atoms both compile to it (query.TriplePattern.Compile) — and what a planner
+// or a rule engine asks of a pattern is asked here: its literal template, the
+// slots it binds, its per-probe fan-out (Card.Fanout).
 type Pattern [3]Term
+
+// Template is the pattern's literal template as a store pattern: literals
+// bound, variables wildcards. A repeated variable is not expressible there,
+// so the template's count bounds the pattern's matches from above.
+func (p Pattern) Template() store.IDPattern {
+	return store.IDPattern{
+		S: p[0].ID, BoundS: !p[0].IsVar,
+		P: p[1].ID, BoundP: !p[1].IsVar,
+		O: p[2].ID, BoundO: !p[2].IsVar,
+	}
+}
+
+// Bind flags the pattern's variable slots in bound: once an operator for the
+// pattern has run, every later one may probe with them.
+func (p Pattern) Bind(bound []bool) {
+	for _, t := range p {
+		if t.IsVar {
+			bound[t.Slot] = true
+		}
+	}
+}
+
+// Card is a pattern's cardinality with only its literals bound: the match
+// count and, per position, how many distinct values the position takes among
+// the matches. CardOf converts the store's statistics; a planner may sum
+// several (an expanded pattern's candidates).
+type Card struct {
+	// Count is the number of matches.
+	Count float64
+	// Distinct is the distinct width of the subject, predicate and object.
+	Distinct [3]float64
+}
+
+// CardOf is the store's statistics of a pattern as a Card.
+func CardOf(st store.IDStats) Card {
+	return Card{
+		Count:    float64(st.Count),
+		Distinct: [3]float64{float64(st.DistinctS), float64(st.DistinctP), float64(st.DistinctO)},
+	}
+}
+
+// Fanout estimates how many matches one probe of p yields once the slots
+// flagged in bound are bound: the count divided by the distinct width of
+// every join-bound position. A position bound to one concrete value selects
+// about count/distinct of the matches — a subject-bound probe into a
+// predicate pattern is near a point lookup, while an object-bound probe into
+// the same pattern keeps count/|objects|. It is the planner's cost unit,
+// EXPLAIN's est_rows, and a join's probe window (Step.Est).
+func (c Card) Fanout(p Pattern, bound []bool) float64 {
+	m := c.Count
+	for i, t := range p {
+		if t.IsVar && bound[t.Slot] && c.Distinct[i] > 1 {
+			m /= c.Distinct[i]
+		}
+	}
+	return m
+}
+
+// Step is one pattern of an ordered conjunction, as Lower lowers it.
+type Step struct {
+	// Pat is the pattern.
+	Pat Pattern
+	// Expand, when non-nil, lists the candidate object ids the step unions
+	// over (the query layer's ontology expansion).
+	Expand []store.SymbolID
+	// Est is the step's per-probe fan-out along the order (Card.Fanout); it
+	// sizes a join's probe window, and 0 probes whole child batches.
+	Est float64
+	// Stat, when non-nil, receives the lowered operator's span statistics.
+	Stat *OpStat
+}
+
+// Lower lowers an ordered conjunction onto an operator tree over src with
+// nslots-column batches: the one place a planned BGP and a rule body become
+// operators. With a nil leaf, steps[0] becomes a scan leaf; otherwise leaf
+// is the tree's leaf, binding the slots flagged in bound. Every other step
+// becomes a batch join probing src, windowed by its Est. bound is updated in
+// place to cover every step's variables and only read while building, so it
+// may live on the caller's stack.
+func Lower(src Source, leaf Op, steps []Step, bound []bool, nslots int) Op {
+	op := leaf
+	for i := range steps {
+		st := &steps[i]
+		if op == nil {
+			op = NewScan(src, st.Pat, st.Expand, nslots)
+		} else {
+			op = NewJoin(op, src, st.Pat, st.Expand, bound, nslots, int(st.Est))
+		}
+		if st.Stat != nil {
+			op.(instrumentable).setStat(st.Stat)
+		}
+		st.Pat.Bind(bound)
+	}
+	return op
+}
 
 // Op is one operator of the tree. Next returns the operator's next batch —
 // owned by the operator, valid until its next Next call — or (nil, nil) when
@@ -336,22 +437,6 @@ func (rp *rowPlan) write(b *Batch, r int, t store.IDTriple) {
 	}
 }
 
-// idPattern builds the literal template of a pattern: literals become bound
-// components, variables wildcards.
-func idPattern(pat Pattern) store.IDPattern {
-	var ip store.IDPattern
-	if !pat[0].IsVar {
-		ip.S, ip.BoundS = pat[0].ID, true
-	}
-	if !pat[1].IsVar {
-		ip.P, ip.BoundP = pat[1].ID, true
-	}
-	if !pat[2].IsVar {
-		ip.O, ip.BoundO = pat[2].ID, true
-	}
-	return ip
-}
-
 // scan is the leaf operator over a Source: it drains the ScanParts cursors,
 // one after the other, into a triple buffer and converts each fill into a
 // columnar batch.
@@ -401,7 +486,7 @@ func NewScan(src Source, pat Pattern, expand []store.SymbolID, nslots int) Op {
 	s := scanPool.Get().(*scan)
 	*s = scan{
 		src:    src,
-		ip:     idPattern(pat),
+		ip:     pat.Template(),
 		rp:     planRow(pat, nil),
 		expand: expand,
 		out:    newBatch(nslots),
@@ -507,11 +592,8 @@ func (s *scan) convert(ts []store.IDTriple) {
 // semi-naive evaluation. Literal components filter; variable components
 // bind.
 type sliceScan struct {
-	ts  []store.IDTriple
-	lit [3]struct {
-		bound bool
-		id    store.SymbolID
-	}
+	ts       []store.IDTriple
+	ip       store.IDPattern
 	rp       rowPlan
 	out      *Batch
 	pos      int
@@ -523,14 +605,7 @@ type sliceScan struct {
 // batches. The slice is not copied; it must stay unchanged while the tree
 // runs.
 func NewSliceScan(ts []store.IDTriple, pat Pattern, nslots int) Op {
-	ss := &sliceScan{ts: ts, rp: planRow(pat, nil), out: newBatch(nslots)}
-	for i, t := range pat {
-		if !t.IsVar {
-			ss.lit[i].bound = true
-			ss.lit[i].id = t.ID
-		}
-	}
-	return ss
+	return &sliceScan{ts: ts, ip: pat.Template(), rp: planRow(pat, nil), out: newBatch(nslots)}
 }
 
 // close releases the slice scan's pooled columns.
@@ -552,18 +627,11 @@ func (ss *sliceScan) Next(ctx *Ctx) (*Batch, error) {
 		return nil, ErrInterrupted
 	}
 	r := 0
+	ip := &ss.ip
 	for ss.pos < len(ss.ts) && r < BatchSize {
 		t := ss.ts[ss.pos]
 		ss.pos++
-		vals := [3]store.SymbolID{t.S, t.P, t.O}
-		ok := true
-		for i := range ss.lit {
-			if ss.lit[i].bound && ss.lit[i].id != vals[i] {
-				ok = false
-				break
-			}
-		}
-		if !ok || !ss.rp.admit(t) {
+		if ip.BoundS && t.S != ip.S || ip.BoundP && t.P != ip.P || ip.BoundO && t.O != ip.O || !ss.rp.admit(t) {
 			continue
 		}
 		ss.rp.write(ss.out, r, t)
@@ -712,7 +780,7 @@ func NewJoin(child Op, src Source, pat Pattern, expand []store.SymbolID, boundBe
 		child:      child,
 		src:        src,
 		pat:        pat,
-		ipBase:     idPattern(pat),
+		ipBase:     pat.Template(),
 		rp:         planRow(pat, boundBefore),
 		expand:     expand,
 		out:        newBatch(nslots),

@@ -13,7 +13,7 @@ import (
 // trip (per batch, never per row).
 
 // OpStat accumulates one operator's execution statistics. The evaluator
-// attaches one per operator via Instrument; the operator adds into it from
+// attaches one per operator through Step.Stat; the operator adds into it from
 // the pulling goroutine, so the struct needs no atomics — read it after the
 // stream ends (or accept a torn mid-flight read).
 type OpStat struct {
@@ -30,19 +30,9 @@ type OpStat struct {
 	Nanos int64 `json:"nanos"`
 }
 
-// instrumentable is satisfied by operators that can carry an OpStat.
+// instrumentable is satisfied by the operators Lower builds — scans and
+// joins; the reasoner-only leaves carry no OpStat.
 type instrumentable interface{ setStat(*OpStat) }
-
-// Instrument attaches st to op, reporting whether the operator supports
-// span statistics (scans and joins do; the reasoner-only leaves do not).
-// It must be called before the first Next.
-func Instrument(op Op, st *OpStat) bool {
-	in, ok := op.(instrumentable)
-	if ok {
-		in.setStat(st)
-	}
-	return ok
-}
 
 func (s *scan) setStat(st *OpStat) { s.stat = st }
 func (j *join) setStat(st *OpStat) { j.stat = st }

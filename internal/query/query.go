@@ -36,6 +36,9 @@ package query
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/query/exec"
+	"repro/internal/store"
 )
 
 // Term is one component of a triple pattern: a literal value or a named
@@ -89,6 +92,40 @@ func (p TriplePattern) terms() [3]Term {
 // String renders the pattern in the textual form ParseBGP reads.
 func (p TriplePattern) String() string {
 	return fmt.Sprintf("%s %s %s", p.Subject, p.Predicate, p.Object)
+}
+
+// Validate reports a malformed pattern: a variable with an empty name, or an
+// empty literal, which no triple can match. It is the one such check — Eval
+// runs it on every pattern of a BGP, reason's Rule.Validate on every atom of
+// a rule.
+func (p TriplePattern) Validate() error {
+	for _, t := range p.terms() {
+		switch {
+		case t.Value != "":
+		case t.IsVar:
+			return fmt.Errorf("pattern (%s) names a variable with an empty name", p)
+		default:
+			return fmt.Errorf("pattern (%s) has an empty literal; no triple can match it", p)
+		}
+	}
+	return nil
+}
+
+// Compile is the one compiler of a triple pattern to the operator runtime's
+// form: each variable becomes the slot that slot assigns its name, each
+// literal the id that lit assigns its value. Eval compiles a BGP with its
+// variable table and the source's dictionary; the reasoner compiles a rule's
+// atoms with the rule's table, interning literals eagerly.
+func (p TriplePattern) Compile(slot func(name string) int, lit func(value string) store.SymbolID) exec.Pattern {
+	var out exec.Pattern
+	for i, t := range p.terms() {
+		if t.IsVar {
+			out[i] = exec.Var(slot(t.Value))
+		} else {
+			out[i] = exec.Lit(lit(t.Value))
+		}
+	}
+	return out
 }
 
 // BGP is a basic graph pattern: a conjunction of triple patterns joined on

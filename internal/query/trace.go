@@ -78,28 +78,22 @@ func WithTrace(t *Trace) Option {
 
 // recordCandidate appends one costed order (copying the permutation) and
 // counts it.
-func (t *Trace) recordCandidate(levels []level, order []int, cost float64) {
+func (t *Trace) recordCandidate(order []int, cost float64) {
 	t.Considered++
-	orig := make([]int, len(order))
-	for i, idx := range order {
-		orig[i] = levels[idx].orig
-	}
-	t.Candidates = append(t.Candidates, Candidate{Order: orig, Cost: cost})
+	t.Candidates = append(t.Candidates, Candidate{Order: append([]int(nil), order...), Cost: cost})
 }
 
 // finishPlan fills the chosen-order fields and the Levels skeleton once the
-// planner has settled on an order (the levels arrive in that order, each
-// carrying its estimate), and sorts and truncates the candidate list to the
-// cheapest few.
-func (t *Trace) finishPlan(ordered []level, cost float64, exhaustive bool) {
+// planner has settled on an order — ordered holds the steps in that order,
+// each carrying its estimate, and order their indices in the request BGP —
+// and sorts and truncates the candidate list to the cheapest few.
+func (t *Trace) finishPlan(ordered []exec.Step, order []int, cost float64, exhaustive bool) {
 	t.Exhaustive = exhaustive
 	t.Cost = cost
-	t.Chosen = make([]int, len(ordered))
+	t.Chosen = append([]int(nil), order...)
 	t.Levels = make([]LevelTrace, len(ordered))
 	for i := range ordered {
-		lv := &ordered[i]
-		t.Chosen[i] = lv.orig
-		t.Levels[i] = LevelTrace{Index: lv.orig, EstRows: lv.est, Expand: len(lv.expand)}
+		t.Levels[i] = LevelTrace{Index: order[i], EstRows: ordered[i].Est, Expand: len(ordered[i].Expand)}
 	}
 	sort.SliceStable(t.Candidates, func(i, j int) bool { return t.Candidates[i].Cost < t.Candidates[j].Cost })
 	if len(t.Candidates) > maxTraceCandidates {

@@ -19,8 +19,15 @@ import (
 // axioms chosen so each RDFS rule derives something, 89 sites in 7 regions,
 // and 102 000 instances with one type and one locatedIn triple each.
 func servingCorpus(tb testing.TB) []store.Triple {
+	return servingCorpusN(tb, 120, 102_000)
+}
+
+// servingCorpusN is servingCorpus over a random hierarchy of the given
+// number of classes and with the given number of instances; the property
+// axioms, sites and regions are the harness's whatever the scale.
+func servingCorpusN(tb testing.TB, classes, instances int) []store.Triple {
 	tb.Helper()
-	const classes, sites, regions, instances = 120, 89, 7, 102_000
+	const sites, regions = 89, 7
 	tbox := workload.RandomHierarchyTBox(rand.New(rand.NewSource(20060326)),
 		workload.HierarchyParams{Classes: classes, MaxParents: 2})
 	oi, err := store.NewOntologyIndex(tbox)

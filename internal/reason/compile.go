@@ -3,7 +3,6 @@ package reason
 import (
 	"fmt"
 
-	"repro/internal/query"
 	"repro/internal/query/exec"
 	"repro/internal/store"
 )
@@ -12,59 +11,16 @@ import (
 // semi-naive matching onto the batched operator runtime in
 // repro/internal/query/exec — the same operators the query layer evaluates
 // BGPs with, so materialization is batch joins over deltas instead of a
-// private tuple-at-a-time matcher. A compiled rule's literals are interned
-// ids (head literals are interned eagerly, so a rule can conclude symbols no
-// asserted triple mentions yet), its variables are slot indexes into the
-// operator tree's columnar batches, and each semi-naive term "atom di ranges
-// over the delta, the rest probe the full materialization" becomes a
-// SliceScan leaf over the delta feeding shard-grouped batch joins against
-// the view.
-
-// cterm is one compiled pattern component: an interned literal or a
-// variable slot index.
-type cterm struct {
-	isVar bool
-	v     int            // variable slot, when isVar
-	id    store.SymbolID // literal id, when !isVar
-}
-
-// catom is one compiled triple pattern.
-type catom struct {
-	t [3]cterm
-}
-
-// execPattern lowers the atom onto the operator runtime's pattern form.
-func (a catom) execPattern() exec.Pattern {
-	var p exec.Pattern
-	for i, t := range a.t {
-		if t.isVar {
-			p[i] = exec.Var(t.v)
-		} else {
-			p[i] = exec.Lit(t.id)
-		}
-	}
-	return p
-}
-
-// idPattern is the atom as a store pattern: literals bound, variables
-// wildcards (a repeated variable is not expressible there, so the count of
-// the pattern is an upper bound on the atom's matches).
-func (a catom) idPattern() store.IDPattern {
-	return store.IDPattern{
-		S: a.t[0].id, BoundS: !a.t[0].isVar,
-		P: a.t[1].id, BoundP: !a.t[1].isVar,
-		O: a.t[2].id, BoundO: !a.t[2].isVar,
-	}
-}
-
-// bindVars marks the atom's variable slots bound.
-func (a catom) bindVars(bound []bool) {
-	for _, t := range a.t {
-		if t.isVar {
-			bound[t.v] = true
-		}
-	}
-}
+// private tuple-at-a-time matcher. A rule's atoms compile to the exec.Pattern
+// a BGP's patterns compile to (query.TriplePattern.Compile): literals are
+// interned ids (head literals are interned eagerly, so a rule can conclude
+// symbols no asserted triple mentions yet), variables slot indexes into the
+// operator tree's columnar batches. Every pipeline the engine runs is one
+// exec.Lower of a precomputed order, from one of three leaves: a store scan
+// (matchAll, the seed round's whole rule), a slice of the delta (matchDelta,
+// one semi-naive term "atom di ranges over the delta, the rest probe the full
+// materialization") or a seeded row (derives, the rederivation test); every
+// one drains through drainHeads.
 
 // crule is one compiled rule: its head, its body, the number of distinct
 // variables, and the precomputed evaluation orders — one per choice of delta
@@ -72,33 +28,15 @@ func (a catom) bindVars(bound []bool) {
 // when rederiving with the head's variables pre-bound.
 type crule struct {
 	name       string
-	head       catom
-	body       []catom
+	head       exec.Pattern
+	body       []exec.Pattern
 	nvars      int
-	deltaOrder [][]int // deltaOrder[i]: evaluation order with atom i first
-	headOrder  []int   // evaluation order with head variables pre-bound
+	deltaOrder [][]exec.Step // deltaOrder[i]: the body in evaluation order with atom i first
+	headOrder  []exec.Step   // the body in evaluation order with head variables pre-bound
 	// selfAtom is the index of the recursive body atom of a propagation rule
 	// (see markPropagation), -1 for every other rule: the atom that is not
 	// fed the triples the rule itself concluded in the previous round.
 	selfAtom int
-}
-
-// compileTerm compiles one term, interning literals and assigning variable
-// slots through vars.
-func compileTerm(t query.Term, vars map[string]int, base *store.Store) (cterm, error) {
-	if t.IsVar {
-		idx, ok := vars[t.Value]
-		if !ok {
-			idx = len(vars)
-			vars[t.Value] = idx
-		}
-		return cterm{isVar: true, v: idx}, nil
-	}
-	id, err := base.Intern(t.Value)
-	if err != nil {
-		return cterm{}, err
-	}
-	return cterm{id: id}, nil
 }
 
 // compileRules validates and compiles a rule set against the base store's
@@ -110,36 +48,38 @@ func compileRules(base *store.Store, rules []Rule) ([]crule, error) {
 	out := make([]crule, 0, len(rules))
 	for _, r := range rules {
 		vars := map[string]int{}
-		cr := crule{name: r.Name}
-		for _, p := range r.Body {
-			var a catom
-			var err error
-			for i, t := range [3]query.Term{p.Subject, p.Predicate, p.Object} {
-				if a.t[i], err = compileTerm(t, vars, base); err != nil {
-					return nil, fmt.Errorf("reason: compiling rule %q: %w", r.Name, err)
-				}
+		slot := func(name string) int {
+			idx, ok := vars[name]
+			if !ok {
+				idx = len(vars)
+				vars[name] = idx
 			}
-			cr.body = append(cr.body, a)
+			return idx
 		}
 		var err error
-		for i, t := range [3]query.Term{r.Head.Subject, r.Head.Predicate, r.Head.Object} {
-			if cr.head.t[i], err = compileTerm(t, vars, base); err != nil {
-				return nil, fmt.Errorf("reason: compiling rule %q: %w", r.Name, err)
+		lit := func(value string) store.SymbolID {
+			id, e := base.Intern(value)
+			if err == nil {
+				err = e
 			}
+			return id
+		}
+		cr := crule{name: r.Name, selfAtom: -1}
+		for _, p := range r.Body {
+			cr.body = append(cr.body, p.Compile(slot, lit))
+		}
+		cr.head = r.Head.Compile(slot, lit)
+		if err != nil {
+			return nil, fmt.Errorf("reason: compiling rule %q: %w", r.Name, err)
 		}
 		cr.nvars = len(vars)
-		cr.deltaOrder = make([][]int, len(cr.body))
+		cr.deltaOrder = make([][]exec.Step, len(cr.body))
 		for i := range cr.body {
-			cr.deltaOrder[i] = cr.orderFrom([]int{i}, cr.varsOf(i, nil))
+			cr.deltaOrder[i] = cr.orderFrom([]int{i}, make([]bool, cr.nvars))
 		}
-		headVars := map[int]bool{}
-		for _, t := range cr.head.t {
-			if t.isVar {
-				headVars[t.v] = true
-			}
-		}
+		headVars := make([]bool, cr.nvars)
+		cr.head.Bind(headVars)
 		cr.headOrder = cr.orderFrom(nil, headVars)
-		cr.selfAtom = -1
 		out = append(out, cr)
 	}
 	markPropagation(out)
@@ -169,7 +109,7 @@ func compileRules(base *store.Store, rules []Rule) ([]crule, error) {
 // evaluated; it needs only a set closed under the rules plus a delta, so the
 // skip applies to every propagation — initial, incremental, and the
 // re-propagation phase of delete-and-rederive — but not to overdeletion,
-// which is a different pass.
+// which runs the same term loop (Reasoner.terms) with the skip off.
 func markPropagation(rules []crule) {
 	closed := map[store.SymbolID]bool{}
 	for i := range rules {
@@ -184,20 +124,20 @@ func markPropagation(rules []crule) {
 		}
 		for ri := 0; ri < 2 && r.selfAtom < 0; ri++ {
 			rec, edge := r.body[ri], r.body[1-ri]
-			x, e, y := edge.t[0], edge.t[1], edge.t[2]
-			if !x.isVar || e.isVar || !y.isVar || x.v == y.v || !closed[e.id] {
+			x, e, y := edge[0], edge[1], edge[2]
+			if !x.IsVar || e.IsVar || !y.IsVar || x.Slot == y.Slot || !closed[e.ID] {
 				continue
 			}
-			if rec.t[1] == e {
+			if rec[1] == e {
 				continue
 			}
 			walks, ok := false, true
-			for k, t := range rec.t {
+			for k, t := range rec {
 				want := t
-				if t.isVar && t.v == x.v {
+				if t.IsVar && t.Slot == x.Slot {
 					want, walks = y, true
 				}
-				if (t.isVar && t.v == y.v) || r.head.t[k] != want {
+				if (t.IsVar && t.Slot == y.Slot) || r.head[k] != want {
 					ok = false
 				}
 			}
@@ -215,62 +155,51 @@ func (r *crule) transitivityOver() (store.SymbolID, bool) {
 	if len(r.body) != 2 {
 		return 0, false
 	}
-	e := r.head.t[1]
-	if e.isVar {
+	e := r.head[1]
+	if e.IsVar {
 		return 0, false
 	}
-	for _, a := range [...]catom{r.head, r.body[0], r.body[1]} {
-		if !a.t[0].isVar || a.t[1] != e || !a.t[2].isVar {
+	for _, a := range [...]exec.Pattern{r.head, r.body[0], r.body[1]} {
+		if !a[0].IsVar || a[1] != e || !a[2].IsVar {
 			return 0, false
 		}
 	}
 	for i := 0; i < 2; i++ {
 		first, second := r.body[i], r.body[1-i]
-		a, b, c := first.t[0].v, first.t[2].v, second.t[2].v
-		if second.t[0].v == b && a != b && b != c && a != c &&
-			r.head.t[0].v == a && r.head.t[2].v == c {
-			return e.id, true
+		a, b, c := first[0].Slot, first[2].Slot, second[2].Slot
+		if second[0].Slot == b && a != b && b != c && a != c &&
+			r.head[0].Slot == a && r.head[2].Slot == c {
+			return e.ID, true
 		}
 	}
 	return 0, false
 }
 
-// varsOf accumulates atom i's variable indexes into set (allocating it when
-// nil) and returns it.
-func (r *crule) varsOf(i int, set map[int]bool) map[int]bool {
-	if set == nil {
-		set = map[int]bool{}
-	}
-	for _, t := range r.body[i].t {
-		if t.isVar {
-			set[t.v] = true
-		}
-	}
-	return set
-}
-
 // orderFrom completes an evaluation order: starting from the given prefix of
-// atom indexes and the variable set they bind, it repeatedly appends the
-// remaining atom with the most bound components (ties to the earlier atom),
-// the static analogue of the query planner's follow-the-join heuristic.
-func (r *crule) orderFrom(prefix []int, bound map[int]bool) []int {
-	order := append([]int(nil), prefix...)
+// atoms — their variables, and any flagged in bound, count as bound — it
+// repeatedly appends the remaining atom with the most bound components (ties
+// to the earlier atom), the static analogue of the query planner's
+// follow-the-join heuristic. bound is updated in place.
+func (r *crule) orderFrom(prefix []int, bound []bool) []exec.Step {
+	order := make([]exec.Step, 0, len(r.body))
 	used := make([]bool, len(r.body))
-	for _, i := range prefix {
+	take := func(i int) {
 		used[i] = true
+		order = append(order, exec.Step{Pat: r.body[i]})
+		r.body[i].Bind(bound)
 	}
-	if bound == nil {
-		bound = map[int]bool{}
+	for _, i := range prefix {
+		take(i)
 	}
 	for len(order) < len(r.body) {
 		best, bestScore := -1, -1
-		for i := range r.body {
+		for i, a := range r.body {
 			if used[i] {
 				continue
 			}
 			score := 0
-			for _, t := range r.body[i].t {
-				if !t.isVar || bound[t.v] {
+			for _, t := range a {
+				if !t.IsVar || bound[t.Slot] {
 					score++
 				}
 			}
@@ -278,39 +207,24 @@ func (r *crule) orderFrom(prefix []int, bound map[int]bool) []int {
 				best, bestScore = i, score
 			}
 		}
-		used[best] = true
-		order = append(order, best)
-		bound = r.varsOf(best, bound)
+		take(best)
 	}
 	return order
 }
 
-// head instantiates the rule's head from row r of a complete-binding batch
-// (heads are range-restricted, so every head variable has a bound slot by
-// the time a body pipeline emits rows).
+// headTriple instantiates the rule's head from row r of a complete-binding
+// batch (heads are range-restricted, so every head variable has a bound slot
+// by the time a body pipeline emits rows).
 func (r *crule) headTriple(b *exec.Batch, row int) store.IDTriple {
 	var out [3]store.SymbolID
-	for i, ct := range r.head.t {
-		if ct.isVar {
-			out[i] = b.Cols[ct.v][row]
+	for i, t := range r.head {
+		if t.IsVar {
+			out[i] = b.Cols[t.Slot][row]
 		} else {
-			out[i] = ct.id
+			out[i] = t.ID
 		}
 	}
 	return store.IDTriple{S: out[0], P: out[1], O: out[2]}
-}
-
-// bodyPipeline builds the operator tree of the rule's body in the given atom
-// order, starting from leaf (which must already bind the slots flagged in
-// bound); the remaining atoms become batch joins probing db. bound is
-// updated in place to cover every body variable.
-func bodyPipeline(r *crule, order []int, leaf exec.Op, bound []bool, db exec.Source) exec.Op {
-	op := leaf
-	for _, ai := range order {
-		op = exec.NewJoin(op, db, r.body[ai].execPattern(), nil, bound, r.nvars, 0)
-		r.body[ai].bindVars(bound)
-	}
-	return op
 }
 
 // matchAll enumerates every instantiation of the rule's body over db,
@@ -322,34 +236,28 @@ func bodyPipeline(r *crule, order []int, leaf exec.Op, bound []bool, db exec.Sou
 func matchAll(r *crule, db *store.Store, emit func(store.IDTriple) bool) {
 	di, least := 0, -1
 	for i, a := range r.body {
-		if n := db.StatsID(a.idPattern()).Count; least < 0 || n < least {
+		if n := db.StatsID(a.Template()).Count; least < 0 || n < least {
 			di, least = i, n
 		}
 	}
+	// Unlike a delta term, whose probes mostly miss, a whole-database join
+	// fans out (every class probes for all its instances): hand each join
+	// the query planner's per-probe estimate so it windows its probes instead
+	// of buffering a whole child batch's matches.
+	var stepsArr [4]exec.Step // a longer body's copy grows onto the heap
+	steps := append(stepsArr[:0], r.deltaOrder[di]...)
 	bound := make([]bool, r.nvars)
-	r.body[di].bindVars(bound)
-	op := exec.NewScan(db, r.body[di].execPattern(), nil, r.nvars)
-	for _, ai := range r.deltaOrder[di][1:] {
-		// Unlike a delta term, whose probes mostly miss, a whole-database
-		// join fans out (every class probes for all its instances): hand the
-		// join the query planner's per-probe estimate so it windows its
-		// probes instead of buffering a whole child batch's matches.
-		a := r.body[ai]
-		st := db.StatsID(a.idPattern())
-		est := st.Count
-		for k, distinct := range [3]int{st.DistinctS, st.DistinctP, st.DistinctO} {
-			if a.t[k].isVar && bound[a.t[k].v] && distinct > 1 {
-				est /= distinct
-			}
-		}
-		op = exec.NewJoin(op, db, a.execPattern(), nil, bound, r.nvars, est)
-		a.bindVars(bound)
+	for i := range steps {
+		steps[i].Est = exec.CardOf(db.StatsID(steps[i].Pat.Template())).Fanout(steps[i].Pat, bound)
+		steps[i].Pat.Bind(bound)
 	}
-	drainHeads(r, op, emit)
+	clear(bound)
+	drainHeads(r, exec.Lower(db, nil, steps, bound, r.nvars), emit)
 }
 
 // drainHeads pulls the pipeline dry, emitting the rule's head for every row,
-// and reports whether it ran to completion; emit returns false to stop.
+// and reports whether it ran to completion; emit returns false to stop, and
+// the abandoned pipeline hands its pooled buffers back.
 func drainHeads(r *crule, op exec.Op, emit func(store.IDTriple) bool) bool {
 	var ctx exec.Ctx
 	for {
@@ -384,9 +292,8 @@ func matchDelta(r *crule, di int, delta []store.IDTriple, db exec.Source, emit f
 	}
 	order := r.deltaOrder[di]
 	bound := make([]bool, r.nvars)
-	r.body[di].bindVars(bound)
-	op := bodyPipeline(r, order[1:], exec.NewSliceScan(delta, r.body[di].execPattern(), r.nvars), bound, db)
-	return drainHeads(r, op, emit)
+	order[0].Pat.Bind(bound)
+	return drainHeads(r, exec.Lower(db, exec.NewSliceScan(delta, order[0].Pat, r.nvars), order[1:], bound, r.nvars), emit)
 }
 
 // derives reports whether the rule derives the given triple in one step from
@@ -399,34 +306,22 @@ func derives(r *crule, t store.IDTriple, db exec.Source) bool {
 	vals := make([]store.SymbolID, r.nvars)
 	bound := make([]bool, r.nvars)
 	tv := [3]store.SymbolID{t.S, t.P, t.O}
-	for i, ct := range r.head.t {
-		if !ct.isVar {
-			if ct.id != tv[i] {
+	for i, ht := range r.head {
+		if !ht.IsVar {
+			if ht.ID != tv[i] {
 				return false
 			}
 			continue
 		}
-		if bound[ct.v] {
-			if vals[ct.v] != tv[i] {
+		if bound[ht.Slot] {
+			if vals[ht.Slot] != tv[i] {
 				return false
 			}
 			continue
 		}
-		vals[ct.v] = tv[i]
-		bound[ct.v] = true
+		vals[ht.Slot] = tv[i]
+		bound[ht.Slot] = true
 	}
-	op := bodyPipeline(r, r.headOrder, exec.NewSeed(vals, bound, r.nvars), bound, db)
-	var ctx exec.Ctx
-	for {
-		b, err := op.Next(&ctx)
-		if err != nil || b == nil {
-			return false
-		}
-		if b.N > 0 {
-			// Found a derivation: abandon the pipeline and hand its pooled
-			// buffers back rather than enumerating the remaining rows.
-			exec.Close(op)
-			return true
-		}
-	}
+	op := exec.Lower(db, exec.NewSeed(vals, bound, r.nvars), r.headOrder, bound, r.nvars)
+	return !drainHeads(r, op, func(store.IDTriple) bool { return false })
 }

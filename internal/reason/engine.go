@@ -16,8 +16,10 @@ import (
 // Stats counts what the engine has done since Materialize: fixpoint rounds,
 // triples derived into the overlay, and the overdelete/rederive traffic of
 // incremental maintenance. Derived counts insertions into the overlay over
-// the reasoner's whole life, so after deletions it can exceed InferredCount.
-// Its JSON form opens the engine block of GET /stats (API.md).
+// the reasoner's whole life — rederived triples included — so after deletions
+// it can exceed InferredCount. Its JSON form opens the engine block of GET
+// /stats (API.md); its Rounds and Derived are what the onto_reason_rounds_total
+// and onto_reason_derived_total series read.
 type Stats struct {
 	// Rounds is the number of semi-naive rounds run (initial materialization
 	// plus every incremental propagation).
@@ -64,7 +66,8 @@ type Reasoner struct {
 	view   *store.View
 	rules  []crule
 	source []Rule
-	stats  Stats
+	// counts is the one source of Stats and the onto_reason_* counters.
+	counts counts
 	// round is per-rule scratch of the propagation loop, indexed like rules.
 	round []ruleRound
 	// boot describes the initial fixpoint; written once, before Materialize
@@ -77,10 +80,15 @@ type Reasoner struct {
 	gen atomic.Uint64
 	// Metric handles, nil until RegisterMetrics; every observation is
 	// nil-safe, so an unobserved reasoner pays one branch per round.
-	mRounds       *obs.Counter
-	mDerived      *obs.Counter
 	mRoundSeconds *obs.Histogram
 	mDeltaSize    *obs.Histogram
+}
+
+// counts are the reasoner's cumulative counts. Writers add to them under the
+// write lock; Stats and the registered counters load them without it, so
+// neither a /stats request nor a scrape waits on a write.
+type counts struct {
+	rounds, heads, derived, overdeleted, rederived atomic.Int64
 }
 
 // Generation returns the materialization generation: it advances on every
@@ -90,15 +98,20 @@ type Reasoner struct {
 // compare.
 func (r *Reasoner) Generation() uint64 { return r.gen.Load() }
 
-// RegisterMetrics registers the reasoner's instruments on reg: round and
-// derivation counters, per-round latency and delta-size distributions, and
-// gauges for the overlay size and generation. Call it once, before traffic;
-// an unregistered reasoner skips all observation.
+// RegisterMetrics registers the reasoner's instruments on reg: the round and
+// derivation counters (Stats' Rounds and Derived, boot included), per-round
+// latency and delta-size distributions, and gauges for the overlay size and
+// generation. Call it once, before traffic; an unregistered reasoner skips
+// the distributions.
 func (r *Reasoner) RegisterMetrics(reg *obs.Registry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.mRounds = reg.Counter("onto_reason_rounds_total", "Semi-naive materialization rounds run.")
-	r.mDerived = reg.Counter("onto_reason_derived_total", "Triples ever derived into the inferred overlay.")
+	reg.CounterFunc("onto_reason_rounds_total", "Semi-naive materialization rounds run.", func() float64 {
+		return float64(r.counts.rounds.Load())
+	})
+	reg.CounterFunc("onto_reason_derived_total", "Triples ever derived into the inferred overlay.", func() float64 {
+		return float64(r.counts.derived.Load())
+	})
 	r.mRoundSeconds = reg.Histogram("onto_reason_round_seconds", "Wall time of one semi-naive round.", obs.LatencyBuckets())
 	r.mDeltaSize = reg.Histogram("onto_reason_delta_size", "Seed delta sizes entering propagation.", obs.SizeBuckets())
 	reg.GaugeFunc("onto_reason_overlay_triples", "Currently inferred triples (overlay size).", func() float64 {
@@ -182,8 +195,9 @@ type Delta struct {
 // content-changing write. The hook runs synchronously on the writing
 // goroutine while the reasoner's write lock is held: writes are serialized
 // with their notifications, so a receiver that processes them in order sees a
-// consistent history, but the hook must be fast and must not call any
-// Reasoner method (the lock is not reentrant; even Stats would deadlock). The
+// consistent history, but the hook must be fast and must not call a Reasoner
+// method that takes the write lock — Apply and its shorthands, SetOnEvent,
+// SnapshotBase, RegisterMetrics — because the lock is not reentrant. The
 // slices are owned by the reasoner and only valid for the duration of the
 // call — copy them to keep them. SetOnEvent itself takes the write lock and
 // may be called at any time; a nil hook (the default) disables notification.
@@ -259,11 +273,18 @@ func (r *Reasoner) Rules() []Rule { return append([]Rule(nil), r.source...) }
 // overlay's size).
 func (r *Reasoner) InferredCount() int { return r.overlay.Len() }
 
-// Stats returns cumulative engine statistics.
+// Stats returns cumulative engine statistics. It takes no lock — it reads
+// the counts the onto_reason_* counters read — so it never waits on a write;
+// a call that overlaps one may see part of it.
 func (r *Reasoner) Stats() Stats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stats
+	c := &r.counts
+	return Stats{
+		Rounds:      int(c.rounds.Load()),
+		Heads:       int(c.heads.Load()),
+		Derived:     int(c.derived.Load()),
+		Overdeleted: int(c.overdeleted.Load()),
+		Rederived:   int(c.rederived.Load()),
+	}
 }
 
 // Provenance reports whether the triple is asserted, inferred, or absent
@@ -426,16 +447,7 @@ func (r *Reasoner) retract(base *store.Tx, removes []store.Triple) (gone, marked
 	// derivation may use a deleted triple is marked.
 	var heads []store.IDTriple
 	for delta := gone; len(delta) > 0; {
-		heads = heads[:0]
-		for i := range r.rules {
-			rule := &r.rules[i]
-			for di := range rule.body {
-				matchDelta(rule, di, delta, r.view, func(h store.IDTriple) bool {
-					heads = append(heads, h)
-					return true
-				})
-			}
-		}
+		heads = r.terms(heads[:0], delta, false)
 		lo := len(marked)
 		for _, h := range heads {
 			if !seen[h] && r.overlay.ContainsID(h) {
@@ -452,7 +464,7 @@ func (r *Reasoner) retract(base *store.Tx, removes []store.Triple) (gone, marked
 	for _, m := range marked {
 		r.ov.RemoveID(m)
 	}
-	r.stats.Overdeleted += len(marked)
+	r.counts.overdeleted.Add(int64(len(marked)))
 
 	// Phase 2 — rederive. The retracted triples themselves are candidates:
 	// one the surviving facts still derive comes back as inferred. Each
@@ -476,8 +488,8 @@ func (r *Reasoner) retract(base *store.Tx, removes []store.Triple) (gone, marked
 			}
 		}
 	}
-	r.stats.Rederived += len(restored)
-	r.stats.Derived += len(restored)
+	r.counts.rederived.Add(int64(len(restored)))
+	r.counts.derived.Add(int64(len(restored)))
 	return gone, marked, restored
 }
 
@@ -533,47 +545,22 @@ func (r *Reasoner) propagate(delta []store.IDTriple) []store.IDTriple {
 	return r.rounds(delta)
 }
 
-// rounds is the maintenance loop of semi-naive evaluation: each round
-// restricts one body atom to the previous round's delta (every choice of
-// atom, so no derivation using a new fact is missed — except that a
-// propagation rule's recursive atom skips the rule's own previous conclusions,
-// r.round[i].fed, which the caller sets for the first round) and probes the
-// remaining atoms against the full materialized view, which already includes
-// earlier rounds' conclusions — each such term one batched operator pipeline
-// (see matchDelta), so a round's joins run batch-at-a-time over the delta
-// with shard-grouped probes. Derived heads already asserted or inferred are
-// skipped; the rest enter the overlay one at a time and form the next delta.
-// Heads arrive from the pipelines' output batches, never under a shard
-// read-lock, so inserting them after each enumeration is safe. Callers hold
-// r.mu.
+// rounds is the maintenance loop of semi-naive evaluation: each round runs
+// the term loop (terms) over the previous round's delta — every choice of
+// atom, so no derivation using a new fact is missed, except that a
+// propagation rule's recursive atom skips the rule's own previous
+// conclusions, r.round[i].fed, which the caller sets for the first round —
+// probing the remaining atoms against the full materialized view, which
+// already includes earlier rounds' conclusions. Derived heads already
+// asserted or inferred are skipped; the rest enter the overlay one at a time
+// and form the next delta. Heads arrive from the pipelines' output batches,
+// never under a shard read-lock, so inserting them after each enumeration is
+// safe. Callers hold r.mu.
 func (r *Reasoner) rounds(delta []store.IDTriple) []store.IDTriple {
 	var heads, derived []store.IDTriple
-	emit := func(h store.IDTriple) bool {
-		heads = append(heads, h)
-		return true
-	}
 	for len(delta) > 0 {
-		r.stats.Rounds++
-		r.mRounds.Inc()
-		var roundStart time.Time
-		if r.mRoundSeconds != nil {
-			roundStart = time.Now()
-		}
-		heads = heads[:0]
-		for i := range r.rules {
-			rule, rr := &r.rules[i], &r.round[i]
-			rr.heads[0] = len(heads)
-			for di := range rule.body {
-				if di == rule.selfAtom {
-					matchDelta(rule, di, rr.fed[0], r.view, emit)
-					matchDelta(rule, di, rr.fed[1], r.view, emit)
-				} else {
-					matchDelta(rule, di, delta, r.view, emit)
-				}
-			}
-			rr.heads[1] = len(heads)
-		}
-		r.stats.Heads += len(heads)
+		start := time.Now()
+		heads = r.terms(heads[:0], delta, true)
 		var next []store.IDTriple
 		for i := range r.round {
 			rr := &r.round[i]
@@ -593,13 +580,47 @@ func (r *Reasoner) rounds(delta []store.IDTriple) []store.IDTriple {
 			rr := &r.round[i]
 			rr.fed = [2][]store.IDTriple{next[:rr.own[0]], next[rr.own[1]:]}
 		}
-		r.stats.Derived += len(next)
-		r.mDerived.Add(int64(len(next)))
-		if r.mRoundSeconds != nil {
-			r.mRoundSeconds.Since(roundStart)
-		}
+		r.countRound(start, len(heads), len(next))
 		derived = append(derived, next...)
 		delta = next
 	}
 	return derived
+}
+
+// terms is the one semi-naive term loop: it appends to heads the heads of
+// every rule with every body atom restricted to delta in turn, the other
+// atoms probing the view (matchDelta), and returns the grown buffer; each
+// rule's heads are its segment r.round[i].heads. With skip, a propagation
+// rule's recursive atom is fed its two runs r.round[i].fed instead of delta
+// (markPropagation) — the maintenance rounds' setting; overdeletion runs it
+// with nothing skipped. Callers hold r.mu.
+func (r *Reasoner) terms(heads, delta []store.IDTriple, skip bool) []store.IDTriple {
+	emit := func(h store.IDTriple) bool {
+		heads = append(heads, h)
+		return true
+	}
+	for i := range r.rules {
+		rule, rr := &r.rules[i], &r.round[i]
+		rr.heads[0] = len(heads)
+		for di := range rule.body {
+			if skip && di == rule.selfAtom {
+				matchDelta(rule, di, rr.fed[0], r.view, emit)
+				matchDelta(rule, di, rr.fed[1], r.view, emit)
+			} else {
+				matchDelta(rule, di, delta, r.view, emit)
+			}
+		}
+		rr.heads[1] = len(heads)
+	}
+	return heads
+}
+
+// countRound accounts one finished round, seed or maintenance: the round,
+// the heads it matched, the triples it derived into the overlay and its wall
+// time since start. Callers hold r.mu.
+func (r *Reasoner) countRound(start time.Time, heads, derived int) {
+	r.counts.rounds.Add(1)
+	r.counts.heads.Add(int64(heads))
+	r.counts.derived.Add(int64(derived))
+	r.mRoundSeconds.Since(start)
 }

@@ -59,37 +59,32 @@ func (r Rule) String() string {
 	return fmt.Sprintf("%s :- %s", r.Head.String(), strings.Join(parts, " . "))
 }
 
-// Validate checks the rule is well-formed: a non-empty body, no empty
-// literals or variable names anywhere, and every head variable bound by the
-// body. Range restriction is what guarantees termination — an instantiated
-// head can only mention symbols that occur in matched triples or in the
-// rule's own literals, so the derivable set is bounded by the finite
-// Herbrand base and every fixpoint computation halts.
+// Validate checks the rule is well-formed: a non-empty body, every pattern
+// well-formed (query.TriplePattern.Validate: no empty literals or variable
+// names), and every head variable bound by the body. Range restriction is
+// what guarantees termination — an instantiated head can only mention
+// symbols that occur in matched triples or in the rule's own literals, so the
+// derivable set is bounded by the finite Herbrand base and every fixpoint
+// computation halts.
 func (r Rule) Validate() error {
 	if len(r.Body) == 0 {
 		return fmt.Errorf("reason: rule %q has an empty body; facts belong in the store, not the rule set", r.Name)
 	}
 	bodyVars := map[string]bool{}
 	for _, p := range r.Body {
-		for _, t := range []query.Term{p.Subject, p.Predicate, p.Object} {
-			if t.Value == "" {
-				if t.IsVar {
-					return fmt.Errorf("reason: rule %q has a variable with an empty name in its body", r.Name)
-				}
-				return fmt.Errorf("reason: rule %q has an empty literal in its body; no triple can match it", r.Name)
-			}
+		if err := p.Validate(); err != nil {
+			return fmt.Errorf("reason: rule %q body: %w", r.Name, err)
+		}
+		for _, t := range [...]query.Term{p.Subject, p.Predicate, p.Object} {
 			if t.IsVar {
 				bodyVars[t.Value] = true
 			}
 		}
 	}
-	for _, t := range []query.Term{r.Head.Subject, r.Head.Predicate, r.Head.Object} {
-		if t.Value == "" {
-			if t.IsVar {
-				return fmt.Errorf("reason: rule %q has a variable with an empty name in its head", r.Name)
-			}
-			return fmt.Errorf("reason: rule %q has an empty literal in its head", r.Name)
-		}
+	if err := r.Head.Validate(); err != nil {
+		return fmt.Errorf("reason: rule %q head: %w", r.Name, err)
+	}
+	for _, t := range [...]query.Term{r.Head.Subject, r.Head.Predicate, r.Head.Object} {
 		if t.IsVar && !bodyVars[t.Value] {
 			return fmt.Errorf("reason: rule %q head variable ?%s does not occur in the body (rules must be range-restricted)", r.Name, t.Value)
 		}

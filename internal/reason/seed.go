@@ -9,15 +9,18 @@ import (
 
 // This file is the seed round: the first round of a full materialization,
 // whose delta is the whole asserted base and whose overlay is still empty.
-// It is a bulk load, not an increment, so it is evaluated and committed as
-// set operations — one pipeline per rule instead of one per body atom (every
-// semi-naive term is the same join when the delta is the entire database),
-// heads gathered as a sorted duplicate-free set in id space, the asserted
-// ones subtracted by a merge against the sorted base, and the survivors
-// loaded into the overlay with one store.LoadSorted — where the maintenance
-// rounds (Reasoner.rounds) test and insert one head at a time under shard
-// locks. The rounds after the seed find a non-empty overlay and are ordinary
-// maintenance rounds.
+// It is the whole-database choice of terms. Every other pass over a delta —
+// a maintenance round (Reasoner.rounds) and overdeletion (Reasoner.retract)
+// alike — is the one term loop, Reasoner.terms, "every rule × every body
+// atom over the delta", with a different sink: the maintenance round tests
+// and inserts one head at a time under shard locks, overdeletion marks. When
+// the delta is the entire database every term of a rule is the same join, so
+// the seed round runs one pipeline per rule (matchAll) instead, and commits
+// as set operations: heads gathered as a sorted duplicate-free set in id
+// space, the asserted ones subtracted by a merge against the sorted base,
+// the survivors loaded into the overlay with one store.LoadSorted. It is
+// counted as a round like any other (Reasoner.countRound); the rounds after
+// it find a non-empty overlay and are ordinary maintenance rounds.
 
 // materialize computes the full fixpoint over the base into the overlay of a
 // new reasoner and records its figures. Callers hold r.mu.
@@ -25,10 +28,11 @@ func (r *Reasoner) materialize() {
 	start := time.Now()
 	fresh := r.seedRound()
 	r.rounds(fresh)
+	st := r.Stats()
 	r.boot = MaterializeStats{
 		Duration:   time.Since(start),
-		Rounds:     r.stats.Rounds,
-		Heads:      r.stats.Heads,
+		Rounds:     st.Rounds,
+		Heads:      st.Heads,
 		BulkLoaded: len(fresh),
 		Inferred:   r.overlay.Len(),
 	}
@@ -38,12 +42,7 @@ func (r *Reasoner) materialize() {
 // the delta of the first maintenance round, for which it also sets every
 // propagation rule's fed runs.
 func (r *Reasoner) seedRound() []store.IDTriple {
-	r.stats.Rounds++
-	r.mRounds.Inc()
-	var roundStart time.Time
-	if r.mRoundSeconds != nil {
-		roundStart = time.Now()
-	}
+	start := time.Now()
 	// One buffer gathers the heads of all ordinary rules, then, emptied in
 	// between, those of each propagation rule on its own: what such a rule
 	// concluded is what its recursive atom must not be fed next round.
@@ -64,7 +63,6 @@ func (r *Reasoner) seedRound() []store.IDTriple {
 		own[i] = slices.Clone(scratch.sorted())
 		derived = store.UnionSorted(derived, own[i])
 	}
-	r.stats.Heads += scratch.added
 	scratch.buf = nil
 
 	asserted := make([]store.IDTriple, 0, r.base.Len())
@@ -85,11 +83,7 @@ func (r *Reasoner) seedRound() []store.IDTriple {
 			r.round[i].fed[0] = store.SubtractSorted(fresh, own[i])
 		}
 	}
-	r.stats.Derived += len(fresh)
-	r.mDerived.Add(int64(len(fresh)))
-	if r.mRoundSeconds != nil {
-		r.mRoundSeconds.Since(roundStart)
-	}
+	r.countRound(start, scratch.added, len(fresh))
 	return fresh
 }
 

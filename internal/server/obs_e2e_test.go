@@ -389,6 +389,36 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if got := w1["onto_mutations_total"] - w0["onto_mutations_total"]; got != 5 {
 		t.Errorf("onto_mutations_total grew by %g, want 5 (every request counts, changing or not)", got)
 	}
+
+	// A rederiving remove: assert beetle's inferred vehicle type, then
+	// retract it — type propagation puts it straight back. The reasoner's
+	// counters and the /stats engine block are one set of counts, so they
+	// agree with the rederivation included.
+	for _, body := range []string{
+		`{"add":[{"subject":"beetle","predicate":"type","object":"vehicle"}]}`,
+		`{"remove":[{"subject":"beetle","predicate":"type","object":"vehicle"}]}`,
+	} {
+		if resp, b := post("/triples", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("write %s: %d %s", body, resp.StatusCode, b)
+		}
+	}
+	w2 := scrape(t, url+"/metrics")
+	resp3, err := http.Get(url + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st3 StatsResponse
+	if err := json.NewDecoder(resp3.Body).Decode(&st3); err != nil {
+		t.Fatal(err)
+	}
+	resp3.Body.Close()
+	if st3.Engine.Rederived != 1 {
+		t.Errorf("/stats engine rederived = %d, want 1 after the rederiving remove", st3.Engine.Rederived)
+	}
+	if w2["onto_reason_rounds_total"] != float64(st3.Engine.Rounds) || w2["onto_reason_derived_total"] != float64(st3.Engine.Derived) {
+		t.Errorf("scrape rounds %g / derived %g, /stats engine rounds %d / derived %d; want equal",
+			w2["onto_reason_rounds_total"], w2["onto_reason_derived_total"], st3.Engine.Rounds, st3.Engine.Derived)
+	}
 }
 
 // TestMetricsDisabled pins DisableMetrics: instrumentation still runs, only
