@@ -255,12 +255,14 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	// The process-level Go runtime series. Live heap is what the last
 	// completed collection marked, so force one: the loaded store (its
 	// dictionary at the very least) is reachable from this test and must be
-	// inside the figure. The cycle counter is monotone across scrapes.
+	// inside the figure. The cycle counter and the pause count are monotone
+	// across scrapes and move with a forced collection, which pauses twice.
 	runtime.GC()
 	g1 := scrape(t, url+"/metrics")
 	runtime.GC()
 	g2 := scrape(t, url+"/metrics")
-	for _, name := range []string{"onto_go_heap_live_bytes", "onto_go_gc_cycles_total", "onto_go_goroutines"} {
+	for _, name := range []string{"onto_go_heap_live_bytes", "onto_go_heap_goal_bytes", "onto_go_gc_cycles_total",
+		"onto_go_gc_pause_seconds_count", "onto_go_goroutines"} {
 		if _, ok := g2[name]; !ok {
 			t.Errorf("scrape has no %s series", name)
 		}
@@ -275,6 +277,15 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 	if g1["onto_go_gc_cycles_total"] < 1 || g2["onto_go_gc_cycles_total"] <= g1["onto_go_gc_cycles_total"] {
 		t.Errorf("onto_go_gc_cycles_total went %g -> %g across a forced collection", g1["onto_go_gc_cycles_total"], g2["onto_go_gc_cycles_total"])
+	}
+	if g2["onto_go_heap_goal_bytes"] < g2["onto_go_heap_live_bytes"] {
+		t.Errorf("onto_go_heap_goal_bytes = %g, below the live heap %g", g2["onto_go_heap_goal_bytes"], g2["onto_go_heap_live_bytes"])
+	}
+	if g2["onto_go_gc_pause_seconds_count"] <= g1["onto_go_gc_pause_seconds_count"] {
+		t.Errorf("onto_go_gc_pause_seconds_count went %g -> %g across a forced collection", g1["onto_go_gc_pause_seconds_count"], g2["onto_go_gc_pause_seconds_count"])
+	}
+	if inf := g2[`onto_go_gc_pause_seconds_bucket{le="+Inf"}`]; inf != g2["onto_go_gc_pause_seconds_count"] {
+		t.Errorf("the +Inf pause bucket holds %g, the count is %g", inf, g2["onto_go_gc_pause_seconds_count"])
 	}
 	if g2["onto_go_goroutines"] < 2 {
 		t.Errorf("onto_go_goroutines = %g, want >= 2 (this test and its server)", g2["onto_go_goroutines"])

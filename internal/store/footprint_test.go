@@ -9,21 +9,18 @@ import (
 )
 
 // footprint is the structural size of one index family, counted by walking
-// it: lead entries, (lead, mid) pairs and the capacity they sit in, trailing
-// element capacity, and entries of the one kind of spill map (leadEntry.idx
-// over a lead's mids; a trailing run has nothing beside its elements).
+// it: lead entries, (lead, mid) pairs and the capacity they sit in, how many
+// of the pairs hold their one member inline, and the runs of the others —
+// a slice header each and their element capacity. Nothing is kept beside a
+// pair or a run.
 type footprint struct {
-	leads, pairs, pairCap, elemCap, spill int
+	leads, pairs, pairCap, inline, runs, elemCap int
 }
 
-// What a map entry costs beyond the structs the walk prices with
-// unsafe.Sizeof, from a heap profile of a loaded store: a map[uint32]int32
-// entry (the spill map) about 16 bytes, a map[uint32]*leadEntry entry about
-// 24, bucket overhead included.
-const (
-	spillEntryBytes   = 16
-	leadMapEntryBytes = 24
-)
+// leadMapEntryBytes is what a map[uint32]*leadEntry entry costs beyond the
+// lead entry itself, bucket overhead included, from a heap profile of a
+// loaded store.
+const leadMapEntryBytes = 24
 
 func familyFootprint(fam *indexFamily) footprint {
 	var f footprint
@@ -34,9 +31,13 @@ func familyFootprint(fam *indexFamily) footprint {
 			f.leads++
 			f.pairs += len(e.entries)
 			f.pairCap += cap(e.entries)
-			f.spill += len(e.idx)
 			for j := range e.entries {
-				f.elemCap += cap(e.entries[j].trail.elems)
+				if run := e.entries[j].run; run != nil {
+					f.runs++
+					f.elemCap += cap(*run)
+				} else {
+					f.inline++
+				}
 			}
 		}
 		sh.mu.RUnlock()
@@ -48,13 +49,17 @@ func familyFootprint(fam *indexFamily) footprint {
 func (f footprint) bytes() int {
 	return f.leads*(int(unsafe.Sizeof(leadEntry{}))+leadMapEntryBytes) +
 		f.pairCap*int(unsafe.Sizeof(midTrail{})) +
-		f.elemCap*int(unsafe.Sizeof(uint32(0))) +
-		f.spill*spillEntryBytes
+		f.runBytes()
+}
+
+// runBytes is the share of bytes the runs add beside their pairs.
+func (f footprint) runBytes() int {
+	return f.runs*int(unsafe.Sizeof([]uint32(nil))) + f.elemCap*int(unsafe.Sizeof(uint32(0)))
 }
 
 func (f footprint) String() string {
-	return fmt.Sprintf("%d leads, %d pairs (cap %d), %d element slots, %d spill-map entries, %d bytes",
-		f.leads, f.pairs, f.pairCap, f.elemCap, f.spill, f.bytes())
+	return fmt.Sprintf("%d leads, %d pairs (cap %d, %d inline), %d runs over %d element slots, %d bytes",
+		f.leads, f.pairs, f.pairCap, f.inline, f.runs, f.elemCap, f.bytes())
 }
 
 // materializedServingSet builds, in s's dictionary, the sorted id triples of
@@ -139,23 +144,26 @@ func storeFootprint(s *Store) (names []string, fams []footprint, total footprint
 		total.leads += f.leads
 		total.pairs += f.pairs
 		total.pairCap += f.pairCap
+		total.inline += f.inline
+		total.runs += f.runs
 		total.elemCap += f.elemCap
-		total.spill += f.spill
 	}
 	return names, fams, total
 }
 
 // TestIndexFootprint holds the index layout to its memory budget on the shape
 // the serving harness boots: per triple, at most 0.35 (lead, mid) pairs and
-// 28 structural bytes over all families, with a (lead, mid) pair at 32 bytes.
+// 20 structural bytes over all families, with a (lead, mid) pair at 16 bytes.
 // A layout that files every triple under a near-unique (lead, mid) pair — an
 // object-led family over type facts, one midTrail per (class, instance) — has
 // more than one pair per triple and fails both; one that keeps anything per
 // member beside the member itself — a position map over a class's instances,
-// 16 bytes an entry — fails the bytes.
+// 16 bytes an entry — fails the bytes, and so does one that gives each
+// single-member set a run of its own (a header and an element, 28 bytes, on
+// two of an instance's three SPO pairs).
 func TestIndexFootprint(t *testing.T) {
-	if size := unsafe.Sizeof(midTrail{}); size != 32 {
-		t.Errorf("a (lead, mid) pair is %d bytes, budget 32: a mid and one slice header", size)
+	if size := unsafe.Sizeof(midTrail{}); size != 16 {
+		t.Errorf("a (lead, mid) pair is %d bytes, budget 16: a mid, one inline member and a run pointer", size)
 	}
 	s := loadServingStore(t, 10_000)
 	names, fams, total := storeFootprint(s)
@@ -165,21 +173,23 @@ func TestIndexFootprint(t *testing.T) {
 	n := float64(s.Len())
 	pairs, bytes := float64(total.pairs)/n, float64(total.bytes())/n
 	t.Logf("%d triples: %.3f pairs and %.1f structural bytes per triple", s.Len(), pairs, bytes)
-	if len(fams) < 2 || total.elemCap < len(fams)*s.Len() {
-		t.Fatalf("%d element slots for %d triples in %d families: the walk missed part of the index", total.elemCap, s.Len(), len(fams))
+	if len(fams) < 2 || total.inline+total.elemCap < len(fams)*s.Len() {
+		t.Fatalf("%d inline members and %d element slots for %d triples in %d families: the walk missed part of the index", total.inline, total.elemCap, s.Len(), len(fams))
 	}
 	if pairs > 0.35 {
 		t.Errorf("%.3f (lead, mid) pairs per triple, budget 0.35", pairs)
 	}
-	if bytes > 28 {
-		t.Errorf("%.1f structural bytes per triple, budget 28", bytes)
+	if bytes > 20 {
+		t.Errorf("%.1f structural bytes per triple, budget 20", bytes)
 	}
 }
 
 // BenchmarkIndexFootprint is TestIndexFootprint's walk at the harness's 10⁵
 // instances, reported rather than judged: structural bytes and (lead, mid)
-// pairs per triple for each index family and over all of them — the
-// per-family table of EXPERIMENTS.md "Sorted runs", from
+// pairs per triple for each index family — with the share of the bytes the
+// runs add and of the pairs that hold their member inline — and over all of
+// them: the
+// per-family table of EXPERIMENTS.md "One member, inline", from
 //
 //	go test -run '^$' -bench IndexFootprint -benchtime 1x ./internal/store
 //
@@ -196,7 +206,9 @@ func BenchmarkIndexFootprint(b *testing.B) {
 	n := float64(s.Len())
 	for i, f := range fams {
 		b.ReportMetric(float64(f.bytes())/n, names[i]+"-B/triple")
+		b.ReportMetric(float64(f.runBytes())/n, names[i]+"-run-B/triple")
 		b.ReportMetric(float64(f.pairs)/n, names[i]+"-pairs/triple")
+		b.ReportMetric(float64(f.inline)/n, names[i]+"-inline/triple")
 	}
 	b.ReportMetric(float64(total.bytes())/n, "B/triple")
 	b.ReportMetric(float64(total.pairs)/n, "pairs/triple")

@@ -169,21 +169,18 @@ func (s *Store) StatsID(p IDPattern) IDStats {
 			return IDStats{Count: n, DistinctS: 1, DistinctP: 1, DistinctO: n}
 		}
 		st := IDStats{DistinctS: 1}
-		e.forEach(func(_ SymbolID, objs *idSet) bool {
-			if p.BoundO {
-				if objs.contains(p.O) {
-					st.Count++
-				}
-				return true
+		for i := range e.entries {
+			if !p.BoundO {
+				st.Count += e.entries[i].len()
+			} else if e.entries[i].contains(p.O) {
+				st.Count++
 			}
-			st.Count += objs.len()
-			st.DistinctP++
-			return true
-		})
+		}
 		if p.BoundO {
 			st.DistinctP = st.Count
 			st.DistinctO = 1
 		} else {
+			st.DistinctP = len(e.entries)
 			st.DistinctO = st.Count
 		}
 		return st
@@ -204,11 +201,10 @@ func (s *Store) StatsID(p IDPattern) IDStats {
 			return IDStats{Count: n, DistinctS: n, DistinctP: 1, DistinctO: 1}
 		}
 		st := IDStats{DistinctP: 1}
-		e.forEach(func(_ SymbolID, subjects *idSet) bool {
-			st.Count += subjects.len()
-			st.DistinctO++
-			return true
-		})
+		for i := range e.entries {
+			st.Count += e.entries[i].len()
+		}
+		st.DistinctO = len(e.entries)
 		st.DistinctS = st.Count
 		return st
 	case p.BoundO:

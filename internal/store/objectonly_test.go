@@ -307,7 +307,7 @@ func walkShardTripleCount(s *Store, i int) int {
 	n := 0
 	for _, e := range sh.m {
 		for j := range e.entries {
-			n += e.entries[j].trail.len()
+			n += e.entries[j].len()
 		}
 	}
 	return n

@@ -60,7 +60,7 @@ const wideVocab = longRun + 8
 
 // randomTriple draws components from a small vocabulary so duplicates,
 // removals and pattern hits are all frequent — half the time uniformly from
-// 12×5×12, the other half around three hubs that spillSpine fills: the
+// 12×5×12, the other half around three hubs that wideSpine fills: the
 // objects of (s1 p1 ?), the subjects of (? p2 o4) and the predicates of s1.
 func randomTriple(rng *rand.Rand) Triple {
 	s, p, o := rng.Intn(12), rng.Intn(5), rng.Intn(12)
@@ -70,35 +70,36 @@ func randomTriple(rng *rand.Rand) Triple {
 	case 1:
 		s, p, o = rng.Intn(wideVocab), 2, 4
 	case 2:
-		s, p = 1, rng.Intn(midSpill+4)
+		s, p = 1, rng.Intn(linearRun+4)
 	}
 	return Triple{fmt.Sprintf("s%d", s), fmt.Sprintf("p%d", p), fmt.Sprintf("o%d", o)}
 }
 
-// spillSpine is the fixed block of randomTriple's vocabulary that takes one
-// lead past midSpill and one trailing run past longRun in both index
-// families: subject s1 under midSpill+2 predicates and (s1 p1 ?) with
-// longRun+4 objects (SPO), predicate p1 thereby over more than midSpill
-// objects and (? p2 o4) with longRun+4 subjects (POS).
-func spillSpine() []Triple {
+// wideSpine is the fixed block of randomTriple's vocabulary that takes one
+// lead past linearRun mids, so the search for a mid halves before it walks,
+// and one trailing run past longRun in both index families: subject s1 under
+// linearRun+2 predicates and (s1 p1 ?) with longRun+4 objects (SPO),
+// predicate p1 thereby over more than linearRun objects and (? p2 o4) with
+// longRun+4 subjects (POS).
+func wideSpine() []Triple {
 	var ts []Triple
 	for i := 0; i < longRun+4; i++ {
 		ts = append(ts,
 			Triple{"s1", "p1", fmt.Sprintf("o%d", i)},
 			Triple{fmt.Sprintf("s%d", i), "p2", "o4"})
 	}
-	for i := 0; i < midSpill+2; i++ {
+	for i := 0; i < linearRun+2; i++ {
 		ts = append(ts, Triple{"s1", fmt.Sprintf("p%d", i), "o2"})
 	}
 	return ts
 }
 
-// addSpine puts spillSpine into the engine and the reference, and checks the
-// shapes it exists for actually formed: a map-indexed middle level and a
-// trailing run past longRun, in each family.
+// addSpine puts wideSpine into the engine and the reference, and checks the
+// shapes it exists for actually formed: a lead with more mids than linearRun
+// and a trailing run past longRun, in each family.
 func addSpine(t *testing.T, s *Store, ref *refStore) {
 	t.Helper()
-	spine := spillSpine()
+	spine := wideSpine()
 	if _, err := s.AddBatch(spine); err != nil {
 		t.Fatal(err)
 	}
@@ -109,18 +110,18 @@ func addSpine(t *testing.T, s *Store, ref *refStore) {
 		mids, trails := 0, 0
 		for i := range fam {
 			for _, e := range fam[i].m {
-				if e.idx != nil {
+				if len(e.entries) > linearRun {
 					mids++
 				}
 				for j := range e.entries {
-					if e.entries[j].trail.len() > longRun {
+					if e.entries[j].len() > longRun {
 						trails++
 					}
 				}
 			}
 		}
 		if mids == 0 || trails == 0 {
-			t.Fatalf("%s: the spine made %d map-indexed middle levels and %d trailing runs past %d; want at least one of each", name, mids, trails, longRun)
+			t.Fatalf("%s: the spine made %d leads past %d mids and %d trailing runs past %d; want at least one of each", name, mids, linearRun, trails, longRun)
 		}
 	}
 }
@@ -443,12 +444,12 @@ func TestQueryIDFuncDoesNotAllocate(t *testing.T) {
 		t.Skip("sync.Pool drops puts at random under the race detector")
 	}
 	ref := newRef()
-	for _, tr := range spillSpine() {
+	for _, tr := range wideSpine() {
 		ref.add(tr)
 	}
 	v := splitView(t, ref)
 	s := New()
-	if _, err := s.AddBatch(spillSpine()); err != nil {
+	if _, err := s.AddBatch(wideSpine()); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {

@@ -243,7 +243,7 @@ func SubtractSorted(a, b []IDTriple) []IDTriple {
 // with an LSD byte-radix sort. It is stable, so runs equal in the sorted
 // components keep their input order: the trailing ids of a (lead, mid) run of
 // an (S, P, O)-sorted input come out ascending, which is the invariant every
-// idSet is searched under and buildShardSorted relies on. Comparison sorting is the bulk path's biggest CPU
+// trailing run is searched under and buildShardSorted relies on. Comparison sorting is the bulk path's biggest CPU
 // sink (a comparator closure per decision); counting passes replace it with
 // O(n) per byte, and passes whose byte is constant across the input (the
 // common case for the high bytes of 32-bit ids) are skipped entirely. Every
@@ -342,28 +342,33 @@ func carve[T any](arena *[]T, n int) []T {
 
 // buildShardSorted populates one empty shard from its permuted bucket, which
 // is sorted by (lead, mid) = (S, P) with the trail in O. Runs sharing a lead
-// become one leadEntry, runs sharing (lead, mid) one trailing set, and every
-// level is carved out of three arena allocations sized by a counting pass —
-// for SPO, whose leads are the store's subjects, per-entry allocation would
-// mean millions of tiny objects for the GC to trace — except the runs past
-// arenaRunMax (see carve). Each trailing run is copied in the bucket's order,
-// which is ascending (radixSortIDTriples), so it is a valid idSet as it
-// stands; a lead's spill index is built once, at its final width.
+// become one leadEntry, runs sharing (lead, mid) one pair, and every level is
+// carved out of four arena allocations sized by a counting pass — for SPO,
+// whose leads are the store's subjects, per-entry allocation would mean
+// millions of tiny objects for the GC to trace — except the runs past
+// arenaRunMax (see carve). A one-member set is written into its pair; a
+// longer one is copied in the bucket's order, which is ascending
+// (radixSortIDTriples), so it is a valid run as it stands, and its slice
+// header comes from an arena of its own. The pairs arrive ascending by mid.
 func buildShardSorted(sh *shard, bucket []IDTriple) {
 	// A restored store is private until RestoreSorted returns, but an overlay
 	// being loaded is already behind a View: the lock is what lets readers
 	// see the shard either empty or complete.
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	// Counting pass: the leads, and the mids and elements that live in the
-	// arenas (runs up to arenaRunMax).
-	leads, mids, elems := 0, 0, 0
+	// Counting pass: the leads, and what lives in the arenas — pairs of leads
+	// up to arenaRunMax wide, a header per set of two or more members, and
+	// the members of sets up to arenaRunMax.
+	leads, mids, runs, elems := 0, 0, 0, 0
 	leadMids, pairElems := 0, 0 // sizes of the lead and (lead, mid) runs in progress
 	for i, t := range bucket {
 		newLead := i == 0 || t.S != bucket[i-1].S
 		if newLead || t.P != bucket[i-1].P {
-			if pairElems <= arenaRunMax {
-				elems += pairElems
+			if pairElems > 1 {
+				runs++
+				if pairElems <= arenaRunMax {
+					elems += pairElems
+				}
 			}
 			pairElems = 0
 			if newLead {
@@ -377,14 +382,18 @@ func buildShardSorted(sh *shard, bucket []IDTriple) {
 		}
 		pairElems++
 	}
-	if pairElems <= arenaRunMax {
-		elems += pairElems
+	if pairElems > 1 {
+		runs++
+		if pairElems <= arenaRunMax {
+			elems += pairElems
+		}
 	}
 	if leadMids <= arenaRunMax {
 		mids += leadMids
 	}
 	leadArena := make([]leadEntry, leads)
 	midArena := make([]midTrail, mids)
+	runArena := make([][]uint32, runs)
 	elemArena := make([]uint32, elems)
 	sh.m = make(map[uint32]*leadEntry, leads)
 	sh.n = len(bucket)
@@ -406,18 +415,17 @@ func buildShardSorted(sh *shard, bucket []IDTriple) {
 			for k2 < j && bucket[k2].P == m {
 				k2++
 			}
-			run := carve(&elemArena, k2-k)
-			for q := range run {
-				run[q] = bucket[k+q].O
+			e.entries[p] = midTrail{mid: m, one: [1]uint32{bucket[k].O}}
+			if k2-k > 1 {
+				run := carve(&elemArena, k2-k)
+				for q := range run {
+					run[q] = bucket[k+q].O
+				}
+				runArena[0] = run
+				e.entries[p].run = &runArena[0]
+				runArena = runArena[1:]
 			}
-			e.entries[p] = midTrail{mid: m, trail: idSet{elems: run}}
 			k = k2
-		}
-		if nm > midSpill {
-			e.idx = make(map[uint32]int32, nm)
-			for p := range e.entries {
-				e.idx[e.entries[p].mid] = int32(p)
-			}
 		}
 		sh.m[l] = e
 		i = j

@@ -35,7 +35,7 @@ func snapshotOf(t *testing.T, s *Store) string {
 
 // skewedCorpus builds a corpus that exercises every index shape: a hub whose
 // object run goes well past longRun, a subject with more predicates than
-// midSpill, and a long tail of small entries.
+// linearRun, each of one object, and a long tail of small entries.
 func skewedCorpus(n int) []Triple {
 	ts := make([]Triple, 0, n)
 	for i := 0; i < n; i++ {
@@ -49,8 +49,8 @@ func skewedCorpus(n int) []Triple {
 	for i := 0; i < 2*longRun; i++ {
 		ts = append(ts, Triple{Subject: "hub", Predicate: "links", Object: fmt.Sprintf("t%d", i)})
 	}
-	// A spilled middle level: one subject with > midSpill predicates.
-	for i := 0; i < 2*midSpill; i++ {
+	// A wide middle level: one subject with > linearRun predicates.
+	for i := 0; i < 2*linearRun; i++ {
 		ts = append(ts, Triple{Subject: "wide", Predicate: fmt.Sprintf("attr%d", i), Object: "v"})
 	}
 	return ts
@@ -110,9 +110,9 @@ func TestRestoreSortedMatchesBatchIngest(t *testing.T) {
 	}
 }
 
-// TestRestoreSortedThenMutate proves the directly-built index levels (the
-// lead's spill map and the bulk-copied runs included) behave identically to
-// incrementally built ones under later Add/Remove traffic.
+// TestRestoreSortedThenMutate proves the directly-built index levels (a wide
+// lead's pairs, inline members and the bulk-copied runs included) behave
+// identically to incrementally built ones under later Add/Remove traffic.
 func TestRestoreSortedThenMutate(t *testing.T) {
 	ref := New()
 	if _, err := ref.AddBatch(skewedCorpus(500)); err != nil {
@@ -128,7 +128,7 @@ func TestRestoreSortedThenMutate(t *testing.T) {
 		if added, _ := s.Add(Triple{Subject: "hub", Predicate: "links", Object: "t3"}); added {
 			t.Fatal("duplicate Add reported newly inserted")
 		}
-		// Remove out of the middle of a long run, out of a spilled middle
+		// Remove out of the middle of a long run, out of a wide middle
 		// level, and a plain small entry.
 		for _, tr := range []Triple{
 			{Subject: "hub", Predicate: "links", Object: "t7"},
@@ -147,6 +147,62 @@ func TestRestoreSortedThenMutate(t *testing.T) {
 	checkRuns(t, "restored, then written to", got)
 	if a, b := snapshotOf(t, got), snapshotOf(t, ref); a != b {
 		t.Fatal("post-mutation snapshots diverge")
+	}
+}
+
+// TestRestoreSortedInlineSingle takes a one-object (subject, predicate) pair
+// of a restored store — its member inline in the pair — through a second
+// object, back to one and then to none, holding both families' layout, Len
+// and the (S P ?) answer to a model at each step.
+func TestRestoreSortedInlineSingle(t *testing.T) {
+	s := New()
+	dict := []string{"s", "p", "o1", "o2", "q", "o3"}
+	if err := s.RestoreSorted(dict, []IDTriple{{0, 1, 2}, {0, 4, 5}}); err != nil {
+		t.Fatalf("RestoreSorted: %v", err)
+	}
+	model := map[IDTriple]bool{{0, 1, 2}: true, {0, 4, 5}: true}
+	if mt := s.spo.shard(0).m[0].find(1); mt == nil || mt.run != nil {
+		t.Fatalf("the restored one-object pair (s, p) is %+v, want its member inline", mt)
+	}
+	check := func(stage string) {
+		t.Helper()
+		checkRuns(t, stage, s)
+		if s.Len() != len(model) {
+			t.Fatalf("%s: Len %d, model %d", stage, s.Len(), len(model))
+		}
+		var got, want []IDTriple
+		s.QueryIDFunc(IDPattern{S: 0, P: 1, BoundS: true, BoundP: true}, func(tr IDTriple) bool {
+			got = append(got, tr)
+			return true
+		})
+		for tr := range model {
+			if tr.P == 1 {
+				want = append(want, tr)
+			}
+		}
+		SortIDTriples(got)
+		SortIDTriples(want)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: (s p ?) = %v, model %v", stage, got, want)
+		}
+	}
+	tx := s.Begin()
+	for _, step := range []struct {
+		add bool
+		tr  IDTriple
+	}{{true, IDTriple{0, 1, 3}}, {false, IDTriple{0, 1, 2}}, {false, IDTriple{0, 1, 3}}} {
+		if step.add {
+			if added, err := tx.AddID(step.tr); err != nil || !added {
+				t.Fatalf("AddID(%v) = %v, %v", step.tr, added, err)
+			}
+			model[step.tr] = true
+		} else {
+			if !tx.RemoveID(step.tr) {
+				t.Fatalf("RemoveID(%v) missed", step.tr)
+			}
+			delete(model, step.tr)
+		}
+		check(fmt.Sprintf("after add=%v %v", step.add, step.tr))
 	}
 }
 
@@ -343,7 +399,7 @@ func TestLoadSortedMatchesAddID(t *testing.T) {
 	compare("after load")
 
 	// Grow and shrink sets that sit in the middle of the arenas — a small
-	// trailing run, a long one, a spilled middle level — fresh leads, and the
+	// trailing run, a long one, a wide middle level — fresh leads, and the
 	// run with an allocation of its own, past its growth room.
 	hub, links, wide := id("hub"), id("links"), id("wide")
 	var edits []IDTriple

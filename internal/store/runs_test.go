@@ -7,14 +7,57 @@ import (
 	"testing"
 )
 
-// A trailing set is one strictly ascending run (shard.go). These tests hold
-// the run to a map model, the two index families to the invariant every
-// search relies on, and the cursor to what resuming by value buys: a write
-// into a posting list disturbs no triple it did not touch.
+// A lead's pairs ascend by mid and a trailing set is its one inline member
+// or one strictly ascending run (shard.go). These tests hold the sets to a
+// map model, the two index families to the invariants every search relies
+// on, and the cursor to what resuming by value buys: a write disturbs no
+// triple it did not touch.
 
-// checkRuns holds s to the invariant every idSet is searched under — each
-// trailing run of both families strictly ascending, none empty — and each
-// shard's triple counter to the sum of its runs' lengths, the family's to Len.
+// checkLead holds one lead entry to its layout — at least one pair, mids
+// strictly ascending, each set passing checkSet — and counts the members it
+// holds.
+func checkLead(e *leadEntry) (members int, bad string) {
+	if len(e.entries) == 0 {
+		return 0, "a lead without pairs was not pruned"
+	}
+	for j := range e.entries {
+		mt := &e.entries[j]
+		if j > 0 && e.entries[j-1].mid >= mt.mid {
+			return 0, fmt.Sprintf("mid %d follows mid %d at pair %d of %d", mt.mid, e.entries[j-1].mid, j, len(e.entries))
+		}
+		n, bad := checkSet(mt)
+		if bad != "" {
+			return 0, bad
+		}
+		members += n
+	}
+	return members, ""
+}
+
+// checkSet holds one pair's set to its layout — its one inline member (nil
+// run) or a non-empty, strictly ascending run — and counts its members.
+func checkSet(mt *midTrail) (members int, bad string) {
+	if mt.run == nil {
+		if mt.len() != 1 {
+			return 0, fmt.Sprintf("the inline set under mid %d holds %d members", mt.mid, mt.len())
+		}
+		return 1, ""
+	}
+	run := *mt.run
+	if len(run) == 0 {
+		return 0, fmt.Sprintf("the run under mid %d is empty", mt.mid)
+	}
+	for k := 1; k < len(run); k++ {
+		if run[k-1] >= run[k] {
+			return 0, fmt.Sprintf("the run under mid %d holds %d before %d at position %d of %d", mt.mid, run[k-1], run[k], k, len(run))
+		}
+	}
+	return len(run), ""
+}
+
+// checkRuns holds every lead of both families of s to checkLead, each
+// shard's triple counter to the members its leads hold, and the family's to
+// Len.
 func checkRuns(t testing.TB, what string, s *Store) {
 	t.Helper()
 	for name, fam := range map[string]*indexFamily{"SPO": &s.spo, "POS": &s.pos} {
@@ -24,26 +67,19 @@ func checkRuns(t testing.TB, what string, s *Store) {
 			sh.mu.RLock()
 			n, bad := 0, ""
 			for lead, e := range sh.m {
-				for j := range e.entries {
-					run := e.entries[j].trail.elems
-					n += len(run)
-					if len(run) == 0 {
-						bad = fmt.Sprintf("the run under (%d, %d) is empty", lead, e.entries[j].mid)
-					}
-					for k := 1; k < len(run); k++ {
-						if run[k-1] >= run[k] {
-							bad = fmt.Sprintf("the run under (%d, %d) holds %d before %d at position %d of %d", lead, e.entries[j].mid, run[k-1], run[k], k, len(run))
-							break
-						}
-					}
+				members, why := checkLead(e)
+				if why != "" {
+					bad = fmt.Sprintf("lead %d: %s", lead, why)
+					break
 				}
+				n += members
 			}
 			if bad == "" && n != sh.n {
-				bad = fmt.Sprintf("the runs hold %d triples, the shard counts %d", n, sh.n)
+				bad = fmt.Sprintf("the sets hold %d triples, the shard counts %d", n, sh.n)
 			}
 			sh.mu.RUnlock()
 			if bad != "" {
-				t.Fatalf("%s: %s shard %d: %s; want every run non-empty and strictly ascending", what, name, i, bad)
+				t.Fatalf("%s: %s shard %d: %s", what, name, i, bad)
 			}
 			total += n
 		}
@@ -53,56 +89,103 @@ func checkRuns(t testing.TB, what string, s *Store) {
 	}
 }
 
-// idSetScript runs a byte script against an idSet and a map model: each two
-// bytes are one operation — add (twice as likely), remove or contains — on a
-// value from a 1 024-wide vocabulary whose top member stands for the largest
-// id there is. Every result must equal the model's, and the run must end up
-// the model's keys, ascending.
+// idSetScript runs a byte script against one lead of a shard and a map
+// model: each two bytes are one operation — insert (twice as likely), remove
+// or contains — of a value from a 1 024-wide vocabulary whose top member
+// stands for the largest id there is, under one of 16 mids (the first byte's
+// top four bits, past linearRun so the mid search halves). The shard files
+// through leadEntry.insert and remove, so a set is born inline, turns into a
+// run at its second member, drops its pair when emptied, and the lead is
+// pruned with its last pair. Every result must equal the model's; after every
+// operation the touched pair must exist exactly when the model holds members
+// under its mid and pass checkSet at the model's count, and at the end the
+// lead must pass checkLead and its sets be the model's, ascending.
 func idSetScript(t *testing.T, script []byte) {
-	var set idSet
-	model := map[uint32]bool{}
+	const lead = 7
+	var sh shard
+	model := map[[2]uint32]bool{}
+	perMid := map[uint32]int{}
 	for i := 0; i+1 < len(script); i += 2 {
-		op, v := script[i], uint32(script[i+1])|uint32(script[i]>>2&3)<<8
+		op, mid, v := script[i], uint32(script[i]>>4), uint32(script[i+1])|uint32(script[i]>>2&3)<<8
 		if v == 1023 {
 			v = ^uint32(0)
 		}
+		key := [2]uint32{mid, v}
 		switch op & 3 {
 		case 0, 1:
-			if got := set.add(v); got == model[v] {
-				t.Fatalf("op %d: add(%d) = %v, model had it: %v", i/2, v, got, model[v])
+			if got := sh.insertLocked(lead, mid, v); got == model[key] {
+				t.Fatalf("op %d: insert(%d, %d) = %v, model had it: %v", i/2, mid, v, got, model[key])
+			} else if got {
+				perMid[mid]++
 			}
-			model[v] = true
+			model[key] = true
 		case 2:
-			if got := set.remove(v); got != model[v] {
-				t.Fatalf("op %d: remove(%d) = %v, model says %v", i/2, v, got, model[v])
+			if got := sh.removeLocked(lead, mid, v); got != model[key] {
+				t.Fatalf("op %d: remove(%d, %d) = %v, model says %v", i/2, mid, v, got, model[key])
+			} else if got {
+				perMid[mid]--
 			}
-			delete(model, v)
+			delete(model, key)
 		case 3:
-			if got := set.contains(v); got != model[v] {
-				t.Fatalf("op %d: contains(%d) = %v, model says %v", i/2, v, got, model[v])
+			if got := sh.containsLocked(lead, mid, v); got != model[key] {
+				t.Fatalf("op %d: contains(%d, %d) = %v, model says %v", i/2, mid, v, got, model[key])
 			}
 		}
-		if set.len() != len(model) {
-			t.Fatalf("op %d: %d members, model has %d", i/2, set.len(), len(model))
+		e := sh.m[lead]
+		if (e == nil) != (len(model) == 0) {
+			t.Fatalf("op %d: lead present: %v, with %d members in the model", i/2, e != nil, len(model))
+		}
+		if sh.n != len(model) {
+			t.Fatalf("op %d: the shard counts %d, model has %d", i/2, sh.n, len(model))
+		}
+		if e == nil {
+			continue
+		}
+		mt := e.find(mid)
+		if (mt == nil) != (perMid[mid] == 0) {
+			t.Fatalf("op %d: pair of mid %d present: %v, with %d members in the model", i/2, mid, mt != nil, perMid[mid])
+		}
+		if mt == nil {
+			continue
+		}
+		if n, bad := checkSet(mt); bad != "" || n != perMid[mid] {
+			t.Fatalf("op %d: %s; %d members under mid %d, model has %d", i/2, bad, n, mid, perMid[mid])
 		}
 	}
-	want := make([]uint32, 0, len(model))
-	for v := range model {
-		want = append(want, v)
+	if e := sh.m[lead]; e != nil {
+		if n, bad := checkLead(e); bad != "" || n != len(model) {
+			t.Fatalf("%s; %d members, model has %d", bad, n, len(model))
+		}
 	}
-	slices.Sort(want)
-	if !slices.Equal(set.elems, want) {
-		t.Fatalf("the run is %v, model's keys ascending are %v", set.elems, want)
+	want := map[uint32][]uint32{}
+	for k := range model {
+		want[k[0]] = append(want[k[0]], k[1])
 	}
-	for _, v := range want {
-		if !set.contains(v) {
-			t.Fatalf("contains(%d) = false for a member", v)
+	if e := sh.m[lead]; e != nil {
+		if len(e.entries) != len(want) {
+			t.Fatalf("%d pairs, model has %d mids", len(e.entries), len(want))
+		}
+		for j := range e.entries {
+			mt := &e.entries[j]
+			w := want[mt.mid]
+			slices.Sort(w)
+			if !slices.Equal(mt.elems(), w) {
+				t.Fatalf("the set under mid %d is %v, model's keys ascending are %v", mt.mid, mt.elems(), w)
+			}
+			for _, v := range w {
+				if !mt.contains(v) {
+					t.Fatalf("contains(%d) = false for a member under mid %d", v, mt.mid)
+				}
+			}
 		}
 	}
 }
 
-// FuzzIDSet drives idSetScript with fuzzed scripts; the seeds fill a run far
-// past linearRun in ascending, descending and random order, then churn it.
+// FuzzIDSet drives idSetScript with fuzzed scripts. The seeds fill one run
+// far past linearRun in ascending, descending and random order, then churn
+// it; then walk one set through its life — born inline, a run at its second
+// member, emptied and its pair dropped beside a neighbour, the lead pruned —
+// and fill and empty a lead's 16 mids.
 func FuzzIDSet(f *testing.F) {
 	var up, down []byte
 	for v := 0; v < 1024; v += 3 {
@@ -116,6 +199,19 @@ func FuzzIDSet(f *testing.F) {
 	f.Add(down)
 	f.Add(random)
 	f.Add(append(slices.Clone(up), random...))
+	// Operation bytes: mid<<4 | insert 0, remove 2, contains 3.
+	f.Add([]byte{0x00, 5, 0x03, 5})                                     // born inline
+	f.Add([]byte{0x00, 9, 0x00, 5, 0x00, 1, 0x03, 5})                   // inline, then a run below it
+	f.Add([]byte{0x10, 1, 0x00, 5, 0x00, 9, 0x02, 5, 0x02, 9, 0x03, 9}) // a run emptied: pair dropped
+	f.Add([]byte{0x00, 5, 0x02, 5, 0x00, 5, 0x00, 6, 0x02, 6, 0x02, 5}) // the lead pruned, twice
+	var mids []byte
+	for m := 15; m >= 0; m-- {
+		mids = append(mids, byte(m<<4), byte(m), byte(m<<4), byte(m+100))
+	}
+	for m := 0; m < 16; m += 2 {
+		mids = append(mids, byte(m<<4|2), byte(m), byte(m<<4|2), byte(m+100))
+	}
+	f.Add(mids)
 	f.Fuzz(idSetScript)
 }
 
@@ -125,15 +221,15 @@ func TestIDSetSearchDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	const members = 10_000
-	var set idSet
+	const members, mid = 10_000, 3
+	var e leadEntry
 	for v := uint32(0); v < members; v++ {
-		set.add(3 * v)
+		e.insert(mid, 3*v)
 	}
 	rng := rand.New(rand.NewSource(21))
 	hits := 0
 	if allocs := testing.AllocsPerRun(200, func() {
-		if set.contains(uint32(rng.Intn(3 * members))) {
+		if e.find(mid).contains(uint32(rng.Intn(3 * members))) {
 			hits++
 		}
 	}); allocs != 0 {
@@ -145,15 +241,41 @@ func TestIDSetSearchDoesNotAllocate(t *testing.T) {
 	order := rng.Perm(members)
 	next := 0
 	if allocs := testing.AllocsPerRun(200, func() {
-		if !set.remove(uint32(3 * order[next])) {
+		if !e.remove(mid, uint32(3*order[next])) {
 			t.Fatalf("remove(%d) missed a member", 3*order[next])
 		}
 		next++
 	}); allocs != 0 {
 		t.Errorf("remove allocates %.1f times per call", allocs)
 	}
-	if set.len() != members-next {
-		t.Errorf("%d members after %d removals of %d", set.len(), next, members)
+	if n := e.find(mid).len(); n != members-next {
+		t.Errorf("%d members after %d removals of %d", n, next, members)
+	}
+}
+
+// TestNewMidDoesNotAllocate: filing the first member under a new mid of a
+// lead whose pairs have spare capacity allocates nothing — the member lives
+// in its pair — wherever among the pairs the mid lands.
+func TestNewMidDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const lead, spare = 7, 64
+	sh := shard{m: map[uint32]*leadEntry{lead: {entries: make([]midTrail, 0, spare)}}}
+	mid := uint32(2 * spare)
+	if allocs := testing.AllocsPerRun(spare-1, func() {
+		mid -= 2 // descending: each new pair lands below every other
+		if !sh.insertLocked(lead, mid, 7) {
+			t.Fatalf("insert under the new mid %d reported a duplicate", mid)
+		}
+	}); allocs != 0 {
+		t.Errorf("filing a new mid's first member allocates %.1f times", allocs)
+	}
+	if !sh.insertLocked(lead, mid+1, 7) {
+		t.Fatal("insert between two pairs reported a duplicate")
+	}
+	if n, bad := checkLead(sh.m[lead]); bad != "" || n != spare+1 {
+		t.Fatalf("%s; %d members, want %d", bad, n, spare+1)
 	}
 }
 
@@ -165,7 +287,9 @@ func TestIDSetSearchDoesNotAllocate(t *testing.T) {
 // present throughout is reported exactly once, the one inserted above the
 // cursor too, a touched one at most once — at batch sizes 1, 7 and 1 024, on
 // a store and through a view whose overlay holds the list, and the same with
-// the predicate left open, where the object-only fan-out walks the list.
+// the predicate left open, where the object-only fan-out walks the list. One
+// level up, a (S ? ?) cursor over one subject's one-object predicates keeps
+// the same guarantee while pairs are dropped and filed below it.
 func TestCursorResumesByValue(t *testing.T) {
 	for _, size := range []int{1, 7, 1024} {
 		for _, view := range []bool{false, true} {
@@ -174,6 +298,68 @@ func TestCursorResumesByValue(t *testing.T) {
 					checkCursorResumes(t, size, view, objectOnly)
 				})
 			}
+		}
+	}
+	t.Run("lead/batch=1", checkLeadCursorResumes)
+}
+
+// checkLeadCursorResumes drains a (S ? ?) cursor one triple at a time over a
+// subject with eight predicates of one object each. Between refills the pair
+// of an emitted predicate is emptied, then another emitted one is emptied
+// while the first is filed again. The five predicates no write touched are
+// each reported exactly once, the two touched at most once.
+func checkLeadCursorResumes(t *testing.T) {
+	s := New()
+	id := func(name string) SymbolID {
+		v, err := s.Intern(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	subject, object := id("s"), id("o")
+	ts := make([]IDTriple, 8)
+	tx := s.Begin()
+	for i := range ts {
+		ts[i] = IDTriple{S: subject, P: id(fmt.Sprintf("p%d", i)), O: object}
+		if _, err := tx.AddID(ts[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pt := s.scanPart(IDPattern{S: subject, BoundS: true})
+	defer pt.Release()
+	buf := make([]IDTriple, 1)
+	seen := map[IDTriple]int{}
+	pull := func(k int) {
+		for ; k > 0; k-- {
+			n, done := pt.NextBatch(buf)
+			for _, tr := range buf[:n] {
+				seen[tr]++
+			}
+			if done {
+				return
+			}
+		}
+	}
+	pull(3) // p0, p1, p2
+	if len(seen) != 3 || seen[ts[2]] != 1 {
+		t.Fatalf("after three refills the cursor reported %v; the fixture wants p0 to p2", seen)
+	}
+	if !tx.RemoveID(ts[0]) {
+		t.Fatalf("RemoveID(%v) missed", ts[0])
+	}
+	pull(1)
+	if !tx.RemoveID(ts[1]) {
+		t.Fatalf("RemoveID(%v) missed", ts[1])
+	}
+	if added, err := tx.AddID(ts[0]); err != nil || !added {
+		t.Fatalf("AddID(%v) = %v, %v", ts[0], added, err)
+	}
+	checkRuns(t, "written store", s)
+	pull(len(ts) + 1)
+	for i, tr := range ts {
+		if n := seen[tr]; n > 1 || (i >= 2 && n != 1) {
+			t.Errorf("p%d was reported %d times; touched: %v", i, n, i < 2)
 		}
 	}
 }

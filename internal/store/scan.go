@@ -38,12 +38,12 @@ func tripleOf(fam uint8, lead, mid, trail uint32) IDTriple {
 // the scan is between refills may be seen or missed. Within one posting list
 // that is all a write can do: the cursor resumes in a list by value
 // (fillElems), so for (S P ?), (? P O) and the object-only fan-out a triple
-// present throughout the scan is reported exactly once. One level up it
-// resumes by position: a (lead ? ?) scan can lose or repeat a middle
-// component when one is removed under it (fillLead), and the unbound scan
-// snapshots each shard's leads on arrival. Results are guaranteed exact only
-// against quiescent members. NextBatch never blocks writers for longer than
-// one refill.
+// present throughout the scan is reported exactly once. One level up a lead's
+// middle components ascend too, and a (lead ? ?) or (S ? O) cursor resumes
+// among them by value the same way (fillLead): only a pair a write touched
+// may be seen or missed. The unbound scan snapshots each shard's leads on
+// arrival. Results are guaranteed exact only against quiescent members.
+// NextBatch never blocks writers for longer than one refill.
 type ScanPart struct {
 	owner *Store
 
@@ -60,17 +60,16 @@ type ScanPart struct {
 	allLeads bool
 
 	// Cursor state. For allLeads scans: the current shard, its snapshotted
-	// lead keys and the position in them. For single-lead scans: the
-	// position in the lead's entries (open-ended, so entries appended after
-	// the cursor was created are not missed). Both: the position within the
-	// current trailing run, so a refill stops exactly at the batch boundary,
-	// and — once trailPos > 0 — the last trailing id emitted from it, which
-	// fillElems checks the position against on resume.
+	// lead keys and the position in them. For single-lead scans with the
+	// mid open: the least middle component not yet finished. Both: the
+	// position within the current trailing run, so a refill stops exactly at
+	// the batch boundary, and — once trailPos > 0 — the last trailing id
+	// emitted from it, which fillElems checks the position against on resume.
 	shard     int
 	leads     []uint32
 	haveLeads bool
 	leadPos   int
-	midPos    int
+	nextMid   uint32
 	trailPos  int
 	lastTrail uint32
 
@@ -158,17 +157,16 @@ func (pt *ScanPart) fillShards(out []IDTriple, n int) int {
 			switch e := sh.m[lead]; {
 			case e == nil: // removed since the snapshot
 			case pt.midBound:
-				if set := e.find(pt.mid); set != nil {
-					n, listDone = pt.fillElems(lead, pt.mid, set.elems, out, n)
+				if mt := e.find(pt.mid); mt != nil {
+					n, listDone = pt.fillElems(lead, pt.mid, mt.elems(), out, n)
 				}
 			default:
-				e.forEach(func(mid uint32, trail *idSet) bool {
-					trail.forEach(func(c uint32) bool {
-						pt.emit(IDTriple{S: lead, P: mid, O: c}, out, &n)
-						return true
-					})
-					return true
-				})
+				for i := range e.entries {
+					mt := &e.entries[i]
+					for _, c := range mt.elems() {
+						pt.emit(IDTriple{S: lead, P: mt.mid, O: c}, out, &n)
+					}
+				}
 			}
 			if !listDone {
 				break // out is full mid-list; the next refill resumes at trailPos
@@ -238,12 +236,12 @@ func (pt *ScanPart) fillElems(lead, mid uint32, elems []uint32, out []IDTriple, 
 // fillLead advances a single-lead part: the lead entry is re-looked-up under
 // a fresh read-lock each refill, since it may have mutated in between. A
 // midBound part names its one list by value, so only the triple a write
-// touched may be seen or missed. The (lead ? ?) walk resumes among the lead's
-// entries by position, bounds-checked each refill, and removeMid
-// swap-deletes: an emptied middle component below the cursor moves the last,
-// unvisited one behind it (missed), one at the cursor puts another list under
-// a trailPos not its own (resumed above lastTrail, the rest missed), and one
-// filed again is appended, where the cursor meets it a second time.
+// touched may be seen or missed. The walk with the mid open names its place
+// by value too: the lead's pairs ascend by middle component, so a refill
+// resumes at the first one not below nextMid, and when that is still the list
+// the cursor stood in, fillElems re-seeks its position above lastTrail. A
+// pair emptied, dropped or filed anew moves no other pair across the cursor,
+// so only a pair a write touched may be seen or missed.
 func (pt *ScanPart) fillLead(out []IDTriple, n int) int {
 	sh := pt.family().shard(pt.lead)
 	sh.mu.RLock()
@@ -260,32 +258,37 @@ func (pt *ScanPart) fillLead(out []IDTriple, n int) int {
 		}
 		pt.done = true
 	case pt.midBound:
-		set := e.find(pt.mid)
-		if set == nil {
+		mt := e.find(pt.mid)
+		if mt == nil {
 			pt.done = true
 			return n
 		}
-		n, pt.done = pt.fillElems(pt.lead, pt.mid, set.elems, out, n)
+		n, pt.done = pt.fillElems(pt.lead, pt.mid, mt.elems(), out, n)
 	default:
-		for pt.midPos < len(e.entries) && n < len(out) {
-			mt := &e.entries[pt.midPos]
+		i, found := e.search(pt.nextMid)
+		if !found {
+			pt.trailPos = 0 // the list the cursor stood in is gone
+		}
+		for ; i < len(e.entries) && n < len(out); i++ {
+			mt := &e.entries[i]
 			if pt.trailBound {
-				if mt.trail.contains(pt.trail) {
+				if mt.contains(pt.trail) {
 					out[n] = tripleOf(pt.fam, pt.lead, mt.mid, pt.trail)
 					n++
 				}
-				pt.midPos++
-				continue
-			}
-			var finished bool
-			if n, finished = pt.fillElems(pt.lead, mt.mid, mt.trail.elems, out, n); finished {
-				pt.midPos++
+			} else {
+				var finished bool
+				if n, finished = pt.fillElems(pt.lead, mt.mid, mt.elems(), out, n); !finished {
+					pt.nextMid = mt.mid
+					return n
+				}
 				pt.trailPos = 0
 			}
+			// Wraps only past the largest id, whose pair is the last: the
+			// part is then done before nextMid is read again.
+			pt.nextMid = mt.mid + 1
 		}
-		if pt.midPos >= len(e.entries) {
-			pt.done = true
-		}
+		pt.done = i >= len(e.entries)
 	}
 	return n
 }
@@ -513,11 +516,11 @@ func (s *Store) batchProbeSP(ps []IDPattern, yield func(pi int, t IDTriple) bool
 			if e == nil {
 				continue
 			}
-			set := e.find(p.P)
-			if set == nil {
+			mt := e.find(p.P)
+			if mt == nil {
 				continue
 			}
-			for _, v := range set.elems {
+			for _, v := range mt.elems() {
 				if !yield(int(pi), IDTriple{S: p.S, P: p.P, O: v}) {
 					sh.mu.RUnlock()
 					return
@@ -545,11 +548,11 @@ func (s *Store) batchProbePO(ps []IDPattern, yield func(pi int, t IDTriple) bool
 			if e == nil {
 				continue
 			}
-			set := e.find(p.O)
-			if set == nil {
+			mt := e.find(p.O)
+			if mt == nil {
 				continue
 			}
-			for _, v := range set.elems {
+			for _, v := range mt.elems() {
 				if !yield(int(pi), IDTriple{S: v, P: p.P, O: p.O}) {
 					sh.mu.RUnlock()
 					return
@@ -577,27 +580,27 @@ func probeShardLocked(sh *shard, p IDPattern, pi int, yield func(int, IDTriple) 
 			return true
 		}
 		if p.BoundP {
-			set := e.find(p.P)
-			if set == nil {
+			mt := e.find(p.P)
+			if mt == nil {
 				return true
 			}
 			if p.BoundO {
-				if set.contains(p.O) {
+				if mt.contains(p.O) {
 					return yield(pi, IDTriple{S: p.S, P: p.P, O: p.O})
 				}
 				return true
 			}
-			return emitSet(set, pi, yield, famSPO, p.S, p.P)
+			return emitSet(mt, pi, yield, famSPO, p.S)
 		}
 		for i := range e.entries {
 			mt := &e.entries[i]
 			if p.BoundO {
-				if mt.trail.contains(p.O) && !yield(pi, IDTriple{S: p.S, P: mt.mid, O: p.O}) {
+				if mt.contains(p.O) && !yield(pi, IDTriple{S: p.S, P: mt.mid, O: p.O}) {
 					return false
 				}
 				continue
 			}
-			if !emitSet(&mt.trail, pi, yield, famSPO, p.S, mt.mid) {
+			if !emitSet(mt, pi, yield, famSPO, p.S) {
 				return false
 			}
 		}
@@ -608,22 +611,21 @@ func probeShardLocked(sh *shard, p IDPattern, pi int, yield func(int, IDTriple) 
 			return true
 		}
 		if p.BoundO {
-			set := e.find(p.O)
-			if set == nil {
+			mt := e.find(p.O)
+			if mt == nil {
 				return true
 			}
-			return emitSet(set, pi, yield, famPOS, p.P, p.O)
+			return emitSet(mt, pi, yield, famPOS, p.P)
 		}
 		for i := range e.entries {
-			mt := &e.entries[i]
-			if !emitSet(&mt.trail, pi, yield, famPOS, p.P, mt.mid) {
+			if !emitSet(&e.entries[i], pi, yield, famPOS, p.P) {
 				return false
 			}
 		}
 		return true
 	case p.BoundO:
 		for pid, e := range sh.m {
-			if set := e.find(p.O); set != nil && !emitSet(set, pi, yield, famPOS, pid, p.O) {
+			if mt := e.find(p.O); mt != nil && !emitSet(mt, pi, yield, famPOS, pid) {
 				return false
 			}
 		}
@@ -631,8 +633,7 @@ func probeShardLocked(sh *shard, p IDPattern, pi int, yield func(int, IDTriple) 
 	default:
 		for sid, e := range sh.m {
 			for i := range e.entries {
-				mt := &e.entries[i]
-				if !emitSet(&mt.trail, pi, yield, famSPO, sid, mt.mid) {
+				if !emitSet(&e.entries[i], pi, yield, famSPO, sid) {
 					return false
 				}
 			}
@@ -641,12 +642,12 @@ func probeShardLocked(sh *shard, p IDPattern, pi int, yield func(int, IDTriple) 
 	}
 }
 
-// emitSet yields one triple per member of a trailing set, reassembled from
-// the family's (lead, mid, trail) coordinates, as a direct loop over the
-// set's element slice (no per-set closure).
-func emitSet(set *idSet, pi int, yield func(int, IDTriple) bool, fam uint8, lead, mid uint32) bool {
-	for _, v := range set.elems {
-		if !yield(pi, tripleOf(fam, lead, mid, v)) {
+// emitSet yields one triple per member of a pair's trailing set, reassembled
+// from the family's (lead, mid, trail) coordinates, as a direct loop over the
+// set's elements (no per-set closure).
+func emitSet(mt *midTrail, pi int, yield func(int, IDTriple) bool, fam uint8, lead uint32) bool {
+	for _, v := range mt.elems() {
+		if !yield(pi, tripleOf(fam, lead, mt.mid, v)) {
 			return false
 		}
 	}

@@ -14,41 +14,27 @@ import "sync"
 // thousands of instances.
 //
 // Inside a shard the two inner levels are plain slices rather than nested
-// maps: a lead's middle components live in a small linear-scanned slice that
-// gains a map index only past midSpill entries, and each trailing set is one
-// strictly ascending run of uint32 — searched, never hashed, whatever its
-// size. Real triple data is extremely skewed — most (subject, predicate)
-// pairs have a handful of objects while a few (predicate, object) pairs have
-// thousands of subjects — so almost all inserts touch only small pointer-free
-// slices, which cost a fraction of a map insert and are invisible to the
-// garbage collector, and the few long runs cost four bytes a member, a fifth
-// of what any hashed form of them would.
+// maps: a lead's (middle, trailing-set) pairs are one slice kept ascending by
+// middle component, and each trailing set is one strictly ascending run of
+// uint32 — both searched, never hashed, whatever their size, so nothing sits
+// beside them. A set of one member, which is most of them (an instance's
+// location, each of its single-valued attributes), holds that member inside
+// its pair and has no run at all. Real triple data is extremely skewed — most
+// (subject, predicate) pairs have a handful of objects while a few
+// (predicate, object) pairs have thousands of subjects — so almost all
+// inserts touch only small slices, which cost a fraction of a map insert, and
+// the few long runs cost four bytes a member, a fifth of what any hashed form
+// of them would.
 
 // numShards is the shard count per index family. A power of two so the shard
 // selector is a mask; 16 is enough to spread institution-scale ingest across
 // cores without bloating small stores.
 const numShards = 16
 
-// midSpill is how many middle components a lead holds before linear scans
-// are replaced by a map index.
-const midSpill = 8
-
 // shardOf maps a leading-component id to its shard. Ids are dense sequential
 // integers, so a Fibonacci mix spreads consecutive ids across shards.
 func shardOf(id uint32) uint32 {
 	return (id * 2654435761) >> 16 & (numShards - 1)
-}
-
-// idSet is a set of ids kept as one strictly ascending run: enumeration is a
-// contiguous array walk, which is what the batched scan and probe paths
-// stream from, and membership, insertion and removal find their place by
-// search, so a member costs its four bytes and nothing else. The price is the
-// copy: a write into the middle of a run slides the members above it, O(n)
-// bytes moved where a hash would pay O(1) (BenchmarkHubChurn has the
-// figures). Ids are minted in ascending order, so the common write — a fresh
-// subject filed under its class — lands at the end and moves nothing.
-type idSet struct {
-	elems []uint32
 }
 
 // linearRun is the window at which searchRun stops halving and walks: a few
@@ -77,136 +63,135 @@ func searchRun(elems []uint32, c uint32) (int, bool) {
 	return lo, lo < len(elems) && elems[lo] == c
 }
 
-func (s *idSet) add(c uint32) bool {
-	i, found := searchRun(s.elems, c)
-	if found {
-		return false
-	}
-	s.elems = append(s.elems, 0)
-	copy(s.elems[i+1:], s.elems[i:])
-	s.elems[i] = c
-	return true
+// midTrail couples one middle component with its trailing set, which is
+// never empty. While run is nil the set is its one member, in one, and costs
+// nothing beside the pair; once it has held two members it is the strictly
+// ascending *run — enumeration a contiguous array walk, which is what the
+// batched scan and probe paths stream from, membership, insertion and removal
+// a search — and it stays a run, down to one member, for as long as the pair
+// exists, so removing and re-adding a member never allocates. The pair is 16
+// bytes, a mid and a member: half of a mid and a slice header. The price of a
+// run is the copy: a write into its middle slides the members above it, O(n)
+// bytes moved where a hash would pay O(1) (BenchmarkHubChurn has the
+// figures). Ids are minted in ascending order, so the common write — a fresh
+// subject filed under its class — lands at the end and moves nothing.
+type midTrail struct {
+	mid uint32
+	one [1]uint32
+	run *[]uint32
 }
 
-func (s *idSet) remove(c uint32) bool {
-	i, found := searchRun(s.elems, c)
-	if !found {
-		return false
+// elems returns the set's members, ascending. The slice aliases the index and
+// is valid until the next mutation of the pair's lead.
+func (mt *midTrail) elems() []uint32 {
+	if mt.run != nil {
+		return *mt.run
 	}
-	s.elems = append(s.elems[:i], s.elems[i+1:]...)
-	return true
+	return mt.one[:]
 }
 
-func (s *idSet) contains(c uint32) bool {
-	_, found := searchRun(s.elems, c)
+func (mt *midTrail) len() int {
+	return len(mt.elems())
+}
+
+func (mt *midTrail) contains(c uint32) bool {
+	_, found := searchRun(mt.elems(), c)
 	return found
 }
 
-func (s *idSet) len() int {
-	return len(s.elems)
-}
-
-// forEach streams the set, reporting false when fn stopped the enumeration.
-func (s *idSet) forEach(fn func(uint32) bool) bool {
-	for _, v := range s.elems {
-		if !fn(v) {
-			return false
-		}
+// add files c in the set, reporting whether it was absent. A second member
+// turns the inline one into a run whose header and first two slots are one
+// allocation: a set's first member costs none and its second one, where a
+// plain slice pays one for the first.
+func (mt *midTrail) add(c uint32) bool {
+	i, found := searchRun(mt.elems(), c)
+	if found {
+		return false
 	}
+	if mt.run == nil {
+		box := new(struct {
+			hdr  []uint32
+			room [2]uint32
+		})
+		box.room[0] = mt.one[0]
+		box.hdr = box.room[:1]
+		mt.run = &box.hdr
+	}
+	run := append(*mt.run, 0)
+	copy(run[i+1:], run[i:])
+	run[i] = c
+	*mt.run = run
 	return true
 }
 
-// midTrail couples one middle component with its trailing set.
-type midTrail struct {
-	mid   uint32
-	trail idSet
-}
-
-// leadEntry is everything indexed under one leading component: the list of
-// (middle, trailing-set) pairs, linear-scanned while short, map-indexed once
-// it outgrows midSpill.
+// leadEntry is everything indexed under one leading component: its (middle,
+// trailing-set) pairs, strictly ascending by middle component and searched
+// the way a run is. insert and remove create and drop the pairs, so no pair
+// is ever empty and an entry without pairs is pruned by its shard.
 type leadEntry struct {
 	entries []midTrail
-	idx     map[uint32]int32 // mid -> position in entries; nil while short
 }
 
-// find returns the trailing set of mid, or nil. The pointer is valid until
-// the next mutation of the entry.
-func (e *leadEntry) find(mid uint32) *idSet {
-	if e.idx != nil {
-		if i, ok := e.idx[mid]; ok {
-			return &e.entries[i].trail
+// search returns mid's place among the pairs and whether it is there:
+// searchRun over the pairs' middle components.
+func (e *leadEntry) search(mid uint32) (int, bool) {
+	lo, hi := 0, len(e.entries)
+	for hi-lo > linearRun {
+		m := int(uint(lo+hi) >> 1)
+		if e.entries[m].mid < mid {
+			lo = m + 1
+		} else {
+			hi = m
 		}
-		return nil
 	}
-	for i := range e.entries {
-		if e.entries[i].mid == mid {
-			return &e.entries[i].trail
-		}
+	for lo < hi && e.entries[lo].mid < mid {
+		lo++
+	}
+	return lo, lo < len(e.entries) && e.entries[lo].mid == mid
+}
+
+// find returns mid's pair, or nil. The pointer is valid until the next
+// mutation of the entry.
+func (e *leadEntry) find(mid uint32) *midTrail {
+	if i, found := e.search(mid); found {
+		return &e.entries[i]
 	}
 	return nil
 }
 
-// findOrCreate returns mid's trailing set, appending an empty one (and
-// building or maintaining the spill index) on first sight.
-func (e *leadEntry) findOrCreate(mid uint32) *idSet {
-	if set := e.find(mid); set != nil {
-		return set
+// insert files c under mid, reporting whether it was absent. A mid seen for
+// the first time takes its place among the pairs with c inline.
+func (e *leadEntry) insert(mid, c uint32) bool {
+	i, found := e.search(mid)
+	if found {
+		return e.entries[i].add(c)
 	}
-	e.entries = append(e.entries, midTrail{mid: mid})
-	i := len(e.entries) - 1
-	if e.idx != nil {
-		e.idx[mid] = int32(i)
-	} else if len(e.entries) > midSpill {
-		e.idx = make(map[uint32]int32, 2*midSpill)
-		for j := range e.entries {
-			e.idx[e.entries[j].mid] = int32(j)
-		}
-	}
-	return &e.entries[i].trail
+	e.entries = append(e.entries, midTrail{})
+	copy(e.entries[i+1:], e.entries[i:])
+	e.entries[i] = midTrail{mid: mid, one: [1]uint32{c}}
+	return true
 }
 
-// removeMid drops mid's (emptied) trailing set by swap-delete, keeping the
-// spill index consistent.
-func (e *leadEntry) removeMid(mid uint32) {
-	pos := -1
-	if e.idx != nil {
-		i, ok := e.idx[mid]
-		if !ok {
-			return
-		}
-		pos = int(i)
-	} else {
-		for i := range e.entries {
-			if e.entries[i].mid == mid {
-				pos = i
-				break
-			}
-		}
-		if pos < 0 {
-			return
-		}
+// remove drops c from mid's set, reporting whether it was there. Removing a
+// set's last member drops its pair, the pairs above sliding down one.
+func (e *leadEntry) remove(mid, c uint32) bool {
+	i, found := e.search(mid)
+	if !found {
+		return false
+	}
+	mt := &e.entries[i]
+	j, found := searchRun(mt.elems(), c)
+	if !found {
+		return false
+	}
+	if mt.len() > 1 {
+		*mt.run = append((*mt.run)[:j], (*mt.run)[j+1:]...)
+		return true
 	}
 	last := len(e.entries) - 1
-	e.entries[pos] = e.entries[last]
+	copy(e.entries[i:], e.entries[i+1:])
 	e.entries[last] = midTrail{}
 	e.entries = e.entries[:last]
-	if e.idx != nil {
-		delete(e.idx, mid)
-		if pos < last {
-			e.idx[e.entries[pos].mid] = int32(pos)
-		}
-	}
-}
-
-// forEach streams every (mid, trailing-set) pair, reporting false when fn
-// stopped the enumeration.
-func (e *leadEntry) forEach(fn func(mid uint32, trail *idSet) bool) bool {
-	for i := range e.entries {
-		if !fn(e.entries[i].mid, &e.entries[i].trail) {
-			return false
-		}
-	}
 	return true
 }
 
@@ -238,7 +223,7 @@ func (sh *shard) insertLocked(a, b, c uint32) bool {
 		e = &leadEntry{}
 		sh.m[a] = e
 	}
-	if !e.findOrCreate(b).add(c) {
+	if !e.insert(b, c) {
 		return false
 	}
 	sh.n++
@@ -249,18 +234,11 @@ func (sh *shard) insertLocked(a, b, c uint32) bool {
 // prunes emptied levels. Callers hold mu.
 func (sh *shard) removeLocked(a, b, c uint32) bool {
 	e := sh.m[a]
-	if e == nil {
+	if e == nil || !e.remove(b, c) {
 		return false
 	}
-	set := e.find(b)
-	if set == nil || !set.remove(c) {
-		return false
-	}
-	if set.len() == 0 {
-		e.removeMid(b)
-		if len(e.entries) == 0 {
-			delete(sh.m, a)
-		}
+	if len(e.entries) == 0 {
+		delete(sh.m, a)
 	}
 	sh.n--
 	return true
@@ -273,8 +251,8 @@ func (sh *shard) containsLocked(a, b, c uint32) bool {
 	if e == nil {
 		return false
 	}
-	set := e.find(b)
-	return set != nil && set.contains(c)
+	mt := e.find(b)
+	return mt != nil && mt.contains(c)
 }
 
 // indexFamily is one permutation index: numShards shards addressed by the

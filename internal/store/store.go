@@ -296,11 +296,13 @@ func (s *Store) ForEachSubject(predicate, object string, yield func(string) bool
 	if e == nil {
 		return
 	}
-	set := e.find(oid)
-	if set == nil {
+	mt := e.find(oid)
+	if mt == nil {
 		return
 	}
-	set.forEach(func(sid uint32) bool {
-		return yield(res.name(sid))
-	})
+	for _, sid := range mt.elems() {
+		if !yield(res.name(sid)) {
+			return
+		}
+	}
 }
