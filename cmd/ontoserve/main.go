@@ -217,13 +217,9 @@ func run(args []string, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ontoserve: %v\n", err)
 		return 1
 	}
-	if eng != nil {
-		// Assigning a nil *durable.Engine would make the interface non-nil
-		// and crash the durability handlers.
-		cfg.Durable = eng
-	}
+	cfg.Durable = eng
 	if rep != nil {
-		// Same typed-nil trap as Durable: only assign a live replica.
+		// Replica is an interface: a nil *repl.Replica in it would not be nil.
 		cfg.Replica = rep
 	}
 	cfg.ReplRetain = *replRetain

@@ -3,31 +3,35 @@ package durable
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/store"
 )
 
-// This file is the acceptance test the subsystem exists for: a child process
-// ingests batches under FsyncAlways, acknowledging each one on stdout only
-// after its group commit returns; the parent SIGKILLs it mid-ingest and then
-// recovers the directory. The recovered store must be byte-identical (via
-// the canonical Snapshot) to a reference store holding exactly the first K'
-// batches for some K' — no partial batch ever surfaces — and K' must be at
-// least the number of batches the child acknowledged before dying, because
-// an acknowledged commit may never be lost.
+// This file holds the crash tests. TestCrashRecovery is the acceptance test
+// the subsystem exists for: a child process ingests batches under
+// FsyncAlways, acknowledging each one on stdout only after its group commit
+// returns; the parent SIGKILLs it mid-ingest and then recovers the
+// directory. The recovered store must be byte-identical (via the canonical
+// Snapshot) to a reference store holding exactly the first K' batches for
+// some K' — no partial batch ever surfaces — and K' must be at least the
+// number of batches the child acknowledged before dying, because an
+// acknowledged commit may never be lost. TestCrashMidMerge builds the
+// directory a crash inside a merge's write leaves, over the fault disk.
 
 const (
-	crashChildEnv      = "DURABLE_CRASH_CHILD_DIR"
-	crashMergeChildEnv = "DURABLE_CRASH_MERGE_DIR"
-	crashBatchSize     = 2000
-	crashMaxBatches    = 200
-	crashKillAtAcked   = 5
+	crashChildEnv    = "DURABLE_CRASH_CHILD_DIR"
+	crashBatchSize   = 2000
+	crashMaxBatches  = 200
+	crashKillAtAcked = 5
 )
 
 // crashBatch returns the deterministic k-th ingest batch. Components recur
@@ -153,98 +157,64 @@ func TestCrashRecovery(t *testing.T) {
 		acked, matched, eng.LastSeq(), st.Len())
 }
 
-// crashMergeChild builds a two-segment chain, then re-opens the directory
-// with a merge parked mid-flight: the hook drops a half-written .tmp where
-// the merged segment would land (simulating a merge killed mid-write),
-// acknowledges, and sleeps until the parent's SIGKILL.
-func crashMergeChild(dir string) {
+// TestCrashMidMerge tears a background merge mid-write, in process: a short
+// write leaves half the merged .tmp on disk and the fake refuses its cleanup
+// remove — the directory a crash inside the write leaves — while the inputs
+// stay present. Recovery must treat the torn merge as simply not-yet-merged:
+// delete the .tmp, chain the input segments, and reproduce the exact
+// pre-crash state.
+func TestCrashMidMerge(t *testing.T) {
+	dir := t.TempDir()
 	st := store.New()
-	eng, err := Open(st, Options{Dir: dir, Fsync: FsyncAlways, CheckpointBytes: -1, MergeRatio: -1})
-	if err != nil {
-		fmt.Println("child open error:", err)
-		os.Exit(1)
-	}
+	eng := mustOpen(t, st, Options{Dir: dir, Fsync: FsyncOff, CheckpointBytes: -1, MergeRatio: -1})
 	for k := 0; k < 2; k++ {
 		if _, err := st.AddBatch(crashBatch(k)); err != nil {
-			fmt.Println("child ingest error:", err)
-			os.Exit(1)
+			t.Fatal(err)
 		}
 		if err := eng.Checkpoint(); err != nil {
-			fmt.Println("child checkpoint error:", err)
-			os.Exit(1)
+			t.Fatal(err)
 		}
 	}
-	covered := eng.Stats().SegmentSeq
 	if err := eng.Close(); err != nil {
-		fmt.Println("child close error:", err)
-		os.Exit(1)
+		t.Fatal(err)
 	}
 
-	st2 := store.New()
-	eng2, err := Open(st2, Options{Dir: dir, Fsync: FsyncAlways, CheckpointBytes: -1, MergeRatio: -1})
-	if err != nil {
-		fmt.Println("child reopen error:", err)
-		os.Exit(1)
-	}
-	eng2.mergeHook = func() {
-		tmp := filepath.Join(dir, segmentName(1, covered)+".tmp")
-		if err := os.WriteFile(tmp, []byte(segMagic+"half a merge"), 0o644); err != nil {
-			fmt.Println("child tmp error:", err)
-			os.Exit(1)
+	tear := func(op, name string) error {
+		switch {
+		case !strings.HasSuffix(name, ".tmp"):
+		case op == "write":
+			return io.ErrShortWrite
+		case op == "remove":
+			return syscall.EIO
 		}
-		fmt.Println("merging")
-		select {} // park until the parent's SIGKILL
+		return nil
 	}
-	// Merges were disabled at Open so the hook could be installed first; now
-	// arm the policy and schedule the pass.
-	eng2.mu.Lock()
-	eng2.opts.MergeRatio = 1e12
-	eng2.mu.Unlock()
-	eng2.pokeMerge()
-	select {} // the hook never returns; if the poke was lost, hang for the kill anyway
-}
-
-// TestCrashMidMerge SIGKILLs a process whose background merge is mid-write —
-// a torn .tmp on disk, inputs still present. Recovery must treat the torn
-// merge as simply not-yet-merged: delete the .tmp, chain the input segments,
-// and reproduce the exact pre-crash state.
-func TestCrashMidMerge(t *testing.T) {
-	if dir := os.Getenv(crashMergeChildEnv); dir != "" {
-		crashMergeChild(dir)
-		return
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatalf("os.Executable: %v", err)
-	}
-	dir := t.TempDir()
-	cmd := exec.Command(exe, "-test.run", "^TestCrashMidMerge$")
-	cmd.Env = append(os.Environ(), crashMergeChildEnv+"="+dir)
-	cmd.Stderr = os.Stderr
-	out, err := cmd.StdoutPipe()
+	// An enormous ratio makes the two inputs mergeable; Open schedules the
+	// merge itself, and it fails on the torn write.
+	eng2, err := open(store.New(), Options{Dir: dir, Fsync: FsyncOff, CheckpointBytes: -1, MergeRatio: 1e12}, newFaultDisk(dir, tear))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cmd.Start(); err != nil {
-		t.Fatalf("starting merge-crash child: %v", err)
+	deadline := time.Now().Add(10 * time.Second)
+	for eng2.Stats().Err == "" {
+		if time.Now().After(deadline) {
+			t.Fatal("the torn merge never reported its failure")
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
-	sc := bufio.NewScanner(out)
-	if !sc.Scan() || sc.Text() != "merging" {
-		cmd.Process.Kill()
-		cmd.Wait()
-		t.Fatalf("child said %q, want \"merging\"", sc.Text())
+	if err := eng2.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if err := cmd.Process.Kill(); err != nil {
-		t.Fatalf("killing child: %v", err)
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 1 {
+		t.Fatalf("the torn merge left %d .tmp files, want its one output", len(tmps))
 	}
-	cmd.Wait()
 
-	st := store.New()
-	eng, err := Open(st, Options{Dir: dir, Fsync: FsyncOff, MergeRatio: -1})
+	st3 := store.New()
+	eng3, err := Open(st3, Options{Dir: dir, Fsync: FsyncOff, MergeRatio: -1})
 	if err != nil {
-		t.Fatalf("recovery after kill -9 mid-merge: %v", err)
+		t.Fatalf("recovery after a torn merge: %v", err)
 	}
-	defer eng.Close()
+	defer eng3.Close()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +224,7 @@ func TestCrashMidMerge(t *testing.T) {
 			t.Fatalf("recovery kept the torn merge output %s", e.Name())
 		}
 	}
-	if got := eng.Stats().Segments; got != 2 {
+	if got := eng3.Stats().Segments; got != 2 {
 		t.Fatalf("recovered chain has %d segments, want the 2 merge inputs", got)
 	}
 	ref := store.New()
@@ -263,7 +233,7 @@ func TestCrashMidMerge(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if snapshotString(t, st) != snapshotString(t, ref) {
+	if snapshotString(t, st3) != snapshotString(t, ref) {
 		t.Fatal("recovery after a torn merge diverges from the pre-crash state")
 	}
 }

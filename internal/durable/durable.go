@@ -30,6 +30,7 @@
 package durable
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
@@ -184,9 +185,11 @@ type Stats struct {
 	// RecoverySeconds is how long Open spent rebuilding the store from the
 	// directory (segment fold + tail fold + bulk load).
 	RecoverySeconds float64 `json:"recovery_seconds"`
-	// Err is the engine's sticky error, "" while healthy. Once set, commits
-	// fail (mutations answer 500) and the engine needs a restart (and
-	// recovery) to trust its log.
+	// Err is "" while healthy, else one of two errors, the first that
+	// applies: the log writer's sticky error — commits fail (mutations
+	// answer 500) until a restart recovers the directory — or the last
+	// checkpoint or merge failure — commits go on, the log keeps the data
+	// safe, and the next successful checkpoint or merge clears it.
 	Err string `json:"error,omitempty"`
 }
 
@@ -196,6 +199,7 @@ type Stats struct {
 type Engine struct {
 	st   *store.Store
 	opts Options
+	disk disk // the data directory
 	w    *walWriter
 
 	// ckptMu serializes the segment-chain writers: checkpoints (manual and
@@ -227,13 +231,6 @@ type Engine struct {
 	wg     sync.WaitGroup
 	once   sync.Once
 
-	// mergeHook, when non-nil, runs right before a merge publishes its
-	// output — after the fold, before the rename. Tests use it to park a
-	// merge mid-flight and prove Close waits for (or cleanly aborts) it.
-	// Set it before any mutation traffic; the background goroutine reads it
-	// unsynchronized.
-	mergeHook func()
-
 	// Metric handles, nil without Options.Metrics (observations are
 	// nil-safe).
 	mCkptSeconds  *obs.Histogram
@@ -252,6 +249,11 @@ func Open(st *store.Store, opts Options) (*Engine, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("durable: Options.Dir is required")
 	}
+	return open(st, opts, osDisk{opts.Dir})
+}
+
+// open is Open over the disk d, which is bound to opts.Dir.
+func open(st *store.Store, opts Options, d disk) (*Engine, error) {
 	if st.Len() != 0 || st.DictLen() != 0 {
 		return nil, fmt.Errorf("durable: Open needs an empty store (it holds %d triples, %d dictionary entries); recovery is the only writer allowed before the journal is attached", st.Len(), st.DictLen())
 	}
@@ -267,18 +269,26 @@ func Open(st *store.Store, opts Options) (*Engine, error) {
 	if opts.MaxSegments == 0 {
 		opts.MaxSegments = DefaultMaxSegments
 	}
-	if err := ensureDir(opts.Dir); err != nil {
-		return nil, err
+	// The directory's entry is synced into its parent on every Open, not
+	// only when mkdir creates it: one made by hand, or by an earlier Open
+	// that failed before its sync, must not vanish in an OS crash either,
+	// taking the writes acknowledged inside it along.
+	if err := d.mkdir(); err != nil {
+		return nil, fmt.Errorf("durable: creating data directory: %w", err)
+	}
+	if err := d.syncDir(".."); err != nil {
+		return nil, fmt.Errorf("durable: fsyncing the data directory's parent: %w", err)
 	}
 	recStart := time.Now()
-	rec, err := recoverDir(st, opts.Dir)
+	rec, err := recoverDir(st, d)
 	if err != nil {
 		return nil, err
 	}
 	e := &Engine{
 		st:          st,
 		opts:        opts,
-		w:           newWALWriter(opts.Dir, opts.Fsync, rec.file, rec.lastSeq),
+		disk:        d,
+		w:           newWALWriter(d, opts.Fsync, rec.file, rec.lastSeq),
 		wals:        rec.wals,
 		tiers:       rec.tiers,
 		dictCovered: rec.dictCovered,
@@ -421,11 +431,7 @@ func (e *Engine) background() {
 			// seq returns without touching the file.
 			_ = e.w.syncTo(e.w.currentSeq())
 		case <-e.ckptC:
-			if err := e.Checkpoint(); err != nil {
-				e.mu.Lock()
-				e.ckptErr = err
-				e.mu.Unlock()
-			}
+			_ = e.Checkpoint() // its failure is Stats.Err's to report
 		case <-e.mergeC:
 			e.runMerges()
 		}
@@ -439,7 +445,8 @@ func (e *Engine) background() {
 // proportional to the window — the live store is never read — and mutations
 // proceed concurrently throughout. A checkpoint with an empty window is a
 // no-op. If the new segment breaks the chain's size separation, a background
-// merge is scheduled.
+// merge is scheduled. Every checkpoint but a no-op records its outcome for
+// Stats.Err: its failure, or nil once it succeeds.
 func (e *Engine) Checkpoint() error {
 	e.ckptMu.Lock()
 	defer e.ckptMu.Unlock()
@@ -457,9 +464,55 @@ func (e *Engine) Checkpoint() error {
 	// The superseded log window, read before rotation resets it — the
 	// denominator of the compaction ratio.
 	walBytes := e.w.bytesSinceRotation()
+	seg, size, err := e.publishWindow(lastEnd, dictNext)
+	var cleanupErr error
+	if err == nil {
+		if e.mCompaction != nil && walBytes > 0 {
+			e.mCompaction.Set(float64(size) / float64(walBytes))
+		}
+		// The new segment supersedes every sealed file. A deletion failure is
+		// reported but the checkpoint itself has succeeded: the file stays
+		// listed, so the next checkpoint skips its folded records and deletes
+		// it again — as recovery would.
+		live, tail := e.wals[:0], e.wals[len(e.wals)-1]
+		for _, first := range e.wals[:len(e.wals)-1] {
+			if rerr := removeFile(e.disk, walFileName(first)); rerr != nil {
+				live = append(live, first)
+				cleanupErr = cmp.Or(cleanupErr, rerr)
+			}
+		}
+		e.wals = append(live, tail)
+	}
+	published, needMerge := err == nil, false
+	e.mu.Lock() //ontolint:ignore lockcheck fixed one-way order: ckptMu is always taken before mu and mu critical sections never take ckptMu, so the nesting cannot deadlock
+	if published {
+		e.tiers = append(e.tiers, metaOf(seg, size))
+		e.dictCovered += store.SymbolID(len(seg.dict))
+		e.checkpoints++
+		e.ckptBytes += size
+		_, needMerge = e.pickMergeLocked()
+		err = cleanupErr
+	}
+	e.ckptErr = err
+	e.mu.Unlock()
+	if published && e.mCkptSeconds != nil {
+		e.mCkptSeconds.Since(ckptStart)
+	}
+	if needMerge {
+		e.pokeMerge()
+	}
+	return err
+}
+
+// publishWindow rotates the log and publishes the window the rotation
+// sealed, (lastEnd, rotation point], as a segment. On failure nothing is
+// published and the sealed files stay on disk and listed, so recovery still
+// sees an intact log and the next checkpoint folds them again. Callers hold
+// ckptMu.
+func (e *Engine) publishWindow(lastEnd uint64, dictNext store.SymbolID) (segmentData, int64, error) {
 	covered, err := e.w.rotate()
 	if err != nil {
-		return err
+		return segmentData{}, 0, err
 	}
 	// Rotation opened wal-<covered+1>; every file listed before it is sealed.
 	// After a checkpoint that failed with nothing journaled since, that name
@@ -467,54 +520,15 @@ func (e *Engine) Checkpoint() error {
 	if e.wals[len(e.wals)-1] <= covered {
 		e.wals = append(e.wals, covered+1)
 	}
-	sealed := e.wals[:len(e.wals)-1]
-	seg, err := foldWAL(e.opts.Dir, sealed, lastEnd, dictNext, false)
+	seg, err := foldWAL(e.disk, e.wals[:len(e.wals)-1], lastEnd, dictNext, false)
 	if err == nil && seg.end != covered {
 		err = fmt.Errorf("durable: checkpoint window ends at record %d, want the rotation point %d", seg.end, covered)
 	}
 	if err != nil {
-		// No segment was written and the sealed files stay on disk and
-		// listed, so recovery still sees an intact log and the next
-		// checkpoint folds them again; this one just failed.
-		return err
+		return seg, 0, err
 	}
-	size, err := writeSegment(e.opts.Dir, seg)
-	if err != nil {
-		return err
-	}
-	if e.mCompaction != nil && walBytes > 0 {
-		e.mCompaction.Set(float64(size) / float64(walBytes))
-	}
-	// The new segment supersedes every sealed file. A deletion failure is
-	// reported but the checkpoint itself has succeeded: the file stays listed,
-	// so the next checkpoint skips its folded records and deletes it again —
-	// as recovery would.
-	var cleanupErr error
-	live := e.wals[:0]
-	for _, first := range sealed {
-		if err := removeFile(e.opts.Dir, walFileName(first)); err != nil {
-			live = append(live, first)
-			if cleanupErr == nil {
-				cleanupErr = err
-			}
-		}
-	}
-	e.wals = append(live, covered+1)
-	e.mu.Lock() //ontolint:ignore lockcheck fixed one-way order: ckptMu is always taken before mu and mu critical sections never take ckptMu, so the nesting cannot deadlock
-	e.tiers = append(e.tiers, metaOf(seg, size))
-	e.dictCovered += store.SymbolID(len(seg.dict))
-	e.checkpoints++
-	e.ckptBytes += size
-	e.ckptErr = cleanupErr
-	_, needMerge := e.pickMergeLocked()
-	e.mu.Unlock()
-	if e.mCkptSeconds != nil {
-		e.mCkptSeconds.Since(ckptStart)
-	}
-	if needMerge {
-		e.pokeMerge()
-	}
-	return cleanupErr
+	size, err := writeSegment(e.disk, seg, nil)
+	return seg, size, err
 }
 
 // coveredLocked returns the seq the chain covers through. Callers hold mu.
@@ -578,25 +592,21 @@ func (e *Engine) runMerges() {
 // safe: before the rename the merged .tmp is garbage recovery deletes (the
 // merge is simply not-yet-merged); after it, the inputs are leftovers recovery
 // recognizes as subsumed by the wider merged window and deletes. Close aborts
-// cleanly at the checkpoints between I/O steps, never leaving a .tmp behind.
+// the merge at any point before its rename — between input loads, or once
+// the output is written — never leaving a .tmp behind.
 func (e *Engine) mergeRun(i int, metas []segMeta) error {
 	start := time.Now()
-	merged, err := foldChain(e.opts.Dir, metas, e.done)
+	merged, err := foldChain(e.disk, metas, e.done)
 	if errors.Is(err, errStopped) {
 		return nil // closing: abort before any output exists
 	}
 	if err != nil {
 		return fmt.Errorf("durable: merge reading input: %w", err)
 	}
-	if hook := e.mergeHook; hook != nil {
-		hook()
+	size, err := writeSegment(e.disk, merged, e.done)
+	if errors.Is(err, errStopped) {
+		return nil // closing: the output is removed, inputs intact
 	}
-	select {
-	case <-e.done:
-		return nil // closing: nothing written yet, inputs intact
-	default:
-	}
-	size, err := writeSegment(e.opts.Dir, merged)
 	if err != nil {
 		return err
 	}
@@ -604,7 +614,7 @@ func (e *Engine) mergeRun(i int, metas []segMeta) error {
 	// would clean them up too.
 	var cleanupErr error
 	for _, m := range metas {
-		if err := removeFile(e.opts.Dir, segmentName(m.start, m.end)); err != nil && cleanupErr == nil {
+		if err := removeFile(e.disk, segmentName(m.start, m.end)); err != nil && cleanupErr == nil {
 			cleanupErr = err
 		}
 	}

@@ -460,7 +460,7 @@ func TestOverCapSealedFrameIsAnError(t *testing.T) {
 	if err := os.WriteFile(path, frame, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := recoverDir(store.New(), dir)
+	_, err := recoverDir(store.New(), osDisk{dir})
 	if err == nil {
 		t.Fatal("recovery accepted (and would have truncated) an over-cap frame")
 	}
@@ -475,7 +475,7 @@ func TestOverCapSealedFrameIsAnError(t *testing.T) {
 // TestLoadSegmentRejectsOverflowedTripleCount patches a valid segment's
 // triple count to a value whose 12× product wraps uint64 back to the true
 // byte length: the pre-fix multiplication check passed it through to a
-// make() that panicked. loadSegment must return the clean corruption error
+// make() that panicked. decodeSegment must return the clean corruption error
 // it promises.
 func TestLoadSegmentRejectsOverflowedTripleCount(t *testing.T) {
 	dir := t.TempDir()
@@ -486,11 +486,11 @@ func TestLoadSegmentRejectsOverflowedTripleCount(t *testing.T) {
 		dict:      []string{"s", "p", "o"},
 		adds:      []store.IDTriple{{S: 0, P: 1, O: 2}, {S: 2, P: 1, O: 0}},
 	}
-	if _, err := writeSegment(dir, seg); err != nil {
+	if _, err := writeSegment(osDisk{dir}, seg, nil); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, segmentName(1, 7))
-	data, err := os.ReadFile(path)
+	name := segmentName(1, 7)
+	data, err := os.ReadFile(filepath.Join(dir, name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,11 +502,8 @@ func TestLoadSegmentRejectsOverflowedTripleCount(t *testing.T) {
 	binary.LittleEndian.PutUint64(data[countOff:], count+1<<62)
 	body := data[:len(data)-(4+len(segTrailer))]
 	binary.LittleEndian.PutUint32(data[len(body):], crc32.Checksum(body, castagnoli))
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadSegment(path); err == nil {
-		t.Fatal("loadSegment accepted a wrapped triple count")
+	if _, err := decodeSegment(name, data); err == nil {
+		t.Fatal("decodeSegment accepted a wrapped triple count")
 	}
 }
 
@@ -608,7 +605,7 @@ func recoverPrefixErr(t *testing.T, root string, name string, data []byte) (stri
 		t.Fatal(err)
 	}
 	st := store.New()
-	rec, err := recoverDir(st, dir)
+	rec, err := recoverDir(st, osDisk{dir})
 	if err != nil {
 		return "", err
 	}
@@ -720,7 +717,7 @@ func TestCorruptSealedFileIsAnError(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, walFileName(1_000_000)), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := recoverDir(store.New(), dir); err == nil {
+	if _, err := recoverDir(store.New(), osDisk{dir}); err == nil {
 		t.Fatal("recoverDir tolerated a bad frame in a sealed log file")
 	}
 }
@@ -735,7 +732,7 @@ func TestLogGapIsAnError(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, walFileName(1_000_000)), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := recoverDir(store.New(), dir); err == nil || !strings.Contains(err.Error(), "gap") {
+	if _, err := recoverDir(store.New(), osDisk{dir}); err == nil || !strings.Contains(err.Error(), "gap") {
 		t.Fatalf("recoverDir over a gapped log: %v, want a gap error", err)
 	}
 }
@@ -745,7 +742,7 @@ func TestForeignFileIsAnError(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("hi"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := recoverDir(store.New(), dir); err == nil {
+	if _, err := recoverDir(store.New(), osDisk{dir}); err == nil {
 		t.Fatal("recoverDir accepted a directory holding foreign files")
 	}
 }
@@ -757,7 +754,7 @@ func TestLeftoverTmpIsDeleted(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := store.New()
-	rec, err := recoverDir(st, dir)
+	rec, err := recoverDir(st, osDisk{dir})
 	if err != nil {
 		t.Fatalf("recoverDir: %v", err)
 	}
@@ -777,14 +774,18 @@ func TestSegmentRoundTrip(t *testing.T) {
 		adds:      []store.IDTriple{{S: 2, P: 3, O: 4}, {S: 2, P: 3, O: 5}},
 		removes:   []store.IDTriple{{S: 0, P: 1, O: 2}},
 	}
-	size, err := writeSegment(dir, seg)
+	size, err := writeSegment(osDisk{dir}, seg, nil)
 	if err != nil {
 		t.Fatalf("writeSegment: %v", err)
 	}
-	path := filepath.Join(dir, segmentName(8, 42))
-	got, err := loadSegment(path)
+	name := segmentName(8, 42)
+	data, err := os.ReadFile(filepath.Join(dir, name))
 	if err != nil {
-		t.Fatalf("loadSegment: %v", err)
+		t.Fatal(err)
+	}
+	got, err := decodeSegment(name, data)
+	if err != nil {
+		t.Fatalf("decodeSegment: %v", err)
 	}
 	if got.start != 8 || got.end != 42 || got.dictFirst != 2 {
 		t.Fatalf("window = [%d, %d] dictFirst %d, want [8, 42] dictFirst 2", got.start, got.end, got.dictFirst)
@@ -802,10 +803,6 @@ func TestSegmentRoundTrip(t *testing.T) {
 		t.Fatalf("removes = %v", got.removes)
 	}
 
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, corrupt := range []struct {
 		name string
 		mut  func([]byte) []byte
@@ -815,11 +812,8 @@ func TestSegmentRoundTrip(t *testing.T) {
 		{"bad magic", func(b []byte) []byte { b[0] = 'X'; return b }},
 	} {
 		bad := corrupt.mut(append([]byte(nil), data...))
-		if err := os.WriteFile(path, bad, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := loadSegment(path); err == nil {
-			t.Fatalf("loadSegment accepted a %s segment", corrupt.name)
+		if _, err := decodeSegment(name, bad); err == nil {
+			t.Fatalf("decodeSegment accepted a %s segment", corrupt.name)
 		}
 	}
 }

@@ -115,7 +115,7 @@ func FuzzRecoverLog(f *testing.F) {
 	}
 	var segFiles []segFile
 	for _, seg := range fuzzChainSegments() {
-		if _, err := writeSegment(segDir, seg); err != nil {
+		if _, err := writeSegment(osDisk{segDir}, seg, nil); err != nil {
 			f.Fatal(err)
 		}
 		name := segmentName(seg.start, seg.end)
@@ -130,7 +130,7 @@ func FuzzRecoverLog(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, walFileName(1)), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rec, err := recoverDir(store.New(), dir)
+		rec, err := recoverDir(store.New(), osDisk{dir})
 		if err == nil {
 			rec.file.Close()
 		}
@@ -148,7 +148,7 @@ func FuzzRecoverLog(f *testing.F) {
 			t.Fatal(err)
 		}
 		st := store.New()
-		rec, err = recoverDir(st, chainDir)
+		rec, err = recoverDir(st, osDisk{chainDir})
 		if err != nil {
 			return
 		}
@@ -161,14 +161,14 @@ func FuzzRecoverLog(f *testing.F) {
 	})
 }
 
-// FuzzLoadSegment throws arbitrary bytes at the segment loader: whatever the
+// FuzzLoadSegment throws arbitrary bytes at the segment decoder: whatever the
 // input, it must return cleanly — segments are published atomically, so the
 // loader treats every violation as corruption, and none may panic or
 // over-allocate past the bytes actually present.
 func FuzzLoadSegment(f *testing.F) {
 	dir := f.TempDir()
 	for _, seg := range fuzzChainSegments() {
-		if _, err := writeSegment(dir, seg); err != nil {
+		if _, err := writeSegment(osDisk{dir}, seg, nil); err != nil {
 			f.Fatal(err)
 		}
 		data, err := os.ReadFile(filepath.Join(dir, segmentName(seg.start, seg.end)))
@@ -181,12 +181,7 @@ func FuzzLoadSegment(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(segMagic))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		path := filepath.Join(dir, segmentName(1, 2))
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		seg, err := loadSegment(path)
+		seg, err := decodeSegment(segmentName(1, 2), data)
 		if err != nil {
 			return
 		}

@@ -2,8 +2,6 @@ package durable
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime/debug"
 	"slices"
 	"sort"
@@ -49,23 +47,15 @@ import (
 // log tail is clean, and file is the wal file to keep appending to.
 type recovered struct {
 	lastSeq     uint64 // seq of the last record loaded (0 = pristine directory)
-	file        *os.File
+	file        file
 	wals        []uint64       // first seqs of the live wal files, ascending; file is the last
 	tiers       []segMeta      // the live segment chain, oldest→newest
 	dictCovered store.SymbolID // dictionary ids covered by the chain
 }
 
-// ensureDir creates the data directory if it is missing.
-func ensureDir(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("durable: creating data directory: %w", err)
-	}
-	return nil
-}
-
 // removeFile deletes one file of the data directory.
-func removeFile(dir, name string) error {
-	if err := os.Remove(filepath.Join(dir, name)); err != nil {
+func removeFile(d disk, name string) error {
+	if err := d.remove(name); err != nil {
 		return fmt.Errorf("durable: removing %s: %w", name, err)
 	}
 	return nil
@@ -91,24 +81,23 @@ func parseSeqName(name, prefix, ext string) (uint64, bool) {
 	return n, true
 }
 
-// recoverDir rebuilds st (which must be empty) from dir and returns the open
-// log tail. Any error leaves the directory as it was found, minus deleted
-// leftovers and a torn tail.
-func recoverDir(st *store.Store, dir string) (recovered, error) {
+// recoverDir rebuilds st (which must be empty) from the data directory and
+// returns the open log tail. Any error leaves the directory as it was found,
+// minus deleted leftovers and a torn tail.
+func recoverDir(st *store.Store, d disk) (recovered, error) {
 	var rec recovered
-	entries, err := os.ReadDir(dir)
+	names, err := d.list()
 	if err != nil {
 		return rec, fmt.Errorf("durable: scanning data directory: %w", err)
 	}
 	var segs []segMeta // windows only; foldChain fills the rest in
-	for _, e := range entries {
-		name := e.Name()
+	for _, name := range names {
 		switch {
 		case strings.HasSuffix(name, ".tmp"):
 			// An unpublished checkpoint or a torn merge: a crash hit between
 			// temp write and rename. The inputs (WAL window or merge inputs)
 			// are intact, so the temp file is pure garbage.
-			if err := removeFile(dir, name); err != nil {
+			if err := removeFile(d, name); err != nil {
 				return rec, err
 			}
 		case strings.HasSuffix(name, ".seg"):
@@ -124,7 +113,7 @@ func recoverDir(st *store.Store, dir string) (recovered, error) {
 			}
 			rec.wals = append(rec.wals, n)
 		default:
-			return rec, fmt.Errorf("durable: unexpected file %q in data directory; refusing to treat %s as a WAL directory", name, dir)
+			return rec, fmt.Errorf("durable: unexpected file %q in data directory; refusing to treat it as a WAL directory", name)
 		}
 	}
 	// Chain the segments. Sorting by (start asc, end desc) puts the widest
@@ -144,7 +133,7 @@ func recoverDir(st *store.Store, dir string) (recovered, error) {
 	for _, sg := range segs {
 		switch {
 		case sg.end <= covered:
-			if err := removeFile(dir, segmentName(sg.start, sg.end)); err != nil {
+			if err := removeFile(d, segmentName(sg.start, sg.end)); err != nil {
 				return rec, err
 			}
 		case sg.start == covered+1:
@@ -160,7 +149,7 @@ func recoverDir(st *store.Store, dir string) (recovered, error) {
 	// checkpoint cleanup: their records are already folded into a segment.
 	slices.Sort(rec.wals)
 	for len(rec.wals) > 0 && rec.wals[0] <= covered {
-		if err := removeFile(dir, walFileName(rec.wals[0])); err != nil {
+		if err := removeFile(d, walFileName(rec.wals[0])); err != nil {
 			return rec, err
 		}
 		rec.wals = rec.wals[1:]
@@ -178,7 +167,7 @@ func recoverDir(st *store.Store, dir string) (recovered, error) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	state := segmentData{start: 1} // the empty directory: the patch that changes nothing
 	if len(rec.tiers) > 0 {
-		chain, err := foldChain(dir, rec.tiers, nil)
+		chain, err := foldChain(d, rec.tiers, nil)
 		if err == nil {
 			state, err = foldSegments(state, chain) // the chain must start at id 0
 		}
@@ -187,7 +176,7 @@ func recoverDir(st *store.Store, dir string) (recovered, error) {
 		}
 		rec.dictCovered = store.SymbolID(len(state.dict))
 	}
-	tail, err := foldWAL(dir, rec.wals, covered, rec.dictCovered, true)
+	tail, err := foldWAL(d, rec.wals, covered, rec.dictCovered, true)
 	if err == nil {
 		state, err = foldSegments(state, tail)
 	}
@@ -201,13 +190,13 @@ func recoverDir(st *store.Store, dir string) (recovered, error) {
 
 	// Reopen (or create) the tail file for appending.
 	if len(rec.wals) > 0 {
-		rec.file, err = os.OpenFile(filepath.Join(dir, walFileName(rec.wals[len(rec.wals)-1])), os.O_WRONLY|os.O_APPEND, 0o644)
+		rec.file, err = d.openAppend(walFileName(rec.wals[len(rec.wals)-1]))
 		if err != nil {
 			return rec, fmt.Errorf("durable: reopening log tail: %w", err)
 		}
 		return rec, nil
 	}
 	rec.wals = []uint64{rec.lastSeq + 1}
-	rec.file, err = createWALFile(dir, rec.lastSeq+1)
+	rec.file, err = createWALFile(d, rec.lastSeq+1)
 	return rec, err
 }

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
 
 	"repro/internal/store"
 )
@@ -68,7 +66,7 @@ type segmentData struct {
 	dict       []string
 	adds       []store.IDTriple // sorted (S, P, O), strictly ascending
 	removes    []store.IDTriple // sorted tombstones; empty when start == 1
-	size       int64            // file size; set by loadSegment, informative only
+	size       int64            // file size; set by decodeSegment, informative only
 }
 
 // segmentName names the segment covering WAL records start..end. Both bounds
@@ -98,32 +96,38 @@ func parseSegmentName(name string) (start, end uint64, ok bool) {
 }
 
 // crcWriter feeds every written byte to both the file and the running
-// checksum, so the footer CRC covers exactly the bytes on disk before it.
+// checksum, so the footer CRC covers exactly the bytes on disk before it, and
+// counts them.
 type crcWriter struct {
 	w   io.Writer
 	crc uint32
+	n   int64
 }
 
 func (cw *crcWriter) Write(p []byte) (int, error) {
 	n, err := cw.w.Write(p)
 	cw.crc = crc32.Update(cw.crc, castagnoli, p[:n])
+	cw.n += int64(n)
 	return n, err
 }
 
-// writeSegment atomically writes seg's file into dir, returning its size.
+// writeSegment publishes seg's file, returning its size: the bytes it wrote.
 // The caller guarantees the triple runs are sorted (checkpoint and merge
-// folds produce them sorted); the loader verifies it on the way back in.
-func writeSegment(dir string, seg segmentData) (size int64, retErr error) {
-	final := filepath.Join(dir, segmentName(seg.start, seg.end))
+// folds produce them sorted); the loader verifies it on the way back in. A
+// stop channel closed before the rename abandons the publish with errStopped,
+// so Close never waits out a merge's write; nil never stops. On any failure
+// the .tmp is removed.
+func writeSegment(d disk, seg segmentData, stop <-chan struct{}) (size int64, retErr error) {
+	final := segmentName(seg.start, seg.end)
 	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := d.create(tmp)
 	if err != nil {
 		return 0, fmt.Errorf("durable: creating segment: %w", err)
 	}
 	defer func() {
 		if retErr != nil {
 			f.Close()
-			os.Remove(tmp)
+			_ = d.remove(tmp) // if this fails too, recovery deletes the .tmp
 		}
 	}()
 
@@ -185,63 +189,64 @@ func writeSegment(dir string, seg segmentData) (size int64, retErr error) {
 	if err := f.Sync(); err != nil {
 		return 0, fmt.Errorf("durable: fsyncing segment: %w", err)
 	}
-	fi, err := f.Stat()
-	if err != nil {
-		return 0, fmt.Errorf("durable: sizing segment: %w", err)
+	select {
+	case <-stop:
+		return 0, errStopped
+	default:
 	}
 	if err := f.Close(); err != nil {
 		return 0, fmt.Errorf("durable: closing segment: %w", err)
 	}
-	if err := os.Rename(tmp, final); err != nil {
+	if err := d.rename(tmp, final); err != nil {
 		return 0, fmt.Errorf("durable: publishing segment: %w", err)
 	}
-	return fi.Size(), syncDir(dir)
+	if err := d.syncDir("."); err != nil {
+		return 0, fmt.Errorf("durable: fsyncing directory: %w", err)
+	}
+	return cw.n + int64(4+len(segTrailer)), nil
 }
 
-// loadSegment reads and verifies one segment file. Any framing violation —
+// decodeSegment verifies and decodes the bytes of the segment file called
+// name. Any framing violation —
 // bad magic, bad CRC, truncation, an unsorted run, an id at or beyond
 // dictFirst+count — is an error: segments are published atomically, so a
 // damaged one means real corruption, never a torn write to tolerate. The id
 // bound is against the chain prefix the window ends at (dictFirst+count), so
 // a segment may freely reference names minted by older segments.
-func loadSegment(path string) (segmentData, error) {
+func decodeSegment(name string, data []byte) (segmentData, error) {
 	var seg segmentData
-	base := filepath.Base(path)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return seg, fmt.Errorf("durable: reading segment: %w", err)
-	}
+	var err error
 	seg.size = int64(len(data))
 	const header = len(segMagic) + 8 + 8 + 4 + 4
 	const footer = 4 + len(segTrailer)
 	if len(data) < header+8+8+footer {
-		return seg, fmt.Errorf("durable: segment %s is %d bytes, too short to be valid", base, len(data))
+		return seg, fmt.Errorf("durable: segment %s is %d bytes, too short to be valid", name, len(data))
 	}
 	if string(data[:len(segMagic)]) != segMagic {
-		return seg, fmt.Errorf("durable: segment %s has a bad magic header", base)
+		return seg, fmt.Errorf("durable: segment %s has a bad magic header", name)
 	}
 	if string(data[len(data)-len(segTrailer):]) != segTrailer {
-		return seg, fmt.Errorf("durable: segment %s has a bad trailer (truncated checkpoint?)", base)
+		return seg, fmt.Errorf("durable: segment %s has a bad trailer (truncated checkpoint?)", name)
 	}
 	body := data[:len(data)-footer]
 	wantCRC := binary.LittleEndian.Uint32(data[len(body):])
 	if crc32.Checksum(body, castagnoli) != wantCRC {
-		return seg, fmt.Errorf("durable: segment %s fails its checksum", base)
+		return seg, fmt.Errorf("durable: segment %s fails its checksum", name)
 	}
 
 	seg.start = binary.LittleEndian.Uint64(body[len(segMagic):])
 	seg.end = binary.LittleEndian.Uint64(body[len(segMagic)+8:])
 	if seg.start < 1 || seg.end < seg.start {
-		return seg, fmt.Errorf("durable: segment %s claims window [%d, %d]", base, seg.start, seg.end)
+		return seg, fmt.Errorf("durable: segment %s claims window [%d, %d]", name, seg.start, seg.end)
 	}
 	seg.dictFirst = binary.LittleEndian.Uint32(body[len(segMagic)+16:])
 	dictCount := int(binary.LittleEndian.Uint32(body[len(segMagic)+20:]))
 	if uint64(seg.dictFirst)+uint64(dictCount) > 1<<32-1 {
-		return seg, fmt.Errorf("durable: segment %s dictionary window %d+%d overflows the id space", base, seg.dictFirst, dictCount)
+		return seg, fmt.Errorf("durable: segment %s dictionary window %d+%d overflows the id space", name, seg.dictFirst, dictCount)
 	}
 	rest := body[header:]
 	if dictCount > len(rest) { // every name costs ≥1 length byte
-		return seg, fmt.Errorf("durable: segment %s claims %d dictionary names in %d bytes", base, dictCount, len(rest))
+		return seg, fmt.Errorf("durable: segment %s claims %d dictionary names in %d bytes", name, dictCount, len(rest))
 	}
 	// Walk the varint-framed names once to find where the dictionary ends,
 	// then convert that whole region to a single string and slice every name
@@ -254,7 +259,7 @@ func loadSegment(path string) (segmentData, error) {
 	for i := 0; i < dictCount; i++ {
 		n, w := binary.Uvarint(rest[dictEnd:])
 		if w <= 0 || n > uint64(len(rest)-dictEnd-w) {
-			return seg, fmt.Errorf("durable: segment %s: dictionary name %d overruns the file", base, i)
+			return seg, fmt.Errorf("durable: segment %s: dictionary name %d overruns the file", name, i)
 		}
 		dictEnd += w + int(n)
 	}
@@ -269,7 +274,7 @@ func loadSegment(path string) (segmentData, error) {
 	idBound := seg.dictFirst + store.SymbolID(dictCount)
 	readRun := func(what string) ([]store.IDTriple, error) {
 		if len(rest) < 8 {
-			return nil, fmt.Errorf("durable: segment %s is truncated before its %s count", base, what)
+			return nil, fmt.Errorf("durable: segment %s is truncated before its %s count", name, what)
 		}
 		count := binary.LittleEndian.Uint64(rest)
 		rest = rest[8:]
@@ -277,7 +282,7 @@ func loadSegment(path string) (segmentData, error) {
 		// a corrupt count near 2^64, sneak past a comparison, and turn the
 		// allocation below into a panic instead of a clean error.
 		if uint64(len(rest))/12 < count {
-			return nil, fmt.Errorf("durable: segment %s claims %d %s triples but carries %d bytes", base, count, what, len(rest))
+			return nil, fmt.Errorf("durable: segment %s claims %d %s triples but carries %d bytes", name, count, what, len(rest))
 		}
 		ts := make([]store.IDTriple, 0, count)
 		for i := uint64(0); i < count; i++ {
@@ -287,10 +292,10 @@ func loadSegment(path string) (segmentData, error) {
 				O: binary.LittleEndian.Uint32(rest[12*i+8:]),
 			}
 			if t.S >= idBound || t.P >= idBound || t.O >= idBound {
-				return nil, fmt.Errorf("durable: segment %s: %s triple %d references id beyond the %d-id dictionary prefix", base, what, i, idBound)
+				return nil, fmt.Errorf("durable: segment %s: %s triple %d references id beyond the %d-id dictionary prefix", name, what, i, idBound)
 			}
 			if i > 0 && !ts[i-1].Less(t) {
-				return nil, fmt.Errorf("durable: segment %s: %s run not strictly sorted at triple %d", base, what, i)
+				return nil, fmt.Errorf("durable: segment %s: %s run not strictly sorted at triple %d", name, what, i)
 			}
 			ts = append(ts, t)
 		}
@@ -304,7 +309,7 @@ func loadSegment(path string) (segmentData, error) {
 		return seg, err
 	}
 	if len(rest) != 0 {
-		return seg, fmt.Errorf("durable: segment %s has %d trailing bytes", base, len(rest))
+		return seg, fmt.Errorf("durable: segment %s has %d trailing bytes", name, len(rest))
 	}
 	return seg, nil
 }

@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"slices"
 
 	"repro/internal/store"
@@ -97,7 +95,7 @@ var errStopped = errors.New("durable: fold stopped")
 // chain and publishes the result; recovery runs it over all of it. stop is
 // polled before each load — a closed one ends the fold with errStopped, so
 // Close never waits out a long merge's reads; nil never stops.
-func foldChain(dir string, chain []segMeta, stop <-chan struct{}) (segmentData, error) {
+func foldChain(d disk, chain []segMeta, stop <-chan struct{}) (segmentData, error) {
 	var folded segmentData
 	for k, m := range chain {
 		select {
@@ -106,7 +104,11 @@ func foldChain(dir string, chain []segMeta, stop <-chan struct{}) (segmentData, 
 		default:
 		}
 		name := segmentName(m.start, m.end)
-		seg, err := loadSegment(filepath.Join(dir, name))
+		data, err := d.readFile(name)
+		if err != nil {
+			return folded, fmt.Errorf("durable: reading segment: %w", err)
+		}
+		seg, err := decodeSegment(name, data)
 		if err != nil {
 			return folded, err
 		}
@@ -216,7 +218,7 @@ func walkWAL(name string, data []byte, skip, prev uint64, visit func(record) err
 // beyond maxFramePayload is never a torn tail, wherever it sits: the writer
 // chunks every record below the cap, so the claim proves damage to a frame
 // header, and cutting there would silently discard every record after it.
-func foldWAL(dir string, firsts []uint64, after uint64, dictNext store.SymbolID, tail bool) (segmentData, error) {
+func foldWAL(d disk, firsts []uint64, after uint64, dictNext store.SymbolID, tail bool) (segmentData, error) {
 	seg := segmentData{start: after + 1, end: after, dictFirst: dictNext}
 	type walEvent struct {
 		t   store.IDTriple
@@ -248,8 +250,7 @@ func foldWAL(dir string, firsts []uint64, after uint64, dictNext store.SymbolID,
 		if first > after && first != seg.end+1 {
 			return seg, fmt.Errorf("durable: log file %s does not follow record %d; the log has a gap", name, seg.end)
 		}
-		path := filepath.Join(dir, name)
-		data, err := os.ReadFile(path)
+		data, err := d.readFile(name)
 		if err != nil {
 			return seg, fmt.Errorf("durable: reading log file: %w", err)
 		}
@@ -268,7 +269,7 @@ func foldWAL(dir string, firsts []uint64, after uint64, dictNext store.SymbolID,
 		if !tail || i < len(firsts)-1 {
 			return seg, fmt.Errorf("durable: %s: bad frame at offset %d in a sealed log file; the log is corrupt", name, off)
 		}
-		if err := os.Truncate(path, int64(off)); err != nil {
+		if err := d.truncate(name, int64(off)); err != nil {
 			return seg, fmt.Errorf("durable: truncating torn log tail: %w", err)
 		}
 	}

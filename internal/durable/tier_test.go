@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -206,12 +207,12 @@ func TestRecoveryPrefersMergedSegment(t *testing.T) {
 		t.Fatalf("fold produced adds %v removes %v", merged.adds, merged.removes)
 	}
 	for _, seg := range []segmentData{older, newer, merged} {
-		if _, err := writeSegment(dir, seg); err != nil {
+		if _, err := writeSegment(osDisk{dir}, seg, nil); err != nil {
 			t.Fatalf("writeSegment([%d, %d]): %v", seg.start, seg.end, err)
 		}
 	}
 	st := store.New()
-	rec, err := recoverDir(st, dir)
+	rec, err := recoverDir(st, osDisk{dir})
 	if err != nil {
 		t.Fatalf("recoverDir: %v", err)
 	}
@@ -249,11 +250,11 @@ func TestDamagedChainIsAnError(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			for _, seg := range []segmentData{base, tc.next} {
-				if _, err := writeSegment(dir, seg); err != nil {
+				if _, err := writeSegment(osDisk{dir}, seg, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
-			_, err := recoverDir(store.New(), dir)
+			_, err := recoverDir(store.New(), osDisk{dir})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("recoverDir over a %s chain: %v, want a %q error", tc.name, err, tc.want)
 			}
@@ -334,18 +335,28 @@ func TestReplayAndChainRecoveryAgree(t *testing.T) {
 }
 
 // TestCloseWaitsForMerge pins the shutdown contract: Close must not return
-// while a background merge is mid-flight — it waits for the merge to notice
-// the shutdown and abort cleanly — and the abort leaves no .tmp and a chain
-// recovery reproduces exactly.
+// while a background merge is mid-flight — here parked on the fault disk's
+// create of its .tmp — but waits for the merge to notice the shutdown and
+// abort before its rename, and the abort leaves no .tmp and a chain recovery
+// reproduces exactly.
 func TestCloseWaitsForMerge(t *testing.T) {
 	dir := t.TempDir()
 	st := store.New()
-	eng := mustOpen(t, st, Options{Dir: dir, Fsync: FsyncOff, CheckpointBytes: -1})
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	eng.mergeHook = func() {
-		close(entered)
-		<-release
+	var tmps atomic.Int32
+	// The two checkpoints create the first two .tmp files; the merge creates
+	// the third and parks there.
+	park := func(op, name string) error {
+		if op == "create" && strings.HasSuffix(name, ".tmp") && tmps.Add(1) == 3 {
+			close(entered)
+			<-release
+		}
+		return nil
+	}
+	eng, err := open(st, Options{Dir: dir, Fsync: FsyncOff, CheckpointBytes: -1}, newFaultDisk(dir, park))
+	if err != nil {
+		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
 		scriptStep(t, st, i)
@@ -354,7 +365,7 @@ func TestCloseWaitsForMerge(t *testing.T) {
 		}
 	}
 	// Two similar-sized segments put the chain out of separation; the second
-	// checkpoint scheduled the merge, which is now parked in the hook.
+	// checkpoint scheduled the merge, which is now parked creating its output.
 	select {
 	case <-entered:
 	case <-time.After(10 * time.Second):
@@ -365,7 +376,7 @@ func TestCloseWaitsForMerge(t *testing.T) {
 	go func() { closed <- eng.Close() }()
 	select {
 	case err := <-closed:
-		t.Fatalf("Close returned (%v) while the merge was still parked in its hook", err)
+		t.Fatalf("Close returned (%v) while the merge was still parked in its create", err)
 	case <-time.After(100 * time.Millisecond):
 	}
 	close(release)
@@ -458,20 +469,22 @@ func TestWALSinksAgreeOnBadLogs(t *testing.T) {
 				return dir, firsts
 			}
 			dir, _ := build()
-			_, recErr := recoverDir(store.New(), dir)
+			_, recErr := recoverDir(store.New(), osDisk{dir})
 			if recErr == nil || !strings.Contains(recErr.Error(), tc.want) {
 				t.Fatalf("recovery: %v, want an error naming %q", recErr, tc.want)
 			}
 
 			dir, firsts := build()
-			f, err := os.OpenFile(filepath.Join(dir, walFileName(firsts[len(firsts)-1])), os.O_WRONLY|os.O_APPEND, 0o644)
+			d := osDisk{dir}
+			f, err := d.openAppend(walFileName(firsts[len(firsts)-1]))
 			if err != nil {
 				t.Fatal(err)
 			}
 			eng := &Engine{
 				st:   store.New(),
 				opts: Options{Dir: dir, MergeRatio: -1},
-				w:    newWALWriter(dir, FsyncOff, f, tc.last),
+				disk: d,
+				w:    newWALWriter(d, FsyncOff, f, tc.last),
 				wals: firsts,
 			}
 			defer eng.w.close()

@@ -2,8 +2,6 @@ package durable
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -34,7 +32,7 @@ import (
 
 // walWriter is the append/commit side of the log. One per Engine.
 type walWriter struct {
-	dir    string
+	disk   disk
 	policy FsyncPolicy
 	// maxPayload caps one record's payload; appenders chunk mutations that
 	// would exceed it into consecutive records, so every frame stays below
@@ -43,7 +41,7 @@ type walWriter struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond // broadcast whenever syncing is released or seqs advance
-	f    *os.File   // current wal file; I/O only with syncing held
+	f    file       // current wal file; I/O only with syncing held
 	// syncing marks the one goroutine allowed to touch f. Taken and released
 	// only under mu; the holder drops mu around syscalls.
 	syncing bool
@@ -83,43 +81,25 @@ func walFileName(first uint64) string {
 }
 
 // createWALFile creates (or truncates) the log file for records starting at
-// first and fsyncs the directory so the entry itself survives a crash.
-func createWALFile(dir string, first uint64) (*os.File, error) {
-	path := filepath.Join(dir, walFileName(first))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+// first and syncs the directory so the entry itself survives a crash.
+func createWALFile(d disk, first uint64) (file, error) {
+	f, err := d.create(walFileName(first))
 	if err != nil {
 		return nil, fmt.Errorf("durable: creating log file: %w", err)
 	}
-	if err := syncDir(dir); err != nil {
+	if err := d.syncDir("."); err != nil {
 		f.Close()
-		return nil, err
+		return nil, fmt.Errorf("durable: fsyncing directory: %w", err)
 	}
 	return f, nil
-}
-
-// syncDir fsyncs a directory so renames and creates inside it are durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("durable: opening directory for fsync: %w", err)
-	}
-	serr := d.Sync()
-	cerr := d.Close()
-	if serr != nil {
-		return fmt.Errorf("durable: fsyncing directory: %w", serr)
-	}
-	if cerr != nil {
-		return fmt.Errorf("durable: closing directory after fsync: %w", cerr)
-	}
-	return nil
 }
 
 // newWALWriter wraps an already-open log file positioned at its end. lastSeq
 // is the seq of the last record recovery accepted (everything ≤ lastSeq is on
 // disk and fsync-clean after recovery's truncate).
-func newWALWriter(dir string, policy FsyncPolicy, f *os.File, lastSeq uint64) *walWriter {
+func newWALWriter(d disk, policy FsyncPolicy, f file, lastSeq uint64) *walWriter {
 	w := &walWriter{
-		dir:        dir,
+		disk:       d,
 		policy:     policy,
 		maxPayload: maxFramePayload,
 		f:          f,
@@ -326,9 +306,9 @@ func (w *walWriter) rotate() (uint64, error) {
 	w.mu.Unlock()
 
 	err := f.Close()
-	var next *os.File
+	var next file
 	if err == nil {
-		next, err = createWALFile(w.dir, covered+1)
+		next, err = createWALFile(w.disk, covered+1)
 	}
 
 	w.mu.Lock()

@@ -116,13 +116,6 @@ func TestDurableServerLifecycle(t *testing.T) {
 	}
 }
 
-// statsOnlyEngine satisfies DurabilityEngine with nothing behind it: the
-// server needs no error from the engine to report a lost write.
-type statsOnlyEngine struct{}
-
-func (statsOnlyEngine) Stats() durable.Stats { return durable.Stats{} }
-func (statsOnlyEngine) Checkpoint() error    { return nil }
-
 // deadJournal is a store.Journal whose every commit fails while err is set,
 // standing in for a log whose disk stopped taking fsyncs.
 type deadJournal struct{ err error }
@@ -135,7 +128,7 @@ func (j *deadJournal) JournalMutation(adds, removes []store.IDTriple) error {
 // TestRemoveDurabilityFailureIs500 pins the removal half of the /triples
 // durability contract: a request that retracts — alone or beside adds — and
 // whose journal commit fails is answered 500 from the write's own error, with
-// nothing polled from the engine, matching the add path's ErrJournal mapping.
+// no durability engine to poll, matching the add path's ErrJournal mapping.
 func TestRemoveDurabilityFailureIs500(t *testing.T) {
 	base := store.New()
 	if _, err := base.AddBatch(carCorpus(t).Triples()); err != nil {
@@ -150,7 +143,7 @@ func TestRemoveDurabilityFailureIs500(t *testing.T) {
 	journal := &deadJournal{}
 	base.SetJournal(journal)
 	defer base.SetJournal(nil)
-	s := newTestServer(t, Config{Base: base, Durable: statsOnlyEngine{}})
+	s := newTestServer(t, Config{Base: base}) // the 500 comes from the write's own error
 
 	// Healthy log: removals are acknowledged normally.
 	code, mresp, errResp := postTriples(t, s, MutateRequest{

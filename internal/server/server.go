@@ -60,15 +60,6 @@ import (
 	"repro/internal/store"
 )
 
-// DurabilityEngine is the slice of *durable.Engine the server drives:
-// durability state for GET /stats and manual compaction for POST
-// /checkpoint. (A write's durability failure reaches the server as the
-// error of the write itself.)
-type DurabilityEngine interface {
-	Stats() durable.Stats
-	Checkpoint() error
-}
-
 // Config assembles a Server. Base is the only required field; the zero
 // value of every limit picks the default documented on it.
 type Config struct {
@@ -89,9 +80,9 @@ type Config struct {
 	// /checkpoint, and maps journal-commit failures on the mutation path to
 	// server-side errors. The server does not own the engine: the caller
 	// opens it before assembling the Config and closes it after shutdown.
-	// Leave it nil — not a typed nil *durable.Engine — on an in-memory
-	// server.
-	Durable DurabilityEngine
+	// Nil on an in-memory server. A write's durability failure reaches the
+	// server as the write's own error, not from the engine.
+	Durable *durable.Engine
 	// QueryTimeout bounds one /query evaluation; past it the join is
 	// interrupted and the response trailer carries the error. Default 5s.
 	QueryTimeout time.Duration
