@@ -427,9 +427,11 @@ func (e *Engine) background() {
 		case <-e.done:
 			return
 		case <-tick:
-			// Harmless when nothing is pending: syncTo of an already-durable
+			// Harmless when nothing is pending: waiting for an already-durable
 			// seq returns without touching the file.
-			_ = e.w.syncTo(e.w.currentSeq())
+			e.w.mu.Lock()
+			_ = e.w.waitLocked(e.w.seq, true)
+			e.w.mu.Unlock()
 		case <-e.ckptC:
 			_ = e.Checkpoint() // its failure is Stats.Err's to report
 		case <-e.mergeC:

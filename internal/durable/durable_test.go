@@ -5,8 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"os"
-	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -100,11 +99,11 @@ func TestOpenRequiresDir(t *testing.T) {
 }
 
 func TestCheckpointCompactsAndRecovers(t *testing.T) {
-	dir := t.TempDir()
+	d := &memDisk{}
 	st := store.New()
 	// MergeRatio -1: no background merges, so the tier layout is exactly what
 	// the checkpoints produced.
-	eng := mustOpen(t, st, Options{Dir: dir, Fsync: FsyncOff, CheckpointBytes: -1, MergeRatio: -1})
+	eng := mustOpenDisk(t, st, Options{Fsync: FsyncOff, CheckpointBytes: -1, MergeRatio: -1}, d)
 	var first, second []store.Triple
 	for i := 0; i < 400; i++ {
 		first = append(first, testTriple(i))
@@ -126,16 +125,12 @@ func TestCheckpointCompactsAndRecovers(t *testing.T) {
 		t.Fatalf("WALBytes = %d after checkpoint, want 0", stats.WALBytes)
 	}
 	// The log behind the checkpoint is gone; one fresh tail file remains.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var segs, wals int
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".seg") {
+	for _, name := range d.names() {
+		if strings.HasSuffix(name, ".seg") {
 			segs++
 		}
-		if strings.HasSuffix(e.Name(), ".wal") {
+		if strings.HasSuffix(name, ".wal") {
 			wals++
 		}
 	}
@@ -171,7 +166,7 @@ func TestCheckpointCompactsAndRecovers(t *testing.T) {
 	}
 
 	st2 := store.New()
-	eng2 := mustOpen(t, st2, Options{Dir: dir, Fsync: FsyncOff})
+	eng2 := mustOpenDisk(t, st2, Options{Fsync: FsyncOff}, d)
 	defer eng2.Close()
 	if got := snapshotString(t, st2); got != want {
 		t.Fatal("snapshot after segment+tail recovery differs from the pre-close snapshot")
@@ -332,9 +327,9 @@ func TestCloseDuringMutations(t *testing.T) {
 // maxFramePayload contract — a mutation of any size journals as records
 // replay can always read back.
 func TestWALChunksOversizedMutations(t *testing.T) {
-	dir := t.TempDir()
+	d := &memDisk{}
 	st := store.New()
-	eng := mustOpen(t, st, Options{Dir: dir, Fsync: FsyncOff, CheckpointBytes: -1})
+	eng := mustOpenDisk(t, st, Options{Fsync: FsyncOff, CheckpointBytes: -1}, d)
 	const cap = 256
 	eng.w.maxPayload = cap // before any mutation; the writer is idle
 
@@ -369,10 +364,7 @@ func TestWALChunksOversizedMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	data, err := os.ReadFile(filepath.Join(dir, walFileName(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := d.get(walFileName(1))
 	frames, prevSeq := 0, uint64(0)
 	straddling, removesSeen := 0, false
 	for off := 0; off < len(data); {
@@ -412,7 +404,7 @@ func TestWALChunksOversizedMutations(t *testing.T) {
 	}
 
 	st2 := store.New()
-	eng2 := mustOpen(t, st2, Options{Dir: dir, Fsync: FsyncOff})
+	eng2 := mustOpenDisk(t, st2, Options{Fsync: FsyncOff}, d)
 	defer eng2.Close()
 	if got := snapshotString(t, st2); got != want {
 		t.Fatal("recovery over the chunked log lost triples")
@@ -453,21 +445,18 @@ func TestOversizedDictNameKillsLog(t *testing.T) {
 // corruption error, because the writer chunks every record below the cap
 // and can never have produced such a frame.
 func TestOverCapSealedFrameIsAnError(t *testing.T) {
-	dir := t.TempDir()
+	d := newMemDisk()
 	frame := make([]byte, 64)
 	binary.LittleEndian.PutUint32(frame, maxFramePayload+1)
-	path := filepath.Join(dir, walFileName(1))
-	if err := os.WriteFile(path, frame, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := recoverDir(store.New(), osDisk{dir})
+	d.put(walFileName(1), frame)
+	_, err := recoverDir(store.New(), d)
 	if err == nil {
 		t.Fatal("recovery accepted (and would have truncated) an over-cap frame")
 	}
 	if !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("error %q does not name the payload cap", err)
 	}
-	if data, rerr := os.ReadFile(path); rerr != nil || len(data) != len(frame) {
+	if data := d.get(walFileName(1)); len(data) != len(frame) {
 		t.Fatalf("recovery truncated the file it refused (now %d bytes, want %d)", len(data), len(frame))
 	}
 }
@@ -478,7 +467,7 @@ func TestOverCapSealedFrameIsAnError(t *testing.T) {
 // make() that panicked. decodeSegment must return the clean corruption error
 // it promises.
 func TestLoadSegmentRejectsOverflowedTripleCount(t *testing.T) {
-	dir := t.TempDir()
+	d := newMemDisk()
 	seg := segmentData{
 		start:     1,
 		end:       7,
@@ -486,14 +475,11 @@ func TestLoadSegmentRejectsOverflowedTripleCount(t *testing.T) {
 		dict:      []string{"s", "p", "o"},
 		adds:      []store.IDTriple{{S: 0, P: 1, O: 2}, {S: 2, P: 1, O: 0}},
 	}
-	if _, err := writeSegment(osDisk{dir}, seg, nil); err != nil {
+	if _, err := writeSegment(d, seg, nil); err != nil {
 		t.Fatal(err)
 	}
 	name := segmentName(1, 7)
-	data, err := os.ReadFile(filepath.Join(dir, name))
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := d.get(name)
 	// The add count sits right before the add run, the (empty) remove run and
 	// the 12-byte footer. 12*(count + 2^62) = 12*count + 3*2^64 ≡ 12*count
 	// (mod 2^64), so the patched count defeats any multiplication-based check.
@@ -526,9 +512,9 @@ func TestParseFsyncPolicy(t *testing.T) {
 // after every transaction (index 0 is the empty store at offset 0).
 func buildLog(t testing.TB) (data []byte, offsets []int64, snaps []string) {
 	t.Helper()
-	dir := t.TempDir()
+	d := &memDisk{}
 	st := store.New()
-	eng := mustOpen(t, st, Options{Dir: dir, Fsync: FsyncOff, CheckpointBytes: -1})
+	eng := mustOpenDisk(t, st, Options{Fsync: FsyncOff, CheckpointBytes: -1}, d)
 	record := func() {
 		offsets = append(offsets, eng.Stats().WALBytes)
 		snaps = append(snaps, snapshotString(t, st))
@@ -572,40 +558,32 @@ func buildLog(t testing.TB) (data []byte, offsets []int64, snaps []string) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, walFileName(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	data = d.get(walFileName(1))
 	if int64(len(data)) != offsets[len(offsets)-1] {
 		t.Fatalf("log file is %d bytes but the last commit offset is %d", len(data), offsets[len(offsets)-1])
 	}
 	return data, offsets, snaps
 }
 
-// recoverPrefix writes data as the only wal file of a fresh directory,
+// recoverPrefix lays data down as the only wal file of a directory,
 // recovers a fresh store from it, and returns the recovered snapshot.
-func recoverPrefix(t *testing.T, root string, name string, data []byte) string {
+func recoverPrefix(t *testing.T, data []byte) string {
 	t.Helper()
-	snap, err := recoverPrefixErr(t, root, name, data)
+	snap, err := recoverPrefixErr(t, data)
 	if err != nil {
-		t.Fatalf("%s: recoverDir: %v", name, err)
+		t.Fatalf("recoverDir: %v", err)
 	}
 	return snap
 }
 
 // recoverPrefixErr is recoverPrefix for inputs recovery may legitimately
 // refuse: it hands back recoverDir's error instead of failing the test.
-func recoverPrefixErr(t *testing.T, root string, name string, data []byte) (string, error) {
+func recoverPrefixErr(t *testing.T, data []byte) (string, error) {
 	t.Helper()
-	dir := filepath.Join(root, name)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, walFileName(1)), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	d := newMemDisk()
+	d.put(walFileName(1), data)
 	st := store.New()
-	rec, err := recoverDir(st, osDisk{dir})
+	rec, err := recoverDir(st, d)
 	if err != nil {
 		return "", err
 	}
@@ -638,7 +616,6 @@ func TestPrefixReplayProperty(t *testing.T) {
 	if mutations != len(offsets)-1 {
 		t.Fatalf("%d transactions were journaled as %d mutation records", len(offsets)-1, mutations)
 	}
-	root := t.TempDir()
 	for cut := 0; cut <= len(data); cut++ {
 		j := 0
 		for k, off := range offsets {
@@ -646,7 +623,7 @@ func TestPrefixReplayProperty(t *testing.T) {
 				j = k
 			}
 		}
-		got := recoverPrefix(t, root, fmt.Sprintf("cut%d", cut), data[:cut])
+		got := recoverPrefix(t, data[:cut])
 		if got != snaps[j] {
 			t.Fatalf("cut at byte %d: recovered state is not the boundary-%d state (offset %d)", cut, j, offsets[j])
 		}
@@ -672,7 +649,6 @@ func TestBitFlipRecovery(t *testing.T) {
 		frameStarts = append(frameStarts, off)
 		off = next
 	}
-	root := t.TempDir()
 	for p := 0; p < len(data); p++ {
 		for _, bit := range []uint{0, 7} {
 			start := 0
@@ -690,12 +666,12 @@ func TestBitFlipRecovery(t *testing.T) {
 			mut := append([]byte(nil), data...)
 			mut[p] ^= 1 << bit
 			if p-start < 4 && binary.LittleEndian.Uint32(mut[start:]) > maxFramePayload {
-				if _, err := recoverPrefixErr(t, root, fmt.Sprintf("flip%d-%d", p, bit), mut); err == nil {
+				if _, err := recoverPrefixErr(t, mut); err == nil {
 					t.Fatalf("flip byte %d bit %d: over-cap length claim was recovered silently, want a corruption error", p, bit)
 				}
 				continue
 			}
-			got := recoverPrefix(t, root, fmt.Sprintf("flip%d-%d", p, bit), mut)
+			got := recoverPrefix(t, mut)
 			if got != snaps[j] {
 				t.Fatalf("flip byte %d bit %d: recovered state is not the boundary-%d state (frame at %d)", p, bit, j, start)
 			}
@@ -703,69 +679,88 @@ func TestBitFlipRecovery(t *testing.T) {
 	}
 }
 
+// TestZeroFilledTailIsTorn lays down the tail a crash leaves when a write's
+// size reached the disk without its data: the log cut at a commit boundary,
+// then zeros. Eight zero bytes frame an empty payload whose CRC-32C is 0, a
+// frame no writer produces, so the zeros are a torn tail like any other and
+// recovery lands on the boundary. The same bytes in a sealed file stay
+// corruption.
+func TestZeroFilledTailIsTorn(t *testing.T) {
+	data, offsets, snaps := buildLog(t)
+	for j, off := range offsets {
+		frames := 0 // the records before the boundary, hence its last seq
+		for next := 0; next < int(off); frames++ {
+			_, next, _ = nextFrame(data, next)
+		}
+		for _, zeros := range []int{8, 9, 64, 512, 4096} {
+			tail := append(slices.Clone(data[:off]), make([]byte, zeros)...)
+			if got, err := recoverPrefixErr(t, tail); err != nil || got != snaps[j] {
+				t.Fatalf("boundary %d and %d zero bytes: %v, want the boundary's state", j, zeros, err)
+			}
+			if j == 0 {
+				continue // no record to seal
+			}
+			d := newMemDisk()
+			d.put(walFileName(1), tail)
+			d.put(walFileName(uint64(frames)+1), nil)
+			if _, err := recoverDir(store.New(), d); err == nil || !strings.Contains(err.Error(), "sealed") {
+				t.Fatalf("boundary %d and %d zero bytes in a sealed file: %v, want a corruption error", j, zeros, err)
+			}
+		}
+	}
+}
+
 func TestCorruptSealedFileIsAnError(t *testing.T) {
 	data, _, _ := buildLog(t)
-	dir := t.TempDir()
+	d := newMemDisk()
 	// Pretend the log rotated: the corrupted bytes become a SEALED file
 	// (wal-1) because a later file exists. Its seq chain ends early, so the
 	// follow-on file no longer chains — recovery must refuse, not truncate.
 	tail := append([]byte(nil), data...)
 	tail[len(tail)/2] ^= 0x40
-	if err := os.WriteFile(filepath.Join(dir, walFileName(1)), tail, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, walFileName(1_000_000)), nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := recoverDir(store.New(), osDisk{dir}); err == nil {
+	d.put(walFileName(1), tail)
+	d.put(walFileName(1_000_000), nil)
+	if _, err := recoverDir(store.New(), d); err == nil {
 		t.Fatal("recoverDir tolerated a bad frame in a sealed log file")
 	}
 }
 
 func TestLogGapIsAnError(t *testing.T) {
 	data, _, _ := buildLog(t)
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, walFileName(1)), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	d := newMemDisk()
+	d.put(walFileName(1), data)
 	// A tail file whose name skips ahead of the chain.
-	if err := os.WriteFile(filepath.Join(dir, walFileName(1_000_000)), nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := recoverDir(store.New(), osDisk{dir}); err == nil || !strings.Contains(err.Error(), "gap") {
+	d.put(walFileName(1_000_000), nil)
+	if _, err := recoverDir(store.New(), d); err == nil || !strings.Contains(err.Error(), "gap") {
 		t.Fatalf("recoverDir over a gapped log: %v, want a gap error", err)
 	}
 }
 
 func TestForeignFileIsAnError(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("hi"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := recoverDir(store.New(), osDisk{dir}); err == nil {
+	d := newMemDisk()
+	d.put("notes.txt", []byte("hi"))
+	if _, err := recoverDir(store.New(), d); err == nil {
 		t.Fatal("recoverDir accepted a directory holding foreign files")
 	}
 }
 
 func TestLeftoverTmpIsDeleted(t *testing.T) {
-	dir := t.TempDir()
-	tmp := filepath.Join(dir, segmentName(1, 9)+".tmp")
-	if err := os.WriteFile(tmp, []byte("half a checkpoint"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	d := newMemDisk()
+	tmp := segmentName(1, 9) + ".tmp"
+	d.put(tmp, []byte("half a checkpoint"))
 	st := store.New()
-	rec, err := recoverDir(st, osDisk{dir})
+	rec, err := recoverDir(st, d)
 	if err != nil {
 		t.Fatalf("recoverDir: %v", err)
 	}
 	rec.file.Close()
-	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+	if slices.Contains(d.names(), tmp) {
 		t.Fatal("recovery kept the unpublished checkpoint temp file")
 	}
 }
 
 func TestSegmentRoundTrip(t *testing.T) {
-	dir := t.TempDir()
+	d := newMemDisk()
 	seg := segmentData{
 		start:     8,
 		end:       42,
@@ -774,15 +769,12 @@ func TestSegmentRoundTrip(t *testing.T) {
 		adds:      []store.IDTriple{{S: 2, P: 3, O: 4}, {S: 2, P: 3, O: 5}},
 		removes:   []store.IDTriple{{S: 0, P: 1, O: 2}},
 	}
-	size, err := writeSegment(osDisk{dir}, seg, nil)
+	size, err := writeSegment(d, seg, nil)
 	if err != nil {
 		t.Fatalf("writeSegment: %v", err)
 	}
 	name := segmentName(8, 42)
-	data, err := os.ReadFile(filepath.Join(dir, name))
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := d.get(name)
 	got, err := decodeSegment(name, data)
 	if err != nil {
 		t.Fatalf("decodeSegment: %v", err)

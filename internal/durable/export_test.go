@@ -2,9 +2,10 @@ package durable
 
 import "repro/internal/store"
 
-// OpenOnFaultDisk is Open with the data directory, opts.Dir, behind the fault
-// disk (fault_test.go): inject is asked about every disk operation by its
-// name and file name, and an error it returns fails the operation.
-func OpenOnFaultDisk(st *store.Store, opts Options, inject func(op, name string) error) (*Engine, error) {
-	return open(st, opts, newFaultDisk(opts.Dir, inject))
+// OpenOnMemDisk is Open over a data directory that does not exist yet, held
+// by the memory disk (memdisk_test.go): inject is asked about every disk
+// operation by its name and file name, and an error it returns fails the
+// operation. opts.Dir is not used.
+func OpenOnMemDisk(st *store.Store, opts Options, inject func(op, name string) error) (*Engine, error) {
+	return open(st, opts, &memDisk{inject: inject})
 }

@@ -1,8 +1,6 @@
 package durable
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/store"
@@ -106,31 +104,17 @@ func FuzzRecoverLog(f *testing.F) {
 	f.Add(built[:offsets[4]])
 	f.Add(built[:offsets[7]+11])
 	f.Add(built[:len(built)-1])
-	// Serialize the segment fixture ONCE (writeSegment fsyncs; per-exec that
-	// would throttle the fuzzer to disk speed) and copy the bytes per exec.
-	segDir := f.TempDir()
-	type segFile struct {
-		name string
-		data []byte
-	}
-	var segFiles []segFile
+	// Serialize the segment fixture once and lay its bytes down per exec.
+	segs := newMemDisk()
 	for _, seg := range fuzzChainSegments() {
-		if _, err := writeSegment(osDisk{segDir}, seg, nil); err != nil {
+		if _, err := writeSegment(segs, seg, nil); err != nil {
 			f.Fatal(err)
 		}
-		name := segmentName(seg.start, seg.end)
-		data, err := os.ReadFile(filepath.Join(segDir, name))
-		if err != nil {
-			f.Fatal(err)
-		}
-		segFiles = append(segFiles, segFile{name, data})
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, walFileName(1)), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		rec, err := recoverDir(store.New(), osDisk{dir})
+		d := newMemDisk()
+		d.put(walFileName(1), data)
+		rec, err := recoverDir(store.New(), d)
 		if err == nil {
 			rec.file.Close()
 		}
@@ -138,17 +122,10 @@ func FuzzRecoverLog(f *testing.F) {
 		// Same bytes as the tail of a segment-chain directory: the chain
 		// covers seqs 1..4, so the tail file starts at 5 and the fuzzed data
 		// must chain densely from there (or be refused).
-		chainDir := t.TempDir()
-		for _, sf := range segFiles {
-			if err := os.WriteFile(filepath.Join(chainDir, sf.name), sf.data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := os.WriteFile(filepath.Join(chainDir, walFileName(5)), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		chain := segs.clone()
+		chain.put(walFileName(5), data)
 		st := store.New()
-		rec, err = recoverDir(st, osDisk{chainDir})
+		rec, err = recoverDir(st, chain)
 		if err != nil {
 			return
 		}
@@ -166,15 +143,12 @@ func FuzzRecoverLog(f *testing.F) {
 // loader treats every violation as corruption, and none may panic or
 // over-allocate past the bytes actually present.
 func FuzzLoadSegment(f *testing.F) {
-	dir := f.TempDir()
+	d := newMemDisk()
 	for _, seg := range fuzzChainSegments() {
-		if _, err := writeSegment(osDisk{dir}, seg, nil); err != nil {
+		if _, err := writeSegment(d, seg, nil); err != nil {
 			f.Fatal(err)
 		}
-		data, err := os.ReadFile(filepath.Join(dir, segmentName(seg.start, seg.end)))
-		if err != nil {
-			f.Fatal(err)
-		}
+		data := d.get(segmentName(seg.start, seg.end))
 		f.Add(data)
 		f.Add(data[:len(data)-7])
 	}

@@ -84,15 +84,18 @@ func appendFrame(dst, payload []byte) []byte {
 
 // nextFrame delimits the frame starting at data[off:], returning its payload
 // and the offset of the following frame. ok is false when the bytes at off do
-// not form a whole, checksum-valid frame — the torn-tail condition; the
-// caller decides whether that means "clean end" (off == len(data)) or
-// corruption worth reporting.
+// not form a whole, checksum-valid frame of a payload the writer could have
+// framed — the torn-tail condition; the caller decides whether that means
+// "clean end" (off == len(data)) or corruption worth reporting. A payload
+// shorter than a record header is refused here: eight zero bytes frame an
+// empty payload whose CRC-32C is 0, and they are what a crash leaves when a
+// file's size reached the disk without its data.
 func nextFrame(data []byte, off int) (payload []byte, next int, ok bool) {
 	if off < 0 || len(data)-off < frameHeader {
 		return nil, off, false
 	}
 	n := int(binary.LittleEndian.Uint32(data[off:]))
-	if n > maxFramePayload || len(data)-off-frameHeader < n {
+	if n < recHeader || n > maxFramePayload || len(data)-off-frameHeader < n {
 		return nil, off, false
 	}
 	crc := binary.LittleEndian.Uint32(data[off+4:])

@@ -5,7 +5,6 @@ import (
 	"go/parser"
 	"go/token"
 	"io"
-	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -63,13 +62,9 @@ func TestOnlyTheDiskSeamImportsOS(t *testing.T) {
 // fsync — an OS crash cannot take the directory, and the write acknowledged
 // in it, away.
 func TestNewDirectoryIsDurableBeforeTheFirstAck(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "parent", "data")
-	d := newFaultDisk(dir, nil)
+	d := &memDisk{}
 	st := store.New()
-	eng, err := open(st, Options{Dir: dir, Fsync: FsyncAlways, CheckpointBytes: -1}, d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mustOpenDisk(t, st, Options{Fsync: FsyncAlways, CheckpointBytes: -1}, d)
 	defer eng.Close()
 	if _, err := st.Add(testTriple(0)); err != nil {
 		t.Fatal(err)
@@ -79,16 +74,14 @@ func TestNewDirectoryIsDurableBeforeTheFirstAck(t *testing.T) {
 	if got := d.log(); !slices.Equal(got, want) {
 		t.Fatalf("operations %q, want %q", got, want)
 	}
-	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
-		t.Fatalf("the data directory and its missing parent were not created: %v", err)
-	}
 }
 
 // faultTx applies the i-th transaction of the fault table's workload: three
-// adds and, after the first, the retraction of the previous one's last add.
-func faultTx(st *store.Store, i int) error {
+// adds, and extra with them, and, after the first, the retraction of the
+// previous one's last add.
+func faultTx(st *store.Store, i int, extra ...store.Triple) error {
 	tx := st.Begin()
-	if _, err := tx.AddBatch([]store.Triple{testTriple(3 * i), testTriple(3*i + 1), testTriple(3*i + 2)}); err != nil {
+	if _, err := tx.AddBatch(append([]store.Triple{testTriple(3 * i), testTriple(3*i + 1), testTriple(3*i + 2)}, extra...)); err != nil {
 		return err
 	}
 	if i > 0 {
@@ -211,7 +204,7 @@ type faultPhase struct {
 	// prepare brings the engine to the phase; act performs the action and
 	// returns its error. Neither applies to recovery phases, whose image is.
 	prepare, act func(h *faultHarness) error
-	image        func(t *testing.T) string
+	image        func(t *testing.T) *memDisk
 }
 
 // faultPhases are the phases of the fault table, in the engine's order.
@@ -234,7 +227,7 @@ var faultPhases = []faultPhase{
 		prepare: prepareMerge, act: actMerge},
 	{name: "recovery", class: classRecovery, image: recoveryImage},
 	{name: "recovery of a new directory", class: classRecovery,
-		image: func(t *testing.T) string { return filepath.Join(t.TempDir(), "new", "data") }},
+		image: func(*testing.T) *memDisk { return &memDisk{} }},
 }
 
 // prepareMerge leaves a one-segment chain and a journaled window: the act's
@@ -307,11 +300,11 @@ func faultsFor(op string) []fault {
 	return []fault{eio}
 }
 
-// faultHarness is one engine over a fault disk and the tally of the
+// faultHarness is one engine over a memory disk and the tally of the
 // transactions submitted to it.
 type faultHarness struct {
 	t         *testing.T
-	dir       string
+	disk      *memDisk
 	st        *store.Store
 	eng       *Engine
 	submitted int // transactions submitted
@@ -333,18 +326,18 @@ func (h *faultHarness) txs(n int) error {
 	return nil
 }
 
-// reopen closes the engine and recovers its directory on a healthy disk,
-// returning the recovered snapshot.
+// reopen closes the engine and recovers a copy of its directory on a healthy
+// disk, returning the recovered snapshot.
 func (h *faultHarness) reopen() string {
 	h.t.Helper()
 	h.eng.Close() // a failed log reports its error again here
 	st := store.New()
-	eng := mustOpen(h.t, st, Options{Dir: h.dir, Fsync: FsyncOff, MergeRatio: -1})
+	eng := mustOpenDisk(h.t, st, Options{Fsync: FsyncOff, MergeRatio: -1}, h.disk.clone())
 	defer eng.Close()
 	return snapshotString(h.t, st)
 }
 
-// TestFaultTable runs the fault table over the fault disk. For each phase it
+// TestFaultTable runs the fault table over the memory disk. For each phase it
 // first runs the phase healthy and checks the table lists exactly the operations
 // the phase issued; then, for every listed operation and every way it can
 // fail, it runs the phase again with that one fault and checks the phase's
@@ -390,12 +383,8 @@ func runPhase(t *testing.T, ph faultPhase, op string, err error) (map[string]boo
 		checkRecovery(t, ph, arm, op, err)
 		return arm.result()
 	}
-	h := &faultHarness{t: t, dir: t.TempDir(), st: store.New()}
-	opts := Options{Dir: h.dir, Fsync: FsyncAlways, CheckpointBytes: -1, MergeRatio: ph.mergeRatio}
-	var oerr error
-	if h.eng, oerr = open(h.st, opts, newFaultDisk(h.dir, arm.inject)); oerr != nil {
-		t.Fatal(oerr)
-	}
+	h := &faultHarness{t: t, disk: &memDisk{inject: arm.inject}, st: store.New()}
+	h.eng = mustOpenDisk(t, h.st, Options{Fsync: FsyncAlways, CheckpointBytes: -1, MergeRatio: ph.mergeRatio}, h.disk)
 	if err := ph.prepare(h); err != nil {
 		t.Fatalf("preparing the phase: %v", err)
 	}
@@ -480,15 +469,17 @@ func checkBackground(t *testing.T, h *faultHarness, ph faultPhase, actErr error)
 func checkRecovery(t *testing.T, ph faultPhase, arm *faultArm, op string, err error) {
 	t.Helper()
 	image := ph.image(t)
-	healthy := func(dir string) string {
+	opts := Options{Fsync: FsyncOff, MergeRatio: -1}
+	healthy := func(d *memDisk) string {
 		st := store.New()
-		eng := mustOpen(t, st, Options{Dir: dir, Fsync: FsyncOff, MergeRatio: -1})
+		eng := mustOpenDisk(t, st, opts, d)
 		defer eng.Close()
 		return snapshotString(t, st)
 	}
-	want, dir := healthy(copyDir(t, image)), image
+	want := healthy(image.clone())
+	image.setInject(arm.inject)
 	arm.arm(ph.from, ph.until, op, err)
-	eng, oerr := open(store.New(), Options{Dir: dir, Fsync: FsyncOff, MergeRatio: -1}, newFaultDisk(dir, arm.inject))
+	eng, oerr := open(store.New(), opts, image)
 	arm.disarm()
 	switch {
 	case op == "" && oerr != nil:
@@ -499,63 +490,28 @@ func checkRecovery(t *testing.T, ph faultPhase, arm *faultArm, op string, err er
 		eng.Close()
 		t.Fatal("Open succeeded under the fault")
 	}
-	if got := healthy(dir); got != want {
+	if got := healthy(image); got != want {
 		t.Fatal("a healthy reopen after the failed one recovers a different state")
 	}
-}
-
-// copyDir copies the flat directory src (which may not exist) to a new
-// temporary directory and returns its path; a missing src yields a path that
-// does not exist either.
-func copyDir(t *testing.T, src string) string {
-	t.Helper()
-	dst := filepath.Join(t.TempDir(), "data")
-	entries, err := os.ReadDir(src)
-	if errors.Is(err, os.ErrNotExist) {
-		return dst
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Mkdir(dst, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err == nil {
-			err = os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dst
 }
 
 // recoveryImage is a directory that makes recovery issue every operation it
 // can on an existing directory: a merged segment beside a leftover input it
 // subsumes, a wal file behind the chain, an unpublished .tmp, and a log tail
 // with a torn frame.
-func recoveryImage(t *testing.T) string {
-	dir := t.TempDir()
-	read := func(name string) []byte {
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
+func recoveryImage(t *testing.T) *memDisk {
+	d := &memDisk{}
 	// Two checkpoints and a tail, the first window's wal file and segment
 	// saved before they are superseded...
 	st := store.New()
-	eng := mustOpen(t, st, Options{Dir: dir, Fsync: FsyncOff, CheckpointBytes: -1, MergeRatio: -1})
+	eng := mustOpenDisk(t, st, Options{Fsync: FsyncOff, CheckpointBytes: -1, MergeRatio: -1}, d)
 	leftovers := map[string][]byte{}
 	for i := 0; i < 6; i++ {
 		if err := faultTx(st, i); err != nil {
 			t.Fatal(err)
 		}
 		if i == 1 {
-			leftovers[walFileName(1)] = read(walFileName(1))
+			leftovers[walFileName(1)] = d.get(walFileName(1))
 		}
 		if i == 1 || i == 3 {
 			if err := eng.Checkpoint(); err != nil {
@@ -564,7 +520,7 @@ func recoveryImage(t *testing.T) string {
 		}
 		if i == 1 {
 			input := segmentName(1, eng.Stats().SegmentSeq)
-			leftovers[input] = read(input)
+			leftovers[input] = d.get(input)
 		}
 	}
 	if err := eng.Close(); err != nil {
@@ -572,19 +528,17 @@ func recoveryImage(t *testing.T) string {
 	}
 	// ...then the two segments merged, and the leftovers put back beside the
 	// merged one, with a .tmp and a torn frame.
-	eng = mustOpen(t, store.New(), Options{Dir: dir, Fsync: FsyncOff, MergeRatio: 1e12})
+	eng = mustOpenDisk(t, store.New(), Options{Fsync: FsyncOff, MergeRatio: 1e12}, d)
 	waitForChain(t, eng, 1)
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tails, _ := filepath.Glob(filepath.Join(dir, "wal-*.wal"))
-	tail := filepath.Base(slices.Max(tails))
-	leftovers[tail] = append(read(tail), 9, 0, 0, 0, 1, 2) // half a frame header
+	names := d.names() // wal- sorts after seg-: the last is the log tail
+	tail := names[len(names)-1]
+	leftovers[tail] = append(d.get(tail), 9, 0, 0, 0, 1, 2) // half a frame header
 	leftovers[segmentName(1, 99)+".tmp"] = []byte("half a checkpoint")
 	for name, data := range leftovers {
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		d.put(name, data)
 	}
-	return dir
+	return d
 }

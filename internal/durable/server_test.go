@@ -15,7 +15,7 @@ import (
 	"repro/internal/store"
 )
 
-// This file runs the real server over the real engine on the fault disk and
+// This file runs the real server over the real engine on the memory disk and
 // pins both halves of the durability error contract (DESIGN.md "The disk
 // seam"): a failed log write is sticky and turns every later
 // content-changing /triples into a 500 while reads go on; a failed
@@ -40,7 +40,7 @@ func newFailingServer(t *testing.T, op, ext string) *failingServer {
 		return nil
 	}
 	base := store.New()
-	eng, err := durable.OpenOnFaultDisk(base, durable.Options{Dir: t.TempDir(), CheckpointBytes: -1, MergeRatio: -1}, inject)
+	eng, err := durable.OpenOnMemDisk(base, durable.Options{CheckpointBytes: -1, MergeRatio: -1}, inject)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,10 @@ package durable
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -187,7 +187,7 @@ func TestTombstoneOverOldAdd(t *testing.T) {
 // its narrower inputs. Recovery must chain the merged one and delete the
 // leftovers.
 func TestRecoveryPrefersMergedSegment(t *testing.T) {
-	dir := t.TempDir()
+	d := newMemDisk()
 	older := segmentData{
 		start: 1, end: 5, dictFirst: 0,
 		dict: []string{"a", "b", "c"},
@@ -207,12 +207,12 @@ func TestRecoveryPrefersMergedSegment(t *testing.T) {
 		t.Fatalf("fold produced adds %v removes %v", merged.adds, merged.removes)
 	}
 	for _, seg := range []segmentData{older, newer, merged} {
-		if _, err := writeSegment(osDisk{dir}, seg, nil); err != nil {
+		if _, err := writeSegment(d, seg, nil); err != nil {
 			t.Fatalf("writeSegment([%d, %d]): %v", seg.start, seg.end, err)
 		}
 	}
 	st := store.New()
-	rec, err := recoverDir(st, osDisk{dir})
+	rec, err := recoverDir(st, d)
 	if err != nil {
 		t.Fatalf("recoverDir: %v", err)
 	}
@@ -227,7 +227,7 @@ func TestRecoveryPrefersMergedSegment(t *testing.T) {
 		t.Fatalf("recovered store holds %d triples", st.Len())
 	}
 	for _, leftover := range []string{segmentName(1, 5), segmentName(6, 10)} {
-		if _, err := os.Stat(filepath.Join(dir, leftover)); !os.IsNotExist(err) {
+		if slices.Contains(d.names(), leftover) {
 			t.Fatalf("recovery kept the merged-away input %s", leftover)
 		}
 	}
@@ -248,13 +248,13 @@ func TestDamagedChainIsAnError(t *testing.T) {
 		{"overlap", segmentData{start: 4, end: 10, dictFirst: 3, dict: []string{"d"}, adds: []store.IDTriple{{S: 0, P: 1, O: 3}}}, "overlap"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
+			d := newMemDisk()
 			for _, seg := range []segmentData{base, tc.next} {
-				if _, err := writeSegment(osDisk{dir}, seg, nil); err != nil {
+				if _, err := writeSegment(d, seg, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
-			_, err := recoverDir(store.New(), osDisk{dir})
+			_, err := recoverDir(store.New(), d)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("recoverDir over a %s chain: %v, want a %q error", tc.name, err, tc.want)
 			}
@@ -335,12 +335,11 @@ func TestReplayAndChainRecoveryAgree(t *testing.T) {
 }
 
 // TestCloseWaitsForMerge pins the shutdown contract: Close must not return
-// while a background merge is mid-flight — here parked on the fault disk's
+// while a background merge is mid-flight — here parked on the memory disk's
 // create of its .tmp — but waits for the merge to notice the shutdown and
 // abort before its rename, and the abort leaves no .tmp and a chain recovery
 // reproduces exactly.
 func TestCloseWaitsForMerge(t *testing.T) {
-	dir := t.TempDir()
 	st := store.New()
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -354,10 +353,8 @@ func TestCloseWaitsForMerge(t *testing.T) {
 		}
 		return nil
 	}
-	eng, err := open(st, Options{Dir: dir, Fsync: FsyncOff, CheckpointBytes: -1}, newFaultDisk(dir, park))
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := &memDisk{inject: park}
+	eng := mustOpenDisk(t, st, Options{Fsync: FsyncOff, CheckpointBytes: -1}, d)
 	for i := 0; i < 2; i++ {
 		scriptStep(t, st, i)
 		if err := eng.Checkpoint(); err != nil {
@@ -388,17 +385,13 @@ func TestCloseWaitsForMerge(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Close never returned after the merge was released")
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".tmp") {
-			t.Fatalf("shutdown left %s behind", e.Name())
+	for _, name := range d.names() {
+		if strings.HasSuffix(name, ".tmp") {
+			t.Fatalf("shutdown left %s behind", name)
 		}
 	}
 	st2 := store.New()
-	eng2 := mustOpen(t, st2, Options{Dir: dir, Fsync: FsyncOff, MergeRatio: -1})
+	eng2 := mustOpenDisk(t, st2, Options{Fsync: FsyncOff, MergeRatio: -1}, d)
 	defer eng2.Close()
 	if got := eng2.Stats().Segments; got != 2 {
 		t.Fatalf("aborted merge left %d segments, want the 2 untouched inputs", got)
@@ -453,36 +446,33 @@ func TestWALSinksAgreeOnBadLogs(t *testing.T) {
 		}, 3, "has seq 3, want 2"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			build := func() (string, []uint64) {
-				dir := t.TempDir()
+			build := func() (*memDisk, []uint64) {
+				d := newMemDisk()
 				var firsts []uint64
 				for _, f := range tc.files {
 					var data []byte
 					for _, payload := range f.records {
 						data = appendFrame(data, payload)
 					}
-					if err := os.WriteFile(filepath.Join(dir, walFileName(f.first)), data, 0o644); err != nil {
-						t.Fatal(err)
-					}
+					d.put(walFileName(f.first), data)
 					firsts = append(firsts, f.first)
 				}
-				return dir, firsts
+				return d, firsts
 			}
-			dir, _ := build()
-			_, recErr := recoverDir(store.New(), osDisk{dir})
+			d, _ := build()
+			_, recErr := recoverDir(store.New(), d)
 			if recErr == nil || !strings.Contains(recErr.Error(), tc.want) {
 				t.Fatalf("recovery: %v, want an error naming %q", recErr, tc.want)
 			}
 
-			dir, firsts := build()
-			d := osDisk{dir}
+			d, firsts := build()
 			f, err := d.openAppend(walFileName(firsts[len(firsts)-1]))
 			if err != nil {
 				t.Fatal(err)
 			}
 			eng := &Engine{
 				st:   store.New(),
-				opts: Options{Dir: dir, MergeRatio: -1},
+				opts: Options{MergeRatio: -1},
 				disk: d,
 				w:    newWALWriter(d, FsyncOff, f, tc.last),
 				wals: firsts,
@@ -500,22 +490,27 @@ func TestWALSinksAgreeOnBadLogs(t *testing.T) {
 }
 
 // TestCheckpointPublishFailureKeepsTheLog blocks a checkpoint's segment
-// publish (a directory squats on the .tmp name, so the create fails) and
+// publish (the disk fails the create of its .tmp) and
 // checks nothing is lost: the error is reported, every sealed wal file stays
 // on disk and listed, a retry with nothing journaled since does not mistake
 // the file rotation re-created for a sealed one, and once the obstacle is
 // gone the next checkpoint covers both windows — after which a reopen
 // recovers the full state.
 func TestCheckpointPublishFailureKeepsTheLog(t *testing.T) {
-	dir := t.TempDir()
+	var blocked atomic.Bool
+	var obstacle string
+	d := &memDisk{inject: func(op, name string) error {
+		if blocked.Load() && op == "create" && name == obstacle {
+			return syscall.EEXIST
+		}
+		return nil
+	}}
 	st := store.New()
-	eng := mustOpen(t, st, Options{Dir: dir, Fsync: FsyncOff, CheckpointBytes: -1, MergeRatio: -1})
+	eng := mustOpenDisk(t, st, Options{Fsync: FsyncOff, CheckpointBytes: -1, MergeRatio: -1}, d)
 	scriptStep(t, st, 0)
 	first := eng.LastSeq()
-	obstacle := filepath.Join(dir, segmentName(1, first)+".tmp")
-	if err := os.Mkdir(obstacle, 0o755); err != nil {
-		t.Fatal(err)
-	}
+	obstacle = segmentName(1, first) + ".tmp"
+	blocked.Store(true)
 	wantFiles := func(when string, firsts ...uint64) {
 		t.Helper()
 		eng.ckptMu.Lock()
@@ -524,13 +519,9 @@ func TestCheckpointPublishFailureKeepsTheLog(t *testing.T) {
 		if fmt.Sprint(listed) != fmt.Sprint(firsts) {
 			t.Fatalf("%s: engine lists wal files %v, want %v", when, listed, firsts)
 		}
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var onDisk []uint64
-		for _, e := range entries {
-			if n, ok := parseSeqName(e.Name(), "wal-", ".wal"); ok {
+		for _, name := range d.names() {
+			if n, ok := parseSeqName(name, "wal-", ".wal"); ok {
 				onDisk = append(onDisk, n)
 			}
 		}
@@ -549,9 +540,7 @@ func TestCheckpointPublishFailureKeepsTheLog(t *testing.T) {
 	}
 
 	scriptStep(t, st, 1) // a second window, journaled into wal-<first+1>
-	if err := os.Remove(obstacle); err != nil {
-		t.Fatal(err)
-	}
+	blocked.Store(false)
 	if err := eng.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint after the obstacle was removed: %v", err)
 	}
@@ -566,7 +555,7 @@ func TestCheckpointPublishFailureKeepsTheLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	st2 := store.New()
-	eng2 := mustOpen(t, st2, Options{Dir: dir, Fsync: FsyncOff, MergeRatio: -1})
+	eng2 := mustOpenDisk(t, st2, Options{Fsync: FsyncOff, MergeRatio: -1}, d)
 	defer eng2.Close()
 	if snapshotString(t, st2) != want {
 		t.Fatal("recovery after a failed-then-retried checkpoint diverges from the pre-close state")

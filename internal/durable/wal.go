@@ -194,40 +194,28 @@ func (w *walWriter) appendMutation(adds, removes []store.IDTriple) uint64 {
 // promises: written and fsynced for FsyncAlways, written to the OS for
 // FsyncBatch (the background ticker supplies the fsync) and FsyncOff.
 func (w *walWriter) commit(target uint64) error {
-	if w.policy == FsyncAlways {
-		return w.syncTo(target)
-	}
-	return w.writeTo(target)
-}
-
-// writeTo blocks until every record ≤ target has reached the OS (no fsync).
-func (w *walWriter) writeTo(target uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for w.writtenSeq < target && w.err == nil {
+	return w.waitLocked(target, w.policy == FsyncAlways)
+}
+
+// waitLocked blocks until every record ≤ target has reached the OS — and,
+// with sync, is fsynced — or the log has failed, and returns the log's error.
+// It is the group-commit loop: the first waiter to find the syncer role free
+// takes it, drains everything staged (its own frames and everyone else's),
+// and wakes the rest; waiters whose target was covered return without any
+// I/O of their own. Callers hold mu.
+func (w *walWriter) waitLocked(target uint64, sync bool) error {
+	reached := &w.writtenSeq
+	if sync {
+		reached = &w.durableSeq
+	}
+	for *reached < target && w.err == nil {
 		if w.syncing {
 			w.cond.Wait() // another goroutine is on the disk; it advances seqs for us too
 			continue
 		}
-		w.drainLocked(false)
-	}
-	return w.err
-}
-
-// syncTo blocks until every record ≤ target is fsynced — the group-commit
-// loop. The first committer to find the syncer role free takes it, writes
-// and fsyncs everything staged (its own frames and everyone else's), and
-// wakes the rest; committers whose target was covered return without any
-// I/O of their own.
-func (w *walWriter) syncTo(target uint64) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for w.durableSeq < target && w.err == nil {
-		if w.syncing {
-			w.cond.Wait()
-			continue
-		}
-		w.drainLocked(true)
+		w.drainLocked(sync)
 	}
 	return w.err
 }
@@ -330,14 +318,7 @@ func (w *walWriter) rotate() (uint64, error) {
 func (w *walWriter) close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for w.durableSeq < w.seq && w.err == nil {
-		if w.syncing {
-			w.cond.Wait()
-			continue
-		}
-		w.drainLocked(true)
-	}
-	err := w.err
+	err := w.waitLocked(w.seq, true)
 	for w.syncing {
 		w.cond.Wait()
 	}
