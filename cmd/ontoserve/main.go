@@ -47,9 +47,9 @@
 // -repl-retain sizes the delta window replicas can catch up from without
 // re-snapshotting.
 //
-// -metrics (on by default) exposes the process's instruments — traffic
-// counters, latency histograms, WAL/checkpoint state, reasoner and cache
-// counters — as a Prometheus text scrape at GET /metrics. -slow-query
+// GET /metrics always serves the process's instruments — traffic counters,
+// latency histograms split by stage, WAL/checkpoint state, reasoner and
+// cache counters — as a Prometheus text scrape. -slow-query
 // logs every query at least that slow as one JSON line, to the file named
 // by -slow-query-log or to stderr. -pprof-addr serves net/http/pprof on a
 // separate listener, keeping the profiling surface off the API address.
@@ -114,7 +114,6 @@ func run(args []string, stderr io.Writer) int {
 	checkpointMiB := fs.Int("checkpoint-mib", 64, "log growth in MiB that triggers automatic compaction into a segment (negative disables; POST /checkpoint still works)")
 	mergeRatio := fs.Float64("merge-ratio", 0, "size-tiered merge trigger: fold young segments into an older one once it is at most this many times their combined size (0 picks the default, negative disables background merges)")
 	maxSegments := fs.Int("max-segments", 0, "segment count that forces a full merge into one base segment regardless of -merge-ratio (0 picks the default, negative disables)")
-	metrics := fs.Bool("metrics", true, "expose the Prometheus text scrape at GET /metrics")
 	slowQuery := fs.Duration("slow-query", 0, "log queries at least this slow as ndjson records (0 disables the slow-query log)")
 	slowQueryLog := fs.String("slow-query-log", "", "file the slow-query log appends to; empty logs to stderr")
 	pprofAddr := fs.String("pprof-addr", "", "listen address for net/http/pprof on its own listener (empty disables profiling)")
@@ -230,7 +229,6 @@ func run(args []string, stderr io.Writer) int {
 		cfg.CacheMaxBytes = -1 // flag 0 means "disable", Config 0 means "default"
 	}
 	cfg.Metrics = reg
-	cfg.DisableMetrics = !*metrics
 	if *slowQuery > 0 {
 		cfg.SlowQueryThreshold = *slowQuery
 		if *slowQueryLog != "" {

@@ -7,8 +7,7 @@ import (
 )
 
 // This file is the histogram instrument: log-bucketed distributions with
-// atomic hot-path observation, cumulative Prometheus exposition, and
-// quantile estimation for tests and EXPLAIN summaries.
+// atomic hot-path observation and cumulative Prometheus exposition.
 
 // Histogram is a distribution of observations over fixed buckets. A value v
 // falls into the first bucket whose upper bound is >= v (bounds are
@@ -75,9 +74,8 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // HistogramSnapshot is a point-in-time copy of a histogram's state, the
-// form quantile estimation and merging operate on. Counts[i] is the
-// non-cumulative count of bucket i (Counts[len(Bounds)] is the +Inf
-// bucket).
+// form exposition reads. Counts[i] is the non-cumulative count of bucket i
+// (Counts[len(Bounds)] is the +Inf bucket).
 type HistogramSnapshot struct {
 	// Bounds are the bucket upper bounds, sorted ascending.
 	Bounds []float64
@@ -107,61 +105,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		s.Counts[i] = h.counts[i].Load()
 	}
 	return s
-}
-
-// Merge adds another snapshot's counts into this one. Both must share the
-// same bucket bounds; merging is how per-shard or per-replica histograms
-// aggregate into one distribution.
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) error {
-	if len(s.Bounds) != len(o.Bounds) {
-		return fmt.Errorf("obs: merging histograms with %d and %d buckets", len(s.Bounds), len(o.Bounds))
-	}
-	for i := range s.Bounds {
-		if s.Bounds[i] != o.Bounds[i] {
-			return fmt.Errorf("obs: merging histograms with different bucket bounds at %d (%g vs %g)", i, s.Bounds[i], o.Bounds[i])
-		}
-	}
-	for i := range s.Counts {
-		s.Counts[i] += o.Counts[i]
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-	return nil
-}
-
-// Quantile estimates the q-quantile (0 <= q <= 1) of the observed
-// distribution by linear interpolation within the bucket holding the
-// target rank — the standard bucketed estimate, exact to within one bucket
-// width. It returns NaN on an empty snapshot; the +Inf bucket clamps to
-// the highest finite bound.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 || math.IsNaN(q) || q < 0 || q > 1 {
-		return math.NaN()
-	}
-	rank := q * float64(s.Count)
-	cum := int64(0)
-	for i, c := range s.Counts {
-		prev := cum
-		cum += c
-		if float64(cum) < rank {
-			continue
-		}
-		if i == len(s.Bounds) {
-			// The +Inf bucket has no upper bound to interpolate toward;
-			// clamp to the highest finite bound.
-			return s.Bounds[len(s.Bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = s.Bounds[i-1]
-		}
-		hi := s.Bounds[i]
-		if c == 0 {
-			return hi
-		}
-		return lo + (hi-lo)*(rank-float64(prev))/float64(c)
-	}
-	return s.Bounds[len(s.Bounds)-1]
 }
 
 // expose appends the snapshot's cumulative bucket lines, sum and count in

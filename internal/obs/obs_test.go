@@ -3,8 +3,6 @@ package obs_test
 import (
 	"bytes"
 	"math"
-	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -91,76 +89,6 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("scrape missing %q in:\n%s", want, out)
 		}
-	}
-}
-
-// TestHistogramQuantile checks the bucketed estimate against exact
-// quantiles of known distributions: the estimate must land within one
-// bucket width of the truth.
-func TestHistogramQuantile(t *testing.T) {
-	bounds := obs.ExpBuckets(1, 2, 20) // 1 .. ~524288
-	r := obs.NewRegistry()
-	h := r.Histogram("t_q", "Q.", bounds)
-	rng := rand.New(rand.NewSource(7))
-	vals := make([]float64, 0, 10_000)
-	for i := 0; i < 10_000; i++ {
-		// Log-uniform over [1, 65536]: every bucket gets traffic.
-		v := math.Pow(2, rng.Float64()*16)
-		vals = append(vals, v)
-		h.Observe(v)
-	}
-	sort.Float64s(vals)
-	s := h.Snapshot()
-	for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
-		exact := vals[int(q*float64(len(vals)-1))]
-		est := s.Quantile(q)
-		// One doubling bucket of slack: the estimate interpolates within
-		// the bucket holding the rank, so it is off by at most the bucket
-		// width.
-		if est < exact/2 || est > exact*2 {
-			t.Errorf("q%.2f: estimate %g outside bucket tolerance of exact %g", q, est, exact)
-		}
-	}
-	if !math.IsNaN(obs.HistogramSnapshot{}.Quantile(0.5)) {
-		t.Error("empty snapshot quantile must be NaN")
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	bounds := []float64{1, 10, 100}
-	r := obs.NewRegistry()
-	whole := r.Histogram("t_whole", "W.", bounds)
-	a := r.Histogram("t_a", "A.", bounds)
-	b := r.Histogram("t_b", "B.", bounds)
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 5000; i++ {
-		v := rng.Float64() * 120
-		whole.Observe(v)
-		if i%2 == 0 {
-			a.Observe(v)
-		} else {
-			b.Observe(v)
-		}
-	}
-	merged := a.Snapshot()
-	if err := merged.Merge(b.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	w := whole.Snapshot()
-	if merged.Count != w.Count {
-		t.Errorf("merged count %d != whole %d", merged.Count, w.Count)
-	}
-	for i := range w.Counts {
-		if merged.Counts[i] != w.Counts[i] {
-			t.Errorf("bucket %d: merged %d != whole %d", i, merged.Counts[i], w.Counts[i])
-		}
-	}
-	if math.Abs(merged.Sum-w.Sum) > 1e-6 {
-		t.Errorf("merged sum %g != whole %g", merged.Sum, w.Sum)
-	}
-	bad := obs.HistogramSnapshot{Bounds: []float64{1, 2}}
-	if err := merged.Merge(bad); err == nil {
-		t.Error("merging mismatched bounds must fail")
 	}
 }
 

@@ -55,6 +55,7 @@ import (
 	"errors"
 	"sync"
 
+	"repro/internal/obs"
 	"repro/internal/store"
 )
 
@@ -506,9 +507,9 @@ func (s *scan) Next(ctx *Ctx) (*Batch, error) {
 	if st == nil {
 		return s.next(ctx)
 	}
-	start := nanotime()
+	start := obs.Now()
 	b, err := s.next(ctx)
-	st.Nanos += nanotime() - start
+	st.Nanos += obs.Now() - start
 	if b != nil {
 		st.Batches++
 		st.Rows += int64(b.N)
@@ -831,9 +832,9 @@ func (j *join) Next(ctx *Ctx) (*Batch, error) {
 	if st == nil {
 		return j.next(ctx)
 	}
-	start := nanotime()
+	start := obs.Now()
 	b, err := j.next(ctx)
-	st.Nanos += nanotime() - start
+	st.Nanos += obs.Now() - start
 	if b != nil {
 		st.Batches++
 		st.Rows += int64(b.N)

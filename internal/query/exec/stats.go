@@ -1,9 +1,6 @@
 package exec
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // This file is the executor's observability surface: per-operator span
 // statistics an EXPLAIN trace attaches to scan and join nodes, and the
@@ -26,7 +23,8 @@ type OpStat struct {
 	Probes int64 `json:"probes"`
 	// Nanos is the wall time spent inside this operator's Next calls,
 	// inclusive of time spent pulling its children — the EXPLAIN ANALYZE
-	// convention, so a parent's time bounds its subtree's.
+	// convention, so a parent's time bounds its subtree's. It reads obs.Now,
+	// the request clock's source.
 	Nanos int64 `json:"nanos"`
 }
 
@@ -36,14 +34,6 @@ type instrumentable interface{ setStat(*OpStat) }
 
 func (s *scan) setStat(st *OpStat) { s.stat = st }
 func (j *join) setStat(st *OpStat) { j.stat = st }
-
-// epoch anchors nanotime: time.Since on a fixed base reads the monotonic
-// clock, so span durations are immune to wall-clock steps.
-var epoch = time.Now()
-
-// nanotime returns monotonic nanoseconds since package init; the difference
-// of two readings is a wall duration.
-func nanotime() int64 { return int64(time.Since(epoch)) }
 
 // poolGets and poolPuts count buffer-pool round trips package-wide — every
 // Get and Put against the batch, block, column, probe, triple, row and

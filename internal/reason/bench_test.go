@@ -199,7 +199,7 @@ func BenchmarkRetypeServing(b *testing.B) {
 			from = i % classes
 		}
 		to := (from + 1 + rng.Intn(classes-1)) % classes
-		if added, removed, err := r.Apply(typeOf(i, to), typeOf(i, from)); err != nil || added != 1 || removed != 1 {
+		if added, removed, err := r.Apply(typeOf(i, to), typeOf(i, from), nil); err != nil || added != 1 || removed != 1 {
 			b.Fatalf("Apply(inst-%d: class %d → %d) = %d added, %d removed, %v", i, from, to, added, removed, err)
 		}
 		class[i] = to

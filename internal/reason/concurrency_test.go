@@ -63,7 +63,7 @@ func TestReasonConcurrentReadsDuringMaintenance(t *testing.T) {
 		}
 		if i%50 == 49 {
 			refile := []store.Triple{{Subject: "herbie", Predicate: store.TypePredicate, Object: "pickup"}, tr}
-			if _, _, err := r.Apply(refile, base.Triples()[:3]); err != nil {
+			if _, _, err := r.Apply(refile, base.Triples()[:3], nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -162,7 +162,7 @@ func TestOnDeltaCoversAssertedAndInferredChanges(t *testing.T) {
 	// are in both lists; pickup1's retraction kills its inferences.
 	log.reset()
 	both := store.Triple{Subject: "pickup3", Predicate: store.TypePredicate, Object: "car"}
-	added, removed, err := r.Apply([]store.Triple{both}, []store.Triple{batch[0], both, batch[0]})
+	added, removed, err := r.Apply([]store.Triple{both}, []store.Triple{batch[0], both, batch[0]}, nil)
 	if err != nil || added != 1 || removed != 2 {
 		t.Fatalf("Apply = %d, %d, %v; want 1 added, 2 removed", added, removed, err)
 	}
@@ -273,7 +273,7 @@ func TestAddBatchJournalFailureStillMaintains(t *testing.T) {
 	if n, err := r.AddBatch(invalid); err == nil || errors.Is(err, store.ErrJournal) || n != 0 || log.fires != 0 {
 		t.Fatalf("invalid batch: n=%d err=%v events=%d, want a validation error and nothing else", n, err, log.fires)
 	}
-	if a, rm, err := r.Apply(invalid, asserted[:1]); err == nil || errors.Is(err, store.ErrJournal) || a != 0 || rm != 0 || log.fires != 0 || !base.Contains(asserted[0]) {
+	if a, rm, err := r.Apply(invalid, asserted[:1], nil); err == nil || errors.Is(err, store.ErrJournal) || a != 0 || rm != 0 || log.fires != 0 || !base.Contains(asserted[0]) {
 		t.Fatalf("invalid two-sided write: %d, %d, %v, %d events; want a validation error and nothing applied on either side", a, rm, err, log.fires)
 	}
 
@@ -301,7 +301,7 @@ func TestAddBatchJournalFailureStillMaintains(t *testing.T) {
 	// Remove-only: the retraction is applied, its dead inferences are gone,
 	// and the error that Remove has no slot for comes back from Apply.
 	log.reset()
-	a, rm, err := r.Apply(nil, []store.Triple{batch[0], {Subject: "nobody", Predicate: store.TypePredicate, Object: "car"}})
+	a, rm, err := r.Apply(nil, []store.Triple{batch[0], {Subject: "nobody", Predicate: store.TypePredicate, Object: "car"}}, nil)
 	if !errors.Is(err, store.ErrJournal) || a != 0 || rm != 1 {
 		t.Fatalf("remove-only Apply = %d, %d, %v; want 0, 1 and ErrJournal", a, rm, err)
 	}
@@ -314,7 +314,7 @@ func TestAddBatchJournalFailureStillMaintains(t *testing.T) {
 	// Two-sided: one event for both sides.
 	log.reset()
 	moved := store.Triple{Subject: "pickup", Predicate: store.TypePredicate, Object: "vehicle"}
-	a, rm, err = r.Apply([]store.Triple{moved}, []store.Triple{batch[1]})
+	a, rm, err = r.Apply([]store.Triple{moved}, []store.Triple{batch[1]}, nil)
 	if !errors.Is(err, store.ErrJournal) || a != 1 || rm != 1 {
 		t.Fatalf("two-sided Apply = %d, %d, %v; want 1, 1 and ErrJournal", a, rm, err)
 	}

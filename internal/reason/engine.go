@@ -341,14 +341,14 @@ func (r *Reasoner) Instances(class string) []string {
 // Add asserts one triple, reporting whether it was newly asserted:
 // Apply of one add, with the same error contract.
 func (r *Reasoner) Add(t store.Triple) (bool, error) {
-	n, _, err := r.Apply([]store.Triple{t}, nil)
+	n, _, err := r.Apply([]store.Triple{t}, nil, nil)
 	return n == 1, err
 }
 
 // AddBatch asserts a batch, returning how many triples were newly asserted:
 // Apply with no removes, with the same error contract.
 func (r *Reasoner) AddBatch(ts []store.Triple) (int, error) {
-	n, _, err := r.Apply(ts, nil)
+	n, _, err := r.Apply(ts, nil, nil)
 	return n, err
 }
 
@@ -356,7 +356,7 @@ func (r *Reasoner) AddBatch(ts []store.Triple) (int, error) {
 // remove. It has no error slot; a caller that must learn of a failed journal
 // commit calls Apply.
 func (r *Reasoner) Remove(t store.Triple) bool {
-	_, n, _ := r.Apply(nil, []store.Triple{t})
+	_, n, _ := r.Apply(nil, []store.Triple{t}, nil)
 	return n == 1
 }
 
@@ -390,8 +390,9 @@ func (r *Reasoner) Remove(t store.Triple) bool {
 // the opposite — the write is applied in memory but not durable — so the
 // overlay is maintained and the Delta delivered exactly as on success, and
 // the error is returned afterwards: the materialization and everything
-// subscribed to it stay consistent with what readers of the base can see.
-func (r *Reasoner) Apply(adds, removes []store.Triple) (added, removed int, err error) {
+// subscribed to it stay consistent with what readers of the base can see. The
+// request clock c (nil: none) is charged propagate, retract, commit, publish.
+func (r *Reasoner) Apply(adds, removes []store.Triple, c *obs.Clock) (added, removed int, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	base := r.base.Begin()
@@ -411,17 +412,21 @@ func (r *Reasoner) Apply(adds, removes []store.Triple) (added, removed int, err 
 		}
 	}
 	d.Added = append(append(delta, r.propagate(delta)...), d.Removed...)
+	c.Mark(obs.StagePropagate)
 
 	if len(removes) > 0 {
 		gone, marked, restored := r.retract(&base, removes)
 		d.AssertedRemoved = gone
 		d.Removed = append(append(d.Removed, marked...), gone...)
 		d.Added = append(append(d.Added, restored...), r.propagate(restored)...)
+		c.Mark(obs.StageRetract)
 	}
 	err = base.Commit()
+	c.Mark(obs.StageCommit)
 	if len(fresh)+len(d.AssertedRemoved) > 0 {
 		r.notify(d)
 	}
+	c.Mark(obs.StagePublish)
 	return len(fresh), len(d.AssertedRemoved), err
 }
 

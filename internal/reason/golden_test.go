@@ -53,7 +53,7 @@ func newCountsTranscript(t *testing.T, name string, base *store.Store, rules []R
 func (ct *countsTranscript) apply(t *testing.T, step int, adds, removes []store.Triple) {
 	t.Helper()
 	fired := len(*ct.events)
-	added, removed, err := ct.r.Apply(adds, removes)
+	added, removed, err := ct.r.Apply(adds, removes, nil)
 	if err != nil {
 		t.Fatalf("step %d: %v", step, err)
 	}
@@ -206,7 +206,7 @@ func TestReasonMetricsReadStats(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	r.RegisterMetrics(reg)
-	if _, removed, err := r.Apply(nil, []store.Triple{tr("kitt", store.TypePredicate, "vehicle")}); err != nil || removed != 1 {
+	if _, removed, err := r.Apply(nil, []store.Triple{tr("kitt", store.TypePredicate, "vehicle")}, nil); err != nil || removed != 1 {
 		t.Fatalf("Apply = %d removed, %v; want 1, nil", removed, err)
 	}
 	st := r.Stats()

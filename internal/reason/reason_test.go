@@ -360,7 +360,7 @@ func TestApplyLargeRetractionIsNotQuadratic(t *testing.T) {
 	}
 	removes := append(append([]store.Triple(nil), asserted[1:]...), asserted[1:]...)
 	start := time.Now()
-	added, removed, err := r.Apply(nil, removes)
+	added, removed, err := r.Apply(nil, removes, nil)
 	if elapsed := time.Since(start); elapsed > time.Second && !raceEnabled {
 		t.Errorf("retracting %d triples took %v, want < 1s", n, elapsed)
 	}

@@ -257,7 +257,7 @@ func applyChecked(t *testing.T, r *Reasoner, rules []Rule, events *[]Delta, adds
 		}
 	}
 	gen, fired := r.Generation(), len(*events)
-	added, removed, err := r.Apply(adds, removes)
+	added, removed, err := r.Apply(adds, removes, nil)
 	if err != nil {
 		t.Fatalf("%s: Apply(%v, %v): %v", context, adds, removes, err)
 	}

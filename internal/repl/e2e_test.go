@@ -164,7 +164,7 @@ func (m *mutator) step(t *testing.T) bool {
 			}
 			removes = append(removes, removes[len(removes)-1])
 		}
-		added, removed, err := m.r.Apply(adds, removes)
+		added, removed, err := m.r.Apply(adds, removes, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -300,7 +300,7 @@ func (r *Replica) poll(ctx context.Context) error {
 // the replica's materialization converge to the primary's — and records the
 // generation as applied.
 func (r *Replica) apply(fr Frame) error {
-	if _, _, err := r.applier.Apply(wireTriples(fr.Add), wireTriples(fr.Remove)); err != nil {
+	if _, _, err := r.applier.Apply(wireTriples(fr.Add), wireTriples(fr.Remove), nil); err != nil {
 		return fmt.Errorf("repl: applying frame %d: %w", fr.Gen, err)
 	}
 	r.update(func(st *Status) { st.AppliedGeneration = fr.Gen })
@@ -371,7 +371,7 @@ func (r *Replica) resnapshot(ctx context.Context) error {
 	}
 	current := r.applier.Base()
 	adds, removes := missingFrom(current, target.Triples()), missingFrom(target, current.Triples())
-	if _, _, err := r.applier.Apply(adds, removes); err != nil {
+	if _, _, err := r.applier.Apply(adds, removes, nil); err != nil {
 		return fmt.Errorf("repl: applying re-snapshot diff: %w", err)
 	}
 	r.update(func(st *Status) {

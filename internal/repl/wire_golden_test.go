@@ -32,7 +32,7 @@ func goldenHistory(t *testing.T, r *reason.Reasoner) {
 		{remove: []store.Triple{{Subject: "c1", Predicate: "subClassOf", Object: "c2"}}},
 		{add: []store.Triple{typ("item \"5\"", "c2"), {Subject: "c2", Predicate: "subClassOf", Object: "c3"}}},
 	} {
-		if _, _, err := r.Apply(w.add, w.remove); err != nil {
+		if _, _, err := r.Apply(w.add, w.remove, nil); err != nil {
 			t.Fatal(err)
 		}
 		if got := r.Generation(); got != uint64(i+1) {

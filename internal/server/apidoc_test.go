@@ -20,6 +20,7 @@ func scrubTimings(v any) {
 	case map[string]any:
 		delete(t, "nanos")
 		delete(t, "elapsed_us")
+		delete(t, "stages")
 		for _, c := range t {
 			scrubTimings(c)
 		}

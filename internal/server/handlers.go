@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/durable"
+	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/reason"
 	"repro/internal/store"
@@ -72,7 +73,7 @@ type QueryTrailer struct {
 	Truncated bool `json:"truncated"`
 	// Cached reports that the rows were replayed from the result cache.
 	Cached bool `json:"cached"`
-	// ElapsedUS is the server-side evaluation time in microseconds.
+	// ElapsedUS is the evaluation time in µs: plan + exec + encode to here.
 	ElapsedUS int64 `json:"elapsed_us"`
 	// Error is set when evaluation ended early (timeout, malformed BGP
 	// discovered mid-stream); the rows already streamed are valid but the
@@ -99,6 +100,8 @@ type ExplainResponse struct {
 	Solutions int   `json:"solutions"`
 	Truncated bool  `json:"truncated"`
 	ElapsedUS int64 `json:"elapsed_us"`
+	// Stages is the request's clock so far in ns; the rest sum to "total".
+	Stages map[string]int64 `json:"stages"`
 	// PoolGets and PoolPuts are the executor's buffer-pool round trips
 	// observed across this evaluation. The counters are process-wide, so
 	// the deltas are exact only when no other query ran concurrently.
@@ -261,8 +264,7 @@ func triplesOf(ts []TripleJSON) []store.Triple {
 // (reason.Reasoner.Apply; DESIGN.md "The write path").
 func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
 	s.mutations.Add(1)
-	mstart := time.Now()
-	defer func() { s.mutationSeconds.Since(mstart) }()
+	c := clockOf(w)
 	var req MutateRequest
 	if !readBody(w, r, &req) {
 		return
@@ -271,8 +273,10 @@ func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "empty mutation: need add or remove triples")
 		return
 	}
+	adds, removes := triplesOf(req.Add), triplesOf(req.Remove)
+	c.Mark(obs.StageDecode)
 
-	added, removed, err := s.reasoner.Apply(triplesOf(req.Add), triplesOf(req.Remove))
+	added, removed, err := s.reasoner.Apply(adds, removes, c)
 	if errors.Is(err, store.ErrJournal) {
 		// The write WAS applied in memory but its journal commit failed: the
 		// client must not retry (the change is visible) and must not trust it
@@ -292,6 +296,7 @@ func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
 		Asserted: s.reasoner.Base().Len(),
 		Inferred: s.reasoner.InferredCount(),
 	})
+	c.Mark(obs.StageRespond)
 }
 
 // handleStats is GET /stats.

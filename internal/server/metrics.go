@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"io"
-	"net/http"
 	"os"
 	"strconv"
 	"sync"
@@ -33,12 +32,6 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 		"Seconds since the server was created.",
 		func() float64 { return time.Since(s.start).Seconds() })
 
-	s.querySeconds = reg.Histogram("onto_query_seconds",
-		"POST /query handler latency in seconds (parse, cache lookup, evaluation and streaming).",
-		obs.LatencyBuckets())
-	s.mutationSeconds = reg.Histogram("onto_mutation_seconds",
-		"POST /triples handler latency in seconds (decode, apply, re-materialize).",
-		obs.LatencyBuckets())
 	s.httpRequests = reg.CounterVec("onto_http_requests_total",
 		"HTTP responses by handler path and status code.",
 		"handler", "code")
@@ -88,55 +81,37 @@ func (c *resultCache) registerMetrics(reg *obs.Registry) {
 		func() float64 { return float64(c.stats().Bytes) })
 }
 
-// requestIDHeader is the header the middleware reads (client-supplied ids
+// timing is a route's latency histograms: the total and one
+// onto_stage_seconds series per stage the route marks, plus other, observed
+// off one reading of the clock so the stages' sums add up to the total's.
+type timing struct {
+	total  *obs.Histogram
+	stages [obs.NumStages]*obs.Histogram
+}
+
+func (s *Server) timing(name, help, handler string, stages ...obs.Stage) *timing {
+	t := &timing{total: s.reg.Histogram(name, help, obs.LatencyBuckets())}
+	for _, st := range append(stages, obs.StageOther) {
+		t.stages[st] = s.reg.Histogram("onto_stage_seconds", "Handler latency in seconds by stage; a handler's stages sum to its total.",
+			obs.LatencyBuckets(), obs.L("handler", handler), obs.L("stage", st.String()))
+	}
+	return t
+}
+
+// observe records one request's clock; the nil timing observes nothing.
+func (t *timing) observe(c *obs.Clock) {
+	if t != nil {
+		ns, total := c.Read()
+		t.total.Observe(float64(total) / 1e9)
+		for st, h := range t.stages {
+			h.Observe(float64(ns[st]) / 1e9)
+		}
+	}
+}
+
+// requestIDHeader is the header prologue reads (client-supplied ids
 // are propagated) and always writes on the response.
 const requestIDHeader = "X-Request-Id"
-
-// statusRecorder captures the response status for the per-handler counter
-// while forwarding everything — including Flush, which the streaming
-// endpoints rely on — to the wrapped writer.
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	if r.code == 0 {
-		r.code = code
-	}
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// instrument wraps the mux with the request-ID and per-handler accounting
-// middleware. The handler label is the request path for the known endpoints
-// (the route table's paths) and "other" for everything else, keeping the
-// label space bounded against path-scanning traffic.
-func (s *Server) instrument(next http.Handler, known map[string]bool) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rid := r.Header.Get(requestIDHeader)
-		if rid == "" {
-			rid = s.nextRequestID()
-			r.Header.Set(requestIDHeader, rid) // handlers read it back off the request
-		}
-		w.Header().Set(requestIDHeader, rid)
-		rec := &statusRecorder{ResponseWriter: w}
-		next.ServeHTTP(rec, r)
-		if rec.code == 0 {
-			rec.code = http.StatusOK
-		}
-		handler := r.URL.Path
-		if !known[handler] {
-			handler = "other"
-		}
-		s.httpRequests.With(handler, strconv.Itoa(rec.code)).Inc()
-	})
-}
 
 // nextRequestID mints a request id unique within and across this server's
 // restarts: the start time in hex plus a process-local sequence number.
@@ -171,8 +146,9 @@ type slowQueryRecord struct {
 	Solutions int  `json:"solutions"`
 	Truncated bool `json:"truncated,omitempty"`
 	Cached    bool `json:"cached,omitempty"`
-	// ElapsedUS is the handler's wall time in microseconds.
-	ElapsedUS int64 `json:"elapsed_us"`
+	// ElapsedUS is the handler's wall time in µs; StagesUS is stageSplit.
+	ElapsedUS int64            `json:"elapsed_us"`
+	StagesUS  map[string]int64 `json:"stages_us"`
 	// Error is the trailer error, when evaluation ended early.
 	Error string `json:"error,omitempty"`
 }
@@ -189,13 +165,17 @@ func newSlowQueryLog(threshold time.Duration, w io.Writer) *slowQueryLog {
 	return &slowQueryLog{threshold: threshold, w: w}
 }
 
-// observe writes rec if elapsed crossed the threshold. Nil-safe.
-func (l *slowQueryLog) observe(elapsed time.Duration, rec slowQueryRecord) {
-	if l == nil || elapsed < l.threshold {
+// observe writes rec if the clock has crossed the threshold. Nil-safe.
+func (l *slowQueryLog) observe(c *obs.Clock, rec slowQueryRecord) {
+	if l == nil {
+		return
+	}
+	if _, total := c.Read(); time.Duration(total) < l.threshold {
 		return
 	}
 	rec.TS = time.Now().UTC().Format(time.RFC3339Nano)
-	rec.ElapsedUS = elapsed.Microseconds()
+	rec.StagesUS = stageSplit(c, time.Microsecond)
+	rec.ElapsedUS = rec.StagesUS["total"]
 	line, err := json.Marshal(rec)
 	if err != nil {
 		return
@@ -204,4 +184,19 @@ func (l *slowQueryLog) observe(elapsed time.Duration, rec slowQueryRecord) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	_, _ = l.w.Write(line)
+}
+
+// readStages are the stages a /query marks.
+var readStages = []obs.Stage{obs.StageDecode, obs.StageLookup, obs.StagePlan, obs.StageExec, obs.StageEncode}
+
+// stageSplit is a /query clock's reading in units of unit: the read stages,
+// "other" and "total" (exactly their sum in ns; each truncated otherwise).
+func stageSplit(c *obs.Clock, unit time.Duration) map[string]int64 {
+	ns, total := c.Read()
+	m := make(map[string]int64, len(readStages)+2)
+	for _, st := range append(readStages, obs.StageOther) {
+		m[st.String()] = ns[st] / int64(unit)
+	}
+	m["total"] = total / int64(unit)
+	return m
 }

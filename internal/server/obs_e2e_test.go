@@ -432,24 +432,6 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 }
 
-// TestMetricsDisabled pins DisableMetrics: instrumentation still runs, only
-// the exposition endpoint is withheld.
-func TestMetricsDisabled(t *testing.T) {
-	srv := newTestServer(t, Config{DisableMetrics: true})
-	ts := newLocalServer(t, srv)
-	resp, err := http.Get(ts + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET /metrics on a DisableMetrics server = %d, want 404", resp.StatusCode)
-	}
-	if srv.Metrics() == nil {
-		t.Fatal("registry missing despite DisableMetrics")
-	}
-}
-
 // newLocalServer starts srv on a loopback listener torn down with the test.
 func newLocalServer(t *testing.T, srv *Server) string {
 	t.Helper()
@@ -467,4 +449,117 @@ func newLocalServer(t *testing.T, srv *Server) string {
 		}
 	})
 	return fmt.Sprintf("http://%s", ln.Addr())
+}
+
+// TestStageClockReconciles holds every view of the request clock to the one
+// reading it came from, on a durable server behind a real listener: each
+// EXPLAIN body's stages sum to its total, each handler's onto_stage_seconds
+// sums add up to its latency histogram's sum and count every request once
+// per stage, and the time no stage claimed stays within 5 % of the total for
+// cached reads, cold reads and fsync=always writes alike.
+func TestStageClockReconciles(t *testing.T) {
+	base := store.New()
+	eng, err := durable.Open(base, durable.Options{Dir: t.TempDir(), Fsync: durable.FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if _, err := base.AddBatch(carCorpus(t).Triples()); err != nil {
+		t.Fatal(err)
+	}
+	url := newLocalServer(t, newTestServer(t, Config{Base: base, Durable: eng}))
+	post := func(path, body string) []byte {
+		t.Helper()
+		resp, err := http.Post(url+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s %s: %d %s %v", path, body, resp.StatusCode, b, err)
+		}
+		return b
+	}
+
+	const n = 200
+	kinds := []struct {
+		name, handler, total string
+		send                 func(i int)
+	}{
+		{"cached read", "/query", "onto_query_seconds", func(int) { post("/query", `{"bgp":"?x type vehicle"}`) }},
+		{"cold read", "/query", "onto_query_seconds", func(i int) {
+			// A new limit is a new cache key: every one of these evaluates.
+			post("/query", fmt.Sprintf(`{"bgp":"?x type ?c . ?c subClassOf vehicle","limit":%d}`, 1000+i))
+		}},
+		{"durable write", "/triples", "onto_mutation_seconds", func(i int) {
+			post("/triples", fmt.Sprintf(`{"add":[{"subject":"car%d","predicate":"type","object":"pickup"}]}`, i))
+		}},
+	}
+	post("/query", `{"bgp":"?x type vehicle"}`) // the cached reads' one miss
+	requests := map[string]float64{"/query": 1}
+	m0 := scrape(t, url+"/metrics")
+	for _, k := range kinds {
+		for i := 0; i < n; i++ {
+			k.send(i)
+		}
+		requests[k.handler] += n
+		m1 := scrape(t, url+"/metrics")
+		other := `onto_stage_seconds_sum{handler="` + k.handler + `",stage="other"}`
+		tot := m1[k.total+"_sum"] - m0[k.total+"_sum"]
+		share := (m1[other] - m0[other]) / tot
+		if tot <= 0 || share > 0.05 {
+			t.Errorf("%d %ss: other is %.2f%% of %gs, want at most 5%%", n, k.name, 100*share, tot)
+		}
+		split := ""
+		for st := obs.Stage(0); st < obs.NumStages; st++ {
+			key := `onto_stage_seconds_sum{handler="` + k.handler + `",stage="` + st.String() + `"}`
+			if _, ok := m1[key]; ok {
+				split += fmt.Sprintf(" %s %.1f", st, (m1[key]-m0[key])/n*1e6)
+			}
+		}
+		t.Logf("%d %ss: %.1f µs each =%s; other %.2f%%", n, k.name, tot/n*1e6, split, 100*share)
+		m0 = m1
+	}
+
+	for i := 0; i < 20; i++ {
+		var ex ExplainResponse
+		if err := json.Unmarshal(post("/query?explain=1", `{"bgp":"?x type ?c . ?c subClassOf vehicle"}`), &ex); err != nil {
+			t.Fatal(err)
+		}
+		sum := int64(0)
+		for name, ns := range ex.Stages {
+			if name != "total" {
+				sum += ns
+			}
+		}
+		if len(ex.Stages) != 7 || ex.Stages["total"] <= 0 || sum != ex.Stages["total"] {
+			t.Fatalf("explain stages %v: %d stages summing to %d, want decode…encode and other summing to total", ex.Stages, len(ex.Stages)-1, sum)
+		}
+	}
+	requests["/query"] += 20
+
+	m := scrape(t, url+"/metrics")
+	for handler, total := range map[string]string{"/query": "onto_query_seconds", "/triples": "onto_mutation_seconds"} {
+		if got := m[total+"_count"]; got != requests[handler] {
+			t.Errorf("%s_count = %g, want %g", total, got, requests[handler])
+		}
+		stages, sum := 0, 0.0
+		for k, v := range m {
+			if !strings.HasPrefix(k, `onto_stage_seconds_count{handler="`+handler+`"`) {
+				continue
+			}
+			stages++
+			if v != requests[handler] {
+				t.Errorf("%s = %g, want %g", k, v, requests[handler])
+			}
+			sum += m[strings.Replace(k, "_count{", "_sum{", 1)]
+		}
+		if want := map[string]int{"/query": 6, "/triples": 7}[handler]; stages != want {
+			t.Errorf("%s has %d stage series, want %d", handler, stages, want)
+		}
+		if rel := math.Abs(sum-m[total+"_sum"]) / m[total+"_sum"]; !(rel <= 1e-9) {
+			t.Errorf("%s: stage sums add to %gs, %s_sum is %gs (relative error %g)", handler, sum, total, m[total+"_sum"], rel)
+		}
+	}
 }

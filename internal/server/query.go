@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/query/exec"
 	"repro/internal/store"
@@ -19,13 +20,13 @@ import (
 // This file is POST /query: five stages over one request value — decode and
 // validate, pick the source for the mode, build the cache key, look up and
 // replay, evaluate — with one drain loop under both the streamed response and
-// its EXPLAIN form.
+// its EXPLAIN form; the request's clock is marked at each read stage's end.
 
 // queryRun is one /query request on its way through the stages: each stage
 // fills its fields in, and the trailer, the EXPLAIN body and the slow-query
 // record are all read off it at the end. It lives on handleQuery's stack.
 type queryRun struct {
-	start   time.Time
+	clock   *obs.Clock
 	explain bool // ?explain=1
 
 	// Set by decode.
@@ -52,8 +53,7 @@ type queryRun struct {
 // explainQuery).
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.queries.Add(1)
-	q := queryRun{start: time.Now(), trailer: QueryTrailer{Done: true}}
-	defer s.querySeconds.Since(q.start)
+	q := queryRun{clock: clockOf(w), trailer: QueryTrailer{Done: true}}
 	if !s.decode(w, r, &q) || !s.source(w, &q) {
 		return
 	}
@@ -65,7 +65,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	default:
 		s.evaluate(w, r, &q)
 	}
-	s.slow.observe(time.Since(q.start), slowQueryRecord{
+	q.clock.Mark(obs.StageEncode)
+	s.slow.observe(q.clock, slowQueryRecord{
 		RequestID: r.Header.Get(requestIDHeader),
 		BGP:       q.canonical,
 		Mode:      q.mode,
@@ -98,6 +99,7 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, q *queryRun) boo
 		q.limit = s.cfg.MaxSolutions
 	}
 	q.explain = r.URL.Query().Get("explain") == "1"
+	q.clock.Mark(obs.StageDecode)
 	return true
 }
 
@@ -154,6 +156,7 @@ func (q *queryRun) buildKey() {
 // response stream and report true.
 func (s *Server) replay(w http.ResponseWriter, q *queryRun) bool {
 	e := s.cache.get(q.key)
+	q.clock.Mark(obs.StageLookup)
 	if e == nil {
 		return false
 	}
@@ -217,23 +220,26 @@ var errClientGone = errors.New("server: client went away mid-response")
 // alike: it evaluates q's BGP under the request's deadline, hands the sink the
 // header and then rows until the stream ends or q.limit is met, and finds out
 // whether the limit cut anything off. It sets q.vars and the trailer's
-// solutions, truncated and elapsed_us, and returns the evaluation's error
+// solutions, truncated and elapsed_us (the clock's plan + exec + encode so
+// far), and returns the evaluation's error
 // (errClientGone if the sink could not write). exact reports that the count
 // and the truncated flag are the query's true answer — what a cache entry may
 // hold. Every way out — limit met, client gone — hands the operator tree's
 // pooled buffers back.
 func (s *Server) drain(r *http.Request, q *queryRun, sink *bodyWriter, extra ...query.Option) (exact bool, err error) {
-	start := time.Now()
 	sols := query.Eval(q.src, q.bgp, append(append(q.opts, query.Interrupt(s.cancelled(r))), extra...)...)
+	q.clock.Mark(obs.StagePlan)
 	defer sols.Close()
 	q.vars = sols.Vars()
 	if sink != nil {
 		sink.buf = appendHeader(sink.buf, q.vars)
 		sink.res, sink.frags = sols.Resolver(), rowFragments(q.vars)
 	}
+	q.clock.Mark(obs.StageEncode)
 	t := &q.trailer
 	for {
 		sb, ok := sols.NextBatch()
+		q.clock.Mark(obs.StageExec)
 		if !ok {
 			break
 		}
@@ -241,17 +247,20 @@ func (s *Server) drain(r *http.Request, q *queryRun, sink *bodyWriter, extra ...
 		if sink.rows(sb, t.Solutions, take) != nil {
 			return false, errClientGone // t.Solutions stops at the last whole batch
 		}
+		q.clock.Mark(obs.StageEncode)
 		if t.Solutions += take; t.Solutions >= q.limit {
 			// More rows in this batch, or another non-empty batch, means the
 			// limit cut the stream short.
 			t.Truncated = take < sb.Len()
 			if !t.Truncated {
 				_, t.Truncated = sols.NextBatch()
+				q.clock.Mark(obs.StageExec)
 			}
 			break
 		}
 	}
-	t.ElapsedUS = time.Since(start).Microseconds()
+	ns, _ := q.clock.Read()
+	t.ElapsedUS = (ns[obs.StagePlan] + ns[obs.StageExec] + ns[obs.StageEncode]) / 1e3
 	err = sols.Err()
 	if t.Solutions >= q.limit && errors.Is(err, query.ErrInterrupted) {
 		// The limit-full result is complete; only the did-more-solutions-exist
@@ -286,6 +295,7 @@ func (s *Server) cancelled(r *http.Request) func() bool {
 // a replayed result has no execution to describe, and an explain run's
 // drained rows are never cached.
 func (s *Server) explainQuery(w http.ResponseWriter, r *http.Request, q *queryRun) {
+	q.clock.Mark(obs.StageLookup) // no cache get: source and key
 	var tr query.Trace
 	gets0, puts0 := exec.PoolCounters()
 	// A limit break leaves the tree live; drain's Close is counted in PoolPuts.
@@ -300,6 +310,7 @@ func (s *Server) explainQuery(w http.ResponseWriter, r *http.Request, q *queryRu
 		Solutions: q.trailer.Solutions,
 		Truncated: q.trailer.Truncated,
 		ElapsedUS: q.trailer.ElapsedUS,
+		Stages:    stageSplit(q.clock, time.Nanosecond),
 		PoolGets:  gets1 - gets0,
 		PoolPuts:  puts1 - puts0,
 		Error:     q.trailer.Error,

@@ -43,6 +43,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -50,6 +51,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -107,10 +109,6 @@ type Config struct {
 	// server registers fixed metric names, so two Servers must not share
 	// one registry.
 	Metrics *obs.Registry
-	// DisableMetrics leaves GET /metrics unmounted. Instrumentation still
-	// runs (the /stats counters are the same atomics); only the Prometheus
-	// exposition endpoint is withheld.
-	DisableMetrics bool
 	// SlowQueryThreshold enables the slow-query log: every /query taking at
 	// least this long is appended to SlowQueryLog as one JSON line
 	// (slowQueryRecord). 0 disables the log.
@@ -161,18 +159,16 @@ type Server struct {
 	reasoner *reason.Reasoner
 	cache    *resultCache
 	feed     *repl.Feed   // primary-side delta retention; nil on replicas and with ReplRetain < 0
-	root     http.Handler // the route mux wrapped in the instrumentation middleware
+	routes   []route      // buildRoutes
+	root     http.Handler // the route mux
 	start    time.Time
 
 	queries   atomic.Int64
 	mutations atomic.Int64
 
-	reg  *obs.Registry
-	slow *slowQueryLog
-	// The instruments the handlers touch per request (registerMetrics).
-	querySeconds    *obs.Histogram
-	mutationSeconds *obs.Histogram
-	httpRequests    *obs.CounterVec
+	reg          *obs.Registry
+	slow         *slowQueryLog
+	httpRequests *obs.CounterVec
 
 	ridPrefix string // the start time in hex: request ids are unique across restarts
 	ridSeq    atomic.Int64
@@ -223,12 +219,14 @@ func New(cfg Config) (*Server, error) {
 		}
 	})
 	s.registerMetrics(reg)
-	mux, known := http.NewServeMux(), map[string]bool{}
-	for _, rt := range s.routes() {
+	s.routes = s.buildRoutes()
+	mux := http.NewServeMux()
+	for _, rt := range s.routes {
 		mux.Handle(rt.path, s.prologue(rt))
-		known[rt.path] = true
 	}
-	s.root = s.instrument(mux, known)
+	// Every other path is a 404 under handler "other": a bounded label space.
+	mux.Handle("/", s.prologue(route{path: "other", handle: http.NotFound}))
+	s.root = mux
 	return s, nil
 }
 
@@ -240,49 +238,103 @@ type route struct {
 	// 403 naming the primary.
 	primaryOnly bool
 	handle      http.HandlerFunc
+	timing      *timing // the route's latency histograms; nil on routes that keep none
 }
 
-// routes is the route table — the only list of the server's endpoints: New
-// mounts it, prologue enforces its method and primaryOnly columns, and the
-// per-handler request counter is labeled from its paths.
-func (s *Server) routes() []route {
+// buildRoutes is the route table — the only list of the server's endpoints:
+// New builds it once (it registers the histograms) and mounts it, prologue
+// enforces its method and primaryOnly columns and observes its timing, and
+// the per-handler request counter is labeled from its paths.
+func (s *Server) buildRoutes() []route {
 	rs := []route{
-		{"/query", http.MethodPost, false, s.handleQuery},
-		{"/triples", http.MethodPost, true, s.handleTriples},
-		{"/stats", http.MethodGet, false, s.handleStats},
-		{"/healthz", http.MethodGet, false, s.handleHealthz},
-		{"/snapshot", http.MethodGet, false, s.handleSnapshot},
-		{"/checkpoint", http.MethodPost, true, s.handleCheckpoint},
+		{"/query", http.MethodPost, false, s.handleQuery, s.timing("onto_query_seconds",
+			"POST /query handler latency in seconds (parse, cache lookup, evaluation and streaming).",
+			"/query", readStages...)},
+		{"/triples", http.MethodPost, true, s.handleTriples, s.timing("onto_mutation_seconds",
+			"POST /triples handler latency in seconds (decode, apply, re-materialize).",
+			"/triples", obs.StageDecode, obs.StagePropagate, obs.StageRetract, obs.StageCommit, obs.StagePublish, obs.StageRespond)},
+		{"/stats", http.MethodGet, false, s.handleStats, nil},
+		{"/healthz", http.MethodGet, false, s.handleHealthz, nil},
+		{"/snapshot", http.MethodGet, false, s.handleSnapshot, nil},
+		{"/checkpoint", http.MethodPost, true, s.handleCheckpoint, nil},
+		{"/metrics", http.MethodGet, false, s.reg.Handler().ServeHTTP, nil},
 	}
 	if s.feed != nil {
 		rs = append(rs,
-			route{repl.SnapshotPath, http.MethodGet, false, s.feed.ServeSnapshot(s.reasoner.SnapshotBase)},
-			route{repl.DeltasPath, http.MethodGet, false, s.feed.ServeDeltas})
-	}
-	if !s.cfg.DisableMetrics {
-		rs = append(rs, route{"/metrics", http.MethodGet, false, s.reg.Handler().ServeHTTP})
+			route{repl.SnapshotPath, http.MethodGet, false, s.feed.ServeSnapshot(s.reasoner.SnapshotBase), nil},
+			route{repl.DeltasPath, http.MethodGet, false, s.feed.ServeDeltas, nil})
 	}
 	return rs
 }
 
-// prologue is what every route runs before its handler: the method check
-// (405 with an Allow header) and, on a replica, the refusal of primary-only
-// endpoints (403 naming the primary — the client's fix is to send the write
-// there). Handler bodies start at their own work.
+// exchange is one request as prologue sees it: the writer its handler
+// writes through, the status it wrote, and its clock, pooled as one value.
+type exchange struct {
+	http.ResponseWriter
+	code  int
+	clock obs.Clock
+}
+
+var exchangePool = sync.Pool{New: func() any { return new(exchange) }}
+
+func (x *exchange) WriteHeader(code int) {
+	x.code = cmp.Or(x.code, code)
+	x.ResponseWriter.WriteHeader(code)
+}
+
+// Flush forwards to the wrapped writer; the streaming endpoints rely on it.
+func (x *exchange) Flush() {
+	if f, ok := x.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
+// clockOf is the clock prologue started for w, or nil (times nothing).
+func clockOf(w http.ResponseWriter) *obs.Clock {
+	if x, ok := w.(*exchange); ok {
+		return &x.clock
+	}
+	return nil
+}
+
+// prologue runs around every route's handler. It starts the request's clock,
+// reads or mints the request id, answers a wrong method 405 with an Allow
+// header (a route with no method takes any) and a primary-only route on a
+// replica 403 naming the primary, and afterwards counts the response and,
+// if the handler ran, observes the route's timing.
 func (s *Server) prologue(rt route) http.Handler {
+	var codes [1000]atomic.Pointer[obs.Counter] // request counters by status; net/http writes 100–999
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != rt.method {
-			w.Header().Set("Allow", rt.method)
-			writeError(w, http.StatusMethodNotAllowed, "%s only", rt.method)
-			return
+		x := exchangePool.Get().(*exchange)
+		x.ResponseWriter, x.code = w, 0
+		x.clock.Start()
+		rid := r.Header.Get(requestIDHeader)
+		if rid == "" {
+			rid = s.nextRequestID()
+			r.Header.Set(requestIDHeader, rid) // handlers read it back off the request
 		}
-		if rt.primaryOnly && s.cfg.Replica != nil {
-			writeError(w, http.StatusForbidden,
+		w.Header().Set(requestIDHeader, rid)
+		switch {
+		case rt.method != "" && r.Method != rt.method:
+			w.Header().Set("Allow", rt.method)
+			writeError(x, http.StatusMethodNotAllowed, "%s only", rt.method)
+		case rt.primaryOnly && s.cfg.Replica != nil:
+			writeError(x, http.StatusForbidden,
 				"this node is a read replica; send writes to the primary at %s",
 				s.cfg.Replica.Status().Primary)
-			return
+		default:
+			rt.handle(x, r)
+			rt.timing.observe(&x.clock)
 		}
-		rt.handle(w, r)
+		code := cmp.Or(x.code, http.StatusOK)
+		c := codes[code].Load()
+		if c == nil {
+			c = s.httpRequests.With(rt.path, strconv.Itoa(code))
+			codes[code].Store(c)
+		}
+		c.Inc()
+		x.ResponseWriter = nil
+		exchangePool.Put(x)
 	})
 }
 
@@ -292,8 +344,8 @@ func (s *Server) prologue(rt route) http.Handler {
 // the server's cache invalidation and replication feed own that hook.
 func (s *Server) Reasoner() *reason.Reasoner { return s.reasoner }
 
-// Handler returns the http.Handler serving every endpoint (wrapped in the
-// request-ID and per-handler accounting middleware), for mounting under a
+// Handler returns the http.Handler serving every endpoint (each behind its
+// prologue: request id, clock and accounting), for mounting under a
 // custom http.Server or hitting directly in tests and benchmarks.
 func (s *Server) Handler() http.Handler { return s.root }
 
@@ -343,13 +395,3 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 // default) so a shutdown does not sever streams a timeout would have ended
 // anyway.
 const shutdownGrace = 10 * time.Second
-
-// ListenAndServe binds addr and calls Serve. It returns once the listener
-// is closed — on ctx cancellation, after the graceful shutdown completes.
-func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("server: listening on %s: %w", addr, err)
-	}
-	return s.Serve(ctx, ln)
-}
