@@ -9,25 +9,27 @@ import (
 )
 
 // footprint is the structural size of one index family, counted by walking
-// it: lead entries, (lead, mid) pairs and the capacity they sit in, how many
-// of the pairs hold their one member inline, and the runs of the others —
-// a slice header each and their element capacity. Nothing is kept beside a
-// pair or a run.
+// it: the lead pages allocated and the page tables' capacity, the leads
+// filed in the pages' slots, (lead, mid) pairs and the capacity they sit in,
+// how many of the pairs hold their one member inline, and the runs of the
+// others — a slice header each and their element capacity. Nothing is kept
+// beside a page, a pair or a run.
 type footprint struct {
-	leads, pairs, pairCap, inline, runs, elemCap int
+	pages, tableCap, leads, pairs, pairCap, inline, runs, elemCap int
 }
-
-// leadMapEntryBytes is what a map[uint32]*leadEntry entry costs beyond the
-// lead entry itself, bucket overhead included, from a heap profile of a
-// loaded store.
-const leadMapEntryBytes = 24
 
 func familyFootprint(fam *indexFamily) footprint {
 	var f footprint
 	for i := range fam {
 		sh := &fam[i]
 		sh.mu.RLock()
-		for _, e := range sh.m {
+		f.tableCap += cap(sh.pages)
+		for _, pg := range sh.pages {
+			if pg != nil {
+				f.pages++
+			}
+		}
+		sh.ascend(uint32(i), func(_ uint32, e *leadEntry) bool {
 			f.leads++
 			f.pairs += len(e.entries)
 			f.pairCap += cap(e.entries)
@@ -39,17 +41,49 @@ func familyFootprint(fam *indexFamily) footprint {
 					f.inline++
 				}
 			}
-		}
+			return true
+		})
 		sh.mu.RUnlock()
 	}
 	return f
 }
 
+// add sums two walks.
+func (f *footprint) add(g footprint) {
+	f.pages += g.pages
+	f.tableCap += g.tableCap
+	f.leads += g.leads
+	f.pairs += g.pairs
+	f.pairCap += g.pairCap
+	f.inline += g.inline
+	f.runs += g.runs
+	f.elemCap += g.elemCap
+}
+
+// slots is how many leads the allocated pages hold room for.
+func (f footprint) slots() int {
+	return f.pages * len(leadPage{})
+}
+
+// occupancy is the share of the slots that hold a lead. At about one half a
+// page costs what a map would for the same leads (24 bytes a slot against 48
+// a mapped lead), so a family well below that is filed at a loss.
+func (f footprint) occupancy() float64 {
+	if f.pages == 0 {
+		return 0
+	}
+	return float64(f.leads) / float64(f.slots())
+}
+
 // bytes prices the walk.
 func (f footprint) bytes() int {
-	return f.leads*(int(unsafe.Sizeof(leadEntry{}))+leadMapEntryBytes) +
-		f.pairCap*int(unsafe.Sizeof(midTrail{})) +
-		f.runBytes()
+	return f.leadBytes() + f.pairCap*int(unsafe.Sizeof(midTrail{})) + f.runBytes()
+}
+
+// leadBytes is the share of bytes the lead level costs: the allocated pages,
+// whole, and the page tables.
+func (f footprint) leadBytes() int {
+	return f.pages*int(unsafe.Sizeof(leadPage{})) + f.tableCap*int(unsafe.Sizeof((*leadPage)(nil)))
 }
 
 // runBytes is the share of bytes the runs add beside their pairs.
@@ -58,8 +92,8 @@ func (f footprint) runBytes() int {
 }
 
 func (f footprint) String() string {
-	return fmt.Sprintf("%d leads, %d pairs (cap %d, %d inline), %d runs over %d element slots, %d bytes",
-		f.leads, f.pairs, f.pairCap, f.inline, f.runs, f.elemCap, f.bytes())
+	return fmt.Sprintf("%d leads in %d slots (%.1f %% occupied), %d pairs (cap %d, %d inline), %d runs over %d element slots, %d bytes",
+		f.leads, f.slots(), 100*f.occupancy(), f.pairs, f.pairCap, f.inline, f.runs, f.elemCap, f.bytes())
 }
 
 // materializedServingSet builds, in s's dictionary, the sorted id triples of
@@ -141,26 +175,22 @@ func storeFootprint(s *Store) (names []string, fams []footprint, total footprint
 		}
 		f := familyFootprint((*indexFamily)(unsafe.Pointer(v.Field(i).UnsafeAddr())))
 		names, fams = append(names, v.Type().Field(i).Name), append(fams, f)
-		total.leads += f.leads
-		total.pairs += f.pairs
-		total.pairCap += f.pairCap
-		total.inline += f.inline
-		total.runs += f.runs
-		total.elemCap += f.elemCap
+		total.add(f)
 	}
 	return names, fams, total
 }
 
 // TestIndexFootprint holds the index layout to its memory budget on the shape
 // the serving harness boots: per triple, at most 0.35 (lead, mid) pairs and
-// 20 structural bytes over all families, with a (lead, mid) pair at 16 bytes.
+// 16 structural bytes over all families, with a (lead, mid) pair at 16 bytes.
 // A layout that files every triple under a near-unique (lead, mid) pair — an
 // object-led family over type facts, one midTrail per (class, instance) — has
 // more than one pair per triple and fails both; one that keeps anything per
 // member beside the member itself — a position map over a class's instances,
 // 16 bytes an entry — fails the bytes, and so does one that gives each
 // single-member set a run of its own (a header and an element, 28 bytes, on
-// two of an instance's three SPO pairs).
+// two of an instance's three SPO pairs), or files each lead through a hash
+// map again (24 bytes a lead beside its entry: 17.1 here).
 func TestIndexFootprint(t *testing.T) {
 	if size := unsafe.Sizeof(midTrail{}); size != 16 {
 		t.Errorf("a (lead, mid) pair is %d bytes, budget 16: a mid, one inline member and a run pointer", size)
@@ -179,8 +209,51 @@ func TestIndexFootprint(t *testing.T) {
 	if pairs > 0.35 {
 		t.Errorf("%.3f (lead, mid) pairs per triple, budget 0.35", pairs)
 	}
-	if bytes > 20 {
-		t.Errorf("%.1f structural bytes per triple, budget 20", bytes)
+	if bytes > 16 {
+		t.Errorf("%.1f structural bytes per triple, budget 16", bytes)
+	}
+}
+
+// TestLonePredicateCostsOnePage: a store whose only predicate was minted at
+// id 10⁵, after every other name, files its one POS lead in one page — on the
+// write path and on the bulk path alike. The page table reaches the id; the
+// pages do not, where a flat directory up to the id would cost 24 bytes for
+// every id below it.
+func TestLonePredicateCostsOnePage(t *testing.T) {
+	const late = 100_000
+	s := New()
+	for i := 0; i < late; i++ {
+		if _, err := s.Intern(fmt.Sprintf("n%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pred, err := s.Intern("late")
+	if err != nil || pred != late {
+		t.Fatalf("Intern(late) = %d, %v; want id %d", pred, err, late)
+	}
+	var ts []IDTriple
+	for i := SymbolID(0); i < 50; i++ {
+		ts = append(ts, IDTriple{S: i, P: pred, O: i + 1})
+	}
+	tx := s.Begin()
+	for _, tr := range ts {
+		if _, err := tx.AddID(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bulk := s.NewOverlay()
+	if err := bulk.LoadSorted(ts); err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]*Store{"written": s, "bulk-loaded": bulk} {
+		f := familyFootprint(&st.pos)
+		t.Logf("%s: POS %v; lead level %d bytes", name, f, f.leadBytes())
+		if f.leads != 1 || f.pages != 1 {
+			t.Errorf("%s: POS files %d leads in %d pages, want 1 in 1", name, f.leads, f.pages)
+		}
+		if table := f.leadBytes() - int(unsafe.Sizeof(leadPage{})); table > 1024 {
+			t.Errorf("%s: the POS page tables cost %d bytes to reach id %d", name, table, late)
+		}
 	}
 }
 
@@ -209,6 +282,9 @@ func BenchmarkIndexFootprint(b *testing.B) {
 		b.ReportMetric(float64(f.runBytes())/n, names[i]+"-run-B/triple")
 		b.ReportMetric(float64(f.pairs)/n, names[i]+"-pairs/triple")
 		b.ReportMetric(float64(f.inline)/n, names[i]+"-inline/triple")
+		b.ReportMetric(float64(f.leads), names[i]+"-leads")
+		b.ReportMetric(float64(f.slots()), names[i]+"-slots")
+		b.ReportMetric(f.occupancy(), names[i]+"-occupancy")
 	}
 	b.ReportMetric(float64(total.bytes())/n, "B/triple")
 	b.ReportMetric(float64(total.pairs)/n, "pairs/triple")

@@ -99,8 +99,8 @@ func (s *Store) encodePattern(p Pattern) (IDPattern, bool) {
 // shard lock and one lead lookup; the object-only pattern (? ? o) has no lead
 // to look up, so it costs one find per predicate of the store (and a lock
 // round trip per shard) plus its matches. The enumeration order is
-// unspecified. yield must not write to the store (it runs under a shard
-// read-lock).
+// unspecified but deterministic: the same triples stream in the same sequence.
+// yield must not write to the store (it runs under a shard read-lock).
 func (s *Store) QueryIDFunc(p IDPattern, yield func(IDTriple) bool) {
 	s.QueryIDBatch([]IDPattern{p}, func(_ int, t IDTriple) bool { return yield(t) })
 }
@@ -111,12 +111,13 @@ func (s *Store) countObject(o SymbolID) (count, preds int) {
 	for i := range s.pos {
 		sh := &s.pos[i]
 		sh.mu.RLock()
-		for _, e := range sh.m {
+		sh.ascend(uint32(i), func(_ uint32, e *leadEntry) bool {
 			if set := e.find(o); set != nil {
 				count += set.len()
 				preds++
 			}
-		}
+			return true
+		})
 		sh.mu.RUnlock()
 	}
 	return count, preds
@@ -156,7 +157,7 @@ func (s *Store) StatsID(p IDPattern) IDStats {
 		sh := s.spo.shard(p.S)
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
-		e := sh.m[p.S]
+		e := sh.find(p.S)
 		if e == nil {
 			return IDStats{}
 		}
@@ -188,7 +189,7 @@ func (s *Store) StatsID(p IDPattern) IDStats {
 		sh := s.pos.shard(p.P)
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
-		e := sh.m[p.P]
+		e := sh.find(p.P)
 		if e == nil {
 			return IDStats{}
 		}
@@ -217,16 +218,18 @@ func (s *Store) StatsID(p IDPattern) IDStats {
 		st := IDStats{Count: s.Len()}
 		for i := range s.spo {
 			s.spo[i].mu.RLock()
-			st.DistinctS += len(s.spo[i].m)
+			st.DistinctS += s.spo[i].leads
 			s.spo[i].mu.RUnlock()
 		}
 		for i := range s.pos {
-			s.pos[i].mu.RLock()
-			st.DistinctP += len(s.pos[i].m)
-			for _, e := range s.pos[i].m {
+			sh := &s.pos[i]
+			sh.mu.RLock()
+			st.DistinctP += sh.leads
+			sh.ascend(uint32(i), func(_ uint32, e *leadEntry) bool {
 				st.DistinctO += len(e.entries)
-			}
-			s.pos[i].mu.RUnlock()
+				return true
+			})
+			sh.mu.RUnlock()
 		}
 		return st
 	}

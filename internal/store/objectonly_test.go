@@ -97,8 +97,7 @@ func resolved(res Resolver, ts []IDTriple) []Triple {
 // checkObjectOnly compares every read surface of r on the object-only
 // pattern of each probe object against ref: the answers themselves through
 // checkReads (ref_test.go), then what is particular to the shape — the
-// bounds StatsID's widths promise, a cursor that never spills, and a batch
-// far wider than the shard count.
+// bounds StatsID's widths promise and a batch far wider than the shard count.
 func checkObjectOnly(t *testing.T, what string, r idReader, syms *Store, ref *refStore) {
 	t.Helper()
 	patterns := make([]Pattern, len(objectOnlyProbes))
@@ -132,19 +131,6 @@ func checkObjectOnly(t *testing.T, what string, r idReader, syms *Store, ref *re
 		}
 		if len(want) > 0 && (st.DistinctS < 1 || st.DistinctS > 2*len(want) || st.DistinctO < 1) {
 			t.Fatalf("%s: StatsID(? ? %s) = %+v for %d matches", what, object, st, len(want))
-		}
-
-		for _, size := range []int{1, 7, 1024} {
-			buf := make([]IDTriple, size)
-			for _, pt := range r.ScanParts(p) {
-				for done := false; !done; {
-					_, done = pt.NextBatch(buf)
-					if len(pt.pending) != 0 {
-						t.Fatalf("%s: object-only cursor spilled %d triples", what, len(pt.pending))
-					}
-				}
-				pt.Release()
-			}
 		}
 	}
 
@@ -238,9 +224,9 @@ func TestObjectOnlyEarlyStop(t *testing.T) {
 }
 
 // TestObjectOnlyCursorIsBounded: a class with a 5 000-subject posting list is
-// streamed by position — every refill returns at most one batch and the
-// cursor never buffers a triple of its own — on a store and on the two
-// cursors of a view whose members split the list.
+// streamed by position, every triple once, on a store and on the two cursors
+// of a view whose members split the list. A cursor has nowhere to buffer a
+// triple of its own, so every refill is at most one batch by construction.
 func TestObjectOnlyCursorIsBounded(t *testing.T) {
 	const subjects, batchSize = 5000, 64
 	base := New()
@@ -266,26 +252,17 @@ func TestObjectOnlyCursorIsBounded(t *testing.T) {
 	seen := map[IDTriple]bool{}
 	drain := func(what string, pt *ScanPart, want int) {
 		t.Helper()
-		// A fresh cursor, not a pooled one: the capacity check below is about
-		// what this scan allocated.
-		pt.leads, pt.pending = nil, nil
 		buf := make([]IDTriple, batchSize)
 		before := len(seen)
 		for done := false; !done; {
 			var n int
 			n, done = pt.NextBatch(buf)
-			if len(pt.pending) != 0 {
-				t.Fatalf("%s: cursor holds %d spilled triples", what, len(pt.pending))
-			}
 			for _, tr := range buf[:n] {
 				if seen[tr] {
 					t.Fatalf("%s: %v reported twice", what, tr)
 				}
 				seen[tr] = true
 			}
-		}
-		if cap(pt.pending) != 0 || cap(pt.leads) > 64 {
-			t.Fatalf("%s: drained cursor kept a %d-triple spill buffer and %d lead keys", what, cap(pt.pending), cap(pt.leads))
 		}
 		if got := len(seen) - before; got != want {
 			t.Fatalf("%s: drained %d triples, want %d", what, got, want)
@@ -305,11 +282,12 @@ func walkShardTripleCount(s *Store, i int) int {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	n := 0
-	for _, e := range sh.m {
+	sh.ascend(uint32(i), func(_ uint32, e *leadEntry) bool {
 		for j := range e.entries {
 			n += e.entries[j].len()
 		}
-	}
+		return true
+	})
 	return n
 }
 

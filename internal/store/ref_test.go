@@ -109,7 +109,7 @@ func addSpine(t *testing.T, s *Store, ref *refStore) {
 	for name, fam := range map[string]*indexFamily{"SPO": &s.spo, "POS": &s.pos} {
 		mids, trails := 0, 0
 		for i := range fam {
-			for _, e := range fam[i].m {
+			fam[i].ascend(uint32(i), func(_ uint32, e *leadEntry) bool {
 				if len(e.entries) > linearRun {
 					mids++
 				}
@@ -118,7 +118,8 @@ func addSpine(t *testing.T, s *Store, ref *refStore) {
 						trails++
 					}
 				}
-			}
+				return true
+			})
 		}
 		if mids == 0 || trails == 0 {
 			t.Fatalf("%s: the spine made %d leads past %d mids and %d trailing runs past %d; want at least one of each", name, mids, linearRun, trails, longRun)
@@ -475,6 +476,72 @@ func TestQueryIDFuncDoesNotAllocate(t *testing.T) {
 			}
 			if n == 0 {
 				t.Errorf("%s: QueryIDFunc%v matched nothing; the fixture should hit every shape", c.name, p)
+			}
+		}
+	}
+}
+
+// TestLeadlessOrderIsDeterministic: the two shapes with no lead to look up,
+// (? ? o) and (? ? ?), walk every shard's leads in ascending id order, so
+// QueryIDFunc yields one sequence for one set of triples — on repeated calls,
+// on a store that filed the same triples in another order, and on one
+// bulk-loaded with them — and the cursor drains the same sequence.
+func TestLeadlessOrderIsDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	var ts []Triple
+	for i := 0; i < 600; i++ {
+		ts = append(ts, Triple{fmt.Sprintf("s%d", rng.Intn(150)), fmt.Sprintf("p%d", rng.Intn(20)), fmt.Sprintf("o%d", rng.Intn(12))})
+	}
+	// Every store interns the names in one order, so ids agree across them.
+	fresh := func() *Store {
+		s := New()
+		for _, tr := range ts {
+			s.syms.internTriple(tr)
+		}
+		return s
+	}
+	written := fresh()
+	for _, i := range rng.Perm(len(ts)) {
+		written.MustAdd(ts[i])
+	}
+	batched := fresh()
+	shuffled := slices.Clone(ts)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	if _, err := batched.AddBatch(shuffled); err != nil {
+		t.Fatal(err)
+	}
+	loaded := fresh()
+	_, ids := dumpIDState(written)
+	if err := loaded.LoadSorted(ids); err != nil {
+		t.Fatal(err)
+	}
+	patterns := []IDPattern{{}}
+	for o := 0; o < 12; o += 5 {
+		patterns = append(patterns, IDPattern{O: mustID(t, written, fmt.Sprintf("o%d", o)), BoundO: true})
+	}
+	sequence := func(s *Store, p IDPattern) []IDTriple {
+		var out []IDTriple
+		s.QueryIDFunc(p, func(tr IDTriple) bool {
+			out = append(out, tr)
+			return true
+		})
+		return out
+	}
+	for _, p := range patterns {
+		want := sequence(written, p)
+		if len(want) == 0 {
+			t.Fatalf("%+v matches nothing; the fixture should hit it", p)
+		}
+		for name, got := range map[string][]IDTriple{
+			"a second call":                  sequence(written, p),
+			"the shuffled batch":             sequence(batched, p),
+			"the bulk load":                  sequence(loaded, p),
+			"the cursor, 7 at a time":        drainParts(written, p, 7),
+			"the bulk load's cursor":         drainParts(loaded, p, 1024),
+			"the shuffled batch's cursor, 1": drainParts(batched, p, 1),
+		} {
+			if !slices.Equal(got, want) {
+				t.Errorf("%+v: %s yields another sequence than the first call (%d and %d triples)", p, name, len(got), len(want))
 			}
 		}
 	}

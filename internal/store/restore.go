@@ -342,24 +342,25 @@ func carve[T any](arena *[]T, n int) []T {
 
 // buildShardSorted populates one empty shard from its permuted bucket, which
 // is sorted by (lead, mid) = (S, P) with the trail in O. Runs sharing a lead
-// become one leadEntry, runs sharing (lead, mid) one pair, and every level is
-// carved out of four arena allocations sized by a counting pass — for SPO,
-// whose leads are the store's subjects, per-entry allocation would mean
-// millions of tiny objects for the GC to trace — except the runs past
-// arenaRunMax (see carve). A one-member set is written into its pair; a
-// longer one is copied in the bucket's order, which is ascending
-// (radixSortIDTriples), so it is a valid run as it stands, and its slice
-// header comes from an arena of its own. The pairs arrive ascending by mid.
+// become one leadEntry, written into its slot of the shard's pages, runs
+// sharing (lead, mid) one pair, and the levels below are carved out of three
+// arena allocations sized by a counting pass — for SPO, whose leads are the
+// store's subjects, per-entry allocation would mean millions of tiny objects
+// for the GC to trace — except the runs past arenaRunMax (see carve). A
+// one-member set is written into its pair; a longer one is copied in the
+// bucket's order, which is ascending (radixSortIDTriples), so it is a valid
+// run as it stands, and its slice header comes from an arena of its own. The
+// pairs arrive ascending by mid.
 func buildShardSorted(sh *shard, bucket []IDTriple) {
 	// A restored store is private until RestoreSorted returns, but an overlay
 	// being loaded is already behind a View: the lock is what lets readers
 	// see the shard either empty or complete.
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	// Counting pass: the leads, and what lives in the arenas — pairs of leads
-	// up to arenaRunMax wide, a header per set of two or more members, and
-	// the members of sets up to arenaRunMax.
-	leads, mids, runs, elems := 0, 0, 0, 0
+	// Counting pass: what lives in the arenas — pairs of leads up to
+	// arenaRunMax wide, a header per set of two or more members, and the
+	// members of sets up to arenaRunMax.
+	mids, runs, elems := 0, 0, 0
 	leadMids, pairElems := 0, 0 // sizes of the lead and (lead, mid) runs in progress
 	for i, t := range bucket {
 		newLead := i == 0 || t.S != bucket[i-1].S
@@ -376,7 +377,6 @@ func buildShardSorted(sh *shard, bucket []IDTriple) {
 					mids += leadMids
 				}
 				leadMids = 0
-				leads++
 			}
 			leadMids++
 		}
@@ -391,12 +391,11 @@ func buildShardSorted(sh *shard, bucket []IDTriple) {
 	if leadMids <= arenaRunMax {
 		mids += leadMids
 	}
-	leadArena := make([]leadEntry, leads)
 	midArena := make([]midTrail, mids)
 	runArena := make([][]uint32, runs)
 	elemArena := make([]uint32, elems)
-	sh.m = make(map[uint32]*leadEntry, leads)
-	sh.n = len(bucket)
+	sh.pages = make([]*leadPage, bucket[len(bucket)-1].S>>(shardBits+leadPageBits)+1)
+	sh.n, sh.leads = len(bucket), 0
 	for i := 0; i < len(bucket); {
 		l := bucket[i].S
 		j, nm := i, 0
@@ -406,9 +405,9 @@ func buildShardSorted(sh *shard, bucket []IDTriple) {
 			}
 			j++
 		}
-		e := &leadArena[0]
-		leadArena = leadArena[1:]
+		e := sh.slot(l)
 		e.entries = carve(&midArena, nm)
+		sh.leads++
 		for p, k := 0, i; k < j; p++ {
 			m := bucket[k].P
 			k2 := k
@@ -427,7 +426,6 @@ func buildShardSorted(sh *shard, bucket []IDTriple) {
 			}
 			k = k2
 		}
-		sh.m[l] = e
 		i = j
 	}
 }

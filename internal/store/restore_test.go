@@ -161,7 +161,7 @@ func TestRestoreSortedInlineSingle(t *testing.T) {
 		t.Fatalf("RestoreSorted: %v", err)
 	}
 	model := map[IDTriple]bool{{0, 1, 2}: true, {0, 4, 5}: true}
-	if mt := s.spo.shard(0).m[0].find(1); mt == nil || mt.run != nil {
+	if mt := s.spo.shard(0).find(0).find(1); mt == nil || mt.run != nil {
 		t.Fatalf("the restored one-object pair (s, p) is %+v, want its member inline", mt)
 	}
 	check := func(stage string) {

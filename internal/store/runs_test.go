@@ -55,9 +55,10 @@ func checkSet(mt *midTrail) (members int, bad string) {
 	return len(run), ""
 }
 
-// checkRuns holds every lead of both families of s to checkLead, each
-// shard's triple counter to the members its leads hold, and the family's to
-// Len.
+// checkRuns holds every lead of both families of s to checkLead, the walk of
+// each shard to ascending ids of that shard, each shard's triple counter to
+// the members its leads hold and its lead counter to the leads the walk
+// finds, and the family's triples to Len.
 func checkRuns(t testing.TB, what string, s *Store) {
 	t.Helper()
 	for name, fam := range map[string]*indexFamily{"SPO": &s.spo, "POS": &s.pos} {
@@ -65,17 +66,26 @@ func checkRuns(t testing.TB, what string, s *Store) {
 		for i := range fam {
 			sh := &fam[i]
 			sh.mu.RLock()
-			n, bad := 0, ""
-			for lead, e := range sh.m {
+			n, leads, bad := 0, 0, ""
+			prev := int64(-1)
+			sh.ascend(uint32(i), func(lead uint32, e *leadEntry) bool {
 				members, why := checkLead(e)
-				if why != "" {
+				switch {
+				case why != "":
 					bad = fmt.Sprintf("lead %d: %s", lead, why)
-					break
+				case shardOf(lead) != uint32(i) || int64(lead) <= prev:
+					bad = fmt.Sprintf("the walk reports lead %d after %d", lead, prev)
 				}
 				n += members
-			}
+				leads++
+				prev = int64(lead)
+				return bad == ""
+			})
 			if bad == "" && n != sh.n {
 				bad = fmt.Sprintf("the sets hold %d triples, the shard counts %d", n, sh.n)
+			}
+			if bad == "" && leads != sh.leads {
+				bad = fmt.Sprintf("the walk finds %d leads, the shard counts %d", leads, sh.leads)
 			}
 			sh.mu.RUnlock()
 			if bad != "" {
@@ -131,12 +141,12 @@ func idSetScript(t *testing.T, script []byte) {
 				t.Fatalf("op %d: contains(%d, %d) = %v, model says %v", i/2, mid, v, got, model[key])
 			}
 		}
-		e := sh.m[lead]
+		e := sh.find(lead)
 		if (e == nil) != (len(model) == 0) {
 			t.Fatalf("op %d: lead present: %v, with %d members in the model", i/2, e != nil, len(model))
 		}
-		if sh.n != len(model) {
-			t.Fatalf("op %d: the shard counts %d, model has %d", i/2, sh.n, len(model))
+		if sh.n != len(model) || (sh.leads == 1) != (e != nil) {
+			t.Fatalf("op %d: the shard counts %d triples and %d leads, model has %d members", i/2, sh.n, sh.leads, len(model))
 		}
 		if e == nil {
 			continue
@@ -152,7 +162,7 @@ func idSetScript(t *testing.T, script []byte) {
 			t.Fatalf("op %d: %s; %d members under mid %d, model has %d", i/2, bad, n, mid, perMid[mid])
 		}
 	}
-	if e := sh.m[lead]; e != nil {
+	if e := sh.find(lead); e != nil {
 		if n, bad := checkLead(e); bad != "" || n != len(model) {
 			t.Fatalf("%s; %d members, model has %d", bad, n, len(model))
 		}
@@ -161,7 +171,7 @@ func idSetScript(t *testing.T, script []byte) {
 	for k := range model {
 		want[k[0]] = append(want[k[0]], k[1])
 	}
-	if e := sh.m[lead]; e != nil {
+	if e := sh.find(lead); e != nil {
 		if len(e.entries) != len(want) {
 			t.Fatalf("%d pairs, model has %d mids", len(e.entries), len(want))
 		}
@@ -261,7 +271,8 @@ func TestNewMidDoesNotAllocate(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const lead, spare = 7, 64
-	sh := shard{m: map[uint32]*leadEntry{lead: {entries: make([]midTrail, 0, spare)}}}
+	var sh shard
+	sh.slot(lead).entries = make([]midTrail, 0, spare)
 	mid := uint32(2 * spare)
 	if allocs := testing.AllocsPerRun(spare-1, func() {
 		mid -= 2 // descending: each new pair lands below every other
@@ -274,7 +285,7 @@ func TestNewMidDoesNotAllocate(t *testing.T) {
 	if !sh.insertLocked(lead, mid+1, 7) {
 		t.Fatal("insert between two pairs reported a duplicate")
 	}
-	if n, bad := checkLead(sh.m[lead]); bad != "" || n != spare+1 {
+	if n, bad := checkLead(sh.find(lead)); bad != "" || n != spare+1 {
 		t.Fatalf("%s; %d members, want %d", bad, n, spare+1)
 	}
 }
@@ -289,7 +300,9 @@ func TestNewMidDoesNotAllocate(t *testing.T) {
 // a store and through a view whose overlay holds the list, and the same with
 // the predicate left open, where the object-only fan-out walks the list. One
 // level up, a (S ? ?) cursor over one subject's one-object predicates keeps
-// the same guarantee while pairs are dropped and filed below it.
+// the same guarantee while pairs are dropped and filed below it, and at the
+// top the unbound cursor keeps it while leads are pruned behind it and filed
+// ahead of it.
 func TestCursorResumesByValue(t *testing.T) {
 	for _, size := range []int{1, 7, 1024} {
 		for _, view := range []bool{false, true} {
@@ -301,6 +314,109 @@ func TestCursorResumesByValue(t *testing.T) {
 		}
 	}
 	t.Run("lead/batch=1", checkLeadCursorResumes)
+	for _, size := range []int{1, 3} {
+		t.Run(fmt.Sprintf("unbound/batch=%d", size), func(t *testing.T) {
+			checkUnboundCursorResumes(t, size)
+		})
+	}
+}
+
+// checkUnboundCursorResumes drains a (? ? ?) cursor over 200 subjects of two
+// triples each, size triples at a time, until it stands among the leads of a
+// shard in the middle of the family. Then a lead the cursor finished in an
+// earlier shard is pruned, so is one it finished in its own shard and the
+// lead it stands in, and two new leads are filed ahead of it: one in its own
+// shard above every lead there, one in a later shard. Every untouched lead is
+// reported exactly once, the two new ones too, a pruned one at most once.
+func checkUnboundCursorResumes(t *testing.T, size int) {
+	const subjects, mid = 200, numShards / 2
+	s := New()
+	id := func(name string) SymbolID {
+		v, err := s.Intern(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	p, q, o := id("p"), id("q"), id("o")
+	lead := func(subject SymbolID) []IDTriple {
+		return []IDTriple{{S: subject, P: p, O: o}, {S: subject, P: q, O: o}}
+	}
+	// Ids ascend with i; the last numShards names, one per shard, are held
+	// back to be filed as new leads.
+	var inShard [numShards][]SymbolID // filed subjects, ascending, by shard
+	var spare [numShards]SymbolID
+	tx := s.Begin()
+	for i := 0; i < subjects+numShards; i++ {
+		subject := id(fmt.Sprintf("s%d", i))
+		if i >= subjects {
+			spare[shardOf(subject)] = subject
+			continue
+		}
+		inShard[shardOf(subject)] = append(inShard[shardOf(subject)], subject)
+		for _, tr := range lead(subject) {
+			if _, err := tx.AddID(tr); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	target := inShard[mid][len(inShard[mid])/2]
+
+	pt := s.scanPart(IDPattern{})
+	defer pt.Release()
+	buf := make([]IDTriple, size)
+	seen := map[IDTriple]int{}
+	var last IDTriple
+	done := false
+	for !done && seen[lead(target)[0]] == 0 {
+		var n int
+		n, done = pt.NextBatch(buf)
+		for _, tr := range buf[:n] {
+			seen[tr]++
+			last = tr
+		}
+	}
+	if done || shardOf(last.S) != mid || last.S == inShard[mid][1] {
+		t.Fatalf("the cursor stands at %v (done %v); the fixture wants it among the leads of shard %d", last, done, mid)
+	}
+	touched := map[SymbolID]bool{inShard[0][0]: true, inShard[mid][1]: true, last.S: true}
+	for subject := range touched {
+		for _, tr := range lead(subject) {
+			tx.RemoveID(tr)
+		}
+	}
+	fresh := []SymbolID{spare[mid], spare[mid+1]}
+	for _, subject := range fresh {
+		for _, tr := range lead(subject) {
+			if added, err := tx.AddID(tr); err != nil || !added {
+				t.Fatalf("AddID(%v) = %v, %v", tr, added, err)
+			}
+		}
+	}
+	checkRuns(t, "written store", s)
+	for !done {
+		var n int
+		n, done = pt.NextBatch(buf)
+		for _, tr := range buf[:n] {
+			seen[tr]++
+		}
+	}
+	for _, subjects := range inShard {
+		for _, subject := range subjects {
+			for _, tr := range lead(subject) {
+				if n := seen[tr]; n > 1 || (!touched[subject] && n != 1) {
+					t.Errorf("%v was reported %d times; its lead pruned: %v", tr, n, touched[subject])
+				}
+			}
+		}
+	}
+	for _, subject := range fresh {
+		for _, tr := range lead(subject) {
+			if seen[tr] != 1 {
+				t.Errorf("%v, filed ahead of the cursor, was reported %d times", tr, seen[tr])
+			}
+		}
+	}
 }
 
 // checkLeadCursorResumes drains a (S ? ?) cursor one triple at a time over a

@@ -40,10 +40,14 @@ func tripleOf(fam uint8, lead, mid, trail uint32) IDTriple {
 // (fillElems), so for (S P ?), (? P O) and the object-only fan-out a triple
 // present throughout the scan is reported exactly once. One level up a lead's
 // middle components ascend too, and a (lead ? ?) or (S ? O) cursor resumes
-// among them by value the same way (fillLead): only a pair a write touched
-// may be seen or missed. The unbound scan snapshots each shard's leads on
-// arrival. Results are guaranteed exact only against quiescent members.
-// NextBatch never blocks writers for longer than one refill.
+// among them by value the same way (fillMids): only a pair a write touched
+// may be seen or missed. At the top a shard's leads ascend by id, and the
+// unbound scan and the object-only fan-out resume among them by value as
+// well (fillShards): a lead filed or pruned between refills moves no other
+// lead across the cursor, so only the triples a write touched may be seen or
+// missed. Results are guaranteed exact only against quiescent members.
+// NextBatch never blocks writers for longer than one refill, and a part holds
+// nothing but its place.
 type ScanPart struct {
 	owner *Store
 
@@ -59,27 +63,19 @@ type ScanPart struct {
 	// with midBound, the object-only fan-out (POS, mid the object).
 	allLeads bool
 
-	// Cursor state. For allLeads scans: the current shard, its snapshotted
-	// lead keys and the position in them. For single-lead scans with the
-	// mid open: the least middle component not yet finished. Both: the
-	// position within the current trailing run, so a refill stops exactly at
-	// the batch boundary, and — once trailPos > 0 — the last trailing id
-	// emitted from it, which fillElems checks the position against on resume.
+	// Cursor state, every place named by value. For allLeads scans: the
+	// current shard and the least lead id in it not yet finished. With the
+	// mid open: the least middle component of the current lead not yet
+	// finished. Always: the position within the current trailing run, so a
+	// refill stops exactly at the batch boundary, and — once trailPos > 0 —
+	// the last trailing id emitted from it, which fillElems checks the
+	// position against on resume.
 	shard     int
-	leads     []uint32
-	haveLeads bool
-	leadPos   int
+	nextLead  uint32
 	nextMid   uint32
 	trailPos  int
 	lastTrail uint32
-
-	// pending spills triples that did not fit the caller's batch on the
-	// unbound full-scan path, where a whole lead entry (one subject's few
-	// predicates and objects) is enumerated per lock hold; no other shape
-	// spills.
-	pending []IDTriple
-	pendPos int
-	done    bool
+	done      bool
 }
 
 // NextBatch fills out with the part's next triples, returning how many were
@@ -88,102 +84,57 @@ type ScanPart struct {
 // the usual no-writes-from-the-calling-goroutine rule of QueryIDBatch does not
 // apply between calls — the lock is released before NextBatch returns.
 func (pt *ScanPart) NextBatch(out []IDTriple) (int, bool) {
-	n := pt.drainPending(out)
-	if n == len(out) || pt.done {
-		return n, pt.exhausted()
+	if len(out) == 0 || pt.done {
+		return 0, pt.done
 	}
 	if pt.allLeads {
-		n = pt.fillShards(out, n)
-	} else {
-		n = pt.fillLead(out, n)
+		return pt.fillShards(out), pt.done
 	}
-	return n, pt.exhausted()
-}
-
-// exhausted reports whether nothing at all remains, spill included.
-func (pt *ScanPart) exhausted() bool {
-	return pt.done && pt.pendPos >= len(pt.pending)
-}
-
-// drainPending moves spilled triples into out first.
-func (pt *ScanPart) drainPending(out []IDTriple) int {
-	n := 0
-	for pt.pendPos < len(pt.pending) && n < len(out) {
-		out[n] = pt.pending[pt.pendPos]
-		n++
-		pt.pendPos++
-	}
-	if pt.pendPos >= len(pt.pending) {
-		pt.pending = pt.pending[:0]
-		pt.pendPos = 0
-	}
-	return n
-}
-
-// emit places one triple into out, spilling into pending once out is full.
-func (pt *ScanPart) emit(t IDTriple, out []IDTriple, n *int) {
-	if *n < len(out) {
-		out[*n] = t
-		*n = *n + 1
-	} else {
-		pt.pending = append(pt.pending, t)
-	}
+	return pt.fillLead(out), pt.done
 }
 
 // fillShards advances an allLeads part — the unbound full scan over the SPO
-// shards or the object-only fan-out over the POS shards — shard by shard,
-// lead keys snapshotted per shard. The full scan enumerates each lead's whole
-// entry in one lock hold (overflow spills into pending). The fan-out finds
-// the object under each predicate lead and streams that one subject list by
-// position, as a single-lead midBound part does, so a class with a hundred
-// thousand instances never outgrows the caller's batch.
-func (pt *ScanPart) fillShards(out []IDTriple, n int) int {
-	fam := pt.family()
+// shards or the object-only fan-out over the POS shards — shard by shard, and
+// in a shard from the first lead not below nextLead. The full scan walks each
+// lead's pairs with fillMids; the fan-out streams the object's subject list
+// under each predicate lead with fillElems. Both stop at the batch boundary.
+// When the lead the cursor stood in is gone, the walk arrives at a later one
+// and starts it from its first pair.
+func (pt *ScanPart) fillShards(out []IDTriple) int {
+	fam, n := pt.family(), 0
 	for pt.shard < numShards && n < len(out) {
 		sh := &fam[pt.shard]
 		sh.mu.RLock()
-		if !pt.haveLeads {
-			pt.leads = pt.leads[:0]
-			for k := range sh.m {
-				//ontolint:ignore maporder ScanPart enumeration order is documented unspecified; sorted forms sort after materializing
-				pt.leads = append(pt.leads, k)
+		finished := sh.ascend(pt.nextLead, func(lead uint32, e *leadEntry) bool {
+			if n == len(out) {
+				return false
 			}
-			pt.haveLeads = true
-			pt.leadPos = 0
-		}
-		for pt.leadPos < len(pt.leads) && n < len(out) {
-			lead := pt.leads[pt.leadPos]
+			if lead != pt.nextLead {
+				pt.nextMid, pt.trailPos = 0, 0
+			}
+			pt.nextLead = lead
 			listDone := true
-			switch e := sh.m[lead]; {
-			case e == nil: // removed since the snapshot
-			case pt.midBound:
-				if mt := e.find(pt.mid); mt != nil {
-					n, listDone = pt.fillElems(lead, pt.mid, mt.elems(), out, n)
-				}
-			default:
-				for i := range e.entries {
-					mt := &e.entries[i]
-					for _, c := range mt.elems() {
-						pt.emit(IDTriple{S: lead, P: mt.mid, O: c}, out, &n)
-					}
-				}
+			if !pt.midBound {
+				n, listDone = pt.fillMids(lead, e, out, n)
+			} else if mt := e.find(pt.mid); mt != nil {
+				n, listDone = pt.fillElems(lead, pt.mid, mt.elems(), out, n)
 			}
 			if !listDone {
-				break // out is full mid-list; the next refill resumes at trailPos
+				return false // out is full mid-lead; the next refill resumes in it
 			}
-			pt.leadPos++
-			pt.trailPos = 0
-		}
-		finished := pt.leadPos >= len(pt.leads)
+			pt.nextMid, pt.trailPos = 0, 0
+			// Wraps only past the largest id, which is its shard's last lead:
+			// the shard is then finished before nextLead is read again.
+			pt.nextLead = lead + numShards
+			return true
+		})
 		sh.mu.RUnlock()
 		if finished {
 			pt.shard++
-			pt.haveLeads = false
+			pt.nextLead = uint32(pt.shard)
 		}
 	}
-	if pt.shard >= numShards {
-		pt.done = true
-	}
+	pt.done = pt.shard >= numShards
 	return n
 }
 
@@ -200,7 +151,7 @@ func (pt *ScanPart) family() *indexFamily {
 // set is exhausted. This is the leaf of the hot scan shape (two bound
 // components, e.g. every {?x type class}): it fills straight from the element
 // slice with the family dispatch hoisted out of the loop, and stops at the
-// batch boundary rather than spilling the rest, which keeps both the lock
+// batch boundary rather than buffering the rest, which keeps both the lock
 // hold and the cursor's memory bounded however large the posting list is.
 // A resumed cursor is first checked against the run, which may have mutated
 // since the last refill: a write below the cursor slides the members above it
@@ -233,96 +184,87 @@ func (pt *ScanPart) fillElems(lead, mid uint32, elems []uint32, out []IDTriple, 
 	return n, pt.trailPos >= len(elems)
 }
 
+// fillMids walks one lead's pairs with the mid open and reports whether the
+// lead is finished. It names its place by value: the pairs ascend by middle
+// component, so a refill resumes at the first one not below nextMid, and when
+// that is still the list the cursor stood in, fillElems re-seeks its position
+// above lastTrail. A pair emptied, dropped or filed anew moves no other pair
+// across the cursor, so only a pair a write touched may be seen or missed.
+// With the trail bound a pair contributes at most its one membership.
+func (pt *ScanPart) fillMids(lead uint32, e *leadEntry, out []IDTriple, n int) (int, bool) {
+	i, found := e.search(pt.nextMid)
+	if !found {
+		pt.trailPos = 0 // the list the cursor stood in is gone
+	}
+	for ; i < len(e.entries) && n < len(out); i++ {
+		mt := &e.entries[i]
+		if pt.trailBound {
+			if mt.contains(pt.trail) {
+				out[n] = tripleOf(pt.fam, lead, mt.mid, pt.trail)
+				n++
+			}
+		} else {
+			var finished bool
+			if n, finished = pt.fillElems(lead, mt.mid, mt.elems(), out, n); !finished {
+				pt.nextMid = mt.mid
+				return n, false
+			}
+			pt.trailPos = 0
+		}
+		// Wraps only past the largest id, whose pair is the last: the lead is
+		// then finished before nextMid is read again.
+		pt.nextMid = mt.mid + 1
+	}
+	return n, i >= len(e.entries)
+}
+
 // fillLead advances a single-lead part: the lead entry is re-looked-up under
 // a fresh read-lock each refill, since it may have mutated in between. A
 // midBound part names its one list by value, so only the triple a write
-// touched may be seen or missed. The walk with the mid open names its place
-// by value too: the lead's pairs ascend by middle component, so a refill
-// resumes at the first one not below nextMid, and when that is still the list
-// the cursor stood in, fillElems re-seeks its position above lastTrail. A
-// pair emptied, dropped or filed anew moves no other pair across the cursor,
-// so only a pair a write touched may be seen or missed.
-func (pt *ScanPart) fillLead(out []IDTriple, n int) int {
+// touched may be seen or missed; with the mid open the walk is fillMids.
+func (pt *ScanPart) fillLead(out []IDTriple) int {
 	sh := pt.family().shard(pt.lead)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	e := sh.m[pt.lead]
-	if e == nil {
-		pt.done = true
-		return n
-	}
+	e, n := sh.find(pt.lead), 0
 	switch {
+	case e == nil:
+		pt.done = true
 	case pt.allBound:
 		if set := e.find(pt.mid); set != nil && set.contains(pt.trail) {
-			pt.emit(tripleOf(pt.fam, pt.lead, pt.mid, pt.trail), out, &n)
+			out[0] = tripleOf(pt.fam, pt.lead, pt.mid, pt.trail)
+			n = 1
 		}
 		pt.done = true
 	case pt.midBound:
-		mt := e.find(pt.mid)
-		if mt == nil {
+		if mt := e.find(pt.mid); mt != nil {
+			n, pt.done = pt.fillElems(pt.lead, pt.mid, mt.elems(), out, n)
+		} else {
 			pt.done = true
-			return n
 		}
-		n, pt.done = pt.fillElems(pt.lead, pt.mid, mt.elems(), out, n)
 	default:
-		i, found := e.search(pt.nextMid)
-		if !found {
-			pt.trailPos = 0 // the list the cursor stood in is gone
-		}
-		for ; i < len(e.entries) && n < len(out); i++ {
-			mt := &e.entries[i]
-			if pt.trailBound {
-				if mt.contains(pt.trail) {
-					out[n] = tripleOf(pt.fam, pt.lead, mt.mid, pt.trail)
-					n++
-				}
-			} else {
-				var finished bool
-				if n, finished = pt.fillElems(pt.lead, mt.mid, mt.elems(), out, n); !finished {
-					pt.nextMid = mt.mid
-					return n
-				}
-				pt.trailPos = 0
-			}
-			// Wraps only past the largest id, whose pair is the last: the
-			// part is then done before nextMid is read again.
-			pt.nextMid = mt.mid + 1
-		}
-		pt.done = i >= len(e.entries)
+		n, pt.done = pt.fillMids(pt.lead, e, out, n)
 	}
 	return n
 }
 
-// partPool recycles ScanPart cursors (with their lead snapshots and spill
-// buffers) so steady-state scans allocate nothing per part.
+// partPool recycles ScanPart cursors so steady-state scans allocate nothing
+// per part.
 var partPool = sync.Pool{New: func() any { return new(ScanPart) }}
 
-// takePart draws a zeroed cursor with its buffers kept.
+// takePart draws a zeroed cursor.
 func takePart() *ScanPart {
 	pt := partPool.Get().(*ScanPart)
-	leads, pending := pt.leads[:0], pt.pending[:0]
-	*pt = ScanPart{leads: leads, pending: pending}
+	*pt = ScanPart{}
 	return pt
 }
-
-// maxPooledPartBuf bounds the snapshot/spill buffers a released cursor may
-// park in the pool, so one scan over a pathological shard does not pin its
-// peak footprint forever.
-const maxPooledPartBuf = 1 << 15
 
 // Release returns an exhausted or abandoned cursor to the pool; the caller
 // must not touch it afterwards. Releasing is optional — an unreleased part
 // is garbage-collected like anything else — but the batched evaluator
-// releases every part it drains so scan-heavy serving reuses the cursors'
-// snapshot and spill buffers instead of reallocating them per query.
-// Oversized buffers are dropped rather than pooled.
+// releases every part it drains so scan-heavy serving reuses the cursors
+// instead of allocating one per query.
 func (pt *ScanPart) Release() {
-	if cap(pt.leads) > maxPooledPartBuf {
-		pt.leads = nil
-	}
-	if cap(pt.pending) > maxPooledPartBuf {
-		pt.pending = nil
-	}
 	partPool.Put(pt)
 }
 
@@ -395,7 +337,7 @@ func (s *Store) QueryIDBatch(ps []IDPattern, yield func(pi int, t IDTriple) bool
 	}
 	// The two most common join shapes — (S P ?) answering objects and
 	// (? P O) answering subjects, the forms a join's bound lead plus one
-	// more bound component produces — run fully specialized loops: map
+	// more bound component produces — run fully specialized loops: lead
 	// lookup, entry find and element walk are all inlined with no per-probe
 	// dispatch, because this is the innermost loop of every batched join.
 	// The two shapes with no lead to group by — object-only, fanning out over
@@ -416,7 +358,7 @@ func (s *Store) QueryIDBatch(ps []IDPattern, yield func(pi int, t IDTriple) bool
 			sh := &fam[shIdx]
 			sh.mu.RLock()
 			for pi := range ps {
-				if !probeShardLocked(sh, ps[pi], pi, yield) {
+				if !probeShardLocked(sh, uint32(shIdx), ps[pi], pi, yield) {
 					sh.mu.RUnlock()
 					return
 				}
@@ -438,7 +380,7 @@ func (s *Store) QueryIDBatch(ps []IDPattern, yield func(pi int, t IDTriple) bool
 			sh := &fam[shIdx]
 			sh.mu.RLock()
 			for _, pi := range order[lo:hi] {
-				if !probeShardLocked(sh, ps[pi], int(pi), yield) {
+				if !probeShardLocked(sh, uint32(shIdx), ps[pi], int(pi), yield) {
 					sh.mu.RUnlock()
 					return
 				}
@@ -512,7 +454,7 @@ func (s *Store) batchProbeSP(ps []IDPattern, yield func(pi int, t IDTriple) bool
 		sh.mu.RLock()
 		for _, pi := range order[lo:hi] {
 			p := ps[pi]
-			e := sh.m[p.S]
+			e := sh.find(p.S)
 			if e == nil {
 				continue
 			}
@@ -544,7 +486,7 @@ func (s *Store) batchProbePO(ps []IDPattern, yield func(pi int, t IDTriple) bool
 		sh.mu.RLock()
 		for _, pi := range order[lo:hi] {
 			p := ps[pi]
-			e := sh.m[p.P]
+			e := sh.find(p.P)
 			if e == nil {
 				continue
 			}
@@ -566,16 +508,18 @@ func (s *Store) batchProbePO(ps []IDPattern, yield func(pi int, t IDTriple) bool
 // probeShardLocked answers one probe from its (already read-locked) shard —
 // for the two lead-less shapes, that shard's share of the answer: the
 // object-only probe's from a POS shard, the unbound probe's from an SPO
-// shard — reporting false when yield stopped the enumeration. This is the
+// shard, whose index in its family is shIdx — reporting false when yield
+// stopped the enumeration. The two walk the shard's leads in ascending id
+// order, so the enumeration is the same on every call. This is the
 // only callback walk of the eight bound shapes (the cursor of ScanPart is the
 // resumable one). Trailing sets are walked with explicit loops over the
 // element slices rather than forEach closures — this is the innermost loop of
 // every batched join, and a closure per probe is exactly the per-binding cost
 // batching exists to remove.
-func probeShardLocked(sh *shard, p IDPattern, pi int, yield func(int, IDTriple) bool) bool {
+func probeShardLocked(sh *shard, shIdx uint32, p IDPattern, pi int, yield func(int, IDTriple) bool) bool {
 	switch {
 	case p.BoundS:
-		e := sh.m[p.S]
+		e := sh.find(p.S)
 		if e == nil {
 			return true
 		}
@@ -606,7 +550,7 @@ func probeShardLocked(sh *shard, p IDPattern, pi int, yield func(int, IDTriple) 
 		}
 		return true
 	case p.BoundP:
-		e := sh.m[p.P]
+		e := sh.find(p.P)
 		if e == nil {
 			return true
 		}
@@ -624,21 +568,19 @@ func probeShardLocked(sh *shard, p IDPattern, pi int, yield func(int, IDTriple) 
 		}
 		return true
 	case p.BoundO:
-		for pid, e := range sh.m {
-			if mt := e.find(p.O); mt != nil && !emitSet(mt, pi, yield, famPOS, pid) {
-				return false
-			}
-		}
-		return true
+		return sh.ascend(shIdx, func(pid uint32, e *leadEntry) bool {
+			mt := e.find(p.O)
+			return mt == nil || emitSet(mt, pi, yield, famPOS, pid)
+		})
 	default:
-		for sid, e := range sh.m {
+		return sh.ascend(shIdx, func(sid uint32, e *leadEntry) bool {
 			for i := range e.entries {
 				if !emitSet(&e.entries[i], pi, yield, famSPO, sid) {
 					return false
 				}
 			}
-		}
-		return true
+			return true
+		})
 	}
 }
 

@@ -3,15 +3,21 @@ package store
 import "sync"
 
 // The engine keeps two permutation indexes, SPO and POS, as families of
-// shards. Each family is sharded by a hash of its leading component's id, and
-// each shard carries its own RWMutex, so writers touching different subjects
-// (or predicates) proceed in parallel instead of serializing behind one
-// store-wide lock. There is no object-led family: the one pattern shape it
+// shards. Each family is sharded by the low bits of its leading component's
+// id, and each shard carries its own RWMutex, so writers touching different
+// subjects (or predicates) proceed in parallel instead of serializing behind
+// one store-wide lock. There is no object-led family: the one pattern shape it
 // would serve, object-only (? ? o), is computed from POS — the subjects of o
 // are already filed under every predicate that has o as an object — at
 // O(predicates) finds plus the matches, where a stored (object, subject)
 // level would cost 40 bytes per pair on data whose objects are classes with
 // thousands of instances.
+//
+// A shard files its leads by id, not by hash, in pages allocated as leads
+// arrive in their window of ids. Dictionary ids are dense and nearly every one
+// is a subject, so a lead costs its 24-byte entry, where a map paid as much
+// again for its slot; and a shard's leads are walked in ascending id order,
+// which is what lets an unbound cursor resume among them by value.
 //
 // Inside a shard the two inner levels are plain slices rather than nested
 // maps: a lead's (middle, trailing-set) pairs are one slice kept ascending by
@@ -26,15 +32,18 @@ import "sync"
 // the few long runs cost four bytes a member, a fifth of what any hashed form
 // of them would.
 
-// numShards is the shard count per index family. A power of two so the shard
-// selector is a mask; 16 is enough to spread institution-scale ingest across
-// cores without bloating small stores.
-const numShards = 16
+// shardBits is how many low bits of a leading id pick its shard, and
+// numShards the shard count per index family they give. 16 is enough to
+// spread institution-scale ingest across cores without bloating small stores.
+const (
+	shardBits = 4
+	numShards = 1 << shardBits
+)
 
-// shardOf maps a leading-component id to its shard. Ids are dense sequential
-// integers, so a Fibonacci mix spreads consecutive ids across shards.
+// shardOf maps a leading-component id to its shard: its low bits. Ids are
+// dense sequential integers, so consecutive ids land in consecutive shards.
 func shardOf(id uint32) uint32 {
-	return (id * 2654435761) >> 16 & (numShards - 1)
+	return id & (numShards - 1)
 }
 
 // linearRun is the window at which searchRun stops halving and walks: a few
@@ -127,7 +136,7 @@ func (mt *midTrail) add(c uint32) bool {
 // leadEntry is everything indexed under one leading component: its (middle,
 // trailing-set) pairs, strictly ascending by middle component and searched
 // the way a run is. insert and remove create and drop the pairs, so no pair
-// is ever empty and an entry without pairs is pruned by its shard.
+// is ever empty, and an entry without pairs is an empty slot of its shard.
 type leadEntry struct {
 	entries []midTrail
 }
@@ -195,50 +204,109 @@ func (e *leadEntry) remove(mid, c uint32) bool {
 	return true
 }
 
-// shard is one lock-protected slice of a permutation index, mapping leading
-// components to their leadEntry. n is the number of triples filed in m, kept
-// by every path that changes m so reading it never walks the index.
+// leadPageBits sets the size of a lead page: 1<<leadPageBits consecutive
+// slots of a shard, the ones a window of ids maps to; leadPageMask picks a
+// slot's place in its page.
+const (
+	leadPageBits = 7
+	leadPageMask = 1<<leadPageBits - 1
+)
+
+// leadPage is one page of a shard's lead directory: 128 entries of 24 bytes,
+// 3 072 bytes, which is one of the allocator's size classes, so a page wastes
+// nothing. It covers 2 048 consecutive ids, 128 of them in each shard. A slot
+// whose entry has no pairs holds no lead.
+type leadPage [1 << leadPageBits]leadEntry
+
+// shard is one lock-protected slice of a permutation index: a directory of
+// lead pages indexed by the lead's slot, id >> shardBits. Pages never move,
+// so a *leadEntry stays valid while the page table grows. n counts the triples
+// filed and leads the occupied slots, kept by every path that files or
+// prunes, so reading either never walks the index.
 type shard struct {
-	mu sync.RWMutex
-	m  map[uint32]*leadEntry
-	n  int
+	mu    sync.RWMutex
+	pages []*leadPage
+	n     int
+	leads int
 }
 
-// reserve sizes the lead map for about n upcoming leads; a no-op once the
-// map exists. Called by the batch path so the first big ingest does not grow
-// the map incrementally.
-func (sh *shard) reserve(n int) {
-	if sh.m == nil {
-		sh.m = make(map[uint32]*leadEntry, n)
+// find returns lead's entry, or nil when the shard holds no lead with that
+// id. Callers hold mu (read or write).
+func (sh *shard) find(lead uint32) *leadEntry {
+	slot := lead >> shardBits
+	if p := int(slot >> leadPageBits); p < len(sh.pages) && sh.pages[p] != nil {
+		if e := &sh.pages[p][slot&leadPageMask]; len(e.entries) != 0 {
+			return e
+		}
 	}
+	return nil
+}
+
+// slot returns lead's entry, empty when the lead is not filed, allocating its
+// page (and growing the page table to reach it) on the first lead of the
+// window. Callers hold mu.
+func (sh *shard) slot(lead uint32) *leadEntry {
+	slot := lead >> shardBits
+	p := int(slot >> leadPageBits)
+	if p >= len(sh.pages) {
+		sh.pages = append(sh.pages, make([]*leadPage, p+1-len(sh.pages))...)
+	}
+	if sh.pages[p] == nil {
+		sh.pages[p] = new(leadPage)
+	}
+	return &sh.pages[p][slot&leadPageMask]
+}
+
+// ascend calls yield for every lead of the shard not below from, in ascending
+// id order, and reports whether it reached the end — false when yield stopped
+// it. from is an id of this shard: its low bits name the shard, so passing the
+// shard's index walks every lead. This is the shard's one enumeration of its
+// leads. Callers hold mu (read or write), and yield must not file or prune.
+func (sh *shard) ascend(from uint32, yield func(lead uint32, e *leadEntry) bool) bool {
+	low, first := from&(numShards-1), int(from>>shardBits)
+	for p := first >> leadPageBits; p < len(sh.pages); p++ {
+		pg := sh.pages[p]
+		if pg == nil {
+			continue
+		}
+		k := 0
+		if p == first>>leadPageBits {
+			k = first & leadPageMask
+		}
+		for ; k < len(pg); k++ {
+			if e := &pg[k]; len(e.entries) != 0 && !yield(uint32(p<<leadPageBits|k)<<shardBits|low, e) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // insertLocked adds (a, b, c), reporting whether it was absent. Callers hold mu.
 func (sh *shard) insertLocked(a, b, c uint32) bool {
-	e := sh.m[a]
-	if e == nil {
-		if sh.m == nil {
-			sh.m = make(map[uint32]*leadEntry)
-		}
-		e = &leadEntry{}
-		sh.m[a] = e
-	}
+	e := sh.slot(a)
+	fresh := len(e.entries) == 0
 	if !e.insert(b, c) {
 		return false
+	}
+	if fresh {
+		sh.leads++
 	}
 	sh.n++
 	return true
 }
 
 // removeLocked deletes (a, b, c), reporting whether it was present, and
-// prunes emptied levels. Callers hold mu.
+// prunes emptied levels: a lead whose last pair goes gives its pair array back
+// and frees its slot. Callers hold mu.
 func (sh *shard) removeLocked(a, b, c uint32) bool {
-	e := sh.m[a]
+	e := sh.find(a)
 	if e == nil || !e.remove(b, c) {
 		return false
 	}
 	if len(e.entries) == 0 {
-		delete(sh.m, a)
+		e.entries = nil
+		sh.leads--
 	}
 	sh.n--
 	return true
@@ -247,7 +315,7 @@ func (sh *shard) removeLocked(a, b, c uint32) bool {
 // containsLocked reports whether (a, b, c) is present. Callers hold mu (read
 // or write).
 func (sh *shard) containsLocked(a, b, c uint32) bool {
-	e := sh.m[a]
+	e := sh.find(a)
 	if e == nil {
 		return false
 	}
@@ -256,7 +324,7 @@ func (sh *shard) containsLocked(a, b, c uint32) bool {
 }
 
 // indexFamily is one permutation index: numShards shards addressed by the
-// leading component.
+// low bits of the leading component.
 type indexFamily [numShards]shard
 
 func (f *indexFamily) shard(lead uint32) *shard {

@@ -8,7 +8,7 @@
 // The engine is dictionary-encoded and sharded. Every subject, predicate and
 // object string is interned into a uint32 id by a symbol table, and two
 // permutation indexes (SPO, POS) are kept as id-based shard families: each
-// family is split numShards ways by a hash of its leading component, and each
+// family is split numShards ways by the low bits of its leading id, and each
 // shard has its own RWMutex, so concurrent writers only contend when they
 // touch the same shard. Seven of the eight bound shapes of a pattern land on
 // one lead of one family; the eighth, object-only (? ? o), fans out over the
@@ -22,9 +22,11 @@
 // sorted lexicographic order, so results depend only on the store's contents
 // — never on ingest order or on how ids happened to fall across shards. The
 // streaming forms (QueryIDFunc, ForEachSubject, the batched hooks of scan.go)
-// trade that determinism for zero allocation and enumerate in unspecified
-// order: ascending ids within one trailing set is a fact of the layout, not a
-// contract, and across sets, leads and shards there is not even that.
+// trade that order for zero allocation and enumerate in an unspecified one,
+// which is still a function of the contents alone: shards in index order,
+// leads ascending by id within a shard, pairs by middle id within a lead and
+// members ascending within a set. Those ascents are facts of the layout the
+// cursors resume by, not a sort order callers may rely on.
 //
 // Reads: a pattern is enumerated in two places and counted in one. The
 // callback walk behind QueryIDBatch (QueryIDFunc is a batch of one) and the
@@ -292,7 +294,7 @@ func (s *Store) ForEachSubject(predicate, object string, yield func(string) bool
 	sh := s.pos.shard(pid)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	e := sh.m[pid]
+	e := sh.find(pid)
 	if e == nil {
 		return
 	}

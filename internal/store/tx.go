@@ -94,10 +94,11 @@ func (tx *Tx) insert(t IDTriple) bool {
 }
 
 // AddBatch inserts a batch of triples and returns the ones that were newly
-// inserted, dictionary-encoded (duplicates, within the batch or against the
-// store, appear once; the order is the shards', not the batch's). The result
-// is the caller's to keep. Validation is all-or-nothing: the batch is checked
-// up front and if any triple has an empty component an error identifying its
+// inserted, dictionary-encoded, in the batch's order whatever shards they
+// fall in (a duplicate, within the batch or against the store, is dropped:
+// a triple appears at most once, at its first occurrence). The result is the
+// caller's to keep. Validation is all-or-nothing: the batch is checked up
+// front and if any triple has an empty component an error identifying its
 // position is returned and nothing at all is inserted.
 //
 // The fast path over per-triple Add: all strings of the batch are interned
@@ -118,41 +119,44 @@ func (tx *Tx) AddBatch(ts []Triple) ([]IDTriple, error) {
 }
 
 // insertBatch files an encoded batch in both index families and returns the
-// triples that were actually absent: the batch's fresh subset, reusing enc's
-// storage, which it takes over.
+// triples that were actually absent: the batch's fresh subset in the batch's
+// order, reusing enc's storage, which it takes over.
 func (tx *Tx) insertBatch(enc []IDTriple) []IDTriple {
-	// Pass 1 — SPO, the arbiter of newness: group the batch by subject
-	// shard, lock each shard once, and keep only the triples that were
-	// actually absent.
-	// fresh reuses enc's storage; byShard holds copies, so overwriting the
-	// prefix of enc during pass 1 is safe.
-	fresh := enc[:0]
-	var byShard [numShards][]IDTriple
-	for _, e := range enc {
+	// Pass 1 — SPO, the arbiter of newness: group the batch's positions by
+	// subject shard, lock each shard once, and mark the triples that were
+	// actually absent. A duplicate within the batch shares its first
+	// occurrence's shard and comes after it there, so the first is the one
+	// marked.
+	var byShard [numShards][]int32
+	for k, e := range enc {
 		sh := shardOf(e.S)
-		byShard[sh] = append(byShard[sh], e)
+		byShard[sh] = append(byShard[sh], int32(k))
 	}
+	isFresh := make([]bool, len(enc))
 	for i := range byShard {
 		if len(byShard[i]) == 0 {
 			continue
 		}
 		sh := &tx.s.spo[i]
 		sh.mu.Lock()
-		sh.reserve(len(byShard[i]))
-		for _, e := range byShard[i] {
-			if sh.insertLocked(e.S, e.P, e.O) {
-				fresh = append(fresh, e)
-			}
+		for _, k := range byShard[i] {
+			isFresh[k] = sh.insertLocked(enc[k].S, enc[k].P, enc[k].O)
 		}
 		sh.mu.Unlock()
-		byShard[i] = nil
+		byShard[i] = byShard[i][:0]
+	}
+	fresh := enc[:0]
+	for k, e := range enc {
+		if isFresh[k] {
+			fresh = append(fresh, e)
+		}
 	}
 
 	// Pass 2 — POS for the fresh triples only, again one lock per touched
 	// shard.
-	for _, e := range fresh {
+	for k, e := range fresh {
 		sh := shardOf(e.P)
-		byShard[sh] = append(byShard[sh], e)
+		byShard[sh] = append(byShard[sh], int32(k))
 	}
 	for i := range byShard {
 		if len(byShard[i]) == 0 {
@@ -160,8 +164,8 @@ func (tx *Tx) insertBatch(enc []IDTriple) []IDTriple {
 		}
 		sh := &tx.s.pos[i]
 		sh.mu.Lock()
-		for _, e := range byShard[i] {
-			sh.insertLocked(e.P, e.O, e.S)
+		for _, k := range byShard[i] {
+			sh.insertLocked(fresh[k].P, fresh[k].O, fresh[k].S)
 		}
 		sh.mu.Unlock()
 	}
