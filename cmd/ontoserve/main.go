@@ -43,9 +43,7 @@
 // balancers can eject stale nodes. A replica takes no corpus flags and no
 // -data-dir (the primary is the source of truth; a restarted replica
 // re-snapshots), but -rules and -f still apply and MUST match the
-// primary's so both sides derive the same overlay. On a primary,
-// -repl-retain sizes the delta window replicas can catch up from without
-// re-snapshotting.
+// primary's so both sides derive the same overlay.
 //
 // GET /metrics always serves the process's instruments — traffic counters,
 // latency histograms split by stage, WAL/checkpoint state, reasoner and
@@ -118,7 +116,6 @@ func run(args []string, stderr io.Writer) int {
 	slowQueryLog := fs.String("slow-query-log", "", "file the slow-query log appends to; empty logs to stderr")
 	pprofAddr := fs.String("pprof-addr", "", "listen address for net/http/pprof on its own listener (empty disables profiling)")
 	replicateFrom := fs.String("replicate-from", "", "primary base URL to replicate from; makes this process a read-only replica")
-	replRetain := fs.Int("repl-retain", 0, "delta frames the primary retains for replica catch-up (0 picks the default, negative disables the feed endpoints)")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: ontoserve (-paper | -annotations <file> | -replicate-from <url>) [-f <tbox>] [-rules <file>] [-addr host:port] [options]\n")
 		fs.PrintDefaults()
@@ -221,7 +218,6 @@ func run(args []string, stderr io.Writer) int {
 		// Replica is an interface: a nil *repl.Replica in it would not be nil.
 		cfg.Replica = rep
 	}
-	cfg.ReplRetain = *replRetain
 	cfg.QueryTimeout = *timeout
 	cfg.MaxSolutions = *maxSolutions
 	cfg.CacheMaxBytes = int64(*cacheMiB) << 20

@@ -3,18 +3,22 @@ package repl_test
 // End-to-end harness for the replication tier: a real primary server on a
 // loopback listener, real replicas booted from /repl/snapshot and fed by
 // /repl/deltas, random mutation schedules, and byte-identical-snapshot
-// comparison between the two sides (the PR 3 property, now across
-// processes' worth of state). The tests in this package run the full wire
-// path — HTTP, ndjson frames, long polls — not in-memory shortcuts.
+// comparison between the two sides. The tests in this package run the full
+// wire path — HTTP, ndjson frames — not in-memory shortcuts. They advance
+// replicas round by round with Step, so every schedule is exact and no test
+// waits on a clock; TestRunFollowsTheFeed is the one test of Run's loop.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -25,8 +29,8 @@ import (
 )
 
 // newPrimary builds a primary server over a small seeded corpus and serves
-// it on a loopback listener. retain sizes the delta window (0 = default).
-func newPrimary(t *testing.T, retain int) (*server.Server, *httptest.Server) {
+// it on a loopback listener.
+func newPrimary(t *testing.T) (*server.Server, *httptest.Server) {
 	t.Helper()
 	base := store.New()
 	seed := []store.Triple{
@@ -38,7 +42,7 @@ func newPrimary(t *testing.T, retain int) (*server.Server, *httptest.Server) {
 	if _, err := base.AddBatch(seed); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(server.Config{Base: base, ReplRetain: retain})
+	srv, err := server.New(server.Config{Base: base})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,19 +53,10 @@ func newPrimary(t *testing.T, retain int) (*server.Server, *httptest.Server) {
 
 // newReplica boots a replica off the primary and materializes its base
 // under the same rule set the primary's server uses. The returned reasoner
-// is the applier to pass to Run.
+// is the applier to pass to Step and Run.
 func newReplica(t *testing.T, primaryURL string, opts repl.Options) (*repl.Replica, *reason.Reasoner) {
 	t.Helper()
 	opts.Primary = primaryURL
-	if opts.PollWait == 0 {
-		opts.PollWait = 200 * time.Millisecond
-	}
-	if opts.BackoffMin == 0 {
-		opts.BackoffMin = 5 * time.Millisecond
-	}
-	if opts.BackoffMax == 0 {
-		opts.BackoffMax = 50 * time.Millisecond
-	}
 	rep, err := repl.New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -73,6 +68,48 @@ func newReplica(t *testing.T, primaryURL string, opts repl.Options) (*repl.Repli
 	return rep, r
 }
 
+// step advances the replica by one round and fails the test if the round
+// fails.
+func step(t *testing.T, rep *repl.Replica, applier *reason.Reasoner) {
+	t.Helper()
+	if err := rep.Step(context.Background(), applier); err != nil {
+		t.Fatalf("step: %v (status %+v)", err, rep.Status())
+	}
+}
+
+// converged fails the test unless the replica has applied through the
+// primary's generation, reports no lag and no error, and serves a view
+// byte-identical to the primary's.
+func converged(t *testing.T, what string, rep *repl.Replica, applier, primary *reason.Reasoner) {
+	t.Helper()
+	st := rep.Status()
+	if gen := primary.Generation(); st.AppliedGeneration != gen || st.Lag != 0 || st.LastError != "" {
+		t.Fatalf("%s: replica status %+v, primary at generation %d", what, st, gen)
+	}
+	if want, got := viewSnapshot(t, primary), viewSnapshot(t, applier); !bytes.Equal(want, got) {
+		t.Fatalf("%s: replica view diverged from the primary's at generation %d: primary %d bytes, replica %d bytes",
+			what, st.AppliedGeneration, len(want), len(got))
+	}
+}
+
+// feedStats reads the feed block of a primary's /stats.
+func feedStats(t *testing.T, primaryURL string) repl.FeedStats {
+	t.Helper()
+	resp, err := http.Get(primaryURL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats server.StatsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Replication == nil || stats.Replication.Feed == nil {
+		t.Fatalf("/stats carries no feed block: %+v", stats.Replication)
+	}
+	return *stats.Replication.Feed
+}
+
 // viewSnapshot renders a reasoner's materialized view in its canonical
 // byte-stable form.
 func viewSnapshot(t *testing.T, r *reason.Reasoner) []byte {
@@ -82,23 +119,6 @@ func viewSnapshot(t *testing.T, r *reason.Reasoner) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// waitApplied blocks until the replica has applied through gen.
-func waitApplied(t *testing.T, rep *repl.Replica, gen uint64) {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		st := rep.Status()
-		if st.AppliedGeneration >= gen {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replica stuck at generation %d waiting for %d (connected=%v lastErr=%q)",
-				st.AppliedGeneration, gen, st.Connected, st.LastError)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
 }
 
 // mutator drives a deterministic random mutation schedule against the
@@ -175,65 +195,52 @@ func (m *mutator) step(t *testing.T) bool {
 // TestReplayProperty is the replication replay property: for a random
 // mutation schedule, booting from the snapshot at G and applying the
 // deltas (G, G'] yields a replica whose materialized view is
-// byte-identical to the primary's at every sampled G' — including after
-// the feed loop is torn down and restarted mid-history (reconnect with
-// resume from the applied generation). Run under -race in CI.
+// byte-identical to the primary's at every G'. Staleness is at most one
+// generation: one Step after each primary write leaves the replica caught
+// up, without error. A replica left behind for several writes resumes from
+// its applied generation in one Step, neither re-applying nor skipping. And
+// a replica abandoned mid-history while writes continue — all a SIGKILL can
+// do to a replica, which keeps no state — is replaced by a fresh boot that
+// one Step brings to the primary. Run under -race in CI.
 func TestReplayProperty(t *testing.T) {
-	psrv, ts := newPrimary(t, 0)
+	psrv, ts := newPrimary(t)
+	primary := psrv.Reasoner()
 	rep, applier := newReplica(t, ts.URL, repl.Options{})
+	abandoned, abandonedApplier := newReplica(t, ts.URL, repl.Options{})
+	var fresh *repl.Replica
+	var freshApplier *reason.Reasoner
 
-	start := func() (stop func()) {
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan struct{})
-		go func() { defer close(done); _ = rep.Run(ctx, applier) }()
-		return func() { cancel(); <-done }
-	}
-	stop := start()
-	defer func() { stop() }()
-
-	m := newMutator(41, psrv.Reasoner())
+	m := newMutator(41, primary)
 	for round := 0; round < 8; round++ {
+		switch round {
+		case 4:
+			for i := 0; i < 5; i++ {
+				m.step(t) // history the replica has missed
+			}
+			step(t, rep, applier)
+			converged(t, "after five missed writes", rep, applier, primary)
+		case 5:
+			if st := abandoned.Status(); st.AppliedGeneration == 0 || st.AppliedGeneration == primary.Generation() {
+				t.Fatalf("the abandoned replica is not mid-history: %+v at primary generation %d", st, primary.Generation())
+			}
+			fresh, freshApplier = newReplica(t, ts.URL, repl.Options{})
+		}
 		for i := 0; i < 5; i++ {
 			m.step(t)
-		}
-		if round == 4 {
-			// Tear the feed loop down mid-history and restart it: the
-			// replica must resume from its applied generation, not re-apply
-			// or skip.
-			stop()
-			for i := 0; i < 5; i++ {
-				m.step(t) // history the replica will have missed
+			step(t, rep, applier)
+			converged(t, fmt.Sprintf("round %d write %d", round, i), rep, applier, primary)
+			if round < 3 {
+				step(t, abandoned, abandonedApplier)
 			}
-			stop = start()
-		}
-		// Quiesce: no mutation runs while the snapshots are compared, so
-		// the primary's generation is stable and the replica converges to
-		// exactly it.
-		gen := psrv.Reasoner().Generation()
-		waitApplied(t, rep, gen)
-		want := viewSnapshot(t, psrv.Reasoner())
-		got := viewSnapshot(t, applier)
-		if !bytes.Equal(want, got) {
-			t.Fatalf("round %d: replica view diverged from primary at generation %d:\nprimary %d bytes, replica %d bytes",
-				round, gen, len(want), len(got))
 		}
 	}
+	step(t, fresh, freshApplier)
+	converged(t, "the replacement replica", fresh, freshApplier, primary)
+
 	// One write is one generation, one frame and one local write on the
 	// replica: the four counters agree to the unit.
-	gen := psrv.Reasoner().Generation()
-	if st := rep.Status(); st.AppliedGeneration != gen {
-		t.Fatalf("final applied generation %d != primary %d", st.AppliedGeneration, gen)
-	}
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var stats server.StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	if feed := stats.Replication.Feed; uint64(feed.Appends) != gen || feed.Latest != gen {
+	gen := primary.Generation()
+	if feed := feedStats(t, ts.URL); uint64(feed.Appends) != gen || feed.Latest != gen {
 		t.Fatalf("primary at generation %d published %d frames through generation %d", gen, feed.Appends, feed.Latest)
 	}
 	if applier.Generation() != gen {
@@ -245,7 +252,7 @@ func TestReplayProperty(t *testing.T) {
 // byte-identical to the primary's asserted store, at the generation the
 // snapshot header advertised.
 func TestReplicaBootState(t *testing.T) {
-	psrv, ts := newPrimary(t, 0)
+	psrv, ts := newPrimary(t)
 	// Advance past generation 0 so the boot generation is non-trivial.
 	m := newMutator(7, psrv.Reasoner())
 	for i := 0; i < 10; i++ {
@@ -269,4 +276,103 @@ func TestReplicaBootState(t *testing.T) {
 	if !bytes.Equal(viewSnapshot(t, psrv.Reasoner()), viewSnapshot(t, applier)) {
 		t.Fatal("replica view differs from primary view after boot")
 	}
+}
+
+// recordingTransport records the wait parameter of every /repl/deltas
+// request it passes on, and signals each one on sent when that is set.
+type recordingTransport struct {
+	sent chan struct{}
+
+	mu    sync.Mutex
+	waits []string
+}
+
+func (rt *recordingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path == repl.DeltasPath {
+		rt.mu.Lock()
+		rt.waits = append(rt.waits, req.URL.Query().Get("wait"))
+		rt.mu.Unlock()
+		if rt.sent != nil {
+			select {
+			case rt.sent <- struct{}{}:
+			default:
+			}
+		}
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// polls returns the wait parameters recorded so far, in request order.
+func (rt *recordingTransport) polls() []string {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return slices.Clone(rt.waits)
+}
+
+// TestCaughtUpStepNeverParks: a Step asks the primary for no wait, so a
+// caught-up replica's Step returns at once instead of holding a long poll
+// open — what lets a test or a simulation advance a replica step by step.
+func TestCaughtUpStepNeverParks(t *testing.T) {
+	psrv, ts := newPrimary(t)
+	rt := &recordingTransport{}
+	rep, applier := newReplica(t, ts.URL, repl.Options{Client: &http.Client{Transport: rt}})
+	start := time.Now()
+	step(t, rep, applier)
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("a caught-up Step took %v: it parked on the primary", elapsed)
+	}
+	if waits := rt.polls(); !slices.Equal(waits, []string{"0s"}) {
+		t.Fatalf("a Step sent /repl/deltas requests with waits %q, want one with wait=0s", waits)
+	}
+	converged(t, "a caught-up step", rep, applier, psrv.Reasoner())
+}
+
+// TestRunFollowsTheFeed is the one test of Run itself, on a real listener:
+// Run long-polls the primary (wait=25s), an append on the primary wakes the
+// parked poll long before its wait is up, and cancelling ctx returns Run.
+func TestRunFollowsTheFeed(t *testing.T) {
+	psrv, ts := newPrimary(t)
+	rt := &recordingTransport{sent: make(chan struct{}, 1)}
+	rep, applier := newReplica(t, ts.URL, repl.Options{Client: &http.Client{Transport: rt}})
+	applied := make(chan struct{}, 1)
+	applier.SetOnEvent(func(reason.Delta) {
+		select {
+		case applied <- struct{}{}:
+		default:
+		}
+	})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	go func() { defer close(done); _ = rep.Run(ctx, applier) }()
+
+	select {
+	case <-rt.sent:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run sent no poll")
+	}
+	// The poll is on the wire; give the primary a moment to park it (the
+	// outcome is the same if it has not yet, this only aims the test at the
+	// parked case).
+	time.Sleep(50 * time.Millisecond)
+	if _, err := psrv.Reasoner().AddBatch([]store.Triple{{Subject: "item-9", Predicate: store.TypePredicate, Object: "c0"}}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-applied:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("the append did not wake the parked poll: waits %q, status %+v", rt.polls(), rep.Status())
+	}
+	if waits := rt.polls(); waits[0] != "25s" {
+		t.Fatalf("Run's first poll asked for wait=%s, want 25s", waits[0])
+	}
+
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return after its ctx was cancelled")
+	}
+	converged(t, "after Run", rep, applier, psrv.Reasoner())
 }

@@ -10,13 +10,10 @@ package repl_test
 // is what turns that fork into a re-snapshot.
 
 import (
-	"bytes"
-	"context"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/repl"
 	"repro/internal/server"
@@ -48,8 +45,9 @@ func seededServer(t *testing.T) *server.Server {
 // in a "restarted" one — same address, same seed corpus, fresh process
 // state — whose new history has already been driven past the replica's
 // applied generation, so every poll would hand out plausible-looking,
-// non-gapped frames from the wrong history. The replica must detect the
-// epoch change, re-snapshot, and converge on the new history byte-for-byte.
+// non-gapped frames from the wrong history. The replica's next Step must
+// detect the epoch change, re-snapshot, and converge on the new history
+// byte-for-byte.
 func TestPrimaryRestartForcesResnapshot(t *testing.T) {
 	srvA := seededServer(t)
 	var cur atomic.Value // the live primary behind the fixed address
@@ -60,17 +58,14 @@ func TestPrimaryRestartForcesResnapshot(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	rep, applier := newReplica(t, ts.URL, repl.Options{})
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { defer close(done); _ = rep.Run(ctx, applier) }()
-	defer func() { cancel(); <-done }()
 
 	// History A: stream a prefix to the replica.
 	mA := newMutator(71, srvA.Reasoner())
 	for i := 0; i < 12; i++ {
 		mA.step(t)
+		step(t, rep, applier)
 	}
-	waitApplied(t, rep, srvA.Reasoner().Generation())
+	converged(t, "history A", rep, applier, srvA.Reasoner())
 	epochA := rep.Status().PrimaryEpoch
 	if epochA == "" {
 		t.Fatal("replica did not pin the primary's epoch at boot")
@@ -87,32 +82,16 @@ func TestPrimaryRestartForcesResnapshot(t *testing.T) {
 	}
 	cur.Store(srvB.Handler())
 
-	genB := srvB.Reasoner().Generation()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		st := rep.Status()
-		if st.PrimaryEpoch != epochA && st.AppliedGeneration >= genB {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replica never converged on the restarted primary: %+v", st)
-		}
-		time.Sleep(2 * time.Millisecond)
+	step(t, rep, applier)
+	if st := rep.Status(); st.PrimaryEpoch == epochA || st.Resnapshots != 1 {
+		t.Fatalf("after the primary restart: %+v, want the new epoch pinned by one re-snapshot", st)
 	}
-	st := rep.Status()
-	if st.Resnapshots == 0 {
-		t.Fatal("epoch change did not force a re-snapshot")
-	}
-	if want, got := viewSnapshot(t, srvB.Reasoner()), viewSnapshot(t, applier); !bytes.Equal(want, got) {
-		t.Fatalf("replica diverged after primary restart: primary %d bytes, replica %d bytes", len(want), len(got))
-	}
+	converged(t, "after the primary restart", rep, applier, srvB.Reasoner())
 
 	// Streaming replication continues on the new history.
 	for i := 0; i < 5; i++ {
 		mB.step(t)
+		step(t, rep, applier)
 	}
-	waitApplied(t, rep, srvB.Reasoner().Generation())
-	if want, got := viewSnapshot(t, srvB.Reasoner()), viewSnapshot(t, applier); !bytes.Equal(want, got) {
-		t.Fatal("replica diverged after post-restart mutations")
-	}
+	converged(t, "after post-restart mutations", rep, applier, srvB.Reasoner())
 }

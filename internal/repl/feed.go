@@ -18,11 +18,11 @@ import (
 	"repro/internal/store"
 )
 
-// DefaultRetain is the delta-frame retention a primary uses when the
-// operator does not pick one: enough for a replica to ride out transient
-// disconnects at typical mutation rates without re-snapshotting, small
-// enough that a write-heavy primary is not holding gigabytes of history.
-const DefaultRetain = 1024
+// retainFrames is the delta-frame retention of a primary's feed: enough for
+// a replica to ride out transient disconnects at typical mutation rates
+// without re-snapshotting, small enough that a write-heavy primary is not
+// holding gigabytes of history.
+const retainFrames = 1024
 
 // Feed is the primary's half of the protocol: the delta retention buffer
 // and the two handlers that serve it. The reasoner's event hook publishes
@@ -56,16 +56,15 @@ type Feed struct {
 	triples int64         // triples across retained frames (memory signal)
 }
 
-// NewFeed returns a feed retaining up to retain frames; retain < 1 picks
-// DefaultRetain (a feed that retains nothing could never serve a single delta
-// and every poll would demand a re-snapshot). Every feed mints a fresh random
-// epoch: the identifier replicas pin to detect that the generation chain they
-// were following belongs to a dead history (a restarted primary's counter
-// restarts from zero).
-func NewFeed(retain int) *Feed {
-	if retain < 1 {
-		retain = DefaultRetain
-	}
+// NewFeed returns a feed retaining the newest retainFrames frames. Every feed
+// mints a fresh random epoch: the identifier replicas pin to detect that the
+// generation chain they were following belongs to a dead history (a
+// restarted primary's counter restarts from zero).
+func NewFeed() *Feed { return newFeed(retainFrames) }
+
+// newFeed returns a feed retaining up to retain ≥ 1 frames; the package's
+// own tests use small windows.
+func newFeed(retain int) *Feed {
 	return &Feed{epoch: newEpoch(), retain: retain, wake: make(chan struct{})}
 }
 
@@ -311,7 +310,7 @@ type FeedStats struct {
 	Latest uint64 `json:"latest_generation"`
 	Oldest uint64 `json:"oldest_generation"`
 	// Frames and Triples size the retained window; Retain is its cap in
-	// frames.
+	// frames, the constant retainFrames.
 	Frames  int   `json:"frames"`
 	Triples int64 `json:"triples"`
 	Retain  int   `json:"retain"`

@@ -20,7 +20,7 @@ func read(f *Feed, from uint64, max int) Window {
 }
 
 func TestFeedSinceWindow(t *testing.T) {
-	f := NewFeed(4)
+	f := newFeed(4)
 	for g := uint64(1); g <= 6; g++ {
 		f.Append(addFrame(g))
 	}
@@ -55,7 +55,7 @@ func TestFeedSinceWindow(t *testing.T) {
 }
 
 func TestFeedEmpty(t *testing.T) {
-	f := NewFeed(4)
+	f := newFeed(4)
 	if win := read(f, 0, 0); win.Gapped || len(win.Frames) != 0 || win.Latest != 0 || win.Oldest != 1 {
 		t.Fatalf("empty feed: %+v", win)
 	}
@@ -64,7 +64,7 @@ func TestFeedEmpty(t *testing.T) {
 // TestFeedDiscontinuity: a non-dense append must truncate history so no
 // replica can be handed a chain that silently skips generations.
 func TestFeedDiscontinuity(t *testing.T) {
-	f := NewFeed(8)
+	f := newFeed(8)
 	f.Append(addFrame(1))
 	f.Append(addFrame(2))
 	f.Append(addFrame(5)) // skipped 3 and 4
@@ -80,7 +80,7 @@ func TestFeedDiscontinuity(t *testing.T) {
 // identifier that lets a replica tell a restarted primary's generation
 // chain from the one it booted from — and reports it in its stats.
 func TestFeedEpoch(t *testing.T) {
-	a, b := NewFeed(4), NewFeed(4)
+	a, b := newFeed(4), newFeed(4)
 	if a.epoch == "" || b.epoch == "" {
 		t.Fatalf("empty epoch: a=%q b=%q", a.epoch, b.epoch)
 	}
@@ -97,7 +97,7 @@ func TestFeedEpoch(t *testing.T) {
 // array rather than re-slice it — an in-place restart of the chain would
 // overwrite frames a poller is still encoding outside the lock.
 func TestFeedDiscontinuityFreshBacking(t *testing.T) {
-	f := NewFeed(8)
+	f := newFeed(8)
 	f.Append(addFrame(1))
 	f.Append(addFrame(2))
 	handed := read(f, 0, 0).Frames
@@ -118,7 +118,7 @@ func TestFeedDiscontinuityFreshBacking(t *testing.T) {
 // TestFeedWaitSince: a long poll parked on an up-to-date feed is woken by
 // the next append.
 func TestFeedWaitSince(t *testing.T) {
-	f := NewFeed(8)
+	f := newFeed(8)
 	f.Append(addFrame(1))
 	done := make(chan []Frame, 1)
 	go func() {
@@ -141,7 +141,7 @@ func TestFeedWaitSince(t *testing.T) {
 // channel in the read's own critical section precisely so no append can fall
 // unobserved between the read and the wait.
 func TestFeedWaitSinceAppendRace(t *testing.T) {
-	f := NewFeed(8)
+	f := newFeed(8)
 	var gen uint64
 	for i := 0; i < 50; i++ {
 		gen++
@@ -158,7 +158,7 @@ func TestFeedWaitSinceAppendRace(t *testing.T) {
 }
 
 func TestFeedWaitSinceTimeout(t *testing.T) {
-	f := NewFeed(8)
+	f := newFeed(8)
 	f.Append(addFrame(1))
 	start := time.Now()
 	win := f.Wait(context.Background(), 1, 30*time.Millisecond, 0)
@@ -171,7 +171,7 @@ func TestFeedWaitSinceTimeout(t *testing.T) {
 }
 
 func TestFeedWaitSinceContext(t *testing.T) {
-	f := NewFeed(8)
+	f := newFeed(8)
 	f.Append(addFrame(1))
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { time.Sleep(20 * time.Millisecond); cancel() }()
@@ -187,7 +187,7 @@ func TestFeedWaitSinceContext(t *testing.T) {
 // chain (no skips, no duplicates) or a gap that restarts it.
 func TestFeedConcurrent(t *testing.T) {
 	const total = 500
-	f := NewFeed(64)
+	f := newFeed(64)
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
@@ -228,7 +228,7 @@ func TestFeedConcurrent(t *testing.T) {
 // and keeps later polls from parking; the feed still takes appends and
 // serves them.
 func TestFeedClose(t *testing.T) {
-	f := NewFeed(8)
+	f := newFeed(8)
 	f.Append(addFrame(1))
 	parked := make(chan Window, 1)
 	go func() { parked <- f.Wait(context.Background(), 1, 25*time.Second, 0) }()

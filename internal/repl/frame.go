@@ -78,8 +78,8 @@ const (
 )
 
 // The limits of one /repl/deltas poll. The primary caps &wait and &max at
-// them (and pages by maxFrames when &max is absent); a replica asks for
-// exactly them unless Options.PollWait says otherwise.
+// them (and pages by maxFrames when &max is absent); Replica.Run asks for
+// exactly them, Replica.Step for maxFrames and no wait.
 const (
 	maxPollWait = 25 * time.Second
 	maxFrames   = 1024
@@ -144,9 +144,9 @@ func (win Window) encode(w io.Writer) {
 // errWindowPassed marks feed positions that no longer name a point in the
 // primary's live history: 410 responses, mid-stream chain breaks, an epoch
 // change (the primary restarted and its generation counter with it), or a
-// latest generation behind the replica's applied one. Run answers every
-// form of it the same way — re-snapshot, the only operation that
-// re-establishes equivalence without trusting the lost position.
+// latest generation behind the replica's applied one. A replica's round
+// answers every form of it the same way — re-snapshot, the only operation
+// that re-establishes equivalence without trusting the lost position.
 var errWindowPassed = errors.New("repl: position past the primary's retained delta window")
 
 // readFeed is the one decoder of a /repl/deltas body — Replica.poll, the

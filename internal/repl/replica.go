@@ -22,6 +22,15 @@ import (
 // snapshotTimeout bounds one snapshot fetch (boot and re-snapshot).
 const snapshotTimeout = 2 * time.Minute
 
+// Run's reconnect backoff: the delay starts at backoffMin, doubles per
+// consecutive failed round, is capped at backoffMax, and each sleep is
+// jittered ±50% so a fleet of replicas that lost the same primary does not
+// reconnect in lockstep.
+const (
+	backoffMin = 100 * time.Millisecond
+	backoffMax = 5 * time.Second
+)
+
 // Options configures a Replica. Primary is the only required field.
 type Options struct {
 	// Primary is the primary's base URL (e.g. "http://10.0.0.5:8080").
@@ -30,37 +39,9 @@ type Options struct {
 	// with no overall timeout (long polls outlive any sane client timeout —
 	// per-request deadlines come from contexts instead).
 	Client *http.Client
-	// PollWait is the long-poll wait hint sent with every /repl/deltas
-	// request; the primary caps it server-side. Default 25s, that cap.
-	PollWait time.Duration
-	// BackoffMin and BackoffMax bound the reconnect backoff: the delay
-	// starts at BackoffMin, doubles per consecutive failure, is capped at
-	// BackoffMax, and each sleep is jittered ±50% so a fleet of replicas
-	// that lost the same primary does not reconnect in lockstep. Defaults
-	// 100ms and 5s.
-	BackoffMin, BackoffMax time.Duration
 	// Logger, when set, receives connection lifecycle messages (reconnects,
 	// re-snapshots); nil is silent.
 	Logger *log.Logger
-}
-
-// defaults fills the zero fields.
-func (o *Options) defaults() {
-	if o.Client == nil {
-		o.Client = &http.Client{}
-	}
-	if o.PollWait <= 0 {
-		o.PollWait = maxPollWait
-	}
-	if o.BackoffMin <= 0 {
-		o.BackoffMin = 100 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 5 * time.Second
-	}
-	if o.BackoffMax < o.BackoffMin {
-		o.BackoffMax = o.BackoffMin
-	}
 }
 
 // Status is a replica's replication state, as reported under /stats and
@@ -74,7 +55,7 @@ type Status struct {
 	// to, pinned at snapshot time; a feed response with a different epoch
 	// forces a re-snapshot.
 	PrimaryEpoch string `json:"primary_epoch,omitempty"`
-	// Connected reports that the most recent feed request succeeded.
+	// Connected reports that the most recent round succeeded.
 	Connected bool `json:"connected"`
 	// AppliedGeneration is the primary generation this replica has applied
 	// through; PrimaryGeneration is the primary's latest known generation
@@ -83,30 +64,30 @@ type Status struct {
 	AppliedGeneration uint64 `json:"applied_generation"`
 	PrimaryGeneration uint64 `json:"primary_generation"`
 	Lag               uint64 `json:"lag_generations"`
-	// Reconnects counts feed connections that failed and were retried;
+	// Reconnects counts failed rounds (the next round reconnects);
 	// Resnapshots counts full re-snapshot recoveries (boot excluded).
 	Reconnects  int64 `json:"reconnects"`
 	Resnapshots int64 `json:"resnapshots"`
-	// LastError is the most recent connection or apply error, cleared on
-	// the next successful poll.
+	// LastError is the most recent connection or apply error, cleared by
+	// the next successful round.
 	LastError string `json:"last_error,omitempty"`
 }
 
 // Replica is the client side of the replication tier: it boots from the
-// primary's snapshot (New), then follows the delta feed (Run), applying
-// each frame through the local reasoner's incremental-maintenance path so
-// the replica's materialized view — and its query cache invalidation —
-// stay exactly as fresh as the feed. Create with New, hand the base store
-// to server.New, then call Run with the server's reasoner.
+// primary's snapshot (New), then follows the delta feed round by round —
+// one round per Step, or Run's loop of them — applying each frame through
+// the local reasoner's incremental-maintenance path so the replica's
+// materialized view — and its query cache invalidation — stay exactly as
+// fresh as the feed. Create with New, hand the base store to server.New,
+// then call Run with the server's reasoner.
 //
 // A replica is stateless across restarts by design: it keeps nothing on
 // disk, so a crashed or SIGKILLed replica process simply boots again from
 // a fresh snapshot — there is no recovery state machine to get wrong, and
 // a replica can never serve a corrupt hybrid of two histories.
 type Replica struct {
-	opts    Options
-	base    *store.Store
-	applier *reason.Reasoner
+	opts Options
+	base *store.Store
 
 	mu sync.Mutex
 	st Status // as update left it; Status derives the rest
@@ -117,7 +98,9 @@ type Replica struct {
 // the snapshot generation. The caller materializes that store (server.New
 // does) and then calls Run to start following the feed.
 func New(opts Options) (*Replica, error) {
-	opts.defaults()
+	if opts.Client == nil {
+		opts.Client = &http.Client{}
+	}
 	// url.Parse alone accepts "localhost:8080" (as scheme "localhost") and
 	// "localhost" (a bare path); both would only fail later, in the transport.
 	u, err := url.Parse(opts.Primary)
@@ -189,49 +172,35 @@ func (r *Replica) RegisterMetrics(reg *obs.Registry) {
 
 // Run follows the primary's delta feed until ctx is done, applying every
 // frame through applier — the reasoner materializing the replica's base
-// store — in generation order. Frames at or below the applied generation
-// are skipped (a generation is never applied twice); a chain break, a 410
-// from the primary, or a primary epoch change (the primary restarted, so its
-// generation chain is a new history) triggers a full re-snapshot; transport
-// errors reconnect with capped exponential backoff and ±50% jitter. Run
-// only returns when ctx is done — every failure mode retries — and always
-// returns nil; it is meant to be launched as `go rep.Run(ctx, reasoner)`
-// next to the serving loop.
+// store: it runs rounds back to back, each long-polling the primary for up
+// to maxPollWait, and sleeps a jittered, capped exponential backoff after a
+// failed one. Every failure retries, so Run only returns when ctx is done,
+// and always returns nil; it is meant to be launched as
+// `go rep.Run(ctx, reasoner)` next to the serving loop.
 func (r *Replica) Run(ctx context.Context, applier *reason.Reasoner) error {
-	if applier.Base() != r.base {
-		// Fail fast: applying the feed through a reasoner over a different
-		// store would fork the replica from the snapshot it booted from.
-		panic("repl: Run's applier does not materialize the replica's base store")
-	}
-	r.applier = applier
-	backoff := r.opts.BackoffMin
+	backoff := backoffMin
 	for ctx.Err() == nil {
-		err := r.poll(ctx)
-		if errors.Is(err, errWindowPassed) {
-			r.logf("feed position lost (%v); re-snapshotting from %s", err, r.opts.Primary)
-			err = r.resnapshot(ctx)
-		}
-		switch {
-		case err == nil:
-			backoff = r.opts.BackoffMin
-		case ctx.Err() != nil:
-			return nil
-		default:
-			r.logf("feed error (will reconnect): %v", err)
-			r.update(func(st *Status) {
-				st.Connected = false
-				st.LastError = err.Error()
-				st.Reconnects++
-			})
-			backoff = r.sleep(ctx, backoff)
+		if err := r.round(ctx, applier, maxPollWait); err == nil {
+			backoff = backoffMin
+		} else {
+			backoff = sleep(ctx, backoff)
 		}
 	}
 	return nil
 }
 
+// Step runs one round that never parks on the primary (a caught-up replica's
+// Step returns at once) and returns its error, which Status has already
+// recorded. A failed Step leaves the replica consistent: the next Step, or
+// Run, resumes from the applied generation. Step and Run must not run
+// concurrently on one replica.
+func (r *Replica) Step(ctx context.Context, applier *reason.Reasoner) error {
+	return r.round(ctx, applier, 0)
+}
+
 // sleep waits for the jittered backoff (or ctx) and returns the next,
 // doubled-and-capped backoff. The jitter is ±50% of the current delay.
-func (r *Replica) sleep(ctx context.Context, backoff time.Duration) time.Duration {
+func sleep(ctx context.Context, backoff time.Duration) time.Duration {
 	delay := backoff/2 + rand.N(backoff+1) // uniform in [backoff/2, 3*backoff/2]
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
@@ -239,22 +208,56 @@ func (r *Replica) sleep(ctx context.Context, backoff time.Duration) time.Duratio
 	case <-ctx.Done():
 	case <-timer.C:
 	}
-	return min(backoff*2, r.opts.BackoffMax)
+	return min(backoff*2, backoffMax)
 }
 
-// poll runs one feed round: request the frames above the applied
-// generation, apply them in order, and record the trailer's view of the
-// primary. A nil return means the round succeeded (even with zero frames);
-// errWindowPassed demands a re-snapshot; anything else is a transport or
-// protocol error worth a backoff and retry.
-func (r *Replica) poll(ctx context.Context) error {
-	at := r.Status() // the position this round resumes from
+// round is the one body of Run and Step: one /repl/deltas poll held open for
+// up to wait, its frames applied through applier in generation order, and a
+// full re-snapshot when the poll finds the position lost — a 410, a chain
+// break, a rewound trailer, or a primary epoch change (the primary
+// restarted, so its generation chain is a new history). It records its
+// outcome — connected, or the error and one more reconnect — unless ctx
+// ended it.
+func (r *Replica) round(ctx context.Context, applier *reason.Reasoner, wait time.Duration) error {
+	if applier.Base() != r.base {
+		// Fail fast: applying the feed through a reasoner over a different
+		// store would fork the replica from the snapshot it booted from.
+		panic("repl: the applier does not materialize the replica's base store")
+	}
+	err := r.poll(ctx, applier, wait)
+	if errors.Is(err, errWindowPassed) {
+		r.logf("feed position lost (%v); re-snapshotting from %s", err, r.opts.Primary)
+		err = r.resnapshot(ctx, applier)
+	}
+	switch {
+	case err == nil:
+		r.update(func(st *Status) {
+			st.Connected = true
+			st.LastError = ""
+		})
+	case ctx.Err() == nil:
+		r.logf("feed error (will reconnect): %v", err)
+		r.update(func(st *Status) {
+			st.Connected = false
+			st.LastError = err.Error()
+			st.Reconnects++
+		})
+	}
+	return err
+}
+
+// poll requests the frames above the applied generation, applies them in
+// order, and records the trailer's view of the primary. A nil return means
+// the poll succeeded (even with zero frames); errWindowPassed demands a
+// re-snapshot; anything else is a transport or protocol error.
+func (r *Replica) poll(ctx context.Context, applier *reason.Reasoner, wait time.Duration) error {
+	at := r.Status() // the position this poll resumes from
 	u := fmt.Sprintf("%s%s?from=%d&wait=%s&max=%d",
-		r.opts.Primary, DeltasPath, at.AppliedGeneration, r.opts.PollWait, maxFrames)
+		r.opts.Primary, DeltasPath, at.AppliedGeneration, wait, maxFrames)
 	// The request deadline dominates the long-poll wait so a healthy
 	// primary can hold the poll open, while a wedged connection still
 	// times out instead of stalling replication forever.
-	reqCtx, cancel := context.WithTimeout(ctx, r.opts.PollWait+30*time.Second)
+	reqCtx, cancel := context.WithTimeout(ctx, wait+30*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(reqCtx, http.MethodGet, u, nil)
 	if err != nil {
@@ -283,15 +286,11 @@ func (r *Replica) poll(ctx context.Context) error {
 		return fmt.Errorf("repl: primary epoch changed from %q to %q (primary restarted?): %w",
 			at.PrimaryEpoch, got, errWindowPassed)
 	}
-	trailer, err := readFeed(resp.Body, at.AppliedGeneration, r.apply)
+	trailer, err := readFeed(resp.Body, at.AppliedGeneration, func(fr Frame) error { return r.apply(applier, fr) })
 	if err != nil {
 		return err
 	}
-	r.update(func(st *Status) {
-		st.PrimaryGeneration = max(st.PrimaryGeneration, trailer.Gen)
-		st.Connected = true
-		st.LastError = ""
-	})
+	r.update(func(st *Status) { st.PrimaryGeneration = max(st.PrimaryGeneration, trailer.Gen) })
 	return nil
 }
 
@@ -299,8 +298,8 @@ func (r *Replica) poll(ctx context.Context) error {
 // Apply, adds then removes, the primary's own write was, which is what makes
 // the replica's materialization converge to the primary's — and records the
 // generation as applied.
-func (r *Replica) apply(fr Frame) error {
-	if _, _, err := r.applier.Apply(wireTriples(fr.Add), wireTriples(fr.Remove), nil); err != nil {
+func (r *Replica) apply(applier *reason.Reasoner, fr Frame) error {
+	if _, _, err := applier.Apply(wireTriples(fr.Add), wireTriples(fr.Remove), nil); err != nil {
 		return fmt.Errorf("repl: applying frame %d: %w", fr.Gen, err)
 	}
 	r.update(func(st *Status) { st.AppliedGeneration = fr.Gen })
@@ -364,14 +363,14 @@ func (r *Replica) fetchSnapshot(ctx context.Context) (*store.Store, uint64, stri
 // replica keeps serving (slightly stale, then converged) queries throughout.
 // The diff is set-based, so it lands on the snapshot's exact state no matter
 // what suffix of history the replica missed.
-func (r *Replica) resnapshot(ctx context.Context) error {
+func (r *Replica) resnapshot(ctx context.Context, applier *reason.Reasoner) error {
 	target, gen, epoch, err := r.fetchSnapshot(ctx)
 	if err != nil {
 		return err
 	}
-	current := r.applier.Base()
+	current := applier.Base()
 	adds, removes := missingFrom(current, target.Triples()), missingFrom(target, current.Triples())
-	if _, _, err := r.applier.Apply(adds, removes, nil); err != nil {
+	if _, _, err := applier.Apply(adds, removes, nil); err != nil {
 		return fmt.Errorf("repl: applying re-snapshot diff: %w", err)
 	}
 	r.update(func(st *Status) {
@@ -382,11 +381,6 @@ func (r *Replica) resnapshot(ctx context.Context) error {
 		// the primary-generation reference resets with the position.
 		st.PrimaryGeneration = gen
 		st.Resnapshots++
-		// A served snapshot is proof of contact: report connected now rather
-		// than after the next poll round, which may hold a long poll open for
-		// the full wait before it completes.
-		st.Connected = true
-		st.LastError = ""
 	})
 	r.logf("re-snapshot complete: epoch %s, generation %d, %d added, %d removed", epoch, gen, len(adds), len(removes))
 	return nil

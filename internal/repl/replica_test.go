@@ -45,7 +45,7 @@ func TestNewValidatesPrimaryURL(t *testing.T) {
 // dashboards and the bench harness read them by name.
 func TestMetricSeries(t *testing.T) {
 	reg := obs.NewRegistry()
-	NewFeed(4).RegisterMetrics(reg)
+	NewFeed().RegisterMetrics(reg)
 	(&Replica{}).RegisterMetrics(reg)
 	var out strings.Builder
 	if _, err := reg.WriteTo(&out); err != nil {

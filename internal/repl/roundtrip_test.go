@@ -39,7 +39,7 @@ func randomFrame(rng *rand.Rand, gen uint64) Frame {
 func TestHandlerReadFeedRoundTrip(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 0))
-		feed := NewFeed(256)
+		feed := newFeed(256)
 		var published, applied []Frame
 		var last string // the previous response body, for replays
 		cursor := func() uint64 { return uint64(len(applied)) }

@@ -6,8 +6,6 @@ package repl_test
 // silently-forked state.
 
 import (
-	"bytes"
-	"context"
 	"testing"
 
 	"repro/internal/repl"
@@ -15,65 +13,43 @@ import (
 
 // TestStaleWindowResnapshot pauses a replica, pushes more history than the
 // primary retains, and resumes: the resume poll answers 410 Gone, the
-// replica re-snapshots (diffing onto the fresh state through its own
-// reasoner), and the views converge byte-for-byte.
+// replica re-snapshots in the same Step (diffing onto the fresh state
+// through its own reasoner), and the views converge byte-for-byte.
 func TestStaleWindowResnapshot(t *testing.T) {
-	const retain = 4
-	psrv, ts := newPrimary(t, retain)
+	psrv, ts := newPrimary(t)
+	primary := psrv.Reasoner()
 	rep, applier := newReplica(t, ts.URL, repl.Options{})
 
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { defer close(done); _ = rep.Run(ctx, applier) }()
-
-	// Phase 1: normal streaming replication, in lockstep so the tiny
-	// retention window is never outrun while the stream is healthy.
-	m := newMutator(59, psrv.Reasoner())
+	// Phase 1: streaming replication, one Step per write.
+	m := newMutator(59, primary)
 	for i := 0; i < 6; i++ {
 		m.step(t)
-		waitApplied(t, rep, psrv.Reasoner().Generation())
+		step(t, rep, applier)
 	}
-	if rep.Status().Resnapshots != 0 {
-		t.Fatal("streaming catch-up should not have re-snapshotted")
-	}
+	converged(t, "streaming", rep, applier, primary)
 
-	// Phase 2: pause the replica and out-run the retained window.
-	cancel()
-	<-done
+	// Phase 2: pause the replica and out-run the retained window — random
+	// writes the re-snapshot must reconcile, then one-triple toggles, which
+	// are cheaper, for the rest of the window.
+	retain := feedStats(t, ts.URL).Retain
 	pausedAt := rep.Status().AppliedGeneration
-	changed := 0
-	for changed < 3*retain {
-		if m.step(t) {
-			changed++
-		}
+	for i := 0; i < 50; i++ {
+		m.step(t)
 	}
-	primaryGen := psrv.Reasoner().Generation()
-	if primaryGen-pausedAt <= retain {
-		t.Fatalf("schedule advanced only %d generations, want > %d", primaryGen-pausedAt, retain)
-	}
+	toggle(t, primary, retain+1-int(primary.Generation()-pausedAt))
 
-	// Phase 3: resume. The replica's position is gone from the window; it
-	// must detect the gap and recover through a fresh snapshot.
-	ctx, cancel = context.WithCancel(context.Background())
-	done = make(chan struct{})
-	go func() { defer close(done); _ = rep.Run(ctx, applier) }()
-	defer func() { cancel(); <-done }()
-
-	waitApplied(t, rep, primaryGen)
-	st := rep.Status()
-	if st.Resnapshots == 0 {
-		t.Fatal("replica resumed past the retained window without re-snapshotting")
+	// Phase 3: resume. The replica's position is gone from the window; one
+	// Step detects the gap and recovers through a fresh snapshot.
+	step(t, rep, applier)
+	if st := rep.Status(); st.Resnapshots != 1 || st.Reconnects != 0 {
+		t.Fatalf("resuming past the retained window: %+v, want one re-snapshot and no reconnect", st)
 	}
-	if want, got := viewSnapshot(t, psrv.Reasoner()), viewSnapshot(t, applier); !bytes.Equal(want, got) {
-		t.Fatalf("replica view diverged after re-snapshot: primary %d bytes, replica %d bytes", len(want), len(got))
-	}
+	converged(t, "after the re-snapshot", rep, applier, primary)
 
 	// Phase 4: streaming replication keeps working after the recovery.
 	for i := 0; i < 5; i++ {
 		m.step(t)
+		step(t, rep, applier)
 	}
-	waitApplied(t, rep, psrv.Reasoner().Generation())
-	if want, got := viewSnapshot(t, psrv.Reasoner()), viewSnapshot(t, applier); !bytes.Equal(want, got) {
-		t.Fatal("replica diverged after post-recovery mutations")
-	}
+	converged(t, "after post-recovery mutations", rep, applier, primary)
 }

@@ -41,6 +41,26 @@ func goldenHistory(t *testing.T, r *reason.Reasoner) {
 	}
 }
 
+// toggle applies n more writes to r, each of them a change — asserting a
+// marker triple, then retracting it — so r's generation advances by n.
+func toggle(t *testing.T, r *reason.Reasoner, n int) {
+	t.Helper()
+	marker := []store.Triple{{Subject: "marker", Predicate: store.TypePredicate, Object: "c0"}}
+	want := r.Generation() + uint64(n)
+	for i := 0; i < n; i++ {
+		adds, removes := marker, []store.Triple(nil)
+		if i%2 == 1 {
+			adds, removes = nil, marker
+		}
+		if _, _, err := r.Apply(adds, removes, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := r.Generation(); got != want {
+		t.Fatalf("%d toggles left the primary at generation %d, want %d", n, got, want)
+	}
+}
+
 // wireTranscript renders one response the way the golden states it: status,
 // the content headers and every X-Repl-* header in sorted order, a blank
 // line, the body. The epoch is random per feed, so its value is replaced by
@@ -68,11 +88,13 @@ func wireTranscript(rec *httptest.ResponseRecorder) string {
 }
 
 func TestWireGolden(t *testing.T) {
-	psrv, _ := newPrimary(t, 0)
+	psrv, _ := newPrimary(t)
 	goldenHistory(t, psrv.Reasoner())
-	// The same history behind a 2-frame window: from=0 has fallen out of it.
-	narrow, _ := newPrimary(t, 2)
-	goldenHistory(t, narrow.Reasoner())
+	// The same history followed by a full retention window of writes: from=0
+	// has fallen out of the window.
+	aged, agedTS := newPrimary(t)
+	goldenHistory(t, aged.Reasoner())
+	toggle(t, aged.Reasoner(), feedStats(t, agedTS.URL).Retain)
 
 	get := func(h http.Handler, target string) string {
 		rec := httptest.NewRecorder()
@@ -122,10 +144,10 @@ X-Repl-Epoch: EPOCH
 
 {"done":true,"gen":4,"oldest":1}
 `},
-		{"deltas gone", "/repl/deltas?from=0", narrow.Handler(), `410
+		{"deltas gone", "/repl/deltas?from=0", aged.Handler(), `410
 Content-Type: application/json
 
-{"error":"generation 0 has fallen out of the retained delta window (oldest retained is 3); fetch a fresh /repl/snapshot"}
+{"error":"generation 0 has fallen out of the retained delta window (oldest retained is 5); fetch a fresh /repl/snapshot"}
 `},
 		{"deltas bad from", "/repl/deltas?from=x", psrv.Handler(), `400
 Content-Type: application/json

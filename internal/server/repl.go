@@ -27,8 +27,7 @@ type ReplicaSource interface {
 type ReplicationStats struct {
 	// Role is "primary" or "replica".
 	Role string `json:"role"`
-	// Feed is the primary's delta-retention window; nil on a replica (and
-	// on a primary configured with the feed disabled).
+	// Feed is the primary's delta-retention window; nil on a replica.
 	Feed *repl.FeedStats `json:"feed,omitempty"`
 	// Replica is the replica's catch-up status; nil on a primary.
 	Replica *repl.Status `json:"replica,omitempty"`

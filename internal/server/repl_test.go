@@ -169,7 +169,7 @@ func TestPrimaryReplSnapshot(t *testing.T) {
 }
 
 func TestPrimaryReplDeltas(t *testing.T) {
-	s, err := New(Config{Base: replTestBase(t), ReplRetain: 2})
+	s, err := New(Config{Base: replTestBase(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +205,8 @@ func TestPrimaryReplDeltas(t *testing.T) {
 		t.Fatalf("trailer = %+v err=%v", tr, err)
 	}
 
-	// Outrun the 2-frame window: from=0 is now gone.
-	for i := 0; i < 3; i++ {
+	// Outrun the retained window: from=0 is now gone.
+	for i := 0; i < s.feed.Stats().Retain; i++ {
 		if !s.Reasoner().Remove(store.Triple{Subject: "item-9", Predicate: store.TypePredicate, Object: "c0"}) {
 			if _, err := s.Reasoner().AddBatch([]store.Triple{{Subject: "item-9", Predicate: store.TypePredicate, Object: "c0"}}); err != nil {
 				t.Fatal(err)
@@ -222,28 +222,6 @@ func TestPrimaryReplDeltas(t *testing.T) {
 		if rec := do(t, s, http.MethodGet, target, nil); rec.Code != http.StatusBadRequest {
 			t.Fatalf("GET %s: got %d, want 400", target, rec.Code)
 		}
-	}
-}
-
-func TestPrimaryFeedDisabled(t *testing.T) {
-	s, err := New(Config{Base: replTestBase(t), ReplRetain: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec := do(t, s, http.MethodGet, "/repl/snapshot", nil); rec.Code != http.StatusNotFound {
-		t.Fatalf("disabled feed still mounted: %d", rec.Code)
-	}
-	var stats StatsResponse
-	if err := json.Unmarshal(do(t, s, http.MethodGet, "/stats", nil).Body.Bytes(), &stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Replication == nil || stats.Replication.Role != "primary" || stats.Replication.Feed != nil {
-		t.Fatalf("replication block with the feed disabled = %+v", stats.Replication)
-	}
-	// The role series is the server's; the feed's own series go with the feed.
-	scrape := do(t, s, http.MethodGet, "/metrics", nil).Body.String()
-	if !strings.Contains(scrape, `onto_repl_role{role="primary"} 1`) || strings.Contains(scrape, "onto_repl_feed_") {
-		t.Fatalf("/metrics with the feed disabled:\n%s", scrape)
 	}
 }
 

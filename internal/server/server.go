@@ -116,12 +116,6 @@ type Config struct {
 	// SlowQueryLog is where slow-query records go; nil with a threshold set
 	// means os.Stderr.
 	SlowQueryLog io.Writer
-	// ReplRetain sizes the primary's delta-feed retention window in frames
-	// (GET /repl/deltas can serve a replica that is at most this many
-	// generations behind; further back it must re-snapshot). 0 picks
-	// repl.DefaultRetain; negative disables the feed endpoints entirely.
-	// Ignored on a replica.
-	ReplRetain int
 	// Replica, when set, makes this server a read replica: POST /triples and
 	// POST /checkpoint answer 403 naming the primary, the /repl feed
 	// endpoints are not mounted (replicas do not chain), and the replication
@@ -158,7 +152,7 @@ type Server struct {
 	cfg      Config
 	reasoner *reason.Reasoner
 	cache    *resultCache
-	feed     *repl.Feed   // primary-side delta retention; nil on replicas and with ReplRetain < 0
+	feed     *repl.Feed   // primary-side delta retention; nil on replicas
 	routes   []route      // buildRoutes
 	root     http.Handler // the route mux
 	start    time.Time
@@ -206,8 +200,8 @@ func New(cfg Config) (*Server, error) {
 		slow:     newSlowQueryLog(cfg.SlowQueryThreshold, cfg.SlowQueryLog),
 	}
 	s.ridPrefix = strconv.FormatInt(s.start.UnixNano(), 16)
-	if cfg.Replica == nil && cfg.ReplRetain >= 0 {
-		s.feed = repl.NewFeed(cfg.ReplRetain)
+	if cfg.Replica == nil {
+		s.feed = repl.NewFeed()
 	}
 	// One event per content-changing write, inside its critical section: drop
 	// the cached results it stales, then (on a primary) publish its frame.
