@@ -33,7 +33,8 @@
 //
 //   - Fixed-size buffers (batch columns, probe patterns, scan triple
 //     buffers) are drawn from package pools when an operator is built and
-//     handed back when it is released.
+//     handed back when it is released. So are the operator structs
+//     themselves — scan, sliceScan, seed and join alike.
 //   - A join's match buffers — the only buffers whose size depends on the
 //     data — are fields of the pooled join struct itself and keep their
 //     capacity from one query to the next. The window rule bounds them: a
@@ -111,6 +112,8 @@ var (
 	batchPool = sync.Pool{New: func() any { return new(Batch) }}
 	scanPool  = sync.Pool{New: func() any { return new(scan) }}
 	joinPool  = sync.Pool{New: func() any { return new(join) }}
+	slicePool = sync.Pool{New: func() any { return new(sliceScan) }}
+	seedPool  = sync.Pool{New: func() any { return new(seed) }}
 )
 
 // maxPooledCap bounds, in entries, the match buffers a join keeps: one probe
@@ -366,10 +369,7 @@ func Close(op Op) {
 			t.close()
 			op = nil
 		case *seed:
-			if t.out != nil {
-				t.out.release()
-				t.out = nil
-			}
+			t.close()
 			op = nil
 		default:
 			op = nil
@@ -606,15 +606,23 @@ type sliceScan struct {
 // batches. The slice is not copied; it must stay unchanged while the tree
 // runs.
 func NewSliceScan(ts []store.IDTriple, pat Pattern, nslots int) Op {
-	return &sliceScan{ts: ts, ip: pat.Template(), rp: planRow(pat, nil), out: newBatch(nslots)}
+	poolGets.Add(1)
+	ss := slicePool.Get().(*sliceScan)
+	*ss = sliceScan{ts: ts, ip: pat.Template(), rp: planRow(pat, nil), out: newBatch(nslots)}
+	return ss
 }
 
-// close releases the slice scan's pooled columns.
+// close releases the slice scan's pooled columns — and the slice scan
+// itself — once its stream has ended.
 func (ss *sliceScan) close() {
-	if !ss.released {
-		ss.released = true
-		ss.out.release()
+	if ss.released {
+		return
 	}
+	ss.released = true
+	ss.out.release()
+	ss.out, ss.ts = nil, nil
+	slicePool.Put(ss)
+	poolPuts.Add(1)
 }
 
 // Next pulls the slice scan's next batch.
@@ -651,15 +659,18 @@ func (ss *sliceScan) Next(ctx *Ctx) (*Batch, error) {
 // evaluation starts from known values (the rederivation test binds a rule's
 // head variables before probing its body).
 type seed struct {
-	out  *Batch
-	done bool
+	out      *Batch
+	done     bool
+	released bool
 }
 
 // NewSeed builds a leaf emitting exactly one row that binds slot i to
 // vals[i] for every i with bound[i] set. nslots is the tree's slot count;
 // vals and bound are indexed by slot and copied.
 func NewSeed(vals []store.SymbolID, bound []bool, nslots int) Op {
-	s := &seed{out: newBatch(nslots)}
+	poolGets.Add(1)
+	s := seedPool.Get().(*seed)
+	*s = seed{out: newBatch(nslots)}
 	for i := 0; i < nslots && i < len(vals); i++ {
 		if i < len(bound) && bound[i] {
 			s.out.Cols[i][0] = vals[i]
@@ -669,13 +680,23 @@ func NewSeed(vals []store.SymbolID, bound []bool, nslots int) Op {
 	return s
 }
 
+// close releases the seed's pooled columns — and the seed itself — once its
+// stream has ended.
+func (s *seed) close() {
+	if s.released {
+		return
+	}
+	s.released = true
+	s.out.release()
+	s.out = nil
+	seedPool.Put(s)
+	poolPuts.Add(1)
+}
+
 // Next emits the single seeded row, then exhaustion.
 func (s *seed) Next(ctx *Ctx) (*Batch, error) {
 	if s.done {
-		if s.out != nil {
-			s.out.release()
-			s.out = nil
-		}
+		s.close()
 		return nil, nil
 	}
 	s.done = true

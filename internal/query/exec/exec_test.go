@@ -306,3 +306,68 @@ func TestJoinFanoutSteadyStateAllocs(t *testing.T) {
 		t.Errorf("pool gets %d != puts %d after every join ended or was closed", gets, puts)
 	}
 }
+
+// TestLeafPipelinesSteadyStateAllocs extends the buffer-ownership contract to
+// the reasoner's leaves: a slice scan feeding a join (a semi-naive delta term)
+// and a seed feeding a join (the rederivation test) are pooled like scans and
+// joins, so once warmed, building one and either draining it or closing it
+// after its first batch allocates nothing, and every pool get is matched by
+// a put.
+func TestLeafPipelinesSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
+	const subjects, fanout = 4, 2 * exec.BatchSize
+	s, pat, ids := fanoutFixture(t, subjects, fanout)
+	pid := pat[1].ID
+	delta := make([]store.IDTriple, subjects)
+	for i, id := range ids {
+		delta[i] = store.IDTriple{S: id, P: pid, O: id}
+	}
+	// The slice scan binds ?s (slot 0) and a copy of it (slot 2); the join
+	// adds ?o (slot 1). The seed binds ?s alone.
+	sliceBound := []bool{true, false, true}
+	seedVals, seedBound := []store.SymbolID{ids[0], 0}, []bool{true, false}
+	pipelines := []struct {
+		name  string
+		build func() exec.Op
+		rows  int
+	}{
+		{"slice", func() exec.Op {
+			leaf := exec.NewSliceScan(delta, exec.Pattern{exec.Var(0), exec.Lit(pid), exec.Var(2)}, 3)
+			return exec.NewJoin(leaf, s, pat, nil, sliceBound, 3, 0)
+		}, subjects * fanout},
+		{"seed", func() exec.Op {
+			return exec.NewJoin(exec.NewSeed(seedVals, seedBound, 2), s, pat, nil, seedBound, 2, 0)
+		}, fanout},
+	}
+	var ctx exec.Ctx // shared: a per-run Ctx would itself escape to the heap
+	for _, p := range pipelines {
+		for _, drain := range []bool{true, false} {
+			rows := 0
+			allocs := testing.AllocsPerRun(20, func() {
+				op := p.build()
+				for {
+					b, err := op.Next(&ctx)
+					if err != nil || b == nil {
+						return
+					}
+					rows += b.N
+					if !drain {
+						exec.Close(op)
+						return
+					}
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s, drain %v: %.0f allocs per build+drain, want 0", p.name, drain, allocs)
+			}
+			if drain && rows != 21*p.rows {
+				t.Errorf("%s: drained %d rows over 21 runs, want %d", p.name, rows, 21*p.rows)
+			}
+		}
+	}
+	if gets, puts := exec.PoolCounters(); gets != puts {
+		t.Errorf("pool gets %d != puts %d after every pipeline ended or was closed", gets, puts)
+	}
+}

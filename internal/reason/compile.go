@@ -20,7 +20,8 @@ import (
 // (matchAll, the seed round's whole rule), a slice of the delta (matchDelta,
 // one semi-naive term "atom di ranges over the delta, the rest probe the full
 // materialization") or a seeded row (derives, the rederivation test); every
-// one drains through drainHeads.
+// one drains through drainHeads, and the last two are built from the
+// reasoner's write scratch.
 
 // crule is one compiled rule: its head, its body, the number of distinct
 // variables, and the precomputed evaluation orders — one per choice of delta
@@ -233,7 +234,7 @@ func (r *crule) headTriple(b *exec.Batch, row int) store.IDTriple {
 // entire database — so the seed round runs it once per rule instead of once
 // per body atom: a store scan over the body atom with the fewest matches,
 // then one batch join per remaining atom in that atom's deltaOrder.
-func matchAll(r *crule, db *store.Store, emit func(store.IDTriple) bool) {
+func matchAll(ctx *exec.Ctx, r *crule, db *store.Store, emit func(store.IDTriple) bool) {
 	di, least := 0, -1
 	for i, a := range r.body {
 		if n := db.StatsID(a.Template()).Count; least < 0 || n < least {
@@ -252,16 +253,15 @@ func matchAll(r *crule, db *store.Store, emit func(store.IDTriple) bool) {
 		steps[i].Pat.Bind(bound)
 	}
 	clear(bound)
-	drainHeads(r, exec.Lower(db, nil, steps, bound, r.nvars), emit)
+	drainHeads(ctx, r, exec.Lower(db, nil, steps, bound, r.nvars), emit)
 }
 
-// drainHeads pulls the pipeline dry, emitting the rule's head for every row,
-// and reports whether it ran to completion; emit returns false to stop, and
-// the abandoned pipeline hands its pooled buffers back.
-func drainHeads(r *crule, op exec.Op, emit func(store.IDTriple) bool) bool {
-	var ctx exec.Ctx
+// drainHeads pulls the pipeline dry under ctx, emitting the rule's head for
+// every row, and reports whether it ran to completion; emit returns false to
+// stop, and the abandoned pipeline hands its pooled buffers back.
+func drainHeads(ctx *exec.Ctx, r *crule, op exec.Op, emit func(store.IDTriple) bool) bool {
 	for {
-		b, err := op.Next(&ctx)
+		b, err := op.Next(ctx)
 		if err != nil || b == nil {
 			return true
 		}
@@ -275,38 +275,42 @@ func drainHeads(r *crule, op exec.Op, emit func(store.IDTriple) bool) bool {
 }
 
 // matchDelta enumerates every instantiation of the rule whose atom di
-// matches a triple of delta and whose remaining atoms match db, emitting
-// each instantiated head; emit returns false to stop the enumeration, and
-// matchDelta reports whether it ran to completion. This is one term of the
-// semi-naive expansion — restricting one atom to the delta makes a round's
-// work proportional to the new facts, and iterating di over all body
-// positions covers every derivation that uses at least one new fact — run
-// as a batched pipeline: a SliceScan leaf over the delta, then one batch
-// join per remaining atom in the precomputed deltaOrder. Heads are emitted
-// from the pipeline's output batches, after every probe's shard lock has
-// been released, so emit may (unlike a store iterator callback) buffer
-// freely.
-func matchDelta(r *crule, di int, delta []store.IDTriple, db exec.Source, emit func(store.IDTriple) bool) bool {
+// matches a triple of delta and whose remaining atoms match the reasoner's
+// view, emitting each instantiated head; emit returns false to stop the
+// enumeration, and matchDelta reports whether it ran to completion. This is
+// one term of the semi-naive expansion — restricting one atom to the delta
+// makes a round's work proportional to the new facts, and iterating di over
+// all body positions covers every derivation that uses at least one new fact
+// — run as a batched pipeline: a SliceScan leaf over the delta, then one
+// batch join per remaining atom in the precomputed deltaOrder. Heads are
+// emitted from the pipeline's output batches, after every probe's shard lock
+// has been released, so emit may (unlike a store iterator callback) buffer
+// freely. Callers hold r.mu: the pipeline is built from write scratch.
+func (r *Reasoner) matchDelta(cr *crule, di int, delta []store.IDTriple, emit func(store.IDTriple) bool) bool {
 	if len(delta) == 0 {
 		return true
 	}
-	order := r.deltaOrder[di]
-	bound := make([]bool, r.nvars)
+	order := cr.deltaOrder[di]
+	bound := r.scratch.bound[:cr.nvars]
+	clear(bound)
 	order[0].Pat.Bind(bound)
-	return drainHeads(r, exec.Lower(db, exec.NewSliceScan(delta, order[0].Pat, r.nvars), order[1:], bound, r.nvars), emit)
+	op := exec.Lower(r.view, exec.NewSliceScan(delta, order[0].Pat, cr.nvars), order[1:], bound, cr.nvars)
+	return drainHeads(&r.scratch.ctx, cr, op, emit)
 }
 
 // derives reports whether the rule derives the given triple in one step from
-// db: the head is unified with the triple, the resulting bindings seed a
-// one-row leaf, and the whole body is evaluated as batch joins under that
-// seed (the headOrder). It is the rederivation test of the delete-and-
-// rederive maintenance pass; the pipeline is abandoned at the first
-// surviving row.
-func derives(r *crule, t store.IDTriple, db exec.Source) bool {
-	vals := make([]store.SymbolID, r.nvars)
-	bound := make([]bool, r.nvars)
+// the reasoner's view: the head is unified with the triple, the resulting
+// bindings seed a one-row leaf, and the whole body is evaluated as batch
+// joins under that seed (the headOrder). It is the rederivation test of the
+// delete-and-rederive maintenance pass; the pipeline is abandoned at the
+// first surviving row. Callers hold r.mu: the pipeline is built from write
+// scratch.
+func (r *Reasoner) derives(cr *crule, t store.IDTriple) bool {
+	vals, bound := r.scratch.vals[:cr.nvars], r.scratch.bound[:cr.nvars]
+	clear(vals)
+	clear(bound)
 	tv := [3]store.SymbolID{t.S, t.P, t.O}
-	for i, ht := range r.head {
+	for i, ht := range cr.head {
 		if !ht.IsVar {
 			if ht.ID != tv[i] {
 				return false
@@ -322,6 +326,6 @@ func derives(r *crule, t store.IDTriple, db exec.Source) bool {
 		vals[ht.Slot] = tv[i]
 		bound[ht.Slot] = true
 	}
-	op := exec.Lower(db, exec.NewSeed(vals, bound, r.nvars), r.headOrder, bound, r.nvars)
-	return !drainHeads(r, op, func(store.IDTriple) bool { return false })
+	op := exec.Lower(r.view, exec.NewSeed(vals, bound, cr.nvars), cr.headOrder, bound, cr.nvars)
+	return !drainHeads(&r.scratch.ctx, cr, op, func(store.IDTriple) bool { return false })
 }

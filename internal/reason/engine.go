@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/query"
+	"repro/internal/query/exec"
 	"repro/internal/store"
 )
 
@@ -70,6 +71,8 @@ type Reasoner struct {
 	counts counts
 	// round is per-rule scratch of the propagation loop, indexed like rules.
 	round []ruleRound
+	// scratch is the write path's working state, reused by every Apply.
+	scratch scratch
 	// boot describes the initial fixpoint; written once, before Materialize
 	// returns. See MaterializeStats.
 	boot    MaterializeStats
@@ -154,6 +157,53 @@ func (m MaterializeStats) String() string {
 // takes no lock, so metric scrapes never wait on a write.
 func (r *Reasoner) MaterializeStats() MaterializeStats { return r.boot }
 
+// scratch is the reasoner's write scratch: every buffer one Apply works in,
+// owned by the reasoner and reused under its write lock, so that a steady
+// stream of small writes allocates only what it hands to the stores. Apply's
+// Delta lists are built in it, which is why they are valid only while the
+// event hook runs. trim bounds what it keeps between writes.
+type scratch struct {
+	// ctx is the one evaluation context of every pipeline the engine drains;
+	// a fresh one per pipeline would escape to the heap through Op.Next.
+	ctx exec.Ctx
+	// heads is the term loop's head buffer.
+	heads []store.IDTriple
+	// added and removed back the Delta's Added and Removed lists.
+	added, removed []store.IDTriple
+	// gone, marked and restored are retract's results, seen its set of the
+	// retracted and overdeleted triples.
+	gone, marked, restored []store.IDTriple
+	seen                   map[store.IDTriple]bool
+	// vals and bound are the per-slot bindings a pipeline is built from
+	// (matchDelta, derives), as long as the widest rule's slot count.
+	vals  []store.SymbolID
+	bound []bool
+}
+
+// scratchCap bounds, in entries, the scratch buffers a reasoner keeps between
+// writes, as exec's maxPooledCap bounds a pooled join's: a bulk load grows
+// them far past what an ordinary write needs, and keeping that would pin its
+// footprint for the reasoner's life.
+const scratchCap = 1 << 16
+
+// trim ends a write: it drops every buffer grown past limit entries and
+// empties seen, or drops it too once it held more than limit entries — a map
+// never shrinks, and clearing a bulk-sized one would walk all its buckets on
+// every later retract. Apply trims to scratchCap; the boot fixpoint to 0,
+// leaving no buffer behind.
+func (s *scratch) trim(limit int) {
+	for _, buf := range [...]*[]store.IDTriple{&s.heads, &s.added, &s.removed, &s.gone, &s.marked, &s.restored} {
+		if cap(*buf) > limit {
+			*buf = nil
+		}
+	}
+	if len(s.seen) > limit {
+		s.seen = nil
+	} else {
+		clear(s.seen)
+	}
+}
+
 // Delta is the generation-keyed record of one content-changing write — one
 // Apply — and the one event the reasoner emits, which the serving layer's
 // cache invalidation and replication feed both consume.
@@ -180,6 +230,9 @@ func (r *Reasoner) MaterializeStats() MaterializeStats { return r.boot }
 // Gen is the materialization generation the write produced; consecutive
 // events carry consecutive generations, which is what lets a replica detect
 // dropped or duplicated events with one comparison.
+//
+// The lists are valid only while the event hook runs: all but AssertedAdded
+// are built in the reasoner's write scratch, which the next write reuses.
 type Delta struct {
 	// Gen is the generation after this write; events form a dense chain.
 	Gen uint64
@@ -199,8 +252,9 @@ type Delta struct {
 // method that takes the write lock — Apply and its shorthands, SetOnEvent,
 // SnapshotBase, RegisterMetrics — because the lock is not reentrant. The
 // slices are owned by the reasoner and only valid for the duration of the
-// call — copy them to keep them. SetOnEvent itself takes the write lock and
-// may be called at any time; a nil hook (the default) disables notification.
+// call — copy them to keep them: the next write reuses them. SetOnEvent
+// itself takes the write lock and may be called at any time; a nil hook (the
+// default) disables notification.
 func (r *Reasoner) SetOnEvent(hook func(Delta)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -250,6 +304,11 @@ func Materialize(base *store.Store, rules []Rule) (*Reasoner, error) {
 		source:  append([]Rule(nil), rules...),
 		round:   make([]ruleRound, len(compiled)),
 	}
+	nvars := 0
+	for i := range compiled {
+		nvars = max(nvars, compiled[i].nvars)
+	}
+	r.scratch.vals, r.scratch.bound = make([]store.SymbolID, nvars), make([]bool, nvars)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.materialize()
@@ -395,32 +454,37 @@ func (r *Reasoner) Remove(t store.Triple) bool {
 func (r *Reasoner) Apply(adds, removes []store.Triple, c *obs.Clock) (added, removed int, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	defer r.scratch.trim(scratchCap)
 	base := r.base.Begin()
 	fresh, err := base.AddBatch(adds)
 	if err != nil {
 		return 0, 0, err
 	}
-	d := Delta{AssertedAdded: fresh}
-	delta := make([]store.IDTriple, 0, len(fresh))
+	// Added opens with the seed delta — the fresh triples that are not
+	// provenance flips — and the propagation appends its conclusions to it
+	// in place.
+	s := &r.scratch
+	d := Delta{AssertedAdded: fresh, Added: s.added[:0], Removed: s.removed[:0]}
 	for _, t := range fresh {
 		if r.ov.RemoveID(t) {
 			// Provenance flip: consequences already materialized, but the
 			// triple moved between the members — report it in both lists.
 			d.Removed = append(d.Removed, t)
 		} else {
-			delta = append(delta, t)
+			d.Added = append(d.Added, t)
 		}
 	}
-	d.Added = append(append(delta, r.propagate(delta)...), d.Removed...)
+	d.Added = append(r.propagate(d.Added, d.Added), d.Removed...)
 	c.Mark(obs.StagePropagate)
 
 	if len(removes) > 0 {
 		gone, marked, restored := r.retract(&base, removes)
 		d.AssertedRemoved = gone
 		d.Removed = append(append(d.Removed, marked...), gone...)
-		d.Added = append(append(d.Added, restored...), r.propagate(restored)...)
+		d.Added = r.propagate(append(d.Added, restored...), restored)
 		c.Mark(obs.StageRetract)
 	}
+	s.added, s.removed = d.Added, d.Removed
 	err = base.Commit()
 	c.Mark(obs.StageCommit)
 	if len(fresh)+len(d.AssertedRemoved) > 0 {
@@ -434,11 +498,16 @@ func (r *Reasoner) Apply(adds, removes []store.Triple, c *obs.Clock) (added, rem
 // removes that the base holds, through the write's handle, and returns them
 // (gone, each once, in request order) with the inferred triples it
 // overdeleted and the triples it put back, whose consequences the caller
-// propagates. Callers hold r.mu.
+// propagates. The three lists are write scratch. Callers hold r.mu.
 func (r *Reasoner) retract(base *store.Tx, removes []store.Triple) (gone, marked, restored []store.IDTriple) {
 	// seen de-duplicates the retracted triples and then marks the overdeleted
 	// ones; asserted and inferred triples never coincide, so one set serves.
-	seen := make(map[store.IDTriple]bool, len(removes))
+	s := &r.scratch
+	if s.seen == nil {
+		s.seen = make(map[store.IDTriple]bool, len(removes))
+	}
+	seen := s.seen
+	gone, marked, restored = s.gone[:0], s.marked[:0], s.restored[:0]
 	for _, t := range removes {
 		if idt, ok := r.encode(t); ok && !seen[idt] && r.base.ContainsID(idt) {
 			seen[idt] = true
@@ -450,9 +519,8 @@ func (r *Reasoner) retract(base *store.Tx, removes []store.Triple) (gone, marked
 	// removal happens after), so body atoms evaluate against the old
 	// materialization, as DRed requires. Everything inferred whose
 	// derivation may use a deleted triple is marked.
-	var heads []store.IDTriple
 	for delta := gone; len(delta) > 0; {
-		heads = r.terms(heads[:0], delta, false)
+		heads := r.terms(delta, false)
 		lo := len(marked)
 		for _, h := range heads {
 			if !seen[h] && r.overlay.ContainsID(h) {
@@ -483,7 +551,7 @@ func (r *Reasoner) retract(base *store.Tx, removes []store.Triple) (gone, marked
 				continue
 			}
 			for i := range r.rules {
-				if derives(&r.rules[i], c, r.view) {
+				if r.derives(&r.rules[i], c) {
 					if _, err := r.ov.AddID(c); err != nil {
 						panic(err) // ids came from this dictionary
 					}
@@ -495,6 +563,7 @@ func (r *Reasoner) retract(base *store.Tx, removes []store.Triple) (gone, marked
 	}
 	r.counts.rederived.Add(int64(len(restored)))
 	r.counts.derived.Add(int64(len(restored)))
+	s.gone, s.marked, s.restored = gone, marked, restored
 	return gone, marked, restored
 }
 
@@ -536,18 +605,18 @@ type ruleRound struct {
 }
 
 // propagate runs semi-naive rounds from the seed delta until no rule derives
-// anything new and returns every triple newly derived into the overlay, for
-// the event's Added list; see rounds. Nothing in an incoming delta was concluded by a
-// rule of this propagation, so every recursive atom is fed all of it. Callers
-// hold r.mu.
-func (r *Reasoner) propagate(delta []store.IDTriple) []store.IDTriple {
+// anything new and appends every triple newly derived into the overlay to
+// out, for the event's Added list; see rounds. Nothing in an incoming delta
+// was concluded by a rule of this propagation, so every recursive atom is fed
+// all of it. Callers hold r.mu.
+func (r *Reasoner) propagate(out, delta []store.IDTriple) []store.IDTriple {
 	if len(delta) > 0 {
 		r.mDeltaSize.Observe(float64(len(delta)))
 	}
 	for i := range r.round {
 		r.round[i].fed = [2][]store.IDTriple{delta}
 	}
-	return r.rounds(delta)
+	return r.rounds(out, delta)
 }
 
 // rounds is the maintenance loop of semi-naive evaluation: each round runs
@@ -560,16 +629,18 @@ func (r *Reasoner) propagate(delta []store.IDTriple) []store.IDTriple {
 // asserted or inferred are skipped; the rest enter the overlay one at a time
 // and form the next delta. Heads arrive from the pipelines' output batches,
 // never under a shard read-lock, so inserting them after each enumeration is
-// safe. Callers hold r.mu.
-func (r *Reasoner) rounds(delta []store.IDTriple) []store.IDTriple {
-	var heads, derived []store.IDTriple
+// safe. Each round's delta is appended straight onto out, which is returned:
+// the next delta is out's tail, and the triples derived are everything
+// appended. delta may be a prefix of out (it is only read, and appends never
+// write below len(out)). Callers hold r.mu.
+func (r *Reasoner) rounds(out, delta []store.IDTriple) []store.IDTriple {
 	for len(delta) > 0 {
 		start := time.Now()
-		heads = r.terms(heads[:0], delta, true)
-		var next []store.IDTriple
+		heads := r.terms(delta, true)
+		base := len(out)
 		for i := range r.round {
 			rr := &r.round[i]
-			lo := len(next)
+			lo := len(out) - base
 			for _, h := range heads[rr.heads[0]:rr.heads[1]] {
 				if r.base.ContainsID(h) || r.overlay.ContainsID(h) {
 					continue
@@ -577,29 +648,31 @@ func (r *Reasoner) rounds(delta []store.IDTriple) []store.IDTriple {
 				if _, err := r.ov.AddID(h); err != nil {
 					panic(err) // ids came from this dictionary
 				}
-				next = append(next, h)
+				out = append(out, h)
 			}
-			rr.own = [2]int{lo, len(next)}
+			rr.own = [2]int{lo, len(out) - base}
 		}
+		next := out[base:]
 		for i := range r.round {
 			rr := &r.round[i]
 			rr.fed = [2][]store.IDTriple{next[:rr.own[0]], next[rr.own[1]:]}
 		}
 		r.countRound(start, len(heads), len(next))
-		derived = append(derived, next...)
 		delta = next
 	}
-	return derived
+	return out
 }
 
-// terms is the one semi-naive term loop: it appends to heads the heads of
-// every rule with every body atom restricted to delta in turn, the other
-// atoms probing the view (matchDelta), and returns the grown buffer; each
-// rule's heads are its segment r.round[i].heads. With skip, a propagation
-// rule's recursive atom is fed its two runs r.round[i].fed instead of delta
-// (markPropagation) — the maintenance rounds' setting; overdeletion runs it
-// with nothing skipped. Callers hold r.mu.
-func (r *Reasoner) terms(heads, delta []store.IDTriple, skip bool) []store.IDTriple {
+// terms is the one semi-naive term loop: it gathers in the scratch head
+// buffer the heads of every rule with every body atom restricted to delta in
+// turn, the other atoms probing the view (r.matchDelta), and returns them;
+// each rule's heads are its segment r.round[i].heads. The result is valid
+// until the next call. With skip, a propagation rule's recursive atom is fed
+// its two runs r.round[i].fed instead of delta (markPropagation) — the
+// maintenance rounds' setting; overdeletion runs it with nothing skipped.
+// Callers hold r.mu.
+func (r *Reasoner) terms(delta []store.IDTriple, skip bool) []store.IDTriple {
+	heads := r.scratch.heads[:0]
 	emit := func(h store.IDTriple) bool {
 		heads = append(heads, h)
 		return true
@@ -609,14 +682,15 @@ func (r *Reasoner) terms(heads, delta []store.IDTriple, skip bool) []store.IDTri
 		rr.heads[0] = len(heads)
 		for di := range rule.body {
 			if skip && di == rule.selfAtom {
-				matchDelta(rule, di, rr.fed[0], r.view, emit)
-				matchDelta(rule, di, rr.fed[1], r.view, emit)
+				r.matchDelta(rule, di, rr.fed[0], emit)
+				r.matchDelta(rule, di, rr.fed[1], emit)
 			} else {
-				matchDelta(rule, di, delta, r.view, emit)
+				r.matchDelta(rule, di, delta, emit)
 			}
 		}
 		rr.heads[1] = len(heads)
 	}
+	r.scratch.heads = heads
 	return heads
 }
 

@@ -27,7 +27,10 @@ import (
 func (r *Reasoner) materialize() {
 	start := time.Now()
 	fresh := r.seedRound()
-	r.rounds(fresh)
+	// No event reports the rounds' conclusions, so they are appended to
+	// nothing kept, and the head buffer the rounds grew is dropped.
+	r.rounds(nil, fresh)
+	r.scratch.trim(0)
 	st := r.Stats()
 	r.boot = MaterializeStats{
 		Duration:   time.Since(start),
@@ -49,7 +52,7 @@ func (r *Reasoner) seedRound() []store.IDTriple {
 	scratch := headSet{buf: make([]store.IDTriple, 0, headFanout*r.base.Len())}
 	for i := range r.rules {
 		if r.rules[i].selfAtom < 0 {
-			matchAll(&r.rules[i], r.base, scratch.add)
+			matchAll(&r.scratch.ctx, &r.rules[i], r.base, scratch.add)
 		}
 	}
 	derived := slices.Clone(scratch.sorted())
@@ -59,7 +62,7 @@ func (r *Reasoner) seedRound() []store.IDTriple {
 			continue
 		}
 		scratch.buf = scratch.buf[:0]
-		matchAll(&r.rules[i], r.base, scratch.add)
+		matchAll(&r.scratch.ctx, &r.rules[i], r.base, scratch.add)
 		own[i] = slices.Clone(scratch.sorted())
 		derived = store.UnionSorted(derived, own[i])
 	}
