@@ -31,9 +31,9 @@
 // boot would resurrect corpus triples a client had durably removed). Point
 // -data-dir at a fresh directory to reseed — including after a boot that
 // crashed mid-seed, which leaves the directory partially seeded. -fsync
-// picks the durability/latency trade (always, batch, off), -fsync-interval
-// the batch cadence, and -checkpoint-mib how much log growth triggers
-// compaction into a fresh segment; POST /checkpoint forces one.
+// picks the durability/latency trade (always, batch — an fsync every 10 ms —
+// or off) and -checkpoint-mib how much log growth triggers compaction into a
+// fresh segment (0 or negative: none); POST /checkpoint forces one.
 //
 // -replicate-from makes the process a read replica of another ontoserve
 // (repro/internal/repl): it boots from the primary's GET /repl/snapshot,
@@ -107,11 +107,8 @@ func run(args []string, stderr io.Writer) int {
 	maxSolutions := fs.Int("max-solutions", 100_000, "cap on solutions streamed per query")
 	cacheMiB := fs.Int("cache", 256, "query-result cache budget in MiB of retained responses (0 or negative disables)")
 	dataDir := fs.String("data-dir", "", "directory for the write-ahead log and checkpoint segments; empty serves purely from memory")
-	fsyncMode := fs.String("fsync", "always", "when the log reaches stable storage: always (group commit per mutation), batch (background interval), off (rotation and close only)")
-	fsyncInterval := fs.Duration("fsync-interval", durable.DefaultBatchInterval, "background fsync cadence under -fsync batch")
-	checkpointMiB := fs.Int("checkpoint-mib", 64, "log growth in MiB that triggers automatic compaction into a segment (negative disables; POST /checkpoint still works)")
-	mergeRatio := fs.Float64("merge-ratio", 0, "size-tiered merge trigger: fold young segments into an older one once it is at most this many times their combined size (0 picks the default, negative disables background merges)")
-	maxSegments := fs.Int("max-segments", 0, "segment count that forces a full merge into one base segment regardless of -merge-ratio (0 picks the default, negative disables)")
+	fsyncMode := fs.String("fsync", "always", "when the log reaches stable storage: always (group commit per mutation), batch (every 10ms in the background), off (rotation and close only)")
+	checkpointMiB := fs.Int("checkpoint-mib", durable.DefaultCheckpointBytes>>20, "log growth in MiB that triggers automatic compaction into a segment (0 or negative disables; POST /checkpoint still works)")
 	slowQuery := fs.Duration("slow-query", 0, "log queries at least this slow as ndjson records (0 disables the slow-query log)")
 	slowQueryLog := fs.String("slow-query-log", "", "file the slow-query log appends to; empty logs to stderr")
 	pprofAddr := fs.String("pprof-addr", "", "listen address for net/http/pprof on its own listener (empty disables profiling)")
@@ -180,10 +177,7 @@ func run(args []string, stderr io.Writer) int {
 		eng, err = durable.Open(base, durable.Options{
 			Dir:             *dataDir,
 			Fsync:           policy,
-			BatchInterval:   *fsyncInterval,
-			CheckpointBytes: int64(*checkpointMiB) << 20,
-			MergeRatio:      *mergeRatio,
-			MaxSegments:     *maxSegments,
+			CheckpointBytes: budget(*checkpointMiB),
 			Metrics:         reg,
 		})
 		if err != nil {
@@ -220,10 +214,7 @@ func run(args []string, stderr io.Writer) int {
 	}
 	cfg.QueryTimeout = *timeout
 	cfg.MaxSolutions = *maxSolutions
-	cfg.CacheMaxBytes = int64(*cacheMiB) << 20
-	if *cacheMiB <= 0 {
-		cfg.CacheMaxBytes = -1 // flag 0 means "disable", Config 0 means "default"
-	}
+	cfg.CacheMaxBytes = budget(*cacheMiB)
 	cfg.Metrics = reg
 	if *slowQuery > 0 {
 		cfg.SlowQueryThreshold = *slowQuery
@@ -304,6 +295,16 @@ func run(args []string, stderr io.Writer) int {
 	}
 	logger.Printf("shut down cleanly")
 	return 0
+}
+
+// budget converts a MiB flag into the byte budget of a config field whose
+// zero picks a default: a flag of 0 or less disables, which the field spells
+// as a negative value.
+func budget(mib int) int64 {
+	if mib <= 0 {
+		return -1
+	}
+	return int64(mib) << 20
 }
 
 // buildConfig assembles the server config around base. With seed true the

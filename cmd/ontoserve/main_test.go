@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -12,6 +14,8 @@ import (
 	"time"
 
 	"repro/internal/durable"
+	"repro/internal/repl"
+	"repro/internal/server"
 	"repro/internal/store"
 )
 
@@ -144,6 +148,70 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 }
 
+// TestMiBFlagZeroDisables: -cache and -checkpoint-mib say 0 to mean off,
+// while the Config and Options fields they set pick a default at 0; a
+// -checkpoint-mib 0 used to checkpoint every 64 MiB.
+func TestMiBFlagZeroDisables(t *testing.T) {
+	for _, c := range []struct {
+		mib  int
+		want int64
+	}{{0, -1}, {-1, -1}, {1, 1 << 20}, {durable.DefaultCheckpointBytes >> 20, durable.DefaultCheckpointBytes}} {
+		if got := budget(c.mib); got != c.want {
+			t.Errorf("budget(%d) = %d, want %d", c.mib, got, c.want)
+		}
+	}
+}
+
+// TestSettableValues pins the configuration surface: every flag ontoserve
+// parses and every exported field of the three option structs it fills. A
+// new knob has to be added to these lists on purpose.
+func TestSettableValues(t *testing.T) {
+	var usage strings.Builder
+	if code := run([]string{"-h"}, &usage); code != 0 {
+		t.Fatalf("run -h = %d: %s", code, usage.String())
+	}
+	var flags []string
+	for _, line := range strings.Split(usage.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "  -"); ok {
+			name, _, _ := strings.Cut(rest, " ")
+			flags = append(flags, name)
+		}
+	}
+	fields := func(v any) []string {
+		var names []string
+		typ := reflect.TypeOf(v)
+		for i := 0; i < typ.NumField(); i++ {
+			if typ.Field(i).IsExported() {
+				names = append(names, typ.Field(i).Name)
+			}
+		}
+		return names
+	}
+	surface := []struct {
+		name      string
+		got, want []string
+	}{
+		{"flags", flags, []string{"addr", "annotations", "cache", "checkpoint-mib", "data-dir", "f", "fsync",
+			"max-solutions", "paper", "pprof-addr", "replicate-from", "rules", "slow-query", "slow-query-log", "timeout"}},
+		{"server.Config", fields(server.Config{}), []string{"Base", "Rules", "Ontology", "Durable", "QueryTimeout",
+			"MaxSolutions", "CacheMaxBytes", "Metrics", "SlowQueryThreshold", "SlowQueryLog", "Replica"}},
+		{"durable.Options", fields(durable.Options{}), []string{"Dir", "Fsync", "CheckpointBytes", "Metrics"}},
+		{"repl.Options", fields(repl.Options{}), []string{"Primary", "Client", "Logger"}},
+	}
+	total := 0
+	for _, s := range surface {
+		if !slices.Equal(s.got, s.want) {
+			t.Errorf("%s = %v, want %v", s.name, s.got, s.want)
+		}
+		total += len(s.got)
+	}
+	t.Logf("%d settable values (%d flags, %d + %d + %d option fields)",
+		total, len(flags), len(surface[1].got), len(surface[2].got), len(surface[3].got))
+	if total != 33 {
+		t.Errorf("%d settable values, want 33", total)
+	}
+}
+
 // TestReplicateFromMustBeAURL: "-replicate-from localhost:8080" parses as a
 // URL (scheme "localhost") and used to fail at the first request with
 // "unsupported protocol scheme"; it is refused up front, naming the value.
@@ -175,8 +243,7 @@ func (l *lockedBuffer) String() string {
 
 // TestSIGTERMWithParkedPoll is the operator's view of a primary stopping
 // while a replica is attached: a wait=25s long poll is parked, an
-// acknowledged write sits in an unsynced log tail (-fsync batch with a
-// cadence that never fires), and SIGTERM must still end in exit 0 and "shut
+// acknowledged write sits in an unsynced log tail (-fsync off), and SIGTERM must still end in exit 0 and "shut
 // down cleanly" within a second or so — the poll answered, the engine closed
 // — with the write in the reopened directory.
 func TestSIGTERMWithParkedPoll(t *testing.T) {
@@ -185,7 +252,7 @@ func TestSIGTERMWithParkedPoll(t *testing.T) {
 	exited := make(chan int, 1)
 	go func() {
 		exited <- run([]string{"-paper", "-addr", "127.0.0.1:0", "-data-dir", dir,
-			"-fsync", "batch", "-fsync-interval", "1h"}, &stderr)
+			"-fsync", "off"}, &stderr)
 	}()
 	// The listen address is logged once run is past signal.NotifyContext, so
 	// from then on SIGTERM cancels run's context instead of killing the test.

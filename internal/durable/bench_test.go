@@ -119,7 +119,7 @@ func buildRecoveryDir(b *testing.B, n int, checkpoint bool) string {
 	b.Helper()
 	dir := b.TempDir()
 	st := store.New()
-	eng, err := Open(st, Options{Dir: dir, Fsync: FsyncOff, CheckpointBytes: -1, MergeRatio: -1})
+	eng, err := Open(st, Options{Dir: dir, Fsync: FsyncOff, CheckpointBytes: -1, mergeRatio: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func benchmarkRecover(b *testing.B, n int) {
 		b.Run(variant.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				st := store.New()
-				eng, err := Open(st, Options{Dir: dir, Fsync: FsyncOff, MergeRatio: -1})
+				eng, err := Open(st, Options{Dir: dir, Fsync: FsyncOff, mergeRatio: -1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -202,7 +202,7 @@ func BenchmarkCheckpointDelta(b *testing.B) {
 	const base, burst = 100_000, 1000
 	dir := b.TempDir()
 	st := store.New()
-	eng, err := Open(st, Options{Dir: dir, Fsync: FsyncOff, CheckpointBytes: -1, MergeRatio: -1})
+	eng, err := Open(st, Options{Dir: dir, Fsync: FsyncOff, CheckpointBytes: -1, mergeRatio: -1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func prefixHeld(st *store.Store, lo, hi int) int {
 
 // crashImageOpts recovers an image with no background work, so a recovery
 // issues recovery's operations only.
-var crashImageOpts = Options{Fsync: FsyncAlways, CheckpointBytes: -1, MergeRatio: -1}
+var crashImageOpts = Options{Fsync: FsyncAlways, CheckpointBytes: -1, mergeRatio: -1}
 
 // crashRun is one pass of the crash-state schedule: the tally of the
 // transactions submitted to it, and what its checks saw.
@@ -297,7 +297,7 @@ func FuzzCrashStates(f *testing.F) {
 func TestCrashMidMerge(t *testing.T) {
 	d := &memDisk{}
 	st := store.New()
-	eng := mustOpenDisk(t, st, Options{Fsync: FsyncOff, CheckpointBytes: -1, MergeRatio: -1}, d)
+	eng := mustOpenDisk(t, st, Options{Fsync: FsyncOff, CheckpointBytes: -1, mergeRatio: -1}, d)
 	for k := 0; k < 2; k++ {
 		scriptStep(t, st, k)
 		if err := eng.Checkpoint(); err != nil {
@@ -321,7 +321,7 @@ func TestCrashMidMerge(t *testing.T) {
 	})
 	// An enormous ratio makes the two inputs mergeable; Open schedules the
 	// merge itself, and it fails on the torn write.
-	eng2 := mustOpenDisk(t, store.New(), Options{Fsync: FsyncOff, CheckpointBytes: -1, MergeRatio: 1e12}, d)
+	eng2 := mustOpenDisk(t, store.New(), Options{Fsync: FsyncOff, CheckpointBytes: -1, mergeRatio: 1e12}, d)
 	deadline := time.Now().Add(10 * time.Second)
 	for eng2.Stats().Err == "" {
 		if time.Now().After(deadline) {
@@ -339,7 +339,7 @@ func TestCrashMidMerge(t *testing.T) {
 
 	d.setInject(nil)
 	st3 := store.New()
-	eng3 := mustOpenDisk(t, st3, Options{Fsync: FsyncOff, MergeRatio: -1}, d)
+	eng3 := mustOpenDisk(t, st3, Options{Fsync: FsyncOff, mergeRatio: -1}, d)
 	defer eng3.Close()
 	if slices.Contains(d.names(), tmps[0]) {
 		t.Fatalf("recovery kept the torn merge output %s", tmps[0])

@@ -85,45 +85,38 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	return 0, fmt.Errorf("durable: unknown fsync policy %q (want always, batch or off)", s)
 }
 
-// Defaults for Options zero values.
-const (
-	// DefaultBatchInterval is the FsyncBatch background fsync cadence.
-	DefaultBatchInterval = 10 * time.Millisecond
-	// DefaultCheckpointBytes is the log growth that triggers a checkpoint.
-	DefaultCheckpointBytes = 64 << 20
-)
+// DefaultCheckpointBytes is the log growth that triggers a checkpoint when
+// Options.CheckpointBytes is zero.
+const DefaultCheckpointBytes = 64 << 20
+
+// batchInterval is the background fsync cadence under FsyncBatch.
+const batchInterval = 10 * time.Millisecond
 
 // Options configures Open. The zero value of every field but Dir is usable.
+// The fsync cadence under FsyncBatch (batchInterval) and the merge policy
+// (mergeRatio, maxSegments) are the engine's constants, not options.
 type Options struct {
 	// Dir is the data directory — segments and log files live there. It is
 	// created if missing. Required.
 	Dir string
 	// Fsync is the durability policy; the zero value is FsyncAlways.
 	Fsync FsyncPolicy
-	// BatchInterval is the background fsync cadence under FsyncBatch;
-	// DefaultBatchInterval if zero.
-	BatchInterval time.Duration
 	// CheckpointBytes triggers an automatic checkpoint once the log has
 	// grown past it; DefaultCheckpointBytes if zero, negative disables
 	// automatic checkpoints (Checkpoint can still be called directly).
 	CheckpointBytes int64
-	// MergeRatio is the size-separation factor of the background merge: a
-	// checkpoint schedules a merge when an older segment is at most
-	// MergeRatio times the combined size of everything younger (see
-	// pickMergeRun). DefaultMergeRatio if zero, negative disables background
-	// merges entirely — the chain then only grows, which tests use for
-	// deterministic tier layouts.
-	MergeRatio float64
-	// MaxSegments force-merges the whole chain once it holds more than this
-	// many segments; DefaultMaxSegments if zero, negative disables the cap.
-	// Ignored while MergeRatio is negative.
-	MaxSegments int
 	// Metrics, when non-nil, registers the engine's instruments on the given
 	// registry: fsync latency and group-commit size distributions, WAL
 	// frame/byte counters, checkpoint/merge durations, compaction ratio,
 	// segment-chain gauges, write amplification, and recovery time. Nil
 	// disables all observation.
 	Metrics *obs.Registry
+
+	// mergeRatio is the merge policy's size ratio (see pickMergeRun), set
+	// only by package tests: the constant mergeRatio if zero; negative
+	// disables background merges, so the chain only grows and tier layouts
+	// are deterministic.
+	mergeRatio float64
 }
 
 // TierStats describes one live segment of the chain, oldest first in
@@ -136,8 +129,6 @@ type TierStats struct {
 	// base tier (start 1) never carries tombstones.
 	Triples    int `json:"triples"`
 	Tombstones int `json:"tombstones"`
-	// DictNames is how many dictionary ids the segment's window minted.
-	DictNames int `json:"-"`
 	// Bytes is the segment file size.
 	Bytes int64 `json:"bytes"`
 }
@@ -257,17 +248,11 @@ func open(st *store.Store, opts Options, d disk) (*Engine, error) {
 	if st.Len() != 0 || st.DictLen() != 0 {
 		return nil, fmt.Errorf("durable: Open needs an empty store (it holds %d triples, %d dictionary entries); recovery is the only writer allowed before the journal is attached", st.Len(), st.DictLen())
 	}
-	if opts.BatchInterval <= 0 {
-		opts.BatchInterval = DefaultBatchInterval
-	}
 	if opts.CheckpointBytes == 0 {
 		opts.CheckpointBytes = DefaultCheckpointBytes
 	}
-	if opts.MergeRatio == 0 {
-		opts.MergeRatio = DefaultMergeRatio
-	}
-	if opts.MaxSegments == 0 {
-		opts.MaxSegments = DefaultMaxSegments
+	if opts.mergeRatio == 0 {
+		opts.mergeRatio = mergeRatio
 	}
 	// The directory's entry is synced into its parent on every Open, not
 	// only when mkdir creates it: one made by hand, or by an earlier Open
@@ -418,7 +403,7 @@ func (e *Engine) background() {
 	defer e.wg.Done()
 	var tick <-chan time.Time
 	if e.opts.Fsync == FsyncBatch {
-		t := time.NewTicker(e.opts.BatchInterval)
+		t := time.NewTicker(batchInterval)
 		defer t.Stop()
 		tick = t.C
 	}
@@ -544,14 +529,14 @@ func (e *Engine) coveredLocked() uint64 {
 // pickMergeLocked runs the merge policy over the current chain, returning
 // the index the merge run would start at. Callers hold mu.
 func (e *Engine) pickMergeLocked() (int, bool) {
-	if e.opts.MergeRatio < 0 {
+	if e.opts.mergeRatio < 0 {
 		return 0, false
 	}
 	sizes := make([]int64, len(e.tiers))
 	for i, t := range e.tiers {
 		sizes[i] = t.bytes
 	}
-	return pickMergeRun(sizes, e.opts.MergeRatio, e.opts.MaxSegments)
+	return pickMergeRun(sizes, e.opts.mergeRatio)
 }
 
 // runMerges folds chain suffixes until the merge policy is satisfied or the
@@ -649,7 +634,6 @@ func (e *Engine) Stats() Stats {
 			End:        t.end,
 			Triples:    t.adds,
 			Tombstones: t.removes,
-			DictNames:  t.dictCount,
 			Bytes:      t.bytes,
 		}
 	}

@@ -101,9 +101,9 @@ func TestOpenRequiresDir(t *testing.T) {
 func TestCheckpointCompactsAndRecovers(t *testing.T) {
 	d := &memDisk{}
 	st := store.New()
-	// MergeRatio -1: no background merges, so the tier layout is exactly what
+	// mergeRatio -1: no background merges, so the tier layout is exactly what
 	// the checkpoints produced.
-	eng := mustOpenDisk(t, st, Options{Fsync: FsyncOff, CheckpointBytes: -1, MergeRatio: -1}, d)
+	eng := mustOpenDisk(t, st, Options{Fsync: FsyncOff, CheckpointBytes: -1, mergeRatio: -1}, d)
 	var first, second []store.Triple
 	for i := 0; i < 400; i++ {
 		first = append(first, testTriple(i))

@@ -332,7 +332,7 @@ func (h *faultHarness) reopen() string {
 	h.t.Helper()
 	h.eng.Close() // a failed log reports its error again here
 	st := store.New()
-	eng := mustOpenDisk(h.t, st, Options{Fsync: FsyncOff, MergeRatio: -1}, h.disk.clone())
+	eng := mustOpenDisk(h.t, st, Options{Fsync: FsyncOff, mergeRatio: -1}, h.disk.clone())
 	defer eng.Close()
 	return snapshotString(h.t, st)
 }
@@ -384,7 +384,7 @@ func runPhase(t *testing.T, ph faultPhase, op string, err error) (map[string]boo
 		return arm.result()
 	}
 	h := &faultHarness{t: t, disk: &memDisk{inject: arm.inject}, st: store.New()}
-	h.eng = mustOpenDisk(t, h.st, Options{Fsync: FsyncAlways, CheckpointBytes: -1, MergeRatio: ph.mergeRatio}, h.disk)
+	h.eng = mustOpenDisk(t, h.st, Options{Fsync: FsyncAlways, CheckpointBytes: -1, mergeRatio: ph.mergeRatio}, h.disk)
 	if err := ph.prepare(h); err != nil {
 		t.Fatalf("preparing the phase: %v", err)
 	}
@@ -469,7 +469,7 @@ func checkBackground(t *testing.T, h *faultHarness, ph faultPhase, actErr error)
 func checkRecovery(t *testing.T, ph faultPhase, arm *faultArm, op string, err error) {
 	t.Helper()
 	image := ph.image(t)
-	opts := Options{Fsync: FsyncOff, MergeRatio: -1}
+	opts := Options{Fsync: FsyncOff, mergeRatio: -1}
 	healthy := func(d *memDisk) string {
 		st := store.New()
 		eng := mustOpenDisk(t, st, opts, d)
@@ -504,7 +504,7 @@ func recoveryImage(t *testing.T) *memDisk {
 	// Two checkpoints and a tail, the first window's wal file and segment
 	// saved before they are superseded...
 	st := store.New()
-	eng := mustOpenDisk(t, st, Options{Fsync: FsyncOff, CheckpointBytes: -1, MergeRatio: -1}, d)
+	eng := mustOpenDisk(t, st, Options{Fsync: FsyncOff, CheckpointBytes: -1, mergeRatio: -1}, d)
 	leftovers := map[string][]byte{}
 	for i := 0; i < 6; i++ {
 		if err := faultTx(st, i); err != nil {
@@ -528,7 +528,7 @@ func recoveryImage(t *testing.T) *memDisk {
 	}
 	// ...then the two segments merged, and the leftovers put back beside the
 	// merged one, with a .tmp and a torn frame.
-	eng = mustOpenDisk(t, store.New(), Options{Fsync: FsyncOff, MergeRatio: 1e12}, d)
+	eng = mustOpenDisk(t, store.New(), Options{Fsync: FsyncOff, mergeRatio: 1e12}, d)
 	waitForChain(t, eng, 1)
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)

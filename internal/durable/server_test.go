@@ -40,7 +40,7 @@ func newFailingServer(t *testing.T, op, ext string) *failingServer {
 		return nil
 	}
 	base := store.New()
-	eng, err := durable.OpenOnMemDisk(base, durable.Options{CheckpointBytes: -1, MergeRatio: -1}, inject)
+	eng, err := durable.OpenOnMemDisk(base, durable.Options{CheckpointBytes: -1}, inject)
 	if err != nil {
 		t.Fatal(err)
 	}

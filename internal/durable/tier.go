@@ -34,8 +34,6 @@ import (
 // segMeta is the engine's in-memory accounting for one live segment file.
 type segMeta struct {
 	start, end uint64
-	dictFirst  store.SymbolID
-	dictCount  int
 	adds       int
 	removes    int
 	bytes      int64
@@ -43,13 +41,11 @@ type segMeta struct {
 
 func metaOf(seg segmentData, size int64) segMeta {
 	return segMeta{
-		start:     seg.start,
-		end:       seg.end,
-		dictFirst: seg.dictFirst,
-		dictCount: len(seg.dict),
-		adds:      len(seg.adds),
-		removes:   len(seg.removes),
-		bytes:     size,
+		start:   seg.start,
+		end:     seg.end,
+		adds:    len(seg.adds),
+		removes: len(seg.removes),
+		bytes:   size,
 	}
 }
 
@@ -125,19 +121,18 @@ func foldChain(d disk, chain []segMeta, stop <-chan struct{}) (segmentData, erro
 	return folded, nil
 }
 
-// DefaultMergeRatio and DefaultMaxSegments are the merge-policy defaults for
-// the zero Options values.
+// The merge policy.
 const (
-	// DefaultMergeRatio is the size-separation factor between generations:
-	// a segment is folded into the suffix being merged while its size is at
+	// mergeRatio is the size-separation factor between generations: a
+	// segment is folded into the suffix being merged while its size is at
 	// most the ratio times the combined size of everything younger. 4 keeps
 	// the chain logarithmic in corpus size while bounding merge write
 	// amplification to ~1/ratio of ingested bytes per generation.
-	DefaultMergeRatio = 4.0
-	// DefaultMaxSegments force-merges the whole chain once it grows past
-	// this many segments, whatever the sizes — a hard bound on how many
-	// files recovery must open.
-	DefaultMaxSegments = 8
+	mergeRatio = 4.0
+	// maxSegments force-merges the whole chain once it grows past this many
+	// segments, whatever the sizes — a hard bound on how many files
+	// recovery must open.
+	maxSegments = 8
 )
 
 // pickMergeRun decides which suffix of the chain to merge: it grows the run
@@ -145,12 +140,12 @@ const (
 // ratio× of the run's combined size, and returns the index the run starts at.
 // ok is false when no merge is warranted (the generations are size-separated
 // and the chain is short enough). sizes is ordered oldest→newest.
-func pickMergeRun(sizes []int64, ratio float64, maxSegs int) (int, bool) {
+func pickMergeRun(sizes []int64, ratio float64) (int, bool) {
 	n := len(sizes)
 	if n < 2 {
 		return 0, false
 	}
-	if maxSegs > 0 && n > maxSegs {
+	if n > maxSegments {
 		return 0, true // chain too long: fold everything into one base segment
 	}
 	sum := sizes[n-1]

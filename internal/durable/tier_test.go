@@ -132,7 +132,7 @@ func TestTombstoneOverOldAdd(t *testing.T) {
 	dir := t.TempDir()
 	victim := testTriple(5)
 	st := store.New()
-	eng := mustOpen(t, st, Options{Dir: dir, Fsync: FsyncOff, CheckpointBytes: -1, MergeRatio: -1})
+	eng := mustOpen(t, st, Options{Dir: dir, Fsync: FsyncOff, CheckpointBytes: -1, mergeRatio: -1})
 	scriptStep(t, st, 0)
 	if err := eng.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestTombstoneOverOldAdd(t *testing.T) {
 
 	// Unmerged: recovery must apply the young tombstone over the old add.
 	st2 := store.New()
-	eng2 := mustOpen(t, st2, Options{Dir: dir, Fsync: FsyncOff, MergeRatio: -1})
+	eng2 := mustOpen(t, st2, Options{Dir: dir, Fsync: FsyncOff, mergeRatio: -1})
 	if st2.Contains(victim) {
 		t.Fatal("chain recovery resurrected a tombstoned triple")
 	}
@@ -168,7 +168,7 @@ func TestTombstoneOverOldAdd(t *testing.T) {
 	// into the big one; Open schedules the merge itself. The fold must erase
 	// the add/tombstone pair.
 	st3 := store.New()
-	eng3 := mustOpen(t, st3, Options{Dir: dir, Fsync: FsyncOff, MergeRatio: 1e12})
+	eng3 := mustOpen(t, st3, Options{Dir: dir, Fsync: FsyncOff, mergeRatio: 1e12})
 	defer eng3.Close()
 	stats := waitForChain(t, eng3, 1)
 	if st3.Contains(victim) {
@@ -296,7 +296,7 @@ func TestReplayAndChainRecoveryAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		st2 := store.New()
-		eng2 := mustOpen(t, st2, Options{Dir: dir, Fsync: FsyncOff, MergeRatio: -1})
+		eng2 := mustOpen(t, st2, Options{Dir: dir, Fsync: FsyncOff, mergeRatio: -1})
 		defer eng2.Close()
 		if got := snapshotString(t, st2); got != live {
 			t.Fatal("recovered snapshot differs from the live store it journaled")
@@ -323,9 +323,9 @@ func TestReplayAndChainRecoveryAgree(t *testing.T) {
 		}
 		return snapshotString(t, st2), dict.String()
 	}
-	replaySnap, replayDict := run(Options{MergeRatio: -1}, 0, 0)   // WAL only
-	chainSnap, chainDict := run(Options{MergeRatio: -1}, 3, 0)     // segments + tail, unmerged
-	mergedSnap, mergedDict := run(Options{MergeRatio: 1e12}, 3, 1) // fully merged base
+	replaySnap, replayDict := run(Options{mergeRatio: -1}, 0, 0)   // WAL only
+	chainSnap, chainDict := run(Options{mergeRatio: -1}, 3, 0)     // segments + tail, unmerged
+	mergedSnap, mergedDict := run(Options{mergeRatio: 1e12}, 3, 1) // fully merged base
 	if chainSnap != replaySnap || mergedSnap != replaySnap {
 		t.Fatal("replay, chain and merged recoveries disagree on the store state")
 	}
@@ -391,7 +391,7 @@ func TestCloseWaitsForMerge(t *testing.T) {
 		}
 	}
 	st2 := store.New()
-	eng2 := mustOpenDisk(t, st2, Options{Fsync: FsyncOff, MergeRatio: -1}, d)
+	eng2 := mustOpenDisk(t, st2, Options{Fsync: FsyncOff, mergeRatio: -1}, d)
 	defer eng2.Close()
 	if got := eng2.Stats().Segments; got != 2 {
 		t.Fatalf("aborted merge left %d segments, want the 2 untouched inputs", got)
@@ -472,7 +472,7 @@ func TestWALSinksAgreeOnBadLogs(t *testing.T) {
 			}
 			eng := &Engine{
 				st:   store.New(),
-				opts: Options{MergeRatio: -1},
+				opts: Options{mergeRatio: -1},
 				disk: d,
 				w:    newWALWriter(d, FsyncOff, f, tc.last),
 				wals: firsts,
@@ -506,7 +506,7 @@ func TestCheckpointPublishFailureKeepsTheLog(t *testing.T) {
 		return nil
 	}}
 	st := store.New()
-	eng := mustOpenDisk(t, st, Options{Fsync: FsyncOff, CheckpointBytes: -1, MergeRatio: -1}, d)
+	eng := mustOpenDisk(t, st, Options{Fsync: FsyncOff, CheckpointBytes: -1, mergeRatio: -1}, d)
 	scriptStep(t, st, 0)
 	first := eng.LastSeq()
 	obstacle = segmentName(1, first) + ".tmp"
@@ -555,7 +555,7 @@ func TestCheckpointPublishFailureKeepsTheLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	st2 := store.New()
-	eng2 := mustOpenDisk(t, st2, Options{Fsync: FsyncOff, MergeRatio: -1}, d)
+	eng2 := mustOpenDisk(t, st2, Options{Fsync: FsyncOff, mergeRatio: -1}, d)
 	defer eng2.Close()
 	if snapshotString(t, st2) != want {
 		t.Fatal("recovery after a failed-then-retried checkpoint diverges from the pre-close state")

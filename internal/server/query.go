@@ -78,6 +78,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// maxPatterns caps the patterns of one BGP: plan search is factorial up to 6
+// patterns and greedy past that, and the cap keeps hostile queries from
+// exploding the evaluator.
+const maxPatterns = 16
+
 // decode is stage one: read the body, parse the BGP and bound it by the
 // server's limits. On failure it has written the 4xx and reports false.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, q *queryRun) bool {
@@ -90,8 +95,8 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, q *queryRun) boo
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return false
 	}
-	if len(bgp) > s.cfg.MaxPatterns {
-		writeError(w, http.StatusBadRequest, "BGP has %d patterns, server limit is %d", len(bgp), s.cfg.MaxPatterns)
+	if len(bgp) > maxPatterns {
+		writeError(w, http.StatusBadRequest, "BGP has %d patterns, server limit is %d", len(bgp), maxPatterns)
 		return false
 	}
 	q.bgp, q.mode, q.limit = bgp, req.Mode, req.Limit

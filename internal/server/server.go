@@ -92,10 +92,6 @@ type Config struct {
 	// the cap are marked truncated. A request's limit can lower, never
 	// raise, it. Default 100000.
 	MaxSolutions int
-	// MaxPatterns caps the patterns of one BGP (plan search is factorial up
-	// to 6 patterns, greedy past that; the cap keeps hostile queries from
-	// exploding the evaluator). Default 16.
-	MaxPatterns int
 	// CacheMaxBytes is the query-result cache's budget in retained response
 	// bytes (capacity is accounted in bytes, not entries — one entry can
 	// hold up to MaxSolutions marshaled rows), and the largest single result
@@ -133,9 +129,6 @@ func (c *Config) defaults() {
 	}
 	if c.MaxSolutions == 0 {
 		c.MaxSolutions = 100_000
-	}
-	if c.MaxPatterns == 0 {
-		c.MaxPatterns = 16
 	}
 	if c.CacheMaxBytes == 0 {
 		c.CacheMaxBytes = 256 << 20

@@ -204,7 +204,11 @@ func TestQueryJoinAndHeader(t *testing.T) {
 }
 
 func TestQueryValidation(t *testing.T) {
-	s := newTestServer(t, Config{MaxPatterns: 2})
+	s := newTestServer(t, Config{})
+	var tooMany []string // one pattern past maxPatterns
+	for i := 0; i <= maxPatterns; i++ {
+		tooMany = append(tooMany, fmt.Sprintf("?v%d p ?v%d", i, i+1))
+	}
 	cases := []struct {
 		name string
 		req  QueryRequest
@@ -212,7 +216,7 @@ func TestQueryValidation(t *testing.T) {
 		{"empty BGP", QueryRequest{BGP: ""}},
 		{"malformed BGP", QueryRequest{BGP: "?x type"}},
 		{"unknown mode", QueryRequest{BGP: "?x type car", Mode: "turbo"}},
-		{"too many patterns", QueryRequest{BGP: "?a p ?b . ?b p ?c . ?c p ?d"}},
+		{"too many patterns", QueryRequest{BGP: strings.Join(tooMany, " . ")}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

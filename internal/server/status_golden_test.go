@@ -74,7 +74,7 @@ func TestStatusBodiesGolden(t *testing.T) {
 	)
 
 	durableBase := store.New()
-	eng, err := durable.Open(durableBase, durable.Options{Dir: t.TempDir(), Fsync: durable.FsyncOff, MergeRatio: -1})
+	eng, err := durable.Open(durableBase, durable.Options{Dir: t.TempDir(), Fsync: durable.FsyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}
