@@ -455,8 +455,12 @@ func newLocalServer(t *testing.T, srv *Server) string {
 // reading it came from, on a durable server behind a real listener: each
 // EXPLAIN body's stages sum to its total, each handler's onto_stage_seconds
 // sums add up to its latency histogram's sum and count every request once
-// per stage, and the time no stage claimed stays within 5 % of the total for
-// cached reads, cold reads and fsync=always writes alike.
+// per stage, and the time no stage claimed — the tail after a handler's last
+// mark — is at most 2 µs (8 µs under the race detector) for at least 95 % of
+// the cached reads, cold reads and fsync=always writes alike. The tail is
+// checked request by request, off the other stage's buckets, so one
+// deschedule on a loaded box costs one request its place under the bound
+// instead of swinging a share of the sum.
 func TestStageClockReconciles(t *testing.T) {
 	base := store.New()
 	eng, err := durable.Open(base, durable.Options{Dir: t.TempDir(), Fsync: durable.FsyncAlways})
@@ -483,6 +487,13 @@ func TestStageClockReconciles(t *testing.T) {
 	}
 
 	const n = 200
+	// The tail bound, an other bucket's upper edge. The race detector slows
+	// the instrumented tail about fivefold (0.2–0.3 µs becomes 1–2 µs), so
+	// under it the bound is two buckets up.
+	tail := 2e-6
+	if raceEnabled {
+		tail = 8e-6
+	}
 	kinds := []struct {
 		name, handler, total string
 		send                 func(i int)
@@ -508,8 +519,10 @@ func TestStageClockReconciles(t *testing.T) {
 		other := `onto_stage_seconds_sum{handler="` + k.handler + `",stage="other"}`
 		tot := m1[k.total+"_sum"] - m0[k.total+"_sum"]
 		share := (m1[other] - m0[other]) / tot
-		if tot <= 0 || share > 0.05 {
-			t.Errorf("%d %ss: other is %.2f%% of %gs, want at most 5%%", n, k.name, 100*share, tot)
+		short := `onto_stage_seconds_bucket{handler="` + k.handler + `",stage="other",le="` + strconv.FormatFloat(tail, 'g', -1, 64) + `"}`
+		fast := m1[short] - m0[short]
+		if tot <= 0 || fast < 0.95*n {
+			t.Errorf("%d %ss: %g had other at most %g µs, want at least 95%%", n, k.name, fast, tail*1e6)
 		}
 		split := ""
 		for st := obs.Stage(0); st < obs.NumStages; st++ {
@@ -518,7 +531,7 @@ func TestStageClockReconciles(t *testing.T) {
 				split += fmt.Sprintf(" %s %.1f", st, (m1[key]-m0[key])/n*1e6)
 			}
 		}
-		t.Logf("%d %ss: %.1f µs each =%s; other %.2f%%", n, k.name, tot/n*1e6, split, 100*share)
+		t.Logf("%d %ss: %.1f µs each =%s; other %.2f%%, at most %g µs in %g", n, k.name, tot/n*1e6, split, 100*share, tail*1e6, fast)
 		m0 = m1
 	}
 

@@ -328,3 +328,33 @@ func BenchmarkHubChurn(b *testing.B) {
 		run("remove-random", shuffled, true)
 	}
 }
+
+// BenchmarkDictLookup resolves one name to its id through the dictionary at
+// 10⁵ corpus-shaped names, in shuffled order: hit probes interned names,
+// miss names of the same shape that were never interned.
+func BenchmarkDictLookup(b *testing.B) {
+	const n = 100_000
+	names := corpusNames(2 * n)
+	s := New()
+	for _, name := range names[:n] {
+		if _, err := s.Intern(name); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(9))
+	for _, c := range []struct {
+		kind  string
+		names []string
+	}{{"hit", names[:n]}, {"miss", names[n:]}} {
+		probes := append([]string(nil), c.names...)
+		rng.Shuffle(len(probes), func(i, j int) { probes[i], probes[j] = probes[j], probes[i] })
+		hit := c.kind == "hit"
+		b.Run(c.kind, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, ok := s.SymbolID(probes[i%n]); ok != hit {
+					b.Fatalf("SymbolID(%q) found = %v", probes[i%n], ok)
+				}
+			}
+		})
+	}
+}

@@ -40,29 +40,21 @@ func (s *Store) RestoreSorted(dict []string, triples []IDTriple) error {
 	if err := checkSorted(triples, SymbolID(len(dict))); err != nil {
 		return err
 	}
-	// One map operation per name: insert unconditionally and let the final
-	// length expose duplicates (a repeated name collapses two inserts into
-	// one entry). Probing for the duplicate up front would double the string
-	// hashing on the hot path to improve only the error message, so the
-	// second pass that names the offender runs only after a failure.
-	ids := make(map[string]uint32, len(dict))
+	// The index is sized for the whole dictionary once, and each name is
+	// probed before it is filed, so a repeat is caught at its second id.
+	fresh := symtab{index: make([]uint32, indexLen(len(dict))), names: dict}
 	for i, name := range dict {
 		if name == "" {
 			return fmt.Errorf("store: restore dictionary id %d is the empty string", i)
 		}
-		ids[name] = uint32(i)
-	}
-	if len(ids) != len(dict) {
-		seen := make(map[string]uint32, len(dict))
-		for i, name := range dict {
-			if prev, dup := seen[name]; dup {
-				return fmt.Errorf("store: restore dictionary repeats %q as ids %d and %d", name, prev, i)
-			}
-			seen[name] = uint32(i)
+		prev, slot, dup := fresh.find(name)
+		if dup {
+			return fmt.Errorf("store: restore dictionary repeats %q as ids %d and %d", name, prev, i)
 		}
+		fresh.index[slot] = uint32(i) + 1
 	}
 	s.syms.mu.Lock()
-	s.syms.ids = ids
+	s.syms.index = fresh.index
 	s.syms.names = dict
 	s.syms.mu.Unlock()
 	s.loadSorted(triples)

@@ -1,6 +1,9 @@
 package store
 
-import "sync"
+import (
+	"hash/maphash"
+	"sync"
+)
 
 // symtab is the store's symbol table: it interns subject, predicate and
 // object strings into dense uint32 ids so the permutation indexes hold
@@ -9,8 +12,14 @@ import "sync"
 // makes the id→name direction readable under a plain snapshot of the names
 // slice (see names below).
 type symtab struct {
-	mu    sync.RWMutex
-	ids   map[string]uint32
+	mu sync.RWMutex
+	// index is the name→id direction without the names: an open-addressed
+	// table whose slots hold id+1 (0 is empty), probed linearly from the
+	// name's hash under symSeed. A slot is confirmed by comparing against
+	// names, so the table stores no key and no pointer. Its length is a
+	// power of two at least twice the number of names; it doubles when an
+	// insert would fill it past half.
+	index []uint32
 	names []string
 	// journal, when non-nil, is told about freshly minted ids before the
 	// interning lock is released, so dictionary-growth records reach the log
@@ -20,8 +29,59 @@ type symtab struct {
 	journal Journal
 }
 
+// symSeed keys the index's hash. Names arrive in request bodies, so the seed
+// is drawn per process: a client cannot pick names that all probe to one
+// run.
+var symSeed = maphash.MakeSeed()
+
+// minIndex is the length of an empty dictionary's index.
+const minIndex = 16
+
+// indexLen is the index length for n names: the smallest power of two at
+// least 2n, and no less than minIndex.
+func indexLen(n int) int {
+	l := minIndex
+	for l < 2*n {
+		l *= 2
+	}
+	return l
+}
+
 func newSymtab() *symtab {
-	return &symtab{ids: make(map[string]uint32)}
+	return &symtab{index: make([]uint32, minIndex)}
+}
+
+// find probes the index for s. When s is interned it returns its id and
+// true; otherwise slot is the empty slot an insert of s would fill. Callers
+// hold st.mu.
+func (st *symtab) find(s string) (id uint32, slot int, ok bool) {
+	mask := len(st.index) - 1
+	for slot = int(maphash.String(symSeed, s)) & mask; ; slot = (slot + 1) & mask {
+		v := st.index[slot]
+		if v == 0 {
+			return 0, slot, false
+		}
+		if st.names[v-1] == s {
+			return v - 1, slot, true
+		}
+	}
+}
+
+// insert mints the next id for s, which find has just reported missing at
+// slot. Callers hold st.mu for writing.
+func (st *symtab) insert(s string, slot int) uint32 {
+	id := uint32(len(st.names))
+	st.names = append(st.names, s)
+	if 2*len(st.names) <= len(st.index) {
+		st.index[slot] = id + 1
+		return id
+	}
+	st.index = make([]uint32, 2*len(st.index))
+	for i, name := range st.names {
+		_, slot, _ := st.find(name)
+		st.index[slot] = uint32(i) + 1
+	}
+	return id
 }
 
 // setJournal installs (or clears) the dictionary-growth hook.
@@ -44,9 +104,9 @@ func (st *symtab) journalGrowthLocked(before int) {
 // internTriple interns all three components under a single lock round trip.
 func (st *symtab) internTriple(t Triple) IDTriple {
 	st.mu.RLock()
-	s, okS := st.ids[t.Subject]
-	p, okP := st.ids[t.Predicate]
-	o, okO := st.ids[t.Object]
+	s, _, okS := st.find(t.Subject)
+	p, _, okP := st.find(t.Predicate)
+	o, _, okO := st.find(t.Object)
 	st.mu.RUnlock()
 	if okS && okP && okO {
 		return IDTriple{s, p, o}
@@ -78,12 +138,10 @@ func (st *symtab) internBatch(ts []Triple, enc []IDTriple) []IDTriple {
 }
 
 func (st *symtab) internLocked(s string) uint32 {
-	if id, ok := st.ids[s]; ok {
-		return id
+	id, slot, ok := st.find(s)
+	if !ok {
+		id = st.insert(s, slot)
 	}
-	id := uint32(len(st.names))
-	st.ids[s] = id
-	st.names = append(st.names, s)
 	return id
 }
 
@@ -91,7 +149,7 @@ func (st *symtab) internLocked(s string) uint32 {
 // never been seen (and therefore cannot occur in any index).
 func (st *symtab) lookup(s string) (uint32, bool) {
 	st.mu.RLock()
-	id, ok := st.ids[s]
+	id, _, ok := st.find(s)
 	st.mu.RUnlock()
 	return id, ok
 }
@@ -100,9 +158,9 @@ func (st *symtab) lookup(s string) (uint32, bool) {
 func (st *symtab) lookupTriple(t Triple) (IDTriple, bool) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	s, okS := st.ids[t.Subject]
-	p, okP := st.ids[t.Predicate]
-	o, okO := st.ids[t.Object]
+	s, _, okS := st.find(t.Subject)
+	p, _, okP := st.find(t.Predicate)
+	o, _, okO := st.find(t.Object)
 	return IDTriple{s, p, o}, okS && okP && okO
 }
 
