@@ -456,7 +456,7 @@ func newLocalServer(t *testing.T, srv *Server) string {
 // EXPLAIN body's stages sum to its total, each handler's onto_stage_seconds
 // sums add up to its latency histogram's sum and count every request once
 // per stage, and the time no stage claimed — the tail after a handler's last
-// mark — is at most 2 µs (8 µs under the race detector) for at least 95 % of
+// mark — is at most 2 µs (4 µs under the race detector) for at least 95 % of
 // the cached reads, cold reads and fsync=always writes alike. The tail is
 // checked request by request, off the other stage's buckets, so one
 // deschedule on a loaded box costs one request its place under the bound
@@ -489,10 +489,10 @@ func TestStageClockReconciles(t *testing.T) {
 	const n = 200
 	// The tail bound, an other bucket's upper edge. The race detector slows
 	// the instrumented tail about fivefold (0.2–0.3 µs becomes 1–2 µs), so
-	// under it the bound is two buckets up.
+	// under it the bound is one bucket up: still short of an unmarked 5 µs.
 	tail := 2e-6
 	if raceEnabled {
-		tail = 8e-6
+		tail = 4e-6
 	}
 	kinds := []struct {
 		name, handler, total string

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -356,5 +357,29 @@ func BenchmarkDictLookup(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkDictGrowth prices the one intern that doubles the dictionary's
+// index, at 2¹⁷ corpus-shaped names (2¹⁸ → 2¹⁹ slots). It runs under the
+// write lock, so every lookup and intern waits it out.
+func BenchmarkDictGrowth(b *testing.B) {
+	const n = 1 << 17
+	names := corpusNames(n + 1)
+	full := newSymtab()
+	for _, name := range names[:n] {
+		full.internLocked(name)
+	}
+	if len(full.index) != 2*n {
+		b.Fatalf("%d names fill %d slots, want %d", n, len(full.index), 2*n)
+	}
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		st := &symtab{index: slices.Clone(full.index), names: slices.Grow(full.names[:n:n], 1)}
+		b.StartTimer()
+		st.internLocked(names[n])
+		if len(st.index) != 4*n {
+			b.Fatalf("the %dth name left %d slots, want %d", n+1, len(st.index), 4*n)
+		}
 	}
 }

@@ -76,9 +76,15 @@ func (st *symtab) insert(s string, slot int) uint32 {
 		st.index[slot] = id + 1
 		return id
 	}
+	// The names are distinct, so refiling one needs only an empty slot and
+	// never a compare against names.
 	st.index = make([]uint32, 2*len(st.index))
+	mask := len(st.index) - 1
 	for i, name := range st.names {
-		_, slot, _ := st.find(name)
+		slot := int(maphash.String(symSeed, name)) & mask
+		for st.index[slot] != 0 {
+			slot = (slot + 1) & mask
+		}
 		st.index[slot] = uint32(i) + 1
 	}
 	return id

@@ -3,7 +3,6 @@ package store
 import (
 	"math/bits"
 	"math/rand"
-	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -217,24 +216,11 @@ func TestDictLookupDoesNotAllocate(t *testing.T) {
 }
 
 // TestDictionaryFootprint holds the name→id index to at most 12 bytes a name
-// at 10⁵ names, interned one by one or restored whole. The map it replaced,
-// measured alongside for the log, cost about 34.
+// at 10⁵ names, interned one by one or restored whole. The map it replaced
+// cost about 34.
 func TestDictionaryFootprint(t *testing.T) {
 	const n = 100_000
 	names := corpusNames(n)
-
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	m := make(map[string]uint32)
-	for i, name := range names {
-		m[name] = uint32(i)
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(m)
-	mapPer := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
-
 	interned := New()
 	for _, name := range names {
 		if _, err := interned.Intern(name); err != nil {
@@ -254,6 +240,6 @@ func TestDictionaryFootprint(t *testing.T) {
 		if per > 12 {
 			t.Errorf("%s: the index costs %.2f bytes a name (%d slots for %d names), want at most 12", c.what, per, slots, n)
 		}
-		t.Logf("%d names %s: %d slots, %.2f bytes a name; a map[string]uint32 over them, %.2f", n, c.what, slots, per, mapPer)
+		t.Logf("%d names %s: %d slots, %.2f bytes a name", n, c.what, slots, per)
 	}
 }
