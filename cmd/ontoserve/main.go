@@ -26,8 +26,8 @@
 // write-ahead log, and every POST /triples mutation is group-committed to
 // the log before it is acknowledged. The flag-named corpora seed the store
 // ONLY when recovery finds a pristine directory; once the directory holds
-// state, the log is the single source of truth and the corpus flags merely
-// configure the ontology index and rules (re-asserting the corpus on every
+// state, the log is the single source of truth, the schema included, and
+// only -rules still configures anything (re-asserting the corpus on every
 // boot would resurrect corpus triples a client had durably removed). Point
 // -data-dir at a fresh directory to reseed — including after a boot that
 // crashed mid-seed, which leaves the directory partially seeded. -fsync
@@ -40,10 +40,10 @@
 // follows GET /repl/deltas, re-derives the inferred overlay locally, and
 // serves queries read-only — POST /triples and POST /checkpoint answer 403
 // naming the primary, and /healthz reports the replication lag so load
-// balancers can eject stale nodes. A replica takes no corpus flags and no
-// -data-dir (the primary is the source of truth; a restarted replica
-// re-snapshots), but -rules and -f still apply and MUST match the
-// primary's so both sides derive the same overlay.
+// balancers can eject stale nodes. A replica takes no corpus flags, -f
+// included (the feed ships the schema), and no -data-dir (the primary is the
+// source of truth; a restarted replica re-snapshots), but -rules still
+// applies and MUST match the primary's so both sides derive the same overlay.
 //
 // GET /metrics always serves the process's instruments — traffic counters,
 // latency histograms split by stage, WAL/checkpoint state, reasoner and
@@ -134,11 +134,12 @@ func run(args []string, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if *replicateFrom != "" && (*paper || *annotations != "" || *dataDir != "") {
-		// A replica's corpus is the primary's snapshot and nothing else, and
-		// it keeps no durable state (a restarted replica re-snapshots);
-		// seeding or journaling it locally would fork it from the primary.
-		fmt.Fprintln(stderr, "ontoserve: -replicate-from excludes -paper, -annotations and -data-dir (the primary is the source of truth)")
+	if *replicateFrom != "" && (*paper || *annotations != "" || *file != "" || *dataDir != "") {
+		// A replica's corpus, schema included, is the primary's snapshot and
+		// nothing else, and it keeps no durable state (a restarted replica
+		// re-snapshots); seeding or journaling it locally would fork it from
+		// the primary.
+		fmt.Fprintln(stderr, "ontoserve: -replicate-from excludes -paper, -annotations, -f and -data-dir (the primary is the source of truth)")
 		fs.Usage()
 		return 2
 	}
@@ -200,7 +201,7 @@ func run(args []string, stderr io.Writer) int {
 	// through POST /triples.
 	seed := rep == nil && (eng == nil || eng.LastSeq() == 0)
 	if eng != nil && eng.LastSeq() != 0 {
-		logger.Printf("data directory already holds state; corpus flags configure the ontology and rules but seed no triples (wipe %s to reseed)", *dataDir)
+		logger.Printf("data directory already holds state; corpus flags seed no triples and -rules still configures the rules (wipe %s to reseed)", *dataDir)
 	}
 	cfg, err := buildConfig(base, seed, *paper, *annotations, *file, *rulesFile)
 	if err != nil {
@@ -312,26 +313,23 @@ func budget(mib int) int64 {
 // assertion then flows through the log like any other write): the paper
 // example or a snapshot file, plus the TBox's hierarchy as subClassOf
 // triples. With seed false — the directory was recovered, its log is the
-// single source of truth — no triple is asserted; the corpus flags only
-// supply the ontology index and rule set the serving stack still needs.
+// single source of truth and already holds the schema — no triple is
+// asserted and no TBox is read; only the rule set is configured.
 func buildConfig(base *store.Store, seed, paper bool, annotations, tboxFile, rulesFile string) (server.Config, error) {
 	var cfg server.Config
 
-	if paper {
+	if paper && seed {
 		input := core.PaperInput()
 		oi, err := store.NewOntologyIndex(input.TBox)
 		if err != nil {
 			return cfg, fmt.Errorf("classifying the paper TBox: %w", err)
 		}
-		if seed {
-			if _, err := base.AddBatch(input.Annotations.Triples()); err != nil {
-				return cfg, err
-			}
-			if _, err := base.AddBatch(reason.OntologyTriples(oi)); err != nil {
-				return cfg, err
-			}
+		if _, err := base.AddBatch(input.Annotations.Triples()); err != nil {
+			return cfg, err
 		}
-		cfg.Ontology = oi
+		if _, err := base.AddBatch(reason.OntologyTriples(oi)); err != nil {
+			return cfg, err
+		}
 	}
 	if annotations != "" && seed {
 		f, err := os.Open(annotations)
@@ -354,7 +352,7 @@ func buildConfig(base *store.Store, seed, paper bool, annotations, tboxFile, rul
 			return cfg, err
 		}
 	}
-	if tboxFile != "" {
+	if tboxFile != "" && seed {
 		f, err := os.Open(tboxFile)
 		if err != nil {
 			return cfg, err
@@ -370,12 +368,9 @@ func buildConfig(base *store.Store, seed, paper bool, annotations, tboxFile, rul
 		if err != nil {
 			return cfg, fmt.Errorf("classifying %s: %w", tboxFile, err)
 		}
-		if seed {
-			if _, err := base.AddBatch(reason.OntologyTriples(oi)); err != nil {
-				return cfg, err
-			}
+		if _, err := base.AddBatch(reason.OntologyTriples(oi)); err != nil {
+			return cfg, err
 		}
-		cfg.Ontology = oi
 	}
 
 	rules := reason.RDFSRules()

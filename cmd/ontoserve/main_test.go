@@ -51,7 +51,7 @@ this line is not JSON
 // restart: recovery must reproduce the store, the second boot must NOT
 // re-assert the corpus (the log is the single source of truth once the
 // directory holds state — re-seeding would resurrect durably removed corpus
-// triples), and the corpus flags must still configure the ontology index.
+// triples).
 func TestDurableBootSequence(t *testing.T) {
 	dataDir := t.TempDir()
 
@@ -66,9 +66,6 @@ func TestDurableBootSequence(t *testing.T) {
 	}
 	if cfg.Base != base {
 		t.Fatal("buildConfig must serve the caller's (journaled) store")
-	}
-	if cfg.Ontology == nil {
-		t.Fatal("seeding boot built no ontology index")
 	}
 	loaded := base.Len()
 	if loaded == 0 {
@@ -99,12 +96,8 @@ func TestDurableBootSequence(t *testing.T) {
 	if base2.Len() != loaded-1 {
 		t.Fatalf("recovered %d triples, served %d before restart", base2.Len(), loaded-1)
 	}
-	cfg2, err := buildConfig(base2, eng2.LastSeq() == 0, true, "", "", "")
-	if err != nil {
+	if _, err := buildConfig(base2, eng2.LastSeq() == 0, true, "", "", ""); err != nil {
 		t.Fatal(err)
-	}
-	if cfg2.Ontology == nil {
-		t.Fatal("non-seeding boot must still build the ontology index")
 	}
 	if base2.Contains(removed) {
 		t.Fatalf("restart resurrected the durably removed triple %v", removed)
@@ -136,6 +129,7 @@ func TestRunFlagErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-replicate-from", "http://p:1", "-paper"},
 		{"-replicate-from", "http://p:1", "-annotations", "x.triples"},
+		{"-replicate-from", "http://127.0.0.1:1", "-f", "x.tbox"},
 		{"-replicate-from", "http://p:1", "-data-dir", t.TempDir()},
 	} {
 		stderr.Reset()
@@ -193,7 +187,7 @@ func TestSettableValues(t *testing.T) {
 	}{
 		{"flags", flags, []string{"addr", "annotations", "cache", "checkpoint-mib", "data-dir", "f", "fsync",
 			"max-solutions", "paper", "pprof-addr", "replicate-from", "rules", "slow-query", "slow-query-log", "timeout"}},
-		{"server.Config", fields(server.Config{}), []string{"Base", "Rules", "Ontology", "Durable", "QueryTimeout",
+		{"server.Config", fields(server.Config{}), []string{"Base", "Rules", "Durable", "QueryTimeout",
 			"MaxSolutions", "CacheMaxBytes", "Metrics", "SlowQueryThreshold", "SlowQueryLog", "Replica"}},
 		{"durable.Options", fields(durable.Options{}), []string{"Dir", "Fsync", "CheckpointBytes", "Metrics"}},
 		{"repl.Options", fields(repl.Options{}), []string{"Primary", "Client", "Logger"}},
@@ -207,8 +201,8 @@ func TestSettableValues(t *testing.T) {
 	}
 	t.Logf("%d settable values (%d flags, %d + %d + %d option fields)",
 		total, len(flags), len(surface[1].got), len(surface[2].got), len(surface[3].got))
-	if total != 33 {
-		t.Errorf("%d settable values, want 33", total)
+	if total != 32 {
+		t.Errorf("%d settable values, want 32", total)
 	}
 }
 

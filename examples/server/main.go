@@ -47,7 +47,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	srv, err := server.New(server.Config{Base: corpus.Store, Ontology: index})
+	srv, err := server.New(server.Config{Base: corpus.Store})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -47,7 +47,7 @@ const interruptTickMask = 255
 
 // config collects Eval's options.
 type config struct {
-	oi           *store.OntologyIndex
+	oi           Subsumer
 	materialized bool
 	interrupt    func() bool
 	trace        *Trace
@@ -56,6 +56,14 @@ type config struct {
 // Option configures one Eval call.
 type Option func(*config)
 
+// Subsumer is the class hierarchy Expand rewrites through: Subsumees returns
+// a class's subsumees, the class itself included. A classified
+// *store.OntologyIndex is one; a reasoner's materialized subClassOf closure
+// (reason.Reasoner) is another, and stays current under schema writes.
+type Subsumer interface {
+	Subsumees(class string) []string
+}
+
 // Expand makes type-patterns ontology-aware: every pattern whose predicate is
 // the literal store.TypePredicate and whose object is a literal class is
 // rewritten into the union of the same pattern over each of the class's
@@ -63,7 +71,7 @@ type Option func(*config)
 // retrieves subjects annotated "car" or "pickup". Patterns whose object is a
 // variable are not rewritten — there is no class to expand — and match type
 // annotations literally.
-func Expand(oi *store.OntologyIndex) Option {
+func Expand(oi Subsumer) Option {
 	return func(c *config) { c.oi = oi }
 }
 

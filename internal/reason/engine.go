@@ -397,6 +397,25 @@ func (r *Reasoner) Instances(class string) []string {
 	return out
 }
 
+// Subsumees returns the class and every ?c with ?c subClassOf class in the
+// materialized view, so a *Reasoner is the query.Subsumer that mode=expand
+// rewrites through: the served schema, current under schema writes. Under
+// the RDFS rules the subClassOf closure is materialized, so one index read
+// per view member answers it. A cycle derives class subClassOf class, which
+// is skipped; asserted and inferred never overlap, so nothing else repeats.
+func (r *Reasoner) Subsumees(class string) []string {
+	out := []string{class}
+	add := func(c string) bool {
+		if c != class {
+			out = append(out, c)
+		}
+		return true
+	}
+	r.base.ForEachSubject(SubClassOfPredicate, class, add)
+	r.overlay.ForEachSubject(SubClassOfPredicate, class, add)
+	return out
+}
+
 // Add asserts one triple, reporting whether it was newly asserted:
 // Apply of one add, with the same error contract.
 func (r *Reasoner) Add(t store.Triple) (bool, error) {
@@ -531,12 +550,8 @@ func (r *Reasoner) retract(base *store.Tx, removes []store.Triple) (gone, marked
 		delta = marked[lo:]
 	}
 
-	for _, g := range gone {
-		base.RemoveID(g)
-	}
-	for _, m := range marked {
-		r.ov.RemoveID(m)
-	}
+	base.RemoveIDs(gone)
+	r.ov.RemoveIDs(marked)
 	r.counts.overdeleted.Add(int64(len(marked)))
 
 	// Phase 2 — rederive. The retracted triples themselves are candidates:

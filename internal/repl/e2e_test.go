@@ -376,3 +376,82 @@ func TestRunFollowsTheFeed(t *testing.T) {
 	}
 	converged(t, "after Run", rep, applier, psrv.Reasoner())
 }
+
+// TestReplicaExpandReadsTheShippedSchema: a replica is served with no TBox
+// of its own, so its mode=expand reads the schema the feed ships. After the
+// primary takes a subClassOf edge and the replica steps, and again after the
+// edge is removed, the replica's expand answer for every class, evaluated
+// and then cached, equals the primary's materialized one.
+func TestReplicaExpandReadsTheShippedSchema(t *testing.T) {
+	psrv, ts := newPrimary(t)
+	rep, err := repl.New(repl.Options{Primary: ts.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rsrv, err := server.New(server.Config{Base: rep.Base(), Replica: rep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(rsrv.Handler())
+	t.Cleanup(rts.Close)
+
+	edge := store.Triple{Subject: "c2", Predicate: reason.SubClassOfPredicate, Object: "c3"}
+	for _, w := range []struct {
+		what   string
+		adds   []store.Triple
+		remove []store.Triple
+	}{{"schema add", []store.Triple{edge}, nil}, {"schema remove", nil, []store.Triple{edge}}} {
+		if _, _, err := psrv.Reasoner().Apply(w.adds, w.remove, nil); err != nil {
+			t.Fatal(err)
+		}
+		step(t, rep, rsrv.Reasoner())
+		converged(t, w.what, rep, rsrv.Reasoner(), psrv.Reasoner())
+		for _, class := range []string{"c0", "c1", "c2", "c3"} {
+			want, _ := classQuery(t, ts.URL, class, server.ModeMaterialized)
+			for _, cached := range []bool{false, true} {
+				got, hit := classQuery(t, rts.URL, class, server.ModeExpand)
+				if !slices.Equal(got, want) || hit != cached {
+					t.Fatalf("%s, %s: replica expand = %v (cached %v), primary materialized = %v", w.what, class, got, hit, want)
+				}
+			}
+		}
+	}
+}
+
+// classQuery asks a server for ?x type class in the given mode and returns
+// the sorted bindings of x and whether the answer came from the cache.
+func classQuery(t *testing.T, url, class, mode string) ([]string, bool) {
+	t.Helper()
+	body, err := json.Marshal(server.QueryRequest{BGP: "?x type " + class, Mode: mode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+"/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s %s query: status %d", url, mode, resp.StatusCode)
+	}
+	xs, cached := []string{}, false
+	for dec := json.NewDecoder(resp.Body); dec.More(); {
+		var line struct {
+			Bind   map[string]string `json:"bind"`
+			Error  string            `json:"error"`
+			Cached bool              `json:"cached"`
+		}
+		if err := dec.Decode(&line); err != nil {
+			t.Fatal(err)
+		}
+		if line.Error != "" {
+			t.Fatalf("%s %s query: %s", url, mode, line.Error)
+		}
+		if x, ok := line.Bind["x"]; ok {
+			xs = append(xs, x)
+		}
+		cached = cached || line.Cached
+	}
+	slices.Sort(xs)
+	return xs, cached
+}

@@ -74,7 +74,7 @@ func TestAPIExplainTranscript(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := newTestServer(t, Config{Base: base, Ontology: oi})
+	s := newTestServer(t, Config{Base: base})
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query?explain=1", strings.NewReader(body)))
 	if rec.Code != http.StatusOK {

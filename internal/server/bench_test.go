@@ -20,9 +20,9 @@ import (
 
 // benchCorpus builds the E5c-shaped serving corpus: a random 120-class
 // hierarchy, n type annotations round-robin over the classes, and the
-// hierarchy itself as subClassOf triples. It returns the base store, the
-// ontology index, and a sample of classes to query.
-func benchCorpus(b *testing.B, n int) (*store.Store, *store.OntologyIndex, []string) {
+// hierarchy itself as subClassOf triples. It returns the base store and a
+// sample of classes to query.
+func benchCorpus(b *testing.B, n int) (*store.Store, []string) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(9))
 	tb := workload.RandomHierarchyTBox(rng, workload.HierarchyParams{Classes: 120, MaxParents: 2})
@@ -54,7 +54,7 @@ func benchCorpus(b *testing.B, n int) (*store.Store, *store.OntologyIndex, []str
 	for i := 0; i < 40; i++ {
 		sample = append(sample, classes[i*len(classes)/40])
 	}
-	return base, oi, sample
+	return base, sample
 }
 
 func classNameItem(class string, i int) string {
@@ -87,8 +87,8 @@ func BenchmarkServerQuery(b *testing.B) {
 		}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			base, oi, sample := benchCorpus(b, scale)
-			s, err := New(Config{Base: base, Ontology: oi, CacheMaxBytes: mode.cache})
+			base, sample := benchCorpus(b, scale)
+			s, err := New(Config{Base: base, CacheMaxBytes: mode.cache})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -133,8 +133,8 @@ func BenchmarkServerQuery(b *testing.B) {
 // class (one add and one remove in one write), remove-8 retracts eight
 // instance annotations at once (asserted off the clock).
 func BenchmarkServerMutation(b *testing.B) {
-	base, oi, sample := benchCorpus(b, 100_000)
-	s, err := New(Config{Base: base, Ontology: oi})
+	base, sample := benchCorpus(b, 100_000)
+	s, err := New(Config{Base: base})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -29,8 +29,8 @@ const (
 	// view; entailed triples are answered straight off the indexes.
 	ModeMaterialized = "materialized"
 	// ModeExpand evaluates over the asserted store only, rewriting
-	// type-patterns through the ontology index at query time (requires
-	// Config.Ontology).
+	// type-patterns at query time through the served schema: the
+	// reasoner's subClassOf closure, current under schema writes.
 	ModeExpand = "expand"
 	// ModePlain evaluates over the asserted store with no expansion at all.
 	ModePlain = "plain"

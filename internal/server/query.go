@@ -14,6 +14,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/query/exec"
+	"repro/internal/reason"
 	"repro/internal/store"
 )
 
@@ -117,12 +118,13 @@ func (s *Server) source(w http.ResponseWriter, q *queryRun) bool {
 		q.src = s.reasoner.View()
 		q.opts = append(q.opts, query.Materialized())
 	case ModeExpand:
-		if s.cfg.Ontology == nil {
-			writeError(w, http.StatusBadRequest, "mode %q needs a server-side ontology index and none is configured", ModeExpand)
-			return false
-		}
+		// The hierarchy is the reasoner's own subClassOf closure, so a schema
+		// write reaches the next answer. evaluate files the entry under
+		// subClassOf too: a schema write can change the rewrite without a
+		// type delta, when the type it would derive already holds through a
+		// domain or range rule.
 		q.src = s.reasoner.Base()
-		q.opts = append(q.opts, query.Expand(s.cfg.Ontology))
+		q.opts = append(q.opts, query.Expand(s.reasoner))
 	case ModePlain:
 		q.src = s.reasoner.Base()
 	default:
@@ -210,6 +212,9 @@ func (s *Server) evaluate(w http.ResponseWriter, r *http.Request, q *queryRun) {
 			} else {
 				e.preds = append(e.preds, p.Predicate.Value)
 			}
+		}
+		if q.mode == ModeExpand {
+			e.preds = append(e.preds, reason.SubClassOfPredicate)
 		}
 		s.cache.put(q.key, e)
 	}

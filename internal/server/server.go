@@ -72,10 +72,6 @@ type Config struct {
 	// Rules is the Horn rule set forward-chained over Base; nil means
 	// reason.RDFSRules().
 	Rules []reason.Rule
-	// Ontology optionally enables mode=expand queries: a classified TBox
-	// index for query-time subsumption expansion. Materialized queries do
-	// not need it.
-	Ontology *store.OntologyIndex
 	// Durable, when set, is the durability engine journaling Base (it must
 	// already be attached via durable.Open before New is called). The server
 	// reports its state in GET /stats, triggers checkpoints on POST

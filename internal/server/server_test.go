@@ -185,10 +185,91 @@ func TestQueryModesAgreeOnClassRetrieval(t *testing.T) {
 		t.Fatalf("plain retrieval = %v, want %v", plain.values("x"), want)
 	}
 
-	// Expand mode needs an ontology index; without one it is a 400.
-	res := postQuery(t, s, QueryRequest{BGP: "?x type vehicle", Mode: ModeExpand})
-	if res.status != http.StatusBadRequest {
-		t.Fatalf("expand without ontology returned %d, want 400", res.status)
+	// Expand mode rewrites through the served schema: no TBox is configured,
+	// and it still answers as materialized does.
+	exp := postQuery(t, s, QueryRequest{BGP: "?x type vehicle", Mode: ModeExpand})
+	if exp.status != http.StatusOK || !equalStrings(exp.values("x"), mat.values("x")) {
+		t.Fatalf("expand retrieval = %d %v, want 200 %v", exp.status, exp.values("x"), mat.values("x"))
+	}
+}
+
+// TestExpandReadsLiveSchema: mode=expand rewrites through the reasoner's
+// subClassOf closure, so a schema write reaches it. After every step both
+// modes give the same class retrieval, first evaluated and then from the
+// cache; the schema add and the schema remove are each one write that
+// follows a cached expand answer.
+func TestExpandReadsLiveSchema(t *testing.T) {
+	s := newTestServer(t, Config{})
+	typed := func(subject, class string) TripleJSON {
+		return TripleJSON{Subject: subject, Predicate: store.TypePredicate, Object: class}
+	}
+	truckIsVehicle := TripleJSON{Subject: "truck", Predicate: reason.SubClassOfPredicate, Object: "vehicle"}
+	classes := []string{"vehicle", "car", "pickup", "truck"}
+	agree := func(step string, want map[string][]string) {
+		t.Helper()
+		for _, cached := range []bool{false, true} {
+			for _, class := range classes {
+				bgp := "?x type " + class
+				mat := postQuery(t, s, QueryRequest{BGP: bgp})
+				exp := postQuery(t, s, QueryRequest{BGP: bgp, Mode: ModeExpand})
+				if mat.trailer.Cached != cached || exp.trailer.Cached != cached {
+					t.Fatalf("%s, %s: cached = %v (materialized), %v (expand), want %v",
+						step, class, mat.trailer.Cached, exp.trailer.Cached, cached)
+				}
+				if !equalStrings(exp.values("x"), mat.values("x")) {
+					t.Fatalf("%s, %s (cached %v): expand = %v, materialized = %v",
+						step, class, cached, exp.values("x"), mat.values("x"))
+				}
+				if w, ok := want[class]; ok && !equalStrings(exp.values("x"), w) {
+					t.Fatalf("%s, %s (cached %v): expand = %v, want %v", step, class, cached, exp.values("x"), w)
+				}
+			}
+		}
+	}
+	write := func(req MutateRequest) {
+		t.Helper()
+		if code, _, e := postTriples(t, s, req); code != http.StatusOK {
+			t.Fatalf("/triples = %d: %s", code, e.Error)
+		}
+	}
+
+	agree("boot", map[string][]string{"vehicle": {"beetle", "bus1", "hilux"}})
+	write(MutateRequest{Add: []TripleJSON{typed("t1", "truck")}})
+	agree("instance of a new class", map[string][]string{"vehicle": {"beetle", "bus1", "hilux"}, "truck": {"t1"}})
+	write(MutateRequest{Add: []TripleJSON{truckIsVehicle}})
+	agree("schema add", map[string][]string{"vehicle": {"beetle", "bus1", "hilux", "t1"}})
+	write(MutateRequest{Remove: []TripleJSON{truckIsVehicle}})
+	agree("schema remove", map[string][]string{"vehicle": {"beetle", "bus1", "hilux"}})
+}
+
+// TestExpandCacheDropsOnSchemaOnlyWrites: a schema write can change an
+// expand answer without deriving a type triple, when the type it would
+// derive already holds through a domain rule. The cached answer must still
+// go.
+func TestExpandCacheDropsOnSchemaOnlyWrites(t *testing.T) {
+	s := newTestServer(t, Config{})
+	code, before, e := postTriples(t, s, MutateRequest{Add: []TripleJSON{
+		{Subject: "drives", Predicate: reason.DomainPredicate, Object: "vehicle"},
+		{Subject: "bob", Predicate: "drives", Object: "rome"},
+		{Subject: "bob", Predicate: store.TypePredicate, Object: "truck"},
+	}})
+	if code != http.StatusOK {
+		t.Fatalf("/triples = %d: %s", code, e.Error)
+	}
+	req := QueryRequest{BGP: "?x type vehicle", Mode: ModeExpand}
+	postQuery(t, s, req)
+	if res := postQuery(t, s, req); !res.trailer.Cached || !equalStrings(res.values("x"), []string{"beetle", "bus1", "hilux"}) {
+		t.Fatalf("before the schema write: cached %v, %v", res.trailer.Cached, res.values("x"))
+	}
+	code, after, e := postTriples(t, s, MutateRequest{Add: []TripleJSON{
+		{Subject: "truck", Predicate: reason.SubClassOfPredicate, Object: "vehicle"},
+	}})
+	if code != http.StatusOK || after.Inferred != before.Inferred {
+		t.Fatalf("/triples = %d, %+v: %s; want 200 and no new inferred triple", code, after, e.Error)
+	}
+	want := []string{"beetle", "bob", "bus1", "hilux"}
+	if res := postQuery(t, s, req); res.trailer.Cached || !equalStrings(res.values("x"), want) {
+		t.Fatalf("after the schema write: cached %v, %v; want a fresh %v", res.trailer.Cached, res.values("x"), want)
 	}
 }
 

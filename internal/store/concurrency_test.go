@@ -9,8 +9,9 @@ import (
 // TestConcurrentShardedWritersAndReaders exercises the sharded engine the way
 // the global-lock engine never could be: many writers on disjoint subject
 // ranges (single adds, batches, and removals of their own triples) racing
-// many readers on every read path. Run with -race; the final state is checked
-// exactly.
+// many readers on every read path; half the writers remove in one RemoveIDs
+// batch, compacting the class runs the others write into. Run with -race;
+// the final state is checked exactly.
 func TestConcurrentShardedWritersAndReaders(t *testing.T) {
 	const (
 		writers          = 8
@@ -37,6 +38,19 @@ func TestConcurrentShardedWritersAndReaders(t *testing.T) {
 			}
 			for i := triplesPerWriter / 2; i < triplesPerWriter; i++ {
 				s.MustAdd(writerTriple(w, i))
+			}
+			if w%2 == 1 {
+				// Odd writers remove theirs in one compacting batch.
+				ids := make([]IDTriple, 0, removedPerWriter)
+				for i := 0; i < removedPerWriter; i++ {
+					e, _ := s.syms.lookupTriple(writerTriple(w, i))
+					ids = append(ids, e)
+				}
+				tx := s.Begin()
+				if n := tx.RemoveIDs(ids); n != removedPerWriter {
+					t.Errorf("writer %d: RemoveIDs removed %d of its %d triples", w, n, removedPerWriter)
+				}
+				return
 			}
 			for i := 0; i < removedPerWriter; i++ {
 				if !s.Remove(writerTriple(w, i)) {

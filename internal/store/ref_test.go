@@ -333,7 +333,7 @@ func checkAgreement(t *testing.T, s *Store, ref *refStore) {
 
 // TestEngineMatchesReference drives the indexed engine and the
 // filter-all-triples reference through the same random schedule of single
-// adds, batch adds and removals, and checks that every read path agrees at
+// adds, batch adds, single removals and batch removals, and checks that every read path agrees at
 // several points along the way.
 func TestEngineMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
@@ -342,7 +342,7 @@ func TestEngineMatchesReference(t *testing.T) {
 		ref := newRef()
 		addSpine(t, s, ref)
 		for step := 0; step < 6; step++ {
-			switch rng.Intn(3) {
+			switch rng.Intn(4) {
 			case 0: // single adds
 				for i := 0; i < 30; i++ {
 					tr := randomTriple(rng)
@@ -379,6 +379,27 @@ func TestEngineMatchesReference(t *testing.T) {
 					if s.Remove(tr) != ref.remove(tr) {
 						return false
 					}
+				}
+			case 3: // one sorted-and-compacted removal, with duplicates and absent triples
+				var batch []IDTriple
+				gone := map[Triple]bool{}
+				for len(batch) < 2*removeIDsMin {
+					tr := randomTriple(rng)
+					if e, ok := s.syms.lookupTriple(tr); ok {
+						batch = append(batch, e)
+						gone[tr] = ref.triples[tr] || gone[tr]
+					}
+				}
+				want := 0
+				for tr, present := range gone {
+					if present {
+						ref.remove(tr)
+						want++
+					}
+				}
+				tx := s.Begin()
+				if tx.RemoveIDs(batch) != want {
+					return false
 				}
 			}
 			checkAgreement(t, s, ref)

@@ -204,6 +204,43 @@ func (e *leadEntry) remove(mid, c uint32) bool {
 	return true
 }
 
+// removeAll drops from mid's set every member that one of keys names —
+// keys share this entry's lead and mid and ascend by member — appending the
+// keys of the members it dropped to out. It walks the set once from the
+// first member named, so a batch costs the set's length, not that length per
+// member; an emptied set drops its pair as remove does.
+func (e *leadEntry) removeAll(mid uint32, keys [][3]uint32, out [][3]uint32) [][3]uint32 {
+	i, found := e.search(mid)
+	if !found {
+		return out
+	}
+	mt := &e.entries[i]
+	elems := mt.elems()
+	w, _ := searchRun(elems, keys[0][2])
+	k := 0
+	for _, c := range elems[w:] {
+		for k < len(keys) && keys[k][2] < c {
+			k++
+		}
+		if k < len(keys) && keys[k][2] == c {
+			out = append(out, keys[k])
+			continue
+		}
+		elems[w] = c
+		w++
+	}
+	switch {
+	case w > 0 && mt.run != nil:
+		*mt.run = elems[:w]
+	case w == 0:
+		last := len(e.entries) - 1
+		copy(e.entries[i:], e.entries[i+1:])
+		e.entries[last] = midTrail{}
+		e.entries = e.entries[:last]
+	}
+	return out
+}
+
 // leadPageBits sets the size of a lead page: 1<<leadPageBits consecutive
 // slots of a shard, the ones a window of ids maps to; leadPageMask picks a
 // slot's place in its page.
@@ -329,6 +366,43 @@ type indexFamily [numShards]shard
 
 func (f *indexFamily) shard(lead uint32) *shard {
 	return &f[shardOf(lead)]
+}
+
+// removeAll deletes the triples keys name — (lead, mid, member) in this
+// family's order, ascending — and returns the keys of those that were
+// present, pruning as removeLocked does. Each lead's shard is locked once for
+// all of its keys, and each set is compacted once for all of its members.
+func (f *indexFamily) removeAll(keys [][3]uint32) [][3]uint32 {
+	var out [][3]uint32
+	for i, j := 0, 0; i < len(keys); i = j {
+		j = groupEnd(keys, i, 0)
+		sh := f.shard(keys[i][0])
+		sh.mu.Lock()
+		if e := sh.find(keys[i][0]); e != nil {
+			before := len(out)
+			for m, n := i, i; m < j && len(e.entries) > 0; m = n {
+				n = groupEnd(keys[:j], m, 1)
+				out = e.removeAll(keys[m][1], keys[m:n], out)
+			}
+			if len(e.entries) == 0 {
+				e.entries = nil
+				sh.leads--
+			}
+			sh.n -= len(out) - before
+		}
+		sh.mu.Unlock()
+	}
+	return out
+}
+
+// groupEnd returns the end of the group of keys from i on that agree with
+// keys[i] in component c.
+func groupEnd(keys [][3]uint32, i, c int) int {
+	j := i + 1
+	for j < len(keys) && keys[j][c] == keys[i][c] {
+		j++
+	}
+	return j
 }
 
 // tripleLocker acquires the two shard locks a single-triple write needs —

@@ -1,6 +1,9 @@
 package store
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file is the store's write path. Every mutation goes through a Tx, a
 // write handle that applies each change to the indexes at once and defers the
@@ -201,6 +204,50 @@ func (tx *Tx) RemoveID(t IDTriple) bool {
 		}
 	}
 	return removed
+}
+
+// removeIDsMin is the batch length from which RemoveIDs sorts the batch and
+// compacts each touched set once. Below it, removing triple by triple moves
+// fewer than removeIDsMin times the bytes of one compaction and allocates
+// nothing, which the reasoner's small writes rely on.
+const removeIDsMin = 64
+
+// RemoveIDs deletes a batch of dictionary-encoded triples and reports how
+// many were present: RemoveID over the batch, so a duplicate counts once and
+// an absent triple not at all. A large batch is sorted per index family and
+// every trailing set it touches is compacted in one pass, so retracting k of
+// a set's n members moves O(n) bytes, not the O(k·n) of k RemoveID calls
+// (which made one write that empties a large class quadratic in its size).
+// As with AddBatch, a concurrent reader may see a triple gone from one family
+// and not yet from the other.
+func (tx *Tx) RemoveIDs(ts []IDTriple) int {
+	if len(ts) < removeIDsMin {
+		n := 0
+		for _, t := range ts {
+			if tx.RemoveID(t) {
+				n++
+			}
+		}
+		return n
+	}
+	byKey := func(a, b [3]uint32) int { return slices.Compare(a[:], b[:]) }
+	keys := make([][3]uint32, len(ts))
+	for i, t := range ts {
+		keys[i] = [3]uint32{t.S, t.P, t.O}
+	}
+	slices.SortFunc(keys, byKey)
+	gone := tx.s.spo.removeAll(keys)
+	pos := keys[:len(gone)]
+	for i, k := range gone {
+		pos[i] = [3]uint32{k[1], k[2], k[0]}
+		if tx.j != nil {
+			tx.removes = append(tx.removes, IDTriple{S: k[0], P: k[1], O: k[2]})
+		}
+	}
+	slices.SortFunc(pos, byKey)
+	tx.s.pos.removeAll(pos)
+	tx.s.size.Add(-int64(len(gone)))
+	return len(gone)
 }
 
 // Commit journals everything the handle changed since Begin (or the previous

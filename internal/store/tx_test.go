@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -157,6 +158,41 @@ func TestTxRefusesAddAfterRemove(t *testing.T) {
 		if !otx.RemoveID(ab) {
 			t.Fatalf("journal-less RemoveID round %d missed", i)
 		}
+	}
+}
+
+// TestTxRemoveIDsJournalsWhatWasPresent: a batch removal long enough to be
+// sorted and compacted journals each triple it deleted once, whatever the
+// batch repeated or named in vain, and counts the same.
+func TestTxRemoveIDsJournalsWhatWasPresent(t *testing.T) {
+	s := New()
+	var batch, present []IDTriple
+	for i := 0; i < removeIDsMin; i++ {
+		tr := Triple{fmt.Sprintf("i%d", i), TypePredicate, "hub"}
+		s.MustAdd(tr)
+		s.MustAdd(Triple{tr.Subject, "p", "o"})
+		e, _ := s.syms.lookupTriple(tr)
+		if i%2 == 0 {
+			present = append(present, e)
+			batch = append(batch, e, e)
+		}
+		absent, _ := s.syms.lookupTriple(Triple{tr.Subject, "p", "hub"})
+		batch = append(batch, absent)
+	}
+	j := &recJournal{}
+	s.SetJournal(j)
+	tx := s.Begin()
+	if n := tx.RemoveIDs(batch); n != len(present) {
+		t.Fatalf("RemoveIDs = %d, want %d", n, len(present))
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if len(j.removes) != 1 || !reflect.DeepEqual(j.removes[0], present) {
+		t.Fatalf("journaled removes %v, want %v", j.removes, present)
+	}
+	if s.Len() != 2*removeIDsMin-len(present) {
+		t.Fatalf("Len = %d after removing %d of %d", s.Len(), len(present), 2*removeIDsMin)
 	}
 }
 
