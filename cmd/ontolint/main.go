@@ -5,8 +5,8 @@
 //	go build -o /tmp/ontolint ./cmd/ontolint
 //	go vet -vettool=/tmp/ontolint ./...
 //
-// The analyzers (see DESIGN.md "Enforced invariants"): lockcheck (shard
-// mutex discipline), poolcheck (sync.Pool Get/Put balance and pointer-shaped
+// The analyzers (see DESIGN.md "Enforced invariants"): lockcheck (mutex
+// discipline), poolcheck (sync.Pool Get/Put balance and pointer-shaped
 // pool members), maporder (no map-ordered user-visible output), interruptcheck
 // (batch-pulling loops honor cancellation) and doccheck (exported identifiers
 // are documented). Intentional violations are silenced, with a recorded

@@ -23,7 +23,7 @@
 //     (delete-and-rederive), served through a provenance-tagged view;
 //   - internal/server: the HTTP/JSON serving layer over the materialized
 //     store — streamed BGP queries, batched incrementally-maintained
-//     mutations, and a sharded result cache invalidated by the engine's
+//     mutations, and a result cache invalidated by the engine's
 //     deltas; the wire contract, with curl transcripts, is API.md;
 //   - internal/experiments: the E1–E7, E5b, E5c and A1 experiments whose
 //     tables EXPERIMENTS.md records;

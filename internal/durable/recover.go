@@ -36,9 +36,9 @@ import (
 //	          beyond maxFramePayload wherever it sits, because the writer
 //	          never produces one and cutting there would throw away good
 //	          records behind a damaged header
-//	load      one store.RestoreSorted builds the dictionary and both index
-//	          families directly from the composed patch: per-shard goroutines,
-//	          no per-triple locks, no dedup probing. Recovery never opens a
+//	load      one store.RestoreSorted builds the dictionary and both
+//	          indexes directly from the composed patch, on two goroutines: no
+//	          per-triple locks, no dedup probing. Recovery never opens a
 //	          transaction — the store is filled once, in bulk, or not at all
 //	reopen    open the last wal file for appending (creating wal-<lastSeq+1>
 //	          if the tail is empty), ready for the writer.
@@ -156,7 +156,7 @@ func recoverDir(st *store.Store, d disk) (recovered, error) {
 	}
 
 	// Fold, fold, load. The folds and the load allocate the decoded files,
-	// the composed patch, two shard-bucket families, and the index arenas in
+	// the composed patch, the rotated POS copy, and the index arenas in
 	// quick succession while the live heap (the store being built) grows
 	// underneath — any GC cycle in that window re-scans a near-final heap
 	// just to reclaim the previous phase's scratch (~17% of boot at 1e6

@@ -26,8 +26,8 @@ type Source interface {
 	// SymbolID returns the dictionary id of a name; ok is false for names
 	// never interned (a pattern bound to one matches nothing).
 	SymbolID(name string) (store.SymbolID, bool)
-	// QueryIDBatch answers a batch of same-shape probes, grouped by index
-	// shard (see store.QueryIDBatch) — the join operators' probe hook.
+	// QueryIDBatch answers a batch of same-shape probes in probe order under
+	// one read-lock (see store.QueryIDBatch) — the join operators' probe hook.
 	QueryIDBatch(ps []store.IDPattern, yield func(pi int, t store.IDTriple) bool)
 	// ScanParts opens the resumable cursors over a pattern's matches (see
 	// store.ScanParts) — the leaf operators' scan hook.
@@ -125,7 +125,7 @@ func Materialized() Option {
 //
 // A Solutions is single-use and not safe for concurrent use. It holds no
 // locks between Next calls; each batch refill reads the store under the
-// store's own shard read-locks, so a concurrent writer interleaving with the
+// store's own read-lock, so a concurrent writer interleaving with the
 // iteration may be reflected in some batches and not others (the solution
 // set is only guaranteed consistent against a quiescent store).
 type Solutions struct {
@@ -154,7 +154,7 @@ type Solutions struct {
 // beyond. The ordered patterns are then lowered onto a batched operator tree
 // (exec.Lower): the most selective pattern becomes the leaf scan and every
 // later pattern a batch-at-a-time index-nested-loop join whose probes are
-// grouped by index shard. Everything runs on dictionary ids; solutions
+// answered in probe order. Everything runs on dictionary ids; solutions
 // resolve back to strings only when read.
 //
 // A BGP that mentions an empty-named variable or an empty literal is

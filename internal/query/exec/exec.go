@@ -17,8 +17,9 @@
 //	NewSeed      a one-row leaf of pre-bound variables — the rederivation
 //	             test's "head variables already known" stage
 //	NewJoin      an index-nested-loop join probing a window of child rows at
-//	             a time: the rows become probe patterns, grouped by index
-//	             shard so each shard is locked once per window (QueryIDBatch)
+//	             a time: the rows become probe patterns, answered under one
+//	             store read-lock per window (QueryIDBatch), and the join
+//	             emits its rows in probe order
 //
 // A Batch is columnar — one []store.SymbolID per variable slot — and owned by
 // the operator that returned it: it is valid until that operator's next Next
@@ -61,7 +62,7 @@ import (
 )
 
 // BatchSize is the target number of rows per batch: large enough to amortize
-// per-batch costs (shard lock round trips, interrupt polls, virtual calls)
+// per-batch costs (lock round trips, interrupt polls, virtual calls)
 // over a thousand bindings, small enough that a batch's columns stay resident
 // in cache.
 const BatchSize = 1024
@@ -207,7 +208,7 @@ func (c *Ctx) Cancelled() bool {
 
 // Source is the batched id-level read surface operators evaluate over,
 // satisfied by both *store.Store and *store.View: resumable cursors for
-// leaves and shard-grouped batch probes for joins.
+// leaves and batch probes, answered in probe order, for joins.
 type Source interface {
 	// ScanParts opens the cursors over a pattern's matches, to be drained in
 	// order (see store.ScanParts).
@@ -705,9 +706,12 @@ func (s *seed) Next(ctx *Ctx) (*Batch, error) {
 
 // join is the batched index-nested-loop join: each child row instantiates
 // the pattern into a probe (literals and already-bound slots become bound
-// components), a window of probes is answered by one QueryIDBatch call (each
-// index shard locked once), and every match emits one output row — the
-// child's bound columns copied across plus the pattern's new slots.
+// components), a window of probes is answered by one QueryIDBatch call (one
+// read-lock per store), and every match emits one output row — the child's
+// bound columns copied across plus the pattern's new slots. Rows leave in
+// probe order: child-row order within one QueryIDBatch call, which on a View
+// is the base's matches and then the overlay's, and one call per expansion
+// candidate.
 type join struct {
 	child  Op
 	src    Source
@@ -902,7 +906,7 @@ func (j *join) next(ctx *Ctx) (*Batch, error) {
 // of matches is buffered (or the child batch is used up), on top of whatever
 // short remainder the last emit left, so an estimate that was too high costs
 // extra probe calls, not a stream of near-empty batches. Matches are buffered rather than emitted from inside
-// the store callback so no output work happens under shard read-locks and so
+// the store callback so no output work happens under the read-lock and so
 // the output batch boundary is free to fall anywhere.
 func (j *join) collect(ctx *Ctx) {
 	cb := j.childBatch

@@ -1,9 +1,9 @@
 package query
 
 // These tests back the concurrency claims of the batched evaluator's leaf
-// scans: the scan cursor refills under shard read-locks while writers mutate
-// the store (AddBatch and Remove), and while a materialized View's overlay is
-// written. Run under -race in CI. Solution sets are only sanity-checked — the
+// scans: the scan cursor refills under the store's read-lock while writers
+// mutate the store (AddBatch and Remove), and while a materialized View's
+// overlay is written. Run under -race in CI. Solution sets are only sanity-checked — the
 // docs promise consistency only against a quiescent store — but every
 // streamed row must be well-formed and the iteration must never error.
 
@@ -20,7 +20,7 @@ import (
 )
 
 // raceStore builds a store big enough that a full scan refills its cursor
-// some twenty times, in every shard, with the writers running in between.
+// some twenty times, with the writers running in between.
 func raceStore(t testing.TB, n int) *store.Store {
 	t.Helper()
 	s := store.New()
@@ -91,7 +91,7 @@ func churn(s *store.Store) (stop func()) {
 
 // TestScanUnderConcurrentWrites drives full scans while one goroutine
 // batch-inserts fresh triples and another removes them again: the scan cursor
-// must stay crash- and race-free while shards mutate under it between
+// must stay crash- and race-free while the store mutates under it between
 // refills, and every pre-existing triple's row must remain well-formed.
 func TestScanUnderConcurrentWrites(t *testing.T) {
 	const n = 20_000

@@ -283,7 +283,7 @@ func drainHeads(ctx *exec.Ctx, r *crule, op exec.Op, emit func(store.IDTriple) b
 // all body positions covers every derivation that uses at least one new fact
 // — run as a batched pipeline: a SliceScan leaf over the delta, then one
 // batch join per remaining atom in the precomputed deltaOrder. Heads are
-// emitted from the pipeline's output batches, after every probe's shard lock
+// emitted from the pipeline's output batches, after every probe's read-lock
 // has been released, so emit may (unlike a store iterator callback) buffer
 // freely. Callers hold r.mu: the pipeline is built from write scratch.
 func (r *Reasoner) matchDelta(cr *crule, di int, delta []store.IDTriple, emit func(store.IDTriple) bool) bool {

@@ -226,8 +226,8 @@ func (failingJournal) JournalMutation(adds, removes []store.IDTriple) error {
 }
 
 // sameSet reports whether two triple lists hold the same triples, each once.
-// The asserted lists of a Delta are sets (see Delta): a batch comes back in
-// the store's shard order, not the request's.
+// The asserted lists of a Delta are sets (see Delta), compared here without
+// regard to order.
 func sameSet(got, want []store.Triple) bool {
 	if len(got) != len(want) {
 		return false

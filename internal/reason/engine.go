@@ -225,8 +225,8 @@ func (s *scratch) trim(limit int) {
 // asserted base store: exactly the mutation a replica must re-apply through
 // its own reasoner — adds first, then removes — to converge, since the
 // inferred overlay is a deterministic function of the base and the rule set.
-// Both are sets, each triple once: AssertedAdded comes in the order the
-// store's batch path filed the fresh triples (by shard), not the request's.
+// Both are sets, each triple once: AssertedAdded comes in the order of the
+// request's adds, a repeated triple at its first occurrence.
 // Gen is the materialization generation the write produced; consecutive
 // events carry consecutive generations, which is what lets a replica detect
 // dropped or duplicated events with one comparison.
@@ -643,7 +643,7 @@ func (r *Reasoner) propagate(out, delta []store.IDTriple) []store.IDTriple {
 // already includes earlier rounds' conclusions. Derived heads already
 // asserted or inferred are skipped; the rest enter the overlay one at a time
 // and form the next delta. Heads arrive from the pipelines' output batches,
-// never under a shard read-lock, so inserting them after each enumeration is
+// never under a store's read-lock, so inserting them after each enumeration is
 // safe. Each round's delta is appended straight onto out, which is returned:
 // the next delta is out's tail, and the triples derived are everything
 // appended. delta may be a prefix of out (it is only read, and appends never

@@ -13,7 +13,7 @@ import (
 // a maintenance round (Reasoner.rounds) and overdeletion (Reasoner.retract)
 // alike — is the one term loop, Reasoner.terms, "every rule × every body
 // atom over the delta", with a different sink: the maintenance round tests
-// and inserts one head at a time under shard locks, overdeletion marks. When
+// and inserts one head at a time under the store's lock, overdeletion marks. When
 // the delta is the entire database every term of a rule is the same join, so
 // the seed round runs one pipeline per rule (matchAll) instead, and commits
 // as set operations: heads gathered as a sorted duplicate-free set in id

@@ -52,13 +52,6 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("onto_store_dict_symbols",
 		"Interned symbols in the asserted store's dictionary.",
 		func() float64 { return float64(base.DictLen()) })
-	for i := 0; i < base.NumShards(); i++ {
-		shard := i
-		reg.GaugeFunc("onto_store_shard_triples",
-			"Triples per SPO index shard of the asserted store (write-skew signal).",
-			func() float64 { return float64(base.ShardTripleCount(shard)) },
-			obs.L("shard", strconv.Itoa(shard)))
-	}
 }
 
 // registerMetrics exposes the cache's counters (the same atomics

@@ -35,8 +35,8 @@
 // hits across writes to unrelated predicates.
 //
 // Concurrency: a Server is safe for concurrent use by any number of HTTP
-// clients. Queries read the view under the stores' shard read-locks and
-// never block each other; mutations serialize behind the reasoner's write
+// clients. Queries read the view under each store's read-lock and never
+// block each other; mutations serialize behind the reasoner's write
 // lock; cache invalidation runs inside the mutation's critical section, so
 // a client that observes a mutation's response can never be served a result
 // cached before that mutation (its own later queries re-evaluate).

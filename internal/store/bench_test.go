@@ -207,7 +207,7 @@ func BenchmarkOntologyExpansion(b *testing.B) {
 }
 
 // BenchmarkObjectOnlyPattern prices the one pattern shape with no index lead,
-// object-only (? ? o), which fans out over every predicate of the POS family:
+// object-only (? ? o), which fans out over every predicate of the POS index:
 // stores of 4, 64 and 2 048 predicates — each with 16 filler objects, so a
 // find is a map lookup, not a short scan — and a probed object with 20 or 200
 // matches spread over four of the predicates (eight objects like it are
@@ -274,7 +274,7 @@ func BenchmarkObjectOnlyPattern(b *testing.B) {
 // into the middle copies the members above it. append adds subjects in
 // ascending id order, the order a store mints and meets them in; add-random
 // and remove-random take the same subjects in shuffled order, each AddID or
-// RemoveID filing or unfiling one triple in both families. EXPERIMENTS.md
+// RemoveID filing or unfiling one triple in both indexes. EXPERIMENTS.md
 // "Sorted runs" has the figures beside the position map the runs replaced.
 func BenchmarkHubChurn(b *testing.B) {
 	for _, members := range []int{10_000, 100_000} {

@@ -8,9 +8,9 @@ import (
 	"unsafe"
 )
 
-// footprint is the structural size of one index family, counted by walking
-// it: the lead pages allocated and the page tables' capacity, the leads
-// filed in the pages' slots, (lead, mid) pairs and the capacity they sit in,
+// footprint is the structural size of one index, counted by walking it: the
+// lead pages allocated and the directory's chunk slots, the leads filed in
+// the pages' slots, (lead, mid) pairs and the capacity they sit in,
 // how many of the pairs hold their one member inline, and the runs of the
 // others — a slice header each and their element capacity. Nothing is kept
 // beside a page, a pair or a run.
@@ -18,33 +18,36 @@ type footprint struct {
 	pages, tableCap, leads, pairs, pairCap, inline, runs, elemCap int
 }
 
-func familyFootprint(fam *indexFamily) footprint {
+// indexFootprint walks one index. The caller holds its store's lock or owns
+// the store.
+func indexFootprint(ix *index) footprint {
 	var f footprint
-	for i := range fam {
-		sh := &fam[i]
-		sh.mu.RLock()
-		f.tableCap += cap(sh.pages)
-		for _, pg := range sh.pages {
+	f.tableCap = cap(ix.chunks)
+	for _, ch := range ix.chunks {
+		if ch == nil {
+			continue
+		}
+		f.tableCap += len(ch)
+		for _, pg := range ch {
 			if pg != nil {
 				f.pages++
 			}
 		}
-		sh.ascend(uint32(i), func(_ uint32, e *leadEntry) bool {
-			f.leads++
-			f.pairs += len(e.entries)
-			f.pairCap += cap(e.entries)
-			for j := range e.entries {
-				if run := e.entries[j].run; run != nil {
-					f.runs++
-					f.elemCap += cap(*run)
-				} else {
-					f.inline++
-				}
-			}
-			return true
-		})
-		sh.mu.RUnlock()
 	}
+	ix.ascend(0, func(_ uint32, e *leadEntry) bool {
+		f.leads++
+		f.pairs += len(e.entries)
+		f.pairCap += cap(e.entries)
+		for j := range e.entries {
+			if run := e.entries[j].run; run != nil {
+				f.runs++
+				f.elemCap += cap(*run)
+			} else {
+				f.inline++
+			}
+		}
+		return true
+	})
 	return f
 }
 
@@ -67,7 +70,7 @@ func (f footprint) slots() int {
 
 // occupancy is the share of the slots that hold a lead. At about one half a
 // page costs what a map would for the same leads (24 bytes a slot against 48
-// a mapped lead), so a family well below that is filed at a loss.
+// a mapped lead), so an index well below that is filed at a loss.
 func (f footprint) occupancy() float64 {
 	if f.pages == 0 {
 		return 0
@@ -81,7 +84,7 @@ func (f footprint) bytes() int {
 }
 
 // leadBytes is the share of bytes the lead level costs: the allocated pages,
-// whole, and the page tables.
+// whole, and the directory's chunk slots.
 func (f footprint) leadBytes() int {
 	return f.pages*int(unsafe.Sizeof(leadPage{})) + f.tableCap*int(unsafe.Sizeof((*leadPage)(nil)))
 }
@@ -164,16 +167,18 @@ func loadServingStore(t testing.TB, instances int) *Store {
 	return s
 }
 
-// storeFootprint walks every field of Store that is an index family, found by
-// type rather than by name, so a family added later is inside the budget
-// without the walk having to hear about it. It returns the families' field
-// names and footprints, and their sum.
+// storeFootprint walks every field of Store that is an index, found by type
+// rather than by name, so an index added later is inside the budget without
+// the walk having to hear about it. It returns the indexes' field names and
+// footprints, and their sum.
 func storeFootprint(s *Store) (names []string, fams []footprint, total footprint) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	for v, i := reflect.ValueOf(s).Elem(), 0; i < v.NumField(); i++ {
-		if v.Field(i).Type() != reflect.TypeOf(indexFamily{}) {
+		if v.Field(i).Type() != reflect.TypeOf(index{}) {
 			continue
 		}
-		f := familyFootprint((*indexFamily)(unsafe.Pointer(v.Field(i).UnsafeAddr())))
+		f := indexFootprint((*index)(unsafe.Pointer(v.Field(i).UnsafeAddr())))
 		names, fams = append(names, v.Type().Field(i).Name), append(fams, f)
 		total.add(f)
 	}
@@ -182,9 +187,9 @@ func storeFootprint(s *Store) (names []string, fams []footprint, total footprint
 
 // TestIndexFootprint holds the index layout to its memory budget on the shape
 // the serving harness boots: per triple, at most 0.35 (lead, mid) pairs and
-// 16 structural bytes over all families, with a (lead, mid) pair at 16 bytes.
+// 16 structural bytes over all indexes, with a (lead, mid) pair at 16 bytes.
 // A layout that files every triple under a near-unique (lead, mid) pair — an
-// object-led family over type facts, one midTrail per (class, instance) — has
+// object-led index over type facts, one midTrail per (class, instance) — has
 // more than one pair per triple and fails both; one that keeps anything per
 // member beside the member itself — a position map over a class's instances,
 // 16 bytes an entry — fails the bytes, and so does one that gives each
@@ -204,7 +209,7 @@ func TestIndexFootprint(t *testing.T) {
 	pairs, bytes := float64(total.pairs)/n, float64(total.bytes())/n
 	t.Logf("%d triples: %.3f pairs and %.1f structural bytes per triple", s.Len(), pairs, bytes)
 	if len(fams) < 2 || total.inline+total.elemCap < len(fams)*s.Len() {
-		t.Fatalf("%d inline members and %d element slots for %d triples in %d families: the walk missed part of the index", total.inline, total.elemCap, s.Len(), len(fams))
+		t.Fatalf("%d inline members and %d element slots for %d triples in %d indexes: the walk missed part of the index", total.inline, total.elemCap, s.Len(), len(fams))
 	}
 	if pairs > 0.35 {
 		t.Errorf("%.3f (lead, mid) pairs per triple, budget 0.35", pairs)
@@ -216,9 +221,9 @@ func TestIndexFootprint(t *testing.T) {
 
 // TestLonePredicateCostsOnePage: a store whose only predicate was minted at
 // id 10⁵, after every other name, files its one POS lead in one page — on the
-// write path and on the bulk path alike. The page table reaches the id; the
-// pages do not, where a flat directory up to the id would cost 24 bytes for
-// every id below it.
+// write path and on the bulk path alike. The chunk table reaches the id; the
+// chunks and pages do not, where flat pages up to the id would cost 24 bytes
+// for every id below it and a flat page table 8 bytes for every 128.
 func TestLonePredicateCostsOnePage(t *testing.T) {
 	const late = 100_000
 	s := New()
@@ -246,23 +251,22 @@ func TestLonePredicateCostsOnePage(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, st := range map[string]*Store{"written": s, "bulk-loaded": bulk} {
-		f := familyFootprint(&st.pos)
+		f := indexFootprint(&st.pos)
 		t.Logf("%s: POS %v; lead level %d bytes", name, f, f.leadBytes())
 		if f.leads != 1 || f.pages != 1 {
 			t.Errorf("%s: POS files %d leads in %d pages, want 1 in 1", name, f.leads, f.pages)
 		}
 		if table := f.leadBytes() - int(unsafe.Sizeof(leadPage{})); table > 1024 {
-			t.Errorf("%s: the POS page tables cost %d bytes to reach id %d", name, table, late)
+			t.Errorf("%s: the POS directory costs %d bytes to reach id %d", name, table, late)
 		}
 	}
 }
 
 // BenchmarkIndexFootprint is TestIndexFootprint's walk at the harness's 10⁵
 // instances, reported rather than judged: structural bytes and (lead, mid)
-// pairs per triple for each index family — with the share of the bytes the
-// runs add and of the pairs that hold their member inline — and over all of
-// them: the
-// per-family table of EXPERIMENTS.md "One member, inline", from
+// pairs per triple for each index — with the share of the bytes the runs add
+// and of the pairs that hold their member inline — and over both: the
+// per-index table of EXPERIMENTS.md "One member, inline", from
 //
 //	go test -run '^$' -bench IndexFootprint -benchtime 1x ./internal/store
 //

@@ -92,34 +92,29 @@ func (s *Store) encodePattern(p Pattern) (IDPattern, bool) {
 // QueryIDFunc streams every triple matching the id pattern to yield, stopping
 // early when yield returns false. It is QueryIDBatch with a batch of one —
 // the store walks a pattern through a callback in exactly one place
-// (probeShardLocked, scan.go), which picks the permutation family by the
-// pattern's bound components: bound subject → SPO, else bound predicate →
-// POS, else bound object → every POS shard in turn, else a full SPO scan.
-// Nothing is allocated. A subject- or predicate-bound pattern costs one
-// shard lock and one lead lookup; the object-only pattern (? ? o) has no lead
-// to look up, so it costs one find per predicate of the store (and a lock
-// round trip per shard) plus its matches. The enumeration order is
-// unspecified but deterministic: the same triples stream in the same sequence.
-// yield must not write to the store (it runs under a shard read-lock).
+// (probeLocked, scan.go), which picks the permutation index by the pattern's
+// bound components: bound subject → SPO, else bound predicate → POS, else
+// bound object → every POS lead in turn, else a full SPO scan. Nothing is
+// allocated. A subject- or predicate-bound pattern costs one lock round trip
+// and one lead lookup; the object-only pattern (? ? o) has no lead to look
+// up, so it costs one find per predicate of the store plus its matches. The
+// enumeration order is unspecified but deterministic: the same triples stream
+// in the same sequence. yield must not write to the store (it runs under the
+// read-lock).
 func (s *Store) QueryIDFunc(p IDPattern, yield func(IDTriple) bool) {
 	s.QueryIDBatch([]IDPattern{p}, func(_ int, t IDTriple) bool { return yield(t) })
 }
 
-// countObject returns the number of triples with object o across the POS
-// family and the number of predicates they occur under.
+// countObject returns the number of triples with object o across POS and
+// the number of predicates they occur under. Callers hold mu.
 func (s *Store) countObject(o SymbolID) (count, preds int) {
-	for i := range s.pos {
-		sh := &s.pos[i]
-		sh.mu.RLock()
-		sh.ascend(uint32(i), func(_ uint32, e *leadEntry) bool {
-			if set := e.find(o); set != nil {
-				count += set.len()
-				preds++
-			}
-			return true
-		})
-		sh.mu.RUnlock()
-	}
+	s.pos.ascend(0, func(_ uint32, e *leadEntry) bool {
+		if set := e.find(o); set != nil {
+			count += set.len()
+			preds++
+		}
+		return true
+	})
 	return count, preds
 }
 
@@ -127,7 +122,7 @@ func (s *Store) countObject(o SymbolID) (count, preds int) {
 // match count, and the number of distinct subjects, predicates and objects
 // among the matches — exact where an index level exposes it in O(1) (lead
 // and middle widths), bounded above by Count where it does not. With no
-// object-led family, two object widths are bounds: the object-only pattern
+// object-led index, two object widths are bounds: the object-only pattern
 // reports DistinctS = Count, and the unbound pattern's DistinctO counts
 // distinct (predicate, object) pairs. The planner in internal/query divides
 // Count by a distinct figure to estimate how selective probing the pattern
@@ -145,19 +140,19 @@ type IDStats struct {
 // It runs entirely on the indexes, reading set lengths and entry widths; it
 // never materializes a triple or resolves a symbol, so it is cheap enough to
 // call once per pattern per query. The object-only and unbound patterns cost
-// O(predicates); every other shape reads one lead.
+// O(predicates); every other shape reads one lead. It holds the read-lock
+// once.
 func (s *Store) StatsID(p IDPattern) IDStats {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	switch {
 	case p.BoundS && p.BoundP && p.BoundO:
-		if !s.ContainsID(IDTriple{p.S, p.P, p.O}) {
+		if !s.spo.contains(p.S, p.P, p.O) {
 			return IDStats{}
 		}
 		return IDStats{Count: 1, DistinctS: 1, DistinctP: 1, DistinctO: 1}
 	case p.BoundS:
-		sh := s.spo.shard(p.S)
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		e := sh.find(p.S)
+		e := s.spo.find(p.S)
 		if e == nil {
 			return IDStats{}
 		}
@@ -186,10 +181,7 @@ func (s *Store) StatsID(p IDPattern) IDStats {
 		}
 		return st
 	case p.BoundP:
-		sh := s.pos.shard(p.P)
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		e := sh.find(p.P)
+		e := s.pos.find(p.P)
 		if e == nil {
 			return IDStats{}
 		}
@@ -215,22 +207,11 @@ func (s *Store) StatsID(p IDPattern) IDStats {
 		}
 		return IDStats{Count: n, DistinctS: n, DistinctP: preds, DistinctO: 1}
 	default:
-		st := IDStats{Count: s.Len()}
-		for i := range s.spo {
-			s.spo[i].mu.RLock()
-			st.DistinctS += s.spo[i].leads
-			s.spo[i].mu.RUnlock()
-		}
-		for i := range s.pos {
-			sh := &s.pos[i]
-			sh.mu.RLock()
-			st.DistinctP += sh.leads
-			sh.ascend(uint32(i), func(_ uint32, e *leadEntry) bool {
-				st.DistinctO += len(e.entries)
-				return true
-			})
-			sh.mu.RUnlock()
-		}
+		st := IDStats{Count: int(s.size.Load()), DistinctS: s.spo.leads, DistinctP: s.pos.leads}
+		s.pos.ascend(0, func(_ uint32, e *leadEntry) bool {
+			st.DistinctO += len(e.entries)
+			return true
+		})
 		return st
 	}
 }

@@ -1,25 +1,20 @@
 package store
 
-import "sync"
-
-// The engine keeps two permutation indexes, SPO and POS, as families of
-// shards. Each family is sharded by the low bits of its leading component's
-// id, and each shard carries its own RWMutex, so writers touching different
-// subjects (or predicates) proceed in parallel instead of serializing behind
-// one store-wide lock. There is no object-led family: the one pattern shape it
-// would serve, object-only (? ? o), is computed from POS — the subjects of o
-// are already filed under every predicate that has o as an object — at
-// O(predicates) finds plus the matches, where a stored (object, subject)
-// level would cost 40 bytes per pair on data whose objects are classes with
-// thousands of instances.
+// The engine keeps two permutation indexes, SPO and POS, one of each per
+// store, both guarded by the store's one RWMutex. There is no object-led
+// index: the one pattern shape it would serve, object-only (? ? o), is
+// computed from POS — the subjects of o are already filed under every
+// predicate that has o as an object — at O(predicates) finds plus the
+// matches, where a stored (object, subject) level would cost 40 bytes per
+// pair on data whose objects are classes with thousands of instances.
 //
-// A shard files its leads by id, not by hash, in pages allocated as leads
+// An index files its leads by id, not by hash, in pages allocated as leads
 // arrive in their window of ids. Dictionary ids are dense and nearly every one
 // is a subject, so a lead costs its 24-byte entry, where a map paid as much
-// again for its slot; and a shard's leads are walked in ascending id order,
+// again for its slot; and an index's leads are walked in ascending id order,
 // which is what lets an unbound cursor resume among them by value.
 //
-// Inside a shard the two inner levels are plain slices rather than nested
+// Below the lead the two inner levels are plain slices rather than nested
 // maps: a lead's (middle, trailing-set) pairs are one slice kept ascending by
 // middle component, and each trailing set is one strictly ascending run of
 // uint32 — both searched, never hashed, whatever their size, so nothing sits
@@ -31,20 +26,6 @@ import "sync"
 // inserts touch only small slices, which cost a fraction of a map insert, and
 // the few long runs cost four bytes a member, a fifth of what any hashed form
 // of them would.
-
-// shardBits is how many low bits of a leading id pick its shard, and
-// numShards the shard count per index family they give. 16 is enough to
-// spread institution-scale ingest across cores without bloating small stores.
-const (
-	shardBits = 4
-	numShards = 1 << shardBits
-)
-
-// shardOf maps a leading-component id to its shard: its low bits. Ids are
-// dense sequential integers, so consecutive ids land in consecutive shards.
-func shardOf(id uint32) uint32 {
-	return id & (numShards - 1)
-}
 
 // linearRun is the window at which searchRun stops halving and walks: a few
 // adjacent compares beat the mispredicted branches of the last halvings, and
@@ -136,7 +117,7 @@ func (mt *midTrail) add(c uint32) bool {
 // leadEntry is everything indexed under one leading component: its (middle,
 // trailing-set) pairs, strictly ascending by middle component and searched
 // the way a run is. insert and remove create and drop the pairs, so no pair
-// is ever empty, and an entry without pairs is an empty slot of its shard.
+// is ever empty, and an entry without pairs is an empty slot of its index.
 type leadEntry struct {
 	entries []midTrail
 }
@@ -241,118 +222,127 @@ func (e *leadEntry) removeAll(mid uint32, keys [][3]uint32, out [][3]uint32) [][
 	return out
 }
 
-// leadPageBits sets the size of a lead page: 1<<leadPageBits consecutive
-// slots of a shard, the ones a window of ids maps to; leadPageMask picks a
-// slot's place in its page.
+// The lead directory is two levels deep: a page files the leads of
+// 1<<leadPageBits consecutive ids, and a chunk holds the pointers to the
+// 1<<leadChunkBits pages of a window of 8 192 ids. leadPageMask picks a lead's
+// slot in its page, leadChunkMask its page in its chunk, and leadChunkShift
+// its chunk.
 const (
-	leadPageBits = 7
-	leadPageMask = 1<<leadPageBits - 1
+	leadPageBits   = 7
+	leadPageMask   = 1<<leadPageBits - 1
+	leadChunkBits  = 6
+	leadChunkMask  = 1<<leadChunkBits - 1
+	leadChunkShift = leadPageBits + leadChunkBits
 )
 
-// leadPage is one page of a shard's lead directory: 128 entries of 24 bytes,
+// leadPage is one page of an index's lead directory: 128 entries of 24 bytes,
 // 3 072 bytes, which is one of the allocator's size classes, so a page wastes
-// nothing. It covers 2 048 consecutive ids, 128 of them in each shard. A slot
-// whose entry has no pairs holds no lead.
+// nothing. A slot whose entry has no pairs holds no lead.
 type leadPage [1 << leadPageBits]leadEntry
 
-// shard is one lock-protected slice of a permutation index: a directory of
-// lead pages indexed by the lead's slot, id >> shardBits. Pages never move,
-// so a *leadEntry stays valid while the page table grows. n counts the triples
-// filed and leads the occupied slots, kept by every path that files or
-// prunes, so reading either never walks the index.
-type shard struct {
-	mu    sync.RWMutex
-	pages []*leadPage
-	n     int
-	leads int
+// leadChunk is one chunk of the directory: 64 page pointers, 512 bytes,
+// allocated on the first lead of its window. A flat page table would cost 8
+// bytes per 128 ids up to the highest lead, which a lone late predicate
+// pays for every id below it; the chunks keep that to 8 bytes per 8 192 ids.
+type leadChunk [1 << leadChunkBits]*leadPage
+
+// index is one permutation index: a directory of lead pages addressed by the
+// lead's id. Pages never move, so a *leadEntry stays valid while the
+// directory grows. leads counts the occupied slots, kept by every path that
+// files or prunes, so reading it never walks the index. The owning store's
+// mu guards every field and everything below it.
+type index struct {
+	chunks []*leadChunk
+	leads  int
 }
 
-// find returns lead's entry, or nil when the shard holds no lead with that
-// id. Callers hold mu (read or write).
-func (sh *shard) find(lead uint32) *leadEntry {
-	slot := lead >> shardBits
-	if p := int(slot >> leadPageBits); p < len(sh.pages) && sh.pages[p] != nil {
-		if e := &sh.pages[p][slot&leadPageMask]; len(e.entries) != 0 {
-			return e
+// find returns lead's entry, or nil when the index holds no lead with that
+// id.
+func (ix *index) find(lead uint32) *leadEntry {
+	if c := int(lead >> leadChunkShift); c < len(ix.chunks) && ix.chunks[c] != nil {
+		if pg := ix.chunks[c][lead>>leadPageBits&leadChunkMask]; pg != nil {
+			if e := &pg[lead&leadPageMask]; len(e.entries) != 0 {
+				return e
+			}
 		}
 	}
 	return nil
 }
 
 // slot returns lead's entry, empty when the lead is not filed, allocating its
-// page (and growing the page table to reach it) on the first lead of the
-// window. Callers hold mu.
-func (sh *shard) slot(lead uint32) *leadEntry {
-	slot := lead >> shardBits
-	p := int(slot >> leadPageBits)
-	if p >= len(sh.pages) {
-		sh.pages = append(sh.pages, make([]*leadPage, p+1-len(sh.pages))...)
+// chunk and page (and growing the chunk table to reach them) on the first
+// lead of their window.
+func (ix *index) slot(lead uint32) *leadEntry {
+	c := int(lead >> leadChunkShift)
+	if c >= len(ix.chunks) {
+		ix.chunks = append(ix.chunks, make([]*leadChunk, c+1-len(ix.chunks))...)
 	}
-	if sh.pages[p] == nil {
-		sh.pages[p] = new(leadPage)
+	ch := ix.chunks[c]
+	if ch == nil {
+		ch = new(leadChunk)
+		ix.chunks[c] = ch
 	}
-	return &sh.pages[p][slot&leadPageMask]
+	pg := &ch[lead>>leadPageBits&leadChunkMask]
+	if *pg == nil {
+		*pg = new(leadPage)
+	}
+	return &(*pg)[lead&leadPageMask]
 }
 
-// ascend calls yield for every lead of the shard not below from, in ascending
-// id order, and reports whether it reached the end — false when yield stopped
-// it. from is an id of this shard: its low bits name the shard, so passing the
-// shard's index walks every lead. This is the shard's one enumeration of its
-// leads. Callers hold mu (read or write), and yield must not file or prune.
-func (sh *shard) ascend(from uint32, yield func(lead uint32, e *leadEntry) bool) bool {
-	low, first := from&(numShards-1), int(from>>shardBits)
-	for p := first >> leadPageBits; p < len(sh.pages); p++ {
-		pg := sh.pages[p]
-		if pg == nil {
+// ascend calls yield for every lead of the index not below from, in
+// ascending id order, and reports whether it reached the end — false when
+// yield stopped it. This is the index's one enumeration of its leads; yield
+// must not file or prune.
+func (ix *index) ascend(from uint32, yield func(lead uint32, e *leadEntry) bool) bool {
+	for id := uint64(from); id>>leadChunkShift < uint64(len(ix.chunks)); {
+		ch := ix.chunks[id>>leadChunkShift]
+		if ch == nil {
+			id = (id>>leadChunkShift + 1) << leadChunkShift
 			continue
 		}
-		k := 0
-		if p == first>>leadPageBits {
-			k = first & leadPageMask
-		}
-		for ; k < len(pg); k++ {
-			if e := &pg[k]; len(e.entries) != 0 && !yield(uint32(p<<leadPageBits|k)<<shardBits|low, e) {
-				return false
+		if pg := ch[id>>leadPageBits&leadChunkMask]; pg != nil {
+			for k := id & leadPageMask; k < uint64(len(pg)); k++ {
+				if e := &pg[k]; len(e.entries) != 0 && !yield(uint32(id&^leadPageMask|k), e) {
+					return false
+				}
 			}
 		}
+		id = (id>>leadPageBits + 1) << leadPageBits
 	}
 	return true
 }
 
-// insertLocked adds (a, b, c), reporting whether it was absent. Callers hold mu.
-func (sh *shard) insertLocked(a, b, c uint32) bool {
-	e := sh.slot(a)
+// insert adds (a, b, c), reporting whether it was absent.
+func (ix *index) insert(a, b, c uint32) bool {
+	e := ix.slot(a)
 	fresh := len(e.entries) == 0
 	if !e.insert(b, c) {
 		return false
 	}
 	if fresh {
-		sh.leads++
+		ix.leads++
 	}
-	sh.n++
 	return true
 }
 
-// removeLocked deletes (a, b, c), reporting whether it was present, and
-// prunes emptied levels: a lead whose last pair goes gives its pair array back
-// and frees its slot. Callers hold mu.
-func (sh *shard) removeLocked(a, b, c uint32) bool {
-	e := sh.find(a)
+// remove deletes (a, b, c), reporting whether it was present, and prunes
+// emptied levels: a lead whose last pair goes gives its pair array back and
+// frees its slot.
+func (ix *index) remove(a, b, c uint32) bool {
+	e := ix.find(a)
 	if e == nil || !e.remove(b, c) {
 		return false
 	}
 	if len(e.entries) == 0 {
 		e.entries = nil
-		sh.leads--
+		ix.leads--
 	}
-	sh.n--
 	return true
 }
 
-// containsLocked reports whether (a, b, c) is present. Callers hold mu (read
-// or write).
-func (sh *shard) containsLocked(a, b, c uint32) bool {
-	e := sh.find(a)
+// contains reports whether (a, b, c) is present.
+func (ix *index) contains(a, b, c uint32) bool {
+	e := ix.find(a)
 	if e == nil {
 		return false
 	}
@@ -360,37 +350,25 @@ func (sh *shard) containsLocked(a, b, c uint32) bool {
 	return mt != nil && mt.contains(c)
 }
 
-// indexFamily is one permutation index: numShards shards addressed by the
-// low bits of the leading component.
-type indexFamily [numShards]shard
-
-func (f *indexFamily) shard(lead uint32) *shard {
-	return &f[shardOf(lead)]
-}
-
 // removeAll deletes the triples keys name — (lead, mid, member) in this
-// family's order, ascending — and returns the keys of those that were
-// present, pruning as removeLocked does. Each lead's shard is locked once for
-// all of its keys, and each set is compacted once for all of its members.
-func (f *indexFamily) removeAll(keys [][3]uint32) [][3]uint32 {
+// index's order, ascending — and returns the keys of those that were present,
+// pruning as remove does. Each set is compacted once for all of its members.
+func (ix *index) removeAll(keys [][3]uint32) [][3]uint32 {
 	var out [][3]uint32
 	for i, j := 0, 0; i < len(keys); i = j {
 		j = groupEnd(keys, i, 0)
-		sh := f.shard(keys[i][0])
-		sh.mu.Lock()
-		if e := sh.find(keys[i][0]); e != nil {
-			before := len(out)
-			for m, n := i, i; m < j && len(e.entries) > 0; m = n {
-				n = groupEnd(keys[:j], m, 1)
-				out = e.removeAll(keys[m][1], keys[m:n], out)
-			}
-			if len(e.entries) == 0 {
-				e.entries = nil
-				sh.leads--
-			}
-			sh.n -= len(out) - before
+		e := ix.find(keys[i][0])
+		if e == nil {
+			continue
 		}
-		sh.mu.Unlock()
+		for m, n := i, i; m < j && len(e.entries) > 0; m = n {
+			n = groupEnd(keys[:j], m, 1)
+			out = e.removeAll(keys[m][1], keys[m:n], out)
+		}
+		if len(e.entries) == 0 {
+			e.entries = nil
+			ix.leads--
+		}
 	}
 	return out
 }
@@ -403,28 +381,4 @@ func groupEnd(keys [][3]uint32, i, c int) int {
 		j++
 	}
 	return j
-}
-
-// tripleLocker acquires the two shard locks a single-triple write needs —
-// the subject's SPO shard and the predicate's POS shard — always in family
-// order (SPO, POS), so concurrent writers cannot deadlock and every
-// Add/Remove updates both indexes atomically with respect to other
-// single-triple writers.
-type tripleLocker struct {
-	spo, pos *shard
-}
-
-func (s *Store) lockTriple(t IDTriple) tripleLocker {
-	l := tripleLocker{
-		spo: s.spo.shard(t.S),
-		pos: s.pos.shard(t.P),
-	}
-	l.spo.mu.Lock() //ontolint:ignore lockcheck held across return by design; the caller releases both via tripleLocker.unlock
-	l.pos.mu.Lock() //ontolint:ignore lockcheck fixed family order (SPO, POS) makes the nested acquisition deadlock-free
-	return l
-}
-
-func (l tripleLocker) unlock() {
-	l.pos.mu.Unlock()
-	l.spo.mu.Unlock()
 }

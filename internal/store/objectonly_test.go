@@ -9,15 +9,15 @@ import (
 )
 
 // The object-only pattern (? ? o) is the one shape with no lead to look up:
-// every read surface answers it by fanning out over the POS family. These
+// every read surface answers it by fanning out over the POS leads. These
 // tests hold each surface to the naive filter of ref_test.go on stores built
-// to exercise the fan-out — objects under one, a few and many predicates,
-// spread over several POS shards — on a Store and through a View.
+// to exercise the fan-out — objects under one, a few and many predicates —
+// on a Store and through a View.
 
 // objectOnlyFixture is a base and an overlay sharing a dictionary, with the
 // reference holding each member's triples. Probe objects: "o1" occurs under
 // one predicate, "o3" under three, "o20" under at least twenty (so its
-// postings sit in many POS shards), "dual" is also a subject and a predicate,
+// postings sit under many POS leads), "dual" is also a subject and a predicate,
 // "baseonly" never occurs in the overlay.
 type objectOnlyFixture struct {
 	base, overlay       *Store
@@ -97,7 +97,7 @@ func resolved(res Resolver, ts []IDTriple) []Triple {
 // checkObjectOnly compares every read surface of r on the object-only
 // pattern of each probe object against ref: the answers themselves through
 // checkReads (ref_test.go), then what is particular to the shape — the
-// bounds StatsID's widths promise and a batch far wider than the shard count.
+// bounds StatsID's widths promise and a batch of hundreds of probes.
 func checkObjectOnly(t *testing.T, what string, r idReader, syms *Store, ref *refStore) {
 	t.Helper()
 	patterns := make([]Pattern, len(objectOnlyProbes))
@@ -158,13 +158,13 @@ func checkObjectOnly(t *testing.T, what string, r idReader, syms *Store, ref *re
 func TestObjectOnlyMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		f := newObjectOnlyFixture(seed)
-		shards := map[uint32]bool{}
+		preds := map[uint32]bool{}
 		f.base.QueryIDFunc(IDPattern{O: mustID(t, f.base, "o20"), BoundO: true}, func(tr IDTriple) bool {
-			shards[shardOf(tr.P)] = true
+			preds[tr.P] = true
 			return true
 		})
-		if len(shards) < 4 {
-			t.Fatalf("seed %d: o20's predicates fall in %d POS shards; the fixture should spread them", seed, len(shards))
+		if len(preds) < 4 {
+			t.Fatalf("seed %d: o20 occurs under %d predicates; the fixture should spread it over POS leads", seed, len(preds))
 		}
 		checkObjectOnly(t, fmt.Sprintf("seed %d base", seed), f.base, f.base, f.baseRef)
 		checkObjectOnly(t, fmt.Sprintf("seed %d overlay", seed), f.overlay, f.base, f.overlayRef)
@@ -192,7 +192,7 @@ func mustID(t *testing.T, s *Store, name string) SymbolID {
 
 // TestObjectOnlyEarlyStop: a yield returning false ends the fan-out at once —
 // within the current predicate's subject list, not at its end, and with no
-// later predicate or shard visited.
+// later predicate visited.
 func TestObjectOnlyEarlyStop(t *testing.T) {
 	s := New()
 	for p := 0; p < 30; p++ {
@@ -273,101 +273,4 @@ func TestObjectOnlyCursorIsBounded(t *testing.T) {
 	drain("view overlay part", parts[1], subjects/2+20)
 	clear(seen)
 	drain("store", overlay.scanPart(p), subjects/2+20)
-}
-
-// walkShardTripleCount is ShardTripleCount's reference: the walk over every
-// lead entry and trailing set that the method used to be.
-func walkShardTripleCount(s *Store, i int) int {
-	sh := &s.spo[i]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	n := 0
-	sh.ascend(uint32(i), func(_ uint32, e *leadEntry) bool {
-		for j := range e.entries {
-			n += e.entries[j].len()
-		}
-		return true
-	})
-	return n
-}
-
-// TestShardTripleCount: the per-shard counter agrees with a walk of the shard
-// after every kind of write — single and batch adds, string- and id-level
-// removes, a bulk load into a fresh overlay — and the shards sum to Len.
-func TestShardTripleCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	s := New()
-	check := func(stage string) {
-		t.Helper()
-		sum := 0
-		for i := 0; i < s.NumShards(); i++ {
-			got, want := s.ShardTripleCount(i), walkShardTripleCount(s, i)
-			if got != want {
-				t.Fatalf("%s: ShardTripleCount(%d) = %d, a walk of the shard counts %d", stage, i, got, want)
-			}
-			sum += got
-		}
-		if sum != s.Len() {
-			t.Fatalf("%s: shards sum to %d, Len is %d", stage, sum, s.Len())
-		}
-		// The POS shards keep the same count of the same triples.
-		pos := 0
-		for i := range s.pos {
-			pos += s.pos[i].n
-		}
-		if pos != s.Len() {
-			t.Fatalf("%s: POS shards sum to %d, Len is %d", stage, pos, s.Len())
-		}
-	}
-	wide := func() Triple {
-		return Triple{fmt.Sprintf("s%d", rng.Intn(300)), fmt.Sprintf("p%d", rng.Intn(6)), fmt.Sprintf("o%d", rng.Intn(40))}
-	}
-	check("empty")
-	for round := 0; round < 4; round++ {
-		for i := 0; i < 400; i++ {
-			if _, err := s.Add(wide()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		check("after Add")
-		batch := make([]Triple, 500)
-		for i := range batch {
-			batch[i] = wide()
-		}
-		if _, err := s.AddBatch(batch); err != nil {
-			t.Fatal(err)
-		}
-		check("after AddBatch")
-		for i := 0; i < 300; i++ {
-			s.Remove(wide())
-		}
-		check("after Remove")
-		_, ids := dumpIDState(s)
-		tx := s.Begin()
-		for i := 0; i < len(ids); i += 3 {
-			if !tx.RemoveID(ids[i]) {
-				t.Fatalf("RemoveID(%v) missed a present triple", ids[i])
-			}
-		}
-		tx.RemoveID(ids[0]) // absent now: must not count
-		check("after RemoveID")
-	}
-	_, ids := dumpIDState(s)
-	s = s.NewOverlay()
-	check("empty overlay")
-	if err := s.LoadSorted(ids); err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != len(ids) || len(ids) == 0 {
-		t.Fatalf("LoadSorted left %d triples of %d", s.Len(), len(ids))
-	}
-	check("after LoadSorted")
-	for i := 0; i < 200; i++ {
-		s.MustAdd(wide())
-		s.Remove(wide())
-	}
-	check("after writes to the bulk-built shards")
-	if s.ShardTripleCount(-1) != 0 || s.ShardTripleCount(s.NumShards()) != 0 {
-		t.Fatal("an out-of-range shard reports triples")
-	}
 }

@@ -13,7 +13,7 @@ import (
 // refStore is the reference semantics the indexed engine must agree with: a
 // flat deduplicated slice of triples, with every pattern query answered by
 // filtering all triples and sorting. It is deliberately the dumbest correct
-// implementation — no dictionary, no shards, no indexes.
+// implementation — no dictionary, no indexes.
 type refStore struct {
 	triples map[Triple]bool
 }
@@ -77,7 +77,7 @@ func randomTriple(rng *rand.Rand) Triple {
 
 // wideSpine is the fixed block of randomTriple's vocabulary that takes one
 // lead past linearRun mids, so the search for a mid halves before it walks,
-// and one trailing run past longRun in both index families: subject s1 under
+// and one trailing run past longRun in both indexes: subject s1 under
 // linearRun+2 predicates and (s1 p1 ?) with longRun+4 objects (SPO),
 // predicate p1 thereby over more than linearRun objects and (? p2 o4) with
 // longRun+4 subjects (POS).
@@ -96,7 +96,7 @@ func wideSpine() []Triple {
 
 // addSpine puts wideSpine into the engine and the reference, and checks the
 // shapes it exists for actually formed: a lead with more mids than linearRun
-// and a trailing run past longRun, in each family.
+// and a trailing run past longRun, in each index.
 func addSpine(t *testing.T, s *Store, ref *refStore) {
 	t.Helper()
 	spine := wideSpine()
@@ -106,21 +106,19 @@ func addSpine(t *testing.T, s *Store, ref *refStore) {
 	for _, tr := range spine {
 		ref.add(tr)
 	}
-	for name, fam := range map[string]*indexFamily{"SPO": &s.spo, "POS": &s.pos} {
+	for name, ix := range map[string]*index{"SPO": &s.spo, "POS": &s.pos} {
 		mids, trails := 0, 0
-		for i := range fam {
-			fam[i].ascend(uint32(i), func(_ uint32, e *leadEntry) bool {
-				if len(e.entries) > linearRun {
-					mids++
+		ix.ascend(0, func(_ uint32, e *leadEntry) bool {
+			if len(e.entries) > linearRun {
+				mids++
+			}
+			for j := range e.entries {
+				if e.entries[j].len() > longRun {
+					trails++
 				}
-				for j := range e.entries {
-					if e.entries[j].len() > longRun {
-						trails++
-					}
-				}
-				return true
-			})
-		}
+			}
+			return true
+		})
 		if mids == 0 || trails == 0 {
 			t.Fatalf("%s: the spine made %d leads past %d mids and %d trailing runs past %d; want at least one of each", name, mids, linearRun, trails, longRun)
 		}
@@ -459,8 +457,7 @@ func FuzzQueryAgreement(f *testing.F) {
 // TestQueryIDFuncDoesNotAllocate pins what QueryIDFunc's doc comment states:
 // as a probe batch of one it allocates nothing, on any of the eight bound
 // shapes, on a store and on a view — the batch, the adapter closure and the
-// view's stop flag all stay on the stack, and the shard-ordering scratch is
-// pooled.
+// view's stop flag all stay on the stack.
 func TestQueryIDFuncDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts at random under the race detector")
@@ -503,7 +500,7 @@ func TestQueryIDFuncDoesNotAllocate(t *testing.T) {
 }
 
 // TestLeadlessOrderIsDeterministic: the two shapes with no lead to look up,
-// (? ? o) and (? ? ?), walk every shard's leads in ascending id order, so
+// (? ? o) and (? ? ?), walk their index's leads in ascending id order, so
 // QueryIDFunc yields one sequence for one set of triples — on repeated calls,
 // on a store that filed the same triples in another order, and on one
 // bulk-loaded with them — and the cursor drains the same sequence.

@@ -5,18 +5,17 @@ import (
 	"sync"
 )
 
-// This file is the store's bulk-build path: LoadSorted builds the two index
-// families of an empty store from a sorted triple set without going through
+// This file is the store's bulk-build path: LoadSorted builds the two
+// indexes of an empty store from a sorted triple set without going through
 // the mutation path at all, and RestoreSorted is LoadSorted behind a freshly
 // installed dictionary. The mutation path (Tx.AddBatch → insertBatch) exists
-// to be safe against concurrent readers and duplicate inserts; a bulk build
-// needs neither — the input is sorted, hence duplicate-free, and the shards
-// are empty — so it can build every index level by direct append: no
-// per-triple lock acquisition, no dedup probing, no search for a member's
-// place in its run. Recovery (the data directory's patches, composed: the
-// only way durable fills a store) and the reasoner's seed round (a whole
-// round of inferred triples committed into the empty overlay) are the two
-// callers.
+// to be safe against duplicate inserts into a filled store; a bulk build
+// needs none of it — the input is sorted, hence duplicate-free, and the
+// indexes are empty — so it can build every index level by direct append: no
+// dedup probing, no search for a member's place in its run. Recovery (the
+// data directory's patches, composed: the only way durable fills a store)
+// and the reasoner's seed round (a whole round of inferred triples committed
+// into the empty overlay) are the two callers.
 
 // RestoreSorted bulk-loads an empty store from a recovered dictionary and a
 // sorted triple set. dict[i] becomes the name of SymbolID i (reproducing the
@@ -70,12 +69,10 @@ func (s *Store) RestoreSorted(dict []string, triples []IDTriple) error {
 // retained: the index levels are built in their own arenas.
 //
 // The store must hold no triples and no journal: the load bypasses the
-// mutation path, so nothing would be journaled. Each shard is filled under
-// its own lock, so readers of the store — and of a View over it — are safe
-// throughout and see a shard either empty or complete, with the usual
-// batch-ingest caveat that a triple may be visible through one index family
-// before another; writers must be excluded by the caller until LoadSorted
-// returns.
+// mutation path, so nothing would be journaled. Both indexes are built under
+// the store's write lock, so readers of the store — and of a View over it —
+// are safe throughout and see it either empty or complete; writers must be
+// excluded by the caller until LoadSorted returns.
 func (s *Store) LoadSorted(triples []IDTriple) error {
 	if s.Len() != 0 {
 		return fmt.Errorf("store: LoadSorted needs a store without triples, not %d", s.Len())
@@ -104,72 +101,30 @@ func checkSorted(triples []IDTriple, n SymbolID) error {
 	return nil
 }
 
-// loadSorted builds the two permutation families of an empty store from
-// validated input, concurrently, each family's non-empty shards in parallel.
-// Bucketing rotates every triple into the family's own (lead, mid, trail)
-// frame up front, so the sort and build loops touch plain struct fields
-// instead of calling accessor closures per element — on a multi-million-
-// triple load those calls are the difference between memory-bound and
-// call-bound. The SPO family receives the input ordering directly (bucketing
-// is stable, so each bucket stays (lead, mid)-sorted); POS buckets are
-// re-sorted inside the shard's goroutine.
+// loadSorted builds the two indexes of an empty store from validated input,
+// concurrently, under the write lock. SPO is built from the input as it
+// stands. POS is built from one copy of it rotated into POS's own (lead, mid,
+// trail) frame, so the sort and build loops touch plain struct fields instead
+// of calling accessor closures per element — on a multi-million-triple load
+// those calls are the difference between memory-bound and call-bound — and
+// radix-sorted by (lead, mid), which keeps each run's trailing ids ascending.
 func (s *Store) loadSorted(triples []IDTriple) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var wg sync.WaitGroup
-	build := func(fam *indexFamily, rotated bool) {
-		buckets := bucketByShard(triples, rotated)
-		for i := range fam {
-			if len(buckets[i]) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(sh *shard, bucket []IDTriple) {
-				defer wg.Done()
-				if rotated {
-					radixSortIDTriples(bucket, 2)
-				}
-				buildShardSorted(sh, bucket)
-			}(&fam[i], buckets[i])
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		pos := make([]IDTriple, len(triples))
+		for i, t := range triples {
+			pos[i] = IDTriple{S: t.P, P: t.O, O: t.S}
 		}
-	}
-	build(&s.spo, false)
-	build(&s.pos, true)
+		radixSortIDTriples(pos, 2)
+		s.pos.buildSorted(pos)
+	}()
+	s.spo.buildSorted(triples)
 	wg.Wait()
 	s.size.Store(int64(len(triples)))
-}
-
-// bucketByShard splits ts into numShards slices by the shard of the family's
-// leading component, preserving relative order: as is for SPO, or — rotated —
-// with every triple turned into the POS frame (lead P, mid O, trail S) on the
-// way in. Two counted passes, so every bucket is allocated at its exact final
-// size. The rotation is dispatched once per pass rather than per element — a
-// closure call per triple here costs more than the copy itself.
-func bucketByShard(ts []IDTriple, rotated bool) [numShards][]IDTriple {
-	var counts [numShards]int
-	if rotated {
-		for _, t := range ts {
-			counts[shardOf(t.P)]++
-		}
-	} else {
-		for _, t := range ts {
-			counts[shardOf(t.S)]++
-		}
-	}
-	var buckets [numShards][]IDTriple
-	for i := range buckets {
-		buckets[i] = make([]IDTriple, 0, counts[i])
-	}
-	if rotated {
-		for _, t := range ts {
-			i := shardOf(t.P)
-			buckets[i] = append(buckets[i], IDTriple{S: t.P, P: t.O, O: t.S})
-		}
-	} else {
-		for _, t := range ts {
-			i := shardOf(t.S)
-			buckets[i] = append(buckets[i], t)
-		}
-	}
-	return buckets
 }
 
 // SortIDTriples sorts ts in place into ascending (S, P, O) order — the order
@@ -231,11 +186,11 @@ func SubtractSorted(a, b []IDTriple) []IDTriple {
 }
 
 // radixSortIDTriples sorts ts by its first comps components in (S, P, O)
-// significance — 2 for a permuted bucket's (lead, mid), 3 for the full key —
+// significance — 2 for a rotated copy's (lead, mid), 3 for the full key —
 // with an LSD byte-radix sort. It is stable, so runs equal in the sorted
 // components keep their input order: the trailing ids of a (lead, mid) run of
 // an (S, P, O)-sorted input come out ascending, which is the invariant every
-// trailing run is searched under and buildShardSorted relies on. Comparison sorting is the bulk path's biggest CPU
+// trailing run is searched under and buildSorted relies on. Comparison sorting is the bulk path's biggest CPU
 // sink (a comparator closure per decision); counting passes replace it with
 // O(n) per byte, and passes whose byte is constant across the input (the
 // common case for the high bytes of 32-bit ids) are skipped entirely. Every
@@ -306,7 +261,7 @@ func radixSortIDTriples(ts []IDTriple, comps int) {
 }
 
 // arenaRunMax is the longest run of a bulk-built index level that is carved
-// out of the shard's shared arena; a longer run gets its own allocation with
+// out of the index's shared arena; a longer run gets its own allocation with
 // an eighth of growth room. An arena sub-slice is capped at its run, so the
 // first insert after the load — wherever in the run it lands, the run grows
 // by one at its end — copies the run and strands its arena bytes for good:
@@ -332,31 +287,29 @@ func carve[T any](arena *[]T, n int) []T {
 	return run
 }
 
-// buildShardSorted populates one empty shard from its permuted bucket, which
-// is sorted by (lead, mid) = (S, P) with the trail in O. Runs sharing a lead
-// become one leadEntry, written into its slot of the shard's pages, runs
+// buildSorted populates an empty index from triples in its own frame, sorted
+// by (lead, mid) = (S, P) with the trail in O. Runs sharing a lead become one
+// leadEntry, written into its slot of the index's pages, runs
 // sharing (lead, mid) one pair, and the levels below are carved out of three
 // arena allocations sized by a counting pass — for SPO, whose leads are the
 // store's subjects, per-entry allocation would mean millions of tiny objects
 // for the GC to trace — except the runs past arenaRunMax (see carve). A
-// one-member set is written into its pair; a longer one is copied in the
-// bucket's order, which is ascending (radixSortIDTriples), so it is a valid
-// run as it stands, and its slice header comes from an arena of its own. The
-// pairs arrive ascending by mid.
-func buildShardSorted(sh *shard, bucket []IDTriple) {
-	// A restored store is private until RestoreSorted returns, but an overlay
-	// being loaded is already behind a View: the lock is what lets readers
-	// see the shard either empty or complete.
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+// one-member set is written into its pair; a longer one is copied in input
+// order, which is ascending (radixSortIDTriples), so it is a valid run as it
+// stands, and its slice header comes from an arena of its own. The
+// pairs arrive ascending by mid. Callers hold the store's write lock.
+func (ix *index) buildSorted(ts []IDTriple) {
+	if len(ts) == 0 {
+		return
+	}
 	// Counting pass: what lives in the arenas — pairs of leads up to
 	// arenaRunMax wide, a header per set of two or more members, and the
 	// members of sets up to arenaRunMax.
 	mids, runs, elems := 0, 0, 0
 	leadMids, pairElems := 0, 0 // sizes of the lead and (lead, mid) runs in progress
-	for i, t := range bucket {
-		newLead := i == 0 || t.S != bucket[i-1].S
-		if newLead || t.P != bucket[i-1].P {
+	for i, t := range ts {
+		newLead := i == 0 || t.S != ts[i-1].S
+		if newLead || t.P != ts[i-1].P {
 			if pairElems > 1 {
 				runs++
 				if pairElems <= arenaRunMax {
@@ -386,31 +339,31 @@ func buildShardSorted(sh *shard, bucket []IDTriple) {
 	midArena := make([]midTrail, mids)
 	runArena := make([][]uint32, runs)
 	elemArena := make([]uint32, elems)
-	sh.pages = make([]*leadPage, bucket[len(bucket)-1].S>>(shardBits+leadPageBits)+1)
-	sh.n, sh.leads = len(bucket), 0
-	for i := 0; i < len(bucket); {
-		l := bucket[i].S
+	ix.chunks = make([]*leadChunk, ts[len(ts)-1].S>>leadChunkShift+1)
+	ix.leads = 0
+	for i := 0; i < len(ts); {
+		l := ts[i].S
 		j, nm := i, 0
-		for j < len(bucket) && bucket[j].S == l {
-			if j == i || bucket[j].P != bucket[j-1].P {
+		for j < len(ts) && ts[j].S == l {
+			if j == i || ts[j].P != ts[j-1].P {
 				nm++
 			}
 			j++
 		}
-		e := sh.slot(l)
+		e := ix.slot(l)
 		e.entries = carve(&midArena, nm)
-		sh.leads++
+		ix.leads++
 		for p, k := 0, i; k < j; p++ {
-			m := bucket[k].P
+			m := ts[k].P
 			k2 := k
-			for k2 < j && bucket[k2].P == m {
+			for k2 < j && ts[k2].P == m {
 				k2++
 			}
-			e.entries[p] = midTrail{mid: m, one: [1]uint32{bucket[k].O}}
+			e.entries[p] = midTrail{mid: m, one: [1]uint32{ts[k].O}}
 			if k2-k > 1 {
 				run := carve(&elemArena, k2-k)
 				for q := range run {
-					run[q] = bucket[k+q].O
+					run[q] = ts[k+q].O
 				}
 				runArena[0] = run
 				e.entries[p].run = &runArena[0]

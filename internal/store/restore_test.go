@@ -152,7 +152,7 @@ func TestRestoreSortedThenMutate(t *testing.T) {
 
 // TestRestoreSortedInlineSingle takes a one-object (subject, predicate) pair
 // of a restored store — its member inline in the pair — through a second
-// object, back to one and then to none, holding both families' layout, Len
+// object, back to one and then to none, holding both indexes' layout, Len
 // and the (S P ?) answer to a model at each step.
 func TestRestoreSortedInlineSingle(t *testing.T) {
 	s := New()
@@ -161,7 +161,7 @@ func TestRestoreSortedInlineSingle(t *testing.T) {
 		t.Fatalf("RestoreSorted: %v", err)
 	}
 	model := map[IDTriple]bool{{0, 1, 2}: true, {0, 4, 5}: true}
-	if mt := s.spo.shard(0).find(0).find(1); mt == nil || mt.run != nil {
+	if mt := s.spo.find(0).find(1); mt == nil || mt.run != nil {
 		t.Fatalf("the restored one-object pair (s, p) is %+v, want its member inline", mt)
 	}
 	check := func(stage string) {

@@ -8,9 +8,8 @@ import (
 )
 
 // A lead's pairs ascend by mid and a trailing set is its one inline member
-// or one strictly ascending run (shard.go). These tests hold the sets to a
-// map model, the two index families to the invariants every search relies
-// on, and the cursor to what resuming by value buys: a write disturbs no
+// or one strictly ascending run (index.go). These tests hold the sets to a
+// map model, the two indexes to the invariants every search relies on, and the cursor to what resuming by value buys: a write disturbs no
 // triple it did not touch.
 
 // checkLead holds one lead entry to its layout — at least one pair, mids
@@ -55,55 +54,46 @@ func checkSet(mt *midTrail) (members int, bad string) {
 	return len(run), ""
 }
 
-// checkRuns holds every lead of both families of s to checkLead, the walk of
-// each shard to ascending ids of that shard, each shard's triple counter to
-// the members its leads hold and its lead counter to the leads the walk
-// finds, and the family's triples to Len.
+// checkRuns holds every lead of both indexes of s to checkLead, the walk of
+// each index to ascending ids, its lead counter to the leads the walk finds,
+// and the triples each index holds to the store's count.
 func checkRuns(t testing.TB, what string, s *Store) {
 	t.Helper()
-	for name, fam := range map[string]*indexFamily{"SPO": &s.spo, "POS": &s.pos} {
-		total := 0
-		for i := range fam {
-			sh := &fam[i]
-			sh.mu.RLock()
-			n, leads, bad := 0, 0, ""
-			prev := int64(-1)
-			sh.ascend(uint32(i), func(lead uint32, e *leadEntry) bool {
-				members, why := checkLead(e)
-				switch {
-				case why != "":
-					bad = fmt.Sprintf("lead %d: %s", lead, why)
-				case shardOf(lead) != uint32(i) || int64(lead) <= prev:
-					bad = fmt.Sprintf("the walk reports lead %d after %d", lead, prev)
-				}
-				n += members
-				leads++
-				prev = int64(lead)
-				return bad == ""
-			})
-			if bad == "" && n != sh.n {
-				bad = fmt.Sprintf("the sets hold %d triples, the shard counts %d", n, sh.n)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for name, ix := range map[string]*index{"SPO": &s.spo, "POS": &s.pos} {
+		n, leads, bad := 0, 0, ""
+		prev := int64(-1)
+		ix.ascend(0, func(lead uint32, e *leadEntry) bool {
+			members, why := checkLead(e)
+			switch {
+			case why != "":
+				bad = fmt.Sprintf("lead %d: %s", lead, why)
+			case int64(lead) <= prev:
+				bad = fmt.Sprintf("the walk reports lead %d after %d", lead, prev)
 			}
-			if bad == "" && leads != sh.leads {
-				bad = fmt.Sprintf("the walk finds %d leads, the shard counts %d", leads, sh.leads)
-			}
-			sh.mu.RUnlock()
-			if bad != "" {
-				t.Fatalf("%s: %s shard %d: %s", what, name, i, bad)
-			}
-			total += n
+			n += members
+			leads++
+			prev = int64(lead)
+			return bad == ""
+		})
+		if bad == "" && leads != ix.leads {
+			bad = fmt.Sprintf("the walk finds %d leads, the index counts %d", leads, ix.leads)
 		}
-		if total != s.Len() {
-			t.Fatalf("%s: %s holds %d triples, Len is %d", what, name, total, s.Len())
+		if size := int(s.size.Load()); bad == "" && n != size {
+			bad = fmt.Sprintf("the sets hold %d triples, Len is %d", n, size)
+		}
+		if bad != "" {
+			t.Fatalf("%s: %s: %s", what, name, bad)
 		}
 	}
 }
 
-// idSetScript runs a byte script against one lead of a shard and a map
+// idSetScript runs a byte script against one lead of an index and a map
 // model: each two bytes are one operation — insert (twice as likely), remove
 // or contains — of a value from a 1 024-wide vocabulary whose top member
 // stands for the largest id there is, under one of 16 mids (the first byte's
-// top four bits, past linearRun so the mid search halves). The shard files
+// top four bits, past linearRun so the mid search halves). The index files
 // through leadEntry.insert and remove, so a set is born inline, turns into a
 // run at its second member, drops its pair when emptied, and the lead is
 // pruned with its last pair. Every result must equal the model's; after every
@@ -112,7 +102,7 @@ func checkRuns(t testing.TB, what string, s *Store) {
 // lead must pass checkLead and its sets be the model's, ascending.
 func idSetScript(t *testing.T, script []byte) {
 	const lead = 7
-	var sh shard
+	var ix index
 	model := map[[2]uint32]bool{}
 	perMid := map[uint32]int{}
 	for i := 0; i+1 < len(script); i += 2 {
@@ -123,30 +113,30 @@ func idSetScript(t *testing.T, script []byte) {
 		key := [2]uint32{mid, v}
 		switch op & 3 {
 		case 0, 1:
-			if got := sh.insertLocked(lead, mid, v); got == model[key] {
+			if got := ix.insert(lead, mid, v); got == model[key] {
 				t.Fatalf("op %d: insert(%d, %d) = %v, model had it: %v", i/2, mid, v, got, model[key])
 			} else if got {
 				perMid[mid]++
 			}
 			model[key] = true
 		case 2:
-			if got := sh.removeLocked(lead, mid, v); got != model[key] {
+			if got := ix.remove(lead, mid, v); got != model[key] {
 				t.Fatalf("op %d: remove(%d, %d) = %v, model says %v", i/2, mid, v, got, model[key])
 			} else if got {
 				perMid[mid]--
 			}
 			delete(model, key)
 		case 3:
-			if got := sh.containsLocked(lead, mid, v); got != model[key] {
+			if got := ix.contains(lead, mid, v); got != model[key] {
 				t.Fatalf("op %d: contains(%d, %d) = %v, model says %v", i/2, mid, v, got, model[key])
 			}
 		}
-		e := sh.find(lead)
+		e := ix.find(lead)
 		if (e == nil) != (len(model) == 0) {
 			t.Fatalf("op %d: lead present: %v, with %d members in the model", i/2, e != nil, len(model))
 		}
-		if sh.n != len(model) || (sh.leads == 1) != (e != nil) {
-			t.Fatalf("op %d: the shard counts %d triples and %d leads, model has %d members", i/2, sh.n, sh.leads, len(model))
+		if (ix.leads == 1) != (e != nil) {
+			t.Fatalf("op %d: the index counts %d leads, model has %d members", i/2, ix.leads, len(model))
 		}
 		if e == nil {
 			continue
@@ -162,7 +152,7 @@ func idSetScript(t *testing.T, script []byte) {
 			t.Fatalf("op %d: %s; %d members under mid %d, model has %d", i/2, bad, n, mid, perMid[mid])
 		}
 	}
-	if e := sh.find(lead); e != nil {
+	if e := ix.find(lead); e != nil {
 		if n, bad := checkLead(e); bad != "" || n != len(model) {
 			t.Fatalf("%s; %d members, model has %d", bad, n, len(model))
 		}
@@ -171,7 +161,7 @@ func idSetScript(t *testing.T, script []byte) {
 	for k := range model {
 		want[k[0]] = append(want[k[0]], k[1])
 	}
-	if e := sh.find(lead); e != nil {
+	if e := ix.find(lead); e != nil {
 		if len(e.entries) != len(want) {
 			t.Fatalf("%d pairs, model has %d mids", len(e.entries), len(want))
 		}
@@ -271,21 +261,21 @@ func TestNewMidDoesNotAllocate(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const lead, spare = 7, 64
-	var sh shard
-	sh.slot(lead).entries = make([]midTrail, 0, spare)
+	var ix index
+	ix.slot(lead).entries = make([]midTrail, 0, spare)
 	mid := uint32(2 * spare)
 	if allocs := testing.AllocsPerRun(spare-1, func() {
 		mid -= 2 // descending: each new pair lands below every other
-		if !sh.insertLocked(lead, mid, 7) {
+		if !ix.insert(lead, mid, 7) {
 			t.Fatalf("insert under the new mid %d reported a duplicate", mid)
 		}
 	}); allocs != 0 {
 		t.Errorf("filing a new mid's first member allocates %.1f times", allocs)
 	}
-	if !sh.insertLocked(lead, mid+1, 7) {
+	if !ix.insert(lead, mid+1, 7) {
 		t.Fatal("insert between two pairs reported a duplicate")
 	}
-	if n, bad := checkLead(sh.find(lead)); bad != "" || n != spare+1 {
+	if n, bad := checkLead(ix.find(lead)); bad != "" || n != spare+1 {
 		t.Fatalf("%s; %d members, want %d", bad, n, spare+1)
 	}
 }
@@ -321,15 +311,16 @@ func TestCursorResumesByValue(t *testing.T) {
 	}
 }
 
-// checkUnboundCursorResumes drains a (? ? ?) cursor over 200 subjects of two
-// triples each, size triples at a time, until it stands among the leads of a
-// shard in the middle of the family. Then a lead the cursor finished in an
-// earlier shard is pruned, so is one it finished in its own shard and the
-// lead it stands in, and two new leads are filed ahead of it: one in its own
-// shard above every lead there, one in a later shard. Every untouched lead is
-// reported exactly once, the two new ones too, a pruned one at most once.
+// checkUnboundCursorResumes drains a (? ? ?) cursor over 180 subjects of two
+// triples each, size triples at a time, until it stands among the leads in
+// the middle of the index. Every tenth id was held back, so a lead filed
+// later lands between two filed ones. Then the first lead is pruned, so is
+// the one the cursor finished last and the lead it stands in, and two held
+// back ids are filed as leads ahead of it, each below leads the cursor has
+// not yet reached. Every untouched lead is reported exactly once, the two new
+// ones too, a pruned one at most once.
 func checkUnboundCursorResumes(t *testing.T, size int) {
-	const subjects, mid = 200, numShards / 2
+	const names, every = 200, 10
 	s := New()
 	id := func(name string) SymbolID {
 		v, err := s.Intern(name)
@@ -342,25 +333,22 @@ func checkUnboundCursorResumes(t *testing.T, size int) {
 	lead := func(subject SymbolID) []IDTriple {
 		return []IDTriple{{S: subject, P: p, O: o}, {S: subject, P: q, O: o}}
 	}
-	// Ids ascend with i; the last numShards names, one per shard, are held
-	// back to be filed as new leads.
-	var inShard [numShards][]SymbolID // filed subjects, ascending, by shard
-	var spare [numShards]SymbolID
+	var filed, spare []SymbolID // ascending
 	tx := s.Begin()
-	for i := 0; i < subjects+numShards; i++ {
+	for i := 0; i < names; i++ {
 		subject := id(fmt.Sprintf("s%d", i))
-		if i >= subjects {
-			spare[shardOf(subject)] = subject
+		if i%every == every-1 {
+			spare = append(spare, subject)
 			continue
 		}
-		inShard[shardOf(subject)] = append(inShard[shardOf(subject)], subject)
+		filed = append(filed, subject)
 		for _, tr := range lead(subject) {
 			if _, err := tx.AddID(tr); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	target := inShard[mid][len(inShard[mid])/2]
+	target := filed[len(filed)/2]
 
 	pt := s.scanPart(IDPattern{})
 	defer pt.Release()
@@ -376,16 +364,18 @@ func checkUnboundCursorResumes(t *testing.T, size int) {
 			last = tr
 		}
 	}
-	if done || shardOf(last.S) != mid || last.S == inShard[mid][1] {
-		t.Fatalf("the cursor stands at %v (done %v); the fixture wants it among the leads of shard %d", last, done, mid)
+	at, _ := slices.BinarySearch(filed, last.S)
+	if done || at < 2 || filed[at] != last.S {
+		t.Fatalf("the cursor stands at %v (done %v); the fixture wants it among the leads in the middle", last, done)
 	}
-	touched := map[SymbolID]bool{inShard[0][0]: true, inShard[mid][1]: true, last.S: true}
+	touched := map[SymbolID]bool{filed[0]: true, filed[at-1]: true, last.S: true}
 	for subject := range touched {
 		for _, tr := range lead(subject) {
 			tx.RemoveID(tr)
 		}
 	}
-	fresh := []SymbolID{spare[mid], spare[mid+1]}
+	next, _ := slices.BinarySearch(spare, last.S)
+	fresh := []SymbolID{spare[next], spare[len(spare)-2]}
 	for _, subject := range fresh {
 		for _, tr := range lead(subject) {
 			if added, err := tx.AddID(tr); err != nil || !added {
@@ -401,12 +391,10 @@ func checkUnboundCursorResumes(t *testing.T, size int) {
 			seen[tr]++
 		}
 	}
-	for _, subjects := range inShard {
-		for _, subject := range subjects {
-			for _, tr := range lead(subject) {
-				if n := seen[tr]; n > 1 || (!touched[subject] && n != 1) {
-					t.Errorf("%v was reported %d times; its lead pruned: %v", tr, n, touched[subject])
-				}
+	for _, subject := range filed {
+		for _, tr := range lead(subject) {
+			if n := seen[tr]; n > 1 || (!touched[subject] && n != 1) {
+				t.Errorf("%v was reported %d times; its lead pruned: %v", tr, n, touched[subject])
 			}
 		}
 	}

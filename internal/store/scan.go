@@ -4,23 +4,23 @@ import "sync"
 
 // This file is where the store enumerates a pattern, and it does so in two
 // places only: the resumable cursor and the callback walk. A ScanPart is a
-// cursor that fills caller-provided slices under one shard read-lock per
-// refill, and ScanParts opens it (a View's: one per member) for a pattern;
+// cursor that fills caller-provided slices under one read-lock per refill,
+// and ScanParts opens it (a View's: one per member) for a pattern;
 // QueryIDBatch answers a whole batch of same-shape probes through a callback
-// while visiting each index shard at most once, and the one-pattern form in
-// ids.go, QueryIDFunc, is a batch of one. These are the hooks the vectorized
-// operator runtime in repro/internal/query/exec pulls triples through. The
-// amortization is the point: a tuple-at-a-time join pays a lock round trip
-// and a callback per probe, a batched one pays them per thousand triples.
+// under one read-lock, and the one-pattern form in ids.go, QueryIDFunc, is a
+// batch of one. These are the hooks the vectorized operator runtime in
+// repro/internal/query/exec pulls triples through. The amortization is the
+// point: a tuple-at-a-time join pays a lock round trip and a callback per
+// probe, a batched one pays them per thousand triples.
 
-// Index families a ScanPart can walk, in the lead/mid/trail vocabulary of
-// shard.go: famSPO has subjects leading, famPOS predicates.
+// Indexes a ScanPart can walk, in the lead/mid/trail vocabulary of index.go:
+// famSPO has subjects leading, famPOS predicates.
 const (
 	famSPO = iota
 	famPOS
 )
 
-// tripleOf reassembles an IDTriple from a family's (lead, mid, trail)
+// tripleOf reassembles an IDTriple from an index's (lead, mid, trail)
 // coordinates.
 func tripleOf(fam uint8, lead, mid, trail uint32) IDTriple {
 	if fam == famPOS {
@@ -41,11 +41,14 @@ func tripleOf(fam uint8, lead, mid, trail uint32) IDTriple {
 // present throughout the scan is reported exactly once. One level up a lead's
 // middle components ascend too, and a (lead ? ?) or (S ? O) cursor resumes
 // among them by value the same way (fillMids): only a pair a write touched
-// may be seen or missed. At the top a shard's leads ascend by id, and the
+// may be seen or missed. At the top an index's leads ascend by id, and the
 // unbound scan and the object-only fan-out resume among them by value as
-// well (fillShards): a lead filed or pruned between refills moves no other
+// well (fillLeads): a lead filed or pruned between refills moves no other
 // lead across the cursor, so only the triples a write touched may be seen or
-// missed. Results are guaranteed exact only against quiescent members.
+// missed. A write batch is atomic to each refill, not to the cursor: one
+// written between two refills is seen wherever its triples fall after the
+// cursor's place. Results are guaranteed exact only against quiescent
+// members.
 // NextBatch never blocks writers for longer than one refill, and a part holds
 // nothing but its place.
 type ScanPart struct {
@@ -59,18 +62,16 @@ type ScanPart struct {
 	trail      uint32
 	allBound   bool
 	// allLeads marks the two shapes with no lead to look up, which walk every
-	// lead of every shard of fam instead: the unbound full scan (SPO) and,
-	// with midBound, the object-only fan-out (POS, mid the object).
+	// lead of fam instead: the unbound full scan (SPO) and, with midBound,
+	// the object-only fan-out (POS, mid the object).
 	allLeads bool
 
 	// Cursor state, every place named by value. For allLeads scans: the
-	// current shard and the least lead id in it not yet finished. With the
-	// mid open: the least middle component of the current lead not yet
-	// finished. Always: the position within the current trailing run, so a
-	// refill stops exactly at the batch boundary, and — once trailPos > 0 —
-	// the last trailing id emitted from it, which fillElems checks the
-	// position against on resume.
-	shard     int
+	// least lead id not yet finished. With the mid open: the least middle
+	// component of the current lead not yet finished. Always: the position
+	// within the current trailing run, so a refill stops exactly at the batch
+	// boundary, and — once trailPos > 0 — the last trailing id emitted from
+	// it, which fillElems checks the position against on resume.
 	nextLead  uint32
 	nextMid   uint32
 	trailPos  int
@@ -80,66 +81,57 @@ type ScanPart struct {
 
 // NextBatch fills out with the part's next triples, returning how many were
 // written and whether the part is exhausted (done true means no further call
-// will produce anything). A refill holds the current shard's read-lock once;
-// the usual no-writes-from-the-calling-goroutine rule of QueryIDBatch does not
+// will produce anything). A refill holds the store's read-lock once; the
+// usual no-writes-from-the-calling-goroutine rule of QueryIDBatch does not
 // apply between calls — the lock is released before NextBatch returns.
 func (pt *ScanPart) NextBatch(out []IDTriple) (int, bool) {
 	if len(out) == 0 || pt.done {
 		return 0, pt.done
 	}
 	if pt.allLeads {
-		return pt.fillShards(out), pt.done
+		return pt.fillLeads(out), pt.done
 	}
 	return pt.fillLead(out), pt.done
 }
 
-// fillShards advances an allLeads part — the unbound full scan over the SPO
-// shards or the object-only fan-out over the POS shards — shard by shard, and
-// in a shard from the first lead not below nextLead. The full scan walks each
-// lead's pairs with fillMids; the fan-out streams the object's subject list
-// under each predicate lead with fillElems. Both stop at the batch boundary.
-// When the lead the cursor stood in is gone, the walk arrives at a later one
-// and starts it from its first pair.
-func (pt *ScanPart) fillShards(out []IDTriple) int {
-	fam, n := pt.family(), 0
-	for pt.shard < numShards && n < len(out) {
-		sh := &fam[pt.shard]
-		sh.mu.RLock()
-		finished := sh.ascend(pt.nextLead, func(lead uint32, e *leadEntry) bool {
-			if n == len(out) {
-				return false
-			}
-			if lead != pt.nextLead {
-				pt.nextMid, pt.trailPos = 0, 0
-			}
-			pt.nextLead = lead
-			listDone := true
-			if !pt.midBound {
-				n, listDone = pt.fillMids(lead, e, out, n)
-			} else if mt := e.find(pt.mid); mt != nil {
-				n, listDone = pt.fillElems(lead, pt.mid, mt.elems(), out, n)
-			}
-			if !listDone {
-				return false // out is full mid-lead; the next refill resumes in it
-			}
-			pt.nextMid, pt.trailPos = 0, 0
-			// Wraps only past the largest id, which is its shard's last lead:
-			// the shard is then finished before nextLead is read again.
-			pt.nextLead = lead + numShards
-			return true
-		})
-		sh.mu.RUnlock()
-		if finished {
-			pt.shard++
-			pt.nextLead = uint32(pt.shard)
+// fillLeads advances an allLeads part — the unbound full scan over SPO or
+// the object-only fan-out over POS — from the first lead not below nextLead.
+// The full scan walks each lead's pairs with fillMids; the fan-out streams the
+// object's subject list under each predicate lead with fillElems. Both stop at
+// the batch boundary. When the lead the cursor stood in is gone, the walk
+// arrives at a later one and starts it from its first pair.
+func (pt *ScanPart) fillLeads(out []IDTriple) int {
+	ix, n := pt.index(), 0
+	pt.owner.mu.RLock()
+	pt.done = ix.ascend(pt.nextLead, func(lead uint32, e *leadEntry) bool {
+		if n == len(out) {
+			return false
 		}
-	}
-	pt.done = pt.shard >= numShards
+		if lead != pt.nextLead {
+			pt.nextMid, pt.trailPos = 0, 0
+		}
+		pt.nextLead = lead
+		listDone := true
+		if !pt.midBound {
+			n, listDone = pt.fillMids(lead, e, out, n)
+		} else if mt := e.find(pt.mid); mt != nil {
+			n, listDone = pt.fillElems(lead, pt.mid, mt.elems(), out, n)
+		}
+		if !listDone {
+			return false // out is full mid-lead; the next refill resumes in it
+		}
+		pt.nextMid, pt.trailPos = 0, 0
+		// Wraps only past the largest id, which is then the last lead: the
+		// walk is finished before nextLead is read again.
+		pt.nextLead = lead + 1
+		return true
+	})
+	pt.owner.mu.RUnlock()
 	return n
 }
 
-// family returns the owner's index family the part walks.
-func (pt *ScanPart) family() *indexFamily {
+// index returns the owner's index the part walks.
+func (pt *ScanPart) index() *index {
 	if pt.fam == famPOS {
 		return &pt.owner.pos
 	}
@@ -147,10 +139,10 @@ func (pt *ScanPart) family() *indexFamily {
 }
 
 // fillElems copies one trailing set's members into out as triples under
-// (lead, mid) of the part's family, from trailPos on, and reports whether the
+// (lead, mid) of the part's index, from trailPos on, and reports whether the
 // set is exhausted. This is the leaf of the hot scan shape (two bound
 // components, e.g. every {?x type class}): it fills straight from the element
-// slice with the family dispatch hoisted out of the loop, and stops at the
+// slice with the index dispatch hoisted out of the loop, and stops at the
 // batch boundary rather than buffering the rest, which keeps both the lock
 // hold and the cursor's memory bounded however large the posting list is.
 // A resumed cursor is first checked against the run, which may have mutated
@@ -223,10 +215,9 @@ func (pt *ScanPart) fillMids(lead uint32, e *leadEntry, out []IDTriple, n int) (
 // midBound part names its one list by value, so only the triple a write
 // touched may be seen or missed; with the mid open the walk is fillMids.
 func (pt *ScanPart) fillLead(out []IDTriple) int {
-	sh := pt.family().shard(pt.lead)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	e, n := sh.find(pt.lead), 0
+	pt.owner.mu.RLock()
+	defer pt.owner.mu.RUnlock()
+	e, n := pt.index().find(pt.lead), 0
 	switch {
 	case e == nil:
 		pt.done = true
@@ -270,12 +261,10 @@ func (pt *ScanPart) Release() {
 
 // ScanParts opens the resumable cursor over the triples matching the id
 // pattern — the batched twin of the callback walk (QueryIDBatch), choosing
-// the permutation family the same way. A store answers with exactly one part; the slice form is what
-// lets a View answer with one per member. Drain each part with NextBatch, in
-// order; each refill costs one shard lock round trip however many triples it
-// moves, except the two shapes that walk whole families — unbound, and
-// object-only, which pays one find per predicate — and cross a shard
-// boundary whenever a shard runs out before the batch is full.
+// the permutation index the same way. A store answers with exactly one part;
+// the slice form is what lets a View answer with one per member. Drain each
+// part with NextBatch, in order; each refill costs one lock round trip
+// however many triples it moves.
 func (s *Store) ScanParts(p IDPattern) []*ScanPart {
 	return []*ScanPart{s.scanPart(p)}
 }
@@ -312,214 +301,95 @@ func (v *View) ScanParts(p IDPattern) []*ScanPart {
 	return []*ScanPart{v.base.scanPart(p), v.overlay.scanPart(p)}
 }
 
-// orderPool recycles the probe-ordering scratch QueryIDBatch uses for its
-// counting sort, so steady-state batched joins allocate nothing per batch
-// (array pointers, not slices, so Put does not box a header).
-var orderPool = sync.Pool{New: func() any { return new([batchOrderSize]int32) }}
-
-// batchOrderSize is the largest probe batch the pooled scratch covers; the
-// rare larger batch allocates its own.
-const batchOrderSize = 1024
-
 // QueryIDBatch streams the matches of a batch of probe patterns to yield,
 // each tagged with the index of the pattern it answers, stopping early when
 // yield returns false. It is the store's one callback enumeration —
-// QueryIDFunc is a batch of one — and it owns the locking: the batch is
-// grouped by index shard and each shard is read-locked once for all its
-// probes. All patterns of one call must share the same bound shape (the same
-// Bound flags — the form a batched join produces, where every probe of a
-// batch binds the same components). Matches arrive grouped by shard, not in
-// pattern order. yield runs under a shard read-lock and must not write to the
-// store.
+// QueryIDFunc is a batch of one — and it owns the locking: the whole batch is
+// answered under one read-lock. All patterns of one call must share the same
+// bound shape (the same Bound flags — the form a batched join produces, where
+// every probe of a batch binds the same components). Matches arrive in probe
+// order: every match of ps[i] before any of ps[i+1]. yield runs under the
+// read-lock and must not write to the store, nor read it again: a second
+// read-lock waits behind a writer that waits for the first.
 func (s *Store) QueryIDBatch(ps []IDPattern, yield func(pi int, t IDTriple) bool) {
 	if len(ps) == 0 {
 		return
 	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	// The two most common join shapes — (S P ?) answering objects and
 	// (? P O) answering subjects, the forms a join's bound lead plus one
 	// more bound component produces — run fully specialized loops: lead
 	// lookup, entry find and element walk are all inlined with no per-probe
 	// dispatch, because this is the innermost loop of every batched join.
-	// The two shapes with no lead to group by — object-only, fanning out over
-	// POS, and unbound (a cartesian stage), scanning SPO — lock every shard
-	// of their family once and answer each probe's share of it. Everything
-	// else goes through the general per-probe dispatch.
+	// Everything else goes through the general per-probe dispatch.
 	switch shape := ps[0]; {
 	case shape.BoundS && shape.BoundP && !shape.BoundO:
 		s.batchProbeSP(ps, yield)
 	case shape.BoundP && shape.BoundO && !shape.BoundS:
 		s.batchProbePO(ps, yield)
-	case !shape.BoundS && !shape.BoundP:
-		fam := &s.spo
-		if shape.BoundO {
-			fam = &s.pos
-		}
-		for shIdx := range fam {
-			sh := &fam[shIdx]
-			sh.mu.RLock()
-			for pi := range ps {
-				if !probeShardLocked(sh, uint32(shIdx), ps[pi], pi, yield) {
-					sh.mu.RUnlock()
-					return
-				}
-			}
-			sh.mu.RUnlock()
-		}
 	default:
-		fam, famID := &s.spo, uint8(famSPO)
-		if !shape.BoundS {
-			fam, famID = &s.pos, famPOS
-		}
-		order, counts, pooled := groupByShard(ps, famID)
-		defer putOrder(pooled)
-		for shIdx := 0; shIdx < numShards; shIdx++ {
-			lo, hi := counts[shIdx], counts[shIdx+1]
-			if lo == hi {
-				continue
+		for pi := range ps {
+			if !s.probeLocked(ps[pi], pi, yield) {
+				return
 			}
-			sh := &fam[shIdx]
-			sh.mu.RLock()
-			for _, pi := range order[lo:hi] {
-				if !probeShardLocked(sh, uint32(shIdx), ps[pi], int(pi), yield) {
-					sh.mu.RUnlock()
-					return
-				}
-			}
-			sh.mu.RUnlock()
 		}
 	}
 }
 
-// groupByShard counting-sorts the probe indexes by the shard of their lead
-// component in family fam (subject for famSPO, predicate for famPOS): one
-// pass to size the buckets, one to place, so each shard is visited exactly
-// once; shard sh's probes are order[counts[sh]:counts[sh+1]]. The order
-// scratch comes from orderPool when the batch fits: the pooled array is
-// handed back beside the slice for the caller to putOrder when done with it
-// (nil for an oversized batch, which allocates its own) — a release closure
-// would cost an allocation per batch.
-func groupByShard(ps []IDPattern, fam uint8) (order []int32, counts [numShards + 1]int32, pooled *[batchOrderSize]int32) {
-	if fam == famPOS {
-		for i := range ps {
-			counts[shardOf(ps[i].P)+1]++
-		}
-	} else {
-		for i := range ps {
-			counts[shardOf(ps[i].S)+1]++
-		}
-	}
-	for i := 0; i < numShards; i++ {
-		counts[i+1] += counts[i]
-	}
-	if len(ps) <= batchOrderSize {
-		pooled = orderPool.Get().(*[batchOrderSize]int32)
-		order = pooled[:len(ps)]
-	} else {
-		order = make([]int32, len(ps))
-	}
-	next := counts
-	if fam == famPOS {
-		for i := range ps {
-			sh := shardOf(ps[i].P)
-			order[next[sh]] = int32(i)
-			next[sh]++
-		}
-	} else {
-		for i := range ps {
-			sh := shardOf(ps[i].S)
-			order[next[sh]] = int32(i)
-			next[sh]++
-		}
-	}
-	return order, counts, pooled
-}
-
-// putOrder returns groupByShard's pooled scratch, if it drew one.
-func putOrder(pooled *[batchOrderSize]int32) {
-	if pooled != nil {
-		orderPool.Put(pooled)
-	}
-}
-
-// batchProbeSP answers a batch of (S P ?) probes: SPO family, objects out.
+// batchProbeSP answers a batch of (S P ?) probes: SPO, objects out. Callers
+// hold mu.
 func (s *Store) batchProbeSP(ps []IDPattern, yield func(pi int, t IDTriple) bool) {
-	order, counts, pooled := groupByShard(ps, famSPO)
-	defer putOrder(pooled)
-	for shIdx := 0; shIdx < numShards; shIdx++ {
-		lo, hi := counts[shIdx], counts[shIdx+1]
-		if lo == hi {
+	for pi, p := range ps {
+		e := s.spo.find(p.S)
+		if e == nil {
 			continue
 		}
-		sh := &s.spo[shIdx]
-		sh.mu.RLock()
-		for _, pi := range order[lo:hi] {
-			p := ps[pi]
-			e := sh.find(p.S)
-			if e == nil {
-				continue
-			}
-			mt := e.find(p.P)
-			if mt == nil {
-				continue
-			}
-			for _, v := range mt.elems() {
-				if !yield(int(pi), IDTriple{S: p.S, P: p.P, O: v}) {
-					sh.mu.RUnlock()
-					return
-				}
+		mt := e.find(p.P)
+		if mt == nil {
+			continue
+		}
+		for _, v := range mt.elems() {
+			if !yield(pi, IDTriple{S: p.S, P: p.P, O: v}) {
+				return
 			}
 		}
-		sh.mu.RUnlock()
 	}
 }
 
-// batchProbePO answers a batch of (? P O) probes: POS family, subjects out.
+// batchProbePO answers a batch of (? P O) probes: POS, subjects out. Callers
+// hold mu.
 func (s *Store) batchProbePO(ps []IDPattern, yield func(pi int, t IDTriple) bool) {
-	order, counts, pooled := groupByShard(ps, famPOS)
-	defer putOrder(pooled)
-	for shIdx := 0; shIdx < numShards; shIdx++ {
-		lo, hi := counts[shIdx], counts[shIdx+1]
-		if lo == hi {
+	for pi, p := range ps {
+		e := s.pos.find(p.P)
+		if e == nil {
 			continue
 		}
-		sh := &s.pos[shIdx]
-		sh.mu.RLock()
-		for _, pi := range order[lo:hi] {
-			p := ps[pi]
-			e := sh.find(p.P)
-			if e == nil {
-				continue
-			}
-			mt := e.find(p.O)
-			if mt == nil {
-				continue
-			}
-			for _, v := range mt.elems() {
-				if !yield(int(pi), IDTriple{S: v, P: p.P, O: p.O}) {
-					sh.mu.RUnlock()
-					return
-				}
+		mt := e.find(p.O)
+		if mt == nil {
+			continue
+		}
+		for _, v := range mt.elems() {
+			if !yield(pi, IDTriple{S: v, P: p.P, O: p.O}) {
+				return
 			}
 		}
-		sh.mu.RUnlock()
 	}
 }
 
-// probeShardLocked answers one probe from its (already read-locked) shard —
-// for the two lead-less shapes, that shard's share of the answer: the
-// object-only probe's from a POS shard, the unbound probe's from an SPO
-// shard, whose index in its family is shIdx — reporting false when yield
-// stopped the enumeration. The two walk the shard's leads in ascending id
-// order, so the enumeration is the same on every call. This is the
-// only callback walk of the eight bound shapes (the cursor of ScanPart is the
-// resumable one). Trailing sets are walked with explicit loops over the
+// probeLocked answers one probe, reporting false when yield stopped the
+// enumeration. Callers hold mu. The two lead-less shapes — object-only,
+// fanning out over POS, and unbound, scanning SPO — walk their index's leads
+// in ascending id order, so the enumeration is the same on every call. This
+// is the only callback walk of the eight bound shapes (the cursor of ScanPart
+// is the resumable one). Trailing sets are walked with explicit loops over the
 // element slices rather than forEach closures — this is the innermost loop of
 // every batched join, and a closure per probe is exactly the per-binding cost
 // batching exists to remove.
-func probeShardLocked(sh *shard, shIdx uint32, p IDPattern, pi int, yield func(int, IDTriple) bool) bool {
+func (s *Store) probeLocked(p IDPattern, pi int, yield func(int, IDTriple) bool) bool {
 	switch {
 	case p.BoundS:
-		e := sh.find(p.S)
+		e := s.spo.find(p.S)
 		if e == nil {
 			return true
 		}
@@ -550,7 +420,7 @@ func probeShardLocked(sh *shard, shIdx uint32, p IDPattern, pi int, yield func(i
 		}
 		return true
 	case p.BoundP:
-		e := sh.find(p.P)
+		e := s.pos.find(p.P)
 		if e == nil {
 			return true
 		}
@@ -568,12 +438,12 @@ func probeShardLocked(sh *shard, shIdx uint32, p IDPattern, pi int, yield func(i
 		}
 		return true
 	case p.BoundO:
-		return sh.ascend(shIdx, func(pid uint32, e *leadEntry) bool {
+		return s.pos.ascend(0, func(pid uint32, e *leadEntry) bool {
 			mt := e.find(p.O)
 			return mt == nil || emitSet(mt, pi, yield, famPOS, pid)
 		})
 	default:
-		return sh.ascend(shIdx, func(sid uint32, e *leadEntry) bool {
+		return s.spo.ascend(0, func(sid uint32, e *leadEntry) bool {
 			for i := range e.entries {
 				if !emitSet(&e.entries[i], pi, yield, famSPO, sid) {
 					return false
@@ -585,7 +455,7 @@ func probeShardLocked(sh *shard, shIdx uint32, p IDPattern, pi int, yield func(i
 }
 
 // emitSet yields one triple per member of a pair's trailing set, reassembled
-// from the family's (lead, mid, trail) coordinates, as a direct loop over the
+// from the index's (lead, mid, trail) coordinates, as a direct loop over the
 // set's elements (no per-set closure).
 func emitSet(mt *midTrail, pi int, yield func(int, IDTriple) bool, fam uint8, lead uint32) bool {
 	for _, v := range mt.elems() {

@@ -69,8 +69,7 @@ const restoreChunk = 4096
 //	_, err := s.AddBatch(scratch.Triples())
 //
 // Ingest goes through the batch path in chunks, so restoring a large
-// snapshot locks each index shard a handful of times instead of three times
-// per triple.
+// snapshot takes the write lock once per chunk instead of once per triple.
 func Restore(s *Store, r io.Reader) (int, error) {
 	dec := json.NewDecoder(r)
 	added := 0

@@ -152,7 +152,7 @@ func TestSnapshotByteStabilityAtScale(t *testing.T) {
 	}
 
 	// A third store, ingested in reverse order so every symbol gets a
-	// different id and lands on different shards.
+	// different id and lands in a different place of each index.
 	reversed := New()
 	for i := n - 1; i >= 0; i-- {
 		if _, err := reversed.Add(triples[i]); err != nil {

@@ -5,28 +5,25 @@
 // whether a normative ontonomy helps or hinders retrieval as the usage of a
 // domain drifts away from it (experiment E5).
 //
-// The engine is dictionary-encoded and sharded. Every subject, predicate and
-// object string is interned into a uint32 id by a symbol table, and two
-// permutation indexes (SPO, POS) are kept as id-based shard families: each
-// family is split numShards ways by the low bits of its leading id, and each
-// shard has its own RWMutex, so concurrent writers only contend when they
-// touch the same shard. Seven of the eight bound shapes of a pattern land on
-// one lead of one family; the eighth, object-only (? ? o), fans out over the
-// POS family at O(predicates) finds plus the matches (see shard.go for why
-// no third rotation is stored). Ingest has a batch path (AddBatch)
-// that interns the whole batch under one symbol-table lock and visits every
-// index shard at most once, and reads have an allocation-free iterator form
-// (QueryIDFunc, ForEachSubject) alongside the materializing Query.
+// The engine is dictionary-encoded. Every subject, predicate and object
+// string is interned into a uint32 id by a symbol table, and the two
+// permutation indexes, SPO and POS, hold ids under the store's one RWMutex. Seven of the eight bound shapes of a pattern land on one lead of
+// one index; the eighth, object-only (? ? o), fans out over POS at
+// O(predicates) finds plus the matches (see index.go for why no third
+// rotation is stored). Ingest has a batch path (AddBatch) that interns the
+// whole batch under one symbol-table lock and files it under one write lock,
+// and reads have an allocation-free iterator form (QueryIDFunc,
+// ForEachSubject) alongside the materializing Query.
 //
 // Ordering: every materializing read (Query, Triples) returns its result in
 // sorted lexicographic order, so results depend only on the store's contents
-// — never on ingest order or on how ids happened to fall across shards. The
+// — never on ingest order or on the ids the names happened to get. The
 // streaming forms (QueryIDFunc, ForEachSubject, the batched hooks of scan.go)
 // trade that order for zero allocation and enumerate in an unspecified one,
-// which is still a function of the contents alone: shards in index order,
-// leads ascending by id within a shard, pairs by middle id within a lead and
-// members ascending within a set. Those ascents are facts of the layout the
-// cursors resume by, not a sort order callers may rely on.
+// which is still a function of the contents alone: leads ascending by id,
+// pairs by middle id within a lead and members ascending within a set. Those
+// ascents are facts of the layout the cursors resume by, not a sort order
+// callers may rely on.
 //
 // Reads: a pattern is enumerated in two places and counted in one. The
 // callback walk behind QueryIDBatch (QueryIDFunc is a batch of one) and the
@@ -40,20 +37,22 @@
 // package repro/internal/query, which evaluates basic graph patterns over
 // the id-level hooks in ids.go and scan.go.
 //
-// Consistency: all methods are safe for concurrent use. Single-triple writes
-// (Add, Remove) lock both affected shards together, so a triple is never
-// half-visible across indexes once Add or Remove has returned, and never
-// observable in one permutation but not the other. AddBatch applies the batch
-// index family by index family for speed; while it is in flight a concurrent
-// reader may see a batched triple through one access path before another, and
-// concurrently Removing a triple that an in-flight batch is inserting is
-// unspecified. Once AddBatch returns, its triples are fully visible
-// everywhere.
+// Consistency: all methods are safe for concurrent use. Each store has one
+// RWMutex over both indexes. A write holds it for one triple (Add, Remove) or
+// one whole batch (AddBatch, Tx.RemoveIDs, LoadSorted), so a batch is atomic
+// to readers: a reader sees all of it or none of it, and a triple is never
+// observable in one permutation but not the other. A read holds it for one
+// probe batch (QueryIDBatch) or one cursor refill (ScanPart.NextBatch), so a
+// cursor that spans refills may see a batch written between two of them —
+// see ScanPart for what it guarantees then. The materializing reads (Query,
+// Triples, the snapshots) drain a cursor, so none holds the lock for longer
+// than a refill; a callback walk of an unbound pattern holds it throughout.
 package store
 
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 )
 
@@ -116,8 +115,11 @@ func (p Pattern) Matches(t Triple) bool {
 type Store struct {
 	syms *symtab
 	size atomic.Int64
-	spo  indexFamily // sharded by subject
-	pos  indexFamily // sharded by predicate
+	// mu guards both indexes: readers hold it for one probe batch or one
+	// cursor refill, write handles for one triple or one batch.
+	mu  sync.RWMutex
+	spo index // subjects leading
+	pos index // predicates leading
 	// journal, when non-nil, receives this store's triple mutations and
 	// gates their acknowledgment on durability; see SetJournal. Overlays
 	// never inherit it. Held as an atomic pointer so a detach at engine
@@ -190,50 +192,37 @@ func (s *Store) Len() int {
 	return int(s.size.Load())
 }
 
-// NumShards returns the shard count of each permutation index family — the
-// range of valid ShardTripleCount arguments.
-func (s *Store) NumShards() int { return numShards }
-
-// ShardTripleCount returns the number of triples whose subject hashes to
-// SPO shard i — the observability layer's view of write-skew across shards
-// (a hot subject shows up as one shard far above the mean). O(1): it reads
-// the count the shard keeps beside its index.
-func (s *Store) ShardTripleCount(i int) int {
-	if i < 0 || i >= numShards {
-		return 0
-	}
-	sh := &s.spo[i]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.n
-}
-
 // Contains reports whether the triple is present.
 func (s *Store) Contains(t Triple) bool {
 	e, ok := s.syms.lookupTriple(t)
 	if !ok {
 		return false
 	}
-	sh := s.spo.shard(e.S)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.containsLocked(e.S, e.P, e.O)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.spo.contains(e.S, e.P, e.O)
 }
 
-// idQuerier is the callback enumeration Query and Triples materialize from,
-// on a Store and on a View alike.
-type idQuerier interface {
-	QueryIDFunc(p IDPattern, yield func(IDTriple) bool)
-}
+// drainBatch is how many triples sortedMatches moves per cursor refill.
+const drainBatch = 1024
 
-// sortedMatches appends q's matches of ip to out, resolved through syms, and
-// sorts the result into the canonical (subject, predicate, object) order.
-func sortedMatches(q idQuerier, syms *symtab, ip IDPattern, out []Triple) []Triple {
+// sortedMatches appends the matches of parts to out, resolved through syms,
+// and sorts the result into the canonical (subject, predicate, object) order.
+// It drains each cursor one refill at a time and releases it, so a walk over
+// the whole store holds a store's lock for no longer than one refill.
+func sortedMatches(parts []*ScanPart, syms *symtab, out []Triple) []Triple {
 	res := newResolver(syms)
-	q.QueryIDFunc(ip, func(t IDTriple) bool {
-		out = append(out, Triple{res.name(t.S), res.name(t.P), res.name(t.O)})
-		return true
-	})
+	var buf [drainBatch]IDTriple
+	for _, pt := range parts {
+		for done := false; !done; {
+			var n int
+			n, done = pt.NextBatch(buf[:])
+			for _, t := range buf[:n] {
+				out = append(out, Triple{res.name(t.S), res.name(t.P), res.name(t.O)})
+			}
+		}
+		pt.Release()
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
 	return out
 }
@@ -241,8 +230,7 @@ func sortedMatches(q idQuerier, syms *symtab, ip IDPattern, out []Triple) []Trip
 // Query returns all triples matching the pattern, sorted lexicographically by
 // subject, then predicate, then object. That ordering is a contract: two
 // stores holding the same triples return identical slices for the same
-// pattern, whatever order the triples were ingested in and however they fell
-// across shards. The most selective permutation index available for the
+// pattern, whatever order the triples were ingested in. The most selective permutation index available for the
 // pattern's bound components is used, so fully or partially bound queries
 // never scan the whole store. Use QueryIDFunc to stream matches without
 // materializing, resolving and sorting the result.
@@ -251,15 +239,15 @@ func (s *Store) Query(p Pattern) []Triple {
 	if !ok {
 		return nil
 	}
-	return sortedMatches(s, s.syms, ip, nil)
+	return sortedMatches(s.ScanParts(ip), s.syms, nil)
 }
 
 // Triples returns every triple in the store, sorted lexicographically by
 // subject, then predicate, then object — the store's canonical export order.
 // Like Query, the result depends only on the store's contents, never on
-// ingest order or shard layout; Snapshot is defined in terms of it.
+// ingest order or id assignment; Snapshot is defined in terms of it.
 func (s *Store) Triples() []Triple {
-	return sortedMatches(s, s.syms, IDPattern{}, make([]Triple, 0, s.Len()))
+	return sortedMatches(s.ScanParts(IDPattern{}), s.syms, make([]Triple, 0, s.Len()))
 }
 
 // Count returns the number of triples matching the pattern. It runs entirely
@@ -291,10 +279,9 @@ func (s *Store) ForEachSubject(predicate, object string, yield func(string) bool
 		return
 	}
 	res := newResolver(s.syms)
-	sh := s.pos.shard(pid)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	e := sh.find(pid)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	e := s.pos.find(pid)
 	if e == nil {
 		return
 	}

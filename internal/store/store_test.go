@@ -245,7 +245,7 @@ func TestIndexAgreement(t *testing.T) {
 
 // TestDeterministicOrderingContract checks the ordering contract of every
 // materializing read: the same triples ingested in different orders (and
-// therefore interned to different ids, falling differently across shards)
+// therefore interned to different ids, filed differently in the indexes)
 // must produce identical, sorted Query and Triples results.
 func TestDeterministicOrderingContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))

@@ -79,36 +79,33 @@ func (tx *Tx) AddID(t IDTriple) (bool, error) {
 	return tx.insert(t), nil
 }
 
-// insert files one encoded triple under both shard locks.
+// insert files one encoded triple in both indexes under the write lock.
 func (tx *Tx) insert(t IDTriple) bool {
-	l := tx.s.lockTriple(t)
-	added := l.spo.insertLocked(t.S, t.P, t.O)
+	s := tx.s
+	s.mu.Lock()
+	added := s.spo.insert(t.S, t.P, t.O)
 	if added {
-		l.pos.insertLocked(t.P, t.O, t.S)
+		s.pos.insert(t.P, t.O, t.S)
+		s.size.Add(1)
 	}
-	l.unlock()
-	if added {
-		tx.s.size.Add(1)
-		if tx.j != nil {
-			tx.adds = append(tx.adds, t)
-		}
+	s.mu.Unlock()
+	if added && tx.j != nil {
+		tx.adds = append(tx.adds, t)
 	}
 	return added
 }
 
 // AddBatch inserts a batch of triples and returns the ones that were newly
-// inserted, dictionary-encoded, in the batch's order whatever shards they
-// fall in (a duplicate, within the batch or against the store, is dropped:
+// inserted, dictionary-encoded, in the batch's order (a duplicate, within the batch or against the store, is dropped:
 // a triple appears at most once, at its first occurrence). The result is the
 // caller's to keep. Validation is all-or-nothing: the batch is checked up
 // front and if any triple has an empty component an error identifying its
 // position is returned and nothing at all is inserted.
 //
 // The fast path over per-triple Add: all strings of the batch are interned
-// under one symbol-table lock, and each index shard is then locked at most
-// once per family pass instead of once per triple. See the package
-// documentation for what concurrent readers may observe while a batch is in
-// flight.
+// under one symbol-table lock, and the batch is then filed under one write
+// lock instead of one per triple. A batch is atomic to readers: they see all
+// of it or none of it.
 func (tx *Tx) AddBatch(ts []Triple) ([]IDTriple, error) {
 	for i, t := range ts {
 		if !t.valid() {
@@ -121,59 +118,22 @@ func (tx *Tx) AddBatch(ts []Triple) ([]IDTriple, error) {
 	return tx.insertBatch(tx.s.syms.internBatch(ts, make([]IDTriple, 0, len(ts)))), nil
 }
 
-// insertBatch files an encoded batch in both index families and returns the
-// triples that were actually absent: the batch's fresh subset in the batch's
-// order, reusing enc's storage, which it takes over.
+// insertBatch files an encoded batch in both indexes under one write lock and
+// returns the triples that were actually absent: the batch's fresh subset in
+// the batch's order, reusing enc's storage, which it takes over. SPO is the
+// arbiter of newness: a duplicate within the batch comes after its first
+// occurrence, so the first is the one kept.
 func (tx *Tx) insertBatch(enc []IDTriple) []IDTriple {
-	// Pass 1 — SPO, the arbiter of newness: group the batch's positions by
-	// subject shard, lock each shard once, and mark the triples that were
-	// actually absent. A duplicate within the batch shares its first
-	// occurrence's shard and comes after it there, so the first is the one
-	// marked.
-	var byShard [numShards][]int32
-	for k, e := range enc {
-		sh := shardOf(e.S)
-		byShard[sh] = append(byShard[sh], int32(k))
-	}
-	isFresh := make([]bool, len(enc))
-	for i := range byShard {
-		if len(byShard[i]) == 0 {
-			continue
-		}
-		sh := &tx.s.spo[i]
-		sh.mu.Lock()
-		for _, k := range byShard[i] {
-			isFresh[k] = sh.insertLocked(enc[k].S, enc[k].P, enc[k].O)
-		}
-		sh.mu.Unlock()
-		byShard[i] = byShard[i][:0]
-	}
-	fresh := enc[:0]
-	for k, e := range enc {
-		if isFresh[k] {
+	s, fresh := tx.s, enc[:0]
+	s.mu.Lock()
+	for _, e := range enc {
+		if s.spo.insert(e.S, e.P, e.O) {
+			s.pos.insert(e.P, e.O, e.S)
 			fresh = append(fresh, e)
 		}
 	}
-
-	// Pass 2 — POS for the fresh triples only, again one lock per touched
-	// shard.
-	for k, e := range fresh {
-		sh := shardOf(e.P)
-		byShard[sh] = append(byShard[sh], int32(k))
-	}
-	for i := range byShard {
-		if len(byShard[i]) == 0 {
-			continue
-		}
-		sh := &tx.s.pos[i]
-		sh.mu.Lock()
-		for _, k := range byShard[i] {
-			sh.insertLocked(fresh[k].P, fresh[k].O, fresh[k].S)
-		}
-		sh.mu.Unlock()
-	}
-
-	tx.s.size.Add(int64(len(fresh)))
+	s.size.Add(int64(len(fresh)))
+	s.mu.Unlock()
 	if tx.j != nil {
 		tx.adds = append(tx.adds, fresh...)
 	}
@@ -186,22 +146,21 @@ func (tx *Tx) Remove(t Triple) bool {
 	return ok && tx.RemoveID(e)
 }
 
-// RemoveID deletes a dictionary-encoded triple under both shard locks,
-// reporting whether it was present. Ids the dictionary never minted simply
+// RemoveID deletes a dictionary-encoded triple from both indexes under the
+// write lock, reporting whether it was present. Ids the dictionary never minted simply
 // match nothing. It is the id-level twin of Remove, used by the overdeletion
 // pass of incremental maintenance.
 func (tx *Tx) RemoveID(t IDTriple) bool {
-	l := tx.s.lockTriple(t)
-	removed := l.spo.removeLocked(t.S, t.P, t.O)
+	s := tx.s
+	s.mu.Lock()
+	removed := s.spo.remove(t.S, t.P, t.O)
 	if removed {
-		l.pos.removeLocked(t.P, t.O, t.S)
+		s.pos.remove(t.P, t.O, t.S)
+		s.size.Add(-1)
 	}
-	l.unlock()
-	if removed {
-		tx.s.size.Add(-1)
-		if tx.j != nil {
-			tx.removes = append(tx.removes, t)
-		}
+	s.mu.Unlock()
+	if removed && tx.j != nil {
+		tx.removes = append(tx.removes, t)
 	}
 	return removed
 }
@@ -214,12 +173,12 @@ const removeIDsMin = 64
 
 // RemoveIDs deletes a batch of dictionary-encoded triples and reports how
 // many were present: RemoveID over the batch, so a duplicate counts once and
-// an absent triple not at all. A large batch is sorted per index family and
-// every trailing set it touches is compacted in one pass, so retracting k of
-// a set's n members moves O(n) bytes, not the O(k·n) of k RemoveID calls
-// (which made one write that empties a large class quadratic in its size).
-// As with AddBatch, a concurrent reader may see a triple gone from one family
-// and not yet from the other.
+// an absent triple not at all. A large batch is sorted per index and every
+// trailing set it touches is compacted in one pass, so retracting k of a
+// set's n members moves O(n) bytes, not the O(k·n) of k RemoveID calls (which
+// made one write that empties a large class quadratic in its size). The keys
+// are sorted before the write lock is taken, and the batch leaves both
+// indexes under it: like AddBatch, it is atomic to readers.
 func (tx *Tx) RemoveIDs(ts []IDTriple) int {
 	if len(ts) < removeIDsMin {
 		n := 0
@@ -231,22 +190,26 @@ func (tx *Tx) RemoveIDs(ts []IDTriple) int {
 		return n
 	}
 	byKey := func(a, b [3]uint32) int { return slices.Compare(a[:], b[:]) }
-	keys := make([][3]uint32, len(ts))
+	keys, pos := make([][3]uint32, len(ts)), make([][3]uint32, len(ts))
 	for i, t := range ts {
-		keys[i] = [3]uint32{t.S, t.P, t.O}
+		keys[i], pos[i] = [3]uint32{t.S, t.P, t.O}, [3]uint32{t.P, t.O, t.S}
 	}
 	slices.SortFunc(keys, byKey)
-	gone := tx.s.spo.removeAll(keys)
-	pos := keys[:len(gone)]
-	for i, k := range gone {
-		pos[i] = [3]uint32{k[1], k[2], k[0]}
-		if tx.j != nil {
+	slices.SortFunc(pos, byKey)
+	// The indexes hold the same triples, so the keys absent from SPO are
+	// absent from POS too and removing every key from POS removes exactly
+	// what SPO reports gone.
+	s := tx.s
+	s.mu.Lock()
+	gone := s.spo.removeAll(keys)
+	s.pos.removeAll(pos)
+	s.size.Add(-int64(len(gone)))
+	s.mu.Unlock()
+	if tx.j != nil {
+		for _, k := range gone {
 			tx.removes = append(tx.removes, IDTriple{S: k[0], P: k[1], O: k[2]})
 		}
 	}
-	slices.SortFunc(pos, byKey)
-	tx.s.pos.removeAll(pos)
-	tx.s.size.Add(-int64(len(gone)))
 	return len(gone)
 }
 

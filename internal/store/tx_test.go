@@ -201,7 +201,7 @@ func TestTxRemoveIDsJournalsWhatWasPresent(t *testing.T) {
 // of a triple whose index levels exist cost no allocation.
 func TestTxSingleTripleWritesDoNotAllocate(t *testing.T) {
 	s := New()
-	// Neighbours in both families, so removing the triple empties no index
+	// Neighbours in both indexes, so removing the triple empties no index
 	// level (re-creating one would allocate, handle or no handle).
 	for _, nb := range []Triple{{"a", "p", "b"}, {"a", "p", "c"}, {"z", "p", "c"}} {
 		s.MustAdd(nb)

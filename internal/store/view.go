@@ -74,10 +74,9 @@ func (s *Store) Intern(name string) (SymbolID, error) {
 // ContainsID reports whether the id triple is present. It is the id-level
 // twin of Contains: three ids that were never interned simply match nothing.
 func (s *Store) ContainsID(t IDTriple) bool {
-	sh := s.spo.shard(t.S)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.containsLocked(t.S, t.P, t.O)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.spo.contains(t.S, t.P, t.O)
 }
 
 // validID reports whether every component id has actually been minted by the
@@ -103,8 +102,8 @@ func (s *Store) validID(t IDTriple) bool {
 // may double-count it; quiescent views are exact.
 //
 // A View holds no locks of its own: each probe reads the two stores under
-// their own shard read-locks, so, like Store's iterators, a result set is
-// only guaranteed consistent against quiescent members.
+// their own read-locks, one after the other, so, like Store's iterators, a
+// result set is only guaranteed consistent against quiescent members.
 type View struct {
 	base    *Store
 	overlay *Store
@@ -197,13 +196,13 @@ func (v *View) Query(p Pattern) []Triple {
 	if !ok {
 		return nil
 	}
-	return sortedMatches(v, v.base.syms, ip, nil)
+	return sortedMatches(v.ScanParts(ip), v.base.syms, nil)
 }
 
 // Triples returns every triple visible through the view in the store's
 // canonical sorted export order.
 func (v *View) Triples() []Triple {
-	return sortedMatches(v, v.base.syms, IDPattern{}, make([]Triple, 0, v.base.Len()+v.overlay.Len()))
+	return sortedMatches(v.ScanParts(IDPattern{}), v.base.syms, make([]Triple, 0, v.Len()))
 }
 
 // TaggedTriple is one triple of a materialized view together with its

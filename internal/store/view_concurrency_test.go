@@ -106,7 +106,7 @@ func TestViewSnapshotUnderConcurrentEngineWrites(t *testing.T) {
 // TestReadsDuringLoadSortedAndClear reads the base and the view while the
 // overlay behind the view is bulk-loaded and cleared again — triple by triple
 // through a write handle, the only way back to empty — over and over. Under
-// -race it probes the shard-at-a-time publication of LoadSorted against
+// -race it probes the all-at-once publication of LoadSorted against
 // readers and the handle's removals; the assertions are the weak documented
 // ones: the base always answers in full, and the view never yields a triple
 // that is in neither member's final contents.

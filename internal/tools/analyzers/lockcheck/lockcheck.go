@@ -1,4 +1,4 @@
-// Package lockcheck verifies the repository's shard-mutex discipline
+// Package lockcheck verifies the repository's mutex discipline
 // (DESIGN.md "Enforced invariants"): every sync.Mutex/RWMutex acquisition is
 // released on every path out of the function, no second mutex is acquired
 // while one is held, and no exported method of the package is called while a
@@ -9,8 +9,8 @@
 // abstract state is the multiset of held locks plus the deferred releases,
 // branches fork it, and at every return (and across every loop iteration)
 // the state must balance. Releasing a lock the function did not acquire is
-// deliberately not a finding — that is the repository's split
-// acquire/release helper pattern (store.tripleLocker) — and intentional
+// deliberately not a finding — that is the split acquire/release helper
+// pattern, a helper releasing what its caller acquired — and intentional
 // violations carry an //ontolint:ignore lockcheck comment with a reason.
 package lockcheck
 
@@ -155,9 +155,8 @@ func (c *checker) acquire(s *lockState, call *ast.CallExpr, key string, write bo
 }
 
 // release drops the most recent matching acquisition. A release with no
-// matching acquisition is not a finding: the repository's split
-// acquire/release helpers (store.tripleLocker.unlock) release locks their
-// caller acquired.
+// matching acquisition is not a finding: a split acquire/release helper
+// releases locks its caller acquired.
 func release(s *lockState, key string, write bool) {
 	for i := len(s.held) - 1; i >= 0; i-- {
 		if s.held[i].key == key && s.held[i].write == write {
