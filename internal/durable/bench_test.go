@@ -197,7 +197,8 @@ func BenchmarkRecover1e6(b *testing.B) { benchmarkRecover(b, 1_000_000) }
 // 1e5-triple base already folded into a segment, each iteration journals a
 // 1000-triple burst and checkpoints it. The reported segment bytes per op
 // are the size of the delta, not the corpus — the old full-dump design paid
-// the whole corpus here every time.
+// the whole corpus here every time — and B/op is what folding and publishing
+// that delta allocates.
 func BenchmarkCheckpointDelta(b *testing.B) {
 	const base, burst = 100_000, 1000
 	dir := b.TempDir()
@@ -217,6 +218,7 @@ func BenchmarkCheckpointDelta(b *testing.B) {
 		b.Fatal(err)
 	}
 	segBefore := eng.Stats().CheckpointBytes
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -238,4 +240,48 @@ func BenchmarkCheckpointDelta(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(eng.Stats().CheckpointBytes-segBefore)/float64(b.N), "segbytes/op")
+}
+
+// BenchmarkMergeRun measures one merge of the chain BenchmarkCheckpointDelta
+// builds: a 1e5-triple base segment and a 1000-triple delta. Each iteration
+// loads and folds the two files and publishes the merged segment, as
+// Engine.mergeRun does, over a real directory; the inputs stay, so every
+// iteration merges the same pair. B/op is what the merge allocates.
+func BenchmarkMergeRun(b *testing.B) {
+	const base, burst = 100_000, 1000
+	dir := b.TempDir()
+	st := store.New()
+	eng, err := Open(st, Options{Dir: dir, Fsync: FsyncOff, CheckpointBytes: -1, mergeRatio: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	corpus := benchCorpus(base + burst)
+	for _, part := range [][]store.Triple{corpus[:base], corpus[base:]} {
+		if _, err := st.AddBatch(part); err != nil {
+			b.Fatal(err)
+		}
+		if err := eng.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	chain := eng.Stats().Tiers
+	if err := eng.Close(); err != nil {
+		b.Fatal(err)
+	}
+	d := osDisk{dir}
+	metas := make([]segMeta, len(chain))
+	for i, tier := range chain {
+		metas[i] = segMeta{start: tier.Start, end: tier.End}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		merged, err := foldChain(d, metas, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := writeSegment(d, merged, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -474,7 +474,7 @@ func (e *Engine) Checkpoint() error {
 	e.mu.Lock() //ontolint:ignore lockcheck fixed one-way order: ckptMu is always taken before mu and mu critical sections never take ckptMu, so the nesting cannot deadlock
 	if published {
 		e.tiers = append(e.tiers, metaOf(seg, size))
-		e.dictCovered += store.SymbolID(len(seg.dict))
+		e.dictCovered += store.SymbolID(seg.dict.n)
 		e.checkpoints++
 		e.ckptBytes += size
 		_, needMerge = e.pickMergeLocked()

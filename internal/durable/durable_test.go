@@ -388,11 +388,12 @@ func TestWALChunksOversizedMutations(t *testing.T) {
 		// Only the second mutation removes: from its first removal on, no
 		// chunk may carry an add, or replay would re-assert a retracted
 		// triple.
-		if removesSeen && len(r.adds) > 0 {
+		adds, removes := r.sides()
+		if removesSeen && len(adds) > 0 {
 			t.Fatalf("record %d adds after an earlier chunk of the mutation removed", r.seq)
 		}
-		removesSeen = removesSeen || len(r.removes) > 0
-		if len(r.adds) > 0 && len(r.removes) > 0 {
+		removesSeen = removesSeen || len(removes) > 0
+		if len(adds) > 0 && len(removes) > 0 {
 			straddling++
 		}
 	}
@@ -472,7 +473,7 @@ func TestLoadSegmentRejectsOverflowedTripleCount(t *testing.T) {
 		start:     1,
 		end:       7,
 		dictFirst: 0,
-		dict:      []string{"s", "p", "o"},
+		dict:      namesOf("s", "p", "o"),
 		adds:      []store.IDTriple{{S: 0, P: 1, O: 2}, {S: 2, P: 1, O: 0}},
 	}
 	if _, err := writeSegment(d, seg, nil); err != nil {
@@ -765,7 +766,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 		start:     8,
 		end:       42,
 		dictFirst: 2,
-		dict:      []string{"s0", "p0", "o0", "o1"},
+		dict:      namesOf("s0", "p0", "o0", "o1"),
 		adds:      []store.IDTriple{{S: 2, P: 3, O: 4}, {S: 2, P: 3, O: 5}},
 		removes:   []store.IDTriple{{S: 0, P: 1, O: 2}},
 	}
@@ -785,8 +786,8 @@ func TestSegmentRoundTrip(t *testing.T) {
 	if got.size != size {
 		t.Fatalf("loaded size %d, written size %d", got.size, size)
 	}
-	if len(got.dict) != 4 || got.dict[3] != "o1" {
-		t.Fatalf("dict = %v", got.dict)
+	if names := got.dict.strings(); len(names) != 4 || names[3] != "o1" {
+		t.Fatalf("dict = %v", names)
 	}
 	if len(got.adds) != 2 || got.adds[1] != (store.IDTriple{S: 2, P: 3, O: 5}) {
 		t.Fatalf("adds = %v", got.adds)

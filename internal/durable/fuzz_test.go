@@ -30,20 +30,23 @@ func FuzzDecodeRecord(f *testing.F) {
 		// them re-encode and re-decode: the RECORD must survive unchanged.
 		switch r.typ {
 		case recMutation:
-			if again := encodeMutation(nil, r.seq, r.adds, r.removes); string(again) != string(payload) {
+			adds, removes := r.sides()
+			if again := encodeMutation(nil, r.seq, adds, removes); string(again) != string(payload) {
 				t.Fatalf("mutation record round trip changed the payload: %x -> %x", payload, again)
 			}
 		case recDict:
-			r2, err := decodeRecord(encodeDict(nil, r.seq, r.first, r.names))
+			names := r.names.strings()
+			r2, err := decodeRecord(encodeDict(nil, r.seq, r.first, names))
 			if err != nil {
 				t.Fatalf("re-encoded dict record does not decode: %v", err)
 			}
-			if r2.first != r.first || len(r2.names) != len(r.names) {
+			names2 := r2.names.strings()
+			if r2.first != r.first || len(names2) != len(names) {
 				t.Fatalf("dict record round trip changed: %+v -> %+v", r, r2)
 			}
-			for i := range r.names {
-				if r2.names[i] != r.names[i] {
-					t.Fatalf("dict record round trip changed name %d: %q -> %q", i, r.names[i], r2.names[i])
+			for i := range names {
+				if names2[i] != names[i] {
+					t.Fatalf("dict record round trip changed name %d: %q -> %q", i, names[i], names2[i])
 				}
 			}
 		}
@@ -57,12 +60,12 @@ func fuzzChainSegments() []segmentData {
 	return []segmentData{
 		{
 			start: 1, end: 2, dictFirst: 0,
-			dict: []string{"s", "p", "o"},
+			dict: namesOf("s", "p", "o"),
 			adds: []store.IDTriple{{S: 0, P: 1, O: 2}},
 		},
 		{
 			start: 3, end: 4, dictFirst: 3,
-			dict:    []string{"q"},
+			dict:    namesOf("q"),
 			adds:    []store.IDTriple{{S: 0, P: 1, O: 3}},
 			removes: []store.IDTriple{{S: 0, P: 1, O: 2}},
 		},
@@ -161,7 +164,7 @@ func FuzzLoadSegment(f *testing.F) {
 		}
 		// An accepted segment must satisfy the invariants every consumer
 		// assumes: sorted runs within the dictionary bound.
-		bound := seg.dictFirst + store.SymbolID(len(seg.dict))
+		bound := seg.dictFirst + store.SymbolID(seg.dict.n)
 		for _, run := range [][]store.IDTriple{seg.adds, seg.removes} {
 			for i, tr := range run {
 				if tr.S >= bound || tr.P >= bound || tr.O >= bound {

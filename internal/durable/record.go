@@ -106,15 +106,88 @@ func nextFrame(data []byte, off int) (payload []byte, next int, ok bool) {
 	return payload, off + frameHeader + n, true
 }
 
-// record is one decoded WAL record.
+// record is one decoded WAL record. Its byte fields alias the payload it was
+// decoded from: a fold consumes a record where it lies, copying nothing.
 type record struct {
 	typ byte
 	seq uint64
 	// first and names carry a recDict body.
 	first store.SymbolID
-	names []string
-	// adds and removes carry a recMutation body.
-	adds, removes []store.IDTriple
+	names nameRun
+	// nAdds and triples carry a recMutation body: its checked (s, p, o)
+	// bytes, the adds' before the removes'.
+	nAdds   int
+	triples []byte
+}
+
+// numTriples is how many triples a recMutation record carries.
+func (r record) numTriples() int { return len(r.triples) / 12 }
+
+// triple decodes a recMutation record's i-th triple; i < r.nAdds is an add.
+func (r record) triple(i int) store.IDTriple { return decodeTriple(r.triples[12*i:]) }
+
+// decodeTriple reads one (s, p, o) triple from the first 12 bytes of b.
+func decodeTriple(b []byte) store.IDTriple {
+	return store.IDTriple{
+		S: binary.LittleEndian.Uint32(b),
+		P: binary.LittleEndian.Uint32(b[4:]),
+		O: binary.LittleEndian.Uint32(b[8:]),
+	}
+}
+
+// nameRun is a run of dictionary names in encoded form: n names, each a
+// uvarint length and its bytes — the region a recDict body and a segment's
+// dictionary share byte for byte. Checkpoints and merges move names only as
+// this region and never decode one; recovery alone turns the region it
+// composed into strings.
+type nameRun struct {
+	n   int
+	enc []byte
+}
+
+// scanNames finds where a region of count encoded names at the front of b
+// ends. It returns the region's length and how many whole names lie within
+// b; fewer than count means name number whole overruns b.
+func scanNames(b []byte, count int) (size, whole int) {
+	for whole < count {
+		n, w := binary.Uvarint(b[size:])
+		if w <= 0 || n > uint64(len(b)-size-w) {
+			break
+		}
+		size += w + int(n)
+		whole++
+	}
+	return size, whole
+}
+
+// concat returns the run of a's names followed by b's, allocating exactly
+// the combined region unless one side is empty.
+func (a nameRun) concat(b nameRun) nameRun {
+	switch {
+	case a.n == 0:
+		return b
+	case b.n == 0:
+		return a
+	}
+	enc := make([]byte, 0, len(a.enc)+len(b.enc))
+	return nameRun{n: a.n + b.n, enc: append(append(enc, a.enc...), b.enc...)}
+}
+
+// strings decodes a checked run into one string per name. Every name is
+// sliced from one string holding the whole region: converting per name would
+// allocate one heap object per name — for a million-name store a million
+// tiny objects the GC re-scans on every cycle for the life of the store; one
+// backing string is one object (the varint bytes ride along unreferenced, a
+// few bytes per name of slack).
+func (a nameRun) strings() []string {
+	blob := string(a.enc)
+	names := make([]string, 0, a.n)
+	for off := 0; off < len(blob); {
+		n, w := binary.Uvarint(a.enc[off:])
+		names = append(names, blob[off+w:off+w+int(n)])
+		off += w + int(n)
+	}
+	return names
 }
 
 // encodeDict appends a recDict payload to dst.
@@ -180,18 +253,14 @@ func decodeRecord(payload []byte) (record, error) {
 		if count > len(body) { // every name costs ≥1 length byte
 			return r, fmt.Errorf("durable: dict record claims %d names in %d bytes", count, len(body))
 		}
-		r.names = make([]string, 0, count)
-		for i := 0; i < count; i++ {
-			n, w := binary.Uvarint(body)
-			if w <= 0 || n > uint64(len(body)-w) {
-				return r, fmt.Errorf("durable: dict record name %d overruns the body", i)
-			}
-			r.names = append(r.names, string(body[w:w+int(n)]))
-			body = body[w+int(n):]
+		size, whole := scanNames(body, count)
+		if whole < count {
+			return r, fmt.Errorf("durable: dict record name %d overruns the body", whole)
 		}
-		if len(body) != 0 {
-			return r, fmt.Errorf("durable: dict record has %d trailing bytes", len(body))
+		if size != len(body) {
+			return r, fmt.Errorf("durable: dict record has %d trailing bytes", len(body)-size)
 		}
+		r.names = nameRun{n: count, enc: body}
 	case recMutation:
 		if len(body) < 8 {
 			return r, fmt.Errorf("durable: mutation record body of %d bytes is shorter than its two count headers", len(body))
@@ -202,15 +271,7 @@ func decodeRecord(payload []byte) (record, error) {
 		if uint64(len(body)) != 12*(nAdds+nRemoves) {
 			return r, fmt.Errorf("durable: mutation record claims %d adds and %d removes but carries %d bytes", nAdds, nRemoves, len(body))
 		}
-		triples := make([]store.IDTriple, nAdds+nRemoves)
-		for i := range triples {
-			triples[i] = store.IDTriple{
-				S: binary.LittleEndian.Uint32(body[12*i:]),
-				P: binary.LittleEndian.Uint32(body[12*i+4:]),
-				O: binary.LittleEndian.Uint32(body[12*i+8:]),
-			}
-		}
-		r.adds, r.removes = triples[:nAdds:nAdds], triples[nAdds:]
+		r.nAdds, r.triples = int(nAdds), body
 	default:
 		return r, fmt.Errorf("durable: unknown record type %d", r.typ)
 	}

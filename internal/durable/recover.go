@@ -174,7 +174,7 @@ func recoverDir(st *store.Store, d disk) (recovered, error) {
 		if err != nil {
 			return rec, err
 		}
-		rec.dictCovered = store.SymbolID(len(state.dict))
+		rec.dictCovered = store.SymbolID(state.dict.n)
 	}
 	tail, err := foldWAL(d, rec.wals, covered, rec.dictCovered, true)
 	if err == nil {
@@ -183,7 +183,7 @@ func recoverDir(st *store.Store, d disk) (recovered, error) {
 	if err != nil {
 		return rec, err
 	}
-	if err := st.RestoreSorted(state.dict, state.adds); err != nil {
+	if err := st.RestoreSorted(state.dict.strings(), state.adds); err != nil {
 		return rec, fmt.Errorf("durable: loading the data directory: %w", err)
 	}
 	rec.lastSeq = state.end

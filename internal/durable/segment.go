@@ -63,7 +63,7 @@ const (
 type segmentData struct {
 	start, end uint64 // WAL seq window [start, end], start ≥ 1
 	dictFirst  store.SymbolID
-	dict       []string
+	dict       nameRun          // the names of ids dictFirst..dictFirst+dict.n-1
 	adds       []store.IDTriple // sorted (S, P, O), strictly ascending
 	removes    []store.IDTriple // sorted tombstones; empty when start == 1
 	size       int64            // file size; set by decodeSegment, informative only
@@ -131,9 +131,11 @@ func writeSegment(d disk, seg segmentData, stop <-chan struct{}) (size int64, re
 		}
 	}()
 
-	bw := bufio.NewWriterSize(f, 1<<20)
+	bw := bufio.NewWriterSize(f, 64<<10)
 	cw := &crcWriter{w: bw}
-	var scratch [12]byte
+	// chunk stages the fixed-width fields and the triple runs, so a run
+	// reaches the checksum and the buffer in chunk-sized writes.
+	var chunk [64 * 12]byte
 	write := func(p []byte) error {
 		if retErr == nil {
 			if _, err := cw.Write(p); err != nil {
@@ -142,32 +144,27 @@ func writeSegment(d disk, seg segmentData, stop <-chan struct{}) (size int64, re
 		}
 		return retErr
 	}
-	_ = write([]byte(segMagic))
-	binary.LittleEndian.PutUint64(scratch[:8], seg.start)
-	_ = write(scratch[:8])
-	binary.LittleEndian.PutUint64(scratch[:8], seg.end)
-	_ = write(scratch[:8])
-	binary.LittleEndian.PutUint32(scratch[:4], seg.dictFirst)
-	_ = write(scratch[:4])
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(len(seg.dict)))
-	_ = write(scratch[:4])
-	var varint [binary.MaxVarintLen64]byte
-	for _, name := range seg.dict {
-		n := binary.PutUvarint(varint[:], uint64(len(name)))
-		_ = write(varint[:n])
-		_ = write([]byte(name))
-	}
+	b := append(chunk[:0], segMagic...)
+	b = binary.LittleEndian.AppendUint64(b, seg.start)
+	b = binary.LittleEndian.AppendUint64(b, seg.end)
+	b = binary.LittleEndian.AppendUint32(b, seg.dictFirst)
+	b = binary.LittleEndian.AppendUint32(b, uint32(seg.dict.n))
+	_ = write(b)
+	_ = write(seg.dict.enc)
 	writeRun := func(ts []store.IDTriple) {
-		binary.LittleEndian.PutUint64(scratch[:8], uint64(len(ts)))
-		_ = write(scratch[:8])
+		b := binary.LittleEndian.AppendUint64(chunk[:0], uint64(len(ts)))
 		for _, t := range ts {
-			binary.LittleEndian.PutUint32(scratch[0:], t.S)
-			binary.LittleEndian.PutUint32(scratch[4:], t.P)
-			binary.LittleEndian.PutUint32(scratch[8:], t.O)
-			if write(scratch[:12]) != nil {
-				return
+			if len(b) > len(chunk)-12 {
+				if write(b) != nil {
+					return
+				}
+				b = chunk[:0]
 			}
+			b = binary.LittleEndian.AppendUint32(b, t.S)
+			b = binary.LittleEndian.AppendUint32(b, t.P)
+			b = binary.LittleEndian.AppendUint32(b, t.O)
 		}
+		_ = write(b)
 	}
 	writeRun(seg.adds)
 	writeRun(seg.removes)
@@ -176,8 +173,7 @@ func writeSegment(d disk, seg segmentData, stop <-chan struct{}) (size int64, re
 	}
 	// Footer: CRC of everything above, then the trailer magic. Written to the
 	// buffered writer directly — the CRC must not hash itself.
-	binary.LittleEndian.PutUint32(scratch[:4], cw.crc)
-	if _, err := bw.Write(scratch[:4]); err != nil {
+	if _, err := bw.Write(binary.LittleEndian.AppendUint32(chunk[:0], cw.crc)); err != nil {
 		return 0, fmt.Errorf("durable: writing segment footer: %w", err)
 	}
 	if _, err := bw.WriteString(segTrailer); err != nil {
@@ -248,28 +244,13 @@ func decodeSegment(name string, data []byte) (segmentData, error) {
 	if dictCount > len(rest) { // every name costs ≥1 length byte
 		return seg, fmt.Errorf("durable: segment %s claims %d dictionary names in %d bytes", name, dictCount, len(rest))
 	}
-	// Walk the varint-framed names once to find where the dictionary ends,
-	// then convert that whole region to a single string and slice every name
-	// out of it. Converting per name would allocate one heap object per name
-	// — for a million-name segment that is a million tiny objects the GC
-	// re-scans on every cycle for the life of the store; one backing blob is
-	// one object (the varint bytes ride along unreferenced, a few bytes per
-	// name of slack).
-	dictEnd := 0
-	for i := 0; i < dictCount; i++ {
-		n, w := binary.Uvarint(rest[dictEnd:])
-		if w <= 0 || n > uint64(len(rest)-dictEnd-w) {
-			return seg, fmt.Errorf("durable: segment %s: dictionary name %d overruns the file", name, i)
-		}
-		dictEnd += w + int(n)
+	// The names stay encoded: a fold moves the region whole, and recovery
+	// decodes the region it composed (nameRun.strings).
+	dictEnd, whole := scanNames(rest, dictCount)
+	if whole < dictCount {
+		return seg, fmt.Errorf("durable: segment %s: dictionary name %d overruns the file", name, whole)
 	}
-	blob := string(rest[:dictEnd])
-	seg.dict = make([]string, 0, dictCount)
-	for off := 0; off < dictEnd; {
-		n, w := binary.Uvarint(rest[off:])
-		seg.dict = append(seg.dict, blob[off+w:off+w+int(n)])
-		off += w + int(n)
-	}
+	seg.dict = nameRun{n: dictCount, enc: rest[:dictEnd]}
 	rest = rest[dictEnd:]
 	idBound := seg.dictFirst + store.SymbolID(dictCount)
 	readRun := func(what string) ([]store.IDTriple, error) {
@@ -286,11 +267,7 @@ func decodeSegment(name string, data []byte) (segmentData, error) {
 		}
 		ts := make([]store.IDTriple, 0, count)
 		for i := uint64(0); i < count; i++ {
-			t := store.IDTriple{
-				S: binary.LittleEndian.Uint32(rest[12*i:]),
-				P: binary.LittleEndian.Uint32(rest[12*i+4:]),
-				O: binary.LittleEndian.Uint32(rest[12*i+8:]),
-			}
+			t := decodeTriple(rest[12*i:])
 			if t.S >= idBound || t.P >= idBound || t.O >= idBound {
 				return nil, fmt.Errorf("durable: segment %s: %s triple %d references id beyond the %d-id dictionary prefix", name, what, i, idBound)
 			}

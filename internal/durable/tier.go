@@ -52,7 +52,9 @@ func metaOf(seg segmentData, size int64) segMeta {
 // foldSegments composes two adjacent patches (older, then newer) into one
 // covering both windows. The composed adds are what survives both patches;
 // the composed tombstones are every removal either patch makes, minus what
-// the composition re-adds — so adds and removes stay disjoint. A fold that
+// the composition re-adds — so adds and removes stay disjoint. Each side is
+// built in one pass into one output (mergeRuns), and the dictionary windows'
+// encoded regions are concatenated, never decoded. A fold that
 // reaches the base of the chain (start == 1) drops its tombstones entirely:
 // the patch now applies to the empty state. A patch over an empty window
 // (end == start-1, no names, no triples) is the identity on either side, and
@@ -61,24 +63,67 @@ func foldSegments(older, newer segmentData) (segmentData, error) {
 	if newer.start != older.end+1 {
 		return segmentData{}, fmt.Errorf("durable: merging segments [%d, %d] and [%d, %d]: windows not adjacent", older.start, older.end, newer.start, newer.end)
 	}
-	if newer.dictFirst != older.dictFirst+store.SymbolID(len(older.dict)) {
+	if newer.dictFirst != older.dictFirst+store.SymbolID(older.dict.n) {
 		return segmentData{}, fmt.Errorf("durable: merging segments [%d, %d] and [%d, %d]: dictionary windows not contiguous (%d+%d names, then first id %d)",
-			older.start, older.end, newer.start, newer.end, older.dictFirst, len(older.dict), newer.dictFirst)
+			older.start, older.end, newer.start, newer.end, older.dictFirst, older.dict.n, newer.dictFirst)
 	}
 	out := segmentData{
 		start:     older.start,
 		end:       newer.end,
 		dictFirst: older.dictFirst,
-		dict:      newer.dict,
+		dict:      older.dict.concat(newer.dict),
+		adds:      mergeRuns(older.adds, newer.adds, newer.removes, nil),
 	}
-	if len(older.dict) > 0 {
-		out.dict = append(older.dict[:len(older.dict):len(older.dict)], newer.dict...)
-	}
-	out.adds = store.UnionSorted(store.SubtractSorted(older.adds, newer.removes), newer.adds)
 	if out.start > 1 {
-		out.removes = store.SubtractSorted(store.UnionSorted(older.removes, newer.removes), out.adds)
+		out.removes = mergeRuns(older.removes, newer.removes, nil, out.adds)
 	}
 	return out, nil
+}
+
+// mergeRuns returns (a − dropA) ∪ b, less every triple of drop, over
+// strictly ascending runs: one pass into one output the size of a and b. It
+// returns a or b as is when nothing else can change it.
+func mergeRuns(a, b, dropA, drop []store.IDTriple) []store.IDTriple {
+	switch {
+	case len(a) == 0 && len(drop) == 0:
+		return b
+	case len(b) == 0 && len(dropA) == 0 && len(drop) == 0:
+		return a
+	case len(a) == 0 && len(b) == 0:
+		return nil
+	}
+	out := make([]store.IDTriple, 0, len(a)+len(b))
+	var i, j, x, y int
+	for i < len(a) || j < len(b) {
+		var t store.IDTriple
+		onlyA := false
+		switch {
+		case j == len(b) || i < len(a) && a[i].Less(b[j]):
+			t, onlyA = a[i], true
+			i++
+		case i == len(a) || b[j].Less(a[i]):
+			t = b[j]
+			j++
+		default:
+			t = a[i]
+			i++
+			j++
+		}
+		if onlyA && inRun(dropA, &x, t) || inRun(drop, &y, t) {
+			continue
+		}
+		out = append(out, t)
+	}
+	return out
+}
+
+// inRun reports whether t is in the ascending run, advancing *k past the
+// run's triples below t: probed with ascending t, it walks the run once.
+func inRun(run []store.IDTriple, k *int, t store.IDTriple) bool {
+	for *k < len(run) && run[*k].Less(t) {
+		*k++
+	}
+	return *k < len(run) && run[*k] == t
 }
 
 // errStopped is foldChain's report that its stop channel closed mid-fold.
@@ -215,28 +260,50 @@ func walkWAL(name string, data []byte, skip, prev uint64, visit func(record) err
 // header, and cutting there would silently discard every record after it.
 func foldWAL(d disk, firsts []uint64, after uint64, dictNext store.SymbolID, tail bool) (segmentData, error) {
 	seg := segmentData{start: after + 1, end: after, dictFirst: dictNext}
-	type walEvent struct {
-		t   store.IDTriple
-		ord int // position in the log: records in seq order, a record's adds before its removes
-		add bool
+	datas := make([][]byte, len(firsts))
+	size := 0
+	for i, first := range firsts {
+		data, err := d.readFile(walFileName(first))
+		if err != nil {
+			return seg, fmt.Errorf("durable: reading log file: %w", err)
+		}
+		datas[i] = data
+		size += len(data)
 	}
-	var events []walEvent
+	// The files are read first so the events are sized once: every triple
+	// event costs 12 bytes of the window, so size/12 is room for them all.
+	events := make([]walEvent, 0, size/12)
+	var data []byte // the file being walked
+	kept := 0       // how much of data's front holds its dictionary regions
+	var regions [][]byte
 	visit := func(r record) error {
 		if r.typ == recDict {
-			if want := dictNext + store.SymbolID(len(seg.dict)); r.first != want {
+			if want := dictNext + store.SymbolID(seg.dict.n); r.first != want {
 				return fmt.Errorf("dictionary record starts at id %d, want %d", r.first, want)
 			}
-			seg.dict = append(seg.dict, r.names...)
+			// The walk is past these bytes and never reads them again: move
+			// the region down behind the file's earlier ones, so the file's
+			// buffer ends up carrying its whole dictionary window at its
+			// front.
+			kept += copy(data[kept:], r.names.enc)
+			seg.dict.n += r.names.n
 			return nil
 		}
-		minted := dictNext + store.SymbolID(len(seg.dict))
-		for side, ts := range [2][]store.IDTriple{r.adds, r.removes} {
-			for _, t := range ts {
-				if t.S >= minted || t.P >= minted || t.O >= minted {
-					return fmt.Errorf("triple %v names an id beyond the %d the dictionary had minted", t, minted)
-				}
-				events = append(events, walEvent{t: t, ord: len(events), add: side == 0})
+		minted := dictNext + store.SymbolID(seg.dict.n)
+		n := r.numTriples()
+		if err := checkFoldEvents(len(events) + n); err != nil {
+			return err
+		}
+		for i := 0; i < n; i++ {
+			t := r.triple(i)
+			if t.S >= minted || t.P >= minted || t.O >= minted {
+				return fmt.Errorf("triple %v names an id beyond the %d the dictionary had minted", t, minted)
 			}
+			ev := walEvent{t: t, key: uint32(len(events)) << 1}
+			if i < r.nAdds {
+				ev.key |= 1
+			}
+			events = append(events, ev)
 		}
 		return nil
 	}
@@ -245,13 +312,14 @@ func foldWAL(d disk, firsts []uint64, after uint64, dictNext store.SymbolID, tai
 		if first > after && first != seg.end+1 {
 			return seg, fmt.Errorf("durable: log file %s does not follow record %d; the log has a gap", name, seg.end)
 		}
-		data, err := d.readFile(name)
-		if err != nil {
-			return seg, fmt.Errorf("durable: reading log file: %w", err)
-		}
+		data, kept = datas[i], 0
 		var off int
+		var err error
 		if seg.end, off, err = walkWAL(name, data, after, seg.end, visit); err != nil {
 			return seg, err
+		}
+		if kept > 0 {
+			regions = append(regions, data[:kept])
 		}
 		if off == len(data) {
 			continue
@@ -268,29 +336,60 @@ func foldWAL(d disk, firsts []uint64, after uint64, dictNext store.SymbolID, tai
 			return seg, fmt.Errorf("durable: truncating torn log tail: %w", err)
 		}
 	}
+	if len(regions) == 1 {
+		seg.dict.enc = regions[0]
+	} else {
+		seg.dict.enc = slices.Concat(regions...)
+	}
 	// Last event per triple wins. Sorting by (triple, log position) groups
 	// each triple's history together in log order AND leaves the surviving
 	// triples in (S, P, O) order — the segment runs fall out sorted for free.
 	slices.SortFunc(events, func(a, b walEvent) int {
-		switch {
-		case a.t == b.t:
-			return cmp.Compare(a.ord, b.ord)
-		case a.t.Less(b.t):
-			return -1
-		}
-		return 1
+		return cmp.Or(cmp.Compare(a.t.S, b.t.S), cmp.Compare(a.t.P, b.t.P), cmp.Compare(a.t.O, b.t.O), cmp.Compare(a.key, b.key))
 	})
-	for i := 0; i < len(events); {
-		j := i
-		for j < len(events) && events[j].t == events[i].t {
-			j++
+	// Keep each triple's last event, in place, counting the adds among them;
+	// then fill both runs at their exact sizes.
+	last, adds := events[:0], 0
+	for i, ev := range events {
+		if i+1 < len(events) && events[i+1].t == ev.t {
+			continue
 		}
-		if events[j-1].add {
-			seg.adds = append(seg.adds, events[i].t)
-		} else if seg.start > 1 { // a patch against the empty state removes nothing
-			seg.removes = append(seg.removes, events[i].t)
+		last = append(last, ev)
+		adds += int(ev.key & 1)
+	}
+	seg.adds = make([]store.IDTriple, 0, adds)
+	if seg.start > 1 { // a patch against the empty state removes nothing
+		seg.removes = make([]store.IDTriple, 0, len(last)-adds)
+	}
+	for _, ev := range last {
+		if ev.key&1 != 0 {
+			seg.adds = append(seg.adds, ev.t)
+		} else if seg.start > 1 {
+			seg.removes = append(seg.removes, ev.t)
 		}
-		i = j
 	}
 	return seg, nil
+}
+
+// walEvent is one triple event of a folded log window. key is the event's
+// position in the log — records in seq order, a record's adds before its
+// removes — shifted left by one, with the low bit set for an add: ordered by
+// (t, key), a triple's events run in log order and its last one wins.
+type walEvent struct {
+	t   store.IDTriple
+	key uint32
+}
+
+// maxFoldEvents is how many triple events one foldWAL can number: an event's
+// position shares its uint32 key with the add bit.
+const maxFoldEvents = 1 << 31
+
+// checkFoldEvents refuses a window of n triple events when the packed
+// position cannot number them all. Checkpoints bound a window by size, but
+// with automatic checkpoints off a recovery tail has no bound.
+func checkFoldEvents(n int) error {
+	if uint64(n) > maxFoldEvents {
+		return fmt.Errorf("the log window holds more than %d triple events, the most one fold can order; it cannot be folded", maxFoldEvents)
+	}
+	return nil
 }

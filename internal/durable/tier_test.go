@@ -190,12 +190,12 @@ func TestRecoveryPrefersMergedSegment(t *testing.T) {
 	d := newMemDisk()
 	older := segmentData{
 		start: 1, end: 5, dictFirst: 0,
-		dict: []string{"a", "b", "c"},
+		dict: namesOf("a", "b", "c"),
 		adds: []store.IDTriple{{S: 0, P: 1, O: 2}},
 	}
 	newer := segmentData{
 		start: 6, end: 10, dictFirst: 3,
-		dict:    []string{"d"},
+		dict:    namesOf("d"),
 		adds:    []store.IDTriple{{S: 0, P: 1, O: 3}},
 		removes: []store.IDTriple{{S: 0, P: 1, O: 2}},
 	}
@@ -236,7 +236,7 @@ func TestRecoveryPrefersMergedSegment(t *testing.T) {
 func TestDamagedChainIsAnError(t *testing.T) {
 	base := segmentData{
 		start: 1, end: 5, dictFirst: 0,
-		dict: []string{"a", "b", "c"},
+		dict: namesOf("a", "b", "c"),
 		adds: []store.IDTriple{{S: 0, P: 1, O: 2}},
 	}
 	for _, tc := range []struct {
@@ -244,8 +244,8 @@ func TestDamagedChainIsAnError(t *testing.T) {
 		next segmentData
 		want string
 	}{
-		{"gap", segmentData{start: 8, end: 10, dictFirst: 3, dict: []string{"d"}, adds: []store.IDTriple{{S: 0, P: 1, O: 3}}}, "missing"},
-		{"overlap", segmentData{start: 4, end: 10, dictFirst: 3, dict: []string{"d"}, adds: []store.IDTriple{{S: 0, P: 1, O: 3}}}, "overlap"},
+		{"gap", segmentData{start: 8, end: 10, dictFirst: 3, dict: namesOf("d"), adds: []store.IDTriple{{S: 0, P: 1, O: 3}}}, "missing"},
+		{"overlap", segmentData{start: 4, end: 10, dictFirst: 3, dict: namesOf("d"), adds: []store.IDTriple{{S: 0, P: 1, O: 3}}}, "overlap"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := newMemDisk()

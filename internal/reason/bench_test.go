@@ -174,7 +174,7 @@ func BenchmarkMaterializedVsExpandedQuery(b *testing.B) {
 // of the new class's ancestors derived — some twenty removals from, and
 // insertions into, the middle of (type, class) subject lists of up to 10⁵
 // members, which is where a layout of sorted runs pays its copy
-// (EXPERIMENTS.md "Sorted runs").
+// (PERFLOG.md "Sorted runs").
 func BenchmarkRetypeServing(b *testing.B) {
 	const classes, instances = 120, 102_000 // as servingCorpus
 	s := store.New()

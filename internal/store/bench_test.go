@@ -213,7 +213,7 @@ func BenchmarkOntologyExpansion(b *testing.B) {
 // matches spread over four of the predicates (eight objects like it are
 // probed in rotation). QueryIDFunc streams the matches, StatsID is what the
 // planner asks first. ns/op grows with the predicate count, not with the
-// store: EXPERIMENTS.md "Two index rotations" has the figures.
+// store: PERFLOG.md "Two index rotations" has the figures.
 func BenchmarkObjectOnlyPattern(b *testing.B) {
 	for _, preds := range []int{4, 64, 2048} {
 		for _, matches := range []int{20, 200} {
@@ -274,7 +274,7 @@ func BenchmarkObjectOnlyPattern(b *testing.B) {
 // into the middle copies the members above it. append adds subjects in
 // ascending id order, the order a store mints and meets them in; add-random
 // and remove-random take the same subjects in shuffled order, each AddID or
-// RemoveID filing or unfiling one triple in both indexes. EXPERIMENTS.md
+// RemoveID filing or unfiling one triple in both indexes. PERFLOG.md
 // "Sorted runs" has the figures beside the position map the runs replaced.
 func BenchmarkHubChurn(b *testing.B) {
 	for _, members := range []int{10_000, 100_000} {

@@ -266,7 +266,7 @@ func TestLonePredicateCostsOnePage(t *testing.T) {
 // instances, reported rather than judged: structural bytes and (lead, mid)
 // pairs per triple for each index — with the share of the bytes the runs add
 // and of the pairs that hold their member inline — and over both: the
-// per-index table of EXPERIMENTS.md "One member, inline", from
+// per-index table of PERFLOG.md "One member, inline", from
 //
 //	go test -run '^$' -bench IndexFootprint -benchtime 1x ./internal/store
 //
