@@ -1,9 +1,8 @@
 package query
 
 import (
-	"sort"
+	"bytes"
 	"strconv"
-	"strings"
 )
 
 // Canonical returns a canonical string key for the BGP, built for result
@@ -35,63 +34,86 @@ func Canonical(bgp BGP) string {
 // name their variables differently, and a replayed response must bind the
 // names the request used.
 func CanonicalWithVars(bgp BGP) (string, []string) {
-	masked := make([]struct {
-		key string
-		pat TriplePattern
-	}, len(bgp))
+	key, vars := AppendCanonical(nil, bgp, nil)
+	return string(key), vars
+}
+
+// AppendCanonical appends Canonical(bgp) to dst and the variable names of
+// CanonicalWithVars to vars, and returns both. Once dst and vars have room it
+// allocates nothing (up to 16 patterns): the masked and renamed forms are
+// written past the key's place in dst and the key is moved down over them,
+// the orders are index arrays sorted stably by bytes.Compare over each whole
+// form (comparing term by term would break the string order when a term
+// holds a byte below ' '), and a variable's new name is its position among
+// the names already found.
+func AppendCanonical(dst []byte, bgp BGP, vars []string) ([]byte, []string) {
+	var spare [2 * 16]form
+	forms := spare[:0]
+	if 2*len(bgp) > len(spare) {
+		forms = make([]form, 0, 2*len(bgp))
+	}
+	base, first := len(dst), len(vars)
 	for i, p := range bgp {
-		masked[i].key = maskedForm(p)
-		masked[i].pat = p
-	}
-	sort.SliceStable(masked, func(i, j int) bool { return masked[i].key < masked[j].key })
-
-	rename := make(map[string]string, 4)
-	var vars []string
-	renamed := make([]string, len(masked))
-	for i, m := range masked {
-		renamed[i] = renamedForm(m.pat, rename, &vars)
-	}
-	sort.Strings(renamed)
-	return strings.Join(renamed, " . "), vars
-}
-
-// maskedForm renders the pattern with every variable replaced by a bare "?",
-// the variable-name-independent skeleton the first sort orders on.
-func maskedForm(p TriplePattern) string {
-	var b strings.Builder
-	for i, t := range p.terms() {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		if t.IsVar {
-			b.WriteByte('?')
-		} else {
-			b.WriteString(t.Value)
-		}
-	}
-	return b.String()
-}
-
-// renamedForm renders the pattern with variables renamed through the shared
-// table, assigning ?v0, ?v1, … in order of first appearance and recording
-// each source name in vars at its assigned index.
-func renamedForm(p TriplePattern, rename map[string]string, vars *[]string) string {
-	var b strings.Builder
-	for i, t := range p.terms() {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		if t.IsVar {
-			name, ok := rename[t.Value]
-			if !ok {
-				name = "?v" + strconv.Itoa(len(rename))
-				rename[t.Value] = name
-				*vars = append(*vars, t.Value)
+		start := len(dst)
+		for k, t := range p.terms() {
+			if k > 0 {
+				dst = append(dst, ' ')
 			}
-			b.WriteString(name)
-		} else {
-			b.WriteString(t.Value)
+			if t.IsVar {
+				dst = append(dst, '?')
+			} else {
+				dst = append(dst, t.Value...)
+			}
+		}
+		forms = append(forms, form{i, start, len(dst)})
+	}
+	masked := forms[:len(bgp)]
+	sortForms(dst, masked)
+	for _, m := range masked {
+		start := len(dst)
+		for k, t := range bgp[m.pat].terms() {
+			if k > 0 {
+				dst = append(dst, ' ')
+			}
+			if !t.IsVar {
+				dst = append(dst, t.Value...)
+				continue
+			}
+			v := first
+			for v < len(vars) && vars[v] != t.Value {
+				v++
+			}
+			if v == len(vars) {
+				vars = append(vars, t.Value)
+			}
+			dst = append(dst, "?v"...)
+			dst = strconv.AppendInt(dst, int64(v-first), 10)
+		}
+		forms = append(forms, form{m.pat, start, len(dst)})
+	}
+	renamed := forms[len(bgp):]
+	sortForms(dst, renamed)
+	key := len(dst)
+	for i, r := range renamed {
+		if i > 0 {
+			dst = append(dst, " . "...)
+		}
+		dst = append(dst, dst[r.start:r.end]...)
+	}
+	n := copy(dst[base:], dst[key:])
+	return dst[:base+n], vars
+}
+
+// form is one pattern's rendering in AppendCanonical's buffer: bytes
+// [start, end) spell pattern pat.
+type form struct{ pat, start, end int }
+
+// sortForms is a stable insertion sort of forms by their bytes in buf: a BGP
+// has a handful of patterns, and the server caps them at 16.
+func sortForms(buf []byte, forms []form) {
+	for i := 1; i < len(forms); i++ {
+		for j := i; j > 0 && bytes.Compare(buf[forms[j].start:forms[j].end], buf[forms[j-1].start:forms[j-1].end]) < 0; j-- {
+			forms[j], forms[j-1] = forms[j-1], forms[j]
 		}
 	}
-	return b.String()
 }

@@ -97,12 +97,13 @@ func (c *resultCache) accepts(size int64) bool {
 	return c.maxBytes > 0 && size <= c.maxBytes
 }
 
-// get returns the cached entry for the key, or nil.
-func (c *resultCache) get(key string) *cacheEntry {
+// get returns the cached entry for the key, or nil. The lookup converts the
+// key without allocating.
+func (c *resultCache) get(key []byte) *cacheEntry {
 	var e *cacheEntry
 	if c.maxBytes > 0 {
 		c.mu.Lock()
-		e = c.entries[key]
+		e = c.entries[string(key)]
 		c.mu.Unlock()
 	}
 	if e == nil {

@@ -20,7 +20,7 @@ func quietCache(maxBytes int64) *resultCache {
 func TestCacheDisabledAlwaysMisses(t *testing.T) {
 	c := quietCache(0)
 	c.put("k", entryFor("p"))
-	if c.get("k") != nil {
+	if c.get([]byte("k")) != nil {
 		t.Fatal("zero-budget cache returned an entry")
 	}
 	st := c.stats()
@@ -33,7 +33,7 @@ func TestCacheHitMissAndEviction(t *testing.T) {
 	c := quietCache(250) // room for two 100-byte entries
 	c.put("a", entryFor("p"))
 	c.put("b", entryFor("p"))
-	if c.get("a") == nil || c.get("b") == nil {
+	if c.get([]byte("a")) == nil || c.get([]byte("b")) == nil {
 		t.Fatal("stored entries missing")
 	}
 	c.put("c", entryFor("p")) // over budget: evicts a or b
@@ -41,7 +41,7 @@ func TestCacheHitMissAndEviction(t *testing.T) {
 	if st.Entries != 2 || st.Bytes != 200 {
 		t.Fatalf("after eviction: %d entries / %d bytes, want 2 / 200", st.Entries, st.Bytes)
 	}
-	if c.get("c") == nil {
+	if c.get([]byte("c")) == nil {
 		t.Fatal("newest entry was the one evicted")
 	}
 
@@ -57,7 +57,7 @@ func TestCacheHitMissAndEviction(t *testing.T) {
 	huge := entryFor("p")
 	huge.body = make([]byte, 1000)
 	c.put("huge", huge)
-	if c.get("huge") != nil {
+	if c.get([]byte("huge")) != nil {
 		t.Fatal("over-budget entry was stored")
 	}
 }
@@ -85,28 +85,28 @@ func TestCacheGenerationClosesStoreRace(t *testing.T) {
 	// A put that precedes the write's bump is stored; the write's sweep, which
 	// comes after the bump, drops it.
 	c.put("early", entryAt(g))
-	if c.get("early") == nil {
+	if c.get([]byte("early")) == nil {
 		t.Fatal("an entry stored before any write is missing")
 	}
 	engine.Add(1)
 	// Between the bump and the sweep the in-flight result is already refused…
 	c.put("k", entryAt(g))
-	if c.get("k") != nil {
+	if c.get([]byte("k")) != nil {
 		t.Fatal("stale entry stored after the generation moved")
 	}
 	c.invalidate(res, touched, nil)
-	if c.get("early") != nil {
+	if c.get([]byte("early")) != nil {
 		t.Fatal("an entry stored before the bump survived the write's sweep")
 	}
 	// …and after the sweep.
 	c.put("k", entryAt(g))
-	if c.get("k") != nil {
+	if c.get([]byte("k")) != nil {
 		t.Fatal("stale entry stored despite an interleaved invalidation")
 	}
 	// A fresh evaluation at the new generation stores fine and keeps the
 	// generation it was computed at.
 	c.put("k", entryAt(engine.Load()))
-	if e := c.get("k"); e == nil || e.gen != engine.Load() {
+	if e := c.get([]byte("k")); e == nil || e.gen != engine.Load() {
 		t.Fatalf("fresh entry %+v, want one at generation %d", e, engine.Load())
 	}
 }
@@ -128,16 +128,16 @@ func TestCachePredicateInvalidation(t *testing.T) {
 	c.put("wild", wild)
 
 	c.invalidate(res, []store.IDTriple{{S: pid, P: pid, O: pid}}, nil)
-	if c.get("on-p") != nil {
+	if c.get([]byte("on-p")) != nil {
 		t.Fatal("entry on the mutated predicate survived")
 	}
-	if c.get("multi") != nil {
+	if c.get([]byte("multi")) != nil {
 		t.Fatal("multi-predicate entry mentioning p survived")
 	}
-	if c.get("wild") != nil {
+	if c.get([]byte("wild")) != nil {
 		t.Fatal("variable-predicate entry survived")
 	}
-	if c.get("on-q") == nil {
+	if c.get([]byte("on-q")) == nil {
 		t.Fatal("entry on the untouched predicate was dropped")
 	}
 	if st := c.stats(); st.Invalidations != 3 {

@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"repro/internal/durable"
@@ -220,60 +220,19 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// maxBodyBytes caps a request body; a larger one is answered 413.
-const maxBodyBytes = 1 << 20
-
-// readBody decodes a size-capped JSON request body into v. The body must be
-// exactly one JSON value: unknown fields and anything but whitespace after
-// the value are rejected, so typos and concatenated requests fail loudly
-// instead of silently selecting defaults. On failure it writes the error
-// response itself — 413 for an oversized body (splitting the request could
-// succeed), 400 for malformed JSON (retrying cannot) — and reports false.
-func readBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
-	if err == nil {
-		// Token reads on past the value: io.EOF is the only clean end.
-		switch _, err = dec.Token(); err {
-		case io.EOF:
-			return true
-		case nil:
-			err = errors.New("unexpected data after the JSON value")
-		}
-	}
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds the server limit of %d bytes", mbe.Limit)
-	} else {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
-	}
-	return false
-}
-
-// triplesOf converts a request's wire triples to the engine's.
-func triplesOf(ts []TripleJSON) []store.Triple {
-	out := make([]store.Triple, len(ts))
-	for i, t := range ts {
-		out[i] = store.Triple(t)
-	}
-	return out
-}
-
 // handleTriples is POST /triples: one request, one engine write
 // (reason.Reasoner.Apply; DESIGN.md "The write path").
 func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
 	s.mutations.Add(1)
 	c := clockOf(w)
-	var req MutateRequest
-	if !readBody(w, r, &req) {
+	var adds, removes []store.Triple
+	if !readRequest(w, r, func(d *wireReader) error { return d.mutation(&adds, &removes) }) {
 		return
 	}
-	if len(req.Add)+len(req.Remove) == 0 {
+	if len(adds)+len(removes) == 0 {
 		writeError(w, http.StatusBadRequest, "empty mutation: need add or remove triples")
 		return
 	}
-	adds, removes := triplesOf(req.Add), triplesOf(req.Remove)
 	c.Mark(obs.StageDecode)
 
 	added, removed, err := s.reasoner.Apply(adds, removes, c)
@@ -290,13 +249,28 @@ func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, MutateResponse{
+	w.Header().Set("Content-Type", "application/json")
+	writeAppended(w, MutateResponse{
 		Added:    added,
 		Removed:  removed,
 		Asserted: s.reasoner.Base().Len(),
 		Inferred: s.reasoner.InferredCount(),
-	})
+	}, appendMutateResponse)
 	c.Mark(obs.StageRespond)
+}
+
+// appendMutateResponse appends the /triples response body, byte for byte
+// what writeJSON would send for m.
+func appendMutateResponse(dst []byte, m MutateResponse) []byte {
+	dst = append(dst, `{"added":`...)
+	dst = strconv.AppendInt(dst, int64(m.Added), 10)
+	dst = append(dst, `,"removed":`...)
+	dst = strconv.AppendInt(dst, int64(m.Removed), 10)
+	dst = append(dst, `,"asserted":`...)
+	dst = strconv.AppendInt(dst, int64(m.Asserted), 10)
+	dst = append(dst, `,"inferred":`...)
+	dst = strconv.AppendInt(dst, int64(m.Inferred), 10)
+	return append(dst, "}\n"...)
 }
 
 // handleStats is GET /stats.

@@ -158,8 +158,9 @@ func newSlowQueryLog(threshold time.Duration, w io.Writer) *slowQueryLog {
 	return &slowQueryLog{threshold: threshold, w: w}
 }
 
-// observe writes rec if the clock has crossed the threshold. Nil-safe.
-func (l *slowQueryLog) observe(c *obs.Clock, rec slowQueryRecord) {
+// observe writes rec, with bgp as its BGP, if the clock has crossed the
+// threshold: only then is bgp made a string. Nil-safe.
+func (l *slowQueryLog) observe(c *obs.Clock, bgp []byte, rec slowQueryRecord) {
 	if l == nil {
 		return
 	}
@@ -167,6 +168,7 @@ func (l *slowQueryLog) observe(c *obs.Clock, rec slowQueryRecord) {
 		return
 	}
 	rec.TS = time.Now().UTC().Format(time.RFC3339Nano)
+	rec.BGP = string(bgp)
 	rec.StagesUS = stageSplit(c, time.Microsecond)
 	rec.ElapsedUS = rec.StagesUS["total"]
 	line, err := json.Marshal(rec)

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -39,9 +38,9 @@ type queryRun struct {
 	src  query.Source
 	opts []query.Option
 
-	// Set by buildKey.
-	canonical string // query.Canonical text, the slow-query log's BGP
-	key       string // cache key
+	// Set by buildKey, in its pooled buffer.
+	key       []byte // cache key
+	canonical []byte // the query.Canonical text within key, the slow-query log's BGP
 
 	// The outcome, set by replay, or by drain and its caller: the response's
 	// last line, and what EXPLAIN and the slow-query log report too.
@@ -58,7 +57,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &q) || !s.source(w, &q) {
 		return
 	}
-	q.buildKey()
+	kb := keyPool.Get().(*keyBuffer)
+	q.buildKey(kb)
 	switch {
 	case q.explain:
 		s.explainQuery(w, r, &q)
@@ -67,9 +67,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.evaluate(w, r, &q)
 	}
 	q.clock.Mark(obs.StageEncode)
-	s.slow.observe(q.clock, slowQueryRecord{
+	s.slow.observe(q.clock, q.canonical, slowQueryRecord{
 		RequestID: r.Header.Get(requestIDHeader),
-		BGP:       q.canonical,
 		Mode:      q.mode,
 		Explain:   q.explain,
 		Solutions: q.trailer.Solutions,
@@ -77,6 +76,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Cached:    q.trailer.Cached,
 		Error:     q.trailer.Error,
 	})
+	clear(kb.vars) // the names are substrings of the request's BGP
+	keyPool.Put(kb)
 }
 
 // maxPatterns caps the patterns of one BGP: plan search is factorial up to 6
@@ -88,7 +89,7 @@ const maxPatterns = 16
 // server's limits. On failure it has written the 4xx and reports false.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, q *queryRun) bool {
 	var req QueryRequest
-	if !readBody(w, r, &req) {
+	if !readRequest(w, r, func(d *wireReader) error { return d.query(&req) }) {
 		return false
 	}
 	bgp, err := query.ParseBGP(req.BGP)
@@ -104,10 +105,13 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, q *queryRun) boo
 	if q.limit <= 0 || q.limit > s.cfg.MaxSolutions {
 		q.limit = s.cfg.MaxSolutions
 	}
-	q.explain = r.URL.Query().Get("explain") == "1"
+	q.explain = r.URL.RawQuery != "" && r.URL.Query().Get("explain") == "1"
 	q.clock.Mark(obs.StageDecode)
 	return true
 }
+
+// materializedOpts are the evaluator options of the default mode.
+var materializedOpts = []query.Option{query.Materialized()}
 
 // source is stage two: the store the mode evaluates over and the evaluator
 // options that go with it.
@@ -116,7 +120,7 @@ func (s *Server) source(w http.ResponseWriter, q *queryRun) bool {
 	case "", ModeMaterialized:
 		q.mode = ModeMaterialized
 		q.src = s.reasoner.View()
-		q.opts = append(q.opts, query.Materialized())
+		q.opts = materializedOpts[:1:1] // shared: drain's appends copy it
 	case ModeExpand:
 		// The hierarchy is the reasoner's own subClassOf closure, so a schema
 		// write reaches the next answer. evaluate files the entry under
@@ -134,29 +138,45 @@ func (s *Server) source(w http.ResponseWriter, q *queryRun) bool {
 	return true
 }
 
+// keyBuffer is buildKey's scratch: the key's bytes and the canonical
+// variable names.
+type keyBuffer struct {
+	buf  []byte
+	vars []string
+}
+
+// keyPool recycles key buffers: a cache hit builds its key without
+// allocating, and the key is a string only when put stores it.
+var keyPool = sync.Pool{New: func() any { return new(keyBuffer) }}
+
 // buildKey is stage three. The key carries the variable-name mapping next to
 // the canonical form: responses are replayed verbatim, so a hit must have
 // asked for the same variable names (pattern-reordered respellings share an
 // entry; renamed variables evaluate afresh rather than replay foreign names).
 // Every client-controlled component is length-prefixed — BGP terms may contain
 // any non-whitespace byte, so no separator byte is collision-safe on its own;
-// length prefixes make the key decoding (hence the key) unambiguous.
-func (q *queryRun) buildKey() {
-	ckey, cvars := query.CanonicalWithVars(q.bgp)
-	var kb strings.Builder
-	kb.WriteString(q.mode) // fixed vocabulary, no separator bytes
-	kb.WriteByte('|')
-	kb.WriteString(strconv.Itoa(q.limit))
-	kb.WriteByte('|')
-	kb.WriteString(strconv.Itoa(len(ckey)))
-	kb.WriteByte('|')
-	kb.WriteString(ckey)
-	for _, v := range cvars {
-		kb.WriteString(strconv.Itoa(len(v)))
-		kb.WriteByte('|')
-		kb.WriteString(v)
+// length prefixes make the key decoding (hence the key) unambiguous. The
+// canonical form's length is known only once it is written, so its prefix is
+// slid in before it.
+func (q *queryRun) buildKey(kb *keyBuffer) {
+	b := append(kb.buf[:0], q.mode...) // fixed vocabulary, no separator bytes
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(q.limit), 10)
+	b = append(b, '|')
+	at := len(b)
+	b, kb.vars = query.AppendCanonical(b, q.bgp, kb.vars[:0])
+	var num [24]byte
+	prefix := append(strconv.AppendInt(num[:0], int64(len(b)-at), 10), '|')
+	b = append(b, prefix...)
+	copy(b[at+len(prefix):], b[at:])
+	copy(b[at:], prefix)
+	start, end := at+len(prefix), len(b)
+	for _, v := range kb.vars {
+		b = strconv.AppendInt(b, int64(len(v)), 10)
+		b = append(b, '|')
+		b = append(b, v...)
 	}
-	q.canonical, q.key = ckey, kb.String()
+	kb.buf, q.key, q.canonical = b, b, b[start:end]
 }
 
 // replay is stage four: on a cache hit, write the stored body as a fresh
@@ -170,7 +190,7 @@ func (s *Server) replay(w http.ResponseWriter, q *queryRun) bool {
 	q.trailer.Solutions, q.trailer.Truncated, q.trailer.Cached = e.solutions, e.truncated, true
 	w.Header().Set("Content-Type", ndjsonType)
 	if _, err := w.Write(e.body); err == nil {
-		writeTrailer(w, q.trailer)
+		writeAppended(w, q.trailer, appendTrailer)
 	}
 	return true
 }
@@ -216,10 +236,10 @@ func (s *Server) evaluate(w http.ResponseWriter, r *http.Request, q *queryRun) {
 		if q.mode == ModeExpand {
 			e.preds = append(e.preds, reason.SubClassOfPredicate)
 		}
-		s.cache.put(q.key, e)
+		s.cache.put(string(q.key), e)
 	}
 	if out.send(false) == nil {
-		writeTrailer(w, q.trailer)
+		writeAppended(w, q.trailer, appendTrailer)
 	}
 }
 
@@ -327,10 +347,10 @@ func (s *Server) explainQuery(w http.ResponseWriter, r *http.Request, q *queryRu
 	})
 }
 
-// maxPooledBody is the largest response scratch buffer kept for reuse; a
-// bigger one (a result near the cache budget, a huge unlimited answer) is
-// left to the garbage collector so that one outlier does not stay pinned in
-// the pool.
+// maxPooledBody is the largest request or response scratch buffer kept for
+// reuse; a bigger one (a result near the cache budget, a huge unlimited
+// answer, a batch near the body cap) is left to the garbage collector so that
+// one outlier does not stay pinned in the pool.
 const maxPooledBody = 256 << 10
 
 // bodyPool recycles bodyWriter scratch buffers (pointers, so Put does not
@@ -500,9 +520,32 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// writeTrailer appends the final stream line.
-func writeTrailer(w http.ResponseWriter, t QueryTrailer) {
-	line, _ := json.Marshal(t)
-	line = append(line, '\n')
-	_, _ = w.Write(line)
+// appendTrailer appends the final stream line, byte for byte what
+// json.Marshal(t) plus a newline would be.
+func appendTrailer(dst []byte, t QueryTrailer) []byte {
+	dst = append(dst, `{"done":`...)
+	dst = strconv.AppendBool(dst, t.Done)
+	dst = append(dst, `,"solutions":`...)
+	dst = strconv.AppendInt(dst, int64(t.Solutions), 10)
+	dst = append(dst, `,"truncated":`...)
+	dst = strconv.AppendBool(dst, t.Truncated)
+	dst = append(dst, `,"cached":`...)
+	dst = strconv.AppendBool(dst, t.Cached)
+	dst = append(dst, `,"elapsed_us":`...)
+	dst = strconv.AppendInt(dst, t.ElapsedUS, 10)
+	if t.Error != "" {
+		dst = append(dst, `,"error":"`...)
+		dst = appendJSONString(dst, t.Error)
+		dst = append(dst, '"')
+	}
+	return append(dst, "}\n"...)
+}
+
+// writeAppended writes the line app appends for v, built in a pooled
+// buffer: a stack array would escape through w.Write.
+func writeAppended[T any](w http.ResponseWriter, v T, app func([]byte, T) []byte) {
+	p := bodyPool.Get().(*[]byte)
+	*p = app((*p)[:0], v)
+	_, _ = w.Write(*p)
+	bodyPool.Put(p)
 }
