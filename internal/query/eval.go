@@ -29,9 +29,9 @@ type Source interface {
 	// QueryIDBatch answers a batch of same-shape probes in probe order under
 	// one read-lock (see store.QueryIDBatch) — the join operators' probe hook.
 	QueryIDBatch(ps []store.IDPattern, yield func(pi int, t store.IDTriple) bool)
-	// ScanParts opens the resumable cursors over a pattern's matches (see
-	// store.ScanParts) — the leaf operators' scan hook.
-	ScanParts(p store.IDPattern) []*store.ScanPart
+	// Scan opens the resumable cursor over a pattern's matches (see
+	// store.Scan) — the leaf operators' scan hook.
+	Scan(p store.IDPattern) *store.ScanPart
 	// StatsID returns cardinality statistics for the id pattern: the exact
 	// match count and the distinct-component widths.
 	StatsID(p store.IDPattern) store.IDStats

@@ -11,7 +11,7 @@
 // The operator vocabulary is small:
 //
 //	NewScan      a leaf reading a pattern's matches off a Source, in batches,
-//	             one resumable cursor at a time (ScanParts)
+//	             through one resumable cursor (Scan)
 //	NewSliceScan a leaf over an in-memory triple slice — the semi-naive
 //	             engine's "one atom ranges over the delta" stage
 //	NewSeed      a one-row leaf of pre-bound variables — the rederivation
@@ -207,12 +207,11 @@ func (c *Ctx) Cancelled() bool {
 }
 
 // Source is the batched id-level read surface operators evaluate over,
-// satisfied by both *store.Store and *store.View: resumable cursors for
-// leaves and batch probes, answered in probe order, for joins.
+// satisfied by *store.Store, *store.View and *store.Held: a resumable cursor
+// for leaves and batch probes, answered in probe order, for joins.
 type Source interface {
-	// ScanParts opens the cursors over a pattern's matches, to be drained in
-	// order (see store.ScanParts).
-	ScanParts(p store.IDPattern) []*store.ScanPart
+	// Scan opens the cursor over a pattern's matches (see store.Scan).
+	Scan(p store.IDPattern) *store.ScanPart
 	// QueryIDBatch answers a batch of same-shape probes, each match tagged
 	// with its probe's index (see store.QueryIDBatch).
 	QueryIDBatch(ps []store.IDPattern, yield func(pi int, t store.IDTriple) bool)
@@ -439,8 +438,8 @@ func (rp *rowPlan) write(b *Batch, r int, t store.IDTriple) {
 	}
 }
 
-// scan is the leaf operator over a Source: it drains the ScanParts cursors,
-// one after the other, into a triple buffer and converts each fill into a
+// scan is the leaf operator over a Source: it drains the Scan cursor (one
+// per expansion candidate) into a triple buffer and converts each fill into a
 // columnar batch.
 type scan struct {
 	src    Source
@@ -448,7 +447,7 @@ type scan struct {
 	rp     rowPlan
 	expand []store.SymbolID // candidate object ids; nil when not expanded
 
-	parts   []*store.ScanPart
+	part    *store.ScanPart // nil once drained
 	candIdx int
 
 	out      *Batch
@@ -467,10 +466,10 @@ func (s *scan) close() {
 	}
 	s.released = true
 	s.out.release()
-	for _, pt := range s.parts {
-		pt.Release()
+	if s.part != nil {
+		s.part.Release()
+		s.part = nil
 	}
-	s.parts = nil
 	if s.tbuf != nil {
 		putTrips(s.tbuf)
 		s.tbuf = nil
@@ -519,14 +518,13 @@ func (s *scan) Next(ctx *Ctx) (*Batch, error) {
 }
 
 // next is the uninstrumented pull: it refills the triple buffer from the
-// current cursor, moving to the next cursor (then the next expansion
-// candidate) as each is exhausted.
+// cursor, moving to the next expansion candidate's as each is exhausted.
 func (s *scan) next(ctx *Ctx) (*Batch, error) {
 	if s.done {
 		return nil, nil
 	}
 	if s.tbuf == nil { // first pull
-		s.openParts()
+		s.open()
 		s.tbuf = takeTrips()
 	}
 	for {
@@ -535,7 +533,7 @@ func (s *scan) next(ctx *Ctx) (*Batch, error) {
 			s.close()
 			return nil, ErrInterrupted
 		}
-		if len(s.parts) == 0 {
+		if s.part == nil {
 			if s.nextCandidate() {
 				continue
 			}
@@ -543,10 +541,10 @@ func (s *scan) next(ctx *Ctx) (*Batch, error) {
 			s.close()
 			return nil, nil
 		}
-		n, exhausted := s.parts[0].NextBatch(s.tbuf)
+		n, exhausted := s.part.NextBatch(s.tbuf)
 		if exhausted {
-			s.parts[0].Release()
-			s.parts = s.parts[1:]
+			s.part.Release()
+			s.part = nil
 		}
 		if n == 0 {
 			continue
@@ -556,14 +554,14 @@ func (s *scan) next(ctx *Ctx) (*Batch, error) {
 	}
 }
 
-// openParts opens the cursors for the current candidate (or the plain
-// pattern when no expansion is in play).
-func (s *scan) openParts() {
+// open opens the cursor for the current candidate (or the plain pattern when
+// no expansion is in play).
+func (s *scan) open() {
 	ip := s.ip
 	if s.expand != nil {
 		ip.O = s.expand[s.candIdx]
 	}
-	s.parts = s.src.ScanParts(ip)
+	s.part = s.src.Scan(ip)
 }
 
 // nextCandidate advances expansion to the next candidate class, reporting
@@ -573,7 +571,7 @@ func (s *scan) nextCandidate() bool {
 		return false
 	}
 	s.candIdx++
-	s.openParts()
+	s.open()
 	return true
 }
 
@@ -707,11 +705,11 @@ func (s *seed) Next(ctx *Ctx) (*Batch, error) {
 // join is the batched index-nested-loop join: each child row instantiates
 // the pattern into a probe (literals and already-bound slots become bound
 // components), a window of probes is answered by one QueryIDBatch call (one
-// read-lock per store), and every match emits one output row — the child's
-// bound columns copied across plus the pattern's new slots. Rows leave in
-// probe order: child-row order within one QueryIDBatch call, which on a View
-// is the base's matches and then the overlay's, and one call per expansion
-// candidate.
+// read-lock, for both members of a View), and every match emits one output
+// row — the child's bound columns copied across plus the pattern's new
+// slots. Rows leave in probe order: child-row order within one QueryIDBatch
+// call, which on a View is the base's matches and then the overlay's, and one
+// call per expansion candidate.
 type join struct {
 	child  Op
 	src    Source

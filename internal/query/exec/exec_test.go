@@ -308,11 +308,11 @@ func TestJoinFanoutSteadyStateAllocs(t *testing.T) {
 }
 
 // TestLeafPipelinesSteadyStateAllocs extends the buffer-ownership contract to
-// the reasoner's leaves: a slice scan feeding a join (a semi-naive delta term)
-// and a seed feeding a join (the rederivation test) are pooled like scans and
-// joins, so once warmed, building one and either draining it or closing it
-// after its first batch allocates nothing, and every pool get is matched by
-// a put.
+// every leaf: a scan over a store or over a view (one pooled cursor either
+// way), a slice scan feeding a join (a semi-naive delta term) and a seed
+// feeding a join (the rederivation test) are pooled like joins, so once
+// warmed, building one and either draining it or closing it after its first
+// batch allocates nothing, and every pool get is matched by a put.
 func TestLeafPipelinesSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts at random under the race detector")
@@ -328,11 +328,21 @@ func TestLeafPipelinesSteadyStateAllocs(t *testing.T) {
 	// adds ?o (slot 1). The seed binds ?s alone.
 	sliceBound := []bool{true, false, true}
 	seedVals, seedBound := []store.SymbolID{ids[0], 0}, []bool{true, false}
+	overlay := s.NewOverlay()
+	if _, err := overlay.Add(store.Triple{Subject: "fan-0", Predicate: "p", Object: "inferred"}); err != nil {
+		t.Fatal(err)
+	}
+	view, err := store.NewView(s, overlay)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pipelines := []struct {
 		name  string
 		build func() exec.Op
 		rows  int
 	}{
+		{"scan over a store", func() exec.Op { return exec.NewScan(s, pat, nil, 2) }, subjects * fanout},
+		{"scan over a view", func() exec.Op { return exec.NewScan(view, pat, nil, 2) }, subjects*fanout + 1},
 		{"slice", func() exec.Op {
 			leaf := exec.NewSliceScan(delta, exec.Pattern{exec.Var(0), exec.Lit(pid), exec.Var(2)}, 3)
 			return exec.NewJoin(leaf, s, pat, nil, sliceBound, 3, 0)

@@ -209,8 +209,12 @@ func TestParseBGP(t *testing.T) {
 func expandedReference(s *store.Store, oi *store.OntologyIndex, class string) []string {
 	seen := map[string]bool{}
 	var out []string
+	v, err := store.NewView(s, s.NewOverlay())
+	if err != nil {
+		panic(err)
+	}
 	for _, c := range oi.Subsumees(class) {
-		s.ForEachSubject(store.TypePredicate, c, func(subj string) bool {
+		v.ForEachSubject(store.TypePredicate, c, func(subj string) bool {
 			if !seen[subj] {
 				seen[subj] = true
 				out = append(out, subj)

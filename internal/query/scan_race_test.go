@@ -152,19 +152,18 @@ func TestScanUnderConcurrentWritesObjectOnly(t *testing.T) {
 	buf := make([]store.IDTriple, 256)
 	for i := 0; i < 30; i++ {
 		rows := 0
-		for _, pt := range s.ScanParts(p) {
-			for done := false; !done; {
-				var k int
-				k, done = pt.NextBatch(buf)
-				for _, tr := range buf[:k] {
-					if tr.O != hot {
-						t.Fatalf("iteration %d: cursor over (? ? o0) reported %v", i, tr)
-					}
+		pt := s.Scan(p)
+		for done := false; !done; {
+			var k int
+			k, done = pt.NextBatch(buf)
+			for _, tr := range buf[:k] {
+				if tr.O != hot {
+					t.Fatalf("iteration %d: cursor over (? ? o0) reported %v", i, tr)
 				}
-				rows += k
 			}
-			pt.Release()
+			rows += k
 		}
+		pt.Release()
 		if rows < stable/2 {
 			t.Fatalf("iteration %d: cursor saw only %d of %d stable matches", i, rows, stable)
 		}

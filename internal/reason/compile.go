@@ -282,10 +282,11 @@ func drainHeads(ctx *exec.Ctx, r *crule, op exec.Op, emit func(store.IDTriple) b
 // makes a round's work proportional to the new facts, and iterating di over
 // all body positions covers every derivation that uses at least one new fact
 // — run as a batched pipeline: a SliceScan leaf over the delta, then one
-// batch join per remaining atom in the precomputed deltaOrder. Heads are
-// emitted from the pipeline's output batches, after every probe's read-lock
-// has been released, so emit may (unlike a store iterator callback) buffer
-// freely. Callers hold r.mu: the pipeline is built from write scratch.
+// batch join per remaining atom in the precomputed deltaOrder, lowered over
+// the view's held reads. Heads are emitted from the pipeline's output
+// batches, after every probe has finished, so emit may (unlike a store
+// iterator callback) buffer freely. Callers hold r.mu — the pipeline is built
+// from write scratch — and run inside a write section.
 func (r *Reasoner) matchDelta(cr *crule, di int, delta []store.IDTriple, emit func(store.IDTriple) bool) bool {
 	if len(delta) == 0 {
 		return true
@@ -294,7 +295,7 @@ func (r *Reasoner) matchDelta(cr *crule, di int, delta []store.IDTriple, emit fu
 	bound := r.scratch.bound[:cr.nvars]
 	clear(bound)
 	order[0].Pat.Bind(bound)
-	op := exec.Lower(r.view, exec.NewSliceScan(delta, order[0].Pat, cr.nvars), order[1:], bound, cr.nvars)
+	op := exec.Lower(r.view.Held(), exec.NewSliceScan(delta, order[0].Pat, cr.nvars), order[1:], bound, cr.nvars)
 	return drainHeads(&r.scratch.ctx, cr, op, emit)
 }
 
@@ -303,8 +304,8 @@ func (r *Reasoner) matchDelta(cr *crule, di int, delta []store.IDTriple, emit fu
 // bindings seed a one-row leaf, and the whole body is evaluated as batch
 // joins under that seed (the headOrder). It is the rederivation test of the
 // delete-and-rederive maintenance pass; the pipeline is abandoned at the
-// first surviving row. Callers hold r.mu: the pipeline is built from write
-// scratch.
+// first surviving row. Callers hold r.mu — the pipeline is built from write
+// scratch — and run inside a write section.
 func (r *Reasoner) derives(cr *crule, t store.IDTriple) bool {
 	vals, bound := r.scratch.vals[:cr.nvars], r.scratch.bound[:cr.nvars]
 	clear(vals)
@@ -326,6 +327,6 @@ func (r *Reasoner) derives(cr *crule, t store.IDTriple) bool {
 		vals[ht.Slot] = tv[i]
 		bound[ht.Slot] = true
 	}
-	op := exec.Lower(r.view, exec.NewSeed(vals, bound, cr.nvars), cr.headOrder, bound, cr.nvars)
+	op := exec.Lower(r.view.Held(), exec.NewSeed(vals, bound, cr.nvars), cr.headOrder, bound, cr.nvars)
 	return !drainHeads(&r.scratch.ctx, cr, op, func(store.IDTriple) bool { return false })
 }

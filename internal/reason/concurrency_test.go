@@ -2,8 +2,11 @@ package reason
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/query"
 	"repro/internal/store"
@@ -13,9 +16,9 @@ import (
 // read path against a writer driving incremental adds and removes through
 // the reasoner, and now and then a two-sided Apply (a batch asserted and
 // several triples retracted under the readers in one write). Written for
-// -race: readers may observe
-// mid-maintenance states (that is documented), but never a torn one, and the
-// final quiescent materialization must be exact.
+// -race: each write is one write section, so readers see the fixpoint before
+// it or after it (TestReadsSeeOneGeneration checks that), and the final
+// quiescent materialization must be exact.
 func TestReasonConcurrentReadsDuringMaintenance(t *testing.T) {
 	base := vehicleBase(t)
 	r, err := Materialize(base, RDFSRules())
@@ -72,4 +75,97 @@ func TestReasonConcurrentReadsDuringMaintenance(t *testing.T) {
 	wg.Wait()
 	// Quiescent again: the materialization must be the exact closure.
 	checkAgainstNaive(t, r, r.Rules(), "after concurrent maintenance")
+}
+
+// TestReadsSeeOneGeneration: one writer asserts and retracts one triple with
+// Apply, back to back, while one reader asks a question every generation
+// answers alike. An answer any generation would not give is a torn read: the
+// reader saw a state between two generations. The four reads are the ones a
+// write changes through both stores: a query whose one row DRed overdeletes
+// and restores, a query whose rows a propagation adds one by one, and the
+// two class retrievals across a provenance flip (the triple moves between
+// base and overlay). Each case stops after 20 000 reads or 500 ms. The
+// writer yields after each write: a reader waits for every write section it
+// meets, and without the yield a loaded machine under -race gave the reader
+// too few turns to count.
+func TestReadsSeeOneGeneration(t *testing.T) {
+	sub := func(c, d string) store.Triple {
+		return store.Triple{Subject: c, Predicate: SubClassOfPredicate, Object: d}
+	}
+	typ := func(x, c string) store.Triple {
+		return store.Triple{Subject: x, Predicate: store.TypePredicate, Object: c}
+	}
+	rows := func(r *Reasoner, o query.Term) int {
+		sols := r.Query(query.BGP{query.Pat(query.Lit("x"), query.Lit(store.TypePredicate), o)})
+		n := 0
+		for sols.Next() {
+			n++
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		name string
+		base []store.Triple
+		flip store.Triple // retracted and re-asserted, or asserted and retracted
+		torn func(r *Reasoner) bool
+	}{
+		{"x type C survives the rederivation", []store.Triple{sub("A", "B"), sub("B", "C"), typ("x", "A"), typ("x", "B")}, typ("x", "A"),
+			func(r *Reasoner) bool { return rows(r, query.Lit("C")) != 1 }},
+		{"x type ?c has 0 or 3 rows", []store.Triple{sub("A", "B"), sub("B", "C")}, typ("x", "A"),
+			func(r *Reasoner) bool { n := rows(r, query.Var("c")); return n != 0 && n != 3 }},
+		{"Subsumees across a provenance flip", []store.Triple{sub("A", "B"), sub("B", "C")}, sub("A", "C"),
+			func(r *Reasoner) bool { return len(r.Subsumees("C")) != 3 }},
+		{"Instances across a provenance flip", []store.Triple{sub("A", "C"), typ("x", "A")}, typ("x", "C"),
+			func(r *Reasoner) bool { return !reflect.DeepEqual(r.Instances("C"), []string{"x"}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := store.New()
+			if _, err := base.AddBatch(tc.base); err != nil {
+				t.Fatal(err)
+			}
+			r, err := Materialize(base, RDFSRules())
+			if err != nil {
+				t.Fatal(err)
+			}
+			stop, started, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(done)
+				flip := []store.Triple{tc.flip}
+				for i := 0; ; i++ {
+					if i == 1 {
+						close(started)
+					}
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					var err error
+					if i%2 == 0 {
+						_, _, err = r.Apply(nil, flip, nil)
+					} else {
+						_, _, err = r.Apply(flip, nil, nil)
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					runtime.Gosched()
+				}
+			}()
+			<-started
+			reads, torn := 0, 0
+			for deadline := time.Now().Add(500 * time.Millisecond); reads < 20000 && time.Now().Before(deadline); reads++ {
+				if tc.torn(r) {
+					torn++
+				}
+			}
+			close(stop)
+			<-done
+			if torn > 0 || reads < 200 {
+				t.Fatalf("%d of %d reads saw a state no generation had (want 0 of at least 200)", torn, reads)
+			}
+			t.Logf("%d reads, none torn", reads)
+		})
+	}
 }

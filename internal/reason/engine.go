@@ -48,10 +48,10 @@ type Stats struct {
 // Writes are serialized by an internal mutex and maintain the invariant that
 // the overlay holds exactly the rule-derivable triples not asserted in the
 // base (asserted and inferred never overlap, so View reads never
-// double-count). Reads are safe at any time — the underlying stores are
-// concurrency-safe — but a reader overlapping a write may observe a
-// mid-maintenance state, exactly as with Store.AddBatch; quiescent views are
-// always exact fixpoints.
+// double-count). A write changes both stores in one write section
+// (store.Store.Write) and advances the view's generation inside it, so every
+// View read — a probe batch, a cursor refill, a class retrieval — sees an
+// exact fixpoint: the one before a write or the one after it.
 //
 // Writing to the base store directly, bypassing the reasoner, silently
 // invalidates the materialization: the overlay cannot know, and no generation
@@ -77,10 +77,6 @@ type Reasoner struct {
 	// returns. See MaterializeStats.
 	boot    MaterializeStats
 	onEvent func(Delta)
-	// gen counts content-changing writes: it advances exactly when the event
-	// hook would fire, so any two reads bracketing an unchanged generation
-	// saw the same materialization. The replica tier's staleness signal.
-	gen atomic.Uint64
 	// Metric handles, nil until RegisterMetrics; every observation is
 	// nil-safe, so an unobserved reasoner pays one branch per round.
 	mRoundSeconds *obs.Histogram
@@ -94,12 +90,13 @@ type counts struct {
 	rounds, heads, derived, overdeleted, rederived atomic.Int64
 }
 
-// Generation returns the materialization generation: it advances on every
-// write that changed the base's or the overlay's contents — once per Delta —
-// and never otherwise. Two equal readings bracket an unchanged
-// materialization, which is what the result cache and the replica tier
-// compare.
-func (r *Reasoner) Generation() uint64 { return r.gen.Load() }
+// Generation returns the materialization generation, the view's
+// (store.Store.Generation): it advances on every write that changed the
+// base's or the overlay's contents — once per Delta, inside the write's
+// section — and never otherwise. Two equal readings bracket an unchanged
+// materialization, which is what the result cache, the /query trailer and the
+// replica tier compare.
+func (r *Reasoner) Generation() uint64 { return r.base.Generation() }
 
 // RegisterMetrics registers the reasoner's instruments on reg: the round and
 // derivation counters (Stats' Rounds and Derived, boot included), per-round
@@ -121,7 +118,7 @@ func (r *Reasoner) RegisterMetrics(reg *obs.Registry) {
 		return float64(r.overlay.Len())
 	})
 	reg.GaugeFunc("onto_reason_generation", "Materialization generation (advances on every content-changing write).", func() float64 {
-		return float64(r.gen.Load())
+		return float64(r.Generation())
 	})
 	reg.GaugeFunc("onto_reason_materialize_seconds", "Wall time of the initial materialization (the boot fixpoint).", func() float64 {
 		return r.MaterializeStats().Duration.Seconds()
@@ -261,12 +258,11 @@ func (r *Reasoner) SetOnEvent(hook func(Delta)) {
 	r.onEvent = hook
 }
 
-// notify advances the generation and fires the installed hook. Its caller
-// holds r.mu and guarantees the delta carries a change. The generation is
-// bumped before the hook runs, which the serving layer's cache relies on (a
-// reader that still sees the old generation precedes the invalidation).
+// notify fires the installed hook. Its caller holds r.mu and guarantees the
+// delta carries a change. The write's section advanced the generation before
+// the hook runs, which the serving layer's cache relies on (a reader that
+// still sees the old generation precedes the invalidation).
 func (r *Reasoner) notify(d Delta) {
-	d.Gen = r.gen.Add(1)
 	if r.onEvent != nil {
 		r.onEvent(d)
 	}
@@ -361,27 +357,18 @@ func (r *Reasoner) Query(bgp query.BGP) *query.Solutions {
 // InstancesFunc streams the distinct subjects annotated with the class in
 // the materialized view, stopping early when yield returns false — the
 // E5-style class retrieval as a raw serving read: one POS index set per view
-// member, no join machinery, no ontology index, no dedup map and no
-// per-subject allocation. It leans on the reasoner's invariant that asserted
-// and inferred triples never overlap (each member's subject set is already
-// distinct, and a subject cannot hold the same annotation in both), which is
-// what lets it skip the view's per-triple duplicate check. The enumeration
-// order is unspecified. This is the read path the materialization exists
-// for; EXPERIMENTS.md's E5c table and BenchmarkMaterializedVsExpandedQuery
-// measure it against the query-time Expand rewrite.
+// member, read under one lock (store.View.ForEachSubject), no join machinery,
+// no ontology index, no dedup map and no per-subject allocation. It leans on
+// the reasoner's invariant that asserted and inferred triples never overlap
+// (each member's subject set is already distinct, and a subject cannot hold
+// the same annotation in both), which is what lets it skip the view's
+// per-triple duplicate check. The enumeration order is unspecified, and yield
+// must not read the reasoner. This is the read path the materialization
+// exists for; EXPERIMENTS.md's E5c table and
+// BenchmarkMaterializedVsExpandedQuery measure it against the query-time
+// Expand rewrite.
 func (r *Reasoner) InstancesFunc(class string, yield func(string) bool) {
-	stopped := false
-	r.base.ForEachSubject(store.TypePredicate, class, func(s string) bool {
-		if !yield(s) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if stopped {
-		return
-	}
-	r.overlay.ForEachSubject(store.TypePredicate, class, yield)
+	r.view.ForEachSubject(store.TypePredicate, class, yield)
 }
 
 // Instances returns the sorted distinct subjects annotated with the class in
@@ -401,18 +388,17 @@ func (r *Reasoner) Instances(class string) []string {
 // materialized view, so a *Reasoner is the query.Subsumer that mode=expand
 // rewrites through: the served schema, current under schema writes. Under
 // the RDFS rules the subClassOf closure is materialized, so one index read
-// per view member answers it. A cycle derives class subClassOf class, which
-// is skipped; asserted and inferred never overlap, so nothing else repeats.
+// per view member, under one lock, answers it. A cycle derives class
+// subClassOf class, which is skipped; asserted and inferred never overlap, so
+// nothing else repeats.
 func (r *Reasoner) Subsumees(class string) []string {
 	out := []string{class}
-	add := func(c string) bool {
+	r.view.ForEachSubject(SubClassOfPredicate, class, func(c string) bool {
 		if c != class {
 			out = append(out, c)
 		}
 		return true
-	}
-	r.base.ForEachSubject(SubClassOfPredicate, class, add)
-	r.overlay.ForEachSubject(SubClassOfPredicate, class, add)
+	})
 	return out
 }
 
@@ -463,6 +449,11 @@ func (r *Reasoner) Remove(t store.Triple) bool {
 // they would immediately be rederived; retract the asserted triples
 // supporting them instead.
 //
+// Everything up to the commit — the adds, the propagation, the retraction —
+// is one write section (store.Store.Write) on the view, which advances the
+// generation when the write changed something: readers see the
+// materialization before the write or after it, never one in between.
+//
 // Validation is all-or-nothing, exactly as store.AddBatch: a validation
 // error means nothing was applied. An error wrapping store.ErrJournal means
 // the opposite — the write is applied in memory but not durable — so the
@@ -475,49 +466,56 @@ func (r *Reasoner) Apply(adds, removes []store.Triple, c *obs.Clock) (added, rem
 	defer r.mu.Unlock()
 	defer r.scratch.trim(scratchCap)
 	base := r.base.Begin()
-	fresh, err := base.AddBatch(adds)
+	s := &r.scratch
+	var d Delta
+	d.Gen = r.base.Write(func() bool {
+		if d.AssertedAdded, err = base.AddBatch(adds); err != nil {
+			return false
+		}
+		// Added opens with the seed delta — the fresh triples that are not
+		// provenance flips — and the propagation appends its conclusions to
+		// it in place.
+		d.Added, d.Removed = s.added[:0], s.removed[:0]
+		for _, t := range d.AssertedAdded {
+			if r.ov.RemoveID(t) {
+				// Provenance flip: consequences already materialized, but the
+				// triple moved between the members — report it in both lists.
+				d.Removed = append(d.Removed, t)
+			} else {
+				d.Added = append(d.Added, t)
+			}
+		}
+		d.Added = append(r.propagate(d.Added, d.Added), d.Removed...)
+		c.Mark(obs.StagePropagate)
+
+		if len(removes) > 0 {
+			gone, marked, restored := r.retract(&base, removes)
+			d.AssertedRemoved = gone
+			d.Removed = append(append(d.Removed, marked...), gone...)
+			d.Added = r.propagate(append(d.Added, restored...), restored)
+			c.Mark(obs.StageRetract)
+		}
+		return len(d.AssertedAdded)+len(d.AssertedRemoved) > 0
+	})
 	if err != nil {
 		return 0, 0, err
-	}
-	// Added opens with the seed delta — the fresh triples that are not
-	// provenance flips — and the propagation appends its conclusions to it
-	// in place.
-	s := &r.scratch
-	d := Delta{AssertedAdded: fresh, Added: s.added[:0], Removed: s.removed[:0]}
-	for _, t := range fresh {
-		if r.ov.RemoveID(t) {
-			// Provenance flip: consequences already materialized, but the
-			// triple moved between the members — report it in both lists.
-			d.Removed = append(d.Removed, t)
-		} else {
-			d.Added = append(d.Added, t)
-		}
-	}
-	d.Added = append(r.propagate(d.Added, d.Added), d.Removed...)
-	c.Mark(obs.StagePropagate)
-
-	if len(removes) > 0 {
-		gone, marked, restored := r.retract(&base, removes)
-		d.AssertedRemoved = gone
-		d.Removed = append(append(d.Removed, marked...), gone...)
-		d.Added = r.propagate(append(d.Added, restored...), restored)
-		c.Mark(obs.StageRetract)
 	}
 	s.added, s.removed = d.Added, d.Removed
 	err = base.Commit()
 	c.Mark(obs.StageCommit)
-	if len(fresh)+len(d.AssertedRemoved) > 0 {
+	if len(d.AssertedAdded)+len(d.AssertedRemoved) > 0 {
 		r.notify(d)
 	}
 	c.Mark(obs.StagePublish)
-	return len(fresh), len(d.AssertedRemoved), err
+	return len(d.AssertedAdded), len(d.AssertedRemoved), err
 }
 
 // retract is Apply's delete-and-rederive pass: it retracts the triples of
 // removes that the base holds, through the write's handle, and returns them
 // (gone, each once, in request order) with the inferred triples it
 // overdeleted and the triples it put back, whose consequences the caller
-// propagates. The three lists are write scratch. Callers hold r.mu.
+// propagates. The three lists are write scratch. Callers hold r.mu and run
+// inside the write's section.
 func (r *Reasoner) retract(base *store.Tx, removes []store.Triple) (gone, marked, restored []store.IDTriple) {
 	// seen de-duplicates the retracted triples and then marks the overdeleted
 	// ones; asserted and inferred triples never coincide, so one set serves.
@@ -525,10 +523,11 @@ func (r *Reasoner) retract(base *store.Tx, removes []store.Triple) (gone, marked
 	if s.seen == nil {
 		s.seen = make(map[store.IDTriple]bool, len(removes))
 	}
-	seen := s.seen
+	seen, held := s.seen, r.view.Held()
 	gone, marked, restored = s.gone[:0], s.marked[:0], s.restored[:0]
 	for _, t := range removes {
-		if idt, ok := r.encode(t); ok && !seen[idt] && r.base.ContainsID(idt) {
+		idt, ok := r.encode(t)
+		if asserted, _ := held.Contains(idt); ok && asserted && !seen[idt] {
 			seen[idt] = true
 			gone = append(gone, idt)
 		}
@@ -542,7 +541,7 @@ func (r *Reasoner) retract(base *store.Tx, removes []store.Triple) (gone, marked
 		heads := r.terms(delta, false)
 		lo := len(marked)
 		for _, h := range heads {
-			if !seen[h] && r.overlay.ContainsID(h) {
+			if _, inferred := held.Contains(h); !seen[h] && inferred {
 				seen[h] = true
 				marked = append(marked, h)
 			}
@@ -562,7 +561,7 @@ func (r *Reasoner) retract(base *store.Tx, removes []store.Triple) (gone, marked
 	// entailed.
 	for _, candidates := range [2][]store.IDTriple{marked, gone} {
 		for _, c := range candidates {
-			if r.base.ContainsID(c) || r.overlay.ContainsID(c) {
+			if asserted, inferred := held.Contains(c); asserted || inferred {
 				continue
 			}
 			for i := range r.rules {
@@ -585,7 +584,7 @@ func (r *Reasoner) retract(base *store.Tx, removes []store.Triple) (gone, marked
 // SnapshotBase writes the asserted base store's snapshot (Store.Snapshot's
 // byte-stable sorted format) to w under the reasoner's write lock and
 // returns the generation the bytes correspond to: because writes and their
-// generation advances are serialized by the same lock, the pair is exactly
+// generation advances are serialized by that lock, the pair is exactly
 // consistent — a replica that restores the snapshot and then applies the
 // events with generations above the returned one reconstructs the primary's
 // base store precisely. Mutations block for the duration of the write, so
@@ -596,7 +595,7 @@ func (r *Reasoner) SnapshotBase(w io.Writer) (gen uint64, n int, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n, err = r.base.Snapshot(w)
-	return r.gen.Load(), n, err
+	return r.base.Generation(), n, err
 }
 
 // encode resolves a triple to ids without interning.
@@ -643,12 +642,13 @@ func (r *Reasoner) propagate(out, delta []store.IDTriple) []store.IDTriple {
 // already includes earlier rounds' conclusions. Derived heads already
 // asserted or inferred are skipped; the rest enter the overlay one at a time
 // and form the next delta. Heads arrive from the pipelines' output batches,
-// never under a store's read-lock, so inserting them after each enumeration is
-// safe. Each round's delta is appended straight onto out, which is returned:
+// after each enumeration has finished reading, so inserting them is safe.
+// Each round's delta is appended straight onto out, which is returned:
 // the next delta is out's tail, and the triples derived are everything
 // appended. delta may be a prefix of out (it is only read, and appends never
-// write below len(out)). Callers hold r.mu.
+// write below len(out)). Callers hold r.mu and run inside a write section.
 func (r *Reasoner) rounds(out, delta []store.IDTriple) []store.IDTriple {
+	held := r.view.Held()
 	for len(delta) > 0 {
 		start := time.Now()
 		heads := r.terms(delta, true)
@@ -657,7 +657,7 @@ func (r *Reasoner) rounds(out, delta []store.IDTriple) []store.IDTriple {
 			rr := &r.round[i]
 			lo := len(out) - base
 			for _, h := range heads[rr.heads[0]:rr.heads[1]] {
-				if r.base.ContainsID(h) || r.overlay.ContainsID(h) {
+				if asserted, inferred := held.Contains(h); asserted || inferred {
 					continue
 				}
 				if _, err := r.ov.AddID(h); err != nil {

@@ -23,13 +23,19 @@ import (
 // it find a non-empty overlay and are ordinary maintenance rounds.
 
 // materialize computes the full fixpoint over the base into the overlay of a
-// new reasoner and records its figures. Callers hold r.mu.
+// new reasoner and records its figures. Callers hold r.mu. The seed round
+// reads and loads through the stores' own locks (the overlay is not yet
+// published); the rounds after it run in one write section, which names no
+// generation.
 func (r *Reasoner) materialize() {
 	start := time.Now()
 	fresh := r.seedRound()
 	// No event reports the rounds' conclusions, so they are appended to
 	// nothing kept, and the head buffer the rounds grew is dropped.
-	r.rounds(nil, fresh)
+	r.base.Write(func() bool {
+		r.rounds(nil, fresh)
+		return false
+	})
 	r.scratch.trim(0)
 	st := r.Stats()
 	r.boot = MaterializeStats{

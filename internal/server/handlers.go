@@ -75,6 +75,10 @@ type QueryTrailer struct {
 	Cached bool `json:"cached"`
 	// ElapsedUS is the evaluation time in µs: plan + exec + encode to here.
 	ElapsedUS int64 `json:"elapsed_us"`
+	// Generation is the engine generation every row was read at; nil, and
+	// omitted, when the evaluation overlapped a write that changed the
+	// engine, so the rows need not belong to one generation.
+	Generation *uint64 `json:"generation,omitempty"`
 	// Error is set when evaluation ended early (timeout, malformed BGP
 	// discovered mid-stream); the rows already streamed are valid but the
 	// result set is incomplete.

@@ -187,7 +187,7 @@ func (s *Server) replay(w http.ResponseWriter, q *queryRun) bool {
 	if e == nil {
 		return false
 	}
-	q.trailer.Solutions, q.trailer.Truncated, q.trailer.Cached = e.solutions, e.truncated, true
+	q.trailer.Solutions, q.trailer.Truncated, q.trailer.Cached, q.trailer.Generation = e.solutions, e.truncated, true, &e.gen
 	w.Header().Set("Content-Type", ndjsonType)
 	if _, err := w.Write(e.body); err == nil {
 		writeAppended(w, q.trailer, appendTrailer)
@@ -199,9 +199,13 @@ func (s *Server) replay(w http.ResponseWriter, q *queryRun) bool {
 // store the body if the result is exact and the cache will take it. The
 // streamed bytes and the cached bytes are one pooled buffer (bodyWriter;
 // DESIGN.md "One response body" has the memory bound).
+//
+// The generation is read before evaluating and again after the drain. The
+// engine advances it only inside a write section, which no read overlaps, so
+// equal readings prove every read saw that generation: the trailer names it.
+// Unequal readings leave it out, and the cache refuses the answer (see
+// resultCache.put).
 func (s *Server) evaluate(w http.ResponseWriter, r *http.Request, q *queryRun) {
-	// Read before evaluating: the result is cached only if the engine is
-	// still at this generation when it is stored (see resultCache.put).
 	gen := s.reasoner.Generation()
 
 	w.Header().Set("Content-Type", ndjsonType)
@@ -216,6 +220,9 @@ func (s *Server) evaluate(w http.ResponseWriter, r *http.Request, q *queryRun) {
 		q.trailer.Error = fmt.Sprintf("query interrupted after %v (server timeout %v or client disconnect); partial results above", elapsed.Round(time.Millisecond), s.cfg.QueryTimeout)
 	} else if err != nil {
 		q.trailer.Error = err.Error()
+	}
+	if s.reasoner.Generation() == gen {
+		q.trailer.Generation = &gen
 	}
 
 	if body := out.body(); exact && body != nil {
@@ -533,6 +540,10 @@ func appendTrailer(dst []byte, t QueryTrailer) []byte {
 	dst = strconv.AppendBool(dst, t.Cached)
 	dst = append(dst, `,"elapsed_us":`...)
 	dst = strconv.AppendInt(dst, t.ElapsedUS, 10)
+	if t.Generation != nil {
+		dst = append(dst, `,"generation":`...)
+		dst = strconv.AppendUint(dst, *t.Generation, 10)
+	}
 	if t.Error != "" {
 		dst = append(dst, `,"error":"`...)
 		dst = appendJSONString(dst, t.Error)

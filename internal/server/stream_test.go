@@ -90,7 +90,10 @@ func TestReplayIsByteIdenticalToMiss(t *testing.T) {
 			if miss.Cached || !hit.Cached {
 				t.Fatalf("cached flags: miss %v, hit %v", miss.Cached, hit.Cached)
 			}
-			hit.Cached, hit.ElapsedUS, miss.ElapsedUS = false, 0, 0
+			if miss.Generation == nil || hit.Generation == nil || *miss.Generation != *hit.Generation {
+				t.Fatalf("generations: miss %v, hit %v; want one, the same", miss.Generation, hit.Generation)
+			}
+			hit.Cached, hit.ElapsedUS, miss.ElapsedUS, hit.Generation, miss.Generation = false, 0, 0, nil, nil
 			if miss != hit || miss.Solutions != c.rows || miss.Truncated != (c.req.Limit > 0) {
 				t.Fatalf("trailers: miss %+v, hit %+v, want %d solutions", miss, hit, c.rows)
 			}

@@ -157,7 +157,8 @@ func TestMutationDecodeAllocs(t *testing.T) {
 func TestAppendedLinesMatchMarshal(t *testing.T) {
 	for _, tr := range []QueryTrailer{
 		{Done: true},
-		{Done: true, Solutions: 1024, Truncated: true, Cached: true, ElapsedUS: 1<<62 + 7},
+		{Done: true, Solutions: 1024, Truncated: true, Cached: true, ElapsedUS: 1<<62 + 7, Generation: new(uint64)},
+		{Done: true, Solutions: 2, ElapsedUS: 9, Generation: &[]uint64{1<<64 - 1}[0]},
 		{Done: true, Solutions: 3, ElapsedUS: -1, Error: "query interrupted after 1.5s; \"partial\" <results> & \\ \n\t\x01 é \u2028 \xff"},
 	} {
 		want, _ := json.Marshal(tr)

@@ -137,10 +137,14 @@ func BenchmarkStoreQuery(b *testing.B) {
 	class := func(i int) string { return fmt.Sprintf("class-%d", i%317) }
 
 	b.Run("foreachsubject", func(b *testing.B) {
+		v, err := NewView(s, s.NewOverlay())
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			count := 0
-			s.ForEachSubject(TypePredicate, class(i), func(string) bool {
+			v.ForEachSubject(TypePredicate, class(i), func(string) bool {
 				count++
 				return true
 			})

@@ -21,6 +21,10 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 		readers          = 8
 	)
 	s := New()
+	v, err := NewView(s, s.NewOverlay())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 
 	for w := 0; w < writers; w++ {
@@ -48,9 +52,12 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 					ids = append(ids, e)
 				}
 				tx := s.Begin()
-				if n := tx.RemoveIDs(ids); n != removedPerWriter {
-					t.Errorf("writer %d: RemoveIDs removed %d of its %d triples", w, n, removedPerWriter)
-				}
+				s.Write(func() bool {
+					if n := tx.RemoveIDs(ids); n != removedPerWriter {
+						t.Errorf("writer %d: RemoveIDs removed %d of its %d triples", w, n, removedPerWriter)
+					}
+					return false
+				})
 				return
 			}
 			for i := 0; i < removedPerWriter; i++ {
@@ -71,7 +78,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 				if ip, ok := s.encodePattern(Pattern{Subject: fmt.Sprintf("w%d-s%d", i%writers, i)}); ok {
 					s.QueryIDFunc(ip, func(IDTriple) bool { return true })
 				}
-				s.ForEachSubject("type", class, func(string) bool { return true })
+				v.ForEachSubject("type", class, func(string) bool { return true })
 				_ = s.Count(Pattern{Predicate: "type"})
 				_ = s.Len()
 			}

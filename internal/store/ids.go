@@ -145,6 +145,11 @@ type IDStats struct {
 func (s *Store) StatsID(p IDPattern) IDStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return s.statsID(p)
+}
+
+// statsID is StatsID for a caller that holds the lock.
+func (s *Store) statsID(p IDPattern) IDStats {
 	switch {
 	case p.BoundS && p.BoundP && p.BoundO:
 		if !s.spo.contains(p.S, p.P, p.O) {

@@ -224,9 +224,10 @@ func TestObjectOnlyEarlyStop(t *testing.T) {
 }
 
 // TestObjectOnlyCursorIsBounded: a class with a 5 000-subject posting list is
-// streamed by position, every triple once, on a store and on the two cursors
-// of a view whose members split the list. A cursor has nowhere to buffer a
-// triple of its own, so every refill is at most one batch by construction.
+// streamed by position, every triple once, on a store and on the one cursor of
+// a view whose members split the list, which drains exactly base ∪ overlay. A
+// cursor has nowhere to buffer a triple of its own, so every refill is at most
+// one batch by construction.
 func TestObjectOnlyCursorIsBounded(t *testing.T) {
 	const subjects, batchSize = 5000, 64
 	base := New()
@@ -268,9 +269,7 @@ func TestObjectOnlyCursorIsBounded(t *testing.T) {
 			t.Fatalf("%s: drained %d triples, want %d", what, got, want)
 		}
 	}
-	parts := view.ScanParts(p)
-	drain("view base part", parts[0], subjects/2)
-	drain("view overlay part", parts[1], subjects/2+20)
+	drain("view", view.Scan(p), subjects+20)
 	clear(seen)
-	drain("store", overlay.scanPart(p), subjects/2+20)
+	drain("store", overlay.Scan(p), subjects/2+20)
 }

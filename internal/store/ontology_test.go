@@ -63,8 +63,12 @@ func TestOntologyIndexSubsumption(t *testing.T) {
 func expandedInstances(s *Store, oi *OntologyIndex, class string) []string {
 	seen := map[string]bool{}
 	var out []string
+	v, err := NewView(s, s.NewOverlay())
+	if err != nil {
+		panic(err)
+	}
 	for _, c := range oi.Subsumees(class) {
-		s.ForEachSubject(TypePredicate, c, func(subj string) bool {
+		v.ForEachSubject(TypePredicate, c, func(subj string) bool {
 			if !seen[subj] {
 				seen[subj] = true
 				out = append(out, subj)

@@ -153,7 +153,7 @@ var agreementPatterns = []Pattern{
 type idReader interface {
 	QueryIDFunc(p IDPattern, yield func(IDTriple) bool)
 	QueryIDBatch(ps []IDPattern, yield func(pi int, t IDTriple) bool)
-	ScanParts(p IDPattern) []*ScanPart
+	Scan(p IDPattern) *ScanPart
 	StatsID(p IDPattern) IDStats
 }
 
@@ -190,13 +190,9 @@ func drainPart(pt *ScanPart, size int) []IDTriple {
 	return out
 }
 
-// drainParts pulls every cursor of the pattern dry, size triples at a time.
-func drainParts(r idReader, p IDPattern, size int) []IDTriple {
-	var out []IDTriple
-	for _, pt := range r.ScanParts(p) {
-		out = append(out, drainPart(pt, size)...)
-	}
-	return out
+// drainScan pulls the pattern's cursor dry, size triples at a time.
+func drainScan(r idReader, p IDPattern, size int) []IDTriple {
+	return drainPart(r.Scan(p), size)
 }
 
 // checkReads holds every id-level read path of r to the reference on the given
@@ -237,7 +233,7 @@ func checkReads(t *testing.T, what string, r idReader, syms *Store, ref *refStor
 		})
 		check("QueryIDFunc", got)
 		for _, size := range []int{1, 7, 1024} {
-			check(fmt.Sprintf("ScanParts drained %d at a time", size), drainParts(r, ip, size))
+			check(fmt.Sprintf("Scan drained %d at a time", size), drainScan(r, ip, size))
 		}
 		got = got[:0]
 		r.QueryIDBatch([]IDPattern{ip}, func(pi int, tr IDTriple) bool {
@@ -554,9 +550,9 @@ func TestLeadlessOrderIsDeterministic(t *testing.T) {
 			"a second call":                  sequence(written, p),
 			"the shuffled batch":             sequence(batched, p),
 			"the bulk load":                  sequence(loaded, p),
-			"the cursor, 7 at a time":        drainParts(written, p, 7),
-			"the bulk load's cursor":         drainParts(loaded, p, 1024),
-			"the shuffled batch's cursor, 1": drainParts(batched, p, 1),
+			"the cursor, 7 at a time":        drainScan(written, p, 7),
+			"the bulk load's cursor":         drainScan(loaded, p, 1024),
+			"the shuffled batch's cursor, 1": drainScan(batched, p, 1),
 		} {
 			if !slices.Equal(got, want) {
 				t.Errorf("%+v: %s yields another sequence than the first call (%d and %d triples)", p, name, len(got), len(want))

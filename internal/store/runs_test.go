@@ -350,7 +350,7 @@ func checkUnboundCursorResumes(t *testing.T, size int) {
 	}
 	target := filed[len(filed)/2]
 
-	pt := s.scanPart(IDPattern{})
+	pt := s.Scan(IDPattern{})
 	defer pt.Release()
 	buf := make([]IDTriple, size)
 	seen := map[IDTriple]int{}
@@ -430,7 +430,7 @@ func checkLeadCursorResumes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pt := s.scanPart(IDPattern{S: subject, BoundS: true})
+	pt := s.Scan(IDPattern{S: subject, BoundS: true})
 	defer pt.Release()
 	buf := make([]IDTriple, 1)
 	seen := map[IDTriple]int{}
@@ -518,13 +518,13 @@ func checkCursorResumes(t *testing.T, size int, view, objectOnly bool) {
 	first, low1, low2, high := id("inst0"), triple("inst200"), triple("inst400"), triple("inst4500")
 	want[high] = true
 
-	parts := r.ScanParts(IDPattern{P: typ, O: big, BoundP: !objectOnly, BoundO: true})
+	pt := r.Scan(IDPattern{P: typ, O: big, BoundP: !objectOnly, BoundO: true})
 	buf := make([]IDTriple, size)
 	seen := map[IDTriple]int{}
 	var emitted []IDTriple // from the written member, in order
 	pull := func(atLeast int) {
-		for got := 0; got < atLeast && len(parts) > 0; {
-			n, done := parts[0].NextBatch(buf)
+		for got := 0; got < atLeast && pt != nil; {
+			n, done := pt.NextBatch(buf)
 			for _, tr := range buf[:n] {
 				seen[tr]++
 				if tr.S >= first {
@@ -533,8 +533,8 @@ func checkCursorResumes(t *testing.T, size int, view, objectOnly bool) {
 			}
 			got += n
 			if done {
-				parts[0].Release()
-				parts = parts[1:]
+				pt.Release()
+				pt = nil
 			}
 		}
 	}
@@ -564,8 +564,8 @@ func checkCursorResumes(t *testing.T, size int, view, objectOnly bool) {
 	write(nil, []IDTriple{low2})
 	pull(subjects)
 
-	if len(parts) != 0 {
-		t.Fatalf("%d cursors left undrained", len(parts))
+	if pt != nil {
+		t.Fatal("the cursor was left undrained")
 	}
 	for tr := range want {
 		if seen[tr] != 1 {

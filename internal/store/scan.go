@@ -5,13 +5,14 @@ import "sync"
 // This file is where the store enumerates a pattern, and it does so in two
 // places only: the resumable cursor and the callback walk. A ScanPart is a
 // cursor that fills caller-provided slices under one read-lock per refill,
-// and ScanParts opens it (a View's: one per member) for a pattern;
-// QueryIDBatch answers a whole batch of same-shape probes through a callback
-// under one read-lock, and the one-pattern form in ids.go, QueryIDFunc, is a
-// batch of one. These are the hooks the vectorized operator runtime in
-// repro/internal/query/exec pulls triples through. The amortization is the
-// point: a tuple-at-a-time join pays a lock round trip and a callback per
-// probe, a batched one pays them per thousand triples.
+// and Scan opens it for a pattern (a View's walks the base, then the overlay,
+// under the lock they share); QueryIDBatch answers a whole batch of
+// same-shape probes through a callback under one read-lock, and the
+// one-pattern form in ids.go, QueryIDFunc, is a batch of one. These are the
+// hooks the vectorized operator runtime in repro/internal/query/exec pulls
+// triples through. The amortization is the point: a tuple-at-a-time join pays
+// a lock round trip and a callback per probe, a batched one pays them per
+// thousand triples.
 
 // Indexes a ScanPart can walk, in the lead/mid/trail vocabulary of index.go:
 // famSPO has subjects leading, famPOS predicates.
@@ -29,13 +30,16 @@ func tripleOf(fam uint8, lead, mid, trail uint32) IDTriple {
 	return IDTriple{S: lead, P: mid, O: trail}
 }
 
-// ScanPart is a resumable cursor over the triples of one store matching a
-// pattern. Obtain it with ScanParts and drain it by calling NextBatch until it
-// reports done; a part must not be shared between goroutines.
+// ScanPart is a resumable cursor over the triples of a store or a View
+// matching a pattern. Obtain it with Scan and drain it by calling NextBatch
+// until it reports done; a part must not be shared between goroutines. A
+// View's cursor walks the base, then the overlay; one refill may finish the
+// one and start the other, under the one lock they share, so each refill sees
+// one state of the view.
 //
-// Like every store iterator, a cursor overlapping concurrent writers is
-// well-formed but not snapshot-consistent: a triple inserted or removed while
-// the scan is between refills may be seen or missed. Within one posting list
+// A cursor overlapping concurrent writers is well-formed but not
+// snapshot-consistent across refills: a triple inserted or removed while the
+// scan is between refills may be seen or missed. Within one posting list
 // that is all a write can do: the cursor resumes in a list by value
 // (fillElems), so for (S P ?), (? P O) and the object-only fan-out a triple
 // present throughout the scan is reported exactly once. One level up a lead's
@@ -45,14 +49,21 @@ func tripleOf(fam uint8, lead, mid, trail uint32) IDTriple {
 // unbound scan and the object-only fan-out resume among them by value as
 // well (fillLeads): a lead filed or pruned between refills moves no other
 // lead across the cursor, so only the triples a write touched may be seen or
-// missed. A write batch is atomic to each refill, not to the cursor: one
-// written between two refills is seen wherever its triples fall after the
-// cursor's place. Results are guaranteed exact only against quiescent
-// members.
+// missed. A write section is atomic to each refill, not to the cursor: one
+// run between two refills is seen wherever its triples fall after the
+// cursor's place. (Across the two members of a View, a triple moved from the
+// base to the overlay between refills may be seen twice or, moved the other
+// way, missed.) A caller that needs one state across refills brackets the
+// drain with two equal Store.Generation readings.
 // NextBatch never blocks writers for longer than one refill, and a part holds
 // nothing but its place.
 type ScanPart struct {
 	owner *Store
+	// then is the member walked after owner: a View's overlay, nil otherwise.
+	then *Store
+	// held marks a cursor opened through Held, whose refills run inside a
+	// write section and take no lock.
+	held bool
 
 	fam        uint8
 	lead       uint32
@@ -66,32 +77,53 @@ type ScanPart struct {
 	// the object-only fan-out (POS, mid the object).
 	allLeads bool
 
-	// Cursor state, every place named by value. For allLeads scans: the
-	// least lead id not yet finished. With the mid open: the least middle
-	// component of the current lead not yet finished. Always: the position
-	// within the current trailing run, so a refill stops exactly at the batch
-	// boundary, and — once trailPos > 0 — the last trailing id emitted from
-	// it, which fillElems checks the position against on resume.
+	place
+	done bool
+}
+
+// place is a cursor's position in its current member, every part named by
+// value. For allLeads scans: the least lead id not yet finished. With the mid
+// open: the least middle component of the current lead not yet finished.
+// Always: the position within the current trailing run, so a refill stops
+// exactly at the batch boundary, and — once trailPos > 0 — the last trailing
+// id emitted from it, which fillElems checks the position against on resume.
+type place struct {
 	nextLead  uint32
 	nextMid   uint32
 	trailPos  int
 	lastTrail uint32
-	done      bool
 }
 
 // NextBatch fills out with the part's next triples, returning how many were
 // written and whether the part is exhausted (done true means no further call
-// will produce anything). A refill holds the store's read-lock once; the
-// usual no-writes-from-the-calling-goroutine rule of QueryIDBatch does not
-// apply between calls — the lock is released before NextBatch returns.
+// will produce anything). A refill holds the read-lock once, for both members
+// of a View; the usual no-writes-from-the-calling-goroutine rule of
+// QueryIDBatch does not apply between calls — the lock is released before
+// NextBatch returns.
 func (pt *ScanPart) NextBatch(out []IDTriple) (int, bool) {
 	if len(out) == 0 || pt.done {
 		return 0, pt.done
 	}
-	if pt.allLeads {
-		return pt.fillLeads(out), pt.done
+	if !pt.held {
+		pt.owner.mu.RLock()
+		defer pt.owner.mu.RUnlock()
 	}
-	return pt.fillLead(out), pt.done
+	n := pt.fill(out)
+	if pt.done && pt.then != nil {
+		pt.owner, pt.then, pt.place, pt.done = pt.then, nil, place{}, false
+		if n < len(out) {
+			n += pt.fill(out[n:])
+		}
+	}
+	return n, pt.done
+}
+
+// fill advances the part in its current member. Callers hold the lock.
+func (pt *ScanPart) fill(out []IDTriple) int {
+	if pt.allLeads {
+		return pt.fillLeads(out)
+	}
+	return pt.fillLead(out)
 }
 
 // fillLeads advances an allLeads part — the unbound full scan over SPO or
@@ -102,7 +134,6 @@ func (pt *ScanPart) NextBatch(out []IDTriple) (int, bool) {
 // arrives at a later one and starts it from its first pair.
 func (pt *ScanPart) fillLeads(out []IDTriple) int {
 	ix, n := pt.index(), 0
-	pt.owner.mu.RLock()
 	pt.done = ix.ascend(pt.nextLead, func(lead uint32, e *leadEntry) bool {
 		if n == len(out) {
 			return false
@@ -126,7 +157,6 @@ func (pt *ScanPart) fillLeads(out []IDTriple) int {
 		pt.nextLead = lead + 1
 		return true
 	})
-	pt.owner.mu.RUnlock()
 	return n
 }
 
@@ -210,13 +240,11 @@ func (pt *ScanPart) fillMids(lead uint32, e *leadEntry, out []IDTriple, n int) (
 	return n, i >= len(e.entries)
 }
 
-// fillLead advances a single-lead part: the lead entry is re-looked-up under
-// a fresh read-lock each refill, since it may have mutated in between. A
-// midBound part names its one list by value, so only the triple a write
-// touched may be seen or missed; with the mid open the walk is fillMids.
+// fillLead advances a single-lead part: the lead entry is re-looked-up each
+// refill, since it may have mutated in between. A midBound part names its one
+// list by value, so only the triple a write touched may be seen or missed;
+// with the mid open the walk is fillMids.
 func (pt *ScanPart) fillLead(out []IDTriple) int {
-	pt.owner.mu.RLock()
-	defer pt.owner.mu.RUnlock()
 	e, n := pt.index().find(pt.lead), 0
 	switch {
 	case e == nil:
@@ -259,18 +287,11 @@ func (pt *ScanPart) Release() {
 	partPool.Put(pt)
 }
 
-// ScanParts opens the resumable cursor over the triples matching the id
-// pattern — the batched twin of the callback walk (QueryIDBatch), choosing
-// the permutation index the same way. A store answers with exactly one part;
-// the slice form is what lets a View answer with one per member. Drain each
-// part with NextBatch, in order; each refill costs one lock round trip
-// however many triples it moves.
-func (s *Store) ScanParts(p IDPattern) []*ScanPart {
-	return []*ScanPart{s.scanPart(p)}
-}
-
-// scanPart builds the store's cursor for the pattern.
-func (s *Store) scanPart(p IDPattern) *ScanPart {
+// Scan opens the resumable cursor over the triples matching the id pattern —
+// the batched twin of the callback walk (QueryIDBatch), choosing the
+// permutation index the same way. Drain it with NextBatch; each refill costs
+// one lock round trip however many triples it moves.
+func (s *Store) Scan(p IDPattern) *ScanPart {
 	pt := takePart()
 	pt.owner = s
 	switch {
@@ -294,11 +315,13 @@ func (s *Store) scanPart(p IDPattern) *ScanPart {
 	return pt
 }
 
-// ScanParts is the View form of Store.ScanParts: the base's cursor followed
-// by the overlay's. The members are disjoint (see NewView), so the two
-// cursors together report each union triple exactly once.
-func (v *View) ScanParts(p IDPattern) []*ScanPart {
-	return []*ScanPart{v.base.scanPart(p), v.overlay.scanPart(p)}
+// Scan is the View form of Store.Scan: one cursor over the base, then the
+// overlay. The members are disjoint (see NewView), so it reports each union
+// triple exactly once.
+func (v *View) Scan(p IDPattern) *ScanPart {
+	pt := v.base.Scan(p)
+	pt.then = v.overlay
+	return pt
 }
 
 // QueryIDBatch streams the matches of a batch of probe patterns to yield,
@@ -312,11 +335,17 @@ func (v *View) ScanParts(p IDPattern) []*ScanPart {
 // read-lock and must not write to the store, nor read it again: a second
 // read-lock waits behind a writer that waits for the first.
 func (s *Store) QueryIDBatch(ps []IDPattern, yield func(pi int, t IDTriple) bool) {
-	if len(ps) == 0 {
-		return
-	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	s.queryIDBatch(ps, yield)
+}
+
+// queryIDBatch is QueryIDBatch for a caller that holds the lock, reporting
+// false when yield stopped the enumeration.
+func (s *Store) queryIDBatch(ps []IDPattern, yield func(pi int, t IDTriple) bool) bool {
+	if len(ps) == 0 {
+		return true
+	}
 	// The two most common join shapes — (S P ?) answering objects and
 	// (? P O) answering subjects, the forms a join's bound lead plus one
 	// more bound component produces — run fully specialized loops: lead
@@ -325,21 +354,22 @@ func (s *Store) QueryIDBatch(ps []IDPattern, yield func(pi int, t IDTriple) bool
 	// Everything else goes through the general per-probe dispatch.
 	switch shape := ps[0]; {
 	case shape.BoundS && shape.BoundP && !shape.BoundO:
-		s.batchProbeSP(ps, yield)
+		return s.batchProbeSP(ps, yield)
 	case shape.BoundP && shape.BoundO && !shape.BoundS:
-		s.batchProbePO(ps, yield)
+		return s.batchProbePO(ps, yield)
 	default:
 		for pi := range ps {
 			if !s.probeLocked(ps[pi], pi, yield) {
-				return
+				return false
 			}
 		}
+		return true
 	}
 }
 
-// batchProbeSP answers a batch of (S P ?) probes: SPO, objects out. Callers
-// hold mu.
-func (s *Store) batchProbeSP(ps []IDPattern, yield func(pi int, t IDTriple) bool) {
+// batchProbeSP answers a batch of (S P ?) probes: SPO, objects out, reporting
+// false when yield stopped it. Callers hold mu.
+func (s *Store) batchProbeSP(ps []IDPattern, yield func(pi int, t IDTriple) bool) bool {
 	for pi, p := range ps {
 		e := s.spo.find(p.S)
 		if e == nil {
@@ -351,15 +381,16 @@ func (s *Store) batchProbeSP(ps []IDPattern, yield func(pi int, t IDTriple) bool
 		}
 		for _, v := range mt.elems() {
 			if !yield(pi, IDTriple{S: p.S, P: p.P, O: v}) {
-				return
+				return false
 			}
 		}
 	}
+	return true
 }
 
-// batchProbePO answers a batch of (? P O) probes: POS, subjects out. Callers
-// hold mu.
-func (s *Store) batchProbePO(ps []IDPattern, yield func(pi int, t IDTriple) bool) {
+// batchProbePO answers a batch of (? P O) probes: POS, subjects out, reporting
+// false when yield stopped it. Callers hold mu.
+func (s *Store) batchProbePO(ps []IDPattern, yield func(pi int, t IDTriple) bool) bool {
 	for pi, p := range ps {
 		e := s.pos.find(p.P)
 		if e == nil {
@@ -371,10 +402,11 @@ func (s *Store) batchProbePO(ps []IDPattern, yield func(pi int, t IDTriple) bool
 		}
 		for _, v := range mt.elems() {
 			if !yield(pi, IDTriple{S: v, P: p.P, O: p.O}) {
-				return
+				return false
 			}
 		}
 	}
+	return true
 }
 
 // probeLocked answers one probe, reporting false when yield stopped the
@@ -466,16 +498,18 @@ func emitSet(mt *midTrail, pi int, yield func(int, IDTriple) bool, fam uint8, le
 	return true
 }
 
-// QueryIDBatch is the View form of Store.QueryIDBatch: each probe answers
-// from the base, then from the overlay. The same same-shape and
-// no-writes-from-yield rules apply.
+// QueryIDBatch is the View form of Store.QueryIDBatch: the batch is answered
+// by the base, then by the overlay, under one read-lock. The same same-shape
+// and no-writes-from-yield rules apply.
 func (v *View) QueryIDBatch(ps []IDPattern, yield func(pi int, t IDTriple) bool) {
-	stopped := false
-	v.base.QueryIDBatch(ps, func(pi int, t IDTriple) bool {
-		stopped = !yield(pi, t)
-		return !stopped
-	})
-	if !stopped {
-		v.overlay.QueryIDBatch(ps, yield)
+	v.base.mu.RLock()
+	defer v.base.mu.RUnlock()
+	v.queryIDBatch(ps, yield)
+}
+
+// queryIDBatch is View.QueryIDBatch for a caller that holds the lock.
+func (v *View) queryIDBatch(ps []IDPattern, yield func(pi int, t IDTriple) bool) {
+	if v.base.queryIDBatch(ps, yield) {
+		v.overlay.queryIDBatch(ps, yield)
 	}
 }

@@ -7,18 +7,19 @@
 //
 // The engine is dictionary-encoded. Every subject, predicate and object
 // string is interned into a uint32 id by a symbol table, and the two
-// permutation indexes, SPO and POS, hold ids under the store's one RWMutex. Seven of the eight bound shapes of a pattern land on one lead of
-// one index; the eighth, object-only (? ? o), fans out over POS at
-// O(predicates) finds plus the matches (see index.go for why no third
+// permutation indexes, SPO and POS, hold ids under one RWMutex, which a store
+// shares with its overlays. Seven of the eight bound shapes of a pattern land
+// on one lead of one index; the eighth, object-only (? ? o), fans out over
+// POS at O(predicates) finds plus the matches (see index.go for why no third
 // rotation is stored). Ingest has a batch path (AddBatch) that interns the
-// whole batch under one symbol-table lock and files it under one write lock,
+// whole batch under one symbol-table lock and files it in one write section,
 // and reads have an allocation-free iterator form (QueryIDFunc,
-// ForEachSubject) alongside the materializing Query.
+// View.ForEachSubject) alongside the materializing Query.
 //
 // Ordering: every materializing read (Query, Triples) returns its result in
 // sorted lexicographic order, so results depend only on the store's contents
 // — never on ingest order or on the ids the names happened to get. The
-// streaming forms (QueryIDFunc, ForEachSubject, the batched hooks of scan.go)
+// streaming forms (QueryIDFunc, View.ForEachSubject, the hooks of scan.go)
 // trade that order for zero allocation and enumerate in an unspecified one,
 // which is still a function of the contents alone: leads ascending by id,
 // pairs by middle id within a lead and members ascending within a set. Those
@@ -29,24 +30,28 @@
 // callback walk behind QueryIDBatch (QueryIDFunc is a batch of one) and the
 // resumable ScanPart cursor, both in scan.go, are the enumerations; StatsID
 // (ids.go) is the cardinality dispatch, and Count is its count. A View
-// (view.go) is the union of a base and an overlay sharing one dictionary,
-// under one contract — the caller keeps the two disjoint — so a view read is
-// the base's answer followed by the overlay's and a view count is a sum.
+// (view.go) is the union of a base and an overlay sharing one dictionary and
+// one lock, under one contract — the caller keeps the two disjoint — so a
+// view read is the base's answer followed by the overlay's and a view count
+// is a sum.
 //
 // Joins, variables and ontology-aware expansion live one layer up, in
 // package repro/internal/query, which evaluates basic graph patterns over
 // the id-level hooks in ids.go and scan.go.
 //
-// Consistency: all methods are safe for concurrent use. Each store has one
-// RWMutex over both indexes. A write holds it for one triple (Add, Remove) or
-// one whole batch (AddBatch, Tx.RemoveIDs, LoadSorted), so a batch is atomic
-// to readers: a reader sees all of it or none of it, and a triple is never
-// observable in one permutation but not the other. A read holds it for one
-// probe batch (QueryIDBatch) or one cursor refill (ScanPart.NextBatch), so a
-// cursor that spans refills may see a batch written between two of them —
-// see ScanPart for what it guarantees then. The materializing reads (Query,
-// Triples, the snapshots) drain a cursor, so none holds the lock for longer
-// than a refill; a callback walk of an unbound pattern holds it throughout.
+// Consistency: all methods are safe for concurrent use. A store and its
+// overlays share one RWMutex and one generation. A write holds it for one
+// write section (Write) — Add, AddBatch and Remove are one each, a reasoner's
+// write to both members is one — so a reader sees all of a write or none of
+// it, across both members of a View. A read holds it once for one probe
+// batch (QueryIDBatch), one cursor refill (ScanPart.NextBatch) or one
+// Contains, StatsID or View.ForEachSubject, so a cursor that spans refills
+// may see a section run between two of them (see ScanPart, and Generation for
+// the bracket that detects it). The materializing reads (Query, Triples, the
+// snapshots) drain a cursor, so none holds the lock for longer than a refill.
+// Lock order is store, symbol table, journal, and the lock is not reentrant:
+// a callback run under it must not read the view again, and a section reads
+// through View.Held.
 package store
 
 import (
@@ -115,9 +120,10 @@ func (p Pattern) Matches(t Triple) bool {
 type Store struct {
 	syms *symtab
 	size atomic.Int64
-	// mu guards both indexes: readers hold it for one probe batch or one
-	// cursor refill, write handles for one triple or one batch.
-	mu  sync.RWMutex
+	// mu guards both indexes, and is shared with every overlay (NewOverlay):
+	// readers hold it for one probe batch or one cursor refill, writers for
+	// one write section (Write).
+	mu  *viewLock
 	spo index // subjects leading
 	pos index // predicates leading
 	// journal, when non-nil, receives this store's triple mutations and
@@ -128,19 +134,52 @@ type Store struct {
 	journal atomic.Pointer[Journal]
 }
 
+// viewLock is the lock a store shares with its overlays, and the generation
+// it guards.
+type viewLock struct {
+	sync.RWMutex
+	// gen counts the write sections that reported a change; it is advanced
+	// only under the write lock, so it may be loaded without it.
+	gen atomic.Uint64
+}
+
 // New returns an empty store.
 func New() *Store {
-	return &Store{syms: newSymtab()}
+	return &Store{syms: newSymtab(), mu: new(viewLock)}
 }
+
+// Write runs fn as one write section, under the write lock s shares with its
+// overlays: a reader of s or of a View over it sees the state before the
+// section or after it. When fn reports a change, the generation advances
+// before the unlock; Write returns the generation after the section. fn calls
+// Tx methods and reads through View.Held; a method that locks would deadlock.
+// Store's own Add, AddBatch and Remove report no change: a generation names
+// a reasoner's write (package reason), and a load before Materialize none.
+func (s *Store) Write(fn func() bool) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if fn() {
+		return s.mu.gen.Add(1)
+	}
+	return s.mu.gen.Load()
+}
+
+// Generation returns the number of write sections on s and its overlays that
+// reported a change. Two equal readings bracket a span in which no such
+// section completed.
+func (s *Store) Generation() uint64 { return s.mu.gen.Load() }
 
 // Add inserts a triple, reporting whether it was newly inserted. Triples with
 // an empty component are rejected with an error. It is a write handle used
 // once (see Tx): with a journal attached, a newly inserted triple is
 // committed before Add returns, and a commit failure is returned wrapping
 // ErrJournal (the triple is applied in memory).
-func (s *Store) Add(t Triple) (bool, error) {
+func (s *Store) Add(t Triple) (added bool, err error) {
 	tx := s.Begin()
-	added, err := tx.Add(t)
+	s.Write(func() bool {
+		added, err = tx.Add(t)
+		return false
+	})
 	if err != nil {
 		return false, err
 	}
@@ -164,7 +203,12 @@ func (s *Store) MustAdd(t Triple) {
 // is applied in memory but not durable.
 func (s *Store) AddBatch(ts []Triple) (int, error) {
 	tx := s.Begin()
-	fresh, err := tx.AddBatch(ts)
+	var fresh []IDTriple
+	var err error
+	s.Write(func() bool {
+		fresh, err = tx.AddBatch(ts)
+		return false
+	})
 	if err != nil {
 		return 0, err
 	}
@@ -176,9 +220,12 @@ func (s *Store) AddBatch(ts []Triple) (int, error) {
 // no error slot, so a failed commit is only observable through the journal's
 // own sticky-error reporting (the removal stays applied in memory either
 // way). A caller that must see the error removes through a Tx.
-func (s *Store) Remove(t Triple) bool {
+func (s *Store) Remove(t Triple) (removed bool) {
 	tx := s.Begin()
-	removed := tx.Remove(t)
+	s.Write(func() bool {
+		removed = tx.Remove(t)
+		return false
+	})
 	_ = tx.Commit() // sticky in the journal; no error slot here
 	return removed
 }
@@ -206,23 +253,21 @@ func (s *Store) Contains(t Triple) bool {
 // drainBatch is how many triples sortedMatches moves per cursor refill.
 const drainBatch = 1024
 
-// sortedMatches appends the matches of parts to out, resolved through syms,
-// and sorts the result into the canonical (subject, predicate, object) order.
-// It drains each cursor one refill at a time and releases it, so a walk over
-// the whole store holds a store's lock for no longer than one refill.
-func sortedMatches(parts []*ScanPart, syms *symtab, out []Triple) []Triple {
+// sortedMatches appends the matches of the cursor pt to out, resolved through
+// syms, and sorts the result into the canonical (subject, predicate, object)
+// order. It drains the cursor one refill at a time and releases it, so a walk
+// over the whole store holds the lock for no longer than one refill.
+func sortedMatches(pt *ScanPart, syms *symtab, out []Triple) []Triple {
 	res := newResolver(syms)
 	var buf [drainBatch]IDTriple
-	for _, pt := range parts {
-		for done := false; !done; {
-			var n int
-			n, done = pt.NextBatch(buf[:])
-			for _, t := range buf[:n] {
-				out = append(out, Triple{res.name(t.S), res.name(t.P), res.name(t.O)})
-			}
+	for done := false; !done; {
+		var n int
+		n, done = pt.NextBatch(buf[:])
+		for _, t := range buf[:n] {
+			out = append(out, Triple{res.name(t.S), res.name(t.P), res.name(t.O)})
 		}
-		pt.Release()
 	}
+	pt.Release()
 	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
 	return out
 }
@@ -239,7 +284,7 @@ func (s *Store) Query(p Pattern) []Triple {
 	if !ok {
 		return nil
 	}
-	return sortedMatches(s.ScanParts(ip), s.syms, nil)
+	return sortedMatches(s.Scan(ip), s.syms, nil)
 }
 
 // Triples returns every triple in the store, sorted lexicographically by
@@ -247,7 +292,7 @@ func (s *Store) Query(p Pattern) []Triple {
 // Like Query, the result depends only on the store's contents, never on
 // ingest order or id assignment; Snapshot is defined in terms of it.
 func (s *Store) Triples() []Triple {
-	return sortedMatches(s.ScanParts(IDPattern{}), s.syms, make([]Triple, 0, s.Len()))
+	return sortedMatches(s.Scan(IDPattern{}), s.syms, make([]Triple, 0, s.Len()))
 }
 
 // Count returns the number of triples matching the pattern. It runs entirely
@@ -261,37 +306,4 @@ func (s *Store) Count(p Pattern) int {
 		return 0
 	}
 	return s.StatsID(ip).Count
-}
-
-// ForEachSubject streams the distinct subjects of triples with the given
-// predicate and object to yield, stopping early when yield returns false.
-// The order is unspecified; allocation per subject is zero. The same
-// no-writes-from-yield rule as QueryIDFunc applies. It is the one string-level
-// streaming read kept beside QueryIDFunc: resolving inside the set walk is
-// what reason.Reasoner.InstancesFunc's class retrieval is measured on.
-func (s *Store) ForEachSubject(predicate, object string, yield func(string) bool) {
-	pid, ok := s.syms.lookup(predicate)
-	if !ok {
-		return
-	}
-	oid, ok := s.syms.lookup(object)
-	if !ok {
-		return
-	}
-	res := newResolver(s.syms)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e := s.pos.find(pid)
-	if e == nil {
-		return
-	}
-	mt := e.find(oid)
-	if mt == nil {
-		return
-	}
-	for _, sid := range mt.elems() {
-		if !yield(res.name(sid)) {
-			return
-		}
-	}
 }

@@ -129,8 +129,12 @@ func TestAccessors(t *testing.T) {
 	if got := s.Query(Pattern{Predicate: "type", Object: "boat"}); len(got) != 0 {
 		t.Errorf("Query of an absent class = %v, want empty", got)
 	}
+	v, err := NewView(s, s.NewOverlay())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var streamed []string
-	s.ForEachSubject("type", "car", func(subj string) bool {
+	v.ForEachSubject("type", "car", func(subj string) bool {
 		streamed = append(streamed, subj)
 		return true
 	})

@@ -6,18 +6,21 @@ import (
 )
 
 // This file is the store's write path. Every mutation goes through a Tx, a
-// write handle that applies each change to the indexes at once and defers the
-// journal: what the handle changed is remembered and handed to the attached
-// Journal as one mutation by Commit. Store.Add, AddBatch and Remove are a
-// handle begun, used once and committed; a caller whose write touches the
-// store more than once (the reasoner asserts, maintains, then retracts) holds
-// the handle across the touches and commits once, so the whole write is one
-// journal record and one wait for durability.
+// write handle that applies each change to the indexes at once, inside a
+// write section (Store.Write), and defers the journal: what the handle
+// changed is remembered and handed to the attached Journal as one mutation by
+// Commit. Store.Add, AddBatch and Remove are a handle begun, used once in one
+// section and committed; a caller whose write touches the store more than
+// once (the reasoner asserts, maintains, then retracts) holds the handle
+// across the touches, all in one section, and commits once, so the whole
+// write is one state change to readers, one journal record and one wait for
+// durability.
 
-// Tx is a write handle on one store, begun with Store.Begin. Its methods
-// change the indexes immediately — readers see each change as soon as the
-// method returns, exactly as with the Store methods of the same name — and
-// Commit makes everything the handle changed durable as one journaled
+// Tx is a write handle on one store, begun with Store.Begin. Its methods take
+// no lock: every one but Commit runs inside a write section (Store.Write) on
+// its store or on one sharing its lock, and changes the indexes at once, so
+// readers see the section's changes together when it ends. Commit, outside
+// any section, makes everything the handle changed durable as one journaled
 // mutation. On a store without a journal Commit has nothing to do, so a
 // handle on such a store (a reasoner's overlay) may simply stay open.
 //
@@ -79,16 +82,14 @@ func (tx *Tx) AddID(t IDTriple) (bool, error) {
 	return tx.insert(t), nil
 }
 
-// insert files one encoded triple in both indexes under the write lock.
+// insert files one encoded triple in both indexes.
 func (tx *Tx) insert(t IDTriple) bool {
 	s := tx.s
-	s.mu.Lock()
 	added := s.spo.insert(t.S, t.P, t.O)
 	if added {
 		s.pos.insert(t.P, t.O, t.S)
 		s.size.Add(1)
 	}
-	s.mu.Unlock()
 	if added && tx.j != nil {
 		tx.adds = append(tx.adds, t)
 	}
@@ -103,9 +104,7 @@ func (tx *Tx) insert(t IDTriple) bool {
 // position is returned and nothing at all is inserted.
 //
 // The fast path over per-triple Add: all strings of the batch are interned
-// under one symbol-table lock, and the batch is then filed under one write
-// lock instead of one per triple. A batch is atomic to readers: they see all
-// of it or none of it.
+// under one symbol-table lock, and the batch is then filed in one pass.
 func (tx *Tx) AddBatch(ts []Triple) ([]IDTriple, error) {
 	for i, t := range ts {
 		if !t.valid() {
@@ -118,14 +117,12 @@ func (tx *Tx) AddBatch(ts []Triple) ([]IDTriple, error) {
 	return tx.insertBatch(tx.s.syms.internBatch(ts, make([]IDTriple, 0, len(ts)))), nil
 }
 
-// insertBatch files an encoded batch in both indexes under one write lock and
-// returns the triples that were actually absent: the batch's fresh subset in
+// insertBatch files an encoded batch in both indexes and returns the triples that were actually absent: the batch's fresh subset in
 // the batch's order, reusing enc's storage, which it takes over. SPO is the
 // arbiter of newness: a duplicate within the batch comes after its first
 // occurrence, so the first is the one kept.
 func (tx *Tx) insertBatch(enc []IDTriple) []IDTriple {
 	s, fresh := tx.s, enc[:0]
-	s.mu.Lock()
 	for _, e := range enc {
 		if s.spo.insert(e.S, e.P, e.O) {
 			s.pos.insert(e.P, e.O, e.S)
@@ -133,7 +130,6 @@ func (tx *Tx) insertBatch(enc []IDTriple) []IDTriple {
 		}
 	}
 	s.size.Add(int64(len(fresh)))
-	s.mu.Unlock()
 	if tx.j != nil {
 		tx.adds = append(tx.adds, fresh...)
 	}
@@ -146,19 +142,16 @@ func (tx *Tx) Remove(t Triple) bool {
 	return ok && tx.RemoveID(e)
 }
 
-// RemoveID deletes a dictionary-encoded triple from both indexes under the
-// write lock, reporting whether it was present. Ids the dictionary never minted simply
+// RemoveID deletes a dictionary-encoded triple from both indexes, reporting whether it was present. Ids the dictionary never minted simply
 // match nothing. It is the id-level twin of Remove, used by the overdeletion
 // pass of incremental maintenance.
 func (tx *Tx) RemoveID(t IDTriple) bool {
 	s := tx.s
-	s.mu.Lock()
 	removed := s.spo.remove(t.S, t.P, t.O)
 	if removed {
 		s.pos.remove(t.P, t.O, t.S)
 		s.size.Add(-1)
 	}
-	s.mu.Unlock()
 	if removed && tx.j != nil {
 		tx.removes = append(tx.removes, t)
 	}
@@ -176,9 +169,7 @@ const removeIDsMin = 64
 // an absent triple not at all. A large batch is sorted per index and every
 // trailing set it touches is compacted in one pass, so retracting k of a
 // set's n members moves O(n) bytes, not the O(k·n) of k RemoveID calls (which
-// made one write that empties a large class quadratic in its size). The keys
-// are sorted before the write lock is taken, and the batch leaves both
-// indexes under it: like AddBatch, it is atomic to readers.
+// made one write that empties a large class quadratic in its size).
 func (tx *Tx) RemoveIDs(ts []IDTriple) int {
 	if len(ts) < removeIDsMin {
 		n := 0
@@ -200,11 +191,9 @@ func (tx *Tx) RemoveIDs(ts []IDTriple) int {
 	// absent from POS too and removing every key from POS removes exactly
 	// what SPO reports gone.
 	s := tx.s
-	s.mu.Lock()
 	gone := s.spo.removeAll(keys)
 	s.pos.removeAll(pos)
 	s.size.Add(-int64(len(gone)))
-	s.mu.Unlock()
 	if tx.j != nil {
 		for _, k := range gone {
 			tx.removes = append(tx.removes, IDTriple{S: k[0], P: k[1], O: k[2]})

@@ -33,21 +33,15 @@ func (p Provenance) String() string {
 	return "asserted"
 }
 
-// NewOverlay returns a fresh empty store sharing s's symbol table: an id
-// minted by either store resolves to the same name in both, so id-level
-// triples and patterns can move between them without re-encoding. The overlay
-// is an ordinary Store in every other respect — same indexes, same locking,
-// same iterators — and package reason uses one to hold inferred triples apart
-// from the asserted base.
+// NewOverlay returns a fresh empty store sharing s's symbol table, and its
+// lock and generation: an id minted by either store resolves to the same name
+// in both, so id-level triples and patterns can move between them without
+// re-encoding, and one write section (Write) covers both. The overlay is an
+// ordinary Store in every other respect — same indexes, same iterators — and
+// package reason uses one to hold inferred triples apart from the asserted
+// base.
 func (s *Store) NewOverlay() *Store {
-	return &Store{syms: s.syms}
-}
-
-// SharesDictionary reports whether o interns through the same symbol table as
-// s (i.e. o was created by NewOverlay on s or on a store sharing s's
-// dictionary), which is what makes their SymbolIDs interchangeable.
-func (s *Store) SharesDictionary(o *Store) bool {
-	return o != nil && s.syms == o.syms
+	return &Store{syms: s.syms, mu: s.mu}
 }
 
 // Intern interns a name into the store's dictionary and returns its id,
@@ -71,14 +65,6 @@ func (s *Store) Intern(name string) (SymbolID, error) {
 	return id, nil
 }
 
-// ContainsID reports whether the id triple is present. It is the id-level
-// twin of Contains: three ids that were never interned simply match nothing.
-func (s *Store) ContainsID(t IDTriple) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.spo.contains(t.S, t.P, t.O)
-}
-
 // validID reports whether every component id has actually been minted by the
 // store's dictionary.
 func (s *Store) validID(t IDTriple) bool {
@@ -96,29 +82,29 @@ func (s *Store) validID(t IDTriple) bool {
 // reason maintains (inferred triples are exactly the derivable non-asserted
 // ones). Under it every read is the base's answer followed by the overlay's
 // with no per-triple duplicate probe, and every count is the sum of the
-// members' own counters. If the contract is transiently violated (mid-
-// maintenance, between a base insert and the matching overlay retirement),
-// reads overlapping that window may see the affected triple twice and counts
-// may double-count it; quiescent views are exact.
+// members' own counters. A writer that moves a triple between the members
+// does so inside one write section, so no reader sees the contract broken.
 //
-// A View holds no locks of its own: each probe reads the two stores under
-// their own read-locks, one after the other, so, like Store's iterators, a
-// result set is only guaranteed consistent against quiescent members.
+// The members share one lock (NewOverlay), and a View read takes it once:
+// each probe batch (QueryIDBatch), each cursor refill (Scan), each Contains,
+// Provenance and ForEachSubject sees both members in one state, the state
+// before a write section or after it. A read that spans refills may see
+// several states; Store.Generation brackets it.
 type View struct {
 	base    *Store
 	overlay *Store
 }
 
-// NewView returns the union view of base and overlay. The two stores must
-// share a dictionary (see NewOverlay) — ids from one would be meaningless in
-// the other otherwise — and the caller promises to keep them disjoint (see
-// View).
+// NewView returns the union view of base and overlay. The overlay must share
+// the base's dictionary and lock (see NewOverlay) — ids from one would be
+// meaningless in the other otherwise, and a read could not see both in one
+// state — and the caller promises to keep them disjoint (see View).
 func NewView(base, overlay *Store) (*View, error) {
 	if base == nil || overlay == nil {
 		return nil, fmt.Errorf("store: NewView needs both a base and an overlay store")
 	}
-	if !base.SharesDictionary(overlay) {
-		return nil, fmt.Errorf("store: view members do not share a dictionary; create the overlay with NewOverlay")
+	if base.mu != overlay.mu {
+		return nil, fmt.Errorf("store: view members do not share a lock and a dictionary; create the overlay with NewOverlay")
 	}
 	return &View{base: base, overlay: overlay}, nil
 }
@@ -148,20 +134,93 @@ func (v *View) NewResolver() Resolver {
 
 // Contains reports whether the triple is visible through the view.
 func (v *View) Contains(t Triple) bool {
-	return v.base.Contains(t) || v.overlay.Contains(t)
+	_, ok := v.Provenance(t)
+	return ok
 }
 
 // Provenance reports how the triple entered the view: ProvAsserted when it is
 // in the base store, ProvInferred when it is in the overlay; ok is false when
 // the view does not contain it.
 func (v *View) Provenance(t Triple) (Provenance, bool) {
-	if v.base.Contains(t) {
-		return ProvAsserted, true
+	e, ok := v.base.syms.lookupTriple(t)
+	if !ok {
+		return ProvAsserted, false
 	}
-	if v.overlay.Contains(t) {
+	v.base.mu.RLock()
+	defer v.base.mu.RUnlock()
+	switch {
+	case v.base.spo.contains(e.S, e.P, e.O):
+		return ProvAsserted, true
+	case v.overlay.spo.contains(e.S, e.P, e.O):
 		return ProvInferred, true
 	}
 	return ProvAsserted, false
+}
+
+// ForEachSubject streams the distinct subjects of the view's triples with the
+// given predicate and object to yield, the base's first, stopping early when
+// yield returns false. Both members are read under one read-lock, so the
+// subjects are those of one state of the view. The order is unspecified and
+// nothing is allocated per subject. yield runs under the lock, with the
+// QueryIDBatch rule: it must not write to the view, nor read it again. It is
+// the one string-level streaming read kept beside QueryIDFunc: resolving
+// inside the set walk is what reason.Reasoner.InstancesFunc's class retrieval
+// is measured on.
+func (v *View) ForEachSubject(predicate, object string, yield func(string) bool) {
+	pid, ok := v.base.syms.lookup(predicate)
+	if !ok {
+		return
+	}
+	oid, ok := v.base.syms.lookup(object)
+	if !ok {
+		return
+	}
+	res := newResolver(v.base.syms)
+	v.base.mu.RLock()
+	defer v.base.mu.RUnlock()
+	for _, s := range [2]*Store{v.base, v.overlay} {
+		e := s.pos.find(pid)
+		if e == nil {
+			continue
+		}
+		if mt := e.find(oid); mt != nil {
+			for _, sid := range mt.elems() {
+				if !yield(res.name(sid)) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// Held returns the view's reads for a caller inside a write section. It is
+// the view itself under another type, so handing it around allocates nothing.
+func (v *View) Held() *Held { return (*Held)(v) }
+
+// Held reads a View from inside a write section (Store.Write) on its members:
+// it takes no lock, since the section holds it. It satisfies the operator
+// runtime's Source (package repro/internal/query/exec), so a writer can lower
+// a pipeline over the view it is changing, and it answers membership.
+// Outside a section, read through the View.
+type Held View
+
+// Scan is View.Scan for a caller inside a write section.
+func (h *Held) Scan(p IDPattern) *ScanPart {
+	pt := (*View)(h).Scan(p)
+	pt.held = true
+	return pt
+}
+
+// QueryIDBatch is View.QueryIDBatch for a caller inside a write section.
+func (h *Held) QueryIDBatch(ps []IDPattern, yield func(pi int, t IDTriple) bool) {
+	(*View)(h).queryIDBatch(ps, yield)
+}
+
+// Contains reports whether the id triple is in the base (asserted) and
+// whether it is in the overlay (inferred). Ids the dictionary never minted
+// simply match nothing.
+func (h *Held) Contains(t IDTriple) (asserted, inferred bool) {
+	return h.base.spo.contains(t.S, t.P, t.O), h.overlay.spo.contains(t.S, t.P, t.O)
 }
 
 // QueryIDFunc streams every triple of the union matching the id pattern to
@@ -173,13 +232,15 @@ func (v *View) QueryIDFunc(p IDPattern, yield func(IDTriple) bool) {
 	v.QueryIDBatch([]IDPattern{p}, func(_ int, t IDTriple) bool { return yield(t) })
 }
 
-// StatsID returns cardinality statistics for the id pattern over the union.
-// Count is exact — the sum of the members' counts — and the distinct widths
-// are the sums of the two members' widths, an upper bound when a value occurs
-// on both sides, which is accurate enough for the planner's selectivity
-// ordering.
+// StatsID returns cardinality statistics for the id pattern over the union,
+// both members read under one read-lock. Count is exact — the sum of the
+// members' counts — and the distinct widths are the sums of the two members'
+// widths, an upper bound when a value occurs on both sides, which is accurate
+// enough for the planner's selectivity ordering.
 func (v *View) StatsID(p IDPattern) IDStats {
-	bs, os := v.base.StatsID(p), v.overlay.StatsID(p)
+	v.base.mu.RLock()
+	defer v.base.mu.RUnlock()
+	bs, os := v.base.statsID(p), v.overlay.statsID(p)
 	return IDStats{
 		Count:     bs.Count + os.Count,
 		DistinctS: bs.DistinctS + os.DistinctS,
@@ -196,13 +257,13 @@ func (v *View) Query(p Pattern) []Triple {
 	if !ok {
 		return nil
 	}
-	return sortedMatches(v.ScanParts(ip), v.base.syms, nil)
+	return sortedMatches(v.Scan(ip), v.base.syms, nil)
 }
 
 // Triples returns every triple visible through the view in the store's
 // canonical sorted export order.
 func (v *View) Triples() []Triple {
-	return sortedMatches(v.ScanParts(IDPattern{}), v.base.syms, make([]Triple, 0, v.Len()))
+	return sortedMatches(v.Scan(IDPattern{}), v.base.syms, make([]Triple, 0, v.Len()))
 }
 
 // TaggedTriple is one triple of a materialized view together with its

@@ -105,7 +105,8 @@ func TestViewSnapshotUnderConcurrentEngineWrites(t *testing.T) {
 
 // TestReadsDuringLoadSortedAndClear reads the base and the view while the
 // overlay behind the view is bulk-loaded and cleared again — triple by triple
-// through a write handle, the only way back to empty — over and over. Under
+// through a write handle in one write section, the only way back to empty —
+// over and over. Under
 // -race it probes the all-at-once publication of LoadSorted against
 // readers and the handle's removals; the assertions are the weak documented
 // ones: the base always answers in full, and the view never yields a triple
@@ -158,13 +159,12 @@ func TestReadsDuringLoadSortedAndClear(t *testing.T) {
 					t.Errorf("view yielded %d triples; want between %d and %d", seen, len(asserted), len(asserted)+len(inferred))
 					return
 				}
-				for _, pt := range view.ScanParts(store.IDPattern{P: inferred[0].P, BoundP: true}) {
-					buf := make([]store.IDTriple, 32)
-					for done := false; !done; {
-						_, done = pt.NextBatch(buf)
-					}
-					pt.Release()
+				pt := view.Scan(store.IDPattern{P: inferred[0].P, BoundP: true})
+				buf := make([]store.IDTriple, 32)
+				for done := false; !done; {
+					_, done = pt.NextBatch(buf)
 				}
+				pt.Release()
 			}
 		}()
 	}
@@ -173,9 +173,12 @@ func TestReadsDuringLoadSortedAndClear(t *testing.T) {
 			t.Fatal(err)
 		}
 		tx := overlay.Begin()
-		for _, it := range inferred {
-			tx.RemoveID(it)
-		}
+		overlay.Write(func() bool {
+			for _, it := range inferred {
+				tx.RemoveID(it)
+			}
+			return false
+		})
 	}
 	close(stop)
 	wg.Wait()
