@@ -209,17 +209,10 @@ func mergeSuffixByHand(t *testing.T, eng *Engine, rng *rand.Rand) {
 }
 
 // mergeByHand merges the chain from tier index from to its end, as the
-// background merge would, on an engine whose merges and automatic
-// checkpoints are off, so the chain read first is still the chain merged.
+// background merge would (Engine.Merge).
 func mergeByHand(t *testing.T, eng *Engine, from int) {
 	t.Helper()
-	eng.mu.Lock()
-	run := slices.Clone(eng.tiers[from:])
-	eng.mu.Unlock()
-	eng.ckptMu.Lock()
-	err := eng.mergeRun(from, run)
-	eng.ckptMu.Unlock()
-	if err != nil {
+	if err := eng.Merge(from); err != nil {
 		t.Fatalf("merging the chain from tier %d: %v", from, err)
 	}
 }

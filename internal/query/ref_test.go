@@ -1,8 +1,8 @@
 package query
 
-// The join evaluator is checked against the dumbest possible reference: a
-// string-level backtracking evaluator that, for each pattern in BGP order,
-// scans every triple of the store. The reference knows nothing about
+// The join evaluator is checked against the dumbest possible reference: the
+// model's string-level backtracking evaluator (internal/model), which, for
+// each pattern in BGP order, scans every triple of the store. The reference knows nothing about
 // indexes, dictionaries, plans or probes, so any agreement between the two
 // is evidence the planner's ordering and the id-level probing are
 // semantics-preserving. The comparison runs as a seeded property test over
@@ -16,89 +16,44 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/query/exec"
 	"repro/internal/store"
 	"repro/internal/tboxio"
 )
 
-// refEval evaluates the BGP by exhaustive backtracking over the materialized
-// triple list, in the BGP's own pattern order.
-func refEval(ts []store.Triple, bgp BGP, oi *store.OntologyIndex) []Binding {
+// modelPattern converts a pattern to the model's.
+func modelPattern(p TriplePattern) model.Pattern {
+	return model.Pattern{Subject: model.Term(p.Subject), Predicate: model.Term(p.Predicate), Object: model.Term(p.Object)}
+}
+
+// modelEval is the model's answer to the BGP over ts (internal/model: a
+// backtracking matcher over the triple list, in the BGP's own pattern order),
+// expanded through oi when it is set.
+func modelEval(ts []store.Triple, bgp BGP, oi *store.OntologyIndex) []Binding {
 	// Reject the same malformed inputs Eval reports through Err.
+	var ps []model.Pattern
 	for _, p := range bgp {
 		for _, term := range p.terms() {
 			if term.Value == "" {
 				return nil
 			}
 		}
+		ps = append(ps, modelPattern(p))
+	}
+	set := model.Set{}
+	for _, t := range ts {
+		set.Add(model.Triple(t))
+	}
+	var subsumees func(string) []string
+	if oi != nil {
+		subsumees = oi.Subsumees
 	}
 	var out []Binding
-	bind := map[string]string{}
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(bgp) {
-			b := make(Binding, len(bind))
-			for k, v := range bind {
-				b[k] = v
-			}
-			out = append(out, b)
-			return
-		}
-		for _, t := range ts {
-			if ok, undo := refMatch(bgp[i], t, bind, oi); ok {
-				rec(i + 1)
-				for _, k := range undo {
-					delete(bind, k)
-				}
-			}
-		}
+	for _, b := range set.Eval(ps, subsumees) {
+		out = append(out, Binding(b))
 	}
-	rec(0)
 	return out
-}
-
-// refMatch matches one triple against one pattern under the current binding,
-// returning which variables it newly bound.
-func refMatch(p TriplePattern, t store.Triple, bind map[string]string, oi *store.OntologyIndex) (bool, []string) {
-	vals := [3]string{t.Subject, t.Predicate, t.Object}
-	expanded := oi != nil && !p.Predicate.IsVar && p.Predicate.Value == store.TypePredicate && !p.Object.IsVar
-	var undo []string
-	fail := func() (bool, []string) {
-		for _, k := range undo {
-			delete(bind, k)
-		}
-		return false, nil
-	}
-	for i, term := range p.terms() {
-		if term.IsVar {
-			if v, bound := bind[term.Value]; bound {
-				if v != vals[i] {
-					return fail()
-				}
-				continue
-			}
-			bind[term.Value] = vals[i]
-			undo = append(undo, term.Value)
-			continue
-		}
-		if expanded && i == 2 {
-			found := false
-			for _, sub := range oi.Subsumees(p.Object.Value) {
-				if sub == vals[i] {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fail()
-			}
-			continue
-		}
-		if term.Value != vals[i] {
-			return fail()
-		}
-	}
-	return true, undo
 }
 
 // refHierarchy is the fixed class hierarchy the random cases annotate under:
@@ -206,7 +161,7 @@ func checkAgainstReference(t *testing.T, triples []store.Triple, bgp BGP, oi *st
 	if err != nil {
 		t.Fatalf("BGP %q: %v", bgp, err)
 	}
-	want := refEval(s.Triples(), bgp, oi)
+	want := modelEval(s.Triples(), bgp, oi)
 	gotC, wantC := canonicalize(got), canonicalize(want)
 	if !reflect.DeepEqual(gotC, wantC) {
 		t.Fatalf("BGP %q over %d triples:\n planner: %v\n reference: %v", bgp, len(triples), gotC, wantC)

@@ -155,7 +155,7 @@ func checkDisjoint(tb testing.TB, r *Reasoner, context string) {
 }
 
 // TestBulkMaterializeMatchesIncremental: Materialize(base) ==
-// Materialize(empty) + AddBatch(all) == naiveClosure as provenance snapshots,
+// Materialize(empty) + AddBatch(all) == the model's closure as provenance snapshots,
 // with the head buffer at its normal size and shrunk to nothing so every
 // handful of heads goes through a compaction.
 func TestBulkMaterializeMatchesIncremental(t *testing.T) {
@@ -181,7 +181,7 @@ func TestBulkMaterializeMatchesIncremental(t *testing.T) {
 			if _, err := inc.AddBatch(c.asserted); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			want := taggedSnapshot(t, naiveClosure(c.asserted, c.rules), c.asserted)
+			want := taggedSnapshot(t, closure(c.asserted, c.rules), c.asserted)
 			if got := provenanceSnapshot(t, bulk); !bytes.Equal(got, want) {
 				t.Fatalf("%s: bulk materialization differs from the naive closure\n got:\n%s\nwant:\n%s", name, got, want)
 			}

@@ -264,7 +264,7 @@ func TestAddBatchJournalFailureStillMaintains(t *testing.T) {
 	defer base.SetJournal(nil)
 	checkClosure := func(stage string) {
 		t.Helper()
-		if got, want := provenanceSnapshot(t, r), taggedSnapshot(t, naiveClosure(asserted, RDFSRules()), asserted); !bytes.Equal(got, want) {
+		if got, want := provenanceSnapshot(t, r), taggedSnapshot(t, closure(asserted, RDFSRules()), asserted); !bytes.Equal(got, want) {
 			t.Fatalf("%s: after failed commits the view is not the closure of the base:\n%s\nwant:\n%s", stage, got, want)
 		}
 	}

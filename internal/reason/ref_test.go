@@ -8,83 +8,55 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/query"
 	"repro/internal/store"
 )
 
 // This file verifies the semi-naive engine and its incremental maintenance
-// against the dumbest correct evaluator: a string-level naive fixpoint that
-// re-applies every rule over every fact combination until nothing changes,
-// recomputed from scratch after every mutation. The engine must agree with
-// it on the full materialization after arbitrary schedules of adds and
-// removes — as a seeded property test here and as a fuzz target
-// (FuzzReasonMatchesReference).
+// against the dumbest correct evaluator: the model's naive fixpoint
+// (internal/model), which re-applies every rule over every fact combination
+// until nothing changes, recomputed from scratch after every mutation. The
+// engine must agree with it on the full materialization after arbitrary
+// schedules of adds and removes — as a seeded property test here and as a
+// fuzz target (FuzzReasonMatchesReference).
 
-// naiveClosure computes the rule closure of the asserted triples by naive
-// brute-force fixpoint iteration.
-func naiveClosure(asserted []store.Triple, rules []Rule) map[store.Triple]bool {
-	facts := map[store.Triple]bool{}
-	for _, t := range asserted {
-		facts[t] = true
-	}
-	for {
-		var fresh []store.Triple
-		for _, r := range rules {
-			naiveMatch(r, facts, map[string]string{}, 0, &fresh)
-		}
-		changed := false
-		for _, t := range fresh {
-			if !facts[t] {
-				facts[t] = true
-				changed = true
-			}
-		}
-		if !changed {
-			return facts
-		}
-	}
+// modelPattern converts a pattern to the model's.
+func modelPattern(p query.TriplePattern) model.Pattern {
+	return model.Pattern{Subject: model.Term(p.Subject), Predicate: model.Term(p.Predicate), Object: model.Term(p.Object)}
 }
 
-// naiveMatch enumerates every instantiation of the rule body over the fact
-// set by backtracking, appending each instantiated head to out.
-func naiveMatch(r Rule, facts map[store.Triple]bool, bind map[string]string, atom int, out *[]store.Triple) {
-	if atom == len(r.Body) {
-		*out = append(*out, instantiate(r.Head, bind))
-		return
-	}
-	p := r.Body[atom]
-	for f := range facts {
-		trial := map[string]string{}
-		for k, v := range bind {
-			trial[k] = v
-		}
-		if unifyTerm(p.Subject, f.Subject, trial) &&
-			unifyTerm(p.Predicate, f.Predicate, trial) &&
-			unifyTerm(p.Object, f.Object, trial) {
-			naiveMatch(r, facts, trial, atom+1, out)
+// modelRules converts rules to the model's.
+func modelRules(rules []Rule) []model.Rule {
+	out := make([]model.Rule, len(rules))
+	for i, r := range rules {
+		out[i].Head = modelPattern(r.Head)
+		for _, p := range r.Body {
+			out[i].Body = append(out[i].Body, modelPattern(p))
 		}
 	}
+	return out
 }
 
-func unifyTerm(t query.Term, val string, bind map[string]string) bool {
-	if !t.IsVar {
-		return t.Value == val
+// modelTriples converts triples to the model's.
+func modelTriples(ts []store.Triple) []model.Triple {
+	out := make([]model.Triple, len(ts))
+	for i, t := range ts {
+		out[i] = model.Triple(t)
 	}
-	if b, ok := bind[t.Value]; ok {
-		return b == val
-	}
-	bind[t.Value] = val
-	return true
+	return out
 }
 
-func instantiate(p query.TriplePattern, bind map[string]string) store.Triple {
-	get := func(t query.Term) string {
-		if t.IsVar {
-			return bind[t.Value]
-		}
-		return t.Value
+// modelSet is the model's set of ts.
+func modelSet(ts []store.Triple) model.Set { return model.NewSet(modelTriples(ts)...) }
+
+// closure is the model's rule closure of the asserted triples.
+func closure(asserted []store.Triple, rules []Rule) map[store.Triple]bool {
+	out := map[store.Triple]bool{}
+	for t := range modelSet(asserted).Closure(modelRules(rules)) {
+		out[store.Triple(t)] = true
 	}
-	return store.Triple{Subject: get(p.Subject), Predicate: get(p.Predicate), Object: get(p.Object)}
+	return out
 }
 
 // sortedTriples renders a fact set sorted, for diffs.
@@ -110,7 +82,7 @@ func sortedTriples(m map[store.Triple]bool) []store.Triple {
 // naive closure of the base store's current triples.
 func checkAgainstNaive(t *testing.T, r *Reasoner, rules []Rule, context string) {
 	t.Helper()
-	want := naiveClosure(r.Base().Triples(), rules)
+	want := closure(r.Base().Triples(), rules)
 	got := map[store.Triple]bool{}
 	for _, tr := range r.View().Triples() {
 		got[tr] = true
@@ -231,31 +203,16 @@ func recordDeltas(r *Reasoner) *[]Delta {
 	return events
 }
 
-// applyChecked runs one Apply and holds it to three references: the naive
-// closure for the materialization; a sequential model — the adds one by one,
-// then the removes one by one, over a plain set — for the two counts, the
+// applyChecked runs one Apply and holds it to three references: the model's
+// closure for the materialization; the model's sequential write — the adds
+// one by one, then the removes one by one, over a plain set — for the two counts, the
 // base's contents and the replayable lists of the Delta; and "generation +1
 // and exactly one Delta iff anything changed, else neither". events is what
 // recordDeltas returned for r.
 func applyChecked(t *testing.T, r *Reasoner, rules []Rule, events *[]Delta, adds, removes []store.Triple, context string) {
 	t.Helper()
-	model := map[store.Triple]bool{}
-	for _, tr := range r.Base().Triples() {
-		model[tr] = true
-	}
-	var wantAdded, wantRemoved []store.Triple
-	for _, tr := range adds {
-		if !model[tr] {
-			model[tr] = true
-			wantAdded = append(wantAdded, tr)
-		}
-	}
-	for _, tr := range removes {
-		if model[tr] {
-			delete(model, tr)
-			wantRemoved = append(wantRemoved, tr)
-		}
-	}
+	seq := modelSet(r.Base().Triples())
+	wantAdded, wantRemoved := seq.Apply(model.Write{Add: modelTriples(adds), Remove: modelTriples(removes)})
 	gen, fired := r.Generation(), len(*events)
 	added, removed, err := r.Apply(adds, removes, nil)
 	if err != nil {
@@ -264,8 +221,12 @@ func applyChecked(t *testing.T, r *Reasoner, rules []Rule, events *[]Delta, adds
 	if added != len(wantAdded) || removed != len(wantRemoved) {
 		t.Fatalf("%s: Apply(%v, %v) = %d added, %d removed; one at a time it is %d and %d", context, adds, removes, added, removed, len(wantAdded), len(wantRemoved))
 	}
-	if got, want := fmt.Sprint(r.Base().Triples()), fmt.Sprint(sortedTriples(model)); got != want {
-		t.Fatalf("%s: Apply(%v, %v) left the base at %s, want %s", context, adds, removes, got, want)
+	want := make([]store.Triple, 0, len(seq))
+	for _, tr := range seq.Sorted() {
+		want = append(want, store.Triple(tr))
+	}
+	if got := r.Base().Triples(); !slices.Equal(got, want) {
+		t.Fatalf("%s: Apply(%v, %v) left the base at %v, want %v", context, adds, removes, got, want)
 	}
 	if changed := added+removed > 0; !changed {
 		if r.Generation() != gen || len(*events) != fired {
@@ -279,7 +240,7 @@ func applyChecked(t *testing.T, r *Reasoner, rules []Rule, events *[]Delta, adds
 		for _, side := range []struct {
 			name string
 			got  []store.IDTriple
-			want []store.Triple
+			want []model.Triple
 		}{{"AssertedAdded", d.AssertedAdded, wantAdded}, {"AssertedRemoved", d.AssertedRemoved, wantRemoved}} {
 			got := map[store.Triple]bool{}
 			for _, id := range side.got {
@@ -289,7 +250,7 @@ func applyChecked(t *testing.T, r *Reasoner, rules []Rule, events *[]Delta, adds
 				t.Fatalf("%s: Delta.%s is %v, want the set %v", context, side.name, sortedTriples(got), side.want)
 			}
 			for _, w := range side.want {
-				if !got[w] {
+				if !got[store.Triple(w)] {
 					t.Fatalf("%s: Delta.%s %v lacks %v", context, side.name, sortedTriples(got), w)
 				}
 			}

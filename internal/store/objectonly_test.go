@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"repro/internal/model"
 )
 
 // The object-only pattern (? ? o) is the one shape with no lead to look up:
@@ -21,7 +23,7 @@ import (
 // "baseonly" never occurs in the overlay.
 type objectOnlyFixture struct {
 	base, overlay       *Store
-	baseRef, overlayRef *refStore
+	baseRef, overlayRef model.Set
 }
 
 // objectOnlyProbes are the objects every surface is checked on; "never" is
@@ -31,7 +33,7 @@ var objectOnlyProbes = []string{"o1", "o3", "o20", "dual", "baseonly", "noise0",
 // newObjectOnlyFixture draws a fixture from seed; the members are disjoint.
 func newObjectOnlyFixture(seed int64) *objectOnlyFixture {
 	rng := rand.New(rand.NewSource(seed))
-	f := &objectOnlyFixture{base: New(), baseRef: newRef(), overlayRef: newRef()}
+	f := &objectOnlyFixture{base: New(), baseRef: model.Set{}, overlayRef: model.Set{}}
 	f.overlay = f.base.NewOverlay()
 	var all []Triple
 	post := func(object string, preds int) {
@@ -52,17 +54,17 @@ func newObjectOnlyFixture(seed int64) *objectOnlyFixture {
 	}
 	toBase := func(tr Triple) {
 		f.base.MustAdd(tr)
-		f.baseRef.add(tr)
+		f.baseRef.Add(model.Triple(tr))
 	}
 	for _, tr := range all {
 		switch {
-		case f.baseRef.triples[tr] || f.overlayRef.triples[tr]:
+		case f.baseRef[model.Triple(tr)] || f.overlayRef[model.Triple(tr)]:
 			// drawn twice: the first draw placed it
 		case rng.Intn(2) == 0:
 			toBase(tr)
 		default:
 			f.overlay.MustAdd(tr)
-			f.overlayRef.add(tr)
+			f.overlayRef.Add(model.Triple(tr))
 		}
 	}
 	for i := 0; i < 40; i++ {
@@ -72,13 +74,10 @@ func newObjectOnlyFixture(seed int64) *objectOnlyFixture {
 }
 
 // union is the reference of a view over the fixture: each triple once.
-func (f *objectOnlyFixture) union() *refStore {
-	u := newRef()
-	for tr := range f.baseRef.triples {
-		u.add(tr)
-	}
-	for tr := range f.overlayRef.triples {
-		u.add(tr)
+func (f *objectOnlyFixture) union() model.Set {
+	u := f.baseRef.Clone()
+	for tr := range f.overlayRef {
+		u.Add(tr)
 	}
 	return u
 }
@@ -98,7 +97,7 @@ func resolved(res Resolver, ts []IDTriple) []Triple {
 // pattern of each probe object against ref: the answers themselves through
 // checkReads (ref_test.go), then what is particular to the shape — the
 // bounds StatsID's widths promise and a batch of hundreds of probes.
-func checkObjectOnly(t *testing.T, what string, r idReader, syms *Store, ref *refStore) {
+func checkObjectOnly(t *testing.T, what string, r idReader, syms *Store, ref model.Set) {
 	t.Helper()
 	patterns := make([]Pattern, len(objectOnlyProbes))
 	for i, object := range objectOnlyProbes {
@@ -110,7 +109,7 @@ func checkObjectOnly(t *testing.T, what string, r idReader, syms *Store, ref *re
 	batch := make([]IDPattern, len(patterns))
 	batchWant := make([][]Triple, len(patterns))
 	for i, object := range objectOnlyProbes {
-		want := ref.query(patterns[i])
+		want := refQuery(ref, patterns[i])
 		if want == nil {
 			want = []Triple{}
 		}
@@ -168,8 +167,8 @@ func TestObjectOnlyMatchesReference(t *testing.T) {
 		}
 		checkObjectOnly(t, fmt.Sprintf("seed %d base", seed), f.base, f.base, f.baseRef)
 		checkObjectOnly(t, fmt.Sprintf("seed %d overlay", seed), f.overlay, f.base, f.overlayRef)
-		for tr := range f.overlayRef.triples {
-			if f.baseRef.triples[tr] {
+		for tr := range f.overlayRef {
+			if f.baseRef[tr] {
 				t.Fatalf("seed %d: %v is in both members of the fixture", seed, tr)
 			}
 		}

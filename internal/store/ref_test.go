@@ -5,47 +5,29 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/model"
 )
 
-// refStore is the reference semantics the indexed engine must agree with: a
-// flat deduplicated slice of triples, with every pattern query answered by
-// filtering all triples and sorting. It is deliberately the dumbest correct
-// implementation — no dictionary, no indexes.
-type refStore struct {
-	triples map[Triple]bool
-}
+// The reference semantics the indexed engine must agree with is the model's
+// set of triples (internal/model): a pattern query is answered by matching
+// every triple and sorting — no dictionary, no indexes.
 
-func newRef() *refStore {
-	return &refStore{triples: map[Triple]bool{}}
-}
-
-func (r *refStore) add(t Triple) bool {
-	if r.triples[t] {
-		return false
-	}
-	r.triples[t] = true
-	return true
-}
-
-func (r *refStore) remove(t Triple) bool {
-	if !r.triples[t] {
-		return false
-	}
-	delete(r.triples, t)
-	return true
-}
-
-func (r *refStore) query(p Pattern) []Triple {
-	var out []Triple
-	for t := range r.triples {
-		if p.Matches(t) {
-			out = append(out, t)
+// refQuery is the model's answer to the pattern query p: an empty component
+// matches anything, so it is a variable of its own.
+func refQuery(ref model.Set, p Pattern) []Triple {
+	term := func(value, name string) model.Term {
+		if value == "" {
+			return model.Term{Value: name, IsVar: true}
 		}
+		return model.Term{Value: value}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
+	var out []Triple
+	for _, t := range ref.Match(model.Pattern{Subject: term(p.Subject, "s"), Predicate: term(p.Predicate, "p"), Object: term(p.Object, "o")}) {
+		out = append(out, Triple(t))
+	}
 	return out
 }
 
@@ -97,14 +79,14 @@ func wideSpine() []Triple {
 // addSpine puts wideSpine into the engine and the reference, and checks the
 // shapes it exists for actually formed: a lead with more mids than linearRun
 // and a trailing run past longRun, in each index.
-func addSpine(t *testing.T, s *Store, ref *refStore) {
+func addSpine(t *testing.T, s *Store, ref model.Set) {
 	t.Helper()
 	spine := wideSpine()
 	if _, err := s.AddBatch(spine); err != nil {
 		t.Fatal(err)
 	}
 	for _, tr := range spine {
-		ref.add(tr)
+		ref.Add(model.Triple(tr))
 	}
 	for name, ix := range map[string]*index{"SPO": &s.spo, "POS": &s.pos} {
 		mids, trails := 0, 0
@@ -201,7 +183,7 @@ func drainScan(r idReader, p IDPattern, size int) []IDTriple {
 // each as a multiset (the reference's answer encoded through the dictionary
 // and sorted by id, against the sorted answer), so a triple reported twice
 // fails like a triple missed. No read path's oracle is another read path.
-func checkReads(t *testing.T, what string, r idReader, syms *Store, ref *refStore, patterns []Pattern) {
+func checkReads(t *testing.T, what string, r idReader, syms *Store, ref model.Set, patterns []Pattern) {
 	t.Helper()
 	res := syms.NewResolver()
 	ips := make([]IDPattern, len(patterns))
@@ -209,7 +191,7 @@ func checkReads(t *testing.T, what string, r idReader, syms *Store, ref *refStor
 	byShape := map[[3]bool][]int{}
 	for i, p := range patterns {
 		ip, want := encodeOrMiss(syms, p), make([]IDTriple, 0, 8)
-		for _, tr := range ref.query(p) {
+		for _, tr := range refQuery(ref, p) {
 			it, ok := syms.syms.lookupTriple(tr)
 			if !ok {
 				t.Fatalf("%s: %v is in the reference but was never interned", what, tr)
@@ -270,11 +252,11 @@ func checkReads(t *testing.T, what string, r idReader, syms *Store, ref *refStor
 // splitView builds a view whose two members split the reference's triples
 // between them — every other triple of the sorted set to the overlay — so
 // the members are disjoint and their union is the reference.
-func splitView(t *testing.T, ref *refStore) *View {
+func splitView(t *testing.T, ref model.Set) *View {
 	t.Helper()
 	base := New()
 	overlay := base.NewOverlay()
-	for i, tr := range ref.query(Pattern{}) {
+	for i, tr := range refQuery(ref, Pattern{}) {
 		member := base
 		if i%2 == 1 {
 			member = overlay
@@ -292,17 +274,17 @@ func splitView(t *testing.T, ref *refStore) *View {
 // reference on the probing patterns: the string-level reads of the store,
 // then the id-level ones (checkReads) on the store and on a view over the
 // same triples split between two members.
-func checkAgreement(t *testing.T, s *Store, ref *refStore) {
+func checkAgreement(t *testing.T, s *Store, ref model.Set) {
 	t.Helper()
-	if s.Len() != len(ref.triples) {
-		t.Fatalf("Len = %d, reference has %d", s.Len(), len(ref.triples))
+	if s.Len() != len(ref) {
+		t.Fatalf("Len = %d, reference has %d", s.Len(), len(ref))
 	}
 	v := splitView(t, ref)
-	if v.Len() != len(ref.triples) {
-		t.Fatalf("view Len = %d, reference has %d", v.Len(), len(ref.triples))
+	if v.Len() != len(ref) {
+		t.Fatalf("view Len = %d, reference has %d", v.Len(), len(ref))
 	}
 	for _, p := range agreementPatterns {
-		want := ref.query(p)
+		want := refQuery(ref, p)
 		if got := s.Query(p); !reflect.DeepEqual(got, want) {
 			t.Fatalf("Query(%v) = %v, reference says %v", p, got, want)
 		}
@@ -318,7 +300,7 @@ func checkAgreement(t *testing.T, s *Store, ref *refStore) {
 	checkRuns(t, "view overlay", v.Overlay())
 	checkReads(t, "store", s, s, ref, agreementPatterns)
 	checkReads(t, "view", v, v.Base(), ref, agreementPatterns)
-	for _, tr := range ref.query(Pattern{}) {
+	for _, tr := range refQuery(ref, Pattern{}) {
 		if !s.Contains(tr) || !v.Contains(tr) {
 			t.Fatalf("Contains(%v) = false for a present triple", tr)
 		}
@@ -333,7 +315,7 @@ func TestEngineMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s := New()
-		ref := newRef()
+		ref := model.Set{}
 		addSpine(t, s, ref)
 		for step := 0; step < 6; step++ {
 			switch rng.Intn(4) {
@@ -344,7 +326,7 @@ func TestEngineMatchesReference(t *testing.T) {
 					if err != nil {
 						return false
 					}
-					if got != ref.add(tr) {
+					if got != ref.Add(model.Triple(tr)) {
 						return false
 					}
 				}
@@ -355,7 +337,7 @@ func TestEngineMatchesReference(t *testing.T) {
 				for i := 0; i < 40; i++ {
 					tr := randomTriple(rng)
 					batch = append(batch, tr)
-					if !ref.triples[tr] && !refCopy[tr] {
+					if !ref[model.Triple(tr)] && !refCopy[tr] {
 						refCopy[tr] = true
 						wantNew++
 					}
@@ -365,12 +347,12 @@ func TestEngineMatchesReference(t *testing.T) {
 					return false
 				}
 				for tr := range refCopy {
-					ref.add(tr)
+					ref.Add(model.Triple(tr))
 				}
 			case 2: // removals, present or not
 				for i := 0; i < 20; i++ {
 					tr := randomTriple(rng)
-					if s.Remove(tr) != ref.remove(tr) {
+					if s.Remove(tr) != ref.Remove(model.Triple(tr)) {
 						return false
 					}
 				}
@@ -381,13 +363,13 @@ func TestEngineMatchesReference(t *testing.T) {
 					tr := randomTriple(rng)
 					if e, ok := s.syms.lookupTriple(tr); ok {
 						batch = append(batch, e)
-						gone[tr] = ref.triples[tr] || gone[tr]
+						gone[tr] = ref[model.Triple(tr)] || gone[tr]
 					}
 				}
 				want := 0
 				for tr, present := range gone {
 					if present {
-						ref.remove(tr)
+						ref.Remove(model.Triple(tr))
 						want++
 					}
 				}
@@ -416,12 +398,12 @@ func FuzzQueryAgreement(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, subj, pred, obj string) {
 		rng := rand.New(rand.NewSource(seed))
 		s := New()
-		ref := newRef()
+		ref := model.Set{}
 		addSpine(t, s, ref)
 		for i := 0; i < 80; i++ {
 			tr := randomTriple(rng)
 			if rng.Intn(4) == 0 {
-				if s.Remove(tr) != ref.remove(tr) {
+				if s.Remove(tr) != ref.Remove(model.Triple(tr)) {
 					t.Fatalf("Remove(%v) disagrees with reference", tr)
 				}
 				continue
@@ -430,12 +412,12 @@ func FuzzQueryAgreement(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != ref.add(tr) {
+			if got != ref.Add(model.Triple(tr)) {
 				t.Fatalf("Add(%v) disagrees with reference", tr)
 			}
 		}
 		p := Pattern{Subject: subj, Predicate: pred, Object: obj}
-		want := ref.query(p)
+		want := refQuery(ref, p)
 		got := s.Query(p)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("Query(%v) = %v, reference says %v", p, got, want)
@@ -458,9 +440,9 @@ func TestQueryIDFuncDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts at random under the race detector")
 	}
-	ref := newRef()
+	ref := model.Set{}
 	for _, tr := range wideSpine() {
-		ref.add(tr)
+		ref.Add(model.Triple(tr))
 	}
 	v := splitView(t, ref)
 	s := New()
