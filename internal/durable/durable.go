@@ -451,11 +451,11 @@ func (e *Engine) Checkpoint() error {
 	// The superseded log window, read before rotation resets it — the
 	// denominator of the compaction ratio.
 	walBytes := e.w.bytesSinceRotation()
-	seg, size, err := e.publishWindow(lastEnd, dictNext)
+	meta, names, err := e.publishWindow(lastEnd, dictNext)
 	var cleanupErr error
 	if err == nil {
 		if e.mCompaction != nil && walBytes > 0 {
-			e.mCompaction.Set(float64(size) / float64(walBytes))
+			e.mCompaction.Set(float64(meta.bytes) / float64(walBytes))
 		}
 		// The new segment supersedes every sealed file. A deletion failure is
 		// reported but the checkpoint itself has succeeded: the file stays
@@ -473,10 +473,10 @@ func (e *Engine) Checkpoint() error {
 	published, needMerge := err == nil, false
 	e.mu.Lock() //ontolint:ignore lockcheck fixed one-way order: ckptMu is always taken before mu and mu critical sections never take ckptMu, so the nesting cannot deadlock
 	if published {
-		e.tiers = append(e.tiers, metaOf(seg, size))
-		e.dictCovered += store.SymbolID(seg.dict.n)
+		e.tiers = append(e.tiers, meta)
+		e.dictCovered += store.SymbolID(names)
 		e.checkpoints++
-		e.ckptBytes += size
+		e.ckptBytes += meta.bytes
 		_, needMerge = e.pickMergeLocked()
 		err = cleanupErr
 	}
@@ -492,14 +492,14 @@ func (e *Engine) Checkpoint() error {
 }
 
 // publishWindow rotates the log and publishes the window the rotation
-// sealed, (lastEnd, rotation point], as a segment. On failure nothing is
-// published and the sealed files stay on disk and listed, so recovery still
-// sees an intact log and the next checkpoint folds them again. Callers hold
-// ckptMu.
-func (e *Engine) publishWindow(lastEnd uint64, dictNext store.SymbolID) (segmentData, int64, error) {
+// sealed, (lastEnd, rotation point], as a segment, returning its accounting
+// and how many names it minted. On failure nothing is published and the
+// sealed files stay on disk and listed, so recovery still sees an intact log
+// and the next checkpoint folds them again. Callers hold ckptMu.
+func (e *Engine) publishWindow(lastEnd uint64, dictNext store.SymbolID) (segMeta, int, error) {
 	covered, err := e.w.rotate()
 	if err != nil {
-		return segmentData{}, 0, err
+		return segMeta{}, 0, err
 	}
 	// Rotation opened wal-<covered+1>; every file listed before it is sealed.
 	// After a checkpoint that failed with nothing journaled since, that name
@@ -512,10 +512,10 @@ func (e *Engine) publishWindow(lastEnd uint64, dictNext store.SymbolID) (segment
 		err = fmt.Errorf("durable: checkpoint window ends at record %d, want the rotation point %d", seg.end, covered)
 	}
 	if err != nil {
-		return seg, 0, err
+		return segMeta{}, 0, err
 	}
-	size, err := writeSegment(e.disk, seg, nil)
-	return seg, size, err
+	meta, err := writeSegment(e.disk, foldOf(seg), nil)
+	return meta, seg.dict.n, err
 }
 
 // coveredLocked returns the seq the chain covers through. Callers hold mu.
@@ -574,13 +574,14 @@ func (e *Engine) runMerges() {
 }
 
 // mergeRun folds the chain suffix starting at tier index i into one segment:
-// foldChain loads and composes the inputs, the merged file is published
-// atomically, then the inputs are deleted. A crash or close at ANY point is
-// safe: before the rename the merged .tmp is garbage recovery deletes (the
-// merge is simply not-yet-merged); after it, the inputs are leftovers recovery
-// recognizes as subsumed by the wider merged window and deletes. Close aborts
-// the merge at any point before its rename — between input loads, or once
-// the output is written — never leaving a .tmp behind.
+// foldChain loads the inputs into one fold, writeSegment streams it into the
+// merged file and publishes it atomically, then the inputs are deleted. A
+// crash or close at ANY point is safe: before the rename the merged .tmp is
+// garbage recovery deletes (the merge is simply not-yet-merged); after it,
+// the inputs are leftovers recovery recognizes as subsumed by the wider
+// merged window and deletes. Close aborts the merge at any point before its
+// rename — between input loads, or once the output is written — never
+// leaving a .tmp behind.
 func (e *Engine) mergeRun(i int, metas []segMeta) error {
 	start := time.Now()
 	merged, err := foldChain(e.disk, metas, e.done)
@@ -590,7 +591,7 @@ func (e *Engine) mergeRun(i int, metas []segMeta) error {
 	if err != nil {
 		return fmt.Errorf("durable: merge reading input: %w", err)
 	}
-	size, err := writeSegment(e.disk, merged, e.done)
+	meta, err := writeSegment(e.disk, merged, e.done)
 	if errors.Is(err, errStopped) {
 		return nil // closing: the output is removed, inputs intact
 	}
@@ -607,10 +608,10 @@ func (e *Engine) mergeRun(i int, metas []segMeta) error {
 	}
 	dur := time.Since(start)
 	e.mu.Lock() //ontolint:ignore lockcheck fixed one-way order: ckptMu is always taken before mu and mu critical sections never take ckptMu, so the nesting cannot deadlock
-	e.tiers = append(e.tiers[:i:i], metaOf(merged, size))
+	e.tiers = append(e.tiers[:i:i], meta)
 	e.merges++
 	e.lastMergeDur = dur
-	e.mergeBytes += size
+	e.mergeBytes += meta.bytes
 	e.ckptErr = cleanupErr
 	e.mu.Unlock()
 	if e.mMergeSeconds != nil {

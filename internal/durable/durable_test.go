@@ -474,9 +474,9 @@ func TestLoadSegmentRejectsOverflowedTripleCount(t *testing.T) {
 		end:       7,
 		dictFirst: 0,
 		dict:      namesOf("s", "p", "o"),
-		adds:      []store.IDTriple{{S: 0, P: 1, O: 2}, {S: 2, P: 1, O: 0}},
+		adds:      runOf(store.IDTriple{S: 0, P: 1, O: 2}, store.IDTriple{S: 2, P: 1, O: 0}),
 	}
-	if _, err := writeSegment(d, seg, nil); err != nil {
+	if _, err := writeSegment(d, foldOf(seg), nil); err != nil {
 		t.Fatal(err)
 	}
 	name := segmentName(1, 7)
@@ -484,7 +484,7 @@ func TestLoadSegmentRejectsOverflowedTripleCount(t *testing.T) {
 	// The add count sits right before the add run, the (empty) remove run and
 	// the 12-byte footer. 12*(count + 2^62) = 12*count + 3*2^64 ≡ 12*count
 	// (mod 2^64), so the patched count defeats any multiplication-based check.
-	countOff := len(data) - (4 + len(segTrailer)) - 8 - 12*len(seg.adds) - 8
+	countOff := len(data) - (4 + len(segTrailer)) - 8 - 12*seg.adds.len() - 8
 	count := binary.LittleEndian.Uint64(data[countOff:])
 	binary.LittleEndian.PutUint64(data[countOff:], count+1<<62)
 	body := data[:len(data)-(4+len(segTrailer))]
@@ -767,10 +767,10 @@ func TestSegmentRoundTrip(t *testing.T) {
 		end:       42,
 		dictFirst: 2,
 		dict:      namesOf("s0", "p0", "o0", "o1"),
-		adds:      []store.IDTriple{{S: 2, P: 3, O: 4}, {S: 2, P: 3, O: 5}},
-		removes:   []store.IDTriple{{S: 0, P: 1, O: 2}},
+		adds:      runOf(store.IDTriple{S: 2, P: 3, O: 4}, store.IDTriple{S: 2, P: 3, O: 5}),
+		removes:   runOf(store.IDTriple{S: 0, P: 1, O: 2}),
 	}
-	size, err := writeSegment(d, seg, nil)
+	meta, err := writeSegment(d, foldOf(seg), nil)
 	if err != nil {
 		t.Fatalf("writeSegment: %v", err)
 	}
@@ -783,17 +783,17 @@ func TestSegmentRoundTrip(t *testing.T) {
 	if got.start != 8 || got.end != 42 || got.dictFirst != 2 {
 		t.Fatalf("window = [%d, %d] dictFirst %d, want [8, 42] dictFirst 2", got.start, got.end, got.dictFirst)
 	}
-	if got.size != size {
-		t.Fatalf("loaded size %d, written size %d", got.size, size)
+	if got.size != meta.bytes {
+		t.Fatalf("loaded size %d, written size %d", got.size, meta.bytes)
 	}
-	if names := got.dict.strings(); len(names) != 4 || names[3] != "o1" {
+	if names := got.dict.appendStrings(nil); len(names) != 4 || names[3] != "o1" {
 		t.Fatalf("dict = %v", names)
 	}
-	if len(got.adds) != 2 || got.adds[1] != (store.IDTriple{S: 2, P: 3, O: 5}) {
-		t.Fatalf("adds = %v", got.adds)
+	if got.adds.len() != 2 || got.adds.at(1) != (store.IDTriple{S: 2, P: 3, O: 5}) {
+		t.Fatalf("adds = %v", got.adds.triples())
 	}
-	if len(got.removes) != 1 || got.removes[0] != (store.IDTriple{S: 0, P: 1, O: 2}) {
-		t.Fatalf("removes = %v", got.removes)
+	if got.removes.len() != 1 || got.removes.at(0) != (store.IDTriple{S: 0, P: 1, O: 2}) {
+		t.Fatalf("removes = %v", got.removes.triples())
 	}
 
 	for _, corrupt := range []struct {

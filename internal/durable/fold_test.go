@@ -29,13 +29,31 @@ func namesOf(names ...string) nameRun {
 	return run
 }
 
+// runOf encodes triples as the run a segment carries.
+func runOf(ts ...store.IDTriple) tripleRun {
+	var run tripleRun
+	for _, t := range ts {
+		run = appendTriple(run, t)
+	}
+	return run
+}
+
+// triples decodes a run.
+func (r tripleRun) triples() []store.IDTriple {
+	ts := make([]store.IDTriple, r.len())
+	for i := range ts {
+		ts[i] = r.at(i)
+	}
+	return ts
+}
+
 // sides decodes a recMutation record's adds and removes.
 func (r record) sides() (adds, removes []store.IDTriple) {
-	for i := 0; i < r.numTriples(); i++ {
+	for i := 0; i < r.triples.len(); i++ {
 		if i < r.nAdds {
-			adds = append(adds, r.triple(i))
+			adds = append(adds, r.triples.at(i))
 		} else {
-			removes = append(removes, r.triple(i))
+			removes = append(removes, r.triples.at(i))
 		}
 	}
 	return adds, removes
@@ -262,10 +280,10 @@ func checkNaiveChain(t *testing.T, d *memDisk, eng *Engine, st *store.Store, mod
 		if m.start > 1 { // a patch against the empty state removes nothing
 			wantRemoves = sortedTriples(patch, false)
 		}
-		if adds := named(seg.adds); !slices.Equal(adds, sortedTriples(patch, true)) {
+		if adds := named(seg.adds.triples()); !slices.Equal(adds, sortedTriples(patch, true)) {
 			t.Fatalf("segment %s adds %v, the naive patch %v", file, adds, sortedTriples(patch, true))
 		}
-		if removes := named(seg.removes); !slices.Equal(removes, wantRemoves) {
+		if removes := named(seg.removes.triples()); !slices.Equal(removes, wantRemoves) {
 			t.Fatalf("segment %s tombstones %v, the naive patch %v", file, removes, wantRemoves)
 		}
 	}
@@ -316,10 +334,11 @@ func TestFoldEventsLimit(t *testing.T) {
 // 3.5 times the window's log bytes: reading the window (1×), its triple
 // events (16 bytes per 12 on disk), the survivors and the writer's buffer.
 // The merge folds that segment into an older one; it may allocate at most
-// 3.5 times the bytes of its two inputs: reading them, decoding their triple
-// runs, the composed runs and dictionary, and the buffer.
+// 1.3 times the bytes of its two inputs: reading them once (1×) and the
+// writer's buffer — the fold reads the runs where they lie and streams its
+// output into the file, so nothing is decoded or composed in memory.
 func TestCheckpointAndMergeAllocateWhatTheyPublish(t *testing.T) {
-	const checkpointBound, mergeBound = 3.5, 3.5
+	const checkpointBound, mergeBound = 3.5, 1.3
 	st := store.New()
 	eng := mustOpen(t, st, Options{Dir: t.TempDir(), Fsync: FsyncOff, CheckpointBytes: -1, mergeRatio: -1})
 	defer eng.Close()
@@ -375,10 +394,29 @@ func TestCheckpointAndMergeAllocateWhatTheyPublish(t *testing.T) {
 	}
 }
 
-// TestMergeRunsMatchesSetAlgebra holds mergeRuns to the two-step set algebra
-// it fuses, store.UnionSorted over store.SubtractSorted, on random runs
-// drawn from a small universe so that every overlap occurs.
-func TestMergeRunsMatchesSetAlgebra(t *testing.T) {
+// foldedRuns runs the fold into the two runs it yields.
+func foldedRuns(f *fold) (adds, removes []store.IDTriple) {
+	f.each(func(t store.IDTriple, add bool) bool {
+		if add {
+			adds = append(adds, t)
+		} else {
+			removes = append(removes, t)
+		}
+		return true
+	})
+	return adds, removes
+}
+
+// TestFoldMatchesPairwiseAlgebra holds the k-way fold to the pairwise
+// composition of patches, written here with store.UnionSorted and
+// store.SubtractSorted: folding a newer patch onto an older one, the adds
+// are (older adds − newer tombstones) ∪ newer adds and the tombstones
+// (older ∪ newer tombstones) − adds, and a window that starts at seq 1 keeps
+// no tombstones. It folds 2–9 random adjacent patches over a universe of
+// twelve triples, so that every overlap occurs, with windows that start at
+// seq 1 and windows that do not, and checks the count pass, the dictionary
+// and the windows' adjacency checks too.
+func TestFoldMatchesPairwiseAlgebra(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	run := func() []store.IDTriple {
 		var ts []store.IDTriple
@@ -389,11 +427,64 @@ func TestMergeRunsMatchesSetAlgebra(t *testing.T) {
 		}
 		return ts
 	}
-	for i := 0; i < 2000; i++ {
-		a, b, dropA, drop := run(), run(), run(), run()
-		want := store.SubtractSorted(store.UnionSorted(store.SubtractSorted(a, dropA), b), drop)
-		if got := mergeRuns(a, b, dropA, drop); !slices.Equal(got, want) {
-			t.Fatalf("mergeRuns(%v, %v, %v, %v) = %v, want %v", a, b, dropA, drop, got, want)
+	for i := 0; i < 4000; i++ {
+		k, start := 2+rng.Intn(8), uint64(1)
+		if i%2 == 1 {
+			start += uint64(1 + rng.Intn(50))
+		}
+		f := &fold{}
+		var wantAdds, wantTombs []store.IDTriple
+		var wantNames []string
+		end, dictNext := start-1, store.SymbolID(rng.Intn(5))
+		for p := 0; p < k; p++ {
+			adds := run()
+			var removes []store.IDTriple
+			if p > 0 || start > 1 { // a patch against the empty state removes nothing
+				removes = store.SubtractSorted(run(), adds)
+			}
+			var names []string
+			for n := rng.Intn(3); n > 0; n-- {
+				names = append(names, fmt.Sprintf("name-%d", len(wantNames)+len(names)))
+			}
+			seg := segmentData{start: end + 1, end: end + uint64(rng.Intn(4)), dictFirst: dictNext, dict: namesOf(names...), adds: runOf(adds...), removes: runOf(removes...)}
+			if err := f.push(seg); err != nil {
+				t.Fatalf("pushing patch %d: %v", p, err)
+			}
+			end, dictNext = seg.end, dictNext+store.SymbolID(len(names))
+			wantNames = append(wantNames, names...)
+			if p == 0 {
+				wantAdds, wantTombs = adds, removes
+				continue
+			}
+			wantAdds = store.UnionSorted(store.SubtractSorted(wantAdds, removes), adds)
+			wantTombs = store.SubtractSorted(store.UnionSorted(wantTombs, removes), wantAdds)
+		}
+		if start == 1 {
+			wantTombs = nil
+		}
+		adds, tombs := foldedRuns(f)
+		if !slices.Equal(adds, wantAdds) || !slices.Equal(tombs, wantTombs) {
+			t.Fatalf("case %d: %d patches from seq %d fold to adds %v tombstones %v, the pairwise algebra to %v and %v", i, k, start, adds, tombs, wantAdds, wantTombs)
+		}
+		if na, nr := f.count(); na != len(adds) || nr != len(tombs) {
+			t.Fatalf("case %d: count() = %d, %d; each yields %d, %d", i, na, nr, len(adds), len(tombs))
+		}
+		if got := f.dictionary(); !slices.Equal(got, wantNames) || f.names != len(wantNames) {
+			t.Fatalf("case %d: dictionary %v (%d names), want %v", i, got, f.names, wantNames)
+		}
+		if f.start != start || f.end != end {
+			t.Fatalf("case %d: fold window [%d, %d], want [%d, %d]", i, f.start, f.end, start, end)
+		}
+		for _, bad := range []struct {
+			next segmentData
+			want string
+		}{
+			{segmentData{start: end + 2, end: end + 2, dictFirst: dictNext}, "windows not adjacent"},
+			{segmentData{start: end + 1, end: end + 1, dictFirst: dictNext + 1}, "dictionary windows not contiguous"},
+		} {
+			if err := f.push(bad.next); err == nil || !strings.Contains(err.Error(), bad.want) {
+				t.Fatalf("case %d: pushing [%d, %d] with first id %d: %v, want %q", i, bad.next.start, bad.next.end, bad.next.dictFirst, err, bad.want)
+			}
 		}
 	}
 }

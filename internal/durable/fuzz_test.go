@@ -35,12 +35,12 @@ func FuzzDecodeRecord(f *testing.F) {
 				t.Fatalf("mutation record round trip changed the payload: %x -> %x", payload, again)
 			}
 		case recDict:
-			names := r.names.strings()
+			names := r.names.appendStrings(nil)
 			r2, err := decodeRecord(encodeDict(nil, r.seq, r.first, names))
 			if err != nil {
 				t.Fatalf("re-encoded dict record does not decode: %v", err)
 			}
-			names2 := r2.names.strings()
+			names2 := r2.names.appendStrings(nil)
 			if r2.first != r.first || len(names2) != len(names) {
 				t.Fatalf("dict record round trip changed: %+v -> %+v", r, r2)
 			}
@@ -61,13 +61,13 @@ func fuzzChainSegments() []segmentData {
 		{
 			start: 1, end: 2, dictFirst: 0,
 			dict: namesOf("s", "p", "o"),
-			adds: []store.IDTriple{{S: 0, P: 1, O: 2}},
+			adds: runOf(store.IDTriple{S: 0, P: 1, O: 2}),
 		},
 		{
 			start: 3, end: 4, dictFirst: 3,
 			dict:    namesOf("q"),
-			adds:    []store.IDTriple{{S: 0, P: 1, O: 3}},
-			removes: []store.IDTriple{{S: 0, P: 1, O: 2}},
+			adds:    runOf(store.IDTriple{S: 0, P: 1, O: 3}),
+			removes: runOf(store.IDTriple{S: 0, P: 1, O: 2}),
 		},
 	}
 }
@@ -110,7 +110,7 @@ func FuzzRecoverLog(f *testing.F) {
 	// Serialize the segment fixture once and lay its bytes down per exec.
 	segs := newMemDisk()
 	for _, seg := range fuzzChainSegments() {
-		if _, err := writeSegment(segs, seg, nil); err != nil {
+		if _, err := writeSegment(segs, foldOf(seg), nil); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -148,7 +148,7 @@ func FuzzRecoverLog(f *testing.F) {
 func FuzzLoadSegment(f *testing.F) {
 	d := newMemDisk()
 	for _, seg := range fuzzChainSegments() {
-		if _, err := writeSegment(d, seg, nil); err != nil {
+		if _, err := writeSegment(d, foldOf(seg), nil); err != nil {
 			f.Fatal(err)
 		}
 		data := d.get(segmentName(seg.start, seg.end))
@@ -165,7 +165,7 @@ func FuzzLoadSegment(f *testing.F) {
 		// An accepted segment must satisfy the invariants every consumer
 		// assumes: sorted runs within the dictionary bound.
 		bound := seg.dictFirst + store.SymbolID(seg.dict.n)
-		for _, run := range [][]store.IDTriple{seg.adds, seg.removes} {
+		for _, run := range [][]store.IDTriple{seg.adds.triples(), seg.removes.triples()} {
 			for i, tr := range run {
 				if tr.S >= bound || tr.P >= bound || tr.O >= bound {
 					t.Fatalf("accepted segment references id beyond its %d-id prefix", bound)

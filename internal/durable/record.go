@@ -114,17 +114,18 @@ type record struct {
 	// first and names carry a recDict body.
 	first store.SymbolID
 	names nameRun
-	// nAdds and triples carry a recMutation body: its checked (s, p, o)
-	// bytes, the adds' before the removes'.
+	// nAdds and triples carry a recMutation body: its checked triples, the
+	// adds before the removes, so triple i < nAdds is an add.
 	nAdds   int
-	triples []byte
+	triples tripleRun
 }
 
-// numTriples is how many triples a recMutation record carries.
-func (r record) numTriples() int { return len(r.triples) / 12 }
-
-// triple decodes a recMutation record's i-th triple; i < r.nAdds is an add.
-func (r record) triple(i int) store.IDTriple { return decodeTriple(r.triples[12*i:]) }
+// appendTriple appends the 12 bytes of one (s, p, o) triple to dst.
+func appendTriple(dst []byte, t store.IDTriple) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, t.S)
+	dst = binary.LittleEndian.AppendUint32(dst, t.P)
+	return binary.LittleEndian.AppendUint32(dst, t.O)
+}
 
 // decodeTriple reads one (s, p, o) triple from the first 12 bytes of b.
 func decodeTriple(b []byte) store.IDTriple {
@@ -138,8 +139,8 @@ func decodeTriple(b []byte) store.IDTriple {
 // nameRun is a run of dictionary names in encoded form: n names, each a
 // uvarint length and its bytes — the region a recDict body and a segment's
 // dictionary share byte for byte. Checkpoints and merges move names only as
-// this region and never decode one; recovery alone turns the region it
-// composed into strings.
+// these regions and never decode one; recovery alone turns the regions it
+// folded into strings.
 type nameRun struct {
 	n   int
 	enc []byte
@@ -160,28 +161,15 @@ func scanNames(b []byte, count int) (size, whole int) {
 	return size, whole
 }
 
-// concat returns the run of a's names followed by b's, allocating exactly
-// the combined region unless one side is empty.
-func (a nameRun) concat(b nameRun) nameRun {
-	switch {
-	case a.n == 0:
-		return b
-	case b.n == 0:
-		return a
-	}
-	enc := make([]byte, 0, len(a.enc)+len(b.enc))
-	return nameRun{n: a.n + b.n, enc: append(append(enc, a.enc...), b.enc...)}
-}
-
-// strings decodes a checked run into one string per name. Every name is
-// sliced from one string holding the whole region: converting per name would
-// allocate one heap object per name — for a million-name store a million
-// tiny objects the GC re-scans on every cycle for the life of the store; one
-// backing string is one object (the varint bytes ride along unreferenced, a
-// few bytes per name of slack).
-func (a nameRun) strings() []string {
+// appendStrings decodes a checked run, appending one string per name to
+// names. Every name is sliced from one string holding the whole region:
+// converting per name would allocate one heap object per name — for a
+// million-name store a million tiny objects the GC re-scans on every cycle
+// for the life of the store; one backing string a region is a handful of
+// objects (the varint bytes ride along unreferenced, a few bytes per name of
+// slack).
+func (a nameRun) appendStrings(names []string) []string {
 	blob := string(a.enc)
-	names := make([]string, 0, a.n)
 	for off := 0; off < len(blob); {
 		n, w := binary.Uvarint(a.enc[off:])
 		names = append(names, blob[off+w:off+w+int(n)])
@@ -222,9 +210,7 @@ func encodeMutation(dst []byte, seq uint64, adds, removes []store.IDTriple) []by
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(removes)))
 	for _, side := range [2][]store.IDTriple{adds, removes} {
 		for _, t := range side {
-			dst = binary.LittleEndian.AppendUint32(dst, t.S)
-			dst = binary.LittleEndian.AppendUint32(dst, t.P)
-			dst = binary.LittleEndian.AppendUint32(dst, t.O)
+			dst = appendTriple(dst, t)
 		}
 	}
 	return dst

@@ -13,7 +13,7 @@ import (
 
 // This file is startup recovery. A data directory is a chain of patches over
 // seq windows — segment files, then the wal files beyond them — and recovery
-// composes the chain into one patch against the empty store and loads it:
+// folds the chain as one patch against the empty store and loads it:
 //
 //	scan      classify directory entries: seg-*-*.seg, wal-*.wal, leftovers
 //	clean     delete *.tmp (unpublished checkpoints and torn merges — a torn
@@ -24,11 +24,12 @@ import (
 //	chain     order segments by window; they must tile seqs 1..N contiguously
 //	          — a gap or partial overlap is corruption, reported, never
 //	          papered over
-//	fold segments
-//	          foldChain (tier.go) loads the chain oldest→newest and composes
-//	          it with foldSegments — the loop and the algebra a merge runs
+//	load segments
+//	          foldChain (tier.go) loads the chain oldest→newest onto one
+//	          fold — the loop a merge runs
 //	fold tail foldWAL (tier.go) folds the wal files beyond the chain into one
-//	          more patch — the fold a checkpoint runs, with the tail's policy:
+//	          more patch, pushed onto the same fold — the fold a checkpoint
+//	          runs, with the tail's policy:
 //	          a frame that fails its CRC in the LAST file is a torn tail, cut
 //	          there; the same failure in any earlier file is corruption —
 //	          earlier files were sealed by a rotation's fsync and have no
@@ -36,8 +37,9 @@ import (
 //	          beyond maxFramePayload wherever it sits, because the writer
 //	          never produces one and cutting there would throw away good
 //	          records behind a damaged header
-//	load      one store.RestoreSorted builds the dictionary and both
-//	          indexes directly from the composed patch, on two goroutines: no
+//	load      the fold runs twice, to size the run of its adds and to fill
+//	          it, and one store.RestoreSorted builds the dictionary and both
+//	          indexes directly from that run, on two goroutines: no
 //	          per-triple locks, no dedup probing. Recovery never opens a
 //	          transaction — the store is filled once, in bulk, or not at all
 //	reopen    open the last wal file for appending (creating wal-<lastSeq+1>
@@ -155,8 +157,8 @@ func recoverDir(st *store.Store, d disk) (recovered, error) {
 		rec.wals = rec.wals[1:]
 	}
 
-	// Fold, fold, load. The folds and the load allocate the decoded files,
-	// the composed patch, the rotated POS copy, and the index arenas in
+	// Fold, fold, load. The folds and the load allocate the files, the
+	// folded run, the rotated POS copy, and the index arenas in
 	// quick succession while the live heap (the store being built) grows
 	// underneath — any GC cycle in that window re-scans a near-final heap
 	// just to reclaim the previous phase's scratch (~17% of boot at 1e6
@@ -165,25 +167,32 @@ func recoverDir(st *store.Store, d disk) (recovered, error) {
 	// O(directory) regardless; suspend collection for the window and restore
 	// it before the engine goes live.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	state := segmentData{start: 1} // the empty directory: the patch that changes nothing
+	state := &fold{}
 	if len(rec.tiers) > 0 {
-		chain, err := foldChain(d, rec.tiers, nil)
-		if err == nil {
-			state, err = foldSegments(state, chain) // the chain must start at id 0
+		if state, err = foldChain(d, rec.tiers, nil); err == nil {
+			err = (&fold{start: 1}).precede(state.start, state.end, state.dictFirst) // the chain must start at id 0
 		}
 		if err != nil {
 			return rec, err
 		}
-		rec.dictCovered = store.SymbolID(state.dict.n)
+		rec.dictCovered = store.SymbolID(state.names)
 	}
 	tail, err := foldWAL(d, rec.wals, covered, rec.dictCovered, true)
 	if err == nil {
-		state, err = foldSegments(state, tail)
+		err = state.push(tail)
 	}
 	if err != nil {
 		return rec, err
 	}
-	if err := st.RestoreSorted(state.dict.strings(), state.adds); err != nil {
+	adds, _ := state.count()
+	triples := make([]store.IDTriple, 0, adds)
+	state.each(func(t store.IDTriple, add bool) bool {
+		if add {
+			triples = append(triples, t)
+		}
+		return true
+	})
+	if err := st.RestoreSorted(state.dictionary(), triples); err != nil {
 		return rec, fmt.Errorf("durable: loading the data directory: %w", err)
 	}
 	rec.lastSeq = state.end

@@ -44,7 +44,8 @@ import (
 // Both triple runs are strictly sorted and reference only ids below
 // dictFirst+count of the whole chain prefix — properties the loader verifies,
 // because every consumer (the fold in tier.go, store.RestoreSorted) depends
-// on them.
+// on them. The loader keeps each run as its checked bytes, which are the
+// tripleRun a fold reads.
 //
 // A segment becomes visible atomically: written to a .tmp name, fsynced,
 // renamed into place, directory fsynced. Readers never see a half-written
@@ -59,15 +60,25 @@ const (
 	segTrailer = "ONTOSEGE"
 )
 
-// segmentData is one decoded (or about-to-be-written) delta segment.
+// segmentData is one patch: a decoded segment, or a folded log window.
 type segmentData struct {
 	start, end uint64 // WAL seq window [start, end], start ≥ 1
 	dictFirst  store.SymbolID
-	dict       nameRun          // the names of ids dictFirst..dictFirst+dict.n-1
-	adds       []store.IDTriple // sorted (S, P, O), strictly ascending
-	removes    []store.IDTriple // sorted tombstones; empty when start == 1
-	size       int64            // file size; set by decodeSegment, informative only
+	dict       nameRun   // the names of ids dictFirst..dictFirst+dict.n-1
+	adds       tripleRun // sorted (S, P, O), strictly ascending
+	removes    tripleRun // sorted tombstones; empty when start == 1
+	size       int64     // file size; set by decodeSegment, informative only
 }
+
+// tripleRun is a run of triples in the form a segment file and a mutation
+// record carry them: 12 bytes each, (s, p, o) as little-endian uint32s.
+type tripleRun []byte
+
+// len is how many triples the run holds.
+func (r tripleRun) len() int { return len(r) / 12 }
+
+// at decodes the run's i-th triple.
+func (r tripleRun) at(i int) store.IDTriple { return decodeTriple(r[12*i:]) }
 
 // segmentName names the segment covering WAL records start..end. Both bounds
 // are in the name so a merged segment never collides with its inputs and
@@ -111,18 +122,23 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// writeSegment publishes seg's file, returning its size: the bytes it wrote.
-// The caller guarantees the triple runs are sorted (checkpoint and merge
-// folds produce them sorted); the loader verifies it on the way back in. A
-// stop channel closed before the rename abandons the publish with errStopped,
-// so Close never waits out a merge's write; nil never stops. On any failure
-// the .tmp is removed.
-func writeSegment(d disk, seg segmentData, stop <-chan struct{}) (size int64, retErr error) {
-	final := segmentName(seg.start, seg.end)
+// writeSegment streams the fold into the segment file for its window and
+// publishes it, returning the new segment's accounting, its size the bytes
+// it wrote. The fold runs twice: once to count each run, because a run's
+// count comes before it in the format, and once to write — the adds, then
+// the tombstones if the count found any. The dictionary regions are written
+// one after another, as they lie. A fold yields its runs sorted; the loader
+// verifies it on the way back in. A stop channel closed before the rename
+// abandons the publish with errStopped, so Close never waits out a merge's
+// write; nil never stops. On any failure the .tmp is removed.
+func writeSegment(d disk, fd *fold, stop <-chan struct{}) (meta segMeta, retErr error) {
+	meta = segMeta{start: fd.start, end: fd.end}
+	meta.adds, meta.removes = fd.count()
+	final := segmentName(fd.start, fd.end)
 	tmp := final + ".tmp"
 	f, err := d.create(tmp)
 	if err != nil {
-		return 0, fmt.Errorf("durable: creating segment: %w", err)
+		return meta, fmt.Errorf("durable: creating segment: %w", err)
 	}
 	defer func() {
 		if retErr != nil {
@@ -145,61 +161,68 @@ func writeSegment(d disk, seg segmentData, stop <-chan struct{}) (size int64, re
 		return retErr
 	}
 	b := append(chunk[:0], segMagic...)
-	b = binary.LittleEndian.AppendUint64(b, seg.start)
-	b = binary.LittleEndian.AppendUint64(b, seg.end)
-	b = binary.LittleEndian.AppendUint32(b, seg.dictFirst)
-	b = binary.LittleEndian.AppendUint32(b, uint32(seg.dict.n))
+	b = binary.LittleEndian.AppendUint64(b, fd.start)
+	b = binary.LittleEndian.AppendUint64(b, fd.end)
+	b = binary.LittleEndian.AppendUint32(b, fd.dictFirst)
+	b = binary.LittleEndian.AppendUint32(b, uint32(fd.names))
 	_ = write(b)
-	_ = write(seg.dict.enc)
-	writeRun := func(ts []store.IDTriple) {
-		b := binary.LittleEndian.AppendUint64(chunk[:0], uint64(len(ts)))
-		for _, t := range ts {
-			if len(b) > len(chunk)-12 {
-				if write(b) != nil {
-					return
+	for _, p := range fd.patches {
+		_ = write(p.dict.enc)
+	}
+	writeRun := func(count int, adds bool) {
+		b := binary.LittleEndian.AppendUint64(chunk[:0], uint64(count))
+		if count > 0 {
+			fd.each(func(t store.IDTriple, add bool) bool {
+				if add != adds {
+					return true
 				}
-				b = chunk[:0]
-			}
-			b = binary.LittleEndian.AppendUint32(b, t.S)
-			b = binary.LittleEndian.AppendUint32(b, t.P)
-			b = binary.LittleEndian.AppendUint32(b, t.O)
+				if len(b) > len(chunk)-12 {
+					if write(b) != nil {
+						return false
+					}
+					b = chunk[:0]
+				}
+				b = appendTriple(b, t)
+				return true
+			})
 		}
 		_ = write(b)
 	}
-	writeRun(seg.adds)
-	writeRun(seg.removes)
+	writeRun(meta.adds, true)
+	writeRun(meta.removes, false)
 	if retErr != nil {
-		return 0, retErr
+		return meta, retErr
 	}
 	// Footer: CRC of everything above, then the trailer magic. Written to the
 	// buffered writer directly — the CRC must not hash itself.
 	if _, err := bw.Write(binary.LittleEndian.AppendUint32(chunk[:0], cw.crc)); err != nil {
-		return 0, fmt.Errorf("durable: writing segment footer: %w", err)
+		return meta, fmt.Errorf("durable: writing segment footer: %w", err)
 	}
 	if _, err := bw.WriteString(segTrailer); err != nil {
-		return 0, fmt.Errorf("durable: writing segment footer: %w", err)
+		return meta, fmt.Errorf("durable: writing segment footer: %w", err)
 	}
 	if err := bw.Flush(); err != nil {
-		return 0, fmt.Errorf("durable: flushing segment: %w", err)
+		return meta, fmt.Errorf("durable: flushing segment: %w", err)
 	}
 	if err := f.Sync(); err != nil {
-		return 0, fmt.Errorf("durable: fsyncing segment: %w", err)
+		return meta, fmt.Errorf("durable: fsyncing segment: %w", err)
 	}
 	select {
 	case <-stop:
-		return 0, errStopped
+		return meta, errStopped
 	default:
 	}
 	if err := f.Close(); err != nil {
-		return 0, fmt.Errorf("durable: closing segment: %w", err)
+		return meta, fmt.Errorf("durable: closing segment: %w", err)
 	}
 	if err := d.rename(tmp, final); err != nil {
-		return 0, fmt.Errorf("durable: publishing segment: %w", err)
+		return meta, fmt.Errorf("durable: publishing segment: %w", err)
 	}
 	if err := d.syncDir("."); err != nil {
-		return 0, fmt.Errorf("durable: fsyncing directory: %w", err)
+		return meta, fmt.Errorf("durable: fsyncing directory: %w", err)
 	}
-	return cw.n + int64(4+len(segTrailer)), nil
+	meta.bytes = cw.n + int64(4+len(segTrailer))
+	return meta, nil
 }
 
 // decodeSegment verifies and decodes the bytes of the segment file called
@@ -244,8 +267,8 @@ func decodeSegment(name string, data []byte) (segmentData, error) {
 	if dictCount > len(rest) { // every name costs ≥1 length byte
 		return seg, fmt.Errorf("durable: segment %s claims %d dictionary names in %d bytes", name, dictCount, len(rest))
 	}
-	// The names stay encoded: a fold moves the region whole, and recovery
-	// decodes the region it composed (nameRun.strings).
+	// The names stay encoded: a merge writes the region as it lies, and
+	// recovery decodes the regions it folded (fold.dictionary).
 	dictEnd, whole := scanNames(rest, dictCount)
 	if whole < dictCount {
 		return seg, fmt.Errorf("durable: segment %s: dictionary name %d overruns the file", name, whole)
@@ -253,7 +276,7 @@ func decodeSegment(name string, data []byte) (segmentData, error) {
 	seg.dict = nameRun{n: dictCount, enc: rest[:dictEnd]}
 	rest = rest[dictEnd:]
 	idBound := seg.dictFirst + store.SymbolID(dictCount)
-	readRun := func(what string) ([]store.IDTriple, error) {
+	readRun := func(what string) (tripleRun, error) {
 		if len(rest) < 8 {
 			return nil, fmt.Errorf("durable: segment %s is truncated before its %s count", name, what)
 		}
@@ -265,19 +288,20 @@ func decodeSegment(name string, data []byte) (segmentData, error) {
 		if uint64(len(rest))/12 < count {
 			return nil, fmt.Errorf("durable: segment %s claims %d %s triples but carries %d bytes", name, count, what, len(rest))
 		}
-		ts := make([]store.IDTriple, 0, count)
+		run := tripleRun(rest[:12*count])
+		var prev store.IDTriple
 		for i := uint64(0); i < count; i++ {
-			t := decodeTriple(rest[12*i:])
+			t := run.at(int(i))
 			if t.S >= idBound || t.P >= idBound || t.O >= idBound {
 				return nil, fmt.Errorf("durable: segment %s: %s triple %d references id beyond the %d-id dictionary prefix", name, what, i, idBound)
 			}
-			if i > 0 && !ts[i-1].Less(t) {
+			if i > 0 && !prev.Less(t) {
 				return nil, fmt.Errorf("durable: segment %s: %s run not strictly sorted at triple %d", name, what, i)
 			}
-			ts = append(ts, t)
+			prev = t
 		}
 		rest = rest[12*count:]
-		return ts, nil
+		return run, nil
 	}
 	if seg.adds, err = readRun("add"); err != nil {
 		return seg, err

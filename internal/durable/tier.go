@@ -12,18 +12,21 @@ import (
 
 // This file is the patch algebra of the data directory. A directory is a
 // chain of patches over adjacent seq windows — segment files (segment.go),
-// then the wal files beyond them (record.go) — and everything the engine does
-// with it is one of two folds into a segmentData, handed to one of three
-// sinks:
+// then the wal files beyond them (record.go). A patch keeps its dictionary
+// window and both triple runs encoded, as the files carry them. A fold
+// composes adjacent patches, oldest first, in one k-way pass over all their
+// runs in which the newest mention of a triple wins, and every use of the
+// directory is one of three sinks of that one fold:
 //
-//	sink        fold                  window ends at      a bad frame is
-//	checkpoint  foldWAL, sealed files the rotation point  corruption
-//	merge       foldChain, a suffix   the chain's end     n/a (segments are atomic)
-//	recovery    foldChain ∘ foldWAL   the end of the log  cut, in the last file only
+//	sink        patches folded                  window ends at      a bad frame is
+//	checkpoint  foldWAL of the sealed files     the rotation point  corruption
+//	merge       foldChain of a suffix           the chain's end     n/a (segments are atomic)
+//	recovery    foldChain, then foldWAL's tail  the end of the log  cut, in the last file only
 //
-// A checkpoint and a merge publish their fold as a segment file; recovery
-// composes the two with the same foldSegments and loads the result into the
-// store. The size-ratio merge policy lives here too.
+// A checkpoint and a merge stream their fold into a segment file
+// (writeSegment); recovery streams it into the run the store is loaded
+// from. Nothing composes two patches into a third in memory. The size-ratio
+// merge policy lives here too.
 //
 // The on-disk chain is a classic size-tiered LSM shape: checkpoints append
 // small young segments on the right, the background merge folds a suffix of
@@ -39,91 +42,130 @@ type segMeta struct {
 	bytes      int64
 }
 
-func metaOf(seg segmentData, size int64) segMeta {
-	return segMeta{
-		start:   seg.start,
-		end:     seg.end,
-		adds:    len(seg.adds),
-		removes: len(seg.removes),
-		bytes:   size,
-	}
+// fold is the composition of adjacent patches, oldest first, over the window
+// they cover together: seqs [start, end], and the names dictFirst onwards
+// they mint. It holds the patches as they are and composes them only when a
+// sink runs it (each): the composed adds are the triples whose newest
+// mention is an add, and the composed tombstones those whose newest mention
+// is a removal — none when the window starts at seq 1, because the patch
+// then applies to the empty state. Adds and tombstones stay disjoint, and
+// the dictionary windows are the patches' encoded regions in order.
+type fold struct {
+	start, end uint64
+	dictFirst  store.SymbolID
+	names      int
+	patches    []segmentData
 }
 
-// foldSegments composes two adjacent patches (older, then newer) into one
-// covering both windows. The composed adds are what survives both patches;
-// the composed tombstones are every removal either patch makes, minus what
-// the composition re-adds — so adds and removes stay disjoint. Each side is
-// built in one pass into one output (mergeRuns), and the dictionary windows'
-// encoded regions are concatenated, never decoded. A fold that
-// reaches the base of the chain (start == 1) drops its tombstones entirely:
-// the patch now applies to the empty state. A patch over an empty window
-// (end == start-1, no names, no triples) is the identity on either side, and
-// costs nothing: recovery starts from one and an empty log tail is one.
-func foldSegments(older, newer segmentData) (segmentData, error) {
-	if newer.start != older.end+1 {
-		return segmentData{}, fmt.Errorf("durable: merging segments [%d, %d] and [%d, %d]: windows not adjacent", older.start, older.end, newer.start, newer.end)
-	}
-	if newer.dictFirst != older.dictFirst+store.SymbolID(older.dict.n) {
-		return segmentData{}, fmt.Errorf("durable: merging segments [%d, %d] and [%d, %d]: dictionary windows not contiguous (%d+%d names, then first id %d)",
-			older.start, older.end, newer.start, newer.end, older.dictFirst, older.dict.n, newer.dictFirst)
-	}
-	out := segmentData{
-		start:     older.start,
-		end:       newer.end,
-		dictFirst: older.dictFirst,
-		dict:      older.dict.concat(newer.dict),
-		adds:      mergeRuns(older.adds, newer.adds, newer.removes, nil),
-	}
-	if out.start > 1 {
-		out.removes = mergeRuns(older.removes, newer.removes, nil, out.adds)
-	}
-	return out, nil
+// foldOf is the fold of one patch.
+func foldOf(p segmentData) *fold {
+	return &fold{start: p.start, end: p.end, dictFirst: p.dictFirst, names: p.dict.n, patches: []segmentData{p}}
 }
 
-// mergeRuns returns (a − dropA) ∪ b, less every triple of drop, over
-// strictly ascending runs: one pass into one output the size of a and b. It
-// returns a or b as is when nothing else can change it.
-func mergeRuns(a, b, dropA, drop []store.IDTriple) []store.IDTriple {
-	switch {
-	case len(a) == 0 && len(drop) == 0:
-		return b
-	case len(b) == 0 && len(dropA) == 0 && len(drop) == 0:
-		return a
-	case len(a) == 0 && len(b) == 0:
+// precede checks that a patch over [start, end] whose names begin at id
+// dictFirst continues the fold: its seqs start right after the fold's end
+// and its ids right after the fold's names.
+func (f *fold) precede(start, end uint64, dictFirst store.SymbolID) error {
+	if start != f.end+1 {
+		return fmt.Errorf("durable: merging segments [%d, %d] and [%d, %d]: windows not adjacent", f.start, f.end, start, end)
+	}
+	if dictFirst != f.dictFirst+store.SymbolID(f.names) {
+		return fmt.Errorf("durable: merging segments [%d, %d] and [%d, %d]: dictionary windows not contiguous (%d+%d names, then first id %d)",
+			f.start, f.end, start, end, f.dictFirst, f.names, dictFirst)
+	}
+	return nil
+}
+
+// push appends the next-newer patch, which must continue the fold; the
+// first patch pushed onto an empty fold opens its window.
+func (f *fold) push(p segmentData) error {
+	if len(f.patches) == 0 {
+		*f = *foldOf(p)
 		return nil
 	}
-	out := make([]store.IDTriple, 0, len(a)+len(b))
-	var i, j, x, y int
-	for i < len(a) || j < len(b) {
-		var t store.IDTriple
-		onlyA := false
-		switch {
-		case j == len(b) || i < len(a) && a[i].Less(b[j]):
-			t, onlyA = a[i], true
-			i++
-		case i == len(a) || b[j].Less(a[i]):
-			t = b[j]
-			j++
-		default:
-			t = a[i]
-			i++
-			j++
-		}
-		if onlyA && inRun(dropA, &x, t) || inRun(drop, &y, t) {
-			continue
-		}
-		out = append(out, t)
+	if err := f.precede(p.start, p.end, p.dictFirst); err != nil {
+		return err
 	}
-	return out
+	f.end = p.end
+	f.names += p.dict.n
+	f.patches = append(f.patches, p)
+	return nil
 }
 
-// inRun reports whether t is in the ascending run, advancing *k past the
-// run's triples below t: probed with ascending t, it walks the run once.
-func inRun(run []store.IDTriple, k *int, t store.IDTriple) bool {
-	for *k < len(run) && run[*k].Less(t) {
-		*k++
+// cursor is one run's position in a fold: head is the triple at the front of
+// run, the rest of the run not yet passed.
+type cursor struct {
+	run  tripleRun
+	head store.IDTriple
+	add  bool
+}
+
+// each yields every triple the fold's patches mention, once, ascending, with
+// add set when its newest mention is an add and clear for a tombstone; it
+// skips tombstones when the window starts at seq 1, and stops when yield
+// returns false. The cursors are ordered oldest patch first, and within a
+// patch its removals before its adds, so the last cursor holding a triple is
+// its newest mention — an add outranking a removal of the same patch, as
+// applying a patch (tombstones, then adds) implies.
+func (f *fold) each(yield func(t store.IDTriple, add bool) bool) {
+	cs := make([]cursor, 0, 2*len(f.patches))
+	for _, p := range f.patches {
+		for _, c := range [2]cursor{{run: p.removes}, {run: p.adds, add: true}} {
+			if len(c.run) > 0 {
+				c.head = c.run.at(0)
+				cs = append(cs, c)
+			}
+		}
 	}
-	return *k < len(run) && run[*k] == t
+	for len(cs) > 0 {
+		m := 0 // the first cursor holding the least head; none before it holds t
+		for i := 1; i < len(cs); i++ {
+			if cs[i].head.Less(cs[m].head) {
+				m = i
+			}
+		}
+		t, add := cs[m].head, false
+		for i := m; i < len(cs); {
+			c := &cs[i]
+			if c.head != t {
+				i++
+				continue
+			}
+			add = c.add
+			if c.run = c.run[12:]; len(c.run) == 0 {
+				cs = slices.Delete(cs, i, i+1)
+				continue
+			}
+			c.head = c.run.at(0)
+			i++
+		}
+		if (add || f.start > 1) && !yield(t, add) {
+			return
+		}
+	}
+}
+
+// count runs the fold once, counting the adds and tombstones it yields.
+func (f *fold) count() (adds, removes int) {
+	f.each(func(_ store.IDTriple, add bool) bool {
+		if add {
+			adds++
+		} else {
+			removes++
+		}
+		return true
+	})
+	return adds, removes
+}
+
+// dictionary decodes the fold's dictionary windows, oldest first, into one
+// string per name.
+func (f *fold) dictionary() []string {
+	names := make([]string, 0, f.names)
+	for _, p := range f.patches {
+		names = p.dict.appendStrings(names)
+	}
+	return names
 }
 
 // errStopped is foldChain's report that its stop channel closed mid-fold.
@@ -131,13 +173,13 @@ var errStopped = errors.New("durable: fold stopped")
 
 // foldChain is the package's one loop over segment files: it loads the
 // adjacent segments chain names, oldest first, checks each carries the window
-// its name claims, composes them with foldSegments, and fills every chain
-// entry's accounting in from its file. A merge runs it over a suffix of the
-// chain and publishes the result; recovery runs it over all of it. stop is
-// polled before each load — a closed one ends the fold with errStopped, so
-// Close never waits out a long merge's reads; nil never stops.
-func foldChain(d disk, chain []segMeta, stop <-chan struct{}) (segmentData, error) {
-	var folded segmentData
+// its name claims, pushes it onto one fold, and fills every chain entry's
+// accounting in from its file. A merge runs it over a suffix of the chain and
+// streams the fold into the merged file; recovery runs it over all of it.
+// stop is polled before each load — a closed one ends the fold with
+// errStopped, so Close never waits out a long merge's reads; nil never stops.
+func foldChain(d disk, chain []segMeta, stop <-chan struct{}) (*fold, error) {
+	folded := &fold{}
 	for k, m := range chain {
 		select {
 		case <-stop:
@@ -156,10 +198,8 @@ func foldChain(d disk, chain []segMeta, stop <-chan struct{}) (segmentData, erro
 		if seg.start != m.start || seg.end != m.end {
 			return folded, fmt.Errorf("durable: segment %s claims internal window [%d, %d]", name, seg.start, seg.end)
 		}
-		chain[k] = metaOf(seg, seg.size)
-		if k == 0 {
-			folded = seg
-		} else if folded, err = foldSegments(folded, seg); err != nil {
+		chain[k] = segMeta{start: seg.start, end: seg.end, adds: seg.adds.len(), removes: seg.removes.len(), bytes: seg.size}
+		if err := folded.push(seg); err != nil {
 			return folded, err
 		}
 	}
@@ -290,12 +330,12 @@ func foldWAL(d disk, firsts []uint64, after uint64, dictNext store.SymbolID, tai
 			return nil
 		}
 		minted := dictNext + store.SymbolID(seg.dict.n)
-		n := r.numTriples()
+		n := r.triples.len()
 		if err := checkFoldEvents(len(events) + n); err != nil {
 			return err
 		}
 		for i := 0; i < n; i++ {
-			t := r.triple(i)
+			t := r.triples.at(i)
 			if t.S >= minted || t.P >= minted || t.O >= minted {
 				return fmt.Errorf("triple %v names an id beyond the %d the dictionary had minted", t, minted)
 			}
@@ -357,15 +397,15 @@ func foldWAL(d disk, firsts []uint64, after uint64, dictNext store.SymbolID, tai
 		last = append(last, ev)
 		adds += int(ev.key & 1)
 	}
-	seg.adds = make([]store.IDTriple, 0, adds)
+	seg.adds = make(tripleRun, 0, 12*adds)
 	if seg.start > 1 { // a patch against the empty state removes nothing
-		seg.removes = make([]store.IDTriple, 0, len(last)-adds)
+		seg.removes = make(tripleRun, 0, 12*(len(last)-adds))
 	}
 	for _, ev := range last {
 		if ev.key&1 != 0 {
-			seg.adds = append(seg.adds, ev.t)
+			seg.adds = appendTriple(seg.adds, ev.t)
 		} else if seg.start > 1 {
-			seg.removes = append(seg.removes, ev.t)
+			seg.removes = appendTriple(seg.removes, ev.t)
 		}
 	}
 	return seg, nil

@@ -191,24 +191,24 @@ func TestRecoveryPrefersMergedSegment(t *testing.T) {
 	older := segmentData{
 		start: 1, end: 5, dictFirst: 0,
 		dict: namesOf("a", "b", "c"),
-		adds: []store.IDTriple{{S: 0, P: 1, O: 2}},
+		adds: runOf(store.IDTriple{S: 0, P: 1, O: 2}),
 	}
 	newer := segmentData{
 		start: 6, end: 10, dictFirst: 3,
 		dict:    namesOf("d"),
-		adds:    []store.IDTriple{{S: 0, P: 1, O: 3}},
-		removes: []store.IDTriple{{S: 0, P: 1, O: 2}},
+		adds:    runOf(store.IDTriple{S: 0, P: 1, O: 3}),
+		removes: runOf(store.IDTriple{S: 0, P: 1, O: 2}),
 	}
-	merged, err := foldSegments(older, newer)
-	if err != nil {
-		t.Fatalf("foldSegments: %v", err)
+	merged := foldOf(older)
+	if err := merged.push(newer); err != nil {
+		t.Fatalf("folding [1, 5] and [6, 10]: %v", err)
 	}
-	if len(merged.removes) != 0 || len(merged.adds) != 1 || merged.adds[0] != (store.IDTriple{S: 0, P: 1, O: 3}) {
-		t.Fatalf("fold produced adds %v removes %v", merged.adds, merged.removes)
+	if adds, removes := foldedRuns(merged); len(removes) != 0 || len(adds) != 1 || adds[0] != (store.IDTriple{S: 0, P: 1, O: 3}) {
+		t.Fatalf("fold produced adds %v removes %v", adds, removes)
 	}
-	for _, seg := range []segmentData{older, newer, merged} {
-		if _, err := writeSegment(d, seg, nil); err != nil {
-			t.Fatalf("writeSegment([%d, %d]): %v", seg.start, seg.end, err)
+	for _, f := range []*fold{foldOf(older), foldOf(newer), merged} {
+		if _, err := writeSegment(d, f, nil); err != nil {
+			t.Fatalf("writeSegment([%d, %d]): %v", f.start, f.end, err)
 		}
 	}
 	st := store.New()
@@ -237,20 +237,20 @@ func TestDamagedChainIsAnError(t *testing.T) {
 	base := segmentData{
 		start: 1, end: 5, dictFirst: 0,
 		dict: namesOf("a", "b", "c"),
-		adds: []store.IDTriple{{S: 0, P: 1, O: 2}},
+		adds: runOf(store.IDTriple{S: 0, P: 1, O: 2}),
 	}
 	for _, tc := range []struct {
 		name string
 		next segmentData
 		want string
 	}{
-		{"gap", segmentData{start: 8, end: 10, dictFirst: 3, dict: namesOf("d"), adds: []store.IDTriple{{S: 0, P: 1, O: 3}}}, "missing"},
-		{"overlap", segmentData{start: 4, end: 10, dictFirst: 3, dict: namesOf("d"), adds: []store.IDTriple{{S: 0, P: 1, O: 3}}}, "overlap"},
+		{"gap", segmentData{start: 8, end: 10, dictFirst: 3, dict: namesOf("d"), adds: runOf(store.IDTriple{S: 0, P: 1, O: 3})}, "missing"},
+		{"overlap", segmentData{start: 4, end: 10, dictFirst: 3, dict: namesOf("d"), adds: runOf(store.IDTriple{S: 0, P: 1, O: 3})}, "overlap"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := newMemDisk()
 			for _, seg := range []segmentData{base, tc.next} {
-				if _, err := writeSegment(d, seg, nil); err != nil {
+				if _, err := writeSegment(d, foldOf(seg), nil); err != nil {
 					t.Fatal(err)
 				}
 			}

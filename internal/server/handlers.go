@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/durable"
@@ -229,8 +230,10 @@ func writeJSON(w http.ResponseWriter, v any) {
 func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
 	s.mutations.Add(1)
 	c := clockOf(w)
-	var adds, removes []store.Triple
-	if !readRequest(w, r, func(d *wireReader) error { return d.mutation(&adds, &removes) }) {
+	tb := triplesPool.Get().(*tripleBuffers)
+	adds, removes := tb.adds, tb.removes
+	defer func() { tb.release(adds, removes) }()
+	if !readRequest(w, r, s.reasoner.Base(), func(d *wireReader) error { return d.mutation(&adds, &removes) }) {
 		return
 	}
 	if len(adds)+len(removes) == 0 {
@@ -261,6 +264,46 @@ func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
 		Inferred: s.reasoner.InferredCount(),
 	}, appendMutateResponse)
 	c.Mark(obs.StageRespond)
+}
+
+// maxPooledTriples is the most triples a pooled slice keeps room for: a
+// store.Triple is three 16-byte string headers, so this is maxPooledBody's
+// bound in triples.
+const maxPooledTriples = maxPooledBody / 48
+
+// triplesPool recycles the slices /triples decodes its adds and removes
+// into. Nothing the engine keeps points at them (Apply encodes each triple
+// into ids, and its errors format copies), so the next request may reuse
+// them once the response is written.
+var triplesPool = sync.Pool{New: func() any { return new(tripleBuffers) }}
+
+// tripleBuffers is one /triples request's decode targets: empty slices
+// whose whole capacity holds zero triples.
+type tripleBuffers struct {
+	adds, removes []store.Triple
+}
+
+// release returns the buffers to the pool, keeping for each side the larger
+// of the pooled slice and the one the request decoded into (which may have
+// grown past it, or been replaced by an empty or nil one).
+func (tb *tripleBuffers) release(adds, removes []store.Triple) {
+	tb.adds, tb.removes = reusable(tb.adds, adds), reusable(tb.removes, removes)
+	triplesPool.Put(tb)
+}
+
+// reusable returns the larger of two slices cleared over its whole capacity
+// and emptied, or nil when it is over maxPooledTriples. The decoder reuses
+// elements in place within the capacity, as encoding/json does: without the
+// clear, a triple that omits a field would inherit a previous request's.
+func reusable(pooled, used []store.Triple) []store.Triple {
+	if cap(used) > cap(pooled) {
+		pooled = used
+	}
+	if cap(pooled) > maxPooledTriples {
+		return nil
+	}
+	clear(pooled[:cap(pooled)])
+	return pooled[:0]
 }
 
 // appendMutateResponse appends the /triples response body, byte for byte

@@ -89,7 +89,7 @@ const maxPatterns = 16
 // server's limits. On failure it has written the 4xx and reports false.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, q *queryRun) bool {
 	var req QueryRequest
-	if !readRequest(w, r, func(d *wireReader) error { return d.query(&req) }) {
+	if !readRequest(w, r, nil, func(d *wireReader) error { return d.query(&req) }) {
 		return false
 	}
 	bgp, err := query.ParseBGP(req.BGP)

@@ -26,7 +26,9 @@ import (
 // elements in place and keeps the fields a later element omits. \uXXXX
 // escapes and surrogate pairs are decoded; a lone surrogate or a byte that is
 // not UTF-8 becomes U+FFFD. limit is an integer literal in int range.
-// FuzzRequestBodies holds the reader to encoding/json.
+// FuzzRequestBodies holds the reader to encoding/json. A reader given the
+// store's dictionary decodes a name it holds to the dictionary's own string,
+// so only a name not yet interned costs an allocation.
 
 // maxBodyBytes caps a request body; a larger one is answered 413.
 const maxBodyBytes = 1 << 20
@@ -42,16 +44,21 @@ type wireReader struct {
 	// str holds the decoded bytes of the last string that had escapes or
 	// bytes that are not UTF-8; any other string is a slice of buf.
 	str []byte
+	// dict, when set, is the store whose interned names string returns as
+	// they are.
+	dict *store.Store
 }
 
 // readRequest reads the body whole, capped at maxBodyBytes, and hands it to
 // decode. On failure it has written the error response — 413 for a body over
 // the cap, whatever its first bytes (splitting the request could succeed),
 // 400 for a body that does not decode (retrying cannot) — and reports false.
-// Nothing decode keeps may point into the body: the buffer is reused.
-func readRequest(w http.ResponseWriter, r *http.Request, decode func(*wireReader) error) bool {
+// Nothing decode keeps may point into the body: the buffer is reused. dict,
+// when not nil, is the store whose names the decoded strings share.
+func readRequest(w http.ResponseWriter, r *http.Request, dict *store.Store, decode func(*wireReader) error) bool {
 	d := wirePool.Get().(*wireReader)
 	d.body.Reset()
+	d.dict = dict
 	_, err := d.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err == nil {
 		d.buf, d.pos = d.body.Bytes(), 0
@@ -63,7 +70,7 @@ func readRequest(w http.ResponseWriter, r *http.Request, decode func(*wireReader
 	if cap(d.str) > maxPooledBody {
 		d.str = nil
 	}
-	d.buf = nil
+	d.buf, d.dict = nil, nil
 	wirePool.Put(d)
 	if err == nil {
 		return true
@@ -166,8 +173,9 @@ func (d *wireReader) object(field func(key []byte) error) error {
 	}
 }
 
-// string decodes a string or null member into *dst. The value is its own
-// string, never a slice of the pooled body; the modes are their constants.
+// string decodes a string or null member into *dst. The value is never a
+// slice of the pooled body: the modes are their constants, a name d.dict
+// holds is the dictionary's string, and any other value is its own string.
 func (d *wireReader) string(key []byte, dst *string) error {
 	if d.null() {
 		return nil
@@ -182,6 +190,12 @@ func (d *wireReader) string(key []byte, dst *string) error {
 	for _, m := range [...]string{ModeMaterialized, ModeExpand, ModePlain} {
 		if string(s) == m {
 			*dst = m
+			return nil
+		}
+	}
+	if d.dict != nil {
+		if name, ok := d.dict.InternedName(s); ok {
+			*dst = name
 			return nil
 		}
 	}

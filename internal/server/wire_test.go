@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/store"
 )
@@ -64,6 +65,23 @@ func checkBody(t *testing.T, body []byte) {
 	if (rerr == nil) != (gerr == nil) || rerr == nil && !(triplesEqual(mref.Add, add) && triplesEqual(mref.Remove, remove)) {
 		t.Fatalf("mutation body %q: reader %+v %+v, %v; encoding/json %+v, %v", body, add, remove, gerr, mref, rerr)
 	}
+	// Again with a dictionary holding every other term the body names: a
+	// term it holds decodes to its string, and must read the same.
+	dict := store.New()
+	for i, tr := range append(add, remove...) {
+		for j, term := range [...]string{tr.Subject, tr.Predicate, tr.Object} {
+			if term != "" && (i+j)%2 == 0 {
+				if _, err := dict.Intern(term); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	add, remove = nil, nil
+	gerr = (&wireReader{buf: body, dict: dict}).mutation(&add, &remove)
+	if (rerr == nil) != (gerr == nil) || rerr == nil && !(triplesEqual(mref.Add, add) && triplesEqual(mref.Remove, remove)) {
+		t.Fatalf("mutation body %q over a dictionary: reader %+v %+v, %v; encoding/json %+v, %v", body, add, remove, gerr, mref, rerr)
+	}
 }
 
 // requestSeeds are bodies at each of the reader's rules.
@@ -116,8 +134,15 @@ func FuzzRequestBodies(f *testing.F) {
 // doubles to 64 (1, 2, 4, …, 64: seven).
 const mutationDecodeOverhead = 1 + 7
 
+// warmMutationDecodeAllocs is what a /triples decode allocates when every
+// term is interned and the triple slice is a pooled one with room: the
+// body's http.MaxBytesReader, whatever the triple count.
+const warmMutationDecodeAllocs = 1
+
 // TestMutationDecodeAllocs holds a 64-triple /triples body to one string per
-// term plus mutationDecodeOverhead.
+// term plus mutationDecodeOverhead when its names are new and its slice
+// fresh, and to warmMutationDecodeAllocs when the dictionary holds every
+// name and the slice is pooled.
 func TestMutationDecodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")
@@ -132,23 +157,95 @@ func TestMutationDecodeAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dict := store.New()
+	for _, tr := range req.Add {
+		if _, err := dict.AddBatch([]store.Triple{store.Triple(tr)}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	rd := bytes.NewReader(body)
 	r := httptest.NewRequest(http.MethodPost, "/triples", rd)
 	w := httptest.NewRecorder()
 	var adds, removes []store.Triple
-	allocs := testing.AllocsPerRun(100, func() {
+	decode := func(dict *store.Store) {
 		rd.Reset(body)
-		adds, removes = nil, nil
-		if !readRequest(w, r, func(d *wireReader) error { return d.mutation(&adds, &removes) }) {
+		if !readRequest(w, r, dict, func(d *wireReader) error { return d.mutation(&adds, &removes) }) {
 			t.Fatalf("the body did not decode: %s", w.Body)
 		}
-	})
-	if len(adds) != n || adds[n-1] != store.Triple(req.Add[n-1]) {
-		t.Fatalf("decoded %d triples, last %+v", len(adds), adds[len(adds)-1])
+		if len(adds) != n || adds[n-1] != store.Triple(req.Add[n-1]) {
+			t.Fatalf("decoded %d triples, last %+v", len(adds), adds[len(adds)-1])
+		}
 	}
-	t.Logf("a %d-triple /triples body decodes in %v allocations", n, allocs)
-	if limit := 3*n + mutationDecodeOverhead; allocs > float64(limit) {
-		t.Fatalf("a %d-triple body allocates %v times, above 3 a triple plus %d (%d)", n, allocs, mutationDecodeOverhead, limit)
+	fresh := testing.AllocsPerRun(100, func() {
+		adds, removes = nil, nil
+		decode(nil)
+	})
+	t.Logf("a %d-triple /triples body with new names decodes in %v allocations", n, fresh)
+	if limit := 3*n + mutationDecodeOverhead; fresh > float64(limit) {
+		t.Errorf("a %d-triple body allocates %v times, above 3 a triple plus %d (%d)", n, fresh, mutationDecodeOverhead, limit)
+	}
+	warm := testing.AllocsPerRun(100, func() {
+		adds, removes = reusable(nil, adds), reusable(nil, removes)
+		decode(dict)
+	})
+	t.Logf("with its names interned and a pooled slice, in %v allocations", warm)
+	if warm > warmMutationDecodeAllocs {
+		t.Errorf("a %d-triple body over interned names and a pooled slice allocates %v times, want at most %d", n, warm, warmMutationDecodeAllocs)
+	}
+}
+
+// TestPooledTriplesDoNotLeakAcrossRequests sends, through the real handler,
+// a request with whole triples and then one whose triple omits its object:
+// the second must be answered exactly as a fresh server answers it, however
+// many triples the first one sent and on either side of the mutation. A
+// pooled slice that kept the first request's elements would lend the second
+// their objects.
+func TestPooledTriplesDoNotLeakAcrossRequests(t *testing.T) {
+	if n := maxPooledTriples * int(unsafe.Sizeof(store.Triple{})); n > maxPooledBody {
+		t.Fatalf("maxPooledTriples triples take %d bytes, over maxPooledBody's %d", n, maxPooledBody)
+	}
+	full := func(n int) []TripleJSON {
+		var ts []TripleJSON
+		for i := 0; i < n; i++ {
+			ts = append(ts, TripleJSON{Subject: "kombi", Predicate: "type", Object: "o" + strconv.Itoa(i)})
+		}
+		return ts
+	}
+	respond := func(s *Server, body []byte) string {
+		rec := do(t, s, http.MethodPost, "/triples", body)
+		return strconv.Itoa(rec.Code) + " " + rec.Body.String()
+	}
+	marshal := func(req MutateRequest) []byte {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	// "x type o0" is held, so a remove that inherited o0 would find it.
+	seed := marshal(MutateRequest{Add: []TripleJSON{{Subject: "x", Predicate: "type", Object: "o0"}}})
+	for _, side := range []string{"add", "remove"} {
+		for _, n := range []int{1, 3, 40} {
+			first := marshal(MutateRequest{Add: full(n)})
+			if side == "remove" {
+				first = marshal(MutateRequest{Remove: full(n)})
+			}
+			second := []byte(`{"` + side + `":[{"subject":"x","predicate":"type"}]}`)
+			fresh := newTestServer(t, Config{})
+			respond(fresh, seed)
+			want := respond(fresh, second)
+			if side == "add" && !strings.Contains(want, "empty component") {
+				t.Fatalf("a fresh server answered the partial add with %s, want the empty-component 400", want)
+			}
+			s := newTestServer(t, Config{})
+			respond(s, seed)
+			for round := 0; round < 5; round++ {
+				respond(s, first)
+				if got := respond(s, second); got != want {
+					t.Fatalf("%s of %d triples, then a triple without an object: answered %s, a fresh server %s", side, n, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -45,6 +45,14 @@ func (s *Store) SymbolID(name string) (SymbolID, bool) {
 	return s.syms.lookup(name)
 }
 
+// InternedName returns the dictionary's own string for the name spelled by
+// b, with ok reporting whether that name is interned. It allocates nothing,
+// so a decoder can turn a term the store already holds into a string that
+// shares the dictionary's copy instead of minting one of its own.
+func (s *Store) InternedName(b []byte) (string, bool) {
+	return s.syms.lookupBytes(b)
+}
+
 // Resolver resolves SymbolIDs back to names from a lock-free snapshot of the
 // symbol table, falling back to the locked path only for ids minted after the
 // Resolver was created. Create one per query result set rather than per id.

@@ -160,6 +160,25 @@ func (st *symtab) lookup(s string) (uint32, bool) {
 	return id, ok
 }
 
+// lookupBytes returns the interned name spelled by b, the dictionary's own
+// string, without allocating: maphash.Bytes hashes b as maphash.String
+// hashes the same bytes, and the confirming compare does not copy b. ok is
+// false when no such name is interned.
+func (st *symtab) lookupBytes(b []byte) (string, bool) {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	mask := len(st.index) - 1
+	for slot := int(maphash.Bytes(symSeed, b)) & mask; ; slot = (slot + 1) & mask {
+		v := st.index[slot]
+		if v == 0 {
+			return "", false
+		}
+		if name := st.names[v-1]; name == string(b) {
+			return name, true
+		}
+	}
+}
+
 // lookupTriple resolves all three components read-only.
 func (st *symtab) lookupTriple(t Triple) (IDTriple, bool) {
 	st.mu.RLock()

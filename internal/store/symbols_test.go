@@ -212,6 +212,62 @@ func TestDictLookupDoesNotAllocate(t *testing.T) {
 		}); allocs != 0 {
 			t.Errorf("SymbolID %s allocates %.1f times per call", c.kind, allocs)
 		}
+		b := []byte(c.name)
+		if allocs := testing.AllocsPerRun(200, func() {
+			if _, ok := s.InternedName(b); ok != c.ok {
+				t.Fatalf("InternedName(%q) found = %v, want %v", b, ok, c.ok)
+			}
+		}); allocs != 0 {
+			t.Errorf("InternedName %s allocates %.1f times per call", c.kind, allocs)
+		}
+	}
+}
+
+// TestInternedNameAgreesWithSymbolID holds the byte-keyed lookup to the
+// string-keyed one over seeded names — ASCII, multi-byte UTF-8, the empty
+// string, and names minted between lookups, enough of them to double the
+// index several times: InternedName(b) finds a name exactly when SymbolID
+// does, and returns the dictionary's string, equal to b.
+func TestInternedNameAgreesWithSymbolID(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	alphabet := []string{"a", "b", "z", "0", " ", "é", "ß", "漢", "字", "😀", "\x00", "\xff"}
+	name := func() string {
+		n := rng.Intn(5)
+		var b []byte
+		for i := 0; i < n; i++ {
+			b = append(b, alphabet[rng.Intn(len(alphabet))]...)
+		}
+		return string(b)
+	}
+	s := New()
+	var minted []string
+	hits := 0
+	for step := 0; step < 4000; step++ {
+		if fresh := name(); fresh != "" && rng.Intn(3) == 0 {
+			if _, err := s.Intern(fresh); err != nil {
+				t.Fatal(err)
+			}
+			minted = append(minted, fresh)
+		}
+		probe := name()
+		if len(minted) > 0 && rng.Intn(2) == 0 {
+			probe = minted[rng.Intn(len(minted))]
+		}
+		b := []byte(probe)
+		id, want := s.SymbolID(probe)
+		got, ok := s.InternedName(b)
+		if ok != want {
+			t.Fatalf("step %d: InternedName(%q) found = %v, SymbolID found = %v", step, probe, ok, want)
+		}
+		if ok {
+			hits++
+		}
+		if ok && (got != probe || s.NewResolver().Name(id) != got) {
+			t.Fatalf("step %d: InternedName(%q) = %q, the dictionary names id %d %q", step, probe, got, id, s.NewResolver().Name(id))
+		}
+	}
+	if hits < 1000 || hits > 3000 {
+		t.Fatalf("%d of 4000 lookups hit; the schedule should mix hits and misses", hits)
 	}
 }
 
