@@ -33,17 +33,21 @@
 // crashed mid-seed, which leaves the directory partially seeded. -fsync
 // picks the durability/latency trade (always, batch — an fsync every 10 ms —
 // or off) and -checkpoint-mib how much log growth triggers compaction into a
-// fresh segment (0 or negative: none); POST /checkpoint forces one.
+// fresh segment (0 or negative: none); POST /checkpoint forces one. The
+// directory's log is also the replication feed: only a primary with
+// -data-dir serves GET /repl/snapshot and GET /repl/deltas, and a replica's
+// position survives the primary's restart on the same directory.
 //
 // -replicate-from makes the process a read replica of another ontoserve
-// (repro/internal/repl): it boots from the primary's GET /repl/snapshot,
-// follows GET /repl/deltas, re-derives the inferred overlay locally, and
-// serves queries read-only — POST /triples and POST /checkpoint answer 403
-// naming the primary, and /healthz reports the replication lag so load
-// balancers can eject stale nodes. A replica takes no corpus flags, -f
-// included (the feed ships the schema), and no -data-dir (the primary is the
-// source of truth; a restarted replica re-snapshots), but -rules still
-// applies and MUST match the primary's so both sides derive the same overlay.
+// started with -data-dir (repro/internal/repl): it boots from the primary's
+// GET /repl/snapshot, follows GET /repl/deltas — the primary's log —,
+// re-derives the inferred overlay locally, and serves queries read-only —
+// POST /triples and POST /checkpoint answer 403 naming the primary, and
+// /healthz reports the replication lag so load balancers can eject stale
+// nodes. A replica takes no corpus flags, -f included (the log ships the
+// schema), and no -data-dir (the primary is the source of truth; a restarted
+// replica re-snapshots), but -rules still applies and MUST match the
+// primary's so both sides derive the same overlay.
 //
 // GET /metrics always serves the process's instruments — traffic counters,
 // latency histograms split by stage, WAL/checkpoint state, reasoner and
@@ -106,13 +110,13 @@ func run(args []string, stderr io.Writer) int {
 	timeout := fs.Duration("timeout", 5*time.Second, "per-query evaluation timeout")
 	maxSolutions := fs.Int("max-solutions", 100_000, "cap on solutions streamed per query")
 	cacheMiB := fs.Int("cache", 256, "query-result cache budget in MiB of retained responses (0 or negative disables)")
-	dataDir := fs.String("data-dir", "", "directory for the write-ahead log and checkpoint segments; empty serves purely from memory")
+	dataDir := fs.String("data-dir", "", "directory for the write-ahead log and checkpoint segments, and the log /repl serves replicas; empty serves purely from memory, with no /repl")
 	fsyncMode := fs.String("fsync", "always", "when the log reaches stable storage: always (group commit per mutation), batch (every 10ms in the background), off (rotation and close only)")
 	checkpointMiB := fs.Int("checkpoint-mib", durable.DefaultCheckpointBytes>>20, "log growth in MiB that triggers automatic compaction into a segment (0 or negative disables; POST /checkpoint still works)")
 	slowQuery := fs.Duration("slow-query", 0, "log queries at least this slow as ndjson records (0 disables the slow-query log)")
 	slowQueryLog := fs.String("slow-query-log", "", "file the slow-query log appends to; empty logs to stderr")
 	pprofAddr := fs.String("pprof-addr", "", "listen address for net/http/pprof on its own listener (empty disables profiling)")
-	replicateFrom := fs.String("replicate-from", "", "primary base URL to replicate from; makes this process a read-only replica")
+	replicateFrom := fs.String("replicate-from", "", "base URL of a primary started with -data-dir to replicate from; makes this process a read-only replica")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: ontoserve (-paper | -annotations <file> | -replicate-from <url>) [-f <tbox>] [-rules <file>] [-addr host:port] [options]\n")
 		fs.PrintDefaults()

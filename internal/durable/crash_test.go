@@ -40,15 +40,22 @@ func crashTx(st *store.Store, i int) error {
 	return faultTx(st, i, bulk...)
 }
 
-// crashRefs[k] is the triples of the first k transactions of the schedule.
-var crashRefs = sync.OnceValue(func() [][]store.Triple {
+// crashRef is the state the first k transactions of the schedule leave: its
+// triples, and the position the writing store reported.
+type crashRef struct {
+	triples []store.Triple
+	at      store.Position
+}
+
+// crashRefs[k] is the state of the first k transactions of the schedule.
+var crashRefs = sync.OnceValue(func() []crashRef {
 	st := store.New()
-	refs := [][]store.Triple{st.Triples()}
+	refs := []crashRef{{st.Triples(), st.Position()}}
 	for i := 0; i < 10; i++ {
 		if err := crashTx(st, i); err != nil {
 			panic(err)
 		}
-		refs = append(refs, st.Triples())
+		refs = append(refs, crashRef{st.Triples(), st.Position()})
 	}
 	return refs
 })
@@ -57,7 +64,7 @@ var crashRefs = sync.OnceValue(func() [][]store.Triple {
 // exactly the triples st holds, or -1.
 func prefixHeld(st *store.Store, lo, hi int) int {
 	for k := lo; k <= hi; k++ {
-		ref := crashRefs()[k]
+		ref := crashRefs()[k].triples
 		if st.Len() == len(ref) && !slices.ContainsFunc(ref, func(t store.Triple) bool { return !st.Contains(t) }) {
 			return k
 		}
@@ -143,7 +150,8 @@ func isRemove(op string) bool   { return strings.HasPrefix(op, "remove ") }
 // operations the recovery issued:
 //  1. it boots;
 //  2. the recovered snapshot is that of the first k submitted transactions,
-//     acked ≤ k ≤ submitted;
+//     acked ≤ k ≤ submitted, at the position the writer recorded there —
+//     the generation and the digest;
 //  3. no .tmp is left, and the segments tile 1..N;
 //  4. recovering the recovered directory again gives the same state and
 //     issues no remove, truncate or create.
@@ -154,12 +162,16 @@ func (r *crashRun) recoverImage(img *memDisk) ([]string, error) {
 		return nil, fmt.Errorf("it does not boot: %w", err)
 	}
 	k := prefixHeld(st, r.acked, r.submitted)
+	at := st.Position()
 	if err := eng.Close(); err != nil {
 		return nil, err
 	}
 	ops := img.log()
 	if k < 0 {
 		return ops, fmt.Errorf("the recovered state is no prefix of the submitted transactions holding the acknowledged ones")
+	}
+	if want := crashRefs()[k].at; at != want {
+		return ops, fmt.Errorf("the recovered state of transaction %d is at position %v, the writer recorded %v", k, at, want)
 	}
 	if err := tiles(img.names()); err != nil {
 		return ops, err

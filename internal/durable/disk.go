@@ -2,6 +2,7 @@ package durable
 
 import (
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -18,6 +19,8 @@ type disk interface {
 	mkdir() error
 	list() ([]string, error)
 	readFile(name string) ([]byte, error)
+	// readRange reads name's bytes [from, to); to < 0 reads to the end.
+	readRange(name string, from, to int64) ([]byte, error)
 	create(name string) (file, error) // create or truncate, for writing
 	openAppend(name string) (file, error)
 	rename(from, to string) error
@@ -62,6 +65,29 @@ func (d osDisk) list() ([]string, error) {
 }
 
 func (d osDisk) readFile(name string) ([]byte, error) { return os.ReadFile(d.path(name)) }
+
+func (d osDisk) readRange(name string, from, to int64) ([]byte, error) {
+	f, err := os.Open(d.path(name))
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	if to < 0 {
+		fi, err := f.Stat()
+		if err != nil {
+			return nil, err
+		}
+		to = fi.Size()
+	}
+	if to < from {
+		return nil, fmt.Errorf("reading %s: range [%d, %d) is past its end", name, from, to)
+	}
+	buf := make([]byte, to-from)
+	if _, err := f.ReadAt(buf, from); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
 
 func (d osDisk) create(name string) (file, error) {
 	return d.open(name, os.O_CREATE|os.O_TRUNC|os.O_WRONLY)

@@ -27,6 +27,14 @@
 // source of truth, and recovery rebuilds the store from it. Load corpora
 // AFTER opening, through the store's ordinary mutation methods, so the loads
 // are journaled like any other write.
+//
+// Every write record carries the store.Position its write section left —
+// the generation and the store's digest — and every segment the position it
+// covers through, so recovery checks what it loaded against the history, and
+// the log doubles as the replication feed: Engine.ReadLog serves a replica
+// the committed records after its position as they lie on disk,
+// Engine.Snapshot the whole chain folded into one segment, and Follower
+// reads both on the replica's side with recovery's own checks.
 package durable
 
 import (
@@ -273,7 +281,7 @@ func open(st *store.Store, opts Options, d disk) (*Engine, error) {
 		st:          st,
 		opts:        opts,
 		disk:        d,
-		w:           newWALWriter(d, opts.Fsync, rec.file, rec.lastSeq),
+		w:           newWALWriter(d, opts.Fsync, rec),
 		wals:        rec.wals,
 		tiers:       rec.tiers,
 		dictCovered: rec.dictCovered,
@@ -371,11 +379,18 @@ func (e *Engine) JournalDict(first store.SymbolID, names []string) {
 	e.w.appendDict(first, names)
 }
 
-// JournalMutation implements store.Journal: it stages the write as one
-// record, group-commits the log through it to the configured durability, and
-// nudges the checkpointer if the log has outgrown its budget.
-func (e *Engine) JournalMutation(adds, removes []store.IDTriple) error {
-	err := e.w.commit(e.w.appendMutation(adds, removes))
+// JournalMutation implements store.Journal. Called at the end of the write
+// section, under the store's lock; it only stages bytes (see
+// walWriter.appendMutation).
+func (e *Engine) JournalMutation(adds, removes []store.IDTriple, at store.Position) {
+	e.w.appendMutation(adds, removes, at)
+}
+
+// JournalWait implements store.Journal: it group-commits the log through
+// everything staged to the configured durability, and nudges the
+// checkpointer if the log has outgrown its budget.
+func (e *Engine) JournalWait() error {
+	err := e.w.commit(e.w.currentSeq())
 	if e.opts.CheckpointBytes > 0 && e.w.bytesSinceRotation() >= e.opts.CheckpointBytes {
 		select {
 		case e.ckptC <- struct{}{}:
@@ -438,7 +453,7 @@ func (e *Engine) Checkpoint() error {
 	e.ckptMu.Lock()
 	defer e.ckptMu.Unlock()
 	e.mu.Lock() //ontolint:ignore lockcheck fixed one-way order: ckptMu is always taken before mu and mu critical sections never take ckptMu, so the nesting cannot deadlock
-	lastEnd := e.coveredLocked()
+	lastEnd, lastAt := e.coveredLocked()
 	dictNext := e.dictCovered
 	e.mu.Unlock()
 	if e.w.currentSeq() == lastEnd {
@@ -451,9 +466,10 @@ func (e *Engine) Checkpoint() error {
 	// The superseded log window, read before rotation resets it — the
 	// denominator of the compaction ratio.
 	walBytes := e.w.bytesSinceRotation()
-	meta, names, err := e.publishWindow(lastEnd, dictNext)
+	meta, names, err := e.publishWindow(lastEnd, dictNext, lastAt)
 	var cleanupErr error
 	if err == nil {
+		e.w.dropWrites(meta.end)
 		if e.mCompaction != nil && walBytes > 0 {
 			e.mCompaction.Set(float64(meta.bytes) / float64(walBytes))
 		}
@@ -496,7 +512,7 @@ func (e *Engine) Checkpoint() error {
 // and how many names it minted. On failure nothing is published and the
 // sealed files stay on disk and listed, so recovery still sees an intact log
 // and the next checkpoint folds them again. Callers hold ckptMu.
-func (e *Engine) publishWindow(lastEnd uint64, dictNext store.SymbolID) (segMeta, int, error) {
+func (e *Engine) publishWindow(lastEnd uint64, dictNext store.SymbolID, lastAt store.Position) (segMeta, int, error) {
 	covered, err := e.w.rotate()
 	if err != nil {
 		return segMeta{}, 0, err
@@ -507,7 +523,12 @@ func (e *Engine) publishWindow(lastEnd uint64, dictNext store.SymbolID) (segMeta
 	if e.wals[len(e.wals)-1] <= covered {
 		e.wals = append(e.wals, covered+1)
 	}
-	seg, err := foldWAL(e.disk, e.wals[:len(e.wals)-1], lastEnd, dictNext, false)
+	sealed := e.wals[:len(e.wals)-1]
+	datas, err := readWAL(e.disk, sealed)
+	if err != nil {
+		return segMeta{}, 0, err
+	}
+	seg, _, err := foldWAL(e.disk, sealed, datas, lastEnd, dictNext, lastAt, false)
 	if err == nil && seg.end != covered {
 		err = fmt.Errorf("durable: checkpoint window ends at record %d, want the rotation point %d", seg.end, covered)
 	}
@@ -518,12 +539,15 @@ func (e *Engine) publishWindow(lastEnd uint64, dictNext store.SymbolID) (segMeta
 	return meta, seg.dict.n, err
 }
 
-// coveredLocked returns the seq the chain covers through. Callers hold mu.
-func (e *Engine) coveredLocked() uint64 {
+// coveredLocked returns the seq the chain covers through and the chain's
+// stamp: the empty state's position before the first checkpoint. Callers
+// hold mu.
+func (e *Engine) coveredLocked() (uint64, store.Position) {
 	if len(e.tiers) == 0 {
-		return 0
+		return 0, store.Position{}
 	}
-	return e.tiers[len(e.tiers)-1].end
+	last := e.tiers[len(e.tiers)-1]
+	return last.end, last.at
 }
 
 // pickMergeLocked runs the merge policy over the current chain, returning
@@ -627,7 +651,7 @@ func (e *Engine) Stats() Stats {
 	st.RecoverySeconds = e.recoveryDur.Seconds()
 	e.mu.Lock()
 	st.Segments = len(e.tiers)
-	st.SegmentSeq = e.coveredLocked()
+	st.SegmentSeq, _ = e.coveredLocked()
 	st.Tiers = make([]TierStats, len(e.tiers))
 	for i, t := range e.tiers {
 		st.Tiers[i] = TierStats{

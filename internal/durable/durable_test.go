@@ -343,19 +343,22 @@ func TestWALChunksOversizedMutations(t *testing.T) {
 	// A second mutation whose adds and removes each overflow a record, so one
 	// chunk straddles the two sides; it retracts two of its own adds.
 	tx := st.Begin()
-	if _, err := tx.AddBatch([]store.Triple{testTriple(400), testTriple(401)}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 402; i < 430; i++ {
-		if _, err := tx.Add(testTriple(i)); err != nil {
+	st.Write(func() bool {
+		if _, err := tx.AddBatch([]store.Triple{testTriple(400), testTriple(401)}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i := 360; i < 402; i++ {
-		if !tx.Remove(testTriple(i)) {
-			t.Fatalf("Remove(%v) found nothing", testTriple(i))
+		for i := 402; i < 430; i++ {
+			if _, err := tx.Add(testTriple(i)); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
+		for i := 360; i < 402; i++ {
+			if !tx.Remove(testTriple(i)) {
+				t.Fatalf("Remove(%v) found nothing", testTriple(i))
+			}
+		}
+		return false
+	})
 	if err := tx.Commit(); err != nil {
 		t.Fatalf("two-sided mutation over the shrunken cap: %v", err)
 	}
@@ -409,6 +412,67 @@ func TestWALChunksOversizedMutations(t *testing.T) {
 	defer eng2.Close()
 	if got := snapshotString(t, st2); got != want {
 		t.Fatal("recovery over the chunked log lost triples")
+	}
+}
+
+// TestChunkedWriteSurvivesWholeOrNotAtAll cuts the log at every frame
+// boundary of one chunked write — its dictionary growth, its leading parts,
+// its last chunk — and recovers each prefix: the state must be the one
+// before the write or the one after it, never the chunks that happened to
+// reach the disk. A write counts once its last chunk, the record carrying its
+// position, is there; a tail of parts without it is torn.
+func TestChunkedWriteSurvivesWholeOrNotAtAll(t *testing.T) {
+	d := &memDisk{}
+	st := store.New()
+	eng := mustOpenDisk(t, st, Options{Fsync: FsyncOff, CheckpointBytes: -1}, d)
+	eng.w.maxPayload = 256 // before any mutation; the writer is idle
+	if _, err := st.AddBatch([]store.Triple{testTriple(0), testTriple(1)}); err != nil {
+		t.Fatal(err)
+	}
+	before, start := snapshotString(t, st), int(eng.Stats().WALBytes)
+	var batch []store.Triple
+	for i := 2; i < 120; i++ {
+		batch = append(batch, testTriple(i))
+	}
+	tx := st.Begin()
+	st.Write(func() bool {
+		if _, err := tx.AddBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		tx.Remove(testTriple(0))
+		return true
+	})
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	after := snapshotString(t, st)
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data := d.get(walFileName(1))
+	chunks := 0
+	for off := start; ; {
+		want := before
+		if off == len(data) {
+			want = after
+		}
+		if got := recoverPrefix(t, data[:off]); got != want {
+			t.Fatalf("the log cut at byte %d of %d (%d chunks in) recovers neither the state before the chunked write nor the one after it", off, len(data), chunks)
+		}
+		if off == len(data) {
+			break
+		}
+		payload, next, ok := nextFrame(data, off)
+		if !ok {
+			t.Fatalf("bad frame at %d", off)
+		}
+		if payload[0] != recDict {
+			chunks++
+		}
+		off = next
+	}
+	if chunks < 3 {
+		t.Fatalf("the write was chunked into %d records; the cap did not split it", chunks)
 	}
 }
 
@@ -543,14 +607,17 @@ func buildLog(t testing.TB) (data []byte, offsets []int64, snaps []string) {
 			adds = batch(i)
 		}
 		tx := st.Begin()
-		if _, err := tx.AddBatch(adds); err != nil {
-			t.Fatalf("script step %d: %v", i, err)
-		}
-		for _, r := range removes {
-			if !tx.Remove(r) {
-				t.Fatalf("script step %d: Remove(%v) found nothing", i, r)
+		st.Write(func() bool {
+			if _, err := tx.AddBatch(adds); err != nil {
+				t.Fatalf("script step %d: %v", i, err)
 			}
-		}
+			for _, r := range removes {
+				if !tx.Remove(r) {
+					t.Fatalf("script step %d: Remove(%v) found nothing", i, r)
+				}
+			}
+			return false
+		})
 		if err := tx.Commit(); err != nil {
 			t.Fatalf("script step %d: %v", i, err)
 		}
@@ -609,7 +676,7 @@ func TestPrefixReplayProperty(t *testing.T) {
 		}
 		if r, err := decodeRecord(payload); err != nil {
 			t.Fatal(err)
-		} else if r.typ == recMutation {
+		} else if r.typ == recWrite {
 			mutations++
 		}
 		off = next

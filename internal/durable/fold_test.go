@@ -47,7 +47,7 @@ func (r tripleRun) triples() []store.IDTriple {
 	return ts
 }
 
-// sides decodes a recMutation record's adds and removes.
+// sides decodes a recPart or recWrite record's adds and removes.
 func (r record) sides() (adds, removes []store.IDTriple) {
 	for i := 0; i < r.triples.len(); i++ {
 		if i < r.nAdds {
@@ -168,29 +168,32 @@ func TestFoldsMatchNaiveReplay(t *testing.T) {
 				for step := 0; step < 200; step++ {
 					tx := st.Begin()
 					changed := map[store.Triple]bool{}
-					for n := rng.Intn(4); n > 0; n-- {
-						tr := alphabet[rng.Intn(len(alphabet))]
-						if rng.Intn(10) == 0 {
-							tr = store.Triple{Subject: "fresh", Predicate: "p", Object: fmt.Sprintf("n%d", fresh)}
-							fresh++
+					st.Write(func() bool {
+						for n := rng.Intn(4); n > 0; n-- {
+							tr := alphabet[rng.Intn(len(alphabet))]
+							if rng.Intn(10) == 0 {
+								tr = store.Triple{Subject: "fresh", Predicate: "p", Object: fmt.Sprintf("n%d", fresh)}
+								fresh++
+							}
+							if ok, err := tx.Add(tr); err != nil {
+								t.Fatal(err)
+							} else if ok != !model[tr] {
+								t.Fatalf("step %d: Add(%v) = %v against the model's %v", step, tr, ok, model[tr])
+							} else if ok {
+								model[tr], changed[tr] = true, true
+							}
 						}
-						if ok, err := tx.Add(tr); err != nil {
-							t.Fatal(err)
-						} else if ok != !model[tr] {
-							t.Fatalf("step %d: Add(%v) = %v against the model's %v", step, tr, ok, model[tr])
-						} else if ok {
-							model[tr], changed[tr] = true, true
+						for n := rng.Intn(3); n > 0; n-- {
+							tr := alphabet[rng.Intn(len(alphabet))]
+							if ok := tx.Remove(tr); ok != model[tr] {
+								t.Fatalf("step %d: Remove(%v) = %v against the model's %v", step, tr, ok, model[tr])
+							} else if ok {
+								delete(model, tr)
+								changed[tr] = false
+							}
 						}
-					}
-					for n := rng.Intn(3); n > 0; n-- {
-						tr := alphabet[rng.Intn(len(alphabet))]
-						if ok := tx.Remove(tr); ok != model[tr] {
-							t.Fatalf("step %d: Remove(%v) = %v against the model's %v", step, tr, ok, model[tr])
-						} else if ok {
-							delete(model, tr)
-							changed[tr] = false
-						}
-					}
+						return false
+					})
 					if err := tx.Commit(); err != nil {
 						t.Fatal(err)
 					}

@@ -12,14 +12,17 @@ import (
 // against the bytes actually present).
 func FuzzDecodeRecord(f *testing.F) {
 	f.Add(encodeDict(nil, 1, 0, []string{"a", "bb", ""}))
-	f.Add(encodeMutation(nil, 2, []store.IDTriple{{S: 0, P: 1, O: 2}, {S: 2, P: 1, O: 0}}, nil))
-	f.Add(encodeMutation(nil, 3, nil, []store.IDTriple{{S: 7, P: 8, O: 9}}))
+	at := store.Position{Gen: 3, Digest: store.Digest{0x0123456789abcdef, 0xfedcba9876543210}}
+	f.Add(encodeMutation(nil, 2, []store.IDTriple{{S: 0, P: 1, O: 2}, {S: 2, P: 1, O: 0}}, nil, at, true))
+	f.Add(encodeMutation(nil, 3, nil, []store.IDTriple{{S: 7, P: 8, O: 9}}, at, false))
 	f.Add([]byte{})
 	f.Add([]byte{recDict, 0, 0, 0, 0, 0, 0, 0, 0, 255, 255, 255, 255})
-	f.Add(encodeMutation(nil, 4, []store.IDTriple{{S: 0, P: 1, O: 2}, {S: 3, P: 1, O: 0}}, []store.IDTriple{{S: 0, P: 1, O: 2}, {S: 7, P: 8, O: 9}}))
-	f.Add(encodeMutation(nil, 5, nil, nil))
+	f.Add(encodeMutation(nil, 4, []store.IDTriple{{S: 0, P: 1, O: 2}, {S: 3, P: 1, O: 0}}, []store.IDTriple{{S: 0, P: 1, O: 2}, {S: 7, P: 8, O: 9}}, at, true))
+	f.Add(encodeMutation(nil, 5, nil, nil, at, true))
 	// Counts that sum past 32 bits over an empty body.
-	f.Add([]byte{recMutation, 6, 0, 0, 0, 0, 0, 0, 0, 255, 255, 255, 255, 255, 255, 255, 255})
+	f.Add([]byte{recPart, 6, 0, 0, 0, 0, 0, 0, 0, 255, 255, 255, 255, 255, 255, 255, 255})
+	// The position-less mutation record of older builds.
+	f.Add([]byte{4, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		r, err := decodeRecord(payload)
 		if err != nil {
@@ -29,9 +32,9 @@ func FuzzDecodeRecord(f *testing.F) {
 		// (binary.Uvarint tolerates non-canonical length encodings), so for
 		// them re-encode and re-decode: the RECORD must survive unchanged.
 		switch r.typ {
-		case recMutation:
+		case recPart, recWrite:
 			adds, removes := r.sides()
-			if again := encodeMutation(nil, r.seq, adds, removes); string(again) != string(payload) {
+			if again := encodeMutation(nil, r.seq, adds, removes, r.at, r.typ == recWrite); string(again) != string(payload) {
 				t.Fatalf("mutation record round trip changed the payload: %x -> %x", payload, again)
 			}
 		case recDict:
@@ -55,9 +58,9 @@ func FuzzDecodeRecord(f *testing.F) {
 
 // fuzzChainSegments is the fixed two-tier segment chain the recovery fuzzer
 // lays down in front of the fuzzed log tail: a base segment and a young delta
-// whose tombstone reaches into it.
-func fuzzChainSegments() []segmentData {
-	return []segmentData{
+// whose tombstone reaches into it, stamped. The script continues it.
+func fuzzChainSegments() ([]segmentData, *logScript) {
+	segs := []segmentData{
 		{
 			start: 1, end: 2, dictFirst: 0,
 			dict: namesOf("s", "p", "o"),
@@ -70,6 +73,7 @@ func fuzzChainSegments() []segmentData {
 			removes: runOf(store.IDTriple{S: 0, P: 1, O: 2}),
 		},
 	}
+	return segs, stampChain(segs)
 }
 
 // FuzzRecoverLog feeds arbitrary bytes to the whole recovery path — the only
@@ -78,27 +82,37 @@ func fuzzChainSegments() []segmentData {
 // tails are legal in the last file) or fail with an error — never panic, and
 // never load a state the fold did not explicitly compose.
 func FuzzRecoverLog(f *testing.F) {
+	var bare logScript
 	var seed []byte
-	seed = appendFrame(seed, encodeDict(nil, 1, 0, []string{"s", "p", "o"}))
-	seed = appendFrame(seed, encodeMutation(nil, 2, []store.IDTriple{{S: 0, P: 1, O: 2}}, nil))
+	seed = appendFrame(seed, bare.dict(1, "s", "p", "o"))
+	seed = appendFrame(seed, bare.write(2, []store.IDTriple{{S: 0, P: 1, O: 2}}, nil))
 	f.Add(seed)
 	f.Add(seed[:len(seed)-3])
 	f.Add([]byte{})
 	// A tail that chains correctly onto the segment fixture (first seq 5,
 	// re-adding the tombstoned triple), so the fuzzer explores the
 	// chain-plus-valid-tail path too, not only early rejections.
+	segs, chainScript := fuzzChainSegments()
+	cs := chainScript.clone()
 	var chained []byte
-	chained = appendFrame(chained, encodeMutation(nil, 5, []store.IDTriple{{S: 0, P: 1, O: 2}}, nil))
-	chained = appendFrame(chained, encodeMutation(nil, 6, nil, []store.IDTriple{{S: 0, P: 1, O: 3}}))
+	chained = appendFrame(chained, cs.write(5, []store.IDTriple{{S: 0, P: 1, O: 2}}, nil))
+	chained = appendFrame(chained, cs.write(6, nil, []store.IDTriple{{S: 0, P: 1, O: 3}}))
 	f.Add(chained)
 	// The same two changes as one two-sided record, then a record that adds
-	// and removes one triple, then an empty one.
+	// and removes one triple, then an empty one; and the first as a chunked
+	// write, its part and its last chunk.
+	cs = chainScript.clone()
 	var twoSided []byte
-	twoSided = appendFrame(twoSided, encodeMutation(nil, 5, []store.IDTriple{{S: 0, P: 1, O: 2}}, []store.IDTriple{{S: 0, P: 1, O: 3}}))
-	twoSided = appendFrame(twoSided, encodeMutation(nil, 6, []store.IDTriple{{S: 3, P: 1, O: 0}}, []store.IDTriple{{S: 3, P: 1, O: 0}}))
-	twoSided = appendFrame(twoSided, encodeMutation(nil, 7, nil, nil))
+	twoSided = appendFrame(twoSided, cs.write(5, []store.IDTriple{{S: 0, P: 1, O: 2}}, []store.IDTriple{{S: 0, P: 1, O: 3}}))
+	twoSided = appendFrame(twoSided, cs.write(6, []store.IDTriple{{S: 3, P: 1, O: 0}}, []store.IDTriple{{S: 3, P: 1, O: 0}}))
+	twoSided = appendFrame(twoSided, cs.write(7, nil, nil))
 	f.Add(twoSided)
 	f.Add(twoSided[:len(twoSided)/2])
+	cs = chainScript.clone()
+	var chunked []byte
+	chunked = appendFrame(chunked, cs.part(5, []store.IDTriple{{S: 0, P: 1, O: 2}}, nil))
+	chunked = appendFrame(chunked, cs.write(6, nil, []store.IDTriple{{S: 0, P: 1, O: 3}}))
+	f.Add(chunked)
 	// A log the engine itself wrote — dictionary growth interleaved with add
 	// batches, removes, two-sided transactions and a triple added and removed
 	// by one record — cut on a commit boundary, inside a frame, and one byte
@@ -108,9 +122,9 @@ func FuzzRecoverLog(f *testing.F) {
 	f.Add(built[:offsets[7]+11])
 	f.Add(built[:len(built)-1])
 	// Serialize the segment fixture once and lay its bytes down per exec.
-	segs := newMemDisk()
-	for _, seg := range fuzzChainSegments() {
-		if _, err := writeSegment(segs, foldOf(seg), nil); err != nil {
+	chainDisk := newMemDisk()
+	for _, seg := range segs {
+		if _, err := writeSegment(chainDisk, foldOf(seg), nil); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -125,7 +139,7 @@ func FuzzRecoverLog(f *testing.F) {
 		// Same bytes as the tail of a segment-chain directory: the chain
 		// covers seqs 1..4, so the tail file starts at 5 and the fuzzed data
 		// must chain densely from there (or be refused).
-		chain := segs.clone()
+		chain := chainDisk.clone()
 		chain.put(walFileName(5), data)
 		st := store.New()
 		rec, err = recoverDir(st, chain)
@@ -147,7 +161,8 @@ func FuzzRecoverLog(f *testing.F) {
 // over-allocate past the bytes actually present.
 func FuzzLoadSegment(f *testing.F) {
 	d := newMemDisk()
-	for _, seg := range fuzzChainSegments() {
+	segs, _ := fuzzChainSegments()
+	for _, seg := range segs {
 		if _, err := writeSegment(d, foldOf(seg), nil); err != nil {
 			f.Fatal(err)
 		}

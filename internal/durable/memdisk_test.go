@@ -203,6 +203,25 @@ func (d *memDisk) readFile(name string) ([]byte, error) {
 	return slices.Clone(n.data), nil
 }
 
+func (d *memDisk) readRange(name string, from, to int64) ([]byte, error) {
+	if err := d.do("read", name); err != nil {
+		return nil, err
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	n, err := d.lookupLocked("open", name)
+	if err != nil {
+		return nil, err
+	}
+	if to < 0 {
+		to = int64(len(n.data))
+	}
+	if from > to || to > int64(len(n.data)) {
+		return nil, fmt.Errorf("reading %s: range [%d, %d) is past its end", name, from, to)
+	}
+	return slices.Clone(n.data[from:to]), nil
+}
+
 func (d *memDisk) create(name string) (file, error) {
 	if err := d.do("create", name); err != nil {
 		return nil, err

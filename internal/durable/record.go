@@ -33,21 +33,32 @@ import (
 //
 // seq numbers records 1, 2, 3… across the log's whole life (files included),
 // so the fold can verify continuity and a checkpoint can name the exact record
-// its segment covers through. The two record types:
+// its segment covers through. The three record types:
 //
-//	recDict     body = first uint32, count uint32, count × (uvarint n, n bytes)
-//	            — names[i] was interned as dictionary id first+i
-//	recMutation body = nAdds uint32, nRemoves uint32,
-//	            (nAdds + nRemoves) × (s, p, o uint32)
-//	            — one committed write: the triples it actually inserted, then
-//	            the triples it actually deleted; folded in that order, so a
-//	            triple in both runs ends absent
+//	recDict  body = first uint32, count uint32, count × (uvarint n, n bytes)
+//	         — names[i] was interned as dictionary id first+i
+//	recWrite body = gen uint64, digest 2 × uint64, nAdds uint32,
+//	         nRemoves uint32, (nAdds + nRemoves) × (s, p, o uint32)
+//	         — one committed write section: the triples it actually
+//	         inserted, then the triples it actually deleted, folded in that
+//	         order, so a triple in both runs ends absent; and the
+//	         store.Position the section left, the name a replica and
+//	         recovery check the state by
+//	recPart  body = nAdds uint32, nRemoves uint32, triples as recWrite's
+//	         — a leading chunk of a write too large for one frame; the write
+//	         is the run of parts and the recWrite closing it, and counts only
+//	         once that last chunk is on disk
+//
+// The log is also the replication feed: GET /repl/deltas serves these frames
+// as they lie on disk (serve.go).
 
 // Record type tags. 2 and 3 were the one-sided add and remove records of
-// earlier logs and stay unassigned, so such a log is refused, not misread.
+// early logs, 4 the position-less mutation record of builds before
+// positions; a log holding one is refused, not misread.
 const (
-	recDict     = 1
-	recMutation = 4
+	recDict  = 1
+	recPart  = 5
+	recWrite = 6
 )
 
 // frameHeader is the fixed prefix of every frame: length + CRC.
@@ -66,8 +77,9 @@ const maxFramePayload = 1 << 26
 const (
 	// recHeader is the typ byte plus the seq uint64 every record carries.
 	recHeader = 9
-	// mutationPayloadHeader is recHeader plus recMutation's two count uint32s.
-	mutationPayloadHeader = recHeader + 8
+	// mutationPayloadHeader is recHeader plus recWrite's position and two
+	// count uint32s; a recPart's is smaller, and chunks are cut to this one.
+	mutationPayloadHeader = recHeader + 24 + 8
 	// dictPayloadHeader is recHeader plus recDict's first and count uint32s.
 	dictPayloadHeader = recHeader + 8
 )
@@ -114,10 +126,12 @@ type record struct {
 	// first and names carry a recDict body.
 	first store.SymbolID
 	names nameRun
-	// nAdds and triples carry a recMutation body: its checked triples, the
-	// adds before the removes, so triple i < nAdds is an add.
+	// nAdds and triples carry a recPart or recWrite body: its checked
+	// triples, the adds before the removes, so triple i < nAdds is an add.
 	nAdds   int
 	triples tripleRun
+	// at is a recWrite's position.
+	at store.Position
 }
 
 // appendTriple appends the 12 bytes of one (s, p, o) triple to dst.
@@ -202,10 +216,19 @@ func dictNameSize(name string) int {
 	return n + len(name)
 }
 
-// encodeMutation appends a recMutation payload to dst.
-func encodeMutation(dst []byte, seq uint64, adds, removes []store.IDTriple) []byte {
-	dst = append(dst, recMutation)
-	dst = binary.LittleEndian.AppendUint64(dst, seq)
+// encodeMutation appends the payload of one chunk of a write to dst: a
+// recWrite stamped at when last, else a recPart.
+func encodeMutation(dst []byte, seq uint64, adds, removes []store.IDTriple, at store.Position, last bool) []byte {
+	if last {
+		dst = append(dst, recWrite)
+		dst = binary.LittleEndian.AppendUint64(dst, seq)
+		dst = binary.LittleEndian.AppendUint64(dst, at.Gen)
+		dst = binary.LittleEndian.AppendUint64(dst, at.Digest[0])
+		dst = binary.LittleEndian.AppendUint64(dst, at.Digest[1])
+	} else {
+		dst = append(dst, recPart)
+		dst = binary.LittleEndian.AppendUint64(dst, seq)
+	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(adds)))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(removes)))
 	for _, side := range [2][]store.IDTriple{adds, removes} {
@@ -247,7 +270,14 @@ func decodeRecord(payload []byte) (record, error) {
 			return r, fmt.Errorf("durable: dict record has %d trailing bytes", len(body)-size)
 		}
 		r.names = nameRun{n: count, enc: body}
-	case recMutation:
+	case recPart, recWrite:
+		if r.typ == recWrite {
+			if len(body) < 24 {
+				return r, fmt.Errorf("durable: write record body of %d bytes is shorter than its position", len(body))
+			}
+			r.at = store.Position{Gen: binary.LittleEndian.Uint64(body), Digest: store.Digest{binary.LittleEndian.Uint64(body[8:]), binary.LittleEndian.Uint64(body[16:])}}
+			body = body[24:]
+		}
 		if len(body) < 8 {
 			return r, fmt.Errorf("durable: mutation record body of %d bytes is shorter than its two count headers", len(body))
 		}
@@ -258,6 +288,8 @@ func decodeRecord(payload []byte) (record, error) {
 			return r, fmt.Errorf("durable: mutation record claims %d adds and %d removes but carries %d bytes", nAdds, nRemoves, len(body))
 		}
 		r.nAdds, r.triples = int(nAdds), body
+	case 2, 3, 4:
+		return r, fmt.Errorf("durable: record type %d was written by an older build of this engine, which this build does not read", r.typ)
 	default:
 		return r, fmt.Errorf("durable: unknown record type %d", r.typ)
 	}

@@ -51,6 +51,7 @@ type recovered struct {
 	lastSeq     uint64 // seq of the last record loaded (0 = pristine directory)
 	file        file
 	wals        []uint64       // first seqs of the live wal files, ascending; file is the last
+	tail        walTail        // the live log's writes, and file's size
 	tiers       []segMeta      // the live segment chain, oldest→newest
 	dictCovered store.SymbolID // dictionary ids covered by the chain
 }
@@ -177,22 +178,19 @@ func recoverDir(st *store.Store, d disk) (recovered, error) {
 		}
 		rec.dictCovered = store.SymbolID(state.names)
 	}
-	tail, err := foldWAL(d, rec.wals, covered, rec.dictCovered, true)
+	datas, err := readWAL(d, rec.wals)
+	if err != nil {
+		return rec, err
+	}
+	var tail segmentData
+	tail, rec.tail, err = foldWAL(d, rec.wals, datas, covered, rec.dictCovered, state.at, true)
 	if err == nil {
 		err = state.push(tail)
 	}
 	if err != nil {
 		return rec, err
 	}
-	adds, _ := state.count()
-	triples := make([]store.IDTriple, 0, adds)
-	state.each(func(t store.IDTriple, add bool) bool {
-		if add {
-			triples = append(triples, t)
-		}
-		return true
-	})
-	if err := st.RestoreSorted(state.dictionary(), triples); err != nil {
+	if _, err := loadFold(st, state); err != nil {
 		return rec, fmt.Errorf("durable: loading the data directory: %w", err)
 	}
 	rec.lastSeq = state.end
@@ -208,4 +206,29 @@ func recoverDir(st *store.Store, d disk) (recovered, error) {
 	rec.wals = []uint64{rec.lastSeq + 1}
 	rec.file, err = createWALFile(d, rec.lastSeq+1)
 	return rec, err
+}
+
+// loadFold bulk-loads the empty store st from the fold of a whole chain —
+// recovery's directory, a replica's snapshot — at its stamp's generation,
+// and checks the loaded triples' digest against the stamp's: a fold that
+// lost or invented a triple, or a history that does not add up, is an error,
+// never a state. It returns the dictionary it installed.
+func loadFold(st *store.Store, f *fold) ([]string, error) {
+	adds, _ := f.count()
+	triples := make([]store.IDTriple, 0, adds)
+	f.each(func(t store.IDTriple, add bool) bool {
+		if add {
+			triples = append(triples, t)
+		}
+		return true
+	})
+	dict := f.dictionary()
+	if err := st.RestoreSorted(dict, triples, f.at.Gen); err != nil {
+		return nil, err
+	}
+	if got := st.Position(); got.Digest != f.at.Digest {
+		return nil, fmt.Errorf("durable: the %d triples loaded through seq %d have digest %v, but the history recorded %v at generation %d",
+			len(triples), f.end, got.Digest, f.at.Digest, f.at.Gen)
+	}
+	return dict, nil
 }

@@ -81,11 +81,15 @@ func TestNewDirectoryIsDurableBeforeTheFirstAck(t *testing.T) {
 // previous one's last add.
 func faultTx(st *store.Store, i int, extra ...store.Triple) error {
 	tx := st.Begin()
-	if _, err := tx.AddBatch(append([]store.Triple{testTriple(3 * i), testTriple(3*i + 1), testTriple(3*i + 2)}, extra...)); err != nil {
+	var err error
+	st.Write(func() bool {
+		if _, err = tx.AddBatch(append([]store.Triple{testTriple(3 * i), testTriple(3*i + 1), testTriple(3*i + 2)}, extra...)); err == nil && i > 0 {
+			tx.Remove(testTriple(3*i - 1))
+		}
+		return false
+	})
+	if err != nil {
 		return err
-	}
-	if i > 0 {
-		tx.Remove(testTriple(3*i - 1))
 	}
 	return tx.Commit()
 }

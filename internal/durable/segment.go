@@ -28,9 +28,11 @@ import (
 //
 // Layout (integers little-endian):
 //
-//	magic     "ONTOSEG2"                       8 bytes
+//	magic     "ONTOSEG3"                       8 bytes
 //	start     uint64                           first WAL seq the segment covers
 //	end       uint64                           last WAL seq the segment covers
+//	gen       uint64                           the stamp: the store.Position of
+//	digest    2 × uint64                       the state through end
 //	dictFirst uint32                           id of the first name below
 //	dict      count uint32,
 //	          count × (uvarint n, n bytes)     names for ids dictFirst..dictFirst+count-1
@@ -51,18 +53,21 @@ import (
 // renamed into place, directory fsynced. Readers never see a half-written
 // seg- file; a crash mid-checkpoint or mid-merge leaves a .tmp that recovery
 // deletes — a torn merge is simply not-yet-merged, its inputs still on disk.
+// A segment over the whole chain, start 1, is also what GET /repl/snapshot
+// serves (serve.go).
 
-// Segment magic strings. ONTOSEG1 (the PR-7 full-dump format) is gone:
-// a directory holding one is from a build this engine predates, and the
-// loader reports its magic as unrecognized rather than misreading it.
+// Segment magic strings. ONTOSEG1 (a full dump) and ONTOSEG2 (a delta with
+// no stamp) are the formats of older builds: the loader names them as such
+// rather than misreading them.
 const (
-	segMagic   = "ONTOSEG2"
+	segMagic   = "ONTOSEG3"
 	segTrailer = "ONTOSEGE"
 )
 
 // segmentData is one patch: a decoded segment, or a folded log window.
 type segmentData struct {
-	start, end uint64 // WAL seq window [start, end], start ≥ 1
+	start, end uint64         // WAL seq window [start, end], start ≥ 1
+	at         store.Position // the stamp: the position of the state through end
 	dictFirst  store.SymbolID
 	dict       nameRun   // the names of ids dictFirst..dictFirst+dict.n-1
 	adds       tripleRun // sorted (S, P, O), strictly ascending
@@ -124,16 +129,11 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 
 // writeSegment streams the fold into the segment file for its window and
 // publishes it, returning the new segment's accounting, its size the bytes
-// it wrote. The fold runs twice: once to count each run, because a run's
-// count comes before it in the format, and once to write — the adds, then
-// the tombstones if the count found any. The dictionary regions are written
-// one after another, as they lie. A fold yields its runs sorted; the loader
-// verifies it on the way back in. A stop channel closed before the rename
-// abandons the publish with errStopped, so Close never waits out a merge's
-// write; nil never stops. On any failure the .tmp is removed.
+// it wrote. A stop channel closed before the rename abandons the publish with
+// errStopped, so Close never waits out a merge's write; nil never stops. On
+// any failure the .tmp is removed.
 func writeSegment(d disk, fd *fold, stop <-chan struct{}) (meta segMeta, retErr error) {
-	meta = segMeta{start: fd.start, end: fd.end}
-	meta.adds, meta.removes = fd.count()
+	meta = segMeta{start: fd.start, end: fd.end, at: fd.at}
 	final := segmentName(fd.start, fd.end)
 	tmp := final + ".tmp"
 	f, err := d.create(tmp)
@@ -146,60 +146,9 @@ func writeSegment(d disk, fd *fold, stop <-chan struct{}) (meta segMeta, retErr 
 			_ = d.remove(tmp) // if this fails too, recovery deletes the .tmp
 		}
 	}()
-
 	bw := bufio.NewWriterSize(f, 64<<10)
-	cw := &crcWriter{w: bw}
-	// chunk stages the fixed-width fields and the triple runs, so a run
-	// reaches the checksum and the buffer in chunk-sized writes.
-	var chunk [64 * 12]byte
-	write := func(p []byte) error {
-		if retErr == nil {
-			if _, err := cw.Write(p); err != nil {
-				retErr = fmt.Errorf("durable: writing segment: %w", err)
-			}
-		}
-		return retErr
-	}
-	b := append(chunk[:0], segMagic...)
-	b = binary.LittleEndian.AppendUint64(b, fd.start)
-	b = binary.LittleEndian.AppendUint64(b, fd.end)
-	b = binary.LittleEndian.AppendUint32(b, fd.dictFirst)
-	b = binary.LittleEndian.AppendUint32(b, uint32(fd.names))
-	_ = write(b)
-	for _, p := range fd.patches {
-		_ = write(p.dict.enc)
-	}
-	writeRun := func(count int, adds bool) {
-		b := binary.LittleEndian.AppendUint64(chunk[:0], uint64(count))
-		if count > 0 {
-			fd.each(func(t store.IDTriple, add bool) bool {
-				if add != adds {
-					return true
-				}
-				if len(b) > len(chunk)-12 {
-					if write(b) != nil {
-						return false
-					}
-					b = chunk[:0]
-				}
-				b = appendTriple(b, t)
-				return true
-			})
-		}
-		_ = write(b)
-	}
-	writeRun(meta.adds, true)
-	writeRun(meta.removes, false)
-	if retErr != nil {
-		return meta, retErr
-	}
-	// Footer: CRC of everything above, then the trailer magic. Written to the
-	// buffered writer directly — the CRC must not hash itself.
-	if _, err := bw.Write(binary.LittleEndian.AppendUint32(chunk[:0], cw.crc)); err != nil {
-		return meta, fmt.Errorf("durable: writing segment footer: %w", err)
-	}
-	if _, err := bw.WriteString(segTrailer); err != nil {
-		return meta, fmt.Errorf("durable: writing segment footer: %w", err)
+	if meta.bytes, meta.adds, meta.removes, err = encodeSegment(bw, fd); err != nil {
+		return meta, err
 	}
 	if err := bw.Flush(); err != nil {
 		return meta, fmt.Errorf("durable: flushing segment: %w", err)
@@ -221,8 +170,72 @@ func writeSegment(d disk, fd *fold, stop <-chan struct{}) (meta segMeta, retErr 
 	if err := d.syncDir("."); err != nil {
 		return meta, fmt.Errorf("durable: fsyncing directory: %w", err)
 	}
-	meta.bytes = cw.n + int64(4+len(segTrailer))
 	return meta, nil
+}
+
+// encodeSegment streams the fold into w in the segment format and returns
+// the bytes it wrote and the runs' sizes. The fold runs twice: once to count
+// each run, because a run's count comes before it in the format, and once to
+// write — the adds, then the tombstones if the count found any. The
+// dictionary regions are written one after another, as they lie. A fold
+// yields its runs sorted; the loader verifies it on the way back in.
+func encodeSegment(w io.Writer, fd *fold) (n int64, adds, removes int, retErr error) {
+	adds, removes = fd.count()
+	cw := &crcWriter{w: w}
+	// chunk stages the fixed-width fields and the triple runs, so a run
+	// reaches the checksum and the writer in chunk-sized writes.
+	var chunk [64 * 12]byte
+	write := func(p []byte) error {
+		if retErr == nil {
+			if _, err := cw.Write(p); err != nil {
+				retErr = fmt.Errorf("durable: writing segment: %w", err)
+			}
+		}
+		return retErr
+	}
+	b := append(chunk[:0], segMagic...)
+	b = binary.LittleEndian.AppendUint64(b, fd.start)
+	b = binary.LittleEndian.AppendUint64(b, fd.end)
+	b = binary.LittleEndian.AppendUint64(b, fd.at.Gen)
+	b = binary.LittleEndian.AppendUint64(b, fd.at.Digest[0])
+	b = binary.LittleEndian.AppendUint64(b, fd.at.Digest[1])
+	b = binary.LittleEndian.AppendUint32(b, fd.dictFirst)
+	b = binary.LittleEndian.AppendUint32(b, uint32(fd.names))
+	_ = write(b)
+	for _, p := range fd.patches {
+		_ = write(p.dict.enc)
+	}
+	writeRun := func(count int, wantAdds bool) {
+		b := binary.LittleEndian.AppendUint64(chunk[:0], uint64(count))
+		if count > 0 {
+			fd.each(func(t store.IDTriple, add bool) bool {
+				if add != wantAdds {
+					return true
+				}
+				if len(b) > len(chunk)-12 {
+					if write(b) != nil {
+						return false
+					}
+					b = chunk[:0]
+				}
+				b = appendTriple(b, t)
+				return true
+			})
+		}
+		_ = write(b)
+	}
+	writeRun(adds, true)
+	writeRun(removes, false)
+	if retErr != nil {
+		return 0, 0, 0, retErr
+	}
+	// Footer: CRC of everything above, then the trailer magic, written past
+	// the checksum — it must not hash itself.
+	footer := append(binary.LittleEndian.AppendUint32(chunk[:0], cw.crc), segTrailer...)
+	if _, err := w.Write(footer); err != nil {
+		return 0, 0, 0, fmt.Errorf("durable: writing segment footer: %w", err)
+	}
+	return cw.n + int64(len(footer)), adds, removes, nil
 }
 
 // decodeSegment verifies and decodes the bytes of the segment file called
@@ -236,13 +249,17 @@ func decodeSegment(name string, data []byte) (segmentData, error) {
 	var seg segmentData
 	var err error
 	seg.size = int64(len(data))
-	const header = len(segMagic) + 8 + 8 + 4 + 4
+	const header = len(segMagic) + 8 + 8 + 24 + 4 + 4
 	const footer = 4 + len(segTrailer)
+	switch magic := string(data[:min(len(data), len(segMagic))]); magic {
+	case segMagic:
+	case "ONTOSEG1", "ONTOSEG2":
+		return seg, fmt.Errorf("durable: segment %s is in the %s format of an older build of this engine, which this build does not read", name, magic)
+	default:
+		return seg, fmt.Errorf("durable: segment %s has a bad magic header", name)
+	}
 	if len(data) < header+8+8+footer {
 		return seg, fmt.Errorf("durable: segment %s is %d bytes, too short to be valid", name, len(data))
-	}
-	if string(data[:len(segMagic)]) != segMagic {
-		return seg, fmt.Errorf("durable: segment %s has a bad magic header", name)
 	}
 	if string(data[len(data)-len(segTrailer):]) != segTrailer {
 		return seg, fmt.Errorf("durable: segment %s has a bad trailer (truncated checkpoint?)", name)
@@ -255,11 +272,13 @@ func decodeSegment(name string, data []byte) (segmentData, error) {
 
 	seg.start = binary.LittleEndian.Uint64(body[len(segMagic):])
 	seg.end = binary.LittleEndian.Uint64(body[len(segMagic)+8:])
-	if seg.start < 1 || seg.end < seg.start {
+	if seg.start < 1 || seg.end+1 < seg.start { // an empty window is a snapshot of an empty log
 		return seg, fmt.Errorf("durable: segment %s claims window [%d, %d]", name, seg.start, seg.end)
 	}
-	seg.dictFirst = binary.LittleEndian.Uint32(body[len(segMagic)+16:])
-	dictCount := int(binary.LittleEndian.Uint32(body[len(segMagic)+20:]))
+	seg.at = store.Position{Gen: binary.LittleEndian.Uint64(body[len(segMagic)+16:]), Digest: store.Digest{
+		binary.LittleEndian.Uint64(body[len(segMagic)+24:]), binary.LittleEndian.Uint64(body[len(segMagic)+32:])}}
+	seg.dictFirst = binary.LittleEndian.Uint32(body[len(segMagic)+40:])
+	dictCount := int(binary.LittleEndian.Uint32(body[len(segMagic)+44:]))
 	if uint64(seg.dictFirst)+uint64(dictCount) > 1<<32-1 {
 		return seg, fmt.Errorf("durable: segment %s dictionary window %d+%d overflows the id space", name, seg.dictFirst, dictCount)
 	}

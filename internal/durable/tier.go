@@ -37,6 +37,7 @@ import (
 // segMeta is the engine's in-memory accounting for one live segment file.
 type segMeta struct {
 	start, end uint64
+	at         store.Position // the segment's stamp
 	adds       int
 	removes    int
 	bytes      int64
@@ -49,9 +50,11 @@ type segMeta struct {
 // mention is an add, and the composed tombstones those whose newest mention
 // is a removal — none when the window starts at seq 1, because the patch
 // then applies to the empty state. Adds and tombstones stay disjoint, and
-// the dictionary windows are the patches' encoded regions in order.
+// the dictionary windows are the patches' encoded regions in order. Its
+// stamp is its newest patch's.
 type fold struct {
 	start, end uint64
+	at         store.Position
 	dictFirst  store.SymbolID
 	names      int
 	patches    []segmentData
@@ -59,7 +62,7 @@ type fold struct {
 
 // foldOf is the fold of one patch.
 func foldOf(p segmentData) *fold {
-	return &fold{start: p.start, end: p.end, dictFirst: p.dictFirst, names: p.dict.n, patches: []segmentData{p}}
+	return &fold{start: p.start, end: p.end, at: p.at, dictFirst: p.dictFirst, names: p.dict.n, patches: []segmentData{p}}
 }
 
 // precede checks that a patch over [start, end] whose names begin at id
@@ -86,7 +89,7 @@ func (f *fold) push(p segmentData) error {
 	if err := f.precede(p.start, p.end, p.dictFirst); err != nil {
 		return err
 	}
-	f.end = p.end
+	f.end, f.at = p.end, p.at
 	f.names += p.dict.n
 	f.patches = append(f.patches, p)
 	return nil
@@ -198,7 +201,7 @@ func foldChain(d disk, chain []segMeta, stop <-chan struct{}) (*fold, error) {
 		if seg.start != m.start || seg.end != m.end {
 			return folded, fmt.Errorf("durable: segment %s claims internal window [%d, %d]", name, seg.start, seg.end)
 		}
-		chain[k] = segMeta{start: seg.start, end: seg.end, adds: seg.adds.len(), removes: seg.removes.len(), bytes: seg.size}
+		chain[k] = segMeta{start: seg.start, end: seg.end, at: seg.at, adds: seg.adds.len(), removes: seg.removes.len(), bytes: seg.size}
 		if err := folded.push(seg); err != nil {
 			return folded, err
 		}
@@ -243,16 +246,17 @@ func pickMergeRun(sizes []int64, ratio float64) (int, bool) {
 }
 
 // walkWAL is the package's one frame loop: it walks the bytes of the wal file
-// called name frame by frame — nextFrame, decodeRecord, seq check — handing
-// each record to visit. Records at or below skip are passed over unseen (the
-// leftovers of an interrupted cleanup); every other record must be the
-// successor of the one before it, the first of prev, or the log has a gap. It
-// returns the seq of the last record visited and the offset the walk stopped
-// at: len(data) after a clean walk, else the first byte that does not begin a
-// whole, checksum-valid frame — whether that is a torn tail to cut or
-// corruption to report is foldWAL's policy, as is everything about what a
-// record means. An error from visit ends the walk.
-func walkWAL(name string, data []byte, skip, prev uint64, visit func(record) error) (uint64, int, error) {
+// (or /repl/deltas body) called name frame by frame — nextFrame,
+// decodeRecord, seq check — handing each record to visit with the offsets it
+// starts and ends at. Records at or below skip are passed over unseen (the
+// leftovers of an interrupted cleanup, or records a replica already holds);
+// every other record must be the successor of the one before it, the first of
+// prev, or the log has a gap. It returns the seq of the last record visited
+// and the offset the walk stopped at: len(data) after a clean walk, else the
+// first byte that does not begin a whole, checksum-valid frame — whether that
+// is a torn tail to cut or corruption to report is the caller's policy, as is
+// everything about what a record means. An error from visit ends the walk.
+func walkWAL(name string, data []byte, skip, prev uint64, visit func(r record, off, next int) error) (uint64, int, error) {
 	off := 0
 	for off < len(data) {
 		payload, next, ok := nextFrame(data, off)
@@ -267,7 +271,7 @@ func walkWAL(name string, data []byte, skip, prev uint64, visit func(record) err
 			if r.seq != prev+1 {
 				return prev, off, fmt.Errorf("durable: %s: record at offset %d has seq %d, want %d; the log has a gap", name, off, r.seq, prev+1)
 			}
-			if err := visit(r); err != nil {
+			if err := visit(r, off, next); err != nil {
 				return prev, off, fmt.Errorf("durable: %s: record %d: %w", name, r.seq, err)
 			}
 			prev = r.seq
@@ -277,47 +281,85 @@ func walkWAL(name string, data []byte, skip, prev uint64, visit func(record) err
 	return prev, off, nil
 }
 
+// logPos is one write of the live log: the position its record names, its
+// seq, and where its frame ends — the wal file's first seq and the offset
+// just past the frame. A replica at that position is served from there on.
+type logPos struct {
+	at   store.Position
+	seq  uint64
+	file uint64
+	end  int64
+}
+
+// walTail is what the tail sink's fold reports besides its patch: the
+// position of every whole write in the live log, and the size of the last
+// file (after a torn tail's cut) — the writer's starting offset there.
+type walTail struct {
+	writes []logPos
+	size   int64
+}
+
+// readWAL reads the wal files named by firsts.
+func readWAL(d disk, firsts []uint64) ([][]byte, error) {
+	datas := make([][]byte, len(firsts))
+	for i, first := range firsts {
+		data, err := d.readFile(walFileName(first))
+		if err != nil {
+			return nil, fmt.Errorf("durable: reading log file: %w", err)
+		}
+		datas[i] = data
+	}
+	return datas, nil
+}
+
 // foldWAL is the package's one reading of what log records mean: it folds the
-// wal files named by firsts (their first seqs, ascending) into the patch over
-// the window (after, end], where end is wherever the records stop. Dictionary
-// records are concatenated and must continue the id sequence exactly from
-// dictNext — one that restates or skips an id means the log and the chain
-// disagree about what an id names; a mutation may only name ids minted by
-// then; and per triple the LAST event in the window wins — an add followed by
-// a remove folds to a tombstone, a remove followed by a re-add to an add, and
-// inside one record the adds come before the removes. Records at or below
-// after are skipped and a file that starts there is a leftover of an
-// interrupted cleanup; every other file must begin with the successor of the
-// record before it.
+// wal files named by firsts (their first seqs, ascending; datas holds their
+// bytes) into the patch over the window (after, end], where end is wherever
+// the records stop, stamped with the position of its last write — at, the
+// chain's stamp, when it holds none. Dictionary records are concatenated and
+// must continue the id sequence exactly from dictNext — one that restates or
+// skips an id means the log and the chain disagree about what an id names; a
+// mutation may only name ids minted by then; a write is its parts and the
+// recWrite closing them, with no dictionary record between; and per triple
+// the LAST event in the window wins — an add followed by a remove folds to a
+// tombstone, a remove followed by a re-add to an add, and inside one record
+// the adds come before the removes. Records at or below after are skipped and
+// a file that starts there is a leftover of an interrupted cleanup; every
+// other file must begin with the successor of the record before it.
 //
 // A frame that fails its framing is corruption: sealed files were fsynced by
-// the rotation that closed them. The one exception is the tail sink's — with
-// tail set the last file is the one a crash may have torn, so it is cut at
-// the last whole frame and the fold ends there, the writer appending after
+// the rotation that closed them, which never splits a write. The one
+// exception is the tail sink's — with tail set the last file is the one a
+// crash may have torn, so it is cut at the last whole write, before a
+// trailing run of parts whose recWrite never reached the disk as much as
+// before a torn frame, and the fold ends there, the writer appending after
 // the last good record instead of burying garbage mid-file. A length field
 // beyond maxFramePayload is never a torn tail, wherever it sits: the writer
 // chunks every record below the cap, so the claim proves damage to a frame
 // header, and cutting there would silently discard every record after it.
-func foldWAL(d disk, firsts []uint64, after uint64, dictNext store.SymbolID, tail bool) (segmentData, error) {
-	seg := segmentData{start: after + 1, end: after, dictFirst: dictNext}
-	datas := make([][]byte, len(firsts))
+func foldWAL(d disk, firsts []uint64, datas [][]byte, after uint64, dictNext store.SymbolID, at store.Position, tail bool) (segmentData, walTail, error) {
+	seg := segmentData{start: after + 1, end: after, at: at, dictFirst: dictNext}
+	var live walTail
 	size := 0
-	for i, first := range firsts {
-		data, err := d.readFile(walFileName(first))
-		if err != nil {
-			return seg, fmt.Errorf("durable: reading log file: %w", err)
-		}
-		datas[i] = data
+	for _, data := range datas {
 		size += len(data)
 	}
 	// The files are read first so the events are sized once: every triple
 	// event costs 12 bytes of the window, so size/12 is room for them all.
 	events := make([]walEvent, 0, size/12)
 	var data []byte // the file being walked
-	kept := 0       // how much of data's front holds its dictionary regions
+	var first uint64
+	kept := 0 // how much of data's front holds its dictionary regions
 	var regions [][]byte
-	visit := func(r record) error {
+	// A write's parts wait for its recWrite: part is the offset of the first
+	// of them in data (-1 when none waits), partSeq the seq before it and
+	// partEvents where its events begin.
+	part, partSeq, partEvents := -1, uint64(0), 0
+	visit := func(r record, off, next int) error {
 		if r.typ == recDict {
+			if part >= 0 {
+				return fmt.Errorf("a dictionary record interrupts a chunked write")
+			}
 			if want := dictNext + store.SymbolID(seg.dict.n); r.first != want {
 				return fmt.Errorf("dictionary record starts at id %d, want %d", r.first, want)
 			}
@@ -328,6 +370,9 @@ func foldWAL(d disk, firsts []uint64, after uint64, dictNext store.SymbolID, tai
 			kept += copy(data[kept:], r.names.enc)
 			seg.dict.n += r.names.n
 			return nil
+		}
+		if part < 0 && r.typ == recPart {
+			part, partSeq, partEvents = off, r.seq-1, len(events)
 		}
 		minted := dictNext + store.SymbolID(seg.dict.n)
 		n := r.triples.len()
@@ -345,36 +390,51 @@ func foldWAL(d disk, firsts []uint64, after uint64, dictNext store.SymbolID, tai
 			}
 			events = append(events, ev)
 		}
+		if r.typ == recWrite {
+			part, seg.at = -1, r.at
+			if tail {
+				live.writes = append(live.writes, logPos{at: r.at, seq: r.seq, file: first, end: int64(next)})
+			}
+		}
 		return nil
 	}
-	for i, first := range firsts {
+	for i := range firsts {
+		first = firsts[i]
 		name := walFileName(first)
 		if first > after && first != seg.end+1 {
-			return seg, fmt.Errorf("durable: log file %s does not follow record %d; the log has a gap", name, seg.end)
+			return seg, live, fmt.Errorf("durable: log file %s does not follow record %d; the log has a gap", name, seg.end)
 		}
 		data, kept = datas[i], 0
 		var off int
 		var err error
 		if seg.end, off, err = walkWAL(name, data, after, seg.end, visit); err != nil {
-			return seg, err
+			return seg, live, err
 		}
 		if kept > 0 {
 			regions = append(regions, data[:kept])
 		}
-		if off == len(data) {
+		live.size = int64(len(data))
+		if off == len(data) && part < 0 {
 			continue
 		}
 		if len(data)-off >= 4 {
 			if claim := binary.LittleEndian.Uint32(data[off:]); claim > maxFramePayload {
-				return seg, fmt.Errorf("durable: %s: frame at offset %d claims a %d-byte payload, beyond the %d-byte cap the writer enforces; the log is corrupt, not torn", name, off, claim, maxFramePayload)
+				return seg, live, fmt.Errorf("durable: %s: frame at offset %d claims a %d-byte payload, beyond the %d-byte cap the writer enforces; the log is corrupt, not torn", name, off, claim, maxFramePayload)
 			}
 		}
 		if !tail || i < len(firsts)-1 {
-			return seg, fmt.Errorf("durable: %s: bad frame at offset %d in a sealed log file; the log is corrupt", name, off)
+			if off < len(data) {
+				return seg, live, fmt.Errorf("durable: %s: bad frame at offset %d in a sealed log file; the log is corrupt", name, off)
+			}
+			return seg, live, fmt.Errorf("durable: %s: a sealed log file ends inside a chunked write; the log is corrupt", name)
+		}
+		if part >= 0 { // the write's last chunk never reached the disk
+			off, seg.end, events = part, partSeq, events[:partEvents]
 		}
 		if err := d.truncate(name, int64(off)); err != nil {
-			return seg, fmt.Errorf("durable: truncating torn log tail: %w", err)
+			return seg, live, fmt.Errorf("durable: truncating torn log tail: %w", err)
 		}
+		live.size = int64(off)
 	}
 	if len(regions) == 1 {
 		seg.dict.enc = regions[0]
@@ -408,7 +468,7 @@ func foldWAL(d disk, firsts []uint64, after uint64, dictNext store.SymbolID, tai
 			seg.removes = appendTriple(seg.removes, ev.t)
 		}
 	}
-	return seg, nil
+	return seg, live, nil
 }
 
 // walEvent is one triple event of a folded log window. key is the event's

@@ -46,14 +46,17 @@ func scriptStep(t *testing.T, st *store.Store, i int) {
 		batch = append(batch, testTriple((i-1)*40-1))
 	}
 	tx := st.Begin()
-	if fresh, err := tx.AddBatch(batch); err != nil || len(fresh) != len(batch) {
-		t.Fatalf("script step %d: AddBatch inserted %d of %d: %v", i, len(fresh), len(batch), err)
-	}
-	for _, back := range removes {
-		if !tx.Remove(testTriple(back)) {
-			t.Fatalf("script step %d: Remove(%d) found nothing", i, back)
+	st.Write(func() bool {
+		if fresh, err := tx.AddBatch(batch); err != nil || len(fresh) != len(batch) {
+			t.Fatalf("script step %d: AddBatch inserted %d of %d: %v", i, len(fresh), len(batch), err)
 		}
-	}
+		for _, back := range removes {
+			if !tx.Remove(testTriple(back)) {
+				t.Fatalf("script step %d: Remove(%d) found nothing", i, back)
+			}
+		}
+		return false
+	})
 	if err := tx.Commit(); err != nil {
 		t.Fatalf("script step %d: %v", i, err)
 	}
@@ -199,6 +202,9 @@ func TestRecoveryPrefersMergedSegment(t *testing.T) {
 		adds:    runOf(store.IDTriple{S: 0, P: 1, O: 3}),
 		removes: runOf(store.IDTriple{S: 0, P: 1, O: 2}),
 	}
+	stamped := []segmentData{older, newer}
+	stampChain(stamped)
+	older, newer = stamped[0], stamped[1]
 	merged := foldOf(older)
 	if err := merged.push(newer); err != nil {
 		t.Fatalf("folding [1, 5] and [6, 10]: %v", err)
@@ -423,7 +429,7 @@ func TestWALSinksAgreeOnBadLogs(t *testing.T) {
 	}{
 		{"restated id", []walImage{{1, [][]byte{
 			names,
-			encodeMutation(nil, 2, []store.IDTriple{abc}, nil),
+			encodeMutation(nil, 2, []store.IDTriple{abc}, nil, store.Position{}, true),
 			encodeDict(nil, 3, 2, []string{"c"}),
 		}}}, 3, "dictionary record starts at id 2, want 3"},
 		{"skipped id", []walImage{{1, [][]byte{
@@ -432,16 +438,16 @@ func TestWALSinksAgreeOnBadLogs(t *testing.T) {
 		}}}, 2, "dictionary record starts at id 4, want 3"},
 		{"unminted id", []walImage{{1, [][]byte{
 			names,
-			encodeMutation(nil, 2, nil, []store.IDTriple{{S: 0, P: 1, O: 3}}),
+			encodeMutation(nil, 2, nil, []store.IDTriple{{S: 0, P: 1, O: 3}}, store.Position{}, true),
 		}}}, 2, "beyond the 3 the dictionary had minted"},
 		{"misnamed file", []walImage{
-			{1, [][]byte{names, encodeMutation(nil, 2, []store.IDTriple{abc}, nil)}},
-			{4, [][]byte{encodeMutation(nil, 3, nil, []store.IDTriple{abc}), encodeMutation(nil, 4, []store.IDTriple{abc}, nil)}},
+			{1, [][]byte{names, encodeMutation(nil, 2, []store.IDTriple{abc}, nil, store.Position{}, true)}},
+			{4, [][]byte{encodeMutation(nil, 3, nil, []store.IDTriple{abc}, store.Position{}, true), encodeMutation(nil, 4, []store.IDTriple{abc}, nil, store.Position{}, true)}},
 			{5, nil},
 		}, 4, walFileName(4) + " does not follow record 2"},
 		{"first record is not the file's name", []walImage{
 			{1, [][]byte{names}},
-			{2, [][]byte{encodeMutation(nil, 3, []store.IDTriple{abc}, nil)}},
+			{2, [][]byte{encodeMutation(nil, 3, []store.IDTriple{abc}, nil, store.Position{}, true)}},
 			{4, nil},
 		}, 3, "has seq 3, want 2"},
 	} {
@@ -474,7 +480,7 @@ func TestWALSinksAgreeOnBadLogs(t *testing.T) {
 				st:   store.New(),
 				opts: Options{mergeRatio: -1},
 				disk: d,
-				w:    newWALWriter(d, FsyncOff, f, tc.last),
+				w:    newWALWriter(d, FsyncOff, recovered{file: f, lastSeq: tc.last, wals: firsts}),
 				wals: firsts,
 			}
 			defer eng.w.close()

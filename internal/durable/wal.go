@@ -55,6 +55,18 @@ type walWriter struct {
 	writtenSeq uint64 // every record ≤ this has reached the OS
 	durableSeq uint64 // every record ≤ this has been fsynced
 
+	// file is the first seq of the current wal file and fileOff its size
+	// with everything staged: where the next frame will end up.
+	file    uint64
+	fileOff int64
+	// writes is the position of every write in the live log — the files the
+	// chain does not cover — in log order: what a replica's position is
+	// looked up in (serve.go). A checkpoint drops the ones it folds.
+	writes []logPos
+	// wake, when non-nil, is closed by the next drain that advances the
+	// seqs, waking whoever waits for a commit (commitWakeLocked).
+	wake chan struct{}
+
 	totalBytes int64 // bytes appended since the last rotation (checkpoint trigger)
 	appended   int64 // bytes appended over the writer's lifetime (write-amplification denominator)
 
@@ -94,18 +106,22 @@ func createWALFile(d disk, first uint64) (file, error) {
 	return f, nil
 }
 
-// newWALWriter wraps an already-open log file positioned at its end. lastSeq
-// is the seq of the last record recovery accepted (everything ≤ lastSeq is on
-// disk and fsync-clean after recovery's truncate).
-func newWALWriter(d disk, policy FsyncPolicy, f file, lastSeq uint64) *walWriter {
+// newWALWriter wraps an already-open log file positioned at its end: rec's
+// last file, of rec.tail.size bytes. rec.lastSeq is the seq of the last
+// record recovery accepted (everything ≤ lastSeq is on disk and fsync-clean
+// after recovery's truncate), and rec.tail.writes the live log's writes.
+func newWALWriter(d disk, policy FsyncPolicy, rec recovered) *walWriter {
 	w := &walWriter{
 		disk:       d,
 		policy:     policy,
 		maxPayload: maxFramePayload,
-		f:          f,
-		seq:        lastSeq,
-		writtenSeq: lastSeq,
-		durableSeq: lastSeq,
+		f:          rec.file,
+		seq:        rec.lastSeq,
+		writtenSeq: rec.lastSeq,
+		durableSeq: rec.lastSeq,
+		file:       rec.wals[len(rec.wals)-1],
+		fileOff:    rec.tail.size,
+		writes:     rec.tail.writes,
 		lastFsync:  time.Now(),
 	}
 	w.cond = sync.NewCond(&w.mu)
@@ -116,6 +132,7 @@ func newWALWriter(d disk, policy FsyncPolicy, f file, lastSeq uint64) *walWriter
 // and have already advanced w.seq.
 func (w *walWriter) stageLocked() {
 	w.buf = appendFrame(w.buf, w.scratch)
+	w.fileOff += int64(frameHeader + len(w.scratch))
 	w.totalBytes += int64(frameHeader + len(w.scratch))
 	w.appended += int64(frameHeader + len(w.scratch))
 	w.pendingFrames++
@@ -167,12 +184,14 @@ func (w *walWriter) appendDict(first store.SymbolID, names []string) {
 	}
 }
 
-// appendMutation stages one committed write as one record and returns the
-// seq a commit must reach to cover it. A mutation too large for one frame is
-// chunked into consecutive records, adds before removes throughout — each
-// chunk folds as ordinary set operations, so the split is invisible to
-// recovery once all of them are on disk.
-func (w *walWriter) appendMutation(adds, removes []store.IDTriple) uint64 {
+// appendMutation stages one write section as one recWrite stamped with the
+// position the section left, and files the position among the live log's
+// writes. A mutation too large for one frame is chunked into consecutive
+// records, adds before removes throughout: recParts and a closing recWrite
+// carrying the position — each chunk folds as ordinary set operations, and
+// recovery and replicas count the write only once its last chunk is there.
+// All chunks are staged under one hold of mu, so no rotation splits them.
+func (w *walWriter) appendMutation(adds, removes []store.IDTriple, at store.Position) {
 	room := (w.maxPayload - mutationPayloadHeader) / 12 // triples per record
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -184,10 +203,44 @@ func (w *walWriter) appendMutation(adds, removes []store.IDTriple) uint64 {
 		if w.err != nil {
 			continue // the log is dead; don't grow the buffer for records that can never commit
 		}
-		w.scratch = encodeMutation(w.scratch[:0], w.seq, a, r)
+		last := len(adds)+len(removes) == 0
+		w.scratch = encodeMutation(w.scratch[:0], w.seq, a, r, at, last)
 		w.stageLocked()
+		if last {
+			w.writes = append(w.writes, logPos{at: at, seq: w.seq, file: w.file, end: w.fileOff})
+		}
 	}
-	return w.seq
+}
+
+// committedLocked is the seq every record through which a replica may be
+// served: fsynced under FsyncAlways, written under the other policies.
+// Callers hold mu.
+func (w *walWriter) committedLocked() uint64 {
+	if w.policy == FsyncAlways {
+		return w.durableSeq
+	}
+	return w.writtenSeq
+}
+
+// commitWakeLocked returns a channel the next drain that advances the seqs
+// closes. Callers hold mu.
+func (w *walWriter) commitWakeLocked() <-chan struct{} {
+	if w.wake == nil {
+		w.wake = make(chan struct{})
+	}
+	return w.wake
+}
+
+// dropWrites forgets the live log's writes through seq end, which a
+// checkpoint has folded into the chain.
+func (w *walWriter) dropWrites(end uint64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	k := 0
+	for k < len(w.writes) && w.writes[k].seq <= end {
+		k++
+	}
+	w.writes = append(w.writes[:0], w.writes[k:]...)
 }
 
 // commit makes every record through target durable to the degree the policy
@@ -264,6 +317,10 @@ func (w *walWriter) drainLocked(sync bool) {
 			w.lastFsync = now
 			w.fsyncs++
 		}
+		if w.wake != nil {
+			close(w.wake)
+			w.wake = nil
+		}
 	}
 	w.cond.Broadcast()
 }
@@ -309,6 +366,13 @@ func (w *walWriter) rotate() (uint64, error) {
 		return 0, w.err
 	}
 	w.f = next
+	// The frames staged while the rotation was on the disk are still in buf
+	// and go to the new file: refile the writes among them there.
+	sealed := w.fileOff - int64(len(w.buf))
+	for i := len(w.writes) - 1; i >= 0 && w.writes[i].file == w.file && w.writes[i].end > sealed; i-- {
+		w.writes[i].file, w.writes[i].end = covered+1, w.writes[i].end-sealed
+	}
+	w.file, w.fileOff = covered+1, w.fileOff-sealed
 	w.totalBytes = 0
 	return covered, nil
 }

@@ -23,7 +23,7 @@ const (
 	StagePropagate              // engine lock, base insert, propagation of the adds
 	StageRetract                // delete and rederive the removes
 	StageCommit                 // the base's Commit: WAL staging and fsync wait
-	StagePublish                // cache invalidation and feed append
+	StagePublish                // cache invalidation
 	StageRespond                // the write's response body
 	StageOther                  // what no mark claimed
 	NumStages                   // sizes per-stage arrays

@@ -11,14 +11,26 @@ import (
 
 // deltaLog collects the events SetOnEvent delivers in one test, copying the
 // slices (the reasoner owns them only for the duration of the call) and
-// resolving ids back to triples for readable assertions.
+// resolving ids back to triples for readable assertions. Attached to the base
+// as its journal, it also collects the replayable mutation of every write —
+// the record the write stages — and answers every commit with err.
 type deltaLog struct {
 	res            store.Resolver
 	fires          int
 	added, removed []store.Triple
-	// assertedAdded and assertedRemoved are the replayable subsets.
+	// assertedAdded and assertedRemoved are the journaled records' sides.
 	assertedAdded, assertedRemoved []store.Triple
+	err                            error
 }
+
+func (l *deltaLog) JournalDict(store.SymbolID, []string) {}
+
+func (l *deltaLog) JournalMutation(adds, removes []store.IDTriple, _ store.Position) {
+	l.assertedAdded = append(l.assertedAdded, l.resolve(adds)...)
+	l.assertedRemoved = append(l.assertedRemoved, l.resolve(removes)...)
+}
+
+func (l *deltaLog) JournalWait() error { return l.err }
 
 func (l *deltaLog) resolve(ts []store.IDTriple) []store.Triple {
 	var out []store.Triple
@@ -32,12 +44,10 @@ func (l *deltaLog) hook(d Delta) {
 	l.fires++
 	l.added = append(l.added, l.resolve(d.Added)...)
 	l.removed = append(l.removed, l.resolve(d.Removed)...)
-	l.assertedAdded = append(l.assertedAdded, l.resolve(d.AssertedAdded)...)
-	l.assertedRemoved = append(l.assertedRemoved, l.resolve(d.AssertedRemoved)...)
 }
 
 func (l *deltaLog) reset() {
-	*l = deltaLog{res: l.res}
+	*l = deltaLog{res: l.res, err: l.err}
 }
 
 func contains(ts []store.Triple, want store.Triple) bool {
@@ -63,6 +73,7 @@ func TestOnDeltaCoversAssertedAndInferredChanges(t *testing.T) {
 	}
 	log := &deltaLog{res: base.NewResolver()}
 	r.SetOnEvent(log.hook)
+	base.SetJournal(log)
 
 	typed := store.Triple{Subject: "beetle", Predicate: store.TypePredicate, Object: "car"}
 	inferred := store.Triple{Subject: "beetle", Predicate: store.TypePredicate, Object: "vehicle"}
@@ -202,6 +213,7 @@ func TestOnDeltaRemoveCoversRetractedInferences(t *testing.T) {
 	}
 	log := &deltaLog{res: base.NewResolver()}
 	r.SetOnEvent(log.hook)
+	base.SetJournal(log)
 
 	typed := store.Triple{Subject: "beetle", Predicate: store.TypePredicate, Object: "car"}
 	inferred := store.Triple{Subject: "beetle", Predicate: store.TypePredicate, Object: "vehicle"}
@@ -216,17 +228,8 @@ func TestOnDeltaRemoveCoversRetractedInferences(t *testing.T) {
 	}
 }
 
-// failingJournal is a store.Journal whose commit always fails: the disk that
-// stopped taking fsyncs.
-type failingJournal struct{}
-
-func (failingJournal) JournalDict(store.SymbolID, []string) {}
-func (failingJournal) JournalMutation(adds, removes []store.IDTriple) error {
-	return errors.New("disk gone")
-}
-
 // sameSet reports whether two triple lists hold the same triples, each once.
-// The asserted lists of a Delta are sets (see Delta), compared here without
+// The journaled records' sides are sets, compared here without
 // regard to order.
 func sameSet(got, want []store.Triple) bool {
 	if len(got) != len(want) {
@@ -258,9 +261,9 @@ func TestAddBatchJournalFailureStillMaintains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := &deltaLog{res: base.NewResolver()}
+	log := &deltaLog{res: base.NewResolver(), err: errors.New("disk gone")}
 	r.SetOnEvent(log.hook)
-	base.SetJournal(failingJournal{})
+	base.SetJournal(log)
 	defer base.SetJournal(nil)
 	checkClosure := func(stage string) {
 		t.Helper()

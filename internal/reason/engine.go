@@ -2,7 +2,6 @@ package reason
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -203,7 +202,8 @@ func (s *scratch) trim(limit int) {
 
 // Delta is the generation-keyed record of one content-changing write — one
 // Apply — and the one event the reasoner emits, which the serving layer's
-// cache invalidation and replication feed both consume.
+// cache invalidation consumes. (What a replica replays is the write's journal
+// record: store.Journal, package durable.)
 //
 // Added and Removed are the id triples that entered and left the base store
 // or the overlay — asserted and inferred changes alike, which is what makes
@@ -218,27 +218,17 @@ func (s *scratch) trim(limit int) {
 // nothing anywhere (re-adding an already asserted triple, removing an absent
 // one) produce no event.
 //
-// AssertedAdded and AssertedRemoved are the subset that entered or left the
-// asserted base store: exactly the mutation a replica must re-apply through
-// its own reasoner — adds first, then removes — to converge, since the
-// inferred overlay is a deterministic function of the base and the rule set.
-// Both are sets, each triple once: AssertedAdded comes in the order of the
-// request's adds, a repeated triple at its first occurrence.
 // Gen is the materialization generation the write produced; consecutive
-// events carry consecutive generations, which is what lets a replica detect
-// dropped or duplicated events with one comparison.
+// events carry consecutive generations.
 //
-// The lists are valid only while the event hook runs: all but AssertedAdded
-// are built in the reasoner's write scratch, which the next write reuses.
+// The lists are valid only while the event hook runs: they are built in the
+// reasoner's write scratch, which the next write reuses.
 type Delta struct {
 	// Gen is the generation after this write; events form a dense chain.
 	Gen uint64
 	// Added and Removed cover every triple whose membership in the base or
 	// the overlay may have changed.
 	Added, Removed []store.IDTriple
-	// AssertedAdded and AssertedRemoved are the base-store changes alone:
-	// the replayable mutation.
-	AssertedAdded, AssertedRemoved []store.IDTriple
 }
 
 // SetOnEvent installs the hook invoked with the Delta of every
@@ -247,7 +237,7 @@ type Delta struct {
 // with their notifications, so a receiver that processes them in order sees a
 // consistent history, but the hook must be fast and must not call a Reasoner
 // method that takes the write lock — Apply and its shorthands, SetOnEvent,
-// SnapshotBase, RegisterMetrics — because the lock is not reentrant. The
+// RegisterMetrics — because the lock is not reentrant. The
 // slices are owned by the reasoner and only valid for the duration of the
 // call — copy them to keep them: the next write reuses them. SetOnEvent
 // itself takes the write lock and may be called at any time; a nil hook (the
@@ -468,15 +458,16 @@ func (r *Reasoner) Apply(adds, removes []store.Triple, c *obs.Clock) (added, rem
 	base := r.base.Begin()
 	s := &r.scratch
 	var d Delta
+	var asserted, gone []store.IDTriple
 	d.Gen = r.base.Write(func() bool {
-		if d.AssertedAdded, err = base.AddBatch(adds); err != nil {
+		if asserted, err = base.AddBatch(adds); err != nil {
 			return false
 		}
 		// Added opens with the seed delta — the fresh triples that are not
 		// provenance flips — and the propagation appends its conclusions to
 		// it in place.
 		d.Added, d.Removed = s.added[:0], s.removed[:0]
-		for _, t := range d.AssertedAdded {
+		for _, t := range asserted {
 			if r.ov.RemoveID(t) {
 				// Provenance flip: consequences already materialized, but the
 				// triple moved between the members — report it in both lists.
@@ -489,13 +480,13 @@ func (r *Reasoner) Apply(adds, removes []store.Triple, c *obs.Clock) (added, rem
 		c.Mark(obs.StagePropagate)
 
 		if len(removes) > 0 {
-			gone, marked, restored := r.retract(&base, removes)
-			d.AssertedRemoved = gone
+			var marked, restored []store.IDTriple
+			gone, marked, restored = r.retract(&base, removes)
 			d.Removed = append(append(d.Removed, marked...), gone...)
 			d.Added = r.propagate(append(d.Added, restored...), restored)
 			c.Mark(obs.StageRetract)
 		}
-		return len(d.AssertedAdded)+len(d.AssertedRemoved) > 0
+		return len(asserted)+len(gone) > 0
 	})
 	if err != nil {
 		return 0, 0, err
@@ -503,11 +494,11 @@ func (r *Reasoner) Apply(adds, removes []store.Triple, c *obs.Clock) (added, rem
 	s.added, s.removed = d.Added, d.Removed
 	err = base.Commit()
 	c.Mark(obs.StageCommit)
-	if len(d.AssertedAdded)+len(d.AssertedRemoved) > 0 {
+	if len(asserted)+len(gone) > 0 {
 		r.notify(d)
 	}
 	c.Mark(obs.StagePublish)
-	return len(d.AssertedAdded), len(d.AssertedRemoved), err
+	return len(asserted), len(gone), err
 }
 
 // retract is Apply's delete-and-rederive pass: it retracts the triples of
@@ -579,23 +570,6 @@ func (r *Reasoner) retract(base *store.Tx, removes []store.Triple) (gone, marked
 	r.counts.derived.Add(int64(len(restored)))
 	s.gone, s.marked, s.restored = gone, marked, restored
 	return gone, marked, restored
-}
-
-// SnapshotBase writes the asserted base store's snapshot (Store.Snapshot's
-// byte-stable sorted format) to w under the reasoner's write lock and
-// returns the generation the bytes correspond to: because writes and their
-// generation advances are serialized by that lock, the pair is exactly
-// consistent — a replica that restores the snapshot and then applies the
-// events with generations above the returned one reconstructs the primary's
-// base store precisely. Mutations block for the duration of the write, so
-// callers that serve slow consumers should hand in an in-memory buffer and
-// stream it out after SnapshotBase returns, as the replication feed's
-// /repl/snapshot handler does.
-func (r *Reasoner) SnapshotBase(w io.Writer) (gen uint64, n int, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n, err = r.base.Snapshot(w)
-	return r.base.Generation(), n, err
 }
 
 // encode resolves a triple to ids without interning.

@@ -64,7 +64,7 @@ func (ct *countsTranscript) apply(t *testing.T, step int, adds, removes []store.
 	}
 	d := (*ct.events)[fired]
 	fmt.Fprintf(&ct.b, " delta gen=%d added=%d removed=%d asserted_added=%d asserted_removed=%d\n",
-		d.Gen, len(d.Added), len(d.Removed), len(d.AssertedAdded), len(d.AssertedRemoved))
+		d.Gen, len(d.Added), len(d.Removed), added, removed)
 }
 
 // finish records the provenance snapshot's digest.

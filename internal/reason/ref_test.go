@@ -197,18 +197,18 @@ func recordDeltas(r *Reasoner) *[]Delta {
 	events := new([]Delta)
 	r.SetOnEvent(func(d Delta) {
 		d.Added, d.Removed = slices.Clone(d.Added), slices.Clone(d.Removed)
-		d.AssertedAdded, d.AssertedRemoved = slices.Clone(d.AssertedAdded), slices.Clone(d.AssertedRemoved)
 		*events = append(*events, d)
 	})
 	return events
 }
 
-// applyChecked runs one Apply and holds it to three references: the model's
+// applyChecked runs one Apply and holds it to four references: the model's
 // closure for the materialization; the model's sequential write — the adds
-// one by one, then the removes one by one, over a plain set — for the two counts, the
-// base's contents and the replayable lists of the Delta; and "generation +1
-// and exactly one Delta iff anything changed, else neither". events is what
-// recordDeltas returned for r.
+// one by one, then the removes one by one, over a plain set — for the two
+// counts, the base's contents and what the Delta must cover; the base's
+// digest recomputed from scratch; and "generation +1 and exactly one Delta
+// iff anything changed, else neither". events is what recordDeltas returned
+// for r.
 func applyChecked(t *testing.T, r *Reasoner, rules []Rule, events *[]Delta, adds, removes []store.Triple, context string) {
 	t.Helper()
 	seq := modelSet(r.Base().Triples())
@@ -228,6 +228,13 @@ func applyChecked(t *testing.T, r *Reasoner, rules []Rule, events *[]Delta, adds
 	if got := r.Base().Triples(); !slices.Equal(got, want) {
 		t.Fatalf("%s: Apply(%v, %v) left the base at %v, want %v", context, adds, removes, got, want)
 	}
+	var scratch store.Digest
+	for _, tr := range want {
+		scratch.Add(tr)
+	}
+	if got := r.Base().Position(); got.Digest != scratch || got.Gen != r.Generation() {
+		t.Fatalf("%s: Apply(%v, %v) left the base at position %v, want generation %d and the digest %v of its triples", context, adds, removes, got, r.Generation(), scratch)
+	}
 	if changed := added+removed > 0; !changed {
 		if r.Generation() != gen || len(*events) != fired {
 			t.Fatalf("%s: a write that changed nothing moved generation %d → %d and fired %d events", context, gen, r.Generation(), len(*events)-fired)
@@ -237,22 +244,15 @@ func applyChecked(t *testing.T, r *Reasoner, rules []Rule, events *[]Delta, adds
 			t.Fatalf("%s: a content-changing write moved generation %d → %d and fired %d events, want +1 and one", context, gen, r.Generation(), len(*events)-fired)
 		}
 		d, res := (*events)[fired], r.Base().NewResolver()
-		for _, side := range []struct {
-			name string
-			got  []store.IDTriple
-			want []model.Triple
-		}{{"AssertedAdded", d.AssertedAdded, wantAdded}, {"AssertedRemoved", d.AssertedRemoved, wantRemoved}} {
-			got := map[store.Triple]bool{}
-			for _, id := range side.got {
-				got[store.Triple{Subject: res.Name(id.S), Predicate: res.Name(id.P), Object: res.Name(id.O)}] = true
+		covered := map[store.Triple]bool{}
+		for _, ids := range [2][]store.IDTriple{d.Added, d.Removed} {
+			for _, id := range ids {
+				covered[store.Triple{Subject: res.Name(id.S), Predicate: res.Name(id.P), Object: res.Name(id.O)}] = true
 			}
-			if len(side.got) != len(side.want) || len(got) != len(side.want) {
-				t.Fatalf("%s: Delta.%s is %v, want the set %v", context, side.name, sortedTriples(got), side.want)
-			}
-			for _, w := range side.want {
-				if !got[store.Triple(w)] {
-					t.Fatalf("%s: Delta.%s %v lacks %v", context, side.name, sortedTriples(got), w)
-				}
+		}
+		for _, w := range append(slices.Clone(wantAdded), wantRemoved...) {
+			if !covered[store.Triple(w)] {
+				t.Fatalf("%s: the Delta does not cover the asserted change %v", context, w)
 			}
 		}
 		if d.Gen != gen+1 {

@@ -1,12 +1,13 @@
 package repl_test
 
-// End-to-end harness for the replication tier: a real primary server on a
-// loopback listener, real replicas booted from /repl/snapshot and fed by
-// /repl/deltas, random mutation schedules, and byte-identical-snapshot
-// comparison between the two sides. The tests in this package run the full
-// wire path — HTTP, ndjson frames — not in-memory shortcuts. They advance
-// replicas round by round with Step, so every schedule is exact and no test
-// waits on a clock; TestRunFollowsTheFeed is the one test of Run's loop.
+// End-to-end harness for the replication tier: a real durable primary server
+// on a loopback listener, real replicas booted from /repl/snapshot and fed by
+// /repl/deltas, random mutation schedules, and byte-identical-snapshot and
+// digest comparison between the two sides. The tests in this package run the
+// full wire path — HTTP, the log's own frames — not in-memory shortcuts. They
+// advance replicas round by round with Step, so every schedule is exact and
+// no test waits on a clock; TestRunFollowsTheFeed is the one test of Run's
+// loop.
 
 import (
 	"bytes"
@@ -22,33 +23,52 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/reason"
 	"repro/internal/repl"
 	"repro/internal/server"
 	"repro/internal/store"
 )
 
-// newPrimary builds a primary server over a small seeded corpus and serves
-// it on a loopback listener.
+// newPrimary builds a durable primary server over a small seeded corpus in a
+// fresh data directory and serves it on a loopback listener.
 func newPrimary(t *testing.T) (*server.Server, *httptest.Server) {
 	t.Helper()
-	base := store.New()
-	seed := []store.Triple{
-		{Subject: "item-0", Predicate: store.TypePredicate, Object: "c0"},
-		{Subject: "item-1", Predicate: store.TypePredicate, Object: "c1"},
-		{Subject: "c0", Predicate: "subClassOf", Object: "c1"},
-		{Subject: "c1", Predicate: "subClassOf", Object: "c2"},
-	}
-	if _, err := base.AddBatch(seed); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.New(server.Config{Base: base})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv, _ := openPrimary(t, t.TempDir(), -1)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts
+}
+
+// openPrimary builds one primary "process" over the data directory dir: the
+// engine recovered from it, the seed corpus loaded when the directory was
+// pristine, and a server over both. checkpointBytes is the engine's
+// automatic-checkpoint budget (negative: none). The engine closes with the
+// test, and the server is the caller's to serve.
+func openPrimary(t *testing.T, dir string, checkpointBytes int64) (*server.Server, *durable.Engine) {
+	t.Helper()
+	base := store.New()
+	eng, err := durable.Open(base, durable.Options{Dir: dir, Fsync: durable.FsyncOff, CheckpointBytes: checkpointBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	if eng.LastSeq() == 0 {
+		seed := []store.Triple{
+			{Subject: "item-0", Predicate: store.TypePredicate, Object: "c0"},
+			{Subject: "item-1", Predicate: store.TypePredicate, Object: "c1"},
+			{Subject: "c0", Predicate: "subClassOf", Object: "c1"},
+			{Subject: "c1", Predicate: "subClassOf", Object: "c2"},
+		}
+		if _, err := base.AddBatch(seed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := server.New(server.Config{Base: base, Durable: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv, eng
 }
 
 // newReplica boots a replica off the primary and materializes its base
@@ -69,22 +89,35 @@ func newReplica(t *testing.T, primaryURL string, opts repl.Options) (*repl.Repli
 }
 
 // step advances the replica by one round and fails the test if the round
-// fails.
-func step(t *testing.T, rep *repl.Replica, applier *reason.Reasoner) {
+// fails, if the replica's store is not at the digest of the position it
+// reports, or if that position's generation is the primary's but its digest
+// is not.
+func step(t *testing.T, rep *repl.Replica, applier, primary *reason.Reasoner) {
 	t.Helper()
 	if err := rep.Step(context.Background(), applier); err != nil {
 		t.Fatalf("step: %v (status %+v)", err, rep.Status())
 	}
+	st := rep.Status()
+	if got := applier.Base().Position().Digest; got != st.AppliedDigest {
+		t.Fatalf("step: the replica's store has digest %v at the applied position %d/%v", got, st.AppliedGeneration, st.AppliedDigest)
+	}
+	if at := primary.Base().Position(); st.AppliedGeneration == at.Gen && st.AppliedDigest != at.Digest {
+		t.Fatalf("step: the replica is at generation %d with digest %v, the primary with %v", at.Gen, st.AppliedDigest, at.Digest)
+	}
 }
 
 // converged fails the test unless the replica has applied through the
-// primary's generation, reports no lag and no error, and serves a view
-// byte-identical to the primary's.
+// primary's position, reports no lag, no error and no digest mismatch, and
+// serves a view byte-identical to the primary's.
 func converged(t *testing.T, what string, rep *repl.Replica, applier, primary *reason.Reasoner) {
 	t.Helper()
 	st := rep.Status()
-	if gen := primary.Generation(); st.AppliedGeneration != gen || st.Lag != 0 || st.LastError != "" {
-		t.Fatalf("%s: replica status %+v, primary at generation %d", what, st, gen)
+	at := primary.Base().Position()
+	if st.AppliedGeneration != at.Gen || st.AppliedDigest != at.Digest || st.Lag != 0 || st.LastError != "" || st.DigestMismatches != 0 {
+		t.Fatalf("%s: replica status %+v, primary at %v", what, st, at)
+	}
+	if got := applier.Base().Position().Digest; got != at.Digest {
+		t.Fatalf("%s: the replica's digest is %v, the primary's %v", what, got, at.Digest)
 	}
 	if want, got := viewSnapshot(t, primary), viewSnapshot(t, applier); !bytes.Equal(want, got) {
 		t.Fatalf("%s: replica view diverged from the primary's at generation %d: primary %d bytes, replica %d bytes",
@@ -92,7 +125,7 @@ func converged(t *testing.T, what string, rep *repl.Replica, applier, primary *r
 	}
 }
 
-// feedStats reads the feed block of a primary's /stats.
+// feedStats reads the feed block of a durable primary's /stats.
 func feedStats(t *testing.T, primaryURL string) repl.FeedStats {
 	t.Helper()
 	resp, err := http.Get(primaryURL + "/stats")
@@ -217,7 +250,7 @@ func TestReplayProperty(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				m.step(t) // history the replica has missed
 			}
-			step(t, rep, applier)
+			step(t, rep, applier, primary)
 			converged(t, "after five missed writes", rep, applier, primary)
 		case 5:
 			if st := abandoned.Status(); st.AppliedGeneration == 0 || st.AppliedGeneration == primary.Generation() {
@@ -227,30 +260,29 @@ func TestReplayProperty(t *testing.T) {
 		}
 		for i := 0; i < 5; i++ {
 			m.step(t)
-			step(t, rep, applier)
+			step(t, rep, applier, primary)
 			converged(t, fmt.Sprintf("round %d write %d", round, i), rep, applier, primary)
 			if round < 3 {
-				step(t, abandoned, abandonedApplier)
+				step(t, abandoned, abandonedApplier, primary)
 			}
 		}
 	}
-	step(t, fresh, freshApplier)
+	step(t, fresh, freshApplier, primary)
 	converged(t, "the replacement replica", fresh, freshApplier, primary)
 
-	// One write is one generation, one frame and one local write on the
-	// replica: the four counters agree to the unit.
+	// One write is one generation, one record and one local write on the
+	// replica: the counters agree to the unit.
 	gen := primary.Generation()
-	if feed := feedStats(t, ts.URL); uint64(feed.Appends) != gen || feed.Latest != gen {
-		t.Fatalf("primary at generation %d published %d frames through generation %d", gen, feed.Appends, feed.Latest)
+	if feed := feedStats(t, ts.URL); feed.Latest != gen || feed.Oldest != 0 {
+		t.Fatalf("primary at generation %d serves its log through generation %d from %d", gen, feed.Latest, feed.Oldest)
 	}
 	if applier.Generation() != gen {
-		t.Fatalf("the replica applied %d frames as %d local writes", gen, applier.Generation())
+		t.Fatalf("the replica applied %d writes as %d local writes", gen, applier.Generation())
 	}
 }
 
 // TestReplicaBootState pins the boot contract: a fresh replica's base is
-// byte-identical to the primary's asserted store, at the generation the
-// snapshot header advertised.
+// byte-identical to the primary's asserted store, at the primary's position.
 func TestReplicaBootState(t *testing.T) {
 	psrv, ts := newPrimary(t)
 	// Advance past generation 0 so the boot generation is non-trivial.
@@ -259,11 +291,14 @@ func TestReplicaBootState(t *testing.T) {
 		m.step(t)
 	}
 	rep, applier := newReplica(t, ts.URL, repl.Options{})
-	if got, want := rep.Status().AppliedGeneration, psrv.Reasoner().Generation(); got != want {
-		t.Fatalf("boot generation %d, primary at %d", got, want)
+	if got, want := rep.Base().Position(), psrv.Reasoner().Base().Position(); got != want {
+		t.Fatalf("boot position %v, primary at %v", got, want)
+	}
+	if st := rep.Status(); st.AppliedGeneration != psrv.Reasoner().Generation() {
+		t.Fatalf("boot status %+v, primary at generation %d", st, psrv.Reasoner().Generation())
 	}
 	var pb, rb bytes.Buffer
-	if _, _, err := psrv.Reasoner().SnapshotBase(&pb); err != nil {
+	if _, err := psrv.Reasoner().Base().Snapshot(&pb); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rep.Base().Snapshot(&rb); err != nil {
@@ -317,7 +352,7 @@ func TestCaughtUpStepNeverParks(t *testing.T) {
 	rt := &recordingTransport{}
 	rep, applier := newReplica(t, ts.URL, repl.Options{Client: &http.Client{Transport: rt}})
 	start := time.Now()
-	step(t, rep, applier)
+	step(t, rep, applier, psrv.Reasoner())
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("a caught-up Step took %v: it parked on the primary", elapsed)
 	}
@@ -328,7 +363,7 @@ func TestCaughtUpStepNeverParks(t *testing.T) {
 }
 
 // TestRunFollowsTheFeed is the one test of Run itself, on a real listener:
-// Run long-polls the primary (wait=25s), an append on the primary wakes the
+// Run long-polls the primary (wait=25s), a commit on the primary wakes the
 // parked poll long before its wait is up, and cancelling ctx returns Run.
 func TestRunFollowsTheFeed(t *testing.T) {
 	psrv, ts := newPrimary(t)
@@ -362,7 +397,7 @@ func TestRunFollowsTheFeed(t *testing.T) {
 	select {
 	case <-applied:
 	case <-time.After(10 * time.Second):
-		t.Fatalf("the append did not wake the parked poll: waits %q, status %+v", rt.polls(), rep.Status())
+		t.Fatalf("the commit did not wake the parked poll: waits %q, status %+v", rt.polls(), rep.Status())
 	}
 	if waits := rt.polls(); waits[0] != "25s" {
 		t.Fatalf("Run's first poll asked for wait=%s, want 25s", waits[0])
@@ -378,7 +413,7 @@ func TestRunFollowsTheFeed(t *testing.T) {
 }
 
 // TestReplicaExpandReadsTheShippedSchema: a replica is served with no TBox
-// of its own, so its mode=expand reads the schema the feed ships. After the
+// of its own, so its mode=expand reads the schema the log ships. After the
 // primary takes a subClassOf edge and the replica steps, and again after the
 // edge is removed, the replica's expand answer for every class, evaluated
 // and then cached, equals the primary's materialized one.
@@ -404,7 +439,7 @@ func TestReplicaExpandReadsTheShippedSchema(t *testing.T) {
 		if _, _, err := psrv.Reasoner().Apply(w.adds, w.remove, nil); err != nil {
 			t.Fatal(err)
 		}
-		step(t, rep, rsrv.Reasoner())
+		step(t, rep, rsrv.Reasoner(), psrv.Reasoner())
 		converged(t, w.what, rep, rsrv.Reasoner(), psrv.Reasoner())
 		for _, class := range []string{"c0", "c1", "c2", "c3"} {
 			want, _ := classQuery(t, ts.URL, class, server.ModeMaterialized)

@@ -1,15 +1,16 @@
 package repl_test
 
 // Fault-injection tests: the feed transport misbehaves (connections die
-// mid-delta, responses are dropped or duplicated) and a stalled consumer
-// parks on the feed — the replica must reconnect, never apply a generation
-// twice, and converge; the primary must keep serving mutations throughout.
+// mid-body, responses are dropped or duplicated) and a stalled consumer
+// parks on the feed — the replica must reconnect, never apply a write twice,
+// and converge; the primary must keep serving mutations throughout.
 
 import (
 	"bytes"
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"strings"
@@ -23,18 +24,21 @@ import (
 
 // faultTransport wraps a transport and injects deterministic failures on
 // /repl/deltas requests: every cycle of four polls sees one dropped
-// request (transport error before it is sent), one response truncated
-// mid-body (the connection dying mid-delta), and one response replayed
-// verbatim from the previous poll (a duplicated long-poll response, so the
-// replica receives frames it has already applied). Snapshot requests pass
-// through untouched.
+// request (transport error before it is sent), one non-empty response cut
+// at a seeded byte — inside a frame, or between the records of a write —
+// (the connection dying mid-body), and one response replayed verbatim from
+// the previous poll (a duplicated long-poll response, so the replica
+// receives records it has already applied). Snapshot requests pass through
+// untouched. faulted records, per poll, whether it failed the poll.
 type faultTransport struct {
 	inner http.RoundTripper
+	rng   *rand.Rand
 
 	mu      sync.Mutex
 	polls   int
 	last    []byte      // previous successful deltas response body
 	lastHdr http.Header // ... and its headers (a real duplicate carries both)
+	faulted []bool
 
 	drops, truncates, duplicates int
 }
@@ -49,10 +53,14 @@ func (ft *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	last, lastHdr := ft.last, ft.lastHdr
 	ft.mu.Unlock()
 
+	ft.mu.Lock()
+	ft.faulted = append(ft.faulted, false)
+	ft.mu.Unlock()
 	switch n % 4 {
 	case 1: // drop: the request never reaches the primary
 		ft.mu.Lock()
 		ft.drops++
+		ft.faulted[n] = true
 		ft.mu.Unlock()
 		return nil, fmt.Errorf("faultTransport: injected connection failure")
 	case 2: // duplicate: replay the previous response verbatim, headers included
@@ -61,11 +69,12 @@ func (ft *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 			ft.duplicates++
 			ft.mu.Unlock()
 			return &http.Response{
-				StatusCode: http.StatusOK,
-				Status:     "200 OK",
-				Header:     lastHdr.Clone(),
-				Body:       io.NopCloser(bytes.NewReader(last)),
-				Request:    req,
+				StatusCode:    http.StatusOK,
+				Status:        "200 OK",
+				Header:        lastHdr.Clone(),
+				ContentLength: int64(len(last)),
+				Body:          io.NopCloser(bytes.NewReader(last)),
+				Request:       req,
 			}, nil
 		}
 	}
@@ -82,14 +91,16 @@ func (ft *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	ft.last = append([]byte(nil), body...)
 	ft.lastHdr = resp.Header.Clone()
 	ft.mu.Unlock()
-	if n%4 == 3 && len(body) > 1 {
-		// Truncate: the connection dies mid-delta. The replica sees a
-		// stream with no trailer (or a torn JSON line) and must retry from
-		// its applied generation.
+	if n%4 == 3 && len(body) > 0 {
+		// Truncate: the connection dies mid-body. The replica sees fewer
+		// bytes than the response's Content-Length — and a torn frame, or a
+		// write whose last record is missing — applies the whole writes
+		// before the cut and must retry from there.
 		ft.mu.Lock()
 		ft.truncates++
+		ft.faulted[n] = true
+		body = body[:ft.rng.Intn(len(body))]
 		ft.mu.Unlock()
-		body = body[:len(body)/2]
 	}
 	resp.Body = io.NopCloser(bytes.NewReader(body))
 	return resp, nil
@@ -98,16 +109,17 @@ func (ft *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 // TestFaultInjectionFeed steps a replica once after each write of a
 // mutation schedule while its transport drops, duplicates and truncates
 // feed responses. Under steps the fault cycle is exact: every poll with
-// n%4 == 1 is dropped and n%4 == 3 truncated, so exactly those rounds fail
-// and count a reconnect, while a duplicate (n%4 == 2) replays frames
-// already applied and succeeds. The replica must converge byte-for-byte
-// with no error left, having applied every generation exactly once
-// (witnessed by its event count matching the primary's frame count — a
-// double-applied frame would desynchronize the two).
+// n%4 == 1 is dropped and every non-empty one with n%4 == 3 truncated, so
+// exactly those rounds fail and count a reconnect, while a duplicate
+// (n%4 == 2) replays records already applied and succeeds. The replica must
+// converge byte-for-byte with no error left, having applied every write
+// exactly once (witnessed by its event count matching the primary's
+// generations — a double-applied write would desynchronize the two, and its
+// digest check would re-snapshot).
 func TestFaultInjectionFeed(t *testing.T) {
 	psrv, ts := newPrimary(t)
 	primary := psrv.Reasoner()
-	ft := &faultTransport{inner: http.DefaultTransport}
+	ft := &faultTransport{inner: http.DefaultTransport, rng: rand.New(rand.NewSource(5))}
 	rep, applier := newReplica(t, ts.URL, repl.Options{Client: &http.Client{Transport: ft}})
 
 	// Count the replica's apply events: one per content-changing write,
@@ -126,8 +138,15 @@ func TestFaultInjectionFeed(t *testing.T) {
 			m.step(t)
 		}
 		err := rep.Step(context.Background(), applier)
-		if faulted := n%4 == 1 || n%4 == 3; (err != nil) != faulted {
+		ft.mu.Lock()
+		faulted := ft.faulted[n]
+		ft.mu.Unlock()
+		if (err != nil) != faulted {
 			t.Fatalf("poll %d: err = %v, want an error only on a dropped or truncated poll", n, err)
+		}
+		st, at := rep.Status(), primary.Base().Position()
+		if got := applier.Base().Position().Digest; got != st.AppliedDigest || (st.AppliedGeneration == at.Gen && got != at.Digest) {
+			t.Fatalf("poll %d: the replica's digest %v at %d/%v, the primary at %v", n, got, st.AppliedGeneration, st.AppliedDigest, at)
 		}
 	}
 	converged(t, "after the fault schedule", rep, applier, primary)
@@ -136,8 +155,8 @@ func TestFaultInjectionFeed(t *testing.T) {
 	}
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
-	if cycles := polls / 4; ft.drops != cycles || ft.duplicates != cycles || ft.truncates != cycles {
-		t.Fatalf("faults injected over %d polls: %d drops, %d duplicates, %d truncations; want %d of each",
+	if cycles := polls / 4; ft.drops != cycles || ft.duplicates != cycles || ft.truncates < cycles/2 {
+		t.Fatalf("faults injected over %d polls: %d drops, %d duplicates, %d truncations; want %d of each (truncations of the non-empty bodies)",
 			polls, ft.drops, ft.duplicates, ft.truncates, cycles)
 	}
 	if st := rep.Status(); st.Reconnects != int64(ft.drops+ft.truncates) || st.Resnapshots != 0 {
@@ -147,9 +166,9 @@ func TestFaultInjectionFeed(t *testing.T) {
 }
 
 // TestStalledConsumerDoesNotBlockPrimary parks a consumer on the feed that
-// never reads its response and then times a burst of mutations: the
-// primary's mutation path only appends to the bounded retention buffer, so
-// it must finish promptly no matter what any replica is doing.
+// never reads its response and then times a burst of mutations: a poll only
+// reads the log outside the write path, so the mutations must finish
+// promptly no matter what any replica is doing.
 func TestStalledConsumerDoesNotBlockPrimary(t *testing.T) {
 	psrv, ts := newPrimary(t)
 
@@ -160,7 +179,8 @@ func TestStalledConsumerDoesNotBlockPrimary(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	fmt.Fprintf(conn, "GET /repl/deltas?from=0&wait=25s HTTP/1.1\r\nHost: primary\r\n\r\n")
+	at := psrv.Reasoner().Base().Position()
+	fmt.Fprintf(conn, "GET /repl/deltas?from=%d&digest=%v&wait=25s HTTP/1.1\r\nHost: primary\r\n\r\n", at.Gen, at.Digest)
 
 	m := newMutator(13, psrv.Reasoner())
 	start := time.Now()

@@ -2,225 +2,196 @@ package repl
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
-	"reflect"
-	"strings"
+	"fmt"
+	"slices"
 	"testing"
+
+	"repro/internal/durable"
+	"repro/internal/store"
 )
 
-const trailerLine = `{"done":true,"gen":42,"oldest":30}` + "\n"
+// These tests pin how a replica reads a /repl/deltas body — durable's
+// Follower, whose checks are recovery's — over bodies a real log serves and
+// the damage a connection or a confused primary can do to them.
 
-// decodeFeed runs readFeed over body from applied and collects what it
-// hands to apply.
-func decodeFeed(body string, applied uint64) ([]Frame, Trailer, error) {
-	var got []Frame
-	tr, err := readFeed(strings.NewReader(body), applied, func(fr Frame) error {
-		got = append(got, fr)
-		return nil
-	})
-	return got, tr, err
-}
-
-// The TestDecodeLine* tests pin how readFeed decodes one line of a body: a
-// frame, the trailer, and the malformed lines it refuses.
-
+// TestDecodeLineFrame: one write's body hands the write to apply whole, by
+// name — adds, then removes — with the position the primary recorded, and
+// the follower stands at that position after it.
 func TestDecodeLineFrame(t *testing.T) {
-	got, _, err := decodeFeed(`{"gen":7,"add":[{"s":"a","p":"type","o":"b"}]}`+"\n"+trailerLine, 6)
-	if err != nil {
-		t.Fatal(err)
+	l := newLog(t)
+	l.write()
+	l.write()
+	m := newMirror(t, l.eng)
+	from := m.f.Position()
+	// item-3 typed and item-2's type retracted.
+	at := l.write()
+	type write struct {
+		adds, removes []store.Triple
+		at            store.Position
 	}
-	if len(got) != 1 {
-		t.Fatalf("applied %d frames, want the one", len(got))
+	var got []write
+	n, err := m.f.Read(l.read(from, "").body, func(adds, removes []store.Triple, at store.Position) error {
+		got = append(got, write{slices.Clone(adds), slices.Clone(removes), at})
+		return m.apply(adds, removes, at)
+	})
+	want := []write{{
+		adds:    []store.Triple{{Subject: "item-3", Predicate: store.TypePredicate, Object: "c1"}},
+		removes: []store.Triple{{Subject: "item-2", Predicate: store.TypePredicate, Object: "c0"}},
+		at:      at,
+	}}
+	if err != nil || n != 1 || len(got) != 1 || !slices.Equal(got[0].adds, want[0].adds) || !slices.Equal(got[0].removes, want[0].removes) || got[0].at != at {
+		t.Fatalf("read %d writes %+v, %v; want %+v", n, got, err, want)
 	}
-	fr := got[0]
-	if fr.Gen != 7 || len(fr.Add) != 1 || len(fr.Remove) != 0 {
-		t.Fatalf("frame = %+v", fr)
-	}
-	if got := fr.Add[0].Triple(); got.Subject != "a" || got.Predicate != "type" || got.Object != "b" {
-		t.Fatalf("triple = %+v", got)
-	}
-}
-
-func TestDecodeLineTrailer(t *testing.T) {
-	got, tr, err := decodeFeed(trailerLine, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("trailer line decoded as frame %+v", got)
-	}
-	if !tr.Done || tr.Gen != 42 || tr.Oldest != 30 {
-		t.Fatalf("trailer = %+v", tr)
-	}
-}
-
-func TestDecodeLineRejects(t *testing.T) {
-	for _, tc := range []struct {
-		name, line string
-	}{
-		{"not json", `{"gen":`},
-		{"no generation", `{"add":[{"s":"a","p":"b","o":"c"}]}`},
-		{"empty component", `{"gen":3,"add":[{"s":"a","p":"","o":"c"}]}`},
-		{"empty remove component", `{"gen":3,"remove":[{"s":"","p":"b","o":"c"}]}`},
-		{"empty component beside a valid side", `{"gen":3,"add":[{"s":"a","p":"b","o":"c"}],"remove":[{"s":"x","p":"y","o":""}]}`},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if got, tr, err := decodeFeed(tc.line+"\n"+trailerLine, 2); err == nil || len(got) != 0 {
-				t.Fatalf("accepted %q: applied=%+v trailer=%+v err=%v", tc.line, got, tr, err)
-			}
-		})
+	if m.f.Position() != at {
+		t.Fatalf("the follower stands at %v after the write at %v", m.f.Position(), at)
 	}
 }
 
-// TestReadFeedBody pins what Replica.poll relies on beyond single lines:
-// which bodies are a successful round, which demand a re-snapshot
-// (errWindowPassed) and which are a plain retry — and that whatever was
-// applied before the error stays applied, in order, exactly once.
+// TestReadFeedBody pins what Replica.poll relies on beyond one write: which
+// bodies are a successful round, which demand a re-snapshot
+// (durable.ErrDiverged) and which are a plain retry (durable.ErrTorn) — and
+// that whatever was applied before the error stays applied, in order,
+// exactly once.
 func TestReadFeedBody(t *testing.T) {
-	frame := func(gen string) string { return `{"gen":` + gen + `,"add":[{"s":"a","p":"b","o":"c"}]}` + "\n" }
-	trailer := func(gen, oldest string) string {
-		return `{"done":true,"gen":` + gen + `,"oldest":` + oldest + `}` + "\n"
+	l := newLog(t)
+	l.write()
+	snap, at0, err := l.eng.Snapshot() // every case's follower starts here
+	if err != nil {
+		t.Fatal(err)
 	}
+	at := []store.Position{at0}
+	for i := 0; i < 4; i++ {
+		at = append(at, l.write())
+	}
+	// body is the records after write from, through write through.
+	body := func(from, through int) []byte {
+		return l.read(at[from], fmt.Sprintf("&max=%d", through-from)).body
+	}
+	whole := body(0, 4)
+	fs := frames(whole)
 	for _, tc := range []struct {
-		name, body string
-		applied    uint64
-		want       []uint64 // generations handed to apply
-		ok, passed bool     // err == nil; errors.Is(err, errWindowPassed)
+		name      string
+		pre, body []byte           // pre is read first, and must read cleanly
+		want      []store.Position // positions handed to apply
+		err       error            // of body's read: nil, durable.ErrTorn or durable.ErrDiverged
 	}{
-		{"frames then trailer", frame("3") + frame("4") + trailer("4", "1"), 2, []uint64{3, 4}, true, false},
-		{"caught up", trailer("2", "1"), 2, nil, true, false},
-		{"duplicated frames are skipped", frame("1") + frame("2") + frame("3") + trailer("3", "1"), 2, []uint64{3}, true, false},
-		{"a replayed response applies nothing", frame("1") + frame("2") + trailer("2", "1"), 2, nil, true, false},
-		{"a frame repeated mid-stream is skipped", frame("3") + frame("3") + frame("4") + trailer("4", "1"), 2, []uint64{3, 4}, true, false},
-		{"skipped generation", frame("4") + trailer("4", "1"), 2, nil, false, true},
-		{"skipped generation mid-stream", frame("3") + frame("5") + trailer("5", "1"), 2, []uint64{3}, false, true},
-		{"missing trailer", frame("3"), 2, []uint64{3}, false, false},
-		{"empty body", "", 2, nil, false, false},
-		{"torn line", frame("3") + `{"gen":4,"add":[{"s":"a"`, 2, []uint64{3}, false, false},
-		{"frame after the trailer", frame("3") + trailer("4", "1") + frame("4"), 2, []uint64{3}, false, false},
-		{"two trailers", trailer("2", "1") + trailer("2", "1"), 2, nil, false, false},
-		{"history rewound", trailer("1", "1"), 2, nil, false, true},
-		{"trailer behind its own frames", frame("3") + trailer("2", "1"), 2, []uint64{3}, false, true},
-		{"oldest past latest", trailer("4", "6"), 2, nil, false, true},
+		{"whole writes", nil, whole, at[1:], nil},
+		{"caught up", whole, nil, at[1:], nil},
+		{"empty body", nil, []byte{}, nil, nil},
+		{"a replayed response applies nothing", whole, whole, at[1:], nil},
+		{"duplicated frames are skipped", body(0, 2), whole, at[1:], nil},
+		{"a frame repeated mid-stream is refused", nil, slices.Concat(body(0, 1), frames(body(0, 1))[len(frames(body(0, 1)))-1], body(1, 4)), at[1:2], durable.ErrDiverged},
+		{"skipped generation", nil, body(1, 4), nil, durable.ErrDiverged},
+		{"skipped generation mid-stream", nil, slices.Concat(body(0, 1), body(2, 4)), at[1:2], durable.ErrDiverged},
+		{"torn line", nil, whole[:len(whole)-3], at[1:4], durable.ErrTorn},
+		{"a body ending between writes", nil, slices.Concat(fs[:len(fs)-1]...), at[1:4], nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got, _, err := decodeFeed(tc.body, tc.applied)
-			var gens []uint64
-			for _, fr := range got {
-				gens = append(gens, fr.Gen)
+			m := loadMirror(t, snap)
+			var got []store.Position
+			read := func(body []byte) error {
+				_, err := m.f.Read(body, func(adds, removes []store.Triple, at store.Position) error {
+					got = append(got, at)
+					return m.apply(adds, removes, at)
+				})
+				return err
 			}
-			if !reflect.DeepEqual(gens, tc.want) {
-				t.Errorf("applied generations %v, want %v", gens, tc.want)
+			if err := read(tc.pre); err != nil {
+				t.Fatalf("the first body: %v", err)
 			}
-			if (err == nil) != tc.ok || errors.Is(err, errWindowPassed) != tc.passed {
-				t.Errorf("err = %v, want ok=%v windowPassed=%v", err, tc.ok, tc.passed)
+			err := read(tc.body)
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("applied %v, want %v", got, tc.want)
+			}
+			if (tc.err == nil) != (err == nil) || (tc.err != nil && !errors.Is(err, tc.err)) {
+				t.Errorf("err = %v, want %v", err, tc.err)
 			}
 		})
 	}
 
-	// An apply error ends the round at that frame.
+	// An apply error ends the read at that write, and the follower stands
+	// before it.
 	boom := errors.New("boom")
+	m := loadMirror(t, snap)
 	n := 0
-	_, err := readFeed(strings.NewReader(frame("3")+frame("4")+trailer("4", "1")), 2, func(Frame) error {
+	_, err = m.f.Read(whole, func([]store.Triple, []store.Triple, store.Position) error {
 		n++
 		return boom
 	})
-	if !errors.Is(err, boom) || n != 1 {
-		t.Fatalf("apply error: err=%v after %d applies", err, n)
+	if !errors.Is(err, boom) || n != 1 || m.f.Position() != at[0] {
+		t.Fatalf("apply error: err=%v after %d applies, follower at %v", err, n, m.f.Position())
 	}
 }
 
-// TestFrameRoundTrip pins the wire format: what the primary's handler
-// encodes, readFeed reads back unchanged — a one-sided frame without its
-// empty side, a two-sided frame (one write that asserted and retracted, a
-// triple on both sides included) with both.
-func TestFrameRoundTrip(t *testing.T) {
-	in := Frame{
-		Gen:    9,
-		Add:    []WireTriple{{S: "x", P: "type", O: "c"}, {S: "y", P: "type", O: "c"}},
-		Remove: nil,
-	}
-	roundTrip := func() Frame {
-		t.Helper()
-		var body bytes.Buffer
-		Window{Frames: []Frame{in}, Latest: in.Gen, Oldest: in.Gen}.encode(&body)
-		if in.Remove == nil && strings.Contains(body.String(), "remove") {
-			t.Fatalf("empty fields serialized: %s", &body)
-		}
-		got, tr, err := decodeFeed(body.String(), in.Gen-1)
-		if err != nil || len(got) != 1 || tr != (Trailer{Done: true, Gen: in.Gen, Oldest: in.Gen}) {
-			t.Fatalf("decode of %q: frames=%v trailer=%+v err=%v", &body, got, tr, err)
-		}
-		return got[0]
-	}
-	if fr := roundTrip(); fr.Gen != in.Gen || len(fr.Add) != 2 || fr.Add[1] != in.Add[1] {
-		t.Fatalf("round trip changed the frame: %+v", fr)
-	}
-	in.Remove = []WireTriple{{S: "y", P: "type", O: "c"}, {S: "z", P: "type", O: "c"}}
-	if fr := roundTrip(); !reflect.DeepEqual(fr, in) {
-		t.Fatalf("round trip changed the two-sided frame: %+v, want %+v", fr, in)
-	}
-}
-
-// FuzzReadFeed holds readFeed — the decoder Replica.poll runs — to its
-// contract on arbitrary bodies: it never panics, it hands apply nothing but
-// well-formed successors of the applied generation (so no generation at or
-// below it, none twice, none skipped), and it accepts a body only when its
-// last line, and no earlier one, is the trailer.
+// FuzzReadFeed throws arbitrary bodies at the replica's reader of
+// /repl/deltas: whatever the bytes, it must never panic, fail only with
+// durable.ErrTorn or durable.ErrDiverged (or the apply's own error, a
+// digest mismatch — itself ErrDiverged), hand apply whole writes only — each
+// one's names minted by the body's dictionary records or the snapshot, and
+// left standing where the last accepted write put it — and, read again
+// after a clean read, apply nothing.
 func FuzzReadFeed(f *testing.F) {
-	for _, body := range []string{
-		// FuzzDecodeLine's corpus, one line each (as bodies, all but the
-		// trailer lack a trailer).
-		`{"gen":1,"add":[{"s":"a","p":"b","o":"c"}]}`,
-		`{"gen":2,"remove":[{"s":"a","p":"b","o":"c"}]}`,
-		`{"gen":3,"reset":true}`,
-		`{"gen":4,"add":[{"s":"a","p":"b","o":"c"}],"remove":[{"s":"x","p":"y","o":"z"}]}`,
-		`{"done":true,"gen":42,"oldest":30}`,
-		`{}`,
-		`null`,
-		`[1,2,3]`,
-		// Whole bodies.
-		`{"gen":1,"add":[{"s":"a","p":"b","o":"c"}]}` + "\n" + `{"gen":2,"remove":[{"s":"a","p":"b","o":"c"}]}` + "\n" + `{"done":true,"gen":2,"oldest":1}` + "\n",
-		`{"gen":1,"add":[{"s":"a","p":"b","o":"c"}]}` + "\n" + `{"gen":3,"add":[{"s":"a","p":"b","o":"d"}]}` + "\n" + `{"done":true,"gen":3,"oldest":1}` + "\n",
-		`{"done":true,"gen":2,"oldest":1}` + "\n" + `{"gen":3,"add":[{"s":"a","p":"b","o":"c"}]}` + "\n",
-		`{"gen":1,"add":[{"s":"a","p":"b","o":"c"}]}` + "\n" + `{"gen":2,"add":[{"s":"a"`,
-	} {
-		f.Add([]byte(body), uint64(0))
+	l := newLog(f)
+	l.write()
+	snap, at0, err := l.eng.Snapshot()
+	if err != nil {
+		f.Fatal(err)
 	}
-	f.Fuzz(func(t *testing.T, body []byte, applied uint64) {
-		last := applied
-		_, err := readFeed(bytes.NewReader(body), applied, func(fr Frame) error {
-			if fr.Gen != last+1 {
-				t.Fatalf("applied generation %d after %d: %s", fr.Gen, last, body)
-			}
-			last = fr.Gen
-			for _, tr := range append(append([]WireTriple{}, fr.Add...), fr.Remove...) {
-				if tr.S == "" || tr.P == "" || tr.O == "" {
-					t.Fatalf("applied a triple with an empty component: %s", body)
+	for i := 0; i < 5; i++ {
+		l.write()
+	}
+	whole := l.read(at0, "").body
+	fs := frames(whole)
+	f.Add(whole)
+	f.Add([]byte{})
+	f.Add(whole[:len(whole)/2])
+	f.Add(whole[:len(whole)-1])
+	f.Add(append(slices.Clone(whole), whole...))
+	f.Add(slices.Concat(fs[1:]...))                         // the first record missing: a gap
+	f.Add(slices.Concat(append([][]byte{fs[0]}, fs...)...)) // the first record twice
+	f.Add(slices.Concat(fs[len(fs)/2:]...))
+	f.Add(bytes.Repeat([]byte{0}, 16))
+	f.Add([]byte(`{"gen":1,"add":[{"s":"a","p":"b","o":"c"}]}` + "\n"))
+	corrupt := slices.Clone(whole)
+	corrupt[len(corrupt)/3] ^= 0x40
+	f.Add(corrupt)
+	f.Add(slices.Concat(fs[0], fs[2], fs[1]))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		m := loadMirror(t, snap)
+		var applied []store.Position
+		mismatched := false // the last write reached the store but not its digest
+		_, err := m.f.Read(body, func(adds, removes []store.Triple, at store.Position) error {
+			for _, tr := range append(slices.Clone(adds), removes...) {
+				if tr.Subject == "" || tr.Predicate == "" || tr.Object == "" {
+					t.Fatalf("a write names an unminted or empty id: %v", tr)
 				}
 			}
+			if err := m.apply(adds, removes, at); err != nil {
+				mismatched = true
+				return err
+			}
+			applied = append(applied, at)
 			return nil
 		})
-		if err != nil {
-			return
+		if err != nil && !errors.Is(err, durable.ErrTorn) && !errors.Is(err, durable.ErrDiverged) {
+			t.Fatalf("read failed with %v, neither torn nor diverged", err)
 		}
-		// An accepted body, re-read with nothing but encoding/json: its last
-		// value is the trailer and no earlier one is.
-		trailers, lastIsTrailer := 0, false
-		for dec := json.NewDecoder(bytes.NewReader(body)); ; {
-			var ln struct {
-				Done bool `json:"done"`
-			}
-			if dec.Decode(&ln) != nil {
-				break
-			}
-			if lastIsTrailer = ln.Done; ln.Done {
-				trailers++
-			}
+		want := at0
+		if len(applied) > 0 {
+			want = applied[len(applied)-1]
 		}
-		if trailers != 1 || !lastIsTrailer {
-			t.Fatalf("accepted a body whose trailer is not its one last line: %s", body)
+		if m.f.Position() != want {
+			t.Fatalf("the follower stands at %v, the last write applied left %v", m.f.Position(), want)
+		}
+		if got := m.st.Position().Digest; !mismatched && got != want.Digest {
+			t.Fatalf("the mirror's digest %v is not its position's %v", got, want.Digest)
+		}
+		if err == nil {
+			n, err := m.read(body)
+			if n != 0 || err != nil {
+				t.Fatalf("reading a clean body again applied %d writes: %v", n, err)
+			}
 		}
 	})
 }

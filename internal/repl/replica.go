@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/reason"
 	"repro/internal/store"
@@ -51,43 +52,48 @@ type Options struct {
 type Status struct {
 	// Primary is the primary's base URL.
 	Primary string `json:"primary"`
-	// PrimaryEpoch is the primary feed epoch this replica's state belongs
-	// to, pinned at snapshot time; a feed response with a different epoch
-	// forces a re-snapshot.
-	PrimaryEpoch string `json:"primary_epoch,omitempty"`
 	// Connected reports that the most recent round succeeded.
 	Connected bool `json:"connected"`
-	// AppliedGeneration is the primary generation this replica has applied
-	// through; PrimaryGeneration is the primary's latest known generation
-	// (the highest feed trailer of this epoch, never below the applied one);
-	// Lag is the difference.
-	AppliedGeneration uint64 `json:"applied_generation"`
-	PrimaryGeneration uint64 `json:"primary_generation"`
-	Lag               uint64 `json:"lag_generations"`
+	// AppliedGeneration and AppliedDigest are the primary position this
+	// replica has applied through; PrimaryGeneration is the primary's latest
+	// known generation (the highest a deltas response announced since the
+	// last snapshot, never below the applied one); Lag is the difference.
+	AppliedGeneration uint64       `json:"applied_generation"`
+	AppliedDigest     store.Digest `json:"applied_digest"`
+	PrimaryGeneration uint64       `json:"primary_generation"`
+	Lag               uint64       `json:"lag_generations"`
 	// Reconnects counts failed rounds (the next round reconnects);
-	// Resnapshots counts full re-snapshot recoveries (boot excluded).
-	Reconnects  int64 `json:"reconnects"`
-	Resnapshots int64 `json:"resnapshots"`
+	// Resnapshots counts full re-snapshot recoveries (boot excluded);
+	// DigestMismatches counts writes after which this replica's digest
+	// differed from the one the primary recorded — each one re-snapshots.
+	Reconnects       int64 `json:"reconnects"`
+	Resnapshots      int64 `json:"resnapshots"`
+	DigestMismatches int64 `json:"digest_mismatches"`
+	// LastMismatch is the most recent digest mismatch, kept after the
+	// re-snapshot that answered it.
+	LastMismatch string `json:"last_mismatch,omitempty"`
 	// LastError is the most recent connection or apply error, cleared by
 	// the next successful round.
 	LastError string `json:"last_error,omitempty"`
 }
 
 // Replica is the client side of the replication tier: it boots from the
-// primary's snapshot (New), then follows the delta feed round by round —
-// one round per Step, or Run's loop of them — applying each frame through
-// the local reasoner's incremental-maintenance path so the replica's
+// primary's snapshot (New), then follows the primary's log round by round —
+// one round per Step, or Run's loop of them — applying each whole write
+// through the local reasoner's incremental-maintenance path so the replica's
 // materialized view — and its query cache invalidation — stay exactly as
-// fresh as the feed. Create with New, hand the base store to server.New,
-// then call Run with the server's reasoner.
+// fresh as the log, and checking its digest against the record's after
+// each. Create with New, hand the base store to server.New, then call Run
+// with the server's reasoner.
 //
 // A replica is stateless across restarts by design: it keeps nothing on
 // disk, so a crashed or SIGKILLed replica process simply boots again from
 // a fresh snapshot — there is no recovery state machine to get wrong, and
 // a replica can never serve a corrupt hybrid of two histories.
 type Replica struct {
-	opts Options
-	base *store.Store
+	opts   Options
+	base   *store.Store
+	follow *durable.Follower // the primary's names and this replica's position in its log
 
 	mu sync.Mutex
 	st Status // as update left it; Status derives the rest
@@ -112,24 +118,24 @@ func New(opts Options) (*Replica, error) {
 	}
 	opts.Primary = strings.TrimRight(opts.Primary, "/")
 	r := &Replica{opts: opts}
-	base, gen, epoch, err := r.fetchSnapshot(context.Background())
+	base, follow, err := r.fetchSnapshot(context.Background())
 	if err != nil {
 		return nil, fmt.Errorf("repl: booting from %s: %w", opts.Primary, err)
 	}
-	r.base = base
-	r.st = Status{Primary: opts.Primary, PrimaryEpoch: epoch, AppliedGeneration: gen}
+	r.base, r.follow = base, follow
+	at := follow.Position()
+	r.st = Status{Primary: opts.Primary, AppliedGeneration: at.Gen, AppliedDigest: at.Digest}
 	return r, nil
 }
 
-// Base returns the store restored from the boot snapshot. Hand it to
-// server.New as Config.Base; after Run starts, all writes to it flow from
-// the feed through the reasoner.
+// Base returns the store loaded from the boot snapshot, at the primary's
+// generation. Hand it to server.New as Config.Base; after Run starts, all
+// writes to it flow from the log through the reasoner.
 func (r *Replica) Base() *store.Store { return r.base }
 
 // Status snapshots the replica's replication state. This is the one place
 // the derived fields are computed: the primary's generation is never
-// reported below the applied one (a frame can be applied before the trailer
-// that announces it is read), and Lag is their difference.
+// reported below the applied one, and Lag is their difference.
 func (r *Replica) Status() Status {
 	r.mu.Lock()
 	st := r.st
@@ -166,12 +172,15 @@ func (r *Replica) RegisterMetrics(reg *obs.Registry) {
 		"Feed connections that failed and were retried with backoff.",
 		func() float64 { return float64(r.Status().Reconnects) })
 	reg.CounterFunc("onto_repl_resnapshots_total",
-		"Full re-snapshot recoveries after falling out of the retained delta window.",
+		"Full re-snapshot recoveries after the replica's position left the primary's live log.",
 		func() float64 { return float64(r.Status().Resnapshots) })
+	reg.CounterFunc("onto_repl_digest_mismatches_total",
+		"Writes after which the replica's digest differed from the primary's record (each re-snapshots).",
+		func() float64 { return float64(r.Status().DigestMismatches) })
 }
 
-// Run follows the primary's delta feed until ctx is done, applying every
-// frame through applier — the reasoner materializing the replica's base
+// Run follows the primary's log until ctx is done, applying every write
+// through applier — the reasoner materializing the replica's base
 // store: it runs rounds back to back, each long-polling the primary for up
 // to maxPollWait, and sleeps a jittered, capped exponential backoff after a
 // failed one. Every failure retries, so Run only returns when ctx is done,
@@ -212,21 +221,20 @@ func sleep(ctx context.Context, backoff time.Duration) time.Duration {
 }
 
 // round is the one body of Run and Step: one /repl/deltas poll held open for
-// up to wait, its frames applied through applier in generation order, and a
-// full re-snapshot when the poll finds the position lost — a 410, a chain
-// break, a rewound trailer, or a primary epoch change (the primary
-// restarted, so its generation chain is a new history). It records its
-// outcome — connected, or the error and one more reconnect — unless ctx
-// ended it.
+// up to wait, its writes applied through applier in log order, and a full
+// re-snapshot when the poll finds the position lost — a 410, or a body that
+// does not continue this replica's state (durable.ErrDiverged), a digest
+// mismatch included. It records its outcome — connected, or the error and
+// one more reconnect — unless ctx ended it.
 func (r *Replica) round(ctx context.Context, applier *reason.Reasoner, wait time.Duration) error {
 	if applier.Base() != r.base {
-		// Fail fast: applying the feed through a reasoner over a different
+		// Fail fast: applying the log through a reasoner over a different
 		// store would fork the replica from the snapshot it booted from.
 		panic("repl: the applier does not materialize the replica's base store")
 	}
 	err := r.poll(ctx, applier, wait)
-	if errors.Is(err, errWindowPassed) {
-		r.logf("feed position lost (%v); re-snapshotting from %s", err, r.opts.Primary)
+	if errors.Is(err, errGone) || errors.Is(err, durable.ErrDiverged) {
+		r.logf("position lost (%v); re-snapshotting from %s", err, r.opts.Primary)
 		err = r.resnapshot(ctx, applier)
 	}
 	switch {
@@ -246,125 +254,132 @@ func (r *Replica) round(ctx context.Context, applier *reason.Reasoner, wait time
 	return err
 }
 
-// poll requests the frames above the applied generation, applies them in
-// order, and records the trailer's view of the primary. A nil return means
-// the poll succeeded (even with zero frames); errWindowPassed demands a
-// re-snapshot; anything else is a transport or protocol error.
+// errGone is a poll's 410: the position is not on the primary's live log.
+var errGone = errors.New("repl: position not on the primary's live log")
+
+// poll requests the records after the applied position, applies their
+// writes in order, and records the primary's latest generation. A nil
+// return means the poll succeeded (even with nothing new); errGone and
+// durable.ErrDiverged demand a re-snapshot; anything else is a transport
+// or protocol error the next round retries.
 func (r *Replica) poll(ctx context.Context, applier *reason.Reasoner, wait time.Duration) error {
-	at := r.Status() // the position this poll resumes from
-	u := fmt.Sprintf("%s%s?from=%d&wait=%s&max=%d",
-		r.opts.Primary, DeltasPath, at.AppliedGeneration, wait, maxFrames)
+	at := r.follow.Position()
+	u := fmt.Sprintf("%s%s?from=%d&digest=%s&wait=%s&max=%d",
+		r.opts.Primary, DeltasPath, at.Gen, at.Digest, wait, maxWrites)
 	// The request deadline dominates the long-poll wait so a healthy
 	// primary can hold the poll open, while a wedged connection still
 	// times out instead of stalling replication forever.
 	reqCtx, cancel := context.WithTimeout(ctx, wait+30*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(reqCtx, http.MethodGet, u, nil)
+	resp, err := r.get(reqCtx, u)
 	if err != nil {
 		return err
 	}
-	resp, err := r.opts.Client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-	}()
+	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusGone:
-		return errWindowPassed
+		return errGone
 	default:
 		return fmt.Errorf("repl: %s: unexpected status %s", DeltasPath, resp.Status)
 	}
-	// The epoch gate comes before a single frame is decoded: a restarted
-	// primary restarts its generation counter, so its frames describe a
-	// different history whose generation numbers can collide with the one
-	// this replica booted from. Only a snapshot re-anchors the replica.
-	if got := resp.Header.Get(EpochHeader); got != at.PrimaryEpoch {
-		return fmt.Errorf("repl: primary epoch changed from %q to %q (primary restarted?): %w",
-			at.PrimaryEpoch, got, errWindowPassed)
+	body, err := readBody(resp)
+	latest, herr := strconv.ParseUint(resp.Header.Get(GenerationHeader), 10, 64)
+	if err == nil && herr != nil {
+		err = fmt.Errorf("repl: %s response lacks a valid %s header: %w", DeltasPath, GenerationHeader, herr)
 	}
-	trailer, err := readFeed(resp.Body, at.AppliedGeneration, func(fr Frame) error { return r.apply(applier, fr) })
+	// A cut body still carries whole writes: apply them, then report the cut.
+	if _, aerr := r.follow.Read(body, func(adds, removes []store.Triple, at store.Position) error {
+		return r.apply(applier, adds, removes, at)
+	}); aerr != nil {
+		return aerr
+	}
 	if err != nil {
 		return err
 	}
-	r.update(func(st *Status) { st.PrimaryGeneration = max(st.PrimaryGeneration, trailer.Gen) })
+	r.update(func(st *Status) { st.PrimaryGeneration = max(st.PrimaryGeneration, latest) })
 	return nil
 }
 
-// apply replays one frame as one write of the local reasoner — the same
+// readBody reads a whole response body and refuses one shorter than its
+// Content-Length: a connection that died mid-response. What arrived is
+// returned either way.
+func readBody(resp *http.Response) ([]byte, error) {
+	body, err := io.ReadAll(resp.Body)
+	if err == nil && resp.ContentLength >= 0 && int64(len(body)) != resp.ContentLength {
+		err = fmt.Errorf("repl: %w: %d of %d bytes arrived", durable.ErrTorn, len(body), resp.ContentLength)
+	}
+	return body, err
+}
+
+// apply replays one write as one write of the local reasoner — the same
 // Apply, adds then removes, the primary's own write was, which is what makes
-// the replica's materialization converge to the primary's — and records the
-// generation as applied.
-func (r *Replica) apply(applier *reason.Reasoner, fr Frame) error {
-	if _, _, err := applier.Apply(wireTriples(fr.Add), wireTriples(fr.Remove), nil); err != nil {
-		return fmt.Errorf("repl: applying frame %d: %w", fr.Gen, err)
+// the replica's materialization converge to the primary's — and holds the
+// base's digest to the one the primary recorded: a mismatch is counted and
+// answered with a re-snapshot.
+func (r *Replica) apply(applier *reason.Reasoner, adds, removes []store.Triple, at store.Position) error {
+	if _, _, err := applier.Apply(adds, removes, nil); err != nil {
+		return fmt.Errorf("repl: applying the write at generation %d: %w", at.Gen, err)
 	}
-	r.update(func(st *Status) { st.AppliedGeneration = fr.Gen })
+	if got := r.base.Position().Digest; got != at.Digest {
+		err := fmt.Errorf("repl: after the write at generation %d the replica's digest is %v, the primary's %v: %w",
+			at.Gen, got, at.Digest, durable.ErrDiverged)
+		r.update(func(st *Status) {
+			st.DigestMismatches++
+			st.LastMismatch = err.Error()
+		})
+		return err
+	}
+	r.update(func(st *Status) { st.AppliedGeneration, st.AppliedDigest = at.Gen, at.Digest })
 	return nil
 }
 
-// wireTriples converts one side of a frame to store triples.
-func wireTriples(ts []WireTriple) []store.Triple {
-	out := make([]store.Triple, len(ts))
-	for i, t := range ts {
-		out[i] = t.Triple()
+// get issues one GET on the primary.
+func (r *Replica) get(ctx context.Context, u string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	if err != nil {
+		return nil, err
 	}
-	return out
+	return r.opts.Client.Do(req)
 }
 
-// fetchSnapshot retrieves the primary's base snapshot into a fresh store
-// and returns it with the generation and feed epoch it is consistent with.
-// The restore is staged through the fresh store in full before anything is
-// returned, so a truncated or malformed snapshot can never leak a partial
-// corpus.
-func (r *Replica) fetchSnapshot(ctx context.Context) (*store.Store, uint64, string, error) {
+// fetchSnapshot retrieves the primary's snapshot into a fresh store, with
+// durable's segment checks and bulk load, and returns it with the follower
+// positioned at the snapshot's stamp. The load is staged through the fresh
+// store in full before anything is returned, so a truncated or malformed
+// snapshot can never leak a partial corpus.
+func (r *Replica) fetchSnapshot(ctx context.Context) (*store.Store, *durable.Follower, error) {
 	reqCtx, cancel := context.WithTimeout(ctx, snapshotTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(reqCtx, http.MethodGet, r.opts.Primary+SnapshotPath, nil)
+	resp, err := r.get(reqCtx, r.opts.Primary+SnapshotPath)
 	if err != nil {
-		return nil, 0, "", err
-	}
-	resp, err := r.opts.Client.Do(req)
-	if err != nil {
-		return nil, 0, "", err
+		return nil, nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, 0, "", fmt.Errorf("repl: %s: unexpected status %s (is the primary serving a replication feed?)", SnapshotPath, resp.Status)
+		return nil, nil, fmt.Errorf("repl: %s: unexpected status %s (is the primary serving a replication feed?)", SnapshotPath, resp.Status)
 	}
-	gen, err := strconv.ParseUint(resp.Header.Get(GenerationHeader), 10, 64)
+	body, err := readBody(resp)
 	if err != nil {
-		return nil, 0, "", fmt.Errorf("repl: snapshot response lacks a valid %s header: %w", GenerationHeader, err)
-	}
-	epoch := resp.Header.Get(EpochHeader)
-	if epoch == "" {
-		return nil, 0, "", fmt.Errorf("repl: snapshot response lacks an %s header (is the primary serving a replication feed?)", EpochHeader)
+		return nil, nil, err
 	}
 	scratch := store.New()
-	n, err := store.Restore(scratch, resp.Body)
+	follow, err := durable.LoadSnapshot(scratch, body)
 	if err != nil {
-		return nil, 0, "", fmt.Errorf("repl: restoring snapshot: %w", err)
+		return nil, nil, fmt.Errorf("repl: loading snapshot: %w", err)
 	}
-	if want := resp.Header.Get(TriplesHeader); want != "" {
-		if wn, werr := strconv.Atoi(want); werr == nil && wn != n {
-			return nil, 0, "", fmt.Errorf("repl: snapshot advertised %d triples but restored %d (truncated response?)", wn, n)
-		}
-	}
-	return scratch, gen, epoch, nil
+	return scratch, follow, nil
 }
 
-// resnapshot re-establishes equivalence with the primary after the feed
-// position was lost: fetch a fresh snapshot, diff it against the replica's
-// current asserted store, and apply the difference through the reasoner as
-// one write, so the materialized view is maintained incrementally and the
+// resnapshot re-establishes equivalence with the primary after the position
+// was lost: fetch a fresh snapshot, diff it against the replica's current
+// asserted store, and apply the difference through the reasoner as one
+// write, so the materialized view is maintained incrementally and the
 // replica keeps serving (slightly stale, then converged) queries throughout.
 // The diff is set-based, so it lands on the snapshot's exact state no matter
-// what suffix of history the replica missed.
+// what suffix of history the replica missed — and the digest proves it.
 func (r *Replica) resnapshot(ctx context.Context, applier *reason.Reasoner) error {
-	target, gen, epoch, err := r.fetchSnapshot(ctx)
+	target, follow, err := r.fetchSnapshot(ctx)
 	if err != nil {
 		return err
 	}
@@ -373,16 +388,20 @@ func (r *Replica) resnapshot(ctx context.Context, applier *reason.Reasoner) erro
 	if _, _, err := applier.Apply(adds, removes, nil); err != nil {
 		return fmt.Errorf("repl: applying re-snapshot diff: %w", err)
 	}
+	at := follow.Position()
+	if got := current.Position().Digest; got != at.Digest {
+		return fmt.Errorf("repl: after the re-snapshot the replica's digest is %v, the snapshot's %v", got, at.Digest)
+	}
+	r.follow = follow
 	r.update(func(st *Status) {
-		st.PrimaryEpoch = epoch
-		st.AppliedGeneration = gen
+		st.AppliedGeneration, st.AppliedDigest = at.Gen, at.Digest
 		// The snapshot is the freshest primary state this replica has seen; a
-		// higher generation recorded earlier may belong to a dead epoch, so
-		// the primary-generation reference resets with the position.
-		st.PrimaryGeneration = gen
+		// higher generation recorded earlier may belong to another history,
+		// so the primary-generation reference resets with the position.
+		st.PrimaryGeneration = at.Gen
 		st.Resnapshots++
 	})
-	r.logf("re-snapshot complete: epoch %s, generation %d, %d added, %d removed", epoch, gen, len(adds), len(removes))
+	r.logf("re-snapshot complete: generation %d, digest %v, %d added, %d removed", at.Gen, at.Digest, len(adds), len(removes))
 	return nil
 }
 

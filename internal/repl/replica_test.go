@@ -45,17 +45,16 @@ func TestNewValidatesPrimaryURL(t *testing.T) {
 // dashboards and the bench harness read them by name.
 func TestMetricSeries(t *testing.T) {
 	reg := obs.NewRegistry()
-	NewFeed().RegisterMetrics(reg)
+	newLog(t).srv.RegisterMetrics(reg)
 	(&Replica{}).RegisterMetrics(reg)
 	var out strings.Builder
 	if _, err := reg.WriteTo(&out); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
-		"onto_repl_feed_latest_generation", "onto_repl_feed_frames",
-		"onto_repl_feed_appends_total", "onto_repl_feed_dropped_total",
+		"onto_repl_feed_latest_generation",
 		"onto_repl_applied_generation", "onto_repl_lag_generations", "onto_repl_connected",
-		"onto_repl_reconnects_total", "onto_repl_resnapshots_total",
+		"onto_repl_reconnects_total", "onto_repl_resnapshots_total", "onto_repl_digest_mismatches_total",
 	} {
 		if !strings.Contains(out.String(), "\n"+name+" ") {
 			t.Errorf("series %s is not exposed:\n%s", name, &out)

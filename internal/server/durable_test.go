@@ -120,10 +120,9 @@ func TestDurableServerLifecycle(t *testing.T) {
 // standing in for a log whose disk stopped taking fsyncs.
 type deadJournal struct{ err error }
 
-func (*deadJournal) JournalDict(store.SymbolID, []string) {}
-func (j *deadJournal) JournalMutation(adds, removes []store.IDTriple) error {
-	return j.err
-}
+func (*deadJournal) JournalDict(store.SymbolID, []string)                              {}
+func (*deadJournal) JournalMutation(adds, removes []store.IDTriple, at store.Position) {}
+func (j *deadJournal) JournalWait() error                                              { return j.err }
 
 // TestRemoveDurabilityFailureIs500 pins the removal half of the /triples
 // durability contract: a request that retracts — alone or beside adds — and

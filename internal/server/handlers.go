@@ -153,8 +153,10 @@ type EngineStats struct {
 	reason.Stats
 	// Generation counts content-changing writes: it advances once per delta
 	// notification, so caches and replicas can detect staleness with one
-	// comparison.
-	Generation uint64 `json:"generation"`
+	// comparison. Digest is the asserted store's digest read with it: the
+	// pair is the store.Position that names this state.
+	Generation uint64       `json:"generation"`
+	Digest     store.Digest `json:"digest"`
 	// MaterializeSeconds is the wall time of the initial materialization —
 	// the boot fixpoint.
 	MaterializeSeconds float64 `json:"materialize_seconds"`
@@ -180,9 +182,9 @@ type StatsResponse struct {
 	// Durability is the durable engine's state (durable.Stats is its wire
 	// form); absent on servers running purely in memory.
 	Durability *durable.Stats `json:"durability,omitempty"`
-	// Replication is the node's replication role and state: the delta feed's
-	// retention window on a primary, the catch-up status (applied
-	// generation, lag, reconnects) on a replica.
+	// Replication is the node's replication role and state: the log's
+	// replication window on a durable primary, the catch-up status (applied
+	// position, lag, reconnects) on a replica.
 	Replication *ReplicationStats `json:"replication,omitempty"`
 	// Queries and Mutations count requests served since start.
 	Queries   int64 `json:"queries"`
@@ -329,13 +331,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		st := s.cfg.Durable.Stats()
 		dur = &st
 	}
+	at := s.reasoner.Base().Position()
 	writeJSON(w, StatsResponse{
 		Asserted: asserted,
 		Inferred: inferred,
 		Total:    asserted + inferred,
 		Engine: EngineStats{
 			Stats:              s.reasoner.Stats(),
-			Generation:         s.reasoner.Generation(),
+			Generation:         at.Gen,
+			Digest:             at.Digest,
 			MaterializeSeconds: s.reasoner.MaterializeStats().Duration.Seconds(),
 		},
 		Cache:         s.cache.stats(),

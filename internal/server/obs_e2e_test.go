@@ -382,9 +382,9 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 	w1 := scrape(t, url+"/metrics")
 	const changing = 3
-	if got := w1["onto_reason_generation"]; got != 1+changing || w1["onto_repl_feed_appends_total"] != got {
-		t.Errorf("after 1+%d content-changing requests: generation %g, feed appends %g; want both %d",
-			changing, got, w1["onto_repl_feed_appends_total"], 1+changing)
+	if got := w1["onto_reason_generation"]; got != 1+changing || w1["onto_repl_feed_latest_generation"] != got {
+		t.Errorf("after 1+%d content-changing requests: generation %g, the feed's latest %g; want both %d",
+			changing, got, w1["onto_repl_feed_latest_generation"], 1+changing)
 	}
 	for _, name := range []string{"onto_wal_fsyncs_total", "onto_wal_fsync_seconds_count"} {
 		if got := w1[name] - w0[name]; got != changing {

@@ -22,12 +22,13 @@ type ReplicaSource interface {
 
 // ReplicationStats is the replication block of StatsResponse and (on a
 // replica) HealthResponse: the node's role plus the role-specific state —
-// the retention feed's window on a primary, the catch-up status (applied
-// generation, lag, reconnects) on a replica.
+// the log's replication window on a durable primary, the catch-up status
+// (applied position, lag, reconnects) on a replica.
 type ReplicationStats struct {
 	// Role is "primary" or "replica".
 	Role string `json:"role"`
-	// Feed is the primary's delta-retention window; nil on a replica.
+	// Feed is the window of the primary's log a replica can resume from;
+	// nil on a replica and on a memory-only primary.
 	Feed *repl.FeedStats `json:"feed,omitempty"`
 	// Replica is the replica's catch-up status; nil on a primary.
 	Replica *repl.Status `json:"replica,omitempty"`
@@ -40,8 +41,8 @@ func (s *Server) replicationStats() *ReplicationStats {
 		return &ReplicationStats{Role: "replica", Replica: &st}
 	}
 	rs := &ReplicationStats{Role: "primary"}
-	if s.feed != nil {
-		fs := s.feed.Stats()
+	if s.log != nil {
+		fs := s.log.Stats()
 		rs.Feed = &fs
 	}
 	return rs
@@ -55,8 +56,8 @@ func (s *Server) registerReplMetrics(reg *obs.Registry) {
 	case s.cfg.Replica != nil:
 		role = "replica"
 		s.cfg.Replica.RegisterMetrics(reg)
-	case s.feed != nil:
-		s.feed.RegisterMetrics(reg)
+	case s.log != nil:
+		s.log.RegisterMetrics(reg)
 	}
 	reg.GaugeFunc("onto_repl_role",
 		"Replication role of this node (always 1; the role is the label).",

@@ -1,8 +1,8 @@
 package server
 
-// Tests for the server side of the replication tier: the primary's feed
-// endpoints, the replica's read-only mode (403s naming the primary), and
-// the replication blocks of /stats and /healthz.
+// Tests for the server side of the replication tier: the durable primary's
+// feed endpoints, the replica's read-only mode (403s naming the primary),
+// and the replication blocks of /stats and /healthz.
 
 import (
 	"bytes"
@@ -13,10 +13,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/repl"
 	"repro/internal/store"
@@ -41,6 +43,26 @@ func replTestBase(t *testing.T) *store.Store {
 		t.Fatal(err)
 	}
 	return base
+}
+
+// replPrimary is a durable primary over replTestBase's triples in a fresh
+// data directory, and its engine.
+func replPrimary(t *testing.T) (*Server, *durable.Engine) {
+	t.Helper()
+	base := store.New()
+	eng, err := durable.Open(base, durable.Options{Dir: t.TempDir(), Fsync: durable.FsyncOff, CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	if _, err := base.AddBatch(replTestBase(t).Triples()); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Base: base, Durable: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, eng
 }
 
 // do runs one request through the full handler chain.
@@ -129,32 +151,26 @@ func TestReplicaHealthAndStatsReportLag(t *testing.T) {
 }
 
 func TestPrimaryReplSnapshot(t *testing.T) {
-	s, err := New(Config{Base: replTestBase(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := replPrimary(t)
 	rec := do(t, s, http.MethodGet, "/repl/snapshot", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /repl/snapshot: %d %s", rec.Code, rec.Body)
 	}
+	at := s.Reasoner().Base().Position()
 	if got := rec.Header().Get(repl.GenerationHeader); got != "0" {
 		t.Fatalf("%s = %q, want 0 before any mutation", repl.GenerationHeader, got)
 	}
-	if got := rec.Header().Get(repl.TriplesHeader); got != "2" {
-		t.Fatalf("%s = %q, want 2", repl.TriplesHeader, got)
+	if got := rec.Header().Get(repl.DigestHeader); got != at.Digest.String() {
+		t.Fatalf("%s = %q, want the base's digest %v", repl.DigestHeader, got, at.Digest)
 	}
-	epoch := rec.Header().Get(repl.EpochHeader)
-	if epoch == "" {
-		t.Fatalf("snapshot response lacks the %s header", repl.EpochHeader)
-	}
-	// The body is a restorable store snapshot of the asserted base only.
+	// The body loads with the data directory's own checks into the asserted
+	// base only.
 	scratch := store.New()
-	n, err := store.Restore(scratch, rec.Body)
-	if err != nil || n != 2 {
-		t.Fatalf("restoring the snapshot: n=%d err=%v", n, err)
+	if _, err := durable.LoadSnapshot(scratch, rec.Body.Bytes()); err != nil || scratch.Len() != 2 {
+		t.Fatalf("loading the snapshot: %d triples, %v", scratch.Len(), err)
 	}
 
-	// The generation header moves with the engine.
+	// The stamp moves with the engine.
 	if _, err := s.Reasoner().AddBatch([]store.Triple{{Subject: "item-1", Predicate: store.TypePredicate, Object: "c0"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -162,63 +178,66 @@ func TestPrimaryReplSnapshot(t *testing.T) {
 	if got := rec.Header().Get(repl.GenerationHeader); got != "1" {
 		t.Fatalf("%s after one mutation = %q, want 1", repl.GenerationHeader, got)
 	}
-	// The epoch is stable across requests within one primary process.
-	if got := rec.Header().Get(repl.EpochHeader); got != epoch {
-		t.Fatalf("%s changed between requests: %q then %q", repl.EpochHeader, epoch, got)
-	}
-}
 
-func TestPrimaryReplDeltas(t *testing.T) {
-	s, err := New(Config{Base: replTestBase(t)})
+	// A primary without a data directory has no log to serve.
+	mem, err := New(Config{Base: replTestBase(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// An up-to-date poll with no wait returns just the trailer.
-	rec := do(t, s, http.MethodGet, "/repl/deltas?from=0", nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("empty poll: %d %s", rec.Code, rec.Body)
+	for _, target := range []string{"/repl/snapshot", "/repl/deltas?from=0&digest=" + at.Digest.String()} {
+		if rec := do(t, mem, http.MethodGet, target, nil); rec.Code != http.StatusNotFound {
+			t.Fatalf("GET %s on a memory-only primary: %d, want 404", target, rec.Code)
+		}
 	}
-	if got := rec.Header().Get(repl.EpochHeader); got == "" {
-		t.Fatalf("deltas response lacks the %s header", repl.EpochHeader)
-	}
-	var tr repl.Trailer
-	if err := json.Unmarshal(rec.Body.Bytes(), &tr); err != nil || !tr.Done || tr.Gen != 0 {
-		t.Fatalf("empty poll line %q: trailer=%+v err=%v", rec.Body, tr, err)
+}
+
+// deltas is the /repl/deltas target reading from at.
+func deltas(at store.Position, query string) string {
+	return "/repl/deltas?from=" + strconv.FormatUint(at.Gen, 10) + "&digest=" + at.Digest.String() + query
+}
+
+func TestPrimaryReplDeltas(t *testing.T) {
+	s, eng := replPrimary(t)
+	snap := do(t, s, http.MethodGet, "/repl/snapshot", nil).Body.Bytes()
+	at := s.Reasoner().Base().Position()
+	// An up-to-date poll with no wait returns nothing, and the position.
+	rec := do(t, s, http.MethodGet, deltas(at, ""), nil)
+	if rec.Code != http.StatusOK || rec.Body.Len() != 0 || rec.Header().Get(repl.GenerationHeader) != "0" {
+		t.Fatalf("empty poll: %d, %d bytes, generation %q", rec.Code, rec.Body.Len(), rec.Header().Get(repl.GenerationHeader))
 	}
 
 	if _, err := s.Reasoner().AddBatch([]store.Triple{{Subject: "item-9", Predicate: store.TypePredicate, Object: "c0"}}); err != nil {
 		t.Fatal(err)
 	}
-	rec = do(t, s, http.MethodGet, "/repl/deltas?from=0", nil)
-	lines := bytes.Split(bytes.TrimSpace(rec.Body.Bytes()), []byte("\n"))
-	if len(lines) != 2 {
-		t.Fatalf("poll after one mutation returned %d lines: %s", len(lines), rec.Body)
+	rec = do(t, s, http.MethodGet, deltas(at, ""), nil)
+	if rec.Code != http.StatusOK || rec.Header().Get(repl.GenerationHeader) != "1" {
+		t.Fatalf("poll after one mutation: %d, generation %q", rec.Code, rec.Header().Get(repl.GenerationHeader))
 	}
-	var fr repl.Frame
-	if err := json.Unmarshal(lines[0], &fr); err != nil {
-		t.Fatalf("first line is not a frame: %v", err)
+	follower, err := durable.LoadSnapshot(store.New(), snap)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fr.Gen != 1 || len(fr.Add) != 1 || fr.Add[0].S != "item-9" {
-		t.Fatalf("frame = %+v", fr)
+	var got []store.Triple
+	if n, err := follower.Read(rec.Body.Bytes(), func(adds, removes []store.Triple, _ store.Position) error {
+		got = append(append(got, adds...), removes...)
+		return nil
+	}); n != 1 || err != nil || len(got) != 1 || got[0].Subject != "item-9" {
+		t.Fatalf("the body reads as %d writes %v: %v", n, got, err)
 	}
-	if err := json.Unmarshal(lines[1], &tr); err != nil || !tr.Done || tr.Gen != 1 {
-		t.Fatalf("trailer = %+v err=%v", tr, err)
+	if follower.Position() != s.Reasoner().Base().Position() {
+		t.Fatalf("the follower stands at %v, the primary at %v", follower.Position(), s.Reasoner().Base().Position())
 	}
 
-	// Outrun the retained window: from=0 is now gone.
-	for i := 0; i < s.feed.Stats().Retain; i++ {
-		if !s.Reasoner().Remove(store.Triple{Subject: "item-9", Predicate: store.TypePredicate, Object: "c0"}) {
-			if _, err := s.Reasoner().AddBatch([]store.Triple{{Subject: "item-9", Predicate: store.TypePredicate, Object: "c0"}}); err != nil {
-				t.Fatal(err)
-			}
-		}
+	// A checkpoint folds the write into the chain: the old position is gone.
+	if err := eng.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
-	if rec := do(t, s, http.MethodGet, "/repl/deltas?from=0", nil); rec.Code != http.StatusGone {
-		t.Fatalf("poll behind the window: got %d, want 410 (%s)", rec.Code, rec.Body)
+	if rec := do(t, s, http.MethodGet, deltas(at, ""), nil); rec.Code != http.StatusGone {
+		t.Fatalf("poll behind the live log: got %d, want 410 (%s)", rec.Code, rec.Body)
 	}
 
 	// Bad parameters are 400s.
-	for _, target := range []string{"/repl/deltas", "/repl/deltas?from=x", "/repl/deltas?from=0&wait=x", "/repl/deltas?from=0&max=0"} {
+	for _, target := range []string{"/repl/deltas", "/repl/deltas?from=x", deltas(at, "&wait=x"), deltas(at, "&max=0"), "/repl/deltas?from=0&digest=zz"} {
 		if rec := do(t, s, http.MethodGet, target, nil); rec.Code != http.StatusBadRequest {
 			t.Fatalf("GET %s: got %d, want 400", target, rec.Code)
 		}
@@ -228,13 +247,11 @@ func TestPrimaryReplDeltas(t *testing.T) {
 // TestServeEndsParkedPollOnShutdown: a replica's long poll parked on an idle
 // primary must not hold the shutdown for the poll's wait — it would outlast
 // shutdownGrace, Serve would fail, and the caller would never reach its
-// clean-exit path. The poll is answered (200, zero frames, the trailer) the
-// moment the shutdown begins, and Serve returns nil within a second.
+// clean-exit path. The poll is answered (200, nothing new) the moment the
+// shutdown begins, and Serve returns nil within a second.
 func TestServeEndsParkedPollOnShutdown(t *testing.T) {
-	s, err := New(Config{Base: replTestBase(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := replPrimary(t)
+	at := s.Reasoner().Base().Position()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +270,7 @@ func TestServeEndsParkedPollOnShutdown(t *testing.T) {
 	go func() {
 		trace := &httptrace.ClientTrace{WroteRequest: func(httptrace.WroteRequestInfo) { close(sent) }}
 		req, _ := http.NewRequestWithContext(httptrace.WithClientTrace(context.Background(), trace),
-			http.MethodGet, "http://"+ln.Addr().String()+"/repl/deltas?from=0&wait=25s", nil)
+			http.MethodGet, "http://"+ln.Addr().String()+deltas(at, "&wait=25s"), nil)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			polled <- pollResult{err: err}
@@ -279,8 +296,7 @@ func TestServeEndsParkedPollOnShutdown(t *testing.T) {
 		t.Fatal("Serve still waiting a second after cancel: the parked long poll is holding the shutdown")
 	}
 	res := <-polled
-	var tr repl.Trailer
-	if res.err != nil || res.code != http.StatusOK || json.Unmarshal(res.body, &tr) != nil || !tr.Done {
-		t.Fatalf("parked poll at shutdown: code=%d body=%q err=%v, want 200 and the trailer alone", res.code, res.body, res.err)
+	if res.err != nil || res.code != http.StatusOK || len(res.body) != 0 {
+		t.Fatalf("parked poll at shutdown: code=%d body=%q err=%v, want 200 and nothing", res.code, res.body, res.err)
 	}
 }

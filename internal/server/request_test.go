@@ -23,10 +23,10 @@ import (
 // other method with 405, an Allow header naming the one it takes, and a JSON
 // ErrorResponse.
 func TestWrongMethodIs405(t *testing.T) {
-	s := newTestServer(t, Config{})
+	s, _ := replPrimary(t)
 	rts := s.routes
 	if len(rts) != 9 {
-		t.Fatalf("an in-memory primary mounts %d routes, want all 9", len(rts))
+		t.Fatalf("a durable primary mounts %d routes, want all 9", len(rts))
 	}
 	for _, rt := range rts {
 		for _, method := range []string{http.MethodGet, http.MethodPost, http.MethodPut, http.MethodDelete} {

@@ -14,8 +14,10 @@
 //	GET  /snapshot   — stream the materialized view as JSON lines
 //	POST /checkpoint — compact the write-ahead log into a segment (durable servers)
 //
-// A primary additionally serves the replication feed (GET /repl/snapshot,
-// GET /repl/deltas — see repro/internal/repl); a server configured as a
+// A primary with a data directory (Config.Durable) additionally serves its
+// log as the replication feed (GET /repl/snapshot, GET /repl/deltas — see
+// repro/internal/repl); a memory-only primary answers 404 there. A server
+// configured as a
 // read replica (Config.Replica) rejects POST /triples and POST /checkpoint
 // with 403 naming the primary, and reports its catch-up lag under /stats,
 // /healthz and /metrics.
@@ -141,9 +143,9 @@ type Server struct {
 	cfg      Config
 	reasoner *reason.Reasoner
 	cache    *resultCache
-	feed     *repl.Feed   // primary-side delta retention; nil on replicas
-	routes   []route      // buildRoutes
-	root     http.Handler // the route mux
+	log      *repl.LogServer // the /repl endpoints over the durable log; nil on replicas and memory-only primaries
+	routes   []route         // buildRoutes
+	root     http.Handler    // the route mux
 	start    time.Time
 
 	queries   atomic.Int64
@@ -159,7 +161,7 @@ type Server struct {
 
 // New materializes the base corpus to a fixpoint under the rule set and
 // returns a Server ready to accept requests. The reasoner's event hook is
-// claimed for cache invalidation and the replication feed — callers must
+// claimed for cache invalidation — callers must
 // not call SetOnEvent on the returned server's Reasoner — and every later
 // write must flow through POST /triples or the Reasoner's own methods,
 // never the base store directly.
@@ -189,18 +191,13 @@ func New(cfg Config) (*Server, error) {
 		slow:     newSlowQueryLog(cfg.SlowQueryThreshold, cfg.SlowQueryLog),
 	}
 	s.ridPrefix = strconv.FormatInt(s.start.UnixNano(), 16)
-	if cfg.Replica == nil {
-		s.feed = repl.NewFeed()
+	if cfg.Replica == nil && cfg.Durable != nil {
+		s.log = repl.NewLogServer(cfg.Durable)
 	}
 	// One event per content-changing write, inside its critical section: drop
-	// the cached results it stales, then (on a primary) publish its frame.
+	// the cached results it stales.
 	res := r.View().NewResolver()
-	r.SetOnEvent(func(d reason.Delta) {
-		s.cache.invalidate(res, d.Added, d.Removed)
-		if s.feed != nil {
-			s.feed.Publish(res, d)
-		}
-	})
+	r.SetOnEvent(func(d reason.Delta) { s.cache.invalidate(res, d.Added, d.Removed) })
 	s.registerMetrics(reg)
 	s.routes = s.buildRoutes()
 	mux := http.NewServeMux()
@@ -242,10 +239,10 @@ func (s *Server) buildRoutes() []route {
 		{"/checkpoint", http.MethodPost, true, s.handleCheckpoint, nil},
 		{"/metrics", http.MethodGet, false, s.reg.Handler().ServeHTTP, nil},
 	}
-	if s.feed != nil {
+	if s.log != nil {
 		rs = append(rs,
-			route{repl.SnapshotPath, http.MethodGet, false, s.feed.ServeSnapshot(s.reasoner.SnapshotBase), nil},
-			route{repl.DeltasPath, http.MethodGet, false, s.feed.ServeDeltas, nil})
+			route{repl.SnapshotPath, http.MethodGet, false, s.log.ServeSnapshot, nil},
+			route{repl.DeltasPath, http.MethodGet, false, s.log.ServeDeltas, nil})
 	}
 	return rs
 }
@@ -324,7 +321,7 @@ func (s *Server) prologue(rt route) http.Handler {
 // Reasoner exposes the engine the server fronts, for in-process callers
 // (tests, examples, a replica's feed loop) that want to inspect or mutate
 // the corpus without going through HTTP. Do not call SetOnEvent on it —
-// the server's cache invalidation and replication feed own that hook.
+// the server's cache invalidation owns that hook.
 func (s *Server) Reasoner() *reason.Reasoner { return s.reasoner }
 
 // Handler returns the http.Handler serving every endpoint (each behind its
@@ -343,16 +340,16 @@ func (s *Server) Metrics() *obs.Registry { return s.reg }
 // interrupt queries the grace period exists to let finish (a request's own
 // context still cancels on client disconnect, as net/http always does). The
 // one request that would never finish inside the grace period, a replica's
-// parked /repl/deltas long poll, is ended when the shutdown begins: the feed
-// is closed for good, so a Server is served once. It returns nil on a clean
+// parked /repl/deltas long poll, is ended when the shutdown begins: the log
+// server is closed for good, so a Server is served once. It returns nil on a clean
 // ctx-triggered shutdown and the listener's error otherwise.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	hs := &http.Server{
 		Handler:           s.root,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-	if s.feed != nil {
-		hs.RegisterOnShutdown(s.feed.Close)
+	if s.log != nil {
+		hs.RegisterOnShutdown(s.log.Close)
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()

@@ -56,20 +56,20 @@ func keyPaths(t *testing.T, body []byte) []string {
 func TestStatusBodiesGolden(t *testing.T) {
 	const (
 		head = "asserted inferred total " +
-			"engine engine.rounds engine.derived engine.overdeleted engine.rederived engine.generation engine.materialize_seconds " +
+			"engine engine.rounds engine.derived engine.overdeleted engine.rederived engine.generation engine.digest engine.materialize_seconds " +
 			"cache cache.entries cache.bytes cache.hits cache.misses cache.invalidations "
 		dur = "durability durability.seq durability.durable_seq durability.last_fsync_ago_ms durability.fsyncs " +
 			"durability.wal_bytes durability.segments durability.segment_seq " +
 			"durability.segment_tiers durability.segment_tiers[].start durability.segment_tiers[].end " +
 			"durability.segment_tiers[].triples durability.segment_tiers[].tombstones durability.segment_tiers[].bytes " +
 			"durability.checkpoints durability.merges durability.last_merge_ms durability.write_amplification durability.recovery_seconds"
-		feed = "replication replication.role replication.feed replication.feed.epoch replication.feed.latest_generation " +
-			"replication.feed.oldest_generation replication.feed.frames replication.feed.triples replication.feed.retain " +
-			"replication.feed.appends replication.feed.dropped "
+		feed = "replication replication.role replication.feed replication.feed.latest_generation " +
+			"replication.feed.oldest_generation "
+		primary = "replication replication.role "
 		replica = "replication replication.role replication.replica replication.replica.primary " +
-			"replication.replica.primary_epoch replication.replica.connected replication.replica.applied_generation " +
+			"replication.replica.connected replication.replica.applied_generation replication.replica.applied_digest " +
 			"replication.replica.primary_generation replication.replica.lag_generations " +
-			"replication.replica.reconnects replication.replica.resnapshots"
+			"replication.replica.reconnects replication.replica.resnapshots replication.replica.digest_mismatches"
 		tail = "queries mutations uptime_ms uptime_seconds"
 	)
 
@@ -100,12 +100,12 @@ func TestStatusBodiesGolden(t *testing.T) {
 			name:       "in-memory primary",
 			cfg:        Config{},
 			checkpoint: "error",
-			stats:      head + feed + tail,
+			stats:      head + primary + tail,
 			healthz:    "status triples",
 		},
 		{
 			name:       "replica",
-			cfg:        Config{Replica: stubReplica{st: repl.Status{Primary: "http://p:1", PrimaryEpoch: "e1", Connected: true}}},
+			cfg:        Config{Replica: stubReplica{st: repl.Status{Primary: "http://p:1", Connected: true}}},
 			checkpoint: "error",
 			stats:      head + replica + " " + tail,
 			healthz:    "status triples " + replica,

@@ -25,11 +25,11 @@ import "errors"
 var ErrJournal = errors.New("journal commit failed")
 
 // Journal receives the store's mutation stream at dictionary-id level. A
-// journal is attached with SetJournal; afterwards every write handle (Tx)
-// reports what it changed as one mutation when it commits, and the commit
-// blocks until the journal calls the mutation durable. Implementations must
-// be safe for concurrent use — the store calls them from every writing
-// goroutine — and must not retain the slices they are handed.
+// journal is attached with SetJournal; afterwards every write section that
+// changed the store through a write handle (Tx) stages what it changed as one
+// mutation, and the handle's Commit blocks until the journal calls it
+// durable. Implementations must be safe for concurrent use and must not
+// retain the slices they are handed.
 type Journal interface {
 	// JournalDict reports freshly minted dictionary ids: names[i] was
 	// assigned id first+i. It is called under the symbol-table lock, so
@@ -37,16 +37,21 @@ type Journal interface {
 	// references the new ids; it must be fast and must not call back into
 	// the store.
 	JournalDict(first SymbolID, names []string)
-	// JournalMutation records one committed write — the triples it newly
-	// inserted (duplicates already present excluded) and the triples it
-	// deleted, to be replayed adds first — and blocks until the record is
-	// durable, returning the journal's sticky error if durability has failed.
-	// At least one list is non-empty, and every component id has been
-	// reported by an earlier JournalDict call or belongs to the dictionary
-	// state the journal was opened over. The store calls it after the
-	// in-memory apply, so group-committing journals see concurrent mutations
-	// pile up and can amortize one fsync across all of them.
-	JournalMutation(adds, removes []IDTriple) error
+	// JournalMutation stages one write section's changes — the triples it
+	// newly inserted (duplicates already present excluded) and the triples
+	// it deleted, to be replayed adds first — stamped with the Position the
+	// section left. It is called at the end of the section, under the
+	// store's write lock, so mutations arrive in section order; like
+	// JournalDict it must only stage, never wait or call back. At least one
+	// list is non-empty, and every component id has been reported by an
+	// earlier JournalDict call or belongs to the dictionary state the
+	// journal was opened over.
+	JournalMutation(adds, removes []IDTriple, at Position)
+	// JournalWait blocks until every mutation staged so far is durable and
+	// returns the journal's sticky error if durability has failed. The store
+	// calls it outside the write lock, so group-committing journals see
+	// concurrent mutations pile up and can amortize one fsync across them.
+	JournalWait() error
 }
 
 // SetJournal attaches a journal to the store's mutation path, or detaches it

@@ -18,18 +18,21 @@ import (
 // into the empty overlay) are the two callers.
 
 // RestoreSorted bulk-loads an empty store from a recovered dictionary and a
-// sorted triple set. dict[i] becomes the name of SymbolID i (reproducing the
-// interning order the data directory recorded), and triples must satisfy
-// LoadSorted's contract against that dictionary: strictly ascending in
-// (S, P, O) order with every component id below len(dict). dict is retained;
-// callers must not mutate it afterwards.
+// sorted triple set, at generation gen. dict[i] becomes the name of SymbolID
+// i (reproducing the interning order the data directory recorded), and
+// triples must satisfy LoadSorted's contract against that dictionary:
+// strictly ascending in (S, P, O) order with every component id below
+// len(dict). dict is retained; callers must not mutate it afterwards. The
+// store's digest is computed from what was loaded, so Position reports gen
+// and the digest of the triples: a caller holding the digest the history
+// recorded compares the two.
 //
 // The store must be empty — no triples, no dictionary — and journal-free:
 // restore bypasses the mutation path, so nothing is journaled (recovery runs
 // before the engine attaches its journal). Invalid input is rejected before
 // anything is installed. The caller owns the store exclusively until
 // RestoreSorted returns; afterwards it is safe for concurrent use as usual.
-func (s *Store) RestoreSorted(dict []string, triples []IDTriple) error {
+func (s *Store) RestoreSorted(dict []string, triples []IDTriple, gen uint64) error {
 	if s.Len() != 0 || s.DictLen() != 0 {
 		return fmt.Errorf("store: RestoreSorted needs an empty store, not %d triples and %d dictionary entries", s.Len(), s.DictLen())
 	}
@@ -57,6 +60,7 @@ func (s *Store) RestoreSorted(dict []string, triples []IDTriple) error {
 	s.syms.names = dict
 	s.syms.mu.Unlock()
 	s.loadSorted(triples)
+	s.mu.gen.Store(gen)
 	return nil
 }
 
@@ -108,6 +112,7 @@ func checkSorted(triples []IDTriple, n SymbolID) error {
 // of calling accessor closures per element — on a multi-million-triple load
 // those calls are the difference between memory-bound and call-bound — and
 // radix-sorted by (lead, mid), which keeps each run's trailing ids ascending.
+// A base store's digest is computed from the input beside the SPO build.
 func (s *Store) loadSorted(triples []IDTriple) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -123,6 +128,9 @@ func (s *Store) loadSorted(triples []IDTriple) {
 		s.pos.buildSorted(pos)
 	}()
 	s.spo.buildSorted(triples)
+	if !s.overlay {
+		s.digest = digestOf(s.syms.snapshot(), triples)
+	}
 	wg.Wait()
 	s.size.Store(int64(len(triples)))
 }

@@ -68,7 +68,7 @@ func TestRestoreSortedMatchesBatchIngest(t *testing.T) {
 
 	dict, ids := dumpIDState(ref)
 	got := New()
-	if err := got.RestoreSorted(dict, ids); err != nil {
+	if err := got.RestoreSorted(dict, ids, 0); err != nil {
 		t.Fatalf("RestoreSorted: %v", err)
 	}
 
@@ -120,7 +120,7 @@ func TestRestoreSortedThenMutate(t *testing.T) {
 	}
 	dict, ids := dumpIDState(ref)
 	got := New()
-	if err := got.RestoreSorted(dict, ids); err != nil {
+	if err := got.RestoreSorted(dict, ids, 0); err != nil {
 		t.Fatalf("RestoreSorted: %v", err)
 	}
 	mutate := func(s *Store) {
@@ -157,7 +157,7 @@ func TestRestoreSortedThenMutate(t *testing.T) {
 func TestRestoreSortedInlineSingle(t *testing.T) {
 	s := New()
 	dict := []string{"s", "p", "o1", "o2", "q", "o3"}
-	if err := s.RestoreSorted(dict, []IDTriple{{0, 1, 2}, {0, 4, 5}}); err != nil {
+	if err := s.RestoreSorted(dict, []IDTriple{{0, 1, 2}, {0, 4, 5}}, 0); err != nil {
 		t.Fatalf("RestoreSorted: %v", err)
 	}
 	model := map[IDTriple]bool{{0, 1, 2}: true, {0, 4, 5}: true}
@@ -208,14 +208,14 @@ func TestRestoreSortedInlineSingle(t *testing.T) {
 
 func TestRestoreSortedEmptyAndDictOnly(t *testing.T) {
 	s := New()
-	if err := s.RestoreSorted(nil, nil); err != nil {
+	if err := s.RestoreSorted(nil, nil, 0); err != nil {
 		t.Fatalf("empty restore: %v", err)
 	}
 	if s.Len() != 0 || s.DictLen() != 0 {
 		t.Fatalf("empty restore left %d triples, %d names", s.Len(), s.DictLen())
 	}
 	s2 := New()
-	if err := s2.RestoreSorted([]string{"a", "b"}, nil); err != nil {
+	if err := s2.RestoreSorted([]string{"a", "b"}, nil, 0); err != nil {
 		t.Fatalf("dict-only restore: %v", err)
 	}
 	if id, ok := s2.SymbolID("b"); !ok || id != 1 {
@@ -228,8 +228,9 @@ func TestRestoreSortedEmptyAndDictOnly(t *testing.T) {
 
 type nopJournal struct{}
 
-func (nopJournal) JournalDict(SymbolID, []string)                 {}
-func (nopJournal) JournalMutation(adds, removes []IDTriple) error { return nil }
+func (nopJournal) JournalDict(SymbolID, []string)                        {}
+func (nopJournal) JournalMutation(adds, removes []IDTriple, at Position) {}
+func (nopJournal) JournalWait() error                                    { return nil }
 
 func TestRestoreSortedRejectsBadInput(t *testing.T) {
 	dict := []string{"a", "b", "c"}
@@ -250,7 +251,7 @@ func TestRestoreSortedRejectsBadInput(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := tc.prep()
-			if err := s.RestoreSorted(tc.dict, tc.triples); err == nil {
+			if err := s.RestoreSorted(tc.dict, tc.triples, 0); err == nil {
 				t.Fatal("RestoreSorted accepted invalid input")
 			}
 		})

@@ -126,6 +126,11 @@ type Store struct {
 	mu  *viewLock
 	spo index // subjects leading
 	pos index // predicates leading
+	// digest is the multiset hash of the triples (digest.go), kept under the
+	// write lock by every write and computed afresh by a bulk load; an
+	// overlay keeps none.
+	digest  Digest
+	overlay bool
 	// journal, when non-nil, receives this store's triple mutations and
 	// gates their acknowledgment on durability; see SetJournal. Overlays
 	// never inherit it. Held as an atomic pointer so a detach at engine
@@ -141,6 +146,13 @@ type viewLock struct {
 	// gen counts the write sections that reported a change; it is advanced
 	// only under the write lock, so it may be loaded without it.
 	gen atomic.Uint64
+	// journal, store, adds and removes are what the section under way
+	// changed through a journaled write handle, in the order it did: the
+	// record the section stages when it ends (Tx.note, stage). Guarded by
+	// the write lock.
+	journal       Journal
+	store         *Store
+	adds, removes []IDTriple
 }
 
 // New returns an empty store.
@@ -155,13 +167,29 @@ func New() *Store {
 // Tx methods and reads through View.Held; a method that locks would deadlock.
 // Store's own Add, AddBatch and Remove report no change: a generation names
 // a reasoner's write (package reason), and a load before Materialize none.
+// When a journaled write handle changed its store in the section, the section
+// ends by staging the handle's changes with the journal as one record,
+// stamped with the Position the section left, so the log holds the records
+// in section order; the handle's Commit waits for it.
 func (s *Store) Write(fn func() bool) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	gen := s.mu.gen.Load()
 	if fn() {
-		return s.mu.gen.Add(1)
+		gen = s.mu.gen.Add(1)
 	}
-	return s.mu.gen.Load()
+	if s.mu.journal != nil {
+		s.mu.stage(gen)
+	}
+	return gen
+}
+
+// Position returns the generation and the digest of s as of the last write
+// section, read together. On an overlay the digest is zero.
+func (s *Store) Position() Position {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return Position{Gen: s.mu.gen.Load(), Digest: s.digest}
 }
 
 // Generation returns the number of write sections on s and its overlays that

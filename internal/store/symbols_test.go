@@ -117,7 +117,7 @@ func TestDictIndexMatchesMap(t *testing.T) {
 	sameAsModel("interned", s)
 
 	r := New()
-	if err := r.RestoreSorted(append([]string(nil), st.names...), nil); err != nil {
+	if err := r.RestoreSorted(append([]string(nil), st.names...), nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if len(r.syms.index) != indexLen(len(model)) {
@@ -131,7 +131,7 @@ func TestDictIndexMatchesMap(t *testing.T) {
 	}
 	sameAsModel("restored, then interned", r)
 
-	err := New().RestoreSorted([]string{"a", "b", "c", "b"}, nil)
+	err := New().RestoreSorted([]string{"a", "b", "c", "b"}, nil, 0)
 	if want := `store: restore dictionary repeats "b" as ids 1 and 3`; err == nil || err.Error() != want {
 		t.Errorf("RestoreSorted of a repeated name: %v, want %s", err, want)
 	}
@@ -284,7 +284,7 @@ func TestDictionaryFootprint(t *testing.T) {
 		}
 	}
 	restored := New()
-	if err := restored.RestoreSorted(names, nil); err != nil {
+	if err := restored.RestoreSorted(names, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {

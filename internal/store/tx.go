@@ -7,26 +7,27 @@ import (
 
 // This file is the store's write path. Every mutation goes through a Tx, a
 // write handle that applies each change to the indexes at once, inside a
-// write section (Store.Write), and defers the journal: what the handle
-// changed is remembered and handed to the attached Journal as one mutation by
-// Commit. Store.Add, AddBatch and Remove are a handle begun, used once in one
-// section and committed; a caller whose write touches the store more than
-// once (the reasoner asserts, maintains, then retracts) holds the handle
-// across the touches, all in one section, and commits once, so the whole
-// write is one state change to readers, one journal record and one wait for
-// durability.
+// write section (Store.Write), and moves the store's digest with it. What a
+// journaled handle changed in a section is staged with the Journal as one
+// record when the section ends, stamped with the section's Position, and
+// Commit, outside the section, waits for it to be durable. Store.Add,
+// AddBatch and Remove are a handle begun, used once in one section and
+// committed; a caller whose write touches the store more than once (the
+// reasoner asserts, maintains, then retracts) does all its touches in one
+// section and commits once, so the whole write is one state change to
+// readers, one journal record and one wait for durability.
 
 // Tx is a write handle on one store, begun with Store.Begin. Its methods take
 // no lock: every one but Commit runs inside a write section (Store.Write) on
 // its store or on one sharing its lock, and changes the indexes at once, so
 // readers see the section's changes together when it ends. Commit, outside
-// any section, makes everything the handle changed durable as one journaled
-// mutation. On a store without a journal Commit has nothing to do, so a
-// handle on such a store (a reasoner's overlay) may simply stay open.
+// any section, waits until the journal calls what the handle staged durable.
+// On a store without a journal Commit has nothing to do, so a handle on such
+// a store (a reasoner's overlay) may simply stay open.
 //
-// A journaled mutation is replayed adds first, then removes. A handle on a
-// journaled store therefore refuses to add once it has removed (the error
-// applies nothing); Commit and Begin again to continue. A Tx is not safe for
+// A journaled record is replayed adds first, then removes. A handle on a
+// journaled store therefore refuses to add once its section has removed (the
+// error applies nothing); end the section to continue. A Tx is not safe for
 // concurrent use; any number of handles may be open on one store.
 type Tx struct {
 	s *Store
@@ -34,9 +35,9 @@ type Tx struct {
 	// split one mutation across two journals; nil when none is attached, and
 	// then nothing below is recorded.
 	j Journal
-	// adds and removes are the triples this handle inserted and deleted since
-	// the last Commit, in the order it did.
-	adds, removes []IDTriple
+	// wrote says a section staged changes of this handle that Commit has not
+	// waited for yet.
+	wrote bool
 }
 
 // Begin opens a write handle. It is returned by value so that a caller who
@@ -45,11 +46,62 @@ func (s *Store) Begin() Tx {
 	return Tx{s: s, j: s.getJournal()}
 }
 
+// maxSectionBuf is the capacity past which a section's journal buffers are
+// dropped once staged rather than kept for the next section.
+const maxSectionBuf = 4096
+
+// note records one journaled change of the section under way and moves the
+// digest; h is the triple's hash, unused on an overlay.
+func (tx *Tx) note(t IDTriple, add bool, h Digest) {
+	s, sec := tx.s, tx.s.mu
+	if !s.overlay {
+		if add {
+			s.digest.add(h)
+		} else {
+			s.digest.sub(h)
+		}
+	}
+	if tx.j == nil {
+		return
+	}
+	if add {
+		sec.adds = append(sec.adds, t)
+	} else {
+		sec.removes = append(sec.removes, t)
+	}
+	sec.journal, sec.store, tx.wrote = tx.j, s, true
+}
+
+// stage hands the section's journaled changes to their journal, stamped with
+// the generation the section produced and its store's digest, and empties
+// the buffers for the next section. Store.Write calls it under the write
+// lock.
+func (sec *viewLock) stage(gen uint64) {
+	sec.journal.JournalMutation(sec.adds, sec.removes, Position{Gen: gen, Digest: sec.store.digest})
+	sec.journal, sec.store = nil, nil
+	sec.adds, sec.removes = sec.adds[:0], sec.removes[:0]
+	if cap(sec.adds) > maxSectionBuf {
+		sec.adds = nil
+	}
+	if cap(sec.removes) > maxSectionBuf {
+		sec.removes = nil
+	}
+}
+
+// hash is H of one encoded triple of s's dictionary; zero on an overlay,
+// which keeps no digest.
+func (s *Store) hash(t IDTriple) Digest {
+	if s.overlay {
+		return Digest{}
+	}
+	return idHash(s.syms.snapshot(), t)
+}
+
 // addable refuses an add that the journal would replay before this handle's
 // removes.
 func (tx *Tx) addable() error {
-	if len(tx.removes) > 0 {
-		return fmt.Errorf("store: this write handle has removed triples and a journaled mutation replays adds first; Commit before adding again")
+	if tx.j != nil && len(tx.s.mu.removes) > 0 {
+		return fmt.Errorf("store: this write section has removed triples and a journaled record replays adds first; end the section before adding again")
 	}
 	return nil
 }
@@ -89,9 +141,7 @@ func (tx *Tx) insert(t IDTriple) bool {
 	if added {
 		s.pos.insert(t.P, t.O, t.S)
 		s.size.Add(1)
-	}
-	if added && tx.j != nil {
-		tx.adds = append(tx.adds, t)
+		tx.note(t, true, s.hash(t))
 	}
 	return added
 }
@@ -123,16 +173,19 @@ func (tx *Tx) AddBatch(ts []Triple) ([]IDTriple, error) {
 // occurrence, so the first is the one kept.
 func (tx *Tx) insertBatch(enc []IDTriple) []IDTriple {
 	s, fresh := tx.s, enc[:0]
+	names := s.syms.snapshot() // one read of the dictionary for the batch's hashes
 	for _, e := range enc {
 		if s.spo.insert(e.S, e.P, e.O) {
 			s.pos.insert(e.P, e.O, e.S)
 			fresh = append(fresh, e)
+			var h Digest
+			if !s.overlay {
+				h = idHash(names, e)
+			}
+			tx.note(e, true, h)
 		}
 	}
 	s.size.Add(int64(len(fresh)))
-	if tx.j != nil {
-		tx.adds = append(tx.adds, fresh...)
-	}
 	return fresh
 }
 
@@ -151,9 +204,7 @@ func (tx *Tx) RemoveID(t IDTriple) bool {
 	if removed {
 		s.pos.remove(t.P, t.O, t.S)
 		s.size.Add(-1)
-	}
-	if removed && tx.j != nil {
-		tx.removes = append(tx.removes, t)
+		tx.note(t, false, s.hash(t))
 	}
 	return removed
 }
@@ -194,27 +245,29 @@ func (tx *Tx) RemoveIDs(ts []IDTriple) int {
 	gone := s.spo.removeAll(keys)
 	s.pos.removeAll(pos)
 	s.size.Add(-int64(len(gone)))
-	if tx.j != nil {
-		for _, k := range gone {
-			tx.removes = append(tx.removes, IDTriple{S: k[0], P: k[1], O: k[2]})
+	names := s.syms.snapshot()
+	for _, k := range gone {
+		t := IDTriple{S: k[0], P: k[1], O: k[2]}
+		var h Digest
+		if !s.overlay {
+			h = idHash(names, t)
 		}
+		tx.note(t, false, h)
 	}
 	return len(gone)
 }
 
-// Commit journals everything the handle changed since Begin (or the previous
-// Commit) as one mutation and blocks until the journal calls it durable. A
-// failure is returned wrapping ErrJournal: the changes are applied in memory
-// but not durable. A handle that changed nothing, or whose store has no
-// journal, commits without touching anything. The handle is reusable
-// afterwards.
+// Commit waits until the journal calls everything the handle's sections
+// staged durable. A failure is returned wrapping ErrJournal: the changes are
+// applied in memory but not durable. A handle that changed nothing, or whose
+// store has no journal, commits without touching anything. The handle is
+// reusable afterwards.
 func (tx *Tx) Commit() error {
-	if len(tx.adds)+len(tx.removes) == 0 {
+	if !tx.wrote {
 		return nil
 	}
-	err := tx.j.JournalMutation(tx.adds, tx.removes)
-	tx.adds, tx.removes = nil, nil
-	if err != nil {
+	tx.wrote = false
+	if err := tx.j.JournalWait(); err != nil {
 		return fmt.Errorf("store: mutation applied in memory but not durable: %w: %w", ErrJournal, err)
 	}
 	return nil

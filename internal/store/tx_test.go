@@ -11,21 +11,25 @@ import (
 // retain the slices) and fails commits on demand.
 type recJournal struct {
 	adds, removes [][]IDTriple
+	at            []Position
 	err           error
 }
 
 func (j *recJournal) JournalDict(SymbolID, []string) {}
 
-func (j *recJournal) JournalMutation(adds, removes []IDTriple) error {
+func (j *recJournal) JournalMutation(adds, removes []IDTriple, at Position) {
 	j.adds = append(j.adds, append([]IDTriple(nil), adds...))
 	j.removes = append(j.removes, append([]IDTriple(nil), removes...))
-	return j.err
+	j.at = append(j.at, at)
 }
 
+func (j *recJournal) JournalWait() error { return j.err }
+
 // TestTxCommitsOneMutation: whatever mix of the six write methods a handle
-// ran, the journal hears nothing until Commit and then exactly one mutation —
-// the triples actually inserted (duplicates excluded) and the triples
-// actually deleted — and a handle that changed nothing never calls it.
+// ran in one section, the journal hears nothing until the section ends and
+// then exactly one mutation — the triples actually inserted (duplicates
+// excluded) and the triples actually deleted — stamped with the section's
+// position, and a handle that changed nothing never calls it.
 func TestTxCommitsOneMutation(t *testing.T) {
 	s := New()
 	s.MustAdd(Triple{"old", "p", "o"})
@@ -40,34 +44,41 @@ func TestTxCommitsOneMutation(t *testing.T) {
 	}
 
 	tx := s.Begin()
-	fresh, err := tx.AddBatch([]Triple{{"a", "p", "b"}, {"a", "p", "b"}, {"old", "p", "o"}, {"c", "p", "d"}})
-	if err != nil || len(fresh) != 2 {
-		t.Fatalf("AddBatch = %v, %v; want the 2 fresh triples", fresh, err)
-	}
-	if added, err := tx.Add(Triple{"e", "p", "f"}); err != nil || !added {
-		t.Fatalf("Add = %v, %v", added, err)
-	}
-	if added, err := tx.Add(Triple{"e", "p", "f"}); err != nil || added {
-		t.Fatalf("duplicate Add = %v, %v", added, err)
-	}
 	g := IDTriple{id("g"), id("p"), id("h")}
-	if added, err := tx.AddID(g); err != nil || !added {
-		t.Fatalf("AddID = %v, %v", added, err)
-	}
-	if added, err := tx.AddID(IDTriple{id("i"), id("p"), id("j")}); err != nil || !added {
-		t.Fatalf("second AddID = %v, %v", added, err)
-	}
-	if !tx.Remove(Triple{"old", "p", "o"}) || tx.Remove(Triple{"old", "p", "o"}) || tx.Remove(Triple{"never", "seen", "it"}) {
-		t.Fatal("Remove must report presence exactly")
-	}
-	if !tx.RemoveID(g) || tx.RemoveID(g) {
-		t.Fatal("RemoveID must report presence exactly")
-	}
-	if len(j.adds) != 0 {
-		t.Fatalf("the journal heard %d mutations before Commit", len(j.adds))
-	}
+	i := IDTriple{id("i"), id("p"), id("j")}
+	s.Write(func() bool {
+		fresh, err := tx.AddBatch([]Triple{{"a", "p", "b"}, {"a", "p", "b"}, {"old", "p", "o"}, {"c", "p", "d"}})
+		if err != nil || len(fresh) != 2 {
+			t.Fatalf("AddBatch = %v, %v; want the 2 fresh triples", fresh, err)
+		}
+		if added, err := tx.Add(Triple{"e", "p", "f"}); err != nil || !added {
+			t.Fatalf("Add = %v, %v", added, err)
+		}
+		if added, err := tx.Add(Triple{"e", "p", "f"}); err != nil || added {
+			t.Fatalf("duplicate Add = %v, %v", added, err)
+		}
+		if added, err := tx.AddID(g); err != nil || !added {
+			t.Fatalf("AddID = %v, %v", added, err)
+		}
+		if added, err := tx.AddID(i); err != nil || !added {
+			t.Fatalf("second AddID = %v, %v", added, err)
+		}
+		if !tx.Remove(Triple{"old", "p", "o"}) || tx.Remove(Triple{"old", "p", "o"}) || tx.Remove(Triple{"never", "seen", "it"}) {
+			t.Fatal("Remove must report presence exactly")
+		}
+		if !tx.RemoveID(g) || tx.RemoveID(g) {
+			t.Fatal("RemoveID must report presence exactly")
+		}
+		if len(j.adds) != 0 {
+			t.Fatalf("the journal heard %d mutations inside the section", len(j.adds))
+		}
+		return true
+	})
 	if s.Len() != 4 || !s.Contains(Triple{"a", "p", "b"}) || s.Contains(Triple{"old", "p", "o"}) {
 		t.Fatalf("the handle's writes must be visible before Commit; Len %d", s.Len())
+	}
+	if pos := s.Position(); len(j.at) != 1 || j.at[0] != pos || pos.Gen != 1 {
+		t.Fatalf("the record is stamped %v, the store is at %v; want generation 1", j.at, pos)
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
@@ -85,10 +96,13 @@ func TestTxCommitsOneMutation(t *testing.T) {
 	// Nothing changed, nothing journaled — through a handle and through the
 	// Store shorthands alike.
 	idle := s.Begin()
-	if _, err := idle.AddBatch([]Triple{{"a", "p", "b"}}); err != nil {
-		t.Fatal(err)
-	}
-	idle.Remove(Triple{"old", "p", "o"})
+	s.Write(func() bool {
+		if _, err := idle.AddBatch([]Triple{{"a", "p", "b"}}); err != nil {
+			t.Fatal(err)
+		}
+		idle.Remove(Triple{"old", "p", "o"})
+		return false
+	})
 	if err := idle.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -111,43 +125,52 @@ func TestTxCommitsOneMutation(t *testing.T) {
 		t.Fatalf("Add under a failing journal = %v, %v", added, err)
 	}
 	ftx := s.Begin()
-	if !ftx.Remove(Triple{"k", "p", "l"}) {
-		t.Fatal("Remove missed a present triple")
-	}
+	s.Write(func() bool {
+		if !ftx.Remove(Triple{"k", "p", "l"}) {
+			t.Fatal("Remove missed a present triple")
+		}
+		return false
+	})
 	if err := ftx.Commit(); !errors.Is(err, ErrJournal) || s.Contains(Triple{"k", "p", "l"}) {
 		t.Fatalf("Commit of a removal under a failing journal = %v", err)
 	}
 }
 
-// TestTxRefusesAddAfterRemove: a journaled mutation replays adds before
-// removes, so a journaled handle that has removed refuses every add form —
-// inserting nothing — until it is committed; a handle without a journal has
-// no replay to protect and interleaves freely.
+// TestTxRefusesAddAfterRemove: a journaled record replays adds before
+// removes, so a journaled handle whose section has removed refuses every add
+// form — inserting nothing — until the section ends; a handle without a
+// journal has no replay to protect and interleaves freely.
 func TestTxRefusesAddAfterRemove(t *testing.T) {
 	s := New()
 	s.MustAdd(Triple{"a", "p", "b"})
 	s.SetJournal(&recJournal{})
 	tx := s.Begin()
-	tx.Remove(Triple{"a", "p", "b"})
 	ab, _ := s.syms.lookupTriple(Triple{"a", "p", "b"})
-	if _, err := tx.Add(Triple{"a", "p", "b"}); err == nil {
-		t.Error("Add after Remove accepted")
-	}
-	if _, err := tx.AddID(ab); err == nil {
-		t.Error("AddID after Remove accepted")
-	}
-	if _, err := tx.AddBatch([]Triple{{"a", "p", "b"}}); err == nil {
-		t.Error("AddBatch after Remove accepted")
-	}
+	s.Write(func() bool {
+		tx.Remove(Triple{"a", "p", "b"})
+		if _, err := tx.Add(Triple{"a", "p", "b"}); err == nil {
+			t.Error("Add after Remove accepted")
+		}
+		if _, err := tx.AddID(ab); err == nil {
+			t.Error("AddID after Remove accepted")
+		}
+		if _, err := tx.AddBatch([]Triple{{"a", "p", "b"}}); err == nil {
+			t.Error("AddBatch after Remove accepted")
+		}
+		return true
+	})
 	if s.Len() != 0 {
 		t.Fatalf("a refused add inserted: Len %d", s.Len())
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if added, err := tx.Add(Triple{"a", "p", "b"}); err != nil || !added {
-		t.Fatalf("Add after Commit = %v, %v", added, err)
-	}
+	s.Write(func() bool {
+		if added, err := tx.Add(Triple{"a", "p", "b"}); err != nil || !added {
+			t.Fatalf("Add in the next section = %v, %v", added, err)
+		}
+		return true
+	})
 
 	o := s.NewOverlay()
 	otx := o.Begin()
@@ -182,9 +205,12 @@ func TestTxRemoveIDsJournalsWhatWasPresent(t *testing.T) {
 	j := &recJournal{}
 	s.SetJournal(j)
 	tx := s.Begin()
-	if n := tx.RemoveIDs(batch); n != len(present) {
-		t.Fatalf("RemoveIDs = %d, want %d", n, len(present))
-	}
+	s.Write(func() bool {
+		if n := tx.RemoveIDs(batch); n != len(present) {
+			t.Fatalf("RemoveIDs = %d, want %d", n, len(present))
+		}
+		return false
+	})
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}

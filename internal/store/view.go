@@ -37,11 +37,11 @@ func (p Provenance) String() string {
 // lock and generation: an id minted by either store resolves to the same name
 // in both, so id-level triples and patterns can move between them without
 // re-encoding, and one write section (Write) covers both. The overlay is an
-// ordinary Store in every other respect — same indexes, same iterators — and
-// package reason uses one to hold inferred triples apart from the asserted
-// base.
+// ordinary Store in every other respect — same indexes, same iterators — but
+// it keeps no digest (digest.go), and package reason uses one to hold
+// inferred triples apart from the asserted base.
 func (s *Store) NewOverlay() *Store {
-	return &Store{syms: s.syms, mu: s.mu}
+	return &Store{syms: s.syms, mu: s.mu, overlay: true}
 }
 
 // Intern interns a name into the store's dictionary and returns its id,
