@@ -1,40 +1,75 @@
 // Package durable is the store's crash-safe persistence engine: a write-ahead
 // log in front of the in-memory triple store, compacted into generational
-// (tiered) delta segment files.
-//
-// The engine journals every acknowledged mutation — at dictionary-id level,
-// through the store's Journal hook — before reporting it committed, batching
-// concurrent committers behind one fsync (group commit). A checkpoint retires
-// one window of the log by folding it into a young delta segment (cost
-// proportional to what changed, not to the corpus), and a size-ratio-triggered
-// background merge folds young segments into older generations, applying
-// tombstoned removes, so the chain stays short. Recovery is the same two
-// folds with a different sink: it composes the segment chain and the log tail
-// beyond it into one patch against the empty store and loads that through
-// the store's RestoreSorted bulk path, once — startup cost is sequential file
-// I/O and one index build, never per-record index mutation.
-//
-// Typical use:
+// (tiered) delta segment files. DESIGN.md "Durability" is its design — the
+// record format, group commit, checkpoints, merges, recovery and the one fold
+// behind all three — and "The disk seam" the file-system boundary and the
+// crash model it is tested under.
 //
 //	st := store.New()
 //	eng, err := durable.Open(st, durable.Options{Dir: dataDir})
 //	if err != nil { ... }
 //	defer eng.Close()
-//	// st now persists: every Add/AddBatch/Remove is journaled, and the next
-//	// Open over the same directory rebuilds exactly the committed state.
+//	// st now persists: every write is journaled, and the next Open over
+//	// the same directory rebuilds exactly the committed state.
 //
-// The store handed to Open must be empty — the directory is the single
-// source of truth, and recovery rebuilds the store from it. Load corpora
-// AFTER opening, through the store's ordinary mutation methods, so the loads
-// are journaled like any other write.
+// The store handed to Open must be empty: the directory is the single source
+// of truth, and recovery rebuilds the store from it. Load corpora after
+// opening, through the store's write methods, so they are journaled like any
+// other write. Options is the directory, the fsync policy, the checkpoint
+// budget and the metrics registry; the batch fsync cadence and the merge
+// policy are constants (batchInterval, mergeRatio, maxSegments). The log is
+// also the replication feed: Engine.ReadLog serves the committed records
+// after a store.Position as they lie on disk, Engine.Snapshot the chain
+// folded into one segment, and Follower reads both on the replica's side with
+// recovery's own checks.
 //
-// Every write record carries the store.Position its write section left —
-// the generation and the store's digest — and every segment the position it
-// covers through, so recovery checks what it loaded against the history, and
-// the log doubles as the replication feed: Engine.ReadLog serves a replica
-// the committed records after its position as they lie on disk,
-// Engine.Snapshot the whole chain folded into one segment, and Follower
-// reads both on the replica's side with recovery's own checks.
+// # Files
+//
+// disk.go is the one door to the file system — the disk interface and
+// osDisk, its only implementation; no other non-test file imports os.
+// record.go is the wire format (frames, records, the payload cap both sides
+// enforce); wal.go the group-committing writer, which also keeps the
+// position, seq and end offset of every write of the live log; segment.go the
+// segment codec and its temp-then-rename publish; tier.go the patches, the
+// one k-way fold (push checks adjacency and dictionary contiguity), foldChain,
+// foldWAL over walkWAL, and the merge policy; recover.go the startup state
+// machine and the package's one directory listing; durable.go the Engine —
+// Open, the journal hooks, Checkpoint, the background goroutine, Stats;
+// serve.go the feed (ReadLog, CommitWake, Snapshot); follow.go the replica's
+// reader (LoadSnapshot, Follower).
+//
+// # Tests
+//
+// memdisk_test.go is the memory disk every test that builds, damages or
+// inspects a directory runs on: it records every operation, lets a test fail
+// or park any of them, and knows what was synced, so crashImages returns
+// every directory a crash may leave (TestMemDiskMatchesOSDisk holds it to
+// osDisk). crash_test.go holds TestCrashStates — every crash image before
+// every disk operation of one schedule, against four denials: the image
+// boots, it holds the first k submitted transactions with acknowledged ≤ k ≤
+// submitted, no .tmp is left and the segments tile, and recovering it again
+// issues no remove, truncate or create — and tears a merge mid-write.
+// seam_test.go runs the door test (TestOnlyTheDiskSeamImportsOS), pins the
+// order a new directory is made durable in, and holds the fault table
+// (TestFaultTable: every operation of every phase, failed each way it can
+// fail). Package durable_test reaches the engine on the memory disk through
+// export_test.go (OpenOnMemDisk, MemDisk, Engine.Merge): server_test.go runs
+// server.New over a failing disk and composition_test.go steps a server
+// against repro/internal/model (TestComposition, FuzzComposition; a failure
+// shrinks to a literal for composedReplays). tier_test.go covers merges,
+// tombstones, damaged chains, the WAL-only, chained and merged shapes
+// recovering identically (TestReplayAndChainRecoveryAgree), the two WAL sinks
+// refusing the same bad logs, and Close waiting out a merge. fold_test.go
+// holds the folds to a naive replay, to the bytes in testdata/segments, to
+// the pairwise algebra and to an allocation bound per checkpoint and merge.
+// durable_test.go cuts a log of mixed transactions at every byte
+// (TestPrefixReplayProperty), a chunked write at every chunk boundary, and
+// flips bits; stamp_test.go builds logs and chains with their true positions;
+// fuzz_test.go fuzzes the frame decoder, whole-log recovery and the segment
+// loader. BenchmarkIngestWAL prices journaling per fsync policy,
+// BenchmarkRecover1e6 recovery over a base segment and over a log alone, and
+// BenchmarkCheckpointDelta and BenchmarkMergeRun what one checkpoint and one
+// merge cost and allocate.
 package durable
 
 import (

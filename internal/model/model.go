@@ -4,12 +4,28 @@
 // server acknowledged. It is deliberately the dumbest correct implementation
 // — no dictionary, no index, no plan, no incremental maintenance — so an
 // engine that agrees with it is right for a reason the engine does not share.
+// DESIGN.md "The reference model" places it.
+//
+// Set.Match filters by one pattern (the store's reference); Set.Eval
+// backtracks over every triple in pattern order, with a subsumees hook that
+// rewrites ?x type C as query.Expand does (the query layer's); Set.Closure
+// runs Eval over each rule body until a pass derives nothing new (the
+// reasoner's); Set.Apply is one write as reason.Reasoner.Apply performs it,
+// adds one by one, then removes; Set.Subsumees reads a closure's subClassOf
+// as reason.Reasoner.Subsumees does. A Ledger (ledger.go) records the
+// asserted set after each acknowledged write, keyed by (incarnation,
+// generation) because generations restart at every reopen, and a tail of
+// writes sent but not acknowledged, of which a crash may keep any prefix
+// (Recoverable).
 //
 // The store, query and reason suites hold their packages to it, and the
 // durable composition rig holds a whole server to it. It imports only the
-// standard library, which is what lets the in-package tests of those
-// packages import it without a cycle (TestModelImportsOnlyTheStandardLibrary
-// keeps it so). Every slice it returns is sorted.
+// standard library, which is what lets the in-package tests of those packages
+// import it without a cycle (TestModelImportsOnlyTheStandardLibrary keeps it
+// so). Every slice it returns is sorted, and TestModelHandWorked holds it to
+// answers worked out by hand — a repeated variable, an unsatisfiable literal,
+// expansion through two levels, the six RDFS rules on three classes —
+// because a wrong reference passes a wrong engine.
 package model
 
 import (

@@ -1,24 +1,11 @@
 // Package obs is the engine's zero-dependency observability substrate: a
 // concurrency-safe metrics registry of counters, gauges and log-bucketed
-// histograms, exposed in the Prometheus text format. Every engine layer —
-// the HTTP server, the query executor, the reasoner, the durable log and
-// the store — registers its instruments here, and GET /metrics serves one
-// deterministic scrape of all of them.
-//
-// Design constraints, in order:
-//
-//   - Hot-path updates are allocation-free and lock-free: Counter.Add and
-//     Histogram.Observe are a handful of atomic operations, cheap enough to
-//     sit on the 1024-row batch pipeline and the WAL group-commit path.
-//   - Nil instruments are valid no-ops: a layer whose metrics were never
-//     registered calls the same Add/Observe methods and pays one branch, so
-//     instrumented code never needs an "is observability on?" conditional.
-//   - Exposition is byte-deterministic: families sort by name, series sort
-//     by label value, and floats format identically across scrapes, so two
-//     registries holding the same state produce identical bytes (tested by
-//     property test and fuzzed for parser-validity).
-//
-// Typical use:
+// histograms, exposed in the Prometheus text format, and the per-request
+// stage clock. Every engine layer — the HTTP server, the reasoner, the
+// durable log, the store — registers its instruments here, and GET /metrics
+// serves one deterministic scrape of all of them. DESIGN.md "Observability"
+// is its design: allocation-free and lock-free updates, nil instruments as
+// no-ops, byte-deterministic exposition, and the clock's partition rule.
 //
 //	reg := obs.NewRegistry()
 //	hits := reg.Counter("onto_cache_hits_total", "Cache lookups that hit.")
@@ -28,6 +15,20 @@
 //	lat.Observe(time.Since(start).Seconds())
 //	...
 //	mux.Handle("/metrics", reg.Handler())
+//
+// clock.go holds Now, the one monotonic source, and Clock with its Stage
+// enum; obs.go the registry, Counter, Gauge, the scrape-time GaugeFunc and
+// CounterFunc, and CounterVec; histogram.go Histogram; expose.go the text
+// encoder behind Registry.Handler; runtime.go Registry.RegisterRuntime, the
+// heap, GC and goroutine series read from runtime/metrics at scrape time,
+// the runtime's pause histogram re-bucketed onto LatencyBuckets. Per-query
+// tracing is not here: it lives in repro/internal/query (WithTrace) and
+// repro/internal/query/exec (OpStat), timed with Now.
+//
+// obs_test.go covers bucketing, determinism and concurrent updates under
+// scrapes; clock_test.go the clock's exact partition, nil-safety and 0
+// allocations (TestClockPartitions); FuzzExposition re-parses every rendered
+// scrape; runtime_test.go the re-bucketing.
 package obs
 
 import (

@@ -5,8 +5,8 @@
 // evaluator (repro/internal/query.Eval) and the materialization engine
 // (repro/internal/reason) lower an ordered list of them onto operators with
 // the same Lower — a planned BGP from a scan, a semi-naive term from a delta
-// slice, a rederivation test from a seed — so every layer above the store
-// shares one execution engine.
+// slice, a rederivation test from a seed. DESIGN.md "Batched execution" is
+// its design, "Buffer ownership" its pooling rules.
 //
 // The operator vocabulary is small:
 //
@@ -24,33 +24,19 @@
 // A Batch is columnar — one []store.SymbolID per variable slot — and owned by
 // the operator that returned it: it is valid until that operator's next Next
 // call. Operators tolerate and may produce empty batches (N == 0); callers
-// skip them.
+// skip them. An operator releases itself — buffers, then its own struct —
+// exactly once: when its stream ends (Next returned nil or an error), or when
+// Close is called on a tree whose stream has not ended. A consumer that stops
+// pulling early must call Close (query.Solutions.Close does, and is safe to
+// call at any time); one that drains to the end need not. A buffer a
+// mis-estimated probe grew past maxPooledCap entries is dropped, not pooled.
 //
-// # Buffers and their owners
-//
-// Every buffer an evaluation touches belongs to one operator and is reused
-// for the operator's whole stream, so steady-state evaluation allocates
-// nothing per binding, per batch or per probe:
-//
-//   - Fixed-size buffers (batch columns, probe patterns, scan triple
-//     buffers) are drawn from package pools when an operator is built and
-//     handed back when it is released. So are the operator structs
-//     themselves — scan, sliceScan, seed and join alike.
-//   - A join's match buffers — the only buffers whose size depends on the
-//     data — are fields of the pooled join struct itself and keep their
-//     capacity from one query to the next. The window rule bounds them: a
-//     join probes only as many child rows at a time as the planner's
-//     per-probe fan-out estimate predicts will fill about one output batch
-//     (BatchSize/estimate, at least one row, at most the whole child batch),
-//     and keeps probing windows only until a full batch is buffered, so a
-//     join holds under two batches of matches plus one probe's fan-out, not
-//     a whole child batch's. A buffer a mis-estimated probe grew past
-//     maxPooledCap entries is dropped instead of kept.
-//   - An operator releases itself — buffers, then its own struct — exactly
-//     once: when its stream ends (Next returned nil or an error), or when
-//     Close is called on a tree whose stream has not ended. A consumer that
-//     stops pulling early must call Close (query.Solutions.Close does, and
-//     is safe to call at any time); one that drains to the end need not.
+// exec.go holds the operators, Pattern, Card, Lower and the pools; stats.go
+// the OpStat spans and PoolCounters. exec_test.go holds scans and join
+// windows to a reference and pins 0 allocations for a warmed fan-out join
+// and for every leaf pipeline (TestJoinFanoutSteadyStateAllocs,
+// TestLeafPipelinesSteadyStateAllocs); race_test.go skips the pins under
+// -race, where sync.Pool drops puts at random.
 package exec
 
 import (

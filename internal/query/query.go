@@ -1,36 +1,54 @@
 // Package query is the store's declarative query layer: SPARQL-style basic
 // graph patterns (BGPs) over repro/internal/store, with variables, joins,
-// ontology-aware expansion and streaming solutions.
+// ontology-aware expansion and streaming solutions. DESIGN.md "The query
+// layer" is its design; the operators it lowers onto are package exec.
 //
 // A TriplePattern is three Terms, each either a literal (Lit) or a variable
 // (Var); a BGP is a conjunction of patterns joined on their shared variables.
-// Eval plans the BGP — join orders are costed from the store's per-pattern
-// cardinality and distinct-component statistics (Store.StatsID), cheapest
-// estimated plan first — and evaluates it as an index-nested-loop join: each
-// probe substitutes the bindings accumulated so far and answers from
-// whichever SPO/POS permutation index the resulting bound components
-// select. The join runs entirely on dictionary ids; solutions resolve back
-// to strings only when read.
+// Eval plans the BGP from the source's per-pattern statistics and evaluates it
+// as batched index-nested-loop joins on dictionary ids; solutions resolve to
+// strings only when read.
 //
 //	sols := query.Eval(s, query.BGP{
 //		query.Pat(query.Var("x"), query.Lit(store.TypePredicate), query.Lit("car")),
 //		query.Pat(query.Var("x"), query.Lit("locatedIn"), query.Var("site")),
 //	})
+//	defer sols.Close()
 //	for sols.Next() {
 //		b := sols.Bind() // {"x": ..., "site": ...}
 //	}
 //
 // With the Expand option, a pattern whose predicate is the literal
-// store.TypePredicate and whose object is a literal class is rewritten
-// through an OntologyIndex into the union over the class's subsumees — the
-// paper's §4 ontology-mediated query answering as a query option instead of
-// a bespoke helper (Instances is the one-pattern convenience form).
+// store.TypePredicate and whose object is a literal class is rewritten into
+// the union over the class's subsumees, as any Subsumer reports them — the
+// paper's §4 ontology-mediated query answering as a query option (Instances is
+// the one-pattern form). Solutions follow SPARQL bag semantics; All, and
+// Project's deduplicated projection, are the conveniences most callers want.
+// The audit (repro/internal/core), experiments E5 and E5b, cmd/ontoaudit and
+// the server all query through this package.
 //
-// Solutions follow SPARQL bag semantics: the multiplicity of a binding is
-// the number of distinct triple combinations producing it (under Expand, an
-// instance annotated with several subsumees of the queried class yields one
-// solution per annotation). All, and Project's deduplicated projection, are
-// the conveniences most callers want.
+// # Files
+//
+// query.go holds the terms, patterns, Validate and Compile; eval.go the
+// planner, the lowering and Solutions; parse.go ParseBGP (one allocation,
+// terms sliced from the text); canonical.go the one canonical form behind
+// Canonical, CanonicalWithVars and AppendCanonical; trace.go the WithTrace
+// planner record behind EXPLAIN.
+//
+// # Tests
+//
+// ref_test.go holds the evaluator to the model's backtracking evaluator
+// (repro/internal/model) over random stores and BGPs — shared-variable joins,
+// repeated variables, unsatisfiable literals, empty stores, expansion, the
+// greedy planner — as a property test and FuzzEvalMatchesReference, with
+// mid-batch interrupts and empty batches. parse_ref_test.go keeps the
+// strings.Fields parser and the string-sort key as references for ParseBGP
+// and AppendCanonical (FuzzParseAndKey). TestPlanOrderIndependence runs every
+// permutation of a join; TestPlannerGolden pins the planner's decisions on the
+// harness's query shapes; TestExpansionMatchesRawReadsOnE5Corpus holds Expand
+// to the raw subsumee union; close_test.go requires every exit to return its
+// executor buffers; scan_race_test.go runs scans under concurrent writes with
+// -race. BenchmarkQueryJoin2 and BenchmarkQueryJoin3 pin 6 and 7 allocs/op.
 package query
 
 import (

@@ -2,28 +2,51 @@
 // entailment engine that evaluates a declarative set of Horn rules over
 // triple patterns to a fixpoint — RDFS-style subclass/subproperty reasoning
 // plus arbitrary user rules — and keeps the result incrementally correct as
-// the asserted triples change.
+// the asserted triples change. DESIGN.md "The materialization layer" is its
+// design, with the seed round's contract and the proof that propagation rules
+// may skip their own conclusions.
 //
-// The paper's §4 treats the ontology as something the database consults at
-// query time; at production scale, read-heavy workloads want the entailed
-// triples materialized once and every retrieval to be a plain index read.
-// This package turns the query layer's Expand rewriting into a precomputed
-// inference layer: Materialize computes the entailments of a rule set by
-// semi-naive evaluation at the dictionary-id level (each round joins only
-// against the previous round's delta, so work is proportional to new facts,
-// not to the whole database), inferred triples live in an overlay store
-// sharing the base's dictionary (store.NewOverlay), and the union is served
-// through a store.View that the query layer evaluates like any store —
-// query.Materialized replaces query.Expand.
+// Materialize computes the entailments of a rule set by semi-naive evaluation
+// at the dictionary-id level (each round joins only against the previous
+// round's delta); inferred triples live in an overlay store sharing the base's
+// dictionary and lock, and the union is served through a store.View that the
+// query layer evaluates like any store, in query.Materialized mode. Apply is
+// the one write: the adds propagate their delta, the removes run
+// delete-and-rederive — overdelete every inferred triple whose derivation may
+// have used a removed one, then rederive the survivors and propagate — never a
+// recomputation from scratch. A write is one section on the view, one journal
+// commit and one Delta (SetOnEvent).
 //
-// Maintenance is incremental in both directions. Add propagates just the
-// delta through the rules. Remove runs delete-and-rederive (DRed):
-// overdelete every inferred triple whose derivation may have used the
-// removed one, then rederive the survivors from what remains and propagate —
-// never a recomputation from scratch. The engine is verified against a naive
-// recompute-from-scratch reference evaluator by property and fuzz tests, and
-// an Add followed by its Remove provably restores the byte-identical
-// materialization snapshot.
+// # Files
+//
+// rule.go holds Rule and its validation; rdfs.go the RDFS rule set; parse.go
+// ParseRules; compile.go the compilation of rule atoms onto exec.Pattern, the
+// per-delta-atom join orders and the propagation marking; seed.go the seed
+// round (matchAll, the sorted head set, one LoadSorted); engine.go the
+// Reasoner — Materialize, the term loop, Apply and DRed, the write scratch,
+// Stats and the serving reads.
+//
+// # Tests
+//
+// ref_test.go holds the engine to the model's recompute-from-scratch closure
+// (repro/internal/model) after every write of random rule sets and schedules
+// (FuzzReasonMatchesReference), and random two-sided writes — removes drawn
+// from the base, the write's own adds, inferred-only and absent triples, with
+// repeats — to the model's counts and to "generation + 1 and one Delta iff
+// anything changed" (TestApplyMatchesReference); an Add followed by its Remove
+// restores the byte-identical provenance snapshot. bulk_test.go holds the seed
+// round to Materialize over an empty base plus AddBatch and to the closure,
+// over random and adversarial schemas with the head buffer shrunk, and pins
+// which rules markPropagation marks. golden_test.go pins the boot figures,
+// Stats, every Delta's sizes and the provenance sha256 of a seeded schedule
+// (TestReasonCountsGolden), and that the registered counters read Stats.
+// concurrency_test.go races every view read against maintenance and requires
+// that no reader sees a state between two generations
+// (TestReadsSeeOneGeneration). TestApplyLargeRetractionIsNotQuadratic times
+// one large retraction against many small ones on the thread's CPU clock;
+// TestApplySteadyStateAllocs pins a warmed retype at 5 allocations at most,
+// the stores' own. BenchmarkMaterializeServing times the boot fixpoint on the
+// harness's corpus shape and BenchmarkRetypeServing one write on it.
 package reason
 
 import (

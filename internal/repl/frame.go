@@ -3,11 +3,11 @@
 // serves its log (LogServer) and read replicas follow it to serve queries
 // locally with bounded, observable staleness (Replica).
 // repro/internal/server mounts the LogServer's two handlers on a durable
-// primary and reports either role's state.
+// primary and reports either role's state. DESIGN.md "Replication" is its
+// design; API.md documents the wire protocol with captured transcripts.
 //
 //	GET /repl/snapshot                  — one segment over the primary's
-//	                                      chain and committed log, in the
-//	                                      data directory's segment format;
+//	                                      chain and committed log;
 //	                                      X-Repl-Generation and X-Repl-Digest
 //	                                      carry its stamp, the position a
 //	                                      replica loading it resumes from.
@@ -15,27 +15,37 @@
 //	                                      write that left position (G, D), as
 //	                                      their on-disk frames; &wait=25s
 //	                                      long-polls until a commit, &max caps
-//	                                      the writes per response. The
-//	                                      headers carry the latest committed
-//	                                      position. 410 Gone when (G, D) is
-//	                                      not on the live log.
-//
-// A point in the primary's history is named by a store.Position, the pair
-// of a generation and the digest of the asserted store after it. The pair,
-// not the generation, is the name: it survives a restart of the primary on
-// the same directory (the log carries it), and it cannot be mistaken across
-// histories — a primary restarted on a wiped or different directory does not
-// know a replica's position, answers 410, and the replica re-snapshots. A
-// replica applies each whole write through its own reasoner and compares its
-// store's digest with the one the record carries, so a write applied twice
-// or lost shows at once as a re-snapshot, not as silent divergence.
+//	                                      the writes per response. 410 Gone
+//	                                      when (G, D) is not on the live log.
 //
 // Both bodies are read with package durable's own checks (durable.Follower):
 // this package never decodes a frame. frame.go holds the wire constants both
-// ends share, feed.go the primary's handlers, replica.go the consumer.
-// DESIGN.md's "Replication" section describes the catch-up state machine and
-// the staleness bound; API.md documents the wire protocol with captured
-// transcripts.
+// ends share — paths, the position headers, the one pair of poll limits (25 s,
+// 1024 writes), the JSON error body. feed.go is the primary: ServeSnapshot,
+// ServeDeltas (parameters, the 400s, the 410 on durable.ErrGone, the long poll
+// with the commit wake taken before the read, so no commit is missed), Close,
+// Stats and the feed's metrics. replica.go is the consumer: New checks the
+// primary URL and loads its snapshot; round is the one feed round — poll,
+// Follower.Read, one Apply per whole write with the base's digest held to the
+// record's, and a lost position recovered by applying the set difference to a
+// fresh snapshot through the reasoner; Step runs one round with wait=0 and
+// Run loops rounds with the long poll and a capped, jittered backoff. The
+// status has one writer (update); Status derives the lag at read.
+//
+// wire_golden_test.go pins both endpoints' bytes and headers for one fixed
+// history (TestWireGolden); log_test.go is the in-package tests' primary and
+// a mirror store following it; feed_test.go holds the log server to the
+// window, the long poll and its wake, Close and concurrent followers;
+// frame_test.go pins which bodies a follower applies, retries or refuses and
+// fuzzes the reader (FuzzReadFeed); roundtrip_test.go runs ServeDeltas
+// against the Follower with paging, duplicated and cut responses. The replica
+// tests advance replicas with Step, never a sleep, and compare digests after
+// every step: e2e_test.go the replay property (TestReplayProperty) and
+// TestRunFollowsTheFeed, the one test of Run; fault_test.go drops,
+// duplicates and truncates one poll in four with exact counts, and parks a
+// stalled consumer while timing the primary's writes; stalewindow_test.go
+// the 410 → re-snapshot → converge path; epoch_test.go a primary restarted on
+// its own directory (no re-snapshot) and on a wiped one.
 package repl
 
 import (

@@ -1,8 +1,9 @@
 // Package server is the HTTP/JSON serving layer over the materialized
 // ontology store: it owns a reasoning engine (repro/internal/reason) kept at
 // a fixpoint over a base store, and serves BGP queries, batched mutations,
-// statistics and snapshots over plain HTTP. See API.md at the repository
-// root for the wire protocol with curl transcripts.
+// statistics and snapshots over plain HTTP. API.md at the repository root is
+// the wire protocol with curl transcripts; DESIGN.md "The serving layer" and
+// "The write path" are its design.
 //
 // The endpoints are
 //
@@ -14,34 +15,50 @@
 //	GET  /snapshot   — stream the materialized view as JSON lines
 //	POST /checkpoint — compact the write-ahead log into a segment (durable servers)
 //
-// A primary with a data directory (Config.Durable) additionally serves its
-// log as the replication feed (GET /repl/snapshot, GET /repl/deltas — see
-// repro/internal/repl); a memory-only primary answers 404 there. A server
-// configured as a
-// read replica (Config.Replica) rejects POST /triples and POST /checkpoint
-// with 403 naming the primary, and reports its catch-up lag under /stats,
-// /healthz and /metrics.
+// A primary with a data directory (Config.Durable) also serves its log as the
+// replication feed (GET /repl/snapshot, GET /repl/deltas — see
+// repro/internal/repl); a memory-only primary answers 404 there. A read
+// replica (Config.Replica) rejects POST /triples and POST /checkpoint with 403
+// naming the primary and reports its lag under /stats, /healthz and /metrics.
+// POST /query?explain=1 returns the plan and per-operator statistics instead
+// of solutions, and queries slower than Config.SlowQueryThreshold are
+// appended to the slow-query log.
 //
-// POST /query?explain=1 runs the query in EXPLAIN ANALYZE form: instead of
-// streaming solutions it evaluates the BGP with a planner/executor trace
-// attached and returns one JSON object describing the candidate join
-// orders, the chosen plan and per-operator batch/row/probe/time stats.
-// Queries slower than Config.SlowQueryThreshold are appended to the
-// slow-query log as ndjson records carrying the response's X-Request-Id.
+// Concurrency: a Server is safe for concurrent use. Queries read the view
+// under its read-lock and never block each other; mutations serialize behind
+// the reasoner's write lock, and cache invalidation runs inside the
+// mutation's critical section, so a client that observes a mutation's
+// response is never served a result cached before it.
 //
-// Query results are memoized in a byte-budgeted cache keyed on the canonicalized
-// BGP (query.Canonical) plus evaluation mode and limit, and invalidated at
-// predicate granularity by the engine's delta notifications — a mutation
-// touching predicate p drops exactly the cached results whose BGPs mention
-// p (plus those with variable predicates), so read-heavy traffic keeps its
-// hits across writes to unrelated predicates.
+// # Files
 //
-// Concurrency: a Server is safe for concurrent use by any number of HTTP
-// clients. Queries read the view under each store's read-lock and never
-// block each other; mutations serialize behind the reasoner's write
-// lock; cache invalidation runs inside the mutation's critical section, so
-// a client that observes a mutation's response can never be served a result
-// cached before that mutation (its own later queries re-evaluate).
+// server.go holds Config, New, the route table and prologue, Serve;
+// wire.go the one request reader (readRequest) and the hand-appended response
+// lines; query.go the five stages of POST /query, drain and EXPLAIN;
+// handlers.go the request and response types and the other endpoints, POST
+// /triples with its pooled triple slices among them; cache.go the result
+// cache; metrics.go the traffic counters and the per-route timing; repl.go
+// the role — which handlers to mount and which status to embed, nothing of
+// the protocol.
+//
+// # Tests
+//
+// server_test.go drives every endpoint and the query → cached → mutate →
+// invalidated cycle over a real listener; request_test.go walks the route
+// table for 405s, pins the one-JSON-value body rule and a cached /query at 5
+// allocations (TestCachedQueryAllocs); wire_test.go holds the reader to
+// encoding/json (FuzzRequestBodies), the appended lines to json.Marshal, and
+// the pooled triple slices to fresh ones (TestPooledTriplesDoNotLeakAcrossRequests);
+// stream_test.go pins that a replay is byte-identical to its miss and that a
+// large result streams before evaluation ends; cache_test.go the cache's
+// budget, invalidation and generation check; concurrency_test.go races
+// readers against a writer and requires every answer that names a generation
+// to hold it (TestAnswerMatchesItsGeneration); obs_e2e_test.go reconciles the
+// scrape, /stats, EXPLAIN and the slow-query log against exact traffic on a
+// durable server (TestStageClockReconciles); status_golden_test.go pins the
+// status bodies' keys; apidoc_test.go holds API.md's EXPLAIN transcript to
+// the server's output. BenchmarkServerQuery prices cached against uncached
+// reads with parallel clients; BenchmarkObsOverhead the instruments.
 package server
 
 import (

@@ -1,57 +1,70 @@
-// Package store implements the database-shaped substrate for the paper's §4
-// pragmatic argument: an in-memory triple store with subject/predicate/object
-// indexes, pattern queries, ontology-aware query expansion over a
-// description-logic TBox, and the precision/recall accounting used to measure
-// whether a normative ontonomy helps or hinders retrieval as the usage of a
-// domain drifts away from it (experiment E5).
-//
-// The engine is dictionary-encoded. Every subject, predicate and object
-// string is interned into a uint32 id by a symbol table, and the two
-// permutation indexes, SPO and POS, hold ids under one RWMutex, which a store
-// shares with its overlays. Seven of the eight bound shapes of a pattern land
-// on one lead of one index; the eighth, object-only (? ? o), fans out over
-// POS at O(predicates) finds plus the matches (see index.go for why no third
-// rotation is stored). Ingest has a batch path (AddBatch) that interns the
-// whole batch under one symbol-table lock and files it in one write section,
-// and reads have an allocation-free iterator form (QueryIDFunc,
-// View.ForEachSubject) alongside the materializing Query.
-//
-// Ordering: every materializing read (Query, Triples) returns its result in
-// sorted lexicographic order, so results depend only on the store's contents
-// — never on ingest order or on the ids the names happened to get. The
-// streaming forms (QueryIDFunc, View.ForEachSubject, the hooks of scan.go)
-// trade that order for zero allocation and enumerate in an unspecified one,
-// which is still a function of the contents alone: leads ascending by id,
-// pairs by middle id within a lead and members ascending within a set. Those
-// ascents are facts of the layout the cursors resume by, not a sort order
-// callers may rely on.
-//
-// Reads: a pattern is enumerated in two places and counted in one. The
-// callback walk behind QueryIDBatch (QueryIDFunc is a batch of one) and the
-// resumable ScanPart cursor, both in scan.go, are the enumerations; StatsID
-// (ids.go) is the cardinality dispatch, and Count is its count. A View
-// (view.go) is the union of a base and an overlay sharing one dictionary and
-// one lock, under one contract — the caller keeps the two disjoint — so a
-// view read is the base's answer followed by the overlay's and a view count
-// is a sum.
-//
-// Joins, variables and ontology-aware expansion live one layer up, in
-// package repro/internal/query, which evaluates basic graph patterns over
-// the id-level hooks in ids.go and scan.go.
+// Package store is the dictionary-encoded triple store under the paper's §4
+// pragmatic argument: an in-memory store with two permutation indexes,
+// pattern reads at string and id level, ontology-aware retrieval over a
+// description-logic TBox (OntologyIndex), and the precision/recall accounting
+// experiment E5 measures. DESIGN.md "The storage layer" is its design: the
+// dictionary, the index nodes, one lock per view, the read entry points, the
+// bulk build and the digest.
 //
 // Consistency: all methods are safe for concurrent use. A store and its
 // overlays share one RWMutex and one generation. A write holds it for one
-// write section (Write) — Add, AddBatch and Remove are one each, a reasoner's
-// write to both members is one — so a reader sees all of a write or none of
-// it, across both members of a View. A read holds it once for one probe
-// batch (QueryIDBatch), one cursor refill (ScanPart.NextBatch) or one
-// Contains, StatsID or View.ForEachSubject, so a cursor that spans refills
-// may see a section run between two of them (see ScanPart, and Generation for
-// the bracket that detects it). The materializing reads (Query, Triples, the
-// snapshots) drain a cursor, so none holds the lock for longer than a refill.
-// Lock order is store, symbol table, journal, and the lock is not reentrant:
-// a callback run under it must not read the view again, and a section reads
-// through View.Held.
+// write section (Store.Write); a read holds it once for one probe batch
+// (QueryIDBatch), one cursor refill (ScanPart.NextBatch) or one Contains,
+// StatsID or View.ForEachSubject. Lock order is store, symbol table, journal,
+// and the lock is not reentrant: a callback run under it must not read the
+// view again, and a section reads through View.Held. Every materializing read
+// (Query, Triples) is sorted; the streaming forms enumerate in an order that
+// is a function of the contents alone, which callers may not rely on.
+//
+// # Files
+//
+//   - symbols.go: the symbol table — names, the keyless name→id index, the
+//     lock-free id→name snapshot, which falls back to the locked path only
+//     for an id minted mid-read.
+//   - index.go: one permutation index — the lead directory and its pages, the
+//     midTrail pairs, inline singles and sorted runs; every lead access goes
+//     through find, slot, insert, remove and the one ascending walk, ascend.
+//     Ids are minted ascending, so a fresh subject lands at the end of its
+//     class's run and moves nothing.
+//   - store.go: Store, write sections, generation and position; tx.go the
+//     write handle Tx (every write method, the journal record it collects);
+//     journal.go the Journal hook a durable engine installs.
+//   - ids.go and scan.go: the id-level reads — StatsID, the callback walk
+//     behind QueryIDBatch and its two specialized probe loops, and the
+//     resumable ScanPart cursor; the string-level reads wrap them.
+//   - view.go: View, the disjoint union of a base and an overlay, and Held,
+//     its lock-assuming face for a writer.
+//   - restore.go: LoadSorted and RestoreSorted, the arena-built bulk path, and
+//     the radix sort and sorted set algebra; snapshot.go the JSON-lines export
+//     and Restore; digest.go the multiset hash.
+//   - ontology.go and eval.go: OntologyIndex over a classified TBox (a cyclic
+//     hierarchy is a SubsumptionCycleError) and the retrieval metrics.
+//
+// # Tests
+//
+// ref_test.go holds every read path to the model's filter over all triples
+// (repro/internal/model) on a store and on a view, at cursor batch sizes 1, 7
+// and 1 024, over a vocabulary with leads and runs longer than linearRun, as a
+// property test and FuzzQueryAgreement, and pins QueryIDFunc at 0 allocations
+// on all eight shapes; no read path's oracle is another read path. runs_test.go holds the layout (checkRuns, called from the reference
+// suite, the fuzz target and the bulk-load tests), fuzzes one lead's sets
+// against a map (FuzzIDSet), pins 0 allocations for search, remove and a new
+// middle id, and drains cursors while writes land below and above them
+// (TestCursorResumesByValue). objectonly_test.go holds the object-only shape
+// to the reference on every read surface. footprint_test.go gates 16
+// structural bytes a triple and a 16-byte pair (TestIndexFootprint) and a lone
+// late predicate at one page (TestLonePredicateCostsOnePage).
+// restore_test.go holds a bulk load to batch ingest and to an AddID-built
+// twin, before and after further writes, and its refusals; digest_test.go pins
+// H with a literal and the maintained digest to one computed from scratch;
+// symbols_test.go the name index against a map and its 0-allocation lookups;
+// snapshot_test.go byte-stable snapshots at 10⁵ triples; concurrency_test.go
+// and view_concurrency_test.go race writers against every read path under
+// -race and check a batch is seen whole (TestBatchIsAtomicToReaders).
+// bench_test.go prices ingest and every read shape against a replica of a
+// nested string-map engine, the object-only fan-out (BenchmarkObjectOnlyPattern),
+// writes into one long posting list (BenchmarkHubChurn), a dictionary lookup
+// and the doubling pause (BenchmarkDictGrowth).
 package store
 
 import (

@@ -1,10 +1,10 @@
-// Package doccheck enforces the repository's documentation contract: every
-// exported identifier in the serving stack must carry a doc comment. It is
-// the go/analysis port of the original internal/tools/doccheck command, so
-// the rules are unchanged: a declaration is documented if the declaration
-// itself, its spec, or (for grouped const/var/type blocks) the group has a
-// comment; test files are skipped; methods count when both the method name
-// and the receiver type are exported.
+// Package doccheck enforces the repository's documentation contract for the
+// engine packages: each has a package doc comment, where its package-local
+// design lives, and every exported identifier carries a doc comment. A
+// declaration is documented if the declaration itself, its spec, or (for
+// grouped const/var/type blocks) the group has a comment; test files are
+// skipped; methods count when both the method name and the receiver type are
+// exported.
 package doccheck
 
 import (
@@ -18,23 +18,25 @@ import (
 // Analyzer is the doccheck analysis.
 var Analyzer = &analysis.Analyzer{
 	Name: "doccheck",
-	Doc: "check that every exported identifier in the serving stack has a doc comment\n\n" +
+	Doc: "check that every engine package and every exported identifier in it has a doc comment\n\n" +
 		"A group comment covers every const/var in its block; methods are checked when the receiver\n" +
 		"type is exported too; test files are exempt.",
 	Run: run,
 }
 
-// Packages lists the package paths the contract applies to — the serving
-// stack whose godoc is the public surface. Tests may override this to point
-// the analyzer at fixture packages.
+// Packages lists the package paths the contract applies to — the engine
+// packages whose godoc is the public surface and the design's package-local
+// half. Tests may override this to point the analyzer at fixture packages.
 var Packages = []string{
 	"repro/internal/store",
 	"repro/internal/query",
 	"repro/internal/query/exec",
 	"repro/internal/reason",
 	"repro/internal/server",
+	"repro/internal/durable",
 	"repro/internal/obs",
 	"repro/internal/repl",
+	"repro/internal/model",
 }
 
 func run(pass *analysis.Pass) (any, error) {
@@ -48,11 +50,21 @@ func run(pass *analysis.Pass) (any, error) {
 	if !checked {
 		return nil, nil
 	}
+	var first *ast.File // the non-test file that sorts first
+	documented := false
 	for _, f := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
+		name := pass.Fset.Position(f.Pos()).Filename
+		if strings.HasSuffix(name, "_test.go") {
 			continue
 		}
+		if first == nil || name < pass.Fset.Position(first.Pos()).Filename {
+			first = f
+		}
+		documented = documented || f.Doc != nil
 		checkFile(pass, f)
+	}
+	if first != nil && !documented {
+		pass.Reportf(first.Name.Pos(), "package %s has no doc comment", first.Name.Name)
 	}
 	return nil, nil
 }

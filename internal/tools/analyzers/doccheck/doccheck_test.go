@@ -9,6 +9,6 @@ import (
 
 func TestDoccheck(t *testing.T) {
 	defer func(prev []string) { doccheck.Packages = prev }(doccheck.Packages)
-	doccheck.Packages = []string{"a"}
-	analysistest.Run(t, analysistest.TestData(), doccheck.Analyzer, "a")
+	doccheck.Packages = []string{"a", "nodoc"}
+	analysistest.Run(t, analysistest.TestData(), doccheck.Analyzer, "a", "nodoc")
 }

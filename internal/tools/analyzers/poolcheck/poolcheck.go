@@ -1,5 +1,5 @@
 // Package poolcheck verifies the buffer-reuse rules of the pooled batch
-// operators (DESIGN.md "buffer-reuse rules"): a value taken from a
+// operators (DESIGN.md "Buffer ownership"): a value taken from a
 // sync.Pool must be returned to it — or handed off to something that will —
 // on every path out of the function, pools must recycle pointers rather than
 // slice headers, and every Get must be type-asserted where it happens.
