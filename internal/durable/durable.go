@@ -31,12 +31,12 @@
 // enforce); wal.go the group-committing writer, which also keeps the
 // position, seq and end offset of every write of the live log; segment.go the
 // segment codec and its temp-then-rename publish; tier.go the patches, the
-// one k-way fold (push checks adjacency and dictionary contiguity), foldChain,
-// foldWAL over walkWAL, and the merge policy; recover.go the startup state
-// machine and the package's one directory listing; durable.go the Engine —
-// Open, the journal hooks, Checkpoint, the background goroutine, Stats;
-// serve.go the feed (ReadLog, CommitWake, Snapshot); follow.go the replica's
-// reader (LoadSnapshot, Follower).
+// one k-way fold (push checks adjacency and dictionary contiguity), walkWAL
+// with the record rules, foldChain, foldWAL, foldHistory and the merge policy;
+// recover.go the startup state machine and the package's one directory
+// listing; durable.go the Engine — Open, the journal hooks, Checkpoint, the
+// background goroutine, Stats; serve.go the feed (ReadLog, CommitWake,
+// Snapshot); follow.go the replica's reader (LoadSnapshot, Follower).
 //
 // # Tests
 //
@@ -58,15 +58,16 @@
 // against repro/internal/model (TestComposition, FuzzComposition; a failure
 // shrinks to a literal for composedReplays). tier_test.go covers merges,
 // tombstones, damaged chains, the WAL-only, chained and merged shapes
-// recovering identically (TestReplayAndChainRecoveryAgree), the two WAL sinks
-// refusing the same bad logs, and Close waiting out a merge. fold_test.go
-// holds the folds to a naive replay, to the bytes in testdata/segments, to
-// the pairwise algebra and to an allocation bound per checkpoint and merge.
-// durable_test.go cuts a log of mixed transactions at every byte
-// (TestPrefixReplayProperty), a chunked write at every chunk boundary, and
-// flips bits; stamp_test.go builds logs and chains with their true positions;
-// fuzz_test.go fuzzes the frame decoder, whole-log recovery and the segment
-// loader. BenchmarkIngestWAL prices journaling per fsync policy,
+// recovering identically (TestReplayAndChainRecoveryAgree), every reader of
+// the log refusing the same bad logs, and Close waiting out a merge.
+// fold_test.go holds the folds to a naive replay, to the bytes in
+// testdata/segments, to the pairwise algebra and to an allocation bound per
+// checkpoint and merge. durable_test.go cuts a log of mixed transactions at
+// every byte (TestPrefixReplayProperty), a chunked write at every chunk
+// boundary, and flips bits; stamp_test.go builds logs and chains with their
+// true positions; fuzz_test.go fuzzes the frame decoder, whole-log recovery,
+// recovery's tail fold against the Follower (FuzzLogReadersAgree) and the
+// segment loader. BenchmarkIngestWAL prices journaling per fsync policy,
 // BenchmarkRecover1e6 recovery over a base segment and over a log alone, and
 // BenchmarkCheckpointDelta and BenchmarkMergeRun what one checkpoint and one
 // merge cost and allocate.

@@ -1,6 +1,9 @@
 package durable
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/store"
@@ -76,28 +79,23 @@ func fuzzChainSegments() ([]segmentData, *logScript) {
 	return segs, stampChain(segs)
 }
 
-// FuzzRecoverLog feeds arbitrary bytes to the whole recovery path — the only
-// way the engine fills a store — as a log tail, once over a bare directory,
-// once behind a two-segment tier chain: recovery must either succeed (torn
-// tails are legal in the last file) or fail with an error — never panic, and
-// never load a state the fold did not explicitly compose.
-func FuzzRecoverLog(f *testing.F) {
+// recoverLogSeeds is FuzzRecoverLog's corpus of log tails, which
+// FuzzLogReadersAgree shares: logs that stand alone, tails that continue the
+// two-segment chain of fuzzChainSegments from seq 5, and cuts of both.
+func recoverLogSeeds(tb testing.TB) [][]byte {
 	var bare logScript
 	var seed []byte
 	seed = appendFrame(seed, bare.dict(1, "s", "p", "o"))
 	seed = appendFrame(seed, bare.write(2, []store.IDTriple{{S: 0, P: 1, O: 2}}, nil))
-	f.Add(seed)
-	f.Add(seed[:len(seed)-3])
-	f.Add([]byte{})
+	seeds := [][]byte{seed, seed[:len(seed)-3], {}}
 	// A tail that chains correctly onto the segment fixture (first seq 5,
 	// re-adding the tombstoned triple), so the fuzzer explores the
 	// chain-plus-valid-tail path too, not only early rejections.
-	segs, chainScript := fuzzChainSegments()
+	_, chainScript := fuzzChainSegments()
 	cs := chainScript.clone()
 	var chained []byte
 	chained = appendFrame(chained, cs.write(5, []store.IDTriple{{S: 0, P: 1, O: 2}}, nil))
 	chained = appendFrame(chained, cs.write(6, nil, []store.IDTriple{{S: 0, P: 1, O: 3}}))
-	f.Add(chained)
 	// The same two changes as one two-sided record, then a record that adds
 	// and removes one triple, then an empty one; and the first as a chunked
 	// write, its part and its last chunk.
@@ -106,21 +104,29 @@ func FuzzRecoverLog(f *testing.F) {
 	twoSided = appendFrame(twoSided, cs.write(5, []store.IDTriple{{S: 0, P: 1, O: 2}}, []store.IDTriple{{S: 0, P: 1, O: 3}}))
 	twoSided = appendFrame(twoSided, cs.write(6, []store.IDTriple{{S: 3, P: 1, O: 0}}, []store.IDTriple{{S: 3, P: 1, O: 0}}))
 	twoSided = appendFrame(twoSided, cs.write(7, nil, nil))
-	f.Add(twoSided)
-	f.Add(twoSided[:len(twoSided)/2])
 	cs = chainScript.clone()
 	var chunked []byte
 	chunked = appendFrame(chunked, cs.part(5, []store.IDTriple{{S: 0, P: 1, O: 2}}, nil))
 	chunked = appendFrame(chunked, cs.write(6, nil, []store.IDTriple{{S: 0, P: 1, O: 3}}))
-	f.Add(chunked)
 	// A log the engine itself wrote — dictionary growth interleaved with add
 	// batches, removes, two-sided transactions and a triple added and removed
 	// by one record — cut on a commit boundary, inside a frame, and one byte
 	// short of whole.
-	built, offsets, _ := buildLog(f)
-	f.Add(built[:offsets[4]])
-	f.Add(built[:offsets[7]+11])
-	f.Add(built[:len(built)-1])
+	built, offsets, _ := buildLog(tb)
+	return append(seeds, chained, twoSided, twoSided[:len(twoSided)/2], chunked,
+		built[:offsets[4]], built[:offsets[7]+11], built[:len(built)-1])
+}
+
+// FuzzRecoverLog feeds arbitrary bytes to the whole recovery path — the only
+// way the engine fills a store — as a log tail, once over a bare directory,
+// once behind a two-segment tier chain: recovery must either succeed (torn
+// tails are legal in the last file) or fail with an error — never panic, and
+// never load a state the fold did not explicitly compose.
+func FuzzRecoverLog(f *testing.F) {
+	for _, seed := range recoverLogSeeds(f) {
+		f.Add(seed)
+	}
+	segs, _ := fuzzChainSegments()
 	// Serialize the segment fixture once and lay its bytes down per exec.
 	chainDisk := newMemDisk()
 	for _, seg := range segs {
@@ -151,6 +157,67 @@ func FuzzRecoverLog(f *testing.F) {
 		// add is tombstoned unless the tail explicitly re-added it.
 		if st.Len() < 1 {
 			t.Fatalf("chain recovery lost the young segment's add (store holds %d triples)", st.Len())
+		}
+	})
+}
+
+// FuzzLogReadersAgree holds the log's two readers to the sink table
+// (tier.go): each input is laid down as wal-1 of an empty directory and
+// folded as recovery folds its tail, and read as one log body by a zero
+// Follower. A record-level fault fails both, at the same record with the
+// same words; a torn tail is recovery's cut and the Follower's ErrTorn,
+// after the same last write; a clean log leaves both at the same position.
+// They may disagree only where the table says: a length claim beyond
+// maxFramePayload is corruption to recovery and a torn body to the Follower,
+// and a dictionary name that is the empty string is the Follower's alone to
+// refuse. What a load checks beyond the log — the digest of the loaded
+// triples, the store's own dictionary checks — is recovery's load and the
+// replica's apply, not the log's reading.
+func FuzzLogReadersAgree(f *testing.F) {
+	for _, seed := range recoverLogSeeds(f) {
+		f.Add(seed)
+	}
+	for _, bad := range badLogs() {
+		f.Add(bad.body())
+	}
+	// A chunked write that stands alone, whole and cut after its part.
+	var ls logScript
+	var chunked []byte
+	chunked = appendFrame(chunked, ls.dict(1, "s", "p", "o"))
+	chunked = appendFrame(chunked, ls.part(2, []store.IDTriple{{S: 0, P: 1, O: 2}}, nil))
+	cut := len(chunked)
+	chunked = appendFrame(chunked, ls.write(3, []store.IDTriple{{S: 2, P: 1, O: 0}}, nil))
+	f.Add(chunked)
+	f.Add(chunked[:cut])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := newMemDisk()
+		d.put(walFileName(1), data)
+		datas, err := readWAL(d, []uint64{1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg, live, recErr := foldWAL(d, []uint64{1}, datas, 0, 0, store.Position{}, true)
+
+		var fol Follower
+		n, folErr := fol.Read(data, func([]store.Triple, []store.Triple, store.Position) error { return nil })
+		switch {
+		case folErr != nil && strings.Contains(folErr.Error(), "the empty string"):
+			return // the Follower's own check; recovery reads on
+		case recErr != nil && errors.Is(folErr, ErrTorn):
+			if !strings.Contains(recErr.Error(), fmt.Sprintf("beyond the %d-byte cap", maxFramePayload)) {
+				t.Fatalf("recovery refused what the follower read as torn: %v; follower: %v", recErr, folErr)
+			}
+		case recErr != nil:
+			want := strings.TrimPrefix(recErr.Error(), "durable: "+walFileName(1)+": ")
+			if !errors.Is(folErr, ErrDiverged) || !strings.Contains(folErr.Error(), want) {
+				t.Fatalf("recovery: %v\nfollower: %v\nwant the same refusal as ErrDiverged", recErr, folErr)
+			}
+		case folErr != nil && !errors.Is(folErr, ErrTorn):
+			t.Fatalf("the follower refused what recovery folded: %v", folErr)
+		case (folErr != nil) != (live.size < int64(len(data))):
+			t.Fatalf("recovery kept %d of %d bytes, the follower read %v", live.size, len(data), folErr)
+		case n != len(live.writes) || fol.Position() != seg.at:
+			t.Fatalf("the follower applied %d writes to %v, recovery folded %d to %v", n, fol.Position(), len(live.writes), seg.at)
 		}
 	})
 }

@@ -25,10 +25,10 @@ import (
 //	          — a gap or partial overlap is corruption, reported, never
 //	          papered over
 //	load segments
-//	          foldChain (tier.go) loads the chain oldest→newest onto one
-//	          fold — the loop a merge runs
-//	fold tail foldWAL (tier.go) folds the wal files beyond the chain into one
-//	          more patch, pushed onto the same fold — the fold a checkpoint
+//	          foldHistory (tier.go): foldChain loads the chain, from seq 1
+//	          and id 0, oldest→newest onto one fold — the loop a merge runs
+//	fold tail foldWAL folds the wal files beyond the chain into one more
+//	          patch, pushed onto the same fold — the fold a checkpoint
 //	          runs, with the tail's policy:
 //	          a frame that fails its CRC in the LAST file is a torn tail, cut
 //	          there; the same failure in any earlier file is corruption —
@@ -168,28 +168,15 @@ func recoverDir(st *store.Store, d disk) (recovered, error) {
 	// O(directory) regardless; suspend collection for the window and restore
 	// it before the engine goes live.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	state := &fold{}
-	if len(rec.tiers) > 0 {
-		if state, err = foldChain(d, rec.tiers, nil); err == nil {
-			err = (&fold{start: 1}).precede(state.start, state.end, state.dictFirst) // the chain must start at id 0
-		}
-		if err != nil {
-			return rec, err
-		}
-		rec.dictCovered = store.SymbolID(state.names)
-	}
 	datas, err := readWAL(d, rec.wals)
 	if err != nil {
 		return rec, err
 	}
-	var tail segmentData
-	tail, rec.tail, err = foldWAL(d, rec.wals, datas, covered, rec.dictCovered, state.at, true)
-	if err == nil {
-		err = state.push(tail)
-	}
+	state, tail, err := foldHistory(d, rec.tiers, rec.wals, datas, true)
 	if err != nil {
 		return rec, err
 	}
+	rec.tail, rec.dictCovered = tail, state.patches[len(state.patches)-1].dictFirst
 	if _, err := loadFold(st, state); err != nil {
 		return rec, fmt.Errorf("durable: loading the data directory: %w", err)
 	}

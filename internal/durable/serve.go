@@ -42,9 +42,18 @@ func (e *Engine) ReadLog(from store.Position, max int) ([]byte, store.Position, 
 	if err != nil || start == end {
 		return nil, latest, err
 	}
-	var out []byte
+	_, datas, err := e.readLive(start, end)
+	if len(datas) == 1 {
+		return datas[0], latest, nil // one file's bytes, served as read
+	}
+	return slices.Concat(datas...), latest, err
+}
+
+// readLive reads the live log from where start ends to where end ends, one
+// slice per wal file. Callers hold ckptMu.
+func (e *Engine) readLive(start, end logPos) (firsts []uint64, datas [][]byte, err error) {
 	for _, first := range e.wals {
-		if first < start.file || first > end.file {
+		if first < start.file || first > end.file || start.seq == end.seq {
 			continue
 		}
 		from, to := int64(0), int64(-1)
@@ -56,15 +65,11 @@ func (e *Engine) ReadLog(from store.Position, max int) ([]byte, store.Position, 
 		}
 		data, err := e.disk.readRange(walFileName(first), from, to)
 		if err != nil {
-			return nil, latest, fmt.Errorf("durable: reading the log for a replica: %w", err)
+			return nil, nil, fmt.Errorf("durable: reading the live log: %w", err)
 		}
-		if out == nil {
-			out = data
-		} else {
-			out = append(out, data...)
-		}
+		firsts, datas = append(firsts, first), append(datas, data)
 	}
-	return out, latest, nil
+	return firsts, datas, nil
 }
 
 // chainStamp is where the live log begins: the position of the chain's
@@ -141,47 +146,22 @@ func (e *Engine) LogBounds() (oldest, latest store.Position) {
 	return chain.at, latest
 }
 
-// Snapshot folds the chain and the committed live log through its last
-// committed write into one segment — the fold a merge runs, over the whole
-// chain plus the log — and returns its bytes and its stamp, the position a
-// replica loading it resumes from. It holds ckptMu while it reads and folds,
-// so no checkpoint or merge moves the files under it, and builds the segment
-// in memory: the caller streams it without the lock.
+// Snapshot folds the chain and the live log through its last committed
+// write into one segment — foldHistory, the fold recovery boots from — and
+// returns its bytes and its stamp, the position a replica loading it resumes
+// from. It holds ckptMu while it reads and folds, so no checkpoint or merge
+// moves the files under it, and builds the segment in memory: the caller
+// streams it without the lock.
 func (e *Engine) Snapshot() ([]byte, store.Position, error) {
 	e.ckptMu.Lock()
 	defer e.ckptMu.Unlock()
-	chain, dictNext := e.chainTiers()
 	stamp := e.chainStamp()
-	chainEnd := stamp.seq
 	cut := e.w.lastCommitted(stamp)
-
-	state := &fold{}
-	if len(chain) > 0 {
-		var err error
-		if state, err = foldChain(e.disk, chain, nil); err != nil {
-			return nil, store.Position{}, err
-		}
+	firsts, datas, err := e.readLive(stamp, cut)
+	if err != nil {
+		return nil, store.Position{}, err
 	}
-	var firsts []uint64
-	var datas [][]byte
-	for _, first := range e.wals {
-		if first <= chainEnd || first > cut.file || cut.seq == chainEnd {
-			continue
-		}
-		to := int64(-1)
-		if first == cut.file {
-			to = cut.end
-		}
-		data, err := e.disk.readRange(walFileName(first), 0, to)
-		if err != nil {
-			return nil, store.Position{}, fmt.Errorf("durable: reading the log for a snapshot: %w", err)
-		}
-		firsts, datas = append(firsts, first), append(datas, data)
-	}
-	tail, _, err := foldWAL(e.disk, firsts, datas, chainEnd, dictNext, stamp.at, false)
-	if err == nil {
-		err = state.push(tail)
-	}
+	state, _, err := foldHistory(e.disk, e.chainTiers(), firsts, datas, false)
 	if err == nil && (state.end != cut.seq || state.at != cut.at) {
 		err = fmt.Errorf("durable: the snapshot folded through seq %d at %v, want the committed write %d at %v", state.end, state.at, cut.seq, cut.at)
 	}
@@ -195,12 +175,11 @@ func (e *Engine) Snapshot() ([]byte, store.Position, error) {
 	return buf.Bytes(), state.at, nil
 }
 
-// chainTiers copies the segment chain and returns the dictionary ids it
-// covers.
-func (e *Engine) chainTiers() ([]segMeta, store.SymbolID) {
+// chainTiers copies the segment chain.
+func (e *Engine) chainTiers() []segMeta {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return slices.Clone(e.tiers), e.dictCovered
+	return slices.Clone(e.tiers)
 }
 
 // lastCommitted is the last committed write of the live log, or chain when

@@ -16,12 +16,15 @@ import (
 // window and both triple runs encoded, as the files carry them. A fold
 // composes adjacent patches, oldest first, in one k-way pass over all their
 // runs in which the newest mention of a triple wins, and every use of the
-// directory is one of three sinks of that one fold:
+// directory is a sink of that one fold. walkWAL reads the log under them
+// all, and under the replica's Follower, which folds nothing:
 //
-//	sink        patches folded                  window ends at      a bad frame is
-//	checkpoint  foldWAL of the sealed files     the rotation point  corruption
-//	merge       foldChain of a suffix           the chain's end     n/a (segments are atomic)
-//	recovery    foldChain, then foldWAL's tail  the end of the log  cut, in the last file only
+//	reader      folds                              ends at               a bad frame is
+//	checkpoint  foldWAL of the sealed files        the rotation point    corruption
+//	merge       foldChain of a suffix              the chain's end       n/a (segments are atomic)
+//	recovery    foldHistory: chain, then log tail  the end of the log    cut in the last file; over the cap, corrupt
+//	snapshot    foldHistory to the last commit     that write            corruption
+//	Follower    nothing: walkWAL of one log body   its last whole write  ErrTorn, over the cap too; "" is ErrDiverged
 //
 // A checkpoint and a merge stream their fold into a segment file
 // (writeSegment); recovery streams it into the run the store is loaded
@@ -70,11 +73,11 @@ func foldOf(p segmentData) *fold {
 // and its ids right after the fold's names.
 func (f *fold) precede(start, end uint64, dictFirst store.SymbolID) error {
 	if start != f.end+1 {
-		return fmt.Errorf("durable: merging segments [%d, %d] and [%d, %d]: windows not adjacent", f.start, f.end, start, end)
+		return fmt.Errorf("durable: folding [%d, %d] onto [%d, %d]: windows not adjacent", start, end, f.start, f.end)
 	}
 	if dictFirst != f.dictFirst+store.SymbolID(f.names) {
-		return fmt.Errorf("durable: merging segments [%d, %d] and [%d, %d]: dictionary windows not contiguous (%d+%d names, then first id %d)",
-			f.start, f.end, start, end, f.dictFirst, f.names, dictFirst)
+		return fmt.Errorf("durable: folding [%d, %d] onto [%d, %d]: dictionary windows not contiguous (%d+%d names, then first id %d)",
+			start, end, f.start, f.end, f.dictFirst, f.names, dictFirst)
 	}
 	return nil
 }
@@ -209,6 +212,25 @@ func foldChain(d disk, chain []segMeta, stop <-chan struct{}) (*fold, error) {
 	return folded, nil
 }
 
+// foldHistory folds a whole history as recovery boots it and Engine.Snapshot
+// serves it: the chain, which must start at seq 1 and id 0, then the wal
+// files beyond it (foldWAL under tail's policy) pushed onto the same fold —
+// its last patch, whose dictFirst is where the chain's names end.
+func foldHistory(d disk, chain []segMeta, firsts []uint64, datas [][]byte, tail bool) (*fold, walTail, error) {
+	history, err := foldChain(d, chain, nil)
+	if err == nil && len(chain) > 0 {
+		err = (&fold{start: 1}).precede(history.start, history.end, history.dictFirst)
+	}
+	if err != nil {
+		return nil, walTail{}, err
+	}
+	log, live, err := foldWAL(d, firsts, datas, history.end, store.SymbolID(history.names), history.at, tail)
+	if err == nil {
+		err = history.push(log)
+	}
+	return history, live, err
+}
+
 // The merge policy.
 const (
 	// mergeRatio is the size-separation factor between generations: a
@@ -245,19 +267,30 @@ func pickMergeRun(sizes []int64, ratio float64) (int, bool) {
 	return i, i < n-1
 }
 
-// walkWAL is the package's one frame loop: it walks the bytes of the wal file
-// (or /repl/deltas body) called name frame by frame — nextFrame,
-// decodeRecord, seq check — handing each record to visit with the offsets it
-// starts and ends at. Records at or below skip are passed over unseen (the
-// leftovers of an interrupted cleanup, or records a replica already holds);
-// every other record must be the successor of the one before it, the first of
-// prev, or the log has a gap. It returns the seq of the last record visited
-// and the offset the walk stopped at: len(data) after a clean walk, else the
-// first byte that does not begin a whole, checksum-valid frame — whether that
-// is a torn tail to cut or corruption to report is the caller's policy, as is
-// everything about what a record means. An error from visit ends the walk.
-func walkWAL(name string, data []byte, skip, prev uint64, visit func(r record, off, next int) error) (uint64, int, error) {
+// logWalk is a walk of the log in progress, carried across records and the
+// files of one log: the last seq read, the ids minted by then, whether a
+// write's parts wait for its recWrite, and where the current file last stood
+// whole — the offset just past its last record outside an open write, and
+// that record's seq. A log cut there ends with its last whole write.
+type logWalk struct {
+	seq, wholeSeq uint64
+	ids           store.SymbolID
+	open          bool
+	whole         int
+}
+
+// walkWAL is the package's one reading of the log: it walks the wal file (or
+// log body) called name frame by frame — nextFrame, decodeRecord — holds each
+// record to what a log means (the seq after w's, then w.read), and hands it to
+// visit with the offsets it starts and ends at. Records at or below skip are
+// passed over unseen: an interrupted cleanup's leftovers, or records a
+// replica holds. It returns the offset it stopped at: len(data) after a clean
+// walk, else the first byte that does not begin a whole, checksum-valid
+// frame. Whether that is a torn tail or corruption, and what a write left
+// open means, is the caller's policy. An error from visit ends the walk.
+func walkWAL(name string, data []byte, skip uint64, w *logWalk, visit func(r record, off, next int) error) (int, error) {
 	off := 0
+	w.whole, w.wholeSeq = 0, w.seq
 	for off < len(data) {
 		payload, next, ok := nextFrame(data, off)
 		if !ok {
@@ -265,20 +298,50 @@ func walkWAL(name string, data []byte, skip, prev uint64, visit func(r record, o
 		}
 		r, err := decodeRecord(payload)
 		if err != nil {
-			return prev, off, fmt.Errorf("durable: %s: offset %d: %w", name, off, err)
+			return off, fmt.Errorf("durable: %s: offset %d: %w", name, off, err)
 		}
 		if r.seq > skip {
-			if r.seq != prev+1 {
-				return prev, off, fmt.Errorf("durable: %s: record at offset %d has seq %d, want %d; the log has a gap", name, off, r.seq, prev+1)
+			if r.seq != w.seq+1 {
+				return off, fmt.Errorf("durable: %s: record at offset %d has seq %d, want %d; the log has a gap", name, off, r.seq, w.seq+1)
 			}
-			if err := visit(r, off, next); err != nil {
-				return prev, off, fmt.Errorf("durable: %s: record %d: %w", name, r.seq, err)
+			if err = w.read(r); err == nil {
+				err = visit(r, off, next)
 			}
-			prev = r.seq
+			if err != nil {
+				return off, fmt.Errorf("durable: %s: record %d: %w", name, r.seq, err)
+			}
 		}
-		off = next
+		if off = next; !w.open {
+			w.whole, w.wholeSeq = off, w.seq
+		}
 	}
-	return prev, off, nil
+	return off, nil
+}
+
+// read holds r, the next record, to the log's rules and moves the walk past
+// it: a dictionary record continues the ids exactly — one that restates or
+// skips an id disagrees with the reader about what an id names — a mutation
+// names only ids minted by then, and a write is its recParts closed by a
+// recWrite, with no dictionary record between.
+func (w *logWalk) read(r record) error {
+	if r.typ == recDict {
+		if w.open {
+			return errors.New("a dictionary record interrupts a chunked write")
+		}
+		if r.first != w.ids {
+			return fmt.Errorf("dictionary record starts at id %d, want %d", r.first, w.ids)
+		}
+		w.ids += store.SymbolID(r.names.n)
+	} else {
+		for i := 0; i < r.triples.len(); i++ {
+			if t := r.triples.at(i); t.S >= w.ids || t.P >= w.ids || t.O >= w.ids {
+				return fmt.Errorf("triple %v names an id beyond the %d the dictionary had minted", t, w.ids)
+			}
+		}
+		w.open = r.typ == recPart
+	}
+	w.seq = r.seq
+	return nil
 }
 
 // logPos is one write of the live log: the position its record names, its
@@ -312,25 +375,21 @@ func readWAL(d disk, firsts []uint64) ([][]byte, error) {
 	return datas, nil
 }
 
-// foldWAL is the package's one reading of what log records mean: it folds the
-// wal files named by firsts (their first seqs, ascending; datas holds their
-// bytes) into the patch over the window (after, end], where end is wherever
-// the records stop, stamped with the position of its last write — at, the
-// chain's stamp, when it holds none. Dictionary records are concatenated and
-// must continue the id sequence exactly from dictNext — one that restates or
-// skips an id means the log and the chain disagree about what an id names; a
-// mutation may only name ids minted by then; a write is its parts and the
-// recWrite closing them, with no dictionary record between; and per triple
-// the LAST event in the window wins — an add followed by a remove folds to a
-// tombstone, a remove followed by a re-add to an add, and inside one record
-// the adds come before the removes. Records at or below after are skipped and
-// a file that starts there is a leftover of an interrupted cleanup; every
-// other file must begin with the successor of the record before it.
+// foldWAL folds the wal files named by firsts (their first seqs, ascending;
+// datas holds their bytes), walked from dictNext, the chain's next id, into
+// the patch over the window (after, end], where end is wherever the records
+// stop, stamped with its last write's position — at, the chain's stamp, when
+// it holds none. Dictionary records are concatenated, and per triple the LAST
+// event wins: an add then a remove folds to a tombstone, a remove then a
+// re-add to an add, and a record's adds come before its removes. Records at
+// or below after are skipped and a file that starts there is a leftover of an
+// interrupted cleanup; every other file must begin with the successor of the
+// record before it.
 //
 // A frame that fails its framing is corruption: sealed files were fsynced by
 // the rotation that closed them, which never splits a write. The one
 // exception is the tail sink's — with tail set the last file is the one a
-// crash may have torn, so it is cut at the last whole write, before a
+// crash may have torn, so it is cut where the walk last stood whole, before a
 // trailing run of parts whose recWrite never reached the disk as much as
 // before a torn frame, and the fold ends there, the writer appending after
 // the last good record instead of burying garbage mid-file. A length field
@@ -347,51 +406,34 @@ func foldWAL(d disk, firsts []uint64, datas [][]byte, after uint64, dictNext sto
 	// The files are read first so the events are sized once: every triple
 	// event costs 12 bytes of the window, so size/12 is room for them all.
 	events := make([]walEvent, 0, size/12)
+	whole := 0      // the events of the whole writes: a cut keeps these
 	var data []byte // the file being walked
 	var first uint64
 	kept := 0 // how much of data's front holds its dictionary regions
 	var regions [][]byte
-	// A write's parts wait for its recWrite: part is the offset of the first
-	// of them in data (-1 when none waits), partSeq the seq before it and
-	// partEvents where its events begin.
-	part, partSeq, partEvents := -1, uint64(0), 0
-	visit := func(r record, off, next int) error {
+	w := logWalk{seq: after, ids: dictNext}
+	visit := func(r record, _, next int) error {
 		if r.typ == recDict {
-			if part >= 0 {
-				return fmt.Errorf("a dictionary record interrupts a chunked write")
-			}
-			if want := dictNext + store.SymbolID(seg.dict.n); r.first != want {
-				return fmt.Errorf("dictionary record starts at id %d, want %d", r.first, want)
-			}
 			// The walk is past these bytes and never reads them again: move
 			// the region down behind the file's earlier ones, so the file's
 			// buffer ends up carrying its whole dictionary window at its
 			// front.
 			kept += copy(data[kept:], r.names.enc)
-			seg.dict.n += r.names.n
 			return nil
 		}
-		if part < 0 && r.typ == recPart {
-			part, partSeq, partEvents = off, r.seq-1, len(events)
-		}
-		minted := dictNext + store.SymbolID(seg.dict.n)
 		n := r.triples.len()
 		if err := checkFoldEvents(len(events) + n); err != nil {
 			return err
 		}
 		for i := 0; i < n; i++ {
-			t := r.triples.at(i)
-			if t.S >= minted || t.P >= minted || t.O >= minted {
-				return fmt.Errorf("triple %v names an id beyond the %d the dictionary had minted", t, minted)
-			}
-			ev := walEvent{t: t, key: uint32(len(events)) << 1}
+			ev := walEvent{t: r.triples.at(i), key: uint32(len(events)) << 1}
 			if i < r.nAdds {
 				ev.key |= 1
 			}
 			events = append(events, ev)
 		}
 		if r.typ == recWrite {
-			part, seg.at = -1, r.at
+			seg.at, whole = r.at, len(events)
 			if tail {
 				live.writes = append(live.writes, logPos{at: r.at, seq: r.seq, file: first, end: int64(next)})
 			}
@@ -401,20 +443,19 @@ func foldWAL(d disk, firsts []uint64, datas [][]byte, after uint64, dictNext sto
 	for i := range firsts {
 		first = firsts[i]
 		name := walFileName(first)
-		if first > after && first != seg.end+1 {
-			return seg, live, fmt.Errorf("durable: log file %s does not follow record %d; the log has a gap", name, seg.end)
+		if first > after && first != w.seq+1 {
+			return seg, live, fmt.Errorf("durable: log file %s does not follow record %d; the log has a gap", name, w.seq)
 		}
 		data, kept = datas[i], 0
-		var off int
-		var err error
-		if seg.end, off, err = walkWAL(name, data, after, seg.end, visit); err != nil {
+		off, err := walkWAL(name, data, after, &w, visit)
+		if err != nil {
 			return seg, live, err
 		}
 		if kept > 0 {
 			regions = append(regions, data[:kept])
 		}
 		live.size = int64(len(data))
-		if off == len(data) && part < 0 {
+		if off == len(data) && !w.open {
 			continue
 		}
 		if len(data)-off >= 4 {
@@ -428,14 +469,12 @@ func foldWAL(d disk, firsts []uint64, datas [][]byte, after uint64, dictNext sto
 			}
 			return seg, live, fmt.Errorf("durable: %s: a sealed log file ends inside a chunked write; the log is corrupt", name)
 		}
-		if part >= 0 { // the write's last chunk never reached the disk
-			off, seg.end, events = part, partSeq, events[:partEvents]
-		}
-		if err := d.truncate(name, int64(off)); err != nil {
+		if err := d.truncate(name, int64(w.whole)); err != nil {
 			return seg, live, fmt.Errorf("durable: truncating torn log tail: %w", err)
 		}
-		live.size = int64(off)
+		w.seq, events, live.size = w.wholeSeq, events[:whole], int64(w.whole)
 	}
+	seg.end, seg.dict.n = w.seq, int(w.ids-dictNext)
 	if len(regions) == 1 {
 		seg.dict.enc = regions[0]
 	} else {

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -407,60 +408,97 @@ func TestCloseWaitsForMerge(t *testing.T) {
 	}
 }
 
-// TestWALSinksAgreeOnBadLogs pins that the log has one reader: a window
-// recovery refuses, a checkpoint refuses too, and with the same error —
-// before this held by construction a log could exist that booted and could
-// never checkpoint (recovery used to verify-and-skip a dictionary record
-// that restated a minted id). Each image is the wal files of a directory,
-// the last one open; the recovery sink is recoverDir over it, the checkpoint
-// sink an engine that believes recovery accepted it.
-func TestWALSinksAgreeOnBadLogs(t *testing.T) {
+// walImage is one wal file of a badLog: its first seq and the payloads of
+// its records.
+type walImage struct {
+	first   uint64
+	records [][]byte
+}
+
+// frames is the file's bytes.
+func (w walImage) frames() []byte {
+	var data []byte
+	for _, payload := range w.records {
+		data = appendFrame(data, payload)
+	}
+	return data
+}
+
+// badLog is a log every reader refuses, with an error naming want: the wal
+// files of a directory, the last one open.
+type badLog struct {
+	name  string
+	files []walImage
+	last  uint64 // seq of the image's last record
+	want  string
+	named bool // the fault is a file's name, which a log body does not carry
+}
+
+// body is the log's files' frames end to end, as a replica reads them.
+func (b badLog) body() []byte {
+	var body []byte
+	for _, f := range b.files {
+		body = append(body, f.frames()...)
+	}
+	return body
+}
+
+// badLogs is the table TestWALSinksAgreeOnBadLogs runs the readers over and
+// FuzzLogReadersAgree is seeded with.
+func badLogs() []badLog {
 	names := encodeDict(nil, 1, 0, []string{"a", "b", "c"})
 	abc := store.IDTriple{S: 0, P: 1, O: 2}
-	type walImage struct {
-		first   uint64
-		records [][]byte
-	}
-	for _, tc := range []struct {
-		name  string
-		files []walImage
-		last  uint64 // seq of the image's last record
-		want  string
-	}{
+	return []badLog{
 		{"restated id", []walImage{{1, [][]byte{
 			names,
 			encodeMutation(nil, 2, []store.IDTriple{abc}, nil, store.Position{}, true),
 			encodeDict(nil, 3, 2, []string{"c"}),
-		}}}, 3, "dictionary record starts at id 2, want 3"},
+		}}}, 3, "dictionary record starts at id 2, want 3", false},
 		{"skipped id", []walImage{{1, [][]byte{
 			names,
 			encodeDict(nil, 2, 4, []string{"e"}),
-		}}}, 2, "dictionary record starts at id 4, want 3"},
+		}}}, 2, "dictionary record starts at id 4, want 3", false},
 		{"unminted id", []walImage{{1, [][]byte{
 			names,
 			encodeMutation(nil, 2, nil, []store.IDTriple{{S: 0, P: 1, O: 3}}, store.Position{}, true),
-		}}}, 2, "beyond the 3 the dictionary had minted"},
+		}}}, 2, "beyond the 3 the dictionary had minted", false},
+		{"interrupted write", []walImage{{1, [][]byte{
+			names,
+			encodeMutation(nil, 2, []store.IDTriple{abc}, nil, store.Position{}, false),
+			encodeDict(nil, 3, 3, []string{"d"}),
+			encodeMutation(nil, 4, nil, nil, store.Position{}, true),
+		}}}, 4, "a dictionary record interrupts a chunked write", false},
 		{"misnamed file", []walImage{
 			{1, [][]byte{names, encodeMutation(nil, 2, []store.IDTriple{abc}, nil, store.Position{}, true)}},
 			{4, [][]byte{encodeMutation(nil, 3, nil, []store.IDTriple{abc}, store.Position{}, true), encodeMutation(nil, 4, []store.IDTriple{abc}, nil, store.Position{}, true)}},
 			{5, nil},
-		}, 4, walFileName(4) + " does not follow record 2"},
+		}, 4, walFileName(4) + " does not follow record 2", true},
 		{"first record is not the file's name", []walImage{
 			{1, [][]byte{names}},
 			{2, [][]byte{encodeMutation(nil, 3, []store.IDTriple{abc}, nil, store.Position{}, true)}},
 			{4, nil},
-		}, 3, "has seq 3, want 2"},
-	} {
+		}, 3, "has seq 3, want 2", false},
+	}
+}
+
+// TestWALSinksAgreeOnBadLogs pins that the log has one reader: a window
+// recovery refuses, a checkpoint refuses too, and with the same error —
+// before this held by construction a log could exist that booted and could
+// never checkpoint (recovery used to verify-and-skip a dictionary record
+// that restated a minted id) — and so does a replica's Follower reading the
+// same records as one log body, as ErrDiverged. Each image is the wal files
+// of a directory, the last one open; the recovery sink is recoverDir over
+// it, the checkpoint sink an engine that believes recovery accepted it, the
+// Follower sink a zero Follower reading the files' frames end to end. A
+// case whose fault is a file's name has no body to show it in.
+func TestWALSinksAgreeOnBadLogs(t *testing.T) {
+	for _, tc := range badLogs() {
 		t.Run(tc.name, func(t *testing.T) {
 			build := func() (*memDisk, []uint64) {
 				d := newMemDisk()
 				var firsts []uint64
 				for _, f := range tc.files {
-					var data []byte
-					for _, payload := range f.records {
-						data = appendFrame(data, payload)
-					}
-					d.put(walFileName(f.first), data)
+					d.put(walFileName(f.first), f.frames())
 					firsts = append(firsts, f.first)
 				}
 				return d, firsts
@@ -468,7 +506,7 @@ func TestWALSinksAgreeOnBadLogs(t *testing.T) {
 			d, _ := build()
 			_, recErr := recoverDir(store.New(), d)
 			if recErr == nil || !strings.Contains(recErr.Error(), tc.want) {
-				t.Fatalf("recovery: %v, want an error naming %q", recErr, tc.want)
+				t.Errorf("recovery: %v, want an error naming %q", recErr, tc.want)
 			}
 
 			d, firsts := build()
@@ -485,11 +523,18 @@ func TestWALSinksAgreeOnBadLogs(t *testing.T) {
 			}
 			defer eng.w.close()
 			ckptErr := eng.Checkpoint()
-			if ckptErr == nil || ckptErr.Error() != recErr.Error() {
-				t.Fatalf("checkpoint: %v\nrecovery:   %v\nwant the same refusal from both sinks", ckptErr, recErr)
+			if ckptErr == nil || !strings.Contains(ckptErr.Error(), tc.want) || fmt.Sprint(ckptErr) != fmt.Sprint(recErr) {
+				t.Errorf("checkpoint: %v\nrecovery:   %v\nwant the same refusal from both sinks, naming %q", ckptErr, recErr, tc.want)
 			}
 			if got := eng.Stats().Segments; got != 0 {
-				t.Fatalf("a refused window was published: %d segments", got)
+				t.Errorf("a refused window was published: %d segments", got)
+			}
+
+			if !tc.named {
+				_, err := (&Follower{}).Read(tc.body(), func([]store.Triple, []store.Triple, store.Position) error { return nil })
+				if !errors.Is(err, ErrDiverged) || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("follower: %v, want ErrDiverged naming %q", err, tc.want)
+				}
 			}
 		})
 	}

@@ -190,6 +190,28 @@ func TestReasonMatchesReference(t *testing.T) {
 	}
 }
 
+// TestDegenerateTransitivityMatchesReference: a rule shaped like
+// transitivity over e but with a repeated variable — (a e c) ← (a e a),
+// (a e c) — does not close e, so a propagation rule over e must still climb
+// it one edge at a time. A reasoner that took the rule for transitivity
+// would trust e's closure and stop a hop short: x1 type C2 is derived only
+// through x1 type C1.
+func TestDegenerateTransitivityMatchesReference(t *testing.T) {
+	rules, err := ParseRules("?a e ?c :- ?a e ?a . ?a e ?c\n?s type ?y :- ?s type ?x . ?x e ?y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := store.New()
+	if _, err := base.AddBatch([]store.Triple{tr("x1", store.TypePredicate, "C0"), tr("C0", "e", "C1"), tr("C1", "e", "C2")}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Materialize(base, rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstNaive(t, r, rules, "degenerate transitivity")
+}
+
 // recordDeltas installs an event hook on r that keeps every Delta (its lists
 // copied: they are the reasoner's once the hook returns) in the returned
 // slice.

@@ -5,9 +5,13 @@ package repl_test
 // every position its replicas hold and they follow it on without a
 // snapshot; a primary restarted on a wiped directory — or any other history
 // — knows none of them, answers 410, and its replicas re-snapshot. A
-// memory-only primary keeps no log and serves no feed.
+// replica whose own state drifted finds it at the next write's digest, and
+// re-snapshots too. A memory-only primary keeps no log and serves no feed.
 
 import (
+	"bytes"
+	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -102,6 +106,37 @@ func TestPrimaryRestartForcesResnapshot(t *testing.T) {
 		step(t, rep, applier, srvB.Reasoner())
 	}
 	converged(t, "after post-restart writes", rep, applier, srvB.Reasoner())
+}
+
+// TestDigestMismatchResnapshots: a replica whose base has drifted from the
+// primary's by one triple — written through its own reasoner, as no write
+// of the log is — finds out at the next write it applies. The digest after
+// that write is not the one the record carries: the replica counts one
+// mismatch naming the write's generation, re-snapshots once, and stands at
+// the primary's digest again.
+func TestDigestMismatchResnapshots(t *testing.T) {
+	srv, ts := newPrimary(t)
+	primary := srv.Reasoner()
+	rep, applier := newReplica(t, ts.URL, repl.Options{})
+	if n, err := applier.AddBatch([]store.Triple{{Subject: "drift", Predicate: store.TypePredicate, Object: "c0"}}); n != 1 || err != nil {
+		t.Fatalf("drifting the replica's base: %d added, %v", n, err)
+	}
+	if n, err := primary.AddBatch([]store.Triple{{Subject: "item-9", Predicate: store.TypePredicate, Object: "c1"}}); n != 1 || err != nil {
+		t.Fatalf("the primary's write: %d added, %v", n, err)
+	}
+	if err := rep.Step(context.Background(), applier); err != nil {
+		t.Fatalf("step: %v (status %+v)", err, rep.Status())
+	}
+	st, at := rep.Status(), primary.Base().Position()
+	if st.DigestMismatches != 1 || st.Resnapshots != 1 || !strings.Contains(st.LastMismatch, fmt.Sprintf("the write at generation %d ", at.Gen)) {
+		t.Fatalf("after a write onto a drifted base: %+v; want one mismatch at generation %d and one re-snapshot", st, at.Gen)
+	}
+	if got := applier.Base().Position().Digest; got != at.Digest || st.AppliedDigest != at.Digest || st.AppliedGeneration != at.Gen {
+		t.Fatalf("after the re-snapshot the replica's digest is %v (applied %d/%v), the primary's %d/%v", got, st.AppliedGeneration, st.AppliedDigest, at.Gen, at.Digest)
+	}
+	if !bytes.Equal(viewSnapshot(t, primary), viewSnapshot(t, applier)) {
+		t.Fatal("after the re-snapshot the replica's view differs from the primary's")
+	}
 }
 
 // TestMemoryOnlyPrimaryServesNoFeed: a primary without a data directory has

@@ -346,10 +346,6 @@ func (s *Server) Reasoner() *reason.Reasoner { return s.reasoner }
 // custom http.Server or hitting directly in tests and benchmarks.
 func (s *Server) Handler() http.Handler { return s.root }
 
-// Metrics returns the observability registry this server instruments
-// itself on — the one GET /metrics serves.
-func (s *Server) Metrics() *obs.Registry { return s.reg }
-
 // Serve accepts connections on ln until ctx is cancelled, then shuts down
 // gracefully: in-flight requests get up to shutdownGrace to finish before
 // the server closes their connections. Request contexts deliberately do
