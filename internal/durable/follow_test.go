@@ -111,3 +111,49 @@ func TestOlderBuildsDirectoryIsRefused(t *testing.T) {
 		t.Fatalf("an unstamped segment: %v, want an error naming an older build", err)
 	}
 }
+
+// TestFollowerChecksNamesAgainstItsSnapshot: the Follower's dictionary is
+// the snapshot's names and the log's, so a dictionary record that repeats a
+// name the snapshot minted is ErrDiverged in recovery's words, and the names
+// of a record read before an apply failed stay filed where the next read of
+// the same body finds them.
+func TestFollowerChecksNamesAgainstItsSnapshot(t *testing.T) {
+	st := store.New()
+	eng := mustOpenDisk(t, st, Options{Fsync: FsyncOff, CheckpointBytes: -1}, &memDisk{})
+	defer eng.Close()
+	if _, err := st.AddBatch([]store.Triple{testTriple(0)}); err != nil {
+		t.Fatal(err)
+	}
+	snap, at, err := eng.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := LoadSnapshot(store.New(), snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, seq := store.SymbolID(st.DictLen()), f.seq
+	body := func(names ...string) []byte {
+		b := appendFrame(nil, encodeDict(nil, seq+1, n, names))
+		return appendFrame(b, encodeMutation(nil, seq+2, []store.IDTriple{{S: n, P: 1, O: n + 1}}, nil, store.Position{Gen: at.Gen + 1}, true))
+	}
+	if _, err := f.Read(body("x", "s0"), func([]store.Triple, []store.Triple, store.Position) error { return nil }); !errors.Is(err, ErrDiverged) || !strings.Contains(err.Error(), `dictionary repeats "s0" as ids 0 and 4`) {
+		t.Fatalf("a record repeating the snapshot's s0: %v, want ErrDiverged naming the repeat", err)
+	}
+
+	f, err = LoadSnapshot(store.New(), snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refuse := errors.New("apply refused")
+	if _, err := f.Read(body("x", "y"), func([]store.Triple, []store.Triple, store.Position) error { return refuse }); !errors.Is(err, refuse) {
+		t.Fatalf("a refused apply: %v", err)
+	}
+	var got []store.Triple
+	if k, err := f.Read(body("x", "y"), func(adds, _ []store.Triple, _ store.Position) error {
+		got = adds
+		return nil
+	}); k != 1 || err != nil || len(got) != 1 || got[0] != (store.Triple{Subject: "x", Predicate: testTriple(0).Predicate, Object: "y"}) {
+		t.Fatalf("the same body read again: %d writes, %v, adds %v", k, err, got)
+	}
+}

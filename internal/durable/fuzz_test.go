@@ -168,11 +168,11 @@ func FuzzRecoverLog(f *testing.F) {
 // same words; a torn tail is recovery's cut and the Follower's ErrTorn,
 // after the same last write; a clean log leaves both at the same position.
 // They may disagree only where the table says: a length claim beyond
-// maxFramePayload is corruption to recovery and a torn body to the Follower,
-// and a dictionary name that is the empty string is the Follower's alone to
-// refuse. What a load checks beyond the log — the digest of the loaded
-// triples, the store's own dictionary checks — is recovery's load and the
-// replica's apply, not the log's reading.
+// maxFramePayload is corruption to recovery and a torn body to the Follower.
+// Both walk with a dictionary (logWalk.dict), so an empty or repeated name is
+// refused by both at its record. What a load checks beyond the log — the
+// digest of the loaded triples — is recovery's load and the replica's apply,
+// not the log's reading.
 func FuzzLogReadersAgree(f *testing.F) {
 	for _, seed := range recoverLogSeeds(f) {
 		f.Add(seed)
@@ -201,8 +201,6 @@ func FuzzLogReadersAgree(f *testing.F) {
 		var fol Follower
 		n, folErr := fol.Read(data, func([]store.Triple, []store.Triple, store.Position) error { return nil })
 		switch {
-		case folErr != nil && strings.Contains(folErr.Error(), "the empty string"):
-			return // the Follower's own check; recovery reads on
 		case recErr != nil && errors.Is(folErr, ErrTorn):
 			if !strings.Contains(recErr.Error(), fmt.Sprintf("beyond the %d-byte cap", maxFramePayload)) {
 				t.Fatalf("recovery refused what the follower read as torn: %v; follower: %v", recErr, folErr)

@@ -24,7 +24,7 @@ import (
 //	merge       foldChain of a suffix              the chain's end       n/a (segments are atomic)
 //	recovery    foldHistory: chain, then log tail  the end of the log    cut in the last file; over the cap, corrupt
 //	snapshot    foldHistory to the last commit     that write            corruption
-//	Follower    nothing: walkWAL of one log body   its last whole write  ErrTorn, over the cap too; "" is ErrDiverged
+//	Follower    nothing: walkWAL of one log body   its last whole write  ErrTorn, over the cap too
 //
 // A checkpoint and a merge stream their fold into a segment file
 // (writeSegment); recovery streams it into the run the store is loaded
@@ -272,11 +272,24 @@ func pickMergeRun(sizes []int64, ratio float64) (int, bool) {
 // write's parts wait for its recWrite, and where the current file last stood
 // whole — the offset just past its last record outside an open write, and
 // that record's seq. A log cut there ends with its last whole write.
+//
+// dict, when set, is the dictionary the walk files each dictionary record's
+// names in, at the ids the record gives them less dictBase, holding them to
+// the checks a store's dictionary makes when it is loaded: no empty name, no
+// name under two ids. The readers that load what they read set it — recovery
+// for its log tail (the chain's names meet the load's own check), the
+// Follower over everything its snapshot named — so a log both refuse is
+// refused at the same record with the same words. A checkpoint and a
+// snapshot fold the log a running store wrote, whose dictionary holds
+// neither, and skip the index it would cost.
 type logWalk struct {
 	seq, wholeSeq uint64
 	ids           store.SymbolID
 	open          bool
 	whole         int
+	dict          *store.Store
+	dictBase      store.SymbolID
+	names         []string // mint's scratch
 }
 
 // walkWAL is the package's one reading of the log: it walks the wal file (or
@@ -331,6 +344,11 @@ func (w *logWalk) read(r record) error {
 		if r.first != w.ids {
 			return fmt.Errorf("dictionary record starts at id %d, want %d", r.first, w.ids)
 		}
+		if w.dict != nil {
+			if err := w.mint(r); err != nil {
+				return err
+			}
+		}
 		w.ids += store.SymbolID(r.names.n)
 	} else {
 		for i := 0; i < r.triples.len(); i++ {
@@ -341,6 +359,23 @@ func (w *logWalk) read(r record) error {
 		w.open = r.typ == recPart
 	}
 	w.seq = r.seq
+	return nil
+}
+
+// mint files a dictionary record's names in w.dict, in id order, refusing
+// the first that is empty or that the dictionary already holds under another
+// id — in the words of the load's own refusal.
+func (w *logWalk) mint(r record) error {
+	w.names = r.names.appendStrings(w.names[:0])
+	for i, name := range w.names {
+		id := r.first + store.SymbolID(i)
+		if name == "" {
+			return fmt.Errorf("dictionary id %d is the empty string", id)
+		}
+		if got, _ := w.dict.Intern(name); got+w.dictBase != id {
+			return fmt.Errorf("dictionary repeats %q as ids %d and %d", name, min(got+w.dictBase, id), max(got+w.dictBase, id))
+		}
+	}
 	return nil
 }
 
@@ -396,6 +431,8 @@ func readWAL(d disk, firsts []uint64) ([][]byte, error) {
 // beyond maxFramePayload is never a torn tail, wherever it sits: the writer
 // chunks every record below the cap, so the claim proves damage to a frame
 // header, and cutting there would silently discard every record after it.
+// The tail sink also walks with a dictionary (logWalk.dict): what recovery
+// loads is held to the load's checks at the record that breaks them.
 func foldWAL(d disk, firsts []uint64, datas [][]byte, after uint64, dictNext store.SymbolID, at store.Position, tail bool) (segmentData, walTail, error) {
 	seg := segmentData{start: after + 1, end: after, at: at, dictFirst: dictNext}
 	var live walTail
@@ -412,6 +449,9 @@ func foldWAL(d disk, firsts []uint64, datas [][]byte, after uint64, dictNext sto
 	kept := 0 // how much of data's front holds its dictionary regions
 	var regions [][]byte
 	w := logWalk{seq: after, ids: dictNext}
+	if tail {
+		w.dict, w.dictBase = store.New(), dictNext
+	}
 	visit := func(r record, _, next int) error {
 		if r.typ == recDict {
 			// The walk is past these bytes and never reads them again: move

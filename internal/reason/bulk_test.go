@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/query/exec"
 	"repro/internal/store"
 )
 
@@ -320,5 +321,49 @@ func TestReasonRDFSSchedulesMatchReference(t *testing.T) {
 				checkAgainstNaive(t, r, rules, fmt.Sprintf("trial %d step %d: after Remove(%v)", trial, step, x))
 			}
 		}
+	}
+}
+
+// TestSeedScansTheMostSelectiveAtom: the seed round evaluates a rule from
+// the body atom with the fewest matches, whatever its place in the body.
+// The rule's atoms chain ?x p ?y, ?y q ?z, ?z r rare over 2 000 p facts on
+// 200 ys, ten q facts a y and one r fact. From the r atom the ten heads take
+// a few dozen steps; from the first atom the join meets 20 000 (y, z) rows
+// before the r atom filters them — which the evaluation context's Interrupt
+// hook, polled once per 256 steps, counts.
+func TestSeedScansTheMostSelectiveAtom(t *testing.T) {
+	rules, err := ParseRules("?x s ?z :- ?x p ?y . ?y q ?z . ?z r rare")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := store.New()
+	var ts []store.Triple
+	for i := 0; i < 2000; i++ {
+		ts = append(ts, store.Triple{Subject: fmt.Sprintf("x%d", i), Predicate: "p", Object: fmt.Sprintf("y%d", i%200)})
+	}
+	for y := 0; y < 200; y++ {
+		for k := 0; k < 10; k++ {
+			ts = append(ts, store.Triple{Subject: fmt.Sprintf("y%d", y), Predicate: "q", Object: fmt.Sprintf("z%d", 10*y+k)})
+		}
+	}
+	ts = append(ts, store.Triple{Subject: "z0", Predicate: "r", Object: "rare"})
+	if _, err := base.AddBatch(ts); err != nil {
+		t.Fatal(err)
+	}
+	compiled, err := compileRules(base, rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	polls, heads := 0, 0
+	ctx := exec.Ctx{Interrupt: func() bool {
+		polls++
+		return false
+	}}
+	matchAll(&ctx, &compiled[0], base, func(store.IDTriple) bool {
+		heads++
+		return true
+	})
+	if heads != 10 || polls > 1 {
+		t.Fatalf("the seed evaluation emitted %d heads (want 10) in %d polls of 256 steps: it did not start from the one r fact", heads, polls)
 	}
 }

@@ -379,7 +379,7 @@ func BenchmarkDictGrowth(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		st := &symtab{index: slices.Clone(full.index), names: slices.Grow(full.names[:n:n], 1)}
+		st := &symtab{index: slices.Clone(full.index), names: nameTable{pages: slices.Clip(full.names.pages), n: n}}
 		b.StartTimer()
 		st.internLocked(names[n])
 		if len(st.index) != 4*n {

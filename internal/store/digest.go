@@ -121,16 +121,16 @@ func fmix64(k uint64) uint64 {
 }
 
 // idHash is H of an encoded triple, its names read from names.
-func idHash(names []string, t IDTriple) Digest {
-	return tripleHash(nameHash(names[t.S]), nameHash(names[t.P]), nameHash(names[t.O]))
+func idHash(names nameTable, t IDTriple) Digest {
+	return tripleHash(nameHash(names.at(t.S)), nameHash(names.at(t.P)), nameHash(names.at(t.O)))
 }
 
 // digestOf computes the digest of triples from scratch, hashing each name
 // of the dictionary names once.
-func digestOf(names []string, triples []IDTriple) Digest {
-	lanes := make([]Digest, len(names))
-	for i, name := range names {
-		lanes[i] = nameHash(name)
+func digestOf(names nameTable, triples []IDTriple) Digest {
+	lanes := make([]Digest, names.n)
+	for i := range lanes {
+		lanes[i] = nameHash(names.at(uint32(i)))
 	}
 	var d Digest
 	for _, t := range triples {

@@ -108,7 +108,7 @@ func TestDigestMatchesScratch(t *testing.T) {
 		}
 
 		// The same triples through the bulk paths, under other ids.
-		names := s.syms.snapshot()
+		names := s.syms.snapshot().list()
 		perm := rng.Perm(len(names))
 		dict := make([]string, len(names))
 		for i, p := range perm {

@@ -117,7 +117,7 @@ func (s *Store) QueryIDFunc(p IDPattern, yield func(IDTriple) bool) {
 // the number of predicates they occur under. Callers hold mu.
 func (s *Store) countObject(o SymbolID) (count, preds int) {
 	s.pos.ascend(0, func(_ uint32, e *leadEntry) bool {
-		if set := e.find(o); set != nil {
+		if set := e.set(o); set != nil {
 			count += set.len()
 			preds++
 		}
@@ -145,11 +145,11 @@ type IDStats struct {
 // StatsID returns cardinality statistics for the id pattern — the store's one
 // cardinality dispatch: Count is the exact number of matches (Store.Count and
 // the reasoner's seed round read it off here), the widths are the planner's.
-// It runs entirely on the indexes, reading set lengths and entry widths; it
-// never materializes a triple or resolves a symbol, so it is cheap enough to
-// call once per pattern per query. The object-only and unbound patterns cost
-// O(predicates); every other shape reads one lead. It holds the read-lock
-// once.
+// It runs entirely on the indexes, reading chunk lengths and counting sets;
+// it never materializes a triple or resolves a symbol, so it is cheap enough
+// to call once per pattern per query. The object-only pattern costs
+// O(predicates) and the unbound one O(POS pairs), which is less than its scan;
+// every other shape reads one lead. It holds the read-lock once.
 func (s *Store) StatsID(p IDPattern) IDStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -170,7 +170,7 @@ func (s *Store) statsID(p IDPattern) IDStats {
 			return IDStats{}
 		}
 		if p.BoundP {
-			set := e.find(p.P)
+			set := e.set(p.P)
 			if set == nil {
 				return IDStats{}
 			}
@@ -189,7 +189,7 @@ func (s *Store) statsID(p IDPattern) IDStats {
 			st.DistinctP = st.Count
 			st.DistinctO = 1
 		} else {
-			st.DistinctP = len(e.entries)
+			st.DistinctP = e.sets()
 			st.DistinctO = st.Count
 		}
 		return st
@@ -199,7 +199,7 @@ func (s *Store) statsID(p IDPattern) IDStats {
 			return IDStats{}
 		}
 		if p.BoundO {
-			set := e.find(p.O)
+			set := e.set(p.O)
 			if set == nil {
 				return IDStats{}
 			}
@@ -210,7 +210,7 @@ func (s *Store) statsID(p IDPattern) IDStats {
 		for i := range e.entries {
 			st.Count += e.entries[i].len()
 		}
-		st.DistinctO = len(e.entries)
+		st.DistinctO = e.sets()
 		st.DistinctS = st.Count
 		return st
 	case p.BoundO:
@@ -222,7 +222,7 @@ func (s *Store) statsID(p IDPattern) IDStats {
 	default:
 		st := IDStats{Count: int(s.size.Load()), DistinctS: s.spo.leads, DistinctP: s.pos.leads}
 		s.pos.ascend(0, func(_ uint32, e *leadEntry) bool {
-			st.DistinctO += len(e.entries)
+			st.DistinctO += e.sets()
 			return true
 		})
 		return st

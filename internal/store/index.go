@@ -1,5 +1,7 @@
 package store
 
+import "slices"
+
 // The engine keeps two permutation indexes, SPO and POS, one of each per
 // store, both guarded by the store's one RWMutex. There is no object-led
 // index: the one pattern shape it would serve, object-only (? ? o), is
@@ -15,17 +17,24 @@ package store
 // which is what lets an unbound cursor resume among them by value.
 //
 // Below the lead the two inner levels are plain slices rather than nested
-// maps: a lead's (middle, trailing-set) pairs are one slice kept ascending by
-// middle component, and each trailing set is one strictly ascending run of
-// uint32 — both searched, never hashed, whatever their size, so nothing sits
-// beside them. A set of one member, which is most of them (an instance's
-// location, each of its single-valued attributes), holds that member inside
-// its pair and has no run at all. Real triple data is extremely skewed — most
-// (subject, predicate) pairs have a handful of objects while a few
-// (predicate, object) pairs have thousands of subjects — so almost all
-// inserts touch only small slices, which cost a fraction of a map insert, and
-// the few long runs cost four bytes a member, a fifth of what any hashed form
-// of them would.
+// maps: a lead's (middle, chunk) pairs are one slice kept ascending by middle
+// component, and each trailing set is strictly ascending runs of uint32 —
+// both searched, never hashed, whatever their size, so nothing sits beside
+// them. A set of one member, which is most of them (an instance's location,
+// each of its single-valued attributes), holds that member inside its pair
+// and has no run at all; a set of up to chunkLen members is one pair and one
+// run; a longer one — a class's instances under POS (type, class), a site's
+// or a region's members — is consecutive pairs of the same mid, one chunk of
+// at most chunkLen members each, ascending, so the lead's pairs are the set's
+// chunk directory. Real triple data is extremely skewed — most (subject,
+// predicate) pairs have a handful of objects while a few (predicate, object)
+// pairs have thousands of subjects — so almost all inserts touch only small
+// slices, which cost a fraction of a map insert, and the few long sets cost
+// four bytes a member, a fifth of what any hashed form of them would. A long
+// set grows by a chunk at a time and never copies the members it has: a
+// write into its middle moves at most one chunk, and a full chunk splits in
+// two. Every walk of a set goes chunk by chunk, in order, so enumeration
+// order is the same as one run's.
 
 // linearRun is the window at which searchRun stops halving and walks: a few
 // adjacent compares beat the mispredicted branches of the last halvings, and
@@ -53,26 +62,33 @@ func searchRun(elems []uint32, c uint32) (int, bool) {
 	return lo, lo < len(elems) && elems[lo] == c
 }
 
-// midTrail couples one middle component with its trailing set, which is
-// never empty. While run is nil the set is its one member, in one, and costs
-// nothing beside the pair; once it has held two members it is the strictly
-// ascending *run — enumeration a contiguous array walk, which is what the
-// batched scan and probe paths stream from, membership, insertion and removal
-// a search — and it stays a run, down to one member, for as long as the pair
-// exists, so removing and re-adding a member never allocates. The pair is 16
-// bytes, a mid and a member: half of a mid and a slice header. The price of a
-// run is the copy: a write into its middle slides the members above it, O(n)
-// bytes moved where a hash would pay O(1) (BenchmarkHubChurn has the
-// figures). Ids are minted in ascending order, so the common write — a fresh
-// subject filed under its class — lands at the end and moves nothing.
+// chunkLen is the most members one run holds: 4 KiB of uint32, one of the
+// allocator's size classes. A trailing set past it is a sequence of runs, its
+// chunks, so growing a long set allocates one chunk and never copies the
+// members it already has, and a write into its middle moves at most one
+// chunk.
+const chunkLen = 1024
+
+// midTrail couples one middle component with one chunk of its trailing set,
+// which is never empty. While run is nil the chunk is its one member, in one,
+// and costs nothing beside the pair; once it has held two members it is the
+// strictly ascending *run — enumeration a contiguous array walk, which is
+// what the batched scan and probe paths stream from, membership, insertion
+// and removal a search — and it stays a run, down to one member, for as long
+// as the pair exists, so removing and re-adding a member never allocates.
+// The pair is 16 bytes, a mid and a member: half of a mid and a slice header.
+// The price of a run is the copy: a write into its middle slides the members
+// above it, at most a chunk's worth (BenchmarkHubChurn has the figures). Ids
+// are minted in ascending order, so the common write — a fresh subject filed
+// under its class — lands at the end and moves nothing.
 type midTrail struct {
 	mid uint32
 	one [1]uint32
 	run *[]uint32
 }
 
-// elems returns the set's members, ascending. The slice aliases the index and
-// is valid until the next mutation of the pair's lead.
+// elems returns the chunk's members, ascending. The slice aliases the index
+// and is valid until the next mutation of the pair's lead.
 func (mt *midTrail) elems() []uint32 {
 	if mt.run != nil {
 		return *mt.run
@@ -84,20 +100,24 @@ func (mt *midTrail) len() int {
 	return len(mt.elems())
 }
 
+// first returns the chunk's least member.
+func (mt *midTrail) first() uint32 {
+	return mt.elems()[0]
+}
+
 func (mt *midTrail) contains(c uint32) bool {
 	_, found := searchRun(mt.elems(), c)
 	return found
 }
 
-// add files c in the set, reporting whether it was absent. A second member
-// turns the inline one into a run whose header and first two slots are one
-// allocation: a set's first member costs none and its second one, where a
-// plain slice pays one for the first.
-func (mt *midTrail) add(c uint32) bool {
-	i, found := searchRun(mt.elems(), c)
-	if found {
-		return false
-	}
+// put files c at position k of a chunk of fewer than chunkLen members. A
+// second member turns the inline one into a run whose header and first two
+// slots are one allocation: a set's first member costs none and its second
+// one, where a plain slice pays one for the first. A full run regrows as an
+// append would — doubling below 256 members, then by a quarter and 192, up to
+// the allocator's size class — unless that would pass chunkLen: then to
+// chunkLen.
+func (mt *midTrail) put(k int, c uint32) {
 	if mt.run == nil {
 		box := new(struct {
 			hdr  []uint32
@@ -107,23 +127,84 @@ func (mt *midTrail) add(c uint32) bool {
 		box.hdr = box.room[:1]
 		mt.run = &box.hdr
 	}
-	run := append(*mt.run, 0)
-	copy(run[i+1:], run[i:])
-	run[i] = c
+	run := *mt.run
+	if n := len(run); n == cap(run) {
+		if n < 256 || n+(n+768)/4 <= chunkLen {
+			run = slices.Grow(run, 1)
+		} else {
+			run = append(make([]uint32, 0, chunkLen), run...)
+		}
+	}
+	run = run[:len(run)+1]
+	copy(run[k+1:], run[k:])
+	run[k] = c
 	*mt.run = run
-	return true
+}
+
+// newChunk returns a pair for mid whose run is a chunk of its own, with room
+// for chunkLen members, holding members.
+func newChunk(mid uint32, members ...uint32) midTrail {
+	run := make([]uint32, len(members), chunkLen)
+	copy(run, members)
+	return midTrail{mid: mid, run: &run}
+}
+
+// trailSet is one trailing set as its lead holds it: the consecutive pairs of
+// its mid, one chunk each, the chunks disjoint and ascending. A set of up to
+// chunkLen members is one pair.
+type trailSet []midTrail
+
+func (ts trailSet) len() int {
+	n := 0
+	for i := range ts {
+		n += ts[i].len()
+	}
+	return n
+}
+
+// chunk returns the chunk c belongs in: the last one whose first member is
+// not above c, else the first.
+func (ts trailSet) chunk(c uint32) int {
+	lo, hi := 1, len(ts)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ts[m].first() <= c {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo - 1
+}
+
+func (ts trailSet) contains(c uint32) bool {
+	_, found := searchRun(ts[ts.chunk(c)].elems(), c)
+	return found
+}
+
+// seek returns the place of the first member above c: its chunk and its
+// position there, which is the chunk's length when the member opens the next
+// chunk or there is none.
+func (ts trailSet) seek(c uint32) (chunk, pos int) {
+	chunk = ts.chunk(c)
+	pos, found := searchRun(ts[chunk].elems(), c)
+	if found {
+		pos++
+	}
+	return chunk, pos
 }
 
 // leadEntry is everything indexed under one leading component: its (middle,
-// trailing-set) pairs, strictly ascending by middle component and searched
-// the way a run is. insert and remove create and drop the pairs, so no pair
-// is ever empty, and an entry without pairs is an empty slot of its index.
+// chunk) pairs, ascending by middle component and, within one middle
+// component's set, by first member. insert and remove create and drop the
+// pairs, so no pair is ever empty, and an entry without pairs is an empty
+// slot of its index.
 type leadEntry struct {
 	entries []midTrail
 }
 
-// search returns mid's place among the pairs and whether it is there:
-// searchRun over the pairs' middle components.
+// search returns the place of mid's first pair among the pairs and whether
+// it is there: searchRun over the pairs' middle components.
 func (e *leadEntry) search(mid uint32) (int, bool) {
 	lo, hi := 0, len(e.entries)
 	for hi-lo > linearRun {
@@ -140,32 +221,117 @@ func (e *leadEntry) search(mid uint32) (int, bool) {
 	return lo, lo < len(e.entries) && e.entries[lo].mid == mid
 }
 
-// find returns mid's pair, or nil. The pointer is valid until the next
-// mutation of the entry.
-func (e *leadEntry) find(mid uint32) *midTrail {
-	if i, found := e.search(mid); found {
-		return &e.entries[i]
+// setEnd returns the end of the set whose first pair is i.
+func (e *leadEntry) setEnd(i int) int {
+	mid := e.entries[i].mid
+	lo, hi := i+1, len(e.entries)
+	if lo == hi || e.entries[lo].mid != mid {
+		return lo
 	}
-	return nil
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if e.entries[m].mid == mid {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// set returns mid's set, or nil. The slice aliases the entry and is valid
+// until the next mutation of it.
+func (e *leadEntry) set(mid uint32) trailSet {
+	i, found := e.search(mid)
+	if !found {
+		return nil
+	}
+	return e.entries[i:e.setEnd(i)]
+}
+
+// sets returns how many sets the entry holds: its pairs, less the chunks
+// that continue a set.
+func (e *leadEntry) sets() int {
+	n := 0
+	for i := 0; i < len(e.entries); i = e.setEnd(i) {
+		n++
+	}
+	return n
+}
+
+// locate returns the pair that holds or would hold c among mid's, and
+// whether mid has a set; when it has none, i is where its first pair goes.
+// end is the end of the set.
+func (e *leadEntry) locate(mid, c uint32) (i, end int, found bool) {
+	i, found = e.search(mid)
+	if !found {
+		return i, i, false
+	}
+	end = e.setEnd(i)
+	return i + trailSet(e.entries[i:end]).chunk(c), end, true
 }
 
 // insert files c under mid, reporting whether it was absent. A mid seen for
-// the first time takes its place among the pairs with c inline.
+// the first time takes its place among the pairs with c inline. c goes into
+// the chunk locate names; when that one is full it goes at the front of the
+// next chunk of the set if that has room, into a chunk of its own past either
+// end of the set — which is where ascending and descending writes land — and
+// otherwise the full chunk splits in two.
 func (e *leadEntry) insert(mid, c uint32) bool {
-	i, found := e.search(mid)
-	if found {
-		return e.entries[i].add(c)
+	i, end, found := e.locate(mid, c)
+	if !found {
+		e.insertPair(i, midTrail{mid: mid, one: [1]uint32{c}})
+		return true
 	}
-	e.entries = append(e.entries, midTrail{})
-	copy(e.entries[i+1:], e.entries[i:])
-	e.entries[i] = midTrail{mid: mid, one: [1]uint32{c}}
+	mt := &e.entries[i]
+	elems := mt.elems()
+	k, found := searchRun(elems, c)
+	if found {
+		return false
+	}
+	switch {
+	case len(elems) < chunkLen:
+		mt.put(k, c)
+	case k == len(elems) && i+1 < end && e.entries[i+1].len() < chunkLen:
+		e.entries[i+1].put(0, c)
+	case k == len(elems) && i+1 == end:
+		e.insertPair(i+1, newChunk(mid, c))
+	case k == 0: // c is below every member only in the set's first chunk
+		e.insertPair(i, newChunk(mid, c))
+	default:
+		const half = chunkLen / 2
+		upper := newChunk(mid, elems[half:]...)
+		*mt.run = elems[:half]
+		if k <= half {
+			mt.put(k, c)
+		} else {
+			upper.put(k-half, c)
+		}
+		e.insertPair(i+1, upper)
+	}
 	return true
 }
 
+// insertPair files p at place i among the pairs, the pairs above it sliding
+// up one.
+func (e *leadEntry) insertPair(i int, p midTrail) {
+	e.entries = append(e.entries, midTrail{})
+	copy(e.entries[i+1:], e.entries[i:])
+	e.entries[i] = p
+}
+
+// dropPair removes the pair at i, the pairs above it sliding down one.
+func (e *leadEntry) dropPair(i int) {
+	last := len(e.entries) - 1
+	copy(e.entries[i:], e.entries[i+1:])
+	e.entries[last] = midTrail{}
+	e.entries = e.entries[:last]
+}
+
 // remove drops c from mid's set, reporting whether it was there. Removing a
-// set's last member drops its pair, the pairs above sliding down one.
+// chunk's last member drops its pair.
 func (e *leadEntry) remove(mid, c uint32) bool {
-	i, found := e.search(mid)
+	i, _, found := e.locate(mid, c)
 	if !found {
 		return false
 	}
@@ -178,46 +344,50 @@ func (e *leadEntry) remove(mid, c uint32) bool {
 		*mt.run = append((*mt.run)[:j], (*mt.run)[j+1:]...)
 		return true
 	}
-	last := len(e.entries) - 1
-	copy(e.entries[i:], e.entries[i+1:])
-	e.entries[last] = midTrail{}
-	e.entries = e.entries[:last]
+	e.dropPair(i)
 	return true
 }
 
 // removeAll drops from mid's set every member that one of keys names —
 // keys share this entry's lead and mid and ascend by member — appending the
 // keys of the members it dropped to out. It walks the set once from the
-// first member named, so a batch costs the set's length, not that length per
-// member; an emptied set drops its pair as remove does.
+// chunk of the first member named to the chunk of the last, so a batch costs
+// those chunks' length, not that length per member; an emptied chunk drops
+// its pair as remove does.
 func (e *leadEntry) removeAll(mid uint32, keys [][3]uint32, out [][3]uint32) [][3]uint32 {
-	i, found := e.search(mid)
+	i, end, found := e.locate(mid, keys[0][2])
 	if !found {
 		return out
 	}
-	mt := &e.entries[i]
-	elems := mt.elems()
-	w, _ := searchRun(elems, keys[0][2])
-	k := 0
-	for _, c := range elems[w:] {
-		for k < len(keys) && keys[k][2] < c {
-			k++
+	kept, k := i, 0
+	for ; i < end && k < len(keys); i++ {
+		mt := &e.entries[i]
+		elems := mt.elems()
+		w, _ := searchRun(elems, keys[k][2])
+		for _, c := range elems[w:] {
+			for k < len(keys) && keys[k][2] < c {
+				k++
+			}
+			if k < len(keys) && keys[k][2] == c {
+				out = append(out, keys[k])
+				continue
+			}
+			elems[w] = c
+			w++
 		}
-		if k < len(keys) && keys[k][2] == c {
-			out = append(out, keys[k])
+		if w == 0 {
 			continue
 		}
-		elems[w] = c
-		w++
+		if mt.run != nil {
+			*mt.run = elems[:w]
+		}
+		e.entries[kept] = *mt
+		kept++
 	}
-	switch {
-	case w > 0 && mt.run != nil:
-		*mt.run = elems[:w]
-	case w == 0:
-		last := len(e.entries) - 1
-		copy(e.entries[i:], e.entries[i+1:])
-		e.entries[last] = midTrail{}
-		e.entries = e.entries[:last]
+	if kept < i {
+		n := copy(e.entries[kept:], e.entries[i:])
+		clear(e.entries[kept+n:])
+		e.entries = e.entries[:kept+n]
 	}
 	return out
 }
@@ -346,8 +516,8 @@ func (ix *index) contains(a, b, c uint32) bool {
 	if e == nil {
 		return false
 	}
-	mt := e.find(b)
-	return mt != nil && mt.contains(c)
+	set := e.set(b)
+	return set != nil && set.contains(c)
 }
 
 // removeAll deletes the triples keys name — (lead, mid, member) in this

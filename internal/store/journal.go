@@ -91,5 +91,5 @@ func (s *Store) getJournal() Journal {
 // with NewResolver to dump the id→name mapping: every id below DictLen
 // resolves, and ids minted later refer to names the dump does not need.
 func (s *Store) DictLen() int {
-	return len(s.syms.snapshot())
+	return s.syms.snapshot().n
 }

@@ -44,7 +44,7 @@ func (s *Store) RestoreSorted(dict []string, triples []IDTriple, gen uint64) err
 	}
 	// The index is sized for the whole dictionary once, and each name is
 	// probed before it is filed, so a repeat is caught at its second id.
-	fresh := symtab{index: make([]uint32, indexLen(len(dict))), names: dict}
+	fresh := symtab{index: make([]uint32, indexLen(len(dict))), names: pagedNames(dict)}
 	for i, name := range dict {
 		if name == "" {
 			return fmt.Errorf("store: restore dictionary id %d is the empty string", i)
@@ -57,7 +57,7 @@ func (s *Store) RestoreSorted(dict []string, triples []IDTriple, gen uint64) err
 	}
 	s.syms.mu.Lock()
 	s.syms.index = fresh.index
-	s.syms.names = dict
+	s.syms.names = fresh.names
 	s.syms.mu.Unlock()
 	s.loadSorted(triples)
 	s.mu.gen.Store(gen)
@@ -269,27 +269,46 @@ func radixSortIDTriples(ts []IDTriple, comps int) {
 }
 
 // arenaRunMax is the longest run of a bulk-built index level that is carved
-// out of the index's shared arena; a longer run gets its own allocation with
-// an eighth of growth room. An arena sub-slice is capped at its run, so the
-// first insert after the load — wherever in the run it lands, the run grows
-// by one at its end — copies the run and strands its arena bytes for good:
-// harmless for the millions of short runs the arenas exist for (a few hundred
-// bytes each, and most are never touched again), ruinous for the few long
-// ones every write lands in — the subject list of a class under POS
-// (type, class), 4 bytes per instance and tens of thousands of instances,
-// would be re-allocated whole on the first insert into each class. An eighth
-// is the slack an append-grown slice of that size carries on average, so a
-// loaded store meets its first writes the way an incrementally built one
-// would.
+// out of the index's shared arenas. An arena sub-slice is capped at its run,
+// so the first insert after the load — wherever in the run it lands, the run
+// grows by one at its end — copies the run and strands its arena bytes for
+// good: harmless for the millions of short runs the arenas exist for (a few
+// hundred bytes each, and most are never touched again), ruinous for the few
+// long ones every write lands in — the subject list of a class under POS
+// (type, class), 4 bytes per instance and tens of thousands of instances.
+// So a trailing set longer than arenaRunMax is built as chunks of its own
+// (chunkFill), and a lead of more pairs than arenaRunMax gets its pair slice
+// to itself, each with an eighth of room: the slack an append-grown slice of
+// that size carries on average, so a loaded store meets its first writes the
+// way an incrementally built one would, and a write into the middle of a
+// loaded hub allocates nothing until its chunk is full.
 const arenaRunMax = 256
 
-// carve returns room for a run of n elements: the front of the arena, capped
-// at the run so a later append reallocates instead of clobbering the
-// neighbouring run, or an allocation of its own past arenaRunMax.
-func carve[T any](arena *[]T, n int) []T {
-	if n > arenaRunMax {
-		return make([]T, n, n+n/8)
+// chunkFill is the most members buildSorted files in one chunk of a long
+// set, so an eighth of room fits beside them.
+const chunkFill = chunkLen * 8 / 9
+
+// chunksFor is how many pairs buildSorted files a set of n members in: one,
+// or for a long set as many chunks as it takes to keep each at chunkFill or
+// under.
+func chunksFor(n int) int {
+	return (n + chunkFill - 1) / chunkFill
+}
+
+// chunkRoom is the capacity buildSorted gives a chunk of n members: an
+// eighth more, or all of chunkLen once that is past 864 members, whose 3 456
+// bytes are the allocator's last size class below a full chunk's 4 KiB.
+func chunkRoom(n int) int {
+	if room := n + n/8; room <= 864 {
+		return room
 	}
+	return chunkLen
+}
+
+// carve returns the front of the arena as a run of n elements, capped at the
+// run so a later append reallocates instead of clobbering the neighbouring
+// run.
+func carve[T any](arena *[]T, n int) []T {
 	run := (*arena)[:n:n]
 	*arena = (*arena)[n:]
 	return run
@@ -297,88 +316,105 @@ func carve[T any](arena *[]T, n int) []T {
 
 // buildSorted populates an empty index from triples in its own frame, sorted
 // by (lead, mid) = (S, P) with the trail in O. Runs sharing a lead become one
-// leadEntry, written into its slot of the index's pages, runs
-// sharing (lead, mid) one pair, and the levels below are carved out of three
-// arena allocations sized by a counting pass — for SPO, whose leads are the
-// store's subjects, per-entry allocation would mean millions of tiny objects
-// for the GC to trace — except the runs past arenaRunMax (see carve). A
-// one-member set is written into its pair; a longer one is copied in input
-// order, which is ascending (radixSortIDTriples), so it is a valid run as it
-// stands, and its slice header comes from an arena of its own. The
-// pairs arrive ascending by mid. Callers hold the store's write lock.
+// leadEntry, written into its slot of the index's pages, and runs sharing
+// (lead, mid) one set. A one-member set is written into its pair; a set of up
+// to arenaRunMax members is one run, copied in input order, which is
+// ascending (radixSortIDTriples), so it is a valid run as it stands; a longer
+// one is split evenly into chunksFor chunks, each an allocation of its own
+// with chunkRoom. The pairs of leads up to arenaRunMax wide,
+// the runs up to arenaRunMax long and every run's slice header are carved out
+// of three arena allocations sized by a counting pass — for SPO, whose leads
+// are the store's subjects, per-entry allocation would mean millions of tiny
+// objects for the GC to trace. The pairs arrive ascending by mid. Callers
+// hold the store's write lock.
 func (ix *index) buildSorted(ts []IDTriple) {
 	if len(ts) == 0 {
 		return
 	}
-	// Counting pass: what lives in the arenas — pairs of leads up to
-	// arenaRunMax wide, a header per set of two or more members, and the
-	// members of sets up to arenaRunMax.
+	// Counting pass: what lives in the arenas.
 	mids, runs, elems := 0, 0, 0
-	leadMids, pairElems := 0, 0 // sizes of the lead and (lead, mid) runs in progress
-	for i, t := range ts {
-		newLead := i == 0 || t.S != ts[i-1].S
-		if newLead || t.P != ts[i-1].P {
-			if pairElems > 1 {
-				runs++
-				if pairElems <= arenaRunMax {
-					elems += pairElems
-				}
-			}
-			pairElems = 0
-			if newLead {
-				if leadMids <= arenaRunMax {
-					mids += leadMids
-				}
-				leadMids = 0
-			}
-			leadMids++
+	leadPairs := 0 // the pairs of the lead in progress
+	for i := 0; i < len(ts); {
+		j := runEnd(ts, i)
+		switch n := j - i; {
+		case n > arenaRunMax:
+			runs += chunksFor(n)
+		case n > 1:
+			runs++
+			elems += n
 		}
-		pairElems++
-	}
-	if pairElems > 1 {
-		runs++
-		if pairElems <= arenaRunMax {
-			elems += pairElems
+		leadPairs += chunksFor(j - i)
+		if j == len(ts) || ts[j].S != ts[i].S {
+			if leadPairs <= arenaRunMax {
+				mids += leadPairs
+			}
+			leadPairs = 0
 		}
-	}
-	if leadMids <= arenaRunMax {
-		mids += leadMids
+		i = j
 	}
 	midArena := make([]midTrail, mids)
 	runArena := make([][]uint32, runs)
 	elemArena := make([]uint32, elems)
 	ix.chunks = make([]*leadChunk, ts[len(ts)-1].S>>leadChunkShift+1)
 	ix.leads = 0
+	// fill copies the trailing ids of ts[lo:hi] into a run of its own at
+	// capacity room, or carved from the arena when room is 0, and files it as
+	// the next pair of e under mid.
+	fill := func(e *leadEntry, mid uint32, lo, hi, room int) {
+		var run []uint32
+		if room == 0 {
+			run = carve(&elemArena, hi-lo)
+		} else {
+			run = make([]uint32, hi-lo, room)
+		}
+		for q := range run {
+			run[q] = ts[lo+q].O
+		}
+		runArena[0] = run
+		e.entries = append(e.entries, midTrail{mid: mid, one: [1]uint32{run[0]}, run: &runArena[0]})
+		runArena = runArena[1:]
+	}
 	for i := 0; i < len(ts); {
 		l := ts[i].S
 		j, nm := i, 0
 		for j < len(ts) && ts[j].S == l {
-			if j == i || ts[j].P != ts[j-1].P {
-				nm++
-			}
-			j++
+			k := runEnd(ts, j)
+			nm += chunksFor(k - j)
+			j = k
 		}
 		e := ix.slot(l)
-		e.entries = carve(&midArena, nm)
+		if nm > arenaRunMax {
+			e.entries = make([]midTrail, 0, nm+nm/8)
+		} else {
+			e.entries = carve(&midArena, nm)[:0]
+		}
 		ix.leads++
-		for p, k := 0, i; k < j; p++ {
-			m := ts[k].P
-			k2 := k
-			for k2 < j && ts[k2].P == m {
-				k2++
-			}
-			e.entries[p] = midTrail{mid: m, one: [1]uint32{ts[k].O}}
-			if k2-k > 1 {
-				run := carve(&elemArena, k2-k)
-				for q := range run {
-					run[q] = ts[k+q].O
+		for k := i; k < j; {
+			m, k2 := ts[k].P, runEnd(ts, k)
+			switch n := k2 - k; {
+			case n == 1:
+				e.entries = append(e.entries, midTrail{mid: m, one: [1]uint32{ts[k].O}})
+			case n <= arenaRunMax:
+				fill(e, m, k, k2, 0)
+			default:
+				c := chunksFor(n)
+				for q := 0; q < c; q++ {
+					lo, hi := k+n*q/c, k+n*(q+1)/c
+					fill(e, m, lo, hi, chunkRoom(hi-lo))
 				}
-				runArena[0] = run
-				e.entries[p].run = &runArena[0]
-				runArena = runArena[1:]
 			}
 			k = k2
 		}
 		i = j
 	}
+}
+
+// runEnd returns the end of the run of ts from i on that shares ts[i]'s lead
+// and mid.
+func runEnd(ts []IDTriple, i int) int {
+	j := i + 1
+	for j < len(ts) && ts[j].S == ts[i].S && ts[j].P == ts[i].P {
+		j++
+	}
+	return j
 }

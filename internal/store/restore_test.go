@@ -161,8 +161,8 @@ func TestRestoreSortedInlineSingle(t *testing.T) {
 		t.Fatalf("RestoreSorted: %v", err)
 	}
 	model := map[IDTriple]bool{{0, 1, 2}: true, {0, 4, 5}: true}
-	if mt := s.spo.find(0).find(1); mt == nil || mt.run != nil {
-		t.Fatalf("the restored one-object pair (s, p) is %+v, want its member inline", mt)
+	if set := s.spo.find(0).set(1); len(set) != 1 || set[0].run != nil {
+		t.Fatalf("the restored one-object set (s, p) is %+v, want its member inline", set)
 	}
 	check := func(stage string) {
 		t.Helper()
@@ -317,7 +317,8 @@ func checkViewReads(t *testing.T, stage string, v *View, p IDPattern) {
 // TestLoadSortedMatchesAddID: an overlay filled by one LoadSorted answers
 // every read entry point exactly as a twin filled by AddID calls, and keeps
 // doing so under later AddID/RemoveID traffic — the arena-backed sets are
-// capped at their run boundary, so growing one never clobbers its neighbour.
+// capped at their run boundary, so growing one never clobbers its neighbour,
+// and a set loaded in chunks takes writes into its middle that split them.
 func TestLoadSortedMatchesAddID(t *testing.T) {
 	base := New()
 	corpus := skewedCorpus(2000)
@@ -325,6 +326,16 @@ func TestLoadSortedMatchesAddID(t *testing.T) {
 	// (and, in the POS family, one lead's middle level) of 2·arenaRunMax.
 	for i := 0; i < 2*arenaRunMax; i++ {
 		corpus = append(corpus, Triple{Subject: "hub", Predicate: "feeds", Object: fmt.Sprintf("o%d", i)})
+	}
+	// A set of three chunks' worth on every other id of a run of names, so
+	// the names between them land in its middle.
+	for i := 0; i < 6*chunkLen; i++ {
+		if _, err := base.Intern(fmt.Sprintf("f%d", i)); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			corpus = append(corpus, Triple{Subject: "hub", Predicate: "chunked", Object: fmt.Sprintf("f%d", i)})
+		}
 	}
 	if _, err := base.AddBatch(corpus); err != nil {
 		t.Fatal(err)
@@ -373,6 +384,9 @@ func TestLoadSortedMatchesAddID(t *testing.T) {
 		{S: id("hub"), P: id("p4"), BoundS: true, BoundP: true},
 		{S: id("hub"), P: id("feeds"), BoundS: true, BoundP: true},
 		{P: id("feeds"), BoundP: true},
+		{S: id("hub"), P: id("chunked"), BoundS: true, BoundP: true},
+		{S: id("hub"), O: id("f3001"), BoundS: true, BoundO: true},
+		{S: id("hub"), P: id("chunked"), O: id("f3001"), BoundS: true, BoundP: true, BoundO: true},
 	}
 	compare := func(stage string) {
 		t.Helper()
@@ -409,6 +423,9 @@ func TestLoadSortedMatchesAddID(t *testing.T) {
 	var edits []IDTriple
 	for i := 0; i < arenaRunMax/2; i++ { // the room is an eighth of 2·arenaRunMax
 		edits = append(edits, IDTriple{S: hub, P: id("feeds"), O: id(fmt.Sprintf("o%d", 2*arenaRunMax+i))})
+	}
+	for i := 1; i < 6*chunkLen; i += 4 { // into the middle of every chunk, past its room
+		edits = append(edits, IDTriple{S: hub, P: id("chunked"), O: id(fmt.Sprintf("f%d", i))})
 	}
 	for i := 0; i < 40; i++ {
 		edits = append(edits,

@@ -3,38 +3,47 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
 
-// A lead's pairs ascend by mid and a trailing set is its one inline member
-// or one strictly ascending run (index.go). These tests hold the sets to a
-// map model, the two indexes to the invariants every search relies on, and the cursor to what resuming by value buys: a write disturbs no
-// triple it did not touch.
+// A lead's pairs ascend by mid, and a trailing set is its one inline member,
+// one strictly ascending run or, past chunkLen members, a sequence of chunks
+// (index.go). These tests hold the sets to a map model, the two indexes to
+// the invariants every search relies on, and the cursor to what resuming by
+// value buys: a write disturbs no triple it did not touch.
 
-// checkLead holds one lead entry to its layout — at least one pair, mids
-// strictly ascending, each set passing checkSet — and counts the members it
-// holds.
+// checkLead holds one lead entry to its layout — at least one pair, pairs
+// ascending by (mid, first member), each chunk passing checkSet, the chunks
+// of one mid disjoint and ascending — and counts the members it holds.
 func checkLead(e *leadEntry) (members int, bad string) {
 	if len(e.entries) == 0 {
 		return 0, "a lead without pairs was not pruned"
 	}
 	for j := range e.entries {
 		mt := &e.entries[j]
-		if j > 0 && e.entries[j-1].mid >= mt.mid {
-			return 0, fmt.Sprintf("mid %d follows mid %d at pair %d of %d", mt.mid, e.entries[j-1].mid, j, len(e.entries))
-		}
 		n, bad := checkSet(mt)
 		if bad != "" {
 			return 0, bad
+		}
+		if j > 0 {
+			prev := &e.entries[j-1]
+			switch {
+			case prev.mid > mt.mid:
+				return 0, fmt.Sprintf("mid %d follows mid %d at pair %d of %d", mt.mid, prev.mid, j, len(e.entries))
+			case prev.mid == mt.mid && prev.elems()[prev.len()-1] >= mt.first():
+				return 0, fmt.Sprintf("a chunk of mid %d ends at %d and the next begins at %d, pair %d of %d", mt.mid, prev.elems()[prev.len()-1], mt.first(), j, len(e.entries))
+			}
 		}
 		members += n
 	}
 	return members, ""
 }
 
-// checkSet holds one pair's set to its layout — its one inline member (nil
-// run) or a non-empty, strictly ascending run — and counts its members.
+// checkSet holds one pair's chunk to its layout — its one inline member (nil
+// run) or a non-empty, strictly ascending run of at most chunkLen members in
+// at most chunkLen slots — and counts its members.
 func checkSet(mt *midTrail) (members int, bad string) {
 	if mt.run == nil {
 		if mt.len() != 1 {
@@ -43,8 +52,8 @@ func checkSet(mt *midTrail) (members int, bad string) {
 		return 1, ""
 	}
 	run := *mt.run
-	if len(run) == 0 {
-		return 0, fmt.Sprintf("the run under mid %d is empty", mt.mid)
+	if len(run) == 0 || cap(run) > chunkLen {
+		return 0, fmt.Sprintf("a run under mid %d holds %d members in %d slots, want 1 to %d", mt.mid, len(run), cap(run), chunkLen)
 	}
 	for k := 1; k < len(run); k++ {
 		if run[k-1] >= run[k] {
@@ -52,6 +61,15 @@ func checkSet(mt *midTrail) (members int, bad string) {
 		}
 	}
 	return len(run), ""
+}
+
+// setElems returns a set's members, ascending, chunk after chunk.
+func setElems(set trailSet) []uint32 {
+	var out []uint32
+	for k := range set {
+		out = append(out, set[k].elems()...)
+	}
+	return out
 }
 
 // checkRuns holds every lead of both indexes of s to checkLead, the walk of
@@ -90,66 +108,73 @@ func checkRuns(t testing.TB, what string, s *Store) {
 }
 
 // idSetScript runs a byte script against one lead of an index and a map
-// model: each two bytes are one operation — insert (twice as likely), remove
-// or contains — of a value from a 1 024-wide vocabulary whose top member
-// stands for the largest id there is, under one of 16 mids (the first byte's
-// top four bits, past linearRun so the mid search halves). The index files
-// through leadEntry.insert and remove, so a set is born inline, turns into a
-// run at its second member, drops its pair when emptied, and the lead is
-// pruned with its last pair. Every result must equal the model's; after every
-// operation the touched pair must exist exactly when the model holds members
-// under its mid and pass checkSet at the model's count, and at the end the
-// lead must pass checkLead and its sets be the model's, ascending.
+// model: each three bytes are one operation — insert (twice as likely),
+// remove or contains — of a value from a 4 096-wide vocabulary, four chunks'
+// worth, whose top member stands for the largest id there is, under one of
+// 16 mids (the first byte's top four bits, past linearRun so the mid search
+// halves). The index files through leadEntry.insert and remove, so a set is
+// born inline, turns into a run at its second member, into chunks past
+// chunkLen, drops a chunk's pair when it empties, and the lead is pruned with
+// its last pair. Every result must equal the model's; after every operation
+// the touched set must exist exactly when the model holds members under its
+// mid, and its chunks pass checkSet at the model's count; at the end the lead
+// must pass checkLead and its sets be the model's, ascending.
 func idSetScript(t *testing.T, script []byte) {
 	const lead = 7
 	var ix index
 	model := map[[2]uint32]bool{}
 	perMid := map[uint32]int{}
-	for i := 0; i+1 < len(script); i += 2 {
-		op, mid, v := script[i], uint32(script[i]>>4), uint32(script[i+1])|uint32(script[i]>>2&3)<<8
-		if v == 1023 {
+	for i := 0; i+2 < len(script); i += 3 {
+		op, mid := script[i], uint32(script[i]>>4)
+		v := (uint32(script[i+1]) | uint32(script[i+2])<<8) & 4095
+		if v == 4095 {
 			v = ^uint32(0)
 		}
 		key := [2]uint32{mid, v}
 		switch op & 3 {
 		case 0, 1:
 			if got := ix.insert(lead, mid, v); got == model[key] {
-				t.Fatalf("op %d: insert(%d, %d) = %v, model had it: %v", i/2, mid, v, got, model[key])
+				t.Fatalf("op %d: insert(%d, %d) = %v, model had it: %v", i/3, mid, v, got, model[key])
 			} else if got {
 				perMid[mid]++
 			}
 			model[key] = true
 		case 2:
 			if got := ix.remove(lead, mid, v); got != model[key] {
-				t.Fatalf("op %d: remove(%d, %d) = %v, model says %v", i/2, mid, v, got, model[key])
+				t.Fatalf("op %d: remove(%d, %d) = %v, model says %v", i/3, mid, v, got, model[key])
 			} else if got {
 				perMid[mid]--
 			}
 			delete(model, key)
 		case 3:
 			if got := ix.contains(lead, mid, v); got != model[key] {
-				t.Fatalf("op %d: contains(%d, %d) = %v, model says %v", i/2, mid, v, got, model[key])
+				t.Fatalf("op %d: contains(%d, %d) = %v, model says %v", i/3, mid, v, got, model[key])
 			}
 		}
 		e := ix.find(lead)
 		if (e == nil) != (len(model) == 0) {
-			t.Fatalf("op %d: lead present: %v, with %d members in the model", i/2, e != nil, len(model))
+			t.Fatalf("op %d: lead present: %v, with %d members in the model", i/3, e != nil, len(model))
 		}
 		if (ix.leads == 1) != (e != nil) {
-			t.Fatalf("op %d: the index counts %d leads, model has %d members", i/2, ix.leads, len(model))
+			t.Fatalf("op %d: the index counts %d leads, model has %d members", i/3, ix.leads, len(model))
 		}
 		if e == nil {
 			continue
 		}
-		mt := e.find(mid)
-		if (mt == nil) != (perMid[mid] == 0) {
-			t.Fatalf("op %d: pair of mid %d present: %v, with %d members in the model", i/2, mid, mt != nil, perMid[mid])
+		set := e.set(mid)
+		if (set == nil) != (perMid[mid] == 0) {
+			t.Fatalf("op %d: set of mid %d present: %v, with %d members in the model", i/3, mid, set != nil, perMid[mid])
 		}
-		if mt == nil {
-			continue
+		n := 0
+		for k := range set {
+			m, bad := checkSet(&set[k])
+			if bad != "" {
+				t.Fatalf("op %d: chunk %d of %d: %s", i/3, k, len(set), bad)
+			}
+			n += m
 		}
-		if n, bad := checkSet(mt); bad != "" || n != perMid[mid] {
-			t.Fatalf("op %d: %s; %d members under mid %d, model has %d", i/2, bad, n, mid, perMid[mid])
+		if n != perMid[mid] {
+			t.Fatalf("op %d: %d members in %d chunks under mid %d, model has %d", i/3, n, len(set), mid, perMid[mid])
 		}
 	}
 	if e := ix.find(lead); e != nil {
@@ -162,94 +187,248 @@ func idSetScript(t *testing.T, script []byte) {
 		want[k[0]] = append(want[k[0]], k[1])
 	}
 	if e := ix.find(lead); e != nil {
-		if len(e.entries) != len(want) {
-			t.Fatalf("%d pairs, model has %d mids", len(e.entries), len(want))
+		if sets := e.sets(); sets != len(want) {
+			t.Fatalf("%d sets, model has %d mids", sets, len(want))
 		}
-		for j := range e.entries {
-			mt := &e.entries[j]
-			w := want[mt.mid]
+		for mid, w := range want {
+			set := e.set(mid)
 			slices.Sort(w)
-			if !slices.Equal(mt.elems(), w) {
-				t.Fatalf("the set under mid %d is %v, model's keys ascending are %v", mt.mid, mt.elems(), w)
+			if got := setElems(set); !slices.Equal(got, w) {
+				t.Fatalf("the set under mid %d is %v, model's keys ascending are %v", mid, got, w)
+			}
+			if set.len() != len(w) {
+				t.Fatalf("the set under mid %d counts %d members, holds %d", mid, set.len(), len(w))
 			}
 			for _, v := range w {
-				if !mt.contains(v) {
-					t.Fatalf("contains(%d) = false for a member under mid %d", v, mt.mid)
+				if !set.contains(v) {
+					t.Fatalf("contains(%d) = false for a member under mid %d", v, mid)
 				}
 			}
 		}
 	}
 }
 
-// FuzzIDSet drives idSetScript with fuzzed scripts. The seeds fill one run
-// far past linearRun in ascending, descending and random order, then churn
-// it; then walk one set through its life — born inline, a run at its second
-// member, emptied and its pair dropped beside a neighbour, the lead pruned —
-// and fill and empty a lead's 16 mids.
-func FuzzIDSet(f *testing.F) {
-	var up, down []byte
-	for v := 0; v < 1024; v += 3 {
-		up = append(up, byte(v>>8<<2), byte(v))
-		down = append(down, byte((1023-v)>>8<<2), byte(1023-v))
+// idOps encodes operations for idSetScript: op (0 insert, 2 remove, 3
+// contains) under mid, of each value.
+func idOps(op byte, mid int, values ...int) []byte {
+	var script []byte
+	for _, v := range values {
+		script = append(script, byte(mid<<4)|op, byte(v), byte(v>>8))
 	}
-	random := make([]byte, 4000)
-	rand.New(rand.NewSource(21)).Read(random)
+	return script
+}
+
+// FuzzIDSet drives idSetScript with fuzzed scripts. The seeds fill one set
+// across four chunks in ascending, descending and random order, then churn
+// it until a middle chunk empties and refill it; fill a run far past
+// linearRun and churn it; then walk one set through its life — born inline,
+// a run at its second member, emptied and its pair dropped beside a
+// neighbour, the lead pruned — and fill and empty a lead's 16 mids.
+func FuzzIDSet(f *testing.F) {
+	all := make([]int, 4095)
+	for v := range all {
+		all[v] = v
+	}
+	down := slices.Clone(all)
+	slices.Reverse(down)
+	shuffled := slices.Clone(all)
+	rng := rand.New(rand.NewSource(21))
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	middle := all[1024:2048] // a whole chunk of the ascending and descending fills
+	churn := append(idOps(2, 3, middle...), idOps(3, 3, all[1000:2100]...)...)
+	churn = append(churn, idOps(0, 3, shuffled[:2000]...)...)
+	for _, order := range [][]int{all, down, shuffled} {
+		f.Add(append(idOps(0, 3, order...), churn...))
+	}
+	var every3 []int
+	for v := 0; v < 1024; v += 3 {
+		every3 = append(every3, v)
+	}
+	random := make([]byte, 6000)
+	rng.Read(random)
 	f.Add([]byte{})
-	f.Add(up)
-	f.Add(down)
+	f.Add(idOps(0, 0, every3...))
 	f.Add(random)
-	f.Add(append(slices.Clone(up), random...))
-	// Operation bytes: mid<<4 | insert 0, remove 2, contains 3.
-	f.Add([]byte{0x00, 5, 0x03, 5})                                     // born inline
-	f.Add([]byte{0x00, 9, 0x00, 5, 0x00, 1, 0x03, 5})                   // inline, then a run below it
-	f.Add([]byte{0x10, 1, 0x00, 5, 0x00, 9, 0x02, 5, 0x02, 9, 0x03, 9}) // a run emptied: pair dropped
-	f.Add([]byte{0x00, 5, 0x02, 5, 0x00, 5, 0x00, 6, 0x02, 6, 0x02, 5}) // the lead pruned, twice
+	f.Add(append(idOps(0, 0, every3...), random...))
+	f.Add(idOps(0, 0, 5)[:2])                                                                  // a partial operation
+	f.Add(append(idOps(0, 0, 5), idOps(3, 0, 5)...))                                           // born inline
+	f.Add(append(idOps(0, 0, 9, 5, 1), idOps(3, 0, 5)...))                                     // inline, then a run below it
+	f.Add(slices.Concat(idOps(0, 1, 1), idOps(0, 0, 5, 9), idOps(2, 0, 5, 9), idOps(3, 0, 9))) // a run emptied: pair dropped
+	f.Add(slices.Concat(idOps(0, 0, 5), idOps(2, 0, 5), idOps(0, 0, 5, 6), idOps(2, 0, 6, 5))) // the lead pruned, twice
 	var mids []byte
 	for m := 15; m >= 0; m-- {
-		mids = append(mids, byte(m<<4), byte(m), byte(m<<4), byte(m+100))
+		mids = append(mids, idOps(0, m, m, m+100)...)
 	}
 	for m := 0; m < 16; m += 2 {
-		mids = append(mids, byte(m<<4|2), byte(m), byte(m<<4|2), byte(m+100))
+		mids = append(mids, idOps(2, m, m, m+100)...)
 	}
 	f.Add(mids)
 	f.Fuzz(idSetScript)
 }
 
-// TestIDSetSearchDoesNotAllocate: on a 10⁴-member run, membership and removal
-// are a search and a copy within the run — nothing is allocated.
+// TestChunkedSetChurn files 4 095 members under one mid in ascending,
+// descending and shuffled order, then removes a chunk's worth from the
+// middle: every order leaves the set in chunks, full ones for the two
+// monotone orders, and the removal empties and drops a middle chunk.
+func TestChunkedSetChurn(t *testing.T) {
+	const members = 4095
+	asc := make([]uint32, members)
+	for i := range asc {
+		asc[i] = uint32(i)
+	}
+	desc := slices.Clone(asc)
+	slices.Reverse(desc)
+	shuffled := slices.Clone(asc)
+	rand.New(rand.NewSource(21)).Shuffle(members, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for _, c := range []struct {
+		name   string
+		order  []uint32
+		chunks int // how many chunks the fill leaves, 0 when the order does not say
+	}{{"ascending", asc, 4}, {"descending", desc, 4}, {"shuffled", shuffled, 0}} {
+		t.Run(c.name, func(t *testing.T) {
+			var e leadEntry
+			for _, v := range c.order {
+				e.insert(3, v)
+			}
+			set := e.set(3)
+			if n, bad := checkLead(&e); bad != "" || n != members {
+				t.Fatalf("%s; %d members", bad, n)
+			}
+			if len(set) < 4 || c.chunks > 0 && len(set) != c.chunks {
+				t.Fatalf("%d members fill %d chunks, want %d (at least 4)", members, len(set), c.chunks)
+			}
+			before := len(set)
+			for v := uint32(1000); v < 2100; v++ {
+				if !e.remove(3, v) {
+					t.Fatalf("remove(%d) missed", v)
+				}
+			}
+			if n, bad := checkLead(&e); bad != "" || n != members-1100 {
+				t.Fatalf("after the removals: %s; %d members", bad, n)
+			}
+			if after := len(e.set(3)); after >= before {
+				t.Errorf("removing 1 100 middle members left %d chunks of %d: none emptied", after, before)
+			}
+		})
+	}
+}
+
+// TestIDSetSearchDoesNotAllocate: on a run of 10⁴ members and a set of 10⁵
+// in chunks, membership and removal are a search and a copy within one chunk
+// — nothing is allocated.
 func TestIDSetSearchDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	const members, mid = 10_000, 3
-	var e leadEntry
-	for v := uint32(0); v < members; v++ {
-		e.insert(mid, 3*v)
-	}
-	rng := rand.New(rand.NewSource(21))
-	hits := 0
-	if allocs := testing.AllocsPerRun(200, func() {
-		if e.find(mid).contains(uint32(rng.Intn(3 * members))) {
-			hits++
+	for _, members := range []int{10_000, 100_000} {
+		const mid = 3
+		var e leadEntry
+		for v := uint32(0); v < uint32(members); v++ {
+			e.insert(mid, 3*v)
 		}
-	}); allocs != 0 {
-		t.Errorf("contains allocates %.1f times per call", allocs)
+		rng := rand.New(rand.NewSource(21))
+		hits := 0
+		if allocs := testing.AllocsPerRun(200, func() {
+			if e.set(mid).contains(uint32(rng.Intn(3 * members))) {
+				hits++
+			}
+		}); allocs != 0 {
+			t.Errorf("%d members: contains allocates %.1f times per call", members, allocs)
+		}
+		if hits == 0 || hits > 150 {
+			t.Errorf("%d members: %d of 201 probes hit; a third should", members, hits)
+		}
+		order := rng.Perm(members)
+		next := 0
+		if allocs := testing.AllocsPerRun(200, func() {
+			if !e.remove(mid, uint32(3*order[next])) {
+				t.Fatalf("remove(%d) missed a member", 3*order[next])
+			}
+			next++
+		}); allocs != 0 {
+			t.Errorf("%d members: remove allocates %.1f times per call", members, allocs)
+		}
+		if n, bad := checkLead(&e); bad != "" || n != members-next {
+			t.Errorf("%s; %d members after %d removals of %d", bad, n, next, members)
+		}
 	}
-	if hits == 0 || hits > 150 {
-		t.Errorf("%d of 201 probes hit; a third should", hits)
+}
+
+// allocatedBytes returns how many bytes f allocates on the heap.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestAppendAllocatesWhatItKeeps: filing 10⁵ ascending members in one set —
+// a class meeting its new instances — allocates about the 4 bytes a member
+// keeps: each full chunk is followed by a new one and never copied, so past
+// the first chunk's growth a member costs its slot, a chunk's slice header
+// and its share of the pairs. An append-grown run paid about 20.
+func TestAppendAllocatesWhatItKeeps(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	order := rng.Perm(members)
+	const members = 100_000
+	var e leadEntry
+	per := float64(allocatedBytes(func() {
+		for v := uint32(0); v < members; v++ {
+			e.insert(3, v)
+		}
+	})) / members
+	t.Logf("%d ascending members in %d chunks: %.2f bytes allocated a member", members, len(e.set(3)), per)
+	if n, bad := checkLead(&e); bad != "" || n != members {
+		t.Fatalf("%s; %d members", bad, n)
+	}
+	if per > 4.2 {
+		t.Errorf("%.2f bytes allocated a member, budget 4.2", per)
+	}
+}
+
+// TestLoadedHubTakesMiddleInserts: a hub the bulk path built — 10⁴ members,
+// every third id, in chunks with an eighth of room — takes a member into the
+// middle of each of its chunks without allocating, as mixed_open's retypes
+// land in boot-loaded classes.
+func TestLoadedHubTakesMiddleInserts(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const members, typ, hub = 10_000, 1, 2
+	ts := make([]IDTriple, members)
+	for i := range ts {
+		ts[i] = IDTriple{S: 3 + 3*SymbolID(i), P: typ, O: hub}
+	}
+	var ix index
+	ix.buildSorted(func() []IDTriple {
+		pos := make([]IDTriple, len(ts))
+		for i, t := range ts {
+			pos[i] = IDTriple{S: t.P, P: t.O, O: t.S}
+		}
+		return pos
+	}())
+	set := ix.find(typ).set(hub)
+	if len(set) < 10 {
+		t.Fatalf("a %d-member hub was built in %d chunks", members, len(set))
+	}
+	var middles []uint32
+	for k := range set {
+		elems := set[k].elems()
+		middles = append(middles, elems[len(elems)/2]+1)
+	}
 	next := 0
-	if allocs := testing.AllocsPerRun(200, func() {
-		if !e.remove(mid, uint32(3*order[next])) {
-			t.Fatalf("remove(%d) missed a member", 3*order[next])
+	if allocs := testing.AllocsPerRun(len(middles)-1, func() {
+		if !ix.insert(typ, hub, middles[next]) {
+			t.Fatalf("insert(%d) reported a duplicate", middles[next])
 		}
 		next++
 	}); allocs != 0 {
-		t.Errorf("remove allocates %.1f times per call", allocs)
+		t.Errorf("a middle insert into a loaded chunk allocates %.1f times", allocs)
 	}
-	if n := e.find(mid).len(); n != members-next {
-		t.Errorf("%d members after %d removals of %d", n, next, members)
+	if n, bad := checkLead(ix.find(typ)); bad != "" || n != members+len(middles) {
+		t.Fatalf("%s; %d members", bad, n)
 	}
 }
 
@@ -281,14 +460,15 @@ func TestNewMidDoesNotAllocate(t *testing.T) {
 }
 
 // TestCursorResumesByValue: a (? P O) cursor over a 5 000-subject posting
-// list is drained a thousand triples at a time with writes to the list in
-// between — an emitted subject removed while one is inserted below the cursor
+// list, five chunks, is drained a thousand triples at a time with writes to
+// the list in between — an emitted subject removed while one is inserted below the cursor
 // and one above, then a removal alone, then an insertion alone, so the
 // members above the cursor slide back, stay and slide forth. Every subject
 // present throughout is reported exactly once, the one inserted above the
 // cursor too, a touched one at most once — at batch sizes 1, 7 and 1 024, on
 // a store and through a view whose overlay holds the list, and the same with
-// the predicate left open, where the object-only fan-out walks the list. One
+// the predicate left open, where the object-only fan-out walks the list; and
+// over a 10⁵-subject list, 98 chunks, at batch size 1 024. One
 // level up, a (S ? ?) cursor over one subject's one-object predicates keeps
 // the same guarantee while pairs are dropped and filed below it, and at the
 // top the unbound cursor keeps it while leads are pruned behind it and filed
@@ -298,11 +478,14 @@ func TestCursorResumesByValue(t *testing.T) {
 		for _, view := range []bool{false, true} {
 			for _, objectOnly := range []bool{false, true} {
 				t.Run(fmt.Sprintf("batch=%d/view=%v/objectonly=%v", size, view, objectOnly), func(t *testing.T) {
-					checkCursorResumes(t, size, view, objectOnly)
+					checkCursorResumes(t, 5000, size, view, objectOnly)
 				})
 			}
 		}
 	}
+	t.Run("subjects=100000/batch=1024", func(t *testing.T) {
+		checkCursorResumes(t, 100_000, 1024, false, false)
+	})
 	t.Run("lead/batch=1", checkLeadCursorResumes)
 	for _, size := range []int{1, 3} {
 		t.Run(fmt.Sprintf("unbound/batch=%d", size), func(t *testing.T) {
@@ -469,8 +652,8 @@ func checkLeadCursorResumes(t *testing.T) {
 }
 
 // checkCursorResumes is one case of TestCursorResumesByValue.
-func checkCursorResumes(t *testing.T, size int, view, objectOnly bool) {
-	const subjects, stride = 5000, 1024
+func checkCursorResumes(t *testing.T, subjects, size int, view, objectOnly bool) {
+	const stride = 1024
 	base := New()
 	id := func(name string) SymbolID {
 		v, err := base.Intern(name)

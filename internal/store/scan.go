@@ -41,7 +41,7 @@ func tripleOf(fam uint8, lead, mid, trail uint32) IDTriple {
 // snapshot-consistent across refills: a triple inserted or removed while the
 // scan is between refills may be seen or missed. Within one posting list
 // that is all a write can do: the cursor resumes in a list by value
-// (fillElems), so for (S P ?), (? P O) and the object-only fan-out a triple
+// (fillSet), so for (S P ?), (? P O) and the object-only fan-out a triple
 // present throughout the scan is reported exactly once. One level up a lead's
 // middle components ascend too, and a (lead ? ?) or (S ? O) cursor resumes
 // among them by value the same way (fillMids): only a pair a write touched
@@ -84,12 +84,14 @@ type ScanPart struct {
 // place is a cursor's position in its current member, every part named by
 // value. For allLeads scans: the least lead id not yet finished. With the mid
 // open: the least middle component of the current lead not yet finished.
-// Always: the position within the current trailing run, so a refill stops
-// exactly at the batch boundary, and — once trailPos > 0 — the last trailing
-// id emitted from it, which fillElems checks the position against on resume.
+// Always: the chunk of the current trailing set and the position within it,
+// so a refill stops exactly at the batch boundary, and — once trailPos > 0 —
+// the last trailing id emitted from the set, which fillSet checks the
+// position against on resume.
 type place struct {
 	nextLead  uint32
 	nextMid   uint32
+	chunk     int
 	trailPos  int
 	lastTrail uint32
 }
@@ -129,7 +131,7 @@ func (pt *ScanPart) fill(out []IDTriple) int {
 // fillLeads advances an allLeads part — the unbound full scan over SPO or
 // the object-only fan-out over POS — from the first lead not below nextLead.
 // The full scan walks each lead's pairs with fillMids; the fan-out streams the
-// object's subject list under each predicate lead with fillElems. Both stop at
+// object's subject list under each predicate lead with fillSet. Both stop at
 // the batch boundary. When the lead the cursor stood in is gone, the walk
 // arrives at a later one and starts it from its first pair.
 func (pt *ScanPart) fillLeads(out []IDTriple) int {
@@ -139,19 +141,19 @@ func (pt *ScanPart) fillLeads(out []IDTriple) int {
 			return false
 		}
 		if lead != pt.nextLead {
-			pt.nextMid, pt.trailPos = 0, 0
+			pt.nextMid, pt.chunk, pt.trailPos = 0, 0, 0
 		}
 		pt.nextLead = lead
 		listDone := true
 		if !pt.midBound {
 			n, listDone = pt.fillMids(lead, e, out, n)
-		} else if mt := e.find(pt.mid); mt != nil {
-			n, listDone = pt.fillElems(lead, pt.mid, mt.elems(), out, n)
+		} else if set := e.set(pt.mid); set != nil {
+			n, listDone = pt.fillSet(lead, pt.mid, set, out, n)
 		}
 		if !listDone {
 			return false // out is full mid-lead; the next refill resumes in it
 		}
-		pt.nextMid, pt.trailPos = 0, 0
+		pt.nextMid, pt.chunk, pt.trailPos = 0, 0, 0
 		// Wraps only past the largest id, which is then the last lead: the
 		// walk is finished before nextLead is read again.
 		pt.nextLead = lead + 1
@@ -168,74 +170,85 @@ func (pt *ScanPart) index() *index {
 	return &pt.owner.spo
 }
 
-// fillElems copies one trailing set's members into out as triples under
-// (lead, mid) of the part's index, from trailPos on, and reports whether the
-// set is exhausted. This is the leaf of the hot scan shape (two bound
-// components, e.g. every {?x type class}): it fills straight from the element
-// slice with the index dispatch hoisted out of the loop, and stops at the
-// batch boundary rather than buffering the rest, which keeps both the lock
-// hold and the cursor's memory bounded however large the posting list is.
-// A resumed cursor is first checked against the run, which may have mutated
-// since the last refill: a write below the cursor slides the members above it
-// by one, so when the member before trailPos is no longer the last one
-// emitted, the cursor re-seeks to the first member above lastTrail. The run
-// ascends, so the emissions from one list do: none is repeated or stepped over.
-func (pt *ScanPart) fillElems(lead, mid uint32, elems []uint32, out []IDTriple, n int) (int, bool) {
-	if pt.trailPos > 0 && (pt.trailPos > len(elems) || elems[pt.trailPos-1] != pt.lastTrail) {
-		var found bool
-		if pt.trailPos, found = searchRun(elems, pt.lastTrail); found {
-			pt.trailPos++
-		}
+// fillSet copies one trailing set's members into out as triples under
+// (lead, mid) of the part's index, from (chunk, trailPos) on, and reports
+// whether the set is exhausted. This is the leaf of the hot scan shape (two
+// bound components, e.g. every {?x type class}): it fills straight from each
+// chunk's element slice with the index dispatch hoisted out of the loop, and
+// stops at the batch boundary rather than buffering the rest, which keeps
+// both the lock hold and the cursor's memory bounded however large the
+// posting list is. A resumed cursor is first checked against the set, which
+// may have mutated since the last refill: a write below the cursor slides the
+// members above it in its chunk, a chunk splits or goes, so when the member
+// before the place is no longer the last one emitted, the cursor re-seeks to
+// the first member above lastTrail. The set ascends, so the emissions from
+// one list do: none is repeated or stepped over.
+func (pt *ScanPart) fillSet(lead, mid uint32, set trailSet, out []IDTriple, n int) (int, bool) {
+	if pt.trailPos > 0 && (pt.chunk >= len(set) || pt.trailPos > set[pt.chunk].len() || set[pt.chunk].elems()[pt.trailPos-1] != pt.lastTrail) {
+		pt.chunk, pt.trailPos = set.seek(pt.lastTrail)
 	}
-	if pt.fam == famPOS {
-		for pt.trailPos < len(elems) && n < len(out) {
-			out[n] = IDTriple{S: elems[pt.trailPos], P: lead, O: mid}
-			n++
-			pt.trailPos++
+	for {
+		elems := set[pt.chunk].elems()
+		if pt.fam == famPOS {
+			for pt.trailPos < len(elems) && n < len(out) {
+				out[n] = IDTriple{S: elems[pt.trailPos], P: lead, O: mid}
+				n++
+				pt.trailPos++
+			}
+		} else {
+			for pt.trailPos < len(elems) && n < len(out) {
+				out[n] = IDTriple{S: lead, P: mid, O: elems[pt.trailPos]}
+				n++
+				pt.trailPos++
+			}
 		}
-	} else {
-		for pt.trailPos < len(elems) && n < len(out) {
-			out[n] = IDTriple{S: lead, P: mid, O: elems[pt.trailPos]}
-			n++
-			pt.trailPos++
+		if pt.trailPos > 0 {
+			pt.lastTrail = elems[pt.trailPos-1]
 		}
+		switch {
+		case pt.trailPos < len(elems):
+			return n, false // out is full
+		case pt.chunk+1 == len(set):
+			return n, true
+		case n == len(out):
+			return n, false // the next refill moves on to the next chunk
+		}
+		pt.chunk, pt.trailPos = pt.chunk+1, 0
 	}
-	if pt.trailPos > 0 {
-		pt.lastTrail = elems[pt.trailPos-1]
-	}
-	return n, pt.trailPos >= len(elems)
 }
 
-// fillMids walks one lead's pairs with the mid open and reports whether the
-// lead is finished. It names its place by value: the pairs ascend by middle
+// fillMids walks one lead's sets with the mid open and reports whether the
+// lead is finished. It names its place by value: the sets ascend by middle
 // component, so a refill resumes at the first one not below nextMid, and when
-// that is still the list the cursor stood in, fillElems re-seeks its position
-// above lastTrail. A pair emptied, dropped or filed anew moves no other pair
-// across the cursor, so only a pair a write touched may be seen or missed.
-// With the trail bound a pair contributes at most its one membership.
+// that is still the list the cursor stood in, fillSet re-seeks its position
+// above lastTrail. A set emptied, dropped or filed anew moves no other set
+// across the cursor, so only a set a write touched may be seen or missed.
+// With the trail bound a set contributes at most its one membership.
 func (pt *ScanPart) fillMids(lead uint32, e *leadEntry, out []IDTriple, n int) (int, bool) {
 	i, found := e.search(pt.nextMid)
 	if !found {
-		pt.trailPos = 0 // the list the cursor stood in is gone
+		pt.chunk, pt.trailPos = 0, 0 // the list the cursor stood in is gone
 	}
-	for ; i < len(e.entries) && n < len(out); i++ {
-		mt := &e.entries[i]
+	for i < len(e.entries) && n < len(out) {
+		end := e.setEnd(i)
+		set, mid := trailSet(e.entries[i:end]), e.entries[i].mid
+		i = end
 		if pt.trailBound {
-			if mt.contains(pt.trail) {
-				out[n] = tripleOf(pt.fam, lead, mt.mid, pt.trail)
+			if set.contains(pt.trail) {
+				out[n] = tripleOf(pt.fam, lead, mid, pt.trail)
 				n++
 			}
 		} else {
 			var finished bool
-			if n, finished = pt.fillElems(lead, mt.mid, mt.elems(), out, n); !finished {
-				pt.nextMid = mt.mid
+			if n, finished = pt.fillSet(lead, mid, set, out, n); !finished {
+				pt.nextMid = mid
 				return n, false
 			}
-			pt.trailPos = 0
+			pt.chunk, pt.trailPos = 0, 0
 		}
-		// Wraps only past the largest id, whose pair is the last: the lead is
+		// Wraps only past the largest id, whose set is the last: the lead is
 		// then finished before nextMid is read again.
-		pt.nextMid = mt.mid + 1
+		pt.nextMid = mid + 1
 	}
 	return n, i >= len(e.entries)
 }
@@ -250,14 +263,14 @@ func (pt *ScanPart) fillLead(out []IDTriple) int {
 	case e == nil:
 		pt.done = true
 	case pt.allBound:
-		if set := e.find(pt.mid); set != nil && set.contains(pt.trail) {
+		if set := e.set(pt.mid); set != nil && set.contains(pt.trail) {
 			out[0] = tripleOf(pt.fam, pt.lead, pt.mid, pt.trail)
 			n = 1
 		}
 		pt.done = true
 	case pt.midBound:
-		if mt := e.find(pt.mid); mt != nil {
-			n, pt.done = pt.fillElems(pt.lead, pt.mid, mt.elems(), out, n)
+		if set := e.set(pt.mid); set != nil {
+			n, pt.done = pt.fillSet(pt.lead, pt.mid, set, out, n)
 		} else {
 			pt.done = true
 		}
@@ -375,13 +388,12 @@ func (s *Store) batchProbeSP(ps []IDPattern, yield func(pi int, t IDTriple) bool
 		if e == nil {
 			continue
 		}
-		mt := e.find(p.P)
-		if mt == nil {
-			continue
-		}
-		for _, v := range mt.elems() {
-			if !yield(pi, IDTriple{S: p.S, P: p.P, O: v}) {
-				return false
+		set := e.set(p.P)
+		for k := range set {
+			for _, v := range set[k].elems() {
+				if !yield(pi, IDTriple{S: p.S, P: p.P, O: v}) {
+					return false
+				}
 			}
 		}
 	}
@@ -396,13 +408,12 @@ func (s *Store) batchProbePO(ps []IDPattern, yield func(pi int, t IDTriple) bool
 		if e == nil {
 			continue
 		}
-		mt := e.find(p.O)
-		if mt == nil {
-			continue
-		}
-		for _, v := range mt.elems() {
-			if !yield(pi, IDTriple{S: v, P: p.P, O: p.O}) {
-				return false
+		set := e.set(p.O)
+		for k := range set {
+			for _, v := range set[k].elems() {
+				if !yield(pi, IDTriple{S: v, P: p.P, O: p.O}) {
+					return false
+				}
 			}
 		}
 	}
@@ -426,27 +437,24 @@ func (s *Store) probeLocked(p IDPattern, pi int, yield func(int, IDTriple) bool)
 			return true
 		}
 		if p.BoundP {
-			mt := e.find(p.P)
-			if mt == nil {
+			set := e.set(p.P)
+			if set == nil {
 				return true
 			}
 			if p.BoundO {
-				if mt.contains(p.O) {
+				if set.contains(p.O) {
 					return yield(pi, IDTriple{S: p.S, P: p.P, O: p.O})
 				}
 				return true
 			}
-			return emitSet(mt, pi, yield, famSPO, p.S)
+			return emitPairs(set, pi, yield, famSPO, p.S)
 		}
+		if !p.BoundO {
+			return emitPairs(e.entries, pi, yield, famSPO, p.S)
+		}
+		// The chunks of a set are disjoint, so at most one of them holds O.
 		for i := range e.entries {
-			mt := &e.entries[i]
-			if p.BoundO {
-				if mt.contains(p.O) && !yield(pi, IDTriple{S: p.S, P: mt.mid, O: p.O}) {
-					return false
-				}
-				continue
-			}
-			if !emitSet(mt, pi, yield, famSPO, p.S) {
+			if mt := &e.entries[i]; mt.contains(p.O) && !yield(pi, IDTriple{S: p.S, P: mt.mid, O: p.O}) {
 				return false
 			}
 		}
@@ -457,42 +465,31 @@ func (s *Store) probeLocked(p IDPattern, pi int, yield func(int, IDTriple) bool)
 			return true
 		}
 		if p.BoundO {
-			mt := e.find(p.O)
-			if mt == nil {
-				return true
-			}
-			return emitSet(mt, pi, yield, famPOS, p.P)
+			return emitPairs(e.set(p.O), pi, yield, famPOS, p.P)
 		}
-		for i := range e.entries {
-			if !emitSet(&e.entries[i], pi, yield, famPOS, p.P) {
-				return false
-			}
-		}
-		return true
+		return emitPairs(e.entries, pi, yield, famPOS, p.P)
 	case p.BoundO:
 		return s.pos.ascend(0, func(pid uint32, e *leadEntry) bool {
-			mt := e.find(p.O)
-			return mt == nil || emitSet(mt, pi, yield, famPOS, pid)
+			return emitPairs(e.set(p.O), pi, yield, famPOS, pid)
 		})
 	default:
 		return s.spo.ascend(0, func(sid uint32, e *leadEntry) bool {
-			for i := range e.entries {
-				if !emitSet(&e.entries[i], pi, yield, famSPO, sid) {
-					return false
-				}
-			}
-			return true
+			return emitPairs(e.entries, pi, yield, famSPO, sid)
 		})
 	}
 }
 
-// emitSet yields one triple per member of a pair's trailing set, reassembled
-// from the index's (lead, mid, trail) coordinates, as a direct loop over the
-// set's elements (no per-set closure).
-func emitSet(mt *midTrail, pi int, yield func(int, IDTriple) bool, fam uint8, lead uint32) bool {
-	for _, v := range mt.elems() {
-		if !yield(pi, tripleOf(fam, lead, mt.mid, v)) {
-			return false
+// emitPairs yields one triple per member of each pair's chunk — one set's
+// pairs or a whole lead's — reassembled from the index's (lead, mid, trail)
+// coordinates, as a direct loop over the chunks' elements (no per-set
+// closure).
+func emitPairs(pairs []midTrail, pi int, yield func(int, IDTriple) bool, fam uint8, lead uint32) bool {
+	for i := range pairs {
+		mt := &pairs[i]
+		for _, v := range mt.elems() {
+			if !yield(pi, tripleOf(fam, lead, mt.mid, v)) {
+				return false
+			}
 		}
 	}
 	return true

@@ -18,14 +18,15 @@
 //
 // # Files
 //
-//   - symbols.go: the symbol table — names, the keyless name→id index, the
-//     lock-free id→name snapshot, which falls back to the locked path only
-//     for an id minted mid-read.
+//   - symbols.go: the symbol table — names in pages that never move,
+//     the keyless name→id index, the lock-free id→name snapshot (a page
+//     directory and a count), which falls back to the locked path only for
+//     an id minted mid-read.
 //   - index.go: one permutation index — the lead directory and its pages, the
-//     midTrail pairs, inline singles and sorted runs; every lead access goes
-//     through find, slot, insert, remove and the one ascending walk, ascend.
-//     Ids are minted ascending, so a fresh subject lands at the end of its
-//     class's run and moves nothing.
+//     midTrail pairs, inline singles, sorted runs and the chunks of a long
+//     set; every lead access goes through find, slot, insert, remove and the
+//     one ascending walk, ascend. Ids are minted ascending, so a fresh
+//     subject lands at the end of its class's last chunk and moves nothing.
 //   - store.go: Store, write sections, generation and position; tx.go the
 //     write handle Tx (every write method, the journal record it collects);
 //     journal.go the Journal hook a durable engine installs.

@@ -3,11 +3,19 @@ package store
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
 	"unsafe"
 )
+
+// list copies the table's names out, in id order.
+func (nt nameTable) list() []string {
+	out := make([]string, 0, nt.n)
+	nt.spans(0, func(_ SymbolID, names []string) { out = append(out, names...) })
+	return out
+}
 
 // corpusNames returns n distinct names shaped like a served corpus's
 // dictionary: mostly instances, with classes, sites and tags among them.
@@ -99,10 +107,10 @@ func TestDictIndexMatchesMap(t *testing.T) {
 			}
 		}
 	}
-	if len(st.names) != len(model) || len(st.index) != indexLen(len(model)) || len(st.index) < minIndex<<3 {
-		t.Fatalf("%d names (model %d) in %d slots: want %d slots, at least three doublings", len(st.names), len(model), len(st.index), indexLen(len(model)))
+	if st.names.n != len(model) || len(st.index) != indexLen(len(model)) || len(st.index) < minIndex<<3 {
+		t.Fatalf("%d names (model %d) in %d slots: want %d slots, at least three doublings", st.names.n, len(model), len(st.index), indexLen(len(model)))
 	}
-	t.Logf("%d names in %d slots after %d doublings", len(st.names), len(st.index), bits.Len(uint(len(st.index)/minIndex))-1)
+	t.Logf("%d names in %d slots after %d doublings", st.names.n, len(st.index), bits.Len(uint(len(st.index)/minIndex))-1)
 
 	sameAsModel := func(what string, s *Store) {
 		t.Helper()
@@ -117,7 +125,7 @@ func TestDictIndexMatchesMap(t *testing.T) {
 	sameAsModel("interned", s)
 
 	r := New()
-	if err := r.RestoreSorted(append([]string(nil), st.names...), nil, 0); err != nil {
+	if err := r.RestoreSorted(st.names.list(), nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if len(r.syms.index) != indexLen(len(model)) {
@@ -271,6 +279,31 @@ func TestInternedNameAgreesWithSymbolID(t *testing.T) {
 	}
 }
 
+// TestNameTableAllocatesWhatItKeeps: minting 10⁵ names allocates about the
+// 16 bytes of string header a name keeps — whole pages, which never move, and
+// a directory of 8 bytes a page — where an append-grown slice allocated about
+// 80.
+func TestNameTableAllocatesWhatItKeeps(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const n = 100_000
+	names := corpusNames(n)
+	var nt nameTable
+	per := float64(allocatedBytes(func() {
+		for _, name := range names {
+			nt.add(name)
+		}
+	})) / n
+	t.Logf("%d names in %d pages: %.2f bytes allocated a name", n, len(nt.pages), per)
+	if nt.n != n || nt.at(n-1) != names[n-1] {
+		t.Fatalf("the table holds %d names, the last %q", nt.n, nt.at(uint32(nt.n-1)))
+	}
+	if per > 16.5 {
+		t.Errorf("%.2f bytes allocated a name, budget 16.5", per)
+	}
+}
+
 // TestDictionaryFootprint holds the name→id index to at most 12 bytes a name
 // at 10⁵ names, interned one by one or restored whole. The map it replaced
 // cost about 34.
@@ -297,5 +330,56 @@ func TestDictionaryFootprint(t *testing.T) {
 			t.Errorf("%s: the index costs %.2f bytes a name (%d slots for %d names), want at most 12", c.what, per, slots, n)
 		}
 		t.Logf("%d names %s: %d slots, %.2f bytes a name", n, c.what, slots, per)
+	}
+}
+
+// TestRestoredLastPageIsReplacedWhole: a restored dictionary's last page is
+// the restored array's own short tail. The name that finds it full gets a
+// whole page in a new directory, while a reader of a snapshot taken before
+// goes on resolving its ids: the restored array is never written, and every
+// id resolves to its name.
+func TestRestoredLastPageIsReplacedWhole(t *testing.T) {
+	names := corpusNames(namePageLen + 10)
+	dict := make([]string, len(names), len(names)+100)
+	copy(dict, names)
+	s := New()
+	if err := s.RestoreSorted(dict, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	before := s.NewResolver()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for pass := 0; pass < 20; pass++ {
+			for id := len(names) - 20; id < len(names); id++ {
+				if got := before.Name(SymbolID(id)); got != names[id] {
+					t.Errorf("the snapshot resolves id %d to %q, want %q", id, got, names[id])
+					return
+				}
+			}
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		if id, err := s.Intern("fresh" + strconv.Itoa(i)); err != nil || int(id) != len(names)+i {
+			t.Fatalf("Intern = %d, %v; want id %d", id, err, len(names)+i)
+		}
+	}
+	wg.Wait()
+	if spare := dict[len(dict):cap(dict)]; slices.ContainsFunc(spare, func(s string) bool { return s != "" }) {
+		t.Fatal("the table wrote into the restored array's spare capacity")
+	}
+	if pages := s.syms.names.pages; len(pages[len(pages)-1]) != namePageLen {
+		t.Fatalf("the last page holds %d slots after the restored tail filled, want %d", len(pages[len(pages)-1]), namePageLen)
+	}
+	after := s.NewResolver()
+	for id := 0; id < len(names)+20; id++ {
+		want := "fresh" + strconv.Itoa(id-len(names))
+		if id < len(names) {
+			want = names[id]
+		}
+		if got := after.Name(SymbolID(id)); got != want {
+			t.Fatalf("id %d resolves to %q, want %q", id, got, want)
+		}
 	}
 }

@@ -59,7 +59,7 @@ func (s *Store) Intern(name string) (SymbolID, error) {
 	}
 	s.syms.mu.Lock()
 	defer s.syms.mu.Unlock()
-	before := len(s.syms.names)
+	before := s.syms.names.n
 	id := s.syms.internLocked(name)
 	s.syms.journalGrowthLocked(before)
 	return id, nil
@@ -68,7 +68,7 @@ func (s *Store) Intern(name string) (SymbolID, error) {
 // validID reports whether every component id has actually been minted by the
 // store's dictionary.
 func (s *Store) validID(t IDTriple) bool {
-	n := SymbolID(len(s.syms.snapshot()))
+	n := SymbolID(s.syms.snapshot().n)
 	return t.S < n && t.P < n && t.O < n
 }
 
@@ -183,8 +183,9 @@ func (v *View) ForEachSubject(predicate, object string, yield func(string) bool)
 		if e == nil {
 			continue
 		}
-		if mt := e.find(oid); mt != nil {
-			for _, sid := range mt.elems() {
+		set := e.set(oid)
+		for k := range set {
+			for _, sid := range set[k].elems() {
 				if !yield(res.name(sid)) {
 					return
 				}
