@@ -614,9 +614,12 @@ func (r *Reasoner) propagate(out, delta []store.IDTriple) []store.IDTriple {
 // conclusions, r.round[i].fed, which the caller sets for the first round —
 // probing the remaining atoms against the full materialized view, which
 // already includes earlier rounds' conclusions. Derived heads already
-// asserted or inferred are skipped; the rest enter the overlay one at a time
+// asserted or inferred are skipped; the rest enter the overlay one batch per
+// rule (store.Tx.AddIDs: a duplicate counts at its first occurrence, and each
+// set grows once), so a later rule's heads see an earlier rule's as present,
 // and form the next delta. Heads arrive from the pipelines' output batches,
-// after each enumeration has finished reading, so inserting them is safe.
+// after each enumeration has finished reading, so inserting them is safe;
+// the skipped ones are compacted out of the head buffer in place.
 // Each round's delta is appended straight onto out, which is returned:
 // the next delta is out's tail, and the triples derived are everything
 // appended. delta may be a prefix of out (it is only read, and appends never
@@ -630,15 +633,18 @@ func (r *Reasoner) rounds(out, delta []store.IDTriple) []store.IDTriple {
 		for i := range r.round {
 			rr := &r.round[i]
 			lo := len(out) - base
-			for _, h := range heads[rr.heads[0]:rr.heads[1]] {
-				if asserted, inferred := held.Contains(h); asserted || inferred {
-					continue
+			seg := heads[rr.heads[0]:rr.heads[1]]
+			todo := seg[:0]
+			for _, h := range seg {
+				if asserted, inferred := held.Contains(h); !asserted && !inferred {
+					todo = append(todo, h)
 				}
-				if _, err := r.ov.AddID(h); err != nil {
-					panic(err) // ids came from this dictionary
-				}
-				out = append(out, h)
 			}
+			fresh, err := r.ov.AddIDs(todo)
+			if err != nil {
+				panic(err) // ids came from this dictionary
+			}
+			out = append(out, fresh...)
 			rr.own = [2]int{lo, len(out) - base}
 		}
 		next := out[base:]

@@ -24,6 +24,17 @@ import (
 // /snapshot): one JSON object per line.
 const ndjsonType = "application/x-ndjson"
 
+// jsonContent and ndjsonContent are the Content-Type values of the JSON and
+// the streamed responses. A handler assigns one to its header map as it is,
+// where Header.Set would allocate a fresh one-element slice per response;
+// sharing it is safe, since net/http only reads a handler's header values
+// and Header.Clone copies them, and an Add appends past its one element's
+// capacity, into a copy.
+var (
+	jsonContent   = []string{"application/json"}
+	ndjsonContent = []string{ndjsonType}
+)
+
 // Query evaluation modes accepted by QueryRequest.Mode.
 const (
 	// ModeMaterialized (the default) evaluates over the asserted∪inferred
@@ -216,14 +227,14 @@ type ErrorResponse struct {
 
 // writeError sends a JSON error with the given status.
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContent
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
 // writeJSON sends a 200 JSON body.
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContent
 	_ = json.NewEncoder(w).Encode(v)
 }
 
@@ -258,7 +269,7 @@ func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContent
 	writeAppended(w, MutateResponse{
 		Added:    added,
 		Removed:  removed,
@@ -384,7 +395,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // against a quiescent engine; a snapshot overlapping a mutation may mix
 // pre- and post-mutation triples (each triple is well-formed either way).
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", ndjsonType)
+	w.Header()["Content-Type"] = ndjsonContent
 	if r.URL.Query().Get("provenance") == "1" {
 		_, _ = s.reasoner.View().SnapshotProvenance(w)
 		return

@@ -152,6 +152,18 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if resp.Header.Get("X-Request-Id") == "" {
 		t.Error("response has no X-Request-Id")
 	}
+	req, err := http.NewRequest(http.MethodGet, url+"/stats", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Request-Id", "client-7")
+	if resp, err = http.DefaultClient.Do(req); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if id, ct := resp.Header.Get("X-Request-Id"), resp.Header.Get("Content-Type"); id != "client-7" || ct != "application/json" {
+		t.Errorf("a client's X-Request-Id came back as %q, with Content-Type %q", id, ct)
+	}
 
 	const joinBGP = `{"bgp":"?x type car . ?x locatedIn ?site . ?site partOf ?region"}`
 	for i := 0; i < 3; i++ {

@@ -188,7 +188,7 @@ func (s *Server) replay(w http.ResponseWriter, q *queryRun) bool {
 		return false
 	}
 	q.trailer.Solutions, q.trailer.Truncated, q.trailer.Cached, q.trailer.Generation = e.solutions, e.truncated, true, &e.gen
-	w.Header().Set("Content-Type", ndjsonType)
+	w.Header()["Content-Type"] = ndjsonContent
 	if _, err := w.Write(e.body); err == nil {
 		writeAppended(w, q.trailer, appendTrailer)
 	}
@@ -208,7 +208,7 @@ func (s *Server) replay(w http.ResponseWriter, q *queryRun) bool {
 func (s *Server) evaluate(w http.ResponseWriter, r *http.Request, q *queryRun) {
 	gen := s.reasoner.Generation()
 
-	w.Header().Set("Content-Type", ndjsonType)
+	w.Header()["Content-Type"] = ndjsonContent
 	out := newBodyWriter(w, s.cache)
 	defer out.release()
 	exact, err := s.drain(r, q, &out)

@@ -206,7 +206,9 @@ func TestDeadlineDuringTheProbe(t *testing.T) {
 // object; the prologue's pooled exchange and per-route counters made it 31.
 // The reflection-free reader, the pooled key and the appended trailer made it
 // 5: the response's two header values, the body's http.MaxBytesReader, the
-// BGP string and the parsed BGP.
+// BGP string and the parsed BGP. A shared Content-Type value and the
+// request's own X-Request-Id slice in the response made it 3 (a request that
+// brings no id pays one more, for the slice the two headers share).
 func TestCachedQueryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")
@@ -229,7 +231,7 @@ func TestCachedQueryAllocs(t *testing.T) {
 		t.Fatalf("the measured request was not a hit: %s", w.body.Bytes())
 	}
 	t.Logf("a cached /query allocates %v times", allocs)
-	const pinned = 5
+	const pinned = 3
 	if allocs > pinned {
 		t.Fatalf("a cached /query allocates %v times, above the %d it did", allocs, pinned)
 	}

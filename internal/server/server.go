@@ -305,12 +305,16 @@ func (s *Server) prologue(rt route) http.Handler {
 		x := exchangePool.Get().(*exchange)
 		x.ResponseWriter, x.code = w, 0
 		x.clock.Start()
-		rid := r.Header.Get(requestIDHeader)
-		if rid == "" {
-			rid = s.nextRequestID()
-			r.Header.Set(requestIDHeader, rid) // handlers read it back off the request
+		// One []string{rid} serves the request, where handlers read it back,
+		// and the response: Header.Set would allocate a slice for each. A
+		// client's id is cut to its first value at its own capacity, so an
+		// Add to either header copies it.
+		rid := r.Header[requestIDHeader]
+		if len(rid) == 0 || rid[0] == "" {
+			rid = []string{s.nextRequestID()}
+			r.Header[requestIDHeader] = rid
 		}
-		w.Header().Set(requestIDHeader, rid)
+		w.Header()[requestIDHeader] = rid[:1:1]
 		switch {
 		case rt.method != "" && r.Method != rt.method:
 			w.Header().Set("Allow", rt.method)

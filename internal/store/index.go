@@ -35,6 +35,16 @@ import "slices"
 // write into its middle moves at most one chunk, and a full chunk splits in
 // two. Every walk of a set goes chunk by chunk, in order, so enumeration
 // order is the same as one run's.
+//
+// A batch is filed grouped (insertAll, the twin of removeAll): its keys
+// sorted by (lead, mid, member, position), each lead it touches grows its
+// pair slice once by the pairs of its new sets, a new set is one run of
+// exactly its members (a long one gets a bulk load's room), and a set of one
+// chunk takes all its newcomers in one merge, so a write that brings an instance and its derived types grows each
+// set and pair slice once, where filing member by member regrew them at each
+// doubling. A set of several chunks still takes its members one at a time,
+// each into its chunk. A chunk's pair keeps the chunk's least member in one
+// even beside a run, so finding a member's chunk reads pairs only.
 
 // linearRun is the window at which searchRun stops halving and walks: a few
 // adjacent compares beat the mispredicted branches of the last halvings, and
@@ -76,11 +86,14 @@ const chunkLen = 1024
 // what the batched scan and probe paths stream from, membership, insertion
 // and removal a search — and it stays a run, down to one member, for as long
 // as the pair exists, so removing and re-adding a member never allocates.
-// The pair is 16 bytes, a mid and a member: half of a mid and a slice header.
-// The price of a run is the copy: a write into its middle slides the members
-// above it, at most a chunk's worth (BenchmarkHubChurn has the figures). Ids
-// are minted in ascending order, so the common write — a fresh subject filed
-// under its class — lands at the end and moves nothing.
+// Beside a run, one keeps the run's least member, so the search for a
+// member's chunk (trailSet.chunk) reads pairs and never a run; every write
+// that changes a run's front sets it. The pair is 16 bytes, a mid and a
+// member: half of a mid and a slice header. The price of a run is the copy:
+// a write into its middle slides the members above it, at most a chunk's
+// worth (BenchmarkHubChurn has the figures). Ids are minted in ascending
+// order, so the common write — a fresh subject filed under its class — lands
+// at the end and moves nothing.
 type midTrail struct {
 	mid uint32
 	one [1]uint32
@@ -102,7 +115,7 @@ func (mt *midTrail) len() int {
 
 // first returns the chunk's least member.
 func (mt *midTrail) first() uint32 {
-	return mt.elems()[0]
+	return mt.one[0]
 }
 
 func (mt *midTrail) contains(c uint32) bool {
@@ -113,10 +126,8 @@ func (mt *midTrail) contains(c uint32) bool {
 // put files c at position k of a chunk of fewer than chunkLen members. A
 // second member turns the inline one into a run whose header and first two
 // slots are one allocation: a set's first member costs none and its second
-// one, where a plain slice pays one for the first. A full run regrows as an
-// append would — doubling below 256 members, then by a quarter and 192, up to
-// the allocator's size class — unless that would pass chunkLen: then to
-// chunkLen.
+// one, where a plain slice pays one for the first. A full run regrows by
+// roomFor.
 func (mt *midTrail) put(k int, c uint32) {
 	if mt.run == nil {
 		box := new(struct {
@@ -127,18 +138,55 @@ func (mt *midTrail) put(k int, c uint32) {
 		box.hdr = box.room[:1]
 		mt.run = &box.hdr
 	}
-	run := *mt.run
-	if n := len(run); n == cap(run) {
-		if n < 256 || n+(n+768)/4 <= chunkLen {
-			run = slices.Grow(run, 1)
-		} else {
-			run = append(make([]uint32, 0, chunkLen), run...)
-		}
-	}
+	run := roomFor(*mt.run, 1)
 	run = run[:len(run)+1]
 	copy(run[k+1:], run[k:])
 	run[k] = c
 	*mt.run = run
+	mt.one[0] = run[0]
+}
+
+// merge files the members keys name — ascending, absent from the chunk, at
+// least two, and at most chunkLen with the chunk's own — into the chunk,
+// regrowing its run at most once: an inline member and its newcomers get a
+// run of exactly their number, a run is regrown by roomFor. The merge runs
+// from the top down, so it needs no second buffer.
+func (mt *midTrail) merge(keys [][4]uint32) {
+	var run []uint32
+	if mt.run == nil {
+		run = append(make([]uint32, 0, 1+len(keys)), mt.one[0])
+		mt.run = new([]uint32)
+	} else {
+		run = roomFor(*mt.run, len(keys))
+	}
+	i, j := len(run)-1, len(keys)-1
+	run = run[:len(run)+len(keys)]
+	for w := len(run) - 1; j >= 0; w-- {
+		if i >= 0 && run[i] > keys[j][2] {
+			run[w] = run[i]
+			i--
+		} else {
+			run[w] = keys[j][2]
+			j--
+		}
+	}
+	*mt.run = run
+	mt.one[0] = run[0]
+}
+
+// roomFor returns run with room for a more members, a chunk's worth at most
+// in all: run itself when it has the room, else regrown as an append would —
+// doubling below 256 members, then by a quarter and 192, up to the
+// allocator's size class — unless that would pass chunkLen: then to chunkLen.
+func roomFor(run []uint32, a int) []uint32 {
+	n, c := len(run), cap(run)
+	if n+a <= c {
+		return run
+	}
+	if n+a > 2*c || c < 256 || n+a <= c+(c+768)/4 && c+(c+768)/4 <= chunkLen {
+		return slices.Grow(run, a)
+	}
+	return append(make([]uint32, 0, chunkLen), run...)
 }
 
 // newChunk returns a pair for mid whose run is a chunk of its own, with room
@@ -146,7 +194,20 @@ func (mt *midTrail) put(k int, c uint32) {
 func newChunk(mid uint32, members ...uint32) midTrail {
 	run := make([]uint32, len(members), chunkLen)
 	copy(run, members)
-	return midTrail{mid: mid, run: &run}
+	return midTrail{mid: mid, one: [1]uint32{run[0]}, run: &run}
+}
+
+// keyChunk returns a pair for mid whose chunk holds the members keys name,
+// ascending, in a run of capacity room; one member is held inline.
+func keyChunk(mid uint32, keys [][4]uint32, room int) midTrail {
+	if len(keys) == 1 {
+		return midTrail{mid: mid, one: [1]uint32{keys[0][2]}}
+	}
+	run := make([]uint32, len(keys), room)
+	for q := range keys {
+		run[q] = keys[q][2]
+	}
+	return midTrail{mid: mid, one: [1]uint32{run[0]}, run: &run}
 }
 
 // trailSet is one trailing set as its lead holds it: the consecutive pairs of
@@ -342,6 +403,7 @@ func (e *leadEntry) remove(mid, c uint32) bool {
 	}
 	if mt.len() > 1 {
 		*mt.run = append((*mt.run)[:j], (*mt.run)[j+1:]...)
+		mt.one[0] = (*mt.run)[0]
 		return true
 	}
 	e.dropPair(i)
@@ -350,11 +412,11 @@ func (e *leadEntry) remove(mid, c uint32) bool {
 
 // removeAll drops from mid's set every member that one of keys names —
 // keys share this entry's lead and mid and ascend by member — appending the
-// keys of the members it dropped to out. It walks the set once from the
-// chunk of the first member named to the chunk of the last, so a batch costs
-// those chunks' length, not that length per member; an emptied chunk drops
-// its pair as remove does.
-func (e *leadEntry) removeAll(mid uint32, keys [][3]uint32, out [][3]uint32) [][3]uint32 {
+// keys of the members it dropped to out, which may be keys' own front. It
+// walks the set once from the chunk of the first member named to the chunk
+// of the last, so a batch costs those chunks' length, not that length per
+// member; an emptied chunk drops its pair as remove does.
+func (e *leadEntry) removeAll(mid uint32, keys, out [][4]uint32) [][4]uint32 {
 	i, end, found := e.locate(mid, keys[0][2])
 	if !found {
 		return out
@@ -380,6 +442,7 @@ func (e *leadEntry) removeAll(mid uint32, keys [][3]uint32, out [][3]uint32) [][
 		}
 		if mt.run != nil {
 			*mt.run = elems[:w]
+			mt.one[0] = elems[0]
 		}
 		e.entries[kept] = *mt
 		kept++
@@ -390,6 +453,117 @@ func (e *leadEntry) removeAll(mid uint32, keys [][3]uint32, out [][3]uint32) [][
 		e.entries = e.entries[:kept+n]
 	}
 	return out
+}
+
+// insertAll files the members keys name under this entry — keys share its
+// lead and ascend by (mid, member, position), a member may repeat — and
+// appends to out, which may be keys' own front, the key of each member that
+// was absent, at its first occurrence. A set it touches grows once: one of a
+// single chunk takes its newcomers in one merge while they fit the chunk, a
+// new set is filed whole (fileNewSet), and the pair slice grows once by the
+// new sets' pairs, which are merged in from the top down. A set of several chunks, and one its
+// newcomers would carry past chunkLen, takes them one at a time through
+// insert, which keeps a long set's chunks in shape.
+func (e *leadEntry) insertAll(keys, out [][4]uint32) [][4]uint32 {
+	base, pairs := len(out), 0
+	for m, n := 0, 0; m < len(keys); m = n {
+		n = groupEnd(keys, m, 1)
+		mid, lo := keys[m][1], len(out)
+		for _, k := range keys[m:n] {
+			if len(out) == lo || out[len(out)-1][2] != k[2] {
+				out = append(out, k)
+			}
+		}
+		i, found := e.search(mid)
+		if !found {
+			pairs += newSetChunks(len(out) - lo)
+			continue
+		}
+		w := lo
+		if end := e.setEnd(i); end == i+1 {
+			mt := &e.entries[i]
+			elems, p := mt.elems(), 0
+			for _, k := range out[lo:] {
+				q, found := searchRun(elems[p:], k[2])
+				if p += q; !found {
+					out[w] = k
+					w++
+				}
+			}
+			if a := w - lo; a > 1 && len(elems)+a <= chunkLen {
+				mt.merge(out[lo:w])
+				out = out[:w]
+				continue
+			}
+			out, w = out[:w], lo
+		}
+		for _, k := range out[lo:] {
+			if e.insert(mid, k[2]) {
+				out[w] = k
+				w++
+			}
+		}
+		out = out[:w]
+	}
+	if pairs == 0 {
+		return out
+	}
+	// Merge the new sets' pairs in from the top: j walks the pairs there
+	// were, w the slots, b the new keys down by mid.
+	j := len(e.entries)
+	e.entries = slices.Grow(e.entries, pairs)[:j+pairs]
+	w := len(e.entries)
+	for b := len(out); b > base; {
+		a, mid := b-1, out[b-1][1]
+		for a > base && out[a-1][1] == mid {
+			a--
+		}
+		for j > 0 && e.entries[j-1].mid > mid {
+			j--
+			w--
+			e.entries[w] = e.entries[j]
+		}
+		if j == 0 || e.entries[j-1].mid != mid {
+			w = fileNewSet(e.entries, w, mid, out[a:b])
+		}
+		b = a
+	}
+	return out
+}
+
+// newSetChunks is how many pairs insertAll files a new set of n members in:
+// one up to chunkLen members, else buildSorted's chunksFor.
+func newSetChunks(n int) int {
+	if n <= chunkLen {
+		return 1
+	}
+	return chunksFor(n)
+}
+
+// fileNewSet writes the pairs of a new set under mid — the members keys
+// name, ascending and distinct — into the newSetChunks(len(keys)) slots of
+// pairs below w and returns the lowest of them. A set of up to arenaRunMax
+// members is a run of exactly its members; a longer one gets buildSorted's
+// room, an eighth more, and past chunkLen is split evenly into chunks, as a
+// bulk load files it, so the first writes into a class a large batch filed
+// do not regrow it.
+func fileNewSet(pairs []midTrail, w int, mid uint32, keys [][4]uint32) int {
+	n := len(keys)
+	switch {
+	case n <= arenaRunMax:
+		pairs[w-1] = keyChunk(mid, keys, n)
+		return w - 1
+	case n <= chunkLen:
+		pairs[w-1] = keyChunk(mid, keys, chunkRoom(n))
+		return w - 1
+	}
+	c := chunksFor(n)
+	w -= c
+	for q := 0; q < c; q++ {
+		lo, hi := n*q/c, n*(q+1)/c
+		pairs[w+q] = keyChunk(mid, keys[lo:hi], chunkRoom(hi-lo))
+	}
+	return w
 }
 
 // The lead directory is two levels deep: a page files the leads of
@@ -520,11 +694,12 @@ func (ix *index) contains(a, b, c uint32) bool {
 	return set != nil && set.contains(c)
 }
 
-// removeAll deletes the triples keys name — (lead, mid, member) in this
-// index's order, ascending — and returns the keys of those that were present,
-// pruning as remove does. Each set is compacted once for all of its members.
-func (ix *index) removeAll(keys [][3]uint32) [][3]uint32 {
-	var out [][3]uint32
+// removeAll deletes the triples keys name — (lead, mid, member, position)
+// in this index's order, ascending — and returns the keys of those that were
+// present, compacted to keys' front, pruning as remove does. Each set is
+// compacted once for all of its members.
+func (ix *index) removeAll(keys [][4]uint32) [][4]uint32 {
+	out := keys[:0]
 	for i, j := 0, 0; i < len(keys); i = j {
 		j = groupEnd(keys, i, 0)
 		e := ix.find(keys[i][0])
@@ -543,9 +718,27 @@ func (ix *index) removeAll(keys [][3]uint32) [][3]uint32 {
 	return out
 }
 
+// insertAll files the triples keys name — (lead, mid, member, position) in
+// this index's order, ascending — and returns the keys of those that were
+// absent, compacted to keys' front: each one's first occurrence, so the
+// least position. Every lead and set is grown once for all of its new
+// members (leadEntry.insertAll).
+func (ix *index) insertAll(keys [][4]uint32) [][4]uint32 {
+	out := keys[:0]
+	for i, j := 0, 0; i < len(keys); i = j {
+		j = groupEnd(keys, i, 0)
+		e := ix.slot(keys[i][0])
+		if len(e.entries) == 0 {
+			ix.leads++
+		}
+		out = e.insertAll(keys[i:j], out)
+	}
+	return out
+}
+
 // groupEnd returns the end of the group of keys from i on that agree with
 // keys[i] in component c.
-func groupEnd(keys [][3]uint32, i, c int) int {
+func groupEnd(keys [][4]uint32, i, c int) int {
 	j := i + 1
 	for j < len(keys) && keys[j][c] == keys[i][c] {
 		j++

@@ -43,7 +43,8 @@ func checkLead(e *leadEntry) (members int, bad string) {
 
 // checkSet holds one pair's chunk to its layout — its one inline member (nil
 // run) or a non-empty, strictly ascending run of at most chunkLen members in
-// at most chunkLen slots — and counts its members.
+// at most chunkLen slots, whose least member the pair keeps in one — and
+// counts its members.
 func checkSet(mt *midTrail) (members int, bad string) {
 	if mt.run == nil {
 		if mt.len() != 1 {
@@ -54,6 +55,9 @@ func checkSet(mt *midTrail) (members int, bad string) {
 	run := *mt.run
 	if len(run) == 0 || cap(run) > chunkLen {
 		return 0, fmt.Sprintf("a run under mid %d holds %d members in %d slots, want 1 to %d", mt.mid, len(run), cap(run), chunkLen)
+	}
+	if mt.one[0] != run[0] {
+		return 0, fmt.Sprintf("the pair under mid %d keeps %d as its run's least member, which is %d", mt.mid, mt.one[0], run[0])
 	}
 	for k := 1; k < len(run); k++ {
 		if run[k-1] >= run[k] {
@@ -108,22 +112,91 @@ func checkRuns(t testing.TB, what string, s *Store) {
 }
 
 // idSetScript runs a byte script against one lead of an index and a map
-// model: each three bytes are one operation — insert (twice as likely),
-// remove or contains — of a value from a 4 096-wide vocabulary, four chunks'
-// worth, whose top member stands for the largest id there is, under one of
-// 16 mids (the first byte's top four bits, past linearRun so the mid search
-// halves). The index files through leadEntry.insert and remove, so a set is
-// born inline, turns into a run at its second member, into chunks past
-// chunkLen, drops a chunk's pair when it empties, and the lead is pruned with
-// its last pair. Every result must equal the model's; after every operation
-// the touched set must exist exactly when the model holds members under its
-// mid, and its chunks pass checkSet at the model's count; at the end the lead
-// must pass checkLead and its sets be the model's, ascending.
-func idSetScript(t *testing.T, script []byte) {
+// model, the lead's mid 3 first bulk-loaded (buildSorted) with the even
+// values below 2·(hub mod 2 048): each three bytes are one operation — insert,
+// queue for a batch, remove or contains — of a value from a 4 096-wide
+// vocabulary, four chunks' worth, whose top member stands for the largest id
+// there is, under one of 16 mids (the first byte's top four bits, past
+// linearRun so the mid search halves). The index files through
+// leadEntry.insert and remove, and the queued members, in their order, through
+// one index.insertAll at the next operation that is not a queueing one or at
+// the end, so a set is born inline or as a run of a batch's members, turns
+// into a run at its second member, into chunks past chunkLen, drops a
+// chunk's pair when it empties, and the lead is pruned with its last pair.
+// Every result must equal the model's — a batch's fresh keys are its members
+// the model lacked, each at its first position; after every operation the
+// sets it touched must exist exactly when the model holds members under their
+// mids, and their chunks pass checkSet at the model's count; at the end the
+// lead must pass checkLead and its sets be the model's, ascending.
+func idSetScript(t *testing.T, hub uint16, script []byte) {
 	const lead = 7
 	var ix index
 	model := map[[2]uint32]bool{}
 	perMid := map[uint32]int{}
+	if n := uint32(hub % 2048); n > 0 {
+		loaded := make([]IDTriple, n)
+		for i := range loaded {
+			loaded[i] = IDTriple{S: lead, P: 3, O: 2 * uint32(i)}
+			model[[2]uint32{3, 2 * uint32(i)}] = true
+		}
+		ix.buildSorted(loaded)
+		perMid[3] = int(n)
+	}
+	check := func(op int, mid uint32) {
+		e := ix.find(lead)
+		if (e == nil) != (len(model) == 0) {
+			t.Fatalf("op %d: lead present: %v, with %d members in the model", op, e != nil, len(model))
+		}
+		if (ix.leads == 1) != (e != nil) {
+			t.Fatalf("op %d: the index counts %d leads, model has %d members", op, ix.leads, len(model))
+		}
+		if e == nil {
+			return
+		}
+		set := e.set(mid)
+		if (set == nil) != (perMid[mid] == 0) {
+			t.Fatalf("op %d: set of mid %d present: %v, with %d members in the model", op, mid, set != nil, perMid[mid])
+		}
+		n := 0
+		for k := range set {
+			m, bad := checkSet(&set[k])
+			if bad != "" {
+				t.Fatalf("op %d: chunk %d of %d: %s", op, k, len(set), bad)
+			}
+			n += m
+		}
+		if n != perMid[mid] {
+			t.Fatalf("op %d: %d members in %d chunks under mid %d, model has %d", op, n, len(set), mid, perMid[mid])
+		}
+	}
+	var queued [][2]uint32
+	flush := func(op int) {
+		if len(queued) == 0 {
+			return
+		}
+		keys := make([][4]uint32, len(queued))
+		for p, q := range queued {
+			keys[p] = [4]uint32{lead, q[0], q[1], uint32(p)}
+		}
+		sortKeys(keys)
+		fresh := map[uint32]bool{}
+		for _, k := range ix.insertAll(keys) {
+			fresh[k[3]] = true
+		}
+		for p, q := range queued {
+			if fresh[uint32(p)] == model[q] {
+				t.Fatalf("op %d: batch member %d, %v: fresh %v, model had it: %v", op, p, q, fresh[uint32(p)], model[q])
+			}
+			if !model[q] {
+				model[q] = true
+				perMid[q[0]]++
+			}
+		}
+		for _, q := range queued {
+			check(op, q[0])
+		}
+		queued = queued[:0]
+	}
 	for i := 0; i+2 < len(script); i += 3 {
 		op, mid := script[i], uint32(script[i]>>4)
 		v := (uint32(script[i+1]) | uint32(script[i+2])<<8) & 4095
@@ -131,8 +204,13 @@ func idSetScript(t *testing.T, script []byte) {
 			v = ^uint32(0)
 		}
 		key := [2]uint32{mid, v}
+		if op&3 == 1 {
+			queued = append(queued, key)
+			continue
+		}
+		flush(i / 3)
 		switch op & 3 {
-		case 0, 1:
+		case 0:
 			if got := ix.insert(lead, mid, v); got == model[key] {
 				t.Fatalf("op %d: insert(%d, %d) = %v, model had it: %v", i/3, mid, v, got, model[key])
 			} else if got {
@@ -151,32 +229,9 @@ func idSetScript(t *testing.T, script []byte) {
 				t.Fatalf("op %d: contains(%d, %d) = %v, model says %v", i/3, mid, v, got, model[key])
 			}
 		}
-		e := ix.find(lead)
-		if (e == nil) != (len(model) == 0) {
-			t.Fatalf("op %d: lead present: %v, with %d members in the model", i/3, e != nil, len(model))
-		}
-		if (ix.leads == 1) != (e != nil) {
-			t.Fatalf("op %d: the index counts %d leads, model has %d members", i/3, ix.leads, len(model))
-		}
-		if e == nil {
-			continue
-		}
-		set := e.set(mid)
-		if (set == nil) != (perMid[mid] == 0) {
-			t.Fatalf("op %d: set of mid %d present: %v, with %d members in the model", i/3, mid, set != nil, perMid[mid])
-		}
-		n := 0
-		for k := range set {
-			m, bad := checkSet(&set[k])
-			if bad != "" {
-				t.Fatalf("op %d: chunk %d of %d: %s", i/3, k, len(set), bad)
-			}
-			n += m
-		}
-		if n != perMid[mid] {
-			t.Fatalf("op %d: %d members in %d chunks under mid %d, model has %d", i/3, n, len(set), mid, perMid[mid])
-		}
+		check(i/3, mid)
 	}
+	flush(len(script) / 3)
 	if e := ix.find(lead); e != nil {
 		if n, bad := checkLead(e); bad != "" || n != len(model) {
 			t.Fatalf("%s; %d members, model has %d", bad, n, len(model))
@@ -208,8 +263,8 @@ func idSetScript(t *testing.T, script []byte) {
 	}
 }
 
-// idOps encodes operations for idSetScript: op (0 insert, 2 remove, 3
-// contains) under mid, of each value.
+// idOps encodes operations for idSetScript: op (0 insert, 1 queue for a
+// batch, 2 remove, 3 contains) under mid, of each value.
 func idOps(op byte, mid int, values ...int) []byte {
 	var script []byte
 	for _, v := range values {
@@ -223,7 +278,10 @@ func idOps(op byte, mid int, values ...int) []byte {
 // it until a middle chunk empties and refill it; fill a run far past
 // linearRun and churn it; then walk one set through its life — born inline,
 // a run at its second member, emptied and its pair dropped beside a
-// neighbour, the lead pruned — and fill and empty a lead's 16 mids.
+// neighbour, the lead pruned — and fill and empty a lead's 16 mids. The last
+// four file batches: one that carries a new set past chunkLen, one with
+// repeated and already-present members, one into a bulk-loaded hub of three
+// chunks, and one that opens eight mids under a lead that has one.
 func FuzzIDSet(f *testing.F) {
 	all := make([]int, 4095)
 	for v := range all {
@@ -238,7 +296,7 @@ func FuzzIDSet(f *testing.F) {
 	churn := append(idOps(2, 3, middle...), idOps(3, 3, all[1000:2100]...)...)
 	churn = append(churn, idOps(0, 3, shuffled[:2000]...)...)
 	for _, order := range [][]int{all, down, shuffled} {
-		f.Add(append(idOps(0, 3, order...), churn...))
+		f.Add(uint16(0), append(idOps(0, 3, order...), churn...))
 	}
 	var every3 []int
 	for v := 0; v < 1024; v += 3 {
@@ -246,15 +304,15 @@ func FuzzIDSet(f *testing.F) {
 	}
 	random := make([]byte, 6000)
 	rng.Read(random)
-	f.Add([]byte{})
-	f.Add(idOps(0, 0, every3...))
-	f.Add(random)
-	f.Add(append(idOps(0, 0, every3...), random...))
-	f.Add(idOps(0, 0, 5)[:2])                                                                  // a partial operation
-	f.Add(append(idOps(0, 0, 5), idOps(3, 0, 5)...))                                           // born inline
-	f.Add(append(idOps(0, 0, 9, 5, 1), idOps(3, 0, 5)...))                                     // inline, then a run below it
-	f.Add(slices.Concat(idOps(0, 1, 1), idOps(0, 0, 5, 9), idOps(2, 0, 5, 9), idOps(3, 0, 9))) // a run emptied: pair dropped
-	f.Add(slices.Concat(idOps(0, 0, 5), idOps(2, 0, 5), idOps(0, 0, 5, 6), idOps(2, 0, 6, 5))) // the lead pruned, twice
+	f.Add(uint16(0), []byte{})
+	f.Add(uint16(0), idOps(0, 0, every3...))
+	f.Add(uint16(0), random)
+	f.Add(uint16(0), append(idOps(0, 0, every3...), random...))
+	f.Add(uint16(0), idOps(0, 0, 5)[:2])                                                                  // a partial operation
+	f.Add(uint16(0), append(idOps(0, 0, 5), idOps(3, 0, 5)...))                                           // born inline
+	f.Add(uint16(0), append(idOps(0, 0, 9, 5, 1), idOps(3, 0, 5)...))                                     // inline, then a run below it
+	f.Add(uint16(0), slices.Concat(idOps(0, 1, 1), idOps(0, 0, 5, 9), idOps(2, 0, 5, 9), idOps(3, 0, 9))) // a run emptied: pair dropped
+	f.Add(uint16(0), slices.Concat(idOps(0, 0, 5), idOps(2, 0, 5), idOps(0, 0, 5, 6), idOps(2, 0, 6, 5))) // the lead pruned, twice
 	var mids []byte
 	for m := 15; m >= 0; m-- {
 		mids = append(mids, idOps(0, m, m, m+100)...)
@@ -262,7 +320,15 @@ func FuzzIDSet(f *testing.F) {
 	for m := 0; m < 16; m += 2 {
 		mids = append(mids, idOps(2, m, m, m+100)...)
 	}
-	f.Add(mids)
+	f.Add(uint16(0), mids)
+	f.Add(uint16(0), idOps(1, 3, shuffled[:2000]...)) // one batch: a new set past chunkLen
+	f.Add(uint16(0), slices.Concat(idOps(0, 2, 3, 9), idOps(1, 2, 9, 5, 5, 1, 9, 3, 7, 1), idOps(1, 4, 6, 6), idOps(3, 2, 7)))
+	f.Add(uint16(2047), slices.Concat(idOps(1, 3, 1, 2001, 4001, 3, 900, 2, 1901), idOps(1, 5, 11, 12), idOps(2, 3, 900))) // into a loaded hub
+	var opened []byte
+	for m := 15; m >= 1; m -= 2 {
+		opened = append(opened, idOps(1, m, m, m+100, m+200)...)
+	}
+	f.Add(uint16(0), slices.Concat(idOps(0, 8, 1), opened, idOps(1, 8, 0, 2), idOps(3, 9, 109))) // opens mids under one lead
 	f.Fuzz(idSetScript)
 }
 
@@ -354,13 +420,14 @@ func TestIDSetSearchDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// allocatedBytes returns how many bytes f allocates on the heap.
-func allocatedBytes(f func()) uint64 {
+// allocated returns how many heap allocations f makes and how many bytes
+// they take.
+func allocated(f func()) (count, bytes uint64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	f()
 	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
 // TestAppendAllocatesWhatItKeeps: filing 10⁵ ascending members in one set —
@@ -374,17 +441,130 @@ func TestAppendAllocatesWhatItKeeps(t *testing.T) {
 	}
 	const members = 100_000
 	var e leadEntry
-	per := float64(allocatedBytes(func() {
+	_, bytes := allocated(func() {
 		for v := uint32(0); v < members; v++ {
 			e.insert(3, v)
 		}
-	})) / members
+	})
+	per := float64(bytes) / members
 	t.Logf("%d ascending members in %d chunks: %.2f bytes allocated a member", members, len(e.set(3)), per)
 	if n, bad := checkLead(&e); bad != "" || n != members {
 		t.Fatalf("%s; %d members", bad, n)
 	}
 	if per > 4.2 {
 		t.Errorf("%.2f bytes allocated a member, budget 4.2", per)
+	}
+}
+
+// TestBatchGrowsEachSetOnce: one AddIDs grows each set and each pair slice
+// it touches once, whatever number of members it files there — 20 members of
+// a new (lead, mid) are one run of exactly 20 and its header, 20 more members
+// of a 2-member set regrow its run once, and 5 new mids under a lead grow its
+// pairs once. The other index's sets are given room first, and the batch key
+// scratch is warm, so what is counted is the one set or pair slice.
+func TestBatchGrowsEachSetOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	s := New()
+	id := func(format string, a ...any) SymbolID {
+		v, err := s.Intern(fmt.Sprintf(format, a...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	add := func(ts ...IDTriple) {
+		s.Write(func() bool {
+			tx := s.Begin()
+			for _, tr := range ts {
+				if _, err := tx.AddID(tr); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return false
+		})
+	}
+	// roomy gives the POS set (p, o) three members, so a run of four slots.
+	roomy := func(p, o SymbolID) {
+		for k := 0; k < 3; k++ {
+			add(IDTriple{S: id("x%d", k), P: p, O: o})
+		}
+	}
+	// lead gives a subject three pairs, so a pair slice of four.
+	lead := func(name string) SymbolID {
+		l := id(name)
+		for k := 0; k < 3; k++ {
+			add(IDTriple{S: l, P: id("q%d", k), O: id("y")})
+		}
+		return l
+	}
+	var warm []IDTriple
+	for i := 0; i < 40; i++ {
+		warm = append(warm, IDTriple{S: id("w"), P: id("q0"), O: id("z%d", i)})
+	}
+	batch := func(ts []IDTriple) (count, bytes uint64) {
+		s.Write(func() bool {
+			tx := s.Begin()
+			if fresh, err := tx.AddIDs(slices.Clone(warm)); err != nil || len(fresh) != 0 {
+				t.Fatalf("the warm-up batch: %d fresh, %v", len(fresh), err)
+			}
+			count, bytes = allocated(func() {
+				if fresh, err := tx.AddIDs(ts); err != nil || len(fresh) != len(ts) {
+					t.Fatalf("AddIDs filed %d of %d, %v", len(fresh), len(ts), err)
+				}
+			})
+			return false
+		})
+		return count, bytes
+	}
+	add(warm...)
+
+	p, s1 := id("p"), lead("s1")
+	var newSet []IDTriple
+	for i := 0; i < 20; i++ {
+		o := id("o%d", i)
+		roomy(p, o)
+		newSet = append(newSet, IDTriple{S: s1, P: p, O: o})
+	}
+	r, s2 := id("r"), lead("s2")
+	add(IDTriple{S: s2, P: r, O: id("a")}, IDTriple{S: s2, P: r, O: id("b")})
+	var grown []IDTriple
+	for i := 0; i < 20; i++ {
+		c := id("c%d", i)
+		roomy(r, c)
+		grown = append(grown, IDTriple{S: s2, P: r, O: c})
+	}
+	s3, v := id("s3"), id("v")
+	add(IDTriple{S: s3, P: id("g"), O: id("y")})
+	var opened []IDTriple
+	for j := 0; j < 5; j++ {
+		m := id("m%d", j)
+		for k := 0; k < 3; k++ {
+			add(IDTriple{S: id("x0"), P: m, O: id("u%d", k)})
+		}
+		opened = append(opened, IDTriple{S: s3, P: m, O: v})
+	}
+	checkRuns(t, "set up", s)
+
+	for _, c := range []struct {
+		name         string
+		ts           []IDTriple
+		count, bytes uint64
+	}{
+		{"a new set of 20", newSet, 2, 80 + 24},  // the run and its header
+		{"20 into a set of 2", grown, 1, 24 * 4}, // 22 members, regrown as append would
+		{"5 new mids", opened, 1, 6 * 16},        // 6 pairs
+	} {
+		count, bytes := batch(c.ts)
+		t.Logf("%s: %d allocations, %d bytes", c.name, count, bytes)
+		if count > c.count || bytes > c.bytes {
+			t.Errorf("%s: %d allocations of %d bytes, want at most %d of %d", c.name, count, bytes, c.count, c.bytes)
+		}
+	}
+	checkRuns(t, "after the batches", s)
+	if set := s.spo.find(s1).set(p); len(set) != 1 || set[0].len() != 20 || cap(*set[0].run) != 20 {
+		t.Errorf("the new set is %d chunks, the first of %d members in %d slots; want one run of exactly 20", len(set), set[0].len(), cap(*set[0].run))
 	}
 }
 

@@ -24,11 +24,13 @@
 //     an id minted mid-read.
 //   - index.go: one permutation index — the lead directory and its pages, the
 //     midTrail pairs, inline singles, sorted runs and the chunks of a long
-//     set; every lead access goes through find, slot, insert, remove and the
-//     one ascending walk, ascend. Ids are minted ascending, so a fresh
+//     set; every lead access goes through find, slot, insert, remove, their
+//     batch twins insertAll and removeAll, and the one ascending walk,
+//     ascend. Ids are minted ascending, so a fresh
 //     subject lands at the end of its class's last chunk and moves nothing.
 //   - store.go: Store, write sections, generation and position; tx.go the
-//     write handle Tx (every write method, the journal record it collects);
+//     write handle Tx (every write method, the journal record it collects,
+//     the sorted batch keys);
 //     journal.go the Journal hook a durable engine installs.
 //   - ids.go and scan.go: the id-level reads — StatsID, the callback walk
 //     behind QueryIDBatch and its two specialized probe loops, and the
@@ -49,8 +51,10 @@
 // property test and FuzzQueryAgreement, and pins QueryIDFunc at 0 allocations
 // on all eight shapes; no read path's oracle is another read path. runs_test.go holds the layout (checkRuns, called from the reference
 // suite, the fuzz target and the bulk-load tests), fuzzes one lead's sets
-// against a map (FuzzIDSet), pins 0 allocations for search, remove and a new
-// middle id, and drains cursors while writes land below and above them
+// against a map (FuzzIDSet, whose queued members are filed as one grouped
+// batch), pins 0 allocations for search, remove and a new middle id and one
+// growth per set and pair slice for a batch (TestBatchGrowsEachSetOnce), and
+// drains cursors while writes land below and above them
 // (TestCursorResumesByValue). objectonly_test.go holds the object-only shape
 // to the reference on every read surface. footprint_test.go gates 16
 // structural bytes a triple and a 16-byte pair (TestIndexFootprint) and a lone
@@ -64,8 +68,10 @@
 // -race and check a batch is seen whole (TestBatchIsAtomicToReaders).
 // bench_test.go prices ingest and every read shape against a replica of a
 // nested string-map engine, the object-only fan-out (BenchmarkObjectOnlyPattern),
-// writes into one long posting list (BenchmarkHubChurn), a dictionary lookup
-// and the doubling pause (BenchmarkDictGrowth).
+// writes into one long posting list (BenchmarkHubChurn), the batch key sort
+// (BenchmarkSortKeys), a dictionary lookup and the doubling pause
+// (BenchmarkDictGrowth). tx_test.go holds AddIDs to AddID over the same batch
+// (TestAddIDsMatchesAddID) and sortKeys to slices.SortFunc.
 package store
 
 import (
@@ -167,6 +173,12 @@ type viewLock struct {
 	journal       Journal
 	store         *Store
 	adds, removes []IDTriple
+	// keys and fresh are a batch's scratch: its keys, sorted for one index
+	// (Tx.insertBatch, RemoveIDs), and the bit set of its fresh positions
+	// (insertBatch).
+	// Kept for the next batch up to maxBatchKeys; guarded by the write lock.
+	keys  [][4]uint32
+	fresh []uint64
 }
 
 // New returns an empty store.

@@ -290,11 +290,12 @@ func TestNameTableAllocatesWhatItKeeps(t *testing.T) {
 	const n = 100_000
 	names := corpusNames(n)
 	var nt nameTable
-	per := float64(allocatedBytes(func() {
+	_, bytes := allocated(func() {
 		for _, name := range names {
 			nt.add(name)
 		}
-	})) / n
+	})
+	per := float64(bytes) / n
 	t.Logf("%d names in %d pages: %.2f bytes allocated a name", n, len(nt.pages), per)
 	if nt.n != n || nt.at(n-1) != names[n-1] {
 		t.Fatalf("the table holds %d names, the last %q", nt.n, nt.at(uint32(nt.n-1)))

@@ -3,7 +3,9 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -241,5 +243,125 @@ func TestTxSingleTripleWritesDoNotAllocate(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("RemoveID+AddID through a journal-less handle allocates %.1f times", allocs)
+	}
+}
+
+// TestAddIDsMatchesAddID: a batch filed grouped by AddIDs — repeats, members
+// the store holds, new sets, sets that grow and a hub past chunkLen among
+// them — leaves the store, the journal record and the digest exactly as
+// AddID over the same batch in order does, and returns what AddID reported
+// new, in order. A batch naming an id the dictionary never minted inserts
+// nothing.
+func TestAddIDsMatchesAddID(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	var stores [2]*Store
+	var journals [2]*recJournal
+	var batch []IDTriple
+	for k := range stores {
+		s := New()
+		for i := 0; i < 3000; i++ {
+			s.MustAdd(Triple{fmt.Sprintf("s%d", i%1500), fmt.Sprintf("p%d", i%5), fmt.Sprintf("o%d", i%90)})
+		}
+		journals[k] = &recJournal{}
+		s.SetJournal(journals[k])
+		stores[k] = s
+	}
+	names := stores[0].syms.snapshot()
+	for len(batch) < 3000 {
+		batch = append(batch, IDTriple{S: SymbolID(rng.Intn(names.n)), P: SymbolID(rng.Intn(8)), O: SymbolID(rng.Intn(names.n))})
+	}
+	for i := 0; i < 3000; i++ { // a hub: one (predicate, object) set past chunkLen
+		batch = append(batch, IDTriple{S: SymbolID(rng.Intn(names.n)), P: 1, O: 2})
+	}
+	rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+	var fresh [2][]IDTriple
+	for k, s := range stores {
+		tx := s.Begin()
+		s.Write(func() bool {
+			if k == 0 {
+				var err error
+				if fresh[k], err = tx.AddIDs(slices.Clone(batch)); err != nil {
+					t.Fatal(err)
+				}
+				return true
+			}
+			for _, tr := range batch {
+				if added, err := tx.AddID(tr); err != nil {
+					t.Fatal(err)
+				} else if added {
+					fresh[k] = append(fresh[k], tr)
+				}
+			}
+			return true
+		})
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		checkRuns(t, fmt.Sprintf("store %d", k), s)
+	}
+	if len(fresh[1]) == 0 || len(fresh[1]) == len(batch) || !slices.Equal(fresh[0], fresh[1]) {
+		t.Fatalf("AddIDs returned %d fresh triples, AddID reported %d of %d", len(fresh[0]), len(fresh[1]), len(batch))
+	}
+	if !reflect.DeepEqual(journals[0].adds, journals[1].adds) || !reflect.DeepEqual(journals[0].at, journals[1].at) {
+		t.Fatal("the journal records differ")
+	}
+	if !slices.Equal(stores[0].Triples(), stores[1].Triples()) {
+		t.Fatal("the stores hold different triples")
+	}
+	s := stores[0]
+	if hub := s.pos.find(1).set(2); len(hub) < 2 {
+		t.Fatalf("the hub is %d members in one chunk", hub.len())
+	}
+	before := s.Len()
+	s.Write(func() bool {
+		tx := s.Begin()
+		if _, err := tx.AddIDs([]IDTriple{{S: 3, P: 1, O: 4}, {S: 3, P: 1, O: SymbolID(names.n + 5)}}); err == nil {
+			t.Fatal("AddIDs took an id the dictionary never minted")
+		}
+		return false
+	})
+	if s.Len() != before {
+		t.Fatalf("a refused batch changed Len from %d to %d", before, s.Len())
+	}
+}
+
+// TestSortKeys holds sortKeys to slices.SortFunc with a plain lexicographic
+// order on inputs of every shape the quicksort has a branch for — short and
+// long, random, ascending, descending, all equal, a few distinct values,
+// organ pipe — and on random ones with no split left, where it hands over
+// to slices.SortFunc.
+func TestSortKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	shapes := map[string]func(i, n int) [4]uint32{
+		"random": func(i, n int) [4]uint32 {
+			return [4]uint32{rng.Uint32() % 5, rng.Uint32() % 3, rng.Uint32(), uint32(i)}
+		},
+		"ascending":  func(i, n int) [4]uint32 { return [4]uint32{uint32(i / 7), 1, uint32(i), uint32(i)} },
+		"descending": func(i, n int) [4]uint32 { return [4]uint32{uint32(n - i), 1, 2, uint32(i)} },
+		"equal":      func(i, n int) [4]uint32 { return [4]uint32{3, 1, 4, 1} },
+		"few":        func(i, n int) [4]uint32 { return [4]uint32{0, 0, rng.Uint32() % 3, 0} },
+		"organ pipe": func(i, n int) [4]uint32 { return [4]uint32{uint32(min(i, n-i)), 0, 0, uint32(i % 2)} },
+	}
+	lexical := func(a, b [4]uint32) int { return slices.Compare(a[:], b[:]) }
+	for name, shape := range shapes {
+		for _, n := range []int{0, 1, 2, 12, 13, 64, 400, 5000} {
+			keys := make([][4]uint32, n)
+			for i := range keys {
+				keys[i] = shape(i, n)
+			}
+			want := slices.Clone(keys)
+			slices.SortFunc(want, lexical)
+			sortKeys(keys)
+			if !slices.Equal(keys, want) {
+				t.Fatalf("%s, %d keys: sortKeys disagrees with slices.SortFunc", name, n)
+			}
+			if name == "random" {
+				rng.Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+				quickSortKeys(keys, 0)
+				if !slices.Equal(keys, want) {
+					t.Fatalf("%d keys with no split left: not sorted", n)
+				}
+			}
+		}
 	}
 }
