@@ -334,32 +334,6 @@ func BenchmarkHubChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkSortKeys sorts the keys of a served write's batch — 64 of a
-// request's triples, 400 of a round's heads — in SPO order (subjects from a
-// few dozen, a member each from 2·10⁵ ids) with sortKeys and with
-// slices.SortFunc over the same order.
-func BenchmarkSortKeys(b *testing.B) {
-	for _, n := range []int{64, 400} {
-		rng := rand.New(rand.NewSource(21))
-		in := make([][4]uint32, n)
-		for i := range in {
-			in[i] = [4]uint32{rng.Uint32() % 40, 7, rng.Uint32() % 200_000, uint32(i)}
-		}
-		keys := make([][4]uint32, n)
-		for name, sort := range map[string]func([][4]uint32){
-			"sortKeys": sortKeys,
-			"SortFunc": func(k [][4]uint32) { slices.SortFunc(k, compareKeys) },
-		} {
-			b.Run(fmt.Sprintf("%s-%d", name, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					copy(keys, in)
-					sort(keys)
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkDictLookup resolves one name to its id through the dictionary at
 // 10⁵ corpus-shaped names, in shuffled order: hit probes interned names,
 // miss names of the same shape that were never interned.

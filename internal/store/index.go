@@ -40,9 +40,10 @@ import "slices"
 // sorted by (lead, mid, member, position), each lead it touches grows its
 // pair slice once by the pairs of its new sets, a new set is one run of
 // exactly its members (a long one gets a bulk load's room), and a set of one
-// chunk takes all its newcomers in one merge, so a write that brings an instance and its derived types grows each
-// set and pair slice once, where filing member by member regrew them at each
-// doubling. A set of several chunks still takes its members one at a time,
+// chunk takes all its newcomers in one merge, so a write that brings an
+// instance and its derived types grows each set and pair slice once, where
+// filing member by member regrew them at each doubling. A batch is filed at
+// most a chunk's worth of keys at a time, so a new set is one chunk. A set of several chunks still takes its members one at a time,
 // each into its chunk. A chunk's pair keeps the chunk's least member in one
 // even beside a run, so finding a member's chunk reads pairs only.
 
@@ -197,13 +198,21 @@ func newChunk(mid uint32, members ...uint32) midTrail {
 	return midTrail{mid: mid, one: [1]uint32{run[0]}, run: &run}
 }
 
-// keyChunk returns a pair for mid whose chunk holds the members keys name,
-// ascending, in a run of capacity room; one member is held inline.
-func keyChunk(mid uint32, keys [][4]uint32, room int) midTrail {
-	if len(keys) == 1 {
+// keyChunk returns a pair for mid whose chunk holds the members keys name —
+// ascending, distinct and at most chunkLen — as insertAll files a new set:
+// one member inline, up to arenaRunMax a run of exactly their number, more
+// with buildSorted's room, an eighth more, so the first writes into a class a
+// large batch filed do not regrow it.
+func keyChunk(mid uint32, keys [][4]uint32) midTrail {
+	n := len(keys)
+	if n == 1 {
 		return midTrail{mid: mid, one: [1]uint32{keys[0][2]}}
 	}
-	run := make([]uint32, len(keys), room)
+	room := n
+	if n > arenaRunMax {
+		room = chunkRoom(n)
+	}
+	run := make([]uint32, n, room)
 	for q := range keys {
 		run[q] = keys[q][2]
 	}
@@ -456,14 +465,15 @@ func (e *leadEntry) removeAll(mid uint32, keys, out [][4]uint32) [][4]uint32 {
 }
 
 // insertAll files the members keys name under this entry — keys share its
-// lead and ascend by (mid, member, position), a member may repeat — and
-// appends to out, which may be keys' own front, the key of each member that
-// was absent, at its first occurrence. A set it touches grows once: one of a
-// single chunk takes its newcomers in one merge while they fit the chunk, a
-// new set is filed whole (fileNewSet), and the pair slice grows once by the
-// new sets' pairs, which are merged in from the top down. A set of several chunks, and one its
-// newcomers would carry past chunkLen, takes them one at a time through
-// insert, which keeps a long set's chunks in shape.
+// lead and ascend by (mid, member, position), a member may repeat, and there
+// are at most chunkLen of them — and appends to out, which may be keys' own
+// front, the key of each member that was absent, at its first occurrence. A
+// set it touches grows once: one of a single chunk takes its newcomers in one
+// merge while they fit the chunk, a new set is one chunk (keyChunk), and the
+// pair slice grows once by the new sets' pairs, which are merged in from the
+// top down. A set of several chunks, and one its newcomers would carry past
+// chunkLen, takes them one at a time through insert, which keeps a long
+// set's chunks in shape.
 func (e *leadEntry) insertAll(keys, out [][4]uint32) [][4]uint32 {
 	base, pairs := len(out), 0
 	for m, n := 0, 0; m < len(keys); m = n {
@@ -476,7 +486,7 @@ func (e *leadEntry) insertAll(keys, out [][4]uint32) [][4]uint32 {
 		}
 		i, found := e.search(mid)
 		if !found {
-			pairs += newSetChunks(len(out) - lo)
+			pairs++
 			continue
 		}
 		w := lo
@@ -524,46 +534,12 @@ func (e *leadEntry) insertAll(keys, out [][4]uint32) [][4]uint32 {
 			e.entries[w] = e.entries[j]
 		}
 		if j == 0 || e.entries[j-1].mid != mid {
-			w = fileNewSet(e.entries, w, mid, out[a:b])
+			w--
+			e.entries[w] = keyChunk(mid, out[a:b])
 		}
 		b = a
 	}
 	return out
-}
-
-// newSetChunks is how many pairs insertAll files a new set of n members in:
-// one up to chunkLen members, else buildSorted's chunksFor.
-func newSetChunks(n int) int {
-	if n <= chunkLen {
-		return 1
-	}
-	return chunksFor(n)
-}
-
-// fileNewSet writes the pairs of a new set under mid — the members keys
-// name, ascending and distinct — into the newSetChunks(len(keys)) slots of
-// pairs below w and returns the lowest of them. A set of up to arenaRunMax
-// members is a run of exactly its members; a longer one gets buildSorted's
-// room, an eighth more, and past chunkLen is split evenly into chunks, as a
-// bulk load files it, so the first writes into a class a large batch filed
-// do not regrow it.
-func fileNewSet(pairs []midTrail, w int, mid uint32, keys [][4]uint32) int {
-	n := len(keys)
-	switch {
-	case n <= arenaRunMax:
-		pairs[w-1] = keyChunk(mid, keys, n)
-		return w - 1
-	case n <= chunkLen:
-		pairs[w-1] = keyChunk(mid, keys, chunkRoom(n))
-		return w - 1
-	}
-	c := chunksFor(n)
-	w -= c
-	for q := 0; q < c; q++ {
-		lo, hi := n*q/c, n*(q+1)/c
-		pairs[w+q] = keyChunk(mid, keys[lo:hi], chunkRoom(hi-lo))
-	}
-	return w
 }
 
 // The lead directory is two levels deep: a page files the leads of
@@ -719,7 +695,8 @@ func (ix *index) removeAll(keys [][4]uint32) [][4]uint32 {
 }
 
 // insertAll files the triples keys name — (lead, mid, member, position) in
-// this index's order, ascending — and returns the keys of those that were
+// this index's order, ascending, at most maxBatchKeys of them (one window of
+// Tx.insertBatch) — and returns the keys of those that were
 // absent, compacted to keys' front: each one's first occurrence, so the
 // least position. Every lead and set is grown once for all of its new
 // members (leadEntry.insertAll).

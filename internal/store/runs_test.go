@@ -118,11 +118,12 @@ func checkRuns(t testing.TB, what string, s *Store) {
 // vocabulary, four chunks' worth, whose top member stands for the largest id
 // there is, under one of 16 mids (the first byte's top four bits, past
 // linearRun so the mid search halves). The index files through
-// leadEntry.insert and remove, and the queued members, in their order, through
-// one index.insertAll at the next operation that is not a queueing one or at
-// the end, so a set is born inline or as a run of a batch's members, turns
-// into a run at its second member, into chunks past chunkLen, drops a
-// chunk's pair when it empties, and the lead is pruned with its last pair.
+// leadEntry.insert and remove, and the queued members, in their order, at the
+// next operation that is not a queueing one or at the end, through one
+// index.insertAll per window of maxBatchKeys, as Tx.insertBatch files them,
+// so a set is born inline or as a run of a batch's members, turns into a run
+// at its second member, into chunks past chunkLen, drops a chunk's pair when
+// it empties, and the lead is pruned with its last pair.
 // Every result must equal the model's — a batch's fresh keys are its members
 // the model lacked, each at its first position; after every operation the
 // sets it touched must exist exactly when the model holds members under their
@@ -171,25 +172,25 @@ func idSetScript(t *testing.T, hub uint16, script []byte) {
 	}
 	var queued [][2]uint32
 	flush := func(op int) {
-		if len(queued) == 0 {
-			return
-		}
-		keys := make([][4]uint32, len(queued))
-		for p, q := range queued {
-			keys[p] = [4]uint32{lead, q[0], q[1], uint32(p)}
-		}
-		sortKeys(keys)
-		fresh := map[uint32]bool{}
-		for _, k := range ix.insertAll(keys) {
-			fresh[k[3]] = true
-		}
-		for p, q := range queued {
-			if fresh[uint32(p)] == model[q] {
-				t.Fatalf("op %d: batch member %d, %v: fresh %v, model had it: %v", op, p, q, fresh[uint32(p)], model[q])
+		for lo := 0; lo < len(queued); lo += maxBatchKeys {
+			win := queued[lo:min(lo+maxBatchKeys, len(queued))]
+			keys := make([][4]uint32, len(win))
+			for p, q := range win {
+				keys[p] = [4]uint32{lead, q[0], q[1], uint32(p)}
 			}
-			if !model[q] {
-				model[q] = true
-				perMid[q[0]]++
+			slices.SortFunc(keys, compareKeys)
+			fresh := map[uint32]bool{}
+			for _, k := range ix.insertAll(keys) {
+				fresh[k[3]] = true
+			}
+			for p, q := range win {
+				if fresh[uint32(p)] == model[q] {
+					t.Fatalf("op %d: batch member %d, %v: fresh %v, model had it: %v", op, lo+p, q, fresh[uint32(p)], model[q])
+				}
+				if !model[q] {
+					model[q] = true
+					perMid[q[0]]++
+				}
 			}
 		}
 		for _, q := range queued {
@@ -321,7 +322,7 @@ func FuzzIDSet(f *testing.F) {
 		mids = append(mids, idOps(2, m, m, m+100)...)
 	}
 	f.Add(uint16(0), mids)
-	f.Add(uint16(0), idOps(1, 3, shuffled[:2000]...)) // one batch: a new set past chunkLen
+	f.Add(uint16(0), idOps(1, 3, shuffled[:2000]...)) // one batch of two windows: a new set past chunkLen
 	f.Add(uint16(0), slices.Concat(idOps(0, 2, 3, 9), idOps(1, 2, 9, 5, 5, 1, 9, 3, 7, 1), idOps(1, 4, 6, 6), idOps(3, 2, 7)))
 	f.Add(uint16(2047), slices.Concat(idOps(1, 3, 1, 2001, 4001, 3, 900, 2, 1901), idOps(1, 5, 11, 12), idOps(2, 3, 900))) // into a loaded hub
 	var opened []byte

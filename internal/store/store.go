@@ -68,10 +68,9 @@
 // -race and check a batch is seen whole (TestBatchIsAtomicToReaders).
 // bench_test.go prices ingest and every read shape against a replica of a
 // nested string-map engine, the object-only fan-out (BenchmarkObjectOnlyPattern),
-// writes into one long posting list (BenchmarkHubChurn), the batch key sort
-// (BenchmarkSortKeys), a dictionary lookup and the doubling pause
-// (BenchmarkDictGrowth). tx_test.go holds AddIDs to AddID over the same batch
-// (TestAddIDsMatchesAddID) and sortKeys to slices.SortFunc.
+// writes into one long posting list (BenchmarkHubChurn), a dictionary lookup
+// and the doubling pause (BenchmarkDictGrowth). tx_test.go holds AddIDs to
+// AddID over the same batch (TestAddIDsMatchesAddID).
 package store
 
 import (
@@ -174,11 +173,11 @@ type viewLock struct {
 	store         *Store
 	adds, removes []IDTriple
 	// keys and fresh are a batch's scratch: its keys, sorted for one index
-	// (Tx.insertBatch, RemoveIDs), and the bit set of its fresh positions
-	// (insertBatch).
-	// Kept for the next batch up to maxBatchKeys; guarded by the write lock.
+	// (Tx.insertBatch, RemoveIDs), kept for the next batch up to
+	// maxBatchKeys, and the bit set of an added window's fresh positions
+	// (insertBatch). Guarded by the write lock.
 	keys  [][4]uint32
-	fresh []uint64
+	fresh [maxBatchKeys / 64]uint64
 }
 
 // New returns an empty store.

@@ -1,8 +1,8 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
-	"math/bits"
 	"slices"
 )
 
@@ -201,13 +201,16 @@ func (tx *Tx) AddIDs(ts []IDTriple) ([]IDTriple, error) {
 // batch is keyed, sorted and filed there grouped (index.insertAll), so each
 // subject's pair slice and each of its sets grows once, not once per member,
 // and a duplicate within the batch is fresh at its first occurrence, the
-// least position. The fresh triples then go into POS one at a time and are
-// noted, in the batch's order, so the digest moves and the journal record
-// reads exactly as if they had been added one by one. POS is not grouped: a
-// write's POS sets are mostly class hubs, which take members one at a time
-// in any case, and its leads are the few predicates, whose pair slices grow
-// by doubling; grouping it measured no fewer bytes on write_durable and 12 %
-// more CPU a write (PERFLOG.md "A write files each set once").
+// least position. A batch longer than maxBatchKeys is filed so in windows of
+// that many triples, in order, so its scratch stays bounded; a window's
+// repeat of an earlier window's triple is found present in SPO. The fresh
+// triples then go into POS one at a time and are noted, in the batch's
+// order, so the digest moves and the journal record reads exactly as if they
+// had been added one by one. POS is not grouped: a write's POS sets are
+// mostly class hubs, which take members one at a time in any case, and its
+// leads are the few predicates, whose pair slices grow by doubling; grouping
+// it measured no fewer bytes on write_durable and 12 % more CPU a write
+// (PERFLOG.md "A write files each set once").
 func (tx *Tx) insertBatch(enc []IDTriple) []IDTriple {
 	s, sec := tx.s, tx.s.mu
 	switch len(enc) {
@@ -219,37 +222,42 @@ func (tx *Tx) insertBatch(enc []IDTriple) []IDTriple {
 		}
 		return enc[:0]
 	}
-	keys := sec.batchKeys(enc)
-	isFresh := slices.Grow(sec.fresh[:0], len(enc)/64+1)[:len(enc)/64+1]
-	clear(isFresh)
-	for _, k := range s.spo.insertAll(keys) {
-		isFresh[k[3]/64] |= 1 << (k[3] % 64)
-	}
-	out := enc[:0]
-	names := s.syms.snapshot() // one read of the dictionary for the batch's hashes
-	for p, e := range enc {
-		if isFresh[p/64]&(1<<(p%64)) == 0 {
-			continue
+	// out is written only below the window being filed; names is one read
+	// of the dictionary for the batch's hashes.
+	out, names := enc[:0], s.syms.snapshot()
+	for lo := 0; lo < len(enc); lo += maxBatchKeys {
+		win := enc[lo:min(lo+maxBatchKeys, len(enc))]
+		keys, isFresh := sec.batchKeys(win), &sec.fresh
+		clear(isFresh[:])
+		for _, k := range s.spo.insertAll(keys) {
+			isFresh[k[3]/64] |= 1 << (k[3] % 64)
 		}
-		s.pos.insert(e.P, e.O, e.S)
-		out = append(out, e)
-		var h Digest
-		if !s.overlay {
-			h = idHash(names, e)
+		for p, e := range win {
+			if isFresh[p/64]&(1<<(p%64)) == 0 {
+				continue
+			}
+			s.pos.insert(e.P, e.O, e.S)
+			out = append(out, e)
+			var h Digest
+			if !s.overlay {
+				h = idHash(names, e)
+			}
+			tx.note(e, true, h)
 		}
-		tx.note(e, true, h)
+		sec.release(keys)
 	}
-	sec.release(keys, isFresh)
 	s.size.Add(int64(len(out)))
 	return out
 }
 
-// maxBatchKeys is the capacity past which a batch's key scratch is dropped
-// once the batch is filed rather than kept for the next: 16 KiB of keys,
-// room for the few hundred heads one rule concludes from a served 64-triple
-// batch, so a store that once took a large batch does not hold its keys for
-// good.
-const maxBatchKeys = 1024
+// maxBatchKeys is the window in which insertBatch files an added batch, and
+// the capacity past which a removed batch's key scratch (RemoveIDs) is
+// dropped once the batch is filed rather than kept for the next: 16 KiB of
+// keys, room for the few hundred heads one rule concludes from a served
+// 64-triple batch, so a store that once took a large batch does not hold its
+// keys for good. It is chunkLen, so a set that a window opens is one chunk
+// (keyChunk).
+const maxBatchKeys = chunkLen
 
 // batchKeys returns the keys of ts in SPO order — (S, P, O, position in ts)
 // — sorted, in the section's key scratch, which release hands back.
@@ -258,7 +266,7 @@ func (sec *viewLock) batchKeys(ts []IDTriple) [][4]uint32 {
 	for i, t := range ts {
 		keys[i] = [4]uint32{t.S, t.P, t.O, uint32(i)}
 	}
-	sortKeys(keys)
+	slices.SortFunc(keys, compareKeys)
 	return keys
 }
 
@@ -268,100 +276,24 @@ func toPOS(keys [][4]uint32) [][4]uint32 {
 	for i, k := range keys {
 		keys[i] = [4]uint32{k[1], k[2], k[0], k[3]}
 	}
-	sortKeys(keys)
+	slices.SortFunc(keys, compareKeys)
 	return keys
 }
 
-// keyLess orders batch keys component by component, two at a time.
-func keyLess(a, b *[4]uint32) bool {
-	x, y := uint64(a[0])<<32|uint64(a[1]), uint64(b[0])<<32|uint64(b[1])
-	if x != y {
-		return x < y
-	}
-	return uint64(a[2])<<32|uint64(a[3]) < uint64(b[2])<<32|uint64(b[3])
-}
-
-// compareKeys is keyLess as a three-way comparison.
+// compareKeys orders batch keys component by component, two at a time.
 func compareKeys(a, b [4]uint32) int {
-	switch {
-	case keyLess(&a, &b):
-		return -1
-	case keyLess(&b, &a):
-		return 1
+	if c := cmp.Compare(uint64(a[0])<<32|uint64(a[1]), uint64(b[0])<<32|uint64(b[1])); c != 0 {
+		return c
 	}
-	return 0
+	return cmp.Compare(uint64(a[2])<<32|uint64(a[3]), uint64(b[2])<<32|uint64(b[3]))
 }
 
-// sortKeys sorts batch keys ascending: a quicksort with keyLess inlined,
-// under half of slices.SortFunc's time on a served write's tens to hundreds
-// of keys (BenchmarkSortKeys), which every batch pays. Keys that
-// already ascend are left after one pass: on write_durable about half of the
-// sorts, a round's heads often arriving subject by subject.
-func sortKeys(keys [][4]uint32) {
-	for i := 1; i < len(keys); i++ {
-		if keyLess(&keys[i], &keys[i-1]) {
-			quickSortKeys(keys, 2*bits.Len(uint(len(keys))))
-			return
-		}
-	}
-}
-
-// quickSortKeys is sortKeys' quicksort. A part still longer than an
-// insertion sort's after depth splits goes to slices.SortFunc, so no input
-// makes it quadratic.
-func quickSortKeys(keys [][4]uint32, depth int) {
-	for len(keys) > 12 {
-		if depth == 0 {
-			slices.SortFunc(keys, compareKeys)
-			return
-		}
-		depth--
-		// The median of the first, middle and last key is the pivot, and the
-		// two others bound the scans.
-		m, l := len(keys)/2, len(keys)-1
-		if keyLess(&keys[m], &keys[0]) {
-			keys[m], keys[0] = keys[0], keys[m]
-		}
-		if keyLess(&keys[l], &keys[0]) {
-			keys[l], keys[0] = keys[0], keys[l]
-		}
-		if keyLess(&keys[l], &keys[m]) {
-			keys[l], keys[m] = keys[m], keys[l]
-		}
-		p, i, j := keys[m], 0, l
-		for i <= j {
-			for keyLess(&keys[i], &p) {
-				i++
-			}
-			for keyLess(&p, &keys[j]) {
-				j--
-			}
-			if i <= j {
-				keys[i], keys[j] = keys[j], keys[i]
-				i, j = i+1, j-1
-			}
-		}
-		if j+1 < len(keys)-i {
-			quickSortKeys(keys[:j+1], depth)
-			keys = keys[i:]
-		} else {
-			quickSortKeys(keys[i:], depth)
-			keys = keys[:j+1]
-		}
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keyLess(&keys[j], &keys[j-1]); j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-}
-
-// release keeps a batch's scratch for the next batch of the section's lock,
-// or drops what has grown past maxBatchKeys.
-func (sec *viewLock) release(keys [][4]uint32, fresh []uint64) {
-	sec.keys, sec.fresh = keys[:0], fresh[:0]
+// release keeps a batch's key scratch for the next batch of the section's
+// lock, or drops what has grown past maxBatchKeys.
+func (sec *viewLock) release(keys [][4]uint32) {
+	sec.keys = keys[:0]
 	if cap(keys) > maxBatchKeys {
-		sec.keys, sec.fresh = nil, nil
+		sec.keys = nil
 	}
 }
 
@@ -423,7 +355,7 @@ func (tx *Tx) RemoveIDs(ts []IDTriple) int {
 		tx.note(t, false, h)
 	}
 	s.pos.removeAll(toPOS(gone))
-	sec.release(keys, sec.fresh)
+	sec.release(keys)
 	return len(gone)
 }
 

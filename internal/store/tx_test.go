@@ -324,44 +324,3 @@ func TestAddIDsMatchesAddID(t *testing.T) {
 		t.Fatalf("a refused batch changed Len from %d to %d", before, s.Len())
 	}
 }
-
-// TestSortKeys holds sortKeys to slices.SortFunc with a plain lexicographic
-// order on inputs of every shape the quicksort has a branch for — short and
-// long, random, ascending, descending, all equal, a few distinct values,
-// organ pipe — and on random ones with no split left, where it hands over
-// to slices.SortFunc.
-func TestSortKeys(t *testing.T) {
-	rng := rand.New(rand.NewSource(48))
-	shapes := map[string]func(i, n int) [4]uint32{
-		"random": func(i, n int) [4]uint32 {
-			return [4]uint32{rng.Uint32() % 5, rng.Uint32() % 3, rng.Uint32(), uint32(i)}
-		},
-		"ascending":  func(i, n int) [4]uint32 { return [4]uint32{uint32(i / 7), 1, uint32(i), uint32(i)} },
-		"descending": func(i, n int) [4]uint32 { return [4]uint32{uint32(n - i), 1, 2, uint32(i)} },
-		"equal":      func(i, n int) [4]uint32 { return [4]uint32{3, 1, 4, 1} },
-		"few":        func(i, n int) [4]uint32 { return [4]uint32{0, 0, rng.Uint32() % 3, 0} },
-		"organ pipe": func(i, n int) [4]uint32 { return [4]uint32{uint32(min(i, n-i)), 0, 0, uint32(i % 2)} },
-	}
-	lexical := func(a, b [4]uint32) int { return slices.Compare(a[:], b[:]) }
-	for name, shape := range shapes {
-		for _, n := range []int{0, 1, 2, 12, 13, 64, 400, 5000} {
-			keys := make([][4]uint32, n)
-			for i := range keys {
-				keys[i] = shape(i, n)
-			}
-			want := slices.Clone(keys)
-			slices.SortFunc(want, lexical)
-			sortKeys(keys)
-			if !slices.Equal(keys, want) {
-				t.Fatalf("%s, %d keys: sortKeys disagrees with slices.SortFunc", name, n)
-			}
-			if name == "random" {
-				rng.Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
-				quickSortKeys(keys, 0)
-				if !slices.Equal(keys, want) {
-					t.Fatalf("%d keys with no split left: not sorted", n)
-				}
-			}
-		}
-	}
-}
