@@ -56,10 +56,9 @@
 // by -slow-query-log or to stderr. -pprof-addr serves net/http/pprof on a
 // separate listener, keeping the profiling surface off the API address.
 //
-// A corpus snapshot that fails to parse refuses to serve at all — corpora
-// are staged through a scratch store and asserted only on a clean restore,
-// so a malformed tail can never put a partially restored corpus behind the
-// API (see store.Restore's partial-commit contract).
+// A corpus snapshot that fails to parse refuses to serve at all — store.Restore
+// asserts nothing from a malformed snapshot, so a malformed tail can never put
+// a partially restored corpus behind the API.
 //
 // The process runs until SIGINT/SIGTERM, then shuts down gracefully:
 // replicas' parked long polls are answered, other in-flight requests finish,
@@ -340,20 +339,14 @@ func buildConfig(base *store.Store, seed, paper bool, annotations, tboxFile, rul
 		if err != nil {
 			return cfg, err
 		}
-		// Restore into a scratch store first: Restore's partial-commit
-		// contract keeps the valid prefix of a malformed snapshot, and a
-		// partially restored corpus must never reach the served (and
-		// journaled) base. Only a clean restore is asserted.
-		scratch := store.New()
-		_, err = store.Restore(scratch, f)
+		// Restore is all-or-nothing, so a malformed snapshot asserts
+		// nothing in the served (and journaled) base.
+		_, err = store.Restore(base, f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
 			return cfg, fmt.Errorf("restoring %s: %w (refusing to serve a partially restored corpus; fix the snapshot and restart)", annotations, err)
-		}
-		if _, err := base.AddBatch(scratch.Triples()); err != nil {
-			return cfg, err
 		}
 	}
 	if tboxFile != "" && seed {

@@ -23,8 +23,7 @@ import (
 
 // TestMalformedSnapshotRefusesToServe is the fail-fast contract: a snapshot
 // with a malformed tail must abort startup with a clear error AND leave the
-// base store untouched — store.Restore keeps the valid prefix in whatever
-// store it writes, so buildConfig must stage through a scratch store.
+// base store untouched — store.Restore adds nothing from a malformed stream.
 func TestMalformedSnapshotRefusesToServe(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bad.triples")

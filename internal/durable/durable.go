@@ -564,7 +564,7 @@ func (e *Engine) publishWindow(lastEnd uint64, dictNext store.SymbolID, lastAt s
 	if err != nil {
 		return segMeta{}, 0, err
 	}
-	seg, _, err := foldWAL(e.disk, sealed, datas, lastEnd, dictNext, lastAt, false)
+	seg, _, err := foldWAL(e.disk, sealed, datas, lastEnd, dictNext, lastAt, nil)
 	if err == nil && seg.end != covered {
 		err = fmt.Errorf("durable: checkpoint window ends at record %d, want the rotation point %d", seg.end, covered)
 	}

@@ -54,8 +54,12 @@ func LoadSnapshot(st *store.Store, data []byte) (*Follower, error) {
 	if err := (&fold{start: 1}).precede(seg.start, seg.end, seg.dictFirst); err != nil {
 		return nil, err
 	}
-	names, err := loadFold(st, foldOf(seg))
-	if err != nil {
+	f := foldOf(seg)
+	names := f.dictionary()
+	if err := st.RestoreSorted(names, nil, 0); err != nil {
+		return nil, err
+	}
+	if err := loadFold(st, f); err != nil {
 		return nil, err
 	}
 	dict := store.New()

@@ -196,7 +196,7 @@ func FuzzLogReadersAgree(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seg, live, recErr := foldWAL(d, []uint64{1}, datas, 0, 0, store.Position{}, true)
+		seg, live, recErr := foldWAL(d, []uint64{1}, datas, 0, 0, store.Position{}, store.New())
 
 		var fol Follower
 		n, folErr := fol.Read(data, func([]store.Triple, []store.Triple, store.Position) error { return nil })

@@ -27,9 +27,13 @@ import (
 //	load segments
 //	          foldHistory (tier.go): foldChain loads the chain, from seq 1
 //	          and id 0, oldest→newest onto one fold — the loop a merge runs
+//	          — and one store.RestoreSorted restores the chain's names into
+//	          the store being booted
 //	fold tail foldWAL folds the wal files beyond the chain into one more
 //	          patch, pushed onto the same fold — the fold a checkpoint
-//	          runs, with the tail's policy:
+//	          runs, with the tail's policy: the walk files each dictionary
+//	          record's names in the booted store, refusing an empty name or
+//	          one the store already holds at that record;
 //	          a frame that fails its CRC in the LAST file is a torn tail, cut
 //	          there; the same failure in any earlier file is corruption —
 //	          earlier files were sealed by a rotation's fsync and have no
@@ -38,10 +42,11 @@ import (
 //	          never produces one and cutting there would throw away good
 //	          records behind a damaged header
 //	load      the fold runs twice, to size the run of its adds and to fill
-//	          it, and one store.RestoreSorted builds the dictionary and both
-//	          indexes directly from that run, on two goroutines: no
-//	          per-triple locks, no dedup probing. Recovery never opens a
-//	          transaction — the store is filled once, in bulk, or not at all
+//	          it, and one store.RestoreSorted builds both indexes directly
+//	          from that run, against the dictionary the store now holds, on
+//	          two goroutines: no per-triple locks, no dedup probing.
+//	          Recovery never opens a transaction — the store is filled
+//	          once, in bulk, or not at all
 //	reopen    open the last wal file for appending (creating wal-<lastSeq+1>
 //	          if the tail is empty), ready for the writer.
 
@@ -172,12 +177,12 @@ func recoverDir(st *store.Store, d disk) (recovered, error) {
 	if err != nil {
 		return rec, err
 	}
-	state, tail, err := foldHistory(d, rec.tiers, rec.wals, datas, true)
+	state, tail, err := foldHistory(d, rec.tiers, rec.wals, datas, st)
 	if err != nil {
 		return rec, err
 	}
 	rec.tail, rec.dictCovered = tail, state.patches[len(state.patches)-1].dictFirst
-	if _, err := loadFold(st, state); err != nil {
+	if err := loadFold(st, state); err != nil {
 		return rec, fmt.Errorf("durable: loading the data directory: %w", err)
 	}
 	rec.lastSeq = state.end
@@ -195,12 +200,12 @@ func recoverDir(st *store.Store, d disk) (recovered, error) {
 	return rec, err
 }
 
-// loadFold bulk-loads the empty store st from the fold of a whole chain —
-// recovery's directory, a replica's snapshot — at its stamp's generation,
-// and checks the loaded triples' digest against the stamp's: a fold that
-// lost or invented a triple, or a history that does not add up, is an error,
-// never a state. It returns the dictionary it installed.
-func loadFold(st *store.Store, f *fold) ([]string, error) {
+// loadFold bulk-loads the store st, which holds the fold's dictionary and no
+// triples, from the fold of a whole chain — recovery's directory, a
+// replica's snapshot — at its stamp's generation, and checks the loaded
+// triples' digest against the stamp's: a fold that lost or invented a
+// triple, or a history that does not add up, is an error, never a state.
+func loadFold(st *store.Store, f *fold) error {
 	adds, _ := f.count()
 	triples := make([]store.IDTriple, 0, adds)
 	f.each(func(t store.IDTriple, add bool) bool {
@@ -209,13 +214,12 @@ func loadFold(st *store.Store, f *fold) ([]string, error) {
 		}
 		return true
 	})
-	dict := f.dictionary()
-	if err := st.RestoreSorted(dict, triples, f.at.Gen); err != nil {
-		return nil, err
+	if err := st.RestoreSorted(nil, triples, f.at.Gen); err != nil {
+		return err
 	}
 	if got := st.Position(); got.Digest != f.at.Digest {
-		return nil, fmt.Errorf("durable: the %d triples loaded through seq %d have digest %v, but the history recorded %v at generation %d",
+		return fmt.Errorf("durable: the %d triples loaded through seq %d have digest %v, but the history recorded %v at generation %d",
 			len(triples), f.end, got.Digest, f.at.Digest, f.at.Gen)
 	}
-	return dict, nil
+	return nil
 }

@@ -161,7 +161,7 @@ func (e *Engine) Snapshot() ([]byte, store.Position, error) {
 	if err != nil {
 		return nil, store.Position{}, err
 	}
-	state, _, err := foldHistory(e.disk, e.chainTiers(), firsts, datas, false)
+	state, _, err := foldHistory(e.disk, e.chainTiers(), firsts, datas, nil)
 	if err == nil && (state.end != cut.seq || state.at != cut.at) {
 		err = fmt.Errorf("durable: the snapshot folded through seq %d at %v, want the committed write %d at %v", state.end, state.at, cut.seq, cut.at)
 	}

@@ -214,17 +214,26 @@ func foldChain(d disk, chain []segMeta, stop <-chan struct{}) (*fold, error) {
 
 // foldHistory folds a whole history as recovery boots it and Engine.Snapshot
 // serves it: the chain, which must start at seq 1 and id 0, then the wal
-// files beyond it (foldWAL under tail's policy) pushed onto the same fold —
-// its last patch, whose dictFirst is where the chain's names end.
-func foldHistory(d disk, chain []segMeta, firsts []uint64, datas [][]byte, tail bool) (*fold, walTail, error) {
+// files beyond it (foldWAL under st's policy) pushed onto the same fold —
+// its last patch, whose dictFirst is where the chain's names end. Recovery
+// passes the empty store it boots, st: the chain's names are restored into
+// it before the log is walked, and the walk files the tail's names there
+// too, so every name is checked once, against the whole dictionary, and the
+// load that follows (loadFold) keeps them. A snapshot passes nil.
+func foldHistory(d disk, chain []segMeta, firsts []uint64, datas [][]byte, st *store.Store) (*fold, walTail, error) {
 	history, err := foldChain(d, chain, nil)
 	if err == nil && len(chain) > 0 {
 		err = (&fold{start: 1}).precede(history.start, history.end, history.dictFirst)
 	}
+	if err == nil && st != nil {
+		if err = st.RestoreSorted(history.dictionary(), nil, 0); err != nil {
+			err = fmt.Errorf("durable: restoring the chain's names: %w", err)
+		}
+	}
 	if err != nil {
 		return nil, walTail{}, err
 	}
-	log, live, err := foldWAL(d, firsts, datas, history.end, store.SymbolID(history.names), history.at, tail)
+	log, live, err := foldWAL(d, firsts, datas, history.end, store.SymbolID(history.names), history.at, st)
 	if err == nil {
 		err = history.push(log)
 	}
@@ -274,12 +283,13 @@ func pickMergeRun(sizes []int64, ratio float64) (int, bool) {
 // that record's seq. A log cut there ends with its last whole write.
 //
 // dict, when set, is the dictionary the walk files each dictionary record's
-// names in, at the ids the record gives them less dictBase, holding them to
-// the checks a store's dictionary makes when it is loaded: no empty name, no
-// name under two ids. The readers that load what they read set it — recovery
-// for its log tail (the chain's names meet the load's own check), the
-// Follower over everything its snapshot named — so a log both refuse is
-// refused at the same record with the same words. A checkpoint and a
+// names in, at the ids the record gives them, holding them to the checks a
+// store's dictionary makes when it is loaded: no empty name, no name under
+// two ids. The readers that load what they read set it — recovery to the
+// store it boots, which holds the chain's names, the Follower to its
+// dictionary of everything its snapshot named — so a log both refuse is
+// refused at the same record with the same words, and a tail name that
+// repeats a chain name is refused there, not at the load. A checkpoint and a
 // snapshot fold the log a running store wrote, whose dictionary holds
 // neither, and skip the index it would cost.
 type logWalk struct {
@@ -288,7 +298,6 @@ type logWalk struct {
 	open          bool
 	whole         int
 	dict          *store.Store
-	dictBase      store.SymbolID
 	names         []string // mint's scratch
 }
 
@@ -372,8 +381,8 @@ func (w *logWalk) mint(r record) error {
 		if name == "" {
 			return fmt.Errorf("dictionary id %d is the empty string", id)
 		}
-		if got, _ := w.dict.Intern(name); got+w.dictBase != id {
-			return fmt.Errorf("dictionary repeats %q as ids %d and %d", name, min(got+w.dictBase, id), max(got+w.dictBase, id))
+		if got, _ := w.dict.Intern(name); got != id {
+			return fmt.Errorf("dictionary repeats %q as ids %d and %d", name, min(got, id), max(got, id))
 		}
 	}
 	return nil
@@ -423,7 +432,7 @@ func readWAL(d disk, firsts []uint64) ([][]byte, error) {
 //
 // A frame that fails its framing is corruption: sealed files were fsynced by
 // the rotation that closed them, which never splits a write. The one
-// exception is the tail sink's — with tail set the last file is the one a
+// exception is the tail sink's — with st set the last file is the one a
 // crash may have torn, so it is cut where the walk last stood whole, before a
 // trailing run of parts whose recWrite never reached the disk as much as
 // before a torn frame, and the fold ends there, the writer appending after
@@ -431,9 +440,13 @@ func readWAL(d disk, firsts []uint64) ([][]byte, error) {
 // beyond maxFramePayload is never a torn tail, wherever it sits: the writer
 // chunks every record below the cap, so the claim proves damage to a frame
 // header, and cutting there would silently discard every record after it.
-// The tail sink also walks with a dictionary (logWalk.dict): what recovery
-// loads is held to the load's checks at the record that breaks them.
-func foldWAL(d disk, firsts []uint64, datas [][]byte, after uint64, dictNext store.SymbolID, at store.Position, tail bool) (segmentData, walTail, error) {
+// st is the store recovery boots, holding every name below dictNext: the
+// tail sink walks with it as its dictionary (logWalk.dict), so what recovery
+// loads is held to the load's checks at the record that breaks them, and the
+// names are in st once the walk is done. A checkpoint passes nil. A cut
+// drops no name the walk filed: a dictionary record never sits inside a
+// write, so the walk stands whole just past each one.
+func foldWAL(d disk, firsts []uint64, datas [][]byte, after uint64, dictNext store.SymbolID, at store.Position, st *store.Store) (segmentData, walTail, error) {
 	seg := segmentData{start: after + 1, end: after, at: at, dictFirst: dictNext}
 	var live walTail
 	size := 0
@@ -448,10 +461,8 @@ func foldWAL(d disk, firsts []uint64, datas [][]byte, after uint64, dictNext sto
 	var first uint64
 	kept := 0 // how much of data's front holds its dictionary regions
 	var regions [][]byte
-	w := logWalk{seq: after, ids: dictNext}
-	if tail {
-		w.dict, w.dictBase = store.New(), dictNext
-	}
+	tail := st != nil
+	w := logWalk{seq: after, ids: dictNext, dict: st}
 	visit := func(r record, _, next int) error {
 		if r.typ == recDict {
 			// The walk is past these bytes and never reads them again: move

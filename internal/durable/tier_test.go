@@ -555,6 +555,36 @@ func TestWALSinksAgreeOnBadLogs(t *testing.T) {
 	}
 }
 
+// TestRecoveryRefusesATailNameTheChainHolds: a log tail whose dictionary
+// record repeats a name the segment chain holds is refused at that record,
+// naming the wal file and the record, since recovery walks the tail with
+// the chain's names already in the store it boots — not later, by the load.
+func TestRecoveryRefusesATailNameTheChainHolds(t *testing.T) {
+	d := newMemDisk()
+	st := store.New()
+	eng := mustOpenDisk(t, st, Options{Fsync: FsyncOff, CheckpointBytes: -1, mergeRatio: -1}, d)
+	if _, err := st.Add(store.Triple{Subject: "a", Predicate: "p", Object: "o"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	seq, ids := eng.LastSeq(), store.SymbolID(st.DictLen())
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wal := walFileName(seq + 1)
+	d.put(wal, walImage{seq + 1, [][]byte{
+		encodeDict(nil, seq+1, ids, []string{"z", "a"}),
+		encodeMutation(nil, seq+2, []store.IDTriple{{S: ids, P: 1, O: ids + 1}}, nil, store.Position{}, true),
+	}}.frames())
+	_, err := recoverDir(store.New(), d)
+	want := fmt.Sprintf("%s: record %d: dictionary repeats %q as ids 0 and %d", wal, seq+1, "a", ids+1)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("recovery: %v, want an error naming %q", err, want)
+	}
+}
+
 // TestCheckpointPublishFailureKeepsTheLog blocks a checkpoint's segment
 // publish (the disk fails the create of its .tmp) and
 // checks nothing is lost: the error is reported, every sealed wal file stays

@@ -467,8 +467,9 @@ func (r *Reasoner) Apply(adds, removes []store.Triple, c *obs.Clock) (added, rem
 		// provenance flips — and the propagation appends its conclusions to
 		// it in place.
 		d.Added, d.Removed = s.added[:0], s.removed[:0]
+		held := r.view.Held()
 		for _, t := range asserted {
-			if r.ov.RemoveID(t) {
+			if _, inferred := held.Contains(t); inferred {
 				// Provenance flip: consequences already materialized, but the
 				// triple moved between the members — report it in both lists.
 				d.Removed = append(d.Removed, t)
@@ -476,6 +477,7 @@ func (r *Reasoner) Apply(adds, removes []store.Triple, c *obs.Clock) (added, rem
 				d.Added = append(d.Added, t)
 			}
 		}
+		r.ov.RemoveIDs(d.Removed)
 		d.Added = append(r.propagate(d.Added, d.Added), d.Removed...)
 		c.Mark(obs.StagePropagate)
 

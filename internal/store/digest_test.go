@@ -47,7 +47,7 @@ func TestDigestGolden(t *testing.T) {
 
 // TestDigestMatchesScratch is the digest's property: after any seeded
 // sequence of writes — AddBatch, Add, Remove, a handle's mixed section with
-// RemoveIDs long enough to compact, Restore — and after every bulk load
+// a RemoveIDs of at least 64 triples, Restore — and after every bulk load
 // (RestoreSorted, LoadSorted), the maintained digest equals the one computed
 // from scratch, and stores holding the same triples through different
 // histories and dictionaries agree. An overlay keeps none.
@@ -81,7 +81,7 @@ func TestDigestMatchesScratch(t *testing.T) {
 						ids = append(ids, e, e)
 					}
 				}
-				for len(ids) < removeIDsMin && len(all) > 0 {
+				for len(ids) < 64 && len(all) > 0 {
 					e, _ := s.syms.lookupTriple(all[rng.Intn(len(all))])
 					ids = append(ids, e)
 				}

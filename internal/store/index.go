@@ -266,9 +266,9 @@ func (ts trailSet) seek(c uint32) (chunk, pos int) {
 
 // leadEntry is everything indexed under one leading component: its (middle,
 // chunk) pairs, ascending by middle component and, within one middle
-// component's set, by first member. insert and remove create and drop the
-// pairs, so no pair is ever empty, and an entry without pairs is an empty
-// slot of its index.
+// component's set, by first member. The writes (insertAll, insert and
+// removeAll) create and drop the pairs, so no pair is ever empty, and an
+// entry without pairs is an empty slot of its index.
 type leadEntry struct {
 	entries []midTrail
 }
@@ -342,17 +342,23 @@ func (e *leadEntry) locate(mid, c uint32) (i, end int, found bool) {
 }
 
 // insert files c under mid, reporting whether it was absent. A mid seen for
-// the first time takes its place among the pairs with c inline. c goes into
-// the chunk locate names; when that one is full it goes at the front of the
-// next chunk of the set if that has room, into a chunk of its own past either
-// end of the set — which is where ascending and descending writes land — and
-// otherwise the full chunk splits in two.
+// the first time takes its place among the pairs with c inline; otherwise c
+// goes into the chunk locate names (insertAt).
 func (e *leadEntry) insert(mid, c uint32) bool {
 	i, end, found := e.locate(mid, c)
 	if !found {
 		e.insertPair(i, midTrail{mid: mid, one: [1]uint32{c}})
 		return true
 	}
+	return e.insertAt(mid, c, i, end)
+}
+
+// insertAt files c in mid's set, which ends at end, reporting whether it was
+// absent; i is the chunk c belongs in (trailSet.chunk). When that one is full
+// c goes at the front of the next chunk of the set if that has room, into a
+// chunk of its own past either end of the set — which is where ascending and
+// descending writes land — and otherwise the full chunk splits in two.
+func (e *leadEntry) insertAt(mid, c uint32, i, end int) bool {
 	mt := &e.entries[i]
 	elems := mt.elems()
 	k, found := searchRun(elems, c)
@@ -390,41 +396,14 @@ func (e *leadEntry) insertPair(i int, p midTrail) {
 	e.entries[i] = p
 }
 
-// dropPair removes the pair at i, the pairs above it sliding down one.
-func (e *leadEntry) dropPair(i int) {
-	last := len(e.entries) - 1
-	copy(e.entries[i:], e.entries[i+1:])
-	e.entries[last] = midTrail{}
-	e.entries = e.entries[:last]
-}
-
-// remove drops c from mid's set, reporting whether it was there. Removing a
-// chunk's last member drops its pair.
-func (e *leadEntry) remove(mid, c uint32) bool {
-	i, _, found := e.locate(mid, c)
-	if !found {
-		return false
-	}
-	mt := &e.entries[i]
-	j, found := searchRun(mt.elems(), c)
-	if !found {
-		return false
-	}
-	if mt.len() > 1 {
-		*mt.run = append((*mt.run)[:j], (*mt.run)[j+1:]...)
-		mt.one[0] = (*mt.run)[0]
-		return true
-	}
-	e.dropPair(i)
-	return true
-}
-
 // removeAll drops from mid's set every member that one of keys names —
 // keys share this entry's lead and mid and ascend by member — appending the
 // keys of the members it dropped to out, which may be keys' own front. It
-// walks the set once from the chunk of the first member named to the chunk
-// of the last, so a batch costs those chunks' length, not that length per
-// member; an emptied chunk drops its pair as remove does.
+// walks the chunks from the one of the first member named to the one of the
+// last, and in each moves the members kept between two dropped ones down
+// with one copy, so a batch costs those chunks' length, not that length per
+// member; a chunk emptied drops its pair, and a lead emptied is left without
+// pairs.
 func (e *leadEntry) removeAll(mid uint32, keys, out [][4]uint32) [][4]uint32 {
 	i, end, found := e.locate(mid, keys[0][2])
 	if !found {
@@ -434,18 +413,27 @@ func (e *leadEntry) removeAll(mid uint32, keys, out [][4]uint32) [][4]uint32 {
 	for ; i < end && k < len(keys); i++ {
 		mt := &e.entries[i]
 		elems := mt.elems()
-		w, _ := searchRun(elems, keys[k][2])
-		for _, c := range elems[w:] {
-			for k < len(keys) && keys[k][2] < c {
-				k++
+		// elems[:w] is kept and elems[r:] not yet read; the members between
+		// are dropped ones.
+		w, r := 0, 0
+		for ; k < len(keys); k++ {
+			q, hit := searchRun(elems[r:], keys[k][2])
+			if !hit && r+q == len(elems) {
+				break // keys[k] is past this chunk
 			}
-			if k < len(keys) && keys[k][2] == c {
+			if w < r {
+				copy(elems[w:], elems[r:r+q])
+			}
+			w, r = w+q, r+q
+			if hit {
 				out = append(out, keys[k])
-				continue
+				r++
 			}
-			elems[w] = c
-			w++
 		}
+		if w < r {
+			copy(elems[w:], elems[r:])
+		}
+		w += len(elems) - r
 		if w == 0 {
 			continue
 		}
@@ -471,9 +459,10 @@ func (e *leadEntry) removeAll(mid uint32, keys, out [][4]uint32) [][4]uint32 {
 // set it touches grows once: one of a single chunk takes its newcomers in one
 // merge while they fit the chunk, a new set is one chunk (keyChunk), and the
 // pair slice grows once by the new sets' pairs, which are merged in from the
-// top down. A set of several chunks, and one its newcomers would carry past
-// chunkLen, takes them one at a time through insert, which keeps a long
-// set's chunks in shape.
+// top down. A set of several chunks, one its newcomers would carry past
+// chunkLen, and any set taking a single newcomer take them one at a time
+// through insertAt, which keeps a long set's chunks in shape; the set's
+// place, found once, is passed on, not searched again.
 func (e *leadEntry) insertAll(keys, out [][4]uint32) [][4]uint32 {
 	base, pairs := len(out), 0
 	for m, n := 0, 0; m < len(keys); m = n {
@@ -489,8 +478,8 @@ func (e *leadEntry) insertAll(keys, out [][4]uint32) [][4]uint32 {
 			pairs++
 			continue
 		}
-		w := lo
-		if end := e.setEnd(i); end == i+1 {
+		w, end := lo, e.setEnd(i)
+		if end == i+1 && len(out)-lo > 1 {
 			mt := &e.entries[i]
 			elems, p := mt.elems(), 0
 			for _, k := range out[lo:] {
@@ -508,10 +497,12 @@ func (e *leadEntry) insertAll(keys, out [][4]uint32) [][4]uint32 {
 			out, w = out[:w], lo
 		}
 		for _, k := range out[lo:] {
-			if e.insert(mid, k[2]) {
+			had := len(e.entries)
+			if e.insertAt(mid, k[2], i+trailSet(e.entries[i:end]).chunk(k[2]), end) {
 				out[w] = k
 				w++
 			}
+			end += len(e.entries) - had
 		}
 		out = out[:w]
 	}
@@ -645,21 +636,6 @@ func (ix *index) insert(a, b, c uint32) bool {
 	return true
 }
 
-// remove deletes (a, b, c), reporting whether it was present, and prunes
-// emptied levels: a lead whose last pair goes gives its pair array back and
-// frees its slot.
-func (ix *index) remove(a, b, c uint32) bool {
-	e := ix.find(a)
-	if e == nil || !e.remove(b, c) {
-		return false
-	}
-	if len(e.entries) == 0 {
-		e.entries = nil
-		ix.leads--
-	}
-	return true
-}
-
 // contains reports whether (a, b, c) is present.
 func (ix *index) contains(a, b, c uint32) bool {
 	e := ix.find(a)
@@ -672,8 +648,9 @@ func (ix *index) contains(a, b, c uint32) bool {
 
 // removeAll deletes the triples keys name — (lead, mid, member, position)
 // in this index's order, ascending — and returns the keys of those that were
-// present, compacted to keys' front, pruning as remove does. Each set is
-// compacted once for all of its members.
+// present, compacted to keys' front. Each set is compacted once for all of
+// its members, and a lead whose last pair goes gives its pair array back and
+// frees its slot.
 func (ix *index) removeAll(keys [][4]uint32) [][4]uint32 {
 	out := keys[:0]
 	for i, j := 0, 0; i < len(keys); i = j {

@@ -359,7 +359,7 @@ func TestEngineMatchesReference(t *testing.T) {
 			case 3: // one sorted-and-compacted removal, with duplicates and absent triples
 				var batch []IDTriple
 				gone := map[Triple]bool{}
-				for len(batch) < 2*removeIDsMin {
+				for len(batch) < 128 {
 					tr := randomTriple(rng)
 					if e, ok := s.syms.lookupTriple(tr); ok {
 						batch = append(batch, e)

@@ -8,58 +8,72 @@ import (
 // This file is the store's bulk-build path: LoadSorted builds the two
 // indexes of an empty store from a sorted triple set without going through
 // the mutation path at all, and RestoreSorted is LoadSorted behind a freshly
-// installed dictionary. The mutation path (Tx.AddBatch → insertBatch) exists
-// to be safe against duplicate inserts into a filled store; a bulk build
-// needs none of it — the input is sorted, hence duplicate-free, and the
-// indexes are empty — so it can build every index level by direct append: no
-// dedup probing, no search for a member's place in its run. Recovery (the
-// data directory's patches, composed: the only way durable fills a store)
-// and the reasoner's seed round (a whole round of inferred triples committed
-// into the empty overlay) are the two callers.
+// installed dictionary, or behind the store's own. The mutation path
+// (Tx.AddBatch → insertBatch) exists to be safe against duplicate inserts
+// into a filled store; a bulk build needs none of it — the input is sorted,
+// hence duplicate-free, and the indexes are empty — so it can build every
+// index level by direct append: no dedup probing, no search for a member's
+// place in its run. Recovery (the data directory's patches, composed: the
+// only way durable fills a store) and the reasoner's seed round (a whole
+// round of inferred triples committed into the empty overlay) are the two
+// callers.
 
-// RestoreSorted bulk-loads an empty store from a recovered dictionary and a
-// sorted triple set, at generation gen. dict[i] becomes the name of SymbolID
-// i (reproducing the interning order the data directory recorded), and
-// triples must satisfy LoadSorted's contract against that dictionary:
-// strictly ascending in (S, P, O) order with every component id below
-// len(dict). dict is retained; callers must not mutate it afterwards. The
-// store's digest is computed from what was loaded, so Position reports gen
-// and the digest of the triples: a caller holding the digest the history
-// recorded compares the two.
+// RestoreSorted bulk-loads a store without triples from a recovered
+// dictionary and a sorted triple set, at generation gen. dict[i] becomes the
+// name of SymbolID i (reproducing the interning order the data directory
+// recorded); an empty dict keeps the names the store holds, which a caller
+// that restored them first and interned more (recovery's log tail) passes.
+// triples must satisfy LoadSorted's contract against the dictionary: strictly
+// ascending in (S, P, O) order with every component id below its length.
+// dict is retained; callers must not mutate it afterwards. The store's digest
+// is computed from what was loaded, so Position reports gen and the digest
+// of the triples: a caller holding the digest the history recorded compares
+// the two. Given no triples the load is skipped, and with it the digest's
+// pass over every name.
 //
-// The store must be empty — no triples, no dictionary — and journal-free:
-// restore bypasses the mutation path, so nothing is journaled (recovery runs
-// before the engine attaches its journal). Invalid input is rejected before
-// anything is installed. The caller owns the store exclusively until
-// RestoreSorted returns; afterwards it is safe for concurrent use as usual.
+// The store must hold no triples — nor any name when dict is not empty — and
+// no journal: restore bypasses the mutation path, so nothing is journaled
+// (recovery runs before the engine attaches its journal). Invalid input is
+// rejected before anything is installed. The caller owns the store
+// exclusively until RestoreSorted returns; afterwards it is safe for
+// concurrent use as usual.
 func (s *Store) RestoreSorted(dict []string, triples []IDTriple, gen uint64) error {
-	if s.Len() != 0 || s.DictLen() != 0 {
+	if s.Len() != 0 || len(dict) > 0 && s.DictLen() != 0 {
 		return fmt.Errorf("store: RestoreSorted needs an empty store, not %d triples and %d dictionary entries", s.Len(), s.DictLen())
 	}
 	if s.getJournal() != nil {
 		return fmt.Errorf("store: RestoreSorted bypasses the mutation path and would not journal; detach the journal first")
 	}
-	if err := checkSorted(triples, SymbolID(len(dict))); err != nil {
+	n := len(dict)
+	if n == 0 {
+		n = s.DictLen()
+	}
+	if err := checkSorted(triples, SymbolID(n)); err != nil {
 		return err
 	}
-	// The index is sized for the whole dictionary once, and each name is
-	// probed before it is filed, so a repeat is caught at its second id.
-	fresh := symtab{index: make([]uint32, indexLen(len(dict))), names: pagedNames(dict)}
-	for i, name := range dict {
-		if name == "" {
-			return fmt.Errorf("store: restore dictionary id %d is the empty string", i)
+	if len(dict) > 0 {
+		// The index is sized for the whole dictionary once, and each name
+		// is probed before it is filed, so a repeat is caught at its second
+		// id.
+		fresh := symtab{index: make([]uint32, indexLen(len(dict))), names: pagedNames(dict)}
+		for i, name := range dict {
+			if name == "" {
+				return fmt.Errorf("store: restore dictionary id %d is the empty string", i)
+			}
+			prev, slot, dup := fresh.find(name)
+			if dup {
+				return fmt.Errorf("store: restore dictionary repeats %q as ids %d and %d", name, prev, i)
+			}
+			fresh.index[slot] = uint32(i) + 1
 		}
-		prev, slot, dup := fresh.find(name)
-		if dup {
-			return fmt.Errorf("store: restore dictionary repeats %q as ids %d and %d", name, prev, i)
-		}
-		fresh.index[slot] = uint32(i) + 1
+		s.syms.mu.Lock()
+		s.syms.index = fresh.index
+		s.syms.names = fresh.names
+		s.syms.mu.Unlock()
 	}
-	s.syms.mu.Lock()
-	s.syms.index = fresh.index
-	s.syms.names = fresh.names
-	s.syms.mu.Unlock()
-	s.loadSorted(triples)
+	if len(triples) > 0 {
+		s.loadSorted(triples)
+	}
 	s.mu.gen.Store(gen)
 	return nil
 }

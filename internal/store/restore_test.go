@@ -247,6 +247,8 @@ func TestRestoreSortedRejectsBadInput(t *testing.T) {
 		{"duplicate triple", New, dict, []IDTriple{{0, 1, 2}, {0, 1, 2}}},
 		{"duplicate dict name", New, []string{"a", "a"}, nil},
 		{"empty dict name", New, []string{"a", ""}, nil},
+		{"a dictionary over held names", func() *Store { s := New(); s.Intern("a"); return s }, dict, nil},
+		{"id beyond the held names", func() *Store { s := New(); s.Intern("a"); return s }, nil, []IDTriple{{0, 0, 1}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -255,6 +257,32 @@ func TestRestoreSortedRejectsBadInput(t *testing.T) {
 				t.Fatal("RestoreSorted accepted invalid input")
 			}
 		})
+	}
+}
+
+// TestRestoreSortedKeepsHeldNames: with an empty dictionary RestoreSorted
+// loads against the names the store holds — restored by an earlier call and
+// interned since, as recovery leaves them — and given no triples it installs
+// the names alone, the digest still that of the empty store.
+func TestRestoreSortedKeepsHeldNames(t *testing.T) {
+	s := New()
+	if err := s.RestoreSorted([]string{"a", "p"}, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != 0 || s.DictLen() != 2 || s.Position().Digest != (Digest{}) {
+		t.Fatalf("names alone: %d triples, %d names, digest %v", s.Len(), s.DictLen(), s.Position().Digest)
+	}
+	o, err := s.Intern("o")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RestoreSorted(nil, []IDTriple{{0, 1, o}}, 7); err != nil {
+		t.Fatal(err)
+	}
+	want := New()
+	want.MustAdd(Triple{"a", "p", "o"})
+	if got := s.Position(); got.Gen != 7 || got.Digest != want.Position().Digest || !s.Contains(Triple{"a", "p", "o"}) || s.DictLen() != 3 {
+		t.Fatalf("loaded against held names: position %+v, want generation 7 and digest %v; %d names", got, want.Position().Digest, s.DictLen())
 	}
 }
 

@@ -14,6 +14,20 @@ import (
 // the invariants every search relies on, and the cursor to what resuming by
 // value buys: a write disturbs no triple it did not touch.
 
+// removeOne removes (lead, mid, c) from ix as a batch of one, the only way
+// the index removes, reporting whether it was there.
+func removeOne(ix *index, lead, mid, c uint32) bool {
+	keys := [][4]uint32{{lead, mid, c, 0}}
+	return len(ix.removeAll(keys)) == 1
+}
+
+// removeMember removes c from mid's set of e as a batch of one, reporting
+// whether it was there.
+func removeMember(e *leadEntry, mid, c uint32) bool {
+	keys := [][4]uint32{{0, mid, c, 0}}
+	return len(e.removeAll(mid, keys, keys[:0])) == 1
+}
+
 // checkLead holds one lead entry to its layout — at least one pair, pairs
 // ascending by (mid, first member), each chunk passing checkSet, the chunks
 // of one mid disjoint and ascending — and counts the members it holds.
@@ -219,7 +233,7 @@ func idSetScript(t *testing.T, hub uint16, script []byte) {
 			}
 			model[key] = true
 		case 2:
-			if got := ix.remove(lead, mid, v); got != model[key] {
+			if got := removeOne(&ix, lead, mid, v); got != model[key] {
 				t.Fatalf("op %d: remove(%d, %d) = %v, model says %v", i/3, mid, v, got, model[key])
 			} else if got {
 				perMid[mid]--
@@ -366,7 +380,7 @@ func TestChunkedSetChurn(t *testing.T) {
 			}
 			before := len(set)
 			for v := uint32(1000); v < 2100; v++ {
-				if !e.remove(3, v) {
+				if !removeMember(&e, 3, v) {
 					t.Fatalf("remove(%d) missed", v)
 				}
 			}
@@ -408,7 +422,7 @@ func TestIDSetSearchDoesNotAllocate(t *testing.T) {
 		order := rng.Perm(members)
 		next := 0
 		if allocs := testing.AllocsPerRun(200, func() {
-			if !e.remove(mid, uint32(3*order[next])) {
+			if !removeMember(&e, mid, uint32(3*order[next])) {
 				t.Fatalf("remove(%d) missed a member", 3*order[next])
 			}
 			next++

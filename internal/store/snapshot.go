@@ -46,66 +46,30 @@ func writeSnapshot(w io.Writer, triples []Triple, tagged *View) (int, error) {
 	return len(triples), nil
 }
 
-// restoreChunk is how many decoded triples Restore accumulates before
-// flushing them to the store in one AddBatch.
-const restoreChunk = 4096
-
 // Restore reads a snapshot produced by Snapshot and adds every triple to the
 // store (existing triples are kept; duplicates are ignored). It returns the
 // number of triples added.
 //
-// Partial-commit contract: a malformed or invalid entry aborts the restore
-// with an error identifying the entry number, and the valid triples read
-// before the error REMAIN in the store — Restore streams through the batch
-// path and is deliberately not transactional, so a multi-gigabyte snapshot
-// never has to be buffered twice. Callers that must not observe (or serve,
-// or journal) a partially restored corpus restore into a scratch store
-// first and move the triples over only on success, as cmd/ontoserve does:
-//
-//	scratch := store.New()
-//	if _, err := store.Restore(scratch, r); err != nil {
-//	    return err // nothing reached the real store
-//	}
-//	_, err := s.AddBatch(scratch.Triples())
-//
-// Ingest goes through the batch path in chunks, so restoring a large
-// snapshot takes the write lock once per chunk instead of once per triple.
+// Restore is all-or-nothing: the whole stream is decoded and validated
+// first, and a malformed or invalid entry aborts it with an error naming the
+// entry before anything is added or a name interned. A clean stream is added
+// as one AddBatch, which files it in windows of a chunk's worth of keys.
 func Restore(s *Store, r io.Reader) (int, error) {
 	dec := json.NewDecoder(r)
-	added := 0
-	line := 0
-	chunk := make([]Triple, 0, restoreChunk)
-	flush := func() error {
-		n, err := s.AddBatch(chunk)
-		added += n
-		chunk = chunk[:0]
-		return err
-	}
-	for {
+	var ts []Triple
+	for line := 1; ; line++ {
 		var t Triple
 		err := dec.Decode(&t)
 		if err == io.EOF {
-			ferr := flush()
-			return added, ferr
+			break
 		}
-		line++
 		if err != nil {
-			if ferr := flush(); ferr != nil {
-				return added, ferr
-			}
-			return added, fmt.Errorf("store: decoding snapshot entry %d: %w", line, err)
+			return 0, fmt.Errorf("store: decoding snapshot entry %d: %w", line, err)
 		}
 		if !t.valid() {
-			if ferr := flush(); ferr != nil {
-				return added, ferr
-			}
-			return added, fmt.Errorf("store: snapshot entry %d: triple %v has an empty component", line, t)
+			return 0, fmt.Errorf("store: snapshot entry %d: triple %v has an empty component", line, t)
 		}
-		chunk = append(chunk, t)
-		if len(chunk) == restoreChunk {
-			if err := flush(); err != nil {
-				return added, err
-			}
-		}
+		ts = append(ts, t)
 	}
+	return s.AddBatch(ts)
 }

@@ -64,14 +64,15 @@ func TestRestoreMalformedInput(t *testing.T) {
 	if _, err := Restore(New(), strings.NewReader(`{"Subject":"","Predicate":"p","Object":"o"}`)); err == nil {
 		t.Error("Restore accepted a triple with an empty component")
 	}
-	// Valid prefix before the malformed entry is preserved.
+	// Restore is all-or-nothing: a valid prefix before the malformed entry
+	// is neither added nor interned.
 	partial := New()
 	added, err := Restore(partial, strings.NewReader(`{"Subject":"a","Predicate":"p","Object":"o"}`+"\n{bad"))
 	if err == nil {
 		t.Error("Restore should report the malformed tail")
 	}
-	if added != 1 || !partial.Contains(Triple{"a", "p", "o"}) {
-		t.Errorf("valid prefix should be preserved: added=%d", added)
+	if added != 0 || partial.Len() != 0 || partial.DictLen() != 0 {
+		t.Errorf("nothing was added: added=%d, %d triples, %d names", added, partial.Len(), partial.DictLen())
 	}
 }
 

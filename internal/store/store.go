@@ -24,9 +24,9 @@
 //     an id minted mid-read.
 //   - index.go: one permutation index — the lead directory and its pages, the
 //     midTrail pairs, inline singles, sorted runs and the chunks of a long
-//     set; every lead access goes through find, slot, insert, remove, their
-//     batch twins insertAll and removeAll, and the one ascending walk,
-//     ascend. Ids are minted ascending, so a fresh
+//     set; every lead access goes through find, slot, the grouped writes
+//     insertAll and removeAll, insert (POS's one-at-a-time adds), and the
+//     one ascending walk, ascend. Ids are minted ascending, so a fresh
 //     subject lands at the end of its class's last chunk and moves nothing.
 //   - store.go: Store, write sections, generation and position; tx.go the
 //     write handle Tx (every write method, the journal record it collects,
@@ -52,7 +52,7 @@
 // on all eight shapes; no read path's oracle is another read path. runs_test.go holds the layout (checkRuns, called from the reference
 // suite, the fuzz target and the bulk-load tests), fuzzes one lead's sets
 // against a map (FuzzIDSet, whose queued members are filed as one grouped
-// batch), pins 0 allocations for search, remove and a new middle id and one
+// batch), pins 0 allocations for search, a one-member removeAll and a new middle id and one
 // growth per set and pair slice for a batch (TestBatchGrowsEachSetOnce), and
 // drains cursors while writes land below and above them
 // (TestCursorResumesByValue). objectonly_test.go holds the object-only shape

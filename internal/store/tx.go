@@ -16,13 +16,17 @@ import (
 // committed; a caller whose write touches the store more than once (the
 // reasoner asserts, maintains, then retracts) does all its touches in one
 // section and commits once, so the whole write is one state change to
-// readers, one journal record and one wait for durability. A batch —
-// AddBatch, AddIDs, a long RemoveIDs — is keyed and sorted in scratch kept
-// beside the section's buffers: an added one is filed set by set in SPO
+// readers, one journal record and one wait for durability.
+//
+// There is one filing path per direction: every add goes through
+// insertBatch and every remove through RemoveIDs, and the one-triple
+// methods (Add, AddID, Remove, RemoveID) are batches of one. A batch is keyed
+// and sorted in scratch kept beside the section's buffers, so a warmed write
+// allocates nothing for it: an added one is filed set by set in SPO
 // (index.insertAll), so each subject's sets and pair slice grow once, and
 // then into POS triple by triple; a removed one is compacted set by set in
-// both (index.removeAll). An added batch is noted in its own order, so its
-// journal record and digest are those of the same triples added one at a
+// both (index.removeAll). Either is noted in the batch's own order, so its
+// journal record and digest are those of the same triples written one at a
 // time.
 
 // Tx is a write handle on one store, begun with Store.Begin. Its methods take
@@ -96,13 +100,22 @@ func (sec *viewLock) stage(gen uint64) {
 	}
 }
 
-// hash is H of one encoded triple of s's dictionary; zero on an overlay,
-// which keeps no digest.
-func (s *Store) hash(t IDTriple) Digest {
+// hashNames is one read of the dictionary for a batch's hashes (hash); an
+// overlay, which keeps no digest, reads none.
+func (s *Store) hashNames() nameTable {
+	if s.overlay {
+		return nameTable{}
+	}
+	return s.syms.snapshot()
+}
+
+// hash is H of one encoded triple, names being hashNames; zero on an
+// overlay.
+func (s *Store) hash(names nameTable, t IDTriple) Digest {
 	if s.overlay {
 		return Digest{}
 	}
-	return idHash(s.syms.snapshot(), t)
+	return idHash(names, t)
 }
 
 // addable refuses an add that the journal would replay before this handle's
@@ -123,7 +136,7 @@ func (tx *Tx) Add(t Triple) (bool, error) {
 	if err := tx.addable(); err != nil {
 		return false, err
 	}
-	return tx.insert(tx.s.syms.internTriple(t)), nil
+	return len(tx.insertBatch([]IDTriple{tx.s.syms.internTriple(t)})) == 1, nil
 }
 
 // AddID inserts a dictionary-encoded triple, reporting whether it was newly
@@ -139,19 +152,7 @@ func (tx *Tx) AddID(t IDTriple) (bool, error) {
 	if err := tx.addable(); err != nil {
 		return false, err
 	}
-	return tx.insert(t), nil
-}
-
-// insert files one encoded triple in both indexes.
-func (tx *Tx) insert(t IDTriple) bool {
-	s := tx.s
-	added := s.spo.insert(t.S, t.P, t.O)
-	if added {
-		s.pos.insert(t.P, t.O, t.S)
-		s.size.Add(1)
-		tx.note(t, true, s.hash(t))
-	}
-	return added
+	return len(tx.insertBatch([]IDTriple{t})) == 1, nil
 }
 
 // AddBatch inserts a batch of triples and returns the ones that were newly
@@ -213,22 +214,12 @@ func (tx *Tx) AddIDs(ts []IDTriple) ([]IDTriple, error) {
 // (PERFLOG.md "A write files each set once").
 func (tx *Tx) insertBatch(enc []IDTriple) []IDTriple {
 	s, sec := tx.s, tx.s.mu
-	switch len(enc) {
-	case 0:
-		return enc
-	case 1:
-		if tx.insert(enc[0]) {
-			return enc
-		}
-		return enc[:0]
-	}
-	// out is written only below the window being filed; names is one read
-	// of the dictionary for the batch's hashes.
-	out, names := enc[:0], s.syms.snapshot()
+	// out is written only below the window being filed.
+	out, names := enc[:0], s.hashNames()
 	for lo := 0; lo < len(enc); lo += maxBatchKeys {
 		win := enc[lo:min(lo+maxBatchKeys, len(enc))]
 		keys, isFresh := sec.batchKeys(win), &sec.fresh
-		clear(isFresh[:])
+		clear(isFresh[:(len(win)+63)/64])
 		for _, k := range s.spo.insertAll(keys) {
 			isFresh[k[3]/64] |= 1 << (k[3] % 64)
 		}
@@ -238,11 +229,7 @@ func (tx *Tx) insertBatch(enc []IDTriple) []IDTriple {
 			}
 			s.pos.insert(e.P, e.O, e.S)
 			out = append(out, e)
-			var h Digest
-			if !s.overlay {
-				h = idHash(names, e)
-			}
-			tx.note(e, true, h)
+			tx.note(e, true, s.hash(names, e))
 		}
 		sec.release(keys)
 	}
@@ -266,7 +253,7 @@ func (sec *viewLock) batchKeys(ts []IDTriple) [][4]uint32 {
 	for i, t := range ts {
 		keys[i] = [4]uint32{t.S, t.P, t.O, uint32(i)}
 	}
-	slices.SortFunc(keys, compareKeys)
+	sortKeys(keys, compareKeys)
 	return keys
 }
 
@@ -276,8 +263,16 @@ func toPOS(keys [][4]uint32) [][4]uint32 {
 	for i, k := range keys {
 		keys[i] = [4]uint32{k[1], k[2], k[0], k[3]}
 	}
-	slices.SortFunc(keys, compareKeys)
+	sortKeys(keys, compareKeys)
 	return keys
+}
+
+// sortKeys sorts batch keys by cmp. A batch of one — every one-triple
+// write — is sorted already, and skips the sort's call.
+func sortKeys(keys [][4]uint32, cmp func(a, b [4]uint32) int) {
+	if len(keys) > 1 {
+		slices.SortFunc(keys, cmp)
+	}
 }
 
 // compareKeys orders batch keys component by component, two at a time.
@@ -303,56 +298,34 @@ func (tx *Tx) Remove(t Triple) bool {
 	return ok && tx.RemoveID(e)
 }
 
-// RemoveID deletes a dictionary-encoded triple from both indexes, reporting whether it was present. Ids the dictionary never minted simply
-// match nothing. It is the id-level twin of Remove, used by the overdeletion
-// pass of incremental maintenance.
+// RemoveID deletes a dictionary-encoded triple from both indexes, reporting
+// whether it was present: RemoveIDs of one. Ids the dictionary never minted
+// simply match nothing. It is the id-level twin of Remove.
 func (tx *Tx) RemoveID(t IDTriple) bool {
-	s := tx.s
-	removed := s.spo.remove(t.S, t.P, t.O)
-	if removed {
-		s.pos.remove(t.P, t.O, t.S)
-		s.size.Add(-1)
-		tx.note(t, false, s.hash(t))
-	}
-	return removed
+	return tx.RemoveIDs([]IDTriple{t}) == 1
 }
 
-// removeIDsMin is the batch length from which RemoveIDs sorts the batch and
-// compacts each touched set once. Below it, removing triple by triple moves
-// fewer than removeIDsMin times the bytes of one compaction and skips the
-// two sorts.
-const removeIDsMin = 64
-
 // RemoveIDs deletes a batch of dictionary-encoded triples and reports how
-// many were present: RemoveID over the batch, so a duplicate counts once and
-// an absent triple not at all. A large batch is sorted per index and every
-// trailing set it touches is compacted in one pass, so retracting k of a
-// set's n members moves O(n) bytes, not the O(k·n) of k RemoveID calls (which
-// made one write that empties a large class quadratic in its size).
+// many were present: a duplicate counts once and an absent triple not at
+// all. The batch is sorted per index and every trailing set it touches is
+// compacted in one pass (index.removeAll), so retracting k of a set's n
+// members moves O(n) bytes, not the O(k·n) of k removals one at a time
+// (which made one write that empties a large class quadratic in its size).
+// The removed triples are noted in the batch's order, each at its first
+// occurrence, as insertBatch notes its adds, so the journal record reads as
+// if they had been removed one by one.
 func (tx *Tx) RemoveIDs(ts []IDTriple) int {
-	if len(ts) < removeIDsMin {
-		n := 0
-		for _, t := range ts {
-			if tx.RemoveID(t) {
-				n++
-			}
-		}
-		return n
-	}
 	// The indexes hold the same triples, so only what SPO reports gone is
 	// looked for in POS.
 	s, sec := tx.s, tx.s.mu
 	keys := sec.batchKeys(ts)
 	gone := s.spo.removeAll(keys)
 	s.size.Add(-int64(len(gone)))
-	names := s.syms.snapshot()
+	sortKeys(gone, func(a, b [4]uint32) int { return cmp.Compare(a[3], b[3]) })
+	names := s.hashNames()
 	for _, k := range gone {
 		t := IDTriple{S: k[0], P: k[1], O: k[2]}
-		var h Digest
-		if !s.overlay {
-			h = idHash(names, t)
-		}
-		tx.note(t, false, h)
+		tx.note(t, false, s.hash(names, t))
 	}
 	s.pos.removeAll(toPOS(gone))
 	sec.release(keys)

@@ -186,13 +186,13 @@ func TestTxRefusesAddAfterRemove(t *testing.T) {
 	}
 }
 
-// TestTxRemoveIDsJournalsWhatWasPresent: a batch removal long enough to be
-// sorted and compacted journals each triple it deleted once, whatever the
+// TestTxRemoveIDsJournalsWhatWasPresent: a batch removal, sorted and
+// compacted, journals each triple it deleted once, whatever the
 // batch repeated or named in vain, and counts the same.
 func TestTxRemoveIDsJournalsWhatWasPresent(t *testing.T) {
 	s := New()
 	var batch, present []IDTriple
-	for i := 0; i < removeIDsMin; i++ {
+	for i := 0; i < 64; i++ {
 		tr := Triple{fmt.Sprintf("i%d", i), TypePredicate, "hub"}
 		s.MustAdd(tr)
 		s.MustAdd(Triple{tr.Subject, "p", "o"})
@@ -219,8 +219,40 @@ func TestTxRemoveIDsJournalsWhatWasPresent(t *testing.T) {
 	if len(j.removes) != 1 || !reflect.DeepEqual(j.removes[0], present) {
 		t.Fatalf("journaled removes %v, want %v", j.removes, present)
 	}
-	if s.Len() != 2*removeIDsMin-len(present) {
-		t.Fatalf("Len = %d after removing %d of %d", s.Len(), len(present), 2*removeIDsMin)
+	if s.Len() != 128-len(present) {
+		t.Fatalf("Len = %d after removing %d of %d", s.Len(), len(present), 128)
+	}
+}
+
+// TestTxRemoveIDsJournalsInBatchOrder: a shuffled removal of 96 triples —
+// past the length from which a batch was once journaled in SPO order —
+// journals what it removed in the batch's order, each triple at its first
+// occurrence, as removing them one by one would.
+func TestTxRemoveIDsJournalsInBatchOrder(t *testing.T) {
+	s := New()
+	var all []IDTriple
+	for i := 0; i < 96; i++ {
+		tr := Triple{fmt.Sprintf("i%d", i), TypePredicate, fmt.Sprintf("c%d", i%5)}
+		s.MustAdd(tr)
+		e, _ := s.syms.lookupTriple(tr)
+		all = append(all, e)
+	}
+	rand.New(rand.NewSource(7)).Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+	batch := slices.Concat(all, all[:10]) // repeats journal once, first
+	j := &recJournal{}
+	s.SetJournal(j)
+	tx := s.Begin()
+	s.Write(func() bool {
+		if n := tx.RemoveIDs(batch); n != len(all) {
+			t.Fatalf("RemoveIDs = %d, want %d", n, len(all))
+		}
+		return false
+	})
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if len(j.removes) != 1 || !slices.Equal(j.removes[0], all) {
+		t.Fatalf("journaled removes %v, want the batch's order %v", j.removes, all)
 	}
 }
 
