@@ -280,7 +280,9 @@ func BenchmarkMergeRun(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := writeSegment(d, merged, nil); err != nil {
+		_, err = writeSegment(d, merged, nil)
+		merged.close()
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

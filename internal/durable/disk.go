@@ -2,7 +2,7 @@ package durable
 
 import (
 	"errors"
-	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -18,15 +18,27 @@ type disk interface {
 	// synced into its parent.
 	mkdir() error
 	list() ([]string, error)
-	readFile(name string) ([]byte, error)
-	// readRange reads name's bytes [from, to); to < 0 reads to the end.
-	readRange(name string, from, to int64) ([]byte, error)
+	// open opens name for reading: the package's one read door. Every
+	// reader of a data-directory file reads it through a source, a few KiB
+	// at a time (reader.go), never whole.
+	open(name string) (source, error)
+	// readBuf is the size a reader of this disk's files starts its buffer
+	// at: readBufSize on a real directory.
+	readBuf() int
 	create(name string) (file, error) // create or truncate, for writing
 	openAppend(name string) (file, error)
 	rename(from, to string) error
 	remove(name string) error
 	truncate(name string, size int64) error
 	syncDir(name string) error // "." the data directory, ".." its parent
+}
+
+// source is a file of the data directory open for reading: bytes read at
+// any offset, and the file's size when it was opened.
+type source interface {
+	io.ReaderAt
+	Size() int64
+	Close() error
 }
 
 // file is an open file of the data directory.
@@ -64,41 +76,39 @@ func (d osDisk) list() ([]string, error) {
 	return names, err
 }
 
-func (d osDisk) readFile(name string) ([]byte, error) { return os.ReadFile(d.path(name)) }
+// osSource is a file of a real directory open for reading.
+type osSource struct {
+	*os.File
+	size int64
+}
 
-func (d osDisk) readRange(name string, from, to int64) ([]byte, error) {
+func (s osSource) Size() int64 { return s.size }
+
+func (d osDisk) open(name string) (source, error) {
 	f, err := os.Open(d.path(name))
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	if to < 0 {
-		fi, err := f.Stat()
-		if err != nil {
-			return nil, err
-		}
-		to = fi.Size()
-	}
-	if to < from {
-		return nil, fmt.Errorf("reading %s: range [%d, %d) is past its end", name, from, to)
-	}
-	buf := make([]byte, to-from)
-	if _, err := f.ReadAt(buf, from); err != nil {
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
 		return nil, err
 	}
-	return buf, nil
+	return osSource{f, fi.Size()}, nil
 }
 
+func (osDisk) readBuf() int { return readBufSize }
+
 func (d osDisk) create(name string) (file, error) {
-	return d.open(name, os.O_CREATE|os.O_TRUNC|os.O_WRONLY)
+	return d.openFile(name, os.O_CREATE|os.O_TRUNC|os.O_WRONLY)
 }
 
 func (d osDisk) openAppend(name string) (file, error) {
-	return d.open(name, os.O_WRONLY|os.O_APPEND)
+	return d.openFile(name, os.O_WRONLY|os.O_APPEND)
 }
 
-// open opens name with flag, handing back a nil interface on failure.
-func (d osDisk) open(name string, flag int) (file, error) {
+// openFile opens name with flag, handing back a nil interface on failure.
+func (d osDisk) openFile(name string, flag int) (file, error) {
 	f, err := os.OpenFile(d.path(name), flag, 0o644)
 	if err != nil {
 		return nil, err

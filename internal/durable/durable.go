@@ -29,8 +29,10 @@
 // osDisk, its only implementation; no other non-test file imports os.
 // record.go is the wire format (frames, records, the payload cap both sides
 // enforce); wal.go the group-committing writer, which also keeps the
-// position, seq and end offset of every write of the live log; segment.go the
-// segment codec and its temp-then-rename publish; tier.go the patches, the
+// position, seq and end offset of every write of the live log; reader.go
+// the buffered reader every file is read through, and the run cursor that
+// re-checks a segment's runs; segment.go the segment codec, its verifying
+// pass and its temp-then-rename publish; tier.go the patches, the
 // one k-way fold (push checks adjacency and dictionary contiguity), walkWAL
 // with the record rules, foldChain, foldWAL, foldHistory and the merge policy;
 // recover.go the startup state machine and the package's one directory
@@ -559,19 +561,16 @@ func (e *Engine) publishWindow(lastEnd uint64, dictNext store.SymbolID, lastAt s
 	if e.wals[len(e.wals)-1] <= covered {
 		e.wals = append(e.wals, covered+1)
 	}
-	sealed := e.wals[:len(e.wals)-1]
-	datas, err := readWAL(e.disk, sealed)
-	if err != nil {
-		return segMeta{}, 0, err
-	}
-	seg, _, err := foldWAL(e.disk, sealed, datas, lastEnd, dictNext, lastAt, nil)
+	seg, _, err := foldWAL(e.disk, e.wals[:len(e.wals)-1], -1, lastEnd, dictNext, lastAt, nil, nil)
 	if err == nil && seg.end != covered {
 		err = fmt.Errorf("durable: checkpoint window ends at record %d, want the rotation point %d", seg.end, covered)
 	}
 	if err != nil {
 		return segMeta{}, 0, err
 	}
-	meta, err := writeSegment(e.disk, foldOf(seg), nil)
+	fd := foldOf(seg)
+	fd.readBuf = e.disk.readBuf()
+	meta, err := writeSegment(e.disk, fd, nil)
 	return meta, seg.dict.n, err
 }
 
@@ -652,6 +651,7 @@ func (e *Engine) mergeRun(i int, metas []segMeta) error {
 		return fmt.Errorf("durable: merge reading input: %w", err)
 	}
 	meta, err := writeSegment(e.disk, merged, e.done)
+	merged.close()
 	if errors.Is(err, errStopped) {
 		return nil // closing: the output is removed, inputs intact
 	}

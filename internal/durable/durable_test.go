@@ -548,7 +548,7 @@ func TestLoadSegmentRejectsOverflowedTripleCount(t *testing.T) {
 	// The add count sits right before the add run, the (empty) remove run and
 	// the 12-byte footer. 12*(count + 2^62) = 12*count + 3*2^64 ≡ 12*count
 	// (mod 2^64), so the patched count defeats any multiplication-based check.
-	countOff := len(data) - (4 + len(segTrailer)) - 8 - 12*seg.adds.len() - 8
+	countOff := len(data) - (4 + len(segTrailer)) - 8 - 12*seg.adds.n - 8
 	count := binary.LittleEndian.Uint64(data[countOff:])
 	binary.LittleEndian.PutUint64(data[countOff:], count+1<<62)
 	body := data[:len(data)-(4+len(segTrailer))]
@@ -853,14 +853,14 @@ func TestSegmentRoundTrip(t *testing.T) {
 	if got.size != meta.bytes {
 		t.Fatalf("loaded size %d, written size %d", got.size, meta.bytes)
 	}
-	if names := got.dict.appendStrings(nil); len(names) != 4 || names[3] != "o1" {
+	if names := got.dict.strings(); len(names) != 4 || names[3] != "o1" {
 		t.Fatalf("dict = %v", names)
 	}
-	if got.adds.len() != 2 || got.adds.at(1) != (store.IDTriple{S: 2, P: 3, O: 5}) {
-		t.Fatalf("adds = %v", got.adds.triples())
+	if adds := got.adds.triples(); len(adds) != 2 || adds[1] != (store.IDTriple{S: 2, P: 3, O: 5}) {
+		t.Fatalf("adds = %v", adds)
 	}
-	if got.removes.len() != 1 || got.removes.at(0) != (store.IDTriple{S: 0, P: 1, O: 2}) {
-		t.Fatalf("removes = %v", got.removes.triples())
+	if removes := got.removes.triples(); len(removes) != 1 || removes[0] != (store.IDTriple{S: 0, P: 1, O: 2}) {
+		t.Fatalf("removes = %v", removes)
 	}
 
 	for _, corrupt := range []struct {

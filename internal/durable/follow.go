@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -34,6 +35,7 @@ type Follower struct {
 	ids  store.SymbolID
 	seq  uint64
 	at   store.Position
+	buf  []byte // the frame buffer every Read reuses
 }
 
 // Position is the primary position the follower has applied through.
@@ -47,7 +49,13 @@ func (f *Follower) Position() store.Position { return f.at }
 // returns the follower positioned at the stamp, its dictionary the
 // snapshot's names, which it shares with st page by page.
 func LoadSnapshot(st *store.Store, data []byte) (*Follower, error) {
-	seg, err := decodeSegment("snapshot", data)
+	return loadSnapshot(st, data, readBufSize)
+}
+
+// loadSnapshot is LoadSnapshot reading the snapshot through buffers of
+// readBuf bytes.
+func loadSnapshot(st *store.Store, data []byte, readBuf int) (*Follower, error) {
+	seg, err := verifySegment("snapshot", bytes.NewReader(data), int64(len(data)), make([]byte, readBuf))
 	if err != nil {
 		return nil, err
 	}
@@ -55,7 +63,11 @@ func LoadSnapshot(st *store.Store, data []byte) (*Follower, error) {
 		return nil, err
 	}
 	f := foldOf(seg)
-	names := f.dictionary()
+	f.readBuf = readBuf
+	names, err := f.dictionary(0)
+	if err != nil {
+		return nil, err
+	}
 	if err := st.RestoreSorted(names, nil, 0); err != nil {
 		return nil, err
 	}
@@ -115,7 +127,12 @@ func (f *Follower) Read(body []byte, apply func(adds, removes []store.Triple, at
 		applied++
 		return nil
 	}
-	off, err := walkWAL("log body", body, f.seq, &w, visit)
+	if f.buf == nil {
+		f.buf = make([]byte, readBufSize)
+	}
+	rd := newReader(bytes.NewReader(body), 0, int64(len(body)), f.buf, false)
+	off, err := walkWAL("log body", &rd, f.seq, &w, visit)
+	f.buf = rd.buf
 	switch {
 	case applyErr != nil:
 		return applied, applyErr

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -117,14 +118,25 @@ func recoverLogSeeds(tb testing.TB) [][]byte {
 		built[:offsets[4]], built[:offsets[7]+11], built[:len(built)-1])
 }
 
+// fuzzReadBuf is the reader buffer a fuzz input's size picks: 1 to 4 096
+// bytes, so the fuzzer moves frames, names and triples across buffer edges.
+func fuzzReadBuf(size uint16) int { return 1 + int(size)%4096 }
+
+// fuzzSizes are the sizes each seed is added with: a 13-byte buffer, which
+// every frame, name and triple straddles, and a 4 096-byte one.
+var fuzzSizes = []uint16{12, 4095}
+
 // FuzzRecoverLog feeds arbitrary bytes to the whole recovery path — the only
 // way the engine fills a store — as a log tail, once over a bare directory,
-// once behind a two-segment tier chain: recovery must either succeed (torn
-// tails are legal in the last file) or fail with an error — never panic, and
-// never load a state the fold did not explicitly compose.
+// once behind a two-segment tier chain, through readers of a buffer size the
+// input picks (fuzzReadBuf): recovery must either succeed (torn tails are
+// legal in the last file) or fail with an error — never panic, and never
+// load a state the fold did not explicitly compose.
 func FuzzRecoverLog(f *testing.F) {
 	for _, seed := range recoverLogSeeds(f) {
-		f.Add(seed)
+		for _, size := range fuzzSizes {
+			f.Add(seed, size)
+		}
 	}
 	segs, _ := fuzzChainSegments()
 	// Serialize the segment fixture once and lay its bytes down per exec.
@@ -134,8 +146,9 @@ func FuzzRecoverLog(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, size uint16) {
 		d := newMemDisk()
+		d.bufSize = fuzzReadBuf(size)
 		d.put(walFileName(1), data)
 		rec, err := recoverDir(store.New(), d)
 		if err == nil {
@@ -146,6 +159,7 @@ func FuzzRecoverLog(f *testing.F) {
 		// covers seqs 1..4, so the tail file starts at 5 and the fuzzed data
 		// must chain densely from there (or be refused).
 		chain := chainDisk.clone()
+		chain.bufSize = d.bufSize
 		chain.put(walFileName(5), data)
 		st := store.New()
 		rec, err = recoverDir(st, chain)
@@ -192,11 +206,7 @@ func FuzzLogReadersAgree(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := newMemDisk()
 		d.put(walFileName(1), data)
-		datas, err := readWAL(d, []uint64{1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		seg, live, recErr := foldWAL(d, []uint64{1}, datas, 0, 0, store.Position{}, store.New())
+		seg, live, recErr := foldWAL(d, []uint64{1}, -1, 0, 0, store.Position{}, store.New(), nil)
 
 		var fol Follower
 		n, folErr := fol.Read(data, func([]store.Triple, []store.Triple, store.Position) error { return nil })
@@ -220,27 +230,42 @@ func FuzzLogReadersAgree(f *testing.F) {
 	})
 }
 
-// FuzzLoadSegment throws arbitrary bytes at the segment decoder: whatever the
-// input, it must return cleanly — segments are published atomically, so the
-// loader treats every violation as corruption, and none may panic or
-// over-allocate past the bytes actually present.
+// FuzzLoadSegment throws arbitrary bytes at the segment decoder's verifying
+// pass, read through a buffer of the size the input picks (fuzzReadBuf):
+// whatever the input, it must return cleanly — segments are published
+// atomically, so the loader treats every violation as corruption, and none
+// may panic or over-allocate past the bytes actually present. An accepted
+// segment must read back, through the same buffer size, as a fold.
 func FuzzLoadSegment(f *testing.F) {
 	d := newMemDisk()
 	segs, _ := fuzzChainSegments()
+	var seeds [][]byte
 	for _, seg := range segs {
 		if _, err := writeSegment(d, foldOf(seg), nil); err != nil {
 			f.Fatal(err)
 		}
 		data := d.get(segmentName(seg.start, seg.end))
-		f.Add(data)
-		f.Add(data[:len(data)-7])
+		seeds = append(seeds, data, data[:len(data)-7])
 	}
-	f.Add([]byte{})
-	f.Add([]byte(segMagic))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		seg, err := decodeSegment(segmentName(1, 2), data)
+	seeds = append(seeds, []byte{}, []byte(segMagic))
+	for _, seed := range seeds {
+		for _, size := range fuzzSizes {
+			f.Add(seed, size)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, size uint16) {
+		buf := fuzzReadBuf(size)
+		seg, err := verifySegment(segmentName(1, 2), bytes.NewReader(data), int64(len(data)), make([]byte, buf))
 		if err != nil {
 			return
+		}
+		fd := foldOf(seg)
+		fd.readBuf = buf
+		if _, _, err := fd.count(); err != nil {
+			t.Fatalf("an accepted segment does not fold: %v", err)
+		}
+		if names, err := fd.dictionary(0); err != nil || len(names) != seg.dict.n {
+			t.Fatalf("an accepted segment's dictionary reads back as %d names, %v; want %d", len(names), err, seg.dict.n)
 		}
 		// An accepted segment must satisfy the invariants every consumer
 		// assumes: sorted runs within the dictionary bound.

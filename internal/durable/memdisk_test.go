@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -39,6 +40,10 @@ type memDisk struct {
 	mu     sync.Mutex
 	inject func(op, name string) error
 	ops    []string // "op name", in issue order
+
+	// bufSize is the buffer the readers of the disk's files start with
+	// (readBuf); readBufSize if zero.
+	bufSize int
 
 	exists, durable bool              // the directory, and its entry in the parent
 	entries         map[string]*inode // what list and the opens see
@@ -190,7 +195,7 @@ func (d *memDisk) list() ([]string, error) {
 	return d.namesLocked(), nil
 }
 
-func (d *memDisk) readFile(name string) ([]byte, error) {
+func (d *memDisk) open(name string) (source, error) {
 	if err := d.do("read", name); err != nil {
 		return nil, err
 	}
@@ -200,26 +205,58 @@ func (d *memDisk) readFile(name string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return slices.Clone(n.data), nil
+	return &memSource{d: d, ino: n, name: name, size: int64(len(n.data))}, nil
 }
 
-func (d *memDisk) readRange(name string, from, to int64) ([]byte, error) {
-	if err := d.do("read", name); err != nil {
-		return nil, err
+func (d *memDisk) readBuf() int { return cmp.Or(d.bufSize, readBufSize) }
+
+// memSource is a file of a memDisk open for reading. Its reads see the
+// file's bytes as they are at the read, and each is an operation of its
+// own, "read", which inject may fail.
+type memSource struct {
+	d    *memDisk
+	ino  *inode
+	name string
+	size int64
+}
+
+func (s *memSource) ReadAt(p []byte, off int64) (int, error) {
+	if err := s.d.do("read", s.name); err != nil {
+		return 0, err
 	}
+	s.d.mu.Lock()
+	defer s.d.mu.Unlock()
+	if off >= int64(len(s.ino.data)) {
+		return 0, io.EOF
+	}
+	n := copy(p, s.ino.data[off:])
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+func (s *memSource) Size() int64 { return s.size }
+
+func (s *memSource) Close() error { return nil }
+
+// flip inverts the low bit of the byte at off of name's content, in place —
+// under any reader that has it open — without recording an operation.
+func (d *memDisk) flip(name string, off int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	n, err := d.lookupLocked("open", name)
+	d.entries[name].data[off] ^= 1
+}
+
+// readAll reads name whole through the disk's read door.
+func readAll(d disk, name string) ([]byte, error) {
+	src, err := d.open(name)
 	if err != nil {
 		return nil, err
 	}
-	if to < 0 {
-		to = int64(len(n.data))
-	}
-	if from > to || to > int64(len(n.data)) {
-		return nil, fmt.Errorf("reading %s: range [%d, %d) is past its end", name, from, to)
-	}
-	return slices.Clone(n.data[from:to]), nil
+	defer src.Close()
+	b := make([]byte, src.Size())
+	return b, readAt(src, b, 0)
 }
 
 func (d *memDisk) create(name string) (file, error) {
@@ -362,9 +399,10 @@ func (n *inode) states() [][]byte {
 func (d *memDisk) clone() *memDisk {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	img := &memDisk{}
+	img := &memDisk{bufSize: d.bufSize}
 	if d.exists {
 		img = newMemDisk()
+		img.bufSize = d.bufSize
 		for name, n := range d.entries {
 			img.put(name, n.data)
 		}
@@ -563,7 +601,7 @@ func TestMemDiskMatchesOSDisk(t *testing.T) {
 		}
 	}
 	read := func(name string) func(d disk) error {
-		return func(d disk) error { _, err := d.readFile(name); return err }
+		return func(d disk) error { _, err := readAll(d, name); return err }
 	}
 	script := []struct {
 		name string
@@ -597,7 +635,7 @@ func TestMemDiskMatchesOSDisk(t *testing.T) {
 			names, err := d.list()
 			state[i] = fmt.Sprint(names, errors.Is(err, fs.ErrNotExist))
 			for _, name := range names {
-				data, err := d.readFile(name)
+				data, err := readAll(d, name)
 				state[i] += fmt.Sprintf(" %s=%q %v", name, data, err)
 			}
 		}

@@ -25,13 +25,15 @@ import (
 //	          — a gap or partial overlap is corruption, reported, never
 //	          papered over
 //	load segments
-//	          foldHistory (tier.go): foldChain loads the chain, from seq 1
-//	          and id 0, oldest→newest onto one fold — the loop a merge runs
-//	          — and one store.RestoreSorted restores the chain's names into
-//	          the store being booted
+//	          foldHistory (tier.go): foldChain verifies the chain, from
+//	          seq 1 and id 0, oldest→newest onto one fold — the loop a
+//	          merge runs
 //	fold tail foldWAL folds the wal files beyond the chain into one more
 //	          patch, pushed onto the same fold — the fold a checkpoint
-//	          runs, with the tail's policy: the walk files each dictionary
+//	          runs: its first walk counts the tail's names, one
+//	          store.RestoreSorted restores the chain's names into the store
+//	          being booted with room for them, and its second walk, with
+//	          the tail's policy, files each dictionary
 //	          record's names in the booted store, refusing an empty name or
 //	          one the store already holds at that record;
 //	          a frame that fails its CRC in the LAST file is a torn tail, cut
@@ -41,8 +43,8 @@ import (
 //	          beyond maxFramePayload wherever it sits, because the writer
 //	          never produces one and cutting there would throw away good
 //	          records behind a damaged header
-//	load      the fold runs twice, to size the run of its adds and to fill
-//	          it, and one store.RestoreSorted builds both indexes directly
+//	load      the fold runs once, into a run sized by its patches' adds,
+//	          and one store.RestoreSorted builds both indexes directly
 //	          from that run, against the dictionary the store now holds, on
 //	          two goroutines: no per-triple locks, no dedup probing.
 //	          Recovery never opens a transaction — the store is filled
@@ -173,16 +175,14 @@ func recoverDir(st *store.Store, d disk) (recovered, error) {
 	// O(directory) regardless; suspend collection for the window and restore
 	// it before the engine goes live.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	datas, err := readWAL(d, rec.wals)
-	if err != nil {
-		return rec, err
-	}
-	state, tail, err := foldHistory(d, rec.tiers, rec.wals, datas, st)
+	state, tail, err := foldHistory(d, rec.tiers, rec.wals, -1, st)
 	if err != nil {
 		return rec, err
 	}
 	rec.tail, rec.dictCovered = tail, state.patches[len(state.patches)-1].dictFirst
-	if err := loadFold(st, state); err != nil {
+	err = loadFold(st, state)
+	state.close()
+	if err != nil {
 		return rec, fmt.Errorf("durable: loading the data directory: %w", err)
 	}
 	rec.lastSeq = state.end
@@ -206,14 +206,22 @@ func recoverDir(st *store.Store, d disk) (recovered, error) {
 // triples' digest against the stamp's: a fold that lost or invented a
 // triple, or a history that does not add up, is an error, never a state.
 func loadFold(st *store.Store, f *fold) error {
-	adds, _ := f.count()
+	// The composed adds are at most the patches' adds together — all of
+	// them, a snapshot's or a one-segment chain's — so one pass fills the
+	// run.
+	adds := 0
+	for _, p := range f.patches {
+		adds += p.adds.n
+	}
 	triples := make([]store.IDTriple, 0, adds)
-	f.each(func(t store.IDTriple, add bool) bool {
+	if err := f.each(func(t store.IDTriple, add bool) bool {
 		if add {
 			triples = append(triples, t)
 		}
 		return true
-	})
+	}); err != nil {
+		return err
+	}
 	if err := st.RestoreSorted(nil, triples, f.at.Gen); err != nil {
 		return err
 	}

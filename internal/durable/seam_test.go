@@ -2,6 +2,7 @@ package durable
 
 import (
 	"errors"
+	"fmt"
 	"go/parser"
 	"go/token"
 	"io"
@@ -374,7 +375,168 @@ func TestFaultTable(t *testing.T) {
 			}
 		})
 	}
+	t.Run("streamed reads", func(t *testing.T) { cases += streamedReadCases(t) })
 	t.Logf("%d fault cases in %v", cases, time.Since(start).Round(time.Millisecond))
+}
+
+// streamedReadCases are the fault table's cases for the reads the folds
+// stream their inputs through, which one row per phase cannot reach: a
+// merge whose k-th read fails, and a checkpoint whose k-th read fails, for
+// every read of a healthy one, and a merge input with a byte flipped after
+// its verifying pass. It returns how many cases it ran.
+func streamedReadCases(t *testing.T) int {
+	cases := 0
+	opts := Options{Fsync: FsyncAlways, CheckpointBytes: -1, mergeRatio: -1}
+	// merging returns an engine whose chain is two segments.
+	merging := func(t *testing.T) *faultHarness {
+		h := &faultHarness{t: t, disk: newMemDisk(), st: store.New()}
+		h.eng = mustOpenDisk(t, h.st, opts, h.disk)
+		for i := 0; i < 2; i++ {
+			if err := h.txs(1); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.eng.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return h
+	}
+	// failing fails the k-th "read kind" operation with EIO; k 0 fails none.
+	// It reports how many such reads there were.
+	failing := func(d *memDisk, kind string, k int) *int {
+		n := new(int)
+		d.setInject(func(op, name string) error {
+			if op != "read" || fileKind(name) != kind {
+				return nil
+			}
+			if *n++; *n == k {
+				return syscall.EIO
+			}
+			return nil
+		})
+		return n
+	}
+	// unmerged checks that a failed merge published nothing, left no .tmp
+	// and kept its inputs, and that the merge then succeeds.
+	unmerged := func(t *testing.T, h *faultHarness, inputs []string) {
+		t.Helper()
+		h.disk.setInject(nil)
+		names := h.disk.names()
+		for _, name := range names {
+			if fileKind(name) == "tmp" {
+				t.Fatalf("the failed merge left %s", name)
+			}
+		}
+		for _, input := range inputs {
+			if !slices.Contains(names, input) {
+				t.Fatalf("the failed merge lost its input %s", input)
+			}
+		}
+		if n := h.eng.Stats().Segments; n != len(inputs) {
+			t.Fatalf("the chain is %d segments after the failed merge, want its %d inputs", n, len(inputs))
+		}
+		if err := h.eng.Merge(0); err != nil {
+			t.Fatalf("the merge after the failure: %v", err)
+		}
+		if got := h.reopen(); got != faultRefs()[h.acked] {
+			t.Fatal("recovery after the retried merge diverges from the acknowledged writes")
+		}
+	}
+	chainNames := func(h *faultHarness) []string {
+		var names []string
+		for _, tier := range h.eng.Stats().Tiers {
+			names = append(names, segmentName(tier.Start, tier.End))
+		}
+		return names
+	}
+
+	h := merging(t)
+	reads := failing(h.disk, "seg", 0)
+	if err := h.eng.Merge(0); err != nil {
+		t.Fatal(err)
+	}
+	h.eng.Close()
+	for k := 1; k <= *reads; k++ {
+		cases++
+		t.Run(fmt.Sprintf("merge read %d of %d", k, *reads), func(t *testing.T) {
+			h := merging(t)
+			inputs := chainNames(h)
+			failing(h.disk, "seg", k)
+			if err := h.eng.Merge(0); !errors.Is(err, syscall.EIO) {
+				t.Fatalf("the merge returned %v, want its read's EIO", err)
+			}
+			unmerged(t, h, inputs)
+		})
+	}
+
+	// checkpointing returns an engine with a journaled window.
+	checkpointing := func(t *testing.T) *faultHarness {
+		h := &faultHarness{t: t, disk: newMemDisk(), st: store.New()}
+		h.eng = mustOpenDisk(t, h.st, opts, h.disk)
+		if err := h.txs(2); err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	h = checkpointing(t)
+	reads = failing(h.disk, "wal", 0)
+	if err := h.eng.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	h.eng.Close()
+	for k := 1; k <= *reads; k++ {
+		cases++
+		t.Run(fmt.Sprintf("checkpoint read %d of %d", k, *reads), func(t *testing.T) {
+			h := checkpointing(t)
+			failing(h.disk, "wal", k)
+			if err := h.eng.Checkpoint(); !errors.Is(err, syscall.EIO) {
+				t.Fatalf("the checkpoint returned %v, want its read's EIO", err)
+			}
+			h.disk.setInject(nil)
+			h.eng.ckptMu.Lock()
+			wals := slices.Clone(h.eng.wals)
+			h.eng.ckptMu.Unlock()
+			names := h.disk.names()
+			if len(wals) != 2 || !slices.Contains(names, walFileName(wals[0])) || h.eng.Stats().Segments != 0 {
+				t.Fatalf("after the failed checkpoint the engine lists wal files %v over %v and %d segments, want the sealed file and its successor",
+					wals, names, h.eng.Stats().Segments)
+			}
+			checkBackground(t, h, faultPhase{}, errors.New(h.eng.Stats().Err))
+		})
+	}
+
+	// A byte of the oldest input flipped once its verifying pass is done —
+	// when the merge creates its output — in a name, which only the
+	// dictionary window's CRC covers, or in the last triple of its adds.
+	const header = len(segMagic) + 8 + 8 + 24 + 4 + 4
+	for _, at := range []struct {
+		what string
+		off  func(size int) int
+	}{
+		{"a name", func(int) int { return header + 1 }},
+		{"a triple", func(size int) int { return size - (4 + len(segTrailer)) - 8 - 1 }},
+	} {
+		cases++
+		t.Run("merge input flipped in "+at.what, func(t *testing.T) {
+			h := merging(t)
+			inputs := chainNames(h)
+			size := len(h.disk.get(inputs[0]))
+			h.disk.setInject(func(op, name string) error {
+				if op == "create" && fileKind(name) == "tmp" {
+					h.disk.flip(inputs[0], at.off(size))
+				}
+				return nil
+			})
+			err := h.eng.Merge(0)
+			if err == nil {
+				t.Fatal("the merge published an input that changed after it was verified")
+			}
+			t.Logf("the merge refused: %v", err)
+			h.disk.flip(inputs[0], at.off(size)) // mended, as a reread would find it
+			unmerged(t, h, inputs)
+		})
+	}
+	return cases
 }
 
 // runPhase runs one phase with op failing with err ("" runs it healthy),

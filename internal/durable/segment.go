@@ -46,8 +46,11 @@ import (
 // Both triple runs are strictly sorted and reference only ids below
 // dictFirst+count of the whole chain prefix — properties the loader verifies,
 // because every consumer (the fold in tier.go, store.RestoreSorted) depends
-// on them. The loader keeps each run as its checked bytes, which are the
-// tripleRun a fold reads.
+// on them. The loader is a verifying pass over the file (verifySegment),
+// read in order through a fixed buffer: it keeps where each region — the
+// dictionary window, each run — lies, and the region's own CRC-32C, and the
+// fold reads the regions from the file as it runs, each later pass holding
+// what it reads to what the verifying pass found.
 //
 // A segment becomes visible atomically: written to a .tmp name, fsynced,
 // renamed into place, directory fsynced. Readers never see a half-written
@@ -64,15 +67,21 @@ const (
 	segTrailer = "ONTOSEGE"
 )
 
-// segmentData is one patch: a decoded segment, or a folded log window.
+// segmentData is one patch: a verified segment file, or a folded log
+// window. Its dictionary window and triple runs are regions — where they lie
+// in the file, or in the fold's memory — which the fold reads as it runs.
 type segmentData struct {
 	start, end uint64         // WAL seq window [start, end], start ≥ 1
 	at         store.Position // the stamp: the position of the state through end
 	dictFirst  store.SymbolID
-	dict       nameRun   // the names of ids dictFirst..dictFirst+dict.n-1
-	adds       tripleRun // sorted (S, P, O), strictly ascending
-	removes    tripleRun // sorted tombstones; empty when start == 1
-	size       int64     // file size; set by decodeSegment, informative only
+	dict       region // the names of ids dictFirst..dictFirst+dict.n-1
+	adds       region // sorted (S, P, O), strictly ascending
+	removes    region // sorted tombstones; empty when start == 1
+	size       int64  // file size; set by verifySegment, informative only
+	file       string // what errors name it by
+	// checked is set by verifySegment: every later pass holds the regions
+	// to what it found. A folded log window never leaves memory.
+	checked bool
 }
 
 // tripleRun is a run of triples in the form a segment file and a mutation
@@ -180,7 +189,10 @@ func writeSegment(d disk, fd *fold, stop <-chan struct{}) (meta segMeta, retErr 
 // dictionary regions are written one after another, as they lie. A fold
 // yields its runs sorted; the loader verifies it on the way back in.
 func encodeSegment(w io.Writer, fd *fold) (n int64, adds, removes int, retErr error) {
-	adds, removes = fd.count()
+	adds, removes, err := fd.count()
+	if err != nil {
+		return 0, 0, 0, err
+	}
 	cw := &crcWriter{w: w}
 	// chunk stages the fixed-width fields and the triple runs, so a run
 	// reaches the checksum and the writer in chunk-sized writes.
@@ -202,13 +214,13 @@ func encodeSegment(w io.Writer, fd *fold) (n int64, adds, removes int, retErr er
 	b = binary.LittleEndian.AppendUint32(b, fd.dictFirst)
 	b = binary.LittleEndian.AppendUint32(b, uint32(fd.names))
 	_ = write(b)
-	for _, p := range fd.patches {
-		_ = write(p.dict.enc)
+	if err := fd.copyDictionary(write); err != nil && retErr == nil {
+		retErr = err
 	}
 	writeRun := func(count int, wantAdds bool) {
 		b := binary.LittleEndian.AppendUint64(chunk[:0], uint64(count))
-		if count > 0 {
-			fd.each(func(t store.IDTriple, add bool) bool {
+		if count > 0 && retErr == nil {
+			err := fd.each(func(t store.IDTriple, add bool) bool {
 				if add != wantAdds {
 					return true
 				}
@@ -221,6 +233,9 @@ func encodeSegment(w io.Writer, fd *fold) (n int64, adds, removes int, retErr er
 				b = appendTriple(b, t)
 				return true
 			})
+			if err != nil && retErr == nil {
+				retErr = err
+			}
 		}
 		_ = write(b)
 	}
@@ -238,98 +253,136 @@ func encodeSegment(w io.Writer, fd *fold) (n int64, adds, removes int, retErr er
 	return cw.n + int64(len(footer)), adds, removes, nil
 }
 
-// decodeSegment verifies and decodes the bytes of the segment file called
-// name. Any framing violation —
-// bad magic, bad CRC, truncation, an unsorted run, an id at or beyond
+// verifySegment is the verifying pass over the segment file called name:
+// size bytes in src, read in order through buf. Any framing violation — bad
+// magic, bad CRC, truncation, an unsorted run, an id at or beyond
 // dictFirst+count — is an error: segments are published atomically, so a
-// damaged one means real corruption, never a torn write to tolerate. The id
-// bound is against the chain prefix the window ends at (dictFirst+count), so
-// a segment may freely reference names minted by older segments.
-func decodeSegment(name string, data []byte) (segmentData, error) {
-	var seg segmentData
-	var err error
-	seg.size = int64(len(data))
+// damaged one means real corruption, never a torn write to tolerate. A
+// damaged structure is reported only once the CRC-32C of the body holds, as
+// if the whole file had been checksummed first. The id bound is against the
+// chain prefix the window ends at (dictFirst+count), so a segment may freely
+// reference names minted by older segments. It returns the segment's
+// regions, each with its offset and its own CRC-32C, which every later pass
+// over them re-checks.
+func verifySegment(name string, src io.ReaderAt, size int64, buf []byte) (segmentData, error) {
+	seg := segmentData{size: size, file: name, checked: true}
 	const header = len(segMagic) + 8 + 8 + 24 + 4 + 4
 	const footer = 4 + len(segTrailer)
-	switch magic := string(data[:min(len(data), len(segMagic))]); magic {
+	var head [header]byte
+	var foot [footer]byte
+	readErr := func(err error) error { return fmt.Errorf("durable: reading segment %s: %w", name, err) }
+	magic := head[:min(size, int64(len(segMagic)))]
+	if err := readAt(src, magic, 0); err != nil {
+		return seg, readErr(err)
+	}
+	switch magic := string(magic); magic {
 	case segMagic:
 	case "ONTOSEG1", "ONTOSEG2":
 		return seg, fmt.Errorf("durable: segment %s is in the %s format of an older build of this engine, which this build does not read", name, magic)
 	default:
 		return seg, fmt.Errorf("durable: segment %s has a bad magic header", name)
 	}
-	if len(data) < header+8+8+footer {
-		return seg, fmt.Errorf("durable: segment %s is %d bytes, too short to be valid", name, len(data))
+	if size < int64(header+8+8+footer) {
+		return seg, fmt.Errorf("durable: segment %s is %d bytes, too short to be valid", name, size)
 	}
-	if string(data[len(data)-len(segTrailer):]) != segTrailer {
+	if err := readAt(src, foot[:], size-int64(footer)); err != nil {
+		return seg, readErr(err)
+	}
+	if string(foot[4:]) != segTrailer {
 		return seg, fmt.Errorf("durable: segment %s has a bad trailer (truncated checkpoint?)", name)
 	}
-	body := data[:len(data)-footer]
-	wantCRC := binary.LittleEndian.Uint32(data[len(body):])
-	if crc32.Checksum(body, castagnoli) != wantCRC {
+	wantCRC := binary.LittleEndian.Uint32(foot[:])
+
+	rd := newReader(src, 0, size-int64(footer), buf, true)
+	rd.whole = true
+	if err := rd.readFull(head[:]); err != nil {
+		return seg, readErr(err)
+	}
+	// The first structural fault is kept while the rest of the body is
+	// summed: a checksum failure outranks it.
+	bad := seg.decodeBody(&rd, head[:])
+	if err := rd.skip(rd.left()); err != nil {
+		return seg, readErr(err)
+	}
+	if _, body := rd.sums(); body != wantCRC {
 		return seg, fmt.Errorf("durable: segment %s fails its checksum", name)
 	}
+	return seg, bad
+}
 
-	seg.start = binary.LittleEndian.Uint64(body[len(segMagic):])
-	seg.end = binary.LittleEndian.Uint64(body[len(segMagic)+8:])
+// decodeBody reads the segment's body after its header (head) from rd,
+// holding it to the format, and fills seg's window, stamp and regions in. It
+// returns the first fault; rd then stands somewhere inside the body.
+func (seg *segmentData) decodeBody(rd *reader, head []byte) error {
+	name := seg.file
+	body := head[len(segMagic):]
+	seg.start = binary.LittleEndian.Uint64(body)
+	seg.end = binary.LittleEndian.Uint64(body[8:])
 	if seg.start < 1 || seg.end+1 < seg.start { // an empty window is a snapshot of an empty log
-		return seg, fmt.Errorf("durable: segment %s claims window [%d, %d]", name, seg.start, seg.end)
+		return fmt.Errorf("durable: segment %s claims window [%d, %d]", name, seg.start, seg.end)
 	}
-	seg.at = store.Position{Gen: binary.LittleEndian.Uint64(body[len(segMagic)+16:]), Digest: store.Digest{
-		binary.LittleEndian.Uint64(body[len(segMagic)+24:]), binary.LittleEndian.Uint64(body[len(segMagic)+32:])}}
-	seg.dictFirst = binary.LittleEndian.Uint32(body[len(segMagic)+40:])
-	dictCount := int(binary.LittleEndian.Uint32(body[len(segMagic)+44:]))
+	seg.at = store.Position{Gen: binary.LittleEndian.Uint64(body[16:]), Digest: store.Digest{
+		binary.LittleEndian.Uint64(body[24:]), binary.LittleEndian.Uint64(body[32:])}}
+	seg.dictFirst = binary.LittleEndian.Uint32(body[40:])
+	dictCount := int(binary.LittleEndian.Uint32(body[44:]))
 	if uint64(seg.dictFirst)+uint64(dictCount) > 1<<32-1 {
-		return seg, fmt.Errorf("durable: segment %s dictionary window %d+%d overflows the id space", name, seg.dictFirst, dictCount)
+		return fmt.Errorf("durable: segment %s dictionary window %d+%d overflows the id space", name, seg.dictFirst, dictCount)
 	}
-	rest := body[header:]
-	if dictCount > len(rest) { // every name costs ≥1 length byte
-		return seg, fmt.Errorf("durable: segment %s claims %d dictionary names in %d bytes", name, dictCount, len(rest))
+	if int64(dictCount) > rd.left() { // every name costs ≥1 length byte
+		return fmt.Errorf("durable: segment %s claims %d dictionary names in %d bytes", name, dictCount, rd.left())
 	}
-	// The names stay encoded: a merge writes the region as it lies, and
+	// The names stay encoded: a merge copies the region as it lies, and
 	// recovery decodes the regions it folded (fold.dictionary).
-	dictEnd, whole := scanNames(rest, dictCount)
-	if whole < dictCount {
-		return seg, fmt.Errorf("durable: segment %s: dictionary name %d overruns the file", name, whole)
-	}
-	seg.dict = nameRun{n: dictCount, enc: rest[:dictEnd]}
-	rest = rest[dictEnd:]
-	idBound := seg.dictFirst + store.SymbolID(dictCount)
-	readRun := func(what string) (tripleRun, error) {
-		if len(rest) < 8 {
-			return nil, fmt.Errorf("durable: segment %s is truncated before its %s count", name, what)
+	seg.dict = region{src: rd.src, off: rd.pos, n: dictCount}
+	rd.restart()
+	for i := 0; i < dictCount; i++ {
+		n, ok, err := rd.uvarint()
+		if err != nil {
+			return fmt.Errorf("durable: reading segment %s: %w", name, err)
 		}
-		count := binary.LittleEndian.Uint64(rest)
-		rest = rest[8:]
+		if !ok || n > uint64(rd.left()) {
+			return fmt.Errorf("durable: segment %s: dictionary name %d overruns the file", name, i)
+		}
+		if err := rd.skip(int64(n)); err != nil {
+			return fmt.Errorf("durable: reading segment %s: %w", name, err)
+		}
+	}
+	seg.dict.size = rd.pos - seg.dict.off
+	seg.dict.crc, _ = rd.sums()
+	bound := seg.dictFirst + store.SymbolID(dictCount)
+	readRun := func(what string) (region, error) {
+		var b [8]byte
+		if rd.left() < 8 {
+			return region{}, fmt.Errorf("durable: segment %s is truncated before its %s count", name, what)
+		}
+		if err := rd.readFull(b[:]); err != nil {
+			return region{}, fmt.Errorf("durable: reading segment %s: %w", name, err)
+		}
+		count := binary.LittleEndian.Uint64(b[:])
 		// Validate by division, not multiplication: 12*count would wrap for
-		// a corrupt count near 2^64, sneak past a comparison, and turn the
-		// allocation below into a panic instead of a clean error.
-		if uint64(len(rest))/12 < count {
-			return nil, fmt.Errorf("durable: segment %s claims %d %s triples but carries %d bytes", name, count, what, len(rest))
+		// a corrupt count near 2^64 and sneak past a comparison.
+		if uint64(rd.left())/12 < count {
+			return region{}, fmt.Errorf("durable: segment %s claims %d %s triples but carries %d bytes", name, count, what, rd.left())
 		}
-		run := tripleRun(rest[:12*count])
-		var prev store.IDTriple
-		for i := uint64(0); i < count; i++ {
-			t := run.at(int(i))
-			if t.S >= idBound || t.P >= idBound || t.O >= idBound {
-				return nil, fmt.Errorf("durable: segment %s: %s triple %d references id beyond the %d-id dictionary prefix", name, what, i, idBound)
+		run := region{src: rd.src, off: rd.pos, size: 12 * int64(count), n: int(count)}
+		rd.restart()
+		c := runCursor{rd: rd, run: run, file: name, what: what, bound: bound, hold: true}
+		for {
+			if ok, err := c.next(); err != nil || !ok {
+				run.crc, _ = rd.sums()
+				return run, err
 			}
-			if i > 0 && !prev.Less(t) {
-				return nil, fmt.Errorf("durable: segment %s: %s run not strictly sorted at triple %d", name, what, i)
-			}
-			prev = t
 		}
-		rest = rest[12*count:]
-		return run, nil
 	}
+	var err error
 	if seg.adds, err = readRun("add"); err != nil {
-		return seg, err
+		return err
 	}
 	if seg.removes, err = readRun("remove"); err != nil {
-		return seg, err
+		return err
 	}
-	if len(rest) != 0 {
-		return seg, fmt.Errorf("durable: segment %s has %d trailing bytes", name, len(rest))
+	if rd.left() != 0 {
+		return fmt.Errorf("durable: segment %s has %d trailing bytes", name, rd.left())
 	}
-	return seg, nil
+	return nil
 }

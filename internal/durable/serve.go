@@ -42,34 +42,59 @@ func (e *Engine) ReadLog(from store.Position, max int) ([]byte, store.Position, 
 	if err != nil || start == end {
 		return nil, latest, err
 	}
-	_, datas, err := e.readLive(start, end)
-	if len(datas) == 1 {
-		return datas[0], latest, nil // one file's bytes, served as read
+	// The span is read into one buffer of its size: each file's share is
+	// located first, then read in place.
+	type share struct {
+		src      source
+		from, to int64
 	}
-	return slices.Concat(datas...), latest, err
-}
-
-// readLive reads the live log from where start ends to where end ends, one
-// slice per wal file. Callers hold ckptMu.
-func (e *Engine) readLive(start, end logPos) (firsts []uint64, datas [][]byte, err error) {
-	for _, first := range e.wals {
-		if first < start.file || first > end.file || start.seq == end.seq {
-			continue
+	var shares []share
+	defer func() {
+		for _, sh := range shares {
+			sh.src.Close()
 		}
-		from, to := int64(0), int64(-1)
+	}()
+	size := int64(0)
+	for _, first := range e.liveFiles(start, end) {
+		name := walFileName(first)
+		src, err := e.disk.open(name)
+		if err != nil {
+			return nil, latest, fmt.Errorf("durable: reading the live log: %w", err)
+		}
+		shares = append(shares, share{src: src, to: src.Size()})
+		sh := &shares[len(shares)-1]
 		if first == start.file {
-			from = start.end
+			sh.from = start.end
 		}
 		if first == end.file {
-			to = end.end
+			sh.to = end.end
 		}
-		data, err := e.disk.readRange(walFileName(first), from, to)
-		if err != nil {
-			return nil, nil, fmt.Errorf("durable: reading the live log: %w", err)
+		if sh.to < sh.from || sh.to > src.Size() {
+			return nil, latest, fmt.Errorf("durable: reading the live log: reading %s: range [%d, %d) is past its end", name, sh.from, sh.to)
 		}
-		firsts, datas = append(firsts, first), append(datas, data)
+		size += sh.to - sh.from
 	}
-	return firsts, datas, nil
+	body := make([]byte, size)
+	at := int64(0)
+	for _, sh := range shares {
+		if err := readAt(sh.src, body[at:at+sh.to-sh.from], sh.from); err != nil {
+			return nil, latest, fmt.Errorf("durable: reading the live log: %w", err)
+		}
+		at += sh.to - sh.from
+	}
+	return body, latest, nil
+}
+
+// liveFiles is the wal files the live log from where start ends to where end
+// ends lies in, by first seq. Callers hold ckptMu.
+func (e *Engine) liveFiles(start, end logPos) []uint64 {
+	var firsts []uint64
+	for _, first := range e.wals {
+		if first >= start.file && first <= end.file && start.seq != end.seq {
+			firsts = append(firsts, first)
+		}
+	}
+	return firsts
 }
 
 // chainStamp is where the live log begins: the position of the chain's
@@ -157,16 +182,13 @@ func (e *Engine) Snapshot() ([]byte, store.Position, error) {
 	defer e.ckptMu.Unlock()
 	stamp := e.chainStamp()
 	cut := e.w.lastCommitted(stamp)
-	firsts, datas, err := e.readLive(stamp, cut)
+	state, _, err := foldHistory(e.disk, e.chainTiers(), e.liveFiles(stamp, cut), cut.end, nil)
 	if err != nil {
 		return nil, store.Position{}, err
 	}
-	state, _, err := foldHistory(e.disk, e.chainTiers(), firsts, datas, nil)
-	if err == nil && (state.end != cut.seq || state.at != cut.at) {
-		err = fmt.Errorf("durable: the snapshot folded through seq %d at %v, want the committed write %d at %v", state.end, state.at, cut.seq, cut.at)
-	}
-	if err != nil {
-		return nil, store.Position{}, err
+	defer state.close()
+	if state.end != cut.seq || state.at != cut.at {
+		return nil, store.Position{}, fmt.Errorf("durable: the snapshot folded through seq %d at %v, want the committed write %d at %v", state.end, state.at, cut.seq, cut.at)
 	}
 	var buf bytes.Buffer
 	if _, _, _, err := encodeSegment(&buf, state); err != nil {

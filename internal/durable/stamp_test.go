@@ -84,7 +84,7 @@ func stampChain(segs []segmentData) *logScript {
 	l := &logScript{}
 	for i := range segs {
 		seg := &segs[i]
-		l.names = seg.dict.appendStrings(l.names)
+		l.names = append(l.names, seg.dict.strings()...)
 		l.apply(nil, seg.removes.triples())
 		l.apply(seg.adds.triples(), nil)
 		seg.at = l.at()

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"slices"
 
 	"repro/internal/store"
@@ -13,22 +14,29 @@ import (
 // This file is the patch algebra of the data directory. A directory is a
 // chain of patches over adjacent seq windows — segment files (segment.go),
 // then the wal files beyond them (record.go). A patch keeps its dictionary
-// window and both triple runs encoded, as the files carry them. A fold
-// composes adjacent patches, oldest first, in one k-way pass over all their
-// runs in which the newest mention of a triple wins, and every use of the
-// directory is a sink of that one fold. walkWAL reads the log under them
-// all, and under the replica's Follower, which folds nothing:
+// window and both triple runs encoded, as the files carry them, and where
+// they lie: in the segment file, or in memory for a folded log window. A
+// fold composes adjacent patches, oldest first, in one k-way pass over all
+// their runs in which the newest mention of a triple wins, and every use of
+// the directory is a sink of that one fold. Every file is read through a
+// fixed buffer (reader.go), never whole; the disk's open is the one read
+// door. walkWAL reads the log under them all, and under the replica's
+// Follower, which folds nothing:
 //
-//	reader      folds                              ends at               a bad frame is
-//	checkpoint  foldWAL of the sealed files        the rotation point    corruption
-//	merge       foldChain of a suffix              the chain's end       n/a (segments are atomic)
-//	recovery    foldHistory: chain, then log tail  the end of the log    cut in the last file; over the cap, corrupt
-//	snapshot    foldHistory to the last commit     that write            corruption
-//	Follower    nothing: walkWAL of one log body   its last whole write  ErrTorn, over the cap too
+//	reader      folds                              reads                                ends at               a bad frame is
+//	checkpoint  foldWAL of the sealed files        each file twice: count, then fold    the rotation point    corruption
+//	merge       foldChain of a suffix              each segment: verify, then each pass the chain's end       n/a (segments are atomic)
+//	recovery    foldHistory: chain, then log tail  both of the above                    the end of the log    cut in the last file; over the cap, corrupt
+//	snapshot    foldHistory to the last commit     both, the last file to its cut       that write            corruption
+//	Follower    nothing: walkWAL of one log body   the body, through a bytes.Reader     its last whole write  ErrTorn, over the cap too
 //
 // A checkpoint and a merge stream their fold into a segment file
 // (writeSegment); recovery streams it into the run the store is loaded
-// from. Nothing composes two patches into a third in memory. The size-ratio
+// from. Nothing composes two patches into a third in memory. A segment's
+// verifying pass records each region's offset and CRC-32C, and every later
+// pass re-checks the order, the id bound and the CRC of what it reads
+// (runCursor), so a merge publishes only bytes the pass that read them
+// checked. The size-ratio
 // merge policy lives here too.
 //
 // The on-disk chain is a classic size-tiered LSM shape: checkpoints append
@@ -55,17 +63,28 @@ type segMeta struct {
 // then applies to the empty state. Adds and tombstones stay disjoint, and
 // the dictionary windows are the patches' encoded regions in order. Its
 // stamp is its newest patch's.
+//
+// A fold reads its patches' regions as it runs, through readers whose
+// buffers it keeps across runs: two an input, readBuf bytes each (readBufSize
+// if zero). files are the segment files its patches lie in, which close
+// closes.
 type fold struct {
 	start, end uint64
 	at         store.Position
 	dictFirst  store.SymbolID
 	names      int
 	patches    []segmentData
+	readBuf    int
+	files      []source
+	readers    []reader
+	cursors    []runCursor
 }
 
 // foldOf is the fold of one patch.
 func foldOf(p segmentData) *fold {
-	return &fold{start: p.start, end: p.end, at: p.at, dictFirst: p.dictFirst, names: p.dict.n, patches: []segmentData{p}}
+	f := &fold{}
+	_ = f.push(p) // the first patch opens the fold's window
+	return f
 }
 
 // precede checks that a patch over [start, end] whose names begin at id
@@ -86,10 +105,8 @@ func (f *fold) precede(start, end uint64, dictFirst store.SymbolID) error {
 // first patch pushed onto an empty fold opens its window.
 func (f *fold) push(p segmentData) error {
 	if len(f.patches) == 0 {
-		*f = *foldOf(p)
-		return nil
-	}
-	if err := f.precede(p.start, p.end, p.dictFirst); err != nil {
+		f.start, f.dictFirst = p.start, p.dictFirst
+	} else if err := f.precede(p.start, p.end, p.dictFirst); err != nil {
 		return err
 	}
 	f.end, f.at = p.end, p.at
@@ -98,12 +115,28 @@ func (f *fold) push(p segmentData) error {
 	return nil
 }
 
-// cursor is one run's position in a fold: head is the triple at the front of
-// run, the rest of the run not yet passed.
-type cursor struct {
-	run  tripleRun
-	head store.IDTriple
-	add  bool
+// close closes the files the fold's patches lie in.
+func (f *fold) close() {
+	for _, src := range f.files {
+		src.Close()
+	}
+	f.files = nil
+}
+
+// buf is the buffer of the fold's i-th reader: kept from the run before, or
+// allocated once.
+func (f *fold) buf(i int) []byte {
+	for len(f.readers) <= i {
+		f.readers = append(f.readers, reader{buf: make([]byte, cmp.Or(f.readBuf, readBufSize))})
+	}
+	return f.readers[i].buf
+}
+
+// reader returns the fold's i-th reader, set to read g.
+func (f *fold) reader(i int, g region) *reader {
+	buf := f.buf(i) // may grow readers
+	f.readers[i] = g.reader(buf)
+	return &f.readers[i]
 }
 
 // each yields every triple the fold's patches mention, once, ascending, with
@@ -112,17 +145,29 @@ type cursor struct {
 // returns false. The cursors are ordered oldest patch first, and within a
 // patch its removals before its adds, so the last cursor holding a triple is
 // its newest mention — an add outranking a removal of the same patch, as
-// applying a patch (tombstones, then adds) implies.
-func (f *fold) each(yield func(t store.IDTriple, add bool) bool) {
-	cs := make([]cursor, 0, 2*len(f.patches))
-	for _, p := range f.patches {
-		for _, c := range [2]cursor{{run: p.removes}, {run: p.adds, add: true}} {
-			if len(c.run) > 0 {
-				c.head = c.run.at(0)
-				cs = append(cs, c)
+// applying a patch (tombstones, then adds) implies. Each run is read through
+// a reader of its own and held to what its patch's verifying pass found
+// (runCursor); a run that no longer is ends the pass with an error.
+func (f *fold) each(yield func(t store.IDTriple, add bool) bool) error {
+	if len(f.patches) == 0 {
+		return nil
+	}
+	f.buf(2*len(f.patches) - 1) // every reader before any is handed out
+	cs := f.cursors[:0]
+	for k, p := range f.patches {
+		for j, c := range [2]runCursor{{run: p.removes, what: "remove"}, {run: p.adds, what: "add", add: true}} {
+			if c.run.n == 0 {
+				continue
 			}
+			c.rd, c.file, c.hold, c.check = f.reader(2*k+j, c.run), p.file, p.checked, p.checked
+			c.bound = p.dictFirst + store.SymbolID(p.dict.n)
+			if _, err := c.next(); err != nil {
+				return err
+			}
+			cs = append(cs, c)
 		}
 	}
+	f.cursors = cs[:0]
 	for len(cs) > 0 {
 		m := 0 // the first cursor holding the least head; none before it holds t
 		for i := 1; i < len(cs); i++ {
@@ -138,22 +183,24 @@ func (f *fold) each(yield func(t store.IDTriple, add bool) bool) {
 				continue
 			}
 			add = c.add
-			if c.run = c.run[12:]; len(c.run) == 0 {
+			if ok, err := c.next(); err != nil {
+				return err
+			} else if !ok {
 				cs = slices.Delete(cs, i, i+1)
 				continue
 			}
-			c.head = c.run.at(0)
 			i++
 		}
 		if (add || f.start > 1) && !yield(t, add) {
-			return
+			return nil
 		}
 	}
+	return nil
 }
 
 // count runs the fold once, counting the adds and tombstones it yields.
-func (f *fold) count() (adds, removes int) {
-	f.each(func(_ store.IDTriple, add bool) bool {
+func (f *fold) count() (adds, removes int, err error) {
+	err = f.each(func(_ store.IDTriple, add bool) bool {
 		if add {
 			adds++
 		} else {
@@ -161,83 +208,147 @@ func (f *fold) count() (adds, removes int) {
 		}
 		return true
 	})
-	return adds, removes
+	return adds, removes, err
+}
+
+// copyDictionary hands the fold's dictionary windows, oldest first, to write
+// as they lie, a buffer at a time, holding each to its CRC.
+func (f *fold) copyDictionary(write func([]byte) error) error {
+	for _, p := range f.patches {
+		rd := f.reader(0, p.dict)
+		for rd.left() > 0 {
+			b, err := rd.chunk(rd.left())
+			if err != nil {
+				return fmt.Errorf("durable: reading segment %s: %w", p.file, err)
+			}
+			if err := write(b); err != nil {
+				return err
+			}
+		}
+		if p.checked {
+			if err := p.dict.check(rd, p.file, "dictionary"); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // dictionary decodes the fold's dictionary windows, oldest first, into one
-// string per name.
-func (f *fold) dictionary() []string {
-	names := make([]string, 0, f.names)
+// string per name (nameRun.appendStrings), in a slice with room for room
+// more.
+func (f *fold) dictionary(room int) ([]string, error) {
+	names := make([]string, 0, f.names+room)
 	for _, p := range f.patches {
-		names = p.dict.appendStrings(names)
+		enc := make([]byte, p.dict.size)
+		rd := f.reader(0, p.dict)
+		if err := rd.readFull(enc); err != nil {
+			return nil, fmt.Errorf("durable: reading segment %s: %w", p.file, err)
+		}
+		if p.checked {
+			if err := p.dict.check(rd, p.file, "dictionary"); err != nil {
+				return nil, err
+			}
+		}
+		// The window holds the bytes its verifying pass framed.
+		names = nameRun{n: p.dict.n, enc: enc}.appendStrings(names)
 	}
-	return names
+	return names, nil
 }
 
 // errStopped is foldChain's report that its stop channel closed mid-fold.
 var errStopped = errors.New("durable: fold stopped")
 
-// foldChain is the package's one loop over segment files: it loads the
-// adjacent segments chain names, oldest first, checks each carries the window
-// its name claims, pushes it onto one fold, and fills every chain entry's
-// accounting in from its file. A merge runs it over a suffix of the chain and
-// streams the fold into the merged file; recovery runs it over all of it.
-// stop is polled before each load — a closed one ends the fold with
-// errStopped, so Close never waits out a long merge's reads; nil never stops.
+// foldChain is the package's one loop over segment files: it opens the
+// adjacent segments chain names, oldest first, runs each one's verifying
+// pass, checks each carries the window its name claims, pushes it onto one
+// fold, and fills every chain entry's accounting in from its file. The fold
+// keeps the files open, reading their runs as it runs; the caller closes it.
+// A merge runs it over a suffix of the chain and streams the fold into the
+// merged file; recovery runs it over all of it. stop is polled before each
+// open — a closed one ends the fold with errStopped, so Close never waits
+// out a long merge's reads; nil never stops. On an error nothing is left
+// open.
 func foldChain(d disk, chain []segMeta, stop <-chan struct{}) (*fold, error) {
-	folded := &fold{}
+	folded := &fold{readBuf: d.readBuf()}
 	for k, m := range chain {
-		select {
-		case <-stop:
-			return folded, errStopped
-		default:
+		if err := folded.open(d, m, stop); err != nil {
+			folded.close()
+			return nil, err
 		}
-		name := segmentName(m.start, m.end)
-		data, err := d.readFile(name)
-		if err != nil {
-			return folded, fmt.Errorf("durable: reading segment: %w", err)
-		}
-		seg, err := decodeSegment(name, data)
-		if err != nil {
-			return folded, err
-		}
-		if seg.start != m.start || seg.end != m.end {
-			return folded, fmt.Errorf("durable: segment %s claims internal window [%d, %d]", name, seg.start, seg.end)
-		}
-		chain[k] = segMeta{start: seg.start, end: seg.end, at: seg.at, adds: seg.adds.len(), removes: seg.removes.len(), bytes: seg.size}
-		if err := folded.push(seg); err != nil {
-			return folded, err
-		}
+		p := folded.patches[len(folded.patches)-1]
+		chain[k] = segMeta{start: p.start, end: p.end, at: p.at, adds: p.adds.n, removes: p.removes.n, bytes: p.size}
 	}
 	return folded, nil
 }
 
+// open opens the segment m names, verifies it and pushes it.
+func (f *fold) open(d disk, m segMeta, stop <-chan struct{}) error {
+	select {
+	case <-stop:
+		return errStopped
+	default:
+	}
+	name := segmentName(m.start, m.end)
+	src, err := d.open(name)
+	if err != nil {
+		return fmt.Errorf("durable: reading segment: %w", err)
+	}
+	f.files = append(f.files, src)
+	seg, err := verifySegment(name, src, src.Size(), f.buf(0))
+	if err != nil {
+		return err
+	}
+	if seg.start != m.start || seg.end != m.end {
+		return fmt.Errorf("durable: segment %s claims internal window [%d, %d]", name, seg.start, seg.end)
+	}
+	return f.push(seg)
+}
+
 // foldHistory folds a whole history as recovery boots it and Engine.Snapshot
 // serves it: the chain, which must start at seq 1 and id 0, then the wal
-// files beyond it (foldWAL under st's policy) pushed onto the same fold —
-// its last patch, whose dictFirst is where the chain's names end. Recovery
-// passes the empty store it boots, st: the chain's names are restored into
-// it before the log is walked, and the walk files the tail's names there
-// too, so every name is checked once, against the whole dictionary, and the
-// load that follows (loadFold) keeps them. A snapshot passes nil.
-func foldHistory(d disk, chain []segMeta, firsts []uint64, datas [][]byte, st *store.Store) (*fold, walTail, error) {
+// files beyond it (foldWAL under st's policy, the last cut at cut bytes when
+// cut ≥ 0) pushed onto the same fold — its last patch, whose dictFirst is
+// where the chain's names end. Recovery passes the empty store it boots, st:
+// once foldWAL's first walk has counted the tail's names, the chain's names
+// are restored into it with room for them, and the second walk files the
+// tail's names there too, so every name is checked once, against the whole
+// dictionary, and the load that follows (loadFold) keeps them. A snapshot
+// passes nil. The caller closes the fold.
+func foldHistory(d disk, chain []segMeta, firsts []uint64, cut int64, st *store.Store) (*fold, walTail, error) {
 	history, err := foldChain(d, chain, nil)
-	if err == nil && len(chain) > 0 {
-		err = (&fold{start: 1}).precede(history.start, history.end, history.dictFirst)
-	}
-	if err == nil && st != nil {
-		if err = st.RestoreSorted(history.dictionary(), nil, 0); err != nil {
-			err = fmt.Errorf("durable: restoring the chain's names: %w", err)
-		}
-	}
 	if err != nil {
 		return nil, walTail{}, err
 	}
-	log, live, err := foldWAL(d, firsts, datas, history.end, store.SymbolID(history.names), history.at, st)
+	if len(chain) > 0 {
+		err = (&fold{start: 1}).precede(history.start, history.end, history.dictFirst)
+	}
+	var restore func(int) error
+	if st != nil {
+		restore = func(tailNames int) error {
+			names, err := history.dictionary(tailNames)
+			if err == nil {
+				err = st.RestoreSorted(names, nil, 0)
+			}
+			if err != nil {
+				return fmt.Errorf("durable: restoring the chain's names: %w", err)
+			}
+			return nil
+		}
+	}
+	var log segmentData
+	var live walTail
+	if err == nil {
+		log, live, err = foldWAL(d, firsts, cut, history.end, store.SymbolID(history.names), history.at, st, restore)
+	}
 	if err == nil {
 		err = history.push(log)
 	}
-	return history, live, err
+	if err != nil {
+		history.close()
+		return nil, live, err
+	}
+	return history, live, nil
 }
 
 // The merge policy.
@@ -302,22 +413,27 @@ type logWalk struct {
 }
 
 // walkWAL is the package's one reading of the log: it walks the wal file (or
-// log body) called name frame by frame — nextFrame, decodeRecord — holds each
-// record to what a log means (the seq after w's, then w.read), and hands it to
-// visit with the offsets it starts and ends at. Records at or below skip are
-// passed over unseen: an interrupted cleanup's leftovers, or records a
-// replica holds. It returns the offset it stopped at: len(data) after a clean
-// walk, else the first byte that does not begin a whole, checksum-valid
-// frame. Whether that is a torn tail or corruption, and what a write left
-// open means, is the caller's policy. An error from visit ends the walk.
-func walkWAL(name string, data []byte, skip uint64, w *logWalk, visit func(r record, off, next int) error) (int, error) {
-	off := 0
+// log body) called name frame by frame through rd — reader.frame,
+// decodeRecord — holds each record to what a log means (the seq after w's,
+// then w.read), and hands it to visit with the offsets it starts and ends
+// at. Records at or below skip are passed over unseen: an interrupted
+// cleanup's leftovers, or records a replica holds. It returns the offset it
+// stopped at, rd standing there: the stretch's end after a clean walk, else
+// the first byte that does not begin a whole, checksum-valid frame. Whether
+// that is a torn tail or corruption, and what a write left open means, is the
+// caller's policy. An error from visit, or from reading, ends the walk.
+func walkWAL(name string, rd *reader, skip uint64, w *logWalk, visit func(r record, off, next int) error) (int, error) {
+	start, off := rd.pos, 0
 	w.whole, w.wholeSeq = 0, w.seq
-	for off < len(data) {
-		payload, next, ok := nextFrame(data, off)
+	for rd.left() > 0 {
+		payload, ok, err := rd.frame()
+		if err != nil {
+			return off, fmt.Errorf("durable: reading %s: %w", name, err)
+		}
 		if !ok {
 			break
 		}
+		next := int(rd.pos - start)
 		r, err := decodeRecord(payload)
 		if err != nil {
 			return off, fmt.Errorf("durable: %s: offset %d: %w", name, off, err)
@@ -406,29 +522,98 @@ type walTail struct {
 	size   int64
 }
 
-// readWAL reads the wal files named by firsts.
-func readWAL(d disk, firsts []uint64) ([][]byte, error) {
-	datas := make([][]byte, len(firsts))
+// logFiles is a window of the log open for reading: the wal files named by
+// firsts, the bytes of each a walk reads (sizes), and the frame buffer every
+// walk of them reuses, grown only to the largest frame.
+type logFiles struct {
+	firsts []uint64
+	srcs   []source
+	sizes  []int64
+	buf    []byte
+}
+
+// openLog opens the wal files named by firsts for walking, the last of them
+// cut at cut bytes when cut ≥ 0. On an error nothing is left open.
+func openLog(d disk, firsts []uint64, cut int64) (*logFiles, error) {
+	l := &logFiles{firsts: firsts, buf: make([]byte, d.readBuf())}
 	for i, first := range firsts {
-		data, err := d.readFile(walFileName(first))
+		src, err := d.open(walFileName(first))
 		if err != nil {
+			l.close()
 			return nil, fmt.Errorf("durable: reading log file: %w", err)
 		}
-		datas[i] = data
+		size := src.Size()
+		if i == len(firsts)-1 && cut >= 0 {
+			size = min(size, cut)
+		}
+		l.srcs, l.sizes = append(l.srcs, src), append(l.sizes, size)
 	}
-	return datas, nil
+	return l, nil
+}
+
+func (l *logFiles) close() {
+	for _, src := range l.srcs {
+		src.Close()
+	}
+}
+
+// walk walks the i-th file with walkWAL, keeping the frame buffer it grew.
+func (l *logFiles) walk(i int, skip uint64, w *logWalk, visit func(r record, off, next int) error) (int, *reader, error) {
+	rd := newReader(l.srcs[i], 0, l.sizes[i], l.buf, false)
+	off, err := walkWAL(walFileName(l.firsts[i]), &rd, skip, w, visit)
+	l.buf = rd.buf
+	return off, &rd, err
+}
+
+// walCount is what a counting walk of a log window finds: its triple events,
+// and the bytes and the number of its names.
+type walCount struct {
+	events, dictBytes, names int
+}
+
+// count walks the window once, as foldWAL's second walk will, counting what
+// it will keep. It stops where the walk stops, at the first fault, and
+// reports only a failed read: the second walk meets a fault in what was read
+// at the same record, or at an earlier one its dictionary refuses.
+func (l *logFiles) count(after uint64, dictNext store.SymbolID) (walCount, error) {
+	var c walCount
+	w := logWalk{seq: after, ids: dictNext}
+	for i := range l.firsts {
+		_, rd, err := l.walk(i, after, &w, func(r record, _, _ int) error {
+			if r.typ == recDict {
+				c.dictBytes += len(r.names.enc)
+				c.names += r.names.n
+			} else {
+				c.events += r.triples.len()
+			}
+			return nil
+		})
+		if rd.err != nil {
+			return c, err
+		}
+		if err != nil {
+			break
+		}
+	}
+	return c, nil
 }
 
 // foldWAL folds the wal files named by firsts (their first seqs, ascending;
-// datas holds their bytes), walked from dictNext, the chain's next id, into
-// the patch over the window (after, end], where end is wherever the records
-// stop, stamped with its last write's position — at, the chain's stamp, when
-// it holds none. Dictionary records are concatenated, and per triple the LAST
-// event wins: an add then a remove folds to a tombstone, a remove then a
-// re-add to an add, and a record's adds come before its removes. Records at
-// or below after are skipped and a file that starts there is a leftover of an
-// interrupted cleanup; every other file must begin with the successor of the
-// record before it.
+// the last cut at cut bytes when cut ≥ 0), walked from dictNext, the chain's
+// next id, into the patch over the window (after, end], where end is
+// wherever the records stop, stamped with its last write's position — at,
+// the chain's stamp, when it holds none. Dictionary records are
+// concatenated, and per triple the LAST event wins: an add then a remove
+// folds to a tombstone, a remove then a re-add to an add, and a record's adds
+// come before its removes. Records at or below after are skipped and a file
+// that starts there is a leftover of an interrupted cleanup; every other
+// file must begin with the successor of the record before it.
+//
+// The files are walked twice, through one frame buffer: the first walk
+// counts the window's triple events, dictionary bytes and names, so the
+// second allocates the events and the dictionary window once, at their size,
+// and fills them. ready, when set, is handed the count of names between the
+// walks.
 //
 // A frame that fails its framing is corruption: sealed files were fsynced by
 // the rotation that closed them, which never splits a write. The one
@@ -440,36 +625,39 @@ func readWAL(d disk, firsts []uint64) ([][]byte, error) {
 // beyond maxFramePayload is never a torn tail, wherever it sits: the writer
 // chunks every record below the cap, so the claim proves damage to a frame
 // header, and cutting there would silently discard every record after it.
-// st is the store recovery boots, holding every name below dictNext: the
-// tail sink walks with it as its dictionary (logWalk.dict), so what recovery
-// loads is held to the load's checks at the record that breaks them, and the
-// names are in st once the walk is done. A checkpoint passes nil. A cut
-// drops no name the walk filed: a dictionary record never sits inside a
-// write, so the walk stands whole just past each one.
-func foldWAL(d disk, firsts []uint64, datas [][]byte, after uint64, dictNext store.SymbolID, at store.Position, st *store.Store) (segmentData, walTail, error) {
-	seg := segmentData{start: after + 1, end: after, at: at, dictFirst: dictNext}
+// st is the store recovery boots, holding every name below dictNext once
+// ready returns: the second walk files the names with it as its dictionary
+// (logWalk.dict), so what recovery loads is held to the load's checks at the
+// record that breaks them, and the names are in st once the walk is done. A
+// checkpoint and a snapshot pass nil. A cut drops no name the walk filed: a
+// dictionary record never sits inside a write, so the walk stands whole just
+// past each one.
+func foldWAL(d disk, firsts []uint64, cut int64, after uint64, dictNext store.SymbolID, at store.Position, st *store.Store, ready func(names int) error) (segmentData, walTail, error) {
+	seg := segmentData{start: after + 1, end: after, at: at, dictFirst: dictNext, file: "(the log window)"}
 	var live walTail
-	size := 0
-	for _, data := range datas {
-		size += len(data)
+	log, err := openLog(d, firsts, cut)
+	if err != nil {
+		return seg, live, err
 	}
-	// The files are read first so the events are sized once: every triple
-	// event costs 12 bytes of the window, so size/12 is room for them all.
-	events := make([]walEvent, 0, size/12)
-	whole := 0      // the events of the whole writes: a cut keeps these
-	var data []byte // the file being walked
+	defer log.close()
+	c, err := log.count(after, dictNext)
+	if err != nil {
+		return seg, live, err
+	}
+	if ready != nil {
+		if err := ready(c.names); err != nil {
+			return seg, live, err
+		}
+	}
+	events := make([]walEvent, 0, min(c.events, maxFoldEvents))
+	dict := make([]byte, 0, c.dictBytes)
+	whole := 0 // the events of the whole writes: a cut keeps these
 	var first uint64
-	kept := 0 // how much of data's front holds its dictionary regions
-	var regions [][]byte
 	tail := st != nil
 	w := logWalk{seq: after, ids: dictNext, dict: st}
 	visit := func(r record, _, next int) error {
 		if r.typ == recDict {
-			// The walk is past these bytes and never reads them again: move
-			// the region down behind the file's earlier ones, so the file's
-			// buffer ends up carrying its whole dictionary window at its
-			// front.
-			kept += copy(data[kept:], r.names.enc)
+			dict = append(dict, r.names.enc...)
 			return nil
 		}
 		n := r.triples.len()
@@ -497,25 +685,26 @@ func foldWAL(d disk, firsts []uint64, datas [][]byte, after uint64, dictNext sto
 		if first > after && first != w.seq+1 {
 			return seg, live, fmt.Errorf("durable: log file %s does not follow record %d; the log has a gap", name, w.seq)
 		}
-		data, kept = datas[i], 0
-		off, err := walkWAL(name, data, after, &w, visit)
+		off, rd, err := log.walk(i, after, &w, visit)
 		if err != nil {
 			return seg, live, err
 		}
-		if kept > 0 {
-			regions = append(regions, data[:kept])
-		}
-		live.size = int64(len(data))
-		if off == len(data) && !w.open {
+		size := int(log.sizes[i])
+		live.size = int64(size)
+		if off == size && !w.open {
 			continue
 		}
-		if len(data)-off >= 4 {
-			if claim := binary.LittleEndian.Uint32(data[off:]); claim > maxFramePayload {
+		if size-off >= 4 {
+			h, err := rd.peek(4)
+			if err != nil {
+				return seg, live, fmt.Errorf("durable: reading %s: %w", name, err)
+			}
+			if claim := binary.LittleEndian.Uint32(h); claim > maxFramePayload {
 				return seg, live, fmt.Errorf("durable: %s: frame at offset %d claims a %d-byte payload, beyond the %d-byte cap the writer enforces; the log is corrupt, not torn", name, off, claim, maxFramePayload)
 			}
 		}
 		if !tail || i < len(firsts)-1 {
-			if off < len(data) {
+			if off < size {
 				return seg, live, fmt.Errorf("durable: %s: bad frame at offset %d in a sealed log file; the log is corrupt", name, off)
 			}
 			return seg, live, fmt.Errorf("durable: %s: a sealed log file ends inside a chunked write; the log is corrupt", name)
@@ -525,12 +714,7 @@ func foldWAL(d disk, firsts []uint64, datas [][]byte, after uint64, dictNext sto
 		}
 		w.seq, events, live.size = w.wholeSeq, events[:whole], int64(w.whole)
 	}
-	seg.end, seg.dict.n = w.seq, int(w.ids-dictNext)
-	if len(regions) == 1 {
-		seg.dict.enc = regions[0]
-	} else {
-		seg.dict.enc = slices.Concat(regions...)
-	}
+	seg.end, seg.dict = w.seq, memRegion(dict, int(w.ids-dictNext))
 	// Last event per triple wins. Sorting by (triple, log position) groups
 	// each triple's history together in log order AND leaves the surviving
 	// triples in (S, P, O) order — the segment runs fall out sorted for free.
@@ -538,7 +722,8 @@ func foldWAL(d disk, firsts []uint64, datas [][]byte, after uint64, dictNext sto
 		return cmp.Or(cmp.Compare(a.t.S, b.t.S), cmp.Compare(a.t.P, b.t.P), cmp.Compare(a.t.O, b.t.O), cmp.Compare(a.key, b.key))
 	})
 	// Keep each triple's last event, in place, counting the adds among them;
-	// then fill both runs at their exact sizes.
+	// then copy the tombstones out into a run of their exact size and keep
+	// the adds, in place again, as the run they are read as (eventRun).
 	last, adds := events[:0], 0
 	for i, ev := range events {
 		if i+1 < len(events) && events[i+1].t == ev.t {
@@ -547,18 +732,39 @@ func foldWAL(d disk, firsts []uint64, datas [][]byte, after uint64, dictNext sto
 		last = append(last, ev)
 		adds += int(ev.key & 1)
 	}
-	seg.adds = make(tripleRun, 0, 12*adds)
+	removes := 0
 	if seg.start > 1 { // a patch against the empty state removes nothing
-		seg.removes = make(tripleRun, 0, 12*(len(last)-adds))
+		removes = len(last) - adds
 	}
+	r := make(tripleRun, 0, 12*removes)
+	a := last[:0]
 	for _, ev := range last {
 		if ev.key&1 != 0 {
-			seg.adds = appendTriple(seg.adds, ev.t)
+			a = append(a, ev)
 		} else if seg.start > 1 {
-			seg.removes = appendTriple(seg.removes, ev.t)
+			r = appendTriple(r, ev.t)
 		}
 	}
+	seg.adds = region{src: eventRun(a), size: 12 * int64(adds), n: adds}
+	seg.removes = memRegion(r, removes)
 	return seg, live, nil
+}
+
+// eventRun is folded events read as the run a segment carries: 12 bytes a
+// triple, encoded as they are read.
+type eventRun []walEvent
+
+func (r eventRun) ReadAt(p []byte, off int64) (int, error) {
+	n := 0
+	for n < len(p) {
+		i, at := (off+int64(n))/12, (off+int64(n))%12
+		if i >= int64(len(r)) {
+			return n, io.EOF
+		}
+		var b [12]byte
+		n += copy(p[n:], appendTriple(b[:0], r[i].t)[at:])
+	}
+	return n, nil
 }
 
 // walEvent is one triple event of a folded log window. key is the event's

@@ -25,7 +25,11 @@ import (
 // that restored them first and interned more (recovery's log tail) passes.
 // triples must satisfy LoadSorted's contract against the dictionary: strictly
 // ascending in (S, P, O) order with every component id below its length.
-// dict is retained; callers must not mutate it afterwards. The store's digest
+// dict is retained, and its spare capacity, up to the end of the 4 096-name
+// page its last name is on, is where the names interned next are filed: a
+// caller that knows how many will follow (recovery's log tail) passes room
+// for them, and callers must not touch dict afterwards, nor share one with
+// spare capacity between two stores. The store's digest
 // is computed from what was loaded, so Position reports gen and the digest
 // of the triples: a caller holding the digest the history recorded compares
 // the two. Given no triples the load is skipped, and with it the digest's
@@ -52,10 +56,10 @@ func (s *Store) RestoreSorted(dict []string, triples []IDTriple, gen uint64) err
 		return err
 	}
 	if len(dict) > 0 {
-		// The index is sized for the whole dictionary once, and each name
-		// is probed before it is filed, so a repeat is caught at its second
-		// id.
-		fresh := symtab{index: make([]uint32, indexLen(len(dict))), names: pagedNames(dict)}
+		// The index is sized once for the whole dictionary and the names
+		// dict has room for, and each name is probed before it is filed, so
+		// a repeat is caught at its second id.
+		fresh := symtab{index: make([]uint32, indexLen(cap(dict))), names: pagedNames(dict)}
 		for i, name := range dict {
 			if name == "" {
 				return fmt.Errorf("store: restore dictionary id %d is the empty string", i)

@@ -50,9 +50,11 @@ const (
 // snapshot's count are immutable and read without a lock.
 //
 // The one page shorter than 4 096 names is a restored dictionary's last one,
-// the restored array's own tail (pagedNames). When the next name finds it
-// full it is replaced by a whole page, in a new directory, since published
-// snapshots hold the old one: a copy of at most one page, once.
+// the restored array's own tail, spare capacity included (pagedNames): the
+// names minted next fill its spare slots, which no published snapshot reads,
+// since each reads only below its count. When the next name finds it full it
+// is replaced by a whole page, in a new directory, since published snapshots
+// hold the old one: a copy of at most one page, once.
 type nameTable struct {
 	pages [][]string
 	n     int
@@ -80,12 +82,16 @@ func (nt *nameTable) add(name string) {
 }
 
 // pagedNames returns names as a table whose pages are names itself, 4 096 at
-// a time — retained, not copied — each capped at its end, so the table never
-// writes into the array.
+// a time — retained, not copied. The last page reaches into the array's
+// spare capacity, up to its window's end, so the names minted next are filed
+// there; no page reaches into the next window.
 func pagedNames(names []string) nameTable {
 	nt := nameTable{pages: make([][]string, 0, (len(names)+namePageMask)>>namePageBits), n: len(names)}
 	for lo := 0; lo < len(names); lo += namePageLen {
 		hi := min(lo+namePageLen, len(names))
+		if hi == len(names) {
+			hi = min(lo+namePageLen, cap(names))
+		}
 		nt.pages = append(nt.pages, names[lo:hi:hi])
 	}
 	return nt

@@ -3,7 +3,6 @@ package store
 import (
 	"math/bits"
 	"math/rand"
-	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -335,13 +334,14 @@ func TestDictionaryFootprint(t *testing.T) {
 }
 
 // TestRestoredLastPageIsReplacedWhole: a restored dictionary's last page is
-// the restored array's own short tail. The name that finds it full gets a
-// whole page in a new directory, while a reader of a snapshot taken before
-// goes on resolving its ids: the restored array is never written, and every
-// id resolves to its name.
+// the restored array's own tail, spare capacity included. The names minted
+// next fill that capacity in place; the name that finds it full gets a whole
+// page in a new directory, while a reader of a snapshot taken before goes on
+// resolving its ids, and every id resolves to its name.
 func TestRestoredLastPageIsReplacedWhole(t *testing.T) {
+	const room, fresh = 100, 120
 	names := corpusNames(namePageLen + 10)
-	dict := make([]string, len(names), len(names)+100)
+	dict := make([]string, len(names), len(names)+room)
 	copy(dict, names)
 	s := New()
 	if err := s.RestoreSorted(dict, nil, 0); err != nil {
@@ -361,20 +361,25 @@ func TestRestoredLastPageIsReplacedWhole(t *testing.T) {
 			}
 		}
 	}()
-	for i := 0; i < 20; i++ {
+	for i := 0; i < fresh; i++ {
 		if id, err := s.Intern("fresh" + strconv.Itoa(i)); err != nil || int(id) != len(names)+i {
 			t.Fatalf("Intern = %d, %v; want id %d", id, err, len(names)+i)
 		}
+		if i == room-1 && len(s.syms.names.pages) != 2 {
+			t.Fatalf("the table allocated a page before the restored array's %d spare slots filled", room)
+		}
 	}
 	wg.Wait()
-	if spare := dict[len(dict):cap(dict)]; slices.ContainsFunc(spare, func(s string) bool { return s != "" }) {
-		t.Fatal("the table wrote into the restored array's spare capacity")
+	for i, name := range dict[len(dict):cap(dict)] {
+		if want := "fresh" + strconv.Itoa(i); name != want {
+			t.Fatalf("spare slot %d of the restored array holds %q, want %q", i, name, want)
+		}
 	}
 	if pages := s.syms.names.pages; len(pages[len(pages)-1]) != namePageLen {
 		t.Fatalf("the last page holds %d slots after the restored tail filled, want %d", len(pages[len(pages)-1]), namePageLen)
 	}
 	after := s.NewResolver()
-	for id := 0; id < len(names)+20; id++ {
+	for id := 0; id < len(names)+fresh; id++ {
 		want := "fresh" + strconv.Itoa(id-len(names))
 		if id < len(names) {
 			want = names[id]
