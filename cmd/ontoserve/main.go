@@ -19,7 +19,12 @@
 // the tboxio text format whose subsumption closure is asserted as
 // subClassOf triples next to the annotations, exactly as ontoaudit
 // -materialize does. -rules appends user Horn rules (one "head :- body .
-// body" per line) to the built-in RDFS set.
+// body" per line) to the built-in RDFS set. The server stores every
+// conclusion but the instance types RDFS propagates up the class hierarchy,
+// which it answers from the stored subClassOf closure (API.md, "Closed
+// typing"); a -rules body with a type or variable predicate, or a head with
+// a range, subPropertyOf or variable predicate, could read or unlock those
+// types, and makes it store them as well.
 //
 // -data-dir makes the asserted store durable (repro/internal/durable): on
 // boot the server recovers the directory's checkpoint segment and

@@ -97,7 +97,8 @@ func Interrupt(cancelled func() bool) Option {
 // entailments a reasoner (repro/internal/reason) has already derived into the
 // triples themselves — and therefore suppresses Expand rewriting: a type
 // pattern is evaluated literally, because the subsumee annotations Expand
-// would union over are already present as inferred type triples. It takes
+// would union over are already present as inferred type triples (stored, or
+// answered by a view with closed typing, store.View.CloseTyping). It takes
 // precedence over Expand, so callers can pass both unconditionally and let
 // the presence of a reasoner decide (reason's equivalence tests prove the two
 // modes return identical answers on the E5 corpus).

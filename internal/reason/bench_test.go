@@ -208,3 +208,46 @@ func BenchmarkRetypeServing(b *testing.B) {
 	b.ReportMetric(float64(st.Overdeleted)/float64(b.N), "overdeleted/op")
 	b.ReportMetric(float64(st.Rederived)/float64(b.N), "rederived/op")
 }
+
+// BenchmarkClosedReads prices the harness's cold reads — Q2, ?x type C .
+// ?x locatedIn S, and Q3, ?x type C . ?x locatedIn ?s . ?s partOf R, cycled
+// over every class and site or region — over the serving corpus stored two
+// ways: "materialized" under RDFSRules, every propagated type stored, and
+// "closed" under MaterializeServing, the propagated types answered from the
+// subClassOf closure. The acceptance figures are the two sub-benchmarks'
+// ns/op and B/op ratios.
+func BenchmarkClosedReads(b *testing.B) {
+	const classes, sites, regions = 120, 89, 7
+	for _, mode := range []string{"materialized", "closed"} {
+		s := store.New()
+		if _, err := s.AddBatch(servingCorpus(b)); err != nil {
+			b.Fatal(err)
+		}
+		materialize := Materialize
+		if mode == "closed" {
+			materialize = MaterializeServing
+		}
+		r, err := materialize(s, RDFSRules())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, shape := range []string{"Q2", "Q3"} {
+			b.Run(mode+"/"+shape, func(b *testing.B) {
+				b.ReportAllocs()
+				rows := 0
+				for i := 0; i < b.N; i++ {
+					class := workload.ClassName(i % classes)
+					text := "?x type " + class + " . ?x locatedIn site-" + strconv.Itoa(i/classes%sites)
+					if shape == "Q3" {
+						text = "?x type " + class + " . ?x locatedIn ?s . ?s partOf region-" + strconv.Itoa(i/classes%regions)
+					}
+					sols := query.Eval(r.View(), query.MustParseBGP(text), query.Materialized())
+					for sb, ok := sols.NextBatch(); ok; sb, ok = sols.NextBatch() {
+						rows += sb.Len()
+					}
+				}
+				b.ReportMetric(float64(rows)/float64(b.N), "rows/query")
+			})
+		}
+	}
+}

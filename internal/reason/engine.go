@@ -301,6 +301,31 @@ func Materialize(base *store.Store, rules []Rule) (*Reasoner, error) {
 	return r, nil
 }
 
+// MaterializeServing is Materialize for a serving process: when the rule
+// set's instance typing can be answered from its subClassOf closure —
+// servingRules accepts the set and the base holds no TypingHazard — it
+// materializes without type-propagation and closes the view's typing
+// (store.View.CloseTyping), so every read still sees the full rule set's
+// answer while the overlay stores none of the propagated types; otherwise it
+// is Materialize. TypingClosed reports which; while it does, the caller
+// must keep TypingHazard triples out of every write, or reads go inexact.
+func MaterializeServing(base *store.Store, rules []Rule) (*Reasoner, error) {
+	serving, ok := servingRules(rules)
+	if !ok || base == nil || hasTypingHazard(base) {
+		return Materialize(base, rules)
+	}
+	r, err := Materialize(base, serving)
+	if err != nil {
+		return nil, err
+	}
+	r.view.CloseTyping()
+	return r, nil
+}
+
+// TypingClosed reports whether the reasoner leaves instance typing to its
+// view's closed reads (MaterializeServing).
+func (r *Reasoner) TypingClosed() bool { return r.view.TypingClosed() }
+
 // View returns the asserted∪inferred union the query layer evaluates over.
 func (r *Reasoner) View() *store.View { return r.view }
 
@@ -314,9 +339,10 @@ func (r *Reasoner) Overlay() *store.Store { return r.overlay }
 // Rules returns the rule set the reasoner was built with.
 func (r *Reasoner) Rules() []Rule { return append([]Rule(nil), r.source...) }
 
-// InferredCount returns the number of currently inferred triples (the
-// overlay's size).
-func (r *Reasoner) InferredCount() int { return r.overlay.Len() }
+// InferredCount returns the number of currently inferred triples: the
+// view's, less the asserted ones — the overlay's, and the closed types the
+// view answers without storing them.
+func (r *Reasoner) InferredCount() int { return r.view.Len() - r.base.Len() }
 
 // Stats returns cumulative engine statistics. It takes no lock — it reads
 // the counts the onto_reason_* counters read — so it never waits on a write;
@@ -459,6 +485,7 @@ func (r *Reasoner) Apply(adds, removes []store.Triple, c *obs.Clock) (added, rem
 	s := &r.scratch
 	var d Delta
 	var asserted, gone []store.IDTriple
+	var fresh int // d.Added[:fresh] were not in the view before the write
 	d.Gen = r.base.Write(func() bool {
 		if asserted, err = base.AddBatch(adds); err != nil {
 			return false
@@ -478,7 +505,9 @@ func (r *Reasoner) Apply(adds, removes []store.Triple, c *obs.Clock) (added, rem
 			}
 		}
 		r.ov.RemoveIDs(d.Removed)
-		d.Added = append(r.propagate(d.Added, d.Added), d.Removed...)
+		d.Added = r.propagate(d.Added, d.Added)
+		fresh = len(d.Added)
+		d.Added = append(d.Added, d.Removed...)
 		c.Mark(obs.StagePropagate)
 
 		if len(removes) > 0 {
@@ -497,6 +526,7 @@ func (r *Reasoner) Apply(adds, removes []store.Triple, c *obs.Clock) (added, rem
 	err = base.Commit()
 	c.Mark(obs.StageCommit)
 	if len(asserted)+len(gone) > 0 {
+		r.view.Recount(d.Added, d.Removed, fresh)
 		r.notify(d)
 	}
 	c.Mark(obs.StagePublish)

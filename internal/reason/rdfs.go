@@ -1,6 +1,7 @@
 package reason
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/query"
@@ -11,8 +12,9 @@ import (
 // bare (no namespace prefixes) to match the store's existing "type"
 // convention (store.TypePredicate).
 const (
-	// SubClassOfPredicate relates a class to a superclass.
-	SubClassOfPredicate = "subClassOf"
+	// SubClassOfPredicate relates a class to a superclass; a view with closed
+	// typing (store.View.CloseTyping) reads it under the same name.
+	SubClassOfPredicate = store.SubClassOfPredicate
 	// SubPropertyOfPredicate relates a property to a superproperty.
 	SubPropertyOfPredicate = "subPropertyOf"
 	// DomainPredicate relates a property to the class of its subjects.
@@ -87,6 +89,87 @@ func RDFSRules() []Rule {
 			},
 		},
 	}
+}
+
+// servingRules splits instance typing off a rule set: it returns the rules
+// without the built-in type-propagation rule, and true, when their
+// materialization, read with closed typing (store.View.CloseTyping),
+// answers exactly what the full set would have materialized, so
+// type-propagation's conclusions need not be stored.
+// That holds when the set also closes subClassOf (the built-in transitivity
+// rule, so the closed read's one step reaches every superclass) and no other
+// rule can read a propagated type or mint a typing hazard: every rule not of
+// RDFSRules keeps type and variables out of its body's predicates, and
+// range, subPropertyOf and variables out of its head's. The corpus must then
+// hold no TypingHazard triple, now or after any write; hasTypingHazard checks
+// a store. Otherwise it returns rules unchanged and false.
+func servingRules(rules []Rule) ([]Rule, bool) {
+	builtin := RDFSRules() // subClassOf transitivity, then type-propagation, first
+	at, closes := -1, false
+	for i, r := range rules {
+		switch {
+		case sameRule(r, builtin[1]):
+			at = i
+		case sameRule(r, builtin[0]):
+			closes = true
+		case slices.ContainsFunc(builtin, func(b Rule) bool { return sameRule(r, b) }):
+		case readsTyping(r):
+			return rules, false
+		}
+	}
+	if at < 0 || !closes {
+		return rules, false
+	}
+	return append(rules[:at:at], rules[at+1:]...), true
+}
+
+// sameRule reports whether two rules are the same, name included.
+func sameRule(a, b Rule) bool {
+	return a.Name == b.Name && a.Head == b.Head && slices.Equal(a.Body, b.Body)
+}
+
+// readsTyping reports whether a rule can read a type triple — a body atom
+// whose predicate is type or a variable — or conclude a typing hazard — a
+// head whose predicate is range, subPropertyOf or a variable.
+func readsTyping(r Rule) bool {
+	for _, p := range r.Body {
+		if p.Predicate.IsVar || p.Predicate.Value == store.TypePredicate {
+			return true
+		}
+	}
+	h := r.Head.Predicate
+	return h.IsVar || h.Value == RangePredicate || h.Value == SubPropertyOfPredicate
+}
+
+// TypingHazard reports whether t lets an RDFS rule body read a propagated
+// type triple: (type range _) and (type subPropertyOf _) make range
+// inference and property propagation read them, and (_ subPropertyOf range)
+// and (_ subPropertyOf subPropertyOf) derive those two from triples that are
+// not hazards themselves. A corpus free of the four stays free of them under
+// the rules servingRules keeps, which derive one only from another.
+func TypingHazard(t store.Triple) bool {
+	switch {
+	case t.Subject == store.TypePredicate && (t.Predicate == RangePredicate || t.Predicate == SubPropertyOfPredicate):
+		return true
+	case t.Predicate == SubPropertyOfPredicate && (t.Object == RangePredicate || t.Object == SubPropertyOfPredicate):
+		return true
+	}
+	return false
+}
+
+// hasTypingHazard reports whether the store holds a TypingHazard triple.
+func hasTypingHazard(s *store.Store) bool {
+	for _, p := range [...]store.Pattern{
+		{Subject: store.TypePredicate, Predicate: RangePredicate},
+		{Subject: store.TypePredicate, Predicate: SubPropertyOfPredicate},
+		{Predicate: SubPropertyOfPredicate, Object: RangePredicate},
+		{Predicate: SubPropertyOfPredicate, Object: SubPropertyOfPredicate},
+	} {
+		if s.Count(p) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // OntologyTriples exports a classified OntologyIndex as subClassOf triples:

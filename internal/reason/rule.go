@@ -23,8 +23,8 @@
 // ParseRules; compile.go the compilation of rule atoms onto exec.Pattern, the
 // per-delta-atom join orders and the propagation marking; seed.go the seed
 // round (matchAll, the sorted head set, one LoadSorted); engine.go the
-// Reasoner — Materialize, the term loop, Apply and DRed, the write scratch,
-// Stats and the serving reads.
+// Reasoner — Materialize and MaterializeServing, the term loop, Apply and
+// DRed, the write scratch, Stats and the serving reads.
 //
 // # Tests
 //
@@ -45,7 +45,10 @@
 // (TestReadsSeeOneGeneration). TestApplyLargeRetractionIsNotQuadratic times
 // one large retraction against many small ones on the thread's CPU clock;
 // TestApplySteadyStateAllocs pins a warmed retype at 5 allocations at most,
-// the stores' own. BenchmarkMaterializeServing times the boot fixpoint on the
+// the stores' own. closed_test.go holds MaterializeServing's closed typing
+// to the full materialization on every read over random corpora and writes
+// (TestClosedTypingMatchesRDFS), pins when it keeps type-propagation, and
+// pins a cold closed Q2 at the stored one's allocations. BenchmarkMaterializeServing times the boot fixpoint on the
 // harness's corpus shape and BenchmarkRetypeServing one write on it.
 package reason
 

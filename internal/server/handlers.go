@@ -254,6 +254,16 @@ func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.Mark(obs.StageDecode)
+	if s.reasoner.TypingClosed() {
+		// The closed read is exact only while no rule body can read a
+		// propagated type; these four shapes are what would let one.
+		for _, t := range adds {
+			if reason.TypingHazard(t) {
+				writeError(w, http.StatusUnprocessableEntity, "%s %s %s would let a rule read propagated instance types, which this server answers from the subClassOf closure instead of storing; serve a corpus holding it from boot", t.Subject, t.Predicate, t.Object)
+				return
+			}
+		}
+	}
 
 	added, removed, err := s.reasoner.Apply(adds, removes, c)
 	if errors.Is(err, store.ErrJournal) {

@@ -47,7 +47,7 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 		"Triples in the asserted store.",
 		func() float64 { return float64(base.Len()) })
 	reg.GaugeFunc("onto_store_inferred_triples",
-		"Triples in the inferred overlay.",
+		"Inferred triples the view serves: the overlay's, and the instance types answered from the subClassOf closure.",
 		func() float64 { return float64(s.reasoner.InferredCount()) })
 	reg.GaugeFunc("onto_store_dict_symbols",
 		"Interned symbols in the asserted store's dictionary.",

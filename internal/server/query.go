@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -123,10 +124,8 @@ func (s *Server) source(w http.ResponseWriter, q *queryRun) bool {
 		q.opts = materializedOpts[:1:1] // shared: drain's appends copy it
 	case ModeExpand:
 		// The hierarchy is the reasoner's own subClassOf closure, so a schema
-		// write reaches the next answer. evaluate files the entry under
-		// subClassOf too: a schema write can change the rewrite without a
-		// type delta, when the type it would derive already holds through a
-		// domain or range rule.
+		// write reaches the next answer (evaluate files the entry under
+		// subClassOf).
 		q.src = s.reasoner.Base()
 		q.opts = append(q.opts, query.Expand(s.reasoner))
 	case ModePlain:
@@ -231,7 +230,7 @@ func (s *Server) evaluate(w http.ResponseWriter, r *http.Request, q *queryRun) {
 			body:      bytes.Clone(body),
 			solutions: q.trailer.Solutions,
 			truncated: q.trailer.Truncated,
-			preds:     make([]string, 0, len(q.bgp)),
+			preds:     make([]string, 0, len(q.bgp)+1), // room for subClassOf
 		}
 		for _, p := range q.bgp {
 			if p.Predicate.IsVar {
@@ -240,7 +239,11 @@ func (s *Server) evaluate(w http.ResponseWriter, r *http.Request, q *queryRun) {
 				e.preds = append(e.preds, p.Predicate.Value)
 			}
 		}
-		if q.mode == ModeExpand {
+		// Both modes answer type patterns through the subClassOf closure
+		// (Expand's rewrite, the closed read), so a schema write can change
+		// the answer without a type delta: file the entry under subClassOf
+		// too. A variable predicate is filed under everything already.
+		if q.mode == ModeExpand || q.mode == ModeMaterialized && slices.Contains(e.preds, store.TypePredicate) {
 			e.preds = append(e.preds, reason.SubClassOfPredicate)
 		}
 		s.cache.put(string(q.key), e)

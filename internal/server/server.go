@@ -57,7 +57,9 @@
 // scrape, /stats, EXPLAIN and the slow-query log against exact traffic on a
 // durable server (TestStageClockReconciles); status_golden_test.go pins the
 // status bodies' keys; apidoc_test.go holds API.md's EXPLAIN transcript to
-// the server's output. BenchmarkServerQuery prices cached against uncached
+// the server's output; typing_test.go pins closed typing's 422s, a -rules
+// body that keeps the propagated types stored, and a schema write dropping a
+// cached type answer. BenchmarkServerQuery prices cached against uncached
 // reads with parallel clients; BenchmarkObsOverhead the instruments.
 package server
 
@@ -191,7 +193,7 @@ func New(cfg Config) (*Server, error) {
 	if rules == nil {
 		rules = reason.RDFSRules()
 	}
-	r, err := reason.Materialize(cfg.Base, rules)
+	r, err := reason.MaterializeServing(cfg.Base, rules)
 	if err != nil {
 		return nil, fmt.Errorf("server: materializing the corpus: %w", err)
 	}

@@ -76,6 +76,13 @@ type ScanPart struct {
 	// lead of fam instead: the unbound full scan (SPO) and, with midBound,
 	// the object-only fan-out (POS, mid the object).
 	allLeads bool
+	// closed marks a cursor of a view with closed typing whose pattern can
+	// match a type triple: the members' walk passes type triples over, and
+	// the type walk tw answers them once it is done (typing) — at once, for
+	// a literal type predicate.
+	closed bool
+	typing bool
+	tw     typeWalk
 
 	place
 	done bool
@@ -110,14 +117,37 @@ func (pt *ScanPart) NextBatch(out []IDTriple) (int, bool) {
 		pt.owner.mu.RLock()
 		defer pt.owner.mu.RUnlock()
 	}
-	n := pt.fill(out)
-	if pt.done && pt.then != nil {
-		pt.owner, pt.then, pt.place, pt.done = pt.then, nil, place{}, false
-		if n < len(out) {
-			n += pt.fill(out[n:])
+	n := 0
+	if !pt.typing {
+		n = pt.fill(out)
+		if pt.done && pt.then != nil {
+			pt.owner, pt.then, pt.place, pt.done = pt.then, nil, place{}, false
+			if n < len(out) {
+				n += pt.fill(out[n:])
+			}
 		}
+		pt.typing = pt.done && pt.closed
+	}
+	if pt.typing {
+		n, pt.done = pt.fillTypes(out, n)
 	}
 	return n, pt.done
+}
+
+// fillTypes runs the type walk of a view with closed typing on from its
+// place, filling out from n, and reports whether the walk is finished.
+// Callers hold the lock.
+func (pt *ScanPart) fillTypes(out []IDTriple, n int) (int, bool) {
+	if n == len(out) {
+		return n, false
+	}
+	pt.tw.subsOK = false // looked up under another refill's lock
+	done := pt.tw.walk(func(s, o uint32) bool {
+		out[n] = IDTriple{S: s, P: pt.tw.typ, O: o}
+		n++
+		return n < len(out)
+	})
+	return n, done
 }
 
 // fill advances the part in its current member. Callers hold the lock.
@@ -145,10 +175,14 @@ func (pt *ScanPart) fillLeads(out []IDTriple) int {
 		}
 		pt.nextLead = lead
 		listDone := true
-		if !pt.midBound {
+		switch {
+		case pt.closed && pt.fam == famPOS && lead == pt.tw.typ:
+		case !pt.midBound:
 			n, listDone = pt.fillMids(lead, e, out, n)
-		} else if set := e.set(pt.mid); set != nil {
-			n, listDone = pt.fillSet(lead, pt.mid, set, out, n)
+		default:
+			if set := e.set(pt.mid); set != nil {
+				n, listDone = pt.fillSet(lead, pt.mid, set, out, n)
+			}
 		}
 		if !listDone {
 			return false // out is full mid-lead; the next refill resumes in it
@@ -233,12 +267,14 @@ func (pt *ScanPart) fillMids(lead uint32, e *leadEntry, out []IDTriple, n int) (
 		end := e.setEnd(i)
 		set, mid := trailSet(e.entries[i:end]), e.entries[i].mid
 		i = end
-		if pt.trailBound {
+		switch {
+		case pt.closed && mid == pt.tw.typ:
+		case pt.trailBound:
 			if set.contains(pt.trail) {
 				out[n] = tripleOf(pt.fam, lead, mid, pt.trail)
 				n++
 			}
-		} else {
+		default:
 			var finished bool
 			if n, finished = pt.fillSet(lead, mid, set, out, n); !finished {
 				pt.nextMid = mid
@@ -332,6 +368,13 @@ func (s *Store) Scan(p IDPattern) *ScanPart {
 // overlay. The members are disjoint (see NewView), so it reports each union
 // triple exactly once.
 func (v *View) Scan(p IDPattern) *ScanPart {
+	pt := v.scanStored(p)
+	v.closeScan(pt, p)
+	return pt
+}
+
+// scanStored is Scan over the members' triples alone.
+func (v *View) scanStored(p IDPattern) *ScanPart {
 	pt := v.base.Scan(p)
 	pt.then = v.overlay
 	return pt
@@ -499,6 +542,9 @@ func emitPairs(pairs []midTrail, pi int, yield func(int, IDTriple) bool, fam uin
 // by the base, then by the overlay, under one read-lock. The same same-shape
 // and no-writes-from-yield rules apply.
 func (v *View) QueryIDBatch(ps []IDPattern, yield func(pi int, t IDTriple) bool) {
+	if v.closedBatch(ps, yield) {
+		return
+	}
 	v.base.mu.RLock()
 	defer v.base.mu.RUnlock()
 	v.queryIDBatch(ps, yield)

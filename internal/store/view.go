@@ -84,6 +84,9 @@ func (s *Store) validID(t IDTriple) bool {
 // with no per-triple duplicate probe, and every count is the sum of the
 // members' own counters. A writer that moves a triple between the members
 // does so inside one write section, so no reader sees the contract broken.
+// A view may also close its typing (CloseTyping, closed.go): it then answers
+// the instance types its subClassOf closure entails beside the ones its
+// members store.
 //
 // The members share one lock (NewOverlay), and a View read takes it once:
 // each probe batch (QueryIDBatch), each cursor refill (Scan), each Contains,
@@ -93,6 +96,9 @@ func (s *Store) validID(t IDTriple) bool {
 type View struct {
 	base    *Store
 	overlay *Store
+	// tally is set by CloseTyping, and marks a view with closed typing
+	// (closed.go).
+	tally *typeTally
 }
 
 // NewView returns the union view of base and overlay. The overlay must share
@@ -116,9 +122,9 @@ func (v *View) Base() *Store { return v.base }
 func (v *View) Overlay() *Store { return v.overlay }
 
 // Len returns the number of triples visible through the view: the O(1) sum
-// of the members' counters.
+// of the members' counters, and of the closed types they do not store.
 func (v *View) Len() int {
-	return v.base.Len() + v.overlay.Len()
+	return v.base.Len() + v.overlay.Len() + v.unstored()
 }
 
 // SymbolID returns the dictionary id of a name (the dictionary is shared, so
@@ -151,7 +157,7 @@ func (v *View) Provenance(t Triple) (Provenance, bool) {
 	switch {
 	case v.base.spo.contains(e.S, e.P, e.O):
 		return ProvAsserted, true
-	case v.overlay.spo.contains(e.S, e.P, e.O):
+	case v.overlay.spo.contains(e.S, e.P, e.O), v.closedHolds(e.S, e.P, e.O):
 		return ProvInferred, true
 	}
 	return ProvAsserted, false
@@ -178,6 +184,9 @@ func (v *View) ForEachSubject(predicate, object string, yield func(string) bool)
 	res := newResolver(v.base.syms)
 	v.base.mu.RLock()
 	defer v.base.mu.RUnlock()
+	if v.closedSubjects(pid, oid, res, yield) {
+		return
+	}
 	for _, s := range [2]*Store{v.base, v.overlay} {
 		e := s.pos.find(pid)
 		if e == nil {
@@ -207,7 +216,7 @@ type Held View
 
 // Scan is View.Scan for a caller inside a write section.
 func (h *Held) Scan(p IDPattern) *ScanPart {
-	pt := (*View)(h).Scan(p)
+	pt := (*View)(h).scanStored(p)
 	pt.held = true
 	return pt
 }
@@ -239,8 +248,17 @@ func (v *View) QueryIDFunc(p IDPattern, yield func(IDTriple) bool) {
 // widths, an upper bound when a value occurs on both sides, which is accurate
 // enough for the planner's selectivity ordering.
 func (v *View) StatsID(p IDPattern) IDStats {
+	if st, ok := v.closedStats(p); ok {
+		return st
+	}
 	v.base.mu.RLock()
 	defer v.base.mu.RUnlock()
+	return v.storedStats(p)
+}
+
+// storedStats is StatsID over the members' triples alone: the sums of their
+// statistics. Callers hold the lock.
+func (v *View) storedStats(p IDPattern) IDStats {
 	bs, os := v.base.statsID(p), v.overlay.statsID(p)
 	return IDStats{
 		Count:     bs.Count + os.Count,
