@@ -1,10 +1,12 @@
 package query
 
 import (
+	"context"
 	"errors"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestCanonicalIgnoresVariableNames(t *testing.T) {
@@ -119,7 +121,7 @@ func TestInterruptStopsEvaluation(t *testing.T) {
 	// Cancelled from the start: the iterator must terminate quickly and
 	// report ErrInterrupted even though the BGP has a huge solution space.
 	bgp := MustParseBGP("?a p ?b . ?c p ?d . ?e p ?f")
-	sols := Eval(s, bgp, Interrupt(func() bool { return true }))
+	sols := Eval(s, bgp, Interrupt(nil, time.Now()))
 	n := 0
 	for sols.Next() {
 		n++
@@ -133,10 +135,10 @@ func TestInterruptStopsEvaluation(t *testing.T) {
 
 	// Never cancelled: the hook must not change the result set.
 	small := fill(t, [3]string{"a", "type", "car"}, [3]string{"b", "type", "car"})
-	got := bindings(t, Eval(small, MustParseBGP("?x type car"), Interrupt(func() bool { return false })))
+	got := bindings(t, Eval(small, MustParseBGP("?x type car"), Interrupt(context.Background(), time.Now().Add(time.Hour))))
 	want := bindings(t, Eval(small, MustParseBGP("?x type car")))
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("Interrupt(false) changed the solutions: %v vs %v", got, want)
+		t.Fatalf("an Interrupt that never fires changed the solutions: %v vs %v", got, want)
 	}
 }
 

@@ -1,9 +1,11 @@
 package query
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/query/exec"
 	"repro/internal/store"
@@ -50,7 +52,9 @@ func TestCloseReturnsEveryBuffer(t *testing.T) {
 			}
 		}},
 		{"interrupt inside a join probe", func(t *testing.T) {
-			sols := Eval(s, bgp, Interrupt(func() bool { return true }))
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			sols := Eval(s, bgp, Interrupt(ctx, time.Time{}))
 			for sols.Next() {
 			}
 			if !errors.Is(sols.Err(), ErrInterrupted) {
@@ -59,10 +63,13 @@ func TestCloseReturnsEveryBuffer(t *testing.T) {
 			sols.Close()
 		}},
 		{"interrupt between rows of a batch", func(t *testing.T) {
-			stop := false
-			sols := Eval(s, bgp, Interrupt(func() bool { return stop }))
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			sols := Eval(s, bgp, Interrupt(ctx, time.Time{}))
 			for n := 0; sols.Next(); n++ {
-				stop = n >= 10
+				if n >= 10 {
+					cancel()
+				}
 			}
 			if !errors.Is(sols.Err(), ErrInterrupted) {
 				t.Fatalf("Err = %v, want ErrInterrupted", sols.Err())

@@ -1,16 +1,18 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
+	"time"
 
 	"repro/internal/query/exec"
 	"repro/internal/store"
 )
 
 // ErrInterrupted is the error a Solutions iterator reports through Err when
-// an Interrupt hook cancelled the evaluation before it was exhausted.
+// an Interrupt option cancelled the evaluation before it was exhausted.
 // Callers wrapping a context deadline should match it with errors.Is. It is
 // the same value as exec.ErrInterrupted — the operator runtime produces it,
 // this package re-exports it.
@@ -45,15 +47,18 @@ type Source interface {
 // solutions a cancelled iteration may still produce.
 const interruptTickMask = 255
 
-// config collects Eval's options.
+// config collects Eval's options. It lives in the Solutions it configures,
+// so applying the options allocates nothing of its own.
 type config struct {
 	oi           Subsumer
 	materialized bool
-	interrupt    func() bool
 	trace        *Trace
+	limit        int
+	// ctx carries the cancellation options to the operator tree.
+	ctx exec.Ctx
 }
 
-// Option configures one Eval call.
+// Option configures one Eval call; Eval skips a nil one.
 type Option func(*config)
 
 // Subsumer is the class hierarchy Expand rewrites through: Subsumees returns
@@ -75,22 +80,30 @@ func Expand(oi Subsumer) Option {
 	return func(c *config) { c.oi = oi }
 }
 
-// Interrupt installs a cancellation hook on the evaluation: cancelled is
+// Interrupt makes the evaluation cancellable: ctx and the deadline are
 // polled periodically (every few hundred execution steps, so long scans
-// cannot run away unobserved) and, once it returns true, the iteration stops
-// — Next returns false and Err reports ErrInterrupted. The hook is how a
-// server maps a request context's deadline onto an in-flight join:
+// cannot run away unobserved) and, once ctx is done or the clock has passed
+// the deadline, the iteration stops — Next returns false and Err reports
+// ErrInterrupted. It is how a server maps a request's context and timeout
+// onto an in-flight join:
 //
-//	sols := query.Eval(src, bgp, query.Interrupt(func() bool {
-//		return ctx.Err() != nil
-//	}))
+//	sols := query.Eval(src, bgp, query.Interrupt(r.Context(), time.Now().Add(timeout)))
 //
-// cancelled is called from whatever goroutine drives Next (never
-// concurrently with itself) and must be cheap and non-blocking; a closure
-// over a context or an atomic flag both qualify. A nil hook means the
-// evaluation is uncancellable, the zero-cost default.
-func Interrupt(cancelled func() bool) Option {
-	return func(c *config) { c.interrupt = cancelled }
+// Both ride in the evaluation as values, so the option costs no closure of
+// its own. A nil ctx or a zero deadline is not consulted; without the option
+// the evaluation is uncancellable, the zero-cost default.
+func Interrupt(ctx context.Context, deadline time.Time) Option {
+	return func(c *config) { c.ctx.Context, c.ctx.Deadline = ctx, deadline }
+}
+
+// Limit tells the evaluation that its caller reads at most n solutions
+// (n > 0), and whether there is one more. When the plan is a single leaf
+// scan, each batch then asks its cursor for at most n+1 triples instead of a
+// full exec.BatchSize: reads that cost per row (a closed-typing view's stored
+// types check) stop near the limit. The solutions are the same; only the
+// batches are smaller.
+func Limit(n int) Option {
+	return func(c *config) { c.limit = n }
 }
 
 // Materialized marks the source as a materialized store — one whose
@@ -134,7 +147,7 @@ type Solutions struct {
 	res  store.Resolver
 	vars []string
 	root exec.Op
-	ctx  exec.Ctx
+	cfg  config
 	cur  *exec.Batch
 	row  int
 	// onRow is true while the iterator is positioned on a valid solution
@@ -163,15 +176,16 @@ type Solutions struct {
 // never seen simply yields no solutions. An empty BGP yields exactly one
 // empty solution.
 func Eval(src Source, bgp BGP, opts ...Option) *Solutions {
-	var cfg config
+	sol := &Solutions{src: src, res: src.NewResolver(), vars: bgpVars(bgp)}
+	cfg := &sol.cfg
 	for _, o := range opts {
-		o(&cfg)
+		if o != nil {
+			o(cfg)
+		}
 	}
 	if cfg.materialized {
 		cfg.oi = nil
 	}
-	sol := &Solutions{src: src, res: src.NewResolver(), vars: bgpVars(bgp)}
-	sol.ctx.Interrupt = cfg.interrupt
 	// Variable-table lookups are linear: BGPs have a handful of variables,
 	// and a map would cost more to build than every lookup it would serve.
 	varIdx := func(name string) int {
@@ -238,6 +252,9 @@ func Eval(src Source, bgp BGP, opts ...Option) *Solutions {
 	}
 	clear(bound)
 	sol.root = exec.Lower(src, nil, steps, bound, len(sol.vars))
+	if len(steps) == 1 && cfg.limit > 0 {
+		exec.CapRows(sol.root, cfg.limit+1)
+	}
 	return sol
 }
 
@@ -415,10 +432,10 @@ func (sol *Solutions) Next() bool {
 		return true
 	}
 	if sol.cur != nil && sol.row+1 < sol.cur.N {
-		// The interrupt hook is polled here too (throttled), so a
+		// The cancellation is polled here too (throttled), so a
 		// cancellation observed mid-batch stops the iteration without
 		// draining the batch's remaining rows.
-		if sol.ctx.Cancelled() {
+		if sol.cfg.ctx.Cancelled() {
 			sol.Close()
 			sol.err = ErrInterrupted
 			return false
@@ -428,7 +445,7 @@ func (sol *Solutions) Next() bool {
 		return true
 	}
 	for {
-		b, err := sol.root.Next(&sol.ctx)
+		b, err := sol.root.Next(&sol.cfg.ctx)
 		if err != nil {
 			sol.err = err
 			sol.done = true
@@ -469,7 +486,7 @@ func (sol *Solutions) Close() {
 
 // Err returns the error that ended the iteration, or nil. The only errors
 // today are malformed BGPs (empty literals, empty variable names), unknown
-// projection variables, and ErrInterrupted when an Interrupt hook cancelled
+// projection variables, and ErrInterrupted when an Interrupt option cancelled
 // the evaluation; evaluation itself cannot fail.
 func (sol *Solutions) Err() error {
 	return sol.err
@@ -550,7 +567,7 @@ func (sol *Solutions) NextBatch() (SolutionBatch, bool) {
 		return SolutionBatch{n: 1}, true
 	}
 	for {
-		b, err := sol.root.Next(&sol.ctx)
+		b, err := sol.root.Next(&sol.cfg.ctx)
 		if err != nil {
 			sol.err = err
 			sol.done = true

@@ -40,8 +40,10 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"sync"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/store"
@@ -54,8 +56,8 @@ import (
 const BatchSize = 1024
 
 // ErrInterrupted is the error an operator tree reports when its Ctx's
-// Interrupt hook cancelled the evaluation. repro/internal/query re-exports it
-// as query.ErrInterrupted.
+// Context or Deadline cancelled the evaluation. repro/internal/query
+// re-exports it as query.ErrInterrupted.
 var ErrInterrupted = errors.New("query: evaluation interrupted")
 
 // Batch is one columnar batch of variable bindings: Cols[slot][row] is the
@@ -168,28 +170,33 @@ func putTrips(buf []store.IDTriple) {
 }
 
 // Ctx carries the per-evaluation state every operator of one tree shares:
-// the cancellation hook and its polling throttle. The zero value (no hook)
-// is an uncancellable evaluation.
+// the cancellation and its polling throttle. The zero value is an
+// uncancellable evaluation.
 type Ctx struct {
-	// Interrupt is polled periodically; once it returns true the evaluation
-	// stops and the tree reports ErrInterrupted. Nil means uncancellable.
-	Interrupt func() bool
-	ticks     uint
+	// Context, when not nil, and Deadline, when not zero, are polled
+	// periodically; once the one is done or the clock has passed the other,
+	// the evaluation stops and the tree reports ErrInterrupted. Both are
+	// values, so a request's cancellation needs no closure to hold it.
+	Context  context.Context
+	Deadline time.Time
+	ticks    uint
 }
 
-// tickMask throttles the Interrupt hook to one poll per tickMask+1 steps.
+// tickMask throttles the polls to one per tickMask+1 steps.
 const tickMask = 255
 
-// Cancelled polls the Interrupt hook, throttled; exported so the Solutions
-// adapter in package query can share the tree's poll budget between batches.
+// Cancelled polls the context and the deadline, throttled; exported so the
+// Solutions adapter in package query can share the tree's poll budget
+// between batches.
 func (c *Ctx) Cancelled() bool {
-	if c.Interrupt == nil {
+	if c.Context == nil && c.Deadline.IsZero() {
 		return false
 	}
 	if c.ticks++; c.ticks&tickMask != 0 {
 		return false
 	}
-	return c.Interrupt()
+	return c.Context != nil && c.Context.Err() != nil ||
+		!c.Deadline.IsZero() && time.Now().After(c.Deadline)
 }
 
 // Source is the batched id-level read surface operators evaluate over,
@@ -438,6 +445,7 @@ type scan struct {
 
 	out      *Batch
 	tbuf     []store.IDTriple
+	rows     int // triples asked of the cursor per batch: BatchSize, or CapRows's cap
 	done     bool
 	released bool
 	stat     *OpStat // span statistics, when instrumented (see stats.go)
@@ -477,11 +485,23 @@ func NewScan(src Source, pat Pattern, expand []store.SymbolID, nslots int) Op {
 		rp:     planRow(pat, nil),
 		expand: expand,
 		out:    newBatch(nslots),
+		rows:   BatchSize,
 	}
 	if expand != nil {
 		s.ip.BoundO = true
 	}
 	return s
+}
+
+// CapRows caps the triples a leaf scan asks of its cursor per batch at n, for
+// a caller that reads at most n rows of a tree whose root is the leaf: a
+// cursor that pays per row (a closed-typing view's stored-types check) then
+// stops near them. It leaves any other operator, and a cap of BatchSize or
+// more, as they are.
+func CapRows(op Op, n int) {
+	if s, ok := op.(*scan); ok && n > 0 && n < BatchSize {
+		s.rows = n
+	}
 }
 
 // Next pulls the scan's next batch, accounting the pull when instrumented.
@@ -527,7 +547,7 @@ func (s *scan) next(ctx *Ctx) (*Batch, error) {
 			s.close()
 			return nil, nil
 		}
-		n, exhausted := s.part.NextBatch(s.tbuf)
+		n, exhausted := s.part.NextBatch(s.tbuf[:s.rows])
 		if exhausted {
 			s.part.Release()
 			s.part = nil

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/query/exec"
 	"repro/internal/store"
@@ -40,13 +41,13 @@ func expandFixture(t *testing.T, candidates int) (*store.Store, exec.Pattern, []
 
 // TestScanSequentialCancelledMidPull pins the fix for the sequential scan
 // loop: cancellation must be observed between candidate pulls inside a single
-// Next call, not only on entry. With an always-true Interrupt hook the scan
+// Next call, not only on entry. With a deadline already passed the scan
 // must report ErrInterrupted; before the fix it drained all candidates and
 // reported clean exhaustion.
 func TestScanSequentialCancelledMidPull(t *testing.T) {
 	s, pat, expand := expandFixture(t, 2048)
 	op := exec.NewScan(s, pat, expand, 2)
-	ctx := &exec.Ctx{Interrupt: func() bool { return true }}
+	ctx := &exec.Ctx{Deadline: time.Unix(1, 0)}
 	for {
 		b, err := op.Next(ctx)
 		if err != nil {
@@ -62,8 +63,8 @@ func TestScanSequentialCancelledMidPull(t *testing.T) {
 }
 
 // TestScanSequentialUncancelledDrains is the control for the fixture above:
-// with no Interrupt hook the same scan must run to clean exhaustion, proving
-// the interrupted run stopped because of the hook and not a scan error.
+// with no deadline the same scan must run to clean exhaustion, proving the
+// interrupted run stopped because of the deadline and not a scan error.
 func TestScanSequentialUncancelledDrains(t *testing.T) {
 	s, pat, expand := expandFixture(t, 2048)
 	op := exec.NewScan(s, pat, expand, 2)

@@ -11,10 +11,12 @@ package query
 // target over the same generator.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/model"
 	"repro/internal/query/exec"
@@ -238,13 +240,14 @@ func TestInterruptMidBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	const prefix = 1500 // more than one 1024-row batch
-	cancelled := false
-	sols := Eval(s, MustParseBGP("?s p ?o"), Interrupt(func() bool { return cancelled }))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sols := Eval(s, MustParseBGP("?s p ?o"), Interrupt(ctx, time.Time{}))
 	n := 0
 	for sols.Next() {
 		n++
 		if n == prefix {
-			cancelled = true
+			cancel()
 		}
 		if n > prefix+4*interruptTickMask {
 			t.Fatal("iterator kept producing solutions long after mid-stream cancellation")

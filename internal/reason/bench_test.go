@@ -215,7 +215,8 @@ func BenchmarkRetypeServing(b *testing.B) {
 // ways: "materialized" under RDFSRules, every propagated type stored, and
 // "closed" under MaterializeServing, the propagated types answered from the
 // subClassOf closure. The acceptance figures are the two sub-benchmarks'
-// ns/op and B/op ratios.
+// ns/op and B/op ratios. Q1, ?x type C with the server's limit 100, reads
+// as the server's drain does: limit + 1 rows, then Close.
 func BenchmarkClosedReads(b *testing.B) {
 	const classes, sites, regions = 120, 89, 7
 	for _, mode := range []string{"materialized", "closed"} {
@@ -231,20 +232,26 @@ func BenchmarkClosedReads(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, shape := range []string{"Q2", "Q3"} {
+		for _, shape := range []string{"Q1", "Q2", "Q3"} {
 			b.Run(mode+"/"+shape, func(b *testing.B) {
 				b.ReportAllocs()
 				rows := 0
 				for i := 0; i < b.N; i++ {
 					class := workload.ClassName(i % classes)
-					text := "?x type " + class + " . ?x locatedIn site-" + strconv.Itoa(i/classes%sites)
-					if shape == "Q3" {
-						text = "?x type " + class + " . ?x locatedIn ?s . ?s partOf region-" + strconv.Itoa(i/classes%regions)
+					text, limit := "?x type "+class, 100
+					switch shape {
+					case "Q2":
+						text, limit = text+" . ?x locatedIn site-"+strconv.Itoa(i/classes%sites), 0
+					case "Q3":
+						text, limit = text+" . ?x locatedIn ?s . ?s partOf region-"+strconv.Itoa(i/classes%regions), 0
 					}
-					sols := query.Eval(r.View(), query.MustParseBGP(text), query.Materialized())
-					for sb, ok := sols.NextBatch(); ok; sb, ok = sols.NextBatch() {
-						rows += sb.Len()
+					sols := query.Eval(r.View(), query.MustParseBGP(text), query.Materialized(), query.Limit(limit))
+					n := 0
+					for sb, ok := sols.NextBatch(); ok && (limit == 0 || n <= limit); sb, ok = sols.NextBatch() {
+						n += sb.Len()
 					}
+					sols.Close()
+					rows += n
 				}
 				b.ReportMetric(float64(rows)/float64(b.N), "rows/query")
 			})

@@ -2,6 +2,7 @@ package reason
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -324,13 +325,25 @@ func TestReasonRDFSSchedulesMatchReference(t *testing.T) {
 	}
 }
 
+// pollCounter is a context that never ends and counts how often an
+// evaluation polls it.
+type pollCounter struct {
+	context.Context
+	n int
+}
+
+func (c *pollCounter) Err() error {
+	c.n++
+	return nil
+}
+
 // TestSeedScansTheMostSelectiveAtom: the seed round evaluates a rule from
 // the body atom with the fewest matches, whatever its place in the body.
 // The rule's atoms chain ?x p ?y, ?y q ?z, ?z r rare over 2 000 p facts on
 // 200 ys, ten q facts a y and one r fact. From the r atom the ten heads take
 // a few dozen steps; from the first atom the join meets 20 000 (y, z) rows
-// before the r atom filters them — which the evaluation context's Interrupt
-// hook, polled once per 256 steps, counts.
+// before the r atom filters them — which the evaluation context's Context,
+// polled once per 256 steps, counts.
 func TestSeedScansTheMostSelectiveAtom(t *testing.T) {
 	rules, err := ParseRules("?x s ?z :- ?x p ?y . ?y q ?z . ?z r rare")
 	if err != nil {
@@ -354,16 +367,13 @@ func TestSeedScansTheMostSelectiveAtom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	polls, heads := 0, 0
-	ctx := exec.Ctx{Interrupt: func() bool {
-		polls++
-		return false
-	}}
+	polls, heads := &pollCounter{Context: context.Background()}, 0
+	ctx := exec.Ctx{Context: polls}
 	matchAll(&ctx, &compiled[0], base, func(store.IDTriple) bool {
 		heads++
 		return true
 	})
-	if heads != 10 || polls > 1 {
-		t.Fatalf("the seed evaluation emitted %d heads (want 10) in %d polls of 256 steps: it did not start from the one r fact", heads, polls)
+	if heads != 10 || polls.n > 1 {
+		t.Fatalf("the seed evaluation emitted %d heads (want 10) in %d polls of 256 steps: it did not start from the one r fact", heads, polls.n)
 	}
 }

@@ -185,3 +185,96 @@ func TestAnswerMatchesItsGeneration(t *testing.T) {
 	}
 	t.Logf("%d answers matched their generation (%d of them cached); %d omitted the generation", checked.Load(), cached.Load(), omitted.Load())
 }
+
+// TestReplayNeverSeesRecycledBody: readers replay and evaluate queries whose
+// answers are all the same size — one class under eight variable names, so a
+// dead entry under one key is the best fit for a miss under any other — while
+// a writer toggles an instance, invalidating them all each time. Every
+// answer that names a generation, every replay among them, must be that
+// generation's answer under its own variable: a body recycled while a replay
+// still wrote it would show another key's name or another generation's rows
+// (and, under -race, the unsynchronized overwrite).
+func TestReplayNeverSeesRecycledBody(t *testing.T) {
+	base := store.New()
+	ts := []store.Triple{{Subject: "A", Predicate: reason.SubClassOfPredicate, Object: "B"}}
+	var members []string
+	for i := 0; i < 40; i++ {
+		members = append(members, fmt.Sprintf("s%02d", i))
+		ts = append(ts, store.Triple{Subject: members[i], Predicate: store.TypePredicate, Object: "A"})
+	}
+	if _, err := base.AddBatch(ts); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Base: base})
+	even, odd := members, append(append([]string(nil), members...), "xx")
+	sort.Strings(odd)
+
+	xa := []TripleJSON{{Subject: "xx", Predicate: store.TypePredicate, Object: "A"}}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			req := MutateRequest{Add: xa}
+			if i%2 == 1 {
+				req = MutateRequest{Remove: xa}
+			}
+			if code, _, errResp := postTriples(t, s, req); code != 200 {
+				t.Errorf("write %d: %d %s", i, code, errResp.Error)
+				return
+			}
+			time.Sleep(200 * time.Microsecond)
+		}
+	}()
+
+	const readers, perReader = 4, 4000
+	vars := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	var wg sync.WaitGroup
+	var checked, replays atomic.Int64
+	deadline := time.Now().Add(time.Second)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < perReader && time.Now().Before(deadline); i++ {
+				v := vars[(i*7+r)%len(vars)]
+				res := postQuery(t, s, QueryRequest{BGP: "?" + v + " type B"})
+				if res.status != 200 || res.trailer.Error != "" {
+					t.Errorf("?%s type B: status %d, trailer %+v", v, res.status, res.trailer)
+					return
+				}
+				g := res.trailer.Generation
+				if g == nil {
+					continue
+				}
+				want := even
+				if *g%2 == 1 {
+					want = odd
+				}
+				if len(res.header.Vars) != 1 || res.header.Vars[0] != v {
+					t.Errorf("?%s type B (cached %v) at generation %d answered under the variables %v", v, res.trailer.Cached, *g, res.header.Vars)
+					return
+				}
+				if got := res.values(v); !equalStrings(got, want) {
+					t.Errorf("?%s type B (cached %v) at generation %d answered %v, want %v", v, res.trailer.Cached, *g, got, want)
+					return
+				}
+				checked.Add(1)
+				if res.trailer.Cached {
+					replays.Add(1)
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(stop)
+	<-done
+	if replays.Load() < 20 {
+		t.Fatalf("only %d replays named their generation", replays.Load())
+	}
+	t.Logf("%d answers matched their generation and variable, %d of them replays", checked.Load(), replays.Load())
+}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -36,8 +35,8 @@ type queryRun struct {
 	limit int    // 1..MaxSolutions
 
 	// Set by source.
-	src  query.Source
-	opts []query.Option
+	src query.Source
+	opt query.Option // the mode's evaluator option; nil for none
 
 	// Set by buildKey, in its pooled buffer.
 	key       []byte // cache key
@@ -111,9 +110,6 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, q *queryRun) boo
 	return true
 }
 
-// materializedOpts are the evaluator options of the default mode.
-var materializedOpts = []query.Option{query.Materialized()}
-
 // source is stage two: the store the mode evaluates over and the evaluator
 // options that go with it.
 func (s *Server) source(w http.ResponseWriter, q *queryRun) bool {
@@ -121,13 +117,13 @@ func (s *Server) source(w http.ResponseWriter, q *queryRun) bool {
 	case "", ModeMaterialized:
 		q.mode = ModeMaterialized
 		q.src = s.reasoner.View()
-		q.opts = materializedOpts[:1:1] // shared: drain's appends copy it
+		q.opt = query.Materialized()
 	case ModeExpand:
 		// The hierarchy is the reasoner's own subClassOf closure, so a schema
 		// write reaches the next answer (evaluate files the entry under
 		// subClassOf).
 		q.src = s.reasoner.Base()
-		q.opts = append(q.opts, query.Expand(s.reasoner))
+		q.opt = query.Expand(s.reasoner)
 	case ModePlain:
 		q.src = s.reasoner.Base()
 	default:
@@ -179,7 +175,9 @@ func (q *queryRun) buildKey(kb *keyBuffer) {
 }
 
 // replay is stage four: on a cache hit, write the stored body as a fresh
-// response stream and report true.
+// response stream and report true. The entry is held until the trailer, which
+// points at its generation, is written too: a dead entry's body is the next
+// miss's to overwrite.
 func (s *Server) replay(w http.ResponseWriter, q *queryRun) bool {
 	e := s.cache.get(q.key)
 	q.clock.Mark(obs.StageLookup)
@@ -191,6 +189,8 @@ func (s *Server) replay(w http.ResponseWriter, q *queryRun) bool {
 	if _, err := w.Write(e.body); err == nil {
 		writeAppended(w, q.trailer, appendTrailer)
 	}
+	q.trailer.Generation = nil // the entry is the next miss's once released
+	s.cache.release(e)
 	return true
 }
 
@@ -210,7 +210,7 @@ func (s *Server) evaluate(w http.ResponseWriter, r *http.Request, q *queryRun) {
 	w.Header()["Content-Type"] = ndjsonContent
 	out := newBodyWriter(w, s.cache)
 	defer out.release()
-	exact, err := s.drain(r, q, &out)
+	exact, err := s.drain(r, q, &out, nil)
 	if err == errClientGone {
 		return // nothing to cache (the result may be incomplete), no one to tell
 	}
@@ -225,13 +225,12 @@ func (s *Server) evaluate(w http.ResponseWriter, r *http.Request, q *queryRun) {
 	}
 
 	if body := out.body(); exact && body != nil {
-		e := &cacheEntry{
-			gen:       gen,
-			body:      bytes.Clone(body),
-			solutions: q.trailer.Solutions,
-			truncated: q.trailer.Truncated,
-			preds:     make([]string, 0, len(q.bgp)+1), // room for subClassOf
+		e := s.cache.entry(body)
+		e.gen, e.solutions, e.truncated, e.anyPred = gen, q.trailer.Solutions, q.trailer.Truncated, false
+		if cap(e.preds) < len(q.bgp)+1 { // room for subClassOf
+			e.preds = make([]string, 0, len(q.bgp)+1)
 		}
+		e.preds = e.preds[:0]
 		for _, p := range q.bgp {
 			if p.Predicate.IsVar {
 				e.anyPred = true
@@ -246,7 +245,7 @@ func (s *Server) evaluate(w http.ResponseWriter, r *http.Request, q *queryRun) {
 		if q.mode == ModeExpand || q.mode == ModeMaterialized && slices.Contains(e.preds, store.TypePredicate) {
 			e.preds = append(e.preds, reason.SubClassOfPredicate)
 		}
-		s.cache.put(string(q.key), e)
+		s.cache.put(q.key, e)
 	}
 	if out.send(false) == nil {
 		writeAppended(w, q.trailer, appendTrailer)
@@ -265,15 +264,21 @@ var errClientGone = errors.New("server: client went away mid-response")
 // (errClientGone if the sink could not write). exact reports that the count
 // and the truncated flag are the query's true answer — what a cache entry may
 // hold. Every way out — limit met, client gone — hands the operator tree's
-// pooled buffers back.
-func (s *Server) drain(r *http.Request, q *queryRun, sink *bodyWriter, extra ...query.Option) (exact bool, err error) {
-	sols := query.Eval(q.src, q.bgp, append(append(q.opts, query.Interrupt(s.cancelled(r))), extra...)...)
+// pooled buffers back. extra is EXPLAIN's trace option, or nil.
+func (s *Server) drain(r *http.Request, q *queryRun, sink *bodyWriter, extra query.Option) (exact bool, err error) {
+	// Eval keeps none of its options, so they and their list stay on this
+	// stack. The executor polls the request's deadline and context once every
+	// few hundred steps, which costs less than arming a timer (and a derived
+	// context) per query.
+	deadline := time.Now().Add(s.cfg.QueryTimeout)
+	sols := query.Eval(q.src, q.bgp, q.opt, query.Interrupt(r.Context(), deadline), query.Limit(q.limit), extra)
 	q.clock.Mark(obs.StagePlan)
 	defer sols.Close()
 	q.vars = sols.Vars()
 	if sink != nil {
 		sink.buf = appendHeader(sink.buf, q.vars)
-		sink.res, sink.frags = sols.Resolver(), rowFragments(q.vars)
+		sink.res, sink.nvars = sols.Resolver(), len(q.vars)
+		sink.frags = rowFragments(q.vars, sink.ends[:sink.nvars])
 	}
 	q.clock.Mark(obs.StageEncode)
 	t := &q.trailer
@@ -316,18 +321,6 @@ func (s *Server) drain(r *http.Request, q *queryRun, sink *bodyWriter, extra ...
 // enough that slow consumers see progress, rarely enough that flushing does
 // not dominate small-row serialization.
 const flushEvery = 256
-
-// cancelled builds the query.Interrupt hook of one evaluation: it reports
-// true once Config.QueryTimeout has passed or the client has gone. The
-// executor polls it once every few hundred steps, so comparing the clock
-// there costs less than arming a timer (and a derived context) per query.
-func (s *Server) cancelled(r *http.Request) func() bool {
-	deadline := time.Now().Add(s.cfg.QueryTimeout)
-	ctx := r.Context()
-	return func() bool {
-		return time.Now().After(deadline) || ctx.Err() != nil
-	}
-}
 
 // explainQuery is the ?explain=1 arm of handleQuery: evaluate with a trace
 // attached, drain (up to the limit) without marshaling rows, and return the
@@ -376,10 +369,14 @@ type bodyWriter struct {
 	flusher http.Flusher // nil when w cannot flush
 	cache   *resultCache
 	pooled  *[]byte
-	// res and frags (rowFragments of the evaluation's variables) are what
-	// rows formats solutions with.
+	// res, frags and ends (rowFragments of the evaluation's nvars
+	// variables) are what rows formats solutions with: the row line's
+	// fragment c is frags[ends[c-1]:ends[c]], the first from 0. A BGP has at
+	// most three variables a pattern.
 	res   store.Resolver
-	frags [][]byte
+	frags []byte
+	nvars int
+	ends  [3 * maxPatterns]int32
 	// buf[sent:] is not yet written to the client. While retain is set,
 	// buf[:sent] is everything written so far — the response body from its
 	// first byte; once retain is cleared, sent bytes are dropped.
@@ -405,12 +402,14 @@ func (bw *bodyWriter) rows(sb query.SolutionBatch, done, n int) error {
 		return nil
 	}
 	for r := 0; r < n; r++ {
-		if len(bw.frags) == 0 {
+		if bw.nvars == 0 {
 			bw.buf = append(bw.buf, emptyRowLine...)
 		} else {
-			for c, frag := range bw.frags {
-				bw.buf = append(bw.buf, frag...)
+			from := int32(0)
+			for c, end := range bw.ends[:bw.nvars] {
+				bw.buf = append(bw.buf, bw.frags[from:end]...)
 				bw.buf = appendJSONString(bw.buf, bw.res.Name(sb.ID(c, r)))
+				from = end
 			}
 			bw.buf = append(bw.buf, rowTail...)
 		}
@@ -490,15 +489,19 @@ func appendHeader(dst []byte, vars []string) []byte {
 var rowTail = []byte("\"}}\n")
 
 // rowFragments precomputes the constant byte fragments of a QueryRow line
-// for the given variables, so streaming a row is append-fragment,
-// append-value repeated: frags[0] opens the line through the first
-// variable's name, frags[i>0] closes the previous value and names the next.
+// for the given variables, one after another in one allocation, and sets
+// ends[i] to where fragment i ends, so streaming a row is append-fragment,
+// append-value repeated: fragment 0 opens the line through the first
+// variable's name, fragment i>0 closes the previous value and names the next.
 // Variable names are JSON-escaped once here. The zero-variable case (the
 // empty BGP) is emptyRowLine.
-func rowFragments(vars []string) [][]byte {
-	frags := make([][]byte, len(vars))
+func rowFragments(vars []string, ends []int32) []byte {
+	size := len(`{"bind":{"`) - len(`","`)
+	for _, v := range vars {
+		size += len(`","`) + len(v) + len(`":"`)
+	}
+	b := make([]byte, 0, size) // grows only for a name that needs escaping
 	for i, v := range vars {
-		var b []byte
 		if i == 0 {
 			b = append(b, `{"bind":{"`...)
 		} else {
@@ -506,9 +509,9 @@ func rowFragments(vars []string) [][]byte {
 		}
 		b = appendJSONString(b, v)
 		b = append(b, `":"`...)
-		frags[i] = b
+		ends[i] = int32(len(b))
 	}
-	return frags
+	return b
 }
 
 // emptyRowLine is the streamed form of the empty BGP's single solution.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -115,7 +116,7 @@ func TestStreamAndExplainAgree(t *testing.T) {
 }
 
 // pollCtx is a request context that reports cancellation from its n-th Err
-// call on. The evaluator's interrupt hook polls Err, so n picks the step of
+// call on. The evaluator's cancellation polls Err, so n picks the step of
 // the evaluation at which the client "goes away".
 type pollCtx struct {
 	context.Context
@@ -234,5 +235,62 @@ func TestCachedQueryAllocs(t *testing.T) {
 	const pinned = 3
 	if allocs > pinned {
 		t.Fatalf("a cached /query allocates %v times, above the %d it did", allocs, pinned)
+	}
+}
+
+// TestCacheMissAllocs holds the steady-state miss to its allocation count:
+// a loop of a miss, an invalidation of the entry it filed, and the same miss
+// again. Each miss copies its ≈ 30 KB answer into the body the invalidation
+// left dead, so no body is allocated. The 10 allocations are the request's
+// body reader, BGP string and parsed BGP, the evaluator's solutions,
+// resolver, variable list and steps, the variables' copy, the row fragments
+// and the cache key's string. It was 18, with the cache entry, its predicate
+// list and body, the evaluator's option slice, the two closures of its
+// interrupt hook, its separate config and a second row fragment.
+func TestCacheMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	base := store.New()
+	var ts []store.Triple
+	for i := 0; i < 1000; i++ {
+		ts = append(ts, store.Triple{Subject: "instance" + strconv.Itoa(i), Predicate: store.TypePredicate, Object: "vehicle"})
+	}
+	if _, err := base.AddBatch(ts); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Base: base})
+	v := s.reasoner.View()
+	typ, _ := v.SymbolID(store.TypePredicate)
+	res, touched := v.NewResolver(), []store.IDTriple{{P: typ}}
+	body := []byte(`{"bgp":"?x type vehicle"}`)
+	rd := bytes.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, "/query", rd)
+	w := &chunkRecorder{header: http.Header{}}
+	h := s.Handler()
+	miss := func() {
+		rd.Reset(body)
+		w.body.Reset()
+		h.ServeHTTP(w, req)
+		s.cache.invalidate(res, touched, nil)
+	}
+	miss()
+	if !bytes.Contains(w.body.Bytes(), []byte(`"cached":false`)) {
+		t.Fatalf("the measured request was not a miss: %s", w.body.Bytes())
+	}
+	answer := w.body.Len()
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, miss)
+	runtime.ReadMemStats(&after)
+	perMiss := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
+	t.Logf("a missed /query of %d B and its invalidation allocate %v times, %d B", answer, allocs, perMiss)
+	const pinned = 10
+	if allocs > pinned {
+		t.Fatalf("a missed /query allocates %v times, above the %d it did", allocs, pinned)
+	}
+	if perMiss > uint64(answer)/4 {
+		t.Fatalf("a missed /query allocates %d B against a %d B answer: its body is not reused", perMiss, answer)
 	}
 }
