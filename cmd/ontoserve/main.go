@@ -20,11 +20,11 @@
 // subClassOf triples next to the annotations, exactly as ontoaudit
 // -materialize does. -rules appends user Horn rules (one "head :- body .
 // body" per line) to the built-in RDFS set. The server stores every
-// conclusion but the instance types RDFS propagates up the class hierarchy,
-// which it answers from the stored subClassOf closure (API.md, "Closed
-// typing"); a -rules body with a type or variable predicate, or a head with
-// a range, subPropertyOf or variable predicate, could read or unlock those
-// types, and makes it store them as well.
+// conclusion but the instance types RDFS propagates up the class hierarchy
+// and the property triples it propagates up the property hierarchy, which it
+// answers from the stored subClassOf and subPropertyOf closures (API.md,
+// "Closed typing and properties"); a -rules body or head that could read or
+// unlock them makes it store them as well.
 //
 // -data-dir makes the asserted store durable (repro/internal/durable): on
 // boot the server recovers the directory's checkpoint segment and

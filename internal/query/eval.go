@@ -111,7 +111,7 @@ func Limit(n int) Option {
 // triples themselves — and therefore suppresses Expand rewriting: a type
 // pattern is evaluated literally, because the subsumee annotations Expand
 // would union over are already present as inferred type triples (stored, or
-// answered by a view with closed typing, store.View.CloseTyping). It takes
+// answered by a closed view, store.View.Close). It takes
 // precedence over Expand, so callers can pass both unconditionally and let
 // the presence of a reasoner decide (reason's equivalence tests prove the two
 // modes return identical answers on the E5 corpus).

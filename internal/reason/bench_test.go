@@ -212,11 +212,13 @@ func BenchmarkRetypeServing(b *testing.B) {
 // BenchmarkClosedReads prices the harness's cold reads — Q2, ?x type C .
 // ?x locatedIn S, and Q3, ?x type C . ?x locatedIn ?s . ?s partOf R, cycled
 // over every class and site or region — over the serving corpus stored two
-// ways: "materialized" under RDFSRules, every propagated type stored, and
-// "closed" under MaterializeServing, the propagated types answered from the
-// subClassOf closure. The acceptance figures are the two sub-benchmarks'
-// ns/op and B/op ratios. Q1, ?x type C with the server's limit 100, reads
-// as the server's drain does: limit + 1 rows, then Close.
+// ways: "materialized" under RDFSRules, every propagated type and property
+// triple stored, and "closed" under MaterializeServing, both answered from
+// the subClassOf and subPropertyOf closures. The acceptance figures are the
+// two sub-benchmarks' ns/op and B/op ratios. Q1, ?x type C with the server's
+// limit 100, reads as the server's drain does: limit + 1 rows, then Close.
+// "within", ?x within S over every site, reads a super-property: stored
+// under locatedIn and partOf, it is all closure on the closed side.
 func BenchmarkClosedReads(b *testing.B) {
 	const classes, sites, regions = 120, 89, 7
 	for _, mode := range []string{"materialized", "closed"} {
@@ -232,7 +234,7 @@ func BenchmarkClosedReads(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, shape := range []string{"Q1", "Q2", "Q3"} {
+		for _, shape := range []string{"Q1", "Q2", "Q3", "within"} {
 			b.Run(mode+"/"+shape, func(b *testing.B) {
 				b.ReportAllocs()
 				rows := 0
@@ -244,6 +246,8 @@ func BenchmarkClosedReads(b *testing.B) {
 						text, limit = text+" . ?x locatedIn site-"+strconv.Itoa(i/classes%sites), 0
 					case "Q3":
 						text, limit = text+" . ?x locatedIn ?s . ?s partOf region-"+strconv.Itoa(i/classes%regions), 0
+					case "within":
+						text, limit = "?x within site-"+strconv.Itoa(i%sites), 0
 					}
 					sols := query.Eval(r.View(), query.MustParseBGP(text), query.Materialized(), query.Limit(limit))
 					n := 0

@@ -13,13 +13,14 @@ import (
 	"repro/internal/workload"
 )
 
-// This file holds closed typing (MaterializeServing, store.View.CloseTyping)
-// to the full RDFS materialization: two reasoners over the same random
-// corpus and the same random writes, one storing every propagated type and
-// one answering them from the subClassOf closure, must give the same answer
-// to every read — every pattern shape, joins whose probes meet type patterns
-// bound every way, cursors drained a few triples at a time, counts,
-// provenance and class retrieval.
+// This file holds the closed view (MaterializeServing, store.View.Close) to
+// the full RDFS materialization: two reasoners over the same random corpus
+// and the same random writes, one storing every propagated type and property
+// triple and one answering them from the subClassOf and subPropertyOf
+// closures, must give the same answer to every read — every pattern shape,
+// joins whose probes meet type and super-property patterns bound every way,
+// cursors drained a few triples at a time, counts, provenance and class
+// retrieval.
 
 // closedVocab is the random corpus's vocabulary: few enough names that
 // instances carry several types, subClassOf closes cycles, and domain and
@@ -27,25 +28,66 @@ import (
 var (
 	closedInstances  = []string{"i0", "i1", "i2", "i3", "i4"}
 	closedClasses    = []string{"c0", "c1", "c2", "c3", "c4", "c5"}
-	closedProperties = []string{"p0", "p1", "p2"}
+	closedProperties = []string{"p0", "p1", "p2", "p3", "p4"}
 )
 
-// closedTriple draws one corpus triple. None is a TypingHazard: those are
-// what MaterializeServing refuses to close over.
-func closedTriple(rng *rand.Rand) store.Triple {
-	pick := func(pool []string) string { return pool[rng.Intn(len(pool))] }
-	t := store.Triple{Subject: pick(closedInstances), Predicate: store.TypePredicate, Object: pick(closedClasses)}
-	switch rng.Intn(10) {
+// closedPick draws a name of the pool.
+func closedPick(rng *rand.Rand, pool []string) string { return pool[rng.Intn(len(pool))] }
+
+// closedFact draws one instance or class triple: a type, a property edge or
+// a subClassOf edge.
+func closedFact(rng *rand.Rand) store.Triple {
+	switch rng.Intn(8) {
 	case 0, 1, 2:
-		t.Predicate, t.Object = pick(closedProperties), pick(closedInstances)
+		return store.Triple{Subject: closedPick(rng, closedInstances), Predicate: closedPick(rng, closedProperties), Object: closedPick(rng, closedInstances)}
 	case 3, 4:
-		t = store.Triple{Subject: pick(closedClasses), Predicate: SubClassOfPredicate, Object: pick(closedClasses)}
-	case 5:
-		t = store.Triple{Subject: pick(closedProperties), Predicate: pick([]string{DomainPredicate, RangePredicate}), Object: pick(closedClasses)}
-	case 6:
-		t = store.Triple{Subject: pick(closedProperties), Predicate: SubPropertyOfPredicate, Object: pick(closedProperties)}
+		return store.Triple{Subject: closedPick(rng, closedClasses), Predicate: SubClassOfPredicate, Object: closedPick(rng, closedClasses)}
 	}
-	return t
+	return store.Triple{Subject: closedPick(rng, closedInstances), Predicate: store.TypePredicate, Object: closedPick(rng, closedClasses)}
+}
+
+// closedHierarchy draws a property hierarchy — a chain, a diamond or a
+// cycle entered from below, p4 outside it — with a domain or a range on some
+// of its leaves, the properties without a strict sub-property: a schema
+// holding no property hazard.
+func closedHierarchy(rng *rand.Rand) []store.Triple {
+	sp := func(a, b int) store.Triple {
+		return store.Triple{Subject: closedProperties[a], Predicate: SubPropertyOfPredicate, Object: closedProperties[b]}
+	}
+	var ts []store.Triple
+	switch rng.Intn(3) {
+	case 0:
+		ts = []store.Triple{sp(0, 1), sp(1, 2), sp(2, 3)}
+	case 1:
+		ts = []store.Triple{sp(0, 1), sp(0, 2), sp(1, 3), sp(2, 3)}
+	default:
+		ts = []store.Triple{sp(0, 1), sp(1, 2), sp(2, 1)}
+	}
+	hasSub := map[string]bool{}
+	for _, t := range ts {
+		hasSub[t.Object] = true
+	}
+	for _, p := range closedProperties {
+		if !hasSub[p] && rng.Intn(2) == 0 {
+			ts = append(ts, store.Triple{Subject: p, Predicate: closedPick(rng, []string{DomainPredicate, RangePredicate}), Object: closedPick(rng, closedClasses)})
+		}
+	}
+	return ts
+}
+
+// closedTriple draws one triple of a write: a fact, or now and then a schema
+// triple over the properties, which may be a property hazard (and reopen
+// the closure) but is never a TypingHazard, which MaterializeServing relies
+// on its caller to refuse.
+func closedTriple(rng *rand.Rand) store.Triple {
+	if rng.Intn(10) > 0 {
+		return closedFact(rng)
+	}
+	p := closedPick(rng, closedProperties)
+	if rng.Intn(2) == 0 {
+		return store.Triple{Subject: p, Predicate: SubPropertyOfPredicate, Object: closedPick(rng, closedProperties)}
+	}
+	return store.Triple{Subject: p, Predicate: closedPick(rng, []string{DomainPredicate, RangePredicate}), Object: closedPick(rng, closedClasses)}
 }
 
 // closedJoins are the BGPs whose probes meet a type pattern bound each way:
@@ -62,6 +104,10 @@ var closedJoins = []string{
 	"?x type ?c . ?c subClassOf ?d",
 	"?x type ?c . ?y type ?c",
 	"?a ?p c0 . ?x ?p ?o",
+	"?x p3 ?y . ?y type c0",
+	"?x type c0 . ?x p1 ?y",
+	"?p subPropertyOf p3 . ?x ?p ?y",
+	"?x p2 ?y . ?y p3 ?z",
 }
 
 // rows renders an answer's rows sorted, duplicates kept.
@@ -118,7 +164,7 @@ func checkClosed(t *testing.T, rng *rand.Rand, full, closed *Reasoner, context s
 		return out
 	}
 	nodes := terms(closedInstances, closedClasses, closedProperties)
-	preds := terms(closedProperties, []string{store.TypePredicate, SubClassOfPredicate, DomainPredicate})
+	preds := terms(closedProperties, []string{store.TypePredicate, SubClassOfPredicate, SubPropertyOfPredicate, DomainPredicate})
 	for _, s := range nodes {
 		for _, p := range preds {
 			for _, o := range nodes {
@@ -153,6 +199,12 @@ func checkClosed(t *testing.T, rng *rand.Rand, full, closed *Reasoner, context s
 		{Object: "c0"},
 		{Predicate: store.TypePredicate, Object: "c0"},
 		{Predicate: store.TypePredicate, Object: "c3"},
+		{Predicate: "p3"},
+		{Predicate: "p1"},
+		{Subject: "i0", Predicate: "p3"},
+		{Predicate: "p3", Object: "i1"},
+		{Subject: "i2", Object: "i3"},
+		{Subject: "i2", Predicate: "p2", Object: "i3"},
 	} {
 		got, want := drained(rng, cv, p), drained(rng, fv, p)
 		if !slices.Equal(got, want) {
@@ -163,12 +215,28 @@ func checkClosed(t *testing.T, rng *rand.Rand, full, closed *Reasoner, context s
 		if got, want := closed.Instances(c), full.Instances(c); !slices.Equal(got, want) {
 			t.Fatalf("%s: instances of %s: closed %v, full %v", context, c, got, want)
 		}
-		for _, i := range closedInstances {
-			tr := store.Triple{Subject: i, Predicate: store.TypePredicate, Object: c}
-			gp, gok := cv.Provenance(tr)
-			wp, wok := fv.Provenance(tr)
-			if gp != wp || gok != wok {
-				t.Fatalf("%s: provenance of %v: closed %v %v, full %v %v", context, tr, gp, gok, wp, wok)
+	}
+	for _, i := range closedInstances {
+		for _, p := range preds[1:] {
+			for _, o := range nodes[1:] {
+				tr := store.Triple{Subject: i, Predicate: p.Value, Object: o.Value}
+				gp, gok := cv.Provenance(tr)
+				wp, wok := fv.Provenance(tr)
+				if gp != wp || gok != wok {
+					t.Fatalf("%s: provenance of %v: closed %v %v, full %v %v", context, tr, gp, gok, wp, wok)
+				}
+			}
+		}
+	}
+	for _, p := range closedProperties {
+		for _, o := range closedInstances {
+			var got, want []string
+			cv.ForEachSubject(p, o, func(s string) bool { got = append(got, s); return true })
+			fv.ForEachSubject(p, o, func(s string) bool { want = append(want, s); return true })
+			sort.Strings(got)
+			sort.Strings(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: subjects of %s %s: closed %v, full %v", context, p, o, got, want)
 			}
 		}
 	}
@@ -202,15 +270,20 @@ func drained(rng *rand.Rand, v *store.View, p store.Pattern) []string {
 }
 
 // TestClosedTypingMatchesRDFS: random corpora with multi-typed instances,
-// subClassOf cycles and domain- and range-derived types, then random
-// two-sided writes, each applied to both reasoners; after each, every read
-// of the closed view equals the full one's.
+// subClassOf cycles, domain- and range-derived types and a property
+// hierarchy (a chain, a diamond or a subPropertyOf cycle, domains and
+// ranges on its leaves), then random two-sided writes, each applied to both
+// reasoners; after each, every read of the closed view equals the full
+// one's. Now and then a write brings a property hazard, which reopens the
+// closed reasoner's properties; most trials keep them closed to the end.
 func TestClosedTypingMatchesRDFS(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
-	for trial := 0; trial < 60; trial++ {
-		var corpus []store.Triple
+	const trials = 30
+	stayed := 0
+	for trial := 0; trial < trials; trial++ {
+		corpus := closedHierarchy(rng)
 		for i, n := 0, 4+rng.Intn(16); i < n; i++ {
-			corpus = append(corpus, closedTriple(rng))
+			corpus = append(corpus, closedFact(rng))
 		}
 		fullBase, closedBase := store.New(), store.New()
 		for _, b := range []*store.Store{fullBase, closedBase} {
@@ -226,8 +299,8 @@ func TestClosedTypingMatchesRDFS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !closed.TypingClosed() {
-			t.Fatalf("trial %d: a hazard-free corpus under RDFSRules was not closed", trial)
+		if !closed.TypingClosed() || !closed.PropertiesClosed() {
+			t.Fatalf("trial %d: a hazard-free corpus under RDFSRules was not closed: typing %v, properties %v", trial, closed.TypingClosed(), closed.PropertiesClosed())
 		}
 		checkClosed(t, rng, full, closed, fmt.Sprintf("trial %d: boot", trial))
 		for step := 0; step < 6; step++ {
@@ -253,6 +326,13 @@ func TestClosedTypingMatchesRDFS(t *testing.T) {
 			}
 			checkClosed(t, rng, full, closed, fmt.Sprintf("trial %d step %d: +%v -%v", trial, step, adds, removes))
 		}
+		if closed.PropertiesClosed() {
+			stayed++
+		}
+	}
+	t.Logf("%d of %d trials kept their properties closed to the end", stayed, trials)
+	if stayed < trials/3 || stayed == trials {
+		t.Errorf("%d of %d trials kept their properties closed: the writes should reopen some, and most should stay closed", stayed, trials)
 	}
 }
 
@@ -321,6 +401,99 @@ func TestMaterializeServingKeepsTypePropagation(t *testing.T) {
 	}
 }
 
+// TestMaterializeServingKeepsPropertyPropagation: a rule set or a corpus
+// under which a rule could read a propagated property triple keeps
+// subPropertyOf-propagation stored — its properties open from boot — and the
+// rest close them.
+func TestMaterializeServingKeepsPropertyPropagation(t *testing.T) {
+	parse := func(text string) []Rule {
+		rs, err := ParseRules(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
+	}
+	corpus := []store.Triple{
+		{Subject: "locatedIn", Predicate: SubPropertyOfPredicate, Object: "within"},
+		{Subject: "locatedIn", Predicate: RangePredicate, Object: "Site"},
+		{Subject: "x", Predicate: "locatedIn", Object: "s"},
+	}
+	for _, c := range []struct {
+		name   string
+		rules  []Rule
+		extra  []store.Triple
+		closed bool
+	}{
+		{"RDFS", RDFSRules(), nil, true},
+		{"RDFS and a rule reading type", append(RDFSRules(), parse("?x tagged ?c :- ?x type ?c")...), nil, true},
+		{"a rule reading a property without sub-properties", append(RDFSRules(), parse("?x near ?y :- ?x locatedIn ?y")...), nil, true},
+		{"a rule reading a property with one", append(RDFSRules(), parse("?x near ?y :- ?x within ?y")...), nil, false},
+		{"a body with a variable predicate", append(RDFSRules(), parse("?x seen ?y :- ?x ?p ?y")...), nil, false},
+		{"a head concluding domain", append(RDFSRules(), parse("?p domain ?c :- ?p marks ?c")...), nil, false},
+		{"no transitivity", slices.Delete(RDFSRules(), 2, 3), nil, false},
+		{"within domain Place", RDFSRules(), []store.Triple{{Subject: "within", Predicate: DomainPredicate, Object: "Place"}}, false},
+		{"within range Place", RDFSRules(), []store.Triple{{Subject: "within", Predicate: RangePredicate, Object: "Place"}}, false},
+		{"locatedIn subPropertyOf type", RDFSRules(), []store.Triple{{Subject: "locatedIn", Predicate: SubPropertyOfPredicate, Object: store.TypePredicate}}, false},
+		{"domain subPropertyOf q", RDFSRules(), []store.Triple{{Subject: DomainPredicate, Predicate: SubPropertyOfPredicate, Object: "q"}}, false},
+		{"q subPropertyOf q", RDFSRules(), []store.Triple{{Subject: "within", Predicate: SubPropertyOfPredicate, Object: "within"}, {Subject: "within", Predicate: DomainPredicate, Object: "Place"}}, false},
+		{"a self-loop on a property with a domain", RDFSRules(), []store.Triple{{Subject: "near", Predicate: SubPropertyOfPredicate, Object: "near"}, {Subject: "near", Predicate: DomainPredicate, Object: "Place"}}, true},
+	} {
+		base := store.New()
+		if _, err := base.AddBatch(append(slices.Clone(corpus), c.extra...)); err != nil {
+			t.Fatal(err)
+		}
+		r, err := MaterializeServing(base, c.rules)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.PropertiesClosed() != c.closed {
+			t.Errorf("%s: properties closed %v, want %v", c.name, r.PropertiesClosed(), c.closed)
+		}
+		within := store.Triple{Subject: "x", Predicate: "within", Object: "s"}
+		hasProp := slices.ContainsFunc(c.rules, func(r Rule) bool { return r.Name == "subPropertyOf-propagation" })
+		if stored := r.Overlay().Contains(within); stored != (hasProp && !c.closed) {
+			t.Errorf("%s: x within s stored %v with the propagation rule %v and properties closed %v", c.name, stored, hasProp, c.closed)
+		}
+		if hasProp && !r.View().Contains(within) {
+			t.Errorf("%s: x within s is not in the view", c.name)
+		}
+	}
+}
+
+// TestServingOverlayStoresNoPropagatedProperty pins what closed properties
+// save on the harness's corpus shape: the overlay stores no triple of a
+// property that has a strict sub-property, and the view counts what the
+// full materialization stores.
+func TestServingOverlayStoresNoPropagatedProperty(t *testing.T) {
+	corpus := servingCorpusN(t, 120, 10_000)
+	fullBase, closedBase := store.New(), store.New()
+	for _, b := range []*store.Store{fullBase, closedBase} {
+		if _, err := b.AddBatch(corpus); err != nil {
+			t.Fatal(err)
+		}
+	}
+	full, err := Materialize(fullBase, RDFSRules())
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed, err := MaterializeServing(closedBase, RDFSRules())
+	if err != nil || !closed.PropertiesClosed() {
+		t.Fatalf("MaterializeServing: %v, properties closed %v", err, closed.PropertiesClosed())
+	}
+	for _, super := range []string{"within", "containedIn"} {
+		if n := closed.Overlay().Count(store.Pattern{Predicate: super}); n != 0 {
+			t.Errorf("the overlay stores %d %s triples", n, super)
+		}
+		if got, want := len(closed.View().Query(store.Pattern{Predicate: super})), len(full.View().Query(store.Pattern{Predicate: super})); got != want || got == 0 {
+			t.Errorf("the closed view answers %d %s triples, the full one %d", got, super, want)
+		}
+	}
+	if got, want := closed.InferredCount(), full.InferredCount(); got != want {
+		t.Errorf("InferredCount: closed %d, full %d", got, want)
+	}
+	t.Logf("overlay: %d triples stored closed, %d materialized, of %d inferred", closed.Overlay().Len(), full.Overlay().Len(), full.InferredCount())
+}
+
 // TestClosedQ2AllocatesNoMoreThanMaterialized pins the cost of a cold
 // closed read: the harness's Q2, ?x type C . ?x locatedIn S, over a
 // 48-class hierarchy, for the class with the most subsumees and for a leaf,
@@ -381,5 +554,52 @@ func TestClosedQ2AllocatesNoMoreThanMaterialized(t *testing.T) {
 		if ca > fa {
 			t.Errorf("%s: a closed Q2 allocates %.1f times, the materialized one %.1f", class, ca, fa)
 		}
+	}
+}
+
+// TestClosedWithinAllocatesNoMoreThanMaterialized pins the cost of a cold
+// read of a super-property: ?x within S, for a site, allocates no more over
+// the closed view, where every row comes from the closure, than over the
+// full materialization, where every row is stored, and answers the same
+// rows.
+func TestClosedWithinAllocatesNoMoreThanMaterialized(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
+	corpus := servingCorpusN(t, 48, 20_000)
+	fullBase, closedBase := store.New(), store.New()
+	for _, b := range []*store.Store{fullBase, closedBase} {
+		if _, err := b.AddBatch(corpus); err != nil {
+			t.Fatal(err)
+		}
+	}
+	full, err := Materialize(fullBase, RDFSRules())
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed, err := MaterializeServing(closedBase, RDFSRules())
+	if err != nil || !closed.PropertiesClosed() {
+		t.Fatalf("MaterializeServing: %v, properties closed %v", err, closed.PropertiesClosed())
+	}
+	bgp := query.MustParseBGP("?x within site-3")
+	rows := func(v *store.View) func() int {
+		return func() int {
+			n := 0
+			sols := query.Eval(v, bgp, query.Materialized())
+			for sb, ok := sols.NextBatch(); ok; sb, ok = sols.NextBatch() {
+				n += sb.Len()
+			}
+			return n
+		}
+	}
+	fullRows, closedRows := rows(full.View()), rows(closed.View())
+	if f, c := fullRows(), closedRows(); f != c || f == 0 {
+		t.Fatalf("%d rows over the full view, %d over the closed one", f, c)
+	}
+	fa := testing.AllocsPerRun(50, func() { fullRows() })
+	ca := testing.AllocsPerRun(50, func() { closedRows() })
+	t.Logf("?x within site-3: %.1f allocs materialized, %.1f closed", fa, ca)
+	if ca > fa {
+		t.Errorf("a closed ?x within site-3 allocates %.1f times, the materialized one %.1f", ca, fa)
 	}
 }

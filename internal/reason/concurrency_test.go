@@ -169,3 +169,69 @@ func TestReadsSeeOneGeneration(t *testing.T) {
 		})
 	}
 }
+
+// TestClosedReadsAcrossAReopen races readers of a closed super-property —
+// the query, the class-retrieval walk and the count — against a writer that
+// moves one instance in and out of it and, halfway, adds a property hazard,
+// which reopens the closure under the readers. Every answer must be one a
+// generation gives: ten or eleven subjects within s, before the reopen and
+// after it. Written for -race.
+func TestClosedReadsAcrossAReopen(t *testing.T) {
+	within := func(x string) store.Triple { return store.Triple{Subject: x, Predicate: "locatedIn", Object: "s"} }
+	base := store.New()
+	ts := []store.Triple{{Subject: "locatedIn", Predicate: SubPropertyOfPredicate, Object: "within"}}
+	for i := 0; i < 10; i++ {
+		ts = append(ts, within(fmt.Sprintf("a%d", i)))
+	}
+	if _, err := base.AddBatch(ts); err != nil {
+		t.Fatal(err)
+	}
+	r, err := MaterializeServing(base, RDFSRules())
+	if err != nil || !r.PropertiesClosed() {
+		t.Fatalf("MaterializeServing: %v, properties closed %v", err, r.PropertiesClosed())
+	}
+	bgp := query.MustParseBGP("?x within s")
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				rows, err := r.Query(bgp).All()
+				subjects := 0
+				r.View().ForEachSubject("within", "s", func(string) bool { subjects++; return true })
+				if err != nil || len(rows) < 10 || len(rows) > 11 || subjects < 10 || subjects > 11 {
+					t.Errorf("a read saw %d rows (%v) and %d subjects within s; every generation has 10 or 11", len(rows), err, subjects)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		var err error
+		if i%2 == 0 {
+			_, _, err = r.Apply([]store.Triple{within("x")}, nil, nil)
+		} else {
+			_, _, err = r.Apply(nil, []store.Triple{within("x")}, nil)
+		}
+		if i == 100 {
+			_, _, err = r.Apply([]store.Triple{{Subject: "within", Predicate: DomainPredicate, Object: "Placed"}}, nil, nil)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.Gosched()
+	}
+	close(stop)
+	wg.Wait()
+	if r.PropertiesClosed() {
+		t.Fatal("a domain on within, which has a sub-property, left the properties closed")
+	}
+	checkAgainstNaive(t, r, r.Rules(), "after the reopen")
+}

@@ -2,6 +2,7 @@ package reason
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -66,6 +67,12 @@ type Reasoner struct {
 	view   *store.View
 	rules  []crule
 	source []Rule
+	// full is the compiled rule set with subPropertyOf-propagation, kept
+	// while the view answers that rule's conclusions from the closure
+	// (MaterializeServing) for the write that reopens it (reopen), and nil
+	// otherwise; hazards is what such a write is recognized by.
+	full    []crule
+	hazards propertyHazards
 	// counts is the one source of Stats and the onto_reason_* counters.
 	counts counts
 	// round is per-rule scratch of the propagation loop, indexed like rules.
@@ -286,45 +293,196 @@ func Materialize(base *store.Store, rules []Rule) (*Reasoner, error) {
 		overlay: overlay,
 		ov:      overlay.Begin(),
 		view:    view,
-		rules:   compiled,
 		source:  append([]Rule(nil), rules...),
-		round:   make([]ruleRound, len(compiled)),
 	}
-	nvars := 0
-	for i := range compiled {
-		nvars = max(nvars, compiled[i].nvars)
-	}
-	r.scratch.vals, r.scratch.bound = make([]store.SymbolID, nvars), make([]bool, nvars)
+	r.setRules(compiled)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.materialize()
 	return r, nil
 }
 
-// MaterializeServing is Materialize for a serving process: when the rule
-// set's instance typing can be answered from its subClassOf closure —
-// servingRules accepts the set and the base holds no TypingHazard — it
-// materializes without type-propagation and closes the view's typing
-// (store.View.CloseTyping), so every read still sees the full rule set's
-// answer while the overlay stores none of the propagated types; otherwise it
-// is Materialize. TypingClosed reports which; while it does, the caller
-// must keep TypingHazard triples out of every write, or reads go inexact.
+// setRules makes compiled the rule set the reasoner evaluates, with the
+// per-rule and per-slot scratch it needs.
+func (r *Reasoner) setRules(compiled []crule) {
+	r.rules, r.round = compiled, make([]ruleRound, len(compiled))
+	nvars := 0
+	for i := range compiled {
+		nvars = max(nvars, compiled[i].nvars)
+	}
+	r.scratch.vals, r.scratch.bound = make([]store.SymbolID, nvars), make([]bool, nvars)
+}
+
+// MaterializeServing is Materialize for a serving process: it materializes
+// the rule set without the one-step rules whose conclusions its view can
+// answer from the stored closure (servingRules) and closes the view over
+// them (store.View.Close), so every read still sees the full rule set's
+// answer while the overlay stores none of those conclusions; otherwise it is
+// Materialize. TypingClosed and PropertiesClosed report which.
+//
+//   - With typing closed the caller must keep TypingHazard triples out of
+//     every write, or reads go inexact.
+//   - With properties closed the reasoner watches for the property hazards
+//     itself (propertyHazard): a base holding one at boot, or a write adding
+//     one, reopens the closure — from then on the reasoner stores
+//     subPropertyOf-propagation's conclusions like any rule's, and the view
+//     reads them as stored triples.
 func MaterializeServing(base *store.Store, rules []Rule) (*Reasoner, error) {
-	serving, ok := servingRules(rules)
-	if !ok || base == nil || hasTypingHazard(base) {
+	if base == nil {
 		return Materialize(base, rules)
 	}
+	serving, closes := servingRules(rules, base)
 	r, err := Materialize(base, serving)
-	if err != nil {
-		return nil, err
+	if err != nil || closes == 0 {
+		return r, err
 	}
-	r.view.CloseTyping()
+	r.source = append([]Rule(nil), rules...) // the rule set whose answers the view gives
+	if closes&store.ClosedProperties != 0 {
+		if r.full, err = compileRules(base, withoutClosed(rules, closes&store.ClosedTyping)); err != nil {
+			return nil, err
+		}
+		if r.hazards, err = newPropertyHazards(base, rules); err != nil {
+			return nil, err
+		}
+		r.mu.Lock()
+		r.base.Write(func() bool {
+			var schema []store.IDTriple
+			for _, p := range [...]store.SymbolID{r.hazards.sp, r.hazards.dom, r.hazards.rng} {
+				r.view.Held().QueryIDBatch([]store.IDPattern{{P: p, BoundP: true}}, func(_ int, t store.IDTriple) bool {
+					schema = append(schema, t)
+					return true
+				})
+			}
+			if r.propertyHazard(schema) {
+				r.reopen(nil)
+				closes &^= store.ClosedProperties
+			}
+			return false // the boot fixpoint names no generation
+		})
+		r.scratch.trim(0)
+		r.mu.Unlock()
+	}
+	r.view.Close(closes)
 	return r, nil
 }
 
 // TypingClosed reports whether the reasoner leaves instance typing to its
 // view's closed reads (MaterializeServing).
-func (r *Reasoner) TypingClosed() bool { return r.view.TypingClosed() }
+func (r *Reasoner) TypingClosed() bool { return r.view.Closed()&store.ClosedTyping != 0 }
+
+// PropertiesClosed reports whether the reasoner leaves sub-property
+// entailments to its view's closed reads (MaterializeServing): until a
+// property hazard reopens them.
+func (r *Reasoner) PropertiesClosed() bool { return r.view.Closed()&store.ClosedProperties != 0 }
+
+// propertyHazards is what makes closed properties inexact, as the ids a
+// write's newly asserted triples are checked by (propertyHazard).
+type propertyHazards struct {
+	// vocab is type, subClassOf, subPropertyOf, domain and range; sp, dom
+	// and rng are the last three.
+	vocab        [5]store.SymbolID
+	sp, dom, rng store.SymbolID
+	// reads are the literal body predicates of the rules outside RDFSRules.
+	reads []store.SymbolID
+}
+
+// newPropertyHazards interns the vocabulary and the predicates the rules
+// outside RDFSRules read.
+func newPropertyHazards(base *store.Store, rules []Rule) (propertyHazards, error) {
+	var h propertyHazards
+	for i, name := range [...]string{store.TypePredicate, SubClassOfPredicate, SubPropertyOfPredicate, DomainPredicate, RangePredicate} {
+		id, err := base.Intern(name)
+		if err != nil {
+			return h, err
+		}
+		h.vocab[i] = id
+	}
+	h.sp, h.dom, h.rng = h.vocab[2], h.vocab[3], h.vocab[4]
+	builtin := RDFSRules()
+	for _, r := range rules {
+		if slices.ContainsFunc(builtin, func(b Rule) bool { return sameRule(r, b) }) {
+			continue
+		}
+		for _, p := range r.Body {
+			id, err := base.Intern(p.Predicate.Value) // literal: readsProperties refused a variable
+			if err != nil {
+				return h, err
+			}
+			h.reads = append(h.reads, id)
+		}
+	}
+	return h, nil
+}
+
+// propertyHazard reports whether one of ts, triples the view now holds, is a
+// property hazard: a triple under which a rule would read a propagated
+// property triple that closed properties answer without storing. That is a
+// triple that
+//
+//   - puts a vocabulary predicate (type, subClassOf, subPropertyOf, domain or
+//     range) on either side of subPropertyOf;
+//   - gives a property with a strict sub-property a domain or a range;
+//   - gives a strict sub-property to a property with a domain or a range, or
+//     to a predicate that a rule outside RDFSRules reads.
+//
+// Each is checked against the view, which holds the write's other triples
+// too, so both orders of arrival and a pair arriving together are caught: a
+// property gains a strict sub-property in the subPropertyOf closure only
+// through a triple naming it as the object, and no kept rule concludes
+// subPropertyOf, domain or range (readsProperties). Callers run inside a
+// write section.
+func (r *Reasoner) propertyHazard(ts []store.IDTriple) bool {
+	h := &r.hazards
+	for _, t := range ts {
+		switch t.P {
+		case h.sp:
+			if slices.Contains(h.vocab[:], t.S) || slices.Contains(h.vocab[:], t.O) {
+				return true
+			}
+			if t.S != t.O && (slices.Contains(h.reads, t.O) ||
+				r.stores(store.IDPattern{S: t.O, P: h.dom, BoundS: true, BoundP: true}, nil) ||
+				r.stores(store.IDPattern{S: t.O, P: h.rng, BoundS: true, BoundP: true}, nil)) {
+				return true
+			}
+		case h.dom, h.rng:
+			strict := func(x store.IDTriple) bool { return x.S != t.S }
+			if r.stores(store.IDPattern{P: h.sp, O: t.S, BoundP: true, BoundO: true}, strict) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// stores reports whether the view stores a triple matching p (and keep, when
+// not nil). Callers run inside a write section.
+func (r *Reasoner) stores(p store.IDPattern, keep func(store.IDTriple) bool) bool {
+	found := false
+	r.view.Held().QueryIDBatch([]store.IDPattern{p}, func(_ int, t store.IDTriple) bool {
+		found = keep == nil || keep(t)
+		return !found
+	})
+	return found
+}
+
+// reopen stops answering sub-property entailments from the closure: it makes
+// the full rule set the one evaluated and propagates every stored
+// subPropertyOf triple through it, which stores what
+// subPropertyOf-propagation concludes, and everything that follows from
+// that, in the overlay. It appends the triples it stored to out. The view
+// answers the same before and after, and the caller opens its properties
+// (store.View.Open) once Recount has seen the write. Callers hold r.mu
+// inside a write section.
+func (r *Reasoner) reopen(out []store.IDTriple) []store.IDTriple {
+	r.setRules(r.full)
+	r.full = nil
+	var seed []store.IDTriple
+	r.view.Held().QueryIDBatch([]store.IDPattern{{P: r.hazards.sp, BoundP: true}}, func(_ int, t store.IDTriple) bool {
+		seed = append(seed, t)
+		return true
+	})
+	return r.propagate(out, seed)
+}
 
 // View returns the asserted∪inferred union the query layer evaluates over.
 func (r *Reasoner) View() *store.View { return r.view }
@@ -340,8 +498,8 @@ func (r *Reasoner) Overlay() *store.Store { return r.overlay }
 func (r *Reasoner) Rules() []Rule { return append([]Rule(nil), r.source...) }
 
 // InferredCount returns the number of currently inferred triples: the
-// view's, less the asserted ones — the overlay's, and the closed types the
-// view answers without storing them.
+// view's, less the asserted ones — the overlay's, and the closed types and
+// property triples the view answers without storing them.
 func (r *Reasoner) InferredCount() int { return r.view.Len() - r.base.Len() }
 
 // Stats returns cumulative engine statistics. It takes no lock — it reads
@@ -418,6 +576,20 @@ func (r *Reasoner) Subsumees(class string) []string {
 	return out
 }
 
+// AppendSubProperties appends to out the strict sub-properties of property
+// in the materialized view — each p other than property with (p
+// subPropertyOf property) — and returns the extended slice: what a read of
+// property answers through while PropertiesClosed.
+func (r *Reasoner) AppendSubProperties(out []string, property string) []string {
+	r.view.ForEachSubject(SubPropertyOfPredicate, property, func(p string) bool {
+		if p != property {
+			out = append(out, p)
+		}
+		return true
+	})
+	return out
+}
+
 // Add asserts one triple, reporting whether it was newly asserted:
 // Apply of one add, with the same error contract.
 func (r *Reasoner) Add(t store.Triple) (bool, error) {
@@ -485,15 +657,20 @@ func (r *Reasoner) Apply(adds, removes []store.Triple, c *obs.Clock) (added, rem
 	s := &r.scratch
 	var d Delta
 	var asserted, gone []store.IDTriple
-	var fresh int // d.Added[:fresh] were not in the view before the write
+	var fresh int // d.Added[:fresh] were not stored before the write
+	var reopened bool
 	d.Gen = r.base.Write(func() bool {
 		if asserted, err = base.AddBatch(adds); err != nil {
 			return false
 		}
-		// Added opens with the seed delta — the fresh triples that are not
+		d.Added, d.Removed = s.added[:0], s.removed[:0]
+		if r.full != nil && r.propertyHazard(asserted) {
+			d.Added, reopened = r.reopen(d.Added), true
+		}
+		// Added goes on with the seed delta — the fresh triples that are not
 		// provenance flips — and the propagation appends its conclusions to
 		// it in place.
-		d.Added, d.Removed = s.added[:0], s.removed[:0]
+		seed := len(d.Added)
 		held := r.view.Held()
 		for _, t := range asserted {
 			if _, inferred := held.Contains(t); inferred {
@@ -505,7 +682,7 @@ func (r *Reasoner) Apply(adds, removes []store.Triple, c *obs.Clock) (added, rem
 			}
 		}
 		r.ov.RemoveIDs(d.Removed)
-		d.Added = r.propagate(d.Added, d.Added)
+		d.Added = r.propagate(d.Added, d.Added[seed:])
 		fresh = len(d.Added)
 		d.Added = append(d.Added, d.Removed...)
 		c.Mark(obs.StagePropagate)
@@ -527,6 +704,9 @@ func (r *Reasoner) Apply(adds, removes []store.Triple, c *obs.Clock) (added, rem
 	c.Mark(obs.StageCommit)
 	if len(asserted)+len(gone) > 0 {
 		r.view.Recount(d.Added, d.Removed, fresh)
+		if reopened {
+			r.view.Open(store.ClosedProperties)
+		}
 		r.notify(d)
 	}
 	c.Mark(obs.StagePublish)

@@ -13,10 +13,11 @@ import (
 // convention (store.TypePredicate).
 const (
 	// SubClassOfPredicate relates a class to a superclass; a view with closed
-	// typing (store.View.CloseTyping) reads it under the same name.
+	// typing (store.View.Close) reads it under the same name.
 	SubClassOfPredicate = store.SubClassOfPredicate
-	// SubPropertyOfPredicate relates a property to a superproperty.
-	SubPropertyOfPredicate = "subPropertyOf"
+	// SubPropertyOfPredicate relates a property to a superproperty; a view
+	// with closed properties reads it under the same name.
+	SubPropertyOfPredicate = store.SubPropertyOfPredicate
 	// DomainPredicate relates a property to the class of its subjects.
 	DomainPredicate = "domain"
 	// RangePredicate relates a property to the class of its objects.
@@ -91,36 +92,60 @@ func RDFSRules() []Rule {
 	}
 }
 
-// servingRules splits instance typing off a rule set: it returns the rules
-// without the built-in type-propagation rule, and true, when their
-// materialization, read with closed typing (store.View.CloseTyping),
-// answers exactly what the full set would have materialized, so
-// type-propagation's conclusions need not be stored.
-// That holds when the set also closes subClassOf (the built-in transitivity
-// rule, so the closed read's one step reaches every superclass) and no other
-// rule can read a propagated type or mint a typing hazard: every rule not of
-// RDFSRules keeps type and variables out of its body's predicates, and
-// range, subPropertyOf and variables out of its head's. The corpus must then
-// hold no TypingHazard triple, now or after any write; hasTypingHazard checks
-// a store. Otherwise it returns rules unchanged and false.
-func servingRules(rules []Rule) ([]Rule, bool) {
-	builtin := RDFSRules() // subClassOf transitivity, then type-propagation, first
-	at, closes := -1, false
-	for i, r := range rules {
-		switch {
-		case sameRule(r, builtin[1]):
-			at = i
-		case sameRule(r, builtin[0]):
-			closes = true
-		case slices.ContainsFunc(builtin, func(b Rule) bool { return sameRule(r, b) }):
-		case readsTyping(r):
-			return rules, false
+// servingRules splits off a rule set the one-step rules whose conclusions a
+// closed view answers (store.View.Close) instead of storing them: it returns
+// the rules to materialize, and the closures whose rules it dropped, when
+// their materialization, read through those closures, answers exactly what
+// the full set would have materialized.
+//
+//   - type-propagation goes (store.ClosedTyping) when the set also closes
+//     subClassOf (the built-in transitivity rule, so the closed read's one
+//     step reaches every superclass), no rule outside RDFSRules can read a
+//     propagated type or mint a typing hazard (readsTyping), and the base
+//     holds no TypingHazard triple. The caller must keep TypingHazard
+//     triples out of every later write.
+//   - subPropertyOf-propagation goes (store.ClosedProperties) when the set
+//     also closes subPropertyOf and no rule outside RDFSRules can read a
+//     propagated property triple or mint a property hazard
+//     (readsProperties). The base is checked against the property hazards
+//     after the materialization, and every write after it
+//     (Reasoner.propertyHazard), by the reasoner itself.
+//
+// Otherwise it returns the rules unchanged and no closure.
+func servingRules(rules []Rule, base *store.Store) ([]Rule, store.Closure) {
+	builtin := RDFSRules() // in the order RDFSRules lists them
+	has := func(i int) bool {
+		return slices.ContainsFunc(rules, func(r Rule) bool { return sameRule(r, builtin[i]) })
+	}
+	var closes store.Closure
+	if has(0) && has(1) && !hasTypingHazard(base) {
+		closes |= store.ClosedTyping
+	}
+	if has(2) && has(3) {
+		closes |= store.ClosedProperties
+	}
+	for _, r := range rules {
+		if slices.ContainsFunc(builtin, func(b Rule) bool { return sameRule(r, b) }) {
+			continue
+		}
+		if readsTyping(r) {
+			closes &^= store.ClosedTyping
+		}
+		if readsProperties(r) {
+			closes &^= store.ClosedProperties
 		}
 	}
-	if at < 0 || !closes {
-		return rules, false
-	}
-	return append(rules[:at:at], rules[at+1:]...), true
+	return withoutClosed(rules, closes), closes
+}
+
+// withoutClosed returns a copy of rules without the propagation rules of the
+// closures in closes.
+func withoutClosed(rules []Rule, closes store.Closure) []Rule {
+	builtin := RDFSRules()
+	return slices.DeleteFunc(slices.Clone(rules), func(r Rule) bool {
+		return closes&store.ClosedTyping != 0 && sameRule(r, builtin[1]) ||
+			closes&store.ClosedProperties != 0 && sameRule(r, builtin[3])
+	})
 }
 
 // sameRule reports whether two rules are the same, name included.
@@ -139,6 +164,22 @@ func readsTyping(r Rule) bool {
 	}
 	h := r.Head.Predicate
 	return h.IsVar || h.Value == RangePredicate || h.Value == SubPropertyOfPredicate
+}
+
+// readsProperties reports whether a rule can read a propagated property
+// triple without naming its predicate — a body atom whose predicate is a
+// variable — or conclude a property hazard — a head whose predicate is
+// subPropertyOf, domain, range or a variable. A body atom with a literal
+// predicate is a hazard only once that predicate has a strict
+// sub-property, which the reasoner checks on every write (propertyHazard).
+func readsProperties(r Rule) bool {
+	for _, p := range r.Body {
+		if p.Predicate.IsVar {
+			return true
+		}
+	}
+	h := r.Head.Predicate
+	return h.IsVar || h.Value == SubPropertyOfPredicate || h.Value == DomainPredicate || h.Value == RangePredicate
 }
 
 // TypingHazard reports whether t lets an RDFS rule body read a propagated

@@ -45,10 +45,12 @@
 // (TestReadsSeeOneGeneration). TestApplyLargeRetractionIsNotQuadratic times
 // one large retraction against many small ones on the thread's CPU clock;
 // TestApplySteadyStateAllocs pins a warmed retype at 5 allocations at most,
-// the stores' own. closed_test.go holds MaterializeServing's closed typing
-// to the full materialization on every read over random corpora and writes
-// (TestClosedTypingMatchesRDFS), pins when it keeps type-propagation, and
-// pins a cold closed Q2 at the stored one's allocations. BenchmarkMaterializeServing times the boot fixpoint on the
+// the stores' own. closed_test.go holds MaterializeServing's closed view
+// to the full materialization on every read over random corpora, property
+// hierarchies and writes (TestClosedTypingMatchesRDFS), pins when it keeps
+// type-propagation and subPropertyOf-propagation, that the serving corpus's
+// overlay stores no super-property triple, and a cold closed Q2 and ?x
+// within S at the stored ones' allocations. BenchmarkMaterializeServing times the boot fixpoint on the
 // harness's corpus shape and BenchmarkRetypeServing one write on it.
 package reason
 

@@ -47,7 +47,7 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 		"Triples in the asserted store.",
 		func() float64 { return float64(base.Len()) })
 	reg.GaugeFunc("onto_store_inferred_triples",
-		"Inferred triples the view serves: the overlay's, and the instance types answered from the subClassOf closure.",
+		"Inferred triples the view serves: the overlay's, the instance types answered from the subClassOf closure and the super-property triples answered from the subPropertyOf closure.",
 		func() float64 { return float64(s.reasoner.InferredCount()) })
 	reg.GaugeFunc("onto_store_dict_symbols",
 		"Interned symbols in the asserted store's dictionary.",

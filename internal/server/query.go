@@ -227,8 +227,8 @@ func (s *Server) evaluate(w http.ResponseWriter, r *http.Request, q *queryRun) {
 	if body := out.body(); exact && body != nil {
 		e := s.cache.entry(body)
 		e.gen, e.solutions, e.truncated, e.anyPred = gen, q.trailer.Solutions, q.trailer.Truncated, false
-		if cap(e.preds) < len(q.bgp)+1 { // room for subClassOf
-			e.preds = make([]string, 0, len(q.bgp)+1)
+		if cap(e.preds) < len(q.bgp)+2 { // room for subClassOf and subPropertyOf
+			e.preds = make([]string, 0, len(q.bgp)+2)
 		}
 		e.preds = e.preds[:0]
 		for _, p := range q.bgp {
@@ -245,11 +245,34 @@ func (s *Server) evaluate(w http.ResponseWriter, r *http.Request, q *queryRun) {
 		if q.mode == ModeExpand || q.mode == ModeMaterialized && slices.Contains(e.preds, store.TypePredicate) {
 			e.preds = append(e.preds, reason.SubClassOfPredicate)
 		}
+		// A materialized property pattern reads the subPropertyOf closure
+		// too, while the engine answers it from there: a write to a
+		// sub-property changes the answer without a triple of the property
+		// in its delta, and a subPropertyOf write can give the property new
+		// sub-properties. File the entry under both.
+		if q.mode == ModeMaterialized && s.reasoner.PropertiesClosed() {
+			if n := len(e.preds); slices.ContainsFunc(e.preds[:n], isProperty) {
+				for _, p := range e.preds[:n] {
+					if isProperty(p) {
+						e.preds = s.reasoner.AppendSubProperties(e.preds, p)
+					}
+				}
+				e.preds = append(e.preds, reason.SubPropertyOfPredicate)
+			}
+		}
 		s.cache.put(q.key, e)
 	}
 	if out.send(false) == nil {
 		writeAppended(w, q.trailer, appendTrailer)
 	}
+}
+
+// isProperty reports whether a literal predicate can have sub-properties
+// that a closed view answers through: any but the ones a hazard keeps out
+// of the subPropertyOf closure, of which only type and subClassOf are read
+// by a cached pattern without reading the closure anyway.
+func isProperty(p string) bool {
+	return p != store.TypePredicate && p != reason.SubClassOfPredicate
 }
 
 // errClientGone is drain's error for a response write that failed.

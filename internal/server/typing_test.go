@@ -97,43 +97,54 @@ func TestSchemaWriteInvalidatesClosedTypes(t *testing.T) {
 	}
 }
 
-// TestLimitReachesTheLeafScan: a closed `?x type C` whose plan is its one
-// leaf scan asks the cursor for limit+1 triples, not a whole batch, so each
-// row's stored-types check stops near the limit. The answers at and around
+// TestLimitReachesTheLeafScan: a closed `?x type C`, or a closed `?x within
+// site-3`, whose plan is its one leaf scan asks the cursor for limit+1
+// triples, not a whole batch, so each row's stored-types or
+// stored-predicates check stops near the limit. Every row comes from the
+// closure: the instances are typed D, with D subClassOf C, or located in
+// site-3, with locatedIn subPropertyOf within. The answers at and around
 // the limit are unchanged.
 func TestLimitReachesTheLeafScan(t *testing.T) {
 	const instances = 3000
-	base := store.New()
-	ts := []store.Triple{{Subject: "D", Predicate: reason.SubClassOfPredicate, Object: "C"}}
-	for i := 0; i < instances; i++ {
-		ts = append(ts, store.Triple{Subject: fmt.Sprintf("i%04d", i), Predicate: store.TypePredicate, Object: "D"})
-	}
-	if _, err := base.AddBatch(ts); err != nil {
-		t.Fatal(err)
-	}
-	s := newTestServer(t, Config{Base: base})
-	if !s.Reasoner().TypingClosed() {
-		t.Fatal("the server does not close its typing")
-	}
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query?explain=1", strings.NewReader(`{"bgp":"?x type C","limit":100}`)))
-	var ex ExplainResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &ex); err != nil {
-		t.Fatalf("%d %s: %v", rec.Code, rec.Body, err)
-	}
-	if len(ex.Plan.Levels) != 1 || ex.Solutions != 100 || !ex.Truncated {
-		t.Fatalf("explain: %d levels, %d solutions, truncated %v; want 1, 100, true", len(ex.Plan.Levels), ex.Solutions, ex.Truncated)
-	}
-	if rows := ex.Plan.Levels[0].Stat.Rows; rows > 101 {
-		t.Errorf("the leaf scan produced %d rows for a limit of 100, want at most 101", rows)
-	}
 	for _, c := range []struct {
-		limit     int
-		truncated bool
-	}{{100, true}, {instances - 1, true}, {instances, false}} {
-		res := postQuery(t, s, QueryRequest{BGP: "?x type C", Limit: c.limit})
-		if n := len(res.rows); n != min(c.limit, instances) || res.trailer.Truncated != c.truncated {
-			t.Errorf("limit %d: %d rows, truncated %v; want %d, %v", c.limit, n, res.trailer.Truncated, min(c.limit, instances), c.truncated)
+		bgp, pred, object string
+		schema            store.Triple
+	}{
+		{"?x type C", store.TypePredicate, "D", store.Triple{Subject: "D", Predicate: reason.SubClassOfPredicate, Object: "C"}},
+		{"?x within site-3", "locatedIn", "site-3", store.Triple{Subject: "locatedIn", Predicate: reason.SubPropertyOfPredicate, Object: "within"}},
+	} {
+		base := store.New()
+		ts := []store.Triple{c.schema}
+		for i := 0; i < instances; i++ {
+			ts = append(ts, store.Triple{Subject: fmt.Sprintf("i%04d", i), Predicate: c.pred, Object: c.object})
+		}
+		if _, err := base.AddBatch(ts); err != nil {
+			t.Fatal(err)
+		}
+		s := newTestServer(t, Config{Base: base})
+		if !s.Reasoner().TypingClosed() || !s.Reasoner().PropertiesClosed() {
+			t.Fatal("the server does not close its typing and properties")
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query?explain=1", strings.NewReader(`{"bgp":"`+c.bgp+`","limit":100}`)))
+		var ex ExplainResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &ex); err != nil {
+			t.Fatalf("%s: %d %s: %v", c.bgp, rec.Code, rec.Body, err)
+		}
+		if len(ex.Plan.Levels) != 1 || ex.Solutions != 100 || !ex.Truncated {
+			t.Fatalf("%s: explain: %d levels, %d solutions, truncated %v; want 1, 100, true", c.bgp, len(ex.Plan.Levels), ex.Solutions, ex.Truncated)
+		}
+		if rows := ex.Plan.Levels[0].Stat.Rows; rows > 101 {
+			t.Errorf("%s: the leaf scan produced %d rows for a limit of 100, want at most 101", c.bgp, rows)
+		}
+		for _, l := range []struct {
+			limit     int
+			truncated bool
+		}{{100, true}, {instances - 1, true}, {instances, false}} {
+			res := postQuery(t, s, QueryRequest{BGP: c.bgp, Limit: l.limit})
+			if n := len(res.rows); n != min(l.limit, instances) || res.trailer.Truncated != l.truncated {
+				t.Errorf("%s, limit %d: %d rows, truncated %v; want %d, %v", c.bgp, l.limit, n, res.trailer.Truncated, min(l.limit, instances), l.truncated)
+			}
 		}
 	}
 }

@@ -53,7 +53,8 @@ func tripleOf(fam uint8, lead, mid, trail uint32) IDTriple {
 // run between two refills is seen wherever its triples fall after the
 // cursor's place. (Across the two members of a View, a triple moved from the
 // base to the overlay between refills may be seen twice or, moved the other
-// way, missed.) A caller that needs one state across refills brackets the
+// way, missed; so may a closed view's triples, which a reopening write moves
+// into the overlay, View.Open.) A caller that needs one state across refills brackets the
 // drain with two equal Store.Generation readings.
 // NextBatch never blocks writers for longer than one refill, and a part holds
 // nothing but its place.
@@ -76,13 +77,15 @@ type ScanPart struct {
 	// lead of fam instead: the unbound full scan (SPO) and, with midBound,
 	// the object-only fan-out (POS, mid the object).
 	allLeads bool
-	// closed marks a cursor of a view with closed typing whose pattern can
-	// match a type triple: the members' walk passes type triples over, and
-	// the type walk tw answers them once it is done (typing) — at once, for
-	// a literal type predicate.
-	closed bool
-	typing bool
-	tw     typeWalk
+	// A closed view's cursor (closed.go) walks the closures after the
+	// members: the type walk tw when typing, which answers type triples, so
+	// that the members' walk passes them over (skipTypes) — or takes their
+	// place, for a literal type predicate — and then the property walk pw
+	// when props. phase is the walk the cursor is in.
+	skipTypes, typing, props bool
+	phase                    uint8
+	tw                       typeWalk
+	pw                       propWalk
 
 	place
 	done bool
@@ -118,7 +121,7 @@ func (pt *ScanPart) NextBatch(out []IDTriple) (int, bool) {
 		defer pt.owner.mu.RUnlock()
 	}
 	n := 0
-	if !pt.typing {
+	if pt.phase == phaseMembers {
 		n = pt.fill(out)
 		if pt.done && pt.then != nil {
 			pt.owner, pt.then, pt.place, pt.done = pt.then, nil, place{}, false
@@ -126,13 +129,35 @@ func (pt *ScanPart) NextBatch(out []IDTriple) (int, bool) {
 				n += pt.fill(out[n:])
 			}
 		}
-		pt.typing = pt.done && pt.closed
+		if !pt.done {
+			return n, false
+		}
+		pt.phase = phaseTypes
 	}
-	if pt.typing {
-		n, pt.done = pt.fillTypes(out, n)
+	if pt.phase == phaseTypes {
+		if pt.typing {
+			var done bool
+			if n, done = pt.fillTypes(out, n); !done {
+				pt.done = false
+				return n, false
+			}
+		}
+		pt.phase = phaseProps
+	}
+	pt.done = !pt.props
+	if pt.props {
+		n, pt.done = pt.fillProps(out, n)
 	}
 	return n, pt.done
 }
+
+// The phases of a closed view's cursor: the members' walk, the type walk,
+// the property walk.
+const (
+	phaseMembers = iota
+	phaseTypes
+	phaseProps
+)
 
 // fillTypes runs the type walk of a view with closed typing on from its
 // place, filling out from n, and reports whether the walk is finished.
@@ -141,9 +166,24 @@ func (pt *ScanPart) fillTypes(out []IDTriple, n int) (int, bool) {
 	if n == len(out) {
 		return n, false
 	}
-	pt.tw.subsOK = false // looked up under another refill's lock
+	pt.tw.subs.ok = false // looked up under another refill's lock
 	done := pt.tw.walk(func(s, o uint32) bool {
 		out[n] = IDTriple{S: s, P: pt.tw.typ, O: o}
+		n++
+		return n < len(out)
+	})
+	return n, done
+}
+
+// fillProps is fillTypes for the property walk of a view with closed
+// properties.
+func (pt *ScanPart) fillProps(out []IDTriple, n int) (int, bool) {
+	if n == len(out) {
+		return n, false
+	}
+	pt.pw.subs.ok = false
+	done := pt.pw.walk(func(s, q, o uint32) bool {
+		out[n] = IDTriple{S: s, P: q, O: o}
 		n++
 		return n < len(out)
 	})
@@ -176,7 +216,7 @@ func (pt *ScanPart) fillLeads(out []IDTriple) int {
 		pt.nextLead = lead
 		listDone := true
 		switch {
-		case pt.closed && pt.fam == famPOS && lead == pt.tw.typ:
+		case pt.skipTypes && pt.fam == famPOS && lead == pt.tw.typ:
 		case !pt.midBound:
 			n, listDone = pt.fillMids(lead, e, out, n)
 		default:
@@ -268,7 +308,7 @@ func (pt *ScanPart) fillMids(lead uint32, e *leadEntry, out []IDTriple, n int) (
 		set, mid := trailSet(e.entries[i:end]), e.entries[i].mid
 		i = end
 		switch {
-		case pt.closed && mid == pt.tw.typ:
+		case pt.skipTypes && mid == pt.tw.typ:
 		case pt.trailBound:
 			if set.contains(pt.trail) {
 				out[n] = tripleOf(pt.fam, lead, mid, pt.trail)

@@ -36,9 +36,10 @@
 //     behind QueryIDBatch and its two specialized probe loops, and the
 //     resumable ScanPart cursor; the string-level reads wrap them.
 //   - view.go: View, the disjoint union of a base and an overlay, and Held,
-//     its lock-assuming face for a writer; closed.go closed typing, the
-//     instance types a view answers from its subClassOf closure (the type
-//     walk, its place by value, and the tally Len counts them by).
+//     its lock-assuming face for a writer; closed.go the closed view, the
+//     instance types and super-property triples a view answers from its
+//     subClassOf and subPropertyOf closures (the type and property walks,
+//     their places by value, and the tally Len counts them by).
 //   - restore.go: LoadSorted and RestoreSorted, the arena-built bulk path, and
 //     the radix sort and sorted set algebra; snapshot.go the JSON-lines export
 //     and Restore; digest.go the multiset hash.
@@ -72,9 +73,9 @@
 // nested string-map engine, the object-only fan-out (BenchmarkObjectOnlyPattern),
 // writes into one long posting list (BenchmarkHubChurn), a dictionary lookup
 // and the doubling pause (BenchmarkDictGrowth). tx_test.go holds AddIDs to
-// AddID over the same batch (TestAddIDsMatchesAddID). Closed typing is held
-// to a reasoner's full materialization in package reason
-// (TestClosedTypingMatchesRDFS), which builds the closure it reads.
+// AddID over the same batch (TestAddIDsMatchesAddID). The closed view is
+// held to a reasoner's full materialization in package reason
+// (TestClosedTypingMatchesRDFS), which builds the closures it reads.
 package store
 
 import (

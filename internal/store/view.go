@@ -84,9 +84,9 @@ func (s *Store) validID(t IDTriple) bool {
 // with no per-triple duplicate probe, and every count is the sum of the
 // members' own counters. A writer that moves a triple between the members
 // does so inside one write section, so no reader sees the contract broken.
-// A view may also close its typing (CloseTyping, closed.go): it then answers
-// the instance types its subClassOf closure entails beside the ones its
-// members store.
+// A view may also be closed (Close, closed.go): it then answers the
+// instance types its subClassOf closure entails and the property triples its
+// subPropertyOf closure entails beside the ones its members store.
 //
 // The members share one lock (NewOverlay), and a View read takes it once:
 // each probe batch (QueryIDBatch), each cursor refill (Scan), each Contains,
@@ -96,9 +96,8 @@ func (s *Store) validID(t IDTriple) bool {
 type View struct {
 	base    *Store
 	overlay *Store
-	// tally is set by CloseTyping, and marks a view with closed typing
-	// (closed.go).
-	tally *typeTally
+	// closure is set by Close, and marks a closed view (closed.go).
+	closure *closure
 }
 
 // NewView returns the union view of base and overlay. The overlay must share
@@ -122,7 +121,7 @@ func (v *View) Base() *Store { return v.base }
 func (v *View) Overlay() *Store { return v.overlay }
 
 // Len returns the number of triples visible through the view: the O(1) sum
-// of the members' counters, and of the closed types they do not store.
+// of the members' counters, and of the closed triples they do not store.
 func (v *View) Len() int {
 	return v.base.Len() + v.overlay.Len() + v.unstored()
 }
@@ -184,23 +183,24 @@ func (v *View) ForEachSubject(predicate, object string, yield func(string) bool)
 	res := newResolver(v.base.syms)
 	v.base.mu.RLock()
 	defer v.base.mu.RUnlock()
-	if v.closedSubjects(pid, oid, res, yield) {
-		return
+	if !v.closedSubjects(pid, oid, res, yield) {
+		v.storedSubjects(pid, oid, res, yield)
 	}
+}
+
+// storedSubjects is ForEachSubject over the members' triples alone,
+// reporting false when yield stopped it. Callers hold the lock.
+func (v *View) storedSubjects(pid, oid uint32, res resolver, yield func(string) bool) bool {
 	for _, s := range [2]*Store{v.base, v.overlay} {
-		e := s.pos.find(pid)
-		if e == nil {
-			continue
-		}
-		set := e.set(oid)
-		for k := range set {
-			for _, sid := range set[k].elems() {
+		for _, ch := range set(&s.pos, pid, oid) {
+			for _, sid := range ch.elems() {
 				if !yield(res.name(sid)) {
-					return
+					return false
 				}
 			}
 		}
 	}
+	return true
 }
 
 // Held returns the view's reads for a caller inside a write section. It is
