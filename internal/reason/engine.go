@@ -322,11 +322,12 @@ func (r *Reasoner) setRules(compiled []crule) {
 //
 //   - With typing closed the caller must keep TypingHazard triples out of
 //     every write, or reads go inexact.
-//   - With properties closed the reasoner watches for the property hazards
-//     itself (propertyHazard): a base holding one at boot, or a write adding
-//     one, reopens the closure — from then on the reasoner stores
-//     subPropertyOf-propagation's conclusions like any rule's, and the view
-//     reads them as stored triples.
+//   - A base holding a property hazard keeps subPropertyOf-propagation
+//     stored. With properties closed the reasoner watches every write for
+//     one itself (propertyHazard): a write adding one reopens the closure —
+//     from then on the reasoner stores subPropertyOf-propagation's
+//     conclusions like any rule's, and the view reads them as stored
+//     triples.
 func MaterializeServing(base *store.Store, rules []Rule) (*Reasoner, error) {
 	if base == nil {
 		return Materialize(base, rules)
@@ -344,23 +345,6 @@ func MaterializeServing(base *store.Store, rules []Rule) (*Reasoner, error) {
 		if r.hazards, err = newPropertyHazards(base, rules); err != nil {
 			return nil, err
 		}
-		r.mu.Lock()
-		r.base.Write(func() bool {
-			var schema []store.IDTriple
-			for _, p := range [...]store.SymbolID{r.hazards.sp, r.hazards.dom, r.hazards.rng} {
-				r.view.Held().QueryIDBatch([]store.IDPattern{{P: p, BoundP: true}}, func(_ int, t store.IDTriple) bool {
-					schema = append(schema, t)
-					return true
-				})
-			}
-			if r.propertyHazard(schema) {
-				r.reopen(nil)
-				closes &^= store.ClosedProperties
-			}
-			return false // the boot fixpoint names no generation
-		})
-		r.scratch.trim(0)
-		r.mu.Unlock()
 	}
 	r.view.Close(closes)
 	return r, nil
@@ -390,7 +374,7 @@ type propertyHazards struct {
 // outside RDFSRules read.
 func newPropertyHazards(base *store.Store, rules []Rule) (propertyHazards, error) {
 	var h propertyHazards
-	for i, name := range [...]string{store.TypePredicate, SubClassOfPredicate, SubPropertyOfPredicate, DomainPredicate, RangePredicate} {
+	for i, name := range vocabularyNames {
 		id, err := base.Intern(name)
 		if err != nil {
 			return h, err
@@ -398,18 +382,12 @@ func newPropertyHazards(base *store.Store, rules []Rule) (propertyHazards, error
 		h.vocab[i] = id
 	}
 	h.sp, h.dom, h.rng = h.vocab[2], h.vocab[3], h.vocab[4]
-	builtin := RDFSRules()
-	for _, r := range rules {
-		if slices.ContainsFunc(builtin, func(b Rule) bool { return sameRule(r, b) }) {
-			continue
+	for _, name := range bodyPredicates(rules) { // all literal: readsProperties refused a variable
+		id, err := base.Intern(name)
+		if err != nil {
+			return h, err
 		}
-		for _, p := range r.Body {
-			id, err := base.Intern(p.Predicate.Value) // literal: readsProperties refused a variable
-			if err != nil {
-				return h, err
-			}
-			h.reads = append(h.reads, id)
-		}
+		h.reads = append(h.reads, id)
 	}
 	return h, nil
 }

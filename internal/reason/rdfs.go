@@ -107,9 +107,9 @@ func RDFSRules() []Rule {
 //   - subPropertyOf-propagation goes (store.ClosedProperties) when the set
 //     also closes subPropertyOf and no rule outside RDFSRules can read a
 //     propagated property triple or mint a property hazard
-//     (readsProperties). The base is checked against the property hazards
-//     after the materialization, and every write after it
-//     (Reasoner.propertyHazard), by the reasoner itself.
+//     (readsProperties), and the base holds no property hazard
+//     (hasPropertyHazard). The reasoner checks every later write itself
+//     (Reasoner.propertyHazard).
 //
 // Otherwise it returns the rules unchanged and no closure.
 func servingRules(rules []Rule, base *store.Store) ([]Rule, store.Closure) {
@@ -121,7 +121,7 @@ func servingRules(rules []Rule, base *store.Store) ([]Rule, store.Closure) {
 	if has(0) && has(1) && !hasTypingHazard(base) {
 		closes |= store.ClosedTyping
 	}
-	if has(2) && has(3) {
+	if has(2) && has(3) && !hasPropertyHazard(base, rules) {
 		closes |= store.ClosedProperties
 	}
 	for _, r := range rules {
@@ -207,6 +207,51 @@ func hasTypingHazard(s *store.Store) bool {
 		{Predicate: SubPropertyOfPredicate, Object: SubPropertyOfPredicate},
 	} {
 		if s.Count(p) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// vocabularyNames are the RDFS predicates the closures are read by: none
+// may sit on either side of subPropertyOf while properties are closed.
+var vocabularyNames = [...]string{store.TypePredicate, SubClassOfPredicate, SubPropertyOfPredicate, DomainPredicate, RangePredicate}
+
+// bodyPredicates returns the literal body predicates of the rules outside
+// RDFSRules.
+func bodyPredicates(rules []Rule) []string {
+	builtin := RDFSRules()
+	var out []string
+	for _, r := range rules {
+		if slices.ContainsFunc(builtin, func(b Rule) bool { return sameRule(r, b) }) {
+			continue
+		}
+		for _, p := range r.Body {
+			if !p.Predicate.IsVar {
+				out = append(out, p.Predicate.Value)
+			}
+		}
+	}
+	return out
+}
+
+// hasPropertyHazard reports whether the store holds a property hazard
+// (Reasoner.propertyHazard) under rules. Its asserted subPropertyOf triples
+// decide it: no kept rule concludes subPropertyOf, domain or range
+// (readsProperties), a vocabulary name sits beside subPropertyOf in the
+// closure only if it does in an asserted triple, and a property has a strict
+// sub-property in the closure only if some asserted (p subPropertyOf q) has
+// p other than q — the last edge of the shortest chain reaching it.
+func hasPropertyHazard(s *store.Store, rules []Rule) bool {
+	reads := bodyPredicates(rules)
+	for _, t := range s.Query(store.Pattern{Predicate: SubPropertyOfPredicate}) {
+		switch {
+		case slices.Contains(vocabularyNames[:], t.Subject) || slices.Contains(vocabularyNames[:], t.Object):
+			return true
+		case t.Subject == t.Object:
+		case slices.Contains(reads, t.Object),
+			s.Count(store.Pattern{Subject: t.Object, Predicate: DomainPredicate}) > 0,
+			s.Count(store.Pattern{Subject: t.Object, Predicate: RangePredicate}) > 0:
 			return true
 		}
 	}

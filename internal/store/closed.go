@@ -861,12 +861,13 @@ func (w *propWalk) one(q uint32, begun bool, emit func(s, q, o uint32) bool) boo
 				return true // a cycle's (q subPropertyOf q)
 			}
 			onP := at.cand.on(begun, b, p)
+			contested := w.contested(q, b, p)
 			for m := uint8(0); m < 2; m++ {
 				if onP && m < at.m {
 					continue
 				}
 				ok := w.pairs(m, p, onP && m == at.m, at.a, at.b, func(s, o, ka, kb uint32) bool {
-					if !w.first(s, o, q, b, p) {
+					if contested && !w.first(s, o, q, b, p) {
 						return true
 					}
 					w.at.cand, w.at.m, w.at.a, w.at.b, w.begun = slot{b, p}, m, ka, kb, true
@@ -918,6 +919,50 @@ func (w *propWalk) pairs(m uint8, p uint32, resume bool, a, b uint32, f func(s, 
 		i = end
 	}
 	return true
+}
+
+// contested reports whether a row of candidate p of bucket b under q can be
+// stored as (s q o) or reached from a candidate ranking before p: whether q
+// or such a candidate stores a triple that can share the row's subject and
+// object — for a bound object one of (? u o), for a bound subject one of
+// (s u ?), for neither any. It is looked up once per candidate; an
+// uncontested candidate's rows are all first, which is the common case of a
+// super-property that stores nothing itself, and need no probe.
+func (w *propWalk) contested(q uint32, b uint8, p uint32) bool {
+	stores := func(u uint32) bool {
+		for m := range w.m {
+			switch {
+			case w.boundO:
+				if set(&w.m[m].pos, u, w.o) != nil {
+					return true
+				}
+			case w.boundS:
+				if set(&w.m[m].spo, w.s, u) != nil {
+					return true
+				}
+			case w.m[m].pos.find(u) != nil:
+				return true
+			}
+		}
+		return false
+	}
+	if stores(q) {
+		return true
+	}
+	for bb := uint8(1); bb <= b; bb++ {
+		found := false
+		set(&w.m[bb-1].pos, w.sp, q).each(0, false, func(u uint32) bool {
+			if bb == b && u >= p {
+				return false
+			}
+			found = u != q && stores(u)
+			return !found
+		})
+		if found {
+			return true
+		}
+	}
+	return false
 }
 
 // first reports whether (s q o), reached from (s p o) with p a candidate of
