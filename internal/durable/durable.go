@@ -413,7 +413,7 @@ func (e *Engine) Err() error { return e.w.stickyErr() }
 
 // JournalDict implements store.Journal. Called under the store's
 // symbol-table lock; it only stages bytes (see walWriter.appendDict).
-func (e *Engine) JournalDict(first store.SymbolID, names []string) {
+func (e *Engine) JournalDict(first store.SymbolID, names []store.NameRun) {
 	e.w.appendDict(first, names)
 }
 
@@ -561,7 +561,7 @@ func (e *Engine) publishWindow(lastEnd uint64, dictNext store.SymbolID, lastAt s
 	if e.wals[len(e.wals)-1] <= covered {
 		e.wals = append(e.wals, covered+1)
 	}
-	seg, _, err := foldWAL(e.disk, e.wals[:len(e.wals)-1], -1, lastEnd, dictNext, lastAt, nil, nil)
+	seg, _, err := foldWAL(e.disk, e.wals[:len(e.wals)-1], -1, lastEnd, dictNext, lastAt, nil)
 	if err == nil && seg.end != covered {
 		err = fmt.Errorf("durable: checkpoint window ends at record %d, want the rotation point %d", seg.end, covered)
 	}

@@ -47,7 +47,8 @@ func (f *Follower) Position() store.Position { return f.at }
 // framing, checksum, sorted runs and id bounds, a start at seq 1 and id 0,
 // then the digest of what was loaded against the segment's stamp. It
 // returns the follower positioned at the stamp, its dictionary the
-// snapshot's names, which it shares with st page by page.
+// snapshot's names, whose bytes it shares with st: the region read from the
+// snapshot, restored into both.
 func LoadSnapshot(st *store.Store, data []byte) (*Follower, error) {
 	return loadSnapshot(st, data, readBufSize)
 }
@@ -64,7 +65,7 @@ func loadSnapshot(st *store.Store, data []byte, readBuf int) (*Follower, error) 
 	}
 	f := foldOf(seg)
 	f.readBuf = readBuf
-	names, err := f.dictionary(0)
+	names, err := f.dictionary()
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +79,7 @@ func loadSnapshot(st *store.Store, data []byte, readBuf int) (*Follower, error) 
 	if err := dict.RestoreSorted(names, nil, 0); err != nil {
 		return nil, err
 	}
-	return &Follower{dict: dict, ids: store.SymbolID(len(names)), seq: seg.end, at: seg.at}, nil
+	return &Follower{dict: dict, ids: store.SymbolID(f.names), seq: seg.end, at: seg.at}, nil
 }
 
 // Read applies a log body as ReadLog serves it: every whole write after the

@@ -91,7 +91,7 @@ func TestFollowerAppliesChunkedWritesWhole(t *testing.T) {
 func TestOlderBuildsDirectoryIsRefused(t *testing.T) {
 	old := newMemDisk()
 	var data []byte
-	data = appendFrame(data, encodeDict(nil, 1, 0, []string{"s", "p", "o"}))
+	data = appendFrame(data, encodeDict(nil, 1, 0, dictRun("s", "p", "o")))
 	data = appendFrame(data, []byte{4, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0})
 	old.put(walFileName(1), data)
 	if _, err := recoverDir(store.New(), old); err == nil || !strings.Contains(err.Error(), "older build") {
@@ -134,7 +134,7 @@ func TestFollowerChecksNamesAgainstItsSnapshot(t *testing.T) {
 	}
 	n, seq := store.SymbolID(st.DictLen()), f.seq
 	body := func(names ...string) []byte {
-		b := appendFrame(nil, encodeDict(nil, seq+1, n, names))
+		b := appendFrame(nil, encodeDict(nil, seq+1, n, dictRun(names...)))
 		return appendFrame(b, encodeMutation(nil, seq+2, []store.IDTriple{{S: n, P: 1, O: n + 1}}, nil, store.Position{Gen: at.Gen + 1}, true))
 	}
 	if _, err := f.Read(body("x", "s0"), func([]store.Triple, []store.Triple, store.Position) error { return nil }); !errors.Is(err, ErrDiverged) || !strings.Contains(err.Error(), `dictionary repeats "s0" as ids 0 and 4`) {

@@ -15,7 +15,7 @@ import (
 // a length-driven runaway allocation (the decoder bounds-checks every length
 // against the bytes actually present).
 func FuzzDecodeRecord(f *testing.F) {
-	f.Add(encodeDict(nil, 1, 0, []string{"a", "bb", ""}))
+	f.Add(encodeDict(nil, 1, 0, dictRun("a", "bb", "")))
 	at := store.Position{Gen: 3, Digest: store.Digest{0x0123456789abcdef, 0xfedcba9876543210}}
 	f.Add(encodeMutation(nil, 2, []store.IDTriple{{S: 0, P: 1, O: 2}, {S: 2, P: 1, O: 0}}, nil, at, true))
 	f.Add(encodeMutation(nil, 3, nil, []store.IDTriple{{S: 7, P: 8, O: 9}}, at, false))
@@ -42,12 +42,12 @@ func FuzzDecodeRecord(f *testing.F) {
 				t.Fatalf("mutation record round trip changed the payload: %x -> %x", payload, again)
 			}
 		case recDict:
-			names := r.names.appendStrings(nil)
-			r2, err := decodeRecord(encodeDict(nil, r.seq, r.first, names))
+			names := runNames(r.names)
+			r2, err := decodeRecord(encodeDict(nil, r.seq, r.first, dictRun(names...)))
 			if err != nil {
 				t.Fatalf("re-encoded dict record does not decode: %v", err)
 			}
-			names2 := r2.names.appendStrings(nil)
+			names2 := runNames(r2.names)
 			if r2.first != r.first || len(names2) != len(names) {
 				t.Fatalf("dict record round trip changed: %+v -> %+v", r, r2)
 			}
@@ -206,7 +206,7 @@ func FuzzLogReadersAgree(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := newMemDisk()
 		d.put(walFileName(1), data)
-		seg, live, recErr := foldWAL(d, []uint64{1}, -1, 0, 0, store.Position{}, store.New(), nil)
+		seg, live, recErr := foldWAL(d, []uint64{1}, -1, 0, 0, store.Position{}, store.New())
 
 		var fol Follower
 		n, folErr := fol.Read(data, func([]store.Triple, []store.Triple, store.Position) error { return nil })
@@ -264,7 +264,8 @@ func FuzzLoadSegment(f *testing.F) {
 		if _, _, err := fd.count(); err != nil {
 			t.Fatalf("an accepted segment does not fold: %v", err)
 		}
-		if names, err := fd.dictionary(0); err != nil || len(names) != seg.dict.n {
+		if runs, err := fd.dictionary(); err != nil || len(dictNames(runs)) != seg.dict.n {
+			names := dictNames(runs)
 			t.Fatalf("an accepted segment's dictionary reads back as %d names, %v; want %d", len(names), err, seg.dict.n)
 		}
 		// An accepted segment must satisfy the invariants every consumer

@@ -123,9 +123,10 @@ func nextFrame(data []byte, off int) (payload []byte, next int, ok bool) {
 type record struct {
 	typ byte
 	seq uint64
-	// first and names carry a recDict body.
+	// first and names carry a recDict body, its names as they lie in the
+	// payload.
 	first store.SymbolID
-	names nameRun
+	names store.NameRun
 	// nAdds and triples carry a recPart or recWrite body: its checked
 	// triples, the adds before the removes, so triple i < nAdds is an add.
 	nAdds   int
@@ -150,16 +151,6 @@ func decodeTriple(b []byte) store.IDTriple {
 	}
 }
 
-// nameRun is a run of dictionary names in encoded form: n names, each a
-// uvarint length and its bytes — the region a recDict body and a segment's
-// dictionary share byte for byte. Checkpoints and merges move names only as
-// these regions and never decode one; recovery alone turns the regions it
-// folded into strings.
-type nameRun struct {
-	n   int
-	enc []byte
-}
-
 // scanNames finds where a region of count encoded names at the front of b
 // ends. It returns the region's length and how many whole names lie within
 // b; fewer than count means name number whole overruns b.
@@ -175,45 +166,14 @@ func scanNames(b []byte, count int) (size, whole int) {
 	return size, whole
 }
 
-// appendStrings decodes a checked run, appending one string per name to
-// names. Every name is sliced from one string holding the whole region:
-// converting per name would allocate one heap object per name — for a
-// million-name store a million tiny objects the GC re-scans on every cycle
-// for the life of the store; one backing string a region is a handful of
-// objects (the varint bytes ride along unreferenced, a few bytes per name of
-// slack).
-func (a nameRun) appendStrings(names []string) []string {
-	blob := string(a.enc)
-	for off := 0; off < len(blob); {
-		n, w := binary.Uvarint(a.enc[off:])
-		names = append(names, blob[off+w:off+w+int(n)])
-		off += w + int(n)
-	}
-	return names
-}
-
-// encodeDict appends a recDict payload to dst.
-func encodeDict(dst []byte, seq uint64, first store.SymbolID, names []string) []byte {
+// encodeDict appends a recDict payload to dst: names, as they lie, are its
+// body after the first and count.
+func encodeDict(dst []byte, seq uint64, first store.SymbolID, names store.NameRun) []byte {
 	dst = append(dst, recDict)
 	dst = binary.LittleEndian.AppendUint64(dst, seq)
 	dst = binary.LittleEndian.AppendUint32(dst, first)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(names)))
-	for _, name := range names {
-		dst = binary.AppendUvarint(dst, uint64(len(name)))
-		dst = append(dst, name...)
-	}
-	return dst
-}
-
-// dictNameSize is the encoded size of one recDict name: its uvarint length
-// prefix plus its bytes. The writer sums it to chunk dictionary growth below
-// the frame cap.
-func dictNameSize(name string) int {
-	n := 1
-	for x := uint64(len(name)); x >= 0x80; x >>= 7 {
-		n++
-	}
-	return n + len(name)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(names.N))
+	return append(dst, names.Enc...)
 }
 
 // encodeMutation appends the payload of one chunk of a write to dst: a
@@ -269,7 +229,7 @@ func decodeRecord(payload []byte) (record, error) {
 		if size != len(body) {
 			return r, fmt.Errorf("durable: dict record has %d trailing bytes", len(body)-size)
 		}
-		r.names = nameRun{n: count, enc: body}
+		r.names = store.NameRun{N: count, Enc: body}
 	case recPart, recWrite:
 		if r.typ == recWrite {
 			if len(body) < 24 {

@@ -38,7 +38,7 @@ func (l *logScript) at() store.Position {
 func (l *logScript) dict(seq uint64, names ...string) []byte {
 	first := store.SymbolID(len(l.names))
 	l.names = append(l.names, names...)
-	return encodeDict(nil, seq, first, names)
+	return encodeDict(nil, seq, first, dictRun(names...))
 }
 
 // write is the payload of a whole write record of adds then removes, stamped

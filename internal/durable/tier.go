@@ -234,11 +234,11 @@ func (f *fold) copyDictionary(write func([]byte) error) error {
 	return nil
 }
 
-// dictionary decodes the fold's dictionary windows, oldest first, into one
-// string per name (nameRun.appendStrings), in a slice with room for room
-// more.
-func (f *fold) dictionary(room int) ([]string, error) {
-	names := make([]string, 0, f.names+room)
+// dictionary reads the fold's dictionary windows, oldest first, into one
+// run each, as they lie: the runs a store restores its dictionary from
+// (store.RestoreSorted), which keeps their bytes as its name pages.
+func (f *fold) dictionary() ([]store.NameRun, error) {
+	runs := make([]store.NameRun, 0, len(f.patches))
 	for _, p := range f.patches {
 		enc := make([]byte, p.dict.size)
 		rd := f.reader(0, p.dict)
@@ -251,9 +251,9 @@ func (f *fold) dictionary(room int) ([]string, error) {
 			}
 		}
 		// The window holds the bytes its verifying pass framed.
-		names = nameRun{n: p.dict.n, enc: enc}.appendStrings(names)
+		runs = append(runs, store.NameRun{N: p.dict.n, Enc: enc})
 	}
-	return names, nil
+	return runs, nil
 }
 
 // errStopped is foldChain's report that its stop channel closed mid-fold.
@@ -310,11 +310,11 @@ func (f *fold) open(d disk, m segMeta, stop <-chan struct{}) error {
 // files beyond it (foldWAL under st's policy, the last cut at cut bytes when
 // cut ≥ 0) pushed onto the same fold — its last patch, whose dictFirst is
 // where the chain's names end. Recovery passes the empty store it boots, st:
-// once foldWAL's first walk has counted the tail's names, the chain's names
-// are restored into it with room for them, and the second walk files the
-// tail's names there too, so every name is checked once, against the whole
-// dictionary, and the load that follows (loadFold) keeps them. A snapshot
-// passes nil. The caller closes the fold.
+// the chain's names are restored into it, their regions as they were read,
+// before foldWAL walks the log, whose walk mints the tail's names after them,
+// so every name is checked once, against the whole dictionary, and the load
+// that follows (loadFold) keeps them. A snapshot passes nil. The caller
+// closes the fold.
 func foldHistory(d disk, chain []segMeta, firsts []uint64, cut int64, st *store.Store) (*fold, walTail, error) {
 	history, err := foldChain(d, chain, nil)
 	if err != nil {
@@ -323,23 +323,19 @@ func foldHistory(d disk, chain []segMeta, firsts []uint64, cut int64, st *store.
 	if len(chain) > 0 {
 		err = (&fold{start: 1}).precede(history.start, history.end, history.dictFirst)
 	}
-	var restore func(int) error
-	if st != nil {
-		restore = func(tailNames int) error {
-			names, err := history.dictionary(tailNames)
-			if err == nil {
-				err = st.RestoreSorted(names, nil, 0)
-			}
-			if err != nil {
-				return fmt.Errorf("durable: restoring the chain's names: %w", err)
-			}
-			return nil
+	if err == nil && st != nil {
+		var names []store.NameRun
+		if names, err = history.dictionary(); err == nil {
+			err = st.RestoreSorted(names, nil, 0)
+		}
+		if err != nil {
+			err = fmt.Errorf("durable: restoring the chain's names: %w", err)
 		}
 	}
 	var log segmentData
 	var live walTail
 	if err == nil {
-		log, live, err = foldWAL(d, firsts, cut, history.end, store.SymbolID(history.names), history.at, st, restore)
+		log, live, err = foldWAL(d, firsts, cut, history.end, store.SymbolID(history.names), history.at, st)
 	}
 	if err == nil {
 		err = history.push(log)
@@ -409,7 +405,6 @@ type logWalk struct {
 	open          bool
 	whole         int
 	dict          *store.Store
-	names         []string // mint's scratch
 }
 
 // walkWAL is the package's one reading of the log: it walks the wal file (or
@@ -474,7 +469,7 @@ func (w *logWalk) read(r record) error {
 				return err
 			}
 		}
-		w.ids += store.SymbolID(r.names.n)
+		w.ids += store.SymbolID(r.names.N)
 	} else {
 		for i := 0; i < r.triples.len(); i++ {
 			if t := r.triples.at(i); t.S >= w.ids || t.P >= w.ids || t.O >= w.ids {
@@ -489,15 +484,19 @@ func (w *logWalk) read(r record) error {
 
 // mint files a dictionary record's names in w.dict, in id order, refusing
 // the first that is empty or that the dictionary already holds under another
-// id — in the words of the load's own refusal.
+// id — in the words of the load's own refusal. The names are read where they
+// lie in the record; the dictionary copies them.
 func (w *logWalk) mint(r record) error {
-	w.names = r.names.appendStrings(w.names[:0])
-	for i, name := range w.names {
+	enc := r.names.Enc
+	for i, off := 0, 0; i < r.names.N; i++ {
+		n, k := binary.Uvarint(enc[off:])
+		name := enc[off+k : off+k+int(n)]
+		off += k + int(n)
 		id := r.first + store.SymbolID(i)
-		if name == "" {
+		if len(name) == 0 {
 			return fmt.Errorf("dictionary id %d is the empty string", id)
 		}
-		if got, _ := w.dict.Intern(name); got != id {
+		if got, _ := w.dict.InternBytes(name); got != id {
 			return fmt.Errorf("dictionary repeats %q as ids %d and %d", name, min(got, id), max(got, id))
 		}
 	}
@@ -565,10 +564,10 @@ func (l *logFiles) walk(i int, skip uint64, w *logWalk, visit func(r record, off
 	return off, &rd, err
 }
 
-// walCount is what a counting walk of a log window finds: its triple events,
-// and the bytes and the number of its names.
+// walCount is what a counting walk of a log window finds: its triple events
+// and the bytes of its names.
 type walCount struct {
-	events, dictBytes, names int
+	events, dictBytes int
 }
 
 // count walks the window once, as foldWAL's second walk will, counting what
@@ -581,8 +580,7 @@ func (l *logFiles) count(after uint64, dictNext store.SymbolID) (walCount, error
 	for i := range l.firsts {
 		_, rd, err := l.walk(i, after, &w, func(r record, _, _ int) error {
 			if r.typ == recDict {
-				c.dictBytes += len(r.names.enc)
-				c.names += r.names.n
+				c.dictBytes += len(r.names.Enc)
 			} else {
 				c.events += r.triples.len()
 			}
@@ -610,10 +608,9 @@ func (l *logFiles) count(after uint64, dictNext store.SymbolID) (walCount, error
 // file must begin with the successor of the record before it.
 //
 // The files are walked twice, through one frame buffer: the first walk
-// counts the window's triple events, dictionary bytes and names, so the
-// second allocates the events and the dictionary window once, at their size,
-// and fills them. ready, when set, is handed the count of names between the
-// walks.
+// counts the window's triple events and dictionary bytes, so the second
+// allocates the events and the dictionary window once, at their size, and
+// fills them.
 //
 // A frame that fails its framing is corruption: sealed files were fsynced by
 // the rotation that closed them, which never splits a write. The one
@@ -625,14 +622,14 @@ func (l *logFiles) count(after uint64, dictNext store.SymbolID) (walCount, error
 // beyond maxFramePayload is never a torn tail, wherever it sits: the writer
 // chunks every record below the cap, so the claim proves damage to a frame
 // header, and cutting there would silently discard every record after it.
-// st is the store recovery boots, holding every name below dictNext once
-// ready returns: the second walk files the names with it as its dictionary
+// st is the store recovery boots, holding every name below dictNext: the
+// second walk files the names with it as its dictionary
 // (logWalk.dict), so what recovery loads is held to the load's checks at the
 // record that breaks them, and the names are in st once the walk is done. A
 // checkpoint and a snapshot pass nil. A cut drops no name the walk filed: a
 // dictionary record never sits inside a write, so the walk stands whole just
 // past each one.
-func foldWAL(d disk, firsts []uint64, cut int64, after uint64, dictNext store.SymbolID, at store.Position, st *store.Store, ready func(names int) error) (segmentData, walTail, error) {
+func foldWAL(d disk, firsts []uint64, cut int64, after uint64, dictNext store.SymbolID, at store.Position, st *store.Store) (segmentData, walTail, error) {
 	seg := segmentData{start: after + 1, end: after, at: at, dictFirst: dictNext, file: "(the log window)"}
 	var live walTail
 	log, err := openLog(d, firsts, cut)
@@ -644,11 +641,6 @@ func foldWAL(d disk, firsts []uint64, cut int64, after uint64, dictNext store.Sy
 	if err != nil {
 		return seg, live, err
 	}
-	if ready != nil {
-		if err := ready(c.names); err != nil {
-			return seg, live, err
-		}
-	}
 	events := make([]walEvent, 0, min(c.events, maxFoldEvents))
 	dict := make([]byte, 0, c.dictBytes)
 	whole := 0 // the events of the whole writes: a cut keeps these
@@ -657,7 +649,7 @@ func foldWAL(d disk, firsts []uint64, cut int64, after uint64, dictNext store.Sy
 	w := logWalk{seq: after, ids: dictNext, dict: st}
 	visit := func(r record, _, next int) error {
 		if r.typ == recDict {
-			dict = append(dict, r.names.enc...)
+			dict = append(dict, r.names.Enc...)
 			return nil
 		}
 		n := r.triples.len()

@@ -450,17 +450,17 @@ func (b badLog) body() []byte {
 // badLogs is the table TestWALSinksAgreeOnBadLogs runs the readers over and
 // FuzzLogReadersAgree is seeded with.
 func badLogs() []badLog {
-	names := encodeDict(nil, 1, 0, []string{"a", "b", "c"})
+	names := encodeDict(nil, 1, 0, dictRun("a", "b", "c"))
 	abc := store.IDTriple{S: 0, P: 1, O: 2}
 	return []badLog{
 		{"restated id", []walImage{{1, [][]byte{
 			names,
 			encodeMutation(nil, 2, []store.IDTriple{abc}, nil, store.Position{}, true),
-			encodeDict(nil, 3, 2, []string{"c"}),
+			encodeDict(nil, 3, 2, dictRun("c")),
 		}}}, 3, "dictionary record starts at id 2, want 3", false, false},
 		{"skipped id", []walImage{{1, [][]byte{
 			names,
-			encodeDict(nil, 2, 4, []string{"e"}),
+			encodeDict(nil, 2, 4, dictRun("e")),
 		}}}, 2, "dictionary record starts at id 4, want 3", false, false},
 		{"unminted id", []walImage{{1, [][]byte{
 			names,
@@ -469,7 +469,7 @@ func badLogs() []badLog {
 		{"interrupted write", []walImage{{1, [][]byte{
 			names,
 			encodeMutation(nil, 2, []store.IDTriple{abc}, nil, store.Position{}, false),
-			encodeDict(nil, 3, 3, []string{"d"}),
+			encodeDict(nil, 3, 3, dictRun("d")),
 			encodeMutation(nil, 4, nil, nil, store.Position{}, true),
 		}}}, 4, "a dictionary record interrupts a chunked write", false, false},
 		{"misnamed file", []walImage{
@@ -478,11 +478,11 @@ func badLogs() []badLog {
 			{5, nil},
 		}, 4, walFileName(4) + " does not follow record 2", true, false},
 		{"repeated name", []walImage{{1, [][]byte{
-			encodeDict(nil, 1, 0, []string{"a", "a", "b"}),
+			encodeDict(nil, 1, 0, dictRun("a", "a", "b")),
 			encodeMutation(nil, 2, []store.IDTriple{{S: 0, P: 1, O: 2}}, nil, store.Position{}, true),
 		}}}, 2, `dictionary repeats "a" as ids 0 and 1`, false, true},
 		{"empty name", []walImage{{1, [][]byte{
-			encodeDict(nil, 1, 0, []string{"a", "", "b"}),
+			encodeDict(nil, 1, 0, dictRun("a", "", "b")),
 		}}}, 1, "dictionary id 1 is the empty string", false, true},
 		{"first record is not the file's name", []walImage{
 			{1, [][]byte{names}},
@@ -575,7 +575,7 @@ func TestRecoveryRefusesATailNameTheChainHolds(t *testing.T) {
 	}
 	wal := walFileName(seq + 1)
 	d.put(wal, walImage{seq + 1, [][]byte{
-		encodeDict(nil, seq+1, ids, []string{"z", "a"}),
+		encodeDict(nil, seq+1, ids, dictRun("z", "a")),
 		encodeMutation(nil, seq+2, []store.IDTriple{{S: ids, P: 1, O: ids + 1}}, nil, store.Position{}, true),
 	}}.frames())
 	_, err := recoverDir(store.New(), d)

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"time"
@@ -145,42 +146,52 @@ func (w *walWriter) stageLocked() {
 // every triple record using the new ids; it must therefore stay
 // syscall-free, and it does — staging only appends to the in-memory buffer.
 //
-// Growth too large for one frame is chunked into consecutive records, each
-// under the payload cap; the fold concatenates the chunks back into one run
-// of ids, so the split is invisible to recovery. A single name that
-// cannot fit even alone kills the log (sticky error): dropping it would
-// desynchronize the log's id assignment from the store's, so every later
-// commit must report the loss instead of acknowledging it.
-func (w *walWriter) appendDict(first store.SymbolID, names []string) {
+// The names are the dictionary's encoded bytes, copied into the records'
+// bodies as they are: one record a call, or, for growth too large for one
+// frame, consecutive records cut at name boundaries, each under the payload
+// cap; the fold concatenates the chunks back into one run of ids, so the
+// split is invisible to recovery. A single name that cannot fit even alone
+// kills the log (sticky error): dropping it would desynchronize the log's id
+// assignment from the store's, so every later commit must report the loss
+// instead of acknowledging it.
+func (w *walWriter) appendDict(first store.SymbolID, names []store.NameRun) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for len(names) > 0 {
-		size := dictPayloadHeader + dictNameSize(names[0])
-		if size > w.maxPayload {
-			w.seq++
-			if w.err == nil {
-				w.err = fmt.Errorf("durable: dictionary name of %d bytes exceeds the %d-byte record cap; the log cannot represent this mutation", len(names[0]), w.maxPayload)
-			}
-			first++
-			names = names[1:]
-			continue
-		}
-		n := 1
-		for n < len(names) {
-			c := dictNameSize(names[n])
-			if size+c > w.maxPayload {
-				break
-			}
-			size += c
-			n++
-		}
-		w.seq++
+	n := 0 // the names of the record open in w.scratch
+	seal := func() {
+		binary.LittleEndian.PutUint32(w.scratch[recHeader+4:], uint32(n))
 		if w.err == nil { // a dead log stays dead; keep seq accounting only
-			w.scratch = encodeDict(w.scratch[:0], w.seq, first, names[:n])
 			w.stageLocked()
 		}
 		first += store.SymbolID(n)
-		names = names[n:]
+		n = 0
+	}
+	for _, run := range names {
+		for enc := run.Enc; len(enc) > 0; {
+			l, k := binary.Uvarint(enc)
+			size := k + int(l)
+			if n > 0 && len(w.scratch)+size > w.maxPayload {
+				seal()
+			}
+			if n == 0 {
+				w.seq++
+				if dictPayloadHeader+size > w.maxPayload {
+					if w.err == nil {
+						w.err = fmt.Errorf("durable: dictionary name of %d bytes exceeds the %d-byte record cap; the log cannot represent this mutation", l, w.maxPayload)
+					}
+					first++
+					enc = enc[size:]
+					continue
+				}
+				w.scratch = encodeDict(w.scratch[:0], w.seq, first, store.NameRun{})
+			}
+			w.scratch = append(w.scratch, enc[:size]...)
+			n++
+			enc = enc[size:]
+		}
+	}
+	if n > 0 {
+		seal()
 	}
 }
 

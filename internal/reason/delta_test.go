@@ -23,7 +23,7 @@ type deltaLog struct {
 	err                            error
 }
 
-func (l *deltaLog) JournalDict(store.SymbolID, []string) {}
+func (l *deltaLog) JournalDict(store.SymbolID, []store.NameRun) {}
 
 func (l *deltaLog) JournalMutation(adds, removes []store.IDTriple, _ store.Position) {
 	l.assertedAdded = append(l.assertedAdded, l.resolve(adds)...)

@@ -23,8 +23,12 @@ type cacheEntry struct {
 	// refs counts the entry's holders: the cache's own reference while the
 	// entry is filed under its key, plus one per replay in flight (get takes
 	// it, release drops it). At zero the entry is dead: nothing reads it, and
-	// bury hands it to the next miss, which overwrites every field.
+	// bury hands it to the next miss, which overwrites every field but key.
 	refs atomic.Int32
+	// key is the string the entry is filed under. A miss that reuses a dead
+	// entry filed under its own key files itself under the same string, so
+	// a query missed again after an invalidation allocates no key.
+	key string
 	// gen is the engine generation the result was computed at: an entry in
 	// the cache is never older than it (see put).
 	gen uint64
@@ -255,13 +259,17 @@ func (c *resultCache) take(n int) *cacheEntry {
 // evicted (map iteration order) until it fits — the cache is a recency-free
 // bounded memo, not an LRU; under invalidation-heavy write traffic entries
 // rarely live long enough for eviction policy to matter. The key is copied
-// into a string only when the entry is stored.
+// into a string only when the entry is stored, and only when the entry does
+// not hold that string already (cacheEntry.key).
 func (c *resultCache) put(key []byte, e *cacheEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.accepts(e.size()) || c.generation() != e.gen {
 		c.drop(e)
 		return
+	}
+	if e.key != string(key) {
+		e.key = string(key)
 	}
 	if old, ok := c.entries[string(key)]; ok {
 		delete(c.entries, string(key))
@@ -276,7 +284,7 @@ func (c *resultCache) put(key []byte, e *cacheEntry) {
 		c.bytes -= old.size()
 		c.drop(old)
 	}
-	c.entries[string(key)] = e
+	c.entries[e.key] = e
 	c.bytes += e.size()
 }
 

@@ -120,7 +120,7 @@ func TestDurableServerLifecycle(t *testing.T) {
 // standing in for a log whose disk stopped taking fsyncs.
 type deadJournal struct{ err error }
 
-func (*deadJournal) JournalDict(store.SymbolID, []string)                              {}
+func (*deadJournal) JournalDict(store.SymbolID, []store.NameRun)                       {}
 func (*deadJournal) JournalMutation(adds, removes []store.IDTriple, at store.Position) {}
 func (j *deadJournal) JournalWait() error                                              { return j.err }
 

@@ -379,7 +379,12 @@ func BenchmarkDictGrowth(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		st := &symtab{index: slices.Clone(full.index), names: nameTable{pages: slices.Clip(full.names.pages), n: n}}
+		// The clipped directories and a full last page send the new name
+		// to a page and a window of its own: full's are never written.
+		table := full.names
+		pages := slices.Clip(table.dirs.pages)
+		table.dirs, table.used = &nameDirs{windows: slices.Clip(table.dirs.windows), pages: pages}, len(pages[len(pages)-1])
+		st := &symtab{index: slices.Clone(full.index), names: table}
 		b.StartTimer()
 		st.internLocked(names[n])
 		if len(st.index) != 4*n {

@@ -121,13 +121,13 @@ func fmix64(k uint64) uint64 {
 }
 
 // idHash is H of an encoded triple, its names read from names.
-func idHash(names nameTable, t IDTriple) Digest {
+func idHash(names nameView, t IDTriple) Digest {
 	return tripleHash(nameHash(names.at(t.S)), nameHash(names.at(t.P)), nameHash(names.at(t.O)))
 }
 
 // digestOf computes the digest of triples from scratch, hashing each name
 // of the dictionary names once.
-func digestOf(names nameTable, triples []IDTriple) Digest {
+func digestOf(names nameView, triples []IDTriple) Digest {
 	lanes := make([]Digest, names.n)
 	for i := range lanes {
 		lanes[i] = nameHash(names.at(uint32(i)))

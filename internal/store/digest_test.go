@@ -121,7 +121,7 @@ func TestDigestMatchesScratch(t *testing.T) {
 		})
 		SortIDTriples(ids)
 		restored := New()
-		if err := restored.RestoreSorted(dict, ids, 7); err != nil {
+		if err := restored.RestoreSorted(runOf(dict), ids, 7); err != nil {
 			t.Fatal(err)
 		}
 		if got := restored.Position(); got.Gen != 7 || got.Digest != s.Position().Digest {

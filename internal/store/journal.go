@@ -31,12 +31,15 @@ var ErrJournal = errors.New("journal commit failed")
 // durable. Implementations must be safe for concurrent use and must not
 // retain the slices they are handed.
 type Journal interface {
-	// JournalDict reports freshly minted dictionary ids: names[i] was
-	// assigned id first+i. It is called under the symbol-table lock, so
-	// calls arrive in ascending id order and before any JournalMutation that
-	// references the new ids; it must be fast and must not call back into
-	// the store.
-	JournalDict(first SymbolID, names []string)
+	// JournalDict reports freshly minted dictionary ids: the k-th name
+	// across the runs of names was assigned id first+k. The runs are the
+	// dictionary's own bytes, in the encoding a log's dictionary record
+	// carries, so a journal stages them as they are; one call is the names
+	// of one window of 4 096 ids, at most. It is called under the
+	// symbol-table lock, so calls arrive in ascending id order and before
+	// any JournalMutation that references the new ids; it must be fast and
+	// must not call back into the store.
+	JournalDict(first SymbolID, names []NameRun)
 	// JournalMutation stages one write section's changes — the triples it
 	// newly inserted (duplicates already present excluded) and the triples
 	// it deleted, to be replayed adds first — stamped with the Position the

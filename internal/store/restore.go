@@ -19,48 +19,58 @@ import (
 // callers.
 
 // RestoreSorted bulk-loads a store without triples from a recovered
-// dictionary and a sorted triple set, at generation gen. dict[i] becomes the
-// name of SymbolID i (reproducing the interning order the data directory
-// recorded); an empty dict keeps the names the store holds, which a caller
-// that restored them first and interned more (recovery's log tail) passes.
-// triples must satisfy LoadSorted's contract against the dictionary: strictly
-// ascending in (S, P, O) order with every component id below its length.
-// dict is retained, and its spare capacity, up to the end of the 4 096-name
-// page its last name is on, is where the names interned next are filed: a
-// caller that knows how many will follow (recovery's log tail) passes room
-// for them, and callers must not touch dict afterwards, nor share one with
-// spare capacity between two stores. The store's digest
+// dictionary and a sorted triple set, at generation gen. dict is the names in
+// id order, as runs in the encoding of the log's dictionary records — the
+// regions a recovery or a snapshot read, as they lie: the k-th name across
+// them becomes the name of SymbolID k (reproducing the interning order the
+// data directory recorded). A dict of no names keeps the names the store
+// holds, which a caller that restored them first and interned more
+// (recovery's log tail) passes. triples must satisfy LoadSorted's contract
+// against the dictionary: strictly ascending in (S, P, O) order with every
+// component id below its length. The runs' bytes become the dictionary's
+// pages without a copy, and the store never writes them: the names minted
+// next go into pages of its own, so two stores may be restored from the same
+// runs, but the caller must not write them afterwards. The store's digest
 // is computed from what was loaded, so Position reports gen and the digest
 // of the triples: a caller holding the digest the history recorded compares
 // the two. Given no triples the load is skipped, and with it the digest's
 // pass over every name.
 //
-// The store must hold no triples — nor any name when dict is not empty — and
+// The store must hold no triples — nor any name when dict names any — and
 // no journal: restore bypasses the mutation path, so nothing is journaled
-// (recovery runs before the engine attaches its journal). Invalid input is
-// rejected before anything is installed. The caller owns the store
+// (recovery runs before the engine attaches its journal). Invalid input — a
+// run whose names do not fill its bytes, an empty name, a name under two
+// ids — is rejected before anything is installed. The caller owns the store
 // exclusively until RestoreSorted returns; afterwards it is safe for
 // concurrent use as usual.
-func (s *Store) RestoreSorted(dict []string, triples []IDTriple, gen uint64) error {
-	if s.Len() != 0 || len(dict) > 0 && s.DictLen() != 0 {
+func (s *Store) RestoreSorted(dict []NameRun, triples []IDTriple, gen uint64) error {
+	names := 0
+	for _, run := range dict {
+		names += run.N
+	}
+	if s.Len() != 0 || names > 0 && s.DictLen() != 0 {
 		return fmt.Errorf("store: RestoreSorted needs an empty store, not %d triples and %d dictionary entries", s.Len(), s.DictLen())
 	}
 	if s.getJournal() != nil {
 		return fmt.Errorf("store: RestoreSorted bypasses the mutation path and would not journal; detach the journal first")
 	}
-	n := len(dict)
+	n := names
 	if n == 0 {
 		n = s.DictLen()
 	}
 	if err := checkSorted(triples, SymbolID(n)); err != nil {
 		return err
 	}
-	if len(dict) > 0 {
-		// The index is sized once for the whole dictionary and the names
-		// dict has room for, and each name is probed before it is filed, so
-		// a repeat is caught at its second id.
-		fresh := symtab{index: make([]uint32, indexLen(cap(dict))), names: pagedNames(dict)}
-		for i, name := range dict {
+	if names > 0 {
+		// The index is sized once for the whole dictionary, and each name is
+		// probed before it is filed, so a repeat is caught at its second id.
+		table, err := restoredNames(dict)
+		if err != nil {
+			return err
+		}
+		fresh := symtab{index: make([]uint32, indexLen(names)), names: table}
+		for i := range names {
+			name := table.at(uint32(i))
 			if name == "" {
 				return fmt.Errorf("store: restore dictionary id %d is the empty string", i)
 			}

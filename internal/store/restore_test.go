@@ -68,7 +68,7 @@ func TestRestoreSortedMatchesBatchIngest(t *testing.T) {
 
 	dict, ids := dumpIDState(ref)
 	got := New()
-	if err := got.RestoreSorted(dict, ids, 0); err != nil {
+	if err := got.RestoreSorted(runOf(dict), ids, 0); err != nil {
 		t.Fatalf("RestoreSorted: %v", err)
 	}
 
@@ -120,7 +120,7 @@ func TestRestoreSortedThenMutate(t *testing.T) {
 	}
 	dict, ids := dumpIDState(ref)
 	got := New()
-	if err := got.RestoreSorted(dict, ids, 0); err != nil {
+	if err := got.RestoreSorted(runOf(dict), ids, 0); err != nil {
 		t.Fatalf("RestoreSorted: %v", err)
 	}
 	mutate := func(s *Store) {
@@ -157,7 +157,7 @@ func TestRestoreSortedThenMutate(t *testing.T) {
 func TestRestoreSortedInlineSingle(t *testing.T) {
 	s := New()
 	dict := []string{"s", "p", "o1", "o2", "q", "o3"}
-	if err := s.RestoreSorted(dict, []IDTriple{{0, 1, 2}, {0, 4, 5}}, 0); err != nil {
+	if err := s.RestoreSorted(runOf(dict), []IDTriple{{0, 1, 2}, {0, 4, 5}}, 0); err != nil {
 		t.Fatalf("RestoreSorted: %v", err)
 	}
 	model := map[IDTriple]bool{{0, 1, 2}: true, {0, 4, 5}: true}
@@ -215,7 +215,7 @@ func TestRestoreSortedEmptyAndDictOnly(t *testing.T) {
 		t.Fatalf("empty restore left %d triples, %d names", s.Len(), s.DictLen())
 	}
 	s2 := New()
-	if err := s2.RestoreSorted([]string{"a", "b"}, nil, 0); err != nil {
+	if err := s2.RestoreSorted(runOf([]string{"a", "b"}), nil, 0); err != nil {
 		t.Fatalf("dict-only restore: %v", err)
 	}
 	if id, ok := s2.SymbolID("b"); !ok || id != 1 {
@@ -228,7 +228,7 @@ func TestRestoreSortedEmptyAndDictOnly(t *testing.T) {
 
 type nopJournal struct{}
 
-func (nopJournal) JournalDict(SymbolID, []string)                        {}
+func (nopJournal) JournalDict(SymbolID, []NameRun)                       {}
 func (nopJournal) JournalMutation(adds, removes []IDTriple, at Position) {}
 func (nopJournal) JournalWait() error                                    { return nil }
 
@@ -253,7 +253,7 @@ func TestRestoreSortedRejectsBadInput(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := tc.prep()
-			if err := s.RestoreSorted(tc.dict, tc.triples, 0); err == nil {
+			if err := s.RestoreSorted(runOf(tc.dict), tc.triples, 0); err == nil {
 				t.Fatal("RestoreSorted accepted invalid input")
 			}
 		})
@@ -266,7 +266,7 @@ func TestRestoreSortedRejectsBadInput(t *testing.T) {
 // the names alone, the digest still that of the empty store.
 func TestRestoreSortedKeepsHeldNames(t *testing.T) {
 	s := New()
-	if err := s.RestoreSorted([]string{"a", "p"}, nil, 0); err != nil {
+	if err := s.RestoreSorted(runOf([]string{"a", "p"}), nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if s.Len() != 0 || s.DictLen() != 2 || s.Position().Digest != (Digest{}) {

@@ -18,10 +18,10 @@
 //
 // # Files
 //
-//   - symbols.go: the symbol table — names in pages that never move,
-//     the keyless name→id index, the lock-free id→name snapshot (a page
-//     directory and a count), which falls back to the locked path only for
-//     an id minted mid-read.
+//   - symbols.go: the symbol table — names as encoded bytes in pages that
+//     never move, one offset an id, the keyless name→id index, the
+//     lock-free id→name view (a pointer to the directories and a count),
+//     which falls back to the locked path only for an id minted mid-read.
 //   - index.go: one permutation index — the lead directory and its pages, the
 //     midTrail pairs, inline singles, sorted runs and the chunks of a long
 //     set; every lead access goes through find, slot, the grouped writes

@@ -1,16 +1,23 @@
 package store
 
 import (
+	"encoding/binary"
+	"fmt"
 	"hash/maphash"
 	"sync"
+	"unsafe"
 )
 
 // symtab is the store's symbol table: it interns subject, predicate and
 // object strings into dense uint32 ids so the permutation indexes hold
 // four-byte ids instead of string headers, and so equality tests inside the
 // indexes are integer compares. Ids are append-only and never reused, which
-// makes the id→name direction readable under a plain snapshot of its page
-// directory and count (see nameTable).
+// makes the id→name direction readable under a plain snapshot of its
+// directories and count (see nameTable and nameView). The names themselves
+// are bytes in pages, in the encoding of the log's dictionary records, not
+// strings: a restored dictionary is the recovered bytes, and nothing turns a
+// name into a string object until a caller asks for one, which then shares
+// the page.
 type symtab struct {
 	mu sync.RWMutex
 	// index is the name→id direction without the names: an open-addressed
@@ -25,87 +32,216 @@ type symtab struct {
 	// interning lock is released, so dictionary-growth records reach the log
 	// in id order ahead of any triple record that references them. The
 	// symbol table is shared by overlays, so the hook covers every store of
-	// a dictionary-sharing family.
-	journal Journal
+	// a dictionary-sharing family. journaled is the runs it is handed, kept
+	// for the next call.
+	journal   Journal
+	journaled []NameRun
 }
 
-// namePageBits sizes the pages of the id→name table: 4 096 names, 64 KiB of
-// string headers, a page. A page past 32 KiB is a large object, which carries
-// no allocation header; a 16 KiB page of pointers would, and the allocator
-// would round it up to its next size class, 18 KiB.
+// NameRun is a run of dictionary names in the encoding the log and the
+// segment files use: N names, each a uvarint length and then its bytes. The
+// name table keeps its names in this encoding too, so a restore takes a
+// recovered run as it lies (RestoreSorted) and a journal is handed the
+// freshly minted names as the bytes a dictionary record carries
+// (Journal.JournalDict).
+type NameRun struct {
+	N   int
+	Enc []byte
+}
+
+// namePageBits sizes the windows of the table's offsets: 4 096 ids, 16 KiB
+// of offsets, a window. A window is allocated whole when its first id is
+// filed, restored or minted, and never moves.
 const (
 	namePageBits = 12
 	namePageLen  = 1 << namePageBits
 	namePageMask = namePageLen - 1
 )
 
-// nameTable is the id→name direction: a directory of pages, each the names of
-// 4 096 consecutive ids, and the count of names filed in them. A page is
-// allocated whole when the first id of its window is minted and never moves,
-// so minting a name never copies the names before it — 16 bytes kept per
-// name, where an append-grown slice allocates about 80 for each one it keeps
-// — and the directory, a slice header per page, is all that regrows. A
-// nameTable value is a snapshot: the writer fills slots and directory entries
-// only at or above every count it has published, so the names below a
-// snapshot's count are immutable and read without a lock.
+// An offset packs which page a name lies in, counted from the page its
+// window's first name lies in, over where it starts in that page: a
+// window's 4 096 names lie in at most 4 096 pages, and a name starts in the
+// first MiB of its page, where restored runs are cut. A page add allocates
+// is 64 KiB, or one name longer than that; the first is 256 B and each next
+// one doubles the one before, so a dictionary that mints a few names keeps
+// a few hundred bytes for them.
+const (
+	nameStartBits = 32 - namePageBits
+	nameStartMask = 1<<nameStartBits - 1
+	restoredPage  = 1 << nameStartBits
+	firstPage     = 256
+	mintedPage    = 64 << 10
+)
+
+// nameTable is the id→name direction: pages of names in NameRun's encoding,
+// in id order, and one uint32 offset per id, in windows of 4 096, saying
+// where its name starts. A restored dictionary's pages are the restored
+// runs' own bytes, cut where a name would start past 1 MiB and capped at
+// their length; add copies a minted name's bytes into the last page it
+// allocated, or into a new one when the name does not fit. The table holds
+// no pointer per name: a name costs its bytes, a byte or two of length and
+// its four-byte offset, and at hands it out as a string over the page
+// bytes without allocating.
 //
-// The one page shorter than 4 096 names is a restored dictionary's last one,
-// the restored array's own tail, spare capacity included (pagedNames): the
-// names minted next fill its spare slots, which no published snapshot reads,
-// since each reads only below its count. When the next name finds it full it
-// is replaced by a whole page, in a new directory, since published snapshots
-// hold the old one: a copy of at most one page, once.
+// A reader holds a nameView: the table's directories and its count. The
+// writer writes page bytes and offsets only past everything the names below
+// each count it has published occupy, and never writes them again: restored
+// pages are capped, so no add reaches them, and add writes a page only past
+// the names filed in it. It never edits directories a view may hold either:
+// a page or a window is added to a copy (edit). So the names below a view's
+// count are immutable, read without a lock, and strings over them stay
+// valid for good; two stores restored from the same runs share the runs'
+// bytes and write none of them.
 type nameTable struct {
-	pages [][]string
-	n     int
+	nameView
+	// used is how many bytes of the last page hold names (all of a
+	// restored one), and fresh the size of the last page add allocated.
+	used, fresh int
 }
 
-// at returns the name of id, which must be below the table's count.
-func (nt nameTable) at(id uint32) string {
-	return nt.pages[id>>namePageBits][id&namePageMask]
+// nameView is a snapshot of the table: its directories and its count.
+type nameView struct {
+	dirs *nameDirs
+	n    int
 }
 
-// add files name as id nt.n, allocating its page on the first id of the
-// page's window. Callers hold the symbol table's lock for writing.
-func (nt *nameTable) add(name string) {
-	p, slot := nt.n>>namePageBits, nt.n&namePageMask
-	switch {
-	case slot == 0:
-		nt.pages = append(nt.pages, make([]string, namePageLen))
-	case slot == len(nt.pages[p]):
-		whole := make([]string, namePageLen)
-		copy(whole, nt.pages[p])
-		nt.pages = append(nt.pages[:p:p], whole)
+// nameDirs is the table's two directories: its windows of offsets, and its
+// pages.
+type nameDirs struct {
+	windows []nameWindow
+	pages   [][]byte
+}
+
+// nameWindow is the offsets of 4 096 ids, and the page the first of them
+// lies in, which they count their pages from.
+type nameWindow struct {
+	first int
+	offs  []uint32
+}
+
+// at returns the name of id, which must be below the view's count.
+func (nv nameView) at(id uint32) string {
+	page, start := nv.place(int(id))
+	b := nv.dirs.pages[page][start:]
+	n, w := uint64(b[0]), 1
+	if n >= 0x80 {
+		n, w = binary.Uvarint(b)
 	}
-	nt.pages[p][slot] = name
+	b = b[w : w+int(n)]
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// place returns the page id's name lies in and where its encoding starts
+// there.
+func (nv nameView) place(id int) (page, start int) {
+	w := &nv.dirs.windows[id>>namePageBits]
+	o := w.offs[id&namePageMask]
+	return w.first + int(o>>nameStartBits), int(o & nameStartMask)
+}
+
+// add files name as id nt.n, copying its bytes. Callers hold the symbol
+// table's lock for writing and never add the empty name.
+func (nt *nameTable) add(name string) {
+	size := uvarintLen(len(name)) + len(name)
+	if nt.dirs == nil || len(nt.dirs.pages) == 0 || nt.used+size > len(nt.dirs.pages[len(nt.dirs.pages)-1]) {
+		nt.fresh = min(mintedPage, max(firstPage, 2*nt.fresh))
+		d := nt.edit()
+		d.pages = append(d.pages, make([]byte, max(nt.fresh, size)))
+		nt.used = 0
+	}
+	last := len(nt.dirs.pages) - 1
+	page := nt.dirs.pages[last][nt.used:]
+	copy(page[binary.PutUvarint(page, uint64(len(name))):], name)
+	nt.file(last, nt.used)
+	nt.used += size
+}
+
+// file sets the next id's offset to start in page, adding its window on
+// the window's first id.
+func (nt *nameTable) file(page, start int) {
+	if nt.n&namePageMask == 0 {
+		d := nt.edit()
+		d.windows = append(d.windows, nameWindow{first: page, offs: make([]uint32, namePageLen)})
+	}
+	w := &nt.dirs.windows[nt.n>>namePageBits]
+	w.offs[nt.n&namePageMask] = uint32(page-w.first)<<nameStartBits | uint32(start)
 	nt.n++
 }
 
-// pagedNames returns names as a table whose pages are names itself, 4 096 at
-// a time — retained, not copied. The last page reaches into the array's
-// spare capacity, up to its window's end, so the names minted next are filed
-// there; no page reaches into the next window.
-func pagedNames(names []string) nameTable {
-	nt := nameTable{pages: make([][]string, 0, (len(names)+namePageMask)>>namePageBits), n: len(names)}
-	for lo := 0; lo < len(names); lo += namePageLen {
-		hi := min(lo+namePageLen, len(names))
-		if hi == len(names) {
-			hi = min(lo+namePageLen, cap(names))
-		}
-		nt.pages = append(nt.pages, names[lo:hi:hi])
+// edit replaces the table's directories with a copy, which the caller then
+// grows: views taken before keep the directories they hold.
+func (nt *nameTable) edit() *nameDirs {
+	d := new(nameDirs)
+	if nt.dirs != nil {
+		*d = *nt.dirs
 	}
-	return nt
+	nt.dirs = d
+	return d
 }
 
-// spans calls yield with the names of ids from first up to the table's
-// count, one page's share at a time, in id order.
-func (nt nameTable) spans(first int, yield func(first SymbolID, names []string)) {
-	for id := first; id < nt.n; {
-		lo := id & namePageMask
-		n := min(nt.n-id, namePageLen-lo)
-		yield(SymbolID(id), nt.pages[id>>namePageBits][lo:lo+n])
-		id += n
+// uvarintLen is the length of n's uvarint encoding.
+func uvarintLen(n int) int {
+	w := 1
+	for ; n >= 0x80; n >>= 7 {
+		w++
 	}
+	return w
+}
+
+// restoredNames returns a table of the names runs hold, in order. Its pages
+// are the runs' bytes — retained, not copied, and capped, so no add ever
+// writes them — cut where a name would start 1 MiB or more into its page.
+// A run whose N names do not fill its bytes exactly is refused.
+func restoredNames(runs []NameRun) (nameTable, error) {
+	var nt nameTable
+	d := nt.edit()
+	for k, run := range runs {
+		enc, lo, off := run.Enc, 0, 0
+		for i := 0; i < run.N; i++ {
+			n, w := binary.Uvarint(enc[off:])
+			if w <= 0 || n > uint64(len(enc)-off-w) {
+				return nameTable{}, fmt.Errorf("store: restore run %d: name %d overruns its %d bytes", k, i, len(enc))
+			}
+			if off-lo >= restoredPage {
+				d.pages = append(d.pages, enc[lo:off:off])
+				lo = off
+			}
+			nt.file(len(d.pages), off-lo)
+			d = nt.dirs
+			off += w + int(n)
+		}
+		if off != len(enc) {
+			return nameTable{}, fmt.Errorf("store: restore run %d holds %d bytes past its %d names", k, len(enc)-off, run.N)
+		}
+		if off > lo {
+			d.pages = append(d.pages, enc[lo:off:off])
+		}
+	}
+	if len(d.pages) > 0 {
+		nt.used = len(d.pages[len(d.pages)-1])
+	}
+	return nt, nil
+}
+
+// runs appends to dst the names of ids from up to to, in their encoding,
+// one run per page they lie in, in id order.
+func (nv nameView) runs(dst []NameRun, from, to int) []NameRun {
+	for id := from; id < to; {
+		p, lo := nv.place(id)
+		end := id + 1
+		for end < to {
+			if q, _ := nv.place(end); q != p {
+				break
+			}
+			end++
+		}
+		_, hi := nv.place(end - 1)
+		last := nv.at(uint32(end - 1))
+		hi += uvarintLen(len(last)) + len(last)
+		dst = append(dst, NameRun{N: end - id, Enc: nv.dirs.pages[p][lo:hi]})
+		id = end
+	}
+	return dst
 }
 
 // symSeed keys the index's hash. Names arrive in request bodies, so the seed
@@ -156,15 +292,25 @@ func (st *symtab) insert(s string, slot int) uint32 {
 		return id
 	}
 	// The names are distinct, so refiling one needs only an empty slot and
-	// never a compare against names.
+	// never a compare against names. They are read in id order, page by page
+	// front to back, with no offset: a page's names end at its length, or at
+	// the zero length byte where the room of a page add allocated begins (no
+	// name is empty).
 	st.index = make([]uint32, 2*len(st.index))
 	mask := len(st.index) - 1
-	for i := range st.names.n {
-		slot := int(maphash.String(symSeed, st.names.at(uint32(i)))) & mask
-		for st.index[slot] != 0 {
-			slot = (slot + 1) & mask
+	next := uint32(0)
+	for _, page := range st.names.dirs.pages {
+		for off := 0; off < len(page) && page[off] != 0; {
+			n, w := binary.Uvarint(page[off:])
+			off += w
+			slot := int(maphash.Bytes(symSeed, page[off:off+int(n)])) & mask
+			for st.index[slot] != 0 {
+				slot = (slot + 1) & mask
+			}
+			next++
+			st.index[slot] = next
+			off += int(n)
 		}
-		st.index[slot] = uint32(i) + 1
 	}
 	return id
 }
@@ -177,12 +323,20 @@ func (st *symtab) setJournal(j Journal) {
 }
 
 // journalGrowthLocked reports the names minted since the dictionary held
-// before entries to the journal, one call per page they fill. Callers hold
-// st.mu for writing; running under the lock is what orders dictionary records
-// ahead of every triple record that uses the new ids.
+// before entries to the journal, as their encoded bytes, one call per window
+// of 4 096 ids they fall in: a log has always cut its dictionary records
+// there. Callers hold st.mu for writing; running under the lock is what
+// orders dictionary records ahead of every triple record that uses the new
+// ids.
 func (st *symtab) journalGrowthLocked(before int) {
-	if st.journal != nil && st.names.n > before {
-		st.names.spans(before, st.journal.JournalDict) //ontolint:ignore lockcheck the journal only appends to its own buffer (its lock nests strictly inside the dictionary lock, never the reverse) and the under-lock call is what keeps dictionary records ordered before the triple records that use the new ids
+	if st.journal == nil {
+		return
+	}
+	for id := before; id < st.names.n; {
+		end := min(st.names.n, (id|namePageMask)+1)
+		st.journaled = st.names.runs(st.journaled[:0], id, end)
+		st.journal.JournalDict(SymbolID(id), st.journaled) //ontolint:ignore lockcheck the journal only appends to its own buffer (its lock nests strictly inside the dictionary lock, never the reverse) and the under-lock call is what keeps dictionary records ordered before the triple records that use the new ids
+		id = end
 	}
 }
 
@@ -240,22 +394,16 @@ func (st *symtab) lookup(s string) (uint32, bool) {
 }
 
 // lookupBytes returns the interned name spelled by b, the dictionary's own
-// string, without allocating: maphash.Bytes hashes b as maphash.String
-// hashes the same bytes, and the confirming compare does not copy b. ok is
-// false when no such name is interned.
+// string, without allocating: the probe reads b through a string that does
+// not outlive it. ok is false when no such name is interned.
 func (st *symtab) lookupBytes(b []byte) (string, bool) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	mask := len(st.index) - 1
-	for slot := int(maphash.Bytes(symSeed, b)) & mask; ; slot = (slot + 1) & mask {
-		v := st.index[slot]
-		if v == 0 {
-			return "", false
-		}
-		if name := st.names.at(v - 1); name == string(b) {
-			return name, true
-		}
+	id, _, ok := st.find(unsafe.String(unsafe.SliceData(b), len(b)))
+	if !ok {
+		return "", false
 	}
+	return st.names.at(id), true
 }
 
 // lookupTriple resolves all three components read-only.
@@ -272,9 +420,9 @@ func (st *symtab) lookupTriple(t Triple) (IDTriple, bool) {
 // concurrently with interning: ids are append-only, so every name below the
 // snapshot's count is immutable. Resolvers must fall back to name for ids
 // minted after the snapshot was taken.
-func (st *symtab) snapshot() nameTable {
+func (st *symtab) snapshot() nameView {
 	st.mu.RLock()
-	names := st.names
+	names := st.names.nameView
 	st.mu.RUnlock()
 	return names
 }
@@ -292,7 +440,7 @@ func (st *symtab) name(id uint32) string {
 // ready; use newResolver.
 type resolver struct {
 	st    *symtab
-	names nameTable
+	names nameView
 }
 
 func newResolver(st *symtab) resolver {

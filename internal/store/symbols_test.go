@@ -1,19 +1,36 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
 )
 
 // list copies the table's names out, in id order.
-func (nt nameTable) list() []string {
-	out := make([]string, 0, nt.n)
-	nt.spans(0, func(_ SymbolID, names []string) { out = append(out, names...) })
+func (nv nameView) list() []string {
+	out := make([]string, nv.n)
+	for i := range out {
+		out[i] = strings.Clone(nv.at(uint32(i)))
+	}
 	return out
+}
+
+// runOf encodes names as the one run a restore takes.
+func runOf(names []string) []NameRun {
+	var enc []byte
+	for _, name := range names {
+		enc = binary.AppendUvarint(enc, uint64(len(name)))
+		enc = append(enc, name...)
+	}
+	return []NameRun{{N: len(names), Enc: enc}}
 }
 
 // corpusNames returns n distinct names shaped like a served corpus's
@@ -124,7 +141,7 @@ func TestDictIndexMatchesMap(t *testing.T) {
 	sameAsModel("interned", s)
 
 	r := New()
-	if err := r.RestoreSorted(st.names.list(), nil, 0); err != nil {
+	if err := r.RestoreSorted(runOf(st.names.list()), nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if len(r.syms.index) != indexLen(len(model)) {
@@ -138,7 +155,7 @@ func TestDictIndexMatchesMap(t *testing.T) {
 	}
 	sameAsModel("restored, then interned", r)
 
-	err := New().RestoreSorted([]string{"a", "b", "c", "b"}, nil, 0)
+	err := New().RestoreSorted(runOf([]string{"a", "b", "c", "b"}), nil, 0)
 	if want := `store: restore dictionary repeats "b" as ids 1 and 3`; err == nil || err.Error() != want {
 		t.Errorf("RestoreSorted of a repeated name: %v, want %s", err, want)
 	}
@@ -278,29 +295,37 @@ func TestInternedNameAgreesWithSymbolID(t *testing.T) {
 	}
 }
 
-// TestNameTableAllocatesWhatItKeeps: minting 10⁵ names allocates about the
-// 16 bytes of string header a name keeps — whole pages, which never move, and
-// a directory of 8 bytes a page — where an append-grown slice allocated about
-// 80.
+// TestNameTableAllocatesWhatItKeeps: minting 10⁵ corpus names allocates
+// what the table keeps of each — its bytes, a byte of length and a four-byte
+// offset, in pages that never move and a directory of each — and no object
+// a name. The string-header pages it replaced kept 16 bytes a name beside
+// the name's own string.
 func TestNameTableAllocatesWhatItKeeps(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const n = 100_000
 	names := corpusNames(n)
+	spelled := 0
+	for _, name := range names {
+		spelled += len(name)
+	}
 	var nt nameTable
-	_, bytes := allocated(func() {
+	objects, bytes := allocated(func() {
 		for _, name := range names {
 			nt.add(name)
 		}
 	})
-	per := float64(bytes) / n
-	t.Logf("%d names in %d pages: %.2f bytes allocated a name", n, len(nt.pages), per)
+	per := float64(int(bytes)-spelled) / n
+	t.Logf("%d names of %.2f bytes in %d pages: %.2f bytes allocated a name past its own, %d objects", n, float64(spelled)/n, len(nt.dirs.pages), per, objects)
 	if nt.n != n || nt.at(n-1) != names[n-1] {
 		t.Fatalf("the table holds %d names, the last %q", nt.n, nt.at(uint32(nt.n-1)))
 	}
-	if per > 16.5 {
-		t.Errorf("%.2f bytes allocated a name, budget 16.5", per)
+	if per > 6 {
+		t.Errorf("%.2f bytes allocated a name past its own, budget 6", per)
+	}
+	if objects > n/500 {
+		t.Errorf("%d objects allocated for %d names: one a name or more", objects, n)
 	}
 }
 
@@ -317,7 +342,7 @@ func TestDictionaryFootprint(t *testing.T) {
 		}
 	}
 	restored := New()
-	if err := restored.RestoreSorted(names, nil, 0); err != nil {
+	if err := restored.RestoreSorted(runOf(names), nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
@@ -333,59 +358,239 @@ func TestDictionaryFootprint(t *testing.T) {
 	}
 }
 
-// TestRestoredLastPageIsReplacedWhole: a restored dictionary's last page is
-// the restored array's own tail, spare capacity included. The names minted
-// next fill that capacity in place; the name that finds it full gets a whole
-// page in a new directory, while a reader of a snapshot taken before goes on
-// resolving its ids, and every id resolves to its name.
-func TestRestoredLastPageIsReplacedWhole(t *testing.T) {
-	const room, fresh = 100, 120
-	names := corpusNames(namePageLen + 10)
-	dict := make([]string, len(names), len(names)+room)
-	copy(dict, names)
-	s := New()
-	if err := s.RestoreSorted(dict, nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	before := s.NewResolver()
+// TestRestoredRunsAreNeverWritten: a restored dictionary's pages are the
+// runs' own bytes, capped at their length, so two stores restored from one
+// run — recovery's store and a snapshot's, the Follower's dictionary and its
+// store — mint different names next without writing a byte of it. Readers
+// of snapshots taken before the mints go on resolving their ids throughout
+// (run it under -race), and every id resolves to its own store's name.
+func TestRestoredRunsAreNeverWritten(t *testing.T) {
+	const fresh = 600
+	names := corpusNames(restoredPage / 8) // more than 1 MiB: a cut page
+	dict := runOf(names)
+	kept := slices.Clone(dict[0].Enc)
+	stores := [2]*Store{New(), New()}
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for pass := 0; pass < 20; pass++ {
-			for id := len(names) - 20; id < len(names); id++ {
-				if got := before.Name(SymbolID(id)); got != names[id] {
-					t.Errorf("the snapshot resolves id %d to %q, want %q", id, got, names[id])
+	for k, s := range stores {
+		if err := s.RestoreSorted(dict, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+		if pages := s.syms.names.dirs.pages; len(pages) < 2 {
+			t.Fatalf("%d restored names in %d pages: the run was not cut", len(names), len(pages))
+		}
+		for p, page := range s.syms.names.dirs.pages {
+			if cap(page) != len(page) {
+				t.Fatalf("restored page %d has %d bytes of room past its %d", p, cap(page)-len(page), len(page))
+			}
+		}
+		before := s.NewResolver()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for pass := 0; pass < 20; pass++ {
+				for id := len(names) - 20; id < len(names); id++ {
+					if got := before.Name(SymbolID(id)); got != names[id] {
+						t.Errorf("the snapshot resolves id %d to %q, want %q", id, got, names[id])
+						return
+					}
+				}
+			}
+		}()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < fresh; i++ {
+				if id, err := s.Intern(fmt.Sprintf("store%d-fresh%d", k, i)); err != nil || int(id) != len(names)+i {
+					t.Errorf("Intern = %d, %v; want id %d", id, err, len(names)+i)
 					return
 				}
 			}
-		}
-	}()
-	for i := 0; i < fresh; i++ {
-		if id, err := s.Intern("fresh" + strconv.Itoa(i)); err != nil || int(id) != len(names)+i {
-			t.Fatalf("Intern = %d, %v; want id %d", id, err, len(names)+i)
-		}
-		if i == room-1 && len(s.syms.names.pages) != 2 {
-			t.Fatalf("the table allocated a page before the restored array's %d spare slots filled", room)
-		}
+		}()
 	}
 	wg.Wait()
-	for i, name := range dict[len(dict):cap(dict)] {
-		if want := "fresh" + strconv.Itoa(i); name != want {
-			t.Fatalf("spare slot %d of the restored array holds %q, want %q", i, name, want)
+	if !bytes.Equal(dict[0].Enc, kept) {
+		t.Fatal("minting after the restore wrote into the restored run")
+	}
+	for k, s := range stores {
+		after := s.NewResolver()
+		for id := 0; id < len(names)+fresh; id++ {
+			want := fmt.Sprintf("store%d-fresh%d", k, id-len(names))
+			if id < len(names) {
+				want = names[id]
+			}
+			if got := after.Name(SymbolID(id)); got != want {
+				t.Fatalf("store %d: id %d resolves to %q, want %q", k, id, got, want)
+			}
 		}
 	}
-	if pages := s.syms.names.pages; len(pages[len(pages)-1]) != namePageLen {
-		t.Fatalf("the last page holds %d slots after the restored tail filled, want %d", len(pages[len(pages)-1]), namePageLen)
+	bad := []NameRun{{N: 2, Enc: []byte{1, 'a', 3, 'b'}}}
+	if err := New().RestoreSorted(bad, nil, 0); err == nil {
+		t.Error("RestoreSorted took a run whose last name overruns its bytes")
 	}
-	after := s.NewResolver()
-	for id := 0; id < len(names)+fresh; id++ {
-		want := "fresh" + strconv.Itoa(id-len(names))
-		if id < len(names) {
-			want = names[id]
+	bad = []NameRun{{N: 1, Enc: []byte{1, 'a', 1}}}
+	if err := New().RestoreSorted(bad, nil, 0); err == nil {
+		t.Error("RestoreSorted took a run with bytes past its names")
+	}
+}
+
+// FuzzNameTable holds the table to a []string model: it restores runs of
+// random sizes, some past the 1 MiB a page is cut at, then mints names of
+// random lengths — past 127 bytes, which take a two-byte length, and now and
+// then past 64 KiB, a page of their own — across page, growth and window
+// edges, taking snapshots along the way. Every snapshot resolves every id
+// below its count to the model's name, to the end, and the runs of any
+// stretch of ids decode to the model's names.
+func FuzzNameTable(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		f.Add(seed, uint16(6000))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, mints uint16) {
+		rng := rand.New(rand.NewSource(seed))
+		long := false // a restored run past the 1 MiB a page is cut at
+		name := func() string {
+			n := 1 + rng.Intn(40)
+			if long {
+				n = 200 + rng.Intn(400)
+			}
+			switch k := rng.Intn(1000); {
+			case k == 0:
+				n = mintedPage + rng.Intn(1000)
+			case k < 30:
+				n = 120 + rng.Intn(300)
+			}
+			b := make([]byte, n)
+			for i := range b {
+				b[i] = byte('a' + rng.Intn(26))
+			}
+			return string(b)
 		}
-		if got := after.Name(SymbolID(id)); got != want {
-			t.Fatalf("id %d resolves to %q, want %q", id, got, want)
+		var model []string
+		var runs []NameRun
+		for r := rng.Intn(4); r > 0; r-- {
+			long = rng.Intn(3) == 0
+			names := make([]string, rng.Intn(4000))
+			for i := range names {
+				names[i] = name()
+			}
+			runs = append(runs, runOf(names)...)
+			model = append(model, names...)
+		}
+		long = false
+		nt, err := restoredNames(runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps := []nameTable{nt}
+		for i := 0; i < int(mints); i++ {
+			s := name()
+			nt.add(s)
+			model = append(model, s)
+			if rng.Intn(500) == 0 {
+				snaps = append(snaps, nt)
+			}
+		}
+		snaps = append(snaps, nt)
+		for k, snap := range snaps {
+			for id := 0; id < snap.n; id++ {
+				if got := snap.at(uint32(id)); got != model[id] {
+					t.Fatalf("snapshot %d of %d names resolves id %d to %d bytes %.20q, want %d bytes %.20q", k, snap.n, id, len(got), got, len(model[id]), model[id])
+				}
+			}
+		}
+		from := rng.Intn(nt.n + 1)
+		var got []string
+		for _, run := range nt.runs(nil, from, nt.n) {
+			names := runNames(run)
+			if len(names) != run.N {
+				t.Fatalf("a run of %d names decodes to %d", run.N, len(names))
+			}
+			got = append(got, names...)
+		}
+		if !slices.Equal(got, model[from:]) {
+			t.Fatalf("the runs of ids %d to %d decode to %d names, not the model's %d", from, nt.n, len(got), nt.n-from)
+		}
+	})
+}
+
+// runNames decodes a run's names.
+func runNames(run NameRun) []string {
+	var names []string
+	for off := 0; off < len(run.Enc); {
+		n, w := binary.Uvarint(run.Enc[off:])
+		names = append(names, string(run.Enc[off+w:off+w+int(n)]))
+		off += w + int(n)
+	}
+	return names
+}
+
+// TestNameTableSnapshotsSurviveGrowth runs readers of views beside the
+// writer that grows the table past them — restored pages, fresh pages of
+// every size, new windows — publishing its view after each name, as the
+// symbol table does under its lock. A reader mostly reads the newest names
+// of the view it took, the bytes beside the writer's, and now and then all
+// of them. Run under -race, it fails on any write to the bytes, offsets or
+// directories below a published count.
+func TestNameTableSnapshotsSurviveGrowth(t *testing.T) {
+	names := corpusNames(3 * namePageLen)
+	for i := 0; i < len(names); i += 97 {
+		names[i] += strings.Repeat("x", 130) // a two-byte length
+	}
+	nt, err := restoredNames(runOf(names[:namePageLen/2]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	published := nt.nameView
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for pass := 0; ; pass++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				mu.Lock()
+				view := published
+				mu.Unlock()
+				from := max(0, view.n-8)
+				if pass%64 == 0 {
+					from = 0
+				}
+				for id := from; id < view.n; id++ {
+					if got := view.at(uint32(id)); !readsAs(got, names[id]) {
+						t.Errorf("a view of %d names resolves id %d to %q, want %q", view.n, id, got, names[id])
+						return
+					}
+				}
+			}
+		}()
+	}
+	for _, name := range names[nt.n:] {
+		nt.add(name)
+		mu.Lock()
+		published = nt.nameView
+		mu.Unlock()
+	}
+	close(done)
+	wg.Wait()
+}
+
+// readsAs compares got to want a byte at a time through a slice over got's
+// bytes, so the race detector sees each of them read: it does not
+// instrument reads of string data, which the language holds immutable.
+func readsAs(got, want string) bool {
+	b := unsafe.Slice(unsafe.StringData(got), len(got))
+	if len(b) != len(want) {
+		return false
+	}
+	for i := range b {
+		if b[i] != want[i] {
+			return false
 		}
 	}
+	return true
 }

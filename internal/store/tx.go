@@ -102,16 +102,16 @@ func (sec *viewLock) stage(gen uint64) {
 
 // hashNames is one read of the dictionary for a batch's hashes (hash); an
 // overlay, which keeps no digest, reads none.
-func (s *Store) hashNames() nameTable {
+func (s *Store) hashNames() nameView {
 	if s.overlay {
-		return nameTable{}
+		return nameView{}
 	}
 	return s.syms.snapshot()
 }
 
 // hash is H of one encoded triple, names being hashNames; zero on an
 // overlay.
-func (s *Store) hash(names nameTable, t IDTriple) Digest {
+func (s *Store) hash(names nameView, t IDTriple) Digest {
 	if s.overlay {
 		return Digest{}
 	}

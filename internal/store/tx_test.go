@@ -17,7 +17,7 @@ type recJournal struct {
 	err           error
 }
 
-func (j *recJournal) JournalDict(SymbolID, []string) {}
+func (j *recJournal) JournalDict(SymbolID, []NameRun) {}
 
 func (j *recJournal) JournalMutation(adds, removes []IDTriple, at Position) {
 	j.adds = append(j.adds, append([]IDTriple(nil), adds...))

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"io"
+	"unsafe"
 )
 
 // This file is the store's materialization surface: shared-dictionary overlay
@@ -63,6 +64,13 @@ func (s *Store) Intern(name string) (SymbolID, error) {
 	id := s.syms.internLocked(name)
 	s.syms.journalGrowthLocked(before)
 	return id, nil
+}
+
+// InternBytes is Intern for the name spelled by b. The dictionary copies the
+// names it mints into its own pages and b is not retained, so a reader can
+// file the names of a buffer it reuses without making a string of each.
+func (s *Store) InternBytes(b []byte) (SymbolID, error) {
+	return s.Intern(unsafe.String(unsafe.SliceData(b), len(b)))
 }
 
 // validID reports whether every component id has actually been minted by the
