@@ -540,8 +540,12 @@ func TestRecoveryMintsTailNamesIntoASmallPage(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The least of three recoveries each: a stray allocation of a few KiB
-	// lands in one now and then.
+	// The least of three recoveries each: about once a process the runtime
+	// starts an OS thread inside one — runtime.allocm, the m with its g0 and
+	// signal goroutine, about 5.3 KB in two objects — when the parallel index
+	// build of store.LoadSorted or the collector wants one more thread than
+	// it has (the memory profiles of two test processes, one that took it
+	// and one that did not, differ by it inside recovery).
 	least := func(d *memDisk) (least uint64, st *store.Store) {
 		least = math.MaxUint64
 		for range 3 {

@@ -364,6 +364,40 @@ func BenchmarkDictLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkResolverName resolves an id to its name through a Resolver at 10⁵
+// corpus-shaped names, in shuffled and in id order: the read every result
+// row pays once per component (nameDirs.at, inlined).
+func BenchmarkResolverName(b *testing.B) {
+	const n = 100_000
+	s := New()
+	for _, name := range corpusNames(n) {
+		if _, err := s.Intern(name); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ascending := make([]SymbolID, n)
+	for i := range ascending {
+		ascending[i] = SymbolID(i)
+	}
+	shuffled := slices.Clone(ascending)
+	rand.New(rand.NewSource(9)).Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	r := s.NewResolver()
+	for _, c := range []struct {
+		order string
+		ids   []SymbolID
+	}{{"random", shuffled}, {"ascending", ascending}} {
+		b.Run(c.order, func(b *testing.B) {
+			total := 0
+			for i := 0; i < b.N; i++ {
+				total += len(r.Name(c.ids[i%n]))
+			}
+			if total == 0 {
+				b.Fatal("every name read empty")
+			}
+		})
+	}
+}
+
 // BenchmarkDictGrowth prices the one intern that doubles the dictionary's
 // index, at 2¹⁷ corpus-shaped names (2¹⁸ → 2¹⁹ slots). It runs under the
 // write lock, so every lookup and intern waits it out.

@@ -417,13 +417,13 @@ func (c *subsumees) rank(m [2]*Store, rel, u, of uint32) (uint8, bool) {
 		return 0, true
 	}
 	if !c.ok || c.of != of {
-		c.sets = [2]trailSet{set(&m[0].pos, rel, of), set(&m[1].pos, rel, of)}
+		c.sets = [2]trailSet{m[0].pos.set(rel, of), m[1].pos.set(rel, of)}
 		c.of, c.ok = of, true
 	}
 	switch {
-	case len(c.sets[0]) > 0 && c.sets[0].contains(u):
+	case c.sets[0].contains(u):
 		return 1, true
-	case len(c.sets[1]) > 0 && c.sets[1].contains(u):
+	case c.sets[1].contains(u):
 		return 2, true
 	}
 	return 0, false
@@ -457,19 +457,11 @@ func (s slot) from(above bool, b uint8) (uint32, bool) {
 	return 0, false
 }
 
-// set returns lead's set under mid in member m's index ix, or nil.
-func set(ix *index, lead, mid uint32) trailSet {
-	if e := ix.find(lead); e != nil {
-		return e.set(mid)
-	}
-	return nil
-}
-
 // types returns s's stored types in member m.
-func (w *typeWalk) types(m int, s uint32) trailSet { return set(&w.m[m].spo, s, w.typ) }
+func (w *typeWalk) types(m int, s uint32) trailSet { return w.m[m].spo.set(s, w.typ) }
 
 // supers returns c's stored superclasses in member m.
-func (w *typeWalk) supers(m int, c uint32) trailSet { return set(&w.m[m].spo, c, w.sub) }
+func (w *typeWalk) supers(m int, c uint32) trailSet { return w.m[m].spo.set(c, w.sub) }
 
 // isSub reports whether (a subClassOf b) is in the view.
 func (w *typeWalk) isSub(a, b uint32) bool {
@@ -480,15 +472,15 @@ func (w *typeWalk) isSub(a, b uint32) bool {
 // from when resume is set (inclusive), until f returns false; it reports
 // whether it reached the end.
 func (ts trailSet) each(from uint32, resume bool, f func(uint32) bool) bool {
-	if len(ts) == 0 {
+	if len(ts.pairs) == 0 {
 		return true
 	}
 	k, i := 0, 0
 	if resume && from > 0 {
 		k, i = ts.seek(from - 1)
 	}
-	for ; k < len(ts); k, i = k+1, 0 {
-		for _, v := range ts[k].elems()[i:] {
+	for ; k < len(ts.pairs); k, i = k+1, 0 {
+		for _, v := range ts.elems(k)[i:] {
 			if !f(v) {
 				return false
 			}
@@ -512,8 +504,8 @@ func (w *typeWalk) under(u, o uint32) (uint8, bool) { return w.subs.rank(w.m, w.
 // o or has o as a superclass.
 func (w *typeWalk) holds(s, o uint32) bool {
 	for m := range w.m {
-		for _, ch := range w.types(m, s) {
-			for _, u := range ch.elems() {
+		for ts, k := w.types(m, s), 0; k < len(ts.pairs); k++ {
+			for _, u := range ts.elems(k) {
 				if _, ok := w.under(u, o); ok {
 					return true
 				}
@@ -558,7 +550,7 @@ func (w *typeWalk) instances(emit func(s, o uint32) bool) bool {
 					continue
 				}
 				from, resume := at.last.from(onT, m)
-				ok := set(pos(int(m)), w.typ, t).after(from, resume, func(s uint32) bool {
+				ok := pos(int(m)).set(w.typ, t).after(from, resume, func(s uint32) bool {
 					if !w.first(s, b, t) {
 						return true
 					}
@@ -579,7 +571,7 @@ func (w *typeWalk) instances(emit func(s, o uint32) bool) bool {
 			ok = cand(w.o)
 		} else {
 			from, resume := at.class.from(begun, b)
-			ok = set(pos(int(b-1)), w.sub, w.o).each(from, resume, cand)
+			ok = pos(int(b-1)).set(w.sub, w.o).each(from, resume, cand)
 		}
 		if !ok {
 			return false
@@ -592,8 +584,8 @@ func (w *typeWalk) instances(emit func(s, o uint32) bool) bool {
 // among s's stored types: none of the others ranks before it.
 func (w *typeWalk) first(s uint32, b uint8, t uint32) bool {
 	for m := range w.m {
-		for _, ch := range w.types(m, s) {
-			for _, u := range ch.elems() {
+		for ts, k := w.types(m, s), 0; k < len(ts.pairs); k++ {
+			for _, u := range ts.elems(k) {
 				if u == t {
 					continue
 				}
@@ -653,8 +645,8 @@ func (w *typeWalk) classes(s uint32, begun bool, emit func(s, o uint32) bool) bo
 // superclass.
 func (w *typeWalk) firstClass(s uint32, um uint8, u, d uint32) bool {
 	for m := uint8(0); m <= um; m++ {
-		for _, ch := range w.types(int(m), s) {
-			for _, v := range ch.elems() {
+		for ts, k := w.types(int(m), s), 0; k < len(ts.pairs); k++ {
+			for _, v := range ts.elems(k) {
 				if m == um && v >= u {
 					return true
 				}
@@ -677,7 +669,7 @@ func (w *typeWalk) subjects(emit func(s, o uint32) bool) bool {
 		}
 		from, _ := at.subj.from(begun, sm)
 		ok := w.m[sm].spo.ascend(from, func(s uint32, e *leadEntry) bool {
-			if e.set(w.typ) == nil || sm == 1 && w.types(0, s) != nil {
+			if _, typed := e.search(w.typ); !typed || sm == 1 && w.types(0, s).pairs != nil {
 				return true
 			}
 			onS := at.subj.on(begun, sm, s)
@@ -704,11 +696,11 @@ func (w *typeWalk) count() int {
 		w.walk(func(uint32, uint32) bool { n++; return true })
 		w.at, w.begun = typePlace{}, false
 	case w.boundO:
-		n += set(&w.m[0].pos, w.typ, w.o).len() + set(&w.m[1].pos, w.typ, w.o).len()
+		n += w.m[0].pos.set(w.typ, w.o).len() + w.m[1].pos.set(w.typ, w.o).len()
 		for m := range w.m {
-			set(&w.m[m].pos, w.sub, w.o).each(0, false, func(t uint32) bool {
+			w.m[m].pos.set(w.sub, w.o).each(0, false, func(t uint32) bool {
 				if t != w.o {
-					n += set(&w.m[0].pos, w.typ, t).len() + set(&w.m[1].pos, w.typ, t).len()
+					n += w.m[0].pos.set(w.typ, t).len() + w.m[1].pos.set(w.typ, t).len()
 				}
 				return true
 			})
@@ -719,14 +711,14 @@ func (w *typeWalk) count() int {
 			if e == nil {
 				continue
 			}
-			for i := 0; i < len(e.entries); {
+			for i := 0; i < int(e.n); {
 				end := e.setEnd(i)
-				u := e.entries[i].mid
+				u := e.pairs()[i].mid
 				reach := 1 + w.supers(0, u).len() + w.supers(1, u).len()
 				if w.isSub(u, u) {
 					reach--
 				}
-				n += trailSet(e.entries[i:end]).len() * reach
+				n += e.span(&w.m[m].pos.runTable, i, end).len() * reach
 				i = end
 			}
 		}
@@ -781,8 +773,8 @@ func (w *propWalk) under(p, q uint32) (uint8, bool) { return w.subs.rank(w.m, w.
 // with (p subPropertyOf q) in the view.
 func (w *propWalk) strict(q uint32) bool {
 	for m := range w.m {
-		ts := set(&w.m[m].pos, w.sp, q)
-		if n := ts.len(); n > 1 || n == 1 && ts[0].first() != q {
+		ts := w.m[m].pos.set(w.sp, q)
+		if n := ts.len(); n > 1 || n == 1 && ts.elems(0)[0] != q {
 			return true
 		}
 	}
@@ -797,9 +789,9 @@ func (w *propWalk) holds(s, q, o uint32) bool {
 		if e == nil {
 			continue
 		}
-		for i := 0; i < len(e.entries); {
+		for i := 0; i < int(e.n); {
 			end := e.setEnd(i)
-			p, ts := e.entries[i].mid, trailSet(e.entries[i:end])
+			p, ts := e.pairs()[i].mid, e.span(&w.m[m].spo.runTable, i, end)
 			i = end
 			if _, ok := w.under(p, q); ok && p != q && ts.contains(o) {
 				return true
@@ -828,10 +820,10 @@ func (w *propWalk) walk(emit func(s, q, o uint32) bool) bool {
 		if from, resume := at.sup.from(begun, qm); resume {
 			i, _ = e.search(from)
 		}
-		for i < len(e.entries) {
-			q := e.entries[i].mid
+		for i < int(e.n) {
+			q := e.pairs()[i].mid
 			i = e.setEnd(i)
-			if qm == 1 && set(&w.m[0].pos, w.sp, q) != nil {
+			if qm == 1 && w.m[0].pos.set(w.sp, q).pairs != nil {
 				continue // walked with the base's
 			}
 			onQ := at.sup.on(begun, qm, q)
@@ -856,7 +848,7 @@ func (w *propWalk) one(q uint32, begun bool, emit func(s, q, o uint32) bool) boo
 			continue
 		}
 		from, resume := at.cand.from(begun, b)
-		ok := set(&w.m[b-1].pos, w.sp, q).each(from, resume, func(p uint32) bool {
+		ok := w.m[b-1].pos.set(w.sp, q).each(from, resume, func(p uint32) bool {
 			if p == q {
 				return true // a cycle's (q subPropertyOf q)
 			}
@@ -898,9 +890,9 @@ func (w *propWalk) pairs(m uint8, p uint32, resume bool, a, b uint32, f func(s, 
 		}
 		return f(w.s, w.o, 0, 0)
 	case w.boundS:
-		return set(&st.spo, w.s, p).after(a, resume, func(o uint32) bool { return f(w.s, o, o, 0) })
+		return st.spo.set(w.s, p).after(a, resume, func(o uint32) bool { return f(w.s, o, o, 0) })
 	case w.boundO:
-		return set(&st.pos, p, w.o).after(a, resume, func(s uint32) bool { return f(s, w.o, s, 0) })
+		return st.pos.set(p, w.o).after(a, resume, func(s uint32) bool { return f(s, w.o, s, 0) })
 	}
 	e := st.pos.find(p)
 	if e == nil {
@@ -910,9 +902,9 @@ func (w *propWalk) pairs(m uint8, p uint32, resume bool, a, b uint32, f func(s, 
 	if resume {
 		i, _ = e.search(a)
 	}
-	for i < len(e.entries) {
-		end, o := e.setEnd(i), e.entries[i].mid
-		ok := trailSet(e.entries[i:end]).after(b, resume && o == a, func(s uint32) bool { return f(s, o, o, s) })
+	for i < int(e.n) {
+		end, o := e.setEnd(i), e.pairs()[i].mid
+		ok := e.span(&st.pos.runTable, i, end).after(b, resume && o == a, func(s uint32) bool { return f(s, o, o, s) })
 		if !ok {
 			return false
 		}
@@ -933,11 +925,11 @@ func (w *propWalk) contested(q uint32, b uint8, p uint32) bool {
 		for m := range w.m {
 			switch {
 			case w.boundO:
-				if set(&w.m[m].pos, u, w.o) != nil {
+				if w.m[m].pos.set(u, w.o).pairs != nil {
 					return true
 				}
 			case w.boundS:
-				if set(&w.m[m].spo, w.s, u) != nil {
+				if w.m[m].spo.set(w.s, u).pairs != nil {
 					return true
 				}
 			case w.m[m].pos.find(u) != nil:
@@ -951,7 +943,7 @@ func (w *propWalk) contested(q uint32, b uint8, p uint32) bool {
 	}
 	for bb := uint8(1); bb <= b; bb++ {
 		found := false
-		set(&w.m[bb-1].pos, w.sp, q).each(0, false, func(u uint32) bool {
+		w.m[bb-1].pos.set(w.sp, q).each(0, false, func(u uint32) bool {
 			if bb == b && u >= p {
 				return false
 			}
@@ -975,9 +967,9 @@ func (w *propWalk) first(s, o, q uint32, b uint8, p uint32) bool {
 		if e == nil {
 			continue
 		}
-		for i := 0; i < len(e.entries); {
+		for i := 0; i < int(e.n); {
 			end := e.setEnd(i)
-			u, ts := e.entries[i].mid, trailSet(e.entries[i:end])
+			u, ts := e.pairs()[i].mid, e.span(&w.m[m].spo.runTable, i, end)
 			i = end
 			if u == p {
 				continue
@@ -1010,16 +1002,16 @@ func (w *propWalk) count() IDStats {
 	}
 	for m := range w.m {
 		if w.boundQ {
-			set(&w.m[m].pos, w.sp, w.q).each(0, false, func(p uint32) bool { return add(p, w.q) })
+			w.m[m].pos.set(w.sp, w.q).each(0, false, func(p uint32) bool { return add(p, w.q) })
 			continue
 		}
 		e := w.m[m].pos.find(w.sp)
 		if e == nil {
 			continue
 		}
-		for i := 0; i < len(e.entries); {
-			end, q := e.setEnd(i), e.entries[i].mid
-			trailSet(e.entries[i:end]).each(0, false, func(p uint32) bool { return add(p, q) })
+		for i := 0; i < int(e.n); {
+			end, q := e.setEnd(i), e.pairs()[i].mid
+			e.span(&w.m[m].pos.runTable, i, end).each(0, false, func(p uint32) bool { return add(p, q) })
 			i = end
 		}
 	}
@@ -1104,12 +1096,12 @@ func (c *closure) apply(added, removed []IDTriple, fresh int) {
 			if e == nil {
 				continue
 			}
-			pairs := trailSet(e.entries)
+			ts := e.span(&st.pos.runTable, 0, int(e.n))
 			if !whole {
-				pairs = e.set(mid)
+				ts = e.set(&st.pos.runTable, mid)
 			}
-			for i := range pairs {
-				c.subjects = append(c.subjects, pairs[i].elems()...)
+			for k := range ts.pairs {
+				c.subjects = append(c.subjects, ts.elems(k)...)
 			}
 		}
 	}
@@ -1185,10 +1177,10 @@ func (c *closure) typeExtra(w *typeWalk, s uint32, pre bool) int {
 		// when a cycle makes it its own.
 		t0, t1 := w.types(0, s), w.types(1, s)
 		if t0.len()+t1.len() == 1 {
-			if len(t0) == 0 {
+			if len(t0.pairs) == 0 {
 				t0 = t1
 			}
-			u := t0[0].first()
+			u := t0.elems(0)[0]
 			n := w.supers(0, u).len() + w.supers(1, u).len()
 			if w.isSub(u, u) {
 				n--
@@ -1241,9 +1233,9 @@ func (c *closure) propExtra(vc vocab, s uint32, pre bool) int {
 		if e == nil {
 			continue
 		}
-		for i := 0; i < len(e.entries); {
-			end, p := e.setEnd(i), e.entries[i].mid
-			ts := trailSet(e.entries[i:end])
+		for i := 0; i < int(e.n); {
+			end, p := e.setEnd(i), e.pairs()[i].mid
+			ts := e.span(&st.spo.runTable, i, end)
 			i = end
 			sups := c.supersOf(vc, p, pre)
 			if len(sups) == 0 {
@@ -1297,7 +1289,7 @@ func (c *closure) propExtra(vc vocab, s uint32, pre bool) int {
 func (c *closure) supersOf(vc vocab, p uint32, pre bool) []uint32 {
 	sups := c.sups[:0]
 	for _, st := range [2]*Store{c.v.base, c.v.overlay} {
-		set(&st.spo, p, vc.sp).each(0, false, func(q uint32) bool {
+		st.spo.set(p, vc.sp).each(0, false, func(q uint32) bool {
 			if q != p && c.was(pre, IDTriple{S: p, P: vc.sp, O: q}) {
 				sups = append(sups, q)
 			}

@@ -122,7 +122,7 @@ func fmix64(k uint64) uint64 {
 
 // idHash is H of an encoded triple, its names read from names.
 func idHash(names nameView, t IDTriple) Digest {
-	return tripleHash(nameHash(names.at(t.S)), nameHash(names.at(t.P)), nameHash(names.at(t.O)))
+	return tripleHash(nameHash(names.dirs.at(t.S)), nameHash(names.dirs.at(t.P)), nameHash(names.dirs.at(t.O)))
 }
 
 // digestOf computes the digest of triples from scratch, hashing each name
@@ -130,7 +130,7 @@ func idHash(names nameView, t IDTriple) Digest {
 func digestOf(names nameView, triples []IDTriple) Digest {
 	lanes := make([]Digest, names.n)
 	for i := range lanes {
-		lanes[i] = nameHash(names.at(uint32(i)))
+		lanes[i] = nameHash(names.dirs.at(uint32(i)))
 	}
 	var d Digest
 	for _, t := range triples {

@@ -12,10 +12,11 @@ import (
 // lead pages allocated and the directory's chunk slots, the leads filed in
 // the pages' slots, (lead, mid) pairs and the capacity they sit in,
 // how many of the pairs hold their one member inline, and the runs of the
-// others — a slice header each and their element capacity. Nothing is kept
-// beside a page, a pair or a run.
+// others — a slice header each and their element capacity — with the run
+// table's slots and its free list's. Nothing is kept beside a page, a pair,
+// a run or the table.
 type footprint struct {
-	pages, tableCap, leads, pairs, pairCap, inline, runs, elemCap int
+	pages, tableCap, leads, pairs, pairCap, inline, runs, elemCap, runSlots, freeCap int
 }
 
 // indexFootprint walks one index. The caller holds its store's lock or owns
@@ -34,14 +35,15 @@ func indexFootprint(ix *index) footprint {
 			}
 		}
 	}
+	f.runSlots, f.freeCap = cap(ix.runs), cap(ix.free)
 	ix.ascend(0, func(_ uint32, e *leadEntry) bool {
 		f.leads++
-		f.pairs += len(e.entries)
-		f.pairCap += cap(e.entries)
-		for j := range e.entries {
-			if run := e.entries[j].run; run != nil {
+		f.pairs += int(e.n)
+		f.pairCap += int(e.c)
+		for _, mt := range e.pairs() {
+			if mt.v&runTag != 0 {
 				f.runs++
-				f.elemCap += cap(*run)
+				f.elemCap += cap(mt.elems(ix.runs))
 			} else {
 				f.inline++
 			}
@@ -61,6 +63,8 @@ func (f *footprint) add(g footprint) {
 	f.inline += g.inline
 	f.runs += g.runs
 	f.elemCap += g.elemCap
+	f.runSlots += g.runSlots
+	f.freeCap += g.freeCap
 }
 
 // slots is how many leads the allocated pages hold room for.
@@ -69,8 +73,8 @@ func (f footprint) slots() int {
 }
 
 // occupancy is the share of the slots that hold a lead. At about one half a
-// page costs what a map would for the same leads (24 bytes a slot against 48
-// a mapped lead), so an index well below that is filed at a loss.
+// page costs what a map would for the same leads (16 bytes a slot against about
+// 32 a mapped lead), so an index well below that is filed at a loss.
 func (f footprint) occupancy() float64 {
 	if f.pages == 0 {
 		return 0
@@ -89,9 +93,10 @@ func (f footprint) leadBytes() int {
 	return f.pages*int(unsafe.Sizeof(leadPage{})) + f.tableCap*int(unsafe.Sizeof((*leadPage)(nil)))
 }
 
-// runBytes is the share of bytes the runs add beside their pairs.
+// runBytes is the share of bytes the runs add beside their pairs: their
+// elements, and the run table, a slice header a slot, and its free list.
 func (f footprint) runBytes() int {
-	return f.runs*int(unsafe.Sizeof([]uint32(nil))) + f.elemCap*int(unsafe.Sizeof(uint32(0)))
+	return f.elemCap*int(unsafe.Sizeof(uint32(0))) + f.runSlots*int(unsafe.Sizeof([]uint32(nil))) + f.freeCap*int(unsafe.Sizeof(uint32(0)))
 }
 
 func (f footprint) String() string {
@@ -99,13 +104,29 @@ func (f footprint) String() string {
 		f.leads, f.slots(), 100*f.occupancy(), f.pairs, f.pairCap, f.inline, f.runs, f.elemCap, f.bytes())
 }
 
-// materializedServingSet builds, in s's dictionary, the sorted id triples of
-// a materialized serving corpus in miniature: a random hierarchy of classes
-// with its subClassOf closure, and instances that each carry a type fact for
-// their class and every ancestor of it, a locatedIn and the within it
-// entails. It returns the triples and the mean number of type facts per
-// instance.
-func materializedServingSet(t testing.TB, s *Store, classes, instances int) ([]IDTriple, float64) {
+// servingShape is one shape of the serving corpus in miniature: the
+// materialized set, which files every instance type and within the
+// reasoner derives, or the asserted set the server boots now, whose types
+// and withins are answered from the closures instead (API.md "Closed typing
+// and properties").
+type servingShape struct {
+	name         string
+	materialized bool
+}
+
+var (
+	materializedShape = servingShape{"materialized", true}
+	bootShape         = servingShape{"boot", false}
+)
+
+// servingSet builds, in s's dictionary, the sorted id triples of a serving
+// corpus of the shape in miniature: a random hierarchy of classes with its
+// subClassOf closure, and instances that each carry a type fact for their
+// class and a locatedIn — materialized, also one for every ancestor of the
+// class and the within the locatedIn entails; as booted, with the sites
+// partOf the corpus's seven regions instead. It returns the triples and the
+// mean number of type facts per instance.
+func servingSet(t testing.TB, s *Store, shape servingShape, classes, instances int) ([]IDTriple, float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(20060326))
 	id := func(name string) SymbolID {
@@ -134,32 +155,42 @@ func materializedServingSet(t testing.TB, s *Store, classes, instances int) ([]I
 			ts = append(ts, IDTriple{S: class[c], P: sub, O: class[a]})
 		}
 	}
-	const sites = 89
+	const sites, regions = 89, 7
 	site := make([]SymbolID, sites)
 	for k := range site {
 		site[k] = id(fmt.Sprintf("site-%d", k))
 	}
+	if !shape.materialized {
+		partOf := id("partOf")
+		for k := range site {
+			ts = append(ts, IDTriple{S: site[k], P: partOf, O: id(fmt.Sprintf("region-%d", k%regions))})
+		}
+	}
 	types := 0
 	for i := 0; i < instances; i++ {
 		inst, c, at := id(fmt.Sprintf("inst-%d", i)), i%classes, site[(i*37+i/sites)%sites]
-		ts = append(ts, IDTriple{S: inst, P: typ, O: class[c]}, IDTriple{S: inst, P: located, O: at}, IDTriple{S: inst, P: within, O: at})
-		for _, a := range ancestors[c] {
-			ts = append(ts, IDTriple{S: inst, P: typ, O: class[a]})
+		ts = append(ts, IDTriple{S: inst, P: typ, O: class[c]}, IDTriple{S: inst, P: located, O: at})
+		types++
+		if shape.materialized {
+			ts = append(ts, IDTriple{S: inst, P: within, O: at})
+			for _, a := range ancestors[c] {
+				ts = append(ts, IDTriple{S: inst, P: typ, O: class[a]})
+			}
+			types += len(ancestors[c])
 		}
-		types += 1 + len(ancestors[c])
 	}
 	SortIDTriples(ts)
 	return ts, float64(types) / float64(instances)
 }
 
-// loadServingStore bulk-loads a store with materializedServingSet at the
+// loadServingStore bulk-loads a store with servingSet of the shape at the
 // serving corpus's 120 classes.
-func loadServingStore(t testing.TB, instances int) *Store {
+func loadServingStore(t testing.TB, shape servingShape, instances int) *Store {
 	t.Helper()
 	s := New()
-	ts, typesPerInstance := materializedServingSet(t, s, 120, instances)
-	if typesPerInstance < 9 || typesPerInstance > 13 {
-		t.Fatalf("%.1f type facts per instance; the serving corpus has about 11", typesPerInstance)
+	ts, typesPerInstance := servingSet(t, s, shape, 120, instances)
+	if shape.materialized && (typesPerInstance < 9 || typesPerInstance > 13) {
+		t.Fatalf("%.1f type facts per instance; the materialized serving corpus has about 11", typesPerInstance)
 	}
 	if err := s.LoadSorted(ts); err != nil {
 		t.Fatal(err)
@@ -185,37 +216,60 @@ func storeFootprint(s *Store) (names []string, fams []footprint, total footprint
 	return names, fams, total
 }
 
-// TestIndexFootprint holds the index layout to its memory budget on the shape
-// the serving harness boots: per triple, at most 0.35 (lead, mid) pairs and
-// 16 structural bytes over all indexes, with a (lead, mid) pair at 16 bytes.
-// A layout that files every triple under a near-unique (lead, mid) pair — an
-// object-led index over type facts, one midTrail per (class, instance) — has
-// more than one pair per triple and fails both; one that keeps anything per
-// member beside the member itself — a position map over a class's instances,
-// 16 bytes an entry — fails the bytes, and so does one that gives each
-// single-member set a run of its own (a header and an element, 28 bytes, on
-// two of an instance's three SPO pairs), or files each lead through a hash
-// map again (24 bytes a lead beside its entry: 17.1 here).
+// TestIndexFootprint holds the index layout to its memory budget on two
+// shapes of the serving corpus, each with its budget per triple over all
+// indexes, the measured figure and about a tenth: the materialized set of
+// about 11 types an instance, at most 0.255 (lead, mid) pairs and 14.3
+// structural bytes (measured 0.232 and 13.01), and the set the server boots,
+// a type and a locatedIn an instance, at most 1.06 pairs and 22.3 bytes
+// (measured 0.962 and 20.31). A layout that files every triple under a
+// near-unique (lead, mid) pair — an object-led index over type facts, one
+// midTrail per (class, instance) — has more than one pair per triple and
+// fails both; one that keeps anything per member beside the member itself —
+// a position map over a class's instances, 16 bytes an entry — fails the
+// bytes, and so does one that gives each single-member set a run of its own
+// (a table slot and an element, 28 bytes, on two of an instance's three SPO
+// pairs: 17.3), or widens the pair back to 16 bytes (14.9); on the booted
+// set, where a lead holds two triples, so does a lead back at 24 bytes
+// (24.3). The pair, the lead and the lead page are pinned to their sizes.
 func TestIndexFootprint(t *testing.T) {
-	if size := unsafe.Sizeof(midTrail{}); size != 16 {
-		t.Errorf("a (lead, mid) pair is %d bytes, budget 16: a mid, one inline member and a run pointer", size)
+	for _, c := range []struct {
+		what string
+		size uintptr
+		want uintptr
+	}{
+		{"a (lead, mid) pair: a mid and a member or a run's slot", unsafe.Sizeof(midTrail{}), 8},
+		{"a lead: a pointer to its pairs, their number and capacity", unsafe.Sizeof(leadEntry{}), 16},
+		{"a lead page: 128 leads, an allocator size class", unsafe.Sizeof(leadPage{}), 2048},
+	} {
+		if c.size != c.want {
+			t.Errorf("%s is %d bytes, want %d", c.what, c.size, c.want)
+		}
 	}
-	s := loadServingStore(t, 10_000)
-	names, fams, total := storeFootprint(s)
-	for i, f := range fams {
-		t.Logf("%s: %v", names[i], f)
-	}
-	n := float64(s.Len())
-	pairs, bytes := float64(total.pairs)/n, float64(total.bytes())/n
-	t.Logf("%d triples: %.3f pairs and %.1f structural bytes per triple", s.Len(), pairs, bytes)
-	if len(fams) < 2 || total.inline+total.elemCap < len(fams)*s.Len() {
-		t.Fatalf("%d inline members and %d element slots for %d triples in %d indexes: the walk missed part of the index", total.inline, total.elemCap, s.Len(), len(fams))
-	}
-	if pairs > 0.35 {
-		t.Errorf("%.3f (lead, mid) pairs per triple, budget 0.35", pairs)
-	}
-	if bytes > 16 {
-		t.Errorf("%.1f structural bytes per triple, budget 16", bytes)
+	for _, c := range []struct {
+		shape        servingShape
+		pairs, bytes float64
+	}{
+		{materializedShape, 0.255, 14.3},
+		{bootShape, 1.06, 22.3},
+	} {
+		s := loadServingStore(t, c.shape, 10_000)
+		names, fams, total := storeFootprint(s)
+		for i, f := range fams {
+			t.Logf("%s %s: %v", c.shape.name, names[i], f)
+		}
+		n := float64(s.Len())
+		pairs, bytes := float64(total.pairs)/n, float64(total.bytes())/n
+		t.Logf("%s: %d triples: %.3f pairs and %.2f structural bytes per triple", c.shape.name, s.Len(), pairs, bytes)
+		if len(fams) < 2 || total.inline+total.elemCap < len(fams)*s.Len() {
+			t.Fatalf("%s: %d inline members and %d element slots for %d triples in %d indexes: the walk missed part of the index", c.shape.name, total.inline, total.elemCap, s.Len(), len(fams))
+		}
+		if pairs > c.pairs {
+			t.Errorf("%s: %.3f (lead, mid) pairs per triple, budget %.3f", c.shape.name, pairs, c.pairs)
+		}
+		if bytes > c.bytes {
+			t.Errorf("%s: %.2f structural bytes per triple, budget %.1f", c.shape.name, bytes, c.bytes)
+		}
 	}
 }
 
@@ -263,33 +317,38 @@ func TestLonePredicateCostsOnePage(t *testing.T) {
 }
 
 // BenchmarkIndexFootprint is TestIndexFootprint's walk at the harness's 10⁵
-// instances, reported rather than judged: structural bytes and (lead, mid)
-// pairs per triple for each index — with the share of the bytes the runs add
-// and of the pairs that hold their member inline — and over both: the
-// per-index table of PERFLOG.md "One member, inline", from
+// instances, reported rather than judged, for each shape of the serving
+// corpus: structural bytes and (lead, mid) pairs per triple for each index —
+// with the share of the bytes the runs add and of the pairs that hold their
+// member inline — and over both: the per-index table of PERFLOG.md "One
+// member, inline", from
 //
 //	go test -run '^$' -bench IndexFootprint -benchtime 1x ./internal/store
 //
 // What is timed is the walk itself.
 func BenchmarkIndexFootprint(b *testing.B) {
-	s := loadServingStore(b, 100_000)
-	b.ResetTimer()
-	var names []string
-	var fams []footprint
-	var total footprint
-	for i := 0; i < b.N; i++ {
-		names, fams, total = storeFootprint(s)
+	for _, shape := range []servingShape{materializedShape, bootShape} {
+		b.Run(shape.name, func(b *testing.B) {
+			s := loadServingStore(b, shape, 100_000)
+			b.ResetTimer()
+			var names []string
+			var fams []footprint
+			var total footprint
+			for i := 0; i < b.N; i++ {
+				names, fams, total = storeFootprint(s)
+			}
+			n := float64(s.Len())
+			for i, f := range fams {
+				b.ReportMetric(float64(f.bytes())/n, names[i]+"-B/triple")
+				b.ReportMetric(float64(f.runBytes())/n, names[i]+"-run-B/triple")
+				b.ReportMetric(float64(f.pairs)/n, names[i]+"-pairs/triple")
+				b.ReportMetric(float64(f.inline)/n, names[i]+"-inline/triple")
+				b.ReportMetric(float64(f.leads), names[i]+"-leads")
+				b.ReportMetric(float64(f.slots()), names[i]+"-slots")
+				b.ReportMetric(f.occupancy(), names[i]+"-occupancy")
+			}
+			b.ReportMetric(float64(total.bytes())/n, "B/triple")
+			b.ReportMetric(float64(total.pairs)/n, "pairs/triple")
+		})
 	}
-	n := float64(s.Len())
-	for i, f := range fams {
-		b.ReportMetric(float64(f.bytes())/n, names[i]+"-B/triple")
-		b.ReportMetric(float64(f.runBytes())/n, names[i]+"-run-B/triple")
-		b.ReportMetric(float64(f.pairs)/n, names[i]+"-pairs/triple")
-		b.ReportMetric(float64(f.inline)/n, names[i]+"-inline/triple")
-		b.ReportMetric(float64(f.leads), names[i]+"-leads")
-		b.ReportMetric(float64(f.slots()), names[i]+"-slots")
-		b.ReportMetric(f.occupancy(), names[i]+"-occupancy")
-	}
-	b.ReportMetric(float64(total.bytes())/n, "B/triple")
-	b.ReportMetric(float64(total.pairs)/n, "pairs/triple")
 }

@@ -117,7 +117,7 @@ func (s *Store) QueryIDFunc(p IDPattern, yield func(IDTriple) bool) {
 // the number of predicates they occur under. Callers hold mu.
 func (s *Store) countObject(o SymbolID) (count, preds int) {
 	s.pos.ascend(0, func(_ uint32, e *leadEntry) bool {
-		if set := e.set(o); set != nil {
+		if set := e.set(&s.pos.runTable, o); set.pairs != nil {
 			count += set.len()
 			preds++
 		}
@@ -170,18 +170,20 @@ func (s *Store) statsID(p IDPattern) IDStats {
 			return IDStats{}
 		}
 		if p.BoundP {
-			set := e.set(p.P)
-			if set == nil {
+			set := e.set(&s.spo.runTable, p.P)
+			if set.pairs == nil {
 				return IDStats{}
 			}
 			n := set.len()
 			return IDStats{Count: n, DistinctS: 1, DistinctP: 1, DistinctO: n}
 		}
 		st := IDStats{DistinctS: 1}
-		for i := range e.entries {
-			if !p.BoundO {
-				st.Count += e.entries[i].len()
-			} else if e.entries[i].contains(p.O) {
+		// The chunks of a set are disjoint, so at most one of them holds O.
+		pairs := e.span(&s.spo.runTable, 0, int(e.n))
+		for k := range pairs.pairs {
+			if elems := pairs.elems(k); !p.BoundO {
+				st.Count += len(elems)
+			} else if _, found := searchRun(elems, p.O); found {
 				st.Count++
 			}
 		}
@@ -199,17 +201,14 @@ func (s *Store) statsID(p IDPattern) IDStats {
 			return IDStats{}
 		}
 		if p.BoundO {
-			set := e.set(p.O)
-			if set == nil {
+			set := e.set(&s.pos.runTable, p.O)
+			if set.pairs == nil {
 				return IDStats{}
 			}
 			n := set.len()
 			return IDStats{Count: n, DistinctS: n, DistinctP: 1, DistinctO: 1}
 		}
-		st := IDStats{DistinctP: 1}
-		for i := range e.entries {
-			st.Count += e.entries[i].len()
-		}
+		st := IDStats{DistinctP: 1, Count: e.span(&s.pos.runTable, 0, int(e.n)).len()}
 		st.DistinctO = e.sets()
 		st.DistinctS = st.Count
 		return st

@@ -91,11 +91,11 @@ func addSpine(t *testing.T, s *Store, ref model.Set) {
 	for name, ix := range map[string]*index{"SPO": &s.spo, "POS": &s.pos} {
 		mids, trails := 0, 0
 		ix.ascend(0, func(_ uint32, e *leadEntry) bool {
-			if len(e.entries) > linearRun {
+			if e.n > linearRun {
 				mids++
 			}
-			for j := range e.entries {
-				if e.entries[j].len() > longRun {
+			for _, mt := range e.pairs() {
+				if len(mt.elems(ix.runs)) > longRun {
 					trails++
 				}
 			}

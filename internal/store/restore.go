@@ -54,6 +54,9 @@ func (s *Store) RestoreSorted(dict []NameRun, triples []IDTriple, gen uint64) er
 	if s.getJournal() != nil {
 		return fmt.Errorf("store: RestoreSorted bypasses the mutation path and would not journal; detach the journal first")
 	}
+	if uint64(names) > nameCeiling {
+		return fmt.Errorf("store: restore dictionary holds %d names, past the most a dictionary can, %d", names, nameCeiling)
+	}
 	n := names
 	if n == 0 {
 		n = s.DictLen()
@@ -70,10 +73,7 @@ func (s *Store) RestoreSorted(dict []NameRun, triples []IDTriple, gen uint64) er
 		}
 		fresh := symtab{index: make([]uint32, indexLen(names)), names: table}
 		for i := range names {
-			name := table.at(uint32(i))
-			if name == "" {
-				return fmt.Errorf("store: restore dictionary id %d is the empty string", i)
-			}
+			name := table.dirs.at(uint32(i))
 			prev, slot, dup := fresh.find(name)
 			if dup {
 				return fmt.Errorf("store: restore dictionary repeats %q as ids %d and %d", name, prev, i)
@@ -349,12 +349,14 @@ func carve[T any](arena *[]T, n int) []T {
 // to arenaRunMax members is one run, copied in input order, which is
 // ascending (radixSortIDTriples), so it is a valid run as it stands; a longer
 // one is split evenly into chunksFor chunks, each an allocation of its own
-// with chunkRoom. The pairs of leads up to arenaRunMax wide,
-// the runs up to arenaRunMax long and every run's slice header are carved out
-// of three arena allocations sized by a counting pass — for SPO, whose leads
-// are the store's subjects, per-entry allocation would mean millions of tiny
-// objects for the GC to trace. The pairs arrive ascending by mid. Callers
-// hold the store's write lock.
+// with chunkRoom. Every run takes the next slot of the run table, which is
+// sized to them. The pairs of leads up to arenaRunMax wide, the runs up to
+// arenaRunMax long and every run's slice header are carved out of three
+// arena allocations sized by a counting pass — for SPO, whose leads are the
+// store's subjects, per-entry allocation would mean millions of tiny objects
+// for the GC to trace; the pair arena holds no pointer, so the GC does not
+// even scan it. The pairs arrive ascending by mid. Callers hold the store's
+// write lock.
 func (ix *index) buildSorted(ts []IDTriple) {
 	if len(ts) == 0 {
 		return
@@ -381,14 +383,14 @@ func (ix *index) buildSorted(ts []IDTriple) {
 		i = j
 	}
 	midArena := make([]midTrail, mids)
-	runArena := make([][]uint32, runs)
 	elemArena := make([]uint32, elems)
 	ix.chunks = make([]*leadChunk, ts[len(ts)-1].S>>leadChunkShift+1)
 	ix.leads = 0
+	ix.runTable = runTable{runs: make([][]uint32, 0, runs)}
 	// fill copies the trailing ids of ts[lo:hi] into a run of its own at
-	// capacity room, or carved from the arena when room is 0, and files it as
-	// the next pair of e under mid.
-	fill := func(e *leadEntry, mid uint32, lo, hi, room int) {
+	// capacity room, or carved from the arena when room is 0, and appends its
+	// pair under mid to pairs.
+	fill := func(pairs []midTrail, mid uint32, lo, hi, room int) []midTrail {
 		var run []uint32
 		if room == 0 {
 			run = carve(&elemArena, hi-lo)
@@ -398,9 +400,7 @@ func (ix *index) buildSorted(ts []IDTriple) {
 		for q := range run {
 			run[q] = ts[lo+q].O
 		}
-		runArena[0] = run
-		e.entries = append(e.entries, midTrail{mid: mid, one: [1]uint32{run[0]}, run: &runArena[0]})
-		runArena = runArena[1:]
+		return append(pairs, midTrail{mid: mid, v: ix.file(run)})
 	}
 	for i := 0; i < len(ts); {
 		l := ts[i].S
@@ -410,29 +410,30 @@ func (ix *index) buildSorted(ts []IDTriple) {
 			nm += chunksFor(k - j)
 			j = k
 		}
-		e := ix.slot(l)
+		var pairs []midTrail
 		if nm > arenaRunMax {
-			e.entries = make([]midTrail, 0, nm+nm/8)
+			pairs = make([]midTrail, 0, nm+nm/8)
 		} else {
-			e.entries = carve(&midArena, nm)[:0]
+			pairs = carve(&midArena, nm)[:0]
 		}
-		ix.leads++
 		for k := i; k < j; {
 			m, k2 := ts[k].P, runEnd(ts, k)
 			switch n := k2 - k; {
 			case n == 1:
-				e.entries = append(e.entries, midTrail{mid: m, one: [1]uint32{ts[k].O}})
+				pairs = append(pairs, midTrail{mid: m, v: ts[k].O})
 			case n <= arenaRunMax:
-				fill(e, m, k, k2, 0)
+				pairs = fill(pairs, m, k, k2, 0)
 			default:
 				c := chunksFor(n)
 				for q := 0; q < c; q++ {
 					lo, hi := k+n*q/c, k+n*(q+1)/c
-					fill(e, m, lo, hi, chunkRoom(hi-lo))
+					pairs = fill(pairs, m, lo, hi, chunkRoom(hi-lo))
 				}
 			}
 			k = k2
 		}
+		ix.slot(l).setPairs(pairs)
+		ix.leads++
 		i = j
 	}
 }

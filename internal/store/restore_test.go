@@ -161,7 +161,7 @@ func TestRestoreSortedInlineSingle(t *testing.T) {
 		t.Fatalf("RestoreSorted: %v", err)
 	}
 	model := map[IDTriple]bool{{0, 1, 2}: true, {0, 4, 5}: true}
-	if set := s.spo.find(0).set(1); len(set) != 1 || set[0].run != nil {
+	if set := s.spo.set(0, 1); len(set.pairs) != 1 || set.pairs[0].v&runTag != 0 {
 		t.Fatalf("the restored one-object set (s, p) is %+v, want its member inline", set)
 	}
 	check := func(stage string) {

@@ -23,31 +23,33 @@ func removeOne(ix *index, lead, mid, c uint32) bool {
 
 // removeMember removes c from mid's set of e as a batch of one, reporting
 // whether it was there.
-func removeMember(e *leadEntry, mid, c uint32) bool {
+func removeMember(rt *runTable, e *leadEntry, mid, c uint32) bool {
 	keys := [][4]uint32{{0, mid, c, 0}}
-	return len(e.removeAll(mid, keys, keys[:0])) == 1
+	return len(e.removeAll(rt, mid, keys, keys[:0])) == 1
 }
 
 // checkLead holds one lead entry to its layout — at least one pair, pairs
-// ascending by (mid, first member), each chunk passing checkSet, the chunks
-// of one mid disjoint and ascending — and counts the members it holds.
-func checkLead(e *leadEntry) (members int, bad string) {
-	if len(e.entries) == 0 {
+// ascending by (mid, first member), each chunk passing checkSet against the
+// index's run table runs, the chunks of one mid disjoint and ascending — and
+// counts the members it holds.
+func checkLead(runs [][]uint32, e *leadEntry) (members int, bad string) {
+	ps := e.pairs()
+	if len(ps) == 0 {
 		return 0, "a lead without pairs was not pruned"
 	}
-	for j := range e.entries {
-		mt := &e.entries[j]
-		n, bad := checkSet(mt)
+	for j := range ps {
+		mt := &ps[j]
+		n, bad := checkSet(runs, mt)
 		if bad != "" {
 			return 0, bad
 		}
 		if j > 0 {
-			prev := &e.entries[j-1]
+			prev := ps[j-1].elems(runs)
 			switch {
-			case prev.mid > mt.mid:
-				return 0, fmt.Sprintf("mid %d follows mid %d at pair %d of %d", mt.mid, prev.mid, j, len(e.entries))
-			case prev.mid == mt.mid && prev.elems()[prev.len()-1] >= mt.first():
-				return 0, fmt.Sprintf("a chunk of mid %d ends at %d and the next begins at %d, pair %d of %d", mt.mid, prev.elems()[prev.len()-1], mt.first(), j, len(e.entries))
+			case ps[j-1].mid > mt.mid:
+				return 0, fmt.Sprintf("mid %d follows mid %d at pair %d of %d", mt.mid, ps[j-1].mid, j, len(ps))
+			case ps[j-1].mid == mt.mid && prev[len(prev)-1] >= mt.first(runs):
+				return 0, fmt.Sprintf("a chunk of mid %d ends at %d and the next begins at %d, pair %d of %d", mt.mid, prev[len(prev)-1], mt.first(runs), j, len(ps))
 			}
 		}
 		members += n
@@ -55,23 +57,20 @@ func checkLead(e *leadEntry) (members int, bad string) {
 	return members, ""
 }
 
-// checkSet holds one pair's chunk to its layout — its one inline member (nil
-// run) or a non-empty, strictly ascending run of at most chunkLen members in
-// at most chunkLen slots, whose least member the pair keeps in one — and
+// checkSet holds one pair's chunk to its layout — its one inline member, an
+// id below runTag, or a live slot of runs holding a non-empty, strictly
+// ascending run of at most chunkLen members in at most chunkLen slots — and
 // counts its members.
-func checkSet(mt *midTrail) (members int, bad string) {
-	if mt.run == nil {
-		if mt.len() != 1 {
-			return 0, fmt.Sprintf("the inline set under mid %d holds %d members", mt.mid, mt.len())
-		}
+func checkSet(runs [][]uint32, mt *midTrail) (members int, bad string) {
+	if mt.v&runTag == 0 {
 		return 1, ""
 	}
-	run := *mt.run
+	if slot := mt.v &^ runTag; int(slot) >= len(runs) || runs[slot] == nil {
+		return 0, fmt.Sprintf("the pair under mid %d names slot %d, not a live one of the %d", mt.mid, slot, len(runs))
+	}
+	run := mt.elems(runs)
 	if len(run) == 0 || cap(run) > chunkLen {
 		return 0, fmt.Sprintf("a run under mid %d holds %d members in %d slots, want 1 to %d", mt.mid, len(run), cap(run), chunkLen)
-	}
-	if mt.one[0] != run[0] {
-		return 0, fmt.Sprintf("the pair under mid %d keeps %d as its run's least member, which is %d", mt.mid, mt.one[0], run[0])
 	}
 	for k := 1; k < len(run); k++ {
 		if run[k-1] >= run[k] {
@@ -81,18 +80,52 @@ func checkSet(mt *midTrail) (members int, bad string) {
 	return len(run), ""
 }
 
+// checkTable holds an index's run table to its pairs: no two pairs name one
+// slot, no pair names a free slot, no slot is free twice, and every slot is
+// named or free, so none leaks. It returns how many runs are live.
+func checkTable(ix *index) (live int, bad string) {
+	free := map[uint32]bool{}
+	for _, slot := range ix.free {
+		if free[slot] {
+			return 0, fmt.Sprintf("slot %d is on the free list twice", slot)
+		}
+		free[slot] = true
+	}
+	named := map[uint32]uint32{}
+	ix.ascend(0, func(lead uint32, e *leadEntry) bool {
+		for _, mt := range e.pairs() {
+			if mt.v&runTag == 0 {
+				continue
+			}
+			slot := mt.v &^ runTag
+			if other, ok := named[slot]; ok {
+				bad = fmt.Sprintf("slot %d is named by leads %d and %d", slot, other, lead)
+			} else if free[slot] {
+				bad = fmt.Sprintf("lead %d names slot %d, which is free", lead, slot)
+			}
+			named[slot] = lead
+		}
+		return bad == ""
+	})
+	if bad == "" && len(named)+len(free) != len(ix.runs) {
+		bad = fmt.Sprintf("%d slots are named and %d free of a table of %d: a slot leaked", len(named), len(free), len(ix.runs))
+	}
+	return len(named), bad
+}
+
 // setElems returns a set's members, ascending, chunk after chunk.
 func setElems(set trailSet) []uint32 {
 	var out []uint32
-	for k := range set {
-		out = append(out, set[k].elems()...)
+	for k := range set.pairs {
+		out = append(out, set.elems(k)...)
 	}
 	return out
 }
 
-// checkRuns holds every lead of both indexes of s to checkLead, the walk of
-// each index to ascending ids, its lead counter to the leads the walk finds,
-// and the triples each index holds to the store's count.
+// checkRuns holds every lead of both indexes of s to checkLead, each run
+// table to checkTable, the walk of each index to ascending ids, its lead
+// counter to the leads the walk finds, and the triples each index holds to
+// the store's count.
 func checkRuns(t testing.TB, what string, s *Store) {
 	t.Helper()
 	s.mu.RLock()
@@ -101,7 +134,7 @@ func checkRuns(t testing.TB, what string, s *Store) {
 		n, leads, bad := 0, 0, ""
 		prev := int64(-1)
 		ix.ascend(0, func(lead uint32, e *leadEntry) bool {
-			members, why := checkLead(e)
+			members, why := checkLead(ix.runs, e)
 			switch {
 			case why != "":
 				bad = fmt.Sprintf("lead %d: %s", lead, why)
@@ -113,6 +146,9 @@ func checkRuns(t testing.TB, what string, s *Store) {
 			prev = int64(lead)
 			return bad == ""
 		})
+		if bad == "" {
+			_, bad = checkTable(ix)
+		}
 		if bad == "" && leads != ix.leads {
 			bad = fmt.Sprintf("the walk finds %d leads, the index counts %d", leads, ix.leads)
 		}
@@ -141,8 +177,10 @@ func checkRuns(t testing.TB, what string, s *Store) {
 // Every result must equal the model's — a batch's fresh keys are its members
 // the model lacked, each at its first position; after every operation the
 // sets it touched must exist exactly when the model holds members under their
-// mids, and their chunks pass checkSet at the model's count; at the end the
-// lead must pass checkLead and its sets be the model's, ascending.
+// mids, their chunks pass checkSet at the model's count, and the run table
+// pass checkTable and hold no more slots than the most runs live after any
+// operation, so a dropped pair's slot is the next run's; at the end the lead
+// must pass checkLead and its sets be the model's, ascending.
 func idSetScript(t *testing.T, hub uint16, script []byte) {
 	const lead = 7
 	var ix index
@@ -157,6 +195,7 @@ func idSetScript(t *testing.T, hub uint16, script []byte) {
 		ix.buildSorted(loaded)
 		perMid[3] = int(n)
 	}
+	peak := len(ix.runs) // the most runs live after any operation
 	check := func(op int, mid uint32) {
 		e := ix.find(lead)
 		if (e == nil) != (len(model) == 0) {
@@ -168,20 +207,28 @@ func idSetScript(t *testing.T, hub uint16, script []byte) {
 		if e == nil {
 			return
 		}
-		set := e.set(mid)
-		if (set == nil) != (perMid[mid] == 0) {
-			t.Fatalf("op %d: set of mid %d present: %v, with %d members in the model", op, mid, set != nil, perMid[mid])
+		set := e.set(&ix.runTable, mid)
+		if (set.pairs == nil) != (perMid[mid] == 0) {
+			t.Fatalf("op %d: set of mid %d present: %v, with %d members in the model", op, mid, set.pairs != nil, perMid[mid])
 		}
 		n := 0
-		for k := range set {
-			m, bad := checkSet(&set[k])
+		for k := range set.pairs {
+			m, bad := checkSet(ix.runs, &set.pairs[k])
 			if bad != "" {
-				t.Fatalf("op %d: chunk %d of %d: %s", op, k, len(set), bad)
+				t.Fatalf("op %d: chunk %d of %d: %s", op, k, len(set.pairs), bad)
 			}
 			n += m
 		}
 		if n != perMid[mid] {
-			t.Fatalf("op %d: %d members in %d chunks under mid %d, model has %d", op, n, len(set), mid, perMid[mid])
+			t.Fatalf("op %d: %d members in %d chunks under mid %d, model has %d", op, n, len(set.pairs), mid, perMid[mid])
+		}
+		live, bad := checkTable(&ix)
+		peak = max(peak, live)
+		switch {
+		case bad != "":
+			t.Fatalf("op %d: %s", op, bad)
+		case len(ix.runs) > peak:
+			t.Fatalf("op %d: the run table has %d slots, and at most %d runs were ever live", op, len(ix.runs), peak)
 		}
 	}
 	var queued [][2]uint32
@@ -216,7 +263,7 @@ func idSetScript(t *testing.T, hub uint16, script []byte) {
 		op, mid := script[i], uint32(script[i]>>4)
 		v := (uint32(script[i+1]) | uint32(script[i+2])<<8) & 4095
 		if v == 4095 {
-			v = ^uint32(0)
+			v = runTag - 1
 		}
 		key := [2]uint32{mid, v}
 		if op&3 == 1 {
@@ -248,7 +295,7 @@ func idSetScript(t *testing.T, hub uint16, script []byte) {
 	}
 	flush(len(script) / 3)
 	if e := ix.find(lead); e != nil {
-		if n, bad := checkLead(e); bad != "" || n != len(model) {
+		if n, bad := checkLead(ix.runs, e); bad != "" || n != len(model) {
 			t.Fatalf("%s; %d members, model has %d", bad, n, len(model))
 		}
 	}
@@ -261,7 +308,7 @@ func idSetScript(t *testing.T, hub uint16, script []byte) {
 			t.Fatalf("%d sets, model has %d mids", sets, len(want))
 		}
 		for mid, w := range want {
-			set := e.set(mid)
+			set := e.set(&ix.runTable, mid)
 			slices.Sort(w)
 			if got := setElems(set); !slices.Equal(got, w) {
 				t.Fatalf("the set under mid %d is %v, model's keys ascending are %v", mid, got, w)
@@ -293,7 +340,8 @@ func idOps(op byte, mid int, values ...int) []byte {
 // it until a middle chunk empties and refill it; fill a run far past
 // linearRun and churn it; then walk one set through its life — born inline,
 // a run at its second member, emptied and its pair dropped beside a
-// neighbour, the lead pruned — and fill and empty a lead's 16 mids. The last
+// neighbour, the lead pruned — pass a freed run slot from set to set and
+// back, and fill and empty a lead's 16 mids. The last
 // four file batches: one that carries a new set past chunkLen, one with
 // repeated and already-present members, one into a bulk-loaded hub of three
 // chunks, and one that opens eight mids under a lead that has one.
@@ -328,6 +376,8 @@ func FuzzIDSet(f *testing.F) {
 	f.Add(uint16(0), append(idOps(0, 0, 9, 5, 1), idOps(3, 0, 5)...))                                     // inline, then a run below it
 	f.Add(uint16(0), slices.Concat(idOps(0, 1, 1), idOps(0, 0, 5, 9), idOps(2, 0, 5, 9), idOps(3, 0, 9))) // a run emptied: pair dropped
 	f.Add(uint16(0), slices.Concat(idOps(0, 0, 5), idOps(2, 0, 5), idOps(0, 0, 5, 6), idOps(2, 0, 6, 5))) // the lead pruned, twice
+	f.Add(uint16(0), slices.Concat(idOps(0, 0, 5, 9), idOps(0, 1, 1, 2), idOps(2, 0, 5, 9), idOps(0, 2, 7, 8), idOps(0, 0, 5, 9),
+		idOps(2, 1, 1, 2), idOps(2, 2, 7), idOps(1, 1, 3, 4), idOps(3, 0, 9))) // slots reused: inline, a run, its pair dropped, its slot another set's, re-added
 	var mids []byte
 	for m := 15; m >= 0; m-- {
 		mids = append(mids, idOps(0, m, m, m+100)...)
@@ -367,27 +417,28 @@ func TestChunkedSetChurn(t *testing.T) {
 		chunks int // how many chunks the fill leaves, 0 when the order does not say
 	}{{"ascending", asc, 4}, {"descending", desc, 4}, {"shuffled", shuffled, 0}} {
 		t.Run(c.name, func(t *testing.T) {
+			var rt runTable
 			var e leadEntry
 			for _, v := range c.order {
-				e.insert(3, v)
+				e.insert(&rt, 3, v)
 			}
-			set := e.set(3)
-			if n, bad := checkLead(&e); bad != "" || n != members {
+			set := e.set(&rt, 3)
+			if n, bad := checkLead(rt.runs, &e); bad != "" || n != members {
 				t.Fatalf("%s; %d members", bad, n)
 			}
-			if len(set) < 4 || c.chunks > 0 && len(set) != c.chunks {
-				t.Fatalf("%d members fill %d chunks, want %d (at least 4)", members, len(set), c.chunks)
+			if len(set.pairs) < 4 || c.chunks > 0 && len(set.pairs) != c.chunks {
+				t.Fatalf("%d members fill %d chunks, want %d (at least 4)", members, len(set.pairs), c.chunks)
 			}
-			before := len(set)
+			before := len(set.pairs)
 			for v := uint32(1000); v < 2100; v++ {
-				if !removeMember(&e, 3, v) {
+				if !removeMember(&rt, &e, 3, v) {
 					t.Fatalf("remove(%d) missed", v)
 				}
 			}
-			if n, bad := checkLead(&e); bad != "" || n != members-1100 {
+			if n, bad := checkLead(rt.runs, &e); bad != "" || n != members-1100 {
 				t.Fatalf("after the removals: %s; %d members", bad, n)
 			}
-			if after := len(e.set(3)); after >= before {
+			if after := len(e.set(&rt, 3).pairs); after >= before {
 				t.Errorf("removing 1 100 middle members left %d chunks of %d: none emptied", after, before)
 			}
 		})
@@ -403,14 +454,15 @@ func TestIDSetSearchDoesNotAllocate(t *testing.T) {
 	}
 	for _, members := range []int{10_000, 100_000} {
 		const mid = 3
+		var rt runTable
 		var e leadEntry
 		for v := uint32(0); v < uint32(members); v++ {
-			e.insert(mid, 3*v)
+			e.insert(&rt, mid, 3*v)
 		}
 		rng := rand.New(rand.NewSource(21))
 		hits := 0
 		if allocs := testing.AllocsPerRun(200, func() {
-			if e.set(mid).contains(uint32(rng.Intn(3 * members))) {
+			if e.set(&rt, mid).contains(uint32(rng.Intn(3 * members))) {
 				hits++
 			}
 		}); allocs != 0 {
@@ -422,14 +474,14 @@ func TestIDSetSearchDoesNotAllocate(t *testing.T) {
 		order := rng.Perm(members)
 		next := 0
 		if allocs := testing.AllocsPerRun(200, func() {
-			if !removeMember(&e, mid, uint32(3*order[next])) {
+			if !removeMember(&rt, &e, mid, uint32(3*order[next])) {
 				t.Fatalf("remove(%d) missed a member", 3*order[next])
 			}
 			next++
 		}); allocs != 0 {
 			t.Errorf("%d members: remove allocates %.1f times per call", members, allocs)
 		}
-		if n, bad := checkLead(&e); bad != "" || n != members-next {
+		if n, bad := checkLead(rt.runs, &e); bad != "" || n != members-next {
 			t.Errorf("%s; %d members after %d removals of %d", bad, n, next, members)
 		}
 	}
@@ -455,15 +507,16 @@ func TestAppendAllocatesWhatItKeeps(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const members = 100_000
+	var rt runTable
 	var e leadEntry
 	_, bytes := allocated(func() {
 		for v := uint32(0); v < members; v++ {
-			e.insert(3, v)
+			e.insert(&rt, 3, v)
 		}
 	})
 	per := float64(bytes) / members
-	t.Logf("%d ascending members in %d chunks: %.2f bytes allocated a member", members, len(e.set(3)), per)
-	if n, bad := checkLead(&e); bad != "" || n != members {
+	t.Logf("%d ascending members in %d chunks: %.2f bytes allocated a member", members, len(e.set(&rt, 3).pairs), per)
+	if n, bad := checkLead(rt.runs, &e); bad != "" || n != members {
 		t.Fatalf("%s; %d members", bad, n)
 	}
 	if per > 4.2 {
@@ -569,7 +622,7 @@ func TestBatchGrowsEachSetOnce(t *testing.T) {
 	}{
 		{"a new set of 20", newSet, 2, 80 + 24},  // the run and its header
 		{"20 into a set of 2", grown, 1, 24 * 4}, // 22 members, regrown as append would
-		{"5 new mids", opened, 1, 6 * 16},        // 6 pairs
+		{"5 new mids", opened, 1, 6 * 8},         // 6 pairs
 	} {
 		count, bytes := batch(c.ts)
 		t.Logf("%s: %d allocations, %d bytes", c.name, count, bytes)
@@ -578,9 +631,57 @@ func TestBatchGrowsEachSetOnce(t *testing.T) {
 		}
 	}
 	checkRuns(t, "after the batches", s)
-	if set := s.spo.find(s1).set(p); len(set) != 1 || set[0].len() != 20 || cap(*set[0].run) != 20 {
-		t.Errorf("the new set is %d chunks, the first of %d members in %d slots; want one run of exactly 20", len(set), set[0].len(), cap(*set[0].run))
+	if set := s.spo.set(s1, p); len(set.pairs) != 1 || len(set.elems(0)) != 20 || cap(set.elems(0)) != 20 {
+		t.Errorf("the new set is %d chunks, the first of %d members in %d slots; want one run of exactly 20", len(set.pairs), len(set.elems(0)), cap(set.elems(0)))
 	}
+}
+
+// TestFreshSubjectAllocatesOnePairArray: filing a new subject with a type
+// and a location — two single-member sets under a lead whose page exists,
+// its members landing in POS runs with room — allocates the subject's pair
+// array, two 8-byte pairs in one 16-byte object, and nothing else: no run,
+// no pointer beside a member.
+func TestFreshSubjectAllocatesOnePairArray(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	s := New()
+	id := func(name string) SymbolID {
+		v, err := s.Intern(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	typ, located, class, site := id(TypePredicate), id("locatedIn"), id("Class"), id("Site")
+	old := make([]IDTriple, 0, 10)
+	for i := 0; i < 5; i++ {
+		subject := id(fmt.Sprint("old", i))
+		old = append(old, IDTriple{S: subject, P: typ, O: class}, IDTriple{S: subject, P: located, O: site})
+	}
+	fresh := id("fresh")
+	s.Write(func() bool {
+		tx := s.Begin()
+		for _, tr := range old { // one at a time: each POS run regrown as append would, to 8 slots
+			if _, err := tx.AddID(tr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if added, err := tx.AddIDs(slices.Clone(old)); err != nil || len(added) != 0 { // warms the batch scratch
+			t.Fatalf("the warm-up batch: %d fresh, %v", len(added), err)
+		}
+		count, bytes := allocated(func() {
+			if added, err := tx.AddIDs([]IDTriple{{S: fresh, P: typ, O: class}, {S: fresh, P: located, O: site}}); err != nil || len(added) != 2 {
+				t.Fatalf("AddIDs filed %d of 2, %v", len(added), err)
+			}
+		})
+		t.Logf("a fresh subject: %d allocations, %d bytes", count, bytes)
+		if count != 1 || bytes != 16 {
+			t.Errorf("filing a fresh subject's two triples allocates %d objects of %d bytes, want one of 16", count, bytes)
+		}
+		return false
+	})
+	checkRuns(t, "after the fresh subject", s)
 }
 
 // TestLoadedHubTakesMiddleInserts: a hub the bulk path built — 10⁴ members,
@@ -604,13 +705,13 @@ func TestLoadedHubTakesMiddleInserts(t *testing.T) {
 		}
 		return pos
 	}())
-	set := ix.find(typ).set(hub)
-	if len(set) < 10 {
-		t.Fatalf("a %d-member hub was built in %d chunks", members, len(set))
+	set := ix.set(typ, hub)
+	if len(set.pairs) < 10 {
+		t.Fatalf("a %d-member hub was built in %d chunks", members, len(set.pairs))
 	}
 	var middles []uint32
-	for k := range set {
-		elems := set[k].elems()
+	for k := range set.pairs {
+		elems := set.elems(k)
 		middles = append(middles, elems[len(elems)/2]+1)
 	}
 	next := 0
@@ -622,7 +723,7 @@ func TestLoadedHubTakesMiddleInserts(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("a middle insert into a loaded chunk allocates %.1f times", allocs)
 	}
-	if n, bad := checkLead(ix.find(typ)); bad != "" || n != members+len(middles) {
+	if n, bad := checkLead(ix.runs, ix.find(typ)); bad != "" || n != members+len(middles) {
 		t.Fatalf("%s; %d members", bad, n)
 	}
 }
@@ -636,7 +737,7 @@ func TestNewMidDoesNotAllocate(t *testing.T) {
 	}
 	const lead, spare = 7, 64
 	var ix index
-	ix.slot(lead).entries = make([]midTrail, 0, spare)
+	ix.slot(lead).setPairs(make([]midTrail, 0, spare))
 	mid := uint32(2 * spare)
 	if allocs := testing.AllocsPerRun(spare-1, func() {
 		mid -= 2 // descending: each new pair lands below every other
@@ -649,7 +750,7 @@ func TestNewMidDoesNotAllocate(t *testing.T) {
 	if !ix.insert(lead, mid+1, 7) {
 		t.Fatal("insert between two pairs reported a duplicate")
 	}
-	if n, bad := checkLead(ix.find(lead)); bad != "" || n != spare+1 {
+	if n, bad := checkLead(ix.runs, ix.find(lead)); bad != "" || n != spare+1 {
 		t.Fatalf("%s; %d members, want %d", bad, n, spare+1)
 	}
 }

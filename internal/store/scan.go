@@ -220,7 +220,7 @@ func (pt *ScanPart) fillLeads(out []IDTriple) int {
 		case !pt.midBound:
 			n, listDone = pt.fillMids(lead, e, out, n)
 		default:
-			if set := e.set(pt.mid); set != nil {
+			if set := e.set(&ix.runTable, pt.mid); set.pairs != nil {
 				n, listDone = pt.fillSet(lead, pt.mid, set, out, n)
 			}
 		}
@@ -258,11 +258,11 @@ func (pt *ScanPart) index() *index {
 // the first member above lastTrail. The set ascends, so the emissions from
 // one list do: none is repeated or stepped over.
 func (pt *ScanPart) fillSet(lead, mid uint32, set trailSet, out []IDTriple, n int) (int, bool) {
-	if pt.trailPos > 0 && (pt.chunk >= len(set) || pt.trailPos > set[pt.chunk].len() || set[pt.chunk].elems()[pt.trailPos-1] != pt.lastTrail) {
+	if pt.trailPos > 0 && (pt.chunk >= len(set.pairs) || pt.trailPos > len(set.elems(pt.chunk)) || set.elems(pt.chunk)[pt.trailPos-1] != pt.lastTrail) {
 		pt.chunk, pt.trailPos = set.seek(pt.lastTrail)
 	}
 	for {
-		elems := set[pt.chunk].elems()
+		elems := set.elems(pt.chunk)
 		if pt.fam == famPOS {
 			for pt.trailPos < len(elems) && n < len(out) {
 				out[n] = IDTriple{S: elems[pt.trailPos], P: lead, O: mid}
@@ -282,7 +282,7 @@ func (pt *ScanPart) fillSet(lead, mid uint32, set trailSet, out []IDTriple, n in
 		switch {
 		case pt.trailPos < len(elems):
 			return n, false // out is full
-		case pt.chunk+1 == len(set):
+		case pt.chunk+1 == len(set.pairs):
 			return n, true
 		case n == len(out):
 			return n, false // the next refill moves on to the next chunk
@@ -303,9 +303,10 @@ func (pt *ScanPart) fillMids(lead uint32, e *leadEntry, out []IDTriple, n int) (
 	if !found {
 		pt.chunk, pt.trailPos = 0, 0 // the list the cursor stood in is gone
 	}
-	for i < len(e.entries) && n < len(out) {
+	rt := &pt.index().runTable
+	for i < int(e.n) && n < len(out) {
 		end := e.setEnd(i)
-		set, mid := trailSet(e.entries[i:end]), e.entries[i].mid
+		set, mid := e.span(rt, i, end), e.pairs()[i].mid
 		i = end
 		switch {
 		case pt.skipTypes && mid == pt.tw.typ:
@@ -326,7 +327,7 @@ func (pt *ScanPart) fillMids(lead uint32, e *leadEntry, out []IDTriple, n int) (
 		// then finished before nextMid is read again.
 		pt.nextMid = mid + 1
 	}
-	return n, i >= len(e.entries)
+	return n, i >= int(e.n)
 }
 
 // fillLead advances a single-lead part: the lead entry is re-looked-up each
@@ -334,18 +335,19 @@ func (pt *ScanPart) fillMids(lead uint32, e *leadEntry, out []IDTriple, n int) (
 // list by value, so only the triple a write touched may be seen or missed;
 // with the mid open the walk is fillMids.
 func (pt *ScanPart) fillLead(out []IDTriple) int {
-	e, n := pt.index().find(pt.lead), 0
+	ix := pt.index()
+	e, n := ix.find(pt.lead), 0
 	switch {
 	case e == nil:
 		pt.done = true
 	case pt.allBound:
-		if set := e.set(pt.mid); set != nil && set.contains(pt.trail) {
+		if e.contains(&ix.runTable, pt.mid, pt.trail) {
 			out[0] = tripleOf(pt.fam, pt.lead, pt.mid, pt.trail)
 			n = 1
 		}
 		pt.done = true
 	case pt.midBound:
-		if set := e.set(pt.mid); set != nil {
+		if set := e.set(&ix.runTable, pt.mid); set.pairs != nil {
 			n, pt.done = pt.fillSet(pt.lead, pt.mid, set, out, n)
 		} else {
 			pt.done = true
@@ -467,13 +469,9 @@ func (s *Store) queryIDBatch(ps []IDPattern, yield func(pi int, t IDTriple) bool
 // false when yield stopped it. Callers hold mu.
 func (s *Store) batchProbeSP(ps []IDPattern, yield func(pi int, t IDTriple) bool) bool {
 	for pi, p := range ps {
-		e := s.spo.find(p.S)
-		if e == nil {
-			continue
-		}
-		set := e.set(p.P)
-		for k := range set {
-			for _, v := range set[k].elems() {
+		set := s.spo.set(p.S, p.P)
+		for k := range set.pairs {
+			for _, v := range set.elems(k) {
 				if !yield(pi, IDTriple{S: p.S, P: p.P, O: v}) {
 					return false
 				}
@@ -487,13 +485,9 @@ func (s *Store) batchProbeSP(ps []IDPattern, yield func(pi int, t IDTriple) bool
 // false when yield stopped it. Callers hold mu.
 func (s *Store) batchProbePO(ps []IDPattern, yield func(pi int, t IDTriple) bool) bool {
 	for pi, p := range ps {
-		e := s.pos.find(p.P)
-		if e == nil {
-			continue
-		}
-		set := e.set(p.O)
-		for k := range set {
-			for _, v := range set[k].elems() {
+		set := s.pos.set(p.P, p.O)
+		for k := range set.pairs {
+			for _, v := range set.elems(k) {
 				if !yield(pi, IDTriple{S: v, P: p.P, O: p.O}) {
 					return false
 				}
@@ -520,24 +514,21 @@ func (s *Store) probeLocked(p IDPattern, pi int, yield func(int, IDTriple) bool)
 			return true
 		}
 		if p.BoundP {
-			set := e.set(p.P)
-			if set == nil {
-				return true
-			}
 			if p.BoundO {
-				if set.contains(p.O) {
+				if e.contains(&s.spo.runTable, p.P, p.O) {
 					return yield(pi, IDTriple{S: p.S, P: p.P, O: p.O})
 				}
 				return true
 			}
-			return emitPairs(set, pi, yield, famSPO, p.S)
+			return emitPairs(e.set(&s.spo.runTable, p.P), pi, yield, famSPO, p.S)
 		}
+		pairs := e.span(&s.spo.runTable, 0, int(e.n))
 		if !p.BoundO {
-			return emitPairs(e.entries, pi, yield, famSPO, p.S)
+			return emitPairs(pairs, pi, yield, famSPO, p.S)
 		}
 		// The chunks of a set are disjoint, so at most one of them holds O.
-		for i := range e.entries {
-			if mt := &e.entries[i]; mt.contains(p.O) && !yield(pi, IDTriple{S: p.S, P: mt.mid, O: p.O}) {
+		for k := range pairs.pairs {
+			if _, found := searchRun(pairs.elems(k), p.O); found && !yield(pi, IDTriple{S: p.S, P: pairs.pairs[k].mid, O: p.O}) {
 				return false
 			}
 		}
@@ -548,16 +539,16 @@ func (s *Store) probeLocked(p IDPattern, pi int, yield func(int, IDTriple) bool)
 			return true
 		}
 		if p.BoundO {
-			return emitPairs(e.set(p.O), pi, yield, famPOS, p.P)
+			return emitPairs(e.set(&s.pos.runTable, p.O), pi, yield, famPOS, p.P)
 		}
-		return emitPairs(e.entries, pi, yield, famPOS, p.P)
+		return emitPairs(e.span(&s.pos.runTable, 0, int(e.n)), pi, yield, famPOS, p.P)
 	case p.BoundO:
 		return s.pos.ascend(0, func(pid uint32, e *leadEntry) bool {
-			return emitPairs(e.set(p.O), pi, yield, famPOS, pid)
+			return emitPairs(e.set(&s.pos.runTable, p.O), pi, yield, famPOS, pid)
 		})
 	default:
 		return s.spo.ascend(0, func(sid uint32, e *leadEntry) bool {
-			return emitPairs(e.entries, pi, yield, famSPO, sid)
+			return emitPairs(e.span(&s.spo.runTable, 0, int(e.n)), pi, yield, famSPO, sid)
 		})
 	}
 }
@@ -566,11 +557,11 @@ func (s *Store) probeLocked(p IDPattern, pi int, yield func(int, IDTriple) bool)
 // pairs or a whole lead's — reassembled from the index's (lead, mid, trail)
 // coordinates, as a direct loop over the chunks' elements (no per-set
 // closure).
-func emitPairs(pairs []midTrail, pi int, yield func(int, IDTriple) bool, fam uint8, lead uint32) bool {
-	for i := range pairs {
-		mt := &pairs[i]
-		for _, v := range mt.elems() {
-			if !yield(pi, tripleOf(fam, lead, mt.mid, v)) {
+func emitPairs(pairs trailSet, pi int, yield func(int, IDTriple) bool, fam uint8, lead uint32) bool {
+	for k := range pairs.pairs {
+		mid := pairs.pairs[k].mid
+		for _, v := range pairs.elems(k) {
+			if !yield(pi, tripleOf(fam, lead, mid, v)) {
 				return false
 			}
 		}

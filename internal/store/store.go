@@ -23,8 +23,9 @@
 //     lock-free id→name view (a pointer to the directories and a count),
 //     which falls back to the locked path only for an id minted mid-read.
 //   - index.go: one permutation index — the lead directory and its pages, the
-//     midTrail pairs, inline singles, sorted runs and the chunks of a long
-//     set; every lead access goes through find, slot, the grouped writes
+//     8-byte midTrail pairs, inline singles, sorted runs named by their slot
+//     in the run table and the chunks of a long set; every lead access goes
+//     through find, slot, the grouped writes
 //     insertAll and removeAll, insert (POS's one-at-a-time adds), and the
 //     one ascending walk, ascend. Ids are minted ascending, so a fresh
 //     subject lands at the end of its class's last chunk and moves nothing.
@@ -56,12 +57,15 @@
 // suite, the fuzz target and the bulk-load tests), fuzzes one lead's sets
 // against a map (FuzzIDSet, whose queued members are filed as one grouped
 // batch), pins 0 allocations for search, a one-member removeAll and a new middle id and one
-// growth per set and pair slice for a batch (TestBatchGrowsEachSetOnce), and
-// drains cursors while writes land below and above them
+// growth per set and pair array for a batch (TestBatchGrowsEachSetOnce), one
+// 16-byte pair array for a fresh subject, holds the run table to its pairs
+// (checkTable), and drains cursors while writes land below and above them
 // (TestCursorResumesByValue). objectonly_test.go holds the object-only shape
-// to the reference on every read surface. footprint_test.go gates 16
-// structural bytes a triple and a 16-byte pair (TestIndexFootprint) and a lone
-// late predicate at one page (TestLonePredicateCostsOnePage).
+// to the reference on every read surface. footprint_test.go gates the
+// structural bytes a triple of the materialized and the booted serving
+// corpus, pins an 8-byte pair, a 16-byte lead and a 2 048-byte page
+// (TestIndexFootprint), and a lone late predicate at one page
+// (TestLonePredicateCostsOnePage).
 // restore_test.go holds a bulk load to batch ingest and to an AddID-built
 // twin, before and after further writes, and its refusals; digest_test.go pins
 // H with a literal and the maintained digest to one computed from scratch;
@@ -71,8 +75,9 @@
 // -race and check a batch is seen whole (TestBatchIsAtomicToReaders).
 // bench_test.go prices ingest and every read shape against a replica of a
 // nested string-map engine, the object-only fan-out (BenchmarkObjectOnlyPattern),
-// writes into one long posting list (BenchmarkHubChurn), a dictionary lookup
-// and the doubling pause (BenchmarkDictGrowth). tx_test.go holds AddIDs to
+// writes into one long posting list (BenchmarkHubChurn), a dictionary lookup,
+// a name read (BenchmarkResolverName) and the doubling pause
+// (BenchmarkDictGrowth). tx_test.go holds AddIDs to
 // AddID over the same batch (TestAddIDsMatchesAddID). The closed view is
 // held to a reasoner's full materialization in package reason
 // (TestClosedTypingMatchesRDFS), which builds the closures it reads.

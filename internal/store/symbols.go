@@ -119,16 +119,22 @@ type nameWindow struct {
 	offs  []uint32
 }
 
-// at returns the name of id, which must be below the view's count.
-func (nv nameView) at(id uint32) string {
-	page, start := nv.place(int(id))
-	b := nv.dirs.pages[page][start:]
-	n, w := uint64(b[0]), 1
-	if n >= 0x80 {
-		n, w = binary.Uvarint(b)
+// at returns the name of id, which must be below the count of a view of
+// these directories. The length is decoded here, a uvarint of any length
+// (restoredNames refuses one that is not the shortest, whose last byte is
+// then never zero): past its first byte each next one is added in less the
+// continuation bit the byte before it left there, and n is at or past
+// 1<<(7k) exactly while byte k-1 carries one. The decode is written for the
+// inliner's budget of 80, which at fits, so a resolved name costs no call.
+func (d *nameDirs) at(id uint32) string {
+	w := d.windows[id>>namePageBits]
+	o := w.offs[id&namePageMask]
+	p := d.pages[w.first+int(o>>nameStartBits)][o&nameStartMask:]
+	n, k := uint(p[0]), 1
+	for ; n >= 1<<(7*k); k++ {
+		n += uint(p[k]-1) << (7 * k)
 	}
-	b = b[w : w+int(n)]
-	return unsafe.String(unsafe.SliceData(b), len(b))
+	return unsafe.String(&p[k], n)
 }
 
 // place returns the page id's name lies in and where its encoding starts
@@ -191,7 +197,9 @@ func uvarintLen(n int) int {
 // restoredNames returns a table of the names runs hold, in order. Its pages
 // are the runs' bytes — retained, not copied, and capped, so no add ever
 // writes them — cut where a name would start 1 MiB or more into its page.
-// A run whose N names do not fill its bytes exactly is refused.
+// A run whose N names do not fill its bytes exactly is refused, and so are
+// an empty name and a name whose length is not encoded in the fewest bytes,
+// as the log writes it (nameDirs.at relies on both).
 func restoredNames(runs []NameRun) (nameTable, error) {
 	var nt nameTable
 	d := nt.edit()
@@ -201,6 +209,12 @@ func restoredNames(runs []NameRun) (nameTable, error) {
 			n, w := binary.Uvarint(enc[off:])
 			if w <= 0 || n > uint64(len(enc)-off-w) {
 				return nameTable{}, fmt.Errorf("store: restore run %d: name %d overruns its %d bytes", k, i, len(enc))
+			}
+			switch {
+			case n == 0:
+				return nameTable{}, fmt.Errorf("store: restore run %d: name %d is the empty string", k, i)
+			case w != uvarintLen(int(n)):
+				return nameTable{}, fmt.Errorf("store: restore run %d: name %d's length %d is encoded in %d bytes, not the shortest %d", k, i, n, w, uvarintLen(int(n)))
 			}
 			if off-lo >= restoredPage {
 				d.pages = append(d.pages, enc[lo:off:off])
@@ -236,7 +250,7 @@ func (nv nameView) runs(dst []NameRun, from, to int) []NameRun {
 			end++
 		}
 		_, hi := nv.place(end - 1)
-		last := nv.at(uint32(end - 1))
+		last := nv.dirs.at(uint32(end - 1))
 		hi += uvarintLen(len(last)) + len(last)
 		dst = append(dst, NameRun{N: end - id, Enc: nv.dirs.pages[p][lo:hi]})
 		id = end
@@ -276,7 +290,7 @@ func (st *symtab) find(s string) (id uint32, slot int, ok bool) {
 		if v == 0 {
 			return 0, slot, false
 		}
-		if st.names.at(v-1) == s {
+		if st.names.dirs.at(v-1) == s {
 			return v - 1, slot, true
 		}
 	}
@@ -341,47 +355,72 @@ func (st *symtab) journalGrowthLocked(before int) {
 }
 
 // internTriple interns all three components under a single lock round trip.
-func (st *symtab) internTriple(t Triple) IDTriple {
+func (st *symtab) internTriple(t Triple) (IDTriple, error) {
 	st.mu.RLock()
 	s, _, okS := st.find(t.Subject)
 	p, _, okP := st.find(t.Predicate)
 	o, _, okO := st.find(t.Object)
 	st.mu.RUnlock()
 	if okS && okP && okO {
-		return IDTriple{s, p, o}
+		return IDTriple{s, p, o}, nil
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	before := st.names.n
-	e := IDTriple{st.internLocked(t.Subject), st.internLocked(t.Predicate), st.internLocked(t.Object)}
-	st.journalGrowthLocked(before)
-	return e
+	defer st.journalGrowthLocked(before)
+	return st.internTripleLocked(t)
+}
+
+// internTripleLocked interns t's components. Callers hold st.mu for writing.
+func (st *symtab) internTripleLocked(t Triple) (e IDTriple, err error) {
+	if e.S, err = st.internLocked(t.Subject); err != nil {
+		return e, err
+	}
+	if e.P, err = st.internLocked(t.Predicate); err != nil {
+		return e, err
+	}
+	e.O, err = st.internLocked(t.Object)
+	return e, err
 }
 
 // internBatch interns every component of ts under one write lock, appending
 // the encoded triples to enc (the symbol-table lock is taken once for the
-// whole batch, not once per triple).
-func (st *symtab) internBatch(ts []Triple, enc []IDTriple) []IDTriple {
+// whole batch, not once per triple). A name past the dictionary's ceiling
+// stops it with an error; the names minted before it stay minted.
+func (st *symtab) internBatch(ts []Triple, enc []IDTriple) ([]IDTriple, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	before := st.names.n
+	defer st.journalGrowthLocked(before)
 	for _, t := range ts {
-		enc = append(enc, IDTriple{
-			st.internLocked(t.Subject),
-			st.internLocked(t.Predicate),
-			st.internLocked(t.Object),
-		})
+		e, err := st.internTripleLocked(t)
+		if err != nil {
+			return nil, err
+		}
+		enc = append(enc, e)
 	}
-	st.journalGrowthLocked(before)
-	return enc
+	return enc, nil
 }
 
-func (st *symtab) internLocked(s string) uint32 {
+// maxNames is the most names a dictionary holds: every id is below runTag,
+// the bit an index pair marks its run's slot with (midTrail).
+const maxNames = runTag
+
+// nameCeiling is where minting stops: maxNames, which a test lowers to reach
+// the refusal without minting 2³¹ names.
+var nameCeiling uint64 = maxNames
+
+// internLocked returns s's id, minting the next one when s is new and the
+// dictionary has room for it. Callers hold st.mu for writing.
+func (st *symtab) internLocked(s string) (uint32, error) {
 	id, slot, ok := st.find(s)
 	if !ok {
+		if uint64(st.names.n) >= nameCeiling {
+			return 0, fmt.Errorf("store: the dictionary holds %d names, the most it can; %q is not interned", st.names.n, s)
+		}
 		id = st.insert(s, slot)
 	}
-	return id
+	return id, nil
 }
 
 // lookup returns the id of s without interning it; ok is false when s has
@@ -403,7 +442,7 @@ func (st *symtab) lookupBytes(b []byte) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	return st.names.at(id), true
+	return st.names.dirs.at(id), true
 }
 
 // lookupTriple resolves all three components read-only.
@@ -432,7 +471,7 @@ func (st *symtab) snapshot() nameView {
 func (st *symtab) name(id uint32) string {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	return st.names.at(id)
+	return st.names.dirs.at(id)
 }
 
 // resolver resolves ids to names from a cheap snapshot, falling back to the
@@ -449,7 +488,7 @@ func newResolver(st *symtab) resolver {
 
 func (r resolver) name(id uint32) string {
 	if int(id) < r.names.n {
-		return r.names.at(id)
+		return r.names.dirs.at(id)
 	}
 	return r.st.name(id)
 }

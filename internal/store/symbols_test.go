@@ -18,7 +18,7 @@ import (
 func (nv nameView) list() []string {
 	out := make([]string, nv.n)
 	for i := range out {
-		out[i] = strings.Clone(nv.at(uint32(i)))
+		out[i] = strings.Clone(nv.dirs.at(uint32(i)))
 	}
 	return out
 }
@@ -84,8 +84,9 @@ func TestDictIndexMatchesMap(t *testing.T) {
 		switch op := rng.Intn(5); op {
 		case 0:
 			tr := triple(interned)
-			if got, want := st.internTriple(tr), mintTriple(tr); got != want {
-				t.Fatalf("step %d: internTriple(%v) = %v, want %v", step, tr, got, want)
+			want := mintTriple(tr)
+			if got, err := st.internTriple(tr); err != nil || got != want {
+				t.Fatalf("step %d: internTriple(%v) = %v, %v; want %v", step, tr, got, err, want)
 			}
 		case 1:
 			ts := make([]Triple, 1+rng.Intn(8))
@@ -94,7 +95,10 @@ func TestDictIndexMatchesMap(t *testing.T) {
 				ts[i] = triple(interned)
 				want = append(want, mintTriple(ts[i]))
 			}
-			got := st.internBatch(ts, nil)
+			got, err := st.internBatch(ts, nil)
+			if err != nil {
+				t.Fatalf("step %d: internBatch: %v", step, err)
+			}
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("step %d: internBatch triple %d = %v, want %v", step, i, got[i], want[i])
@@ -318,8 +322,8 @@ func TestNameTableAllocatesWhatItKeeps(t *testing.T) {
 	})
 	per := float64(int(bytes)-spelled) / n
 	t.Logf("%d names of %.2f bytes in %d pages: %.2f bytes allocated a name past its own, %d objects", n, float64(spelled)/n, len(nt.dirs.pages), per, objects)
-	if nt.n != n || nt.at(n-1) != names[n-1] {
-		t.Fatalf("the table holds %d names, the last %q", nt.n, nt.at(uint32(nt.n-1)))
+	if nt.n != n || nt.dirs.at(n-1) != names[n-1] {
+		t.Fatalf("the table holds %d names, the last %q", nt.n, nt.dirs.at(uint32(nt.n-1)))
 	}
 	if per > 6 {
 		t.Errorf("%.2f bytes allocated a name past its own, budget 6", per)
@@ -492,7 +496,7 @@ func FuzzNameTable(f *testing.F) {
 		snaps = append(snaps, nt)
 		for k, snap := range snaps {
 			for id := 0; id < snap.n; id++ {
-				if got := snap.at(uint32(id)); got != model[id] {
+				if got := snap.dirs.at(uint32(id)); got != model[id] {
 					t.Fatalf("snapshot %d of %d names resolves id %d to %d bytes %.20q, want %d bytes %.20q", k, snap.n, id, len(got), got, len(model[id]), model[id])
 				}
 			}
@@ -561,7 +565,7 @@ func TestNameTableSnapshotsSurviveGrowth(t *testing.T) {
 					from = 0
 				}
 				for id := from; id < view.n; id++ {
-					if got := view.at(uint32(id)); !readsAs(got, names[id]) {
+					if got := view.dirs.at(uint32(id)); !readsAs(got, names[id]) {
 						t.Errorf("a view of %d names resolves id %d to %q, want %q", view.n, id, got, names[id])
 						return
 					}
@@ -593,4 +597,79 @@ func readsAs(got, want string) bool {
 		}
 	}
 	return true
+}
+
+// TestInternRefusesPastTheCeiling: ids stay below 2³¹, the bit an index pair
+// marks a run's slot with, so the dictionary mints no name past its ceiling —
+// through Intern, InternBytes, Add and AddBatch, each refusing with an error
+// and filing nothing — while names it holds still resolve, and a restore of
+// more names than the ceiling is refused. The ceiling is lowered to a few
+// names past the dictionary's, where the 2³¹st name stands.
+func TestInternRefusesPastTheCeiling(t *testing.T) {
+	if nameCeiling != 1<<31 || runTag != 1<<31 {
+		t.Fatalf("the ceiling is %d names and the run tag %#x; want both 2³¹", nameCeiling, runTag)
+	}
+	s := New()
+	s.MustAdd(Triple{"s", "p", "o"})
+	defer func(was uint64) { nameCeiling = was }(nameCeiling)
+	nameCeiling = uint64(s.DictLen()) + 2
+	for _, name := range []string{"x", "y"} {
+		if _, err := s.Intern(name); err != nil {
+			t.Fatalf("Intern(%q) below the ceiling: %v", name, err)
+		}
+	}
+	if id, err := s.Intern("z"); err == nil {
+		t.Fatalf("Intern(z) past the ceiling minted id %d", id)
+	}
+	if _, err := s.InternBytes([]byte("z")); err == nil {
+		t.Fatal("InternBytes(z) past the ceiling minted an id")
+	}
+	if id, err := s.Intern("x"); err != nil || id != 3 {
+		t.Fatalf("Intern(x), a name the dictionary holds, = %d, %v; want 3", id, err)
+	}
+	if added, err := s.Add(Triple{"s", "p", "z"}); err == nil || added {
+		t.Fatalf("Add with a name past the ceiling = %v, %v; want an error", added, err)
+	}
+	if n, err := s.AddBatch([]Triple{{"x", "p", "y"}, {"s", "p", "z"}}); err == nil || n != 0 {
+		t.Fatalf("AddBatch with a name past the ceiling = %d, %v; want an error", n, err)
+	}
+	if s.Len() != 1 || s.DictLen() != int(nameCeiling) {
+		t.Fatalf("after the refusals: %d triples, %d names; want 1 and %d", s.Len(), s.DictLen(), nameCeiling)
+	}
+	if err := New().RestoreSorted(runOf([]string{"a", "b", "c", "d", "e", "f"}), nil, 0); err == nil {
+		t.Fatalf("RestoreSorted took 6 names past a ceiling of %d", nameCeiling)
+	}
+}
+
+// TestNameLengthsOfEveryWidth: a name reads back whatever the width of its
+// length — one byte up to 127, two up to 16 383, three and four past that —
+// minted and restored alike, and a restored length not in its shortest
+// encoding is refused, since nameDirs.at decodes only that one.
+func TestNameLengthsOfEveryWidth(t *testing.T) {
+	var names []string
+	for i, n := range []int{1, 127, 128, 129, 16383, 16384, 1<<21 - 1, 1 << 21, 1<<21 + 300} {
+		names = append(names, strings.Repeat(string(rune('a'+i)), n))
+	}
+	minted := New()
+	for _, name := range names {
+		if _, err := minted.Intern(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	restored := New()
+	if err := restored.RestoreSorted(runOf(names), nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	for what, s := range map[string]*Store{"minted": minted, "restored": restored} {
+		for id, name := range names {
+			if got := s.syms.name(uint32(id)); got != name {
+				t.Errorf("%s: name %d reads %d bytes, want %d", what, id, len(got), len(name))
+			}
+		}
+	}
+	for _, enc := range [][]byte{{0x85, 0x00, 'a', 'b', 'c', 'd', 'e'}, {0x81, 0x80, 0x00, 'x'}} {
+		if err := New().RestoreSorted([]NameRun{{N: 1, Enc: enc}}, nil, 0); err == nil {
+			t.Errorf("RestoreSorted took the name run % x, its length not in its shortest encoding", enc)
+		}
+	}
 }

@@ -136,7 +136,11 @@ func (tx *Tx) Add(t Triple) (bool, error) {
 	if err := tx.addable(); err != nil {
 		return false, err
 	}
-	return len(tx.insertBatch([]IDTriple{tx.s.syms.internTriple(t)})) == 1, nil
+	e, err := tx.s.syms.internTriple(t)
+	if err != nil {
+		return false, err
+	}
+	return len(tx.insertBatch([]IDTriple{e})) == 1, nil
 }
 
 // AddID inserts a dictionary-encoded triple, reporting whether it was newly
@@ -173,7 +177,11 @@ func (tx *Tx) AddBatch(ts []Triple) ([]IDTriple, error) {
 	if err := tx.addable(); err != nil || len(ts) == 0 {
 		return nil, err
 	}
-	return tx.insertBatch(tx.s.syms.internBatch(ts, make([]IDTriple, 0, len(ts)))), nil
+	enc, err := tx.s.syms.internBatch(ts, make([]IDTriple, 0, len(ts)))
+	if err != nil {
+		return nil, err
+	}
+	return tx.insertBatch(enc), nil
 }
 
 // AddIDs inserts a batch of dictionary-encoded triples and returns the ones

@@ -341,7 +341,7 @@ func TestAddIDsMatchesAddID(t *testing.T) {
 		t.Fatal("the stores hold different triples")
 	}
 	s := stores[0]
-	if hub := s.pos.find(1).set(2); len(hub) < 2 {
+	if hub := s.pos.set(1, 2); len(hub.pairs) < 2 {
 		t.Fatalf("the hub is %d members in one chunk", hub.len())
 	}
 	before := s.Len()

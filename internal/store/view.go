@@ -50,7 +50,8 @@ func (s *Store) NewOverlay() *Store {
 // unseen name; it exists so a rule compiler can resolve head literals that no
 // asserted triple mentions yet. Interning alone adds no triple. The empty
 // string is rejected: no valid triple component is empty, so an empty name
-// could never be matched or stored.
+// could never be matched or stored, and so is a new name once the dictionary
+// holds 2³¹, the most ids an index can file.
 func (s *Store) Intern(name string) (SymbolID, error) {
 	if name == "" {
 		return 0, fmt.Errorf("store: cannot intern an empty name")
@@ -61,9 +62,8 @@ func (s *Store) Intern(name string) (SymbolID, error) {
 	s.syms.mu.Lock()
 	defer s.syms.mu.Unlock()
 	before := s.syms.names.n
-	id := s.syms.internLocked(name)
-	s.syms.journalGrowthLocked(before)
-	return id, nil
+	defer s.syms.journalGrowthLocked(before)
+	return s.syms.internLocked(name)
 }
 
 // InternBytes is Intern for the name spelled by b. The dictionary copies the
@@ -200,8 +200,8 @@ func (v *View) ForEachSubject(predicate, object string, yield func(string) bool)
 // reporting false when yield stopped it. Callers hold the lock.
 func (v *View) storedSubjects(pid, oid uint32, res resolver, yield func(string) bool) bool {
 	for _, s := range [2]*Store{v.base, v.overlay} {
-		for _, ch := range set(&s.pos, pid, oid) {
-			for _, sid := range ch.elems() {
+		for ts, k := s.pos.set(pid, oid), 0; k < len(ts.pairs); k++ {
+			for _, sid := range ts.elems(k) {
 				if !yield(res.name(sid)) {
 					return false
 				}
