@@ -401,19 +401,6 @@ func (e *leadEntry) set(rt *runTable, mid uint32) trailSet {
 	return e.span(rt, i, e.setEnd(i))
 }
 
-// contains reports whether mid's set holds c: set(runs, mid).contains(c)
-// with every step inlined and no trailSet built, so the membership probe of
-// a join copies no set between calls or onto the stack.
-func (e *leadEntry) contains(rt *runTable, mid, c uint32) bool {
-	i, found := e.search(mid)
-	if !found {
-		return false
-	}
-	ps := e.pairs()[i:e.setEnd(i)]
-	_, found = searchRun(ps[chunkOf(ps, rt.runs, c)].elems(rt.runs), c)
-	return found
-}
-
 // sets returns how many sets the entry holds: its pairs, less the chunks
 // that continue a set.
 func (e *leadEntry) sets() int {
@@ -747,7 +734,7 @@ func (ix *index) insert(a, b, c uint32) bool {
 // contains reports whether (a, b, c) is present.
 func (ix *index) contains(a, b, c uint32) bool {
 	e := ix.find(a)
-	return e != nil && e.contains(&ix.runTable, b, c)
+	return e != nil && e.set(&ix.runTable, b).contains(c)
 }
 
 // removeAll deletes the triples keys name — (lead, mid, member, position)

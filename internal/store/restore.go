@@ -74,6 +74,9 @@ func (s *Store) RestoreSorted(dict []NameRun, triples []IDTriple, gen uint64) er
 		fresh := symtab{index: make([]uint32, indexLen(names)), names: table}
 		for i := range names {
 			name := table.dirs.at(uint32(i))
+			if name == "" {
+				return fmt.Errorf("store: restore dictionary id %d is the empty string", i)
+			}
 			prev, slot, dup := fresh.find(name)
 			if dup {
 				return fmt.Errorf("store: restore dictionary repeats %q as ids %d and %d", name, prev, i)

@@ -341,7 +341,7 @@ func (pt *ScanPart) fillLead(out []IDTriple) int {
 	case e == nil:
 		pt.done = true
 	case pt.allBound:
-		if e.contains(&ix.runTable, pt.mid, pt.trail) {
+		if e.set(&ix.runTable, pt.mid).contains(pt.trail) {
 			out[0] = tripleOf(pt.fam, pt.lead, pt.mid, pt.trail)
 			n = 1
 		}
@@ -515,7 +515,7 @@ func (s *Store) probeLocked(p IDPattern, pi int, yield func(int, IDTriple) bool)
 		}
 		if p.BoundP {
 			if p.BoundO {
-				if e.contains(&s.spo.runTable, p.P, p.O) {
+				if e.set(&s.spo.runTable, p.P).contains(p.O) {
 					return yield(pi, IDTriple{S: p.S, P: p.P, O: p.O})
 				}
 				return true

@@ -120,21 +120,17 @@ type nameWindow struct {
 }
 
 // at returns the name of id, which must be below the count of a view of
-// these directories. The length is decoded here, a uvarint of any length
-// (restoredNames refuses one that is not the shortest, whose last byte is
-// then never zero): past its first byte each next one is added in less the
-// continuation bit the byte before it left there, and n is at or past
-// 1<<(7k) exactly while byte k-1 carries one. The decode is written for the
-// inliner's budget of 80, which at fits, so a resolved name costs no call.
+// these directories.
 func (d *nameDirs) at(id uint32) string {
 	w := d.windows[id>>namePageBits]
 	o := w.offs[id&namePageMask]
 	p := d.pages[w.first+int(o>>nameStartBits)][o&nameStartMask:]
-	n, k := uint(p[0]), 1
-	for ; n >= 1<<(7*k); k++ {
-		n += uint(p[k]-1) << (7 * k)
+	n, k := uint64(p[0]), 1
+	if n >= 0x80 {
+		n, k = binary.Uvarint(p)
 	}
-	return unsafe.String(&p[k], n)
+	p = p[k : k+int(n)]
+	return unsafe.String(unsafe.SliceData(p), len(p))
 }
 
 // place returns the page id's name lies in and where its encoding starts
@@ -197,9 +193,7 @@ func uvarintLen(n int) int {
 // restoredNames returns a table of the names runs hold, in order. Its pages
 // are the runs' bytes — retained, not copied, and capped, so no add ever
 // writes them — cut where a name would start 1 MiB or more into its page.
-// A run whose N names do not fill its bytes exactly is refused, and so are
-// an empty name and a name whose length is not encoded in the fewest bytes,
-// as the log writes it (nameDirs.at relies on both).
+// A run whose N names do not fill its bytes exactly is refused.
 func restoredNames(runs []NameRun) (nameTable, error) {
 	var nt nameTable
 	d := nt.edit()
@@ -209,12 +203,6 @@ func restoredNames(runs []NameRun) (nameTable, error) {
 			n, w := binary.Uvarint(enc[off:])
 			if w <= 0 || n > uint64(len(enc)-off-w) {
 				return nameTable{}, fmt.Errorf("store: restore run %d: name %d overruns its %d bytes", k, i, len(enc))
-			}
-			switch {
-			case n == 0:
-				return nameTable{}, fmt.Errorf("store: restore run %d: name %d is the empty string", k, i)
-			case w != uvarintLen(int(n)):
-				return nameTable{}, fmt.Errorf("store: restore run %d: name %d's length %d is encoded in %d bytes, not the shortest %d", k, i, n, w, uvarintLen(int(n)))
 			}
 			if off-lo >= restoredPage {
 				d.pages = append(d.pages, enc[lo:off:off])
