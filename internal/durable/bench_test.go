@@ -244,9 +244,11 @@ func BenchmarkCheckpointDelta(b *testing.B) {
 
 // BenchmarkMergeRun measures one merge of the chain BenchmarkCheckpointDelta
 // builds: a 1e5-triple base segment and a 1000-triple delta. Each iteration
-// loads and folds the two files and publishes the merged segment, as
+// opens and folds the two files and publishes the merged segment, as
 // Engine.mergeRun does, over a real directory; the inputs stay, so every
-// iteration merges the same pair. B/op is what the merge allocates.
+// iteration merges the same pair. B/op is what the merge allocates, and readx
+// the bytes it reads of its inputs over their size (countingDisk): 1 when it
+// reads each input once.
 func BenchmarkMergeRun(b *testing.B) {
 	const base, burst = 100_000, 1000
 	dir := b.TempDir()
@@ -268,10 +270,12 @@ func BenchmarkMergeRun(b *testing.B) {
 	if err := eng.Close(); err != nil {
 		b.Fatal(err)
 	}
-	d := osDisk{dir}
+	d := countingDisk{disk: osDisk{dir}, read: new(int64)}
 	metas := make([]segMeta, len(chain))
+	inputs := int64(0)
 	for i, tier := range chain {
 		metas[i] = segMeta{start: tier.Start, end: tier.End}
+		inputs += tier.Bytes
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -286,4 +290,32 @@ func BenchmarkMergeRun(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(*d.read)/float64(inputs*int64(b.N)), "readx")
+}
+
+// countingDisk is a disk whose sources count the bytes their reads return
+// into read.
+type countingDisk struct {
+	disk
+	read *int64
+}
+
+func (d countingDisk) open(name string) (source, error) {
+	src, err := d.disk.open(name)
+	if err != nil {
+		return nil, err
+	}
+	return countingSource{src, d.read}, nil
+}
+
+// countingSource is a source of a countingDisk.
+type countingSource struct {
+	source
+	read *int64
+}
+
+func (s countingSource) ReadAt(p []byte, off int64) (int, error) {
+	n, err := s.source.ReadAt(p, off)
+	*s.read += int64(n)
+	return n, err
 }

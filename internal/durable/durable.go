@@ -30,9 +30,9 @@
 // record.go is the wire format (frames, records, the payload cap both sides
 // enforce); wal.go the group-committing writer, which also keeps the
 // position, seq and end offset of every write of the live log; reader.go
-// the buffered reader every file is read through, and the run cursor that
-// re-checks a segment's runs; segment.go the segment codec, its verifying
-// pass and its temp-then-rename publish; tier.go the patches, the
+// the buffered reader every file is read through, frame by frame, and the
+// cursor that reads a patch once; segment.go the segment codec — its one-pass
+// writer, its open and its temp-then-rename publish; tier.go the patches, the
 // one k-way fold (push checks adjacency and dictionary contiguity), walkWAL
 // with the record rules, foldChain, foldWAL, foldHistory and the merge policy;
 // recover.go the startup state machine and the package's one directory
@@ -63,16 +63,17 @@
 // recovering identically (TestReplayAndChainRecoveryAgree), every reader of
 // the log refusing the same bad logs, and Close waiting out a merge.
 // fold_test.go holds the folds to a naive replay, to the bytes in
-// testdata/segments, to the pairwise algebra and to an allocation bound per
-// checkpoint and merge. durable_test.go cuts a log of mixed transactions at
-// every byte (TestPrefixReplayProperty), a chunked write at every chunk
-// boundary, and flips bits; stamp_test.go builds logs and chains with their
-// true positions; fuzz_test.go fuzzes the frame decoder, whole-log recovery,
+// testdata/segments, to the pairwise algebra, to an allocation bound per
+// checkpoint and merge, and a merge to reading each input once.
+// durable_test.go cuts a log of mixed transactions at every byte
+// (TestPrefixReplayProperty), a chunked write at every chunk boundary, and
+// flips bits; stamp_test.go builds logs and chains with their true
+// positions; fuzz_test.go fuzzes the frame decoder, whole-log recovery,
 // recovery's tail fold against the Follower (FuzzLogReadersAgree) and the
-// segment loader. BenchmarkIngestWAL prices journaling per fsync policy,
+// segment reader. BenchmarkIngestWAL prices journaling per fsync policy,
 // BenchmarkRecover1e6 recovery over a base segment and over a log alone, and
 // BenchmarkCheckpointDelta and BenchmarkMergeRun what one checkpoint and one
-// merge cost and allocate.
+// merge cost, allocate and, for a merge, read.
 package durable
 
 import (
@@ -568,10 +569,8 @@ func (e *Engine) publishWindow(lastEnd uint64, dictNext store.SymbolID, lastAt s
 	if err != nil {
 		return segMeta{}, 0, err
 	}
-	fd := foldOf(seg)
-	fd.readBuf = e.disk.readBuf()
-	meta, err := writeSegment(e.disk, fd, nil)
-	return meta, seg.dict.n, err
+	meta, err := writeSegment(e.disk, foldOf(seg), nil) // a log window reads no file
+	return meta, seg.dict.N, err
 }
 
 // coveredLocked returns the seq the chain covers through and the chain's

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -526,35 +527,71 @@ func TestOverCapSealedFrameIsAnError(t *testing.T) {
 	}
 }
 
-// TestLoadSegmentRejectsOverflowedTripleCount patches a valid segment's
-// triple count to a value whose 12× product wraps uint64 back to the true
-// byte length: the pre-fix multiplication check passed it through to a
-// make() that panicked. decodeSegment must return the clean corruption error
-// it promises.
+// TestLoadSegmentRejectsOverflowedTripleCount rewrites a valid segment's
+// last frame, checksum and all, so that its totals disagree with its frames:
+// more names, adds or tombstones than the frames hold, fewer, and counts near
+// 2⁶⁴ — one whose 12× product wraps uint64 back to the true byte length,
+// which a multiplication-based check would pass through to a make() that
+// panics. Loaded as a snapshot, each is refused cleanly, without a panic and
+// without allocating past the file's bytes.
 func TestLoadSegmentRejectsOverflowedTripleCount(t *testing.T) {
 	d := newMemDisk()
-	seg := segmentData{
-		start:     1,
-		end:       7,
-		dictFirst: 0,
-		dict:      namesOf("s", "p", "o"),
-		adds:      runOf(store.IDTriple{S: 0, P: 1, O: 2}, store.IDTriple{S: 2, P: 1, O: 0}),
-	}
-	if _, err := writeSegment(d, foldOf(seg), nil); err != nil {
+	seg := []segmentData{patchOf(1, 7, 0, []string{"s", "p", "o"}, []store.IDTriple{{S: 0, P: 1, O: 2}, {S: 2, P: 1, O: 0}}, nil)}
+	stampChain(seg)
+	if _, err := writeSegment(d, foldOf(seg[0]), nil); err != nil {
 		t.Fatal(err)
 	}
-	name := segmentName(1, 7)
-	data := d.get(name)
-	// The add count sits right before the add run, the (empty) remove run and
-	// the 12-byte footer. 12*(count + 2^62) = 12*count + 3*2^64 ≡ 12*count
-	// (mod 2^64), so the patched count defeats any multiplication-based check.
-	countOff := len(data) - (4 + len(segTrailer)) - 8 - 12*seg.adds.n - 8
-	count := binary.LittleEndian.Uint64(data[countOff:])
-	binary.LittleEndian.PutUint64(data[countOff:], count+1<<62)
-	body := data[:len(data)-(4+len(segTrailer))]
-	binary.LittleEndian.PutUint32(data[len(body):], crc32.Checksum(body, castagnoli))
-	if _, err := decodeSegment(name, data); err == nil {
-		t.Fatal("decodeSegment accepted a wrapped triple count")
+	data := d.get(segmentName(1, 7))
+	// loading allocates what a snapshot load allocates for data, and the
+	// load's error.
+	loading := func(data []byte) (uint64, error) {
+		st := store.New()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := LoadSnapshot(st, data)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, err
+	}
+	intact, err := loading(data)
+	if err != nil {
+		t.Fatalf("the segment as written: %v", err)
+	}
+	const namesAt, addsAt, removesAt = 44, 48, 56 // in the last frame's payload
+	for _, tc := range []struct {
+		name  string
+		at    int
+		claim uint64
+		want  string // in the refusal; a triple frame read as names fails as it may
+	}{
+		{"more names", namesAt, 4, ""},
+		{"fewer names", namesAt, 2, "its frames hold more than the 2 names"},
+		{"more adds", addsAt, 3, "its frames hold fewer than the 3 names, 3 adds"},
+		{"fewer adds", addsAt, 1, "its frames hold more than the 3 names, 1 adds"},
+		{"a tombstone at seq 1", removesAt, 1, "starts at seq 1 but claims 1 tombstones"},
+		{"adds wrapping 12×", addsAt, 2 + 1<<62, "claims 4611686018427387906 add triples"},
+		{"adds near 2^64", addsAt, 1<<64 - 1, "claims 18446744073709551615 add triples"},
+		{"tombstones near 2^64", removesAt, 1<<64 - 1, "claims 18446744073709551615 remove triples"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := slices.Clone(data)
+			frame := bad[len(bad)-tailSize:]
+			payload := frame[frameHeader : frameHeader+lastSize]
+			if tc.at == namesAt {
+				binary.LittleEndian.PutUint32(payload[tc.at:], uint32(tc.claim))
+			} else {
+				binary.LittleEndian.PutUint64(payload[tc.at:], tc.claim)
+			}
+			binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
+			allocated, err := loading(bad)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("a segment whose last frame disagrees with its frames: %v, want a refusal saying %q", err, tc.want)
+			}
+			t.Logf("refused, allocating %d B: %v", allocated, err)
+			if allocated > intact+uint64(2*len(bad)) {
+				t.Errorf("refusing the %d-byte segment allocated %d B, past the %d B loading it intact does and twice its bytes", len(bad), allocated, intact)
+			}
+		})
 	}
 }
 
@@ -829,21 +866,15 @@ func TestLeftoverTmpIsDeleted(t *testing.T) {
 
 func TestSegmentRoundTrip(t *testing.T) {
 	d := newMemDisk()
-	seg := segmentData{
-		start:     8,
-		end:       42,
-		dictFirst: 2,
-		dict:      namesOf("s0", "p0", "o0", "o1"),
-		adds:      runOf(store.IDTriple{S: 2, P: 3, O: 4}, store.IDTriple{S: 2, P: 3, O: 5}),
-		removes:   runOf(store.IDTriple{S: 0, P: 1, O: 2}),
-	}
+	seg := patchOf(8, 42, 2, []string{"s0", "p0", "o0", "o1"},
+		[]store.IDTriple{{S: 2, P: 3, O: 4}, {S: 2, P: 3, O: 5}}, []store.IDTriple{{S: 0, P: 1, O: 2}})
 	meta, err := writeSegment(d, foldOf(seg), nil)
 	if err != nil {
 		t.Fatalf("writeSegment: %v", err)
 	}
 	name := segmentName(8, 42)
 	data := d.get(name)
-	got, err := decodeSegment(name, data)
+	got, names, adds, removes, err := decodeSegment(name, data)
 	if err != nil {
 		t.Fatalf("decodeSegment: %v", err)
 	}
@@ -853,13 +884,13 @@ func TestSegmentRoundTrip(t *testing.T) {
 	if got.size != meta.bytes {
 		t.Fatalf("loaded size %d, written size %d", got.size, meta.bytes)
 	}
-	if names := got.dict.strings(); len(names) != 4 || names[3] != "o1" {
+	if len(names) != 4 || names[3] != "o1" {
 		t.Fatalf("dict = %v", names)
 	}
-	if adds := got.adds.triples(); len(adds) != 2 || adds[1] != (store.IDTriple{S: 2, P: 3, O: 5}) {
+	if len(adds) != 2 || adds[1] != (store.IDTriple{S: 2, P: 3, O: 5}) {
 		t.Fatalf("adds = %v", adds)
 	}
-	if removes := got.removes.triples(); len(removes) != 1 || removes[0] != (store.IDTriple{S: 0, P: 1, O: 2}) {
+	if len(removes) != 1 || removes[0] != (store.IDTriple{S: 0, P: 1, O: 2}) {
 		t.Fatalf("removes = %v", removes)
 	}
 
@@ -872,8 +903,54 @@ func TestSegmentRoundTrip(t *testing.T) {
 		{"bad magic", func(b []byte) []byte { b[0] = 'X'; return b }},
 	} {
 		bad := corrupt.mut(append([]byte(nil), data...))
-		if _, err := decodeSegment(name, bad); err == nil {
+		if _, _, _, _, err := decodeSegment(name, bad); err == nil {
 			t.Fatalf("decodeSegment accepted a %s segment", corrupt.name)
 		}
+	}
+}
+
+// TestSegmentStreamIsHeldToOrderAndBound rewrites the triple frame of a
+// valid segment, checksum and all, so that only the cursor's own checks can
+// find the fault: two adds out of order, a triple both added and
+// tombstoned, and an id past the names of the chain through the segment.
+// Each is refused in the words a segment's load has always used.
+func TestSegmentStreamIsHeldToOrderAndBound(t *testing.T) {
+	d := newMemDisk()
+	seg := patchOf(8, 42, 2, []string{"s0", "p0", "o0", "o1"},
+		[]store.IDTriple{{S: 2, P: 3, O: 4}, {S: 2, P: 3, O: 5}}, []store.IDTriple{{S: 0, P: 1, O: 2}})
+	if _, err := writeSegment(d, foldOf(seg), nil); err != nil {
+		t.Fatal(err)
+	}
+	name := segmentName(8, 42)
+	data := d.get(name)
+	_, next, ok := nextFrame(data, len(segMagic)) // the name frame; the triple frame follows
+	if !ok {
+		t.Fatal("no name frame after the magic")
+	}
+	for _, tc := range []struct {
+		name string
+		mut  func(run tripleRun)
+		want string
+	}{
+		{"adds out of order", func(run tripleRun) {
+			a, b := run.at(0), run.at(1)
+			copy(run, appendTriple(appendTriple(nil, b), a))
+		}, "add run not strictly sorted at triple 1"},
+		{"a triple added and tombstoned", func(run tripleRun) {
+			copy(run[24:], appendTriple(nil, run.at(0)))
+		}, "add run not strictly sorted at triple 0"},
+		{"an id past the bound", func(run tripleRun) {
+			copy(run[12:], appendTriple(nil, store.IDTriple{S: 2, P: 3, O: 6}))
+		}, "add triple 1 references id beyond the 6-id dictionary prefix"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := slices.Clone(data)
+			payload := bad[next+frameHeader : len(bad)-tailSize]
+			tc.mut(tripleRun(payload[8:]))
+			binary.LittleEndian.PutUint32(bad[next+4:], crc32.Checksum(payload, castagnoli))
+			if _, _, _, _, err := decodeSegment(name, bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%v, want an error saying %q", err, tc.want)
+			}
+		})
 	}
 }

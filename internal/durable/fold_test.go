@@ -51,51 +51,53 @@ func dictNames(runs []store.NameRun) []string {
 	return names
 }
 
-// namesOf encodes names as the region a dictionary record or a segment
-// carries.
-func namesOf(names ...string) region {
-	run := dictRun(names...)
-	return memRegion(run.Enc, run.N)
-}
-
-// runOf encodes triples as the run a segment carries.
-func runOf(ts ...store.IDTriple) region {
-	var run tripleRun
-	for _, t := range ts {
-		run = appendTriple(run, t)
-	}
-	return memRegion(run, len(ts))
-}
-
-// bytes reads the region's bytes whole.
-func (g region) bytes() []byte {
-	b := make([]byte, g.size)
-	if g.size > 0 {
-		if err := readAt(g.src, b, g.off); err != nil {
-			panic(err)
+// patchOf is the log window over [start, end] that mints names from id
+// dictFirst on, adds adds and tombstones removes, each run sorted and the
+// two disjoint: the patch foldWAL folds such a window to.
+func patchOf(start, end uint64, dictFirst store.SymbolID, names []string, adds, removes []store.IDTriple) segmentData {
+	p := segmentData{start: start, end: end, dictFirst: dictFirst, dict: dictRun(names...), adds: len(adds), removes: len(removes)}
+	for len(adds)+len(removes) > 0 {
+		ev := walEvent{key: uint32(len(p.events)) << 1}
+		if len(removes) == 0 || len(adds) > 0 && adds[0].Less(removes[0]) {
+			ev.t, ev.key, adds = adds[0], ev.key|1, adds[1:]
+		} else {
+			ev.t, removes = removes[0], removes[1:]
 		}
+		p.events = append(p.events, ev)
 	}
-	return b
+	return p
 }
 
-// triples decodes a triple run.
-func (g region) triples() []store.IDTriple {
-	run := tripleRun(g.bytes())
-	ts := make([]store.IDTriple, run.len())
-	for i := range ts {
-		ts[i] = run.at(i)
+// triples lists a log window's adds (add set) or tombstones.
+func (p segmentData) triples(add bool) []store.IDTriple {
+	var ts []store.IDTriple
+	for _, ev := range p.events {
+		if (ev.key&1 != 0) == add {
+			ts = append(ts, ev.t)
+		}
 	}
 	return ts
 }
 
-// strings decodes a dictionary window.
-func (g region) strings() []string {
-	return runNames(store.NameRun{N: g.n, Enc: g.bytes()})
+// decodeSegment opens a segment's bytes and reads them whole: the patch,
+// its names, and its adds and tombstones.
+func decodeSegment(name string, data []byte) (seg segmentData, names []string, adds, removes []store.IDTriple, err error) {
+	if seg, err = openSegment(name, bytes.NewReader(data), int64(len(data))); err != nil {
+		return seg, nil, nil, nil, err
+	}
+	f := foldOf(seg)
+	runs, err := f.dictionary()
+	if err != nil {
+		return seg, nil, nil, nil, err
+	}
+	adds, removes, err = foldRuns(f)
+	return seg, dictNames(runs), adds, removes, err
 }
 
-// decodeSegment runs the verifying pass over a segment's bytes.
-func decodeSegment(name string, data []byte) (segmentData, error) {
-	return verifySegment(name, bytes.NewReader(data), int64(len(data)), make([]byte, readBufSize))
+// count runs the fold once, counting the adds and tombstones it yields.
+func (f *fold) count() (adds, removes int, err error) {
+	a, r, err := foldRuns(f)
+	return len(a), len(r), err
 }
 
 // sides decodes a recPart or recWrite record's adds and removes.
@@ -329,7 +331,7 @@ func checkNaiveChain(t *testing.T, d *memDisk, eng *Engine, st *store.Store, mod
 	}
 	for _, m := range tiers {
 		file := segmentName(m.start, m.end)
-		seg, err := decodeSegment(file, d.get(file))
+		_, _, segAdds, segRemoves, err := decodeSegment(file, d.get(file))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,10 +347,10 @@ func checkNaiveChain(t *testing.T, d *memDisk, eng *Engine, st *store.Store, mod
 		if m.start > 1 { // a patch against the empty state removes nothing
 			wantRemoves = sortedTriples(patch, false)
 		}
-		if adds := named(seg.adds.triples()); !slices.Equal(adds, sortedTriples(patch, true)) {
+		if adds := named(segAdds); !slices.Equal(adds, sortedTriples(patch, true)) {
 			t.Fatalf("segment %s adds %v, the naive patch %v", file, adds, sortedTriples(patch, true))
 		}
-		if removes := named(seg.removes.triples()); !slices.Equal(removes, wantRemoves) {
+		if removes := named(segRemoves); !slices.Equal(removes, wantRemoves) {
 			t.Fatalf("segment %s tombstones %v, the naive patch %v", file, removes, wantRemoves)
 		}
 	}
@@ -398,13 +400,12 @@ func TestFoldEventsLimit(t *testing.T) {
 // 64-triple batches, every batch minting names; it may allocate at most
 // 1.5 times the window's log bytes: its triple events (16 bytes per 12 on
 // disk) and its dictionary window, each counted by a first walk and
-// allocated once, its tombstones, and a few fixed buffers — the window is
-// read through one frame buffer, never whole, and the adds are written
-// from the events. The merge folds that segment
-// into an older one; it may allocate at most 0.15 times the bytes of its two
-// inputs: the fixed buffers its passes read the inputs through and the
-// writer's — the fold streams its inputs and its output, so nothing is read
-// whole, decoded or composed in memory.
+// allocated once, and a few fixed buffers — the window is read through one
+// frame buffer, never whole, and the segment is written from the events. The
+// merge folds that segment into an older one; it may allocate at most 0.15
+// times the bytes of its two inputs: the fixed buffers its cursors read the
+// inputs through and the writer's — the fold streams its inputs and its
+// output, so nothing is read whole, decoded or composed in memory.
 func TestCheckpointAndMergeAllocateWhatTheyPublish(t *testing.T) {
 	const checkpointBound, mergeBound = 1.5, 0.15
 	st := store.New()
@@ -459,6 +460,154 @@ func TestCheckpointAndMergeAllocateWhatTheyPublish(t *testing.T) {
 	t.Logf("merge: %d B allocated over %d B of inputs (%.2f×, bound %.2f×)", merge, inputs, ratio, mergeBound)
 	if ratio > mergeBound {
 		t.Errorf("a merge allocated %.2f× its inputs' bytes, bound %.2f×", ratio, mergeBound)
+	}
+}
+
+// TestMergeReadsEachInputOnce counts the bytes a merge reads of each input
+// file (memDisk.readOf): opening the inputs (foldChain) reads no more of each
+// than its magic, its trailer and its last frame, and the whole merge — the
+// opens, the one pass over the names and the triples that writes the merged
+// segment — reads at most 1.1 times each input's bytes. It merges a chain of
+// three checkpoints both ways: its young two, a merge that keeps their
+// tombstones, and the whole chain, a merge into the base that drops them.
+func TestMergeReadsEachInputOnce(t *testing.T) {
+	const bound = 1.1
+	d := newMemDisk()
+	st := store.New()
+	eng := mustOpenDisk(t, st, Options{Fsync: FsyncOff, CheckpointBytes: -1, mergeRatio: -1}, d)
+	defer eng.Close()
+	triple := func(i int) store.Triple {
+		return store.Triple{Subject: fmt.Sprintf("s-%d", i/4), Predicate: fmt.Sprintf("p-%d", i%4), Object: fmt.Sprintf("o-%d", i)}
+	}
+	for w := 0; w < 3; w++ { // each window adds 3 000 triples and removes 500 of the one before
+		for i := 3000 * w; i < 3000*(w+1); i++ {
+			if _, err := st.Add(triple(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 3000 * (w - 1); w > 0 && i < 3000*(w-1)+500; i++ {
+			st.Remove(triple(i))
+		}
+		if err := eng.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chain := eng.Stats().Tiers
+	for _, tc := range []struct {
+		name string
+		from int
+	}{{"keeping tombstones", 1}, {"into the base", 0}} {
+		var metas []segMeta
+		for _, tier := range chain[tc.from:] {
+			metas = append(metas, segMeta{start: tier.Start, end: tier.End})
+		}
+		d.resetReads()
+		merged, err := foldChain(d, metas, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range metas {
+			name := segmentName(m.start, m.end)
+			if opened := d.readOf(name); opened > int64(len(segMagic)+tailSize) {
+				t.Errorf("%s: opening %s read %d bytes, more than its magic, trailer and last frame (%d)", tc.name, name, opened, len(segMagic)+tailSize)
+			}
+		}
+		out, err := writeSegment(d, merged, nil)
+		merged.close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tombstones := out.removes > 0; tombstones != (tc.from > 0) {
+			t.Fatalf("%s: the merged segment holds %d tombstones", tc.name, out.removes)
+		}
+		for _, m := range metas {
+			name := segmentName(m.start, m.end)
+			size := int64(len(d.get(name)))
+			ratio := float64(d.readOf(name)) / float64(size)
+			t.Logf("%s: %s: %d of its %d bytes read (%.3f×)", tc.name, name, d.readOf(name), size, ratio)
+			if ratio > bound {
+				t.Errorf("%s: the merge read %.2f× the bytes of %s, bound %.1f×", tc.name, ratio, name, bound)
+			}
+		}
+	}
+}
+
+// TestMergeRefusesInputsChangedMidMerge flips one byte of the oldest input
+// once the merge has opened it — when it creates its output — inside a name,
+// inside a triple, and inside the last frame's totals, which the cursor
+// reads again at its end. Each merge is refused before its rename, leaves no
+// .tmp and keeps the chain, which recovers as it was once the byte is mended.
+func TestMergeRefusesInputsChangedMidMerge(t *testing.T) {
+	for _, at := range []string{"name", "triple", "last frame"} {
+		t.Run(at, func(t *testing.T) {
+			d := newMemDisk()
+			st := store.New()
+			eng := mustOpenDisk(t, st, Options{Fsync: FsyncOff, CheckpointBytes: -1, mergeRatio: -1}, d)
+			defer eng.Close()
+			for i := 0; i < 6; i++ {
+				scriptStep(t, st, i)
+				if i%3 == 2 {
+					if err := eng.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			tiers := eng.Stats().Tiers
+			oldest := segmentName(tiers[0].Start, tiers[0].End)
+			data := d.get(oldest)
+			seg, err := openSegment(oldest, bytes.NewReader(data), int64(len(data)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			off, names := len(segMagic), 0 // past the name frames: the first triple frame
+			for names < seg.dict.N {
+				payload, next, ok := nextFrame(data, off)
+				if !ok {
+					t.Fatalf("no name frame at %d", off)
+				}
+				_, run, err := decodeNames(payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				off, names = next, names+run.N
+			}
+			flip := map[string]int{
+				"name":       len(segMagic) + frameHeader + 8 + 1, // past the first name's length byte
+				"triple":     off + frameHeader + 8,
+				"last frame": len(data) - tailSize + frameHeader + 48,
+			}[at]
+			live := snapshotString(t, st)
+			d.setInject(func(op, name string) error {
+				if op == "create" && fileKind(name) == "tmp" {
+					d.flip(oldest, flip)
+				}
+				return nil
+			})
+			err = eng.Merge(0)
+			d.setInject(nil)
+			if err == nil {
+				t.Fatal("the merge published an input that changed after it was opened")
+			}
+			t.Logf("the merge refused: %v", err)
+			d.flip(oldest, flip)
+			for _, name := range d.names() {
+				if fileKind(name) == "tmp" {
+					t.Fatalf("the refused merge left %s", name)
+				}
+			}
+			if got := eng.Stats().Tiers; !slices.Equal(got, tiers) {
+				t.Fatalf("the refused merge changed the chain to %+v", got)
+			}
+			rec := store.New()
+			r, err := recoverDir(rec, d.clone())
+			if err != nil {
+				t.Fatalf("recovering the unmerged chain: %v", err)
+			}
+			r.file.Close()
+			if snapshotString(t, rec) != live {
+				t.Fatal("the unmerged chain recovers to another state")
+			}
+		})
 	}
 }
 
@@ -611,7 +760,14 @@ func recovering(t *testing.T, d *memDisk) (bytes, objects uint64, st *store.Stor
 
 // foldedRuns runs the fold into the two runs it yields.
 func foldedRuns(f *fold) (adds, removes []store.IDTriple) {
-	f.each(func(t store.IDTriple, add bool) bool {
+	adds, removes, _ = foldRuns(f)
+	return adds, removes
+}
+
+// foldRuns runs the fold into the two runs it yields, and the error it ends
+// with.
+func foldRuns(f *fold) (adds, removes []store.IDTriple, err error) {
+	err = f.each(func(t store.IDTriple, add bool) bool {
 		if add {
 			adds = append(adds, t)
 		} else {
@@ -619,7 +775,7 @@ func foldedRuns(f *fold) (adds, removes []store.IDTriple) {
 		}
 		return true
 	})
-	return adds, removes
+	return adds, removes, err
 }
 
 // TestFoldMatchesPairwiseAlgebra holds the k-way fold to the pairwise
@@ -661,7 +817,7 @@ func TestFoldMatchesPairwiseAlgebra(t *testing.T) {
 			for n := rng.Intn(3); n > 0; n-- {
 				names = append(names, fmt.Sprintf("name-%d", len(wantNames)+len(names)))
 			}
-			seg := segmentData{start: end + 1, end: end + uint64(rng.Intn(4)), dictFirst: dictNext, dict: namesOf(names...), adds: runOf(adds...), removes: runOf(removes...)}
+			seg := patchOf(end+1, end+uint64(rng.Intn(4)), dictNext, names, adds, removes)
 			if err := f.push(seg); err != nil {
 				t.Fatalf("pushing patch %d: %v", p, err)
 			}

@@ -44,11 +44,11 @@ func (f *Follower) Position() store.Position { return f.at }
 // LoadSnapshot bulk-loads the empty store st from a snapshot — one segment
 // over the primary's whole chain and committed log, as Engine.Snapshot
 // builds it — with recovery's checks and its bulk load: the segment's
-// framing, checksum, sorted runs and id bounds, a start at seq 1 and id 0,
-// then the digest of what was loaded against the segment's stamp. It
-// returns the follower positioned at the stamp, its dictionary the
-// snapshot's names, whose bytes it shares with st: the region read from the
-// snapshot, restored into both.
+// framing, its frames' checksums, sorted stream, id bound and totals, a
+// start at seq 1 and id 0, then the digest of what was loaded against the
+// segment's stamp. It returns the follower positioned at the stamp, its
+// dictionary the snapshot's names, whose bytes it shares with st: the name
+// frames read from the snapshot, restored into both.
 func LoadSnapshot(st *store.Store, data []byte) (*Follower, error) {
 	return loadSnapshot(st, data, readBufSize)
 }
@@ -56,7 +56,7 @@ func LoadSnapshot(st *store.Store, data []byte) (*Follower, error) {
 // loadSnapshot is LoadSnapshot reading the snapshot through buffers of
 // readBuf bytes.
 func loadSnapshot(st *store.Store, data []byte, readBuf int) (*Follower, error) {
-	seg, err := verifySegment("snapshot", bytes.NewReader(data), int64(len(data)), make([]byte, readBuf))
+	seg, err := openSegment("snapshot", bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +131,7 @@ func (f *Follower) Read(body []byte, apply func(adds, removes []store.Triple, at
 	if f.buf == nil {
 		f.buf = make([]byte, readBufSize)
 	}
-	rd := newReader(bytes.NewReader(body), 0, int64(len(body)), f.buf, false)
+	rd := newReader(bytes.NewReader(body), 0, int64(len(body)), f.buf)
 	off, err := walkWAL("log body", &rd, f.seq, &w, visit)
 	f.buf = rd.buf
 	switch {

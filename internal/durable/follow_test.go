@@ -2,6 +2,7 @@ package durable
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -84,10 +85,11 @@ func TestFollowerAppliesChunkedWritesWhole(t *testing.T) {
 	}
 }
 
-// TestOlderBuildsDirectoryIsRefused: a data directory written before
-// records and segments carried positions — a log holding the position-less
-// mutation record, a segment in the unstamped format — does not boot, and
-// the error says an older build wrote it.
+// TestOlderBuildsDirectoryIsRefused: a data directory written by an older
+// build — a log holding the position-less mutation record, a segment in the
+// full-dump (ONTOSEG1), unstamped (ONTOSEG2) or single-checksum (ONTOSEG3)
+// format — does not boot, and a snapshot in an older segment format does not
+// load: the error names the format and says an older build wrote it.
 func TestOlderBuildsDirectoryIsRefused(t *testing.T) {
 	old := newMemDisk()
 	var data []byte
@@ -104,11 +106,18 @@ func TestOlderBuildsDirectoryIsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	name := segmentName(segs[0].start, segs[0].end)
-	seg := d.get(name)
-	copy(seg, "ONTOSEG2")
-	d.put(name, seg)
-	if _, err := recoverDir(store.New(), d); err == nil || !strings.Contains(err.Error(), "older build") {
-		t.Fatalf("an unstamped segment: %v, want an error naming an older build", err)
+	for _, magic := range []string{"ONTOSEG1", "ONTOSEG2", "ONTOSEG3"} {
+		seg := d.get(name)
+		copy(seg, magic)
+		want := fmt.Sprintf("in the %s format of an older build of this engine", magic)
+		dir := newMemDisk()
+		dir.put(name, seg)
+		if _, err := recoverDir(store.New(), dir); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("recovering a segment in the %s format: %v, want an error saying it is %s", magic, err, want)
+		}
+		if _, err := LoadSnapshot(store.New(), seg); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("loading a snapshot in the %s format: %v, want an error saying it is %s", magic, err, want)
+		}
 	}
 }
 

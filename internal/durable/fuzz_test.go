@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -65,17 +67,8 @@ func FuzzDecodeRecord(f *testing.F) {
 // whose tombstone reaches into it, stamped. The script continues it.
 func fuzzChainSegments() ([]segmentData, *logScript) {
 	segs := []segmentData{
-		{
-			start: 1, end: 2, dictFirst: 0,
-			dict: namesOf("s", "p", "o"),
-			adds: runOf(store.IDTriple{S: 0, P: 1, O: 2}),
-		},
-		{
-			start: 3, end: 4, dictFirst: 3,
-			dict:    namesOf("q"),
-			adds:    runOf(store.IDTriple{S: 0, P: 1, O: 3}),
-			removes: runOf(store.IDTriple{S: 0, P: 1, O: 2}),
-		},
+		patchOf(1, 2, 0, []string{"s", "p", "o"}, []store.IDTriple{{S: 0, P: 1, O: 2}}, nil),
+		patchOf(3, 4, 3, []string{"q"}, []store.IDTriple{{S: 0, P: 1, O: 3}}, []store.IDTriple{{S: 0, P: 1, O: 2}}),
 	}
 	return segs, stampChain(segs)
 }
@@ -230,56 +223,70 @@ func FuzzLogReadersAgree(f *testing.F) {
 	})
 }
 
-// FuzzLoadSegment throws arbitrary bytes at the segment decoder's verifying
-// pass, read through a buffer of the size the input picks (fuzzReadBuf):
-// whatever the input, it must return cleanly — segments are published
-// atomically, so the loader treats every violation as corruption, and none
-// may panic or over-allocate past the bytes actually present. An accepted
-// segment must read back, through the same buffer size, as a fold.
+// FuzzLoadSegment throws arbitrary bytes at the segment reader — the open
+// (openSegment) and one cursor over the frames — through a buffer of the
+// size the input picks (fuzzReadBuf): whatever the input, it must return
+// cleanly — segments are published atomically, so the reader treats every
+// violation as corruption, and none may panic or over-allocate past the bytes
+// actually present. A segment read through without an error must hold what
+// it claims: its name frames read back as its names, and its triples fold to
+// exactly its totals, strictly ascending across adds and tombstones and
+// within its id bound.
 func FuzzLoadSegment(f *testing.F) {
-	d := newMemDisk()
-	segs, _ := fuzzChainSegments()
-	var seeds [][]byte
-	for _, seg := range segs {
-		if _, err := writeSegment(d, foldOf(seg), nil); err != nil {
+	fixtures, err := filepath.Glob(filepath.Join("testdata", "segments", "*.seg"))
+	if err != nil || len(fixtures) == 0 {
+		f.Fatalf("no segment fixtures: %v", err)
+	}
+	seeds := [][]byte{{}, []byte("ONTOSEG1"), []byte("ONTOSEG2"), []byte("ONTOSEG3")}
+	for _, path := range fixtures {
+		data, err := os.ReadFile(path)
+		if err != nil {
 			f.Fatal(err)
 		}
-		data := d.get(segmentName(seg.start, seg.end))
 		seeds = append(seeds, data, data[:len(data)-7])
 	}
-	seeds = append(seeds, []byte{}, []byte(segMagic))
 	for _, seed := range seeds {
 		for _, size := range fuzzSizes {
 			f.Add(seed, size)
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte, size uint16) {
-		buf := fuzzReadBuf(size)
-		seg, err := verifySegment(segmentName(1, 2), bytes.NewReader(data), int64(len(data)), make([]byte, buf))
+		seg, err := openSegment(segmentName(1, 2), bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			return
 		}
 		fd := foldOf(seg)
-		fd.readBuf = buf
-		if _, _, err := fd.count(); err != nil {
-			t.Fatalf("an accepted segment does not fold: %v", err)
+		fd.readBuf = fuzzReadBuf(size)
+		runs, err := fd.dictionary()
+		if err != nil {
+			return
 		}
-		if runs, err := fd.dictionary(); err != nil || len(dictNames(runs)) != seg.dict.n {
-			names := dictNames(runs)
-			t.Fatalf("an accepted segment's dictionary reads back as %d names, %v; want %d", len(names), err, seg.dict.n)
-		}
-		// An accepted segment must satisfy the invariants every consumer
-		// assumes: sorted runs within the dictionary bound.
-		bound := seg.dictFirst + store.SymbolID(seg.dict.n)
-		for _, run := range [][]store.IDTriple{seg.adds.triples(), seg.removes.triples()} {
-			for i, tr := range run {
-				if tr.S >= bound || tr.P >= bound || tr.O >= bound {
-					t.Fatalf("accepted segment references id beyond its %d-id prefix", bound)
-				}
-				if i > 0 && !run[i-1].Less(tr) {
-					t.Fatal("accepted segment has an unsorted run")
-				}
+		var prev store.IDTriple
+		adds, removes := 0, 0
+		bound := seg.dictFirst + store.SymbolID(seg.dict.N)
+		err = fd.each(func(tr store.IDTriple, add bool) bool {
+			if tr.S >= bound || tr.P >= bound || tr.O >= bound {
+				t.Fatalf("a segment read through references id beyond its %d-id prefix", bound)
 			}
+			if adds+removes > 0 && !prev.Less(tr) {
+				t.Fatal("a segment read through is not strictly ascending")
+			}
+			if add {
+				adds++
+			} else {
+				removes++
+			}
+			prev = tr
+			return true
+		})
+		if err != nil {
+			return
+		}
+		if names := dictNames(runs); len(names) != seg.dict.N {
+			t.Fatalf("a segment read through holds %d names, its last frame claims %d", len(names), seg.dict.N)
+		}
+		if adds != seg.adds || removes != seg.removes {
+			t.Fatalf("a segment read through folds to %d adds and %d tombstones, its last frame claims %d and %d", adds, removes, seg.adds, seg.removes)
 		}
 	})
 }

@@ -44,6 +44,8 @@ type memDisk struct {
 	// bufSize is the buffer the readers of the disk's files start with
 	// (readBuf); readBufSize if zero.
 	bufSize int
+	// read counts the bytes the reads of each file have returned.
+	read map[string]int64
 
 	exists, durable bool              // the directory, and its entry in the parent
 	entries         map[string]*inode // what list and the opens see
@@ -212,7 +214,8 @@ func (d *memDisk) readBuf() int { return cmp.Or(d.bufSize, readBufSize) }
 
 // memSource is a file of a memDisk open for reading. Its reads see the
 // file's bytes as they are at the read, and each is an operation of its
-// own, "read", which inject may fail.
+// own, "read", which inject may fail; the disk counts the bytes each
+// returns (readOf).
 type memSource struct {
 	d    *memDisk
 	ino  *inode
@@ -230,6 +233,10 @@ func (s *memSource) ReadAt(p []byte, off int64) (int, error) {
 		return 0, io.EOF
 	}
 	n := copy(p, s.ino.data[off:])
+	if s.d.read == nil {
+		s.d.read = map[string]int64{}
+	}
+	s.d.read[s.name] += int64(n)
 	if n < len(p) {
 		return n, io.EOF
 	}
@@ -239,6 +246,21 @@ func (s *memSource) ReadAt(p []byte, off int64) (int, error) {
 func (s *memSource) Size() int64 { return s.size }
 
 func (s *memSource) Close() error { return nil }
+
+// readOf returns how many bytes the reads of name have returned since the
+// last resetReads.
+func (d *memDisk) readOf(name string) int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.read[name]
+}
+
+// resetReads sets every file's count of bytes read to zero.
+func (d *memDisk) resetReads() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.read = nil
+}
 
 // flip inverts the low bit of the byte at off of name's content, in place —
 // under any reader that has it open — without recording an operation.

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"repro/internal/store"
@@ -14,65 +13,36 @@ import (
 // This file is how the package reads its files: through fixed buffers,
 // never whole. A reader streams one stretch of a source — a file the disk
 // opened, or a byte slice behind a bytes.Reader — in order through a buffer
-// it reuses. The log's frames are taken whole from it (walkWAL), so its
-// buffer grows to the largest frame; a segment's header, names and triples
-// are copied out piece by piece, so a segment reader never grows at all.
-// Every pass over a segment's regions after the verifying one re-checks what
-// it reads against that pass (runCursor, region.check).
+// it reuses, and hands it out frame by frame (reader.frame), each frame's
+// CRC-32C checked before any of it is handed out: the log's records to
+// walkWAL, a segment's names and triples to its cursor. Its buffer grows only
+// to hold a frame longer than it; a segment's frames fit one readBufSize
+// buffer unless a single name does not.
 
-// readBufSize is the buffer a reader of a data-directory file starts with.
-// A merge reads each input's two runs through one reader each, so its scratch
-// is 2 × readBufSize an input — 16 KiB, 144 KiB at the most inputs a forced
-// merge folds (maxSegments + 1).
+// readBufSize is the buffer a reader of a data-directory file starts with,
+// and the most a segment writer puts in one frame. A merge reads each input
+// through one cursor, so its scratch is readBufSize an input — 72 KiB at the
+// most inputs a forced merge folds (maxSegments + 1).
 const readBufSize = 8 << 10
 
 // reader reads the bytes [pos, end) of src in order through buf: buf[r:w]
-// holds the source's bytes from pos on. With sum set it keeps the CRC-32C of
-// the bytes it has handed out since the caller last restarted it (part), and
-// with whole set too, of all of them (body) — summed lazily: buf[s:r] is
-// handed out but not yet summed.
+// holds the source's bytes from pos on.
 type reader struct {
-	src        io.ReaderAt
-	pos, end   int64
-	buf        []byte
-	r, w, s    int
-	sum, whole bool
-	part       uint32
-	body       uint32
-	err        error // the read of the source that failed, if one did
+	src      io.ReaderAt
+	pos, end int64
+	buf      []byte
+	r, w     int
+	err      error // the read of the source that failed, if one did
 }
 
 // newReader returns a reader of src's bytes [off, end) through buf, which it
 // outgrows only to hold a frame longer than buf (peek).
-func newReader(src io.ReaderAt, off, end int64, buf []byte, sum bool) reader {
-	return reader{src: src, pos: off, end: end, buf: buf, sum: sum}
+func newReader(src io.ReaderAt, off, end int64, buf []byte) reader {
+	return reader{src: src, pos: off, end: end, buf: buf}
 }
 
 // left is how many bytes of the stretch are not yet handed out.
 func (rd *reader) left() int64 { return rd.end - rd.pos }
-
-// flushSum sums the bytes handed out since the last flush.
-func (rd *reader) flushSum() {
-	if rd.sum && rd.s < rd.r {
-		rd.part = crc32.Update(rd.part, castagnoli, rd.buf[rd.s:rd.r])
-		if rd.whole {
-			rd.body = crc32.Update(rd.body, castagnoli, rd.buf[rd.s:rd.r])
-		}
-	}
-	rd.s = rd.r
-}
-
-// restart begins a new region: part sums from here on.
-func (rd *reader) restart() {
-	rd.flushSum()
-	rd.part = 0
-}
-
-// sums returns part and body as of the bytes handed out so far.
-func (rd *reader) sums() (part, body uint32) {
-	rd.flushSum()
-	return rd.part, rd.body
-}
 
 // fill makes at least n bytes buffered, n at most left: it moves the
 // buffered bytes to the front, grows buf when it is shorter than n, and reads
@@ -84,7 +54,6 @@ func (rd *reader) fill(n int) error {
 	if int64(n) > rd.left() {
 		return io.ErrUnexpectedEOF
 	}
-	rd.flushSum()
 	if n > len(rd.buf) {
 		grown := make([]byte, n)
 		rd.w = copy(grown, rd.buf[rd.r:rd.w])
@@ -92,7 +61,7 @@ func (rd *reader) fill(n int) error {
 	} else {
 		rd.w = copy(rd.buf, rd.buf[rd.r:rd.w])
 	}
-	rd.r, rd.s = 0, 0
+	rd.r = 0
 	at := rd.pos + int64(rd.w)
 	want := int(min(int64(len(rd.buf)-rd.w), rd.end-at))
 	if err := readAt(rd.src, rd.buf[rd.w:rd.w+want], at); err != nil {
@@ -115,14 +84,6 @@ func readAt(src io.ReaderAt, p []byte, off int64) error {
 	return err
 }
 
-// consume hands out the next n buffered bytes.
-func (rd *reader) consume(n int) []byte {
-	b := rd.buf[rd.r : rd.r+n]
-	rd.r += n
-	rd.pos += int64(n)
-	return b
-}
-
 // peek returns the next n bytes without handing them out, valid until the
 // next call; buf grows to n if it is shorter.
 func (rd *reader) peek(n int) ([]byte, error) {
@@ -130,83 +91,6 @@ func (rd *reader) peek(n int) ([]byte, error) {
 		return nil, err
 	}
 	return rd.buf[rd.r : rd.r+n], nil
-}
-
-// chunk hands out the next buffered bytes, at most max, reading more when
-// none are buffered.
-func (rd *reader) chunk(max int64) ([]byte, error) {
-	if rd.r == rd.w {
-		if err := rd.fill(1); err != nil {
-			return nil, err
-		}
-	}
-	return rd.consume(int(min(max, int64(rd.w-rd.r)))), nil
-}
-
-// readFull copies the next len(dst) bytes into dst, across as many fills as
-// it takes.
-func (rd *reader) readFull(dst []byte) error {
-	for len(dst) > 0 {
-		b, err := rd.chunk(int64(len(dst)))
-		if err != nil {
-			return err
-		}
-		dst = dst[copy(dst, b):]
-	}
-	return nil
-}
-
-// skip hands out the next n bytes unseen — summed, when sum is set.
-func (rd *reader) skip(n int64) error {
-	for n > 0 {
-		b, err := rd.chunk(n)
-		if err != nil {
-			return err
-		}
-		n -= int64(len(b))
-	}
-	return nil
-}
-
-// triple reads the next 12 bytes as an (s, p, o) triple.
-func (rd *reader) triple() (store.IDTriple, error) {
-	if rd.w-rd.r >= 12 {
-		return decodeTriple(rd.consume(12)), nil
-	}
-	var b [12]byte
-	err := rd.readFull(b[:])
-	return decodeTriple(b[:]), err
-}
-
-// uvarint reads one uvarint as binary.Uvarint decodes it; ok is false where
-// Uvarint reports no value — the stretch ends inside it, or it overflows 64
-// bits.
-func (rd *reader) uvarint() (x uint64, ok bool, err error) {
-	if b := rd.buf[rd.r:rd.w]; len(b) >= binary.MaxVarintLen64 || int64(len(b)) == rd.left() {
-		x, w := binary.Uvarint(b)
-		if w <= 0 {
-			return 0, false, nil
-		}
-		rd.consume(w)
-		return x, true, nil
-	}
-	var b [1]byte
-	for i, shift := 0, uint(0); i < binary.MaxVarintLen64; i, shift = i+1, shift+7 {
-		if rd.left() == 0 {
-			return 0, false, nil
-		}
-		if err := rd.readFull(b[:]); err != nil {
-			return 0, false, err
-		}
-		if b[0] < 0x80 {
-			if i == binary.MaxVarintLen64-1 && b[0] > 1 {
-				return 0, false, nil
-			}
-			return x | uint64(b[0])<<shift, true, nil
-		}
-		x |= uint64(b[0]&0x7f) << shift
-	}
-	return 0, false, nil
 }
 
 // frame delimits the frame at the reader's position as nextFrame does,
@@ -231,83 +115,178 @@ func (rd *reader) frame() (payload []byte, ok bool, err error) {
 		return nil, false, err
 	}
 	if payload, _, ok = nextFrame(b, 0); ok {
-		rd.consume(len(b))
+		rd.r += len(b)
+		rd.pos += int64(len(b))
 	}
 	return payload, ok, nil
 }
 
-// region is one part of a patch where it lies — a dictionary window of n
-// names, or a triple run of n triples: size bytes at off in src — and, in a
-// segment file, the CRC-32C its verifying pass found of those bytes. A
-// region's bytes are read only through a reader; in a segment file, every
-// later read of them to their end is checked against crc.
-type region struct {
-	src       io.ReaderAt
-	off, size int64
-	n         int
-	crc       uint32
+// Where a cursor stands in its patch.
+const (
+	atStart  = iota // before its names
+	atNamed         // past its names, before its triples
+	atTriple        // among its triples
+)
+
+// cursor reads one patch of a fold in order, once: its names (readNames),
+// then its triples one at a time (next), as the one ascending stream the patch
+// holds — a log window's events, or a segment's frames, read through rd. A
+// segment's stream is held, as it is read, to strict order and to the id
+// bound of the names the chain holds through it — the checks a segment's
+// load has always made, in their words — and its frames to the totals its
+// last frame claims: where they are reached, nothing but the last frame may
+// follow, read again and the same as at the open. head is the triple read
+// last, add whether it is an add.
+type cursor struct {
+	p             segmentData
+	rd            reader
+	at            int        // atStart, atNamed or atTriple
+	names         int        // names read
+	na, nr        int        // adds and tombstones read
+	adds, removes tripleRun  // the current triple frame's unread adds and tombstones
+	events        []walEvent // a log window's unread events
+	head          store.IDTriple
+	add           bool
 }
 
-// memRegion is the region of n names or triples held in b, which no pass
-// checks.
-func memRegion(b []byte, n int) region {
-	return region{src: bytes.NewReader(b), size: int64(len(b)), n: n}
-}
-
-// reader returns a reader of the region through buf, summing what it reads.
-func (g region) reader(buf []byte) reader {
-	return newReader(g.src, g.off, g.off+g.size, buf, true)
-}
-
-// check holds the bytes rd has read of the region, all of them, to the
-// region's CRC.
-func (g region) check(rd *reader, file, what string) error {
-	if part, _ := rd.sums(); part != g.crc {
-		return fmt.Errorf("durable: segment %s: its %s changed after it was verified", file, what)
+// reset sets the cursor to read p from its start, through its buffer — a
+// new one of size bytes, the first time it reads a file.
+func (c *cursor) reset(p segmentData, size int) {
+	buf := c.rd.buf
+	*c = cursor{p: p, events: p.events}
+	if p.src != nil {
+		if buf == nil {
+			buf = make([]byte, size)
+		}
+		c.rd = newReader(p.src, int64(len(segMagic)), p.size-tailSize, buf)
 	}
+	c.rd.buf = buf
+}
+
+// frame hands out the payload of the segment's next frame, its CRC checked,
+// valid until the next call.
+func (c *cursor) frame() ([]byte, error) {
+	off := c.rd.pos
+	if c.rd.left() == 0 {
+		return nil, c.disagree("fewer")
+	}
+	payload, ok, err := c.rd.frame()
+	if err != nil {
+		return nil, fmt.Errorf("durable: reading segment %s: %w", c.p.file, err)
+	}
+	if !ok {
+		return nil, fmt.Errorf("durable: segment %s fails its checksum at offset %d", c.p.file, off)
+	}
+	return payload, nil
+}
+
+// disagree is the refusal of a segment whose frames hold fewer or more than
+// its last frame claims.
+func (c *cursor) disagree(than string) error {
+	return fmt.Errorf("durable: segment %s: its frames hold %s than the %d names, %d adds and %d tombstones its last frame claims",
+		c.p.file, than, c.p.dict.N, c.p.adds, c.p.removes)
+}
+
+// readNames reads the patch's names, handing them to yield, when it is not
+// nil, a run at a time — a segment's a frame at a time, valid until yield
+// returns.
+func (c *cursor) readNames(yield func(store.NameRun) error) error {
+	if c.p.src == nil {
+		c.at = atNamed
+		if yield == nil || c.p.dict.N == 0 {
+			return nil
+		}
+		return yield(c.p.dict)
+	}
+	for c.names < c.p.dict.N {
+		payload, err := c.frame()
+		if err != nil {
+			return err
+		}
+		first, run, err := decodeNames(payload)
+		if err != nil {
+			return fmt.Errorf("durable: segment %s: %w", c.p.file, err)
+		}
+		if want := c.p.dictFirst + store.SymbolID(c.names); first != want {
+			return fmt.Errorf("durable: segment %s: a name frame starts at id %d, want %d", c.p.file, first, want)
+		}
+		if run.N > c.p.dict.N-c.names {
+			return c.disagree("more")
+		}
+		c.names += run.N
+		if yield != nil {
+			if err := yield(run); err != nil {
+				return err
+			}
+		}
+	}
+	c.at = atNamed
 	return nil
 }
 
-// runCursor walks one triple run of a patch through rd. With hold set it
-// holds every triple to the run's id bound and strict order — the checks
-// the verifying pass makes, in its words — and with check set too, the run
-// read to its end to the CRC that pass recorded: every pass over a segment
-// file's runs sets both, the verifying pass hold alone, and a pass over a
-// folded log window, which never left memory, neither. head is the last
-// triple read.
-type runCursor struct {
-	rd          *reader
-	run         region
-	file        string
-	what        string // "add" or "remove"
-	bound       store.SymbolID
-	hold, check bool
-	i           int
-	head        store.IDTriple
-	add         bool
-}
-
-// next reads the run's next triple into head; ok is false once the run is
-// done.
-func (c *runCursor) next() (ok bool, err error) {
-	if c.i == c.run.n {
-		return false, nil
-	}
-	t, err := c.rd.triple()
-	if err != nil {
-		return false, fmt.Errorf("durable: reading segment %s: %w", c.file, err)
-	}
-	if c.hold {
-		if t.S >= c.bound || t.P >= c.bound || t.O >= c.bound {
-			return false, fmt.Errorf("durable: segment %s: %s triple %d references id beyond the %d-id dictionary prefix", c.file, c.what, c.i, c.bound)
+// next reads the patch's next triple into head; ok is false once its
+// triples are done — for a segment, once its end checks hold.
+func (c *cursor) next() (ok bool, err error) {
+	c.at = atTriple
+	if c.p.src == nil {
+		if len(c.events) == 0 {
+			return false, nil
 		}
-		if c.i > 0 && !c.head.Less(t) {
-			return false, fmt.Errorf("durable: segment %s: %s run not strictly sorted at triple %d", c.file, c.what, c.i)
+		c.head, c.add = c.events[0].t, c.events[0].key&1 != 0
+		c.events = c.events[1:]
+		return true, nil
+	}
+	for len(c.adds)+len(c.removes) == 0 {
+		if c.na == c.p.adds && c.nr == c.p.removes {
+			return false, c.end()
 		}
+		payload, err := c.frame()
+		if err != nil {
+			return false, err
+		}
+		nAdds, run, err := decodeTriples(payload)
+		if err != nil {
+			return false, fmt.Errorf("durable: segment %s: %w", c.p.file, err)
+		}
+		if nAdds > c.p.adds-c.na || run.len()-nAdds > c.p.removes-c.nr {
+			return false, c.disagree("more")
+		}
+		c.adds, c.removes = run[:12*nAdds], run[12*nAdds:]
+	}
+	var t store.IDTriple
+	what, i := "add", c.na
+	if c.add = len(c.removes) == 0 || len(c.adds) > 0 && c.adds.at(0).Less(c.removes.at(0)); c.add {
+		t, c.adds = c.adds.at(0), c.adds[12:]
+		c.na++
+	} else {
+		t, c.removes = c.removes.at(0), c.removes[12:]
+		what, i = "remove", c.nr
+		c.nr++
+	}
+	if bound := c.p.dictFirst + store.SymbolID(c.p.dict.N); t.S >= bound || t.P >= bound || t.O >= bound {
+		return false, fmt.Errorf("durable: segment %s: %s triple %d references id beyond the %d-id dictionary prefix", c.p.file, what, i, bound)
+	}
+	if c.na+c.nr > 1 && !c.head.Less(t) {
+		return false, fmt.Errorf("durable: segment %s: %s run not strictly sorted at triple %d", c.p.file, what, i)
 	}
 	c.head = t
-	if c.i++; c.i == c.run.n && c.check {
-		return true, c.run.check(c.rd, c.file, c.what+" run")
-	}
 	return true, nil
+}
+
+// end holds a segment whose totals its frames have reached to what follows
+// them: nothing before its last frame, which must be the one its open read.
+func (c *cursor) end() error {
+	if c.rd.left() != 0 {
+		return c.disagree("more")
+	}
+	c.rd.end += frameHeader + lastSize
+	payload, err := c.frame()
+	if err != nil {
+		return err
+	}
+	var want [lastSize]byte
+	if !bytes.Equal(payload, c.p.appendLast(want[:0])) {
+		return fmt.Errorf("durable: segment %s: its last frame changed after it was opened", c.p.file)
+	}
+	return nil
 }

@@ -84,7 +84,7 @@ const (
 	dictPayloadHeader = recHeader + 8
 )
 
-// castagnoli is the CRC-32C table shared by framing and segment footers.
+// castagnoli is the CRC-32C table of the frames of the log and of segments.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // appendFrame wraps payload in a frame and appends it to dst.
@@ -211,25 +211,10 @@ func decodeRecord(payload []byte) (record, error) {
 	r.typ = payload[0]
 	r.seq = binary.LittleEndian.Uint64(payload[1:])
 	body := payload[recHeader:]
+	var err error
 	switch r.typ {
 	case recDict:
-		if len(body) < 8 {
-			return r, fmt.Errorf("durable: dict record body of %d bytes is shorter than its first+count header", len(body))
-		}
-		r.first = binary.LittleEndian.Uint32(body)
-		count := int(binary.LittleEndian.Uint32(body[4:]))
-		body = body[8:]
-		if count > len(body) { // every name costs ≥1 length byte
-			return r, fmt.Errorf("durable: dict record claims %d names in %d bytes", count, len(body))
-		}
-		size, whole := scanNames(body, count)
-		if whole < count {
-			return r, fmt.Errorf("durable: dict record name %d overruns the body", whole)
-		}
-		if size != len(body) {
-			return r, fmt.Errorf("durable: dict record has %d trailing bytes", len(body)-size)
-		}
-		r.names = store.NameRun{N: count, Enc: body}
+		r.first, r.names, err = decodeNames(body)
 	case recPart, recWrite:
 		if r.typ == recWrite {
 			if len(body) < 24 {
@@ -238,20 +223,50 @@ func decodeRecord(payload []byte) (record, error) {
 			r.at = store.Position{Gen: binary.LittleEndian.Uint64(body), Digest: store.Digest{binary.LittleEndian.Uint64(body[8:]), binary.LittleEndian.Uint64(body[16:])}}
 			body = body[24:]
 		}
-		if len(body) < 8 {
-			return r, fmt.Errorf("durable: mutation record body of %d bytes is shorter than its two count headers", len(body))
-		}
-		nAdds := uint64(binary.LittleEndian.Uint32(body))
-		nRemoves := uint64(binary.LittleEndian.Uint32(body[4:]))
-		body = body[8:]
-		if uint64(len(body)) != 12*(nAdds+nRemoves) {
-			return r, fmt.Errorf("durable: mutation record claims %d adds and %d removes but carries %d bytes", nAdds, nRemoves, len(body))
-		}
-		r.nAdds, r.triples = int(nAdds), body
+		r.nAdds, r.triples, err = decodeTriples(body)
 	case 2, 3, 4:
 		return r, fmt.Errorf("durable: record type %d was written by an older build of this engine, which this build does not read", r.typ)
 	default:
 		return r, fmt.Errorf("durable: unknown record type %d", r.typ)
 	}
-	return r, nil
+	return r, err
+}
+
+// decodeNames parses a recDict body — a segment's name frame is one too:
+// the first id, and the names as they lie in body, every length checked
+// against the bytes present.
+func decodeNames(body []byte) (store.SymbolID, store.NameRun, error) {
+	if len(body) < 8 {
+		return 0, store.NameRun{}, fmt.Errorf("durable: dict record body of %d bytes is shorter than its first+count header", len(body))
+	}
+	first := binary.LittleEndian.Uint32(body)
+	count := int(binary.LittleEndian.Uint32(body[4:]))
+	body = body[8:]
+	if count > len(body) { // every name costs ≥1 length byte
+		return 0, store.NameRun{}, fmt.Errorf("durable: dict record claims %d names in %d bytes", count, len(body))
+	}
+	size, whole := scanNames(body, count)
+	if whole < count {
+		return 0, store.NameRun{}, fmt.Errorf("durable: dict record name %d overruns the body", whole)
+	}
+	if size != len(body) {
+		return 0, store.NameRun{}, fmt.Errorf("durable: dict record has %d trailing bytes", len(body)-size)
+	}
+	return first, store.NameRun{N: count, Enc: body}, nil
+}
+
+// decodeTriples parses the triples of a recPart or recWrite body after its
+// position — a segment's triple frame is a recPart body: the count of adds,
+// and the triples, adds first, as they lie in body.
+func decodeTriples(body []byte) (int, tripleRun, error) {
+	if len(body) < 8 {
+		return 0, nil, fmt.Errorf("durable: mutation record body of %d bytes is shorter than its two count headers", len(body))
+	}
+	nAdds := uint64(binary.LittleEndian.Uint32(body))
+	nRemoves := uint64(binary.LittleEndian.Uint32(body[4:]))
+	body = body[8:]
+	if uint64(len(body)) != 12*(nAdds+nRemoves) {
+		return 0, nil, fmt.Errorf("durable: mutation record claims %d adds and %d removes but carries %d bytes", nAdds, nRemoves, len(body))
+	}
+	return int(nAdds), body, nil
 }

@@ -25,9 +25,9 @@ import (
 //	          — a gap or partial overlap is corruption, reported, never
 //	          papered over
 //	load segments
-//	          foldHistory (tier.go): foldChain verifies the chain, from
+//	          foldHistory (tier.go): foldChain opens the chain, from
 //	          seq 1 and id 0, oldest→newest onto one fold — the loop a
-//	          merge runs
+//	          merge runs — and reads the segments' names
 //	fold tail foldWAL folds the wal files beyond the chain into one more
 //	          patch, pushed onto the same fold — the fold a checkpoint
 //	          runs: its first walk counts the tail's names, one
@@ -211,7 +211,7 @@ func loadFold(st *store.Store, f *fold) error {
 	// run.
 	adds := 0
 	for _, p := range f.patches {
-		adds += p.adds.n
+		adds += p.adds
 	}
 	triples := make([]store.IDTriple, 0, adds)
 	if err := f.each(func(t store.IDTriple, add bool) bool {

@@ -2,9 +2,9 @@ package durable
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"repro/internal/store"
@@ -26,31 +26,40 @@ import (
 // seq 1, and a segment starting at 1 carries no tombstones — a patch against
 // the empty state has nothing to remove.
 //
-// Layout (integers little-endian):
+// Layout (integers little-endian). Every piece after the magic but the
+// trailer is a frame, framed as the log frames its records (record.go: the
+// payload's length and CRC-32C, then the payload), and no frame a writer
+// makes outgrows a reader's buffer (readBufSize) unless one name does:
 //
-//	magic     "ONTOSEG3"                       8 bytes
-//	start     uint64                           first WAL seq the segment covers
-//	end       uint64                           last WAL seq the segment covers
-//	gen       uint64                           the stamp: the store.Position of
-//	digest    2 × uint64                       the state through end
-//	dictFirst uint32                           id of the first name below
-//	dict      count uint32,
-//	          count × (uvarint n, n bytes)     names for ids dictFirst..dictFirst+count-1
-//	adds      count uint64,
-//	          count × (s, p, o uint32)         net inserts, sorted by (s, p, o)
-//	removes   count uint64,
-//	          count × (s, p, o uint32)         net removals (tombstones), sorted
-//	crc       uint32                           CRC-32C of everything above
-//	trailer   "ONTOSEGE"                       8 bytes
+//	magic     "ONTOSEG4"                         8 bytes
+//	names     frames, each a recDict body:       first uint32, count uint32,
+//	                                             count × (uvarint n, n bytes)
+//	triples   frames, each a recPart body:       nAdds uint32, nRemoves uint32,
+//	                                             nAdds × (s, p, o uint32),
+//	                                             nRemoves × (s, p, o uint32)
+//	last      one frame:                         start, end uint64 (the window),
+//	                                             gen uint64, digest 2 × uint64
+//	                                             (the stamp: the position of the
+//	                                             state through end), dictFirst,
+//	                                             names uint32, adds, removes uint64
+//	trailer   the last frame's offset uint64,
+//	          "ONTOSEGE"                         16 bytes
 //
-// Both triple runs are strictly sorted and reference only ids below
-// dictFirst+count of the whole chain prefix — properties the loader verifies,
-// because every consumer (the fold in tier.go, store.RestoreSorted) depends
-// on them. The loader is a verifying pass over the file (verifySegment),
-// read in order through a fixed buffer: it keeps where each region — the
-// dictionary window, each run — lies, and the region's own CRC-32C, and the
-// fold reads the regions from the file as it runs, each later pass holding
-// what it reads to what the verifying pass found.
+// The name frames hold the names of ids dictFirst..dictFirst+names-1, in
+// order. The triple frames are consecutive stretches of the patch's one
+// stream of adds and tombstones, strictly ascending in (S, P, O) order: a
+// frame holds its stretch's adds, then its tombstones. Every triple
+// references only ids below dictFirst+names — the names of the whole chain
+// prefix — and a segment starting at seq 1 holds no tombstones. Every
+// consumer (the fold in tier.go, store.RestoreSorted) depends on these
+// properties, so the reader holds each segment to them.
+//
+// A segment is written in one pass of its fold, which counts the totals on
+// the way and puts them last (encodeSegment). Opening one reads its magic,
+// its trailer and its last frame (openSegment); its cursor (reader.go) then
+// reads every frame once, in file order, checking each frame's CRC before it
+// hands out anything of it, and holds what it reads to the order, the bound
+// and the totals as it goes.
 //
 // A segment becomes visible atomically: written to a .tmp name, fsynced,
 // renamed into place, directory fsynced. Readers never see a half-written
@@ -59,29 +68,44 @@ import (
 // A segment over the whole chain, start 1, is also what GET /repl/snapshot
 // serves (serve.go).
 
-// Segment magic strings. ONTOSEG1 (a full dump) and ONTOSEG2 (a delta with
-// no stamp) are the formats of older builds: the loader names them as such
-// rather than misreading them.
+// Segment magic strings. ONTOSEG1 (a full dump), ONTOSEG2 (a delta with no
+// stamp) and ONTOSEG3 (runs counted up front, one CRC over the body) are the
+// formats of older builds: the loader names them as such rather than
+// misreading them.
 const (
-	segMagic   = "ONTOSEG3"
+	segMagic   = "ONTOSEG4"
 	segTrailer = "ONTOSEGE"
 )
 
-// segmentData is one patch: a verified segment file, or a folded log
-// window. Its dictionary window and triple runs are regions — where they lie
-// in the file, or in the fold's memory — which the fold reads as it runs.
+// Sizes of the segment format's fixed pieces.
+const (
+	// lastSize is the last frame's payload.
+	lastSize = 8 + 8 + 24 + 4 + 4 + 8 + 8
+	// tailSize is the last frame and the trailer: what opening a segment
+	// reads besides its magic.
+	tailSize = frameHeader + lastSize + 8 + 8 // the trailer: an offset and segTrailer
+	// frameTriples is the most triples one triple frame holds: the frame,
+	// its header and counts included, fills at most one reader's buffer.
+	frameTriples = (readBufSize - frameHeader - 8) / 12
+)
+
+// segmentData is one patch: a segment file, opened (openSegment), or a
+// folded log window (foldWAL). Its totals are known before it is read — a
+// segment's last frame claims them — and a cursor (reader.go) reads it.
 type segmentData struct {
 	start, end uint64         // WAL seq window [start, end], start ≥ 1
 	at         store.Position // the stamp: the position of the state through end
 	dictFirst  store.SymbolID
-	dict       region // the names of ids dictFirst..dictFirst+dict.n-1
-	adds       region // sorted (S, P, O), strictly ascending
-	removes    region // sorted tombstones; empty when start == 1
-	size       int64  // file size; set by verifySegment, informative only
-	file       string // what errors name it by
-	// checked is set by verifySegment: every later pass holds the regions
-	// to what it found. A folded log window never leaves memory.
-	checked bool
+	// dict is the names of ids dictFirst..dictFirst+dict.N-1: their bytes
+	// in Enc for a log window, in its name frames for a segment.
+	dict          store.NameRun
+	adds, removes int // its triples' totals; no tombstones when start == 1
+	// events is a log window's triples, strictly ascending, each its last
+	// event in the window, the add bit in key.
+	events []walEvent
+	src    io.ReaderAt // a segment's file; nil for a log window
+	size   int64       // the file's size
+	file   string      // what errors name it by
 }
 
 // tripleRun is a run of triples in the form a segment file and a mutation
@@ -118,22 +142,6 @@ func parseSegmentName(name string) (start, end uint64, ok bool) {
 		return 0, 0, false
 	}
 	return start, end, true
-}
-
-// crcWriter feeds every written byte to both the file and the running
-// checksum, so the footer CRC covers exactly the bytes on disk before it, and
-// counts them.
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
-	n   int64
-}
-
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.crc = crc32.Update(cw.crc, castagnoli, p[:n])
-	cw.n += int64(n)
-	return n, err
 }
 
 // writeSegment streams the fold into the segment file for its window and
@@ -182,207 +190,204 @@ func writeSegment(d disk, fd *fold, stop <-chan struct{}) (meta segMeta, retErr 
 	return meta, nil
 }
 
-// encodeSegment streams the fold into w in the segment format and returns
-// the bytes it wrote and the runs' sizes. The fold runs twice: once to count
-// each run, because a run's count comes before it in the format, and once to
-// write — the adds, then the tombstones if the count found any. The
-// dictionary regions are written one after another, as they lie. A fold
-// yields its runs sorted; the loader verifies it on the way back in.
-func encodeSegment(w io.Writer, fd *fold) (n int64, adds, removes int, retErr error) {
-	adds, removes, err := fd.count()
-	if err != nil {
+// encodeSegment streams the fold into w in the segment format, in one pass:
+// its names into name frames (fold.nameRuns), then its one sorted stream of
+// adds and tombstones into triple frames (fold.each), counting them, then
+// the totals in the last frame, and the trailer. It returns the bytes it
+// wrote and the totals.
+func encodeSegment(w io.Writer, fd *fold) (n int64, adds, removes int, err error) {
+	sw := segWriter{w: w, pay: make([]byte, 0, readBufSize), out: make([]byte, 0, readBufSize)}
+	sw.write([]byte(segMagic))
+	id := fd.dictFirst
+	err = fd.nameRuns(func(run store.NameRun) error {
+		for enc := run.Enc; len(enc) > 0 && sw.err == nil; id++ {
+			l, k := binary.Uvarint(enc) // a frame's names were scanned when it was read
+			sw.name(id, enc[:k+int(l)])
+			enc = enc[k+int(l):]
+		}
+		return sw.err
+	})
+	sw.flushNames()
+	if err == nil {
+		err = fd.each(func(t store.IDTriple, add bool) bool {
+			sw.triple(t, add)
+			return sw.err == nil
+		})
+	}
+	sw.flushTriples()
+	if err = cmp.Or(err, sw.err); err != nil {
 		return 0, 0, 0, err
 	}
-	cw := &crcWriter{w: w}
-	// chunk stages the fixed-width fields and the triple runs, so a run
-	// reaches the checksum and the writer in chunk-sized writes.
-	var chunk [64 * 12]byte
-	write := func(p []byte) error {
-		if retErr == nil {
-			if _, err := cw.Write(p); err != nil {
-				retErr = fmt.Errorf("durable: writing segment: %w", err)
-			}
-		}
-		return retErr
-	}
-	b := append(chunk[:0], segMagic...)
-	b = binary.LittleEndian.AppendUint64(b, fd.start)
-	b = binary.LittleEndian.AppendUint64(b, fd.end)
-	b = binary.LittleEndian.AppendUint64(b, fd.at.Gen)
-	b = binary.LittleEndian.AppendUint64(b, fd.at.Digest[0])
-	b = binary.LittleEndian.AppendUint64(b, fd.at.Digest[1])
-	b = binary.LittleEndian.AppendUint32(b, fd.dictFirst)
-	b = binary.LittleEndian.AppendUint32(b, uint32(fd.names))
-	_ = write(b)
-	if err := fd.copyDictionary(write); err != nil && retErr == nil {
-		retErr = err
-	}
-	writeRun := func(count int, wantAdds bool) {
-		b := binary.LittleEndian.AppendUint64(chunk[:0], uint64(count))
-		if count > 0 && retErr == nil {
-			err := fd.each(func(t store.IDTriple, add bool) bool {
-				if add != wantAdds {
-					return true
-				}
-				if len(b) > len(chunk)-12 {
-					if write(b) != nil {
-						return false
-					}
-					b = chunk[:0]
-				}
-				b = appendTriple(b, t)
-				return true
-			})
-			if err != nil && retErr == nil {
-				retErr = err
-			}
-		}
-		_ = write(b)
-	}
-	writeRun(adds, true)
-	writeRun(removes, false)
-	if retErr != nil {
-		return 0, 0, 0, retErr
-	}
-	// Footer: CRC of everything above, then the trailer magic, written past
-	// the checksum — it must not hash itself.
-	footer := append(binary.LittleEndian.AppendUint32(chunk[:0], cw.crc), segTrailer...)
-	if _, err := w.Write(footer); err != nil {
-		return 0, 0, 0, fmt.Errorf("durable: writing segment footer: %w", err)
-	}
-	return cw.n + int64(len(footer)), adds, removes, nil
+	last := segmentData{start: fd.start, end: fd.end, at: fd.at, dictFirst: fd.dictFirst, dict: store.NameRun{N: fd.names}, adds: sw.adds, removes: sw.removes}
+	at := sw.n
+	sw.frame(last.appendLast(sw.pay[:0]))
+	sw.write(append(binary.LittleEndian.AppendUint64(sw.pay[:0], uint64(at)), segTrailer...))
+	return sw.n, sw.adds, sw.removes, sw.err
 }
 
-// verifySegment is the verifying pass over the segment file called name:
-// size bytes in src, read in order through buf. Any framing violation — bad
-// magic, bad CRC, truncation, an unsorted run, an id at or beyond
-// dictFirst+count — is an error: segments are published atomically, so a
-// damaged one means real corruption, never a torn write to tolerate. A
-// damaged structure is reported only once the CRC-32C of the body holds, as
-// if the whole file had been checksummed first. The id bound is against the
-// chain prefix the window ends at (dictFirst+count), so a segment may freely
-// reference names minted by older segments. It returns the segment's
-// regions, each with its offset and its own CRC-32C, which every later pass
-// over them re-checks.
-func verifySegment(name string, src io.ReaderAt, size int64, buf []byte) (segmentData, error) {
-	seg := segmentData{size: size, file: name, checked: true}
-	const header = len(segMagic) + 8 + 8 + 24 + 4 + 4
-	const footer = 4 + len(segTrailer)
-	var head [header]byte
-	var foot [footer]byte
-	readErr := func(err error) error { return fmt.Errorf("durable: reading segment %s: %w", name, err) }
-	magic := head[:min(size, int64(len(segMagic)))]
-	if err := readAt(src, magic, 0); err != nil {
-		return seg, readErr(err)
+// segWriter frames a segment as encodeSegment writes it, counting the bytes
+// it writes and the triples. pay is the payload of the frame being filled —
+// kept names, or kept triples of which the tombstones wait in rems, to
+// follow the adds — and out the frame as written.
+type segWriter struct {
+	w                   io.Writer
+	n                   int64
+	err                 error
+	pay, rems, out      []byte
+	kept, adds, removes int
+}
+
+// write writes p, unless an earlier write failed.
+func (sw *segWriter) write(p []byte) {
+	if sw.err != nil {
+		return
 	}
-	switch magic := string(magic); magic {
+	k, err := sw.w.Write(p)
+	sw.n += int64(k)
+	if err != nil {
+		sw.err = fmt.Errorf("durable: writing segment: %w", err)
+	}
+}
+
+// frame writes payload as a frame.
+func (sw *segWriter) frame(payload []byte) {
+	sw.out = appendFrame(sw.out[:0], payload)
+	sw.write(sw.out)
+}
+
+// name keeps the encoded name b of id in the name frame being filled,
+// writing that frame first when b would overfill it.
+func (sw *segWriter) name(id store.SymbolID, b []byte) {
+	if sw.kept > 0 && frameHeader+len(sw.pay)+len(b) > readBufSize {
+		sw.flushNames()
+	}
+	if sw.kept == 0 {
+		sw.pay = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(sw.pay[:0], id), 0)
+	}
+	sw.pay = append(sw.pay, b...)
+	sw.kept++
+}
+
+// flushNames writes the name frame being filled, if it holds a name.
+func (sw *segWriter) flushNames() {
+	if sw.kept > 0 {
+		binary.LittleEndian.PutUint32(sw.pay[4:], uint32(sw.kept))
+		sw.frame(sw.pay)
+		sw.kept = 0
+	}
+}
+
+// triple keeps the next triple of the stream in the triple frame being
+// filled, writing that frame first when it is full.
+func (sw *segWriter) triple(t store.IDTriple, add bool) {
+	if sw.kept == frameTriples {
+		sw.flushTriples()
+	}
+	if sw.kept == 0 {
+		sw.pay, sw.rems = append(sw.pay[:0], 0, 0, 0, 0, 0, 0, 0, 0), sw.rems[:0]
+	}
+	if add {
+		sw.pay = appendTriple(sw.pay, t)
+		sw.adds++
+	} else {
+		sw.rems = appendTriple(sw.rems, t)
+		sw.removes++
+	}
+	sw.kept++
+}
+
+// flushTriples writes the triple frame being filled, if it holds a triple:
+// its counts, its adds, then its tombstones.
+func (sw *segWriter) flushTriples() {
+	if sw.kept > 0 {
+		removes := len(sw.rems) / 12
+		binary.LittleEndian.PutUint32(sw.pay, uint32(sw.kept-removes))
+		binary.LittleEndian.PutUint32(sw.pay[4:], uint32(removes))
+		sw.pay = append(sw.pay, sw.rems...)
+		sw.frame(sw.pay)
+		sw.kept = 0
+	}
+}
+
+// appendLast appends the payload of seg's last frame to dst.
+func (seg *segmentData) appendLast(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, seg.start)
+	dst = binary.LittleEndian.AppendUint64(dst, seg.end)
+	dst = binary.LittleEndian.AppendUint64(dst, seg.at.Gen)
+	dst = binary.LittleEndian.AppendUint64(dst, seg.at.Digest[0])
+	dst = binary.LittleEndian.AppendUint64(dst, seg.at.Digest[1])
+	dst = binary.LittleEndian.AppendUint32(dst, seg.dictFirst)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(seg.dict.N))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(seg.adds))
+	return binary.LittleEndian.AppendUint64(dst, uint64(seg.removes))
+}
+
+// openSegment opens the segment file called name, size bytes in src: it
+// reads the magic, the trailer and the last frame, and holds the totals the
+// last frame claims to the bytes the frames before it have, so that nothing
+// sized by them outgrows the file. Any framing violation is an error:
+// segments are published atomically, so a damaged one means real
+// corruption, never a torn write to tolerate. The frames are read later,
+// once, by the patch's cursor.
+func openSegment(name string, src io.ReaderAt, size int64) (segmentData, error) {
+	seg := segmentData{src: src, size: size, file: name}
+	var magic [len(segMagic)]byte
+	var tail [tailSize]byte
+	if err := readAt(src, magic[:min(size, int64(len(magic)))], 0); err != nil {
+		return seg, fmt.Errorf("durable: reading segment %s: %w", name, err)
+	}
+	switch magic := string(magic[:min(size, int64(len(magic)))]); magic {
 	case segMagic:
-	case "ONTOSEG1", "ONTOSEG2":
+	case "ONTOSEG1", "ONTOSEG2", "ONTOSEG3":
 		return seg, fmt.Errorf("durable: segment %s is in the %s format of an older build of this engine, which this build does not read", name, magic)
 	default:
 		return seg, fmt.Errorf("durable: segment %s has a bad magic header", name)
 	}
-	if size < int64(header+8+8+footer) {
+	body := size - int64(len(segMagic)+tailSize) // the name and triple frames
+	if body < 0 {
 		return seg, fmt.Errorf("durable: segment %s is %d bytes, too short to be valid", name, size)
 	}
-	if err := readAt(src, foot[:], size-int64(footer)); err != nil {
-		return seg, readErr(err)
+	if err := readAt(src, tail[:], size-tailSize); err != nil {
+		return seg, fmt.Errorf("durable: reading segment %s: %w", name, err)
 	}
-	if string(foot[4:]) != segTrailer {
+	if string(tail[tailSize-len(segTrailer):]) != segTrailer {
 		return seg, fmt.Errorf("durable: segment %s has a bad trailer (truncated checkpoint?)", name)
 	}
-	wantCRC := binary.LittleEndian.Uint32(foot[:])
-
-	rd := newReader(src, 0, size-int64(footer), buf, true)
-	rd.whole = true
-	if err := rd.readFull(head[:]); err != nil {
-		return seg, readErr(err)
+	if off := binary.LittleEndian.Uint64(tail[frameHeader+lastSize:]); off != uint64(size-tailSize) {
+		return seg, fmt.Errorf("durable: segment %s: its trailer puts its last frame at offset %d, not %d", name, off, size-tailSize)
 	}
-	// The first structural fault is kept while the rest of the body is
-	// summed: a checksum failure outranks it.
-	bad := seg.decodeBody(&rd, head[:])
-	if err := rd.skip(rd.left()); err != nil {
-		return seg, readErr(err)
-	}
-	if _, body := rd.sums(); body != wantCRC {
+	last, _, ok := nextFrame(tail[:frameHeader+lastSize], 0)
+	if !ok || len(last) != lastSize {
 		return seg, fmt.Errorf("durable: segment %s fails its checksum", name)
 	}
-	return seg, bad
-}
-
-// decodeBody reads the segment's body after its header (head) from rd,
-// holding it to the format, and fills seg's window, stamp and regions in. It
-// returns the first fault; rd then stands somewhere inside the body.
-func (seg *segmentData) decodeBody(rd *reader, head []byte) error {
-	name := seg.file
-	body := head[len(segMagic):]
-	seg.start = binary.LittleEndian.Uint64(body)
-	seg.end = binary.LittleEndian.Uint64(body[8:])
+	seg.start = binary.LittleEndian.Uint64(last)
+	seg.end = binary.LittleEndian.Uint64(last[8:])
 	if seg.start < 1 || seg.end+1 < seg.start { // an empty window is a snapshot of an empty log
-		return fmt.Errorf("durable: segment %s claims window [%d, %d]", name, seg.start, seg.end)
+		return seg, fmt.Errorf("durable: segment %s claims window [%d, %d]", name, seg.start, seg.end)
 	}
-	seg.at = store.Position{Gen: binary.LittleEndian.Uint64(body[16:]), Digest: store.Digest{
-		binary.LittleEndian.Uint64(body[24:]), binary.LittleEndian.Uint64(body[32:])}}
-	seg.dictFirst = binary.LittleEndian.Uint32(body[40:])
-	dictCount := int(binary.LittleEndian.Uint32(body[44:]))
-	if uint64(seg.dictFirst)+uint64(dictCount) > 1<<32-1 {
-		return fmt.Errorf("durable: segment %s dictionary window %d+%d overflows the id space", name, seg.dictFirst, dictCount)
+	seg.at = store.Position{Gen: binary.LittleEndian.Uint64(last[16:]), Digest: store.Digest{
+		binary.LittleEndian.Uint64(last[24:]), binary.LittleEndian.Uint64(last[32:])}}
+	seg.dictFirst = binary.LittleEndian.Uint32(last[40:])
+	names := binary.LittleEndian.Uint32(last[44:])
+	if uint64(seg.dictFirst)+uint64(names) > 1<<32-1 {
+		return seg, fmt.Errorf("durable: segment %s dictionary window %d+%d overflows the id space", name, seg.dictFirst, names)
 	}
-	if int64(dictCount) > rd.left() { // every name costs ≥1 length byte
-		return fmt.Errorf("durable: segment %s claims %d dictionary names in %d bytes", name, dictCount, rd.left())
+	if int64(names) > body { // every name costs ≥1 length byte
+		return seg, fmt.Errorf("durable: segment %s claims %d dictionary names in %d bytes", name, names, body)
 	}
-	// The names stay encoded: a merge copies the region as it lies, and
-	// recovery decodes the regions it folded (fold.dictionary).
-	seg.dict = region{src: rd.src, off: rd.pos, n: dictCount}
-	rd.restart()
-	for i := 0; i < dictCount; i++ {
-		n, ok, err := rd.uvarint()
-		if err != nil {
-			return fmt.Errorf("durable: reading segment %s: %w", name, err)
-		}
-		if !ok || n > uint64(rd.left()) {
-			return fmt.Errorf("durable: segment %s: dictionary name %d overruns the file", name, i)
-		}
-		if err := rd.skip(int64(n)); err != nil {
-			return fmt.Errorf("durable: reading segment %s: %w", name, err)
-		}
+	// Validate by division, not multiplication: 12*count would wrap for a
+	// corrupt count near 2^64 and sneak past a comparison.
+	room := uint64(body) / 12
+	adds, removes := binary.LittleEndian.Uint64(last[48:]), binary.LittleEndian.Uint64(last[56:])
+	if adds > room {
+		return seg, fmt.Errorf("durable: segment %s claims %d add triples but carries %d bytes", name, adds, body)
 	}
-	seg.dict.size = rd.pos - seg.dict.off
-	seg.dict.crc, _ = rd.sums()
-	bound := seg.dictFirst + store.SymbolID(dictCount)
-	readRun := func(what string) (region, error) {
-		var b [8]byte
-		if rd.left() < 8 {
-			return region{}, fmt.Errorf("durable: segment %s is truncated before its %s count", name, what)
-		}
-		if err := rd.readFull(b[:]); err != nil {
-			return region{}, fmt.Errorf("durable: reading segment %s: %w", name, err)
-		}
-		count := binary.LittleEndian.Uint64(b[:])
-		// Validate by division, not multiplication: 12*count would wrap for
-		// a corrupt count near 2^64 and sneak past a comparison.
-		if uint64(rd.left())/12 < count {
-			return region{}, fmt.Errorf("durable: segment %s claims %d %s triples but carries %d bytes", name, count, what, rd.left())
-		}
-		run := region{src: rd.src, off: rd.pos, size: 12 * int64(count), n: int(count)}
-		rd.restart()
-		c := runCursor{rd: rd, run: run, file: name, what: what, bound: bound, hold: true}
-		for {
-			if ok, err := c.next(); err != nil || !ok {
-				run.crc, _ = rd.sums()
-				return run, err
-			}
-		}
+	if removes > room-adds {
+		return seg, fmt.Errorf("durable: segment %s claims %d remove triples but carries %d bytes", name, removes, body)
 	}
-	var err error
-	if seg.adds, err = readRun("add"); err != nil {
-		return err
+	if seg.start == 1 && removes > 0 {
+		return seg, fmt.Errorf("durable: segment %s starts at seq 1 but claims %d tombstones", name, removes)
 	}
-	if seg.removes, err = readRun("remove"); err != nil {
-		return err
-	}
-	if rd.left() != 0 {
-		return fmt.Errorf("durable: segment %s has %d trailing bytes", name, rd.left())
-	}
-	return nil
+	seg.dict.N, seg.adds, seg.removes = int(names), int(adds), int(removes)
+	return seg, nil
 }

@@ -84,9 +84,9 @@ func stampChain(segs []segmentData) *logScript {
 	l := &logScript{}
 	for i := range segs {
 		seg := &segs[i]
-		l.names = append(l.names, seg.dict.strings()...)
-		l.apply(nil, seg.removes.triples())
-		l.apply(seg.adds.triples(), nil)
+		l.names = append(l.names, runNames(seg.dict)...)
+		l.apply(nil, seg.triples(false))
+		l.apply(seg.triples(true), nil)
 		seg.at = l.at()
 	}
 	return l

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"slices"
 
 	"repro/internal/store"
@@ -13,31 +12,30 @@ import (
 
 // This file is the patch algebra of the data directory. A directory is a
 // chain of patches over adjacent seq windows — segment files (segment.go),
-// then the wal files beyond them (record.go). A patch keeps its dictionary
-// window and both triple runs encoded, as the files carry them, and where
-// they lie: in the segment file, or in memory for a folded log window. A
-// fold composes adjacent patches, oldest first, in one k-way pass over all
-// their runs in which the newest mention of a triple wins, and every use of
-// the directory is a sink of that one fold. Every file is read through a
-// fixed buffer (reader.go), never whole; the disk's open is the one read
-// door. walkWAL reads the log under them all, and under the replica's
-// Follower, which folds nothing:
+// then the wal files beyond them (record.go). A patch's names and triples
+// stay where they lie: in a segment file's frames, or in memory for a folded
+// log window. A fold composes adjacent patches, oldest first, in one k-way
+// pass over their sorted streams in which the newest mention of a triple
+// wins, and every use of the directory is a sink of that one fold. Every
+// file is read through a fixed buffer (reader.go), never whole; the disk's
+// open is the one read door. walkWAL reads the log under them all, and under
+// the replica's Follower, which folds nothing:
 //
 //	reader      folds                              reads                                ends at               a bad frame is
 //	checkpoint  foldWAL of the sealed files        each file twice: count, then fold    the rotation point    corruption
-//	merge       foldChain of a suffix              each segment: verify, then each pass the chain's end       n/a (segments are atomic)
+//	merge       foldChain of a suffix              each segment once: names, triples    the chain's end       corruption (segments are atomic)
 //	recovery    foldHistory: chain, then log tail  both of the above                    the end of the log    cut in the last file; over the cap, corrupt
 //	snapshot    foldHistory to the last commit     both, the last file to its cut       that write            corruption
 //	Follower    nothing: walkWAL of one log body   the body, through a bytes.Reader     its last whole write  ErrTorn, over the cap too
 //
 // A checkpoint and a merge stream their fold into a segment file
 // (writeSegment); recovery streams it into the run the store is loaded
-// from. Nothing composes two patches into a third in memory. A segment's
-// verifying pass records each region's offset and CRC-32C, and every later
-// pass re-checks the order, the id bound and the CRC of what it reads
-// (runCursor), so a merge publishes only bytes the pass that read them
-// checked. The size-ratio
-// merge policy lives here too.
+// from. Nothing composes two patches into a third in memory. Each patch is
+// read by one cursor, which checks a frame's CRC before it hands out
+// anything of it and holds the stream to its order, its id bound and its
+// totals as it reads, so a merge reads each input once and publishes only
+// bytes the pass that read them checked. The size-ratio merge policy lives
+// here too.
 //
 // The on-disk chain is a classic size-tiered LSM shape: checkpoints append
 // small young segments on the right, the background merge folds a suffix of
@@ -57,17 +55,17 @@ type segMeta struct {
 // fold is the composition of adjacent patches, oldest first, over the window
 // they cover together: seqs [start, end], and the names dictFirst onwards
 // they mint. It holds the patches as they are and composes them only when a
-// sink runs it (each): the composed adds are the triples whose newest
-// mention is an add, and the composed tombstones those whose newest mention
-// is a removal — none when the window starts at seq 1, because the patch
-// then applies to the empty state. Adds and tombstones stay disjoint, and
-// the dictionary windows are the patches' encoded regions in order. Its
-// stamp is its newest patch's.
+// sink runs it: the composed names are the patches' names in order
+// (nameRuns), the composed adds the triples whose newest mention is an add,
+// and the composed tombstones those whose newest mention is a removal — none
+// when the window starts at seq 1, because the patch then applies to the
+// empty state (each). Adds and tombstones stay disjoint. Its stamp is its
+// newest patch's.
 //
-// A fold reads its patches' regions as it runs, through readers whose
-// buffers it keeps across runs: two an input, readBuf bytes each (readBufSize
-// if zero). files are the segment files its patches lie in, which close
-// closes.
+// A fold reads each patch through one cursor (reader.go), which a pass over
+// the names and then one over the triples read once, in file order; a file's
+// cursor reads through a buffer of readBuf bytes (readBufSize if zero). files
+// are the segment files its patches lie in, which close closes.
 type fold struct {
 	start, end uint64
 	at         store.Position
@@ -76,8 +74,7 @@ type fold struct {
 	patches    []segmentData
 	readBuf    int
 	files      []source
-	readers    []reader
-	cursors    []runCursor
+	cursors    []cursor
 }
 
 // foldOf is the fold of one patch.
@@ -110,7 +107,7 @@ func (f *fold) push(p segmentData) error {
 		return err
 	}
 	f.end, f.at = p.end, p.at
-	f.names += p.dict.n
+	f.names += p.dict.N
 	f.patches = append(f.patches, p)
 	return nil
 }
@@ -123,51 +120,74 @@ func (f *fold) close() {
 	f.files = nil
 }
 
-// buf is the buffer of the fold's i-th reader: kept from the run before, or
-// allocated once.
-func (f *fold) buf(i int) []byte {
-	for len(f.readers) <= i {
-		f.readers = append(f.readers, reader{buf: make([]byte, cmp.Or(f.readBuf, readBufSize))})
+// cursor returns the cursor of the fold's i-th patch standing before the
+// patch's names, or with triples set before its triples, past names it reads
+// on the way. A cursor that already stands there is left there, so a pass
+// over the names and then one over the triples read each patch once. The
+// first call allocates every patch's cursor, so none moves once handed out.
+func (f *fold) cursor(i int, triples bool) (*cursor, error) {
+	for len(f.cursors) < len(f.patches) {
+		f.cursors = append(f.cursors, cursor{})
 	}
-	return f.readers[i].buf
+	c := &f.cursors[i]
+	if triples && c.at == atNamed {
+		return c, nil
+	}
+	c.reset(f.patches[i], cmp.Or(f.readBuf, readBufSize))
+	if triples {
+		return c, c.readNames(nil)
+	}
+	return c, nil
 }
 
-// reader returns the fold's i-th reader, set to read g.
-func (f *fold) reader(i int, g region) *reader {
-	buf := f.buf(i) // may grow readers
-	f.readers[i] = g.reader(buf)
-	return &f.readers[i]
+// nameRuns hands yield the fold's names, oldest patch first, in id order: a
+// log window's as one run, a segment's a frame at a time, valid until yield
+// returns. It stops at yield's first error.
+func (f *fold) nameRuns(yield func(store.NameRun) error) error {
+	for i := range f.patches {
+		c, err := f.cursor(i, false)
+		if err == nil {
+			err = c.readNames(yield)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// dictionary reads the fold's names into runs, a segment's one a frame:
+// the runs a store restores its dictionary from (store.RestoreSorted), which
+// keeps their bytes as its name pages.
+func (f *fold) dictionary() ([]store.NameRun, error) {
+	var runs []store.NameRun
+	err := f.nameRuns(func(run store.NameRun) error {
+		runs = append(runs, store.NameRun{N: run.N, Enc: slices.Clone(run.Enc)})
+		return nil
+	})
+	return runs, err
 }
 
 // each yields every triple the fold's patches mention, once, ascending, with
 // add set when its newest mention is an add and clear for a tombstone; it
 // skips tombstones when the window starts at seq 1, and stops when yield
-// returns false. The cursors are ordered oldest patch first, and within a
-// patch its removals before its adds, so the last cursor holding a triple is
-// its newest mention — an add outranking a removal of the same patch, as
-// applying a patch (tombstones, then adds) implies. Each run is read through
-// a reader of its own and held to what its patch's verifying pass found
-// (runCursor); a run that no longer is ends the pass with an error.
+// returns false. It merges one cursor a patch, ordered oldest patch first,
+// so the last cursor holding a triple is its newest mention. A cursor that
+// finds its segment damaged ends the pass with an error — at the latest at
+// the segment's end, before the pass does.
 func (f *fold) each(yield func(t store.IDTriple, add bool) bool) error {
-	if len(f.patches) == 0 {
-		return nil
-	}
-	f.buf(2*len(f.patches) - 1) // every reader before any is handed out
-	cs := f.cursors[:0]
-	for k, p := range f.patches {
-		for j, c := range [2]runCursor{{run: p.removes, what: "remove"}, {run: p.adds, what: "add", add: true}} {
-			if c.run.n == 0 {
-				continue
-			}
-			c.rd, c.file, c.hold, c.check = f.reader(2*k+j, c.run), p.file, p.checked, p.checked
-			c.bound = p.dictFirst + store.SymbolID(p.dict.n)
-			if _, err := c.next(); err != nil {
-				return err
-			}
+	cs := make([]*cursor, 0, len(f.patches))
+	for i := range f.patches {
+		c, err := f.cursor(i, true)
+		if err != nil {
+			return err
+		}
+		if ok, err := c.next(); err != nil {
+			return err
+		} else if ok {
 			cs = append(cs, c)
 		}
 	}
-	f.cursors = cs[:0]
 	for len(cs) > 0 {
 		m := 0 // the first cursor holding the least head; none before it holds t
 		for i := 1; i < len(cs); i++ {
@@ -177,7 +197,7 @@ func (f *fold) each(yield func(t store.IDTriple, add bool) bool) error {
 		}
 		t, add := cs[m].head, false
 		for i := m; i < len(cs); {
-			c := &cs[i]
+			c := cs[i]
 			if c.head != t {
 				i++
 				continue
@@ -198,72 +218,15 @@ func (f *fold) each(yield func(t store.IDTriple, add bool) bool) error {
 	return nil
 }
 
-// count runs the fold once, counting the adds and tombstones it yields.
-func (f *fold) count() (adds, removes int, err error) {
-	err = f.each(func(_ store.IDTriple, add bool) bool {
-		if add {
-			adds++
-		} else {
-			removes++
-		}
-		return true
-	})
-	return adds, removes, err
-}
-
-// copyDictionary hands the fold's dictionary windows, oldest first, to write
-// as they lie, a buffer at a time, holding each to its CRC.
-func (f *fold) copyDictionary(write func([]byte) error) error {
-	for _, p := range f.patches {
-		rd := f.reader(0, p.dict)
-		for rd.left() > 0 {
-			b, err := rd.chunk(rd.left())
-			if err != nil {
-				return fmt.Errorf("durable: reading segment %s: %w", p.file, err)
-			}
-			if err := write(b); err != nil {
-				return err
-			}
-		}
-		if p.checked {
-			if err := p.dict.check(rd, p.file, "dictionary"); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// dictionary reads the fold's dictionary windows, oldest first, into one
-// run each, as they lie: the runs a store restores its dictionary from
-// (store.RestoreSorted), which keeps their bytes as its name pages.
-func (f *fold) dictionary() ([]store.NameRun, error) {
-	runs := make([]store.NameRun, 0, len(f.patches))
-	for _, p := range f.patches {
-		enc := make([]byte, p.dict.size)
-		rd := f.reader(0, p.dict)
-		if err := rd.readFull(enc); err != nil {
-			return nil, fmt.Errorf("durable: reading segment %s: %w", p.file, err)
-		}
-		if p.checked {
-			if err := p.dict.check(rd, p.file, "dictionary"); err != nil {
-				return nil, err
-			}
-		}
-		// The window holds the bytes its verifying pass framed.
-		runs = append(runs, store.NameRun{N: p.dict.n, Enc: enc})
-	}
-	return runs, nil
-}
-
 // errStopped is foldChain's report that its stop channel closed mid-fold.
 var errStopped = errors.New("durable: fold stopped")
 
 // foldChain is the package's one loop over segment files: it opens the
-// adjacent segments chain names, oldest first, runs each one's verifying
-// pass, checks each carries the window its name claims, pushes it onto one
-// fold, and fills every chain entry's accounting in from its file. The fold
-// keeps the files open, reading their runs as it runs; the caller closes it.
+// adjacent segments chain names, oldest first (openSegment: the magic, the
+// trailer and the last frame), checks each carries the window its name
+// claims, pushes it onto one fold, and fills every chain entry's accounting
+// in from its last frame. The fold keeps the files open, reading their
+// frames as it runs; the caller closes it.
 // A merge runs it over a suffix of the chain and streams the fold into the
 // merged file; recovery runs it over all of it. stop is polled before each
 // open — a closed one ends the fold with errStopped, so Close never waits
@@ -277,12 +240,12 @@ func foldChain(d disk, chain []segMeta, stop <-chan struct{}) (*fold, error) {
 			return nil, err
 		}
 		p := folded.patches[len(folded.patches)-1]
-		chain[k] = segMeta{start: p.start, end: p.end, at: p.at, adds: p.adds.n, removes: p.removes.n, bytes: p.size}
+		chain[k] = segMeta{start: p.start, end: p.end, at: p.at, adds: p.adds, removes: p.removes, bytes: p.size}
 	}
 	return folded, nil
 }
 
-// open opens the segment m names, verifies it and pushes it.
+// open opens the segment m names and pushes it.
 func (f *fold) open(d disk, m segMeta, stop <-chan struct{}) error {
 	select {
 	case <-stop:
@@ -295,7 +258,7 @@ func (f *fold) open(d disk, m segMeta, stop <-chan struct{}) error {
 		return fmt.Errorf("durable: reading segment: %w", err)
 	}
 	f.files = append(f.files, src)
-	seg, err := verifySegment(name, src, src.Size(), f.buf(0))
+	seg, err := openSegment(name, src, src.Size())
 	if err != nil {
 		return err
 	}
@@ -310,7 +273,7 @@ func (f *fold) open(d disk, m segMeta, stop <-chan struct{}) error {
 // files beyond it (foldWAL under st's policy, the last cut at cut bytes when
 // cut ≥ 0) pushed onto the same fold — its last patch, whose dictFirst is
 // where the chain's names end. Recovery passes the empty store it boots, st:
-// the chain's names are restored into it, their regions as they were read,
+// the chain's names are restored into it, a run a name frame as it was read,
 // before foldWAL walks the log, whose walk mints the tail's names after them,
 // so every name is checked once, against the whole dictionary, and the load
 // that follows (loadFold) keeps them. A snapshot passes nil. The caller
@@ -558,7 +521,7 @@ func (l *logFiles) close() {
 
 // walk walks the i-th file with walkWAL, keeping the frame buffer it grew.
 func (l *logFiles) walk(i int, skip uint64, w *logWalk, visit func(r record, off, next int) error) (int, *reader, error) {
-	rd := newReader(l.srcs[i], 0, l.sizes[i], l.buf, false)
+	rd := newReader(l.srcs[i], 0, l.sizes[i], l.buf)
 	off, err := walkWAL(walFileName(l.firsts[i]), &rd, skip, w, visit)
 	l.buf = rd.buf
 	return off, &rd, err
@@ -706,57 +669,29 @@ func foldWAL(d disk, firsts []uint64, cut int64, after uint64, dictNext store.Sy
 		}
 		w.seq, events, live.size = w.wholeSeq, events[:whole], int64(w.whole)
 	}
-	seg.end, seg.dict = w.seq, memRegion(dict, int(w.ids-dictNext))
+	seg.end, seg.dict = w.seq, store.NameRun{N: int(w.ids - dictNext), Enc: dict}
 	// Last event per triple wins. Sorting by (triple, log position) groups
 	// each triple's history together in log order AND leaves the surviving
-	// triples in (S, P, O) order — the segment runs fall out sorted for free.
+	// triples in (S, P, O) order — the patch's stream falls out sorted for
+	// free.
 	slices.SortFunc(events, func(a, b walEvent) int {
 		return cmp.Or(cmp.Compare(a.t.S, b.t.S), cmp.Compare(a.t.P, b.t.P), cmp.Compare(a.t.O, b.t.O), cmp.Compare(a.key, b.key))
 	})
-	// Keep each triple's last event, in place, counting the adds among them;
-	// then copy the tombstones out into a run of their exact size and keep
-	// the adds, in place again, as the run they are read as (eventRun).
-	last, adds := events[:0], 0
+	// Keep each triple's last event, in place — the stream the patch's
+	// cursor reads — counting the adds among them.
+	last := events[:0]
 	for i, ev := range events {
 		if i+1 < len(events) && events[i+1].t == ev.t {
 			continue
 		}
+		if ev.key&1 == 0 && seg.start == 1 {
+			continue // a patch against the empty state removes nothing
+		}
 		last = append(last, ev)
-		adds += int(ev.key & 1)
+		seg.adds += int(ev.key & 1)
 	}
-	removes := 0
-	if seg.start > 1 { // a patch against the empty state removes nothing
-		removes = len(last) - adds
-	}
-	r := make(tripleRun, 0, 12*removes)
-	a := last[:0]
-	for _, ev := range last {
-		if ev.key&1 != 0 {
-			a = append(a, ev)
-		} else if seg.start > 1 {
-			r = appendTriple(r, ev.t)
-		}
-	}
-	seg.adds = region{src: eventRun(a), size: 12 * int64(adds), n: adds}
-	seg.removes = memRegion(r, removes)
+	seg.events, seg.removes = last, len(last)-seg.adds
 	return seg, live, nil
-}
-
-// eventRun is folded events read as the run a segment carries: 12 bytes a
-// triple, encoded as they are read.
-type eventRun []walEvent
-
-func (r eventRun) ReadAt(p []byte, off int64) (int, error) {
-	n := 0
-	for n < len(p) {
-		i, at := (off+int64(n))/12, (off+int64(n))%12
-		if i >= int64(len(r)) {
-			return n, io.EOF
-		}
-		var b [12]byte
-		n += copy(p[n:], appendTriple(b[:0], r[i].t)[at:])
-	}
-	return n, nil
 }
 
 // walEvent is one triple event of a folded log window. key is the event's

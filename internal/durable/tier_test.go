@@ -192,17 +192,8 @@ func TestTombstoneOverOldAdd(t *testing.T) {
 // leftovers.
 func TestRecoveryPrefersMergedSegment(t *testing.T) {
 	d := newMemDisk()
-	older := segmentData{
-		start: 1, end: 5, dictFirst: 0,
-		dict: namesOf("a", "b", "c"),
-		adds: runOf(store.IDTriple{S: 0, P: 1, O: 2}),
-	}
-	newer := segmentData{
-		start: 6, end: 10, dictFirst: 3,
-		dict:    namesOf("d"),
-		adds:    runOf(store.IDTriple{S: 0, P: 1, O: 3}),
-		removes: runOf(store.IDTriple{S: 0, P: 1, O: 2}),
-	}
+	older := patchOf(1, 5, 0, []string{"a", "b", "c"}, []store.IDTriple{{S: 0, P: 1, O: 2}}, nil)
+	newer := patchOf(6, 10, 3, []string{"d"}, []store.IDTriple{{S: 0, P: 1, O: 3}}, []store.IDTriple{{S: 0, P: 1, O: 2}})
 	stamped := []segmentData{older, newer}
 	stampChain(stamped)
 	older, newer = stamped[0], stamped[1]
@@ -241,18 +232,14 @@ func TestRecoveryPrefersMergedSegment(t *testing.T) {
 }
 
 func TestDamagedChainIsAnError(t *testing.T) {
-	base := segmentData{
-		start: 1, end: 5, dictFirst: 0,
-		dict: namesOf("a", "b", "c"),
-		adds: runOf(store.IDTriple{S: 0, P: 1, O: 2}),
-	}
+	base := patchOf(1, 5, 0, []string{"a", "b", "c"}, []store.IDTriple{{S: 0, P: 1, O: 2}}, nil)
 	for _, tc := range []struct {
 		name string
 		next segmentData
 		want string
 	}{
-		{"gap", segmentData{start: 8, end: 10, dictFirst: 3, dict: namesOf("d"), adds: runOf(store.IDTriple{S: 0, P: 1, O: 3})}, "missing"},
-		{"overlap", segmentData{start: 4, end: 10, dictFirst: 3, dict: namesOf("d"), adds: runOf(store.IDTriple{S: 0, P: 1, O: 3})}, "overlap"},
+		{"gap", patchOf(8, 10, 3, []string{"d"}, []store.IDTriple{{S: 0, P: 1, O: 3}}, nil), "missing"},
+		{"overlap", patchOf(4, 10, 3, []string{"d"}, []store.IDTriple{{S: 0, P: 1, O: 3}}, nil), "overlap"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := newMemDisk()

@@ -98,27 +98,30 @@ func TestWireGolden(t *testing.T) {
 		want         string
 	}{
 		{"snapshot", "/repl/snapshot", psrv.Handler(), `200
-Content-Length: 255
+Content-Length: 299
 Content-Type: application/octet-stream
 X-Repl-Digest: 582378e4db4b4adcd600a167f695be88
 X-Repl-Generation: 4
 
-00000000  4f 4e 54 4f 53 45 47 33  01 00 00 00 00 00 00 00  |ONTOSEG3........|
-00000010  0c 00 00 00 00 00 00 00  04 00 00 00 00 00 00 00  |................|
-00000020  dc 4a 4b db e4 78 23 58  88 be 95 f6 67 a1 00 d6  |.JK..x#X....g...|
-00000030  00 00 00 00 0f 00 00 00  06 69 74 65 6d 2d 30 04  |.........item-0.|
-00000040  74 79 70 65 02 63 30 06  69 74 65 6d 2d 31 02 63  |type.c0.item-1.c|
-00000050  31 0a 73 75 62 43 6c 61  73 73 4f 66 02 63 32 0d  |1.subClassOf.c2.|
-00000060  73 75 62 50 72 6f 70 65  72 74 79 4f 66 06 64 6f  |subPropertyOf.do|
-00000070  6d 61 69 6e 05 72 61 6e  67 65 06 69 74 65 6d 2d  |main.range.item-|
-00000080  32 06 69 74 65 6d 2d 33  06 69 74 65 6d 2d 34 08  |2.item-3.item-4.|
-00000090  69 74 65 6d 20 22 35 22  02 63 33 06 00 00 00 00  |item "5".c3.....|
-000000a0  00 00 00 02 00 00 00 05  00 00 00 04 00 00 00 03  |................|
-000000b0  00 00 00 01 00 00 00 04  00 00 00 06 00 00 00 05  |................|
-000000c0  00 00 00 0e 00 00 00 0a  00 00 00 01 00 00 00 02  |................|
-000000d0  00 00 00 0b 00 00 00 01  00 00 00 04 00 00 00 0d  |................|
-000000e0  00 00 00 01 00 00 00 06  00 00 00 00 00 00 00 00  |................|
-000000f0  00 00 00 22 76 8b 17 4f  4e 54 4f 53 45 47 45     |..."v..ONTOSEGE|
+00000000  4f 4e 54 4f 53 45 47 34  6b 00 00 00 81 76 03 d0  |ONTOSEG4k....v..|
+00000010  00 00 00 00 0f 00 00 00  06 69 74 65 6d 2d 30 04  |.........item-0.|
+00000020  74 79 70 65 02 63 30 06  69 74 65 6d 2d 31 02 63  |type.c0.item-1.c|
+00000030  31 0a 73 75 62 43 6c 61  73 73 4f 66 02 63 32 0d  |1.subClassOf.c2.|
+00000040  73 75 62 50 72 6f 70 65  72 74 79 4f 66 06 64 6f  |subPropertyOf.do|
+00000050  6d 61 69 6e 05 72 61 6e  67 65 06 69 74 65 6d 2d  |main.range.item-|
+00000060  32 06 69 74 65 6d 2d 33  06 69 74 65 6d 2d 34 08  |2.item-3.item-4.|
+00000070  69 74 65 6d 20 22 35 22  02 63 33 50 00 00 00 fa  |item "5".c3P....|
+00000080  92 fa 54 06 00 00 00 00  00 00 00 02 00 00 00 05  |..T.............|
+00000090  00 00 00 04 00 00 00 03  00 00 00 01 00 00 00 04  |................|
+000000a0  00 00 00 06 00 00 00 05  00 00 00 0e 00 00 00 0a  |................|
+000000b0  00 00 00 01 00 00 00 02  00 00 00 0b 00 00 00 01  |................|
+000000c0  00 00 00 04 00 00 00 0d  00 00 00 01 00 00 00 06  |................|
+000000d0  00 00 00 40 00 00 00 3f  c8 88 44 01 00 00 00 00  |...@...?..D.....|
+000000e0  00 00 00 0c 00 00 00 00  00 00 00 04 00 00 00 00  |................|
+000000f0  00 00 00 dc 4a 4b db e4  78 23 58 88 be 95 f6 67  |....JK..x#X....g|
+00000100  a1 00 d6 00 00 00 00 0f  00 00 00 06 00 00 00 00  |................|
+00000110  00 00 00 00 00 00 00 00  00 00 00 d3 00 00 00 00  |................|
+00000120  00 00 00 4f 4e 54 4f 53  45 47 45                 |...ONTOSEGE|
 `},
 		{"deltas", deltasFrom(seeded, ""), psrv.Handler(), `200
 Content-Length: 502
