@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -223,6 +224,108 @@ func FuzzLogReadersAgree(f *testing.F) {
 	})
 }
 
+// frameKind is the kind of a segment's frame: the file does not say, its
+// place in the layout does (segment.go).
+type frameKind byte
+
+const (
+	frameName frameKind = iota
+	frameTriple
+	frameLast
+)
+
+func (k frameKind) String() string {
+	if k > frameLast {
+		return "no"
+	}
+	return [...]string{"name", "triple", "last"}[k]
+}
+
+// segFrame is one frame of a segment file: its kind, where it starts, where
+// its payload starts and where it ends.
+type segFrame struct {
+	kind           frameKind
+	off, body, end int
+}
+
+// segFrames delimits the frames of a well-formed segment file in file order
+// from its layout: name frames until their counts reach the names its last
+// frame claims, then triple frames up to the last frame, which the trailer
+// places.
+func segFrames(data []byte) ([]segFrame, error) {
+	seg, err := openSegment("segment", bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		return nil, err
+	}
+	last := len(data) - tailSize
+	var frames []segFrame
+	for off, names := len(segMagic), 0; off <= last; {
+		payload, next, ok := nextFrame(data, off)
+		if !ok {
+			return nil, fmt.Errorf("no whole frame at offset %d", off)
+		}
+		kind := frameTriple
+		switch {
+		case off == last:
+			kind = frameLast
+		case names < seg.dict.N:
+			kind = frameName
+			names += int(binary.LittleEndian.Uint32(payload[4:]))
+		}
+		frames = append(frames, segFrame{kind, off, off + frameHeader, next})
+		off = next
+	}
+	return frames, nil
+}
+
+// frameOf returns the frame of frames that holds offset off.
+func frameOf(frames []segFrame, off int) segFrame {
+	for _, f := range frames {
+		if f.off <= off && off < f.end {
+			return f
+		}
+	}
+	return segFrame{kind: frameKind(255)}
+}
+
+// frameList encodes a segment's frames as FuzzLoadSegment's re-framing
+// mode reads them: per frame, its kind, its payload's length (uint16) and
+// its payload.
+func frameList(data []byte, frames []segFrame) []byte {
+	var list []byte
+	for _, f := range frames {
+		list = append(list, byte(f.kind))
+		list = binary.LittleEndian.AppendUint16(list, uint16(f.end-f.body))
+		list = append(list, data[f.body:f.end]...)
+	}
+	return list
+}
+
+// reframe builds a segment file from a frame list (frameList): the magic,
+// each name and triple payload framed with its CRC, in the list's order,
+// then the payload of the list's last frame of kind frameLast, cut or
+// zero-padded to the last frame's size, as its last frame, and the trailer
+// that places it. A payload runs to the list's end when its length claims
+// more; a kind past frameLast is taken modulo three.
+func reframe(list []byte) []byte {
+	seg := []byte(segMagic)
+	last := make([]byte, lastSize)
+	for len(list) >= 3 {
+		kind, n := frameKind(list[0]%3), int(binary.LittleEndian.Uint16(list[1:]))
+		payload := list[3:min(len(list), 3+n)]
+		list = list[3+len(payload):]
+		if kind == frameLast {
+			last = append(payload[:0:0], payload...)
+			last = append(last, make([]byte, max(0, lastSize-len(last)))...)[:lastSize]
+			continue
+		}
+		seg = appendFrame(seg, payload)
+	}
+	at := len(seg)
+	seg = appendFrame(seg, last)
+	return append(binary.LittleEndian.AppendUint64(seg, uint64(at)), segTrailer...)
+}
+
 // FuzzLoadSegment throws arbitrary bytes at the segment reader — the open
 // (openSegment) and one cursor over the frames — through a buffer of the
 // size the input picks (fuzzReadBuf): whatever the input, it must return
@@ -231,26 +334,42 @@ func FuzzLogReadersAgree(f *testing.F) {
 // actually present. A segment read through without an error must hold what
 // it claims: its name frames read back as its names, and its triples fold to
 // exactly its totals, strictly ascending across adds and tombstones and
-// within its id bound.
+// within its id bound. In its re-framing mode the input is a list of
+// (frame kind, payload) entries (frameList) that the target frames with
+// valid CRCs (reframe), so a mutated payload gets past the checksums to the
+// cursor's checks of order, id bound and totals; its seeds are the
+// fixtures' frames.
 func FuzzLoadSegment(f *testing.F) {
 	fixtures, err := filepath.Glob(filepath.Join("testdata", "segments", "*.seg"))
 	if err != nil || len(fixtures) == 0 {
 		f.Fatalf("no segment fixtures: %v", err)
 	}
 	seeds := [][]byte{{}, []byte("ONTOSEG1"), []byte("ONTOSEG2"), []byte("ONTOSEG3")}
+	var lists [][]byte
 	for _, path := range fixtures {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
 		}
 		seeds = append(seeds, data, data[:len(data)-7])
+		frames, err := segFrames(data)
+		if err != nil {
+			f.Fatalf("%s: %v", path, err)
+		}
+		lists = append(lists, frameList(data, frames))
 	}
 	for _, seed := range seeds {
 		for _, size := range fuzzSizes {
-			f.Add(seed, size)
+			f.Add(seed, size, false)
 		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte, size uint16) {
+	for _, list := range lists {
+		f.Add(list, fuzzSizes[0], true)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, size uint16, framed bool) {
+		if framed {
+			data = reframe(data)
+		}
 		seg, err := openSegment(segmentName(1, 2), bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			return

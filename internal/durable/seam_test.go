@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"go/parser"
@@ -505,34 +506,50 @@ func streamedReadCases(t *testing.T) int {
 		})
 	}
 
-	// A byte of the oldest input flipped once its verifying pass is done —
-	// when the merge creates its output — in a name, which only the
-	// dictionary window's CRC covers, or in the last triple of its adds.
-	const header = len(segMagic) + 8 + 8 + 24 + 4 + 4
+	// A byte of the oldest input flipped once the merge has opened it — when
+	// the merge creates its output — in its first name, which only its name
+	// frame's CRC covers, or in the last triple of its adds, the last bytes
+	// of its last triple frame: the input starts at seq 1, so its frames
+	// hold no tombstones. The offsets come from the input's frames
+	// (segFrames), and each case checks the kind of frame it flips.
 	for _, at := range []struct {
 		what string
-		off  func(size int) int
+		kind frameKind
+		off  func(frames []segFrame) int
 	}{
-		{"a name", func(int) int { return header + 1 }},
-		{"a triple", func(size int) int { return size - (4 + len(segTrailer)) - 8 - 1 }},
+		{"a name", frameName, func(frames []segFrame) int { return frames[0].body + 8 + 1 }},
+		{"a triple", frameTriple, func(frames []segFrame) int { return frames[len(frames)-2].end - 1 }},
 	} {
 		cases++
 		t.Run("merge input flipped in "+at.what, func(t *testing.T) {
 			h := merging(t)
 			inputs := chainNames(h)
-			size := len(h.disk.get(inputs[0]))
+			data := h.disk.get(inputs[0])
+			frames, err := segFrames(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			off := at.off(frames)
+			f := frameOf(frames, off)
+			switch {
+			case f.kind != at.kind:
+				t.Fatalf("offset %d of %s lies in a %v frame, want a %v one", off, inputs[0], f.kind, at.kind)
+			case f.kind == frameName && (data[f.body+8] >= 0x80 || int(data[f.body+8]) < 1):
+				t.Fatalf("the first name of %s is not a short one: its length byte is %#x", inputs[0], data[f.body+8])
+			case f.kind == frameTriple && binary.LittleEndian.Uint32(data[f.body+4:]) != 0:
+				t.Fatalf("the last triple frame of %s holds tombstones", inputs[0])
+			}
 			h.disk.setInject(func(op, name string) error {
 				if op == "create" && fileKind(name) == "tmp" {
-					h.disk.flip(inputs[0], at.off(size))
+					h.disk.flip(inputs[0], off)
 				}
 				return nil
 			})
-			err := h.eng.Merge(0)
-			if err == nil {
-				t.Fatal("the merge published an input that changed after it was verified")
+			if err = h.eng.Merge(0); err == nil {
+				t.Fatal("the merge published an input that changed after it was opened")
 			}
 			t.Logf("the merge refused: %v", err)
-			h.disk.flip(inputs[0], at.off(size)) // mended, as a reread would find it
+			h.disk.flip(inputs[0], off) // mended, as a reread would find it
 			unmerged(t, h, inputs)
 		})
 	}

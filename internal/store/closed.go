@@ -317,12 +317,7 @@ func (v *View) typedStats(vc vocab, p IDPattern) IDStats {
 		// A class is reached as a stored type or as a superclass.
 		st.DistinctS = stored.DistinctS
 		st.DistinctO = stored.DistinctO
-		if e := v.base.pos.find(vc.sub); e != nil {
-			st.DistinctO += e.sets()
-		}
-		if e := v.overlay.pos.find(vc.sub); e != nil {
-			st.DistinctO += e.sets()
-		}
+		st.DistinctO += v.base.pos.lead(vc.sub).sets() + v.overlay.pos.lead(vc.sub).sets()
 	}
 	return st
 }
@@ -668,8 +663,8 @@ func (w *typeWalk) subjects(emit func(s, o uint32) bool) bool {
 			continue
 		}
 		from, _ := at.subj.from(begun, sm)
-		ok := w.m[sm].spo.ascend(from, func(s uint32, e *leadEntry) bool {
-			if _, typed := e.search(w.typ); !typed || sm == 1 && w.types(0, s).pairs != nil {
+		ok := w.m[sm].spo.ascend(from, func(s uint32, ps trailSet) bool {
+			if _, typed := ps.search(w.typ); !typed || sm == 1 && w.types(0, s).pairs != nil {
 				return true
 			}
 			onS := at.subj.on(begun, sm, s)
@@ -707,18 +702,15 @@ func (w *typeWalk) count() int {
 		}
 	default:
 		for m := range w.m {
-			e := w.m[m].pos.find(w.typ)
-			if e == nil {
-				continue
-			}
-			for i := 0; i < int(e.n); {
-				end := e.setEnd(i)
-				u := e.pairs()[i].mid
+			ps := w.m[m].pos.lead(w.typ)
+			for i := 0; i < len(ps.pairs); {
+				end := ps.setEnd(i)
+				u := ps.pairs[i].mid
 				reach := 1 + w.supers(0, u).len() + w.supers(1, u).len()
 				if w.isSub(u, u) {
 					reach--
 				}
-				n += e.span(&w.m[m].pos.runTable, i, end).len() * reach
+				n += ps.span(i, end).len() * reach
 				i = end
 			}
 		}
@@ -785,13 +777,10 @@ func (w *propWalk) strict(q uint32) bool {
 // stores it: a stored (s p o) has (p subPropertyOf q) in the view.
 func (w *propWalk) holds(s, q, o uint32) bool {
 	for m := range w.m {
-		e := w.m[m].spo.find(s)
-		if e == nil {
-			continue
-		}
-		for i := 0; i < int(e.n); {
-			end := e.setEnd(i)
-			p, ts := e.pairs()[i].mid, e.span(&w.m[m].spo.runTable, i, end)
+		ps := w.m[m].spo.lead(s)
+		for i := 0; i < len(ps.pairs); {
+			end := ps.setEnd(i)
+			p, ts := ps.pairs[i].mid, ps.span(i, end)
 			i = end
 			if _, ok := w.under(p, q); ok && p != q && ts.contains(o) {
 				return true
@@ -812,17 +801,14 @@ func (w *propWalk) walk(emit func(s, q, o uint32) bool) bool {
 		if begun && qm < at.sup.b {
 			continue
 		}
-		e := w.m[qm].pos.find(w.sp)
-		if e == nil {
-			continue
-		}
+		ps := w.m[qm].pos.lead(w.sp)
 		i := 0
 		if from, resume := at.sup.from(begun, qm); resume {
-			i, _ = e.search(from)
+			i, _ = ps.search(from)
 		}
-		for i < int(e.n) {
-			q := e.pairs()[i].mid
-			i = e.setEnd(i)
+		for i < len(ps.pairs) {
+			q := ps.pairs[i].mid
+			i = ps.setEnd(i)
 			if qm == 1 && w.m[0].pos.set(w.sp, q).pairs != nil {
 				continue // walked with the base's
 			}
@@ -894,17 +880,14 @@ func (w *propWalk) pairs(m uint8, p uint32, resume bool, a, b uint32, f func(s, 
 	case w.boundO:
 		return st.pos.set(p, w.o).after(a, resume, func(s uint32) bool { return f(s, w.o, s, 0) })
 	}
-	e := st.pos.find(p)
-	if e == nil {
-		return true
-	}
+	ps := st.pos.lead(p)
 	i := 0
 	if resume {
-		i, _ = e.search(a)
+		i, _ = ps.search(a)
 	}
-	for i < int(e.n) {
-		end, o := e.setEnd(i), e.pairs()[i].mid
-		ok := e.span(&st.pos.runTable, i, end).after(b, resume && o == a, func(s uint32) bool { return f(s, o, o, s) })
+	for i < len(ps.pairs) {
+		end, o := ps.setEnd(i), ps.pairs[i].mid
+		ok := ps.span(i, end).after(b, resume && o == a, func(s uint32) bool { return f(s, o, o, s) })
 		if !ok {
 			return false
 		}
@@ -963,13 +946,10 @@ func (w *propWalk) contested(q uint32, b uint8, p uint32) bool {
 // or ranks before p.
 func (w *propWalk) first(s, o, q uint32, b uint8, p uint32) bool {
 	for m := range w.m {
-		e := w.m[m].spo.find(s)
-		if e == nil {
-			continue
-		}
-		for i := 0; i < int(e.n); {
-			end := e.setEnd(i)
-			u, ts := e.pairs()[i].mid, e.span(&w.m[m].spo.runTable, i, end)
+		ps := w.m[m].spo.lead(s)
+		for i := 0; i < len(ps.pairs); {
+			end := ps.setEnd(i)
+			u, ts := ps.pairs[i].mid, ps.span(i, end)
 			i = end
 			if u == p {
 				continue
@@ -1005,13 +985,10 @@ func (w *propWalk) count() IDStats {
 			w.m[m].pos.set(w.sp, w.q).each(0, false, func(p uint32) bool { return add(p, w.q) })
 			continue
 		}
-		e := w.m[m].pos.find(w.sp)
-		if e == nil {
-			continue
-		}
-		for i := 0; i < int(e.n); {
-			end, q := e.setEnd(i), e.pairs()[i].mid
-			e.span(&w.m[m].pos.runTable, i, end).each(0, false, func(p uint32) bool { return add(p, q) })
+		ps := w.m[m].pos.lead(w.sp)
+		for i := 0; i < len(ps.pairs); {
+			end, q := ps.setEnd(i), ps.pairs[i].mid
+			ps.span(i, end).each(0, false, func(p uint32) bool { return add(p, q) })
 			i = end
 		}
 	}
@@ -1056,7 +1033,7 @@ func newClosure(v *View, which Closure) *closure {
 	w := v.typeWalk(vc, IDPattern{})
 	n := 0
 	for sm := range w.m {
-		w.m[sm].spo.ascend(0, func(s uint32, _ *leadEntry) bool {
+		w.m[sm].spo.ascend(0, func(s uint32, _ trailSet) bool {
 			if sm == 0 || w.m[0].spo.find(s) == nil {
 				n += c.extra(vc, &w, s, false)
 			}
@@ -1092,13 +1069,9 @@ func (c *closure) apply(added, removed []IDTriple, fresh int) {
 	// mid's set, or the whole lead's.
 	subjectsOf := func(lead, mid uint32, whole bool) {
 		for _, st := range w.m {
-			e := st.pos.find(lead)
-			if e == nil {
-				continue
-			}
-			ts := e.span(&st.pos.runTable, 0, int(e.n))
+			ts := st.pos.lead(lead)
 			if !whole {
-				ts = e.set(&st.pos.runTable, mid)
+				ts = ts.set(mid)
 			}
 			for k := range ts.pairs {
 				c.subjects = append(c.subjects, ts.elems(k)...)
@@ -1229,13 +1202,10 @@ func (c *closure) propExtra(vc vocab, s uint32, pre bool) int {
 	m := [2]*Store{c.v.base, c.v.overlay}
 	pairs := c.pairs[:0]
 	for _, st := range m {
-		e := st.spo.find(s)
-		if e == nil {
-			continue
-		}
-		for i := 0; i < int(e.n); {
-			end, p := e.setEnd(i), e.pairs()[i].mid
-			ts := e.span(&st.spo.runTable, i, end)
+		ps := st.spo.lead(s)
+		for i := 0; i < len(ps.pairs); {
+			end, p := ps.setEnd(i), ps.pairs[i].mid
+			ts := ps.span(i, end)
 			i = end
 			sups := c.supersOf(vc, p, pre)
 			if len(sups) == 0 {

@@ -10,13 +10,15 @@ import (
 
 // footprint is the structural size of one index, counted by walking it: the
 // lead pages allocated and the directory's chunk slots, the leads filed in
-// the pages' slots, (lead, mid) pairs and the capacity they sit in,
-// how many of the pairs hold their one member inline, and the runs of the
-// others — a slice header each and their element capacity — with the run
-// table's slots and its free list's. Nothing is kept beside a page, a pair,
-// a run or the table.
+// the pages' slots, (lead, mid) pairs, how many leads hold theirs out of
+// line and the capacity of those arrays — a lead of up to two pairs holds
+// them in its entry, which the pages already count — how many of the pairs
+// hold their one member inline, and the runs of the others — a slice
+// header each and their element capacity — with the slots and free lists
+// of the run table and the array table. Nothing is kept beside a page, a
+// pair, a run or a table.
 type footprint struct {
-	pages, tableCap, leads, pairs, pairCap, inline, runs, elemCap, runSlots, freeCap int
+	pages, tableCap, leads, pairs, outLeads, pairCap, inline, runs, elemCap, runSlots, runFree, arraySlots, arrayFree int
 }
 
 // indexFootprint walks one index. The caller holds its store's lock or owns
@@ -35,15 +37,19 @@ func indexFootprint(ix *index) footprint {
 			}
 		}
 	}
-	f.runSlots, f.freeCap = cap(ix.runs), cap(ix.free)
-	ix.ascend(0, func(_ uint32, e *leadEntry) bool {
+	f.runSlots, f.runFree = cap(ix.runs.at), cap(ix.runs.free)
+	f.arraySlots, f.arrayFree = cap(ix.arrays.at), cap(ix.arrays.free)
+	ix.ascend(0, func(lead uint32, ps trailSet) bool {
 		f.leads++
-		f.pairs += int(e.n)
-		f.pairCap += int(e.c)
-		for _, mt := range e.pairs() {
+		f.pairs += len(ps.pairs)
+		if ix.find(lead).in[1].mid == leadOut {
+			f.outLeads++
+			f.pairCap += cap(ps.pairs)
+		}
+		for _, mt := range ps.pairs {
 			if mt.v&runTag != 0 {
 				f.runs++
-				f.elemCap += cap(mt.elems(ix.runs))
+				f.elemCap += cap(mt.elems(ix.runs.at))
 			} else {
 				f.inline++
 			}
@@ -59,12 +65,15 @@ func (f *footprint) add(g footprint) {
 	f.tableCap += g.tableCap
 	f.leads += g.leads
 	f.pairs += g.pairs
+	f.outLeads += g.outLeads
 	f.pairCap += g.pairCap
 	f.inline += g.inline
 	f.runs += g.runs
 	f.elemCap += g.elemCap
 	f.runSlots += g.runSlots
-	f.freeCap += g.freeCap
+	f.runFree += g.runFree
+	f.arraySlots += g.arraySlots
+	f.arrayFree += g.arrayFree
 }
 
 // slots is how many leads the allocated pages hold room for.
@@ -84,7 +93,7 @@ func (f footprint) occupancy() float64 {
 
 // bytes prices the walk.
 func (f footprint) bytes() int {
-	return f.leadBytes() + f.pairCap*int(unsafe.Sizeof(midTrail{})) + f.runBytes()
+	return f.leadBytes() + f.arrayBytes() + f.runBytes()
 }
 
 // leadBytes is the share of bytes the lead level costs: the allocated pages,
@@ -93,15 +102,22 @@ func (f footprint) leadBytes() int {
 	return f.pages*int(unsafe.Sizeof(leadPage{})) + f.tableCap*int(unsafe.Sizeof((*leadPage)(nil)))
 }
 
+// arrayBytes is the share of bytes the leads of more than two pairs add
+// beside their entries: their pair arrays, and the array table, a pointer a
+// slot, and its free list.
+func (f footprint) arrayBytes() int {
+	return f.pairCap*int(unsafe.Sizeof(midTrail{})) + f.arraySlots*int(unsafe.Sizeof((*midTrail)(nil))) + f.arrayFree*int(unsafe.Sizeof(uint32(0)))
+}
+
 // runBytes is the share of bytes the runs add beside their pairs: their
 // elements, and the run table, a slice header a slot, and its free list.
 func (f footprint) runBytes() int {
-	return f.elemCap*int(unsafe.Sizeof(uint32(0))) + f.runSlots*int(unsafe.Sizeof([]uint32(nil))) + f.freeCap*int(unsafe.Sizeof(uint32(0)))
+	return f.elemCap*int(unsafe.Sizeof(uint32(0))) + f.runSlots*int(unsafe.Sizeof([]uint32(nil))) + f.runFree*int(unsafe.Sizeof(uint32(0)))
 }
 
 func (f footprint) String() string {
-	return fmt.Sprintf("%d leads in %d slots (%.1f %% occupied), %d pairs (cap %d, %d inline), %d runs over %d element slots, %d bytes",
-		f.leads, f.slots(), 100*f.occupancy(), f.pairs, f.pairCap, f.inline, f.runs, f.elemCap, f.bytes())
+	return fmt.Sprintf("%d leads in %d slots (%.1f %% occupied), %d pairs (%d leads out of line, cap %d), %d members inline, %d runs over %d element slots, %d bytes",
+		f.leads, f.slots(), 100*f.occupancy(), f.pairs, f.outLeads, f.pairCap, f.inline, f.runs, f.elemCap, f.bytes())
 }
 
 // servingShape is one shape of the serving corpus in miniature: the
@@ -220,18 +236,23 @@ func storeFootprint(s *Store) (names []string, fams []footprint, total footprint
 // shapes of the serving corpus, each with its budget per triple over all
 // indexes, the measured figure and about a tenth: the materialized set of
 // about 11 types an instance, at most 0.255 (lead, mid) pairs and 14.3
-// structural bytes (measured 0.232 and 13.01), and the set the server boots,
-// a type and a locatedIn an instance, at most 1.06 pairs and 22.3 bytes
-// (measured 0.962 and 20.31). A layout that files every triple under a
+// structural bytes (measured 0.232 and 13.61), and the set the server boots,
+// a type and a locatedIn an instance, at most 1.06 pairs and 14.0 bytes
+// (measured 0.962 and 12.72). A layout that files every triple under a
 // near-unique (lead, mid) pair — an object-led index over type facts, one
 // midTrail per (class, instance) — has more than one pair per triple and
 // fails both; one that keeps anything per member beside the member itself —
 // a position map over a class's instances, 16 bytes an entry — fails the
 // bytes, and so does one that gives each single-member set a run of its own
 // (a table slot and an element, 28 bytes, on two of an instance's three SPO
-// pairs: 17.3), or widens the pair back to 16 bytes (14.9); on the booted
-// set, where a lead holds two triples, so does a lead back at 24 bytes
-// (24.3). The pair, the lead and the lead page are pinned to their sizes.
+// pairs), or widens the pair back to 16 bytes (17.3 and 14.9 when every lead
+// kept its pairs in an array beside it). On the booted
+// set, where a lead holds two triples, a lead that keeps its two pairs in
+// an array of their own beside it (20.31) fails, and on the materialized
+// set, whose instances have three SPO pairs, an array table of slice headers
+// rather than pointers (14.82). The pair, the lead and the lead page are
+// pinned to their sizes, and the lead to holding no pointer, so the
+// collector never scans a lead page.
 func TestIndexFootprint(t *testing.T) {
 	for _, c := range []struct {
 		what string
@@ -239,11 +260,16 @@ func TestIndexFootprint(t *testing.T) {
 		want uintptr
 	}{
 		{"a (lead, mid) pair: a mid and a member or a run's slot", unsafe.Sizeof(midTrail{}), 8},
-		{"a lead: a pointer to its pairs, their number and capacity", unsafe.Sizeof(leadEntry{}), 16},
+		{"a lead: two pairs in place, or a pair array's slot, number and capacity", unsafe.Sizeof(leadEntry{}), 16},
 		{"a lead page: 128 leads, an allocator size class", unsafe.Sizeof(leadPage{}), 2048},
 	} {
 		if c.size != c.want {
 			t.Errorf("%s is %d bytes, want %d", c.what, c.size, c.want)
+		}
+	}
+	for _, typ := range []reflect.Type{reflect.TypeOf(midTrail{}), reflect.TypeOf(leadEntry{})} {
+		if path := pointerIn(typ, typ.Name()); path != "" {
+			t.Errorf("%s holds a pointer, at %s: the collector would scan every page of leads", typ.Name(), path)
 		}
 	}
 	for _, c := range []struct {
@@ -251,7 +277,7 @@ func TestIndexFootprint(t *testing.T) {
 		pairs, bytes float64
 	}{
 		{materializedShape, 0.255, 14.3},
-		{bootShape, 1.06, 22.3},
+		{bootShape, 1.06, 14.0},
 	} {
 		s := loadServingStore(t, c.shape, 10_000)
 		names, fams, total := storeFootprint(s)
@@ -271,6 +297,28 @@ func TestIndexFootprint(t *testing.T) {
 			t.Errorf("%s: %.2f structural bytes per triple, budget %.1f", c.shape.name, bytes, c.bytes)
 		}
 	}
+}
+
+// pointerIn returns the path to the first field of typ, named path, that
+// holds a pointer, or "" when it holds none, found by walking its fields
+// and elements.
+func pointerIn(typ reflect.Type, path string) string {
+	switch typ.Kind() {
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if p := pointerIn(typ.Field(i).Type, path+"."+typ.Field(i).Name); p != "" {
+				return p
+			}
+		}
+		return ""
+	case reflect.Array:
+		return pointerIn(typ.Elem(), path+"[]")
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return ""
+	}
+	return path + " (" + typ.Kind().String() + ")"
 }
 
 // TestLonePredicateCostsOnePage: a store whose only predicate was minted at

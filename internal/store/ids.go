@@ -116,8 +116,8 @@ func (s *Store) QueryIDFunc(p IDPattern, yield func(IDTriple) bool) {
 // countObject returns the number of triples with object o across POS and
 // the number of predicates they occur under. Callers hold mu.
 func (s *Store) countObject(o SymbolID) (count, preds int) {
-	s.pos.ascend(0, func(_ uint32, e *leadEntry) bool {
-		if set := e.set(&s.pos.runTable, o); set.pairs != nil {
+	s.pos.ascend(0, func(_ uint32, ps trailSet) bool {
+		if set := ps.set(o); set.pairs != nil {
 			count += set.len()
 			preds++
 		}
@@ -165,12 +165,12 @@ func (s *Store) statsID(p IDPattern) IDStats {
 		}
 		return IDStats{Count: 1, DistinctS: 1, DistinctP: 1, DistinctO: 1}
 	case p.BoundS:
-		e := s.spo.find(p.S)
-		if e == nil {
+		pairs := s.spo.lead(p.S)
+		if pairs.pairs == nil {
 			return IDStats{}
 		}
 		if p.BoundP {
-			set := e.set(&s.spo.runTable, p.P)
+			set := pairs.set(p.P)
 			if set.pairs == nil {
 				return IDStats{}
 			}
@@ -179,7 +179,6 @@ func (s *Store) statsID(p IDPattern) IDStats {
 		}
 		st := IDStats{DistinctS: 1}
 		// The chunks of a set are disjoint, so at most one of them holds O.
-		pairs := e.span(&s.spo.runTable, 0, int(e.n))
 		for k := range pairs.pairs {
 			if elems := pairs.elems(k); !p.BoundO {
 				st.Count += len(elems)
@@ -191,25 +190,24 @@ func (s *Store) statsID(p IDPattern) IDStats {
 			st.DistinctP = st.Count
 			st.DistinctO = 1
 		} else {
-			st.DistinctP = e.sets()
+			st.DistinctP = pairs.sets()
 			st.DistinctO = st.Count
 		}
 		return st
 	case p.BoundP:
-		e := s.pos.find(p.P)
-		if e == nil {
+		pairs := s.pos.lead(p.P)
+		if pairs.pairs == nil {
 			return IDStats{}
 		}
 		if p.BoundO {
-			set := e.set(&s.pos.runTable, p.O)
+			set := pairs.set(p.O)
 			if set.pairs == nil {
 				return IDStats{}
 			}
 			n := set.len()
 			return IDStats{Count: n, DistinctS: n, DistinctP: 1, DistinctO: 1}
 		}
-		st := IDStats{DistinctP: 1, Count: e.span(&s.pos.runTable, 0, int(e.n)).len()}
-		st.DistinctO = e.sets()
+		st := IDStats{DistinctP: 1, Count: pairs.len(), DistinctO: pairs.sets()}
 		st.DistinctS = st.Count
 		return st
 	case p.BoundO:
@@ -220,8 +218,8 @@ func (s *Store) statsID(p IDPattern) IDStats {
 		return IDStats{Count: n, DistinctS: n, DistinctP: preds, DistinctO: 1}
 	default:
 		st := IDStats{Count: int(s.size.Load()), DistinctS: s.spo.leads, DistinctP: s.pos.leads}
-		s.pos.ascend(0, func(_ uint32, e *leadEntry) bool {
-			st.DistinctO += e.sets()
+		s.pos.ascend(0, func(_ uint32, ps trailSet) bool {
+			st.DistinctO += ps.sets()
 			return true
 		})
 		return st

@@ -21,7 +21,10 @@ import (
 //
 // Below the lead the two inner levels are plain arrays rather than nested
 // maps: a lead's (middle, chunk) pairs are one array kept ascending by middle
-// component, and each trailing set is strictly ascending runs of uint32 —
+// component — held in the lead's own entry while there are at most two, which
+// is most subjects (an instance's type and location), so such a lead costs
+// its entry and nothing else — and each trailing set is strictly ascending
+// runs of uint32 —
 // both searched, never hashed, whatever their size, so nothing sits beside
 // them. A set of one member, which is most of them (an instance's location,
 // each of its single-valued attributes), holds that member inside its 8-byte
@@ -125,36 +128,56 @@ func (mt *midTrail) first(runs [][]uint32) uint32 {
 	return mt.v
 }
 
-// runTable is an index's runs, by slot: a pair whose chunk is a run names
-// its slot (midTrail), and the slot holds the run's slice header, so a
-// pair's members are two loads away, the slot and the run. A dropped pair's
-// slot goes on free and the next run filed takes it, so the table is as
-// long as the most runs the index has held at once, and churn that drops a
-// run and files another grows nothing.
-type runTable struct {
-	runs [][]uint32
+// slotTable holds values by slot for the index words that name them, so
+// that no pair or lead holds a pointer: a run by its pair (midTrail), a pair
+// array by its lead (leadEntry). A dropped value's slot goes on free and the
+// next value filed takes it, so the table is as long as the most values it
+// has held at once, and churn that drops one and files another grows
+// nothing.
+type slotTable[T any] struct {
+	at   []T
 	free []uint32
 }
 
-// file gives run a slot, a free one first, and returns the pair's word
-// naming it.
-func (rt *runTable) file(run []uint32) uint32 {
-	if n := len(rt.free); n > 0 {
-		slot := rt.free[n-1]
-		rt.free = rt.free[:n-1]
-		rt.runs[slot] = run
-		return runTag | slot
+// file gives x a slot, a free one first, and returns it.
+func (t *slotTable[T]) file(x T) uint32 {
+	if n := len(t.free); n > 0 {
+		slot := t.free[n-1]
+		t.free = t.free[:n-1]
+		t.at[slot] = x
+		return slot
 	}
-	rt.runs = append(rt.runs, run)
-	return runTag | uint32(len(rt.runs)-1)
+	t.at = append(t.at, x)
+	return uint32(len(t.at) - 1)
 }
 
-// drop frees the slot of the pair whose word is v, when v names one, as the
-// pair goes.
-func (rt *runTable) drop(v uint32) {
+// drop frees slot, letting go of what it held.
+func (t *slotTable[T]) drop(slot uint32) {
+	var none T
+	t.at[slot] = none
+	t.free = append(t.free, slot)
+}
+
+// tables is an index's out-of-line storage: the runs its pairs name, a
+// slice header a slot, and the pair arrays its leads of more than two pairs
+// name, a pointer to the first pair a slot — the lead keeps the number and
+// the capacity (leadEntry). A pair's members, or a long lead's pairs, are
+// two loads away, the slot and the array.
+type tables struct {
+	runs   slotTable[[]uint32]
+	arrays slotTable[*midTrail]
+}
+
+// fileRun gives run a slot and returns the pair's word naming it.
+func (rt *tables) fileRun(run []uint32) uint32 {
+	return runTag | rt.runs.file(run)
+}
+
+// dropRun frees the slot of the pair whose word is v, when v names one, as
+// the pair goes.
+func (rt *tables) dropRun(v uint32) {
 	if v&runTag != 0 {
-		rt.runs[v&^runTag] = nil
-		rt.free = append(rt.free, v&^runTag)
+		rt.runs.drop(v &^ runTag)
 	}
 }
 
@@ -162,12 +185,12 @@ func (rt *runTable) drop(v uint32) {
 // second member turns the inline one into a run of two slots: a set's first
 // member costs no allocation and its second one, where a plain slice pays
 // one for the first. A full run regrows by roomFor.
-func (mt *midTrail) put(rt *runTable, k int, c uint32) {
+func (mt *midTrail) put(rt *tables, k int, c uint32) {
 	var run []uint32
 	if mt.v&runTag == 0 {
 		run = append(make([]uint32, 0, 2), mt.v)
 	} else {
-		run = roomFor(rt.runs[mt.v&^runTag], 1)
+		run = roomFor(rt.runs.at[mt.v&^runTag], 1)
 	}
 	run = run[:len(run)+1]
 	copy(run[k+1:], run[k:])
@@ -180,12 +203,12 @@ func (mt *midTrail) put(rt *runTable, k int, c uint32) {
 // regrowing its run at most once: an inline member and its newcomers get a
 // run of exactly their number, a run is regrown by roomFor. The merge runs
 // from the top down, so it needs no second buffer.
-func (mt *midTrail) merge(rt *runTable, keys [][4]uint32) {
+func (mt *midTrail) merge(rt *tables, keys [][4]uint32) {
 	var run []uint32
 	if mt.v&runTag == 0 {
 		run = append(make([]uint32, 0, 1+len(keys)), mt.v)
 	} else {
-		run = roomFor(rt.runs[mt.v&^runTag], len(keys))
+		run = roomFor(rt.runs.at[mt.v&^runTag], len(keys))
 	}
 	i, j := len(run)-1, len(keys)-1
 	run = run[:len(run)+len(keys)]
@@ -203,12 +226,12 @@ func (mt *midTrail) merge(rt *runTable, keys [][4]uint32) {
 
 // keep makes run the pair's chunk: filed in a slot of its own when the pair
 // held its member inline, else in place of the run in the pair's slot.
-func (mt *midTrail) keep(rt *runTable, run []uint32) {
+func (mt *midTrail) keep(rt *tables, run []uint32) {
 	if mt.v&runTag == 0 {
-		mt.v = rt.file(run)
+		mt.v = rt.fileRun(run)
 		return
 	}
-	rt.runs[mt.v&^runTag] = run
+	rt.runs.at[mt.v&^runTag] = run
 }
 
 // roomFor returns run with room for a more members, a chunk's worth at most
@@ -228,10 +251,10 @@ func roomFor(run []uint32, a int) []uint32 {
 
 // newChunk returns a pair for mid whose run is a chunk of its own, with room
 // for chunkLen members, holding members.
-func (rt *runTable) newChunk(mid uint32, members ...uint32) midTrail {
+func (rt *tables) newChunk(mid uint32, members ...uint32) midTrail {
 	run := make([]uint32, len(members), chunkLen)
 	copy(run, members)
-	return midTrail{mid: mid, v: rt.file(run)}
+	return midTrail{mid: mid, v: rt.fileRun(run)}
 }
 
 // keyChunk returns a pair for mid whose chunk holds the members keys name —
@@ -239,7 +262,7 @@ func (rt *runTable) newChunk(mid uint32, members ...uint32) midTrail {
 // one member inline, up to arenaRunMax a run of exactly their number, more
 // with buildSorted's room, an eighth more, so the first writes into a class a
 // large batch filed do not regrow it.
-func (rt *runTable) keyChunk(mid uint32, keys [][4]uint32) midTrail {
+func (rt *tables) keyChunk(mid uint32, keys [][4]uint32) midTrail {
 	n := len(keys)
 	if n == 1 {
 		return midTrail{mid: mid, v: keys[0][2]}
@@ -252,25 +275,27 @@ func (rt *runTable) keyChunk(mid uint32, keys [][4]uint32) midTrail {
 	for q := range keys {
 		run[q] = keys[q][2]
 	}
-	return midTrail{mid: mid, v: rt.file(run)}
+	return midTrail{mid: mid, v: rt.fileRun(run)}
 }
 
-// trailSet is one trailing set as its lead holds it — the consecutive pairs
-// of its mid, one chunk each, the chunks disjoint and ascending — with the
-// run table of its index. A set of up to chunkLen members is one pair; a
-// set that is not there has no pairs. The table is held by pointer, which
-// keeps a set at four words: the compiler keeps a value of that size in
-// registers, where a larger one goes through the stack at every call and
-// return (with the table's slice header in the set, a membership probe took
-// about twice as long).
+// trailSet is a run of whole sets of one lead — the consecutive pairs of
+// their mids, one chunk each, ascending by mid and, within a mid's set, the
+// chunks disjoint and ascending — with the tables of its index: one
+// trailing set, or all of a lead's (leadEntry.all). A set of up to chunkLen
+// members is one pair; a set that is not there has no pairs. The tables are
+// held by pointer, which keeps a set at four words: the compiler keeps a
+// value of that size in registers, where a larger one goes through the
+// stack at every call and return (with the run table's slice header in the
+// set, a membership probe took about twice as long). The pairs alias the
+// index and are valid until the next mutation of their lead.
 type trailSet struct {
 	pairs []midTrail
-	rt    *runTable
+	rt    *tables
 }
 
 // elems returns the members of chunk k.
 func (ts trailSet) elems(k int) []uint32 {
-	return ts.pairs[k].elems(ts.rt.runs)
+	return ts.pairs[k].elems(ts.rt.runs.at)
 }
 
 func (ts trailSet) len() int {
@@ -301,15 +326,15 @@ func (ts trailSet) contains(c uint32) bool {
 	if len(ts.pairs) == 0 {
 		return false
 	}
-	_, found := searchRun(ts.elems(chunkOf(ts.pairs, ts.rt.runs, c)), c)
+	_, found := searchRun(ts.elems(chunkOf(ts.pairs, ts.rt.runs.at, c)), c)
 	return found
 }
 
 // seek returns the place of the first member above c: its chunk and its
-// position there, which is the chunk's length when the member opens the next
+// place there, which is the chunk's length when the member opens the next
 // chunk or there is none.
 func (ts trailSet) seek(c uint32) (chunk, pos int) {
-	chunk = chunkOf(ts.pairs, ts.rt.runs, c)
+	chunk = chunkOf(ts.pairs, ts.rt.runs.at, c)
 	pos, found := searchRun(ts.elems(chunk), c)
 	if found {
 		pos++
@@ -317,40 +342,10 @@ func (ts trailSet) seek(c uint32) (chunk, pos int) {
 	return chunk, pos
 }
 
-// leadEntry is everything indexed under one leading component: its (middle,
-// chunk) pairs, ascending by middle component and, within one middle
-// component's set, by first member, as a pointer to the first pair, their
-// number and the array's capacity — 16 bytes, where a slice header is 24.
-// The writes (insertAll, insert and removeAll) create and drop the pairs, so
-// no pair is ever empty, and an entry without pairs is an empty slot of its
-// index.
-type leadEntry struct {
-	p    *midTrail
-	n, c uint32
-}
-
-// pairs returns the entry's pairs, for reading. The slice aliases the entry
-// and is valid until the next mutation of it.
-func (e *leadEntry) pairs() []midTrail {
-	return unsafe.Slice(e.p, e.n)
-}
-
-// array returns the entry's pairs with the capacity of their array, for a
-// write that regrows or shortens them and then sets them (setPairs).
-func (e *leadEntry) array() []midTrail {
-	return unsafe.Slice(e.p, e.c)[:e.n]
-}
-
-// setPairs makes ps the entry's pairs.
-func (e *leadEntry) setPairs(ps []midTrail) {
-	e.p, e.n, e.c = unsafe.SliceData(ps), uint32(len(ps)), uint32(cap(ps))
-}
-
 // search returns the place of mid's first pair among the pairs and whether
-// it is there: searchRun over the pairs' middle components. It spells out
-// pairs, which keeps it within the inliner's budget.
-func (e *leadEntry) search(mid uint32) (int, bool) {
-	ps := unsafe.Slice(e.p, e.n)
+// it is there: searchRun over the pairs' middle components.
+func (ts trailSet) search(mid uint32) (int, bool) {
+	ps := ts.pairs
 	lo, hi := 0, len(ps)
 	for hi-lo > linearRun {
 		m := int(uint(lo+hi) >> 1)
@@ -367,8 +362,8 @@ func (e *leadEntry) search(mid uint32) (int, bool) {
 }
 
 // setEnd returns the end of the set whose first pair is i.
-func (e *leadEntry) setEnd(i int) int {
-	ps := e.pairs()
+func (ts trailSet) setEnd(i int) int {
+	ps := ts.pairs
 	mid := ps[i].mid
 	lo, hi := i+1, len(ps)
 	if lo == hi || ps[lo].mid != mid {
@@ -385,51 +380,153 @@ func (e *leadEntry) setEnd(i int) int {
 	return lo
 }
 
-// span returns the pairs i to end as a set of the index whose run table is
-// rt: one set's pairs, or any run of whole sets.
-func (e *leadEntry) span(rt *runTable, i, end int) trailSet {
-	return trailSet{e.pairs()[i:end], rt}
+// span returns the pairs i to end: one set's pairs, or any run of whole
+// sets.
+func (ts trailSet) span(i, end int) trailSet {
+	return trailSet{ts.pairs[i:end], ts.rt}
 }
 
-// set returns mid's set, with no pairs when there is none. The slice aliases
-// the entry and is valid until the next mutation of it.
-func (e *leadEntry) set(rt *runTable, mid uint32) trailSet {
-	i, found := e.search(mid)
+// set returns mid's set, with no pairs when there is none.
+func (ts trailSet) set(mid uint32) trailSet {
+	i, found := ts.search(mid)
 	if !found {
 		return trailSet{}
 	}
-	return e.span(rt, i, e.setEnd(i))
+	return ts.span(i, ts.setEnd(i))
 }
 
-// sets returns how many sets the entry holds: its pairs, less the chunks
+// sets returns how many sets the pairs hold: their number, less the chunks
 // that continue a set.
-func (e *leadEntry) sets() int {
+func (ts trailSet) sets() int {
 	n := 0
-	for i := 0; i < int(e.n); i = e.setEnd(i) {
+	for i := 0; i < len(ts.pairs); i = ts.setEnd(i) {
 		n++
 	}
 	return n
 }
 
+// leadEntry is everything indexed under one leading component: its (middle,
+// chunk) pairs, ascending by middle component and, within one middle
+// component's set, by first member, in 16 bytes and no pointer, so the
+// collector never scans a lead page. A lead of one or two pairs — most of
+// them: an instance's type and location — holds its pairs in place and
+// costs nothing beside its entry; a longer one holds the slot of its pair
+// array in its index's tables. The second half of the entry tells which:
+//
+//   - {0, 0}: no pairs; the zero value is an empty slot of its index. No
+//     second pair is {0, 0}: its mid is not below the first pair's, so a mid
+//     of 0 makes it a later chunk of the first pair's set, which is a run,
+//     and a pair naming a run has a tagged v.
+//   - {leadOne, 0}: one pair, in the first half.
+//   - {leadOut, slot}: the pairs are the array slot of the index's arrays
+//     points to; the first half holds their number and the array's
+//     capacity, as its mid and v.
+//   - any other: two pairs, in place.
+//
+// Ids are below runTag, so no mid reads as leadOne or leadOut. The writes
+// (insertAll, insert and removeAll) create and drop the pairs, so no pair is
+// ever empty; setPairs moves a lead out of line at its third pair and back
+// in place when two or fewer are left.
+type leadEntry struct {
+	in [2]midTrail
+}
+
+// The second-half mids that mark a lead's form (leadEntry).
+const (
+	leadOne = runTag
+	leadOut = runTag | 1
+)
+
+// empty reports whether the entry holds no pairs.
+func (e *leadEntry) empty() bool {
+	return e.in[1] == midTrail{}
+}
+
+// pairs returns the entry's pairs, with the capacity of their array, for a
+// write that regrows or shortens them and then sets them (setPairs): the
+// entry's own two slots while it holds its pairs in place, so an append past
+// two moves them to an array of their own. The slice aliases the entry or
+// rt and is valid until the next mutation of the entry; pages never move.
+func (e *leadEntry) pairs(rt *tables) []midTrail {
+	switch e.in[1].mid {
+	case leadOut:
+		return unsafe.Slice(rt.arrays.at[e.in[1].v], e.in[0].v)[:e.in[0].mid]
+	case leadOne:
+		return e.in[:1]
+	}
+	if e.empty() {
+		return e.in[:0]
+	}
+	return e.in[:]
+}
+
+// all returns the entry's pairs as a run of whole sets, for reading.
+func (e *leadEntry) all(rt *tables) trailSet {
+	return trailSet{e.pairs(rt), rt}
+}
+
+// setPairs makes ps the entry's pairs: in place when there are at most two
+// and the entry holds no array (hold), else through setArray.
+func (e *leadEntry) setPairs(rt *tables, ps []midTrail) {
+	if len(ps) > 2 || e.in[1].mid == leadOut {
+		e.setArray(rt, ps)
+		return
+	}
+	e.hold(ps)
+}
+
+// hold keeps ps, at most two pairs, in place; ps may be the entry's own
+// slots.
+func (e *leadEntry) hold(ps []midTrail) {
+	switch len(ps) {
+	case 0:
+		e.in = [2]midTrail{}
+	case 1:
+		e.in = [2]midTrail{ps[0], {mid: leadOne}}
+	default:
+		e.in = [2]midTrail{ps[0], ps[1]}
+	}
+}
+
+// setArray is setPairs for an entry that holds an array or whose pairs
+// outgrow its two slots: more than two pairs go in an array slot, the
+// entry's own when it has one; two or fewer go back in place, and the
+// entry's slot is freed.
+func (e *leadEntry) setArray(rt *tables, ps []midTrail) {
+	slot := e.in[1].v
+	switch {
+	case len(ps) <= 2:
+		rt.arrays.drop(slot)
+		e.hold(ps)
+		return
+	case e.in[1].mid == leadOut:
+		rt.arrays.at[slot] = unsafe.SliceData(ps)
+	default:
+		slot = rt.arrays.file(unsafe.SliceData(ps))
+	}
+	e.in = [2]midTrail{{mid: uint32(len(ps)), v: uint32(cap(ps))}, {mid: leadOut, v: slot}}
+}
+
 // locate returns the pair that holds or would hold c among mid's, and
 // whether mid has a set; when it has none, i is where its first pair goes.
 // end is the end of the set.
-func (e *leadEntry) locate(rt *runTable, mid, c uint32) (i, end int, found bool) {
-	i, found = e.search(mid)
+func (e *leadEntry) locate(rt *tables, mid, c uint32) (i, end int, found bool) {
+	all := e.all(rt)
+	i, found = all.search(mid)
 	if !found {
 		return i, i, false
 	}
-	end = e.setEnd(i)
-	return i + chunkOf(e.pairs()[i:end], rt.runs, c), end, true
+	end = all.setEnd(i)
+	return i + chunkOf(all.pairs[i:end], rt.runs.at, c), end, true
 }
 
 // insert files c under mid, reporting whether it was absent. A mid seen for
 // the first time takes its place among the pairs with c inline; otherwise c
 // goes into the chunk locate names (insertAt).
-func (e *leadEntry) insert(rt *runTable, mid, c uint32) bool {
+func (e *leadEntry) insert(rt *tables, mid, c uint32) bool {
 	i, end, found := e.locate(rt, mid, c)
 	if !found {
-		e.insertPair(i, midTrail{mid: mid, v: c})
+		e.insertPair(rt, i, midTrail{mid: mid, v: c})
 		return true
 	}
 	return e.insertAt(rt, mid, c, i, end)
@@ -440,10 +537,10 @@ func (e *leadEntry) insert(rt *runTable, mid, c uint32) bool {
 // c goes at the front of the next chunk of the set if that has room, into a
 // chunk of its own past either end of the set — which is where ascending and
 // descending writes land — and otherwise the full chunk splits in two.
-func (e *leadEntry) insertAt(rt *runTable, mid, c uint32, i, end int) bool {
-	ps := e.pairs()
+func (e *leadEntry) insertAt(rt *tables, mid, c uint32, i, end int) bool {
+	ps := e.pairs(rt)
 	mt := &ps[i]
-	elems := mt.elems(rt.runs)
+	elems := mt.elems(rt.runs.at)
 	k, found := searchRun(elems, c)
 	if found {
 		return false
@@ -451,33 +548,33 @@ func (e *leadEntry) insertAt(rt *runTable, mid, c uint32, i, end int) bool {
 	switch {
 	case len(elems) < chunkLen:
 		mt.put(rt, k, c)
-	case k == len(elems) && i+1 < end && len(ps[i+1].elems(rt.runs)) < chunkLen:
+	case k == len(elems) && i+1 < end && len(ps[i+1].elems(rt.runs.at)) < chunkLen:
 		ps[i+1].put(rt, 0, c)
 	case k == len(elems) && i+1 == end:
-		e.insertPair(i+1, rt.newChunk(mid, c))
+		e.insertPair(rt, i+1, rt.newChunk(mid, c))
 	case k == 0: // c is below every member only in the set's first chunk
-		e.insertPair(i, rt.newChunk(mid, c))
+		e.insertPair(rt, i, rt.newChunk(mid, c))
 	default:
 		const half = chunkLen / 2
 		upper := rt.newChunk(mid, elems[half:]...)
-		rt.runs[mt.v&^runTag] = elems[:half]
+		rt.runs.at[mt.v&^runTag] = elems[:half]
 		if k <= half {
 			mt.put(rt, k, c)
 		} else {
 			upper.put(rt, k-half, c)
 		}
-		e.insertPair(i+1, upper)
+		e.insertPair(rt, i+1, upper)
 	}
 	return true
 }
 
 // insertPair files p at place i among the pairs, the pairs above it sliding
 // up one.
-func (e *leadEntry) insertPair(i int, p midTrail) {
-	ps := append(e.array(), midTrail{})
+func (e *leadEntry) insertPair(rt *tables, i int, p midTrail) {
+	ps := append(e.pairs(rt), midTrail{})
 	copy(ps[i+1:], ps[i:])
 	ps[i] = p
-	e.setPairs(ps)
+	e.setPairs(rt, ps)
 }
 
 // removeAll drops from mid's set every member that one of keys names —
@@ -488,16 +585,16 @@ func (e *leadEntry) insertPair(i int, p midTrail) {
 // with one copy, so a batch costs those chunks' length, not that length per
 // member; a chunk emptied drops its pair and frees its run's slot, and a
 // lead emptied is left without pairs.
-func (e *leadEntry) removeAll(rt *runTable, mid uint32, keys, out [][4]uint32) [][4]uint32 {
+func (e *leadEntry) removeAll(rt *tables, mid uint32, keys, out [][4]uint32) [][4]uint32 {
 	i, end, found := e.locate(rt, mid, keys[0][2])
 	if !found {
 		return out
 	}
-	ps := e.array()
+	ps := e.pairs(rt)
 	kept, k := i, 0
 	for ; i < end && k < len(keys); i++ {
 		mt := &ps[i]
-		elems := mt.elems(rt.runs)
+		elems := mt.elems(rt.runs.at)
 		// elems[:w] is kept and elems[r:] not yet read; the members between
 		// are dropped ones.
 		w, r := 0, 0
@@ -520,18 +617,18 @@ func (e *leadEntry) removeAll(rt *runTable, mid uint32, keys, out [][4]uint32) [
 		}
 		w += len(elems) - r
 		if w == 0 {
-			rt.drop(mt.v)
+			rt.dropRun(mt.v)
 			continue
 		}
 		if mt.v&runTag != 0 {
-			rt.runs[mt.v&^runTag] = elems[:w]
+			rt.runs.at[mt.v&^runTag] = elems[:w]
 		}
 		ps[kept] = *mt
 		kept++
 	}
 	if kept < i {
 		n := copy(ps[kept:], ps[i:])
-		e.setPairs(ps[:kept+n])
+		e.setPairs(rt, ps[:kept+n])
 	}
 	return out
 }
@@ -542,12 +639,13 @@ func (e *leadEntry) removeAll(rt *runTable, mid uint32, keys, out [][4]uint32) [
 // front, the key of each member that was absent, at its first occurrence. A
 // set it touches grows once: one of a single chunk takes its newcomers in one
 // merge while they fit the chunk, a new set is one chunk (keyChunk), and the
-// pair array grows once by the new sets' pairs, which are merged in from the
-// top down. A set of several chunks, one its newcomers would carry past
-// chunkLen, and any set taking a single newcomer take them one at a time
-// through insertAt, which keeps a long set's chunks in shape; the set's
-// place, found once, is passed on, not searched again.
-func (e *leadEntry) insertAll(rt *runTable, keys, out [][4]uint32) [][4]uint32 {
+// pairs grow once by the new sets' pairs, which are merged in from the top
+// down — in place while the lead's two slots hold them. A set of several
+// chunks, one its newcomers would carry past chunkLen, and any set taking a
+// single newcomer take them one at a time through insertAt, which keeps a
+// long set's chunks in shape; the set's place, found once, is passed on, not
+// searched again.
+func (e *leadEntry) insertAll(rt *tables, keys, out [][4]uint32) [][4]uint32 {
 	base, pairs := len(out), 0
 	for m, n := 0, 0; m < len(keys); m = n {
 		n = groupEnd(keys, m, 1)
@@ -557,15 +655,16 @@ func (e *leadEntry) insertAll(rt *runTable, keys, out [][4]uint32) [][4]uint32 {
 				out = append(out, k)
 			}
 		}
-		i, found := e.search(mid)
+		all := e.all(rt)
+		i, found := all.search(mid)
 		if !found {
 			pairs++
 			continue
 		}
-		w, end := lo, e.setEnd(i)
+		w, end := lo, all.setEnd(i)
 		if end == i+1 && len(out)-lo > 1 {
-			mt := &e.pairs()[i]
-			elems, p := mt.elems(rt.runs), 0
+			mt := &all.pairs[i]
+			elems, p := mt.elems(rt.runs.at), 0
 			for _, k := range out[lo:] {
 				q, found := searchRun(elems[p:], k[2])
 				if p += q; !found {
@@ -581,12 +680,13 @@ func (e *leadEntry) insertAll(rt *runTable, keys, out [][4]uint32) [][4]uint32 {
 			out, w = out[:w], lo
 		}
 		for _, k := range out[lo:] {
-			had := int(e.n)
-			if e.insertAt(rt, mid, k[2], i+chunkOf(e.pairs()[i:end], rt.runs, k[2]), end) {
+			ps := e.pairs(rt)
+			had := len(ps)
+			if e.insertAt(rt, mid, k[2], i+chunkOf(ps[i:end], rt.runs.at, k[2]), end) {
 				out[w] = k
 				w++
 			}
-			end += int(e.n) - had
+			end += len(e.pairs(rt)) - had
 		}
 		out = out[:w]
 	}
@@ -595,8 +695,9 @@ func (e *leadEntry) insertAll(rt *runTable, keys, out [][4]uint32) [][4]uint32 {
 	}
 	// Merge the new sets' pairs in from the top: j walks the pairs there
 	// were, w the slots, b the new keys down by mid.
-	j := int(e.n)
-	ps := slices.Grow(e.array(), pairs)[:j+pairs]
+	ps := e.pairs(rt)
+	j := len(ps)
+	ps = slices.Grow(ps, pairs)[:j+pairs]
 	w := len(ps)
 	for b := len(out); b > base; {
 		a, mid := b-1, out[b-1][1]
@@ -614,7 +715,7 @@ func (e *leadEntry) insertAll(rt *runTable, keys, out [][4]uint32) [][4]uint32 {
 		}
 		b = a
 	}
-	e.setPairs(ps)
+	e.setPairs(rt, ps)
 	return out
 }
 
@@ -633,7 +734,8 @@ const (
 
 // leadPage is one page of an index's lead directory: 128 entries of 16 bytes,
 // 2 048 bytes, which is one of the allocator's size classes, so a page wastes
-// nothing. A slot whose entry has no pairs holds no lead.
+// nothing, and no pointer, so the collector does not scan it. A slot whose
+// entry is empty holds no lead.
 type leadPage [1 << leadPageBits]leadEntry
 
 // leadChunk is one chunk of the directory: 64 page pointers, 512 bytes,
@@ -643,15 +745,16 @@ type leadPage [1 << leadPageBits]leadEntry
 type leadChunk [1 << leadChunkBits]*leadPage
 
 // index is one permutation index: a directory of lead pages addressed by the
-// lead's id, and the run table its pairs name their runs in. Pages never
-// move, so a *leadEntry stays valid while the directory grows. leads counts
-// the occupied slots, kept by every path that files or prunes, so reading it
+// lead's id, and the tables its pairs name their runs in and its long leads
+// their pair arrays. Pages never move, so a *leadEntry, and the pairs a lead
+// holds in place, stay valid while the directory grows. leads counts the
+// occupied slots, kept by every path that files or prunes, so reading it
 // never walks the index. The owning store's mu guards every field and
 // everything below it.
 type index struct {
 	chunks []*leadChunk
 	leads  int
-	runTable
+	tables
 }
 
 // find returns lead's entry, or nil when the index holds no lead with that
@@ -659,12 +762,21 @@ type index struct {
 func (ix *index) find(lead uint32) *leadEntry {
 	if c := int(lead >> leadChunkShift); c < len(ix.chunks) && ix.chunks[c] != nil {
 		if pg := ix.chunks[c][lead>>leadPageBits&leadChunkMask]; pg != nil {
-			if e := &pg[lead&leadPageMask]; e.n != 0 {
+			if e := &pg[lead&leadPageMask]; !e.empty() {
 				return e
 			}
 		}
 	}
 	return nil
+}
+
+// lead returns lead's pairs as a run of whole sets, with no pairs when the
+// index holds no lead with that id.
+func (ix *index) lead(lead uint32) trailSet {
+	if e := ix.find(lead); e != nil {
+		return e.all(&ix.tables)
+	}
+	return trailSet{}
 }
 
 // slot returns lead's entry, empty when the lead is not filed, allocating its
@@ -687,11 +799,11 @@ func (ix *index) slot(lead uint32) *leadEntry {
 	return &(*pg)[lead&leadPageMask]
 }
 
-// ascend calls yield for every lead of the index not below from, in
-// ascending id order, and reports whether it reached the end — false when
-// yield stopped it. This is the index's one enumeration of its leads; yield
-// must not file or prune.
-func (ix *index) ascend(from uint32, yield func(lead uint32, e *leadEntry) bool) bool {
+// ascend calls yield with the pairs of every lead of the index not below
+// from, in ascending id order, and reports whether it reached the end —
+// false when yield stopped it. This is the index's one enumeration of its
+// leads; yield must not file or prune.
+func (ix *index) ascend(from uint32, yield func(lead uint32, ts trailSet) bool) bool {
 	for id := uint64(from); id>>leadChunkShift < uint64(len(ix.chunks)); {
 		ch := ix.chunks[id>>leadChunkShift]
 		if ch == nil {
@@ -700,7 +812,7 @@ func (ix *index) ascend(from uint32, yield func(lead uint32, e *leadEntry) bool)
 		}
 		if pg := ch[id>>leadPageBits&leadChunkMask]; pg != nil {
 			for k := id & leadPageMask; k < uint64(len(pg)); k++ {
-				if e := &pg[k]; e.n != 0 && !yield(uint32(id&^leadPageMask|k), e) {
+				if e := &pg[k]; !e.empty() && !yield(uint32(id&^leadPageMask|k), e.all(&ix.tables)) {
 					return false
 				}
 			}
@@ -713,7 +825,7 @@ func (ix *index) ascend(from uint32, yield func(lead uint32, e *leadEntry) bool)
 // set returns mid's set under lead, with no pairs when there is none.
 func (ix *index) set(lead, mid uint32) trailSet {
 	if e := ix.find(lead); e != nil {
-		return e.set(&ix.runTable, mid)
+		return e.all(&ix.tables).set(mid)
 	}
 	return trailSet{}
 }
@@ -721,8 +833,8 @@ func (ix *index) set(lead, mid uint32) trailSet {
 // insert adds (a, b, c), reporting whether it was absent.
 func (ix *index) insert(a, b, c uint32) bool {
 	e := ix.slot(a)
-	fresh := e.n == 0
-	if !e.insert(&ix.runTable, b, c) {
+	fresh := e.empty()
+	if !e.insert(&ix.tables, b, c) {
 		return false
 	}
 	if fresh {
@@ -733,15 +845,14 @@ func (ix *index) insert(a, b, c uint32) bool {
 
 // contains reports whether (a, b, c) is present.
 func (ix *index) contains(a, b, c uint32) bool {
-	e := ix.find(a)
-	return e != nil && e.set(&ix.runTable, b).contains(c)
+	return ix.set(a, b).contains(c)
 }
 
 // removeAll deletes the triples keys name — (lead, mid, member, position)
 // in this index's order, ascending — and returns the keys of those that were
 // present, compacted to keys' front. Each set is compacted once for all of
-// its members, and a lead whose last pair goes gives its pair array back and
-// frees its slot.
+// its members, and a lead whose last pair goes is left empty, its pair array,
+// if it had one, freed with its slot.
 func (ix *index) removeAll(keys [][4]uint32) [][4]uint32 {
 	out := keys[:0]
 	for i, j := 0, 0; i < len(keys); i = j {
@@ -750,12 +861,11 @@ func (ix *index) removeAll(keys [][4]uint32) [][4]uint32 {
 		if e == nil {
 			continue
 		}
-		for m, n := i, i; m < j && e.n > 0; m = n {
+		for m, n := i, i; m < j && !e.empty(); m = n {
 			n = groupEnd(keys[:j], m, 1)
-			out = e.removeAll(&ix.runTable, keys[m][1], keys[m:n], out)
+			out = e.removeAll(&ix.tables, keys[m][1], keys[m:n], out)
 		}
-		if e.n == 0 {
-			*e = leadEntry{}
+		if e.empty() {
 			ix.leads--
 		}
 	}
@@ -773,10 +883,10 @@ func (ix *index) insertAll(keys [][4]uint32) [][4]uint32 {
 	for i, j := 0, 0; i < len(keys); i = j {
 		j = groupEnd(keys, i, 0)
 		e := ix.slot(keys[i][0])
-		if e.n == 0 {
+		if e.empty() {
 			ix.leads++
 		}
-		out = e.insertAll(&ix.runTable, keys[i:j], out)
+		out = e.insertAll(&ix.tables, keys[i:j], out)
 	}
 	return out
 }

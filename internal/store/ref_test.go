@@ -90,12 +90,12 @@ func addSpine(t *testing.T, s *Store, ref model.Set) {
 	}
 	for name, ix := range map[string]*index{"SPO": &s.spo, "POS": &s.pos} {
 		mids, trails := 0, 0
-		ix.ascend(0, func(_ uint32, e *leadEntry) bool {
-			if e.n > linearRun {
+		ix.ascend(0, func(_ uint32, ps trailSet) bool {
+			if len(ps.pairs) > linearRun {
 				mids++
 			}
-			for _, mt := range e.pairs() {
-				if len(mt.elems(ix.runs)) > longRun {
+			for k := range ps.pairs {
+				if len(ps.elems(k)) > longRun {
 					trails++
 				}
 			}

@@ -352,8 +352,10 @@ func carve[T any](arena *[]T, n int) []T {
 // to arenaRunMax members is one run, copied in input order, which is
 // ascending (radixSortIDTriples), so it is a valid run as it stands; a longer
 // one is split evenly into chunksFor chunks, each an allocation of its own
-// with chunkRoom. Every run takes the next slot of the run table, which is
-// sized to them. The pairs of leads up to arenaRunMax wide, the runs up to
+// with chunkRoom. Every run takes the next slot of the run table, and every
+// lead of more than two pairs the next of the array table, both sized to
+// them. A lead of one or two pairs is built in its entry, which is most
+// subjects; the pairs of longer leads up to arenaRunMax wide, the runs up to
 // arenaRunMax long and every run's slice header are carved out of three
 // arena allocations sized by a counting pass — for SPO, whose leads are the
 // store's subjects, per-entry allocation would mean millions of tiny objects
@@ -365,7 +367,7 @@ func (ix *index) buildSorted(ts []IDTriple) {
 		return
 	}
 	// Counting pass: what lives in the arenas.
-	mids, runs, elems := 0, 0, 0
+	mids, arrays, runs, elems := 0, 0, 0, 0
 	leadPairs := 0 // the pairs of the lead in progress
 	for i := 0; i < len(ts); {
 		j := runEnd(ts, i)
@@ -378,8 +380,11 @@ func (ix *index) buildSorted(ts []IDTriple) {
 		}
 		leadPairs += chunksFor(j - i)
 		if j == len(ts) || ts[j].S != ts[i].S {
-			if leadPairs <= arenaRunMax {
-				mids += leadPairs
+			if leadPairs > 2 {
+				arrays++
+				if leadPairs <= arenaRunMax {
+					mids += leadPairs
+				}
 			}
 			leadPairs = 0
 		}
@@ -389,7 +394,10 @@ func (ix *index) buildSorted(ts []IDTriple) {
 	elemArena := make([]uint32, elems)
 	ix.chunks = make([]*leadChunk, ts[len(ts)-1].S>>leadChunkShift+1)
 	ix.leads = 0
-	ix.runTable = runTable{runs: make([][]uint32, 0, runs)}
+	ix.tables = tables{
+		runs:   slotTable[[]uint32]{at: make([][]uint32, 0, runs)},
+		arrays: slotTable[*midTrail]{at: make([]*midTrail, 0, arrays)},
+	}
 	// fill copies the trailing ids of ts[lo:hi] into a run of its own at
 	// capacity room, or carved from the arena when room is 0, and appends its
 	// pair under mid to pairs.
@@ -403,7 +411,7 @@ func (ix *index) buildSorted(ts []IDTriple) {
 		for q := range run {
 			run[q] = ts[lo+q].O
 		}
-		return append(pairs, midTrail{mid: mid, v: ix.file(run)})
+		return append(pairs, midTrail{mid: mid, v: ix.fileRun(run)})
 	}
 	for i := 0; i < len(ts); {
 		l := ts[i].S
@@ -413,10 +421,14 @@ func (ix *index) buildSorted(ts []IDTriple) {
 			nm += chunksFor(k - j)
 			j = k
 		}
+		e := ix.slot(l)
 		var pairs []midTrail
-		if nm > arenaRunMax {
+		switch {
+		case nm <= 2:
+			pairs = e.pairs(&ix.tables) // the entry's own two slots
+		case nm > arenaRunMax:
 			pairs = make([]midTrail, 0, nm+nm/8)
-		} else {
+		default:
 			pairs = carve(&midArena, nm)[:0]
 		}
 		for k := i; k < j; {
@@ -435,7 +447,11 @@ func (ix *index) buildSorted(ts []IDTriple) {
 			}
 			k = k2
 		}
-		ix.slot(l).setPairs(pairs)
+		if nm <= 2 {
+			e.hold(pairs)
+		} else {
+			e.setPairs(&ix.tables, pairs)
+		}
 		ix.leads++
 		i = j
 	}

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -23,20 +24,49 @@ func removeOne(ix *index, lead, mid, c uint32) bool {
 
 // removeMember removes c from mid's set of e as a batch of one, reporting
 // whether it was there.
-func removeMember(rt *runTable, e *leadEntry, mid, c uint32) bool {
+func removeMember(rt *tables, e *leadEntry, mid, c uint32) bool {
 	keys := [][4]uint32{{0, mid, c, 0}}
 	return len(e.removeAll(rt, mid, keys, keys[:0])) == 1
 }
 
-// checkLead holds one lead entry to its layout — at least one pair, pairs
-// ascending by (mid, first member), each chunk passing checkSet against the
-// index's run table runs, the chunks of one mid disjoint and ascending — and
-// counts the members it holds.
-func checkLead(runs [][]uint32, e *leadEntry) (members int, bad string) {
-	ps := e.pairs()
-	if len(ps) == 0 {
-		return 0, "a lead without pairs was not pruned"
+// checkForm holds one lead entry to its form (leadEntry): at least one
+// pair; one or two in place, where the marker of a lone pair names no slot;
+// more than two in a live slot of the index's array table, within the
+// capacity the first half claims. A lead back at two pairs that stayed out of line fails it, as
+// does every pair whose mid is a marker.
+func checkForm(rt *tables, e *leadEntry) string {
+	switch k := e.in[1]; {
+	case k.mid == leadOut:
+		if int(k.v) >= len(rt.arrays.at) || rt.arrays.at[k.v] == nil {
+			return fmt.Sprintf("the lead names array slot %d, not a live one of the %d", k.v, len(rt.arrays.at))
+		}
+		if n, c := e.in[0].mid, e.in[0].v; n <= 2 || c < n {
+			return fmt.Sprintf("a lead of %d pairs in an array of %d is held out of line, in array slot %d", n, c, k.v)
+		}
+	case k.mid == leadOne && k.v != 0:
+		return fmt.Sprintf("a lead of one pair in place names slot %d", k.v)
 	}
+	ps := e.pairs(rt)
+	if len(ps) == 0 {
+		return "a lead without pairs was not pruned"
+	}
+	for _, mt := range ps {
+		if mt.mid >= runTag {
+			return fmt.Sprintf("a pair's mid is %#x, a marker, not an id", mt.mid)
+		}
+	}
+	return ""
+}
+
+// checkLead holds one lead entry to its layout — its form (checkForm), its
+// pairs ascending by (mid, first member), each chunk passing checkSet
+// against the index's runs, the chunks of one mid disjoint and ascending —
+// and counts the members it holds.
+func checkLead(rt *tables, e *leadEntry) (members int, bad string) {
+	if bad := checkForm(rt, e); bad != "" {
+		return 0, bad
+	}
+	runs, ps := rt.runs.at, e.pairs(rt)
 	for j := range ps {
 		mt := &ps[j]
 		n, bad := checkSet(runs, mt)
@@ -80,37 +110,59 @@ func checkSet(runs [][]uint32, mt *midTrail) (members int, bad string) {
 	return len(run), ""
 }
 
-// checkTable holds an index's run table to its pairs: no two pairs name one
-// slot, no pair names a free slot, no slot is free twice, and every slot is
-// named or free, so none leaks. It returns how many runs are live.
+// checkTable holds an index's two slot tables to its leads: no two pairs
+// name one run slot and no two leads one array slot, none names a free
+// slot, no slot is free twice or holds anything, and every slot is named or
+// free, so none leaks. It returns how many runs are live.
 func checkTable(ix *index) (live int, bad string) {
-	free := map[uint32]bool{}
-	for _, slot := range ix.free {
-		if free[slot] {
-			return 0, fmt.Sprintf("slot %d is on the free list twice", slot)
+	runs, arrays := map[uint32]uint32{}, map[uint32]uint32{}
+	name := func(named map[uint32]uint32, what string, slot, lead uint32) {
+		if other, ok := named[slot]; ok {
+			bad = fmt.Sprintf("%s slot %d is named by leads %d and %d", what, slot, other, lead)
 		}
-		free[slot] = true
+		named[slot] = lead
 	}
-	named := map[uint32]uint32{}
-	ix.ascend(0, func(lead uint32, e *leadEntry) bool {
-		for _, mt := range e.pairs() {
-			if mt.v&runTag == 0 {
-				continue
+	ix.ascend(0, func(lead uint32, ps trailSet) bool {
+		if e := ix.find(lead); e.in[1].mid == leadOut {
+			name(arrays, "array", e.in[1].v, lead)
+		}
+		for _, mt := range ps.pairs {
+			if mt.v&runTag != 0 {
+				name(runs, "run", mt.v&^runTag, lead)
 			}
-			slot := mt.v &^ runTag
-			if other, ok := named[slot]; ok {
-				bad = fmt.Sprintf("slot %d is named by leads %d and %d", slot, other, lead)
-			} else if free[slot] {
-				bad = fmt.Sprintf("lead %d names slot %d, which is free", lead, slot)
-			}
-			named[slot] = lead
 		}
 		return bad == ""
 	})
-	if bad == "" && len(named)+len(free) != len(ix.runs) {
-		bad = fmt.Sprintf("%d slots are named and %d free of a table of %d: a slot leaked", len(named), len(free), len(ix.runs))
+	if bad == "" {
+		bad = checkSlots("run", ix.runs.at, ix.runs.free, runs)
 	}
-	return len(named), bad
+	if bad == "" {
+		bad = checkSlots("array", ix.arrays.at, ix.arrays.free, arrays)
+	}
+	return len(runs), bad
+}
+
+// checkSlots holds one slot table to the slots the leads name: its free
+// list repeats no slot and holds none that is named or not cleared, and the
+// named and the free slots are the whole table.
+func checkSlots[T any](what string, at []T, free []uint32, named map[uint32]uint32) string {
+	seen := map[uint32]bool{}
+	for _, slot := range free {
+		lead, ok := named[slot]
+		switch {
+		case seen[slot]:
+			return fmt.Sprintf("%s slot %d is on the free list twice", what, slot)
+		case ok:
+			return fmt.Sprintf("lead %d names %s slot %d, which is free", lead, what, slot)
+		case int(slot) >= len(at) || !reflect.ValueOf(at[slot]).IsNil():
+			return fmt.Sprintf("free %s slot %d of %d was not cleared", what, slot, len(at))
+		}
+		seen[slot] = true
+	}
+	if len(named)+len(free) != len(at) {
+		return fmt.Sprintf("%d %s slots are named and %d free of a table of %d: a slot leaked", len(named), what, len(free), len(at))
+	}
+	return ""
 }
 
 // setElems returns a set's members, ascending, chunk after chunk.
@@ -133,8 +185,8 @@ func checkRuns(t testing.TB, what string, s *Store) {
 	for name, ix := range map[string]*index{"SPO": &s.spo, "POS": &s.pos} {
 		n, leads, bad := 0, 0, ""
 		prev := int64(-1)
-		ix.ascend(0, func(lead uint32, e *leadEntry) bool {
-			members, why := checkLead(ix.runs, e)
+		ix.ascend(0, func(lead uint32, _ trailSet) bool {
+			members, why := checkLead(&ix.tables, ix.find(lead))
 			switch {
 			case why != "":
 				bad = fmt.Sprintf("lead %d: %s", lead, why)
@@ -195,7 +247,7 @@ func idSetScript(t *testing.T, hub uint16, script []byte) {
 		ix.buildSorted(loaded)
 		perMid[3] = int(n)
 	}
-	peak := len(ix.runs) // the most runs live after any operation
+	peak := len(ix.runs.at) // the most runs live after any operation
 	check := func(op int, mid uint32) {
 		e := ix.find(lead)
 		if (e == nil) != (len(model) == 0) {
@@ -207,13 +259,16 @@ func idSetScript(t *testing.T, hub uint16, script []byte) {
 		if e == nil {
 			return
 		}
-		set := e.set(&ix.runTable, mid)
+		if bad := checkForm(&ix.tables, e); bad != "" {
+			t.Fatalf("op %d: %s", op, bad)
+		}
+		set := e.all(&ix.tables).set(mid)
 		if (set.pairs == nil) != (perMid[mid] == 0) {
 			t.Fatalf("op %d: set of mid %d present: %v, with %d members in the model", op, mid, set.pairs != nil, perMid[mid])
 		}
 		n := 0
 		for k := range set.pairs {
-			m, bad := checkSet(ix.runs, &set.pairs[k])
+			m, bad := checkSet(ix.runs.at, &set.pairs[k])
 			if bad != "" {
 				t.Fatalf("op %d: chunk %d of %d: %s", op, k, len(set.pairs), bad)
 			}
@@ -227,8 +282,10 @@ func idSetScript(t *testing.T, hub uint16, script []byte) {
 		switch {
 		case bad != "":
 			t.Fatalf("op %d: %s", op, bad)
-		case len(ix.runs) > peak:
-			t.Fatalf("op %d: the run table has %d slots, and at most %d runs were ever live", op, len(ix.runs), peak)
+		case len(ix.runs.at) > peak:
+			t.Fatalf("op %d: the run table has %d slots, and at most %d runs were ever live", op, len(ix.runs.at), peak)
+		case len(ix.arrays.at) > 1:
+			t.Fatalf("op %d: the array table has %d slots for one lead", op, len(ix.arrays.at))
 		}
 	}
 	var queued [][2]uint32
@@ -295,7 +352,7 @@ func idSetScript(t *testing.T, hub uint16, script []byte) {
 	}
 	flush(len(script) / 3)
 	if e := ix.find(lead); e != nil {
-		if n, bad := checkLead(ix.runs, e); bad != "" || n != len(model) {
+		if n, bad := checkLead(&ix.tables, e); bad != "" || n != len(model) {
 			t.Fatalf("%s; %d members, model has %d", bad, n, len(model))
 		}
 	}
@@ -304,11 +361,11 @@ func idSetScript(t *testing.T, hub uint16, script []byte) {
 		want[k[0]] = append(want[k[0]], k[1])
 	}
 	if e := ix.find(lead); e != nil {
-		if sets := e.sets(); sets != len(want) {
+		if sets := e.all(&ix.tables).sets(); sets != len(want) {
 			t.Fatalf("%d sets, model has %d mids", sets, len(want))
 		}
 		for mid, w := range want {
-			set := e.set(&ix.runTable, mid)
+			set := e.all(&ix.tables).set(mid)
 			slices.Sort(w)
 			if got := setElems(set); !slices.Equal(got, w) {
 				t.Fatalf("the set under mid %d is %v, model's keys ascending are %v", mid, got, w)
@@ -344,7 +401,9 @@ func idOps(op byte, mid int, values ...int) []byte {
 // back, and fill and empty a lead's 16 mids. The last
 // four file batches: one that carries a new set past chunkLen, one with
 // repeated and already-present members, one into a bulk-loaded hub of three
-// chunks, and one that opens eight mids under a lead that has one.
+// chunks, and one that opens eight mids under a lead that has one. Two more
+// walk a lead through its forms (leadEntry) and back: 1 → 2 → 3 → 2 → 1 → 0
+// pairs, one write at a time and in batches.
 func FuzzIDSet(f *testing.F) {
 	all := make([]int, 4095)
 	for v := range all {
@@ -394,6 +453,13 @@ func FuzzIDSet(f *testing.F) {
 		opened = append(opened, idOps(1, m, m, m+100, m+200)...)
 	}
 	f.Add(uint16(0), slices.Concat(idOps(0, 8, 1), opened, idOps(1, 8, 0, 2), idOps(3, 9, 109))) // opens mids under one lead
+	// A lead through its forms: one pair in place, two, three out of line,
+	// two back in place, none — written one at a time, then batched, with a
+	// run under mid 0 that keeps its slot across the moves.
+	f.Add(uint16(0), slices.Concat(idOps(0, 0, 5, 9), idOps(0, 1, 6), idOps(0, 2, 7), idOps(3, 0, 9), idOps(2, 1, 6),
+		idOps(3, 0, 5), idOps(2, 2, 7), idOps(2, 0, 9, 5)))
+	f.Add(uint16(0), slices.Concat(idOps(1, 1, 6), idOps(1, 0, 5, 9), idOps(3, 0, 9), idOps(1, 2, 7, 8), idOps(1, 3, 4), idOps(3, 2, 8),
+		idOps(2, 2, 7, 8), idOps(2, 3, 4), idOps(0, 2, 3), idOps(2, 1, 6), idOps(2, 2, 3), idOps(2, 0, 9, 5), idOps(1, 4, 1, 2, 3)))
 	f.Fuzz(idSetScript)
 }
 
@@ -417,13 +483,13 @@ func TestChunkedSetChurn(t *testing.T) {
 		chunks int // how many chunks the fill leaves, 0 when the order does not say
 	}{{"ascending", asc, 4}, {"descending", desc, 4}, {"shuffled", shuffled, 0}} {
 		t.Run(c.name, func(t *testing.T) {
-			var rt runTable
+			var rt tables
 			var e leadEntry
 			for _, v := range c.order {
 				e.insert(&rt, 3, v)
 			}
-			set := e.set(&rt, 3)
-			if n, bad := checkLead(rt.runs, &e); bad != "" || n != members {
+			set := e.all(&rt).set(3)
+			if n, bad := checkLead(&rt, &e); bad != "" || n != members {
 				t.Fatalf("%s; %d members", bad, n)
 			}
 			if len(set.pairs) < 4 || c.chunks > 0 && len(set.pairs) != c.chunks {
@@ -435,10 +501,10 @@ func TestChunkedSetChurn(t *testing.T) {
 					t.Fatalf("remove(%d) missed", v)
 				}
 			}
-			if n, bad := checkLead(rt.runs, &e); bad != "" || n != members-1100 {
+			if n, bad := checkLead(&rt, &e); bad != "" || n != members-1100 {
 				t.Fatalf("after the removals: %s; %d members", bad, n)
 			}
-			if after := len(e.set(&rt, 3).pairs); after >= before {
+			if after := len(e.all(&rt).set(3).pairs); after >= before {
 				t.Errorf("removing 1 100 middle members left %d chunks of %d: none emptied", after, before)
 			}
 		})
@@ -454,7 +520,7 @@ func TestIDSetSearchDoesNotAllocate(t *testing.T) {
 	}
 	for _, members := range []int{10_000, 100_000} {
 		const mid = 3
-		var rt runTable
+		var rt tables
 		var e leadEntry
 		for v := uint32(0); v < uint32(members); v++ {
 			e.insert(&rt, mid, 3*v)
@@ -462,7 +528,7 @@ func TestIDSetSearchDoesNotAllocate(t *testing.T) {
 		rng := rand.New(rand.NewSource(21))
 		hits := 0
 		if allocs := testing.AllocsPerRun(200, func() {
-			if e.set(&rt, mid).contains(uint32(rng.Intn(3 * members))) {
+			if e.all(&rt).set(mid).contains(uint32(rng.Intn(3 * members))) {
 				hits++
 			}
 		}); allocs != 0 {
@@ -481,7 +547,7 @@ func TestIDSetSearchDoesNotAllocate(t *testing.T) {
 		}); allocs != 0 {
 			t.Errorf("%d members: remove allocates %.1f times per call", members, allocs)
 		}
-		if n, bad := checkLead(rt.runs, &e); bad != "" || n != members-next {
+		if n, bad := checkLead(&rt, &e); bad != "" || n != members-next {
 			t.Errorf("%s; %d members after %d removals of %d", bad, n, next, members)
 		}
 	}
@@ -507,7 +573,7 @@ func TestAppendAllocatesWhatItKeeps(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const members = 100_000
-	var rt runTable
+	var rt tables
 	var e leadEntry
 	_, bytes := allocated(func() {
 		for v := uint32(0); v < members; v++ {
@@ -515,8 +581,8 @@ func TestAppendAllocatesWhatItKeeps(t *testing.T) {
 		}
 	})
 	per := float64(bytes) / members
-	t.Logf("%d ascending members in %d chunks: %.2f bytes allocated a member", members, len(e.set(&rt, 3).pairs), per)
-	if n, bad := checkLead(rt.runs, &e); bad != "" || n != members {
+	t.Logf("%d ascending members in %d chunks: %.2f bytes allocated a member", members, len(e.all(&rt).set(3).pairs), per)
+	if n, bad := checkLead(&rt, &e); bad != "" || n != members {
 		t.Fatalf("%s; %d members", bad, n)
 	}
 	if per > 4.2 {
@@ -636,12 +702,15 @@ func TestBatchGrowsEachSetOnce(t *testing.T) {
 	}
 }
 
-// TestFreshSubjectAllocatesOnePairArray: filing a new subject with a type
-// and a location — two single-member sets under a lead whose page exists,
-// its members landing in POS runs with room — allocates the subject's pair
-// array, two 8-byte pairs in one 16-byte object, and nothing else: no run,
-// no pointer beside a member.
-func TestFreshSubjectAllocatesOnePairArray(t *testing.T) {
+// TestFreshSubjectAllocatesNothing: filing a new subject with a type and a
+// location — two single-member sets under a lead whose page exists, its
+// members landing in POS runs with room — allocates nothing: the lead holds
+// its two pairs in place and each pair its one member. A third predicate
+// moves the pairs out of line into one array, four 8-byte pairs in a 32-byte
+// object, which takes the array slot another subject freed when it went
+// back to two predicates; and removing it again gives the array back and
+// files the two pairs in place.
+func TestFreshSubjectAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
@@ -654,6 +723,7 @@ func TestFreshSubjectAllocatesOnePairArray(t *testing.T) {
 		return v
 	}
 	typ, located, class, site := id(TypePredicate), id("locatedIn"), id("Class"), id("Site")
+	label, name := id("label"), id("Name")
 	old := make([]IDTriple, 0, 10)
 	for i := 0; i < 5; i++ {
 		subject := id(fmt.Sprint("old", i))
@@ -670,14 +740,38 @@ func TestFreshSubjectAllocatesOnePairArray(t *testing.T) {
 		if added, err := tx.AddIDs(slices.Clone(old)); err != nil || len(added) != 0 { // warms the batch scratch
 			t.Fatalf("the warm-up batch: %d fresh, %v", len(added), err)
 		}
-		count, bytes := allocated(func() {
-			if added, err := tx.AddIDs([]IDTriple{{S: fresh, P: typ, O: class}, {S: fresh, P: located, O: site}}); err != nil || len(added) != 2 {
-				t.Fatalf("AddIDs filed %d of 2, %v", len(added), err)
+		// An old subject out of line and back: the POS set (label, name)
+		// and a free array slot.
+		third := IDTriple{S: old[0].S, P: label, O: name}
+		if _, err := tx.AddID(third); err != nil || !tx.RemoveID(third) {
+			t.Fatalf("AddID, RemoveID(%v): %v", third, err)
+		}
+		for _, c := range []struct {
+			what         string
+			ts           []IDTriple
+			count, bytes uint64
+		}{
+			{"a fresh subject's type and location", []IDTriple{{S: fresh, P: typ, O: class}, {S: fresh, P: located, O: site}}, 0, 0},
+			{"its third predicate", []IDTriple{{S: fresh, P: label, O: name}}, 1, 32},
+		} {
+			count, bytes := allocated(func() {
+				if added, err := tx.AddIDs(c.ts); err != nil || len(added) != len(c.ts) {
+					t.Fatalf("%s: AddIDs filed %d of %d, %v", c.what, len(added), len(c.ts), err)
+				}
+			})
+			t.Logf("%s: %d allocations, %d bytes", c.what, count, bytes)
+			if count != c.count || bytes != c.bytes {
+				t.Errorf("filing %s allocates %d objects of %d bytes, want %d of %d", c.what, count, bytes, c.count, c.bytes)
 			}
-		})
-		t.Logf("a fresh subject: %d allocations, %d bytes", count, bytes)
-		if count != 1 || bytes != 16 {
-			t.Errorf("filing a fresh subject's two triples allocates %d objects of %d bytes, want one of 16", count, bytes)
+		}
+		if e := s.spo.find(fresh); e.in[1].mid != leadOut {
+			t.Errorf("a subject of three predicates holds them in place: %v", e.in)
+		}
+		if !tx.RemoveID(IDTriple{S: fresh, P: label, O: name}) {
+			t.Fatal("RemoveID missed the third predicate")
+		}
+		if e := s.spo.find(fresh); e.in[1].mid == leadOut || len(s.spo.arrays.free) != 1 {
+			t.Errorf("back at two predicates the subject is %v, with %d free array slots; want its pairs in place and its slot free", e.in, len(s.spo.arrays.free))
 		}
 		return false
 	})
@@ -723,7 +817,7 @@ func TestLoadedHubTakesMiddleInserts(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("a middle insert into a loaded chunk allocates %.1f times", allocs)
 	}
-	if n, bad := checkLead(ix.runs, ix.find(typ)); bad != "" || n != members+len(middles) {
+	if n, bad := checkLead(&ix.tables, ix.find(typ)); bad != "" || n != members+len(middles) {
 		t.Fatalf("%s; %d members", bad, n)
 	}
 }
@@ -737,9 +831,14 @@ func TestNewMidDoesNotAllocate(t *testing.T) {
 	}
 	const lead, spare = 7, 64
 	var ix index
-	ix.slot(lead).setPairs(make([]midTrail, 0, spare))
+	ps := make([]midTrail, 3, spare) // out of line, with room
+	for k := range ps {
+		ps[k] = midTrail{mid: 2*spare + uint32(k), v: 7}
+	}
+	ix.slot(lead).setPairs(&ix.tables, ps)
+	ix.leads++
 	mid := uint32(2 * spare)
-	if allocs := testing.AllocsPerRun(spare-1, func() {
+	if allocs := testing.AllocsPerRun(spare-len(ps)-1, func() {
 		mid -= 2 // descending: each new pair lands below every other
 		if !ix.insert(lead, mid, 7) {
 			t.Fatalf("insert under the new mid %d reported a duplicate", mid)
@@ -750,7 +849,7 @@ func TestNewMidDoesNotAllocate(t *testing.T) {
 	if !ix.insert(lead, mid+1, 7) {
 		t.Fatal("insert between two pairs reported a duplicate")
 	}
-	if n, bad := checkLead(ix.runs, ix.find(lead)); bad != "" || n != spare+1 {
+	if n, bad := checkLead(&ix.tables, ix.find(lead)); bad != "" || n != spare+1 {
 		t.Fatalf("%s; %d members, want %d", bad, n, spare+1)
 	}
 }

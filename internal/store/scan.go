@@ -206,7 +206,7 @@ func (pt *ScanPart) fill(out []IDTriple) int {
 // arrives at a later one and starts it from its first pair.
 func (pt *ScanPart) fillLeads(out []IDTriple) int {
 	ix, n := pt.index(), 0
-	pt.done = ix.ascend(pt.nextLead, func(lead uint32, e *leadEntry) bool {
+	pt.done = ix.ascend(pt.nextLead, func(lead uint32, ps trailSet) bool {
 		if n == len(out) {
 			return false
 		}
@@ -218,9 +218,9 @@ func (pt *ScanPart) fillLeads(out []IDTriple) int {
 		switch {
 		case pt.skipTypes && pt.fam == famPOS && lead == pt.tw.typ:
 		case !pt.midBound:
-			n, listDone = pt.fillMids(lead, e, out, n)
+			n, listDone = pt.fillMids(lead, ps, out, n)
 		default:
-			if set := e.set(&ix.runTable, pt.mid); set.pairs != nil {
+			if set := ps.set(pt.mid); set.pairs != nil {
 				n, listDone = pt.fillSet(lead, pt.mid, set, out, n)
 			}
 		}
@@ -298,15 +298,14 @@ func (pt *ScanPart) fillSet(lead, mid uint32, set trailSet, out []IDTriple, n in
 // above lastTrail. A set emptied, dropped or filed anew moves no other set
 // across the cursor, so only a set a write touched may be seen or missed.
 // With the trail bound a set contributes at most its one membership.
-func (pt *ScanPart) fillMids(lead uint32, e *leadEntry, out []IDTriple, n int) (int, bool) {
-	i, found := e.search(pt.nextMid)
+func (pt *ScanPart) fillMids(lead uint32, ps trailSet, out []IDTriple, n int) (int, bool) {
+	i, found := ps.search(pt.nextMid)
 	if !found {
 		pt.chunk, pt.trailPos = 0, 0 // the list the cursor stood in is gone
 	}
-	rt := &pt.index().runTable
-	for i < int(e.n) && n < len(out) {
-		end := e.setEnd(i)
-		set, mid := e.span(rt, i, end), e.pairs()[i].mid
+	for i < len(ps.pairs) && n < len(out) {
+		end := ps.setEnd(i)
+		set, mid := ps.span(i, end), ps.pairs[i].mid
 		i = end
 		switch {
 		case pt.skipTypes && mid == pt.tw.typ:
@@ -327,7 +326,7 @@ func (pt *ScanPart) fillMids(lead uint32, e *leadEntry, out []IDTriple, n int) (
 		// then finished before nextMid is read again.
 		pt.nextMid = mid + 1
 	}
-	return n, i >= int(e.n)
+	return n, i >= len(ps.pairs)
 }
 
 // fillLead advances a single-lead part: the lead entry is re-looked-up each
@@ -335,25 +334,24 @@ func (pt *ScanPart) fillMids(lead uint32, e *leadEntry, out []IDTriple, n int) (
 // list by value, so only the triple a write touched may be seen or missed;
 // with the mid open the walk is fillMids.
 func (pt *ScanPart) fillLead(out []IDTriple) int {
-	ix := pt.index()
-	e, n := ix.find(pt.lead), 0
+	ps, n := pt.index().lead(pt.lead), 0
 	switch {
-	case e == nil:
+	case ps.pairs == nil:
 		pt.done = true
 	case pt.allBound:
-		if e.set(&ix.runTable, pt.mid).contains(pt.trail) {
+		if ps.set(pt.mid).contains(pt.trail) {
 			out[0] = tripleOf(pt.fam, pt.lead, pt.mid, pt.trail)
 			n = 1
 		}
 		pt.done = true
 	case pt.midBound:
-		if set := e.set(&ix.runTable, pt.mid); set.pairs != nil {
+		if set := ps.set(pt.mid); set.pairs != nil {
 			n, pt.done = pt.fillSet(pt.lead, pt.mid, set, out, n)
 		} else {
 			pt.done = true
 		}
 	default:
-		n, pt.done = pt.fillMids(pt.lead, e, out, n)
+		n, pt.done = pt.fillMids(pt.lead, ps, out, n)
 	}
 	return n
 }
@@ -509,20 +507,16 @@ func (s *Store) batchProbePO(ps []IDPattern, yield func(pi int, t IDTriple) bool
 func (s *Store) probeLocked(p IDPattern, pi int, yield func(int, IDTriple) bool) bool {
 	switch {
 	case p.BoundS:
-		e := s.spo.find(p.S)
-		if e == nil {
-			return true
-		}
+		pairs := s.spo.lead(p.S)
 		if p.BoundP {
 			if p.BoundO {
-				if e.set(&s.spo.runTable, p.P).contains(p.O) {
+				if pairs.set(p.P).contains(p.O) {
 					return yield(pi, IDTriple{S: p.S, P: p.P, O: p.O})
 				}
 				return true
 			}
-			return emitPairs(e.set(&s.spo.runTable, p.P), pi, yield, famSPO, p.S)
+			return emitPairs(pairs.set(p.P), pi, yield, famSPO, p.S)
 		}
-		pairs := e.span(&s.spo.runTable, 0, int(e.n))
 		if !p.BoundO {
 			return emitPairs(pairs, pi, yield, famSPO, p.S)
 		}
@@ -534,21 +528,18 @@ func (s *Store) probeLocked(p IDPattern, pi int, yield func(int, IDTriple) bool)
 		}
 		return true
 	case p.BoundP:
-		e := s.pos.find(p.P)
-		if e == nil {
-			return true
-		}
+		pairs := s.pos.lead(p.P)
 		if p.BoundO {
-			return emitPairs(e.set(&s.pos.runTable, p.O), pi, yield, famPOS, p.P)
+			pairs = pairs.set(p.O)
 		}
-		return emitPairs(e.span(&s.pos.runTable, 0, int(e.n)), pi, yield, famPOS, p.P)
+		return emitPairs(pairs, pi, yield, famPOS, p.P)
 	case p.BoundO:
-		return s.pos.ascend(0, func(pid uint32, e *leadEntry) bool {
-			return emitPairs(e.set(&s.pos.runTable, p.O), pi, yield, famPOS, pid)
+		return s.pos.ascend(0, func(pid uint32, ps trailSet) bool {
+			return emitPairs(ps.set(p.O), pi, yield, famPOS, pid)
 		})
 	default:
-		return s.spo.ascend(0, func(sid uint32, e *leadEntry) bool {
-			return emitPairs(e.span(&s.spo.runTable, 0, int(e.n)), pi, yield, famSPO, sid)
+		return s.spo.ascend(0, func(sid uint32, ps trailSet) bool {
+			return emitPairs(ps, pi, yield, famSPO, sid)
 		})
 	}
 }
