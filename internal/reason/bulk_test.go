@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/query/exec"
@@ -375,5 +376,38 @@ func TestSeedScansTheMostSelectiveAtom(t *testing.T) {
 	})
 	if heads != 10 || polls.n > 1 {
 		t.Fatalf("the seed evaluation emitted %d heads (want 10) in %d polls of 256 steps: it did not start from the one r fact", heads, polls.n)
+	}
+}
+
+// TestSeedRoundReservesNoHeadRoom pins what a serving boot allocates per
+// asserted triple. On the serving corpus the seed round derives about one
+// head for every two asserted triples, so its head buffer must stay at one
+// head per asserted triple. With headFanout heads reserved up front the
+// boot allocated 169–173 B an asserted triple, 96 B of it a buffer mostly
+// unused. When that buffer landed on recycled heap it was cleared whole and
+// stayed resident. Without the reservation the boot allocates 85–89 B.
+func TestSeedRoundReservesNoHeadRoom(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
+	base := store.New()
+	if _, err := base.AddBatch(servingCorpusN(t, 48, 20_000)); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, err := MaterializeServing(base, RDFSRules())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perTriple := float64(after.TotalAlloc-before.TotalAlloc) / float64(base.Len())
+	t.Logf("%d asserted triples, %d heads: %.1f B allocated an asserted triple", base.Len(), r.MaterializeStats().Heads, perTriple)
+	if heads := r.MaterializeStats().Heads; heads >= base.Len() {
+		t.Fatalf("%d heads from %d asserted triples: the corpus no longer derives fewer heads than it asserts", heads, base.Len())
+	}
+	if perTriple > 120 {
+		t.Errorf("a serving boot allocates %.1f B an asserted triple, budget 120: is the head buffer reserved beyond one head a triple?", perTriple)
 	}
 }

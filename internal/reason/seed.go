@@ -55,7 +55,8 @@ func (r *Reasoner) seedRound() []store.IDTriple {
 	// One buffer gathers the heads of all ordinary rules, then, emptied in
 	// between, those of each propagation rule on its own: what such a rule
 	// concluded is what its recursive atom must not be fed next round.
-	scratch := headSet{buf: make([]store.IDTriple, 0, headFanout*r.base.Len())}
+	room := headFanout * r.base.Len()
+	scratch := headSet{buf: make([]store.IDTriple, 0, min(r.base.Len(), room)), room: room}
 	for i := range r.rules {
 		if r.rules[i].selfAtom < 0 {
 			matchAll(&r.scratch.ctx, &r.rules[i], r.base, scratch.add)
@@ -97,17 +98,22 @@ func (r *Reasoner) seedRound() []store.IDTriple {
 }
 
 // headFanout is how many heads per asserted triple the seed round's head
-// buffer starts with room for. A variable only so tests can zero it and drive
-// the compaction path on small inputs.
+// buffer grows to before it compacts. A variable only so tests can zero it
+// and drive the compaction path on small inputs.
 var headFanout = 8
 
-// headSet gathers a round's heads as a set. Heads are appended unsorted and
-// the buffer is sorted and de-duplicated whenever it fills, growing only when
-// that frees less than half of it, so the footprint follows the distinct
-// heads rather than the matches — a rule set can match the same head many
-// times over.
+// headSet gathers a round's heads as a set. Heads are appended unsorted into
+// a buffer of one head per asserted triple; if that fills, the buffer grows
+// to room at once, and from there it is sorted and de-duplicated whenever it
+// fills, growing only when that frees less than half of it, so the footprint
+// follows the distinct heads rather than the matches — a rule set can match
+// the same head many times over. Room is not reserved up front: a boot that
+// derives fewer heads than it asserts would leave most of it unused, and an
+// allocation on recycled heap is cleared whole, so the unused part is
+// resident all the same.
 type headSet struct {
 	buf   []store.IDTriple
+	room  int // the capacity from which a full buffer is compacted first
 	added int // heads added, duplicates included
 }
 
@@ -115,9 +121,13 @@ type headSet struct {
 // pipeline's emit callback as is.
 func (h *headSet) add(t store.IDTriple) bool {
 	if len(h.buf) == cap(h.buf) {
-		h.sorted()
-		if len(h.buf) >= cap(h.buf)/2 {
-			h.buf = append(make([]store.IDTriple, 0, max(2*cap(h.buf), 1)), h.buf...)
+		grow := cap(h.buf) < h.room
+		if !grow {
+			h.sorted()
+			grow = len(h.buf) >= cap(h.buf)/2
+		}
+		if grow {
+			h.buf = append(make([]store.IDTriple, 0, max(2*cap(h.buf), h.room, 1)), h.buf...)
 		}
 	}
 	h.buf = append(h.buf, t)

@@ -7,22 +7,19 @@
 # `go tool pprof -top` of it. The directory itself is never written; the
 # copy, the binary and the server go when the script ends.
 #
-#   bash scripts/heap-profile.sh <data-dir> [ontoserve flags...]
+#   bash scripts/heap-profile.sh <data-dir>
 #
-# Further arguments go to ontoserve (e.g. -cache 4). HEAP_PROFILE=<file>
-# keeps the raw profile there, for `go tool pprof` views other than -top.
 # ontoserve wants a corpus flag even when the directory holds state, which
-# then seeds nothing; without one among the arguments the script passes the
-# directory's sibling corpus.triples, as the benchmark's golden directories
-# have it (.bench_build/golden-*/data, bench/run.go), else an empty snapshot.
+# then seeds nothing: the script passes the directory's sibling
+# corpus.triples, as the benchmark's golden directories have it
+# (.bench_build/golden-*/data, bench/run.go), else an empty snapshot.
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-if [ $# -lt 1 ] || [ ! -d "$1" ]; then
-	echo "usage: $0 <data-dir> [ontoserve flags...]" >&2
+if [ $# -ne 1 ] || [ ! -d "$1" ]; then
+	echo "usage: $0 <data-dir>" >&2
 	exit 2
 fi
 src="$1"
-shift
 
 work="$(mktemp -d)"
 pid=""
@@ -38,21 +35,14 @@ trap cleanup EXIT
 (cd "$root" && go build -o "$work/ontoserve" ./cmd/ontoserve)
 cp -R "$src" "$work/data"
 
-corpus=()
-case " $* " in
-*" -annotations "* | *" -paper "* | *" -replicate-from "*) ;;
-*)
-	if [ -f "$src/../corpus.triples" ]; then
-		corpus=(-annotations "$src/../corpus.triples")
-	else
-		: >"$work/empty.triples"
-		corpus=(-annotations "$work/empty.triples")
-	fi
-	;;
-esac
+corpus="$src/../corpus.triples"
+if [ ! -f "$corpus" ]; then
+	corpus="$work/empty.triples"
+	: >"$corpus"
+fi
 
-GODEBUG=memprofilerate=1 "$work/ontoserve" "${corpus[@]}" -data-dir "$work/data" \
-	-addr 127.0.0.1:0 -pprof-addr 127.0.0.1:0 "$@" 2>"$work/log" &
+GODEBUG=memprofilerate=1 "$work/ontoserve" -annotations "$corpus" -data-dir "$work/data" \
+	-addr 127.0.0.1:0 -pprof-addr 127.0.0.1:0 2>"$work/log" &
 pid=$!
 
 # The server logs its pprof listener first, then "serving ... on
@@ -77,7 +67,4 @@ if [ -z "$pprof" ]; then
 fi
 
 curl -sSf -o "$work/heap.pb.gz" "${pprof}heap?gc=1"
-if [ -n "${HEAP_PROFILE:-}" ]; then
-	cp "$work/heap.pb.gz" "$HEAP_PROFILE"
-fi
 go tool pprof -top -sample_index=inuse_space "$work/ontoserve" "$work/heap.pb.gz"
